@@ -5,8 +5,8 @@
 //! Morsel hand-out is lock-free (see [`crate::queue`]); the query list is
 //! guarded by a small read-write lock that is touched once per *morsel*,
 //! not per tuple, and the pending-job transitions (pipeline → pipeline) are
-//! performed by whichever worker drained the previous pipeline — the
-//! QEPobject as a passive state machine.
+//! performed by whichever worker completed the previous pipeline's last
+//! morsel — the QEPobject as a passive state machine.
 //!
 //! Worker shares across concurrent queries follow `active workers /
 //! effective priority`, where the effective priority ages upward with
@@ -25,7 +25,7 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::env::ExecEnv;
 use crate::govern::MemBudget;
-use crate::job::{Claim, JobExec};
+use crate::job::JobExec;
 use crate::query::{FailReason, QueryHandle, QueryShared, QuerySpec, QueryStats, Stage};
 use crate::queue::SchedulingMode;
 use crate::task::{Morsel, TaskContext, DEFAULT_MORSEL_SIZE};
@@ -314,8 +314,7 @@ impl Dispatcher {
     /// has passed is marked cancelled here, so workers stop handing out
     /// its morsels and the reaping path tears it down.
     ///
-    /// `now_ns` stamps query completion if this work request happens to be
-    /// the one that observes a drained pipeline (see `Claim::Drained`).
+    /// `now_ns` stamps the completion of a query this request reaps.
     pub fn next_task(&self, worker: usize, now_ns: u64) -> Option<Task> {
         let queries: Vec<Arc<QueryExec>> = {
             let guard = self.queries.read();
@@ -358,30 +357,14 @@ impl Dispatcher {
                     None => continue,
                 }
             };
-            match job.try_claim(worker) {
-                Claim::Task(morsel, stolen) => {
-                    q.active_workers.fetch_add(1, Ordering::SeqCst);
-                    return Some(Task {
-                        query: Arc::clone(q),
-                        job,
-                        morsel,
-                        stolen,
-                    });
-                }
-                Claim::Empty => {}
-                Claim::Drained => {
-                    // Our failed claim was the last observer of the drained
-                    // pipeline (the race in JobExec::try_claim): finish it
-                    // and advance the query, exactly as the last completer
-                    // would have.
-                    let mut ctx = TaskContext::new(&self.env, worker);
-                    self.contained_finish(&mut ctx, q, &job);
-                    q.absorb_job_stats(&job);
-                    *q.current.lock() = None;
-                    self.advance(&mut ctx, q, now_ns);
-                    // The query may now have a fresh pipeline; retry it on
-                    // the next request rather than recursing.
-                }
+            if let Some((morsel, stolen)) = job.try_claim(worker) {
+                q.active_workers.fetch_add(1, Ordering::SeqCst);
+                return Some(Task {
+                    query: Arc::clone(q),
+                    job,
+                    morsel,
+                    stolen,
+                });
             }
         }
         None
@@ -403,7 +386,7 @@ impl Dispatcher {
     /// calling worker runs the pipeline's `finish` and advances the QEP.
     pub fn complete_task(&self, ctx: &mut TaskContext<'_>, task: Task, now_ns: u64) {
         task.query.active_workers.fetch_sub(1, Ordering::SeqCst);
-        if task.job.release() {
+        if task.job.complete(task.morsel.rows()) {
             self.contained_finish(ctx, &task.query, &task.job);
             task.query.absorb_job_stats(&task.job);
             *task.query.current.lock() = None;
@@ -417,8 +400,8 @@ impl Dispatcher {
     /// discarded, not finalized.
     ///
     /// Finish work always runs in a context *bound to the owning query*,
-    /// even when the observing context is unbound (a `Claim::Drained`
-    /// race, or submit-time empty stages): finish-time recording —
+    /// even when the observing context is unbound (submit-time empty
+    /// stages): finish-time recording —
     /// result-assembly rows, profile counters — must be attributed to
     /// the query, not dropped.
     fn contained_finish(&self, ctx: &mut TaskContext<'_>, q: &Arc<QueryExec>, job: &JobExec) {
@@ -438,9 +421,9 @@ impl Dispatcher {
     fn reap_cancelled(&self, q: &Arc<QueryExec>, now_ns: u64) {
         let job = { q.current.lock().as_ref().cloned() };
         if let Some(job) = job {
-            // Only finish once nothing is in flight; in-flight morsels
-            // complete normally and their releaser advances the query.
-            if job.in_flight.load(Ordering::SeqCst) == 0 && job.force_finish() {
+            // Only once nothing is in flight: running morsels complete
+            // normally, and the last of the job would finish it itself.
+            if job.reap() {
                 q.absorb_job_stats(&job);
                 *q.current.lock() = None;
                 let mut ctx = TaskContext::new(&self.env, 0);
@@ -524,11 +507,9 @@ impl Dispatcher {
                         self.env.topology(),
                     );
                     if job.queues.total_rows() == 0 {
-                        // Empty pipeline: finish inline and continue.
-                        if job.force_finish() {
-                            self.contained_finish(ctx, q, &job);
-                            q.absorb_job_stats(&job);
-                        }
+                        // Empty pipeline: no morsel will ever complete
+                        // it, so finish inline and continue.
+                        self.contained_finish(ctx, q, &job);
                         continue;
                     }
                     *q.current.lock() = Some(Arc::new(job));

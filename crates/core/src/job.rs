@@ -1,6 +1,6 @@
 //! Pipeline jobs: the unit of work the dispatcher schedules.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use morsel_numa::Topology;
@@ -79,27 +79,30 @@ impl BuiltJob {
     }
 }
 
-/// Outcome of a claim attempt.
-pub(crate) enum Claim {
-    /// A morsel to execute (`stolen` = from a non-preferred queue).
-    Task(Morsel, bool),
-    /// No work now, but morsels are still in flight (or another claimer
-    /// will finish the job).
-    Empty,
-    /// This claim observed the job fully drained and won the finish race:
-    /// the caller must run the pipeline's `finish` and advance the query.
-    Drained,
-}
+/// Set in [`JobExec::state`] once a finisher has been chosen; the low
+/// bits count claims in flight.
+const CLOSED: u64 = 1 << 63;
 
 /// Dispatcher-internal state of an executing pipeline job.
+///
+/// Exactly one caller finishes a job, and only after every morsel that
+/// was handed out has completed. `rows_left` counts the rows of morsels
+/// not yet completed, so the completion that brings it to zero is by
+/// construction the last one — no other morsel can be running or still
+/// be cut — and that caller alone is told to finish. A cancelled query
+/// never hands out its remaining morsels; its job is instead closed by
+/// [`JobExec::reap`], which succeeds only at an instant when no claim is
+/// in flight. `state` makes the two exclusive: a completer that finishes
+/// sets [`CLOSED`] in the same atomic step that drops its claim, `reap`
+/// swings `0 → CLOSED`, and a claim that finds `CLOSED` backs out.
 pub(crate) struct JobExec {
     pub job: Arc<dyn PipelineJob>,
     pub queues: MorselQueues,
     pub label: String,
-    /// Morsels currently being executed.
-    pub in_flight: AtomicUsize,
-    /// Set once by the worker that completes the job.
-    pub finished: AtomicBool,
+    /// Claims in flight (being cut or executing), plus [`CLOSED`].
+    state: AtomicU64,
+    /// Rows of morsels that have not completed yet.
+    rows_left: AtomicU64,
     /// Statistics.
     pub morsels_dispatched: AtomicU64,
     pub morsels_stolen: AtomicU64,
@@ -121,66 +124,70 @@ impl JobExec {
         };
         JobExec {
             job: built.job,
+            rows_left: AtomicU64::new(queues.total_rows()),
             queues,
             label: built.label,
-            in_flight: AtomicUsize::new(0),
-            finished: AtomicBool::new(false),
+            state: AtomicU64::new(0),
             morsels_dispatched: AtomicU64::new(0),
             morsels_stolen: AtomicU64::new(0),
         }
     }
 
-    /// Try to claim a morsel for `worker`. Keeps `in_flight` consistent:
-    /// the counter is raised *before* cutting so that a concurrent
-    /// completer cannot observe an exhausted queue with zero in-flight
-    /// while a morsel is being handed out.
-    ///
-    /// The failed-claim path must run the same drain check as
-    /// [`Self::release`]: if this claim's decrement is the one that
-    /// observes "exhausted and nothing in flight", the *last completer's*
-    /// own check already lost (it saw our raised counter), so the finish
-    /// duty falls to us — otherwise the job would never finish and every
-    /// worker would spin forever.
-    pub fn try_claim(&self, worker: usize) -> Claim {
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
-        match self.queues.next_for(worker) {
-            Some((m, stolen)) => {
+    /// Try to claim a morsel for `worker`: the morsel and whether it came
+    /// from a non-preferred queue. The claim is registered *before*
+    /// cutting, so [`Self::reap`] can never close the job while a morsel
+    /// is being handed out; the caller owes one [`Self::complete`] per
+    /// morsel it gets.
+    pub fn try_claim(&self, worker: usize) -> Option<(Morsel, bool)> {
+        let claimed = if self.state.fetch_add(1, Ordering::SeqCst) & CLOSED == 0 {
+            self.queues.next_for(worker)
+        } else {
+            None
+        };
+        match claimed {
+            Some((_, stolen)) => {
                 self.morsels_dispatched.fetch_add(1, Ordering::Relaxed);
                 if stolen {
                     self.morsels_stolen.fetch_add(1, Ordering::Relaxed);
                 }
-                Claim::Task(m, stolen)
             }
             None => {
-                if self.release() {
-                    Claim::Drained
-                } else {
-                    Claim::Empty
-                }
+                self.state.fetch_sub(1, Ordering::SeqCst);
             }
         }
+        claimed
     }
 
-    /// Drop one in-flight claim; returns `true` if this call observed the
-    /// job fully drained (queue exhausted, nothing in flight) and won the
-    /// race to finish it — the caller must then run `job.finish` and
+    /// Report a claimed morsel of `rows` rows as executed and drop its
+    /// claim. Returns `true` to exactly one caller, the one whose morsel
+    /// was the last of the job to complete: it must run `job.finish` and
     /// advance the query.
-    pub fn release(&self) -> bool {
-        let before = self.in_flight.fetch_sub(1, Ordering::SeqCst);
-        debug_assert!(before > 0);
-        before == 1
-            && self.queues.is_exhausted()
-            && self
-                .finished
-                .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
+    pub fn complete(&self, rows: usize) -> bool {
+        let rows = rows as u64;
+        let before = self.rows_left.fetch_sub(rows, Ordering::SeqCst);
+        debug_assert!(before >= rows, "completed more rows than the job has");
+        let last = before == rows;
+        // The last completer closes the job as it leaves; everyone else
+        // just drops the claim.
+        let state = if last {
+            self.state.fetch_add(CLOSED - 1, Ordering::SeqCst)
+        } else {
+            self.state.fetch_sub(1, Ordering::SeqCst)
+        };
+        debug_assert!(
+            state & CLOSED == 0 && state > 0,
+            "completion without a claim"
+        );
+        last
     }
 
-    /// Force-finish an already-drained or cancelled job. Returns whether
-    /// this call won the finish race.
-    pub fn force_finish(&self) -> bool {
-        self.finished
-            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
+    /// Close the job of a cancelled query, whose remaining morsels will
+    /// never be handed out. Succeeds — once — only while no claim is in
+    /// flight; morsels that are still running complete normally and a
+    /// later call reaps.
+    pub fn reap(&self) -> bool {
+        self.state
+            .compare_exchange(0, CLOSED, Ordering::SeqCst, Ordering::SeqCst)
             .is_ok()
     }
 }
@@ -207,11 +214,8 @@ mod tests {
         JobExec::new(built, SchedulingMode::NumaAware, 10, 2, &Topology::laptop())
     }
 
-    fn expect_task(c: Claim) -> Morsel {
-        match c {
-            Claim::Task(m, _) => m,
-            _ => panic!("expected a task"),
-        }
+    fn expect_task(c: Option<(Morsel, bool)>) -> Morsel {
+        c.expect("expected a task").0
     }
 
     #[test]
@@ -221,39 +225,77 @@ mod tests {
         assert_eq!(m1.rows(), 10);
         let m2 = expect_task(j.try_claim(0));
         assert_eq!(m2.rows(), 5);
-        // Queue exhausted but two morsels in flight: a failed claim is
-        // Empty, not Drained.
-        assert!(matches!(j.try_claim(0), Claim::Empty));
-        // Two in flight; first release is not last.
-        assert!(!j.release());
-        // Second release drains the job and wins the finish race.
-        assert!(j.release());
-        // Nothing further can win it.
-        assert!(!j.force_finish());
+        // Queue exhausted, two morsels in flight: nothing to claim, and
+        // a failed claim never finishes anything.
+        assert!(j.try_claim(0).is_none());
+        // Two in flight; the first completion is not the last.
+        assert!(!j.complete(m1.rows()));
+        // The second completes the job and is the finisher.
+        assert!(j.complete(m2.rows()));
+        // Nothing further can win it, or claim from it.
+        assert!(!j.reap());
+        assert!(j.try_claim(0).is_none());
     }
 
     #[test]
-    fn failed_claim_that_drains_job_must_finish_it() {
-        // The liveness race: A claims the last morsel; B's failed claim
-        // raises in_flight before A's release, so A's check loses; B's
-        // decrement is the one that observes the drain and must finish.
-        let j = job(10); // single morsel
-        let _m = expect_task(j.try_claim(0));
-        // B raises and lowers around A's release.
-        j.in_flight.fetch_add(1, Ordering::SeqCst); // B's fetch_add
-        assert!(!j.release()); // A: sees B's claim in flight -> not last
-                               // B's failed-claim path (decrement + drain check) must fire.
-        let before = j.in_flight.fetch_sub(1, Ordering::SeqCst);
-        assert_eq!(before, 1);
+    fn completion_racing_the_last_claim_must_not_finish() {
+        // The finish race of the two-step `release` this replaced
+        // (`in_flight.fetch_sub(1) == 1`, then `queues.is_exhausted()`):
+        // A completes the second-to-last morsel and drops the in-flight
+        // count to zero; before A looks at the queue, B claims and cuts
+        // the *last* morsel; A then sees an exhausted queue and runs
+        // `finish` while B's morsel is still executing.
+        let j = job(15);
+        let a = expect_task(j.try_claim(0));
+        // A's completion: with B's morsel not yet cut, A is not last …
+        assert!(!j.complete(a.rows()));
+        // … B claims and cuts the last morsel …
+        let b = expect_task(j.try_claim(1));
+        // … which is the state A's exhaustion check used to observe:
+        // A saw `in_flight` 1 → 0, and the queue is empty now.
         assert!(j.queues.is_exhausted());
-        assert!(j.force_finish(), "the drain check must still be winnable");
+        // No one may finish while B runs: not a failed claim, not a reap.
+        assert!(j.try_claim(0).is_none());
+        assert!(!j.reap());
+        // B's completion is the one and only finisher.
+        assert!(j.complete(b.rows()));
+        assert!(!j.reap());
+    }
+
+    #[test]
+    fn failed_claim_around_the_last_completion_leaves_it_the_finisher() {
+        // The liveness side of the same seam: B's failed claim is in
+        // flight around A's completion of the only morsel. A is still the
+        // finisher (the old protocol had to hand the duty to B here),
+        // and B's claim finishes nothing.
+        let j = job(10);
+        let a = expect_task(j.try_claim(0));
+        j.state.fetch_add(1, Ordering::SeqCst); // B registers its claim
+        assert!(j.complete(a.rows()));
+        j.state.fetch_sub(1, Ordering::SeqCst); // B found nothing, backs out
+        assert_eq!(j.state.load(Ordering::SeqCst), CLOSED);
     }
 
     #[test]
     fn release_before_exhaustion_does_not_finish() {
         let j = job(100);
-        let _ = expect_task(j.try_claim(0));
-        assert!(!j.release()); // queue still has rows
+        let m = expect_task(j.try_claim(0));
+        assert!(!j.complete(m.rows())); // queue still has rows
+    }
+
+    #[test]
+    fn reap_waits_for_claims_in_flight_and_closes_the_job() {
+        // A cancelled query: one morsel is running, the rest will never
+        // be handed out.
+        let j = job(100);
+        let m = expect_task(j.try_claim(0));
+        assert!(!j.reap(), "a morsel is still executing");
+        assert!(!j.complete(m.rows()));
+        assert!(j.reap());
+        assert!(!j.reap(), "reaped once");
+        // A straggler that still holds the job cannot cut from it.
+        assert!(j.try_claim(1).is_none());
+        assert_eq!(j.queues.remaining_rows(), 90);
     }
 
     #[test]

@@ -30,10 +30,13 @@
 //! crashed process held — the property the crash sweep asserts.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use morsel_numa::SocketId;
 
 use crate::batch::Batch;
+use crate::column::Column;
+use crate::dict::{DictColumn, Dictionary, DICT_MAX_UNIQUE};
 use crate::relation::{Partition, Relation};
 use crate::schema::Schema;
 use crate::value::Value;
@@ -63,9 +66,8 @@ pub fn row_bytes(row: &[Value]) -> u64 {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeltaStore {
     schema: Schema,
-    /// Inserted rows in commit order (plain columns; dictionary
-    /// encoding happens only when a merge folds them into base
-    /// partitions).
+    /// Inserted rows in commit order (plain columns; a snapshot or merge
+    /// encodes the visible ones like the base).
     rows: Batch,
     /// Commit timestamp of each delta row, aligned with `rows`.
     insert_ts: Vec<u64>,
@@ -76,6 +78,9 @@ pub struct DeltaStore {
     epoch: u64,
     /// Highest commit timestamp applied to this store.
     last_commit_ts: u64,
+    /// Lowest timestamp of any insert or tombstone: snapshots below it
+    /// are exactly the base.
+    first_effect_ts: Option<u64>,
 }
 
 impl DeltaStore {
@@ -88,6 +93,7 @@ impl DeltaStore {
             tombstones: BTreeMap::new(),
             epoch: 0,
             last_commit_ts: 0,
+            first_effect_ts: None,
         }
     }
 
@@ -102,6 +108,12 @@ impl DeltaStore {
 
     pub fn delta_rows(&self) -> usize {
         self.rows.rows()
+    }
+
+    /// The committed inserts, visible or not, as one plain batch: row
+    /// `i` has id [`delta_row_id`]`(i)`.
+    pub fn rows(&self) -> &Batch {
+        &self.rows
     }
 
     pub fn tombstone_count(&self) -> usize {
@@ -126,7 +138,7 @@ impl DeltaStore {
         let id = delta_row_id(self.rows.rows());
         self.rows.push_row(row);
         self.insert_ts.push(commit_ts);
-        self.last_commit_ts = self.last_commit_ts.max(commit_ts);
+        self.note_effect(commit_ts);
         id
     }
 
@@ -137,11 +149,25 @@ impl DeltaStore {
     /// such a log must reproduce the same state, so first delete wins.
     pub fn apply_delete(&mut self, row_id: u64, commit_ts: u64) {
         self.tombstones.entry(row_id).or_insert(commit_ts);
+        self.note_effect(commit_ts);
+    }
+
+    fn note_effect(&mut self, commit_ts: u64) {
         self.last_commit_ts = self.last_commit_ts.max(commit_ts);
+        self.first_effect_ts = Some(self.first_effect_ts.map_or(commit_ts, |t| t.min(commit_ts)));
     }
 
     fn deleted_at(&self, row_id: u64, ts: u64) -> bool {
         self.tombstones.get(&row_id).is_some_and(|&d| d <= ts)
+    }
+
+    /// Whether a snapshot at `ts` sees `row_id`: a base row without a
+    /// tombstone `≤ ts`, or a delta row inserted `≤ ts` and not
+    /// tombstoned `≤ ts`.
+    pub fn visible(&self, row_id: u64, ts: u64) -> bool {
+        let inserted =
+            row_id & DELTA_ROW_BIT == 0 || self.insert_ts[(row_id & !DELTA_ROW_BIT) as usize] <= ts;
+        inserted && !self.deleted_at(row_id, ts)
     }
 
     /// Whether `row_id` carries a tombstone of *any* timestamp. The
@@ -153,22 +179,93 @@ impl DeltaStore {
         self.tombstones.contains_key(&row_id)
     }
 
+    /// `base` re-encoded so that its dictionaries hold every committed
+    /// delta value, or `None` when they already do (the common case; the
+    /// check costs a dictionary lookup per delta value).
+    ///
+    /// A sorted dictionary cannot grow in place: a new value shifts the
+    /// codes behind it, so the column is rewritten in *every* partition
+    /// — O(table), once per new distinct value, after which values seen
+    /// before encode directly. A domain pushed past
+    /// [`DICT_MAX_UNIQUE`] is not worth that any more and the column
+    /// falls back to plain strings, for good. Rows keep their ids; only
+    /// the physical representation changes.
+    pub fn rebased(&self, base: &Relation) -> Option<Relation> {
+        let mut parts: Option<Vec<Partition>> = None;
+        for c in 0..self.schema.len() {
+            let Some(old) = base.partition(0).data.column(c).as_dict() else {
+                continue;
+            };
+            let old = Arc::clone(old.dict());
+            let fresh: Vec<&str> = (self.rows.column(c).as_str().iter())
+                .map(String::as_str)
+                .filter(|v| old.code_of(v).is_none())
+                .collect();
+            if fresh.is_empty() {
+                continue;
+            }
+            let extended =
+                Dictionary::from_values(old.values().iter().map(String::as_str).chain(fresh));
+            let remap: Vec<u32> = (old.values().iter())
+                .map(|v| extended.code_of(v).expect("an extension keeps every value"))
+                .collect();
+            let parts = parts.get_or_insert_with(|| base.partitions().to_vec());
+            for p in parts.iter_mut() {
+                let codes = p
+                    .data
+                    .column(c)
+                    .as_dict()
+                    .expect("encoded in every partition");
+                let column = if extended.len() > DICT_MAX_UNIQUE {
+                    Column::Str(codes.decode())
+                } else {
+                    let codes = codes.codes().iter().map(|&x| remap[x as usize]).collect();
+                    Column::Dict(DictColumn::new(Arc::clone(&extended), codes))
+                };
+                let mut data = Batch::clone(&p.data);
+                data.replace_column(c, column);
+                *p = Partition::new(p.node, data);
+            }
+        }
+        parts.map(|parts| Relation::from_partitions(self.schema.clone(), parts))
+    }
+
     /// True when a snapshot at `ts` sees no delta effects: the caller
     /// can serve the base relation unchanged (and byte-identical).
     pub fn snapshot_is_base(&self, ts: u64) -> bool {
-        self.insert_ts.iter().all(|&t| t > ts) && self.tombstones.values().all(|&t| t > ts)
+        self.first_effect_ts.is_none_or(|first| first > ts)
     }
 
-    /// Materialize the relation a snapshot at `ts` sees: base partitions
-    /// with tombstoned rows filtered out (in place, keeping node
-    /// placement and dictionary encoding) plus one extra plain
-    /// partition of visible delta rows. Always builds a **fresh**
-    /// [`Relation`], so row/byte totals and planner statistics are
-    /// recomputed — never served from a pre-write cache.
-    pub fn snapshot(&self, base: &Relation, ts: u64) -> Relation {
+    /// The relation a snapshot at `ts` sees, sharing what the delta did
+    /// not change: a base partition without a visible tombstone is
+    /// handed on as is (same `Arc`, same cached statistics), one with
+    /// tombstones is re-materialised without the dead rows (keeping node
+    /// placement and dictionary encoding), and the visible delta rows
+    /// become one extra partition encoded like the base. Always a
+    /// **fresh** [`Relation`], so row/byte totals and merged statistics
+    /// are never served from a pre-write cache.
+    ///
+    /// **Every partition of the result encodes a string column the same
+    /// way**, dictionary partitions sharing one `Arc<Dictionary>`: the
+    /// executor compiles a column's kernels once per relation and relies
+    /// on it. The delta rows are therefore encoded against the base's
+    /// dictionaries, over [`DeltaStore::rebased`] when a committed value
+    /// is outside them — which shares nothing with `base`, so a caller
+    /// that keeps the base should adopt the rebased one first.
+    ///
+    /// `prev`, when given, is a snapshot of the same base and store (same
+    /// epoch) at a timestamp `≤ ts`: a re-materialised partition is
+    /// taken from it when no further row of it died since, so a chain of
+    /// snapshots re-materialises per version only what that version's
+    /// commits touched.
+    pub fn snapshot(&self, base: &Relation, ts: u64, prev: Option<&Relation>) -> Relation {
+        let rebased = self.rebased(base);
+        let base = rebased.as_ref().unwrap_or(base);
+        // A `prev` taken over differently encoded partitions doesn't mix.
+        let prev = prev.filter(|r| same_encoding(&r.partition(0).data, &base.partition(0).data));
         let mut parts: Vec<Partition> = Vec::with_capacity(base.partitions().len() + 1);
         let mut start = 0u64;
-        for p in base.partitions() {
+        for (i, p) in base.partitions().iter().enumerate() {
             let n = p.data.rows() as u64;
             let dead: Vec<u32> = self
                 .tombstones
@@ -176,36 +273,47 @@ impl DeltaStore {
                 .filter(|&(_, &d)| d <= ts)
                 .map(|(&id, _)| (id - start) as u32)
                 .collect();
-            let data = if dead.is_empty() {
-                p.data.clone()
+            // Tombstones only accumulate, so a `prev` partition with as
+            // many live rows has exactly these.
+            let kept = prev
+                .map(|r| r.partition(i))
+                .filter(|q| q.data.rows() == p.data.rows() - dead.len());
+            parts.push(if dead.is_empty() {
+                p.clone()
+            } else if let Some(q) = kept {
+                q.clone()
             } else {
-                let dead_set: std::collections::HashSet<u32> = dead.into_iter().collect();
-                let sel: Vec<u32> = (0..p.data.rows() as u32)
-                    .filter(|i| !dead_set.contains(i))
+                // `dead` ascends, so one pass over the row indexes drops it.
+                let mut dead = dead.into_iter().peekable();
+                let live: Vec<u32> = (0..n as u32)
+                    .filter(|i| dead.next_if_eq(i).is_none())
                     .collect();
-                p.data.gather(&sel)
-            };
-            parts.push(Partition { node: p.node, data });
+                Partition::new(p.node, p.data.gather(&live))
+            });
             start += n;
         }
-        let mut extra = Batch::empty(&self.schema.data_types());
-        for i in 0..self.rows.rows() {
-            if self.insert_ts[i] <= ts && !self.deleted_at(delta_row_id(i), ts) {
-                extra.push_from(&self.rows, i);
+        let visible: Vec<u32> = (0..self.rows.rows())
+            .filter(|&i| self.visible(delta_row_id(i), ts))
+            .map(|i| i as u32)
+            .collect();
+        if !visible.is_empty() {
+            let mut extra = self.rows.gather(&visible);
+            for c in 0..extra.width() {
+                if let Some(like) = parts[0].data.column(c).as_dict() {
+                    let encoded = DictColumn::encode(like.dict(), extra.column(c).as_str())
+                        .expect("the rebased dictionary holds every committed value");
+                    extra.replace_column(c, Column::Dict(encoded));
+                }
             }
-        }
-        if !extra.is_empty() {
-            parts.push(Partition {
-                node: SocketId(0),
-                data: extra,
-            });
+            parts.push(Partition::new(SocketId(0), extra));
         }
         Relation::from_partitions(self.schema.clone(), parts)
     }
 
     /// All rows visible at `ts` as one decoded batch plus their row ids
-    /// (aligned). The transaction layer scans this to resolve `UPDATE`
-    /// / `DELETE` predicates to row ids.
+    /// (aligned): O(table) decode and copy, for whole-table reads inside
+    /// a transaction and as the oracle the in-place `UPDATE` / `DELETE`
+    /// matcher is tested against.
     pub fn visible_rows(&self, base: &Relation, ts: u64) -> (Batch, Vec<u64>) {
         let mut out = Batch::empty(&self.schema.data_types());
         let mut ids = Vec::new();
@@ -243,7 +351,7 @@ impl DeltaStore {
             "merge upto_ts {upto_ts} must cover last commit {}",
             self.last_commit_ts
         );
-        let folded = self.snapshot(base, upto_ts);
+        let folded = self.snapshot(base, upto_ts, None);
         let next = DeltaStore {
             schema: self.schema.clone(),
             rows: Batch::empty(&self.schema.data_types()),
@@ -251,9 +359,22 @@ impl DeltaStore {
             tombstones: BTreeMap::new(),
             epoch: self.epoch + 1,
             last_commit_ts: self.last_commit_ts,
+            first_effect_ts: None,
         };
         (folded, next)
     }
+}
+
+/// Whether `a` and `b` represent every column the same way: both plain,
+/// or both over the same dictionary.
+fn same_encoding(a: &Batch, b: &Batch) -> bool {
+    a.columns()
+        .iter()
+        .zip(b.columns())
+        .all(|(x, y)| match (x.as_dict(), y.as_dict()) {
+            (Some(x), Some(y)) => x.same_dict(y),
+            (x, y) => x.is_none() && y.is_none(),
+        })
 }
 
 #[cfg(test)]
@@ -292,7 +413,7 @@ mod tests {
         let d = DeltaStore::new(schema());
         assert!(d.is_empty());
         assert!(d.snapshot_is_base(u64::MAX));
-        let snap = d.snapshot(&b, 100);
+        let snap = d.snapshot(&b, 100, None);
         assert_eq!(snap.gather(), b.gather());
     }
 
@@ -307,18 +428,123 @@ mod tests {
         assert!(d.snapshot_is_base(9));
         assert!(!d.snapshot_is_base(10));
 
-        let at9 = d.snapshot(&b, 9).gather();
+        let at9 = d.snapshot(&b, 9, None).gather();
         assert_eq!(at9.column(0).as_i64(), &[1, 2, 3, 4]);
 
-        let at10 = d.snapshot(&b, 10).gather();
+        let at10 = d.snapshot(&b, 10, None).gather();
         assert_eq!(at10.column(0).as_i64(), &[1, 2, 3, 4, 5]);
 
-        let at20 = d.snapshot(&b, 20).gather();
+        let at20 = d.snapshot(&b, 20, None).gather();
         assert_eq!(at20.column(0).as_i64(), &[2, 3, 4, 5]);
 
-        let at30 = d.snapshot(&b, 30).gather();
+        let at30 = d.snapshot(&b, 30, None).gather();
         assert_eq!(at30.column(0).as_i64(), &[2, 3, 4]);
         assert_eq!(d.last_commit_ts(), 30);
+    }
+
+    fn tags(rel: &Relation) -> Vec<String> {
+        rel.gather().column(1).as_str().to_vec()
+    }
+
+    /// Every partition encodes column 1 over one shared dictionary.
+    fn one_dictionary(rel: &Relation) -> Arc<Dictionary> {
+        let first = rel.partition(0).data.column(1).as_dict().expect("encoded");
+        for p in rel.partitions() {
+            assert!(p
+                .data
+                .column(1)
+                .as_dict()
+                .expect("encoded")
+                .same_dict(first));
+        }
+        Arc::clone(first.dict())
+    }
+
+    #[test]
+    fn snapshots_share_what_the_delta_did_not_touch() {
+        let b = base().dict_encoded();
+        let mut d = DeltaStore::new(schema());
+        d.apply_delete(0, 10); // partition 0
+        let s10 = d.snapshot(&b, 10, None);
+        assert!(!Arc::ptr_eq(&s10.partition(0).data, &b.partition(0).data));
+        assert!(Arc::ptr_eq(&s10.partition(1).data, &b.partition(1).data));
+        // A later snapshot takes the rebuilt partition over from an
+        // earlier one while no further row of it died …
+        d.apply_insert(row(5, "a"), 11);
+        let s11 = d.snapshot(&b, 11, Some(&s10));
+        assert!(Arc::ptr_eq(&s11.partition(0).data, &s10.partition(0).data));
+        assert!(Arc::ptr_eq(&s11.partition(1).data, &b.partition(1).data));
+        assert_eq!(s11.gather().column(0).as_i64(), &[2, 3, 4, 5]);
+        // … and rebuilds it when one did.
+        d.apply_delete(1, 12);
+        let s12 = d.snapshot(&b, 12, Some(&s11));
+        assert_eq!(s12.partition(0).data.rows(), 0);
+        assert_eq!(s12.gather().column(0).as_i64(), &[3, 4, 5]);
+        assert_eq!(s12.gather(), d.snapshot(&b, 12, None).gather());
+    }
+
+    #[test]
+    fn delta_rows_are_encoded_like_the_base() {
+        let b = base().dict_encoded();
+        let base_dict = one_dictionary(&b);
+        let mut d = DeltaStore::new(schema());
+        d.apply_insert(row(5, "b"), 10);
+        assert!(d.rebased(&b).is_none(), "'b' is in the dictionary");
+        let snap = d.snapshot(&b, 10, None);
+        assert!(Arc::ptr_eq(&one_dictionary(&snap), &base_dict));
+        assert!(Arc::ptr_eq(&snap.partition(0).data, &b.partition(0).data));
+        assert_eq!(tags(&snap), ["a", "b", "a", "b", "b"]);
+
+        // A value outside the dictionary extends it, in every partition:
+        // codes shift ("aa" sorts between "a" and "b"), values do not.
+        d.apply_insert(row(6, "aa"), 11);
+        let snap = d.snapshot(&b, 11, None);
+        assert_eq!(one_dictionary(&snap).values(), ["a", "aa", "b"]);
+        assert_eq!(tags(&snap), ["a", "b", "a", "b", "b", "aa"]);
+        assert_eq!(tags(&d.snapshot(&b, 10, None)), ["a", "b", "a", "b", "b"]);
+        // The merged base keeps the extended dictionary, so the value
+        // encodes directly from then on.
+        let (merged, mut next) = d.merge(&b, 11);
+        assert_eq!(one_dictionary(&merged).values(), ["a", "aa", "b"]);
+        next.apply_insert(row(7, "aa"), 12);
+        assert!(next.rebased(&merged).is_none());
+        assert_eq!(
+            tags(&next.snapshot(&merged, 12, None)).last().unwrap(),
+            "aa"
+        );
+
+        // Adopting the rebased base makes later snapshots share again.
+        let rebased = d.rebased(&b).expect("'aa' is new");
+        assert_eq!(rebased.gather(), b.gather());
+        let snap = d.snapshot(&rebased, 11, None);
+        assert!(Arc::ptr_eq(
+            &snap.partition(0).data,
+            &rebased.partition(0).data
+        ));
+        assert_eq!(tags(&snap), ["a", "b", "a", "b", "b", "aa"]);
+    }
+
+    #[test]
+    fn a_domain_grown_past_the_dictionary_bound_falls_back_to_plain() {
+        let b = base().dict_encoded();
+        let mut d = DeltaStore::new(schema());
+        for i in 0..DICT_MAX_UNIQUE {
+            d.apply_insert(row(10 + i as i64, &format!("v{i}")), 10);
+        }
+        let snap = d.snapshot(&b, 10, None);
+        for p in snap.partitions() {
+            assert!(p.data.column(1).as_dict().is_none(), "plain everywhere");
+        }
+        assert_eq!(snap.total_rows(), 4 + DICT_MAX_UNIQUE);
+        assert_eq!(tags(&snap)[..5], ["a", "b", "a", "b", "v0"]);
+        // Plain for good: the merged base is nothing to extend.
+        let (merged, mut next) = d.merge(&b, 10);
+        next.apply_insert(row(1, "zzz"), 11);
+        assert!(next.rebased(&merged).is_none());
+        assert_eq!(
+            tags(&next.snapshot(&merged, 11, None)).last().unwrap(),
+            "zzz"
+        );
     }
 
     #[test]
@@ -371,8 +597,8 @@ mod tests {
 
         assert_eq!(live, replayed, "same op sequence, equal stores");
         assert_eq!(
-            live.snapshot(&b, 12).gather(),
-            replayed.snapshot(&b, 12).gather()
+            live.snapshot(&b, 12, None).gather(),
+            replayed.snapshot(&b, 12, None).gather()
         );
     }
 }

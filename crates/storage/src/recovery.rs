@@ -270,7 +270,7 @@ mod tests {
         assert_eq!(st.last_commit_ts, 6);
         assert_eq!(st.next_txn, 3);
         assert_eq!(st.applied_lsn, 4);
-        let snap = st.deltas[0].snapshot(&st.bases[0], 6).gather();
+        let snap = st.deltas[0].snapshot(&st.bases[0], 6, None).gather();
         assert_eq!(snap.column(0).as_i64(), &[2, 3, 10]);
     }
 

@@ -27,7 +27,7 @@ const HLL_P: u32 = 10;
 const HLL_M: usize = 1 << HLL_P;
 
 /// A mergeable HyperLogLog distinct-count sketch.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HllSketch {
     registers: Vec<u8>,
 }
@@ -89,7 +89,7 @@ impl HllSketch {
 
 /// Statistics for one column of one relation (or one partition of it,
 /// before merging).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnStats {
     /// Smallest value (numeric comparison for numeric columns,
     /// lexicographic for strings). `None` for empty columns.
@@ -190,8 +190,10 @@ impl ColumnStats {
         }
     }
 
-    /// Merge the stats of another fragment of the same column.
-    pub fn merge(&mut self, other: &ColumnStats, own_rows: u64, other_rows: u64) {
+    /// Merge the stats of another fragment of the same column, all but
+    /// `ndv`: the estimate is a pass over every register, which a fold
+    /// over many fragments ([`TableStats::merge_all`]) needs only once.
+    fn absorb(&mut self, other: &ColumnStats, own_rows: u64, other_rows: u64) {
         self.sketch.merge(&other.sketch);
         self.null_count += other.null_count;
         // Partitions of one relation share their dictionary; anything else
@@ -216,7 +218,6 @@ impl ColumnStats {
                 + other.avg_width * other_rows as f64)
                 / total as f64;
         }
-        self.ndv = self.sketch.estimate().min(total as f64);
     }
 
     /// Numeric span `max - min`, if the column is numeric and non-empty.
@@ -236,7 +237,7 @@ fn value_le(a: &Value, b: &Value) -> bool {
 }
 
 /// Merged statistics for a whole relation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableStats {
     pub rows: u64,
     pub bytes: u64,
@@ -257,18 +258,28 @@ impl TableStats {
         }
     }
 
-    /// Merge another partition's stats into this one.
-    pub fn merge(&mut self, other: &TableStats) {
-        assert_eq!(
-            self.columns.len(),
-            other.columns.len(),
-            "partition column counts differ"
-        );
-        for (a, b) in self.columns.iter_mut().zip(&other.columns) {
-            a.merge(b, self.rows, other.rows);
+    /// Merge the stats of any number of further partitions into this
+    /// one, in order.
+    pub fn merge_all<S: std::borrow::Borrow<TableStats>>(
+        &mut self,
+        others: impl IntoIterator<Item = S>,
+    ) {
+        for other in others {
+            let other = other.borrow();
+            assert_eq!(
+                self.columns.len(),
+                other.columns.len(),
+                "partition column counts differ"
+            );
+            for (a, b) in self.columns.iter_mut().zip(&other.columns) {
+                a.absorb(b, self.rows, other.rows);
+            }
+            self.rows += other.rows;
+            self.bytes += other.bytes;
         }
-        self.rows += other.rows;
-        self.bytes += other.bytes;
+        for c in &mut self.columns {
+            c.ndv = c.sketch.estimate().min(self.rows as f64);
+        }
     }
 
     /// Compute merged stats over a sequence of partition batches.
@@ -282,9 +293,7 @@ impl TableStats {
                 columns: Vec::new(),
             },
         };
-        for b in iter {
-            acc.merge(&TableStats::from_batch(b));
-        }
+        acc.merge_all(iter.map(TableStats::from_batch));
         acc
     }
 

@@ -26,6 +26,17 @@
 //! mismatches (a merge renumbered rows mid-flight) abort the same way.
 //! Inserts never conflict.
 //!
+//! **Cost of a write**: a statement pays for what it changes, not for
+//! the table. `UPDATE`/`DELETE` predicates are evaluated in place over
+//! the (dictionary-encoded) base partitions, the committed delta rows
+//! and the transaction's own pending rows, and only matched rows are
+//! decoded ([`TxnDb::update_where`]); snapshots share every base
+//! partition the delta did not touch ([`DeltaStore::snapshot`]); and the
+//! snapshot [`Catalog`] of a version is built once, by whoever asks
+//! first after a commit or merge, and handed to everyone until the next
+//! one. The database mutex is never held for work proportional to a
+//! table.
+//!
 //! **Memory accounting**: committed delta bytes are reserved against a
 //! [`MemBudget`] (optionally pool-backed) as they apply and released
 //! when a merge folds them into base partitions — the crash sweep
@@ -125,6 +136,15 @@ impl Txn {
     pub fn is_read_only(&self) -> bool {
         self.ops.is_empty()
     }
+
+    /// Committed-snapshot rows of table `t` this transaction deleted.
+    fn deleted_in(&self, t: u32) -> std::collections::HashSet<u64> {
+        self.snapshot_deletes
+            .iter()
+            .filter(|&&(dt, _)| dt == t)
+            .map(|&(_, id)| id)
+            .collect()
+    }
 }
 
 struct TableState {
@@ -133,6 +153,23 @@ struct TableState {
     delta: DeltaStore,
     /// Delta bytes currently reserved against the budget.
     reserved: u64,
+    /// The newest catalog snapshot of this epoch, kept so that the next
+    /// one re-materialises only the partitions touched since.
+    latest: Option<Arc<Relation>>,
+}
+
+impl TableState {
+    /// The relation a reader at `ts` scans: the base itself while no
+    /// delta effect is visible, otherwise a snapshot sharing the
+    /// untouched base partitions (and, given an older snapshot of this
+    /// epoch as `prev`, its still-current re-materialised ones).
+    fn snapshot(&self, ts: u64, prev: Option<&Relation>) -> Arc<Relation> {
+        if self.delta.snapshot_is_base(ts) {
+            Arc::clone(&self.base)
+        } else {
+            Arc::new(self.delta.snapshot(&self.base, ts, prev))
+        }
+    }
 }
 
 struct Inner {
@@ -145,6 +182,47 @@ struct Inner {
     /// and merge.
     version: u64,
     poisoned: bool,
+    /// The snapshot catalog of `version`: built on first use after a
+    /// commit or merge (both clear it), then shared by DML binding,
+    /// session refreshes and reads alike.
+    catalog: Option<Catalog>,
+}
+
+impl Inner {
+    /// The catalog of the latest committed snapshot of every table,
+    /// stamped with a strictly advancing version (base table count +
+    /// the commit/merge counter). A table without visible delta effects
+    /// is the load-time base `Arc` itself.
+    fn catalog(&mut self) -> &Catalog {
+        let Inner {
+            tables,
+            last_applied_ts,
+            version,
+            catalog,
+            ..
+        } = self;
+        catalog.get_or_insert_with(|| {
+            let mut cat = Catalog::new();
+            for state in tables.iter_mut() {
+                // Pay for a value outside the base dictionaries once,
+                // not in every snapshot until the next merge.
+                if let Some(rebased) = state.delta.rebased(&state.base) {
+                    state.base = Arc::new(rebased);
+                }
+                let rel = state.snapshot(*last_applied_ts, state.latest.as_deref());
+                cat.add(&state.name, Arc::clone(&rel));
+                state.latest = Some(rel);
+            }
+            let v = cat.version() + *version;
+            cat.set_version(v);
+            cat
+        })
+    }
+
+    /// The latest committed snapshot of a registered table.
+    fn latest(&mut self, table: &str) -> Arc<Relation> {
+        Arc::clone(self.catalog().get(table).expect("a registered table"))
+    }
 }
 
 /// Construction knobs for [`TxnDb`].
@@ -270,6 +348,7 @@ impl TxnDb {
                 last_applied_ts: last_ts,
                 version,
                 poisoned: false,
+                catalog: None,
             }),
             budget,
         }
@@ -360,6 +439,8 @@ impl TxnDb {
 
     /// Rows of `table` visible to `txn` (committed snapshot plus the
     /// transaction's own buffered writes), decoded, with their row ids.
+    /// Materialises the whole table: for whole-table reads only, and the
+    /// oracle [`TxnDb::matching_rows`] is tested against.
     fn visible_with_overlay(
         &self,
         txn: &Txn,
@@ -372,15 +453,12 @@ impl TxnDb {
         let t = self.table_index(&inner, table)?;
         let ts = self.read_ts(&inner, txn);
         let state = &inner.tables[t as usize];
-        let (mut rows, mut ids) = state.delta.visible_rows(&state.base, ts);
+        // Copy the delta out so the table is decoded without the lock.
+        let (base, delta) = (Arc::clone(&state.base), state.delta.clone());
         drop(inner);
+        let (mut rows, mut ids) = delta.visible_rows(&base, ts);
         // Filter out rows this transaction deleted …
-        let dead: std::collections::HashSet<u64> = txn
-            .snapshot_deletes
-            .iter()
-            .filter(|&&(dt, _)| dt == t)
-            .map(|&(_, id)| id)
-            .collect();
+        let dead = txn.deleted_in(t);
         if !dead.is_empty() {
             let sel: Vec<u32> = ids
                 .iter()
@@ -407,13 +485,102 @@ impl TxnDb {
         self.visible_with_overlay(txn, table).map(|(b, _, _)| b)
     }
 
+    /// Index and current base relation of `table`.
+    fn table_base(&self, table: &str) -> Result<(u32, Arc<Relation>), TxnError> {
+        let inner = self.inner.lock();
+        if inner.poisoned {
+            return Err(TxnError::Poisoned);
+        }
+        let t = self.table_index(&inner, table)?;
+        Ok((t, Arc::clone(&inner.tables[t as usize].base)))
+    }
+
+    /// Row ids of the rows of table `t` that are visible to `txn` and
+    /// satisfy `pred` — base rows, then committed delta rows, then the
+    /// transaction's own pending inserts — each with its decoded values
+    /// when `decode` is set (left empty otherwise).
+    ///
+    /// The predicate runs in place: over each base partition as stored
+    /// (dictionary codes included) without the lock, then over the
+    /// committed delta rows and a batch of the pending rows. Hits are
+    /// then filtered for visibility — committed tombstones and insert
+    /// timestamps at the transaction's read timestamp, the transaction's
+    /// own `snapshot_deletes`, its `pending_dead` — and only survivors
+    /// are decoded.
+    fn matching_rows(
+        &self,
+        txn: &Txn,
+        t: u32,
+        mut base: Arc<Relation>,
+        pred: &Expr,
+        decode: bool,
+    ) -> Vec<(u64, Vec<Value>)> {
+        let decoded = |batch: &Batch, i: u32| {
+            if decode {
+                batch.row(i as usize)
+            } else {
+                Vec::new()
+            }
+        };
+        let own_deletes = txn.deleted_in(t);
+        let (base_hits, delta_hits) = loop {
+            let mut hits: Vec<(u64, usize, u32)> = Vec::new();
+            let mut start = 0u64;
+            for (pi, p) in base.partitions().iter().enumerate() {
+                let rows = pred.eval_filter(&p.data, 0..p.data.rows());
+                hits.extend(rows.into_iter().map(|i| (start + u64::from(i), pi, i)));
+                start += p.data.rows() as u64;
+            }
+            let inner = self.inner.lock();
+            let state = &inner.tables[t as usize];
+            if !Arc::ptr_eq(&state.base, &base) {
+                // The base was replaced while we matched: a merge
+                // renumbered its rows, or it was re-encoded.
+                base = Arc::clone(&state.base);
+                continue;
+            }
+            let ts = self.read_ts(&inner, txn);
+            let live = |id: u64| state.delta.visible(id, ts) && !own_deletes.contains(&id);
+            hits.retain(|&(id, _, _)| live(id));
+            let rows = state.delta.rows();
+            let delta_hits: Vec<(u64, Vec<Value>)> = pred
+                .eval_filter(rows, 0..rows.rows())
+                .into_iter()
+                .map(|i| (delta_row_id(i as usize), i))
+                .filter(|&(id, _)| live(id))
+                .map(|(id, i)| (id, decoded(rows, i)))
+                .collect();
+            break (hits, delta_hits);
+        };
+        let mut out: Vec<(u64, Vec<Value>)> = base_hits
+            .into_iter()
+            .map(|(id, pi, i)| (id, decoded(&base.partition(pi).data, i)))
+            .collect();
+        out.extend(delta_hits);
+        let pending: Vec<usize> = (0..txn.pending.len())
+            .filter(|idx| txn.pending[*idx].0 == t && !txn.pending_dead.contains(idx))
+            .collect();
+        if !pending.is_empty() {
+            let mut rows = Batch::empty(&base.schema().data_types());
+            for &idx in &pending {
+                rows.push_row(txn.pending[idx].1.clone());
+            }
+            out.extend(
+                pred.eval_filter(&rows, 0..rows.rows())
+                    .into_iter()
+                    .map(|m| (PENDING_BIT | pending[m as usize] as u64, decoded(&rows, m))),
+            );
+        }
+        out
+    }
+
     /// Buffer deletes for every visible row matching `pred`; returns
     /// the match count.
     pub fn delete_where(&self, txn: &mut Txn, table: &str, pred: &Expr) -> Result<usize, TxnError> {
-        let (rows, ids, t) = self.visible_with_overlay(txn, table)?;
-        let matched = pred.eval_filter(&rows, 0..rows.rows());
-        for &m in &matched {
-            self.buffer_delete(txn, t, ids[m as usize]);
+        let (t, base) = self.table_base(table)?;
+        let matched = self.matching_rows(txn, t, base, pred, false);
+        for &(id, _) in &matched {
+            self.buffer_delete(txn, t, id);
         }
         Ok(matched.len())
     }
@@ -427,21 +594,18 @@ impl TxnDb {
         pred: &Expr,
         set: &[(usize, Value)],
     ) -> Result<usize, TxnError> {
-        let (rows, ids, t) = self.visible_with_overlay(txn, table)?;
-        {
-            let inner = self.inner.lock();
-            let schema = inner.tables[t as usize].base.schema();
-            for (c, v) in set {
-                if *c >= schema.len() {
-                    return Err(TxnError::Schema(format!("no column {c} in {table:?}")));
-                }
-                check_value(schema, *c, v)?;
+        let (t, base) = self.table_base(table)?;
+        let schema = base.schema();
+        for (c, v) in set {
+            if *c >= schema.len() {
+                return Err(TxnError::Schema(format!("no column {c} in {table:?}")));
             }
+            check_value(schema, *c, v)?;
         }
-        let matched = pred.eval_filter(&rows, 0..rows.rows());
-        for &m in &matched {
-            self.buffer_delete(txn, t, ids[m as usize]);
-            let mut row = rows.row(m as usize);
+        let matched = self.matching_rows(txn, t, base, pred, true);
+        let count = matched.len();
+        for (id, mut row) in matched {
+            self.buffer_delete(txn, t, id);
             for (c, v) in set {
                 row[*c] = v.clone();
             }
@@ -449,7 +613,7 @@ impl TxnDb {
             txn.pending.push((t, row));
             txn.ops.push(BufOp::Insert { table: t, idx });
         }
-        Ok(matched.len())
+        Ok(count)
     }
 
     fn buffer_delete(&self, txn: &mut Txn, table: u32, row_id: u64) {
@@ -600,6 +764,7 @@ impl TxnDb {
             }
             inner.last_applied_ts = inner.last_applied_ts.max(commit_ts);
             inner.version = lsn;
+            inner.catalog = None;
             (lsn, commit_ts)
         };
         // Group commit: block until this commit's group is durable.
@@ -631,56 +796,39 @@ impl TxnDb {
             drop(inner);
             return Ok(Arc::new(Relation::single(schema, rows)));
         }
-        let inner = self.inner.lock();
+        let mut inner = self.inner.lock();
         let t = self.table_index(&inner, table)?;
         let ts = self.read_ts(&inner, txn);
-        let state = &inner.tables[t as usize];
-        if state.delta.snapshot_is_base(ts) {
-            return Ok(Arc::clone(&state.base));
+        if ts == inner.last_applied_ts {
+            return Ok(inner.latest(table));
         }
-        Ok(Arc::new(state.delta.snapshot(&state.base, ts)))
+        Ok(inner.tables[t as usize].snapshot(ts, None))
     }
 
     /// The latest committed relation for `table` (what a fresh
     /// transaction would read).
     pub fn latest_relation(&self, table: &str) -> Result<Arc<Relation>, TxnError> {
-        let inner = self.inner.lock();
-        let t = self.table_index(&inner, table)? as usize;
-        let state = &inner.tables[t];
-        let ts = inner.last_applied_ts;
-        if state.delta.snapshot_is_base(ts) {
-            return Ok(Arc::clone(&state.base));
-        }
-        Ok(Arc::new(state.delta.snapshot(&state.base, ts)))
+        let mut inner = self.inner.lock();
+        self.table_index(&inner, table)?;
+        Ok(inner.latest(table))
     }
 
     /// A catalog of the latest committed snapshot of every table,
     /// stamped with a strictly advancing version (base table count +
     /// the commit/merge counter) so plan/result caches keyed on
     /// [`Catalog::version`] invalidate on every write. With empty
-    /// deltas every entry is the load-time base `Arc` itself.
+    /// deltas every entry is the load-time base `Arc` itself. Calls at
+    /// one version return the same relations: the catalog is built once
+    /// per commit or merge.
     pub fn snapshot_catalog(&self) -> Catalog {
-        let inner = self.inner.lock();
-        let ts = inner.last_applied_ts;
-        let mut cat = Catalog::new();
-        for state in &inner.tables {
-            let rel = if state.delta.snapshot_is_base(ts) {
-                Arc::clone(&state.base)
-            } else {
-                Arc::new(state.delta.snapshot(&state.base, ts))
-            };
-            cat.add(&state.name, rel);
-        }
-        let v = cat.version() + inner.version;
-        cat.set_version(v);
-        cat
+        self.inner.lock().catalog().clone()
     }
 
     /// The pair `(snapshot catalog, snapshot timestamp)` a service
     /// front end stamps onto compiled [`morsel_core::QuerySpec`]s.
     pub fn snapshot(&self) -> (Catalog, u64) {
-        let ts = self.inner.lock().last_applied_ts;
-        (self.snapshot_catalog(), ts)
+        let mut inner = self.inner.lock();
+        (inner.catalog().clone(), inner.last_applied_ts)
     }
 
     // ---- merge ---------------------------------------------------------
@@ -713,9 +861,11 @@ impl TxnDb {
             let (folded, next) = state.delta.merge(&state.base, upto);
             state.base = Arc::new(folded);
             state.delta = next;
+            state.latest = None;
             self.budget.release(state.reserved);
             state.reserved = 0;
             inner.version = lsn;
+            inner.catalog = None;
             lsn
         };
         if let Err(e) = self.wal.commit_durable(lsn) {
@@ -762,13 +912,17 @@ impl TxnDb {
     /// same acknowledged commits compare equal here regardless of crash
     /// and recovery in between.
     pub fn logical_state(&self) -> Vec<(String, Batch)> {
-        let inner = self.inner.lock();
-        let ts = inner.last_applied_ts;
-        inner
-            .tables
-            .iter()
-            .map(|state| {
-                let (rows, _) = state.delta.visible_rows(&state.base, ts);
+        let (ts, tables) = {
+            let inner = self.inner.lock();
+            let tables: Vec<_> = (inner.tables.iter())
+                .map(|t| (t.name.clone(), Arc::clone(&t.base), t.delta.clone()))
+                .collect();
+            (inner.last_applied_ts, tables)
+        };
+        tables
+            .into_iter()
+            .map(|(name, base, delta)| {
+                let (rows, _) = delta.visible_rows(&base, ts);
                 let mut order: Vec<u32> = (0..rows.rows() as u32).collect();
                 order.sort_by_cached_key(|&i| {
                     rows.row(i as usize)
@@ -777,7 +931,7 @@ impl TxnDb {
                         .collect::<Vec<_>>()
                         .join("\u{1}")
                 });
-                (state.name.clone(), rows.reordered(&order))
+                (name, rows.reordered(&order))
             })
             .collect()
     }
@@ -807,6 +961,7 @@ fn tables_to_state(tables: Vec<(&str, Arc<Relation>)>) -> Vec<TableState> {
             delta: DeltaStore::new(base.schema().clone()),
             base,
             reserved: 0,
+            latest: None,
         })
         .collect()
 }
@@ -845,9 +1000,12 @@ fn check_value(schema: &Schema, c: usize, v: &Value) -> Result<(), TxnError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checker::{kv_relation, Lcg};
+    use crate::workload::{run_step, WorkloadSpec};
     use morsel_core::MemPool;
-    use morsel_exec::expr::{col, eq, lit};
-    use morsel_storage::{Column, DataType, WalFaults};
+    use morsel_exec::expr::{and, col, eq, ge, like, lit, lits, lt, prefix};
+    use morsel_numa::{Placement, Topology};
+    use morsel_storage::{Column, DataType, PartitionBy, TableStats, WalFaults};
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -1182,6 +1340,317 @@ mod tests {
         db.abort(txn);
         let cat = db.snapshot_catalog();
         assert!(Arc::ptr_eq(cat.get("t").unwrap(), &base));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // ---- in-place matching against the materialise-then-filter oracle ----
+
+    /// `(id, tag, note, v)` over `parts` hash partitions: `tag` repeats
+    /// five values and dictionary-encodes, `note` is unique per row and
+    /// stays plain.
+    fn tagged_rel(n: i64, parts: usize) -> Arc<Relation> {
+        let schema = Schema::new(vec![
+            ("id", DataType::I64),
+            ("tag", DataType::Str),
+            ("note", DataType::Str),
+            ("v", DataType::I64),
+        ]);
+        let data = Batch::from_columns(vec![
+            Column::I64((0..n).collect()),
+            Column::Str((0..n).map(|i| format!("tag{}", i % 5)).collect()),
+            Column::Str((0..n).map(|i| format!("note-{i}")).collect()),
+            Column::I64((0..n).map(|i| i % 10).collect()),
+        ]);
+        let rel = Relation::partitioned(
+            schema,
+            &data,
+            PartitionBy::Hash { column: 0 },
+            parts,
+            Placement::FirstTouch,
+            &Topology::laptop(),
+        )
+        .dict_encoded();
+        assert!(rel.partition(0).data.column(1).as_dict().is_some());
+        assert!(rel.partition(0).data.column(2).as_dict().is_none());
+        Arc::new(rel)
+    }
+
+    const KV: WorkloadSpec = WorkloadSpec {
+        seed: 0,
+        txns: 0,
+        keys: 24,
+    };
+
+    /// Draws committed and own writes for the `t` table; `"fresh"` is
+    /// outside the base dictionary.
+    struct TaggedOps {
+        rng: Lcg,
+        next_id: i64,
+    }
+
+    impl TaggedOps {
+        fn tag(&mut self) -> String {
+            match self.rng.below(6) {
+                5 => "fresh".to_owned(),
+                k => format!("tag{k}"),
+            }
+        }
+
+        fn some_id(&mut self) -> i64 {
+            // Mostly base rows, sometimes an earlier insert.
+            match self.rng.below(4) {
+                0 => 1000 + self.rng.below((self.next_id - 1000).max(1) as u64) as i64,
+                _ => self.rng.below(60) as i64,
+            }
+        }
+
+        /// One random write of `txn` to `t`.
+        fn write(&mut self, db: &TxnDb, txn: &mut Txn) {
+            match self.rng.below(5) {
+                0 | 1 => {
+                    let id = self.next_id;
+                    self.next_id += 1;
+                    let row = vec![
+                        Value::I64(id),
+                        Value::Str(self.tag()),
+                        Value::Str(format!("note-{id}")),
+                        Value::I64(self.rng.below(10) as i64),
+                    ];
+                    db.insert(txn, "t", row).unwrap();
+                }
+                2 => {
+                    let id = self.some_id();
+                    db.delete_where(txn, "t", &eq(col(0), lit(id))).unwrap();
+                }
+                3 => {
+                    let (id, tag) = (self.some_id(), self.tag());
+                    db.update_where(txn, "t", &eq(col(0), lit(id)), &[(1, Value::Str(tag))])
+                        .unwrap();
+                }
+                _ => {
+                    let (tag, v) = (self.tag(), self.rng.below(10) as i64);
+                    let pred = and(eq(col(1), lits(&tag)), lt(col(3), lit(3)));
+                    db.update_where(txn, "t", &pred, &[(3, Value::I64(v))])
+                        .unwrap();
+                }
+            }
+        }
+
+        /// `n` single-write transactions on `t`, each beside one step of
+        /// the seeded `kv` workload.
+        fn commit(&mut self, db: &TxnDb, kv: &mut Lcg, from: usize, n: usize) {
+            for i in from..from + n {
+                let mut w = db.begin().unwrap();
+                self.write(db, &mut w);
+                // A first-committer-wins abort is part of a random history.
+                let _ = db.commit(w);
+                assert!(run_step(db, &KV, kv, i));
+            }
+        }
+    }
+
+    /// A random history — commits, one merge, more commits — with an
+    /// open transaction in the middle of it that has its own inserts,
+    /// snapshot deletes, deleted pending rows and updates, and commits of
+    /// others after its snapshot.
+    fn random_history(seed: u64, tag: &str) -> (PathBuf, TxnDb, Txn) {
+        let dir = tmpdir(&format!("{tag}-{seed}"));
+        let tables = vec![("kv", kv_relation(KV.keys)), ("t", tagged_rel(60, 4))];
+        let db = TxnDb::create(&dir, tables).unwrap();
+        let mut ops = TaggedOps {
+            rng: Lcg(seed ^ 0x5eed),
+            next_id: 1000,
+        };
+        let mut kv = Lcg(seed);
+        ops.commit(&db, &mut kv, 0, 10);
+        db.merge_all().unwrap();
+        ops.commit(&db, &mut kv, 10, 10);
+        let mut x = db.begin().unwrap();
+        ops.commit(&db, &mut kv, 20, 6);
+        for _ in 0..6 {
+            ops.write(&db, &mut x);
+        }
+        db.insert(&mut x, "kv", vec![Value::I64(500), Value::I64(5)])
+            .unwrap();
+        db.delete_where(&mut x, "kv", &lt(col(0), lit(3))).unwrap();
+        db.update_where(&mut x, "kv", &eq(col(0), lit(500)), &[(1, Value::I64(6))])
+            .unwrap();
+        (dir, db, x)
+    }
+
+    fn predicates() -> Vec<(&'static str, Expr)> {
+        vec![
+            ("kv", lt(col(0), lit(12))),
+            ("kv", ge(col(1), lit(1))),
+            ("kv", eq(col(0), lit(500))),
+            ("t", and(ge(col(0), lit(20)), lt(col(3), lit(6)))),
+            ("t", eq(col(1), lits("tag1"))),
+            ("t", eq(col(1), lits("fresh"))),
+            ("t", ge(col(1), lits("tag3"))),
+            ("t", prefix(col(2), "note-1")),
+            ("t", like(col(2), "%-10%")),
+            ("t", and(eq(col(1), lits("tag2")), prefix(col(2), "note-2"))),
+        ]
+    }
+
+    /// What the retained materialise-then-filter route matches.
+    fn oracle(db: &TxnDb, txn: &Txn, table: &str, pred: &Expr) -> Vec<(u64, Vec<Value>)> {
+        let (rows, ids, _) = db.visible_with_overlay(txn, table).unwrap();
+        pred.eval_filter(&rows, 0..rows.rows())
+            .into_iter()
+            .map(|m| (ids[m as usize], rows.row(m as usize)))
+            .collect()
+    }
+
+    fn in_place(db: &TxnDb, txn: &Txn, table: &str, pred: &Expr) -> Vec<(u64, Vec<Value>)> {
+        let (t, base) = db.table_base(table).unwrap();
+        db.matching_rows(txn, t, base, pred, true)
+    }
+
+    /// `txn` as a matcher with one visibility rule knocked out would see
+    /// it.
+    fn doctored(txn: &Txn, begin_ts: u64, keep_own_deletes: bool) -> Txn {
+        Txn {
+            id: txn.id,
+            begin_ts,
+            epochs: txn.epochs.clone(),
+            ops: txn.ops.clone(),
+            pending: txn.pending.clone(),
+            pending_dead: txn.pending_dead.clone(),
+            snapshot_deletes: if keep_own_deletes {
+                txn.snapshot_deletes.clone()
+            } else {
+                Vec::new()
+            },
+        }
+    }
+
+    #[test]
+    fn in_place_matching_equals_materialise_then_filter() {
+        let (mut blind_to_own_deletes, mut blind_to_timestamps) = (0, 0);
+        for seed in 0..48 {
+            let (dir, db, x) = random_history(seed, "match");
+            assert!(!x.snapshot_deletes.is_empty() && !x.pending.is_empty());
+            for (table, pred) in predicates() {
+                let want = oracle(&db, &x, table, &pred);
+                assert_eq!(
+                    in_place(&db, &x, table, &pred),
+                    want,
+                    "seed {seed}, {table}: {pred:?}"
+                );
+                // Teeth: a matcher that ignores the transaction's own
+                // deletes, or sees rows and tombstones committed after
+                // its snapshot, must not pass for the real one.
+                let no_own = doctored(&x, x.begin_ts, false);
+                blind_to_own_deletes += usize::from(in_place(&db, &no_own, table, &pred) != want);
+                let no_ts = doctored(&x, u64::MAX, true);
+                blind_to_timestamps += usize::from(in_place(&db, &no_ts, table, &pred) != want);
+            }
+            db.abort(x);
+            drop(db);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        assert!(blind_to_own_deletes > 40, "{blind_to_own_deletes}");
+        assert!(blind_to_timestamps > 40, "{blind_to_timestamps}");
+    }
+
+    #[test]
+    fn deletes_need_no_row_values() {
+        let (dir, db, x) = random_history(7, "nodecode");
+        for (table, pred) in predicates() {
+            let (t, base) = db.table_base(table).unwrap();
+            let ids: Vec<u64> = oracle(&db, &x, table, &pred)
+                .into_iter()
+                .map(|(id, _)| id)
+                .collect();
+            let got = db.matching_rows(&x, t, base, &pred, false);
+            assert!(got.iter().all(|(_, row)| row.is_empty()));
+            assert_eq!(got.into_iter().map(|(id, _)| id).collect::<Vec<_>>(), ids);
+        }
+        db.abort(x);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // ---- structural sharing ----------------------------------------------
+
+    #[test]
+    fn snapshots_share_untouched_partitions_and_their_statistics() {
+        let dir = tmpdir("sharing");
+        let base = tagged_rel(6400, 64);
+        let db = TxnDb::create(&dir, vec![("t", Arc::clone(&base))]).unwrap();
+        let mut w = db.begin().unwrap();
+        assert_eq!(
+            db.delete_where(&mut w, "t", &eq(col(0), lit(77))).unwrap(),
+            1
+        );
+        db.commit(w).unwrap();
+
+        let cat = db.snapshot_catalog();
+        let snap = cat.get("t").unwrap();
+        assert_eq!(snap.total_rows(), 6399);
+        assert_eq!(snap.partitions().len(), 64);
+        let shared = (snap.partitions().iter().zip(base.partitions()))
+            .filter(|(s, b)| Arc::ptr_eq(&s.data, &b.data))
+            .count();
+        assert_eq!(
+            shared, 63,
+            "only the partition of the deleted row is rebuilt"
+        );
+
+        // One catalog per version: the same relations until the next
+        // commit, for every way of asking.
+        let again = db.snapshot_catalog();
+        assert_eq!(again.version(), cat.version());
+        assert!(Arc::ptr_eq(snap, again.get("t").unwrap()));
+        assert!(Arc::ptr_eq(snap, &db.latest_relation("t").unwrap()));
+        assert!(Arc::ptr_eq(snap, db.snapshot().0.get("t").unwrap()));
+        let reader = db.begin().unwrap();
+        assert!(Arc::ptr_eq(snap, &db.relation_for(&reader, "t").unwrap()));
+        db.abort(reader);
+
+        // Statistics merged from the shared per-partition cache equal
+        // statistics computed from scratch, field by field.
+        fn assert_stats_from_scratch(rel: &Relation) {
+            let got = rel.stats();
+            let want = TableStats::from_partitions(rel.partitions().iter().map(|p| &*p.data));
+            assert_eq!((got.rows, got.bytes), (want.rows, want.bytes));
+            assert_eq!(got.rows, rel.total_rows() as u64);
+            for (c, (g, w)) in got.columns.iter().zip(&want.columns).enumerate() {
+                assert_eq!((&g.min, &g.max), (&w.min, &w.max), "column {c}");
+                assert_eq!(g.null_count, w.null_count, "column {c}");
+                assert_eq!((g.ndv, g.avg_width), (w.ndv, w.avg_width), "column {c}");
+                assert_eq!(g.dict.is_some(), w.dict.is_some(), "column {c}");
+            }
+            // … HLL registers included.
+            assert!(*got == want);
+        }
+        assert_stats_from_scratch(snap);
+
+        // The next version rebuilds only what its commit touched: the
+        // partition rebuilt for the first delete is taken over as is.
+        let mut w = db.begin().unwrap();
+        let moved = db
+            .update_where(&mut w, "t", &eq(col(0), lit(78)), &[(3, Value::I64(42))])
+            .unwrap();
+        assert_eq!(moved, 1);
+        db.commit(w).unwrap();
+        let next = db.latest_relation("t").unwrap();
+        assert_eq!(next.partitions().len(), 65, "plus the delta partition");
+        let unchanged = (next.partitions().iter().zip(snap.partitions()))
+            .filter(|(n, s)| Arc::ptr_eq(&n.data, &s.data))
+            .count();
+        assert_eq!(unchanged, 63);
+        assert_stats_from_scratch(&next);
+
+        // A merge folds the delta in and still shares what it can.
+        db.merge("t").unwrap();
+        let merged = db.latest_relation("t").unwrap();
+        assert_eq!(merged.total_rows(), 6399);
+        let kept = (merged.partitions().iter().zip(base.partitions()))
+            .filter(|(m, b)| Arc::ptr_eq(&m.data, &b.data))
+            .count();
+        assert_eq!(kept, 62);
+        assert_stats_from_scratch(&merged);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
