@@ -17,12 +17,6 @@
 //! One `RESULT` line per fixture plus a summary line make the outcome
 //! machine-checkable (CI greps for converged improvements); `--json`
 //! routes the report to `BENCH_adaptive.json`.
-//!
-//! The tail of the report demonstrates the mid-query half of the loop:
-//! [`Session::stage_and_reoptimize`] materializes the top pipeline
-//! breaker of a drifted fixture, re-costs the remaining join order via
-//! DPsize over the true intermediate, and splices the cheaper plan —
-//! asserting the staged plan still returns byte-identical rows.
 
 use morsel_core::{ExecEnv, QueryProfile};
 use morsel_exec::plan::Plan;
@@ -30,7 +24,7 @@ use morsel_exec::SystemVariant;
 use morsel_numa::Topology;
 use morsel_planner::PlanReport;
 use morsel_queries::{run_sim, ssb_sql, tpch_sql};
-use morsel_service::{Error, Session};
+use morsel_service::Session;
 use morsel_storage::{Batch, Catalog};
 
 use crate::experiments::ExpConfig;
@@ -160,89 +154,6 @@ fn replay(
     runs
 }
 
-/// Demonstrate [`Session::stage_and_reoptimize`] on one warmed fixture:
-/// execute the top breaker, observe the divergence, splice if cheaper,
-/// and verify the staged plan's rows byte-for-byte.
-fn staging_demo(
-    env: &ExecEnv,
-    topo: &Topology,
-    cfg: &ExpConfig,
-    catalog: &Catalog,
-    fixtures: &[(String, &str)],
-) -> Result<String, Error> {
-    let session = Session::builder()
-        .catalog(catalog.clone())
-        .topology(topo)
-        .feedback(true)
-        .build();
-    let mut out =
-        String::from("mid-query staging (top breaker materialized, remainder re-costed):\n");
-    let mut shown = 0usize;
-    for (name, sql) in fixtures {
-        let (handle, _) = session.resolve(sql)?;
-        if count_joins(&handle.plan) < 2 {
-            continue;
-        }
-        // Warm the cache with one observed execution first — staging
-        // deliberately stays inert on a cold cache.
-        let cold = run_sim(
-            env,
-            &format!("{name}-stage-warmup"),
-            handle.plan.clone(),
-            SystemVariant::full(),
-            16,
-            cfg.morsel_size,
-        );
-        session.observe(&handle.plan, cold.profile.as_ref().expect("profiling on"));
-        let (handle, _) = session.resolve(sql)?;
-        let staged = session.stage_and_reoptimize(&handle.plan, |build| {
-            let r = run_sim(
-                env,
-                &format!("{name}-stage-build"),
-                build.clone(),
-                SystemVariant::full(),
-                16,
-                cfg.morsel_size,
-            );
-            let profile = r.profile.expect("profiling on");
-            Ok((r.result, profile))
-        })?;
-        if !staged.staged {
-            continue;
-        }
-        let replay = run_sim(
-            env,
-            &format!("{name}-staged"),
-            staged.plan.clone(),
-            SystemVariant::full(),
-            16,
-            cfg.morsel_size,
-        );
-        assert_eq!(
-            replay.result, cold.result,
-            "{name}: staging must not change results"
-        );
-        match &staged.resplice {
-            Some(r) => out.push_str(&format!(
-                "  {name}: drift {:.1}x tripped re-opt; {} -> {} \
-                 (cost {:.2e} -> {:.2e}); staged rows identical\n",
-                r.divergence, r.old_order, r.new_order, r.old_cost, r.new_cost
-            )),
-            None => out.push_str(&format!(
-                "  {name}: breaker materialized, incumbent order kept; rows identical\n"
-            )),
-        }
-        shown += 1;
-        if shown >= 3 {
-            break;
-        }
-    }
-    if shown == 0 {
-        out.push_str("  (no multi-join fixture staged at this scale)\n");
-    }
-    Ok(out)
-}
-
 /// The `adaptive` experiment (see the module docs).
 pub fn adaptive(cfg: &ExpConfig) -> String {
     let topo = Topology::nehalem_ex();
@@ -330,13 +241,8 @@ pub fn adaptive(cfg: &ExpConfig) -> String {
     out.push_str(&result_lines);
     out.push_str(&format!(
         "RESULT summary fixtures={total} identical={identical} multi_join={multi} \
-         improved={improved}\n\n"
+         improved={improved}\n"
     ));
     assert_eq!(identical, total, "feedback must never change query results");
-
-    match staging_demo(&env, &topo, cfg, &tpch.catalog(), &tpch_fixtures) {
-        Ok(s) => out.push_str(&s),
-        Err(e) => out.push_str(&format!("mid-query staging demo failed: {e}\n")),
-    }
     out
 }

@@ -93,14 +93,6 @@ pub struct QuerySpec {
     /// per-morsel counters into it; empty ⇒ profiling is off for this
     /// query and every recording call is a no-op.
     pub profile_ops: Vec<String>,
-    /// MVCC snapshot timestamp this query reads at. Stamped by the
-    /// transaction layer when the plan was compiled against a snapshot
-    /// catalog; the plan's scans are already bound to the snapshot's
-    /// relations, so executors don't interpret the value — it rides
-    /// along so traces, caches, and the SI checker can attribute every
-    /// read (including in-flight morsels) to one consistent snapshot.
-    /// `None` means the query reads load-time base data.
-    pub snapshot_ts: Option<u64>,
 }
 
 impl QuerySpec {
@@ -114,7 +106,6 @@ impl QuerySpec {
             deadline_ns: None,
             mem_cap: None,
             profile_ops: Vec::new(),
-            snapshot_ts: None,
         }
     }
 
@@ -146,13 +137,6 @@ impl QuerySpec {
     /// [`QuerySpec::profile_ops`]).
     pub fn with_profile_ops(mut self, labels: Vec<String>) -> Self {
         self.profile_ops = labels;
-        self
-    }
-
-    /// Stamp the MVCC snapshot timestamp this query reads at (see
-    /// [`QuerySpec::snapshot_ts`]).
-    pub fn with_snapshot_ts(mut self, ts: u64) -> Self {
-        self.snapshot_ts = Some(ts);
         self
     }
 }

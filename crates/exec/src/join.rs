@@ -133,7 +133,7 @@ impl PipelineJob for HtInsertJob {
             .expect("join slot set twice");
         // The build side is a pipeline breaker: its cardinality is final
         // the moment the last insert morsel lands, long before the probe
-        // pipeline runs. Surface that for mid-query re-optimization.
+        // pipeline runs. Surface that in the profile.
         if let Some(slot) = self.prof_slot {
             ctx.prof_breaker_done(slot);
         }

@@ -81,18 +81,21 @@ fn walk(
     }
 }
 
+/// Default drift highlight: flag an operator whose actual cardinality
+/// is off from the estimate by at least this factor (either direction).
+pub const DRIFT_THRESHOLD_DEFAULT: f64 = 4.0;
+
 /// Render collected lines; `actuals[i]` (if given) is the measured row
-/// count of `lines[i]`'s subtree. Uses the default re-optimization
-/// threshold ([`crate::adaptive::REOPT_THRESHOLD_DEFAULT`]) for the
-/// drift highlight.
+/// count of `lines[i]`'s subtree. Uses [`DRIFT_THRESHOLD_DEFAULT`] for
+/// the drift highlight.
 pub fn render(lines: &[ExplainLine], actuals: Option<&[usize]>) -> String {
-    render_with_threshold(lines, actuals, crate::adaptive::REOPT_THRESHOLD_DEFAULT)
+    render_with_threshold(lines, actuals, DRIFT_THRESHOLD_DEFAULT)
 }
 
 /// Like [`render`], with an explicit divergence threshold: every line
 /// with an actual gains a `drift` column (actual/est ratio), and rows
-/// whose drift exceeds the threshold in either direction are flagged as
-/// the re-optimization candidates mid-query adaptivity would act on.
+/// whose drift exceeds the threshold in either direction are flagged —
+/// those are the misestimates a replan with feedback would correct.
 pub fn render_with_threshold(
     lines: &[ExplainLine],
     actuals: Option<&[usize]>,

@@ -330,25 +330,6 @@ pub fn left_deep_cost(graph: &JoinGraph, params: &CostParams, order: &[usize]) -
     acc.cost
 }
 
-/// Cost of a specific join tree under the current graph statistics
-/// (build/probe orientation re-chosen per step, like the enumerator).
-/// This is how mid-query re-optimization prices the *incumbent* order
-/// under feedback-updated statistics, for an apples-to-apples comparison
-/// with a fresh enumeration.
-pub fn tree_cost(graph: &JoinGraph, params: &CostParams, tree: &JoinTree) -> f64 {
-    fn solve(graph: &JoinGraph, params: &CostParams, tree: &JoinTree) -> Best {
-        match tree {
-            JoinTree::Leaf(i) => leaf_best(*i),
-            JoinTree::Node { probe, build, .. } => {
-                let p = solve(graph, params, probe);
-                let b = solve(graph, params, build);
-                join_sets(graph, params, &p, &b)
-            }
-        }
-    }
-    solve(graph, params, tree).cost
-}
-
 /// Connected components as bitsets.
 fn connected_components(graph: &JoinGraph) -> Vec<u64> {
     let n = graph.nodes.len();
@@ -496,21 +477,6 @@ mod tests {
             JoinTree::Node { edges, .. } => assert!(edges.is_empty()),
             other => panic!("expected a join node, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn tree_cost_agrees_with_enumeration() {
-        let g = JoinGraph {
-            nodes: vec![
-                node("a", 50_000.0, &[("k", 50_000.0)]),
-                node("b", 5_000.0, &[("k", 5_000.0), ("j", 100.0)]),
-                node("c", 200.0, &[("j", 100.0)]),
-            ],
-            edges: vec![edge(0, 1, "k", "k"), edge(1, 2, "j", "j")],
-        };
-        let e = enumerate(&g, &params(), DP_BUDGET_DEFAULT);
-        let c = tree_cost(&g, &params(), &e.tree);
-        assert!((c - e.cost).abs() / e.cost.max(1.0) < 1e-9);
     }
 
     #[test]

@@ -22,7 +22,6 @@
 //!    pushing projections into scans, so the compiler, dispatcher, and
 //!    service layer run planned queries unchanged.
 
-pub mod adaptive;
 pub mod cost;
 pub mod dml;
 pub mod estimate;
@@ -32,14 +31,12 @@ pub mod joinorder;
 pub mod logical;
 pub mod lower;
 
-pub use adaptive::{reoptimize, Reopt};
 pub use cost::{plan_cost, CostParams};
 pub use dml::{DmlKind, DmlPlan};
 pub use estimate::{ColEst, Estimator, PlanEst};
 pub use feedback::{harvest, FeedbackCache, FeedbackEntry, FEEDBACK_DECAY};
 pub use joinorder::{
-    enumerate, left_deep_cost, tree_cost, GraphEdge, GraphNode, JoinGraph, JoinTree,
-    DP_BUDGET_DEFAULT,
+    enumerate, left_deep_cost, GraphEdge, GraphNode, JoinGraph, JoinTree, DP_BUDGET_DEFAULT,
 };
 pub use logical::{AggSpec, LogicalPlan, OrderBy};
 pub use lower::{BlockReport, PlanHandle, PlanReport, Planner};

@@ -67,8 +67,6 @@ pub struct PlanHandle {
 pub struct Planner {
     pub params: CostParams,
     pub estimator: Estimator,
-    /// Relation-count budget for exhaustive DPsize enumeration.
-    pub dp_budget: usize,
 }
 
 impl Planner {
@@ -78,13 +76,7 @@ impl Planner {
         Planner {
             params: CostParams::for_topology(topology),
             estimator: Estimator::default(),
-            dp_budget: DP_BUDGET_DEFAULT,
         }
-    }
-
-    pub fn with_dp_budget(mut self, budget: usize) -> Self {
-        self.dp_budget = budget;
-        self
     }
 
     /// Lower a logical plan to a physical plan.
@@ -390,7 +382,7 @@ impl Planner {
         let graph = JoinGraph { nodes, edges };
 
         // 5. Enumerate and emit.
-        let chosen = enumerate(&graph, &self.params, self.dp_budget);
+        let chosen = enumerate(&graph, &self.params, DP_BUDGET_DEFAULT);
         report.blocks.push(BlockReport {
             order: chosen.tree.render(&graph),
             leaves: graph.nodes.iter().map(|n| n.label.clone()).collect(),

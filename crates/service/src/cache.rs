@@ -1,11 +1,10 @@
-//! Prepared statements and the service's plan / result caches.
+//! Prepared statements and the session's plan / result caches.
 //!
-//! A [`SqlSession`] is the stateful SQL entry point for one catalog:
-//! it owns three layers, each skippable, each observable through
-//! [`CacheCounters`]:
+//! [`crate::Session`] owns three layers over its catalog, each
+//! skippable, each observable through [`CacheCounters`]:
 //!
-//! 1. **Prepared statements** — [`SqlSession::prepare`] lexes and
-//!    parses once; [`SqlSession::execute_prepared`] splices
+//! 1. **Prepared statements** — [`crate::Session::prepare`] lexes and
+//!    parses once; [`crate::Session::execute_prepared`] splices
 //!    [`LiteralValue`] parameters over the `?`/`$n` placeholders and
 //!    continues down the same path as ad-hoc text.
 //! 2. **Plan cache** — a bounded LRU keyed on the normalized
@@ -16,41 +15,40 @@
 //!    every entry also guards on the exact literal vector and the
 //!    catalog version it was planned under, and a guard mismatch
 //!    replans (overwriting the entry) instead of serving a wrong plan.
-//!    A hit skips parse→bind→DPsize→lowering and goes straight to the
-//!    cheap per-run pipeline compile.
+//!    A hit skips bind→DPsize→lowering and goes straight to the cheap
+//!    per-run pipeline compile.
 //! 3. **Result cache** (opt-in) — completed aggregate results keyed on
 //!    the full canonical query text plus the catalog version. Explicit
-//!    invalidation: [`SqlSession::update_catalog`] (bumps the version,
-//!    so stale entries can never be served) and
-//!    [`SqlSession::invalidate_results`] (drops everything now).
+//!    invalidation: [`crate::Session::update_catalog`] and every commit
+//!    or merge (they move the version, so stale entries can never be
+//!    served) and [`crate::Session::invalidate_results`] (drops
+//!    everything now).
 //!
 //! Planning happens *under* the session's cache lock, which makes cold
 //! planning single-flight: N concurrent clients racing one cold shape
 //! produce exactly one plan and N−1 hits. A query that terminates
-//! [`QueryOutcome::Failed`] evicts its plan entry (counted in
+//! `Failed` evicts its plan entry (counted in
 //! [`CacheStats::plan_poisoned`]) so a poisoned plan is never served
 //! from cache; the next submission of that shape replans from scratch.
+//!
+//! This module holds the data structures and their counting; the order
+//! they are consulted in is [`crate::Session::execute`]'s.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
-use morsel_exec::plan::compile_query;
-use morsel_exec::SystemVariant;
-use morsel_planner::{FeedbackCache, PlanHandle, Planner};
+use morsel_planner::PlanHandle;
 use morsel_sql::normalize::{param_count, same_literals, shape_of};
-use morsel_sql::{bind_params, parse, Binder, LiteralValue, Select, ShapeKey, SqlError};
-use morsel_storage::{Batch, Catalog};
-use parking_lot::Mutex;
+use morsel_sql::{parse, LiteralValue, Select, ShapeKey, SqlError};
+use morsel_storage::Batch;
 
-use crate::service::{QueryReport, QueryRequest, QueryService};
-use morsel_core::QueryOutcome;
+use crate::service::QueryReport;
 
 // ------------------------------------------------------------ counters
 
 /// Live cache counters, shared between a session and (optionally) the
-/// [`QueryService`] it executes through, so [`crate::ServiceReport`]
+/// [`crate::QueryService`] it executes through, so [`crate::ServiceReport`]
 /// can include them at shutdown.
 #[derive(Debug, Default)]
 pub struct CacheCounters {
@@ -143,7 +141,9 @@ impl std::fmt::Display for CacheStats {
 
 // ------------------------------------------------- prepared statements
 
-/// A parsed-once query template with `?` / `$n` placeholders.
+/// A parsed-once query template with `?` / `$n` placeholders, made by
+/// [`crate::Session::prepare`] and run by
+/// [`crate::Session::execute_prepared`].
 ///
 /// Preparing stops after the parse: binding needs concrete literal
 /// types (the binder constant-folds dates and validates comparisons),
@@ -158,7 +158,25 @@ pub struct PreparedStatement {
 }
 
 impl PreparedStatement {
-    /// Number of parameter values [`SqlSession::execute_prepared`] expects.
+    /// Parse `sql` into a template. Placeholder arity is fixed here;
+    /// names and types are validated on first execution.
+    pub(crate) fn parse(sql: &str) -> Result<Self, SqlError> {
+        let template = parse(sql)?;
+        let (shape, _) = shape_of(&template);
+        let params = param_count(&template);
+        Ok(PreparedStatement {
+            template,
+            shape,
+            params,
+        })
+    }
+
+    pub(crate) fn template(&self) -> &Select {
+        &self.template
+    }
+
+    /// Number of parameter values [`crate::Session::execute_prepared`]
+    /// expects.
     pub fn param_count(&self) -> usize {
         self.params
     }
@@ -185,62 +203,7 @@ pub enum CacheDisposition {
     Bypass,
 }
 
-struct PlanEntry {
-    literals: Vec<LiteralValue>,
-    catalog_version: u64,
-    /// Feedback-cache epoch the plan was produced under (0 when the
-    /// session has no feedback cache). New runtime observations bump
-    /// the epoch, and a mismatch forces a replan — a plan chosen under
-    /// stale selectivities is as wrong as one bound to a stale catalog.
-    feedback_epoch: u64,
-    handle: PlanHandle,
-    last_used: u64,
-}
-
-/// Bounded shape → plan LRU. Small by design (tens of entries): the
-/// eviction scan is O(len) and irrelevant next to a single DPsize run.
-struct PlanCache {
-    capacity: usize,
-    clock: u64,
-    entries: HashMap<ShapeKey, PlanEntry>,
-}
-
-impl PlanCache {
-    fn touch(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
-    }
-
-    fn insert(&mut self, key: ShapeKey, entry: PlanEntry, counters: &CacheCounters) {
-        if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
-            if let Some(oldest) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                self.entries.remove(&oldest);
-                CacheCounters::bump(&counters.plan_evictions);
-            }
-        }
-        self.entries.insert(key, entry);
-    }
-}
-
-struct ResultEntry {
-    catalog_version: u64,
-    rows: Batch,
-    last_used: u64,
-}
-
-struct SessionCaches {
-    plans: PlanCache,
-    results: HashMap<String, ResultEntry>,
-}
-
-// ------------------------------------------------------------ session
-
-/// One completed SQL execution through a [`SqlSession`].
+/// One completed `SELECT` through [`crate::Session::execute`].
 #[derive(Debug, Clone)]
 pub struct SqlExecution {
     /// The service's terminal report (outcome, latency, priority).
@@ -255,411 +218,146 @@ pub struct SqlExecution {
     pub plan_ns: u64,
 }
 
-/// The stateful SQL front end: catalog + planner + caches. See the
-/// [module docs](self).
-///
-/// Lock order is `caches → catalog`, never the reverse: planning holds
-/// the cache lock (that is what makes it single-flight) and briefly
-/// takes the catalog inside it; [`SqlSession::update_catalog`] takes
-/// only the catalog lock.
-pub struct SqlSession {
-    catalog: Mutex<Catalog>,
-    planner: Planner,
-    variant: SystemVariant,
-    caches: Mutex<SessionCaches>,
-    counters: Arc<CacheCounters>,
-    plan_caching: bool,
-    result_caching: bool,
-    feedback: Option<Arc<FeedbackCache>>,
-}
-
 /// Default plan-cache capacity (distinct shapes retained).
 pub const PLAN_CACHE_CAPACITY_DEFAULT: usize = 64;
 
-impl SqlSession {
-    /// A standalone session with its own private counters.
-    #[deprecated(note = "construct sessions through morsel_service::Session::builder()")]
-    pub fn new(catalog: Catalog, planner: Planner, variant: SystemVariant) -> Self {
-        SqlSession {
-            catalog: Mutex::new(catalog),
-            planner,
-            variant,
-            caches: Mutex::new(SessionCaches {
-                plans: PlanCache {
-                    capacity: PLAN_CACHE_CAPACITY_DEFAULT,
-                    clock: 0,
-                    entries: HashMap::new(),
-                },
-                results: HashMap::new(),
-            }),
-            counters: Arc::new(CacheCounters::default()),
-            plan_caching: true,
-            result_caching: false,
-            feedback: None,
-        }
-    }
+/// What a cached plan is only valid under. A shape hit alone is not
+/// enough: the plan embeds folded constants (the literal vector, held
+/// beside the guard), relations (the catalog version) and
+/// selectivity-dependent choices (the feedback epoch; 0 when the
+/// session has no feedback cache). New runtime observations bump the
+/// epoch — a plan chosen under stale selectivities is as wrong as one
+/// bound to a stale catalog.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PlanGuard {
+    pub catalog_version: u64,
+    pub feedback_epoch: u64,
+}
 
-    /// A session whose counters feed `service`'s shutdown report.
-    #[deprecated(note = "construct sessions through morsel_service::Session::builder()")]
-    pub fn for_service(
-        service: &QueryService,
-        catalog: Catalog,
-        planner: Planner,
-        variant: SystemVariant,
-    ) -> Self {
-        #[allow(deprecated)]
-        let mut session = SqlSession::new(catalog, planner, variant);
-        session.counters = Arc::clone(service.cache_counters());
-        session
-    }
+struct PlanEntry {
+    literals: Vec<LiteralValue>,
+    guard: PlanGuard,
+    handle: PlanHandle,
+    last_used: u64,
+}
 
-    /// Bound on distinct shapes the plan cache retains (LRU beyond it).
-    pub fn with_plan_cache_capacity(self, capacity: usize) -> Self {
+struct ResultEntry {
+    catalog_version: u64,
+    rows: Batch,
+}
+
+/// The session's two caches behind its one cache lock: a bounded
+/// shape → plan LRU (small by design — tens of entries; the eviction
+/// scan is O(len) and irrelevant next to a single DPsize run) and the
+/// canonical-text → rows result cache. Every method counts what it did.
+pub(crate) struct SessionCaches {
+    capacity: usize,
+    clock: u64,
+    plans: HashMap<ShapeKey, PlanEntry>,
+    results: HashMap<String, ResultEntry>,
+    counters: Arc<CacheCounters>,
+}
+
+impl SessionCaches {
+    pub(crate) fn new(capacity: usize, counters: Arc<CacheCounters>) -> Self {
         assert!(capacity > 0, "plan cache capacity must be positive");
-        self.caches.lock().plans.capacity = capacity;
-        self
-    }
-
-    /// Ablation knob: disable the plan cache entirely (every execution
-    /// parses, binds, and plans from scratch).
-    pub fn with_plan_caching(mut self, enabled: bool) -> Self {
-        self.plan_caching = enabled;
-        self
-    }
-
-    /// Opt into the result cache for aggregate queries.
-    pub fn with_result_caching(mut self, enabled: bool) -> Self {
-        self.result_caching = enabled;
-        self
-    }
-
-    /// Attach a runtime cardinality feedback cache. Two effects: the
-    /// planner's estimator consults observed selectivities before its
-    /// model, and every cached plan is additionally guarded on the
-    /// cache's epoch, so new observations force a replan (counted as a
-    /// plan invalidation) instead of serving a plan chosen under stale
-    /// selectivities.
-    pub fn with_feedback(mut self, fb: Arc<FeedbackCache>) -> Self {
-        self.planner.estimator.feedback = Some(Arc::clone(&fb));
-        self.feedback = Some(fb);
-        self
-    }
-
-    /// The attached feedback cache, if any.
-    pub fn feedback(&self) -> Option<&Arc<FeedbackCache>> {
-        self.feedback.as_ref()
-    }
-
-    /// The planner this session resolves plans with.
-    pub fn planner(&self) -> &Planner {
-        &self.planner
-    }
-
-    /// The current catalog version (what cached plans are guarded on).
-    pub fn catalog_version(&self) -> u64 {
-        self.catalog.lock().version()
-    }
-
-    /// This session's live counters (shared with the service when built
-    /// via [`SqlSession::for_service`]).
-    pub fn counters(&self) -> &Arc<CacheCounters> {
-        &self.counters
-    }
-
-    /// Share counters with a service (used by the `Session` builder).
-    pub(crate) fn set_counters(&mut self, counters: Arc<CacheCounters>) {
-        self.counters = counters;
-    }
-
-    /// Snapshot of the session's cache counters.
-    pub fn stats(&self) -> CacheStats {
-        self.counters.snapshot()
-    }
-
-    /// Run `f` over the catalog and advance its version, invalidating
-    /// every cached plan and result bound against the old one. The
-    /// version advances even if `f` only mutates data in place (the
-    /// explicit invalidation hook for changes the table map cannot see).
-    pub fn update_catalog<R>(&self, f: impl FnOnce(&mut Catalog) -> R) -> R {
-        let mut cat = self.catalog.lock();
-        let before = cat.version();
-        let out = f(&mut cat);
-        if cat.version() == before {
-            cat.bump_version();
+        SessionCaches {
+            capacity,
+            clock: 0,
+            plans: HashMap::new(),
+            results: HashMap::new(),
+            counters,
         }
-        out
     }
 
-    /// Drop every cached result now (counted per entry dropped). Plans
-    /// survive: they are invalidated by catalog version, not by data
-    /// freshness policy.
-    pub fn invalidate_results(&self) {
-        let mut caches = self.caches.lock();
-        let dropped = caches.results.len() as u64;
-        caches.results.clear();
-        self.counters
-            .result_invalidations
-            .fetch_add(dropped, Ordering::Relaxed);
-    }
-
-    /// Parse `sql` into a reusable template. Placeholder arity is
-    /// validated here; names and types are validated on first execution
-    /// (binding needs concrete literals).
-    pub fn prepare(&self, sql: &str) -> Result<PreparedStatement, SqlError> {
-        let template = parse(sql)?;
-        let (shape, _) = shape_of(&template);
-        let params = param_count(&template);
-        Ok(PreparedStatement {
-            template,
-            shape,
-            params,
-        })
-    }
-
-    /// Resolve `select` to a physical plan, through the plan cache when
-    /// enabled. Returns the handle and how the cache treated the lookup.
-    ///
-    /// Planning runs under the cache lock, so concurrent executions of
-    /// one cold shape plan exactly once (single-flight) — the others
-    /// block briefly and then hit.
-    fn resolve_plan(&self, select: &Select) -> Result<(PlanHandle, CacheDisposition), SqlError> {
-        if !self.plan_caching {
-            let cat = self.catalog.lock();
-            if let Some(fb) = &self.feedback {
-                fb.set_catalog_version(cat.version());
-            }
-            let logical = Binder::new(&cat).bind(select)?;
-            return Ok((self.planner.plan_handle(&logical), CacheDisposition::Bypass));
-        }
-        let (key, literals) = shape_of(select);
-        let mut caches = self.caches.lock();
-        let stamp = caches.plans.touch();
-        let version = self.catalog.lock().version();
-        // Sync the feedback cache with the live catalog before reading
-        // its epoch: a catalog bump purges learned selectivities (they
-        // described the old data) and advances the epoch exactly once.
-        let fb_epoch = self.feedback.as_ref().map_or(0, |fb| {
-            fb.set_catalog_version(version);
-            fb.epoch()
-        });
-        let mut invalidated = false;
-        if let Some(entry) = caches.plans.entries.get_mut(&key) {
-            if entry.catalog_version == version
-                && entry.feedback_epoch == fb_epoch
-                && same_literals(&entry.literals, &literals)
-            {
-                entry.last_used = stamp;
+    /// The plan cached for `key`, if its literals and guard still
+    /// match. Anything else is a miss; a present-but-mismatched entry
+    /// is also an invalidation (the caller replans and overwrites it).
+    pub(crate) fn lookup_plan(
+        &mut self,
+        key: &ShapeKey,
+        literals: &[LiteralValue],
+        guard: PlanGuard,
+    ) -> Option<PlanHandle> {
+        self.clock += 1;
+        if let Some(entry) = self.plans.get_mut(key) {
+            if entry.guard == guard && same_literals(&entry.literals, literals) {
+                entry.last_used = self.clock;
                 CacheCounters::bump(&self.counters.plan_hits);
-                return Ok((entry.handle.clone(), CacheDisposition::Hit));
+                return Some(entry.handle.clone());
             }
-            // Same shape, different literals or stale catalog: the
-            // cached plan would embed the wrong constants. Replan and
-            // let the fresh entry overwrite this one.
-            invalidated = true;
-        }
-        CacheCounters::bump(&self.counters.plan_misses);
-        if invalidated {
             CacheCounters::bump(&self.counters.plan_invalidations);
         }
-        let handle = {
-            let cat = self.catalog.lock();
-            let logical = Binder::new(&cat).bind(select)?;
-            self.planner.plan_handle(&logical)
+        CacheCounters::bump(&self.counters.plan_misses);
+        None
+    }
+
+    /// Cache `handle` under `key`, evicting the least-recently used
+    /// shape when a new one would exceed the capacity.
+    pub(crate) fn insert_plan(
+        &mut self,
+        key: ShapeKey,
+        literals: Vec<LiteralValue>,
+        guard: PlanGuard,
+        handle: PlanHandle,
+    ) {
+        if !self.plans.contains_key(&key) && self.plans.len() >= self.capacity {
+            let oldest = self.plans.iter().min_by_key(|(_, e)| e.last_used);
+            if let Some(oldest) = oldest.map(|(k, _)| k.clone()) {
+                self.plans.remove(&oldest);
+                CacheCounters::bump(&self.counters.plan_evictions);
+            }
+        }
+        let entry = PlanEntry {
+            literals,
+            guard,
+            handle,
+            last_used: self.clock,
         };
-        caches.plans.insert(
-            key,
-            PlanEntry {
-                literals,
-                catalog_version: version,
-                feedback_epoch: fb_epoch,
-                handle: handle.clone(),
-                last_used: stamp,
-            },
-            &self.counters,
-        );
-        Ok((handle, CacheDisposition::Miss))
+        self.plans.insert(key, entry);
     }
 
-    /// Execute ad-hoc SQL text through `service`.
-    pub fn execute(
-        &self,
-        service: &QueryService,
-        name: impl Into<String>,
-        sql: &str,
-    ) -> Result<SqlExecution, SqlError> {
-        self.execute_with(service, name, sql, |r| r)
-    }
-
-    /// [`SqlSession::execute`] with a hook to decorate the submission
-    /// (deadline, memory cap) before it enters admission.
-    pub fn execute_with(
-        &self,
-        service: &QueryService,
-        name: impl Into<String>,
-        sql: &str,
-        configure: impl FnOnce(QueryRequest) -> QueryRequest,
-    ) -> Result<SqlExecution, SqlError> {
-        let select = parse(sql)?;
-        self.execute_select(service, name.into(), &select, configure)
-    }
-
-    /// Execute a prepared statement with `params` bound over its
-    /// placeholders.
-    pub fn execute_prepared(
-        &self,
-        service: &QueryService,
-        name: impl Into<String>,
-        statement: &PreparedStatement,
-        params: &[LiteralValue],
-    ) -> Result<SqlExecution, SqlError> {
-        let select = bind_params(&statement.template, params)?;
-        self.execute_select(service, name.into(), &select, |r| r)
-    }
-
-    fn execute_select(
-        &self,
-        service: &QueryService,
-        name: String,
-        select: &Select,
-        configure: impl FnOnce(QueryRequest) -> QueryRequest,
-    ) -> Result<SqlExecution, SqlError> {
-        let started = Instant::now();
-        // Result-cache eligibility: aggregate output only. Aggregates
-        // collapse the data to a few rows, so caching them is cheap and
-        // high-value; raw scans could pin arbitrarily large batches.
-        let eligible = self.result_caching
-            && (!select.group_by.is_empty() || select.items.iter().any(|i| i.expr.has_agg()));
-        let result_key = if eligible {
-            let text = select.to_string();
-            let mut caches = self.caches.lock();
-            let stamp = caches.plans.touch();
-            let version = self.catalog.lock().version();
-            match caches.results.get_mut(&text) {
-                Some(entry) if entry.catalog_version == version => {
-                    entry.last_used = stamp;
-                    let rows = entry.rows.clone();
-                    drop(caches);
-                    CacheCounters::bump(&self.counters.result_hits);
-                    let report = service.complete_cached(&name).wait();
-                    let rows = (report.outcome == QueryOutcome::Completed).then_some(rows);
-                    return Ok(SqlExecution {
-                        report,
-                        rows,
-                        plan_cache: CacheDisposition::Bypass,
-                        result_cache: CacheDisposition::Hit,
-                        plan_ns: started.elapsed().as_nanos() as u64,
-                    });
-                }
-                Some(_) => {
-                    // Stale version: drop it now rather than serve it
-                    // ever again.
-                    caches.results.remove(&text);
-                    CacheCounters::bump(&self.counters.result_invalidations);
-                    CacheCounters::bump(&self.counters.result_misses);
-                }
-                None => CacheCounters::bump(&self.counters.result_misses),
-            }
-            Some(text)
-        } else {
-            None
-        };
-
-        let (handle, plan_disposition) = self.resolve_plan(select)?;
-        let plan_ns = started.elapsed().as_nanos() as u64;
-        let (spec, slot) = compile_query(name, handle.plan.clone(), self.variant);
-        let ticket = service.submit(configure(QueryRequest::new(spec)));
-        let report = ticket.wait();
-
-        match report.outcome {
-            QueryOutcome::Completed => {
-                let rows = slot.lock().take();
-                if let (Some(key), Some(batch)) = (result_key, rows.as_ref()) {
-                    let mut caches = self.caches.lock();
-                    let stamp = caches.plans.touch();
-                    // Re-read the version: if the catalog moved while we
-                    // executed, this result is already stale — skip it.
-                    let version = self.catalog.lock().version();
-                    if self.plan_caching {
-                        // Guard against a racing update: only fill if the
-                        // plan we ran is still what the cache would serve.
-                        let (shape, _) = shape_of(select);
-                        let current = caches.plans.entries.get(&shape);
-                        if current.is_none_or(|e| e.catalog_version != version) {
-                            return Ok(SqlExecution {
-                                report,
-                                rows,
-                                plan_cache: plan_disposition,
-                                result_cache: CacheDisposition::Miss,
-                                plan_ns,
-                            });
-                        }
-                    }
-                    caches.results.insert(
-                        key,
-                        ResultEntry {
-                            catalog_version: version,
-                            rows: batch.clone(),
-                            last_used: stamp,
-                        },
-                    );
-                }
-                Ok(SqlExecution {
-                    report,
-                    rows,
-                    plan_cache: plan_disposition,
-                    result_cache: if eligible {
-                        CacheDisposition::Miss
-                    } else {
-                        CacheDisposition::Bypass
-                    },
-                    plan_ns,
-                })
-            }
-            QueryOutcome::Failed(_) => {
-                // Never retain a plan whose execution failed: evict the
-                // shape so the next submission replans cold.
-                if self.plan_caching {
-                    let (shape, literals) = shape_of(select);
-                    let mut caches = self.caches.lock();
-                    if let Some(entry) = caches.plans.entries.get(&shape) {
-                        if same_literals(&entry.literals, &literals) {
-                            caches.plans.entries.remove(&shape);
-                            CacheCounters::bump(&self.counters.plan_poisoned);
-                        }
-                    }
-                }
-                Ok(SqlExecution {
-                    report,
-                    rows: None,
-                    plan_cache: plan_disposition,
-                    result_cache: if eligible {
-                        CacheDisposition::Miss
-                    } else {
-                        CacheDisposition::Bypass
-                    },
-                    plan_ns,
-                })
-            }
-            QueryOutcome::Cancelled | QueryOutcome::Rejected(_) => Ok(SqlExecution {
-                report,
-                rows: None,
-                plan_cache: plan_disposition,
-                result_cache: if eligible {
-                    CacheDisposition::Miss
-                } else {
-                    CacheDisposition::Bypass
-                },
-                plan_ns,
-            }),
+    /// Never retain a plan whose execution failed: drop the entry for
+    /// `key` if it still holds these literals, so the next submission
+    /// of the shape replans cold.
+    pub(crate) fn evict_poisoned(&mut self, key: &ShapeKey, literals: &[LiteralValue]) {
+        if (self.plans.get(key)).is_some_and(|e| same_literals(&e.literals, literals)) {
+            self.plans.remove(key);
+            CacheCounters::bump(&self.counters.plan_poisoned);
         }
     }
 
-    /// Cache-aware planning without execution: parse, consult the plan
-    /// cache, plan on a miss. Public for tests and tooling that drive
-    /// the executor directly (e.g. the planner-equivalence oracle).
-    pub fn plan_cached(&self, sql: &str) -> Result<(PlanHandle, CacheDisposition), SqlError> {
-        let select = parse(sql)?;
-        self.resolve_plan(&select)
+    /// The rows cached for `text` at `catalog_version`. An entry from
+    /// another version is dropped now rather than served ever again.
+    pub(crate) fn lookup_result(&mut self, text: &str, catalog_version: u64) -> Option<Batch> {
+        match self.results.get(text) {
+            Some(entry) if entry.catalog_version == catalog_version => {
+                CacheCounters::bump(&self.counters.result_hits);
+                return Some(entry.rows.clone());
+            }
+            Some(_) => {
+                self.results.remove(text);
+                CacheCounters::bump(&self.counters.result_invalidations);
+            }
+            None => {}
+        }
+        CacheCounters::bump(&self.counters.result_misses);
+        None
+    }
+
+    pub(crate) fn insert_result(&mut self, text: String, catalog_version: u64, rows: Batch) {
+        let entry = ResultEntry {
+            catalog_version,
+            rows,
+        };
+        self.results.insert(text, entry);
+    }
+
+    /// Drop every cached result now (counted per entry dropped).
+    pub(crate) fn clear_results(&mut self) {
+        let dropped = self.results.len() as u64;
+        self.results.clear();
+        (self.counters.result_invalidations).fetch_add(dropped, Ordering::Relaxed);
     }
 }
 

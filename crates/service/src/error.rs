@@ -1,12 +1,10 @@
 //! The service crate's unified error type.
 //!
-//! Before the [`Session`](crate::Session) facade, callers juggled a zoo
-//! of failure surfaces: `SqlError` from parse/bind, `TxnSqlError` from
-//! the write path, plan-cache misbehaviour folded into either, and
-//! non-`Completed` [`QueryOutcome`]s that were *not* errors at all but
-//! ordinary return values the caller had to remember to inspect.
-//! [`Error`] collapses all of them into one `#[non_exhaustive]` kinded
-//! type with source-chained diagnostics: `error.kind()` routes
+//! Everything [`Session`](crate::Session) can fail with — `SqlError`
+//! from parse/bind, `TxnError` from the write path, and the
+//! non-`Completed` [`QueryOutcome`]s of a query that was refused,
+//! cancelled or failed — is one `#[non_exhaustive]` kinded type with
+//! source-chained diagnostics: `error.kind()` routes
 //! programmatic handling, `Display` renders the full story, and
 //! [`std::error::Error::source`] walks down to the underlying
 //! parse/bind/transaction error when one exists.
@@ -16,8 +14,6 @@ use std::fmt;
 use morsel_core::{FailReason, QueryOutcome, RejectReason};
 use morsel_sql::SqlError;
 use morsel_txn::TxnError;
-
-use crate::txn::TxnSqlError;
 
 /// What went wrong, at the coarsest useful granularity.
 ///
@@ -141,15 +137,6 @@ impl From<SqlError> for Error {
 impl From<TxnError> for Error {
     fn from(e: TxnError) -> Self {
         Error::txn(e)
-    }
-}
-
-impl From<TxnSqlError> for Error {
-    fn from(e: TxnSqlError) -> Self {
-        match e {
-            TxnSqlError::Sql(s) => Error::sql(s),
-            TxnSqlError::Txn(t) => Error::txn(t),
-        }
     }
 }
 

@@ -24,6 +24,13 @@
 //!   bounded memory and reported at shutdown.
 //! - **Load clients** ([`client`]): closed-loop drivers for benchmarks
 //!   and demos.
+//! - **SQL** ([`Session`]): the one entry point for SQL text — parse,
+//!   plan through the plan/result caches, compile, submit, and hand
+//!   back rows (or, over a transactional database, a durable DML
+//!   acknowledgement); built with [`Session::builder`], every failure
+//!   one [`Error`].
+//!
+//! Compiled plans go in through [`QueryService::submit`]:
 //!
 //! ```no_run
 //! use morsel_core::{AgingPolicy, ExecEnv};
@@ -43,6 +50,25 @@
 //! let summary = service.shutdown();
 //! println!("{}", summary.summary());
 //! ```
+//!
+//! SQL text goes in through [`Session::execute`]:
+//!
+//! ```no_run
+//! # use morsel_service::{QueryService, ServiceConfig, Session};
+//! # let topo = morsel_numa::Topology::laptop();
+//! # let service = QueryService::start(morsel_core::ExecEnv::new(topo.clone()), ServiceConfig::new(4));
+//! # let catalog = morsel_storage::Catalog::new();
+//! let session = Session::builder()
+//!     .catalog(catalog) // or .database(db): MVCC reads, auto-committed DML
+//!     .topology(&topo)
+//!     .for_service(&service)
+//!     .build();
+//! let sql = "SELECT COUNT(*) AS n FROM lineitem WHERE l_quantity < 24";
+//! match session.execute(&service, "q", sql) {
+//!     Ok(exec) => println!("{} row(s)", exec.rows().map_or(0, |b| b.rows())),
+//!     Err(e) => eprintln!("{}", e.render(sql)),
+//! }
+//! ```
 
 pub mod admission;
 pub mod cache;
@@ -51,13 +77,10 @@ pub mod error;
 pub mod histogram;
 pub mod service;
 pub mod session;
-pub mod sql;
 pub mod txn;
 
 pub use admission::{AdmissionConfig, AdmissionDecision, AdmissionQueue};
-pub use cache::{
-    CacheCounters, CacheDisposition, CacheStats, PreparedStatement, SqlExecution, SqlSession,
-};
+pub use cache::{CacheCounters, CacheDisposition, CacheStats, PreparedStatement, SqlExecution};
 pub use client::{run_closed_loop, LoadRun};
 pub use error::{Error, ErrorKind};
 pub use histogram::{fmt_ns, LatencyHistogram};
@@ -65,6 +88,5 @@ pub use service::{
     ExecTotals, OutcomeCounts, QueryReport, QueryRequest, QueryService, QueryTicket, ServiceConfig,
     ServiceReport,
 };
-pub use session::{Execution, ReoptInfo, Session, SessionBuilder, StagedOutcome};
-pub use sql::QuerySpecSqlExt;
-pub use txn::{DmlReport, TxnExecution, TxnSession, TxnSqlError};
+pub use session::{Execution, Session, SessionBuilder};
+pub use txn::DmlReport;

@@ -291,8 +291,8 @@ struct ServiceInner {
     /// Once set, new submissions are rejected and workers exit when the
     /// service drains.
     draining: AtomicBool,
-    /// Shared cache counters, fed by [`crate::SqlSession`]s built with
-    /// [`crate::SqlSession::for_service`] and reported at shutdown.
+    /// Shared cache counters, fed by [`crate::Session`]s built with
+    /// [`crate::SessionBuilder::for_service`] and reported at shutdown.
     cache: Arc<CacheCounters>,
 }
 
@@ -536,7 +536,7 @@ impl QueryService {
     }
 
     /// The service's shared cache counters (see
-    /// [`crate::SqlSession::for_service`]); snapshotted into
+    /// [`crate::SessionBuilder::for_service`]); snapshotted into
     /// [`ServiceReport::cache`] at shutdown.
     pub fn cache_counters(&self) -> &Arc<CacheCounters> {
         &self.inner.cache
@@ -676,7 +676,7 @@ pub struct ServiceReport {
     /// histograms.
     pub per_priority: Vec<(u32, OutcomeCounts, LatencyHistogram)>,
     /// Plan/result cache counters at shutdown (all zero unless a
-    /// [`crate::SqlSession`] executed through this service).
+    /// [`crate::Session`] executed through this service).
     pub cache: CacheStats,
     /// Execution totals merged from per-query runtime profiles.
     pub exec: ExecTotals,

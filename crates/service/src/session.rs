@@ -1,11 +1,11 @@
-//! The unified [`Session`] facade: one configurable entry point over
-//! the service's SQL machinery.
+//! [`Session`]: the one SQL entry point of the service.
 //!
-//! Historically the crate grew two session types — [`SqlSession`] (plan
-//! and result caches over a static catalog) and [`TxnSession`] (the
-//! same read path over a transactional database) — plus free-floating
-//! configuration knobs, and no single owner for runtime cardinality
-//! feedback. `Session::builder()` subsumes both:
+//! A session owns everything between SQL text and a submitted query:
+//! the catalog it binds against (a static one, or the latest committed
+//! snapshot of a transactional database), the cost-based planner, the
+//! plan and result caches with their counters, and — when enabled — the
+//! [`FeedbackCache`] that carries observed cardinalities from finished
+//! queries into later planning.
 //!
 //! ```no_run
 //! # use morsel_service::Session;
@@ -18,33 +18,51 @@
 //!     .build();
 //! ```
 //!
-//! The session owns the [`FeedbackCache`]: it wires it into the
-//! planner's estimator, guards cached plans on its epoch, harvests
-//! observed cardinalities from every completed profiled query, and —
-//! in transactional mode — invalidates learned selectivities on
-//! commit/merge alongside the plan cache (both key on the catalog
-//! version). [`Session::execute`] returns the crate's unified
-//! [`Error`] instead of a zoo of per-layer error types, and mid-query
-//! adaptivity is available through [`Session::stage_and_reoptimize`].
+//! There is one way in, [`Session::execute`], and its phases run in
+//! this order:
+//!
+//! 1. `parse_statement` — once per statement;
+//! 2. **SELECT**: refresh the snapshot (database mode) → probe the
+//!    result cache → resolve the plan through the plan cache, or bind
+//!    and plan on a miss → `compile_query` → submit and wait → take the
+//!    rows → fill the result cache → harvest feedback from the plan
+//!    that ran;
+//! 3. **DML** (database mode): bind → begin, buffer, commit → refresh.
+//!
+//! [`Session::execute_prepared`] joins the SELECT path after the parse.
+//! A non-`Completed` outcome is an [`Error`], so `Ok` always carries a
+//! usable result.
+//!
+//! Lock order is `caches → catalog`, never the reverse: planning holds
+//! the cache lock (that is what makes it single-flight) and takes the
+//! one catalog mutex inside it; [`Session::refresh`] and
+//! [`Session::update_catalog`] take only the catalog mutex, and the
+//! database's own lock is only ever taken inside it.
 
 use std::sync::Arc;
+use std::time::Instant;
 
-use morsel_core::QueryProfile;
-use morsel_exec::plan::Plan;
+use morsel_core::{QueryOutcome, QueryProfile};
+use morsel_exec::plan::{compile_query, Plan};
 use morsel_exec::SystemVariant;
-use morsel_numa::{Placement, Topology};
-use morsel_planner::{adaptive, FeedbackCache, PlanHandle, Planner};
-use morsel_sql::LiteralValue;
-use morsel_storage::{Batch, Catalog, PartitionBy, Relation};
+use morsel_numa::Topology;
+use morsel_planner::{FeedbackCache, PlanHandle, Planner};
+use morsel_sql::normalize::shape_of;
+use morsel_sql::{
+    bind_params, parse, parse_statement, Binder, BoundStatement, LiteralValue, Select, SqlError,
+    Statement,
+};
+use morsel_storage::{Batch, Catalog};
 use morsel_txn::TxnDb;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::cache::{
-    CacheDisposition, CacheStats, PreparedStatement, SqlExecution, SqlSession,
-    PLAN_CACHE_CAPACITY_DEFAULT,
+    CacheCounters, CacheDisposition, CacheStats, PlanGuard, PreparedStatement, SessionCaches,
+    SqlExecution, PLAN_CACHE_CAPACITY_DEFAULT,
 };
 use crate::error::Error;
 use crate::service::{QueryRequest, QueryService};
-use crate::txn::{DmlReport, TxnExecution, TxnSession};
+use crate::txn::{apply_dml, DmlReport};
 
 // ------------------------------------------------------------- builder
 
@@ -54,15 +72,11 @@ pub struct SessionBuilder {
     catalog: Option<Catalog>,
     db: Option<Arc<TxnDb>>,
     topology: Topology,
-    variant: SystemVariant,
     plan_caching: bool,
     plan_cache_capacity: usize,
     result_caching: bool,
     feedback: bool,
-    reopt_threshold: f64,
-    mem_cap: Option<u64>,
-    counters: Option<Arc<crate::cache::CacheCounters>>,
-    dp_budget: Option<usize>,
+    counters: Option<Arc<CacheCounters>>,
 }
 
 impl SessionBuilder {
@@ -88,19 +102,14 @@ impl SessionBuilder {
         self
     }
 
-    /// Executor variant compiled plans run under (default: full).
-    pub fn variant(mut self, variant: SystemVariant) -> Self {
-        self.variant = variant;
-        self
-    }
-
-    /// Enable/disable the plan cache (default: enabled).
+    /// Enable/disable the plan cache (default: enabled). Disabled, every
+    /// execution binds and plans from scratch.
     pub fn plan_caching(mut self, enabled: bool) -> Self {
         self.plan_caching = enabled;
         self
     }
 
-    /// Bound on distinct shapes the plan cache retains.
+    /// Bound on distinct shapes the plan cache retains (LRU beyond it).
     pub fn plan_cache_capacity(mut self, capacity: usize) -> Self {
         self.plan_cache_capacity = capacity;
         self
@@ -113,31 +122,13 @@ impl SessionBuilder {
     }
 
     /// Learn observed selectivities from completed queries and let the
-    /// planner use them (default: off). The session owns the cache;
+    /// planner use them (default: off): the estimator consults them
+    /// before its model, and every cached plan is additionally guarded
+    /// on the feedback epoch, so new observations force a replan
+    /// (counted as a plan invalidation). The session owns the cache;
     /// access it via [`Session::feedback`].
     pub fn feedback(mut self, enabled: bool) -> Self {
         self.feedback = enabled;
-        self
-    }
-
-    /// Divergence factor (actual vs estimate, either direction) beyond
-    /// which [`Session::stage_and_reoptimize`] re-enumerates the join
-    /// order (default: [`adaptive::REOPT_THRESHOLD_DEFAULT`]).
-    pub fn reopt_threshold(mut self, threshold: f64) -> Self {
-        assert!(threshold > 1.0, "re-opt threshold must exceed 1.0");
-        self.reopt_threshold = threshold;
-        self
-    }
-
-    /// Per-query memory cap applied to every execution (default: none).
-    pub fn mem_cap(mut self, bytes: u64) -> Self {
-        self.mem_cap = Some(bytes);
-        self
-    }
-
-    /// Relation-count budget for exhaustive DPsize enumeration.
-    pub fn dp_budget(mut self, budget: usize) -> Self {
-        self.dp_budget = Some(budget);
         self
     }
 
@@ -154,58 +145,35 @@ impl SessionBuilder {
     /// Panics unless exactly one of [`SessionBuilder::catalog`] /
     /// [`SessionBuilder::database`] was provided.
     pub fn build(self) -> Session {
-        let mut planner = Planner::new(&self.topology);
-        if let Some(budget) = self.dp_budget {
-            planner = planner.with_dp_budget(budget);
-        }
-        let feedback = self.feedback.then(FeedbackCache::new);
-        let inner = match (self.catalog, self.db) {
-            (Some(catalog), None) => {
-                #[allow(deprecated)]
-                let mut s = SqlSession::new(catalog, planner, self.variant)
-                    .with_plan_caching(self.plan_caching)
-                    .with_result_caching(self.result_caching)
-                    .with_plan_cache_capacity(self.plan_cache_capacity);
-                if let Some(fb) = &feedback {
-                    s = s.with_feedback(Arc::clone(fb));
-                }
-                if let Some(c) = self.counters {
-                    s.set_counters(c);
-                }
-                Inner::Sql(s)
-            }
-            (None, Some(db)) => {
-                #[allow(deprecated)]
-                let mut t = TxnSession::new(db, planner, self.variant)
-                    .with_plan_caching(self.plan_caching)
-                    .with_result_caching(self.result_caching);
-                if let Some(fb) = &feedback {
-                    t = t.with_feedback(Arc::clone(fb));
-                }
-                if let Some(c) = self.counters {
-                    t.set_counters(c);
-                }
-                Inner::Txn(t)
-            }
+        let source = match (self.catalog, self.db) {
+            (Some(catalog), None) => CatalogSource::Static(Mutex::new(catalog)),
+            (None, Some(db)) => CatalogSource::Database {
+                installed: Mutex::new(db.snapshot_catalog()),
+                db,
+            },
             (Some(_), Some(_)) => panic!("Session: give either a catalog or a database, not both"),
             (None, None) => panic!("Session: a catalog or a database is required"),
         };
+        let mut planner = Planner::new(&self.topology);
+        let feedback = self.feedback.then(FeedbackCache::new);
+        planner.estimator.feedback = feedback.clone();
+        let counters = self.counters.unwrap_or_default();
         Session {
-            inner,
+            source,
+            planner,
+            caches: Mutex::new(SessionCaches::new(
+                self.plan_cache_capacity,
+                Arc::clone(&counters),
+            )),
+            counters,
+            plan_caching: self.plan_caching,
+            result_caching: self.result_caching,
             feedback,
-            topology: self.topology,
-            reopt_threshold: self.reopt_threshold,
-            mem_cap: self.mem_cap,
         }
     }
 }
 
-// ------------------------------------------------------------- session
-
-enum Inner {
-    Sql(SqlSession),
-    Txn(TxnSession),
-}
+// ------------------------------------------------------------- results
 
 /// What one [`Session::execute`] produced: a query result or a durable
 /// DML acknowledgement.
@@ -238,37 +206,62 @@ impl Execution {
     }
 }
 
-/// What [`Session::stage_and_reoptimize`] decided (see its docs).
-pub struct StagedOutcome {
-    /// The plan to run: the original, or — when staging fired — a plan
-    /// whose top build side is the materialized intermediate, possibly
-    /// with a re-enumerated join order spliced in.
-    pub plan: Plan,
-    /// Whether the top build was executed and materialized.
-    pub staged: bool,
-    /// Present when staging found a strictly cheaper join order.
-    pub resplice: Option<ReoptInfo>,
+// ------------------------------------------------------------- session
+
+/// Where the session's catalog comes from — the only place that knows
+/// which mode the session is in.
+enum CatalogSource {
+    /// Loaded once; moves only through [`Session::update_catalog`].
+    Static(Mutex<Catalog>),
+    /// The latest committed snapshot of `db` as of the last refresh.
+    /// [`TxnDb::snapshot_catalog`] stamps a version that every commit
+    /// and merge advances, so installing a newer snapshot is what
+    /// invalidates the plans and results bound to the old one.
+    Database {
+        db: Arc<TxnDb>,
+        installed: Mutex<Catalog>,
+    },
 }
 
-/// Diagnostics of one mid-query re-optimization splice.
-#[derive(Debug, Clone)]
-pub struct ReoptInfo {
-    pub old_order: String,
-    pub new_order: String,
-    pub old_cost: f64,
-    pub new_cost: f64,
-    /// Observed divergence (actual vs estimated build rows) that
-    /// triggered re-enumeration.
-    pub divergence: f64,
+impl CatalogSource {
+    /// The catalog statements bind against right now.
+    fn catalog(&self) -> MutexGuard<'_, Catalog> {
+        match self {
+            CatalogSource::Static(catalog) => catalog.lock(),
+            CatalogSource::Database { installed, .. } => installed.lock(),
+        }
+    }
+
+    /// Install the database's latest committed snapshot if it moved.
+    /// The snapshot is taken under the catalog mutex, so concurrent
+    /// refreshes can never install an older one over a newer one.
+    fn refresh(&self) {
+        if let CatalogSource::Database { db, installed } = self {
+            let mut installed = installed.lock();
+            let latest = db.snapshot_catalog();
+            if latest.version() != installed.version() {
+                *installed = latest;
+            }
+        }
+    }
 }
 
-/// The unified session facade. See the [module docs](self).
+/// A plan and what it was resolved under.
+struct Resolved {
+    handle: PlanHandle,
+    disposition: CacheDisposition,
+    catalog_version: u64,
+}
+
+/// The SQL front end of the service. See the [module docs](self).
 pub struct Session {
-    inner: Inner,
+    source: CatalogSource,
+    planner: Planner,
+    caches: Mutex<SessionCaches>,
+    counters: Arc<CacheCounters>,
+    plan_caching: bool,
+    result_caching: bool,
     feedback: Option<Arc<FeedbackCache>>,
-    topology: Topology,
-    reopt_threshold: f64,
-    mem_cap: Option<u64>,
 }
 
 impl Session {
@@ -278,22 +271,11 @@ impl Session {
             catalog: None,
             db: None,
             topology: Topology::nehalem_ex(),
-            variant: SystemVariant::full(),
             plan_caching: true,
             plan_cache_capacity: PLAN_CACHE_CAPACITY_DEFAULT,
             result_caching: false,
             feedback: false,
-            reopt_threshold: adaptive::REOPT_THRESHOLD_DEFAULT,
-            mem_cap: None,
             counters: None,
-            dp_budget: None,
-        }
-    }
-
-    fn sql(&self) -> &SqlSession {
-        match &self.inner {
-            Inner::Sql(s) => s,
-            Inner::Txn(t) => t.session(),
         }
     }
 
@@ -302,134 +284,97 @@ impl Session {
         self.feedback.as_ref()
     }
 
-    /// The divergence threshold mid-query re-optimization acts on.
-    pub fn reopt_threshold(&self) -> f64 {
-        self.reopt_threshold
-    }
-
     /// The planner this session resolves plans with.
     pub fn planner(&self) -> &Planner {
-        self.sql().planner()
+        &self.planner
     }
 
     /// Snapshot of the session's cache counters.
     pub fn stats(&self) -> CacheStats {
-        self.sql().stats()
-    }
-
-    /// The transactional database, in transactional mode.
-    pub fn db(&self) -> Option<&Arc<TxnDb>> {
-        match &self.inner {
-            Inner::Sql(_) => None,
-            Inner::Txn(t) => Some(t.db()),
-        }
+        self.counters.snapshot()
     }
 
     /// Re-sync the read side with the latest committed snapshot
-    /// (transactional mode; no-op otherwise).
+    /// (database mode; no-op otherwise). A commit or merge since the
+    /// last refresh moved the catalog version, which is what
+    /// invalidates every cached plan, result and learned selectivity
+    /// bound to the old one.
     pub fn refresh(&self) {
-        if let Inner::Txn(t) = &self.inner {
-            t.refresh();
-            self.sync_feedback_version();
-        }
+        self.source.refresh();
     }
 
-    /// Fold committed deltas into fresh base partitions, bumping the
-    /// catalog version (which purges plans, results, and learned
-    /// selectivities alike).
+    /// Fold every table's committed delta into fresh base partitions
+    /// (database mode; no-op otherwise), then refresh: the merge bumps
+    /// the catalog version.
     pub fn merge_all(&self) -> Result<(), Error> {
-        match &self.inner {
-            Inner::Sql(_) => Ok(()),
-            Inner::Txn(t) => {
-                t.merge_all()?;
-                self.sync_feedback_version();
-                Ok(())
-            }
+        if let CatalogSource::Database { db, .. } = &self.source {
+            db.merge_all()?;
+            self.refresh();
         }
+        Ok(())
     }
 
-    /// Run `f` over the catalog and advance its version (static-catalog
-    /// mode), invalidating cached plans, results, and learned
-    /// selectivities bound against the old one.
+    /// Run `f` over the catalog and advance its version, invalidating
+    /// every cached plan, result and learned selectivity bound against
+    /// the old one. The version advances even if `f` only mutates data
+    /// in place (the explicit invalidation hook for changes the table
+    /// map cannot see). Meant for static catalogs: in database mode the
+    /// next refresh after a commit replaces whatever `f` did.
     pub fn update_catalog<R>(&self, f: impl FnOnce(&mut Catalog) -> R) -> R {
-        let out = self.sql().update_catalog(f);
-        self.sync_feedback_version();
+        let mut catalog = self.source.catalog();
+        let before = catalog.version();
+        let out = f(&mut catalog);
+        if catalog.version() == before {
+            catalog.bump_version();
+        }
         out
     }
 
-    fn sync_feedback_version(&self) {
-        if let Some(fb) = &self.feedback {
-            fb.set_catalog_version(self.sql().catalog_version());
-        }
-    }
-
-    /// Drop all cached results (plans and learned selectivities
-    /// survive).
+    /// Drop every cached result now (counted per entry dropped). Plans
+    /// and learned selectivities survive: they are invalidated by
+    /// catalog version, not by data freshness policy.
     pub fn invalidate_results(&self) {
-        self.sql().invalidate_results();
+        self.caches.lock().clear_results();
     }
 
-    /// Parse `sql` into a reusable prepared statement.
+    /// Parse `sql` into a reusable template. Placeholder arity is
+    /// validated here; names and types are validated on first execution
+    /// (binding needs concrete literals).
     pub fn prepare(&self, sql: &str) -> Result<PreparedStatement, Error> {
-        self.sql().prepare(sql).map_err(Error::from)
+        Ok(PreparedStatement::parse(sql)?)
     }
 
-    /// Cache-aware planning without execution (refreshes the snapshot
-    /// first in transactional mode).
+    /// Cache-aware planning without execution: refresh the snapshot,
+    /// parse, consult the plan cache, plan on a miss. For callers that
+    /// drive an executor themselves (open-loop submission, the
+    /// planner-equivalence oracle).
     pub fn resolve(&self, sql: &str) -> Result<(PlanHandle, CacheDisposition), Error> {
         self.refresh();
-        self.sql().plan_cached(sql).map_err(Error::from)
+        let resolved = self.resolve_plan(&parse(sql)?)?;
+        Ok((resolved.handle, resolved.disposition))
     }
 
-    /// Execute one SQL statement through `service`.
-    ///
-    /// Unlike the raw sessions, a non-`Completed` outcome is an
-    /// [`Error`] (kinds `Rejected` / `Cancelled` / `Failed`), so `Ok`
-    /// always carries a usable result. Completed profiled queries are
-    /// harvested into the feedback cache automatically.
+    /// Execute one SQL statement through `service`: a `SELECT` against
+    /// the catalog (in database mode, the latest committed snapshot),
+    /// or — in database mode — one auto-committed `INSERT` / `UPDATE` /
+    /// `DELETE`, acknowledged only once durable.
     pub fn execute(
         &self,
         service: &QueryService,
         name: impl Into<String>,
         sql: &str,
     ) -> Result<Execution, Error> {
-        let name = name.into();
-        let mem_cap = self.mem_cap;
-        let configure = move |req: QueryRequest| match mem_cap {
-            Some(bytes) => req.with_mem_cap(bytes),
-            None => req,
-        };
-        let exec = match &self.inner {
-            Inner::Sql(s) => {
-                Execution::Query(s.execute_with(service, name.clone(), sql, configure)?)
-            }
-            Inner::Txn(t) => match t.execute(service, name.clone(), sql)? {
-                TxnExecution::Query(q) => Execution::Query(q),
-                TxnExecution::Dml(d) => {
-                    // The commit bumped the catalog version; drop
-                    // learned selectivities observed under the old data.
-                    self.sync_feedback_version();
-                    Execution::Dml(d)
-                }
-            },
-        };
-        if let Execution::Query(q) = &exec {
-            if let Some(err) = Error::from_outcome(&name, &q.report.outcome) {
-                return Err(err);
-            }
-            // Feed runtime actuals back to the planner. The plan is
-            // re-fetched through the cache (a hit: we just ran it).
-            if let (Some(_), Some(profile)) = (&self.feedback, &q.report.profile) {
-                if let Ok((handle, _)) = self.sql().plan_cached(sql) {
-                    self.observe(&handle.plan, profile);
-                }
-            }
+        let started = Instant::now();
+        match parse_statement(sql)? {
+            Statement::Select(select) => self
+                .run_select(service, name.into(), &select, started)
+                .map(Execution::Query),
+            dml => self.run_dml(&dml).map(Execution::Dml),
         }
-        Ok(exec)
     }
 
-    /// Execute a prepared statement (SELECT-only in transactional
-    /// mode) with `params` bound over its placeholders.
+    /// Execute a prepared `SELECT` with `params` bound over its
+    /// placeholders.
     pub fn execute_prepared(
         &self,
         service: &QueryService,
@@ -437,15 +382,167 @@ impl Session {
         statement: &PreparedStatement,
         params: &[LiteralValue],
     ) -> Result<Execution, Error> {
-        let name = name.into();
+        let started = Instant::now();
+        let select = bind_params(statement.template(), params)?;
+        self.run_select(service, name.into(), &select, started)
+            .map(Execution::Query)
+    }
+
+    /// The read path of [`Session::execute`], from a parsed `SELECT` on.
+    fn run_select(
+        &self,
+        service: &QueryService,
+        name: String,
+        select: &Select,
+        started: Instant,
+    ) -> Result<SqlExecution, Error> {
         self.refresh();
-        let q = self
-            .sql()
-            .execute_prepared(service, name.clone(), statement, params)?;
-        if let Some(err) = Error::from_outcome(&name, &q.report.outcome) {
+
+        // Result-cache probe. Aggregate output only: aggregates collapse
+        // the data to a few rows, so caching them is cheap and
+        // high-value; raw scans could pin arbitrarily large batches.
+        let eligible = self.result_caching
+            && (!select.group_by.is_empty() || select.items.iter().any(|i| i.expr.has_agg()));
+        let result_key = eligible.then(|| select.to_string());
+        if let Some(text) = &result_key {
+            let cached = {
+                let mut caches = self.caches.lock();
+                let version = self.source.catalog().version();
+                caches.lookup_result(text, version)
+            };
+            if let Some(rows) = cached {
+                // Nothing dispatches, but the hit is a served query in
+                // the service's ledger — or a rejection, if it drains.
+                let report = service.complete_cached(&name).wait();
+                if let Some(err) = Error::from_outcome(&name, &report.outcome) {
+                    return Err(err);
+                }
+                return Ok(SqlExecution {
+                    report,
+                    rows: Some(rows),
+                    plan_cache: CacheDisposition::Bypass,
+                    result_cache: CacheDisposition::Hit,
+                    plan_ns: started.elapsed().as_nanos() as u64,
+                });
+            }
+        }
+
+        // Plan: from the cache, or bind + plan under the cache lock.
+        let resolved = self.resolve_plan(select)?;
+        let plan_ns = started.elapsed().as_nanos() as u64;
+
+        // Compile the pipelines for this run, submit, wait.
+        let plan = &resolved.handle.plan;
+        let (spec, slot) = compile_query(name.as_str(), plan.clone(), SystemVariant::full());
+        let report = service.submit(QueryRequest::new(spec)).wait();
+        if let QueryOutcome::Failed(_) = report.outcome {
+            // Never retain a plan whose execution failed.
+            if self.plan_caching {
+                let (shape, literals) = shape_of(select);
+                self.caches.lock().evict_poisoned(&shape, &literals);
+            }
+        }
+        if let Some(err) = Error::from_outcome(&name, &report.outcome) {
             return Err(err);
         }
-        Ok(Execution::Query(q))
+        let rows = slot.lock().take();
+
+        // Fill the result cache — unless the catalog moved while the
+        // query ran, in which case these rows are already stale.
+        if let (Some(text), Some(batch)) = (result_key, &rows) {
+            let mut caches = self.caches.lock();
+            if self.source.catalog().version() == resolved.catalog_version {
+                caches.insert_result(text, resolved.catalog_version, batch.clone());
+            }
+        }
+
+        // Feed the runtime actuals of the plan that ran to the planner.
+        if let Some(profile) = &report.profile {
+            self.observe(plan, profile);
+        }
+
+        Ok(SqlExecution {
+            report,
+            rows,
+            plan_cache: resolved.disposition,
+            result_cache: if eligible {
+                CacheDisposition::Miss
+            } else {
+                CacheDisposition::Bypass
+            },
+            plan_ns,
+        })
+    }
+
+    /// Resolve `select` to a physical plan, through the plan cache when
+    /// enabled.
+    ///
+    /// Planning runs under the cache lock, so concurrent executions of
+    /// one cold shape plan exactly once (single-flight) — the others
+    /// block briefly and then hit.
+    fn resolve_plan(&self, select: &Select) -> Result<Resolved, SqlError> {
+        let shape = self.plan_caching.then(|| shape_of(select));
+        let mut caches = self.caches.lock();
+        let catalog = self.source.catalog();
+        let catalog_version = catalog.version();
+        // Sync the feedback cache with the live catalog before reading
+        // its epoch: a catalog bump purges learned selectivities (they
+        // described the old data) and advances the epoch exactly once.
+        let feedback_epoch = self.feedback.as_ref().map_or(0, |fb| {
+            fb.set_catalog_version(catalog_version);
+            fb.epoch()
+        });
+        let guard = PlanGuard {
+            catalog_version,
+            feedback_epoch,
+        };
+        let cached =
+            (shape.as_ref()).and_then(|(key, literals)| caches.lookup_plan(key, literals, guard));
+        let (handle, disposition) = match cached {
+            Some(handle) => (handle, CacheDisposition::Hit),
+            None => {
+                let logical = Binder::new(&catalog).bind(select)?;
+                let handle = self.planner.plan_handle(&logical);
+                match shape {
+                    Some((key, literals)) => {
+                        caches.insert_plan(key, literals, guard, handle.clone());
+                        (handle, CacheDisposition::Miss)
+                    }
+                    None => (handle, CacheDisposition::Bypass),
+                }
+            }
+        };
+        Ok(Resolved {
+            handle,
+            disposition,
+            catalog_version,
+        })
+    }
+
+    /// The write path of [`Session::execute`]: bind against the latest
+    /// committed snapshot, run as one auto-committed transaction, then
+    /// pull the new catalog in so the caches invalidate before the next
+    /// read plans.
+    fn run_dml(&self, stmt: &Statement) -> Result<DmlReport, Error> {
+        let CatalogSource::Database { db, .. } = &self.source else {
+            let (verb, span) = match stmt {
+                Statement::Insert(s) => ("INSERT", s.span),
+                Statement::Update(s) => ("UPDATE", s.span),
+                Statement::Delete(s) => ("DELETE", s.span),
+                Statement::Select(_) => unreachable!("SELECT takes the read path"),
+            };
+            let message = format!(
+                "{verb} needs a session over a database; this one serves a read-only catalog"
+            );
+            return Err(SqlError::new(message, span).into());
+        };
+        let plan = match Binder::new(&db.snapshot_catalog()).bind_statement(stmt)? {
+            BoundStatement::Dml(plan) => plan,
+            BoundStatement::Select(_) => unreachable!("SELECT takes the read path"),
+        };
+        let report = apply_dml(db, &plan)?;
+        self.refresh();
+        Ok(report)
     }
 
     /// Fold one finished execution's runtime actuals into the feedback
@@ -463,101 +560,88 @@ impl Session {
             None => 0,
         }
     }
+}
 
-    /// Mid-query adaptivity over an executor the caller drives (the
-    /// simulator in benchmarks, the live service in production): run
-    /// the top pipeline breaker (the first inner join's build side)
-    /// through `exec_build`, observe its true cardinality, and — if it
-    /// diverges from the estimate by at least the configured threshold
-    /// — re-enumerate the remaining join order via DPsize over the
-    /// *materialized* intermediate and splice the cheaper plan.
-    ///
-    /// Staging only activates once the feedback cache is warm (a cold
-    /// first run executes the plan unchanged, byte-for-byte identical
-    /// to a non-adaptive session) and when the plan has a reorderable
-    /// block. The returned plan always produces the same rows as the
-    /// input plan.
-    pub fn stage_and_reoptimize<E>(
-        &self,
-        plan: &Plan,
-        exec_build: E,
-    ) -> Result<StagedOutcome, Error>
-    where
-        E: FnOnce(&Plan) -> Result<(Batch, QueryProfile), Error>,
-    {
-        let unstaged = |plan: &Plan| StagedOutcome {
-            plan: plan.clone(),
-            staged: false,
-            resplice: None,
-        };
-        let Some(fb) = &self.feedback else {
-            return Ok(unstaged(plan));
-        };
-        if fb.is_empty() {
-            // Cold cache: nothing learned yet, so re-enumeration could
-            // only repeat the original decision. Skipping keeps run 1
-            // bit-identical to a non-adaptive session.
-            return Ok(unstaged(plan));
-        }
-        let Some(build) = adaptive::top_build(plan) else {
-            return Ok(unstaged(plan));
-        };
-        let est_rows = self.planner().estimator.estimate(build).rows;
-        let (batch, profile) = exec_build(build)?;
-        self.observe(build, &profile);
-        let actual = batch.rows() as f64;
-        let divergence = if actual > 0.0 && est_rows > 0.0 {
-            (actual / est_rows).max(est_rows / actual)
-        } else {
-            f64::INFINITY
-        };
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ErrorKind, ServiceConfig};
+    use morsel_core::ExecEnv;
+    use morsel_datagen::{generate_tpch, TpchConfig};
 
-        // Replace the executed subtree by its materialized result so
-        // the re-enumeration (and the final execution) sees the truth.
-        let schema = build.schema();
-        let names: Vec<&str> = schema.names();
-        let parts = self.topology.physical_cores().max(1) as usize;
-        let relation = Arc::new(Relation::partitioned(
-            build.schema(),
-            &batch,
-            PartitionBy::Chunks,
-            parts.min(batch.rows().max(1)),
-            Placement::FirstTouch,
-            &self.topology,
-        ));
-        let scan = Plan::scan(relation, None, &names);
-        let Some(replaced) = adaptive::with_top_build_replaced(plan, scan) else {
-            return Ok(unstaged(plan));
-        };
-        if divergence < self.reopt_threshold {
-            return Ok(StagedOutcome {
-                plan: replaced,
-                staged: true,
-                resplice: None,
-            });
+    fn tpch_session(scale: f64) -> (Session, QueryService) {
+        let topo = Topology::laptop();
+        let catalog = generate_tpch(TpchConfig::scaled(scale), &topo).catalog();
+        let service = QueryService::start(ExecEnv::new(topo.clone()), ServiceConfig::new(2));
+        let session = Session::builder().catalog(catalog).topology(&topo).build();
+        (session, service)
+    }
+
+    #[test]
+    fn sql_text_runs_through_the_service() {
+        let (session, service) = tpch_session(0.002);
+        let sql = "SELECT SUM(l_extendedprice * l_discount / 100) AS revenue \
+                   FROM lineitem \
+                   WHERE l_shipdate >= DATE '1994-01-01' AND l_shipdate < DATE '1995-01-01' \
+                     AND l_discount BETWEEN 5 AND 7 AND l_quantity < 24";
+        let exec = session.execute(&service, "sql-q6", sql).expect("runs");
+        let query = exec.query().expect("a SELECT yields a query execution");
+        assert_eq!(query.report.outcome, QueryOutcome::Completed);
+        assert_eq!(query.report.name, "sql-q6");
+        let rows = exec.rows().expect("result produced");
+        assert_eq!(rows.rows(), 1, "scalar aggregate returns one row");
+        assert_eq!(service.shutdown().completed(), 1);
+    }
+
+    #[test]
+    fn bind_errors_surface_before_submission() {
+        let (session, service) = tpch_session(0.001);
+        let sql = "SELECT nope FROM lineitem";
+        let err = session
+            .execute(&service, "bad", sql)
+            .expect_err("unknown column must fail");
+        assert_eq!(*err.kind(), ErrorKind::Sql, "{err}");
+        assert!(err.to_string().contains("unknown column"), "{err}");
+        let rendered = err.render(sql);
+        assert!(
+            rendered.contains("1 | SELECT nope FROM lineitem"),
+            "{rendered}"
+        );
+        assert!(rendered.ends_with("  |        ^^^^"), "{rendered}");
+        assert_eq!(
+            service.shutdown().totals.total(),
+            0,
+            "nothing was submitted"
+        );
+    }
+
+    /// A catalog-mode session has no write path: DML text parses, so the
+    /// error must say what is wrong, not complain about the syntax of a
+    /// valid statement.
+    #[test]
+    fn dml_on_a_static_catalog_is_a_sql_error() {
+        let (session, service) = tpch_session(0.001);
+        for sql in [
+            "INSERT INTO region VALUES (9, 'ATLANTIS', 'sunk')",
+            "UPDATE region SET r_name = 'ATLANTIS' WHERE r_regionkey = 0",
+            "DELETE FROM region",
+        ] {
+            let err = session
+                .execute(&service, "write", sql)
+                .expect_err("a static catalog cannot be written");
+            assert_eq!(*err.kind(), ErrorKind::Sql, "{sql}: {err}");
+            let verb = sql.split(' ').next().unwrap();
+            let message = err.to_string();
+            assert!(
+                message.contains(verb) && message.contains("read-only catalog"),
+                "{sql}: {message}"
+            );
+            assert!(err.render(sql).contains(&format!("1 | {sql}")), "{sql}");
         }
-        match adaptive::reoptimize(
-            &replaced,
-            &self.planner().estimator,
-            &self.planner().params,
-            self.planner().dp_budget,
-        ) {
-            Some(r) => Ok(StagedOutcome {
-                plan: r.plan,
-                staged: true,
-                resplice: Some(ReoptInfo {
-                    old_order: r.old_order,
-                    new_order: r.new_order,
-                    old_cost: r.old_cost,
-                    new_cost: r.new_cost,
-                    divergence,
-                }),
-            }),
-            None => Ok(StagedOutcome {
-                plan: replaced,
-                staged: true,
-                resplice: None,
-            }),
-        }
+        assert_eq!(
+            service.shutdown().totals.total(),
+            0,
+            "nothing was submitted"
+        );
     }
 }

@@ -1,81 +1,25 @@
-//! The transactional SQL front end: one session over a
-//! [`morsel_txn::TxnDb`] write path and the cached read path of
-//! [`SqlSession`].
+//! The write half of [`crate::Session::execute`]: one bound DML
+//! statement, auto-committed through a [`morsel_txn::TxnDb`].
 //!
-//! A [`TxnSession`] accepts any SQL statement ([`parse_statement`]) and
-//! routes it by kind:
-//!
-//! - **SELECT** runs through the existing [`SqlSession`] machinery —
-//!   prepared-statement parse, plan cache, opt-in result cache — against
-//!   the latest *committed* snapshot of the database. Before planning,
-//!   the session refreshes its catalog from [`TxnDb::snapshot`] and
-//!   stamps the snapshot timestamp onto the compiled
-//!   [`morsel_core::QuerySpec`], so a query's provenance (which commit
-//!   it read) is recorded end to end.
-//! - **INSERT / UPDATE / DELETE** bind to a [`DmlPlan`] (same binder,
-//!   same statistics-backed cardinality estimate as the read-side
-//!   planner) and execute through the MVCC write path with auto-commit:
-//!   begin, buffer, validate, WAL, group-commit fsync, acknowledge.
+//! `INSERT` / `UPDATE` / `DELETE` bind to a [`DmlPlan`] (same binder,
+//! same statistics-backed cardinality estimate as the read-side
+//! planner) and run as one transaction: begin, buffer, validate, WAL,
+//! group-commit fsync, acknowledge.
 //!
 //! ## Cache coherence across commits
 //!
 //! [`TxnDb::snapshot_catalog`] stamps a strictly advancing version
-//! (bumped by every commit *and* every merge). [`TxnSession::refresh`]
-//! installs the new catalog into the inner session whenever that
-//! version moved, which is exactly the invalidation hook the plan and
-//! result caches key on: a cached plan or aggregate result bound
-//! against version `v` can never be served once the catalog reads
-//! `v' > v`. The regression test below pins the end-to-end property —
-//! a cached aggregate is never served stale across a committed
-//! `INSERT`.
-
-use std::sync::Arc;
+//! (bumped by every commit *and* every merge), and the session installs
+//! the new catalog whenever that version moved. That is exactly the
+//! invalidation hook the plan and result caches key on: a cached plan
+//! or aggregate result bound against version `v` can never be served
+//! once the catalog reads `v' > v`. The regression test below pins the
+//! end-to-end property — a cached aggregate is never served stale
+//! across a committed `INSERT`.
 
 use morsel_exec::expr::{eq, lit, Expr};
-use morsel_exec::SystemVariant;
-use morsel_planner::{DmlKind, DmlPlan, Planner};
-use morsel_sql::{parse_statement, Binder, BoundStatement, SqlError, Statement};
+use morsel_planner::{DmlKind, DmlPlan};
 use morsel_txn::{TxnDb, TxnError};
-use parking_lot::Mutex;
-
-use crate::cache::{CacheStats, SqlExecution, SqlSession};
-use crate::service::QueryService;
-
-// ------------------------------------------------------------- errors
-
-/// Everything that can go wrong executing a statement transactionally:
-/// front-end errors (parse/bind, with source positions) and write-path
-/// errors (conflicts, WAL faults, schema and budget violations).
-#[derive(Debug)]
-pub enum TxnSqlError {
-    Sql(SqlError),
-    Txn(TxnError),
-}
-
-impl std::fmt::Display for TxnSqlError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TxnSqlError::Sql(e) => write!(f, "{e}"),
-            TxnSqlError::Txn(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for TxnSqlError {}
-
-impl From<SqlError> for TxnSqlError {
-    fn from(e: SqlError) -> Self {
-        TxnSqlError::Sql(e)
-    }
-}
-
-impl From<TxnError> for TxnSqlError {
-    fn from(e: TxnError) -> Self {
-        TxnSqlError::Txn(e)
-    }
-}
-
-// ------------------------------------------------------------ results
 
 /// Acknowledgement of one auto-committed DML statement. Returned only
 /// after the commit's WAL group is durable.
@@ -104,214 +48,40 @@ impl std::fmt::Display for DmlReport {
     }
 }
 
-/// What one statement produced: a query result (through the cached
-/// read path) or a durable DML acknowledgement.
-#[derive(Debug)]
-pub enum TxnExecution {
-    Query(SqlExecution),
-    Dml(DmlReport),
-}
-
-impl TxnExecution {
-    /// The query execution, when the statement was a `SELECT`.
-    pub fn query(&self) -> Option<&SqlExecution> {
-        match self {
-            TxnExecution::Query(q) => Some(q),
-            TxnExecution::Dml(_) => None,
+/// Execute a bound [`DmlPlan`] as one auto-committed transaction:
+/// begin → buffer writes → commit (validate, WAL, group fsync). Any
+/// buffering error aborts the transaction locally; nothing was logged
+/// or applied.
+pub(crate) fn apply_dml(db: &TxnDb, plan: &DmlPlan) -> Result<DmlReport, TxnError> {
+    let mut txn = db.begin()?;
+    let buffered = match plan.kind {
+        DmlKind::Insert => (plan.rows.iter())
+            .try_for_each(|row| db.insert(&mut txn, &plan.table, row.clone()))
+            .map(|()| plan.rows.len()),
+        DmlKind::Update => {
+            let pred = plan.predicate.clone().unwrap_or_else(match_all);
+            db.update_where(&mut txn, &plan.table, &pred, &plan.sets)
         }
-    }
-
-    /// The DML acknowledgement, when the statement wrote.
-    pub fn dml(&self) -> Option<&DmlReport> {
-        match self {
-            TxnExecution::Dml(d) => Some(d),
-            TxnExecution::Query(_) => None,
+        DmlKind::Delete => {
+            let pred = plan.predicate.clone().unwrap_or_else(match_all);
+            db.delete_where(&mut txn, &plan.table, &pred)
         }
-    }
-}
-
-// ------------------------------------------------------------ session
-
-/// A transactional SQL session: see the [module docs](self).
-pub struct TxnSession {
-    db: Arc<TxnDb>,
-    session: SqlSession,
-    /// Catalog version currently installed in the inner session —
-    /// compared against [`TxnDb::snapshot_catalog`]'s on every refresh
-    /// so an unchanged database costs one lock, not a catalog rebuild.
-    installed: Mutex<u64>,
-}
-
-impl TxnSession {
-    /// A standalone session (private cache counters) over `db`.
-    #[deprecated(note = "construct sessions through morsel_service::Session::builder()")]
-    pub fn new(db: Arc<TxnDb>, planner: Planner, variant: SystemVariant) -> Self {
-        let catalog = db.snapshot_catalog();
-        let installed = catalog.version();
-        TxnSession {
-            db,
-            #[allow(deprecated)]
-            session: SqlSession::new(catalog, planner, variant),
-            installed: Mutex::new(installed),
+    };
+    let rows_affected = match buffered {
+        Ok(n) => n,
+        Err(e) => {
+            db.abort(txn);
+            return Err(e);
         }
-    }
-
-    /// A session whose cache counters feed `service`'s shutdown report.
-    #[deprecated(note = "construct sessions through morsel_service::Session::builder()")]
-    pub fn for_service(
-        service: &QueryService,
-        db: Arc<TxnDb>,
-        planner: Planner,
-        variant: SystemVariant,
-    ) -> Self {
-        let catalog = db.snapshot_catalog();
-        let installed = catalog.version();
-        TxnSession {
-            db,
-            #[allow(deprecated)]
-            session: SqlSession::for_service(service, catalog, planner, variant),
-            installed: Mutex::new(installed),
-        }
-    }
-
-    /// Attach a runtime cardinality feedback cache to the inner cached
-    /// read path (see [`SqlSession::with_feedback`]). Every commit and
-    /// merge bumps the catalog version, which purges learned
-    /// selectivities alongside the plan and result caches.
-    pub fn with_feedback(mut self, fb: Arc<morsel_planner::FeedbackCache>) -> Self {
-        self.session = self.session.with_feedback(fb);
-        self
-    }
-
-    /// Opt into the result cache for aggregate queries (safe here
-    /// precisely because every commit and merge bumps the catalog
-    /// version the cache keys on).
-    pub fn with_result_caching(mut self, enabled: bool) -> Self {
-        self.session = self.session.with_result_caching(enabled);
-        self
-    }
-
-    /// Ablation knob: disable the plan cache.
-    pub fn with_plan_caching(mut self, enabled: bool) -> Self {
-        self.session = self.session.with_plan_caching(enabled);
-        self
-    }
-
-    /// The transactional database this session reads and writes.
-    pub fn db(&self) -> &Arc<TxnDb> {
-        &self.db
-    }
-
-    /// The inner cached SQL session (for cache-aware planning helpers).
-    pub fn session(&self) -> &SqlSession {
-        &self.session
-    }
-
-    /// Share counters with a service (used by the `Session` builder).
-    pub(crate) fn set_counters(&mut self, counters: Arc<crate::cache::CacheCounters>) {
-        self.session.set_counters(counters);
-    }
-
-    /// Snapshot of the inner session's cache counters.
-    pub fn stats(&self) -> CacheStats {
-        self.session.stats()
-    }
-
-    /// Re-sync the read side with the latest committed snapshot and
-    /// return its snapshot timestamp. When a commit or merge advanced
-    /// the database since the last refresh, the new catalog (with its
-    /// bumped version) is installed into the inner session, which
-    /// invalidates every cached plan and result bound to the old one.
-    pub fn refresh(&self) -> u64 {
-        let (catalog, ts) = self.db.snapshot();
-        let version = catalog.version();
-        let mut installed = self.installed.lock();
-        if *installed != version {
-            self.session.update_catalog(|cat| *cat = catalog);
-            *installed = version;
-        }
-        ts
-    }
-
-    /// Execute one SQL statement. `SELECT` goes through the cached read
-    /// path against the latest committed snapshot (its compiled spec is
-    /// stamped with the snapshot timestamp); DML auto-commits through
-    /// the MVCC write path and is acknowledged only once durable.
-    pub fn execute(
-        &self,
-        service: &QueryService,
-        name: impl Into<String>,
-        sql: &str,
-    ) -> Result<TxnExecution, TxnSqlError> {
-        let stmt = parse_statement(sql)?;
-        if matches!(stmt, Statement::Select(_)) {
-            let snapshot_ts = self.refresh();
-            let exec = self.session.execute_with(service, name, sql, |mut req| {
-                req.spec.snapshot_ts = Some(snapshot_ts);
-                req
-            })?;
-            return Ok(TxnExecution::Query(exec));
-        }
-        let plan = {
-            let catalog = self.db.snapshot_catalog();
-            match Binder::new(&catalog).bind_statement(&stmt)? {
-                BoundStatement::Dml(plan) => plan,
-                BoundStatement::Select(_) => unreachable!("SELECT handled above"),
-            }
-        };
-        self.apply_dml(&plan).map(TxnExecution::Dml)
-    }
-
-    /// Execute a bound [`DmlPlan`] as one auto-committed transaction:
-    /// begin → buffer writes → commit (validate, WAL, group fsync). Any
-    /// buffering error aborts the transaction locally; nothing was
-    /// logged or applied.
-    pub fn apply_dml(&self, plan: &DmlPlan) -> Result<DmlReport, TxnSqlError> {
-        let mut txn = self.db.begin()?;
-        let buffered = (|| match plan.kind {
-            DmlKind::Insert => {
-                for row in &plan.rows {
-                    self.db.insert(&mut txn, &plan.table, row.clone())?;
-                }
-                Ok(plan.rows.len())
-            }
-            DmlKind::Update => {
-                let pred = plan.predicate.clone().unwrap_or_else(match_all);
-                self.db
-                    .update_where(&mut txn, &plan.table, &pred, &plan.sets)
-            }
-            DmlKind::Delete => {
-                let pred = plan.predicate.clone().unwrap_or_else(match_all);
-                self.db.delete_where(&mut txn, &plan.table, &pred)
-            }
-        })();
-        let rows_affected = match buffered {
-            Ok(n) => n,
-            Err(e) => {
-                self.db.abort(txn);
-                return Err(e.into());
-            }
-        };
-        let commit_ts = self.db.commit(txn)?;
-        // The commit bumped the database version; pull the new catalog
-        // in now so the caches invalidate before the next read plans.
-        self.refresh();
-        Ok(DmlReport {
-            kind: plan.kind,
-            table: plan.table.clone(),
-            rows_affected,
-            estimated_rows: plan.estimated_rows,
-            commit_ts,
-        })
-    }
-
-    /// Fold every table's committed delta into fresh base partitions,
-    /// then refresh so the version bump invalidates the caches.
-    pub fn merge_all(&self) -> Result<(), TxnSqlError> {
-        self.db.merge_all()?;
-        self.refresh();
-        Ok(())
-    }
+    };
+    let commit_ts = db.commit(txn)?;
+    Ok(DmlReport {
+        kind: plan.kind,
+        table: plan.table.clone(),
+        rows_affected,
+        estimated_rows: plan.estimated_rows,
+        commit_ts,
+    })
 }
 
 /// A trivially-true predicate for `UPDATE`/`DELETE` without a `WHERE`
@@ -322,12 +92,13 @@ fn match_all() -> Expr {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::{CacheDisposition, ServiceConfig};
+    use crate::{CacheDisposition, ErrorKind, QueryService, ServiceConfig, Session};
     use morsel_core::ExecEnv;
     use morsel_numa::Topology;
-    use morsel_txn::kv_relation;
+    use morsel_storage::WalFaults;
+    use morsel_txn::{kv_relation, TxnDb, TxnDbConfig};
     use std::path::PathBuf;
+    use std::sync::Arc;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(
@@ -340,23 +111,26 @@ mod tests {
         d
     }
 
-    fn setup(tag: &str) -> (PathBuf, Arc<TxnDb>, TxnSession, QueryService) {
+    fn setup(tag: &str) -> (PathBuf, Arc<TxnDb>, Session, QueryService) {
+        setup_with(tag, TxnDbConfig::default())
+    }
+
+    fn setup_with(tag: &str, cfg: TxnDbConfig) -> (PathBuf, Arc<TxnDb>, Session, QueryService) {
         let dir = tmpdir(tag);
         let topo = Topology::laptop();
-        let db = Arc::new(TxnDb::create(&dir, vec![("kv", kv_relation(4))]).expect("create"));
+        let tables = vec![("kv", kv_relation(4))];
+        let db = Arc::new(TxnDb::create_with(&dir, tables, cfg).expect("create"));
         let service = QueryService::start(ExecEnv::new(topo.clone()), ServiceConfig::new(2));
-        #[allow(deprecated)]
-        let session = TxnSession::for_service(
-            &service,
-            Arc::clone(&db),
-            Planner::new(&topo),
-            SystemVariant::full(),
-        )
-        .with_result_caching(true);
+        let session = Session::builder()
+            .database(Arc::clone(&db))
+            .topology(&topo)
+            .for_service(&service)
+            .result_caching(true)
+            .build();
         (dir, db, session, service)
     }
 
-    fn sum(session: &TxnSession, service: &QueryService, name: &str) -> (i64, CacheDisposition) {
+    fn sum(session: &Session, service: &QueryService, name: &str) -> (i64, CacheDisposition) {
         let exec = session
             .execute(service, name, "SELECT SUM(val) AS s FROM kv")
             .expect("aggregate runs");
@@ -484,16 +258,40 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Bind errors from DML surface as `TxnSqlError::Sql` with spans;
-    /// write-path conflicts surface as `TxnSqlError::Txn`.
+    /// Bind errors from DML surface as `ErrorKind::Sql` and render
+    /// with a caret under the offending span; write-path failures
+    /// surface as `ErrorKind::Txn`.
     #[test]
     fn dml_errors_keep_their_layer() {
-        let (dir, _db, session, service) = setup("txn-session-err");
+        let faults = WalFaults::fsync_fail(0);
+        let cfg = TxnDbConfig {
+            faults,
+            ..TxnDbConfig::default()
+        };
+        let (dir, _db, session, service) = setup_with("txn-session-err", cfg);
+
+        let sql = "INSERT INTO nope (key) VALUES (1)";
         let err = session
-            .execute(&service, "bad", "INSERT INTO nope (key) VALUES (1)")
+            .execute(&service, "bad", sql)
             .expect_err("unknown table");
-        assert!(matches!(err, TxnSqlError::Sql(_)), "{err}");
+        assert_eq!(*err.kind(), ErrorKind::Sql, "{err}");
         assert!(err.to_string().contains("nope"), "{err}");
+        let rendered = err.render(sql);
+        assert!(rendered.contains("1 | INSERT INTO nope"), "{rendered}");
+        assert!(rendered.ends_with("^^^^^^^^^^^^^^^^"), "{rendered}");
+
+        // The binder accepts this one; the commit's fsync is the
+        // injected failure.
+        let err = session
+            .execute(
+                &service,
+                "unsynced",
+                "INSERT INTO kv (key, val) VALUES (9, 9)",
+            )
+            .expect_err("the WAL refuses the commit");
+        assert_eq!(*err.kind(), ErrorKind::Txn, "{err}");
+        assert!(std::error::Error::source(&err).is_some(), "chained source");
+
         service.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

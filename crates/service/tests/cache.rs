@@ -1,7 +1,7 @@
 //! Cache behaviour under the real threaded service: single-flight
 //! planning under contention, literal/catalog guards, prepared
 //! statements, the opt-in result cache, and LRU bounds — all driven
-//! through the unified [`Session`] facade.
+//! through [`Session`].
 //!
 //! These are the concurrency halves of the cache oracle — the key
 //! function itself is property-tested in `morsel-sql`'s `shape_prop`
@@ -13,6 +13,8 @@ use morsel_datagen::{generate_tpch, TpchConfig, TpchDb};
 use morsel_numa::Topology;
 use morsel_service::{CacheDisposition, QueryService, ServiceConfig, Session};
 use morsel_sql::LiteralValue;
+use morsel_txn::TxnDb;
+use std::sync::Arc;
 
 fn tpch() -> (Topology, TpchDb) {
     let topo = Topology::laptop();
@@ -280,44 +282,50 @@ fn result_cache_serves_aggregates_and_honours_invalidation() {
     assert_eq!(report.cache, stats, "shutdown snapshot matches the session");
 }
 
-/// The plan cache is bounded: beyond capacity the least-recently used
-/// shape is evicted and replans on its next appearance.
+/// The plan cache is bounded, over a catalog and over a database
+/// alike: beyond capacity the least-recently used shape is evicted and
+/// replans on its next appearance.
 #[test]
 fn plan_cache_is_lru_bounded() {
     let (topo, db) = tpch();
-    let service = start_service(&topo);
-    let session = Session::builder()
-        .catalog(db.catalog())
-        .topology(&topo)
-        .for_service(&service)
-        .plan_cache_capacity(2)
-        .build();
+    let dir = std::env::temp_dir().join(format!("morsel-cache-lru-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let tables = vec![("lineitem", Arc::clone(&db.lineitem))];
+    let txn_db = Arc::new(TxnDb::create(&dir, tables).expect("create"));
 
     let q1 = "SELECT COUNT(*) AS n FROM lineitem WHERE l_quantity < 5";
     let q2 = "SELECT SUM(l_quantity) AS s FROM lineitem WHERE l_quantity < 5";
     let q3 = "SELECT MAX(l_quantity) AS m FROM lineitem WHERE l_quantity < 5";
 
-    let disp = |name: &str, sql: &str| {
-        let exec = session.execute(&service, name, sql).unwrap();
-        exec.query().unwrap().plan_cache
-    };
+    let modes = [
+        ("catalog", Session::builder().catalog(db.catalog())),
+        ("database", Session::builder().database(txn_db)),
+    ];
+    for (mode, builder) in modes {
+        let service = start_service(&topo);
+        let session = builder.topology(&topo).plan_cache_capacity(2).build();
+        let disp = |name: &str, sql: &str| {
+            let exec = session.execute(&service, name, sql).unwrap();
+            exec.query().unwrap().plan_cache
+        };
 
-    for (name, sql) in [("q1", q1), ("q2", q2), ("q3", q3)] {
-        assert_eq!(disp(name, sql), CacheDisposition::Miss, "{name}");
+        for (name, sql) in [("q1", q1), ("q2", q2), ("q3", q3)] {
+            assert_eq!(disp(name, sql), CacheDisposition::Miss, "{mode}: {name}");
+        }
+        let evictions = session.stats().plan_evictions;
+        assert_eq!(evictions, 1, "{mode}: q1 was evicted by q3");
+        let again = disp("q1-again", q1);
+        assert_eq!(
+            again,
+            CacheDisposition::Miss,
+            "{mode}: evicted shape replans"
+        );
+        let again = disp("q3-again", q3);
+        assert_eq!(again, CacheDisposition::Hit, "{mode}: resident shape hits");
+
+        service.shutdown();
     }
-    assert_eq!(session.stats().plan_evictions, 1, "q1 was evicted by q3");
-    assert_eq!(
-        disp("q1-again", q1),
-        CacheDisposition::Miss,
-        "evicted shape replans"
-    );
-    assert_eq!(
-        disp("q3-again", q3),
-        CacheDisposition::Hit,
-        "resident shape hits"
-    );
-
-    service.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Feedback-enabled sessions keep serving cached plans once learned
@@ -358,6 +366,11 @@ fn feedback_epoch_guards_cached_plans_until_convergence() {
     let q3 = exec.query().unwrap();
     assert_eq!(q3.plan_cache, CacheDisposition::Hit, "converged");
     assert_eq!(q3.rows.clone().unwrap(), rows);
+
+    // The harvest uses the plan each execution ran, not a second trip
+    // through the plan cache: three statements, three lookups.
+    let stats = session.stats();
+    assert_eq!(stats.plan_lookups(), 3, "{stats}");
 
     service.shutdown();
 }

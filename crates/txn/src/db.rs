@@ -824,13 +824,6 @@ impl TxnDb {
         self.inner.lock().catalog().clone()
     }
 
-    /// The pair `(snapshot catalog, snapshot timestamp)` a service
-    /// front end stamps onto compiled [`morsel_core::QuerySpec`]s.
-    pub fn snapshot(&self) -> (Catalog, u64) {
-        let mut inner = self.inner.lock();
-        (inner.catalog().clone(), inner.last_applied_ts)
-    }
-
     // ---- merge ---------------------------------------------------------
 
     /// Fold `table`'s committed delta into fresh base partitions (new
@@ -1603,7 +1596,6 @@ mod tests {
         assert_eq!(again.version(), cat.version());
         assert!(Arc::ptr_eq(snap, again.get("t").unwrap()));
         assert!(Arc::ptr_eq(snap, &db.latest_relation("t").unwrap()));
-        assert!(Arc::ptr_eq(snap, db.snapshot().0.get("t").unwrap()));
         let reader = db.begin().unwrap();
         assert!(Arc::ptr_eq(snap, &db.relation_for(&reader, "t").unwrap()));
         db.abort(reader);

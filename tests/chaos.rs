@@ -33,7 +33,8 @@ use morsel_repro::datagen::{SsbDb, TpchDb};
 use morsel_repro::prelude::*;
 use morsel_repro::queries::{format_rows, ssb_queries, tpch_queries};
 use morsel_repro::service::{
-    CacheDisposition, QueryRequest, QueryService, ServiceConfig, SqlSession,
+    CacheDisposition, Error, ErrorKind, Execution, QueryRequest, QueryService, ServiceConfig,
+    Session,
 };
 
 // ------------------------------------------------------------ utilities
@@ -460,21 +461,49 @@ fn service_chaos_gate_fixed_seed() {
 
 // ------------------------------------------------- cached-plan chaos
 
+/// Run `sql` and return the outcome with how the plan cache treated it,
+/// read off the counters: a failed execution is an `Err` that carries no
+/// `SqlExecution`, but its lookup was still counted.
+fn run_counted(
+    session: &Session,
+    service: &QueryService,
+    name: &str,
+    sql: &str,
+) -> (Result<Execution, Error>, CacheDisposition) {
+    let before = session.stats();
+    let result = session.execute(service, name, sql);
+    let after = session.stats();
+    let hits = after.plan_hits - before.plan_hits;
+    let misses = after.plan_misses - before.plan_misses;
+    let disposition = match (hits, misses) {
+        (1, 0) => CacheDisposition::Hit,
+        (0, 1) => CacheDisposition::Miss,
+        (0, 0) => CacheDisposition::Bypass,
+        other => panic!("one statement, {other:?} plan lookups (hits, misses)"),
+    };
+    (result, disposition)
+}
+
 /// Faults injected into a *cached-plan* execution: the plan cache must
 /// never retain a poisoned entry, reservations release exactly once,
 /// and a later hit on the same shape succeeds. Covers both failure
-/// classes — an injected operator panic and a starvation-level memory
-/// cap (typed `ResourceExhausted`).
+/// classes — an injected operator panic and a refused memory
+/// reservation (typed `ResourceExhausted`).
 #[test]
 fn poisoned_cached_plans_are_evicted_and_recover() {
     let w = workload();
-    // The fault targets the submission *named* "poison", which is the
-    // second execution of its shape — i.e. it runs a cache hit.
-    let plan = FaultPlan::none().with(Fault::PanicAt {
-        query: "poison".to_owned(),
-        op: String::new(),
-        morsel: 0,
-    });
+    // The faults target submissions by *name*: "poison" and "squeeze"
+    // are each the second execution of their shape — i.e. cache hits.
+    let plan = FaultPlan::none()
+        .with(Fault::PanicAt {
+            query: "poison".to_owned(),
+            op: String::new(),
+            morsel: 0,
+        })
+        .with(Fault::FailAlloc {
+            query: "squeeze".to_owned(),
+            alloc: 0,
+        });
     let pool = MemPool::new(1 << 30);
     let env = ExecEnv::new(Topology::laptop())
         .with_fault_plan(plan)
@@ -486,71 +515,61 @@ fn poisoned_cached_plans_are_evicted_and_recover() {
             .with_max_in_flight(4)
             .with_max_queue(16),
     );
-    let topo = Topology::laptop();
-    // Deliberately the raw session, not `Session::builder()`: this suite
-    // asserts on the cache dispositions of *failed* executions, which
-    // the facade folds into errors.
-    #[allow(deprecated)]
-    let session = SqlSession::for_service(
-        &service,
-        w.tpch.catalog(),
-        Planner::new(&topo),
-        SystemVariant::full(),
-    );
+    let session = Session::builder()
+        .catalog(w.tpch.catalog())
+        .topology(&Topology::laptop())
+        .for_service(&service)
+        .build();
     let sql = "SELECT COUNT(*) AS n, SUM(l_quantity) AS qty \
                FROM lineitem WHERE l_quantity < 30";
-    // TPC-H Q1 for the memory-cap leg: its aggregation state cannot fit
-    // a 64-byte reservation budget, so exhaustion is guaranteed.
+    // TPC-H Q1 for the memory leg: its aggregation state reserves
+    // memory, so there is a first reservation to refuse.
     let q1 = morsel_repro::queries::tpch_sql::text(1).unwrap();
 
     let report = silenced(|| {
-        let run = |name: &str, text: &str| session.execute(&service, name, text).unwrap();
+        let run = |name: &str, text: &str| run_counted(&session, &service, name, text);
+        let rows = |exec: Execution| exec.rows().cloned().expect("a completed SELECT has rows");
 
-        let warm = run("warm", sql);
-        assert_eq!(warm.report.outcome, QueryOutcome::Completed);
-        assert_eq!(warm.plan_cache, CacheDisposition::Miss);
-        let baseline = warm.rows.expect("warm run returns rows");
+        let (warm, disposition) = run("warm", sql);
+        assert_eq!(disposition, CacheDisposition::Miss);
+        let baseline = rows(warm.expect("warm run completes"));
 
         // The hit that dies mid-flight.
-        let poison = run("poison", sql);
-        assert_eq!(poison.plan_cache, CacheDisposition::Hit);
+        let (poison, disposition) = run("poison", sql);
+        assert_eq!(disposition, CacheDisposition::Hit);
+        let err = poison.expect_err("the injected panic fails the query");
         assert_eq!(
-            poison.report.outcome,
-            QueryOutcome::Failed(FailReason::OperatorPanic),
-            "{}",
-            poison.report.outcome
+            *err.kind(),
+            ErrorKind::Failed(FailReason::OperatorPanic),
+            "{err}"
         );
-        assert!(poison.rows.is_none());
         assert_eq!(session.stats().plan_poisoned, 1);
         assert_eq!(pool.reserved(), 0, "panic leg leaked a reservation");
 
         // The poisoned entry is gone: cold replan, then hits again.
-        let recover = run("recover", sql);
-        assert_eq!(recover.plan_cache, CacheDisposition::Miss);
-        assert_eq!(recover.report.outcome, QueryOutcome::Completed);
-        assert_eq!(recover.rows.as_ref(), Some(&baseline));
-        let rehit = run("rehit", sql);
-        assert_eq!(rehit.plan_cache, CacheDisposition::Hit);
-        assert_eq!(rehit.rows.as_ref(), Some(&baseline));
+        let (recover, disposition) = run("recover", sql);
+        assert_eq!(disposition, CacheDisposition::Miss);
+        assert_eq!(rows(recover.expect("recovers")), baseline);
+        let (rehit, disposition) = run("rehit", sql);
+        assert_eq!(disposition, CacheDisposition::Hit);
+        assert_eq!(rows(rehit.expect("rehit completes")), baseline);
 
         // Resource exhaustion on a warmed shape behaves the same way.
-        let warm_q1 = run("warm-q1", q1);
-        assert_eq!(warm_q1.report.outcome, QueryOutcome::Completed);
-        let squeeze = session
-            .execute_with(&service, "squeeze", q1, |r| r.with_mem_cap(64))
-            .unwrap();
-        assert_eq!(squeeze.plan_cache, CacheDisposition::Hit);
+        let (warm_q1, _) = run("warm-q1", q1);
+        warm_q1.expect("Q1 completes");
+        let (squeeze, disposition) = run("squeeze", q1);
+        assert_eq!(disposition, CacheDisposition::Hit);
+        let err = squeeze.expect_err("the refused reservation fails the query");
         assert_eq!(
-            squeeze.report.outcome,
-            QueryOutcome::Failed(FailReason::ResourceExhausted),
-            "{}",
-            squeeze.report.outcome
+            *err.kind(),
+            ErrorKind::Failed(FailReason::ResourceExhausted),
+            "{err}"
         );
         assert_eq!(session.stats().plan_poisoned, 2);
-        assert_eq!(pool.reserved(), 0, "cap leg leaked a reservation");
-        let recover_q1 = run("recover-q1", q1);
-        assert_eq!(recover_q1.plan_cache, CacheDisposition::Miss);
-        assert_eq!(recover_q1.report.outcome, QueryOutcome::Completed);
+        assert_eq!(pool.reserved(), 0, "memory leg leaked a reservation");
+        let (recover_q1, disposition) = run("recover-q1", q1);
+        assert_eq!(disposition, CacheDisposition::Miss);
+        recover_q1.expect("Q1 recovers");
 
         service.shutdown()
     });
@@ -584,36 +603,39 @@ fn result_cache_never_retains_a_poisoned_entry() {
             .with_max_in_flight(4)
             .with_max_queue(16),
     );
-    let topo = Topology::laptop();
-    #[allow(deprecated)]
-    let session = SqlSession::for_service(
-        &service,
-        w.tpch.catalog(),
-        Planner::new(&topo),
-        SystemVariant::full(),
-    )
-    .with_result_caching(true);
+    let session = Session::builder()
+        .catalog(w.tpch.catalog())
+        .topology(&Topology::laptop())
+        .for_service(&service)
+        .result_caching(true)
+        .build();
     let sql = "SELECT SUM(l_extendedprice) AS total \
                FROM lineitem WHERE l_quantity < 20";
 
     let report = silenced(|| {
-        let cold = session.execute(&service, "cold", sql).unwrap();
-        assert_eq!(cold.result_cache, CacheDisposition::Miss);
+        let (cold, disposition) = run_counted(&session, &service, "cold", sql);
+        assert_eq!(disposition, CacheDisposition::Miss);
+        let err = cold.expect_err("the injected panic fails the query");
         assert_eq!(
-            cold.report.outcome,
-            QueryOutcome::Failed(FailReason::OperatorPanic)
+            *err.kind(),
+            ErrorKind::Failed(FailReason::OperatorPanic),
+            "{err}"
         );
+        let stats = session.stats();
+        assert_eq!((stats.result_hits, stats.result_misses), (0, 1), "{stats}");
         assert_eq!(pool.reserved(), 0, "failed run leaked a reservation");
 
         // Nothing was cached by the failure: this is a miss that runs
         // for real (the injected fault only targeted "cold").
-        let retry = session.execute(&service, "retry", sql).unwrap();
+        let retry = session.execute(&service, "retry", sql).expect("retry");
+        let retry = retry.query().expect("a SELECT yields a query execution");
         assert_eq!(retry.result_cache, CacheDisposition::Miss);
         assert_eq!(retry.plan_cache, CacheDisposition::Miss, "plan was evicted");
         assert_eq!(retry.report.outcome, QueryOutcome::Completed);
-        let rows = retry.rows.expect("retry returns rows");
+        let rows = retry.rows.clone().expect("retry returns rows");
 
-        let served = session.execute(&service, "served", sql).unwrap();
+        let served = session.execute(&service, "served", sql).expect("served");
+        let served = served.query().expect("a SELECT yields a query execution");
         assert_eq!(served.result_cache, CacheDisposition::Hit);
         assert_eq!(served.report.outcome, QueryOutcome::Completed);
         assert_eq!(served.rows.as_ref(), Some(&rows));
