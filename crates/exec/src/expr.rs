@@ -8,20 +8,36 @@
 //! plans scale explicitly (e.g. `price * (100 - disc) / 100`), exactly as a
 //! fixed-point engine would generate.
 //!
-//! Evaluation is **zero-copy at the leaves**: a bare column reference
-//! borrows the column slice (`Cow::Borrowed`) instead of cloning it, and a
+//! [`Expr::eval`] is a tree walk producing one [`Vector`] per node. It is
+//! how projections are computed, and for boolean expressions it is the
+//! *mask evaluator*: **filters do not run through it** — a predicate is
+//! compiled once per operator into a [`crate::predicate::Predicate`],
+//! whose typed kernels start and narrow selection vectors without ever
+//! building a mask; the walk here serves as that cascade's generic
+//! fallback (`OR`, `NOT`, `CASE`, arithmetic comparisons, evaluated over
+//! the surviving rows only) and as the oracle its kernels are tested
+//! against (DESIGN.md §4).
+//!
+//! Evaluation is **zero-copy at the leaves**: over a row range a bare
+//! column reference borrows the column slice (`Cow::Borrowed`) instead of
+//! cloning it (over a selection it gathers the selected values), and a
 //! dictionary-encoded string column surfaces as a [`Vector::Code`] of
-//! `u32` codes plus the shared sorted [`Dictionary`]. String predicates
-//! over codes resolve their constants against the dictionary **once per
-//! batch** — equality becomes a single-code compare, ranges and prefixes
-//! become code-range tests (sorted dictionaries preserve order), LIKE
-//! becomes a per-dictionary-value mask — so the per-row work is integer
-//! compares, never string traversal (DESIGN.md §9).
+//! `u32` codes plus the shared sorted [`Dictionary`]. Numeric constants
+//! under an arithmetic, comparison or `CASE` node stay scalars — nothing
+//! is broadcast to a vector. String predicates resolve their constants
+//! against the dictionary once (`StrTest::resolve`, the implementation the
+//! compiled cascade shares and caches per dictionary) — equality becomes
+//! a single-code compare, ranges and prefixes become code-range tests
+//! (sorted dictionaries preserve order), `IN` and `LIKE` become one
+//! answer per dictionary value — so the per-row work is integer compares,
+//! never string traversal (DESIGN.md §9).
 
 use std::borrow::Cow;
 use std::sync::Arc;
 
 use morsel_storage::{Batch, Column, DataType, DictColumn, Dictionary};
+
+use crate::key::{for_each_row, Rows};
 
 /// Comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,7 +51,19 @@ pub enum CmpOp {
 }
 
 impl CmpOp {
-    fn holds<T: PartialOrd + ?Sized>(self, a: &T, b: &T) -> bool {
+    /// The operator `op'` with `a op b ⟺ b op' a`.
+    pub(crate) fn flipped(self) -> CmpOp {
+        match self {
+            CmpOp::Eq | CmpOp::Ne => self,
+            CmpOp::Lt => CmpOp::Gt,
+            CmpOp::Le => CmpOp::Ge,
+            CmpOp::Gt => CmpOp::Lt,
+            CmpOp::Ge => CmpOp::Le,
+        }
+    }
+
+    #[inline]
+    pub(crate) fn holds<T: PartialOrd + ?Sized>(self, a: &T, b: &T) -> bool {
         match self {
             CmpOp::Eq => a == b,
             CmpOp::Ne => a != b,
@@ -211,16 +239,15 @@ impl Vector<'_> {
         }
     }
 
-    /// Apply a string predicate over every row. Code vectors evaluate the
-    /// predicate **once per dictionary value** and gather the per-row
-    /// answers by code — the batch-level rewrite all dictionary string
-    /// predicates share.
-    fn str_mask(&self, f: impl Fn(&str) -> bool) -> Vec<bool> {
+    /// Apply a string test over every row. Code vectors resolve the test
+    /// against the dictionary **once** and answer per row from the code —
+    /// the rewrite all dictionary string predicates share.
+    fn str_mask(&self, test: &StrTest<'_>) -> Vec<bool> {
         match self {
-            Vector::Str(vs) => vs.iter().map(|s| f(s)).collect(),
+            Vector::Str(vs) => vs.iter().map(|s| test.holds(s)).collect(),
             Vector::Code(codes, dict) => {
-                let per: Vec<bool> = dict.values().iter().map(|s| f(s)).collect();
-                codes.iter().map(|&c| per[c as usize]).collect()
+                let test = test.resolve(dict);
+                codes.iter().map(|&c| test.holds(c)).collect()
             }
             other => panic!("string predicate over non-string {other:?}"),
         }
@@ -239,36 +266,165 @@ impl Vector<'_> {
     }
 }
 
-/// One-per-batch rewrite of `op(value, const)` into a code test against a
-/// sorted dictionary: equality resolves to (at most) one code, ordering
-/// resolves to a code threshold.
-fn code_cmp_mask(op: CmpOp, codes: &[u32], dict: &Dictionary, s: &str) -> Vec<bool> {
-    match op {
-        CmpOp::Eq => match dict.code_of(s) {
-            Some(c) => codes.iter().map(|&x| x == c).collect(),
-            None => vec![false; codes.len()],
-        },
-        CmpOp::Ne => match dict.code_of(s) {
-            Some(c) => codes.iter().map(|&x| x != c).collect(),
-            None => vec![true; codes.len()],
-        },
-        // value < s ⟺ code < |{v : v < s}|, and friends.
-        CmpOp::Lt => {
-            let t = dict.lower_bound(s);
-            codes.iter().map(|&x| x < t).collect()
+/// A test of a string against constants, borrowed from the expression
+/// node that states it ([`Expr::as_str_test`]): the one implementation of
+/// string predicates, shared by the mask evaluator and the compiled
+/// cascade ([`crate::predicate`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum StrTest<'a> {
+    Cmp(CmpOp, &'a str),
+    In(&'a [String]),
+    Prefix(&'a str),
+    Like(&'a LikePattern),
+}
+
+impl StrTest<'_> {
+    /// Whether the string `s` passes.
+    pub(crate) fn holds(&self, s: &str) -> bool {
+        match self {
+            StrTest::Cmp(op, c) => op.holds(s, c),
+            StrTest::In(list) => list.iter().any(|l| l == s),
+            StrTest::Prefix(p) => s.starts_with(p),
+            StrTest::Like(pat) => pat.matches(s),
         }
-        CmpOp::Le => {
-            let t = dict.upper_bound(s);
-            codes.iter().map(|&x| x < t).collect()
+    }
+
+    /// The same test over the codes of the sorted dictionary `dict`:
+    /// equality resolves to (at most) one code, ordering and prefixes to a
+    /// code range, `IN` and `LIKE` to one answer per dictionary value.
+    pub(crate) fn resolve(&self, dict: &Dictionary) -> CodeTest {
+        let len = dict.len() as u32;
+        match self {
+            StrTest::Cmp(op, s) => match op {
+                CmpOp::Eq => match dict.code_of(s) {
+                    Some(c) => CodeTest::Range(c, c + 1),
+                    None => CodeTest::Range(0, 0),
+                },
+                CmpOp::Ne => match dict.code_of(s) {
+                    Some(c) => CodeTest::Not(c),
+                    None => CodeTest::Range(0, len),
+                },
+                // value < s ⟺ code < |{v : v < s}|, and friends.
+                CmpOp::Lt => CodeTest::Range(0, dict.lower_bound(s)),
+                CmpOp::Le => CodeTest::Range(0, dict.upper_bound(s)),
+                CmpOp::Ge => CodeTest::Range(dict.lower_bound(s), len),
+                CmpOp::Gt => CodeTest::Range(dict.upper_bound(s), len),
+            },
+            StrTest::Prefix(p) => {
+                let (lo, hi) = dict.prefix_range(p);
+                CodeTest::Range(lo, hi)
+            }
+            StrTest::In(_) | StrTest::Like(_) => {
+                CodeTest::Mask(dict.values().iter().map(|v| self.holds(v)).collect())
+            }
         }
-        CmpOp::Ge => {
-            let t = dict.lower_bound(s);
-            codes.iter().map(|&x| x >= t).collect()
+    }
+}
+
+/// A [`StrTest`] resolved against one dictionary.
+#[derive(Debug)]
+pub(crate) enum CodeTest {
+    /// `lo <= code < hi`.
+    Range(u32, u32),
+    /// `code != c`.
+    Not(u32),
+    /// One answer per dictionary value.
+    Mask(Vec<bool>),
+}
+
+impl CodeTest {
+    #[inline]
+    pub(crate) fn holds(&self, code: u32) -> bool {
+        match self {
+            CodeTest::Range(lo, hi) => code.wrapping_sub(*lo) < hi - lo,
+            CodeTest::Not(c) => code != *c,
+            CodeTest::Mask(per) => per[code as usize],
         }
-        CmpOp::Gt => {
-            let t = dict.upper_bound(s);
-            codes.iter().map(|&x| x >= t).collect()
+    }
+}
+
+/// An evaluated operand of an arithmetic, comparison or `CASE` node: a
+/// constant stays a scalar instead of being broadcast to a vector.
+enum Operand<'a> {
+    Vector(Vector<'a>),
+    I64(i64),
+    F64(f64),
+}
+
+/// One side of a numeric kernel.
+#[derive(Clone, Copy)]
+enum Arg<'a, T> {
+    Slice(&'a [T]),
+    Const(T),
+}
+
+impl<T: Copy> Arg<'_, T> {
+    #[inline]
+    fn at(&self, i: usize) -> T {
+        match self {
+            Arg::Slice(s) => s[i],
+            Arg::Const(c) => *c,
         }
+    }
+}
+
+/// A numeric operand by type family.
+enum Num<'a> {
+    I(Arg<'a, i64>),
+    F(Arg<'a, f64>),
+}
+
+impl Operand<'_> {
+    fn num(&self) -> Option<Num<'_>> {
+        match self {
+            Operand::I64(c) => Some(Num::I(Arg::Const(*c))),
+            Operand::F64(c) => Some(Num::F(Arg::Const(*c))),
+            Operand::Vector(Vector::I64(v)) => Some(Num::I(Arg::Slice(v))),
+            Operand::Vector(Vector::F64(v)) => Some(Num::F(Arg::Slice(v))),
+            Operand::Vector(_) => None,
+        }
+    }
+}
+
+/// `f` over `n` rows of two operands, each a slice or a constant.
+fn zip_with<A: Copy, B: Copy, R: Clone>(
+    a: Arg<'_, A>,
+    b: Arg<'_, B>,
+    n: usize,
+    f: impl Fn(A, B) -> R,
+) -> Vec<R> {
+    match (a, b) {
+        (Arg::Slice(x), Arg::Slice(y)) => x.iter().zip(y).map(|(&a, &b)| f(a, b)).collect(),
+        (Arg::Slice(x), Arg::Const(c)) => x.iter().map(|&a| f(a, c)).collect(),
+        (Arg::Const(c), Arg::Slice(y)) => y.iter().map(|&b| f(c, b)).collect(),
+        (Arg::Const(a), Arg::Const(b)) => vec![f(a, b); n],
+    }
+}
+
+/// `f` over two numeric operands with integers promoted to `f64`.
+fn zip_f64<R: Clone>(a: Num<'_>, b: Num<'_>, n: usize, f: impl Fn(f64, f64) -> R) -> Vec<R> {
+    match (a, b) {
+        (Num::F(x), Num::F(y)) => zip_with(x, y, n, f),
+        (Num::I(x), Num::F(y)) => zip_with(x, y, n, |a, b| f(a as f64, b)),
+        (Num::F(x), Num::I(y)) => zip_with(x, y, n, |a, b| f(a, b as f64)),
+        (Num::I(x), Num::I(y)) => zip_with(x, y, n, |a, b| f(a as f64, b as f64)),
+    }
+}
+
+/// `CASE`: `t` where `mask` holds, `e` elsewhere.
+fn pick<T: Copy>(mask: &[bool], t: Arg<'_, T>, e: Arg<'_, T>) -> Vec<T> {
+    mask.iter()
+        .enumerate()
+        .map(|(i, &c)| if c { t.at(i) } else { e.at(i) })
+        .collect()
+}
+
+/// The values of `v` at `rows`: borrowed for a range, gathered for a
+/// selection.
+fn read<'a, T: Clone>(v: &'a [T], rows: Rows<'_>) -> Cow<'a, [T]> {
+    match rows {
+        Rows::Range(s, e) => Cow::Borrowed(&v[s..e]),
+        Rows::Sel(sel) => Cow::Owned(sel.iter().map(|&r| v[r as usize].clone()).collect()),
     }
 }
 
@@ -296,22 +452,50 @@ impl Expr {
         }
     }
 
-    /// Evaluate over the rows `rows` of `batch`'s columns.
-    pub fn eval<'a>(&self, batch: &'a Batch, rows: std::ops::Range<usize>) -> Vector<'a> {
-        let n = rows.len();
+    /// If this node tests a string-valued operand against constants: the
+    /// operand and the test (a constant on the left flips the comparison).
+    pub(crate) fn as_str_test(&self) -> Option<(&Expr, StrTest<'_>)> {
         match self {
-            // Leaf reads borrow the column slice: no copy for i64/f64 and
-            // no String clone, ever, for either string representation.
+            Expr::Cmp(op, a, b) => match (&**a, &**b) {
+                (_, Expr::ConstStr(s)) => Some((a, StrTest::Cmp(*op, s))),
+                (Expr::ConstStr(s), _) => Some((b, StrTest::Cmp(op.flipped(), s))),
+                _ => None,
+            },
+            Expr::InStr(a, list) => Some((a, StrTest::In(list))),
+            Expr::StrPrefix(a, p) => Some((a, StrTest::Prefix(p))),
+            Expr::Like(a, pat) => Some((a, StrTest::Like(pat))),
+            _ => None,
+        }
+    }
+
+    /// Evaluate over the rows `rows` of `batch`'s columns — a row range
+    /// (`0..n`) or any [`Rows`] — into one value per row. For boolean
+    /// expressions this is the *mask evaluator*: the generic fallback of a
+    /// compiled [`crate::predicate::Predicate`] and the oracle its kernels
+    /// are tested against.
+    pub fn eval<'a, 'r>(&self, batch: &'a Batch, rows: impl Into<Rows<'r>>) -> Vector<'a> {
+        self.eval_rows(batch, rows.into())
+    }
+
+    fn eval_rows<'a>(&self, batch: &'a Batch, rows: Rows<'_>) -> Vector<'a> {
+        let n = rows.len();
+        if let Some((operand, test)) = self.as_str_test() {
+            return Vector::Bool(operand.eval_rows(batch, rows).str_mask(&test));
+        }
+        match self {
+            // Leaf reads over a range borrow the column slice: no copy for
+            // i64/f64 and no String clone, ever, for either string
+            // representation. Over a selection they gather.
             Expr::Col(i) => match batch.column(*i) {
-                Column::I64(v) => Vector::I64(Cow::Borrowed(&v[rows])),
+                Column::I64(v) => Vector::I64(read(v, rows)),
                 Column::I32(v) => {
-                    Vector::I64(Cow::Owned(v[rows].iter().map(|&x| i64::from(x)).collect()))
+                    let mut out = Vec::with_capacity(n);
+                    for_each_row!(rows, _i, r, out.push(i64::from(v[r])));
+                    Vector::I64(Cow::Owned(out))
                 }
-                Column::F64(v) => Vector::F64(Cow::Borrowed(&v[rows])),
-                Column::Str(v) => Vector::Str(Cow::Borrowed(&v[rows])),
-                Column::Dict(d) => {
-                    Vector::Code(Cow::Borrowed(&d.codes()[rows]), Arc::clone(d.dict()))
-                }
+                Column::F64(v) => Vector::F64(read(v, rows)),
+                Column::Str(v) => Vector::Str(read(v, rows)),
+                Column::Dict(d) => Vector::Code(read(d.codes(), rows), Arc::clone(d.dict())),
             },
             Expr::ConstI64(c) => Vector::I64(Cow::Owned(vec![*c; n])),
             Expr::ConstF64(c) => Vector::F64(Cow::Owned(vec![*c; n])),
@@ -328,7 +512,7 @@ impl Expr {
                 |x, y| x / y,
             ),
             Expr::ToF64(a) => {
-                let v = a.eval(batch, rows);
+                let v = a.eval_rows(batch, rows);
                 match v {
                     Vector::I64(v) => {
                         Vector::F64(Cow::Owned(v.iter().map(|&x| x as f64).collect()))
@@ -338,71 +522,20 @@ impl Expr {
                 }
             }
             Expr::Cmp(op, a, b) => {
-                // Column-vs-constant comparisons (the dominant scan-filter
-                // shape) read the column slice directly instead of copying
-                // it into a Vector first.
-                if let (Expr::Col(i), Expr::ConstI64(c)) = (&**a, &**b) {
-                    match batch.column(*i) {
-                        Column::I64(v) => {
-                            return Vector::Bool(v[rows].iter().map(|x| op.holds(x, c)).collect())
-                        }
-                        Column::I32(v) => {
-                            return Vector::Bool(
-                                v[rows]
-                                    .iter()
-                                    .map(|x| op.holds(&i64::from(*x), c))
-                                    .collect(),
-                            )
-                        }
-                        _ => {}
+                let va = a.operand(batch, rows);
+                let vb = b.operand(batch, rows);
+                use Operand::Vector as V;
+                let out = match ((va.num(), vb.num()), (&va, &vb)) {
+                    ((Some(Num::I(x)), Some(Num::I(y))), _) => {
+                        zip_with(x, y, n, |a, b| op.holds(&a, &b))
                     }
-                }
-                if let (Expr::Col(i), Expr::ConstStr(s)) = (&**a, &**b) {
-                    match batch.column(*i) {
-                        Column::Str(v) => {
-                            return Vector::Bool(v[rows].iter().map(|x| op.holds(x, s)).collect())
-                        }
-                        Column::Dict(d) => {
-                            return Vector::Bool(code_cmp_mask(*op, &d.codes()[rows], d.dict(), s))
-                        }
-                        _ => {}
-                    }
-                }
-                let va = a.eval(batch, rows.clone());
-                // Comparing any string-typed expression to a string
-                // constant: resolve the constant against the dictionary
-                // once instead of cloning it per row.
-                if let (Vector::Code(codes, dict), Expr::ConstStr(s)) = (&va, &**b) {
-                    return Vector::Bool(code_cmp_mask(*op, codes, dict, s));
-                }
-                let vb = b.eval(batch, rows);
-                let out = match (&va, &vb) {
-                    (Vector::I64(x), Vector::I64(y)) => x
+                    ((Some(x), Some(y)), _) => zip_f64(x, y, n, |a, b| op.holds(&a, &b)),
+                    (_, (V(Vector::Str(x)), V(Vector::Str(y)))) => x
                         .iter()
                         .zip(y.iter())
                         .map(|(a, b)| op.holds(a, b))
                         .collect(),
-                    (Vector::F64(x), Vector::F64(y)) => x
-                        .iter()
-                        .zip(y.iter())
-                        .map(|(a, b)| op.holds(a, b))
-                        .collect(),
-                    (Vector::I64(x), Vector::F64(y)) => x
-                        .iter()
-                        .zip(y.iter())
-                        .map(|(a, b)| op.holds(&(*a as f64), b))
-                        .collect(),
-                    (Vector::F64(x), Vector::I64(y)) => x
-                        .iter()
-                        .zip(y.iter())
-                        .map(|(a, b)| op.holds(a, &(*b as f64)))
-                        .collect(),
-                    (Vector::Str(x), Vector::Str(y)) => x
-                        .iter()
-                        .zip(y.iter())
-                        .map(|(a, b)| op.holds(a, b))
-                        .collect(),
-                    (Vector::Code(x, dx), Vector::Code(y, dy)) => {
+                    (_, (V(Vector::Code(x, dx)), V(Vector::Code(y, dy)))) => {
                         if Arc::ptr_eq(dx, dy) {
                             // One shared sorted domain: code order == string
                             // order, so compare codes directly.
@@ -417,12 +550,12 @@ impl Expr {
                                 .collect()
                         }
                     }
-                    (Vector::Code(x, dx), Vector::Str(y)) => x
+                    (_, (V(Vector::Code(x, dx)), V(Vector::Str(y)))) => x
                         .iter()
                         .zip(y.iter())
                         .map(|(&a, b)| op.holds(dx.get(a), b.as_str()))
                         .collect(),
-                    (Vector::Str(x), Vector::Code(y, dy)) => x
+                    (_, (V(Vector::Str(x)), V(Vector::Code(y, dy)))) => x
                         .iter()
                         .zip(y.iter())
                         .map(|(a, &b)| op.holds(a.as_str(), dy.get(b)))
@@ -432,8 +565,8 @@ impl Expr {
                 Vector::Bool(out)
             }
             Expr::And(a, b) => {
-                let va = a.eval(batch, rows.clone());
-                let vb = b.eval(batch, rows);
+                let va = a.eval_rows(batch, rows);
+                let vb = b.eval_rows(batch, rows);
                 Vector::Bool(
                     va.as_bool()
                         .iter()
@@ -443,8 +576,8 @@ impl Expr {
                 )
             }
             Expr::Or(a, b) => {
-                let va = a.eval(batch, rows.clone());
-                let vb = b.eval(batch, rows);
+                let va = a.eval_rows(batch, rows);
+                let vb = b.eval_rows(batch, rows);
                 Vector::Bool(
                     va.as_bool()
                         .iter()
@@ -454,121 +587,36 @@ impl Expr {
                 )
             }
             Expr::Not(a) => {
-                let v = a.eval(batch, rows);
+                let v = a.eval_rows(batch, rows);
                 Vector::Bool(v.as_bool().iter().map(|&x| !x).collect())
             }
             Expr::BetweenI64(a, lo, hi) => {
-                if let Expr::Col(i) = &**a {
-                    match batch.column(*i) {
-                        Column::I64(v) => {
-                            return Vector::Bool(
-                                v[rows].iter().map(|x| x >= lo && x <= hi).collect(),
-                            )
-                        }
-                        Column::I32(v) => {
-                            return Vector::Bool(
-                                v[rows]
-                                    .iter()
-                                    .map(|&x| i64::from(x) >= *lo && i64::from(x) <= *hi)
-                                    .collect(),
-                            )
-                        }
-                        _ => {}
-                    }
-                }
-                let v = a.eval(batch, rows);
+                let v = a.eval_rows(batch, rows);
                 Vector::Bool(v.as_i64().iter().map(|x| x >= lo && x <= hi).collect())
             }
             Expr::InI64(a, list) => {
-                if let Expr::Col(i) = &**a {
-                    match batch.column(*i) {
-                        Column::I64(v) => {
-                            return Vector::Bool(v[rows].iter().map(|x| list.contains(x)).collect())
-                        }
-                        Column::I32(v) => {
-                            return Vector::Bool(
-                                v[rows]
-                                    .iter()
-                                    .map(|&x| list.contains(&i64::from(x)))
-                                    .collect(),
-                            )
-                        }
-                        _ => {}
-                    }
-                }
-                let v = a.eval(batch, rows);
+                let v = a.eval_rows(batch, rows);
                 Vector::Bool(v.as_i64().iter().map(|x| list.contains(x)).collect())
             }
-            Expr::InStr(a, list) => {
-                // Bare dictionary column: resolve the IN-list to a code
-                // set once, then the row test is a few u32 compares.
-                if let Expr::Col(i) = &**a {
-                    match batch.column(*i) {
-                        Column::Str(v) => {
-                            return Vector::Bool(
-                                v[rows]
-                                    .iter()
-                                    .map(|s| list.iter().any(|l| l == s))
-                                    .collect(),
-                            )
-                        }
-                        Column::Dict(d) => {
-                            let set: Vec<u32> =
-                                list.iter().filter_map(|l| d.dict().code_of(l)).collect();
-                            return Vector::Bool(
-                                d.codes()[rows].iter().map(|c| set.contains(c)).collect(),
-                            );
-                        }
-                        _ => {}
-                    }
-                }
-                let v = a.eval(batch, rows);
-                Vector::Bool(v.str_mask(|s| list.iter().any(|l| l == s)))
-            }
-            Expr::Like(a, pat) => {
-                let v = a.eval(batch, rows);
-                // `str_mask` runs the pattern once per *dictionary value*
-                // for code vectors — the LIKE rewrite.
-                Vector::Bool(v.str_mask(|s| pat.matches(s)))
-            }
-            Expr::StrPrefix(a, prefix) => {
-                // Bare dictionary column: prefix-sharing values are a
-                // contiguous code range in a sorted dictionary.
-                if let Expr::Col(i) = &**a {
-                    if let Column::Dict(d) = batch.column(*i) {
-                        let (lo, hi) = d.dict().prefix_range(prefix);
-                        return Vector::Bool(
-                            d.codes()[rows].iter().map(|&c| c >= lo && c < hi).collect(),
-                        );
-                    }
-                }
-                let v = a.eval(batch, rows);
-                Vector::Bool(v.str_mask(|s| s.starts_with(prefix.as_str())))
+            Expr::InStr(..) | Expr::Like(..) | Expr::StrPrefix(..) => {
+                unreachable!("string tests are evaluated above")
             }
             Expr::Case(c, t, e) => {
-                let vc = c.eval(batch, rows.clone());
-                let vt = t.eval(batch, rows.clone());
-                let ve = e.eval(batch, rows);
-                match (vt, ve) {
-                    (Vector::I64(t), Vector::I64(e)) => Vector::I64(Cow::Owned(
-                        vc.as_bool()
-                            .iter()
-                            .zip(t.iter().zip(e.iter()))
-                            .map(|(&c, (&t, &e))| if c { t } else { e })
-                            .collect(),
-                    )),
-                    (Vector::F64(t), Vector::F64(e)) => Vector::F64(Cow::Owned(
-                        vc.as_bool()
-                            .iter()
-                            .zip(t.iter().zip(e.iter()))
-                            .map(|(&c, (&t, &e))| if c { t } else { e })
-                            .collect(),
-                    )),
-                    other => panic!("Case branches of mismatched types {other:?}"),
+                let vc = c.eval_rows(batch, rows);
+                let vt = t.operand(batch, rows);
+                let ve = e.operand(batch, rows);
+                match (vt.num(), ve.num()) {
+                    (Some(Num::I(t)), Some(Num::I(e))) => {
+                        Vector::I64(Cow::Owned(pick(vc.as_bool(), t, e)))
+                    }
+                    (Some(Num::F(t)), Some(Num::F(e))) => {
+                        Vector::F64(Cow::Owned(pick(vc.as_bool(), t, e)))
+                    }
+                    _ => panic!("Case branches of mismatched types in {self:?}"),
                 }
             }
             Expr::YearOf(a) => {
-                let v = a.eval(batch, rows);
+                let v = a.eval_rows(batch, rows);
                 Vector::I64(Cow::Owned(
                     v.as_i64()
                         .iter()
@@ -580,7 +628,7 @@ impl Expr {
                 ))
             }
             Expr::Substr(a, from, len) => {
-                let v = a.eval(batch, rows);
+                let v = a.eval_rows(batch, rows);
                 let cut = |s: &str| -> String {
                     s.chars().skip(from.saturating_sub(1)).take(*len).collect()
                 };
@@ -599,78 +647,31 @@ impl Expr {
         }
     }
 
+    /// Evaluate as an operand: numeric constants stay scalars.
+    fn operand<'a>(&self, batch: &'a Batch, rows: Rows<'_>) -> Operand<'a> {
+        match self {
+            Expr::ConstI64(c) => Operand::I64(*c),
+            Expr::ConstF64(c) => Operand::F64(*c),
+            e => Operand::Vector(e.eval_rows(batch, rows)),
+        }
+    }
+
     fn arith<'a>(
         a: &Expr,
         b: &Expr,
         batch: &'a Batch,
-        rows: std::ops::Range<usize>,
+        rows: Rows<'_>,
         fi: impl Fn(i64, i64) -> i64,
         ff: impl Fn(f64, f64) -> f64,
     ) -> Vector<'a> {
-        let va = a.eval(batch, rows.clone());
-        let vb = b.eval(batch, rows);
-        match (va, vb) {
-            (Vector::I64(x), Vector::I64(y)) => Vector::I64(Cow::Owned(
-                x.iter().zip(y.iter()).map(|(&a, &b)| fi(a, b)).collect(),
-            )),
-            (Vector::F64(x), Vector::F64(y)) => Vector::F64(Cow::Owned(
-                x.iter().zip(y.iter()).map(|(&a, &b)| ff(a, b)).collect(),
-            )),
-            (Vector::I64(x), Vector::F64(y)) => Vector::F64(Cow::Owned(
-                x.iter()
-                    .zip(y.iter())
-                    .map(|(&a, &b)| ff(a as f64, b))
-                    .collect(),
-            )),
-            (Vector::F64(x), Vector::I64(y)) => Vector::F64(Cow::Owned(
-                x.iter()
-                    .zip(y.iter())
-                    .map(|(&a, &b)| ff(a, b as f64))
-                    .collect(),
-            )),
-            other => panic!("arithmetic over non-numeric operands {other:?}"),
+        let n = rows.len();
+        let va = a.operand(batch, rows);
+        let vb = b.operand(batch, rows);
+        match (va.num(), vb.num()) {
+            (Some(Num::I(x)), Some(Num::I(y))) => Vector::I64(Cow::Owned(zip_with(x, y, n, fi))),
+            (Some(x), Some(y)) => Vector::F64(Cow::Owned(zip_f64(x, y, n, ff))),
+            _ => panic!("arithmetic over non-numeric operands {a:?}, {b:?}"),
         }
-    }
-
-    /// Evaluate as a filter: absolute row indexes within `rows` where the
-    /// predicate holds.
-    pub fn eval_filter(&self, batch: &Batch, rows: std::ops::Range<usize>) -> Vec<u32> {
-        let base = rows.start as u32;
-        let v = self.eval(batch, rows);
-        v.as_bool()
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &b)| b.then_some(base + i as u32))
-            .collect()
-    }
-
-    /// Precompute the selection-evaluation plan for this predicate over an
-    /// input of `width` columns: the referenced columns and the predicate
-    /// remapped onto that compact layout. Both are invariant per operator,
-    /// so callers that filter morsel after morsel (see
-    /// [`crate::pipeline::FilterOp`]) compute this once and reuse it.
-    pub fn sel_eval_plan(&self, width: usize) -> SelEvalPlan {
-        let mut used = Vec::new();
-        self.referenced_cols(&mut used);
-        used.sort_unstable();
-        let mut map = vec![None; width];
-        for (new, &old) in used.iter().enumerate() {
-            map[old] = Some(new);
-        }
-        SelEvalPlan {
-            used,
-            remapped: self.remap(&map),
-        }
-    }
-
-    /// Evaluate as a filter over *selected rows only*: gather the columns
-    /// this predicate references through `sel` (a cost proportional to the
-    /// selection, not the underlying batch), evaluate densely over that
-    /// compact view, and return the surviving subset of `sel`. The sparse-
-    /// selection companion of [`Expr::eval_filter`]. One-shot convenience
-    /// over [`Expr::sel_eval_plan`].
-    pub fn eval_filter_sel(&self, batch: &Batch, sel: &[u32]) -> Vec<u32> {
-        self.sel_eval_plan(batch.width()).eval_filter(batch, sel)
     }
 
     /// Source column indexes referenced by this expression (deduplicated,
@@ -775,44 +776,6 @@ impl Expr {
             Expr::YearOf(_) => DataType::I64,
             Expr::Substr(..) => DataType::Str,
         }
-    }
-}
-
-/// A predicate prepared for selection-aware evaluation: which input
-/// columns it reads, and the predicate rewritten against the compact
-/// gathered layout. Built by [`Expr::sel_eval_plan`].
-#[derive(Debug, Clone)]
-pub struct SelEvalPlan {
-    used: Vec<usize>,
-    remapped: Expr,
-}
-
-impl SelEvalPlan {
-    /// Gather the referenced columns of `batch` through `sel`, evaluate
-    /// the predicate densely over that view, and return the surviving
-    /// subset of `sel`.
-    pub fn eval_filter(&self, batch: &Batch, sel: &[u32]) -> Vec<u32> {
-        let mini_cols: Vec<Column> = self
-            .used
-            .iter()
-            .map(|&c| {
-                let src = batch.column(c);
-                let mut col = Column::with_capacity_like(src, sel.len());
-                col.extend_selected(src, sel);
-                col
-            })
-            .collect();
-        let mini = if mini_cols.is_empty() {
-            Batch::default()
-        } else {
-            Batch::from_columns(mini_cols)
-        };
-        let v = self.remapped.eval(&mini, 0..sel.len());
-        v.as_bool()
-            .iter()
-            .zip(sel)
-            .filter_map(|(&b, &r)| b.then_some(r))
-            .collect()
     }
 }
 
@@ -929,6 +892,7 @@ pub fn substr(a: Expr, from: usize, len: usize) -> Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::predicate::Predicate;
 
     fn batch() -> Batch {
         Batch::from_columns(vec![
@@ -1178,33 +1142,72 @@ mod tests {
         assert_eq!(e.eval(&b, 0..5), iv(vec![0, 0, 0, 1, 1]));
     }
 
+    /// Filtering by an expression goes through its compiled form.
+    fn compiled(e: &Expr) -> Predicate {
+        let types = [DataType::I64, DataType::F64, DataType::Str, DataType::I32];
+        Predicate::compile(e, &types)
+    }
+
     #[test]
     fn filter_returns_absolute_indexes() {
         let b = batch();
-        let sel = gt(col(0), lit(2)).eval_filter(&b, 1..5);
-        assert_eq!(sel, vec![2, 3, 4]);
+        let p = compiled(&gt(col(0), lit(2)));
+        assert_eq!(p.select(&b, 1..5), vec![2, 3, 4]);
+        assert_eq!(p.select(&b, 3..3), Vec::<u32>::new());
     }
 
     #[test]
     fn filter_sel_evaluates_selected_rows_only() {
         let b = batch();
-        let e = gt(col(0), lit(2));
-        assert_eq!(e.eval_filter_sel(&b, &[0, 2, 4]), vec![2, 4]);
-        assert_eq!(e.eval_filter_sel(&b, &[]), Vec::<u32>::new());
+        let p = compiled(&gt(col(0), lit(2)));
+        assert_eq!(p.narrow(&b, vec![0, 2, 4]), vec![2, 4]);
+        assert_eq!(p.narrow(&b, vec![]), Vec::<u32>::new());
         // Matches the dense path intersected with the selection.
-        let dense = e.eval_filter(&b, 0..5);
-        let sel = [1u32, 2, 3];
-        let got = e.eval_filter_sel(&b, &sel);
+        let dense = p.select(&b, 0..5);
+        let sel = vec![1u32, 2, 3];
         let want: Vec<u32> = sel.iter().copied().filter(|r| dense.contains(r)).collect();
-        assert_eq!(got, want);
+        assert_eq!(p.narrow(&b, sel), want);
         // String predicates (both representations) agree too.
         let d = dict_batch();
-        let sp = prefix(col(2), "da");
-        assert_eq!(sp.eval_filter_sel(&d, &[2, 3, 4]), vec![3]);
-        assert_eq!(sp.eval_filter_sel(&b, &[2, 3, 4]), vec![3]);
+        let sp = compiled(&prefix(col(2), "da"));
+        assert_eq!(sp.narrow(&d, vec![2, 3, 4]), vec![3]);
+        assert_eq!(sp.narrow(&b, vec![2, 3, 4]), vec![3]);
         // Constant predicates work over an empty reference set.
-        let c = gt(lit(3), lit(2));
-        assert_eq!(c.eval_filter_sel(&b, &[1, 4]), vec![1, 4]);
+        let c = compiled(&gt(lit(3), lit(2)));
+        assert_eq!(c.narrow(&b, vec![1, 4]), vec![1, 4]);
+    }
+
+    #[test]
+    fn selection_input_gathers_the_leaves() {
+        let b = batch();
+        let sel = [4u32, 0, 2];
+        assert_eq!(col(0).eval(&b, Rows::Sel(&sel)), iv(vec![5, 1, 3]));
+        assert_eq!(col(3).eval(&b, Rows::Sel(&sel)), iv(vec![50, 10, 30]));
+        assert_eq!(
+            add(col(0), lit(1)).eval(&b, Rows::Sel(&sel)),
+            iv(vec![6, 2, 4])
+        );
+        let d = dict_batch();
+        assert_eq!(
+            prefix(col(2), "gr").eval(&d, Rows::Sel(&sel)).as_bool(),
+            &[true, false, false]
+        );
+    }
+
+    #[test]
+    fn constant_operands_stay_scalars() {
+        let b = batch();
+        assert_eq!(sub(lit(100), col(0)).eval(&b, 0..2), iv(vec![99, 98]));
+        assert_eq!(mul(col(1), lit(2)).eval(&b, 0..2), fv(vec![2.0, 1.0]));
+        assert_eq!(add(lit(1), lit(2)).eval(&b, 0..3), iv(vec![3, 3, 3]));
+        assert_eq!(
+            lt(lit(2), col(0)).eval(&b, 0..5).as_bool(),
+            &[false, false, true, true, true]
+        );
+        assert_eq!(
+            case(gt(col(0), lit(3)), col(0), lit(0)).eval(&b, 0..5),
+            iv(vec![0, 0, 0, 4, 5])
+        );
     }
 
     #[test]

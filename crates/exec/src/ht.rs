@@ -18,7 +18,7 @@
 //! complete (enforced by the pipeline boundary); this is what makes the
 //! low-cost synchronization sufficient.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use morsel_numa::{Residency, SocketId, DEFAULT_STRIPE};
 use morsel_storage::hash64;
@@ -33,6 +33,30 @@ fn tag_bit(hash: u64) -> u64 {
     1 << (HANDLE_BITS + ((hash >> 28) & 15) as u32)
 }
 
+/// `n` zeroed atomics straight from the allocator (`calloc`): the pages
+/// are not touched here, so the workers whose inserts first write them
+/// fault them in, in parallel, instead of one worker doing it inside
+/// `Stage::build` while the others idle.
+fn zeroed_atomics(n: usize) -> Vec<AtomicU64> {
+    const _: () = assert!(
+        std::mem::size_of::<AtomicU64>() == std::mem::size_of::<u64>()
+            && std::mem::align_of::<AtomicU64>() == std::mem::align_of::<u64>()
+    );
+    let mut words = std::mem::ManuallyDrop::new(vec![0u64; n]);
+    // SAFETY: `AtomicU64` has the size and bit validity of `u64` (std's
+    // documented guarantee) and, by the assertion above, its alignment
+    // on this target, so the buffer keeps the layout it was allocated
+    // with. `ManuallyDrop` hands its ownership to the new `Vec`, which
+    // is the only one to free it.
+    unsafe {
+        Vec::from_raw_parts(
+            words.as_mut_ptr().cast::<AtomicU64>(),
+            words.len(),
+            words.capacity(),
+        )
+    }
+}
+
 /// The lock-free tagged hash table.
 pub struct TaggedHashTable {
     directory: Vec<AtomicU64>,
@@ -42,10 +66,13 @@ pub struct TaggedHashTable {
     hashes: Vec<AtomicU64>,
     /// Next handle in chain (0 = end).
     nexts: Vec<AtomicU64>,
-    /// Outer-join match markers.
-    markers: Vec<AtomicBool>,
-    /// Tuple location of each entry: `area << 40 | row`.
-    locs: Vec<u64>,
+    /// Outer-join match markers, one bit per entry.
+    markers: Vec<AtomicU64>,
+    /// Entries are laid out area-major: area `a` owns the entry indexes
+    /// `bases[a]..bases[a + 1]`, so an entry's `(area, row)` follows from
+    /// these prefix sums (one element more than there are areas) and no
+    /// per-entry location is stored.
+    bases: Vec<usize>,
     /// Early-filtering enabled? (ablation knob; the paper always tags).
     tagging: bool,
     /// Simulated placement of the directory: interleaved across all nodes
@@ -64,30 +91,32 @@ impl TaggedHashTable {
     }
 
     pub fn with_tagging(area_rows: &[usize], sockets: u16, tagging: bool) -> Self {
-        let n: usize = area_rows.iter().sum();
-        let cap = (2 * n).next_power_of_two().max(16);
-        let shift = 64 - cap.trailing_zeros();
-        let mut locs = Vec::with_capacity(n);
-        for (area, &rows) in area_rows.iter().enumerate() {
-            // The loc word has room for 40-bit rows, but the batched
-            // probe's match lists store rows as u32 — enforce the tighter
-            // bound here (in release too) so they can never truncate.
+        // Candidate lists store the area and the row of a match as u32 —
+        // enforce both bounds here (in release too) so they can never
+        // truncate.
+        assert!(
+            area_rows.len() <= 1 << 8,
+            "too many areas for 8-bit area index"
+        );
+        let mut bases = Vec::with_capacity(area_rows.len() + 1);
+        let mut n = 0usize;
+        bases.push(0);
+        for &rows in area_rows {
             assert!(
                 rows <= u32::MAX as usize,
                 "area too large for 32-bit row index"
             );
-            assert!(area < (1 << 8), "too many areas for 8-bit area index");
-            for row in 0..rows {
-                locs.push(((area as u64) << 40) | row as u64);
-            }
+            n += rows;
+            bases.push(n);
         }
+        let cap = (2 * n).next_power_of_two().max(16);
         TaggedHashTable {
-            directory: (0..cap).map(|_| AtomicU64::new(0)).collect(),
-            shift,
-            hashes: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            nexts: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            markers: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            locs,
+            directory: zeroed_atomics(cap),
+            shift: 64 - cap.trailing_zeros(),
+            hashes: zeroed_atomics(n),
+            nexts: zeroed_atomics(n),
+            markers: zeroed_atomics(n.div_ceil(64)),
+            bases,
             tagging,
             residency: Residency::Interleaved {
                 sockets,
@@ -98,21 +127,21 @@ impl TaggedHashTable {
 
     /// Estimated allocation footprint of a table over `rows` build-side
     /// tuples: the directory (8 B/slot, sized to the next power of two
-    /// of at least twice the input) plus per-entry hash, next-pointer,
-    /// marker, and loc storage. Used to charge the owning query's
-    /// memory budget *before* the build pipeline allocates.
+    /// of at least twice the input) plus per-entry hash and next-pointer
+    /// and one marker bit. Used to charge the owning query's memory
+    /// budget *before* the build pipeline allocates.
     pub fn estimate_bytes(rows: usize) -> u64 {
         let cap = (2 * rows).next_power_of_two().max(16) as u64;
-        8 * cap + 25 * rows as u64
+        8 * cap + 16 * rows as u64 + rows.div_ceil(8) as u64
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.locs.len()
+        self.hashes.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.locs.is_empty()
+        self.hashes.is_empty()
     }
 
     /// Directory capacity (slots).
@@ -136,18 +165,19 @@ impl TaggedHashTable {
     }
 
     /// Global entry index for `(area, row)` — the handle minus one.
+    #[inline]
     pub fn entry_index(&self, area: usize, row: usize) -> usize {
-        let key = ((area as u64) << 40) | row as u64;
-        self.locs
-            .binary_search(&key)
-            .expect("unknown (area,row) for entry")
+        debug_assert!(row < self.bases[area + 1] - self.bases[area]);
+        self.bases[area] + row
     }
 
-    /// Tuple location of entry `idx`.
+    /// Tuple location of entry `idx`: the last area whose base is at or
+    /// below it (empty areas share their successor's base and are skipped).
     #[inline]
     pub fn loc(&self, idx: usize) -> (usize, usize) {
-        let packed = self.locs[idx];
-        ((packed >> 40) as usize, (packed & ((1 << 40) - 1)) as usize)
+        debug_assert!(idx < self.len());
+        let area = self.bases.partition_point(|&b| b <= idx) - 1;
+        (area, idx - self.bases[area])
     }
 
     /// Insert entry `idx` (pre-assigned to a build tuple) with `hash`.
@@ -201,32 +231,42 @@ impl TaggedHashTable {
 
     /// Batched probe over a whole hash vector (the pipeline's vectorized
     /// path). Pass 1 loads one directory word per hash and applies the tag
-    /// filter — a tight loop with no dependent loads between rows, so the
-    /// misses overlap. Pass 2 chain-walks only the survivors, invoking
-    /// `on_candidate(i, entry)` for every entry whose stored hash matches
-    /// `hashes[i]`. Candidates arrive grouped by ascending `i`, in the
-    /// same per-row chain order as [`TaggedHashTable::probe`]. Returns the
-    /// chain links traversed (cost accounting).
+    /// filter: it writes `(row, handle)` at a cursor that advances by
+    /// whether the word can hold the key, so the loop has no dependent
+    /// loads between rows (the misses overlap) and no data-dependent
+    /// branch (a selective probe mispredicts nothing). Pass 2 chain-walks
+    /// only the survivors, invoking `on_candidate(i, entry)` for every
+    /// entry whose stored hash matches `hashes[i]`. Candidates arrive by
+    /// ascending `i`, in the same per-row chain order as
+    /// [`TaggedHashTable::probe`]. Returns the chain links traversed (cost
+    /// accounting).
     pub fn probe_batch<F: FnMut(u32, usize)>(&self, hashes: &[u64], mut on_candidate: F) -> u64 {
-        let mut pending: Vec<(u32, u64)> = Vec::new();
-        for (i, &h) in hashes.iter().enumerate() {
-            let slot = (h >> self.shift) as usize;
-            let word = self.directory[slot].load(Ordering::Acquire);
-            if word == 0 || (self.tagging && word & tag_bit(h) == 0) {
-                continue;
-            }
-            pending.push((i as u32, word & HANDLE_MASK));
-        }
+        // With tagging off every non-empty slot passes: its handle bits
+        // join the tag bit in the test.
+        let untagged = if self.tagging { 0 } else { HANDLE_MASK };
+        // The two passes alternate over blocks of rows: long enough for
+        // the directory misses of a block to overlap, short enough for its
+        // survivor list to stay in L1.
+        const BLOCK: usize = 1024;
+        let mut pending = [(0u32, 0u64); BLOCK];
         let mut traversed = 0u64;
-        for (i, mut handle) in pending {
-            let h = hashes[i as usize];
-            while handle != 0 {
-                let idx = (handle - 1) as usize;
-                traversed += 1;
-                if self.hashes[idx].load(Ordering::Relaxed) == h {
-                    on_candidate(i, idx);
+        for (b, block) in hashes.chunks(BLOCK).enumerate() {
+            let mut k = 0;
+            for (j, &h) in block.iter().enumerate() {
+                let word = self.directory[(h >> self.shift) as usize].load(Ordering::Acquire);
+                pending[k] = ((b * BLOCK + j) as u32, word & HANDLE_MASK);
+                k += usize::from(word & (tag_bit(h) | untagged) != 0);
+            }
+            for &(i, mut handle) in &pending[..k] {
+                let h = hashes[i as usize];
+                while handle != 0 {
+                    let idx = (handle - 1) as usize;
+                    traversed += 1;
+                    if self.hashes[idx].load(Ordering::Relaxed) == h {
+                        on_candidate(i, idx);
+                    }
+                    handle = self.nexts[idx].load(Ordering::Acquire);
                 }
-                handle = self.nexts[idx].load(Ordering::Acquire);
             }
         }
         traversed
@@ -237,13 +277,14 @@ impl TaggedHashTable {
     /// advantageous to first check that the marker is not yet set").
     #[inline]
     pub fn set_marker(&self, idx: usize) {
-        if !self.markers[idx].load(Ordering::Relaxed) {
-            self.markers[idx].store(true, Ordering::Release);
+        let (word, bit) = (&self.markers[idx / 64], 1u64 << (idx % 64));
+        if word.load(Ordering::Relaxed) & bit == 0 {
+            word.fetch_or(bit, Ordering::Release);
         }
     }
 
     pub fn marker(&self, idx: usize) -> bool {
-        self.markers[idx].load(Ordering::Acquire)
+        self.markers[idx / 64].load(Ordering::Acquire) & (1 << (idx % 64)) != 0
     }
 
     /// Iterate all entry indexes that never matched (for build-side outer
@@ -327,18 +368,36 @@ mod tests {
 
     #[test]
     fn probe_batch_matches_scalar_probe() {
-        let ht = build_seq(10_000, true);
-        let hashes: Vec<u64> = (0..12_000u64).map(hash64).collect();
-        let mut batched: Vec<(u32, usize)> = Vec::new();
-        let traversed = ht.probe_batch(&hashes, |i, idx| batched.push((i, idx)));
-        let mut scalar: Vec<(u32, usize)> = Vec::new();
-        let mut scalar_traversed = 0u64;
-        for (i, &h) in hashes.iter().enumerate() {
-            scalar_traversed += u64::from(ht.probe(h, |idx| scalar.push((i as u32, idx))));
+        // 3 000 entries over 600 distinct keys, one of them with a chain of
+        // 60 duplicates; the directory is sized to at least twice the
+        // entries, so well over 30 % of its slots stay empty. Probed with
+        // hits, misses and repeats, tagging on and off: the batched pass
+        // must report the candidates of the per-row probe, in its order,
+        // and traverse as many links.
+        let n = 3_000usize;
+        let key = |row: usize| if row < 60 { 7 } else { (row % 600) as u64 };
+        for tagging in [true, false] {
+            let ht = TaggedHashTable::with_tagging(&[n], 4, tagging);
+            for row in 0..n {
+                ht.insert(row, hash64(key(row)));
+            }
+            let used: std::collections::HashSet<usize> = (0..n)
+                .map(|r| (hash64(key(r)) >> ht.shift) as usize)
+                .collect();
+            assert!(used.len() * 10 <= ht.capacity() * 7, "under 30 % empty");
+            let hashes: Vec<u64> = (0..4_000u64).map(|i| hash64(i % 1_500)).collect();
+            let mut batched: Vec<(u32, usize)> = Vec::new();
+            let traversed = ht.probe_batch(&hashes, |i, idx| batched.push((i, idx)));
+            let mut scalar: Vec<(u32, usize)> = Vec::new();
+            let mut scalar_traversed = 0u64;
+            for (i, &h) in hashes.iter().enumerate() {
+                scalar_traversed += u64::from(ht.probe(h, |idx| scalar.push((i as u32, idx))));
+            }
+            assert_eq!(batched, scalar, "tagging {tagging}");
+            assert_eq!(traversed, scalar_traversed, "tagging {tagging}");
+            let sevens = batched.iter().filter(|(i, _)| *i == 7).count();
+            assert!(sevens >= 60, "key 7 chains {sevens} duplicates");
         }
-        assert_eq!(batched, scalar);
-        assert_eq!(traversed, scalar_traversed);
-        assert_eq!(batched.len(), 10_000);
     }
 
     #[test]
@@ -366,6 +425,17 @@ mod tests {
     }
 
     #[test]
+    fn locations_skip_empty_areas() {
+        let ht = TaggedHashTable::new(&[0, 3, 0, 0, 2, 0], 4);
+        assert_eq!(ht.len(), 5);
+        let locs: Vec<(usize, usize)> = (0..5).map(|i| ht.loc(i)).collect();
+        assert_eq!(locs, vec![(1, 0), (1, 1), (1, 2), (4, 0), (4, 1)]);
+        for (idx, &(a, r)) in locs.iter().enumerate() {
+            assert_eq!(ht.entry_index(a, r), idx);
+        }
+    }
+
+    #[test]
     fn markers() {
         let ht = build_seq(10, true);
         assert_eq!(ht.unmatched().len(), 10);
@@ -375,6 +445,26 @@ mod tests {
         assert!(ht.marker(3));
         assert!(!ht.marker(4));
         assert_eq!(ht.unmatched(), vec![0, 1, 2, 4, 5, 6, 8, 9]);
+        // Markers past the first bitmap word.
+        let big = build_seq(200, true);
+        big.set_marker(64);
+        big.set_marker(199);
+        assert_eq!(big.unmatched().len(), 198);
+        assert!(big.marker(64) && big.marker(199) && !big.marker(63) && !big.marker(128));
+    }
+
+    #[test]
+    fn footprint_estimate_covers_the_allocation() {
+        for n in [0usize, 1, 100, 379_016] {
+            let ht = TaggedHashTable::new(&[n], 4);
+            let allocated =
+                8 * (ht.directory.len() + ht.hashes.len() + ht.nexts.len() + ht.markers.len());
+            let estimate = TaggedHashTable::estimate_bytes(n) as usize;
+            assert!(
+                estimate <= allocated && allocated < estimate + 8,
+                "{n}: estimate {estimate}, allocated {allocated}"
+            );
+        }
     }
 
     #[test]

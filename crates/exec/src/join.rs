@@ -38,8 +38,6 @@ pub struct HtInsertJob {
     ht: Arc<TaggedHashTable>,
     build: Arc<AreaSet>,
     key_cols: Vec<usize>,
-    /// Entry index base per area.
-    bases: Vec<usize>,
     out: JoinSlot,
     /// Profile slot of the join plan node (credited with build rows).
     prof_slot: Option<u32>,
@@ -62,17 +60,10 @@ impl HtInsertJob {
     ) -> Self {
         let rows: Vec<usize> = build.areas().iter().map(|a| a.rows()).collect();
         let ht = Arc::new(TaggedHashTable::with_tagging(&rows, sockets, tagging));
-        let mut bases = Vec::with_capacity(rows.len());
-        let mut acc = 0;
-        for r in &rows {
-            bases.push(acc);
-            acc += r;
-        }
         HtInsertJob {
             ht,
             build,
             key_cols,
-            bases,
             out,
             prof_slot: None,
         }
@@ -89,7 +80,6 @@ impl PipelineJob for HtInsertJob {
     fn run_morsel(&self, ctx: &mut TaskContext<'_>, morsel: Morsel) {
         let area = self.build.area(morsel.chunk);
         let batch = area.data();
-        let base = self.bases[morsel.chunk];
         let rows = morsel.range.len() as u64;
 
         // Stream the key columns from the area's node.
@@ -116,8 +106,8 @@ impl PipelineJob for HtInsertJob {
 
         // Columnar key hashing for the whole morsel, then the CAS loop.
         let hashes = hash_rows(batch, &self.key_cols, Rows::range(morsel.range.clone()));
-        for (i, row) in morsel.range.enumerate() {
-            self.ht.insert(base + row, hashes[i]);
+        for (row, hash) in morsel.range.zip(hashes) {
+            self.ht.insert(self.ht.entry_index(morsel.chunk, row), hash);
         }
     }
 
@@ -203,38 +193,26 @@ impl PipeOp for ProbeOp {
         ctx.read_spread(rows as u64 * weights::HT_DIR_BYTES);
 
         // One columnar hashing pass over the live rows, then the batched
-        // directory walk. Candidates carry both the underlying batch row
-        // (for key comparison and gather) and the position within the
-        // selection (for per-probe-row state in semi/anti/count).
+        // directory walk. Candidates name the underlying batch row, which
+        // is what the key comparison, the output gather and the per-row
+        // state of semi/anti/count all index by.
         let hashes = hash_rows(&input.batch, &self.probe_keys, input.rows_ref());
-        let sel = input.sel.as_deref();
-        let underlying = |i: u32| match sel {
-            Some(s) => s[i as usize],
-            None => i,
-        };
+        let live = input.rows_ref();
         let mut cand = MatchCandidates::with_capacity(rows);
         let traversed = jt.ht.probe_batch(&hashes, |i, entry| {
             let (a, r) = jt.ht.loc(entry);
-            cand.push(underlying(i), i, entry, a, r);
+            cand.push(live.at(i as usize) as u32, a, r);
         });
         cand.retain_key_equal(&input.batch, &self.probe_keys, &jt.build, &jt.key_cols);
 
         match self.kind {
             JoinKind::Inner | JoinKind::InnerMark => {
                 if self.kind == JoinKind::InnerMark {
-                    for &entry in &cand.entry {
-                        jt.ht.set_marker(entry);
+                    for (a, r) in cand.locs() {
+                        jt.ht.set_marker(jt.ht.entry_index(a, r));
                     }
                 }
-                self.charge_chain(
-                    ctx,
-                    traversed,
-                    &jt,
-                    cand.area
-                        .iter()
-                        .zip(&cand.row)
-                        .map(|(&a, &r)| (a as usize, r as usize)),
-                );
+                self.charge_chain(ctx, traversed, &jt, cand.locs());
                 // Assemble output: one gather per probe column through the
                 // match list, then one typed gather per build column.
                 // Dictionary columns gather codes and stay encoded.
@@ -261,16 +239,13 @@ impl PipeOp for ProbeOp {
             JoinKind::Semi | JoinKind::Anti => {
                 let want = self.kind == JoinKind::Semi;
                 self.charge_chain(ctx, traversed, &jt, std::iter::empty());
-                let mut found = vec![false; rows];
-                for &p in &cand.pos {
+                let mut found = vec![false; input.batch.rows()];
+                for &p in &cand.probe_row {
                     found[p as usize] = true;
                 }
                 // No copy: the output is a narrowed selection over the
                 // same underlying batch.
-                let out_sel: Vec<u32> = (0..rows as u32)
-                    .filter(|&i| found[i as usize] == want)
-                    .map(underlying)
-                    .collect();
+                let out_sel = live.select(|_, r| found[r] == want);
                 SelBatch {
                     batch: input.batch,
                     sel: Some(out_sel),
@@ -279,14 +254,16 @@ impl PipeOp for ProbeOp {
             }
             JoinKind::Count => {
                 self.charge_chain(ctx, traversed, &jt, std::iter::empty());
-                let mut counts = vec![0i64; rows];
-                for &p in &cand.pos {
+                let mut counts = vec![0i64; input.batch.rows()];
+                for &p in &cand.probe_row {
                     counts[p as usize] += 1;
+                }
+                if let Some(sel) = &input.sel {
+                    counts = sel.iter().map(|&r| counts[r as usize]).collect();
                 }
                 // The count column is dense over the live rows, so the
                 // probe side materializes here.
-                let dense = input.materialize(ctx);
-                let mut cols: Vec<Column> = dense.columns().to_vec();
+                let mut cols = input.materialize(ctx).into_columns();
                 cols.push(Column::I64(counts));
                 SelBatch::dense(Batch::from_columns(cols))
             }
@@ -457,18 +434,44 @@ impl ProbeOp {
         if self.build_cols.is_empty() {
             return;
         }
-        let mut per_area = vec![0u64; jt.build.areas().len()];
-        for (a, r) in match_locs {
-            for &bc in &self.build_cols {
-                per_area[a] += jt.build.area(a).data().column(bc).byte_size(r, r + 1);
-            }
-        }
-        for (a, bytes) in per_area.into_iter().enumerate() {
+        for (area, bytes) in
+            jt.build
+                .areas()
+                .iter()
+                .zip(payload_bytes(&jt.build, &self.build_cols, match_locs))
+        {
             if bytes > 0 {
-                ctx.read(jt.build.area(a).node(), bytes);
+                ctx.read(area.node(), bytes);
             }
         }
     }
+}
+
+/// Bytes of the payload columns `cols` that the matches at `match_locs`
+/// read, per build area — what `Column::byte_size(row, row + 1)` summed
+/// over every match and column comes to, without visiting a column per
+/// match: the matched rows are bucketed by area once, and
+/// `Column::selected_bytes` is `matches × width` for fixed-width and
+/// dictionary columns (only plain strings are walked for their lengths).
+fn payload_bytes(
+    build: &AreaSet,
+    cols: &[usize],
+    match_locs: impl Iterator<Item = (usize, usize)>,
+) -> Vec<u64> {
+    let mut rows: Vec<Vec<u32>> = vec![Vec::new(); build.areas().len()];
+    for (a, r) in match_locs {
+        rows[a].push(r as u32);
+    }
+    build
+        .areas()
+        .iter()
+        .zip(&rows)
+        .map(|(area, rows)| {
+            cols.iter()
+                .map(|&c| area.data().column(c).selected_bytes(rows))
+                .sum()
+        })
+        .collect()
 }
 
 /// Expose the set of build tuples that never matched, as a batch of the
@@ -500,33 +503,45 @@ mod tests {
         ExecEnv::new(Topology::nehalem_ex())
     }
 
-    /// Build an AreaSet with one area holding (key, payload) rows.
-    fn build_side(keys: &[i64], payload: &[i64]) -> Arc<AreaSet> {
+    /// Build an AreaSet with one area per `(keys, payload)` pair.
+    fn build_side(areas: &[(&[i64], &[i64])]) -> Arc<AreaSet> {
         let schema = Schema::new(vec![("bk", DataType::I64), ("bv", DataType::I64)]);
-        let mut area = StorageArea::new(SocketId(0), &schema.data_types());
-        area.data_mut().extend_from(&Batch::from_columns(vec![
-            Column::I64(keys.to_vec()),
-            Column::I64(payload.to_vec()),
-        ]));
-        Arc::new(AreaSet::new(schema, vec![area]))
+        let areas = areas
+            .iter()
+            .enumerate()
+            .map(|(i, (keys, payload))| {
+                let mut area = StorageArea::new(SocketId(i as u16), &schema.data_types());
+                area.data_mut().extend_from(&Batch::from_columns(vec![
+                    Column::I64(keys.to_vec()),
+                    Column::I64(payload.to_vec()),
+                ]));
+                area
+            })
+            .collect();
+        Arc::new(AreaSet::new(schema, areas))
     }
 
-    /// Run the insert job to completion over one area.
-    fn built_table(keys: &[i64], payload: &[i64]) -> JoinSlot {
+    /// Run the insert job to completion, one morsel per area.
+    fn built_areas(areas: &[(&[i64], &[i64])]) -> JoinSlot {
         let env = env();
         let slot = join_slot();
-        let build = build_side(keys, payload);
-        let job = HtInsertJob::new(Arc::clone(&build), vec![0], 4, slot.clone());
+        let job = HtInsertJob::new(build_side(areas), vec![0], 4, slot.clone());
         let mut ctx = TaskContext::new(&env, 0);
-        job.run_morsel(
-            &mut ctx,
-            Morsel {
-                chunk: 0,
-                range: 0..keys.len(),
-            },
-        );
+        for (chunk, (keys, _)) in areas.iter().enumerate() {
+            job.run_morsel(
+                &mut ctx,
+                Morsel {
+                    chunk,
+                    range: 0..keys.len(),
+                },
+            );
+        }
         job.finish(&mut ctx);
         slot
+    }
+
+    fn built_table(keys: &[i64], payload: &[i64]) -> JoinSlot {
+        built_areas(&[(keys, payload)])
     }
 
     fn probe_batch(keys: &[i64]) -> Batch {
@@ -687,38 +702,121 @@ mod tests {
 
     #[test]
     fn vectorized_probe_matches_scalar_for_all_kinds() {
-        let slot = built_table(&[1, 2, 2, 3, 5, 8], &[10, 20, 21, 30, 50, 80]);
+        // One-area and two-area builds (the second with an empty area in
+        // between), dense and selection-vector input.
+        let one = built_table(&[1, 2, 2, 3, 5, 8], &[10, 20, 21, 30, 50, 80]);
+        let two = built_areas(&[
+            (&[1, 2, 8], &[10, 20, 80]),
+            (&[], &[]),
+            (&[2, 3, 5, 2], &[21, 30, 50, 22]),
+        ]);
         let env = env();
         let mut ctx = TaskContext::new(&env, 0);
         let probe_keys: Vec<i64> = (0..64).map(|x| x % 11).collect();
-        for kind in [
-            JoinKind::Inner,
-            JoinKind::Semi,
-            JoinKind::Anti,
-            JoinKind::Count,
-        ] {
+        let sels = [
+            None,
+            Some((0..64).filter(|i| i % 3 != 1).collect::<Vec<u32>>()),
+            Some(vec![5, 40]),
+            Some(vec![]),
+        ];
+        for (slot, sel, kind) in [&one, &two].into_iter().flat_map(|slot| {
+            sels.iter().flat_map(move |sel| {
+                [
+                    JoinKind::Inner,
+                    JoinKind::Semi,
+                    JoinKind::Anti,
+                    JoinKind::Count,
+                ]
+                .map(|kind| (slot, sel, kind))
+            })
+        }) {
             let build_cols = if kind == JoinKind::Inner {
                 vec![1]
             } else {
                 vec![]
             };
-            let vec_op = ProbeOp {
+            let op = |scalar| ProbeOp {
                 table: slot.clone(),
                 probe_keys: vec![0],
                 kind,
                 build_cols: build_cols.clone(),
-                scalar: false,
+                scalar,
             };
-            let sc_op = ProbeOp {
+            let mut run = |scalar| {
+                let input = SelBatch {
+                    batch: probe_batch(&probe_keys),
+                    sel: sel.clone(),
+                };
+                op(scalar).apply(&mut ctx, input).materialize(&mut ctx)
+            };
+            assert_eq!(run(false), run(true), "kind {kind:?}, selection {sel:?}");
+        }
+    }
+
+    #[test]
+    fn inner_mark_marks_the_entries_it_matched() {
+        // Across two areas: the marker of a match is found from its
+        // (area, row), not carried with the candidate.
+        let run = |scalar: bool| {
+            let slot = built_areas(&[(&[1, 2], &[10, 20]), (&[3, 4, 2], &[30, 40, 21])]);
+            let op = ProbeOp {
                 table: slot.clone(),
                 probe_keys: vec![0],
-                kind,
-                build_cols,
-                scalar: true,
+                kind: JoinKind::InnerMark,
+                build_cols: vec![1],
+                scalar,
             };
-            let got = run_op(&vec_op, &mut ctx, probe_batch(&probe_keys));
-            let want = run_op(&sc_op, &mut ctx, probe_batch(&probe_keys));
-            assert_eq!(got, want, "kind {kind:?}");
+            let env = env();
+            let mut ctx = TaskContext::new(&env, 0);
+            let out = run_op(&op, &mut ctx, probe_batch(&[2, 4, 9]));
+            (out, slot.get().unwrap().ht.unmatched())
+        };
+        let (out, unmatched) = run(false);
+        assert_eq!(out.rows(), 3);
+        assert_eq!(unmatched, vec![0, 2]);
+        assert_eq!(run(true), (out, unmatched));
+    }
+
+    #[test]
+    fn payload_traffic_equals_the_per_row_sum() {
+        // Fixed-width, dictionary and plain string payload columns over two
+        // areas: the per-area totals are what summing
+        // `byte_size(row, row + 1)` over every match and column gives.
+        use morsel_storage::{DictColumn, Dictionary};
+        let schema = Schema::new(vec![
+            ("k", DataType::I64),
+            ("i", DataType::I32),
+            ("f", DataType::F64),
+            ("s", DataType::Str),
+            ("d", DataType::Str),
+        ]);
+        let dict = Dictionary::from_values(["x", "yy", "zzz"]);
+        let area = |node: u16, n: usize| {
+            let words: Vec<String> = (0..n).map(|i| "ab".repeat(i % 4)).collect();
+            let coded: Vec<String> = (0..n)
+                .map(|i| dict.get((i % 3) as u32).to_owned())
+                .collect();
+            let mut a = StorageArea::new(SocketId(node), &schema.data_types());
+            a.data_mut().extend_from(&Batch::from_columns(vec![
+                Column::I64((0..n as i64).collect()),
+                Column::I32((0..n as i32).collect()),
+                Column::F64((0..n).map(|i| i as f64).collect()),
+                Column::Str(words),
+                Column::Dict(DictColumn::encode(&dict, &coded).unwrap()),
+            ]));
+            a
+        };
+        let build = AreaSet::new(schema.clone(), vec![area(0, 9), area(1, 0), area(2, 5)]);
+        let locs = [(0, 3), (2, 4), (0, 3), (0, 8), (2, 0), (0, 1)];
+        for cols in [vec![1, 2, 3, 4], vec![1, 4], vec![3], vec![]] {
+            let mut want = vec![0u64; 3];
+            for &(a, r) in &locs {
+                for &c in &cols {
+                    want[a] += build.area(a).data().column(c).byte_size(r, r + 1);
+                }
+            }
+            let got = payload_bytes(&build, &cols, locs.iter().copied());
+            assert_eq!(got, want, "columns {cols:?}");
         }
     }
 

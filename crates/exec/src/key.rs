@@ -7,6 +7,8 @@
 //! ([`hash_rows`], [`MatchCandidates::retain_key_equal`]) dispatch once per
 //! column and run a monomorphised loop over a whole batch (optionally
 //! through a selection vector) — the hot path for joins and aggregation.
+//! [`Rows`], the row set every kernel iterates, also carries the one
+//! compaction loop all filters share ([`Rows::select`], [`narrow`]).
 //! See DESIGN.md §4 for the policy and §3 for float-key semantics.
 
 use std::ops::Range;
@@ -93,6 +95,12 @@ impl<'a> Rows<'a> {
     }
 }
 
+impl From<Range<usize>> for Rows<'_> {
+    fn from(r: Range<usize>) -> Self {
+        Rows::range(r)
+    }
+}
+
 /// Dispatch a per-value statement over both `Rows` layouts with the row
 /// variable bound. Keeps the inner loops free of per-row branching.
 macro_rules! for_each_row {
@@ -114,6 +122,39 @@ macro_rules! for_each_row {
 }
 
 pub(crate) use for_each_row;
+
+impl Rows<'_> {
+    /// Start a selection: the rows among these for which
+    /// `keep(position, row)` holds, in order. The loop every filter kernel
+    /// shares — it writes the row at a cursor that advances by
+    /// `keep as usize`, so no branch depends on the data and a 50 %
+    /// selective predicate costs what a 1 % one does.
+    #[inline]
+    pub fn select(self, keep: impl Fn(usize, usize) -> bool) -> Vec<u32> {
+        let mut out = vec![0u32; self.len()];
+        let mut k = 0;
+        for_each_row!(self, i, r, {
+            out[k] = r as u32;
+            k += usize::from(keep(i, r));
+        });
+        out.truncate(k);
+        out
+    }
+}
+
+/// Narrow a selection in place to the rows for which
+/// `keep(position, row)` holds: the same cursor loop as [`Rows::select`],
+/// compacting `sel` onto itself.
+#[inline]
+pub fn narrow(sel: &mut Vec<u32>, keep: impl Fn(usize, usize) -> bool) {
+    let mut k = 0;
+    for i in 0..sel.len() {
+        let r = sel[i];
+        sel[k] = r;
+        k += usize::from(keep(i, r as usize));
+    }
+    sel.truncate(k);
+}
 
 /// Columnar key hashing: one pass per key column, no per-row enum
 /// dispatch. Produces the same hashes as [`hash_row`] over the same rows
@@ -187,17 +228,14 @@ impl<'a> StrView<'a> {
 }
 
 /// Candidate matches of a batched probe, as a struct-of-arrays: for each
-/// candidate, the probe row (index into the probe batch), the hash-table
-/// entry, and its resolved `(area, row)` build location.
+/// candidate the probe row and the `(area, row)` build location — what the
+/// key check reads, and all any join kind consumes after it (the
+/// hash-table entry of a match follows from its location,
+/// [`crate::ht::TaggedHashTable::entry_index`]).
 #[derive(Debug, Default)]
 pub struct MatchCandidates {
     /// Row in the (unmaterialized) probe batch.
     pub probe_row: Vec<u32>,
-    /// Position of the probe row within the selection (equals `probe_row`
-    /// for dense input); used by semi/anti/count to index per-row state.
-    pub pos: Vec<u32>,
-    /// Hash-table entry index.
-    pub entry: Vec<usize>,
     /// Build area holding the candidate tuple.
     pub area: Vec<u32>,
     /// Row within that area.
@@ -208,8 +246,6 @@ impl MatchCandidates {
     pub fn with_capacity(n: usize) -> Self {
         MatchCandidates {
             probe_row: Vec::with_capacity(n),
-            pos: Vec::with_capacity(n),
-            entry: Vec::with_capacity(n),
             area: Vec::with_capacity(n),
             row: Vec::with_capacity(n),
         }
@@ -224,39 +260,36 @@ impl MatchCandidates {
     }
 
     #[inline]
-    pub fn push(&mut self, probe_row: u32, pos: u32, entry: usize, area: usize, row: usize) {
+    pub fn push(&mut self, probe_row: u32, area: usize, row: usize) {
         debug_assert!(area <= u32::MAX as usize && row <= u32::MAX as usize);
         self.probe_row.push(probe_row);
-        self.pos.push(pos);
-        self.entry.push(entry);
         self.area.push(area as u32);
         self.row.push(row as u32);
     }
 
+    /// `(area, row)` of every candidate, in order.
+    pub fn locs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.area
+            .iter()
+            .zip(&self.row)
+            .map(|(&a, &r)| (a as usize, r as usize))
+    }
+
     /// Keep only candidates whose `(probe_row, area, row)` satisfy `eq`,
     /// preserving order. The closure captures typed slices only, so each
-    /// call site monomorphises a branch-free compaction loop.
+    /// call site monomorphises a compaction loop whose cursor advances by
+    /// `keep as usize` — no data-dependent branch.
     #[inline]
     fn retain_where<F: FnMut(usize, usize, usize) -> bool>(&mut self, mut eq: F) {
         let mut w = 0;
         for i in 0..self.len() {
-            let keep = eq(
-                self.probe_row[i] as usize,
-                self.area[i] as usize,
-                self.row[i] as usize,
-            );
-            if keep {
-                self.probe_row[w] = self.probe_row[i];
-                self.pos[w] = self.pos[i];
-                self.entry[w] = self.entry[i];
-                self.area[w] = self.area[i];
-                self.row[w] = self.row[i];
-                w += 1;
-            }
+            let (p, a, r) = (self.probe_row[i], self.area[i], self.row[i]);
+            self.probe_row[w] = p;
+            self.area[w] = a;
+            self.row[w] = r;
+            w += usize::from(eq(p as usize, a as usize, r as usize));
         }
         self.probe_row.truncate(w);
-        self.pos.truncate(w);
-        self.entry.truncate(w);
         self.area.truncate(w);
         self.row.truncate(w);
     }
@@ -680,6 +713,28 @@ mod tests {
     }
 
     #[test]
+    fn select_and_narrow_compact_in_order() {
+        let even = |_: usize, r: usize| r.is_multiple_of(2);
+        assert_eq!(Rows::Range(3, 9).select(even), vec![4, 6, 8]);
+        assert_eq!(Rows::Range(3, 3).select(even), Vec::<u32>::new());
+        assert_eq!(Rows::range(0..3).select(|_, _| true), vec![0, 1, 2]);
+        let sel = [9u32, 2, 5, 4];
+        assert_eq!(Rows::Sel(&sel).select(even), vec![2, 4]);
+        // The position counts from the first row handed in.
+        assert_eq!(Rows::Range(3, 9).select(|i, _| i < 2), vec![3, 4]);
+        assert_eq!(Rows::Sel(&sel).select(|i, _| i != 1), vec![9, 5, 4]);
+        let mut v = vec![1u32, 2, 3, 4, 6];
+        narrow(&mut v, even);
+        assert_eq!(v, vec![2, 4, 6]);
+        narrow(&mut v, |i, _| i == 1);
+        assert_eq!(v, vec![4]);
+        narrow(&mut v, |_, _| false);
+        assert!(v.is_empty());
+        narrow(&mut v, even);
+        assert!(v.is_empty());
+    }
+
+    #[test]
     fn candidates_filter_and_gather() {
         use morsel_storage::DataType;
         // Build side: keys 10, 20, 30 with payloads "a", "b", "c".
@@ -694,13 +749,13 @@ mod tests {
         let mut cand = MatchCandidates::with_capacity(3);
         // Candidates pair probe rows with same-index build rows: only the
         // (0 -> 10) and (2 -> 30) pairs key-match.
-        cand.push(0, 0, 0, 0, 0);
-        cand.push(1, 1, 1, 0, 1);
-        cand.push(2, 2, 2, 0, 2);
+        cand.push(0, 0, 0);
+        cand.push(1, 0, 1);
+        cand.push(2, 0, 2);
         assert_eq!(cand.len(), 3);
         cand.retain_key_equal(&probe, &[0], &build, &[0]);
         assert_eq!(cand.probe_row, vec![0, 2]);
-        assert_eq!(cand.entry, vec![0, 2]);
+        assert_eq!(cand.locs().collect::<Vec<_>>(), vec![(0, 0), (0, 2)]);
         let payload = cand.gather_build_column(&build, 1);
         assert_eq!(payload.as_str(), &["a".to_owned(), "c".to_owned()]);
         // Filtering to empty keeps the gather well-defined.
@@ -723,8 +778,8 @@ mod tests {
         );
         let probe = Batch::from_columns(vec![Column::I64(vec![10, 21])]);
         let mut cand = MatchCandidates::with_capacity(2);
-        cand.push(0, 0, 0, 0, 0);
-        cand.push(1, 1, 1, 0, 1);
+        cand.push(0, 0, 0);
+        cand.push(1, 0, 1);
         cand.retain_key_equal(&probe, &[0], &build, &[0]);
         assert_eq!(cand.probe_row, vec![0]);
     }

@@ -1,7 +1,8 @@
 //! # morsel-exec
 //!
 //! Parallel relational operators for the morsel-driven engine: vectorized
-//! [`expr::Expr`] evaluation, the lock-free [`ht::TaggedHashTable`], fully
+//! [`expr::Expr`] evaluation, compiled selection-first filters
+//! ([`predicate::Predicate`]), the lock-free [`ht::TaggedHashTable`], fully
 //! pipelined [`join`]s (inner/semi/anti/outer-count), two-phase parallel
 //! [`agg`]regation, parallel merge [`sort`] and top-k, plus the
 //! [`plan::Plan`] tree and its [`plan::Compiler`] that lowers plans into
@@ -15,6 +16,7 @@ pub mod join;
 pub mod key;
 pub mod pipeline;
 pub mod plan;
+pub mod predicate;
 pub mod sink;
 pub mod sort;
 pub mod source;

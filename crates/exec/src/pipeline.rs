@@ -4,21 +4,25 @@
 //!
 //! Operators exchange a [`SelBatch`] — a batch plus an optional selection
 //! vector — instead of materializing a fresh batch after every predicate.
-//! Filters only narrow the selection; the copy is deferred to whoever
-//! genuinely needs compact data (the probe gather, a projection, the
-//! sink), or forced early by a density heuristic when the selection drops
-//! below `1/`[`SEL_COMPACT_DENOM`] of the underlying rows (at that point
-//! the gather is cheap and every later pass would otherwise keep streaming
-//! the sparse underlying columns). Policy details in DESIGN.md §4.
+//! Filters are compiled once per operator ([`Predicate`]) and only start
+//! or narrow the selection; the copy is deferred to whoever genuinely
+//! needs compact data (the probe gather, a projection, the sink), or
+//! forced early by a density heuristic when the selection drops below
+//! `1/`[`SEL_COMPACT_DENOM`] of the underlying rows (at that point the
+//! gather is cheap and every later pass would otherwise keep streaming
+//! the sparse underlying columns). The scan gathers each column its
+//! projection reads once, through the filter's selection. Policy details
+//! in DESIGN.md §4.
 
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use morsel_core::{Morsel, PipelineJob, TaskContext};
 use morsel_storage::{Batch, Column, DataType};
 
 use crate::expr::Expr;
 use crate::key::Rows;
+use crate::predicate::Predicate;
 use crate::sink::Sink;
 use crate::source::InputSource;
 use crate::weights;
@@ -26,13 +30,6 @@ use crate::weights;
 /// Compact a selection when fewer than `1/SEL_COMPACT_DENOM` of the
 /// underlying rows survive.
 pub const SEL_COMPACT_DENOM: usize = 8;
-
-/// When a filter's input selection keeps fewer than `1/SEL_EVAL_DENOM` of
-/// the underlying rows, evaluate the predicate over the *selected* rows
-/// only (gather-then-evaluate) instead of running the vectorized kernels
-/// over every underlying row and intersecting. Above this density the
-/// dense kernels win (no gather, better locality).
-pub const SEL_EVAL_DENOM: usize = 2;
 
 /// A batch with an optional selection vector of surviving row indexes
 /// (sorted ascending). `sel: None` means every row is live ("dense").
@@ -101,76 +98,62 @@ pub trait PipeOp: Send + Sync {
     fn out_types(&self, input: &[DataType]) -> Vec<DataType>;
 }
 
-/// Filter rows of the working batch by a predicate. Produces a narrowed
-/// selection vector; no column is copied unless the density heuristic
-/// decides the survivors are sparse enough to gather.
+/// Filter rows of the working batch by a predicate: starts a selection
+/// over a dense input, narrows the one it is given otherwise. No column is
+/// copied unless the density heuristic decides the survivors are sparse
+/// enough to gather.
 pub struct FilterOp {
     predicate: Expr,
-    /// Selection-aware evaluation plan (referenced columns + remapped
-    /// predicate), computed once on the first sparse morsel instead of
-    /// per batch — both are invariant for the operator's lifetime.
-    sel_plan: std::sync::OnceLock<crate::expr::SelEvalPlan>,
+    /// The predicate compiled against the operator's input types, which
+    /// the first batch brings.
+    compiled: OnceLock<Predicate>,
 }
 
 impl FilterOp {
     pub fn new(predicate: Expr) -> Self {
         FilterOp {
             predicate,
-            sel_plan: std::sync::OnceLock::new(),
+            compiled: OnceLock::new(),
         }
     }
 }
 
 impl PipeOp for FilterOp {
     fn apply(&self, ctx: &mut TaskContext<'_>, input: SelBatch) -> SelBatch {
+        let predicate = self.compiled.get_or_init(|| {
+            let types: Vec<DataType> = input
+                .batch
+                .columns()
+                .iter()
+                .map(Column::data_type)
+                .collect();
+            Predicate::compile(&self.predicate, &types)
+        });
         let underlying = input.batch.rows();
-        let out = match input.sel {
+        let per_row = f64::from(predicate.weight()) * weights::EXPR_NODE_NS;
+        let sel = match input.sel {
             None => {
-                ctx.cpu(
-                    underlying as u64,
-                    f64::from(self.predicate.weight()) * weights::EXPR_NODE_NS,
-                );
-                let sel = self.predicate.eval_filter(&input.batch, 0..underlying);
-                SelBatch {
-                    batch: input.batch,
-                    sel: Some(sel),
-                }
+                ctx.cpu(underlying as u64, per_row);
+                predicate.select(&input.batch, 0..underlying)
             }
-            // A sparse selection evaluates over the selected rows only:
-            // gather the referenced columns through the selection and run
-            // the dense kernels on that compact view. Cost is proportional
-            // to the survivors, not the underlying morsel.
-            Some(sel) if sel.len() * SEL_EVAL_DENOM < underlying => {
-                ctx.cpu(
-                    sel.len() as u64,
-                    f64::from(self.predicate.weight()) * weights::EXPR_NODE_NS + weights::GATHER_NS,
-                );
-                let plan = self
-                    .sel_plan
-                    .get_or_init(|| self.predicate.sel_eval_plan(input.batch.width()));
-                let sel = plan.eval_filter(&input.batch, &sel);
-                SelBatch {
-                    batch: input.batch,
-                    sel: Some(sel),
+            Some(sel) => {
+                // The modelled machine pays per selected row plus a gather
+                // under a sparse selection and per underlying row under a
+                // dense one (`weights::SPARSE_FILTER_DENOM`); the kernels
+                // here only ever touch the selected rows.
+                if sel.len() * weights::SPARSE_FILTER_DENOM < underlying {
+                    ctx.cpu(sel.len() as u64, per_row + weights::GATHER_NS);
+                } else {
+                    ctx.cpu(underlying as u64, per_row);
                 }
-            }
-            // Dense-ish selection: vectorized evaluation over all
-            // underlying rows, intersected with the selection.
-            Some(mut sel) => {
-                ctx.cpu(
-                    underlying as u64,
-                    f64::from(self.predicate.weight()) * weights::EXPR_NODE_NS,
-                );
-                let mask = self.predicate.eval(&input.batch, 0..underlying);
-                let mask = mask.as_bool();
-                sel.retain(|&r| mask[r as usize]);
-                SelBatch {
-                    batch: input.batch,
-                    sel: Some(sel),
-                }
+                predicate.narrow(&input.batch, sel)
             }
         };
-        out.compact_if_sparse(ctx)
+        SelBatch {
+            batch: input.batch,
+            sel: Some(sel),
+        }
+        .compact_if_sparse(ctx)
     }
 
     fn out_types(&self, input: &[DataType]) -> Vec<DataType> {
@@ -206,23 +189,33 @@ impl PipeOp for MapOp {
     }
 }
 
+/// How the scan produces one column of the working batch.
+enum Project {
+    /// Evaluate the expression (rewritten against the gathered columns).
+    Eval(Expr),
+    /// A bare reference: the gathered column itself, by move.
+    Take(usize),
+}
+
 /// A complete executable pipeline.
 pub struct ExecPipeline {
     source: Arc<dyn InputSource>,
     /// Filter over the *source* schema, applied during the scan.
-    filter: Option<Expr>,
+    filter: Option<Predicate>,
     /// Projection over the source schema building the working batch.
     projection: Vec<Expr>,
-    /// Source columns referenced by filter+projection (sorted).
+    /// Source columns referenced by filter+projection (sorted): what the
+    /// cost model charges the scan for reading and gathering.
     used: Vec<usize>,
-    /// Projection rewritten against the gathered `used` columns (the
-    /// filter runs against the source batch directly, so it needs no
-    /// rewrite).
-    projection_c: Vec<Expr>,
-    /// True when `projection_c` is exactly `col(0), col(1), ..` over every
-    /// gathered column — the projection then reuses the gathered batch
-    /// instead of re-copying each column.
-    identity_projection: bool,
+    /// Source columns the projection reads (sorted): what the scan
+    /// gathers. The filter runs against the source batch in place.
+    gathered: Vec<usize>,
+    /// One step per projected column, over the gathered columns.
+    steps: Vec<Project>,
+    /// Expression nodes the cost model charges per kept row for the
+    /// projection: none when it is exactly the `used` columns in order
+    /// with no `I32` among them (which a projection widens).
+    projection_weight: u32,
     ops: Vec<Box<dyn PipeOp>>,
     sink: Box<dyn Sink>,
     /// Extra per-tuple CPU charged at the scan (Volcano exchange
@@ -233,8 +226,9 @@ pub struct ExecPipeline {
     scan_slot: Option<u32>,
     /// Profile slot per entry of `ops` (parallel vector).
     op_slots: Vec<Option<u32>>,
-    /// Profile slot credited with the rows entering the sink (the
-    /// breaker plan node the sink feeds: agg or sort input cardinality).
+    /// Profile slot credited with the rows entering the sink and the time
+    /// it spends consuming them (the breaker plan node the sink feeds:
+    /// aggregation, sort, top-k).
     sink_slot: Option<u32>,
 }
 
@@ -246,35 +240,57 @@ impl ExecPipeline {
         ops: Vec<Box<dyn PipeOp>>,
         sink: Box<dyn Sink>,
     ) -> Self {
-        let mut used = Vec::new();
+        let src_types = source.types();
+        let mut gathered = Vec::new();
+        for p in &projection {
+            p.referenced_cols(&mut gathered);
+        }
+        gathered.sort_unstable();
+        let mut used = gathered.clone();
         if let Some(f) = &filter {
             f.referenced_cols(&mut used);
         }
-        for p in &projection {
-            p.referenced_cols(&mut used);
-        }
         used.sort_unstable();
-        let n_source = source.types().len();
-        let mut map = vec![None; n_source];
-        for (new, &old) in used.iter().enumerate() {
+        let identity = projection.len() == used.len()
+            && projection.iter().zip(&used).all(|(e, &u)| {
+                matches!(e, Expr::Col(c) if *c == u) && src_types[u] != DataType::I32
+            });
+        let projection_weight = if identity {
+            0
+        } else {
+            projection.iter().map(Expr::weight).sum()
+        };
+        let mut map = vec![None; src_types.len()];
+        for (new, &old) in gathered.iter().enumerate() {
             map[old] = Some(new);
         }
-        let projection_c: Vec<Expr> = projection.iter().map(|p| p.remap(&map)).collect();
-        // Identity only holds when eval would be a verbatim copy: same
-        // column order AND no I32 column (a `Col` eval widens I32 to I64,
-        // so skipping it would change the working schema).
-        let src_types = source.types();
-        let identity_projection = projection_c.len() == used.len()
-            && projection_c.iter().enumerate().all(|(i, e)| {
-                matches!(e, Expr::Col(c) if *c == i) && src_types[used[i]] != DataType::I32
-            });
+        // A bare reference takes its gathered column by move — unless it
+        // is `I32` (evaluation widens it) or a later bare reference wants
+        // the same column. Computed expressions are no obstacle: they are
+        // all evaluated before any column moves.
+        let steps = projection
+            .iter()
+            .enumerate()
+            .map(|(i, p)| match p {
+                Expr::Col(c)
+                    if src_types[*c] != DataType::I32
+                        && !projection[i + 1..]
+                            .iter()
+                            .any(|later| matches!(later, Expr::Col(l) if l == c)) =>
+                {
+                    Project::Take(map[*c].expect("projected column is gathered"))
+                }
+                computed => Project::Eval(computed.remap(&map)),
+            })
+            .collect();
         ExecPipeline {
             source,
-            filter,
+            filter: filter.map(|f| Predicate::compile(&f, &src_types)),
             projection,
             used,
-            projection_c,
-            identity_projection,
+            gathered,
+            steps,
+            projection_weight,
             ops,
             sink,
             extra_scan_ns: 0.0,
@@ -334,57 +350,59 @@ impl ExecPipeline {
             ctx.cpu(rows, self.extra_scan_ns);
         }
 
-        // Gather used columns (filtered) into a compact morsel batch. A
-        // selection that keeps every row (or no filter at all) takes the
-        // contiguous memcpy path instead of an indexed gather.
-        let sel: Option<Vec<u32>> = match &self.filter {
-            Some(f) => {
-                ctx.cpu(rows, f64::from(f.weight()) * weights::EXPR_NODE_NS);
-                Some(f.eval_filter(batch, range.clone()))
-            }
-            None => None,
-        };
-        let all_kept = sel.as_ref().is_none_or(|s| s.len() == range.len());
+        // The filter runs over the source columns where they lie and
+        // yields the selection every projected column is gathered through,
+        // once. A selection that keeps every row (or no filter at all)
+        // takes the contiguous memcpy path instead of an indexed gather.
+        let sel: Option<Vec<u32>> = self.filter.as_ref().map(|f| {
+            ctx.cpu(rows, f64::from(f.weight()) * weights::EXPR_NODE_NS);
+            f.select(batch, range.clone())
+        });
+        let sel = sel.filter(|s| s.len() < range.len());
+        let kept = sel.as_ref().map_or(range.len(), Vec::len);
         let gather_one = |c: usize| -> Column {
             // `with_capacity_like` keeps dictionary columns encoded: the
             // scan moves 4-byte codes, never strings.
             let src = batch.column(c);
-            if all_kept {
-                let mut col = Column::with_capacity_like(src, range.len());
-                col.extend_range(src, range.start, range.end);
-                col
-            } else {
-                let sel = sel.as_ref().expect("partial keep implies a selection");
-                let mut col = Column::with_capacity_like(src, sel.len());
-                col.extend_selected(src, sel);
-                col
+            let mut col = Column::with_capacity_like(src, kept);
+            match &sel {
+                Some(sel) => col.extend_selected(src, sel),
+                None => col.extend_range(src, range.start, range.end),
             }
+            col
         };
-        let cols: Vec<Column> = self.used.iter().map(|&c| gather_one(c)).collect();
-        let compact = if cols.is_empty() {
-            let types: Vec<DataType> = self
-                .used
-                .iter()
-                .map(|&c| batch.column(c).data_type())
-                .collect();
-            Batch::empty(&types)
-        } else {
-            Batch::from_columns(cols)
-        };
-        let kept = compact.rows() as u64;
-        ctx.cpu(kept, weights::GATHER_NS * self.used.len() as f64);
-
-        // Projection to the working batch. An identity projection reuses
-        // the gathered columns outright.
-        if self.identity_projection {
-            return compact;
+        let compact = Batch::from_columns(self.gathered.iter().map(|&c| gather_one(c)).collect());
+        // What the modelled scan pays: a gather of every referenced
+        // column, then the projection's expression work.
+        ctx.cpu(kept as u64, weights::GATHER_NS * self.used.len() as f64);
+        if self.projection_weight > 0 {
+            ctx.cpu(
+                kept as u64,
+                f64::from(self.projection_weight) * weights::EXPR_NODE_NS,
+            );
         }
-        let weight: u32 = self.projection_c.iter().map(Expr::weight).sum();
-        ctx.cpu(kept, f64::from(weight) * weights::EXPR_NODE_NS);
-        let out_cols: Vec<Column> = self
-            .projection_c
+
+        // Projection to the working batch: evaluate what is computed
+        // against the intact gathered batch, then move the bare column
+        // references out of it.
+        let mut computed = self
+            .steps
             .iter()
-            .map(|e| e.eval(&compact, 0..compact.rows()).into_column())
+            .filter_map(|step| match step {
+                Project::Eval(e) => Some(e.eval(&compact, 0..kept).into_column()),
+                Project::Take(_) => None,
+            })
+            .collect::<Vec<_>>()
+            .into_iter();
+        let mut gathered: Vec<Option<Column>> =
+            compact.into_columns().into_iter().map(Some).collect();
+        let out_cols = self
+            .steps
+            .iter()
+            .map(|step| match step {
+                Project::Eval(_) => computed.next().expect("one result per computed column"),
+                Project::Take(g) => gathered[*g].take().expect("a column moves once"),
+            })
             .collect();
         Batch::from_columns(out_cols)
     }
@@ -433,12 +451,18 @@ impl PipelineJob for ExecPipeline {
                 );
             }
         }
-        if profiling {
-            if let Some(slot) = self.sink_slot {
+        // The sink's share of the morsel (pre-aggregation, run building,
+        // the top-k heap) is credited to the breaker it feeds; a
+        // build-side materialisation has no slot and stays uncredited.
+        match self.sink_slot.filter(|_| profiling) {
+            Some(slot) => {
                 ctx.prof_rows_in(slot, working.rows() as u64);
+                let t = std::time::Instant::now();
+                self.sink.consume(ctx, working);
+                ctx.prof_wall_ns(slot, t.elapsed().as_nanos() as u64);
             }
+            None => self.sink.consume(ctx, working),
         }
-        self.sink.consume(ctx, working);
     }
 
     fn finish(&self, ctx: &mut TaskContext<'_>) {
@@ -511,6 +535,96 @@ mod tests {
         assert_eq!(snap.total_read(), 4 * 25 * 8);
     }
 
+    /// Run `projection` (under `filter`) over one 8-row chunk of
+    /// `a: I64 = 0..8`, `d: I32 = 10·a`, `b: I64 = 2·a`.
+    fn scan_once(filter: Option<Expr>, projection: Vec<Expr>) -> Batch {
+        let t = Topology::laptop();
+        let data = Batch::from_columns(vec![
+            Column::I64((0..8).collect()),
+            Column::I32((0..8).map(|x| x * 10).collect()),
+            Column::I64((0..8).map(|x| x * 2).collect()),
+        ]);
+        let rel = Arc::new(Relation::partitioned(
+            Schema::new(vec![
+                ("a", DataType::I64),
+                ("d", DataType::I32),
+                ("b", DataType::I64),
+            ]),
+            &data,
+            PartitionBy::Chunks,
+            1,
+            Placement::FirstTouch,
+            &t,
+        ));
+        let env = ExecEnv::new(t);
+        let pipe = ExecPipeline::new(rel, filter, projection, vec![], Box::new(NullSink));
+        pipe.scan(&mut TaskContext::new(&env, 0), 0, 0..8)
+    }
+
+    #[test]
+    fn scan_moves_a_column_only_after_its_last_reader() {
+        use crate::expr::add;
+        // A repeated column: the computed sibling and the earlier bare
+        // reference both still see it; only the last bare one moves it.
+        for filter in [None, Some(gt(col(0), lit(2)))] {
+            let kept: Vec<i64> = if filter.is_some() {
+                (3..8).collect()
+            } else {
+                (0..8).collect()
+            };
+            let out = scan_once(
+                filter,
+                vec![col(0), add(col(0), lit(1)), col(0), mul(col(2), col(0))],
+            );
+            assert_eq!(out.width(), 4);
+            assert_eq!(out.column(0).as_i64(), &kept[..]);
+            let plus_one: Vec<i64> = kept.iter().map(|x| x + 1).collect();
+            assert_eq!(out.column(1).as_i64(), &plus_one[..]);
+            assert_eq!(out.column(2).as_i64(), &kept[..]);
+            let squares: Vec<i64> = kept.iter().map(|x| 2 * x * x).collect();
+            assert_eq!(out.column(3).as_i64(), &squares[..]);
+        }
+    }
+
+    #[test]
+    fn scan_mixing_i32_and_i64_columns_widens_the_i32_ones() {
+        // The filter reads a column the projection does not: it is not
+        // gathered, and the projected ones come out in projection order.
+        let out = scan_once(Some(gt(col(2), lit(9))), vec![col(1), col(0), col(1)]);
+        assert_eq!(out.column(0).as_i64(), &[50, 60, 70]);
+        assert_eq!(out.column(1).as_i64(), &[5, 6, 7]);
+        assert_eq!(out.column(2).as_i64(), &[50, 60, 70]);
+        // A projection of constants alone keeps the row count.
+        let ones = scan_once(Some(gt(col(2), lit(9))), vec![lit(1)]);
+        assert_eq!(ones.column(0).as_i64(), &[1, 1, 1]);
+    }
+
+    #[test]
+    fn scan_charges_follow_the_referenced_columns_not_the_gathered_ones() {
+        // Filter on `b`, project `a`: the model reads and gathers both
+        // (16 bytes a row in, 2 gathers a kept row), charges the
+        // predicate's three nodes per row and the projection's one node
+        // per kept row — although only `a` is physically gathered.
+        let env = ExecEnv::new(Topology::nehalem_ex());
+        let rel = relation(100);
+        let pipe = ExecPipeline::new(
+            rel,
+            Some(gt(col(1), lit(149))),
+            vec![col(0)],
+            vec![],
+            Box::new(NullSink),
+        );
+        let mut ctx = TaskContext::new(&env, 0);
+        let out = pipe.scan(&mut ctx, 3, 0..25);
+        assert_eq!(out.column(0).as_i64(), &(75..100).collect::<Vec<_>>()[..]);
+        let want = 25.0 * 3.0 * weights::EXPR_NODE_NS
+            + 25.0 * 2.0 * weights::GATHER_NS
+            + 25.0 * weights::EXPR_NODE_NS;
+        let got = ctx.profile().cpu_ns;
+        assert!((got - want).abs() < 1e-9, "{got} vs {want}");
+        assert_eq!(env.counters().snapshot().total_read(), 25 * 16);
+    }
+
     #[test]
     fn filter_op_and_map_op_chain() {
         let env = ExecEnv::new(Topology::laptop());
@@ -529,6 +643,37 @@ mod tests {
         assert_eq!(out2.batch.column(0).as_i64(), &[30, 40]);
         assert_eq!(m.out_types(&[DataType::I64]), vec![DataType::I64]);
         assert_eq!(f.out_types(&[DataType::I64]), vec![DataType::I64]);
+    }
+
+    #[test]
+    fn filter_charge_depends_on_the_density_of_its_input() {
+        // The model's three cases (no selection, dense-ish, sparse); the
+        // kernels run the same cascade in all of them.
+        let env = ExecEnv::new(Topology::laptop());
+        let batch = Batch::from_columns(vec![Column::I64((0..100).collect())]);
+        let f = FilterOp::new(gt(col(0), lit(-1)));
+        let per_row = 3.0 * weights::EXPR_NODE_NS;
+        for (sel, want) in [
+            (None, 100.0 * per_row),
+            (Some((0..50).collect::<Vec<u32>>()), 100.0 * per_row),
+            (
+                Some((0..49).collect::<Vec<u32>>()),
+                49.0 * (per_row + weights::GATHER_NS),
+            ),
+        ] {
+            let mut ctx = TaskContext::new(&env, 0);
+            let rows = sel.as_ref().map_or(100, Vec::len);
+            let out = f.apply(
+                &mut ctx,
+                SelBatch {
+                    batch: batch.clone(),
+                    sel,
+                },
+            );
+            assert_eq!(out.rows(), rows);
+            let got = ctx.profile().cpu_ns;
+            assert!((got - want).abs() < 1e-9, "{got} vs {want}");
+        }
     }
 
     #[test]

@@ -16,6 +16,11 @@ pub const EXPR_NODE_NS: f64 = 1.0;
 /// Per tuple, per column gathered/copied into or out of a working batch.
 pub const GATHER_NS: f64 = 0.8;
 
+/// A filter whose input selection keeps fewer than one in
+/// `SPARSE_FILTER_DENOM` of the underlying rows is charged per selected
+/// row plus a gather; a denser one (or no selection) per underlying row.
+pub const SPARSE_FILTER_DENOM: usize = 2;
+
 /// Hashing a key (per tuple).
 pub const HASH_NS: f64 = 2.0;
 
@@ -48,7 +53,8 @@ pub const MERGE_NS: f64 = 2.5;
 /// discusses why on-the-fly exchange partitioning is not free).
 pub const EXCHANGE_NS: f64 = 3.0;
 
-/// Entry size charged per hash-table entry touched (hash + next + loc).
+/// Entry size charged per hash-table entry touched (hash + next + tuple
+/// pointer: the paper's entry, whatever this implementation stores).
 pub const HT_ENTRY_BYTES: u64 = 24;
 
 /// Directory word size.

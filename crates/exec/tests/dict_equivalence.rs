@@ -1,17 +1,26 @@
 //! Property tests: dictionary-encoded string columns are observationally
 //! equivalent to plain string columns through every string-touching
-//! operator — expression predicates (equality, ordering, prefix, IN,
-//! LIKE), selection-aware filter evaluation, group-by on string keys
-//! (both the flat-table fast path and the scalar reference path), and
-//! sorting on string keys. The plain representation is the oracle, in the
-//! spirit of the scalar-vs-vectorized equivalence tests of PR 1.
+//! operator — compiled predicates (equality, ordering, prefix, IN, LIKE)
+//! starting and narrowing selections, group-by on string keys (both the
+//! flat-table fast path and the scalar reference path), and sorting on
+//! string keys. The plain representation is the oracle, in the spirit of
+//! the scalar-vs-vectorized equivalence tests of PR 1.
+//!
+//! And, for every column type: the compiled predicate cascade
+//! (`morsel_exec::predicate`) selects exactly the rows the tree-walk mask
+//! evaluator (`Expr::eval`) marks, over random predicate trees
+//! (`cascade_matches_the_mask_evaluator`).
 
 use std::sync::Arc;
 
 use morsel_core::{result_slot, ExecEnv, Morsel, PipelineJob, TaskContext};
 use morsel_exec::agg::{agg_slot, AggFn, AggMergeJob, AggPartialSink, N_PARTITIONS};
-use morsel_exec::expr::{and, col, eq, ge, gt, in_str, le, like, lt, ne, prefix, Expr};
+use morsel_exec::expr::{
+    and, between, case, cmp, col, div, eq, ge, gt, in_i64, in_str, le, like, lit, litf, lits, lt,
+    ne, not, or, prefix, CmpOp, Expr,
+};
 use morsel_exec::pipeline::{FilterOp, PipeOp, SelBatch};
+use morsel_exec::predicate::Predicate;
 use morsel_exec::sink::{area_slot, Sink};
 use morsel_exec::sort::{sort_batch, SortKey};
 use morsel_numa::Topology;
@@ -146,12 +155,218 @@ fn run_group_by(batch: Batch, scalar_path: bool, capacity: usize) -> Vec<(String
     rows
 }
 
+/// Compile a predicate over the twin batches' schema.
+fn compiled(p: &Expr) -> Predicate {
+    Predicate::compile(p, &[DataType::Str, DataType::I64])
+}
+
+/// The batch the random predicate trees run over: column 0 `I32`, 1 `I64`,
+/// 2 `F64` (NaN, ±0 and an infinity among the values), 3 plain `Str`,
+/// 4 the same strings dictionary-encoded, 5 `I64` and 6 `I32` (second
+/// integer columns for column-versus-column comparisons). Small domains,
+/// so that equalities hit, with the integer extremes mixed in.
+fn typed_batch(vals: &[u8]) -> Batch {
+    let ints = |salt: u8| -> Vec<i64> {
+        vals.iter()
+            .map(|&v| match v.wrapping_add(salt) % 24 {
+                22 => i64::MIN,
+                23 => i64::MAX,
+                x => i64::from(x) - 6,
+            })
+            .collect()
+    };
+    let narrow = |v: Vec<i64>| -> Vec<i32> {
+        v.into_iter()
+            .map(|x| x.clamp(i64::from(i32::MIN), i64::from(i32::MAX)) as i32)
+            .collect()
+    };
+    const FLOATS: [f64; 8] = [-1.5, 0.0, -0.0, 0.5, 2.0, f64::NAN, f64::INFINITY, 7.25];
+    let strings: Vec<String> = vals.iter().map(|&v| word(v / 3)).collect();
+    let dict = Dictionary::from_values(WORDS.iter().copied());
+    Batch::from_columns(vec![
+        Column::I32(narrow(ints(0))),
+        Column::I64(ints(5)),
+        Column::F64(vals.iter().map(|&v| FLOATS[v as usize % 8]).collect()),
+        Column::Str(strings.clone()),
+        Column::Dict(DictColumn::encode(&dict, &strings).expect("domain covers words")),
+        Column::I64(ints(11)),
+        Column::I32(narrow(ints(17))),
+    ])
+}
+
+const TYPED: [DataType; 7] = [
+    DataType::I32,
+    DataType::I64,
+    DataType::F64,
+    DataType::Str,
+    DataType::Str,
+    DataType::I64,
+    DataType::I32,
+];
+
+/// Random predicate trees for `cascade_matches_the_mask_evaluator`.
+struct TreeGen(proptest::TestRng);
+
+impl TreeGen {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0.next_u64() % n
+    }
+
+    fn pick<T: Copy>(&mut self, of: &[T]) -> T {
+        of[self.below(of.len() as u64) as usize]
+    }
+
+    fn op(&mut self) -> CmpOp {
+        self.pick(&[
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ])
+    }
+
+    fn int_col(&mut self) -> Expr {
+        col(self.pick(&[0, 1, 5, 6]))
+    }
+
+    fn int_const(&mut self) -> i64 {
+        match self.below(8) {
+            0 => i64::MIN,
+            1 => i64::MAX,
+            2 => i64::from(i32::MIN) - 1,
+            3 => i64::from(i32::MAX) + 1,
+            _ => self.below(24) as i64 - 7,
+        }
+    }
+
+    fn str_const(&mut self) -> &'static str {
+        self.pick(CONSTS)
+    }
+
+    fn leaf(&mut self) -> Expr {
+        let str_col = col(self.pick(&[3, 4]));
+        match self.below(14) {
+            // Column versus constant, the constant on either side.
+            0 | 1 => cmp(self.op(), self.int_col(), lit(self.int_const())),
+            2 => cmp(self.op(), lit(self.int_const()), self.int_col()),
+            // BETWEEN, `lo > hi` included.
+            3 => between(self.int_col(), self.int_const(), self.int_const()),
+            // Two or three bounds on one column, contradictory ones included.
+            4 => {
+                let c = self.int_col();
+                let mut e = cmp(self.op(), c.clone(), lit(self.int_const()));
+                for _ in 0..1 + self.below(2) {
+                    e = and(e, cmp(self.op(), c.clone(), lit(self.int_const())));
+                }
+                e
+            }
+            5 => {
+                let n = self.below(4);
+                in_i64(self.int_col(), (0..n).map(|_| self.int_const()).collect())
+            }
+            // Column versus column across I32/I64.
+            6 => cmp(self.op(), self.int_col(), self.int_col()),
+            7 => {
+                let c = self.pick(&[-1.5, 0.0, 0.5, 2.0, f64::NAN, f64::INFINITY]);
+                cmp(self.op(), col(2), litf(c))
+            }
+            8 => cmp(self.op(), col(2), lit(self.below(4) as i64 - 1)),
+            9 => cmp(self.op(), str_col, lits(self.str_const())),
+            10 => {
+                let n = self.below(3);
+                let list: Vec<&str> = (0..n).map(|_| self.str_const()).collect();
+                in_str(str_col, &list)
+            }
+            11 => match self.below(3) {
+                0 => prefix(str_col, self.str_const()),
+                1 => like(str_col, &format!("%{}%", self.str_const())),
+                _ => like(str_col, &format!("{}%", self.str_const())),
+            },
+            // Arithmetic and CASE: the generic conjunct.
+            12 => cmp(
+                self.op(),
+                div(self.int_col(), lit(2)),
+                lit(self.below(12) as i64 - 4),
+            ),
+            _ => eq(
+                case(
+                    cmp(self.op(), self.int_col(), lit(self.int_const())),
+                    lit(1),
+                    lit(0),
+                ),
+                lit(1),
+            ),
+        }
+    }
+
+    fn tree(&mut self, depth: u32) -> Expr {
+        if depth == 0 {
+            return self.leaf();
+        }
+        match self.below(8) {
+            0..=3 => and(self.tree(depth - 1), self.tree(depth - 1)),
+            4 => or(self.tree(depth - 1), self.tree(depth - 1)),
+            5 => not(self.tree(depth - 1)),
+            _ => self.leaf(),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    /// The compiled cascade — flattened, fused, reordered, typed kernels
+    /// starting and narrowing selections — keeps exactly the rows the
+    /// tree-walk mask evaluator marks, whatever the predicate and whatever
+    /// rows it is handed: a range with a non-zero start, and an empty, a
+    /// full and a sparse selection.
+    ///
+    /// The oracle shares no kernel with the cascade (it compares evaluated
+    /// vectors; only the dictionary resolution of string constants is
+    /// common, and columns 3/4 check that against plain strings). Checked
+    /// against these mutations, each of which fails this test: `<` for
+    /// `<=` in the fused `IntRange` kernel (I64 or I32 arm); a generic
+    /// conjunct that forgets to re-base a sub-range (reads its mask by
+    /// row, `mask[r]`, instead of by position); `max`/`min` swapped when
+    /// bounds fuse; an unflipped operator for a constant on the left.
+    #[test]
+    fn cascade_matches_the_mask_evaluator(
+        vals in proptest::collection::vec(any::<u8>(), 1..160),
+        seed in any::<u64>(),
+        lo_frac in 1usize..100,
+        keep in proptest::collection::vec(0u8..3, 1..40),
+    ) {
+        let batch = typed_batch(&vals);
+        let n = batch.rows();
+        let mut gen = TreeGen(proptest::TestRng::for_case("tree", seed));
+        for _ in 0..8 {
+            let tree = gen.tree(4);
+            let oracle = tree.eval(&batch, 0..n);
+            let mask = oracle.as_bool();
+            let p = Predicate::compile(&tree, &TYPED);
+            let expect = |rows: &[u32]| -> Vec<u32> {
+                rows.iter().copied().filter(|&r| mask[r as usize]).collect()
+            };
+            let all: Vec<u32> = (0..n as u32).collect();
+            let lo = (lo_frac * n).div_ceil(100).min(n);
+            prop_assert_eq!(p.select(&batch, lo..n), expect(&all[lo..]), "{:?} on {}..{}", &tree, lo, n);
+            prop_assert_eq!(p.select(&batch, 0..n), expect(&all), "{:?}", &tree);
+            prop_assert_eq!(p.narrow(&batch, Vec::new()), Vec::<u32>::new(), "{:?}", &tree);
+            prop_assert_eq!(p.narrow(&batch, all.clone()), expect(&all), "{:?} on a full selection", &tree);
+            let sparse: Vec<u32> = all
+                .iter()
+                .copied()
+                .filter(|&r| keep[r as usize % keep.len()] == 0)
+                .collect();
+            prop_assert_eq!(p.narrow(&batch, sparse.clone()), expect(&sparse), "{:?} on {:?}", &tree, &sparse);
+        }
+    }
+
     /// Every string predicate selects exactly the same rows on the
-    /// dictionary-encoded twin as on the plain oracle, both through the
-    /// dense filter path and through arbitrary sub-ranges.
+    /// dictionary-encoded twin as on the plain oracle, both over the whole
+    /// batch and over arbitrary sub-ranges.
     #[test]
     fn predicates_select_identical_rows(
         codes in proptest::collection::vec(0u8..40, 1..200),
@@ -162,19 +377,20 @@ proptest! {
         let n = plain.rows();
         let lo = lo_frac * n / 100;
         for p in predicates(CONSTS[const_sel]) {
-            let want = p.eval_filter(&plain, 0..n);
-            let got = p.eval_filter(&dicted, 0..n);
-            prop_assert_eq!(&got, &want, "predicate {:?}", &p);
+            let c = compiled(&p);
+            let mask = p.eval(&plain, 0..n);
+            let want: Vec<u32> = (0..n as u32).filter(|&r| mask.as_bool()[r as usize]).collect();
+            prop_assert_eq!(&c.select(&plain, 0..n), &want, "plain {:?}", &p);
+            prop_assert_eq!(&c.select(&dicted, 0..n), &want, "dict {:?}", &p);
             // Sub-range evaluation slices the code vector the same way.
-            let want_sub = p.eval_filter(&plain, lo..n);
-            let got_sub = p.eval_filter(&dicted, lo..n);
-            prop_assert_eq!(&got_sub, &want_sub, "predicate {:?} on {}..{}", &p, lo, n);
+            let want_sub: Vec<u32> = want.iter().copied().filter(|&r| r as usize >= lo).collect();
+            prop_assert_eq!(&c.select(&plain, lo..n), &want_sub, "plain {:?} on {}..{}", &p, lo, n);
+            prop_assert_eq!(&c.select(&dicted, lo..n), &want_sub, "dict {:?} on {}..{}", &p, lo, n);
         }
     }
 
-    /// The selection-aware filter path (gather referenced columns, then
-    /// evaluate selected rows only) agrees with dense evaluation
-    /// intersected with the selection — on both representations.
+    /// Narrowing a selection agrees with dense evaluation intersected
+    /// with the selection — on both representations.
     #[test]
     fn filter_sel_matches_dense_intersection(
         codes in proptest::collection::vec(0u8..40, 1..200),
@@ -185,16 +401,16 @@ proptest! {
         let n = plain.rows();
         let sel: Vec<u32> = (0..n as u32).filter(|&i| keep[i as usize % keep.len()] == 0).collect();
         for p in predicates(CONSTS[const_sel]) {
-            let dense = p.eval_filter(&plain, 0..n);
+            let c = compiled(&p);
+            let dense = c.select(&plain, 0..n);
             let want: Vec<u32> = sel.iter().copied().filter(|r| dense.contains(r)).collect();
-            prop_assert_eq!(&p.eval_filter_sel(&plain, &sel), &want, "plain {:?}", &p);
-            prop_assert_eq!(&p.eval_filter_sel(&dicted, &sel), &want, "dict {:?}", &p);
+            prop_assert_eq!(&c.narrow(&plain, sel.clone()), &want, "plain {:?}", &p);
+            prop_assert_eq!(&c.narrow(&dicted, sel.clone()), &want, "dict {:?}", &p);
         }
     }
 
-    /// FilterOp over a SelBatch (which routes sparse selections through
-    /// the selected-rows path and dense ones through the kernels) produces
-    /// identical surviving rows for both representations.
+    /// FilterOp over a SelBatch, sparse or dense-ish, produces identical
+    /// surviving rows for both representations.
     #[test]
     fn filter_op_pipeline_equivalence(
         codes in proptest::collection::vec(0u8..40, 1..200),

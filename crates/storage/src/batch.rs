@@ -51,6 +51,11 @@ impl Batch {
         &self.columns
     }
 
+    /// Take the batch apart into its columns (no copy).
+    pub fn into_columns(self) -> Vec<Column> {
+        self.columns
+    }
+
     /// One full row as dynamic values (edge use: tests, result printing).
     pub fn row(&self, i: usize) -> Vec<Value> {
         self.columns.iter().map(|c| c.value(i)).collect()

@@ -47,6 +47,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use morsel_core::{EngineError, MemBudget, MemPool};
+use morsel_exec::predicate::Predicate;
 use morsel_exec::Expr;
 use morsel_storage::{
     delta_row_id, recovery, row_bytes, Batch, Catalog, DeltaStore, Relation, Schema, Value, Wal,
@@ -523,11 +524,14 @@ impl TxnDb {
             }
         };
         let own_deletes = txn.deleted_in(t);
+        // Compiled once per statement; base partitions, delta rows and
+        // pending rows all carry the table's column types.
+        let pred = Predicate::compile(pred, &base.schema().data_types());
         let (base_hits, delta_hits) = loop {
             let mut hits: Vec<(u64, usize, u32)> = Vec::new();
             let mut start = 0u64;
             for (pi, p) in base.partitions().iter().enumerate() {
-                let rows = pred.eval_filter(&p.data, 0..p.data.rows());
+                let rows = pred.select(&p.data, 0..p.data.rows());
                 hits.extend(rows.into_iter().map(|i| (start + u64::from(i), pi, i)));
                 start += p.data.rows() as u64;
             }
@@ -544,7 +548,7 @@ impl TxnDb {
             hits.retain(|&(id, _, _)| live(id));
             let rows = state.delta.rows();
             let delta_hits: Vec<(u64, Vec<Value>)> = pred
-                .eval_filter(rows, 0..rows.rows())
+                .select(rows, 0..rows.rows())
                 .into_iter()
                 .map(|i| (delta_row_id(i as usize), i))
                 .filter(|&(id, _)| live(id))
@@ -566,7 +570,7 @@ impl TxnDb {
                 rows.push_row(txn.pending[idx].1.clone());
             }
             out.extend(
-                pred.eval_filter(&rows, 0..rows.rows())
+                pred.select(&rows, 0..rows.rows())
                     .into_iter()
                     .map(|m| (PENDING_BIT | pending[m as usize] as u64, decoded(&rows, m))),
             );
@@ -1489,9 +1493,10 @@ mod tests {
     /// What the retained materialise-then-filter route matches.
     fn oracle(db: &TxnDb, txn: &Txn, table: &str, pred: &Expr) -> Vec<(u64, Vec<Value>)> {
         let (rows, ids, _) = db.visible_with_overlay(txn, table).unwrap();
-        pred.eval_filter(&rows, 0..rows.rows())
-            .into_iter()
-            .map(|m| (ids[m as usize], rows.row(m as usize)))
+        let mask = pred.eval(&rows, 0..rows.rows());
+        (0..rows.rows())
+            .filter(|&m| mask.as_bool()[m])
+            .map(|m| (ids[m], rows.row(m)))
             .collect()
     }
 

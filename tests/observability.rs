@@ -132,6 +132,39 @@ fn threaded_and_sim_profiles_agree_on_actual_rows() {
 }
 
 #[test]
+fn sink_time_is_credited_to_the_breaker_it_feeds() {
+    // Q1 is a filtered scan feeding a pre-aggregation on 2 keys with 8
+    // functions: about half of its worker time is spent inside the sink.
+    // Before `ExecPipeline::run_morsel` timed `Sink::consume`, the
+    // aggregation showed only its merge phase — well under 1 % — and the
+    // rest looked like dispatch overhead.
+    let topo = Topology::laptop();
+    let env = ExecEnv::new(topo.clone());
+    let db = generate_tpch(TpchConfig::scaled(0.01), &topo);
+    let run = run_sim(
+        &env,
+        "q1",
+        tpch_queries::query(&db, 1),
+        SystemVariant::full(),
+        2,
+        16_384,
+    );
+    let profile = run.profile.unwrap();
+    let agg = profile
+        .ops
+        .iter()
+        .find(|o| o.label.starts_with("agg"))
+        .expect("Q1 aggregates");
+    assert!(
+        agg.wall_ns * 5 >= profile.total_wall_ns(),
+        "aggregation credited {} of {} ns:\n{}",
+        agg.wall_ns,
+        profile.total_wall_ns(),
+        profile.render()
+    );
+}
+
+#[test]
 fn profiling_off_yields_no_profile_and_same_results() {
     let topo = Topology::laptop();
     let env = ExecEnv::new(topo.clone());
