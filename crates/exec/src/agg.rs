@@ -16,12 +16,10 @@ use std::sync::{Arc, OnceLock};
 
 use morsel_core::{Morsel, PipelineJob, ResultSlot, TaskContext};
 use morsel_numa::SocketId;
-use morsel_storage::{
-    AreaSet, Batch, Column, DataType, DictColumn, Dictionary, Schema, StorageArea,
-};
+use morsel_storage::{AreaSet, Batch, Column, DataType, Schema, StorageArea};
 use parking_lot::Mutex;
 
-use crate::key::{for_each_row, hash_rows, FxHashMap, FxHashSet, GroupKey, Rows};
+use crate::key::{for_each_row, FxHashSet, KeyLayout, Keys, Rows};
 use crate::pipeline::SelBatch;
 use crate::sink::{AreaSlot, Sink};
 use crate::weights;
@@ -58,255 +56,383 @@ impl AggFn {
             AggFn::CountDistinctI64(_) => DataType::I64,
         }
     }
+}
 
-    fn new_state(&self) -> AccState {
-        match self {
-            AggFn::Count => AccState::I64(0),
-            AggFn::SumI64(_) => AccState::I64(0),
-            AggFn::SumF64(_) => AccState::F64(0.0),
-            AggFn::MinI64(_) => AccState::I64(i64::MAX),
-            AggFn::MaxI64(_) => AccState::I64(i64::MIN),
-            AggFn::AvgI64(_) => AccState::Avg(0, 0),
-            AggFn::CountDistinctI64(_) => AccState::Set(FxHashSet::default()),
+/// What one lane of aggregate state accumulates. An aggregate reads one
+/// lane — `avg` a sum lane and a count lane — and aggregates that
+/// accumulate the same thing share it: `sum(x)`, `avg(x)`, `avg(y)` and
+/// `count(*)` are four lanes, not six.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LaneOp {
+    Count,
+    Sum(usize),
+    SumF64(usize),
+    Min(usize),
+    Max(usize),
+    Distinct(usize),
+}
+
+/// The distinct lanes `aggs` need and, per aggregate, the two lanes it
+/// reads (the second is the count of an `avg`, else the first again).
+fn lane_ops(aggs: &[AggFn]) -> (Vec<LaneOp>, Vec<(usize, usize)>) {
+    let mut ops = Vec::with_capacity(aggs.len() + 1);
+    let mut lane = |op: LaneOp| {
+        ops.iter().position(|o| *o == op).unwrap_or_else(|| {
+            ops.push(op);
+            ops.len() - 1
+        })
+    };
+    let of_agg = aggs
+        .iter()
+        .map(|f| {
+            let first = lane(match *f {
+                AggFn::Count => LaneOp::Count,
+                AggFn::SumI64(c) | AggFn::AvgI64(c) => LaneOp::Sum(c),
+                AggFn::SumF64(c) => LaneOp::SumF64(c),
+                AggFn::MinI64(c) => LaneOp::Min(c),
+                AggFn::MaxI64(c) => LaneOp::Max(c),
+                AggFn::CountDistinctI64(c) => LaneOp::Distinct(c),
+            });
+            match f {
+                AggFn::AvgI64(_) => (first, lane(LaneOp::Count)),
+                _ => (first, first),
+            }
+        })
+        .collect();
+    (ops, of_agg)
+}
+
+/// The state of one [`LaneOp`] for a run of groups, indexed by group.
+enum Lane {
+    I64(Vec<i64>),
+    F64(Vec<f64>),
+    Set(Vec<FxHashSet<i64>>),
+}
+
+impl Lane {
+    fn new(op: LaneOp) -> Lane {
+        match op {
+            LaneOp::SumF64(_) => Lane::F64(Vec::new()),
+            LaneOp::Distinct(_) => Lane::Set(Vec::new()),
+            _ => Lane::I64(Vec::new()),
         }
     }
 
-    fn update(&self, state: &mut AccState, batch: &Batch, row: usize) {
-        match (self, state) {
-            (AggFn::Count, AccState::I64(c)) => *c += 1,
-            (AggFn::SumI64(col), AccState::I64(s)) => *s += int_at(batch, *col, row),
-            (AggFn::SumF64(col), AccState::F64(s)) => *s += batch.column(*col).as_f64()[row],
-            (AggFn::MinI64(col), AccState::I64(m)) => *m = (*m).min(int_at(batch, *col, row)),
-            (AggFn::MaxI64(col), AccState::I64(m)) => *m = (*m).max(int_at(batch, *col, row)),
-            (AggFn::AvgI64(col), AccState::Avg(s, c)) => {
-                *s += int_at(batch, *col, row);
-                *c += 1;
-            }
-            (AggFn::CountDistinctI64(col), AccState::Set(set)) => {
-                set.insert(int_at(batch, *col, row));
-            }
-            (f, s) => panic!("aggregate state mismatch: {f:?} with {s:?}"),
-        }
-    }
-
-    fn merge(&self, into: &mut AccState, from: &AccState) {
-        match (self, into, from) {
-            (AggFn::Count | AggFn::SumI64(_), AccState::I64(a), AccState::I64(b)) => *a += b,
-            (AggFn::SumF64(_), AccState::F64(a), AccState::F64(b)) => *a += b,
-            (AggFn::MinI64(_), AccState::I64(a), AccState::I64(b)) => *a = (*a).min(*b),
-            (AggFn::MaxI64(_), AccState::I64(a), AccState::I64(b)) => *a = (*a).max(*b),
-            (AggFn::AvgI64(_), AccState::Avg(s, c), AccState::Avg(s2, c2)) => {
-                *s += s2;
-                *c += c2;
-            }
-            (AggFn::CountDistinctI64(_), AccState::Set(a), AccState::Set(b)) => {
-                a.extend(b.iter().copied());
-            }
-            (f, a, b) => panic!("cannot merge {f:?}: {a:?} with {b:?}"),
-        }
-    }
-
-    fn emit(&self, state: &AccState, out: &mut Column) {
-        match (self, state, out) {
-            (AggFn::Count | AggFn::SumI64(_), AccState::I64(v), Column::I64(col)) => col.push(*v),
-            (AggFn::MinI64(_) | AggFn::MaxI64(_), AccState::I64(v), Column::I64(col)) => {
-                col.push(*v)
-            }
-            (AggFn::SumF64(_), AccState::F64(v), Column::F64(col)) => col.push(*v),
-            (AggFn::AvgI64(_), AccState::Avg(s, c), Column::F64(col)) => {
-                col.push(if *c == 0 { 0.0 } else { *s as f64 / *c as f64 })
-            }
-            (AggFn::CountDistinctI64(_), AccState::Set(set), Column::I64(col)) => {
-                col.push(set.len() as i64)
-            }
-            (f, s, c) => panic!("cannot emit {f:?} state {s:?} into {:?}", c.data_type()),
+    /// Give every group up to `n` a state, new ones the identity of `op`.
+    fn grow(&mut self, op: LaneOp, n: usize) {
+        match (self, op) {
+            (Lane::I64(v), LaneOp::Min(_)) => v.resize(n, i64::MAX),
+            (Lane::I64(v), LaneOp::Max(_)) => v.resize(n, i64::MIN),
+            (Lane::I64(v), _) => v.resize(n, 0),
+            (Lane::F64(v), _) => v.resize(n, 0.0),
+            (Lane::Set(v), _) => v.resize_with(n, FxHashSet::default),
         }
     }
 }
 
-#[inline]
-fn int_at(batch: &Batch, col: usize, row: usize) -> i64 {
-    match batch.column(col) {
-        Column::I64(v) => v[row],
-        Column::I32(v) => i64::from(v[row]),
+/// Run `f(group, value)` over an integer column's rows: the column is
+/// matched once, the loop body is `f` inlined.
+#[inline(always)]
+fn fold_ints(col: &Column, rows: Rows<'_>, group_of: &[u32], mut f: impl FnMut(usize, i64)) {
+    match col {
+        Column::I64(v) => for_each_row!(rows, i, r, f(group_of[i] as usize, v[r])),
+        Column::I32(v) => for_each_row!(rows, i, r, f(group_of[i] as usize, i64::from(v[r]))),
         other => panic!("expected integer column, got {:?}", other.data_type()),
     }
 }
 
-/// A partial aggregate state vector.
-#[derive(Debug, Clone)]
-pub enum AccState {
-    I64(i64),
-    F64(f64),
-    Avg(i64, i64),
-    Set(FxHashSet<i64>),
+/// Phase-1 update: one typed pass per lane over `rows` of `batch`, whose
+/// `i`-th row belongs to group `group_of[i]`.
+fn update_lanes(
+    ops: &[LaneOp],
+    lanes: &mut [Lane],
+    batch: &Batch,
+    rows: Rows<'_>,
+    group_of: &[u32],
+) {
+    debug_assert_eq!(rows.len(), group_of.len());
+    // Sums over `i64` columns, the common case, share one pass: a row's
+    // position and group are read once and the lanes' read-modify-write
+    // chains overlap instead of queueing up behind one another.
+    let mut sums: Vec<(&mut [i64], &[i64])> = Vec::new();
+    for (op, lane) in ops.iter().zip(lanes) {
+        match (*op, lane) {
+            (LaneOp::Count, Lane::I64(s)) => {
+                for &g in group_of {
+                    s[g as usize] += 1;
+                }
+            }
+            (LaneOp::Sum(c), Lane::I64(s)) => match batch.column(c) {
+                Column::I64(v) => sums.push((s, v)),
+                col => fold_ints(col, rows, group_of, |g, x| s[g] += x),
+            },
+            (LaneOp::Min(c), Lane::I64(s)) => {
+                fold_ints(batch.column(c), rows, group_of, |g, x| s[g] = s[g].min(x))
+            }
+            (LaneOp::Max(c), Lane::I64(s)) => {
+                fold_ints(batch.column(c), rows, group_of, |g, x| s[g] = s[g].max(x))
+            }
+            (LaneOp::SumF64(c), Lane::F64(s)) => {
+                let v = batch.column(c).as_f64();
+                for_each_row!(rows, i, r, s[group_of[i] as usize] += v[r]);
+            }
+            (LaneOp::Distinct(c), Lane::Set(s)) => {
+                fold_ints(batch.column(c), rows, group_of, |g, x| {
+                    s[g].insert(x);
+                })
+            }
+            _ => unreachable!("a lane is built from its op"),
+        }
+    }
+    if !sums.is_empty() {
+        for_each_row!(rows, i, r, {
+            let g = group_of[i] as usize;
+            for (s, v) in &mut sums {
+                s[g] += v[r];
+            }
+        });
+    }
 }
 
-impl AccState {
-    #[inline]
-    fn as_i64_mut(&mut self) -> &mut i64 {
-        match self {
-            AccState::I64(v) => v,
-            other => panic!("expected I64 state, got {other:?}"),
-        }
-    }
-
-    #[inline]
-    fn as_f64_mut(&mut self) -> &mut f64 {
-        match self {
-            AccState::F64(v) => v,
-            other => panic!("expected F64 state, got {other:?}"),
-        }
-    }
-
-    #[inline]
-    fn as_avg_mut(&mut self) -> (&mut i64, &mut i64) {
-        match self {
-            AccState::Avg(s, c) => (s, c),
-            other => panic!("expected Avg state, got {other:?}"),
-        }
-    }
-
-    #[inline]
-    fn as_set_mut(&mut self) -> &mut FxHashSet<i64> {
-        match self {
-            AccState::Set(s) => s,
-            other => panic!("expected Set state, got {other:?}"),
+/// Phase-2 merge: fold the partial states `src` (entry `i` belongs to
+/// group `group_of[i]`) into `dst`, one typed pass per lane.
+fn merge_lanes(ops: &[LaneOp], dst: &mut [Lane], src: Vec<Lane>, group_of: &[u32]) {
+    for ((op, dst), src) in ops.iter().zip(dst).zip(src) {
+        let groups = group_of.iter().map(|&g| g as usize);
+        match (*op, dst, src) {
+            (LaneOp::Count | LaneOp::Sum(_), Lane::I64(d), Lane::I64(s)) => {
+                groups.zip(s).for_each(|(g, x)| d[g] += x)
+            }
+            (LaneOp::Min(_), Lane::I64(d), Lane::I64(s)) => {
+                groups.zip(s).for_each(|(g, x)| d[g] = d[g].min(x))
+            }
+            (LaneOp::Max(_), Lane::I64(d), Lane::I64(s)) => {
+                groups.zip(s).for_each(|(g, x)| d[g] = d[g].max(x))
+            }
+            (LaneOp::SumF64(_), Lane::F64(d), Lane::F64(s)) => {
+                groups.zip(s).for_each(|(g, x)| d[g] += x)
+            }
+            (LaneOp::Distinct(_), Lane::Set(d), Lane::Set(s)) => {
+                groups.zip(s).for_each(|(g, set)| {
+                    if d[g].is_empty() {
+                        d[g] = set;
+                    } else {
+                        d[g].extend(set);
+                    }
+                })
+            }
+            _ => unreachable!("a lane is built from its op"),
         }
     }
 }
 
-/// Approximate bytes of one spilled entry (key + states), for traffic
-/// accounting.
-fn entry_bytes(key: &GroupKey, states: &[AccState]) -> u64 {
-    let key_bytes = match key {
-        GroupKey::I64(_) => 8,
-        GroupKey::I64x2(..) => 16,
-        GroupKey::Str(s) => 8 + s.len() as u64,
-        GroupKey::Composite(parts) => parts.len() as u64 * 12,
-    };
-    key_bytes + 16 * states.len() as u64
+/// The result columns of `aggs`, each from the lanes `of_agg` names.
+fn emit_lanes(aggs: &[AggFn], of_agg: &[(usize, usize)], lanes: &[Lane]) -> Vec<Column> {
+    let avg = |(s, c): (&i64, &i64)| if *c == 0 { 0.0 } else { *s as f64 / *c as f64 };
+    let columns = aggs.iter().zip(of_agg);
+    let columns = columns.map(|(f, &(a, b))| match (f, &lanes[a], &lanes[b]) {
+        (AggFn::AvgI64(_), Lane::I64(sums), Lane::I64(counts)) => {
+            Column::F64(sums.iter().zip(counts).map(avg).collect())
+        }
+        (AggFn::CountDistinctI64(_), Lane::Set(sets), _) => {
+            Column::I64(sets.iter().map(|s| s.len() as i64).collect())
+        }
+        (AggFn::SumF64(_), Lane::F64(v), _) => Column::F64(v.clone()),
+        (_, Lane::I64(v), _) => Column::I64(v.clone()),
+        _ => unreachable!("{f:?} reads the lanes it was given"),
+    });
+    columns.collect()
 }
 
-/// A columnar run of spilled groups: `keys[i]`'s aggregate states live at
-/// `states[i*n_aggs .. (i+1)*n_aggs]`. Flat storage keeps spilling and
-/// merging free of per-entry heap allocations.
+/// A columnar run of groups — the contents of a pre-aggregation table, a
+/// spill fragment, or a merged partition: group `i` has hash `hashes[i]`,
+/// key `i` of `keys` and state `i` of every lane.
 #[derive(Default)]
-struct Fragment {
-    keys: Vec<GroupKey>,
-    states: Vec<AccState>,
+struct Groups {
+    hashes: Vec<u64>,
+    keys: Keys,
+    lanes: Vec<Lane>,
 }
 
-impl Fragment {
+impl Groups {
     fn len(&self) -> usize {
-        self.keys.len()
+        self.hashes.len()
     }
 
-    fn push(&mut self, key: GroupKey, states: impl IntoIterator<Item = AccState>) {
-        self.keys.push(key);
-        self.states.extend(states);
+    /// Approximate bytes of the entries (keys + one 16-byte state per
+    /// aggregate), for traffic accounting.
+    fn entry_bytes(&self, layout: &KeyLayout, n_aggs: usize) -> u64 {
+        layout.charged_bytes(&self.keys, self.len()) + (16 * n_aggs * self.len()) as u64
     }
 }
 
-/// Open-addressing pre-aggregation table with inline keys, addressed by a
-/// precomputed hash vector (the all-integer-key fast path). Sized at twice
-/// the flush capacity so the load factor stays ≤ 0.5. States are stored
-/// flat (`slots * n_aggs`), so inserting a group allocates nothing.
-struct FlatTable<K> {
-    keys: Vec<K>,
-    occupied: Vec<bool>,
-    states: Vec<AccState>,
-    n_aggs: usize,
-    mask: usize,
-    len: usize,
-    /// Distinct keys before a flush is forced.
+/// The spill partition of a group: the high bits of its hash (the table
+/// directories index with the low bits).
+#[inline]
+fn partition_of(hash: u64) -> usize {
+    (hash >> (64 - N_PARTITIONS.trailing_zeros())) as usize
+}
+
+/// Groups in a table before a batch is worth testing for clustered keys.
+const CLUSTER_MIN_GROUPS: usize = 64;
+
+/// High half of a directory word: the hash bits a probe compares before
+/// it looks at a key.
+const TAG: u64 = 0xffff_ffff_0000_0000;
+
+/// The one group table: an open-addressing directory over a dense run of
+/// groups, probed with precomputed hashes. Phase 1 bounds it at the
+/// pre-aggregation capacity and spills it when a new key arrives at a
+/// full table; phase 2 sizes it for a whole partition.
+struct GroupTable {
+    /// 0 = empty, else `hash & TAG | group index + 1`; at most half full.
+    dir: Vec<u64>,
+    groups: Groups,
+    /// Distinct keys before a spill is forced.
     capacity: usize,
+    /// The group of every key of the last [`Self::upsert`].
+    group_of: Vec<u32>,
 }
 
-impl<K: Copy + PartialEq + Default> FlatTable<K> {
-    fn new(capacity: usize, n_aggs: usize) -> Self {
-        let slots = (capacity.max(1) * 2).next_power_of_two();
-        FlatTable {
-            keys: vec![K::default(); slots],
-            occupied: vec![false; slots],
-            states: vec![AccState::I64(0); slots * n_aggs],
-            n_aggs,
-            mask: slots - 1,
-            len: 0,
+impl GroupTable {
+    fn new(expected: usize, capacity: usize, ops: &[LaneOp]) -> Self {
+        GroupTable {
+            dir: vec![0; (expected.max(1) * 2).next_power_of_two()],
+            groups: Groups {
+                lanes: ops.iter().map(|&op| Lane::new(op)).collect(),
+                ..Groups::default()
+            },
             capacity,
+            group_of: Vec::new(),
         }
     }
 
-    /// Find or insert `key`; `None` means the table is full on a new key
-    /// (the caller must flush and retry).
-    #[inline]
-    fn upsert(&mut self, hash: u64, key: K, aggs: &[AggFn]) -> Option<usize> {
-        let mut slot = (hash as usize) & self.mask;
-        loop {
-            if self.occupied[slot] {
-                if self.keys[slot] == key {
-                    return Some(slot);
-                }
-                slot = (slot + 1) & self.mask;
-            } else {
-                if self.len >= self.capacity {
-                    return None;
-                }
-                self.occupied[slot] = true;
-                self.keys[slot] = key;
-                let base = slot * self.n_aggs;
-                for (ai, f) in aggs.iter().enumerate() {
-                    self.states[base + ai] = f.new_state();
-                }
-                self.len += 1;
-                return Some(slot);
-            }
+    /// Find or insert keys `from..` of a run, leaving each one's group in
+    /// `group_of`, and give new groups their identity states. Stops early
+    /// — returning the position — at a new key that finds the table full;
+    /// the caller spills and resumes from there. `clustered`: try a row
+    /// against the key of the row before it first.
+    fn upsert(
+        &mut self,
+        layout: &KeyLayout,
+        ops: &[LaneOp],
+        hashes: &[u64],
+        keys: &Keys,
+        from: usize,
+        clustered: bool,
+    ) -> usize {
+        self.group_of.clear();
+        let stop = if layout.inline {
+            self.probe::<true>(hashes, keys, from, clustered)
+        } else {
+            self.probe::<false>(hashes, keys, from, clustered)
+        };
+        let n = self.groups.len();
+        for (lane, &op) in self.groups.lanes.iter_mut().zip(ops) {
+            lane.grow(op, n);
         }
+        stop
     }
 
-    /// Move every entry into its overflow partition fragment; returns the
-    /// spilled bytes.
-    fn drain_into(&mut self, to_key: impl Fn(K) -> GroupKey, spill: &mut [Fragment]) -> u64 {
-        let mut bytes = 0;
-        for slot in 0..self.keys.len() {
-            if self.occupied[slot] {
-                self.occupied[slot] = false;
-                let key = to_key(self.keys[slot]);
-                let base = slot * self.n_aggs;
-                let states = &mut self.states[base..base + self.n_aggs];
-                bytes += entry_bytes(&key, states);
-                let frag = &mut spill[partition_of(&key)];
-                frag.keys.push(key);
-                frag.states.extend(
-                    states
-                        .iter_mut()
-                        .map(|s| std::mem::replace(s, AccState::I64(0))),
-                );
+    /// The probe loop of [`Self::upsert`], once per key representation.
+    fn probe<const INLINE: bool>(
+        &mut self,
+        hashes: &[u64],
+        keys: &Keys,
+        from: usize,
+        clustered: bool,
+    ) -> usize {
+        let mask = self.dir.len() - 1;
+        let (groups, group_of) = (&mut self.groups, &mut self.group_of);
+        let mut group = 0;
+        for i in from..hashes.len() {
+            let h = hashes[i];
+            if clustered && i > from && h == hashes[i - 1] && keys.eq_at::<INLINE>(i, keys, i - 1) {
+                group_of.push(group);
+                continue;
+            }
+            let mut slot = h as usize & mask;
+            group = loop {
+                let word = self.dir[slot];
+                if word == 0 {
+                    if groups.len() >= self.capacity {
+                        return i;
+                    }
+                    let g = groups.len() as u32;
+                    self.dir[slot] = h & TAG | u64::from(g + 1);
+                    groups.hashes.push(h);
+                    groups.keys.push_from(keys, i);
+                    break g;
+                }
+                let g = word as u32 - 1;
+                if word & TAG == h & TAG && groups.keys.eq_at::<INLINE>(g as usize, keys, i) {
+                    break g;
+                }
+                slot = (slot + 1) & mask;
+            };
+            group_of.push(group);
+        }
+        hashes.len()
+    }
+
+    /// Move every group into its partition's fragment, column by column,
+    /// and empty the table; returns the bytes the model charges.
+    fn spill(
+        &mut self,
+        layout: &KeyLayout,
+        ops: &[LaneOp],
+        n_aggs: usize,
+        fragments: &mut [Groups],
+    ) -> u64 {
+        if self.groups.len() == 0 {
+            return 0;
+        }
+        let bytes = self.groups.entry_bytes(layout, n_aggs);
+        let Groups {
+            hashes,
+            keys,
+            lanes,
+        } = &mut self.groups;
+        for (i, &h) in hashes.iter().enumerate() {
+            let f = &mut fragments[partition_of(h)];
+            if f.lanes.is_empty() {
+                f.lanes = ops.iter().map(|&op| Lane::new(op)).collect();
+            }
+            f.hashes.push(h);
+            f.keys.push_from(keys, i);
+        }
+        for (l, lane) in lanes.iter_mut().enumerate() {
+            macro_rules! scatter {
+                ($kind:ident, $v:ident) => {
+                    for (x, &h) in $v.drain(..).zip(hashes.iter()) {
+                        match &mut fragments[partition_of(h)].lanes[l] {
+                            Lane::$kind(to) => to.push(x),
+                            _ => unreachable!("fragments share the table's lanes"),
+                        }
+                    }
+                };
+            }
+            match lane {
+                Lane::I64(v) => scatter!(I64, v),
+                Lane::F64(v) => scatter!(F64, v),
+                Lane::Set(v) => scatter!(Set, v),
             }
         }
-        self.len = 0;
+        hashes.clear();
+        keys.clear();
+        self.dir.fill(0);
         bytes
     }
 }
 
-/// Per-worker pre-aggregation state. The mode is picked on the first
-/// batch: inline `i64` / `(i64, i64)` keys with the flat table for
-/// all-integer group columns, the `GroupKey` hash map otherwise (strings,
-/// 3+ columns, or the scalar reference path).
-enum PreAgg {
-    /// Mode not yet decided (no batch seen).
-    Pending,
-    Scalar(FxHashMap<GroupKey, Vec<AccState>>),
-    /// Scalar (no GROUP BY) aggregation: exactly one group, no hashing.
-    Single(Vec<AccState>),
-    Int1(FlatTable<i64>),
-    Int2(FlatTable<(i64, i64)>),
-}
-
-/// Spilled partition fragments of one worker.
+/// Per-worker phase-1 state, allocated on the worker's first batch: the
+/// pre-aggregation table, one spill fragment per partition, and the
+/// scratch columns every morsel reuses.
 struct WorkerAgg {
-    table: PreAgg,
-    spill: Vec<Fragment>,
+    table: GroupTable,
+    spill: Vec<Groups>,
+    hashes: Vec<u64>,
+    keys: Keys,
 }
 
 /// Output of phase 1: per partition, fragments tagged with the node of
@@ -315,17 +441,16 @@ struct WorkerAgg {
 /// the mutex only guards that single handoff.
 pub struct AggPartitions {
     /// `parts[p]` = list of (node, fragment).
-    parts: Vec<Vec<(SocketId, Mutex<Fragment>)>>,
-    /// Per group column: the shared dictionary, when that column arrived
-    /// dictionary-encoded. Spilled keys for such columns are integer
-    /// *codes*; phase 2 emits them into a code column sharing this
-    /// dictionary (strings never materialize inside the aggregation).
-    group_dicts: Vec<Option<Arc<Dictionary>>>,
+    parts: Vec<Vec<(SocketId, Mutex<Groups>)>>,
+    /// Entries per partition, counted at the handoff.
+    rows: Vec<usize>,
+    /// The key layout phase 1 compiled; `None` if it saw no row.
+    layout: Option<Arc<KeyLayout>>,
 }
 
 impl AggPartitions {
     pub fn partition_rows(&self, p: usize) -> usize {
-        self.parts[p].iter().map(|(_, e)| e.lock().len()).sum()
+        self.rows[p]
     }
 }
 
@@ -336,26 +461,20 @@ pub fn agg_slot() -> AggSlot {
     Arc::new(Mutex::new(None))
 }
 
-#[inline]
-fn partition_of(key: &GroupKey) -> usize {
-    (key.hash() >> (64 - N_PARTITIONS.trailing_zeros())) as usize
-}
-
 /// Phase-1 sink: thread-local pre-aggregation with overflow partitioning.
 pub struct AggPartialSink {
     group_cols: Vec<usize>,
     aggs: Vec<AggFn>,
-    workers: Vec<Mutex<WorkerAgg>>,
+    ops: Vec<LaneOp>,
+    workers: Vec<Mutex<Option<WorkerAgg>>>,
     worker_nodes: Vec<SocketId>,
     out: AggSlot,
     capacity: usize,
-    /// Force the row-at-a-time `GroupKey` path (benches, property tests).
-    scalar: bool,
-    /// Dictionaries of dictionary-encoded group columns, captured from the
-    /// first batch (every batch of one pipeline shares them).
-    group_dicts: OnceLock<Vec<Option<Arc<Dictionary>>>>,
+    /// Compiled from the first batch (every batch of one pipeline has the
+    /// same column representations and shares its dictionaries).
+    layout: OnceLock<Arc<KeyLayout>>,
     /// Profile slot of the aggregation plan node (credited with spill
-    /// fragments).
+    /// fragments and the final flush).
     prof_slot: Option<u32>,
 }
 
@@ -378,276 +497,55 @@ impl AggPartialSink {
     ) -> Self {
         AggPartialSink {
             group_cols,
+            ops: lane_ops(&aggs).0,
             aggs,
-            workers: (0..worker_nodes.len())
-                .map(|_| {
-                    Mutex::new(WorkerAgg {
-                        table: PreAgg::Pending,
-                        spill: (0..N_PARTITIONS).map(|_| Fragment::default()).collect(),
-                    })
-                })
-                .collect(),
+            workers: worker_nodes.iter().map(|_| Mutex::new(None)).collect(),
             worker_nodes: worker_nodes.to_vec(),
             out,
             capacity: capacity.max(1),
-            scalar: false,
-            group_dicts: OnceLock::new(),
+            layout: OnceLock::new(),
             prof_slot: None,
         }
     }
 
-    /// Use the row-at-a-time reference path even for integer keys.
-    pub fn with_scalar_path(mut self, scalar: bool) -> Self {
-        self.scalar = scalar;
-        self
-    }
-
-    /// Credit spill fragments to the given profile slot.
+    /// Credit spill fragments and the final flush to the given profile
+    /// slot.
     pub fn with_prof_slot(mut self, slot: Option<u32>) -> Self {
         self.prof_slot = slot;
         self
     }
 
-    /// Pick the pre-aggregation mode for this sink given the first batch.
-    /// Dictionary-encoded string group columns count as integer columns —
-    /// their codes are the keys — which is what unlocks the flat-table
-    /// fast path for TPC-H's string group-bys (Q1 et al.).
-    fn make_table(&self, batch: &Batch) -> PreAgg {
-        let int_col = |c: usize| {
-            matches!(
-                batch.column(c),
-                Column::I64(_) | Column::I32(_) | Column::Dict(_)
-            )
-        };
-        if self.scalar {
-            return PreAgg::Scalar(FxHashMap::default());
-        }
-        match self.group_cols.as_slice() {
-            [] => PreAgg::Single(self.aggs.iter().map(AggFn::new_state).collect()),
-            [a] if int_col(*a) => PreAgg::Int1(FlatTable::new(self.capacity, self.aggs.len())),
-            [a, b] if int_col(*a) && int_col(*b) => {
-                PreAgg::Int2(FlatTable::new(self.capacity, self.aggs.len()))
+    /// Aggregate one batch into the worker's table: keys and hashes
+    /// column-at-a-time, then per flush-free segment one probe pass and
+    /// one typed update pass per lane. Returns the bytes spilled.
+    fn absorb(&self, w: &mut WorkerAgg, layout: &KeyLayout, input: &SelBatch) -> u64 {
+        let (batch, rows) = (&input.batch, input.rows_ref());
+        let (ops, n_aggs) = (self.ops.as_slice(), self.aggs.len());
+        layout.extract(batch, &self.group_cols, rows, &mut w.hashes, &mut w.keys);
+        // Clustered input (TPC-H Q18's `l_orderkey`): a row with the key of
+        // the row before it skips the probe. Tried where at least half the
+        // neighbours share their hash — otherwise the test is a coin flip
+        // the branch predictor loses — and the table has outgrown a handful
+        // of cache lines, below which a probe costs no more than the
+        // mispredictions the test brings even then (Q1's six groups).
+        let same = w.hashes.windows(2).filter(|p| p[0] == p[1]).count();
+        let clustered = w.table.groups.len() >= CLUSTER_MIN_GROUPS && same * 2 >= rows.len();
+        let (mut seg, mut spilled) = (0, 0);
+        loop {
+            let table = &mut w.table;
+            let stop = table.upsert(layout, ops, &w.hashes, &w.keys, seg, clustered);
+            let (lanes, segment) = (&mut table.groups.lanes, rows.slice(seg..stop));
+            update_lanes(ops, lanes, batch, segment, &table.group_of);
+            if stop == rows.len() {
+                return spilled;
             }
-            _ => PreAgg::Scalar(FxHashMap::default()),
-        }
-    }
-
-    /// Spill every in-table group to its overflow partition; returns the
-    /// spilled bytes.
-    fn flush(table: &mut PreAgg, spill: &mut [Fragment]) -> u64 {
-        match table {
-            PreAgg::Pending => 0,
-            PreAgg::Scalar(map) => {
-                let mut bytes = 0;
-                for (key, states) in map.drain() {
-                    bytes += entry_bytes(&key, &states);
-                    spill[partition_of(&key)].push(key, states);
-                }
-                bytes
-            }
-            // The one-group key mirrors `GroupKey::extract` over no
-            // columns, so partition routing agrees with the scalar path.
-            PreAgg::Single(states) => {
-                let key = GroupKey::I64(0);
-                let states = std::mem::take(states);
-                let bytes = entry_bytes(&key, &states);
-                spill[partition_of(&key)].push(key, states);
-                bytes
-            }
-            PreAgg::Int1(t) => t.drain_into(GroupKey::I64, spill),
-            PreAgg::Int2(t) => t.drain_into(|(a, b)| GroupKey::I64x2(a, b), spill),
+            // Full on a new key (paper Figure 8, "spill when ht becomes
+            // full"): the segment's updates are in, so the whole table
+            // goes to the overflow partitions and the key starts afresh.
+            spilled += w.table.spill(layout, ops, n_aggs, &mut w.spill);
+            seg = stop;
         }
     }
-
-    /// Reference path: per-row `GroupKey` extraction into the hash map.
-    fn consume_scalar(
-        &self,
-        map: &mut FxHashMap<GroupKey, Vec<AccState>>,
-        spill: &mut [Fragment],
-        batch: &Batch,
-        rows: Rows<'_>,
-    ) -> u64 {
-        let mut spilled = 0u64;
-        let n = rows.len();
-        for i in 0..n {
-            let row = rows.at(i);
-            let key = GroupKey::extract(batch, &self.group_cols, row);
-            if !map.contains_key(&key) && map.len() >= self.capacity {
-                // Pre-aggregation table full on a new key: flush it to the
-                // overflow partitions (paper Figure 8, "spill when ht
-                // becomes full").
-                let mut t = PreAgg::Scalar(std::mem::take(map));
-                spilled += Self::flush(&mut t, spill);
-                if let PreAgg::Scalar(m) = t {
-                    *map = m;
-                }
-            }
-            let entry = map
-                .entry(key)
-                .or_insert_with(|| self.aggs.iter().map(AggFn::new_state).collect());
-            for (f, st) in self.aggs.iter().zip(entry.iter_mut()) {
-                f.update(st, batch, row);
-            }
-        }
-        spilled
-    }
-
-    /// Fast path: columnar key extraction + precomputed hash vector into
-    /// the flat table, then one typed update pass per aggregate over each
-    /// flush-free segment.
-    #[allow(clippy::too_many_arguments)] // kernel plumbing: table + spill + batch views
-    fn consume_fast<K: Copy + PartialEq + Default>(
-        &self,
-        table: &mut FlatTable<K>,
-        spill: &mut [Fragment],
-        batch: &Batch,
-        rows: Rows<'_>,
-        keys: &[K],
-        hashes: &[u64],
-        to_key: impl Fn(K) -> GroupKey + Copy,
-    ) -> u64 {
-        let n = keys.len();
-        let n_aggs = self.aggs.len();
-        let mut slot_of: Vec<u32> = Vec::with_capacity(n);
-        let mut seg_start = 0;
-        let mut spilled = 0u64;
-        let mut i = 0;
-        while i < n {
-            match table.upsert(hashes[i], keys[i], &self.aggs) {
-                Some(slot) => {
-                    slot_of.push(slot as u32);
-                    i += 1;
-                }
-                None => {
-                    // Full on a new key: update the states for the segment
-                    // seen so far (their slots are still valid), then spill
-                    // the whole table and continue with an empty one.
-                    Self::apply_updates(
-                        &self.aggs,
-                        batch,
-                        rows.slice(seg_start..i),
-                        &slot_of,
-                        &mut table.states,
-                        n_aggs,
-                    );
-                    slot_of.clear();
-                    spilled += table.drain_into(to_key, spill);
-                    seg_start = i;
-                }
-            }
-        }
-        Self::apply_updates(
-            &self.aggs,
-            batch,
-            rows.slice(seg_start..n),
-            &slot_of,
-            &mut table.states,
-            n_aggs,
-        );
-        spilled
-    }
-
-    /// One typed pass per aggregate function over a segment: the column
-    /// is matched once, the inner loop only indexes slices and states.
-    fn apply_updates(
-        aggs: &[AggFn],
-        batch: &Batch,
-        seg_rows: Rows<'_>,
-        slot_of: &[u32],
-        states: &mut [AccState],
-        n_aggs: usize,
-    ) {
-        debug_assert_eq!(seg_rows.len(), slot_of.len());
-        for (ai, f) in aggs.iter().enumerate() {
-            match f {
-                AggFn::Count => {
-                    for &slot in slot_of {
-                        *states[slot as usize * n_aggs + ai].as_i64_mut() += 1;
-                    }
-                }
-                AggFn::SumI64(c) => match batch.column(*c) {
-                    Column::I64(v) => for_each_row!(seg_rows, i, r, {
-                        *states[slot_of[i] as usize * n_aggs + ai].as_i64_mut() += v[r];
-                    }),
-                    Column::I32(v) => for_each_row!(seg_rows, i, r, {
-                        *states[slot_of[i] as usize * n_aggs + ai].as_i64_mut() += i64::from(v[r]);
-                    }),
-                    other => panic!("expected integer column, got {:?}", other.data_type()),
-                },
-                AggFn::SumF64(c) => {
-                    let v = batch.column(*c).as_f64();
-                    for_each_row!(seg_rows, i, r, {
-                        *states[slot_of[i] as usize * n_aggs + ai].as_f64_mut() += v[r];
-                    });
-                }
-                AggFn::MinI64(c) => match batch.column(*c) {
-                    Column::I64(v) => for_each_row!(seg_rows, i, r, {
-                        let m = states[slot_of[i] as usize * n_aggs + ai].as_i64_mut();
-                        *m = (*m).min(v[r]);
-                    }),
-                    Column::I32(v) => for_each_row!(seg_rows, i, r, {
-                        let m = states[slot_of[i] as usize * n_aggs + ai].as_i64_mut();
-                        *m = (*m).min(i64::from(v[r]));
-                    }),
-                    other => panic!("expected integer column, got {:?}", other.data_type()),
-                },
-                AggFn::MaxI64(c) => match batch.column(*c) {
-                    Column::I64(v) => for_each_row!(seg_rows, i, r, {
-                        let m = states[slot_of[i] as usize * n_aggs + ai].as_i64_mut();
-                        *m = (*m).max(v[r]);
-                    }),
-                    Column::I32(v) => for_each_row!(seg_rows, i, r, {
-                        let m = states[slot_of[i] as usize * n_aggs + ai].as_i64_mut();
-                        *m = (*m).max(i64::from(v[r]));
-                    }),
-                    other => panic!("expected integer column, got {:?}", other.data_type()),
-                },
-                AggFn::AvgI64(c) => match batch.column(*c) {
-                    Column::I64(v) => for_each_row!(seg_rows, i, r, {
-                        let (s, cnt) = states[slot_of[i] as usize * n_aggs + ai].as_avg_mut();
-                        *s += v[r];
-                        *cnt += 1;
-                    }),
-                    Column::I32(v) => for_each_row!(seg_rows, i, r, {
-                        let (s, cnt) = states[slot_of[i] as usize * n_aggs + ai].as_avg_mut();
-                        *s += i64::from(v[r]);
-                        *cnt += 1;
-                    }),
-                    other => panic!("expected integer column, got {:?}", other.data_type()),
-                },
-                AggFn::CountDistinctI64(c) => match batch.column(*c) {
-                    Column::I64(v) => for_each_row!(seg_rows, i, r, {
-                        states[slot_of[i] as usize * n_aggs + ai]
-                            .as_set_mut()
-                            .insert(v[r]);
-                    }),
-                    Column::I32(v) => for_each_row!(seg_rows, i, r, {
-                        states[slot_of[i] as usize * n_aggs + ai]
-                            .as_set_mut()
-                            .insert(i64::from(v[r]));
-                    }),
-                    other => panic!("expected integer column, got {:?}", other.data_type()),
-                },
-            }
-        }
-    }
-}
-
-/// Extract an integer group column as widened `i64` keys. Dictionary
-/// columns contribute their codes — a valid key domain because all
-/// fragments of one aggregation share the dictionary.
-fn extract_i64_keys(col: &Column, rows: Rows<'_>) -> Vec<i64> {
-    let mut out = vec![0i64; rows.len()];
-    match col {
-        Column::I64(v) => for_each_row!(rows, i, r, out[i] = v[r]),
-        Column::I32(v) => for_each_row!(rows, i, r, out[i] = i64::from(v[r])),
-        Column::Dict(d) => {
-            let codes = d.codes();
-            for_each_row!(rows, i, r, out[i] = i64::from(codes[r]))
-        }
-        other => panic!("expected integer group column, got {:?}", other.data_type()),
-    }
-    out
 }
 
 impl Sink for AggPartialSink {
@@ -655,56 +553,21 @@ impl Sink for AggPartialSink {
         if input.is_empty() {
             return;
         }
-        let mut w = self.workers[ctx.worker].lock();
-        let rows = input.rows();
         ctx.cpu(
-            rows as u64,
+            input.rows() as u64,
             weights::HASH_NS + weights::AGG_UPDATE_NS * self.aggs.len() as f64,
         );
-        if matches!(w.table, PreAgg::Pending) {
-            w.table = self.make_table(&input.batch);
-        }
-        self.group_dicts.get_or_init(|| {
-            self.group_cols
-                .iter()
-                .map(|&c| {
-                    input
-                        .batch
-                        .column(c)
-                        .as_dict()
-                        .map(|d| Arc::clone(d.dict()))
-                })
-                .collect()
+        let layout = self
+            .layout
+            .get_or_init(|| Arc::new(KeyLayout::compile(&input.batch, &self.group_cols)));
+        let mut w = self.workers[ctx.worker].lock();
+        let w = w.get_or_insert_with(|| WorkerAgg {
+            table: GroupTable::new(self.capacity, self.capacity, &self.ops),
+            spill: (0..N_PARTITIONS).map(|_| Groups::default()).collect(),
+            hashes: Vec::new(),
+            keys: Keys::default(),
         });
-        let WorkerAgg { table, spill } = &mut *w;
-        let batch = &input.batch;
-        let row_ref = input.rows_ref();
-        let spilled_bytes = match table {
-            PreAgg::Pending => unreachable!("mode decided above"),
-            PreAgg::Scalar(map) => self.consume_scalar(map, spill, batch, row_ref),
-            PreAgg::Single(states) => {
-                // One group: typed update passes straight into the single
-                // state vector, no key extraction or lookup at all.
-                let slot_of = vec![0u32; rows];
-                let n_aggs = self.aggs.len();
-                Self::apply_updates(&self.aggs, batch, row_ref, &slot_of, states, n_aggs);
-                0
-            }
-            PreAgg::Int1(t) => {
-                let keys = extract_i64_keys(batch.column(self.group_cols[0]), row_ref);
-                let hashes = hash_rows(batch, &self.group_cols, row_ref);
-                self.consume_fast(t, spill, batch, row_ref, &keys, &hashes, GroupKey::I64)
-            }
-            PreAgg::Int2(t) => {
-                let a = extract_i64_keys(batch.column(self.group_cols[0]), row_ref);
-                let b = extract_i64_keys(batch.column(self.group_cols[1]), row_ref);
-                let keys: Vec<(i64, i64)> = a.into_iter().zip(b).collect();
-                let hashes = hash_rows(batch, &self.group_cols, row_ref);
-                self.consume_fast(t, spill, batch, row_ref, &keys, &hashes, |(x, y)| {
-                    GroupKey::I64x2(x, y)
-                })
-            }
-        };
+        let spilled_bytes = self.absorb(w, layout, &input);
         if spilled_bytes > 0 {
             if let Some(slot) = self.prof_slot {
                 ctx.prof_fragments(slot, 1);
@@ -720,17 +583,24 @@ impl Sink for AggPartialSink {
     }
 
     fn finish(&self, ctx: &mut TaskContext<'_>) {
-        let mut parts: Vec<Vec<(SocketId, Mutex<Fragment>)>> =
+        let prof = self.prof_slot.filter(|_| ctx.profiling());
+        let t0 = prof.map(|_| std::time::Instant::now());
+        let layout = self.layout.get();
+        let mut parts: Vec<Vec<(SocketId, Mutex<Groups>)>> =
             (0..N_PARTITIONS).map(|_| Vec::new()).collect();
+        let mut rows = vec![0; N_PARTITIONS];
         let mut bytes = 0;
-        for (wi, w) in self.workers.iter().enumerate() {
-            let mut w = w.lock();
-            let WorkerAgg { table, spill } = &mut *w;
-            bytes += Self::flush(table, spill);
-            let node = self.worker_nodes[wi];
-            for (p, frag) in w.spill.iter_mut().enumerate() {
+        for (w, &node) in self.workers.iter().zip(&self.worker_nodes) {
+            let (Some(mut w), Some(layout)) = (w.lock().take(), layout) else {
+                continue;
+            };
+            bytes += w
+                .table
+                .spill(layout, &self.ops, self.aggs.len(), &mut w.spill);
+            for (p, frag) in w.spill.into_iter().enumerate() {
                 if frag.len() > 0 {
-                    parts[p].push((node, Mutex::new(std::mem::take(frag))));
+                    rows[p] += frag.len();
+                    parts[p].push((node, Mutex::new(frag)));
                 }
             }
         }
@@ -738,12 +608,14 @@ impl Sink for AggPartialSink {
         // fragments that outlive this pipeline; account for them.
         let _ = ctx.try_reserve(bytes);
         ctx.write(ctx.socket, bytes);
-        let group_dicts = self
-            .group_dicts
-            .get()
-            .cloned()
-            .unwrap_or_else(|| vec![None; self.group_cols.len()]);
-        *self.out.lock() = Some(Arc::new(AggPartitions { parts, group_dicts }));
+        *self.out.lock() = Some(Arc::new(AggPartitions {
+            parts,
+            rows,
+            layout: layout.cloned(),
+        }));
+        if let (Some(slot), Some(t0)) = (prof, t0) {
+            ctx.prof_wall_ns(slot, t0.elapsed().as_nanos() as u64);
+        }
     }
 }
 
@@ -751,6 +623,9 @@ impl Sink for AggPartialSink {
 pub struct AggMergeJob {
     input: Arc<AggPartitions>,
     aggs: Vec<AggFn>,
+    ops: Vec<LaneOp>,
+    /// Per aggregate, the lanes of `ops` it is emitted from.
+    of_agg: Vec<(usize, usize)>,
     /// Output schema: group columns then aggregate columns.
     schema: Schema,
     areas: Vec<Mutex<StorageArea>>,
@@ -760,7 +635,7 @@ pub struct AggMergeJob {
     /// the SQL default row (count = 0, sum = 0, ...).
     scalar_default: Option<Vec<AggFn>>,
     /// Profile slot of the aggregation plan node (credited with emitted
-    /// groups and merge wall time).
+    /// groups and the wall time of merging and emitting them).
     prof_slot: Option<u32>,
 }
 
@@ -774,8 +649,11 @@ impl AggMergeJob {
         result: Option<ResultSlot>,
     ) -> Self {
         let types = schema.data_types();
+        let (ops, of_agg) = lane_ops(&aggs);
         AggMergeJob {
             input,
+            ops,
+            of_agg,
             aggs,
             schema,
             areas: worker_nodes
@@ -814,105 +692,72 @@ impl AggMergeJob {
             })
             .collect()
     }
+
+    /// Merge partition `p`'s fragments into one table sized for them,
+    /// probing with the hashes phase 1 stored, and emit its groups — key
+    /// columns then aggregate columns, in bulk — into the worker's local
+    /// area. Returns the number of groups.
+    fn merge_and_emit(&self, ctx: &mut TaskContext<'_>, p: usize) -> usize {
+        let Some(layout) = &self.input.layout else {
+            return 0;
+        };
+        let entries = self.input.rows[p];
+        let mut table = GroupTable::new(entries, usize::MAX, &self.ops);
+        for (node, frag) in &self.input.parts[p] {
+            // Exclusive consumption: take the fragment, its sets and all.
+            let frag = std::mem::take(&mut *frag.lock());
+            ctx.read(*node, frag.entry_bytes(layout, self.aggs.len()));
+            // A fragment holds each key once per spill: never clustered.
+            table.upsert(layout, &self.ops, &frag.hashes, &frag.keys, 0, false);
+            merge_lanes(
+                &self.ops,
+                &mut table.groups.lanes,
+                frag.lanes,
+                &table.group_of,
+            );
+        }
+        ctx.cpu(
+            entries as u64,
+            weights::AGG_MERGE_NS * self.aggs.len() as f64,
+        );
+        let groups = table.groups;
+        let n_groups = groups.len();
+        if n_groups == 0 {
+            return 0;
+        }
+        let types = self.schema.data_types();
+        let mut cols = layout.emit(
+            &groups.keys,
+            n_groups,
+            &types[..types.len() - self.aggs.len()],
+        );
+        cols.extend(emit_lanes(&self.aggs, &self.of_agg, &groups.lanes));
+        let batch = Batch::from_columns(cols);
+        // The merged partition's result rows are retained in the worker
+        // area until the next stage consumes them.
+        if ctx.try_reserve(batch.total_bytes()).is_ok() {
+            let mut area = self.areas[ctx.worker].lock();
+            ctx.write(area.node(), batch.total_bytes());
+            area.data_mut().append(batch);
+        }
+        n_groups
+    }
 }
 
 impl PipelineJob for AggMergeJob {
     fn run_morsel(&self, ctx: &mut TaskContext<'_>, morsel: Morsel) {
         // One morsel = one whole partition (the dispatcher is configured
         // with an unbounded morsel size for this job).
-        let prof = (ctx.profiling() && self.prof_slot.is_some()).then(std::time::Instant::now);
-        let p = morsel.chunk;
-        let fragments = &self.input.parts[p];
-        let n_aggs = self.aggs.len();
-        // Slot map + flat state storage: each distinct group gets a stride
-        // of `n_aggs` states in `flat`; the map only holds the slot.
-        let mut table: FxHashMap<GroupKey, u32> = FxHashMap::default();
-        let mut flat: Vec<AccState> = Vec::new();
-        let mut entries = 0u64;
-        for (node, frag) in fragments {
-            // Exclusive consumption: take the fragment and move its
-            // entries into the table (first occurrence of a group needs no
-            // clone of key or states).
-            let frag = std::mem::take(&mut *frag.lock());
-            let bytes: u64 = frag
-                .keys
-                .iter()
-                .zip(frag.states.chunks_exact(n_aggs))
-                .map(|(k, s)| entry_bytes(k, s))
-                .sum();
-            ctx.read(*node, bytes);
-            entries += frag.len() as u64;
-            let mut states = frag.states.into_iter();
-            for key in frag.keys {
-                match table.entry(key) {
-                    std::collections::hash_map::Entry::Occupied(o) => {
-                        let base = *o.get() as usize * n_aggs;
-                        for (ai, f) in self.aggs.iter().enumerate() {
-                            let b = states.next().expect("fragment state stride");
-                            f.merge(&mut flat[base + ai], &b);
-                        }
-                    }
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        v.insert((flat.len() / n_aggs) as u32);
-                        flat.extend(states.by_ref().take(n_aggs));
-                    }
-                }
-            }
-        }
-        ctx.cpu(entries, weights::AGG_MERGE_NS * self.aggs.len() as f64);
-
-        // Emit: group key columns then aggregate columns, straight into
-        // the worker's local area.
-        let n_groups = table.len();
-        if let (Some(slot), Some(t0)) = (self.prof_slot, prof) {
+        let prof = self.prof_slot.filter(|_| ctx.profiling());
+        let t0 = prof.map(|_| std::time::Instant::now());
+        let n_groups = self.merge_and_emit(ctx, morsel.chunk);
+        if let (Some(slot), Some(t0)) = (prof, t0) {
             // The merged groups of this partition are the aggregation's
             // output rows (each partition is consumed exactly once);
             // `rows_in` is credited at the phase-1 sink, not here.
             ctx.prof_rows_out(slot, n_groups as u64);
             ctx.prof_wall_ns(slot, t0.elapsed().as_nanos() as u64);
         }
-        if n_groups == 0 {
-            return;
-        }
-        let types = self.schema.data_types();
-        let n_group_cols = types.len() - self.aggs.len();
-        // Group columns that arrived dictionary-encoded emit code columns
-        // sharing the pipeline's dictionary; everything else by type.
-        let mut cols: Vec<Column> = types
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| {
-                if i < n_group_cols {
-                    if let Some(Some(dict)) = self.input.group_dicts.get(i) {
-                        return Column::Dict(DictColumn::with_capacity(Arc::clone(dict), n_groups));
-                    }
-                }
-                Column::with_capacity(t, n_groups)
-            })
-            .collect();
-        for (key, slot) in &table {
-            if n_group_cols > 0 {
-                key.push_into(&mut cols[..n_group_cols]);
-            }
-            let base = *slot as usize * n_aggs;
-            for (ai, (f, col)) in self
-                .aggs
-                .iter()
-                .zip(cols[n_group_cols..].iter_mut())
-                .enumerate()
-            {
-                f.emit(&flat[base + ai], col);
-            }
-        }
-        let batch = Batch::from_columns(cols);
-        // The merged partition's result rows are retained in the worker
-        // area until the next stage consumes them.
-        if ctx.try_reserve(batch.total_bytes()).is_err() {
-            return;
-        }
-        let mut area = self.areas[ctx.worker].lock();
-        ctx.write(area.node(), batch.total_bytes());
-        area.data_mut().extend_from(&batch);
     }
 
     fn finish(&self, ctx: &mut TaskContext<'_>) {
@@ -965,6 +810,11 @@ pub fn scalar_default_row(aggs: &[AggFn]) -> Vec<morsel_storage::Value> {
         })
         .collect()
 }
+
+/// The row-at-a-time oracle the equivalence suites share.
+#[cfg(test)]
+#[path = "../tests/common/agg_reference.rs"]
+mod agg_reference;
 
 #[cfg(test)]
 mod tests {
@@ -1185,55 +1035,10 @@ mod tests {
         assert_eq!(row[1], morsel_storage::Value::F64(0.0));
     }
 
-    /// Like `run_agg` but forcing the row-at-a-time reference path.
-    fn run_agg_scalar(
-        group_cols: Vec<usize>,
-        aggs: Vec<AggFn>,
-        schema: Schema,
-        batches: Vec<Batch>,
-        capacity: usize,
-    ) -> Batch {
-        let env = env();
-        let nodes = env.worker_sockets(2);
-        let slot = agg_slot();
-        let sink =
-            AggPartialSink::with_capacity(group_cols, aggs.clone(), &nodes, slot.clone(), capacity)
-                .with_scalar_path(true);
-        let mut ctx = TaskContext::new(&env, 0);
-        for b in batches {
-            sink.consume(&mut ctx, crate::pipeline::SelBatch::dense(b));
-        }
-        sink.finish(&mut ctx);
-        let parts = slot.lock().take().unwrap();
-        let out = area_slot();
-        let result = result_slot();
-        let job = AggMergeJob::new(
-            parts.clone(),
-            aggs,
-            schema,
-            &nodes,
-            out,
-            Some(result.clone()),
-        );
-        for p in 0..N_PARTITIONS {
-            if parts.partition_rows(p) > 0 {
-                job.run_morsel(
-                    &mut ctx,
-                    Morsel {
-                        chunk: p,
-                        range: 0..parts.partition_rows(p),
-                    },
-                );
-            }
-        }
-        job.finish(&mut ctx);
-        let batch = result.lock().take().unwrap();
-        batch
-    }
-
     #[test]
     fn fast_path_matches_scalar_path() {
-        // Single i64 key, all aggregate kinds, through spills (capacity 8).
+        // Single i64 key (an inline key), all aggregate kinds, through
+        // spills (capacity 8), against the row-at-a-time oracle.
         let n = 5_000i64;
         let batch = Batch::from_columns(vec![
             Column::I64((0..n).map(|x| (x * 7) % 400).collect()),
@@ -1256,16 +1061,10 @@ mod tests {
             AggFn::AvgI64(1),
             AggFn::CountDistinctI64(1),
         ];
-        let fast = run_agg(
-            vec![0],
-            aggs.clone(),
-            schema.clone(),
-            vec![batch.clone()],
-            8,
-        );
-        let scalar = run_agg_scalar(vec![0], aggs, schema, vec![batch], 8);
-        assert_eq!(sorted_by_key(&fast), sorted_by_key(&scalar));
-        assert_eq!(fast.rows(), 400);
+        let want = agg_reference::group_by(&[(batch.clone(), None)], &[0], &aggs);
+        let got = run_agg(vec![0], aggs, schema, vec![batch], 8);
+        assert_eq!(agg_reference::sorted_atoms(&got), want);
+        assert_eq!(got.rows(), 400);
     }
 
     #[test]
@@ -1282,22 +1081,28 @@ mod tests {
             ("sum", DataType::I64),
         ]);
         let aggs = vec![AggFn::SumI64(2)];
-        let fast = run_agg(
-            vec![0, 1],
-            aggs.clone(),
-            schema.clone(),
-            vec![batch.clone()],
-            16,
-        );
-        let scalar = run_agg_scalar(vec![0, 1], aggs, schema, vec![batch], 16);
-        let key2 = |b: &Batch| {
-            let mut rows: Vec<Vec<morsel_storage::Value>> =
-                (0..b.rows()).map(|i| b.row(i)).collect();
-            rows.sort_by_key(|r| (r[0].as_i64(), r[1].as_i64()));
-            rows
-        };
-        assert_eq!(key2(&fast), key2(&scalar));
-        assert_eq!(fast.rows(), 13 * 7);
+        let want = agg_reference::group_by(&[(batch.clone(), None)], &[0, 1], &aggs);
+        let got = run_agg(vec![0, 1], aggs, schema, vec![batch], 16);
+        assert_eq!(agg_reference::sorted_atoms(&got), want);
+        assert_eq!(got.rows(), 13 * 7);
+    }
+
+    #[test]
+    fn float_group_keys_group_by_value() {
+        // -0.0 groups with 0.0 and every NaN with every other NaN.
+        let other_nan = f64::from_bits(f64::NAN.to_bits() | 1);
+        let batch = Batch::from_columns(vec![
+            Column::F64(vec![0.0, -0.0, 1.5, f64::NAN, other_nan, 1.5, -0.0]),
+            Column::I64(vec![1, 2, 4, 8, 16, 32, 64]),
+        ]);
+        let schema = Schema::new(vec![("g", DataType::F64), ("sum", DataType::I64)]);
+        let aggs = vec![AggFn::SumI64(1)];
+        let want = agg_reference::group_by(&[(batch.clone(), None)], &[0], &aggs);
+        let got = run_agg(vec![0], aggs, schema, vec![batch], 2);
+        assert_eq!(agg_reference::sorted_atoms(&got), want);
+        let mut sums = got.column(1).as_i64().to_vec();
+        sums.sort_unstable();
+        assert_eq!(sums, vec![8 + 16, 4 + 32, 1 + 2 + 64]);
     }
 
     #[test]
@@ -1354,8 +1159,59 @@ mod tests {
 
     #[test]
     fn partition_routing_is_stable() {
-        let k = GroupKey::I64(42);
-        assert_eq!(partition_of(&k), partition_of(&GroupKey::I64(42)));
-        assert!(partition_of(&k) < N_PARTITIONS);
+        // Routing is the top bits of the per-part hash fold the model was
+        // calibrated with: `hash_i64` of an integer, a dictionary code or
+        // a float's canonical bits, `hash_bytes` of a plain string,
+        // combined left to right; a key of no columns hashes as integer 0.
+        use morsel_storage::{hash_bytes, hash_combine, hash_i64, DictColumn, Dictionary};
+        let dict = Dictionary::from_values(["x", "y", "z"]);
+        let batch = Batch::from_columns(vec![
+            Column::I64(vec![42]),
+            Column::Str(vec!["ab".into()]),
+            Column::Dict(DictColumn::new(dict, vec![2])),
+            Column::I32(vec![-7]),
+            Column::F64(vec![-0.0]),
+        ]);
+        let fold = |parts: &[u64]| {
+            parts
+                .iter()
+                .copied()
+                .reduce(hash_combine)
+                .unwrap_or(hash_i64(0))
+        };
+        let (i, s, d, n, f) = (
+            hash_i64(42),
+            hash_bytes(b"ab"),
+            hash_i64(2),
+            hash_i64(-7),
+            hash_i64(0f64.to_bits() as i64),
+        );
+        let cases: [(&[usize], u64); 6] = [
+            (&[], fold(&[])),
+            (&[0], fold(&[i])),
+            (&[1], fold(&[s])),
+            (&[2, 0], fold(&[d, i])),
+            (&[0, 1, 2, 3, 4], fold(&[i, s, d, n, f])),
+            (&[4, 3], fold(&[f, n])),
+        ];
+        let env = env();
+        let nodes = env.worker_sockets(1);
+        for (cols, hash) in cases {
+            let slot = agg_slot();
+            let sink = AggPartialSink::new(cols.to_vec(), vec![AggFn::Count], &nodes, slot.clone());
+            let mut ctx = TaskContext::new(&env, 0);
+            sink.consume(&mut ctx, SelBatch::dense(batch.clone()));
+            sink.finish(&mut ctx);
+            let parts = slot.lock().take().unwrap();
+            let routed: Vec<usize> = (0..N_PARTITIONS)
+                .filter(|&p| parts.partition_rows(p) > 0)
+                .collect();
+            assert_eq!(
+                routed,
+                vec![(hash >> 58) as usize],
+                "group columns {cols:?}"
+            );
+            assert_eq!(partition_of(hash), routed[0]);
+        }
     }
 }

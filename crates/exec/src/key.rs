@@ -1,29 +1,34 @@
 //! Join/group key hashing and row equality over columns.
 //!
 //! Two tiers live here. The row-at-a-time functions ([`hash_row`],
-//! [`rows_equal`], [`GroupKey::extract`]) dispatch on the `Column` enum per
-//! row; they remain as the reference/fallback path (string or composite
-//! keys, benches, property-test oracles). The columnar kernels
-//! ([`hash_rows`], [`MatchCandidates::retain_key_equal`]) dispatch once per
-//! column and run a monomorphised loop over a whole batch (optionally
-//! through a selection vector) — the hot path for joins and aggregation.
-//! [`Rows`], the row set every kernel iterates, also carries the one
-//! compaction loop all filters share ([`Rows::select`], [`narrow`]).
-//! See DESIGN.md §4 for the policy and §3 for float-key semantics.
+//! [`rows_equal`]) dispatch on the `Column` enum per row; they remain as
+//! the join's reference/fallback path. The columnar kernels
+//! ([`hash_rows`], [`MatchCandidates::retain_key_equal`], and the group
+//! key compiler `KeyLayout`) dispatch once per column and run a
+//! monomorphised loop over a whole batch (optionally through a selection
+//! vector) — the hot path for joins and aggregation. [`Rows`], the row
+//! set every kernel iterates, also carries the one compaction loop all
+//! filters share ([`Rows::select`], [`narrow`]). See DESIGN.md §4 for
+//! the policy and §3 for float-key semantics.
 
 use std::ops::Range;
+use std::sync::Arc;
 
-use morsel_storage::{hash_bytes, hash_combine, hash_i64, AreaSet, Batch, Column, DictColumn};
+use morsel_storage::{
+    hash_bytes, hash_combine, hash_i64, AreaSet, Batch, Column, DataType, DictColumn, Dictionary,
+};
 
 /// Canonical bit pattern of an `f64` key: `-0.0` normalizes to `0.0` so
-/// that values that compare equal also hash equal. NaNs keep their bit
-/// pattern; they hash *somewhere* but never compare equal (`==` is false
-/// for NaN), so a NaN key never matches — the same behavior a raw
-/// comparison-based engine exhibits (documented in DESIGN.md §3).
+/// that values that compare equal also hash equal, and every NaN becomes
+/// the one quiet NaN. A group key *is* these bits, so all NaNs form one
+/// group; a join compares candidates with `==`, which is false for NaN,
+/// so there a NaN key hashes *somewhere* and never matches (DESIGN.md §3).
 #[inline]
 pub fn canon_f64_bits(x: f64) -> u64 {
     if x == 0.0 {
         0.0f64.to_bits()
+    } else if x.is_nan() {
+        f64::NAN.to_bits()
     } else {
         x.to_bits()
     }
@@ -157,8 +162,7 @@ pub fn narrow(sel: &mut Vec<u32>, keep: impl Fn(usize, usize) -> bool) {
 }
 
 /// Columnar key hashing: one pass per key column, no per-row enum
-/// dispatch. Produces the same hashes as [`hash_row`] over the same rows
-/// (and as [`GroupKey::hash`] for integer keys).
+/// dispatch. Produces the same hashes as [`hash_row`] over the same rows.
 pub fn hash_rows(batch: &Batch, cols: &[usize], rows: Rows<'_>) -> Vec<u64> {
     let n = rows.len();
     let mut out = vec![0u64; n];
@@ -490,103 +494,274 @@ pub fn rows_equal(
         })
 }
 
-/// An owned group key for aggregation hash tables. Mixed-type composite
-/// keys fall back to a vector of scalar keys.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum GroupKey {
-    I64(i64),
-    I64x2(i64, i64),
-    Str(String),
-    Composite(Vec<ScalarKey>),
+/// Bytes of a group column's fixed-width key slot: integers as they are,
+/// a float as its [`canon_f64_bits`], a dictionary column as its `u32`
+/// code (every batch of one pipeline shares the dictionary, so strings
+/// never materialise). 0: a plain string, the variable-length part.
+fn slot_width(col: &Column) -> usize {
+    match col {
+        Column::I32(_) | Column::Dict(_) => 4,
+        Column::I64(_) | Column::F64(_) => 8,
+        Column::Str(_) => 0,
+    }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum ScalarKey {
-    I64(i64),
-    Str(String),
+/// Run `f(position, slot bits)` over the rows of a fixed-width group
+/// column (a plain string column has none): the column is matched once,
+/// the loop body is `f` inlined.
+#[inline(always)]
+fn for_slot_bits(col: &Column, rows: Rows<'_>, mut f: impl FnMut(usize, u64)) {
+    match col {
+        Column::I32(v) => for_each_row!(rows, i, r, f(i, u64::from(v[r] as u32))),
+        Column::I64(v) => for_each_row!(rows, i, r, f(i, v[r] as u64)),
+        Column::F64(v) => for_each_row!(rows, i, r, f(i, canon_f64_bits(v[r]))),
+        Column::Dict(d) => {
+            let codes = d.codes();
+            for_each_row!(rows, i, r, f(i, u64::from(codes[r])))
+        }
+        Column::Str(_) => {}
+    }
 }
 
-impl GroupKey {
-    /// Extract the group key of `row` from `cols` of `batch`. F64 group
-    /// columns are not supported (TPC-H never groups by floats).
-    pub fn extract(batch: &Batch, cols: &[usize], row: usize) -> GroupKey {
-        let scalar = |c: usize| match batch.column(c) {
-            Column::I64(v) => ScalarKey::I64(v[row]),
-            Column::I32(v) => ScalarKey::I64(i64::from(v[row])),
-            Column::Str(v) => ScalarKey::Str(v[row].clone()),
-            // Dictionary group keys are integer codes end-to-end: the
-            // aggregation emits codes and the sink decodes (all fragments
-            // of one aggregation share the dictionary, so codes agree).
-            Column::Dict(d) => ScalarKey::I64(i64::from(d.codes()[row])),
-            Column::F64(_) => panic!("cannot group by F64 column"),
+/// The group key of one aggregation, compiled once from the first batch
+/// (DESIGN.md §4 *The group-by engine*). Fixed slots of at most 16 bytes
+/// in total and no string part pack into one `u128`; any other key is a
+/// serialised row — the fixed slots, then each string as `u32` length +
+/// bytes — so that key equality is one integer or one slice comparison.
+#[derive(Debug)]
+pub(crate) struct KeyLayout {
+    /// Per group column: slot width and byte offset among the fixed slots.
+    slots: Vec<(usize, usize)>,
+    /// Per group column: its dictionary, if it is dictionary-encoded.
+    dicts: Vec<Option<Arc<Dictionary>>>,
+    /// Bytes of all fixed slots together.
+    fixed: usize,
+    /// Whether a key is one `u128` rather than a serialised row.
+    pub(crate) inline: bool,
+}
+
+impl KeyLayout {
+    pub(crate) fn compile(batch: &Batch, cols: &[usize]) -> KeyLayout {
+        let mut fixed = 0;
+        let mut slots = Vec::with_capacity(cols.len());
+        for &c in cols {
+            let width = slot_width(batch.column(c));
+            slots.push((width, fixed));
+            fixed += width;
+        }
+        KeyLayout {
+            inline: fixed <= 16 && slots.iter().all(|&(width, _)| width > 0),
+            dicts: cols
+                .iter()
+                .map(|&c| batch.column(c).as_dict().map(|d| Arc::clone(d.dict())))
+                .collect(),
+            slots,
+            fixed,
+        }
+    }
+
+    /// Bytes the cost model charges for moving the `n` keys of `keys` —
+    /// its traffic accounting, not the layout: 8 for one column (+ the
+    /// bytes of a lone string), 16 for two fixed ones, 12 per part beyond.
+    pub(crate) fn charged_bytes(&self, keys: &Keys, n: usize) -> u64 {
+        let strings = self.slots.iter().filter(|&&(width, _)| width == 0).count();
+        let (per_key, lone_string) = match (self.slots.len(), strings) {
+            (1, 1) => (8, keys.bytes.len() - 4 * n),
+            (0 | 1, _) => (8, 0),
+            (2, 0) => (16, 0),
+            (parts, _) => (12 * parts, 0),
         };
-        match cols {
-            [] => GroupKey::I64(0),
-            [c] => match scalar(*c) {
-                ScalarKey::I64(v) => GroupKey::I64(v),
-                ScalarKey::Str(s) => GroupKey::Str(s),
-            },
-            [a, b] => match (scalar(*a), scalar(*b)) {
-                (ScalarKey::I64(x), ScalarKey::I64(y)) => GroupKey::I64x2(x, y),
-                (x, y) => GroupKey::Composite(vec![x, y]),
-            },
-            many => GroupKey::Composite(many.iter().map(|&c| scalar(c)).collect()),
-        }
+        (per_key * n + lone_string) as u64
     }
 
-    /// Push this key's scalar parts onto output columns (inverse of
-    /// `extract`, used when emitting aggregation results).
-    pub fn push_into(&self, out: &mut [Column]) {
-        match self {
-            GroupKey::I64(v) => Self::push_scalar(&mut out[0], &ScalarKey::I64(*v)),
-            GroupKey::I64x2(a, b) => {
-                Self::push_scalar(&mut out[0], &ScalarKey::I64(*a));
-                Self::push_scalar(&mut out[1], &ScalarKey::I64(*b));
-            }
-            GroupKey::Str(s) => Self::push_scalar(&mut out[0], &ScalarKey::Str(s.clone())),
-            GroupKey::Composite(parts) => {
-                for (c, p) in out.iter_mut().zip(parts) {
-                    Self::push_scalar(c, p);
+    /// Hash and pack the group columns of `rows`, one pass per column,
+    /// into `hashes` and `keys` (both overwritten). The hash folds
+    /// `hash_i64` of each integer, code or canonical float and
+    /// `hash_bytes` of each plain string with `hash_combine`; a key of no
+    /// columns hashes like the integer 0.
+    pub(crate) fn extract(
+        &self,
+        batch: &Batch,
+        cols: &[usize],
+        rows: Rows<'_>,
+        hashes: &mut Vec<u64>,
+        keys: &mut Keys,
+    ) {
+        let n = rows.len();
+        hashes.clear();
+        hashes.resize(n, hash_i64(0));
+        keys.clear();
+        if self.inline {
+            keys.inline.resize(n, 0);
+        } else {
+            // Frame the rows: `ends[i]` first sums row `i`'s strings, then
+            // points behind its fixed slots, where the strings will go.
+            keys.ends.resize(n, 0);
+            for &c in cols {
+                if let Column::Str(v) = batch.column(c) {
+                    for_each_row!(rows, i, r, keys.ends[i] += 4 + v[r].len());
                 }
             }
-        }
-    }
-
-    fn push_scalar(col: &mut Column, k: &ScalarKey) {
-        match (col, k) {
-            (Column::I64(v), ScalarKey::I64(x)) => v.push(*x),
-            (Column::I32(v), ScalarKey::I64(x)) => v.push(*x as i32),
-            (Column::Str(v), ScalarKey::Str(s)) => v.push(s.clone()),
-            // Integer keys extracted from a dictionary column land back in
-            // a code column sharing the same dictionary.
-            (Column::Dict(v), ScalarKey::I64(x)) => v.codes_mut().push(*x as u32),
-            (c, k) => panic!("key part {k:?} does not fit column {:?}", c.data_type()),
-        }
-    }
-
-    /// Stable hash (used to route groups to spill partitions).
-    pub fn hash(&self) -> u64 {
-        match self {
-            GroupKey::I64(v) => hash_i64(*v),
-            GroupKey::I64x2(a, b) => hash_combine(hash_i64(*a), hash_i64(*b)),
-            GroupKey::Str(s) => hash_bytes(s.as_bytes()),
-            GroupKey::Composite(parts) => {
-                let mut h = 0;
-                for (i, p) in parts.iter().enumerate() {
-                    let hp = match p {
-                        ScalarKey::I64(v) => hash_i64(*v),
-                        ScalarKey::Str(s) => hash_bytes(s.as_bytes()),
-                    };
-                    h = if i == 0 { hp } else { hash_combine(h, hp) };
-                }
-                h
+            let mut start = 0;
+            for e in keys.ends.iter_mut() {
+                let strings = *e;
+                *e = start + self.fixed;
+                start = *e + strings;
             }
+            keys.bytes.resize(start, 0);
+        }
+        for (ci, &c) in cols.iter().enumerate() {
+            let (col, (width, at)) = (batch.column(c), self.slots[ci]);
+            assert!(width == slot_width(col), "group column {c} changed type");
+            match col {
+                // A group key hashes a code as the integer it is, not as
+                // its string: cheaper, and what routing was calibrated on.
+                Column::Dict(d) => {
+                    let (codes, first) = (d.codes(), ci == 0);
+                    for_each_row!(rows, i, r, {
+                        let hc = hash_i64(i64::from(codes[r]));
+                        hashes[i] = if first {
+                            hc
+                        } else {
+                            hash_combine(hashes[i], hc)
+                        };
+                    });
+                }
+                _ => hash_column(col, rows, ci == 0, hashes),
+            }
+            if self.inline {
+                let out = &mut keys.inline;
+                for_slot_bits(col, rows, |i, bits| out[i] |= u128::from(bits) << (8 * at));
+            } else {
+                let (ends, bytes) = (&keys.ends, &mut keys.bytes);
+                for_slot_bits(col, rows, |i, bits| {
+                    let o = ends[i] - self.fixed + at;
+                    bytes[o..o + width].copy_from_slice(&bits.to_le_bytes()[..width]);
+                });
+            }
+        }
+        for &c in cols {
+            if let Column::Str(v) = batch.column(c) {
+                let (ends, bytes) = (&mut keys.ends, &mut keys.bytes);
+                for_each_row!(rows, i, r, {
+                    let (s, o) = (v[r].as_bytes(), ends[i]);
+                    bytes[o..o + 4].copy_from_slice(&(s.len() as u32).to_le_bytes());
+                    bytes[o + 4..o + 4 + s.len()].copy_from_slice(s);
+                    ends[i] = o + 4 + s.len();
+                });
+            }
+        }
+    }
+
+    /// Turn the keys of `n` groups back into group columns of the output
+    /// `types`. Codes go straight into a `Dict` column sharing the
+    /// pipeline's dictionary; each string is copied out of the arena once.
+    pub(crate) fn emit(&self, keys: &Keys, n: usize, types: &[DataType]) -> Vec<Column> {
+        // Where the next string of each serialised row starts.
+        let mut cursor: Vec<usize> = if self.inline {
+            Vec::new()
+        } else {
+            (0..n).map(|i| keys.start(i) + self.fixed).collect()
+        };
+        let le = |o: usize, width: usize| -> u64 {
+            let mut word = [0u8; 8];
+            word[..width].copy_from_slice(&keys.bytes[o..o + width]);
+            u64::from_le_bytes(word)
+        };
+        let word = |i: usize, at: usize, width: usize| -> u64 {
+            if self.inline {
+                (keys.inline[i] >> (8 * at)) as u64
+            } else {
+                le(keys.start(i) + at, width)
+            }
+        };
+        let columns = self.slots.iter().zip(&self.dicts).zip(types);
+        columns
+            .map(|((&(width, at), dict), &ty)| {
+                let int = |i: usize| match width {
+                    4 => i64::from(word(i, at, 4) as u32 as i32),
+                    _ => word(i, at, 8) as i64,
+                };
+                match (ty, dict) {
+                    (DataType::I64, _) => Column::I64((0..n).map(int).collect()),
+                    (DataType::I32, _) => Column::I32((0..n).map(|i| int(i) as i32).collect()),
+                    (DataType::F64, _) => {
+                        Column::F64((0..n).map(|i| f64::from_bits(word(i, at, 8))).collect())
+                    }
+                    (DataType::Str, Some(dict)) => Column::Dict(DictColumn::new(
+                        Arc::clone(dict),
+                        (0..n).map(|i| word(i, at, 4) as u32).collect(),
+                    )),
+                    (DataType::Str, None) => Column::Str(
+                        cursor
+                            .iter_mut()
+                            .map(|o| {
+                                let len = le(*o, 4) as usize;
+                                let s = &keys.bytes[*o + 4..*o + 4 + len];
+                                *o += 4 + len;
+                                String::from_utf8(s.to_vec()).expect("key bytes came from a String")
+                            })
+                            .collect(),
+                    ),
+                }
+            })
+            .collect()
+    }
+}
+
+/// The keys of a run of groups under one [`KeyLayout`] — a batch being
+/// absorbed, a pre-aggregation table, a spill fragment or a merged
+/// partition. Inline layouts fill `inline`; serialised ones append rows
+/// to the `bytes` arena, row `i` ending at `ends[i]`.
+#[derive(Debug, Default)]
+pub(crate) struct Keys {
+    inline: Vec<u128>,
+    ends: Vec<usize>,
+    bytes: Vec<u8>,
+}
+
+impl Keys {
+    pub(crate) fn clear(&mut self) {
+        self.inline.clear();
+        self.ends.clear();
+        self.bytes.clear();
+    }
+
+    #[inline]
+    fn start(&self, i: usize) -> usize {
+        i.checked_sub(1).map_or(0, |before| self.ends[before])
+    }
+
+    #[inline]
+    fn row(&self, i: usize) -> &[u8] {
+        &self.bytes[self.start(i)..self.ends[i]]
+    }
+
+    /// Whether key `i` here equals key `j` of `other` (same layout).
+    #[inline]
+    pub(crate) fn eq_at<const INLINE: bool>(&self, i: usize, other: &Keys, j: usize) -> bool {
+        if INLINE {
+            self.inline[i] == other.inline[j]
+        } else {
+            self.row(i) == other.row(j)
+        }
+    }
+
+    /// Append key `j` of `other` (an inline key has no `ends`).
+    #[inline]
+    pub(crate) fn push_from(&mut self, other: &Keys, j: usize) {
+        if other.ends.is_empty() {
+            self.inline.push(other.inline[j]);
+        } else {
+            self.bytes.extend_from_slice(other.row(j));
+            self.ends.push(self.bytes.len());
         }
     }
 }
 
-/// A fast, non-DoS-resistant hasher for internal hash maps (the engine is
-/// not exposed to untrusted keys; see the Rust perf guide on hashing).
+/// A fast, non-DoS-resistant hasher for `count(distinct)`'s sets of `i64`
+/// (the engine is not exposed to untrusted keys; see the Rust perf guide on
+/// hashing).
 /// Algorithm follows rustc's FxHash.
 #[derive(Default, Clone, Copy)]
 pub struct FxHasher {
@@ -618,33 +793,10 @@ impl std::hash::Hasher for FxHasher {
     }
 
     #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.add(v);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.add(u64::from(v));
-    }
-
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.add(v as u64);
-    }
-
-    #[inline]
     fn write_i64(&mut self, v: i64) {
         self.add(v as u64);
     }
-
-    #[inline]
-    fn write_u8(&mut self, v: u8) {
-        self.add(u64::from(v));
-    }
 }
-
-/// `HashMap` with the fast hasher.
-pub type FxHashMap<K, V> = std::collections::HashMap<K, V, std::hash::BuildHasherDefault<FxHasher>>;
 
 /// `HashSet` with the fast hasher.
 pub type FxHashSet<K> = std::collections::HashSet<K, std::hash::BuildHasherDefault<FxHasher>>;
@@ -805,35 +957,134 @@ mod tests {
         assert!(!rows_equal(&b, &[0, 1], 0, &b, &[0, 1], 1));
     }
 
+    /// Extract every row of `b` under the layout compiled for `cols`.
+    fn extracted(b: &Batch, cols: &[usize]) -> (KeyLayout, Vec<u64>, Keys) {
+        let layout = KeyLayout::compile(b, cols);
+        let (mut hashes, mut keys) = (Vec::new(), Keys::default());
+        layout.extract(b, cols, Rows::Range(0, b.rows()), &mut hashes, &mut keys);
+        (layout, hashes, keys)
+    }
+
     #[test]
     fn group_key_shapes() {
-        let b = batch();
-        assert_eq!(GroupKey::extract(&b, &[0], 1), GroupKey::I64(2));
-        assert_eq!(GroupKey::extract(&b, &[1], 0), GroupKey::Str("a".into()));
-        assert_eq!(GroupKey::extract(&b, &[0, 2], 0), GroupKey::I64x2(1, 10));
-        assert_eq!(GroupKey::extract(&b, &[], 0), GroupKey::I64(0));
-        let k3 = GroupKey::extract(&b, &[0, 1, 2], 0);
-        assert!(matches!(k3, GroupKey::Composite(ref p) if p.len() == 3));
+        let b = Batch::from_columns(vec![
+            Column::I64(vec![1]),
+            Column::Str(vec!["a".into()]),
+            Column::I32(vec![10]),
+            Column::F64(vec![0.5]),
+            Column::Dict(DictColumn::new(Dictionary::from_values(["a"]), vec![0])),
+        ]);
+        // Up to 16 bytes of fixed slots pack into the inline key ...
+        for cols in [
+            &[][..],
+            &[0],
+            &[2],
+            &[4],
+            &[0, 3],
+            &[0, 2, 4],
+            &[2, 4, 2, 4],
+        ] {
+            assert!(KeyLayout::compile(&b, cols).inline, "{cols:?}");
+        }
+        // ... a 17th byte or any plain string makes it a serialised row.
+        for cols in [&[0, 3, 2][..], &[1], &[0, 1], &[2, 1, 4]] {
+            assert!(!KeyLayout::compile(&b, cols).inline, "{cols:?}");
+        }
+        // The model's spill charge follows the column count, not the
+        // packing: 8, 16, then 12 per part; a lone string adds its length.
+        let charge = |cols: &[usize]| {
+            let (layout, _, keys) = extracted(&b, cols);
+            layout.charged_bytes(&keys, 1)
+        };
+        assert_eq!(charge(&[]), 8);
+        assert_eq!(charge(&[4]), 8);
+        assert_eq!(charge(&[1]), 8 + 1);
+        assert_eq!(charge(&[0, 2]), 16);
+        assert_eq!(charge(&[0, 1]), 24);
+        assert_eq!(charge(&[0, 1, 2]), 36);
     }
 
     #[test]
     fn group_key_roundtrip_through_columns() {
-        let b = batch();
-        let k = GroupKey::extract(&b, &[0, 1], 1);
-        let mut out = vec![Column::I64(vec![]), Column::Str(vec![])];
-        k.push_into(&mut out);
-        assert_eq!(out[0].as_i64(), &[2]);
-        assert_eq!(out[1].as_str(), &["b".to_owned()]);
+        use morsel_storage::DataType;
+        let dict = Dictionary::from_values(["p", "q"]);
+        let b = Batch::from_columns(vec![
+            Column::I64(vec![i64::MIN, 2, i64::MAX]),
+            Column::Str(vec!["".into(), "b\0c".into(), "a".into()]),
+            Column::I32(vec![-1, i32::MIN, i32::MAX]),
+            Column::F64(vec![-0.0, f64::NAN, 2.5]),
+            Column::Dict(DictColumn::new(Arc::clone(&dict), vec![1, 0, 1])),
+        ]);
+        let types = [
+            DataType::I64,
+            DataType::Str,
+            DataType::I32,
+            DataType::F64,
+            DataType::Str,
+        ];
+        // Serialised (all five columns) and inline (the fixed ones).
+        for cols in [&[0, 1, 2, 3, 4][..], &[2, 4, 3]] {
+            let (layout, _, keys) = extracted(&b, cols);
+            let out_types: Vec<DataType> = cols.iter().map(|&c| types[c]).collect();
+            let out = layout.emit(&keys, 3, &out_types);
+            for (o, &c) in out.iter().zip(cols) {
+                match (o, b.column(c)) {
+                    (Column::F64(got), Column::F64(_)) => {
+                        assert_eq!(got[0].to_bits(), 0f64.to_bits());
+                        assert!(got[1].is_nan());
+                        assert_eq!(got[2], 2.5);
+                    }
+                    (Column::Dict(got), Column::Dict(want)) => {
+                        assert!(Arc::ptr_eq(got.dict(), &dict));
+                        assert_eq!(got.codes(), want.codes());
+                    }
+                    (got, want) => assert_eq!(got, want),
+                }
+            }
+        }
+        // An `I32` slot can land in an `I64` output column and back.
+        let (layout, _, keys) = extracted(&b, &[2, 0]);
+        let out = layout.emit(&keys, 3, &[DataType::I64, DataType::I32]);
+        assert_eq!(
+            out[0].as_i64(),
+            &[-1, i64::from(i32::MIN), i64::from(i32::MAX)]
+        );
+        assert_eq!(out[1].as_i32(), &[0, 2, -1]);
     }
 
     #[test]
     fn group_key_hash_matches_equality() {
-        let b = batch();
-        let a = GroupKey::extract(&b, &[0, 1], 0);
-        let c = GroupKey::extract(&b, &[0, 1], 2);
-        assert_eq!(a, c);
-        assert_eq!(a.hash(), c.hash());
-        let d = GroupKey::extract(&b, &[0, 1], 1);
-        assert_ne!(a.hash(), d.hash());
+        // Rows 0 and 2 agree on every column, row 1 differs; rows 3 and 4
+        // are the pair that concatenates alike without length prefixes.
+        let s = |v: &[&str]| Column::Str(v.iter().map(|s| (*s).to_owned()).collect());
+        let b = Batch::from_columns(vec![
+            Column::I64(vec![1, 2, 1, 5, 5]),
+            s(&["a", "b", "a", "ab", "a"]),
+            s(&["x", "x", "x", "c", "bc"]),
+            Column::F64(vec![0.0, 1.0, -0.0, 3.0, 3.0]),
+        ]);
+        for cols in [&[0][..], &[0, 3], &[1], &[0, 1], &[1, 2], &[3, 0, 2, 1]] {
+            let (_, hashes, keys) = extracted(&b, cols);
+            let eq = |i, j| {
+                if KeyLayout::compile(&b, cols).inline {
+                    keys.eq_at::<true>(i, &keys, j)
+                } else {
+                    keys.eq_at::<false>(i, &keys, j)
+                }
+            };
+            assert!(eq(0, 2), "{cols:?}");
+            assert_eq!(hashes[0], hashes[2], "{cols:?}");
+            assert!(!eq(0, 1), "{cols:?}");
+            assert_ne!(hashes[0], hashes[1], "{cols:?}");
+            if cols.contains(&1) || cols.contains(&2) {
+                assert!(!eq(3, 4), "{cols:?}");
+            }
+        }
+        // A sub-range or a selection extracts the same keys and hashes.
+        let (layout, all, keys) = extracted(&b, &[0, 1]);
+        let (mut hashes, mut picked) = (Vec::new(), Keys::default());
+        layout.extract(&b, &[0, 1], Rows::Sel(&[4, 2]), &mut hashes, &mut picked);
+        assert_eq!(hashes, vec![all[4], all[2]]);
+        assert!(picked.eq_at::<false>(0, &keys, 4) && picked.eq_at::<false>(1, &keys, 2));
     }
 }

@@ -704,7 +704,6 @@ impl Compiler {
                     let chunks = source.chunk_meta();
                     let sink =
                         AggPartialSink::new(group_cols, fns, &env.worker_sockets(workers), slot)
-                            .with_scalar_path(!variant.vectorized)
                             .with_prof_slot(prof);
                     let pipe =
                         ExecPipeline::new(source, u.filter, u.projection, u.ops, Box::new(sink))

@@ -432,7 +432,6 @@ impl TopKSink {
         out: AreaSlot,
         result: Option<ResultSlot>,
     ) -> Self {
-        assert!(k > 0);
         let types = schema.data_types();
         TopKSink {
             keys,
@@ -454,36 +453,68 @@ impl TopKSink {
     }
 }
 
+/// The `k` smallest of `rows` under `cmp`, sorted: a selection first, so
+/// that only the survivors are sorted. `cmp` must be a total order.
+fn k_smallest<T>(mut rows: Vec<T>, k: usize, cmp: impl Fn(&T, &T) -> Ordering) -> Vec<T> {
+    if rows.len() > k {
+        rows.select_nth_unstable_by(k, &cmp);
+        rows.truncate(k);
+    }
+    rows.sort_unstable_by(cmp);
+    rows
+}
+
 impl Sink for TopKSink {
     fn consume(&self, ctx: &mut TaskContext<'_>, input: SelBatch) {
-        if input.is_empty() {
+        // `LIMIT 0` keeps nothing.
+        if input.is_empty() || self.k == 0 {
             return;
         }
         let mut best = self.workers[ctx.worker].lock();
-        // Merge current best with the new rows, keep first k. A selection
-        // vector gathers here (the sink copies anyway).
-        let mut combined = Batch::empty(&self.schema.data_types());
-        combined.extend_from(&best);
-        let consumed = input.rows();
-        match &input.sel {
-            None => combined.extend_from(&input.batch),
-            Some(sel) => combined.extend_selected(&input.batch, sel),
-        }
-        let n = combined.rows();
         ctx.cpu(
-            consumed as u64,
+            input.rows() as u64,
             weights::SORT_CMP_NS * ((self.k.max(2)) as f64).log2(),
         );
-        let sorted = sort_batch(&combined, &self.keys);
-        let keep = n.min(self.k);
-        let sel: Vec<u32> = (0..keep as u32).collect();
-        let mut trimmed = Batch::empty(&self.schema.data_types());
-        trimmed.extend_selected(&sorted, &sel);
+        let (batch, keys) = (&input.batch, self.keys.as_slice());
+        // Select before copying: an incoming row can only enter a full
+        // held set by beating its last row, and of those that do, only the
+        // `k` best survive. Ties go to the held row, then to the earlier
+        // incoming one — the order a stable sort of held ++ incoming gives.
+        let bar = (best.rows() == self.k).then(|| self.k - 1);
+        let mut entering: Vec<u32> = Vec::new();
+        crate::key::for_each_row!(input.rows_ref(), _i, r, {
+            if bar.is_none_or(|last| cmp_rows(batch, r, &best, last, keys) == Ordering::Less) {
+                entering.push(r as u32);
+            }
+        });
+        if entering.is_empty() {
+            return;
+        }
+        let entering = k_smallest(entering, self.k, |&x, &y| {
+            cmp_rows(batch, x as usize, batch, y as usize, keys).then(x.cmp(&y))
+        });
+        // Merge the sorted held rows with the sorted survivors, gathering
+        // only the `k` rows that stay.
+        let keep = (best.rows() + entering.len()).min(self.k);
+        let mut merged = Batch::empty(&self.schema.data_types());
+        let (mut h, mut e) = (0, 0);
+        while h + e < keep {
+            let take_held = h < best.rows()
+                && (e == entering.len()
+                    || cmp_rows(batch, entering[e] as usize, &best, h, keys) != Ordering::Less);
+            if take_held {
+                merged.push_from(&best, h);
+                h += 1;
+            } else {
+                merged.push_from(batch, entering[e] as usize);
+                e += 1;
+            }
+        }
         // Delta-account the held set (bounded at k rows per worker, but
         // row width is data-dependent): grow the reservation when the
         // trimmed set grows, shrink it when heavier rows are evicted.
         let held_before = best.total_bytes();
-        let held_after = trimmed.total_bytes();
+        let held_after = merged.total_bytes();
         if held_after > held_before {
             if ctx.try_reserve(held_after - held_before).is_err() {
                 return;
@@ -491,32 +522,40 @@ impl Sink for TopKSink {
         } else {
             ctx.release_reserved(held_before - held_after);
         }
-        *best = trimmed;
+        *best = merged;
     }
 
     fn finish(&self, ctx: &mut TaskContext<'_>) {
-        let mut all = Batch::empty(&self.schema.data_types());
-        for w in &self.workers {
-            all.extend_from(&w.lock());
-        }
-        let sorted = sort_batch(&all, &self.keys);
-        let keep = sorted.rows().min(self.k);
+        let prof = self.prof_slot.filter(|_| ctx.profiling());
+        let t0 = prof.map(|_| std::time::Instant::now());
+        let held: Vec<_> = self.workers.iter().map(|w| w.lock()).collect();
+        // (worker, row) of every held row; ties go to the earlier worker.
+        let all: Vec<(usize, usize)> = held
+            .iter()
+            .enumerate()
+            .flat_map(|(w, b)| (0..b.rows()).map(move |r| (w, r)))
+            .collect();
+        let top = k_smallest(all, self.k, |&(wa, ra), &(wb, rb)| {
+            cmp_rows(&held[wa], ra, &held[wb], rb, &self.keys).then((wa, ra).cmp(&(wb, rb)))
+        });
         if let Some(slot) = self.prof_slot {
-            ctx.prof_rows_out(slot, keep as u64);
+            ctx.prof_rows_out(slot, top.len() as u64);
             // Top-k merged: output cardinality is final.
             ctx.prof_breaker_done(slot);
         }
-        let sel: Vec<u32> = (0..keep as u32).collect();
-        let mut final_batch = Batch::empty(&self.schema.data_types());
-        final_batch.extend_selected(&sorted, &sel);
         let mut area = morsel_storage::StorageArea::new(ctx.socket, &self.schema.data_types());
-        area.data_mut().extend_from(&final_batch);
+        for &(w, r) in &top {
+            area.data_mut().push_from(&held[w], r);
+        }
         if let Some(result) = &self.result {
-            *result.lock() = Some(final_batch.decoded());
+            *result.lock() = Some(area.data().decoded());
         }
         *self.out.lock() = Some(Arc::new(
             AreaSet::new(self.schema.clone(), vec![area]).prune_empty(),
         ));
+        if let (Some(slot), Some(t0)) = (prof, t0) {
+            ctx.prof_wall_ns(slot, t0.elapsed().as_nanos() as u64);
+        }
     }
 }
 
@@ -737,6 +776,87 @@ mod tests {
         sink.finish(&mut ctx0);
         let b = result.lock().take().unwrap();
         assert_eq!(b.column(0).as_i64(), &[1, 2, 3]);
+        topk_ties_selections_and_spare_room();
+    }
+
+    /// A morsel of string keys for `topk_of`: the worker that consumes it,
+    /// the keys, and the rows of it that count (`None`: all).
+    type KeyMorsel = (usize, Vec<&'static str>, Option<Vec<u32>>);
+
+    /// Feed morsels of `(key, running tag)` rows to a top-`k` sink over
+    /// two workers and return what it keeps.
+    fn topk_of(key: SortKey, k: usize, morsels: Vec<KeyMorsel>) -> Vec<(String, i64)> {
+        let env = env();
+        let schema = Schema::new(vec![("s", DataType::Str), ("tag", DataType::I64)]);
+        let result = morsel_core::result_slot();
+        let sink = TopKSink::new(
+            vec![key],
+            k,
+            schema,
+            2,
+            crate::sink::area_slot(),
+            Some(result.clone()),
+        );
+        let mut tag = 0;
+        for (worker, strs, sel) in morsels {
+            let tags = (tag..tag + strs.len() as i64).collect();
+            tag += strs.len() as i64;
+            let batch = Batch::from_columns(vec![
+                Column::Str(strs.into_iter().map(str::to_owned).collect()),
+                Column::I64(tags),
+            ]);
+            sink.consume(&mut TaskContext::new(&env, worker), SelBatch { batch, sel });
+        }
+        sink.finish(&mut TaskContext::new(&env, 0));
+        let b = result.lock().take().unwrap();
+        (0..b.rows())
+            .map(|i| (b.column(0).as_str()[i].clone(), b.column(1).as_i64()[i]))
+            .collect()
+    }
+
+    /// The rest of `topk_sink_keeps_k_best`: string keys with ties, a
+    /// selection-vector input, `k` above the row count, and `k` = 0.
+    fn topk_ties_selections_and_spare_room() {
+        let own = |v: Vec<(&str, i64)>| -> Vec<(String, i64)> {
+            v.into_iter().map(|(s, t)| (s.to_owned(), t)).collect()
+        };
+        // Descending string key with ties: among equals, a held row beats
+        // an incoming one, an earlier row a later one, worker 0 worker 1.
+        let got = topk_of(
+            SortKey::desc(0),
+            3,
+            vec![
+                (0, vec!["m", "z", "m"], None),      // tags 0 1 2
+                (1, vec!["z", "a", "m"], None),      // tags 3 4 5
+                (0, vec!["z", "z", "b", "y"], None), // tags 6 7 8 9
+            ],
+        );
+        assert_eq!(got, own(vec![("z", 1), ("z", 6), ("z", 7)]));
+        // Only selected rows count, whatever the unselected ones hold.
+        let got = topk_of(
+            SortKey::asc(0),
+            2,
+            vec![
+                (0, vec!["a", "q", "a", "c"], Some(vec![1, 3])), // tags 0..4
+                (1, vec!["a", "b", "a"], Some(vec![1])),         // tags 4..7
+                (0, vec!["a", "d"], Some(vec![])),
+            ],
+        );
+        assert_eq!(got, own(vec![("b", 5), ("c", 3)]));
+        // More room than rows: everything, sorted, ties in arrival order.
+        let got = topk_of(
+            SortKey::asc(0),
+            10,
+            vec![(1, vec!["b", "a"], None), (0, vec!["b", "c"], None)],
+        );
+        assert_eq!(got, own(vec![("a", 1), ("b", 2), ("b", 0), ("c", 3)]));
+        // `LIMIT 0`: nothing is held and nothing comes out.
+        let got = topk_of(
+            SortKey::asc(0),
+            0,
+            vec![(0, vec!["b", "a"], None), (1, vec!["c"], Some(vec![0]))],
+        );
+        assert_eq!(got, own(vec![]));
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Property tests: dictionary-encoded string columns are observationally
 //! equivalent to plain string columns through every string-touching
 //! operator — compiled predicates (equality, ordering, prefix, IN, LIKE)
-//! starting and narrowing selections, group-by on string keys (both the
-//! flat-table fast path and the scalar reference path), and sorting on
+//! starting and narrowing selections, group-by on string keys (codes in
+//! an inline key, plain strings in a serialised one, both against the
+//! row-at-a-time oracle of `common/agg_reference.rs`), and sorting on
 //! string keys. The plain representation is the oracle, in the spirit of
 //! the scalar-vs-vectorized equivalence tests of PR 1.
 //!
@@ -26,6 +27,9 @@ use morsel_exec::sort::{sort_batch, SortKey};
 use morsel_numa::Topology;
 use morsel_storage::{Batch, Column, DataType, DictColumn, Dictionary, Schema, Value};
 use proptest::prelude::*;
+
+#[path = "common/agg_reference.rs"]
+mod agg_reference;
 
 /// A small domain with shared prefixes, so prefix/LIKE/range predicates
 /// all have interesting hit sets. Deliberately unsorted here — the
@@ -82,15 +86,16 @@ fn env() -> ExecEnv {
     ExecEnv::new(Topology::laptop())
 }
 
+const GROUP_BY_AGGS: [AggFn; 2] = [AggFn::SumI64(1), AggFn::Count];
+
 /// Run a grouped aggregation (sum of payload, count) over one batch and
-/// return (key, sum, count) rows sorted by key, decoded.
-fn run_group_by(batch: Batch, scalar_path: bool, capacity: usize) -> Vec<(String, i64, i64)> {
+/// return its (key, sum, count) rows, decoded and sorted.
+fn run_group_by(batch: Batch, capacity: usize) -> Vec<Vec<agg_reference::Atom>> {
     let env = env();
     let nodes = env.worker_sockets(2);
     let slot = agg_slot();
-    let aggs = vec![AggFn::SumI64(1), AggFn::Count];
-    let sink = AggPartialSink::with_capacity(vec![0], aggs.clone(), &nodes, slot.clone(), capacity)
-        .with_scalar_path(scalar_path);
+    let aggs = GROUP_BY_AGGS.to_vec();
+    let sink = AggPartialSink::with_capacity(vec![0], aggs.clone(), &nodes, slot.clone(), capacity);
     let mut ctx = TaskContext::new(&env, 0);
     // Feed in two chunks to exercise multi-batch accumulation.
     let rows = batch.rows();
@@ -138,21 +143,11 @@ fn run_group_by(batch: Batch, scalar_path: bool, capacity: usize) -> Vec<(String
     }
     job.finish(&mut ctx);
     let got = result.lock().take().unwrap();
-    let mut rows: Vec<(String, i64, i64)> = (0..got.rows())
-        .map(|i| {
-            let r = got.row(i);
-            (
-                match &r[0] {
-                    Value::Str(s) => s.clone(),
-                    other => panic!("group key should decode to a string, got {other:?}"),
-                },
-                r[1].as_i64(),
-                r[2].as_i64(),
-            )
-        })
-        .collect();
-    rows.sort();
-    rows
+    assert!(
+        matches!(got.column(0), Column::Str(_)),
+        "group key should decode to strings at the result boundary"
+    );
+    agg_reference::sorted_atoms(&got)
 }
 
 /// Compile a predicate over the twin batches' schema.
@@ -439,10 +434,10 @@ proptest! {
         }
     }
 
-    /// Group-by on a string key: the dictionary fast path (integer-code
-    /// flat table), the dictionary scalar path, and the plain-string
-    /// oracle all produce identical groups — including through forced
-    /// spills (tiny pre-aggregation capacity).
+    /// Group-by on a string key: dictionary codes (an inline key) and
+    /// plain strings (a serialised key) both produce the groups of the
+    /// row-at-a-time oracle — including through forced spills (tiny
+    /// pre-aggregation capacity).
     #[test]
     fn group_by_string_key_equivalence(
         codes in proptest::collection::vec(0u8..40, 2..300),
@@ -450,11 +445,9 @@ proptest! {
     ) {
         let (plain, dicted) = twin_batches(&codes);
         let cap = if tiny_capacity { 3 } else { 4096 };
-        let want = run_group_by(plain, false, cap);
-        let fast = run_group_by(dicted.clone(), false, cap);
-        let scalar = run_group_by(dicted, true, cap);
-        prop_assert_eq!(&fast, &want);
-        prop_assert_eq!(&scalar, &want);
+        let want = agg_reference::group_by(&[(plain.clone(), None)], &[0], &GROUP_BY_AGGS);
+        prop_assert_eq!(&run_group_by(dicted, cap), &want);
+        prop_assert_eq!(&run_group_by(plain, cap), &want);
     }
 
     /// Sorting by a string key (with a payload tiebreaker) orders the

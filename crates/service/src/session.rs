@@ -593,6 +593,46 @@ mod tests {
         assert_eq!(service.shutdown().completed(), 1);
     }
 
+    /// Grouping by a float used to panic a worker ("cannot group by F64
+    /// column") and fail the statement; a float is a key slot like any
+    /// other.
+    #[test]
+    fn group_by_a_float_returns_its_groups() {
+        let (session, service) = tpch_session(0.002);
+        let sql = "SELECT l_quantity * 0.5 AS h, COUNT(*) AS n FROM lineitem GROUP BY h";
+        let exec = session
+            .execute(&service, "float-groups", sql)
+            .expect("runs");
+        let rows = exec.rows().expect("result produced");
+        // l_quantity takes the 50 values 1..=50.
+        assert_eq!(rows.rows(), 50);
+        let mut halves = rows.column(0).as_f64().to_vec();
+        halves.sort_by(f64::total_cmp);
+        halves.dedup();
+        assert_eq!(halves.len(), 50, "one group per distinct value");
+        let lineitem = session.execute(&service, "count", "SELECT COUNT(*) FROM lineitem");
+        let total = lineitem
+            .expect("runs")
+            .rows()
+            .expect("one row")
+            .column(0)
+            .as_i64()[0];
+        assert_eq!(rows.column(1).as_i64().iter().sum::<i64>(), total);
+        assert_eq!(service.shutdown().completed(), 2);
+    }
+
+    /// `ORDER BY … LIMIT 0` is an empty result with the statement's
+    /// columns: the top-k stage must accept `k` = 0.
+    #[test]
+    fn order_by_limit_zero_returns_no_rows() {
+        let (session, service) = tpch_session(0.001);
+        let sql = "SELECT o_orderkey, o_totalprice FROM orders ORDER BY o_totalprice DESC LIMIT 0";
+        let exec = session.execute(&service, "limit-0", sql).expect("runs");
+        let rows = exec.rows().expect("result produced");
+        assert_eq!((rows.rows(), rows.width()), (0, 2));
+        assert_eq!(service.shutdown().completed(), 1);
+    }
+
     #[test]
     fn bind_errors_surface_before_submission() {
         let (session, service) = tpch_session(0.001);

@@ -88,6 +88,15 @@ impl Batch {
         self.rows += src.rows;
     }
 
+    /// Append all rows of `src` (same schema), taking them.
+    pub fn append(&mut self, src: Batch) {
+        assert_eq!(self.width(), src.width(), "batch arity mismatch");
+        self.rows += src.rows;
+        for (dst, s) in self.columns.iter_mut().zip(src.columns) {
+            dst.append(s);
+        }
+    }
+
     /// Append row `i` of `src` (same schema).
     pub fn push_from(&mut self, src: &Batch, i: usize) {
         assert_eq!(self.width(), src.width(), "batch arity mismatch");
@@ -195,6 +204,24 @@ mod tests {
         b.extend_selected(&sample(), &[2]);
         assert_eq!(b.rows(), 5);
         assert_eq!(b.column(0).as_i64(), &[9, 3, 1, 2, 2]);
+        // `append` takes the rows; an empty plain column still adopts a
+        // dictionary column's encoding, as the copying appends do.
+        b.append(sample());
+        assert_eq!(b.rows(), 8);
+        assert_eq!(b.column(0).as_i64()[5..], [3, 1, 2]);
+        assert_eq!(
+            b.column(1).as_str()[4..],
+            ["b", "c", "a", "b"].map(String::from)
+        );
+        let dict = crate::Dictionary::from_values(["p", "q"]);
+        let coded = || Column::Dict(crate::DictColumn::new(dict.clone(), vec![1, 0]));
+        let mut d = Batch::empty(&[DataType::Str]);
+        d.append(Batch::from_columns(vec![coded()]));
+        d.append(Batch::from_columns(vec![coded()]));
+        assert_eq!(
+            d.column(0).as_dict().expect("kept encoded").codes(),
+            &[1, 0, 1, 0]
+        );
     }
 
     #[test]

@@ -292,6 +292,20 @@ impl Column {
         self.extend_range(src, 0, src.len());
     }
 
+    /// Append all rows of `src`, taking them: plain strings move instead
+    /// of being cloned.
+    pub fn append(&mut self, mut src: Column) {
+        match (&mut *self, &mut src) {
+            (Column::I64(dst), Column::I64(s)) => dst.append(s),
+            (Column::I32(dst), Column::I32(s)) => dst.append(s),
+            (Column::F64(dst), Column::F64(s)) => dst.append(s),
+            (Column::Str(dst), Column::Str(s)) => dst.append(s),
+            // Codes are cheap to copy, and mixed string representations
+            // need the unification the copying path does.
+            _ => self.extend_from(&src),
+        }
+    }
+
     /// Approximate in-memory bytes of rows `[from, to)`, used to charge the
     /// NUMA traffic counters. Plain strings count their byte length plus
     /// the 8-byte offset a real column store would keep; dictionary

@@ -206,11 +206,15 @@ pub fn run_history(db: &TxnDb, spec: &HistorySpec, mode: ExecMode) -> History {
                     Lcg(spec.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(client as u64 + 1)));
                 let mut out = Vec::new();
                 for _ in 0..spec.txns_per_client {
+                    // Stamped before the call: a commit acknowledged while
+                    // `begin` was taking its snapshot was not acknowledged
+                    // *before* this transaction began, and the snapshot
+                    // need not contain it.
+                    let begin_ev = events.fetch_add(1, Ordering::SeqCst);
                     let mut txn = match db.begin() {
                         Ok(t) => t,
                         Err(_) => break,
                     };
-                    let begin_ev = events.fetch_add(1, Ordering::SeqCst);
                     let id = txn.id;
                     let mut evs = Vec::new();
                     let mut seq = 0u32;

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use morsel_repro::core::{SpanKind, TraceRecorder};
+use morsel_repro::core::{Morsel, PipelineJob, SpanKind, TaskContext, TraceRecorder};
 use morsel_repro::prelude::*;
 use morsel_repro::queries::{run_sim, run_threaded, tpch_queries};
 
@@ -190,5 +190,152 @@ fn profiling_off_yields_no_profile_and_same_results() {
     assert_eq!(
         with.result, without.result,
         "profiling must not change query results"
+    );
+}
+
+/// A one-morsel job that hands its profiling-bound context to a closure.
+struct OnContext<F>(F);
+
+impl<F: Fn(&mut TaskContext<'_>) + Send + Sync> PipelineJob for OnContext<F> {
+    fn run_morsel(&self, ctx: &mut TaskContext<'_>, _morsel: Morsel) {
+        (self.0)(ctx)
+    }
+}
+
+#[test]
+fn breaker_tail_work_is_credited() {
+    use morsel_repro::core::{BuiltJob, ChunkMeta, FnStage, QuerySpec};
+    use morsel_repro::exec::agg::{agg_slot, AggMergeJob, AggPartialSink, N_PARTITIONS};
+    use morsel_repro::exec::pipeline::SelBatch;
+    use morsel_repro::exec::sink::{area_slot, Sink};
+    use morsel_repro::exec::sort::TopKSink;
+    use morsel_repro::storage::{Batch, Column, DataType, Schema};
+    // What a breaker does after its last input row — the pre-aggregation's
+    // final flush, the merge phase's emit, the top-k's final merge — is its
+    // work too. The three are driven by hand on a context bound to a
+    // profiled query, each under a profile slot of its own that nothing
+    // else credits (`consume` is credited by the pipeline, and there is
+    // none here), and each call is timed from the outside on the same
+    // thread. A worker descheduled inside a call lengthens both readings
+    // alike, so the slot accounts for all of it but the two clock reads;
+    // a credit line removed reads 0, and a merge timer that stops before
+    // the emit misses the six string columns that are three quarters of
+    // the call. Demanding half, in one of three attempts, leaves room for
+    // a time slice lost exactly between the two clock reads.
+    let timed = |f: &mut dyn FnMut()| {
+        let started = std::time::Instant::now();
+        f();
+        started.elapsed().as_nanos() as u64
+    };
+    let n = 4_000i64;
+    let body = move |owed: &std::sync::Mutex<[u64; 3]>, ctx: &mut TaskContext<'_>| {
+        let nodes = ctx.env().worker_sockets(1);
+        // 4 000 distinct keys stay below the pre-aggregation capacity:
+        // phase 1 spills everything in `finish`, phase 2 emits it all.
+        let short =
+            |salt: i64| Column::Str((0..n).map(|x| format!("{}", (x + salt) % 97)).collect());
+        let mut cols = vec![Column::Str((0..n).map(|x| format!("{x}")).collect())];
+        cols.extend([1, 2, 3, 5, 7].map(short));
+        cols.push(Column::I64((0..n).collect()));
+        let aggs = vec![AggFn::Count, AggFn::SumI64(6), AggFn::MinI64(6)];
+        let mut fields = vec![("k", DataType::Str); 6];
+        fields.extend([("n", DataType::I64); 3]);
+        let slot = agg_slot();
+        let partial = AggPartialSink::new((0..6).collect(), aggs.clone(), &nodes, slot.clone())
+            .with_prof_slot(Some(0));
+        partial.consume(ctx, SelBatch::dense(Batch::from_columns(cols)));
+        let flush = timed(&mut || partial.finish(ctx));
+        let parts = slot
+            .lock()
+            .take()
+            .expect("phase 1 hands its partitions over");
+        let merge = AggMergeJob::new(
+            Arc::clone(&parts),
+            aggs,
+            Schema::new(fields),
+            &nodes,
+            area_slot(),
+            None,
+        )
+        .with_prof_slot(Some(1));
+        let mut emit = 0;
+        for chunk in 0..N_PARTITIONS {
+            let range = 0..parts.partition_rows(chunk);
+            emit += timed(&mut || {
+                merge.run_morsel(
+                    ctx,
+                    Morsel {
+                        chunk,
+                        range: range.clone(),
+                    },
+                )
+            });
+        }
+        // Top-k keeping 1 000 of 1 200 wide rows: `finish` merges the
+        // held set and copies it into the output area.
+        let rows = 1_200i64;
+        let wide = |tag: &str| Column::Str((0..rows).map(|x| format!("{tag} {x:>60}")).collect());
+        let types = vec![
+            ("k", DataType::I64),
+            ("a", DataType::Str),
+            ("b", DataType::Str),
+        ];
+        let topk = TopKSink::new(
+            vec![SortKey::desc(0)],
+            1_000,
+            Schema::new(types),
+            1,
+            area_slot(),
+            None,
+        )
+        .with_prof_slot(Some(2));
+        topk.consume(
+            ctx,
+            SelBatch::dense(Batch::from_columns(vec![
+                Column::I64((0..rows).map(|x| x * 7_919 % 10_007).collect()),
+                wide("address"),
+                wide("comment"),
+            ])),
+        );
+        let last = timed(&mut || topk.finish(ctx));
+        *owed.lock().unwrap() = [flush, emit, last];
+    };
+    let attempts: Vec<Vec<(String, u64, u64)>> = (0..3)
+        .map(|_| {
+            let owed = Arc::new(std::sync::Mutex::new([0u64; 3]));
+            let job = {
+                let owed = Arc::clone(&owed);
+                OnContext(move |ctx: &mut TaskContext<'_>| body(&owed, ctx))
+            };
+            let stage = FnStage::new("tails", move |_env: &ExecEnv, _workers: usize| {
+                let chunks = vec![ChunkMeta {
+                    node: SocketId(0),
+                    rows: 1,
+                }];
+                BuiltJob::new("tails", Arc::new(job), chunks)
+            });
+            let mut spec = QuerySpec::new(
+                "tails",
+                vec![Box::new(stage)],
+                morsel_repro::core::result_slot(),
+            );
+            spec.profile_ops = ["final flush", "merge and emit", "top-k finish"]
+                .map(String::from)
+                .to_vec();
+            let exec =
+                ThreadedExecutor::new(ExecEnv::new(Topology::laptop()), DispatchConfig::new(1));
+            let handles = exec.run(vec![spec]);
+            let profile = handles[0].profile().expect("profiled");
+            let owed = *owed.lock().unwrap();
+            let ops = profile.ops.into_iter().zip(owed);
+            ops.map(|(op, owed)| (op.label, op.wall_ns, owed)).collect()
+        })
+        .collect();
+    assert!(
+        attempts.iter().any(|tails| tails
+            .iter()
+            .all(|(_, credited, owed)| *owed > 0 && credited * 2 >= *owed)),
+        "a tail under half credited in every attempt (tail, credited ns, ns its call took): \
+         {attempts:#?}"
     );
 }
