@@ -38,46 +38,26 @@ fn bench_insert(c: &mut Criterion) {
 fn bench_probe(c: &mut Criterion) {
     let tagged = build(true);
     let plain = build(false);
+    // Hits: every key present. Misses: the selective-join case the tag
+    // filter accelerates.
+    let hits: Vec<u64> = (0..N as u64).map(hash64).collect();
+    let misses: Vec<u64> = (N as u64..2 * N as u64).map(hash64).collect();
     let mut g = c.benchmark_group("ht_probe");
     g.sample_size(30);
-    // Hits: every key present.
-    g.bench_function("hit/tagged", |b| {
-        b.iter(|| {
-            let mut found = 0u64;
-            for k in 0..N as u64 {
-                tagged.probe(hash64(k), |_| found += 1);
-            }
-            black_box(found)
+    for (label, ht, hashes) in [
+        ("hit/tagged", &tagged, &hits),
+        ("hit/plain", &plain, &hits),
+        ("miss/tagged", &tagged, &misses),
+        ("miss/plain", &plain, &misses),
+    ] {
+        g.bench_function(label, |b| {
+            b.iter(|| {
+                let mut found = 0u64;
+                let traversed = ht.probe_batch(hashes, |_, _| found += 1);
+                black_box((found, traversed))
+            });
         });
-    });
-    g.bench_function("hit/plain", |b| {
-        b.iter(|| {
-            let mut found = 0u64;
-            for k in 0..N as u64 {
-                plain.probe(hash64(k), |_| found += 1);
-            }
-            black_box(found)
-        });
-    });
-    // Misses: the selective-join case the tag filter accelerates.
-    g.bench_function("miss/tagged", |b| {
-        b.iter(|| {
-            let mut traversed = 0u32;
-            for k in N as u64..2 * N as u64 {
-                traversed += tagged.probe(hash64(k), |_| {});
-            }
-            black_box(traversed)
-        });
-    });
-    g.bench_function("miss/plain", |b| {
-        b.iter(|| {
-            let mut traversed = 0u32;
-            for k in N as u64..2 * N as u64 {
-                traversed += plain.probe(hash64(k), |_| {});
-            }
-            black_box(traversed)
-        });
-    });
+    }
     g.finish();
 }
 

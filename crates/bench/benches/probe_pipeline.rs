@@ -1,16 +1,12 @@
 //! Wall-clock throughput of a fully pipelined probe (Section 4.1): scan +
 //! filter + hash-join probe + materialize, per morsel, on real threads.
-//! Each worker count runs twice: the default vectorized operators
-//! (selection vectors + batched probe) and the row-at-a-time scalar
-//! reference (`SystemVariant::scalar_ops`), so the kernel speedup is
-//! visible directly in the criterion output.
 //!
 //! Two build sides: the *dense* one (10 000 keys over a 20 000-value
 //! domain: half the probes match, the match gather dominates) and the
 //! *selective* one (200 keys over a 5 000-value domain, the SSB shape: a
 //! fact table against a filtered dimension), where 96 % of the probes end
 //! at the directory word's tag filter and the directory pass is what is
-//! measured.
+//! measured. (`ht_tagging` measures the filter itself, on and off.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use morsel_core::{DispatchConfig, ExecEnv, ThreadedExecutor};
@@ -65,12 +61,7 @@ fn bench_probe(c: &mut Criterion) {
     let dense = relations(&topo, 10_000, 20_000);
     let selective = relations(&topo, 200, 5_000);
     for workers in [1usize, 2, 4] {
-        for (label, variant, (probe, build)) in [
-            ("vectorized", SystemVariant::full(), &dense),
-            ("scalar", SystemVariant::scalar_ops(), &dense),
-            ("selective/vectorized", SystemVariant::full(), &selective),
-            ("selective/scalar", SystemVariant::scalar_ops(), &selective),
-        ] {
+        for (label, (probe, build)) in [("dense", &dense), ("selective", &selective)] {
             g.bench_with_input(BenchmarkId::new(label, workers), &workers, |b, &workers| {
                 b.iter(|| {
                     let plan = Plan::scan(probe.clone(), Some(gt(col(1), lit(-1))), &["fk", "v"])
@@ -87,7 +78,7 @@ fn bench_probe(c: &mut Criterion) {
                                 ("cnt", morsel_exec::AggFn::Count),
                             ],
                         );
-                    let (spec, result) = compile_query("probe", plan, variant);
+                    let (spec, result) = compile_query("probe", plan, SystemVariant::full());
                     let exec = ThreadedExecutor::new(
                         env.clone(),
                         DispatchConfig::new(workers).with_morsel_size(16_384),

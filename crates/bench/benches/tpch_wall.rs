@@ -43,51 +43,5 @@ fn bench_queries(c: &mut Criterion) {
     g.finish();
 }
 
-/// The profiling-overhead ablation: identical queries with per-operator
-/// runtime profiling on (the default) and off. The acceptance bar is
-/// profiling-on within 5% of off — the recording path is a handful of
-/// relaxed `fetch_add`s per morsel/batch plus two `Instant::now` calls,
-/// amortized over hundreds-to-thousands of tuples.
-fn bench_profiling_overhead(c: &mut Criterion) {
-    let topo = Topology::laptop();
-    let env = ExecEnv::new(topo.clone());
-    let db = generate_tpch(
-        TpchConfig {
-            scale: 0.005,
-            ..Default::default()
-        },
-        &topo,
-    );
-    let profiling_off = SystemVariant {
-        profiling: false,
-        ..SystemVariant::full()
-    };
-    let mut g = c.benchmark_group("profiling_overhead");
-    g.sample_size(10);
-    // One scan-heavy, one join-heavy, one aggregation-heavy query.
-    for q in [1usize, 3, 13] {
-        for (label, variant) in [("on", SystemVariant::full()), ("off", profiling_off)] {
-            g.bench_with_input(
-                BenchmarkId::new(format!("q{q}"), label),
-                &variant,
-                |b, &variant| {
-                    b.iter(|| {
-                        let out = run_threaded(
-                            &env,
-                            &format!("q{q}"),
-                            tpch_queries::query(&db, q),
-                            variant,
-                            2,
-                            8_192,
-                        );
-                        black_box(out.result.rows())
-                    });
-                },
-            );
-        }
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_queries, bench_profiling_overhead);
+criterion_group!(benches, bench_queries);
 criterion_main!(benches);

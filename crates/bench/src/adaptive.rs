@@ -22,22 +22,13 @@ use morsel_core::{ExecEnv, QueryProfile};
 use morsel_exec::plan::Plan;
 use morsel_exec::SystemVariant;
 use morsel_numa::Topology;
-use morsel_planner::PlanReport;
 use morsel_queries::{run_sim, ssb_sql, tpch_sql};
 use morsel_service::Session;
 use morsel_storage::{Batch, Catalog};
 
 use crate::experiments::ExpConfig;
+use crate::plan_quality::widest_order;
 use crate::report::Table;
-
-fn widest_order(report: &PlanReport) -> String {
-    report
-        .blocks
-        .iter()
-        .max_by_key(|b| b.leaves.len())
-        .map(|b| b.order.clone())
-        .unwrap_or_else(|| "-".to_owned())
-}
 
 fn count_joins(plan: &Plan) -> usize {
     match plan {

@@ -10,9 +10,11 @@
 //!              service_load_zipf  (skewed SQL replay through the plan/result
 //!                             caches, one row per caching mode)
 //!              plan_quality  (cost-based planner vs hand-authored plans)
-//!              explain <q>   (planner join order + est/actual rows, e.g.
-//!                             `explain q5` or `explain ssb2.1`)
-//!              explain --sql "<text>"  (same, for a SQL query)
+//!              explain <q>   (planner join order + est/actual rows of a
+//!                             SQL fixture, e.g. `explain q5` or
+//!                             `explain ssb2.1`; exits 2, listing the
+//!                             fixtures, on an id that has none)
+//!              explain --sql "<text>"  (same, for any SQL query)
 //!              sql "<text>"  (parse, bind, plan, and execute SQL text
 //!                             against the generated DB; `--db` picks
 //!                             TPC-H (default) or SSB; `--repeat N` re-runs
@@ -191,10 +193,16 @@ fn main() {
     };
     for target in &explain_targets {
         match target {
-            ExplainTarget::Query(q) => println!("{}", morsel_bench::explain_query(&cfg, q)),
+            ExplainTarget::Query(q) => match morsel_bench::explain_query(&cfg, q) {
+                Ok(out) => println!("{out}"),
+                Err(unknown) => {
+                    eprintln!("{unknown}");
+                    std::process::exit(2);
+                }
+            },
             ExplainTarget::Sql(text) => {
                 let (catalog, scale) = sql_catalog.as_ref().unwrap();
-                match morsel_bench::explain_sql_in(&cfg, catalog, *scale, text) {
+                match morsel_bench::explain_sql_in(&cfg, "sql", catalog, *scale, text) {
                     Ok(out) => println!("{out}"),
                     Err(diag) => fail(diag),
                 }

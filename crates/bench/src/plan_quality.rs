@@ -1,27 +1,27 @@
 //! Planner-vs-oracle comparison (`repro plan_quality`) and the
 //! `repro explain` / `repro sql` commands.
 //!
-//! For every query that exists in both hand-authored and logical form,
-//! `plan_quality` lowers the logical plan with the cost-based planner and
-//! compares it against the hand plan on equal footing: both are priced by
-//! the same estimator + NUMA cost model (simulated cost) and both are run
-//! in the virtual-time executor (simulated wall clock), across scale
-//! factors. `explain` prints one query's chosen join order and
-//! per-operator estimated vs. actual cardinalities, optd-demo style.
+//! For every query that exists both as a hand plan and as a SQL fixture,
+//! `plan_quality` binds the text, plans it with the cost-based planner and
+//! compares the result against the hand plan on equal footing: both are
+//! priced by the same estimator + NUMA cost model (simulated cost) and
+//! both are run in the virtual-time executor (simulated wall clock),
+//! across scale factors. `explain` prints one query's chosen join order
+//! and per-operator estimated vs. actual cardinalities, optd-demo style.
 
 use morsel_core::ExecEnv;
 use morsel_exec::plan::Plan;
 use morsel_exec::SystemVariant;
 use morsel_numa::Topology;
 use morsel_planner::{explain, plan_cost, Planner};
-use morsel_queries::{format_rows, run_sim, ssb_logical, ssb_queries, tpch_logical, tpch_queries};
+use morsel_queries::{format_rows, run_sim, ssb_queries, ssb_sql, tpch_queries, tpch_sql};
 use morsel_storage::Catalog;
 
 use crate::experiments::ExpConfig;
 use crate::report::{ratio, secs, Table};
 
-/// Queries compared at each scale factor: the TPC-H logical slice plus
-/// three SSB representatives per join-depth class.
+/// Queries compared at each scale factor: the TPC-H fixtures plus SSB
+/// representatives of each join-depth class.
 const SSB_PICKS: [&str; 4] = ["2.1", "3.1", "4.1", "4.3"];
 
 struct Pair {
@@ -35,30 +35,33 @@ fn pairs(topo: &Topology, scale: f64, ssb_scale: f64) -> Vec<Pair> {
     let planner = Planner::new(topo);
     let tpch = morsel_datagen::generate_tpch(morsel_datagen::TpchConfig::scaled(scale), topo);
     let ssb = morsel_datagen::generate_ssb(morsel_datagen::SsbConfig::scaled(ssb_scale), topo);
-    let mut out = Vec::new();
-    for &q in &tpch_logical::IDS {
-        let logical = tpch_logical::query(&tpch, q).unwrap();
+    let pair = |name: String, catalog: &Catalog, sql: &str, oracle: Plan| {
+        let logical = morsel_sql::plan_sql(catalog, sql)
+            .unwrap_or_else(|e| panic!("{name}: fixture failed to bind\n{}", e.render(sql)));
         let (lowered, report) = planner.plan_with_report(&logical);
-        out.push(Pair {
-            name: format!("Q{q}"),
-            oracle: tpch_queries::query(&tpch, q),
+        Pair {
+            name,
+            oracle,
             lowered,
             order: widest_order(&report),
-        });
+        }
+    };
+    let (tpch_catalog, ssb_catalog) = (tpch.catalog(), ssb.catalog());
+    let mut out = Vec::new();
+    for (q, sql) in tpch_sql::all() {
+        let oracle = tpch_queries::query(&tpch, q);
+        out.push(pair(format!("Q{q}"), &tpch_catalog, sql, oracle));
     }
     for id in SSB_PICKS {
-        let (lowered, report) = planner.plan_with_report(&ssb_logical::query(&ssb, id));
-        out.push(Pair {
-            name: format!("SSB{id}"),
-            oracle: ssb_queries::query(&ssb, id),
-            lowered,
-            order: widest_order(&report),
-        });
+        let sql = ssb_sql::text(id).expect("picked from the SSB fixtures");
+        let oracle = ssb_queries::query(&ssb, id);
+        out.push(pair(format!("SSB{id}"), &ssb_catalog, sql, oracle));
     }
     out
 }
 
-fn widest_order(report: &morsel_planner::PlanReport) -> String {
+/// The join order of a plan's widest block (`-` without one).
+pub(crate) fn widest_order(report: &morsel_planner::PlanReport) -> String {
     report
         .blocks
         .iter()
@@ -154,42 +157,35 @@ pub fn plan_quality(cfg: &ExpConfig) -> String {
     out
 }
 
-/// The `repro explain <query>` command. Accepts `q5`/`5` (TPC-H) or
-/// `ssb2.1`/`2.1` (SSB).
-pub fn explain_query(cfg: &ExpConfig, query: &str) -> String {
-    let topo = Topology::nehalem_ex();
-    let env = ExecEnv::new(topo.clone());
-    let planner = Planner::new(&topo);
-    let spec = query.trim().to_lowercase();
-
-    let (name, scale, lowered, report) = if let Some(id) = spec
-        .strip_prefix("ssb")
-        .map(str::to_owned)
-        .or_else(|| spec.contains('.').then(|| spec.clone()))
-    {
-        let db =
-            morsel_datagen::generate_ssb(morsel_datagen::SsbConfig::scaled(cfg.ssb_scale), &topo);
-        let (lowered, report) = planner.plan_with_report(&ssb_logical::query(&db, &id));
-        (format!("SSB Q{id}"), cfg.ssb_scale, lowered, report)
-    } else {
-        let n: usize = spec
-            .strip_prefix('q')
-            .unwrap_or(&spec)
-            .parse()
-            .unwrap_or_else(|_| panic!("unrecognized query {query:?}; try q5 or ssb2.1"));
-        let db =
-            morsel_datagen::generate_tpch(morsel_datagen::TpchConfig::scaled(cfg.scale), &topo);
-        let logical = tpch_logical::query(&db, n).unwrap_or_else(|| {
-            panic!(
-                "TPC-H Q{n} has no logical form yet (available: {:?})",
-                tpch_logical::IDS
-            )
-        });
-        let (lowered, report) = planner.plan_with_report(&logical);
-        (format!("TPC-H Q{n}"), cfg.scale, lowered, report)
+/// The SQL fixture `query` names — `q5`/`5` (TPC-H) or `ssb2.1`/`2.1`
+/// (SSB) — with its display name and the database it runs against.
+fn fixture(query: &str) -> Result<(String, SqlDb, &'static str), String> {
+    let missing = |id: String, all: Vec<String>| {
+        format!("no SQL fixture for {id}; available: {}", all.join(" "))
     };
+    let spec = query.trim().to_lowercase();
+    let ssb_id = spec
+        .strip_prefix("ssb")
+        .or_else(|| spec.contains('.').then_some(spec.as_str()));
+    if let Some(id) = ssb_id {
+        let all = || ssb_sql::IDS.iter().map(|id| format!("ssb{id}")).collect();
+        let sql = ssb_sql::text(id).ok_or_else(|| missing(format!("ssb{id}"), all()))?;
+        return Ok((format!("SSB Q{id}"), SqlDb::Ssb, sql));
+    }
+    let n: usize = (spec.strip_prefix('q').unwrap_or(&spec))
+        .parse()
+        .map_err(|_| format!("unrecognized query {query:?}; try q5 or ssb2.1"))?;
+    let all = || tpch_sql::IDS.iter().map(|q| format!("q{q}")).collect();
+    let sql = tpch_sql::text(n).ok_or_else(|| missing(format!("q{n}"), all()))?;
+    Ok((format!("TPC-H Q{n}"), SqlDb::Tpch, sql))
+}
 
-    render_explain(&env, &planner, cfg, &name, scale, &lowered, &report)
+/// The `repro explain <query>` command: `explain --sql` of the fixture's
+/// text. `Err` names the fixtures there are when `query` is none of them.
+pub fn explain_query(cfg: &ExpConfig, query: &str) -> Result<String, String> {
+    let (name, db, sql) = fixture(query)?;
+    let (catalog, scale) = sql_catalog(cfg, db);
+    explain_sql_in(cfg, &name, &catalog, scale, sql)
 }
 
 /// Shared explain rendering: chosen join orders plus estimated vs.
@@ -222,8 +218,8 @@ fn render_explain(
     // Estimated vs actual from ONE profiled execution: the runtime
     // profile's slots are numbered in explain order (pre-order,
     // probe-first), so `profile.ops[i].rows_out` is line i's actual.
-    // Re-executing every subtree survives only as the test oracle
-    // (`subtree_actuals`, asserted equal in tests/planner_equivalence.rs).
+    // Re-executing every subtree survives only as the test oracle in
+    // tests/planner_equivalence.rs.
     let lines = explain::collect(lowered, &planner.estimator);
     let run = run_sim(
         env,
@@ -249,33 +245,6 @@ fn render_explain(
         out.push_str(&profile.render());
     }
     out
-}
-
-/// The old est-vs-actual oracle: run every explain line's subtree in
-/// isolation and count its result rows. Quadratic in plan depth — kept
-/// *only* so tests can assert the single-execution profile agrees with
-/// it on every fixture; the CLI paths never call this.
-pub fn subtree_actuals(
-    env: &ExecEnv,
-    cfg: &ExpConfig,
-    lines: &[explain::ExplainLine],
-) -> Vec<usize> {
-    lines
-        .iter()
-        .enumerate()
-        .map(|(i, line)| {
-            run_sim(
-                env,
-                &format!("explain-oracle-{i}"),
-                line.subplan.clone(),
-                SystemVariant::full(),
-                16,
-                cfg.morsel_size,
-            )
-            .result
-            .rows()
-        })
-        .collect()
 }
 
 /// Which generated database `repro sql` binds against.
@@ -407,12 +376,13 @@ pub fn run_sql_in(
 /// The `repro explain --sql "<text>"` command.
 pub fn explain_sql(cfg: &ExpConfig, db: SqlDb, sql: &str) -> Result<String, String> {
     let (catalog, scale) = sql_catalog(cfg, db);
-    explain_sql_in(cfg, &catalog, scale, sql)
+    explain_sql_in(cfg, "sql", &catalog, scale, sql)
 }
 
-/// [`explain_sql`] against a prebuilt catalog.
+/// [`explain_sql`] against a prebuilt catalog, headed `name`.
 pub fn explain_sql_in(
     cfg: &ExpConfig,
+    name: &str,
     catalog: &Catalog,
     scale: f64,
     sql: &str,
@@ -423,7 +393,7 @@ pub fn explain_sql_in(
     let logical = morsel_sql::plan_sql(catalog, sql).map_err(|e| e.render(sql))?;
     let (lowered, report) = planner.plan_with_report(&logical);
     Ok(render_explain(
-        &env, &planner, cfg, "sql", scale, &lowered, &report,
+        &env, &planner, cfg, name, scale, &lowered, &report,
     ))
 }
 
@@ -439,12 +409,29 @@ mod tests {
             quick: true,
             ..Default::default()
         };
-        let text = explain_query(&cfg, "q5");
+        let text = explain_query(&cfg, "q5").expect("Q5 has a fixture");
         assert!(text.contains("join block 1:"), "{text}");
         assert!(text.contains("⋈"));
         assert!(text.contains("actual="));
-        let ssb = explain_query(&cfg, "ssb2.1");
+        let ssb = explain_query(&cfg, "ssb2.1").expect("SSB 2.1 has a fixture");
         assert!(ssb.contains("SSB Q2.1"));
+    }
+
+    #[test]
+    fn explain_names_the_fixtures_for_an_id_it_cannot_serve() {
+        let cfg = ExpConfig::default();
+        let q2 = explain_query(&cfg, "q2").expect_err("Q2 is a hand plan only");
+        assert!(
+            q2.starts_with("no SQL fixture for q2; available: q1 q3 "),
+            "{q2}"
+        );
+        let ssb = explain_query(&cfg, "ssb9.9").expect_err("there is no SSB 9.9");
+        assert!(
+            ssb.starts_with("no SQL fixture for ssb9.9; available: ssb1.1 "),
+            "{ssb}"
+        );
+        let junk = explain_query(&cfg, "five").expect_err("not a query id");
+        assert!(junk.contains("unrecognized query"), "{junk}");
     }
 
     #[test]

@@ -207,6 +207,7 @@ fn zipf_pick(client: usize, seq: usize, n: usize) -> usize {
 /// hit_rate=… qps=…` line per mode for CI's assertions.
 pub fn service_load_zipf(cfg: &ExpConfig) -> String {
     use morsel_queries::tpch_sql;
+    use morsel_service::cache::PLAN_CACHE_CAPACITY_DEFAULT;
     use morsel_service::Session;
 
     let topo = Topology::laptop();
@@ -222,11 +223,11 @@ pub fn service_load_zipf(cfg: &ExpConfig) -> String {
     let fixtures: Vec<(usize, &'static str)> = tpch_sql::all();
     let workers = cfg.workers.min(4);
 
-    // (label, plan caching, result caching)
-    let modes: [(&str, bool, bool); 3] = [
-        ("uncached", false, false),
-        ("plan", true, false),
-        ("plan+result", true, true),
+    // (label, plan-cache capacity, result caching)
+    let modes: [(&str, usize, bool); 3] = [
+        ("uncached", 0, false),
+        ("plan", PLAN_CACHE_CAPACITY_DEFAULT, false),
+        ("plan+result", PLAN_CACHE_CAPACITY_DEFAULT, true),
     ];
     let mut t = Table::new(&[
         "mode",
@@ -239,7 +240,7 @@ pub fn service_load_zipf(cfg: &ExpConfig) -> String {
         "result hit",
     ]);
     let mut result_lines = String::new();
-    for (label, plan_caching, result_caching) in modes {
+    for (label, plan_cache_capacity, result_caching) in modes {
         let service = QueryService::start(
             env.clone(),
             ServiceConfig::new(workers)
@@ -251,7 +252,7 @@ pub fn service_load_zipf(cfg: &ExpConfig) -> String {
             .catalog(catalog.clone())
             .topology(&topo)
             .for_service(&service)
-            .plan_caching(plan_caching)
+            .plan_cache_capacity(plan_cache_capacity)
             .result_caching(result_caching)
             .build();
         std::thread::scope(|scope| {
@@ -357,7 +358,9 @@ mod tests {
         let submissions = (ZIPF_CLIENTS * ZIPF_PER_CLIENT) as f64;
         assert_eq!(field("uncached", "completed"), submissions);
         assert_eq!(field("plan", "completed"), submissions);
-        assert_eq!(field("uncached", "hits") + field("uncached", "misses"), 0.0);
+        // A cache of capacity 0 holds nothing: every submission misses.
+        assert_eq!(field("uncached", "hits"), 0.0);
+        assert_eq!(field("uncached", "misses"), submissions);
         // Every submission consults the cache; misses are bounded by the
         // number of distinct shapes, so the skewed replay hits >= 90%.
         assert_eq!(

@@ -10,7 +10,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crossbeam::utils::CachePadded;
 use morsel_numa::Topology;
 
 use crate::task::{ChunkMeta, Morsel};
@@ -32,6 +31,13 @@ pub enum SchedulingMode {
     Static { workers: usize, align: bool },
 }
 
+/// A queue's cursor on cache lines of its own (128 bytes: the 64-byte
+/// line plus the adjacent-line prefetcher), so workers cutting morsels
+/// from neighbouring queues do not false-share.
+#[derive(Debug)]
+#[repr(align(128))]
+struct Cursor(AtomicU64);
+
 /// One queue: an ordered set of chunk slices plus an atomic row cursor.
 #[derive(Debug)]
 struct RangeQueue {
@@ -40,7 +46,7 @@ struct RangeQueue {
     /// Prefix sums of piece lengths; `prefix[i]` = rows before piece `i`.
     prefix: Vec<u64>,
     total: u64,
-    cursor: CachePadded<AtomicU64>,
+    cursor: Cursor,
 }
 
 impl RangeQueue {
@@ -55,7 +61,7 @@ impl RangeQueue {
             pieces,
             prefix,
             total,
-            cursor: CachePadded::new(AtomicU64::new(0)),
+            cursor: Cursor(AtomicU64::new(0)),
         }
     }
 
@@ -63,7 +69,7 @@ impl RangeQueue {
     /// boundary, so a successful cut may be smaller than `morsel_size`.
     fn next(&self, morsel_size: usize) -> Option<Morsel> {
         debug_assert!(morsel_size > 0);
-        let mut cur = self.cursor.load(Ordering::Relaxed);
+        let mut cur = self.cursor.0.load(Ordering::Relaxed);
         loop {
             if cur >= self.total {
                 return None;
@@ -77,7 +83,7 @@ impl RangeQueue {
             let off = (cur - self.prefix[idx]) as usize;
             let begin = start + off;
             let take = morsel_size.min(end - begin);
-            match self.cursor.compare_exchange_weak(
+            match self.cursor.0.compare_exchange_weak(
                 cur,
                 cur + take as u64,
                 Ordering::AcqRel,
@@ -96,7 +102,7 @@ impl RangeQueue {
 
     fn remaining(&self) -> u64 {
         self.total
-            .saturating_sub(self.cursor.load(Ordering::Relaxed))
+            .saturating_sub(self.cursor.0.load(Ordering::Relaxed))
     }
 }
 
@@ -314,6 +320,14 @@ mod tests {
                 rows,
             })
             .collect()
+    }
+
+    #[test]
+    fn cursor_is_cache_line_aligned() {
+        assert_eq!(std::mem::align_of::<Cursor>(), 128);
+        let queues = [RangeQueue::new(vec![]), RangeQueue::new(vec![])];
+        let at = |q: &RangeQueue| std::ptr::from_ref(&q.cursor) as usize;
+        assert!(at(&queues[0]).abs_diff(at(&queues[1])) >= 128);
     }
 
     fn drain(q: &MorselQueues, worker: usize) -> Vec<Morsel> {

@@ -21,7 +21,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use morsel_numa::{Residency, SocketId, DEFAULT_STRIPE};
-use morsel_storage::hash64;
 
 const HANDLE_BITS: u32 = 48;
 const HANDLE_MASK: u64 = (1 << HANDLE_BITS) - 1;
@@ -205,11 +204,10 @@ impl TaggedHashTable {
         }
     }
 
-    /// Probe for `hash`: visit every chained entry whose stored hash
-    /// equals `hash`. Returns the number of chain links traversed (for
-    /// cost accounting); the tag filter makes this 0 for most selective
-    /// misses.
-    #[inline]
+    /// One hash at a time, no batching: what [`Self::probe_batch`] is
+    /// tested against. Visits every chained entry whose stored hash equals
+    /// `hash` and returns the chain links traversed.
+    #[cfg(test)]
     pub fn probe<F: FnMut(usize)>(&self, hash: u64, mut on_candidate: F) -> u32 {
         let slot = (hash >> self.shift) as usize;
         let word = self.directory[slot].load(Ordering::Acquire);
@@ -229,17 +227,16 @@ impl TaggedHashTable {
         travers
     }
 
-    /// Batched probe over a whole hash vector (the pipeline's vectorized
-    /// path). Pass 1 loads one directory word per hash and applies the tag
-    /// filter: it writes `(row, handle)` at a cursor that advances by
-    /// whether the word can hold the key, so the loop has no dependent
-    /// loads between rows (the misses overlap) and no data-dependent
-    /// branch (a selective probe mispredicts nothing). Pass 2 chain-walks
-    /// only the survivors, invoking `on_candidate(i, entry)` for every
-    /// entry whose stored hash matches `hashes[i]`. Candidates arrive by
-    /// ascending `i`, in the same per-row chain order as
-    /// [`TaggedHashTable::probe`]. Returns the chain links traversed (cost
-    /// accounting).
+    /// Probe for a whole hash vector. Pass 1 loads one directory word per
+    /// hash and applies the tag filter: it writes `(row, handle)` at a
+    /// cursor that advances by whether the word can hold the key, so the
+    /// loop has no dependent loads between rows (the misses overlap) and
+    /// no data-dependent branch (a selective probe mispredicts nothing).
+    /// Pass 2 chain-walks only the survivors, invoking
+    /// `on_candidate(i, entry)` for every entry whose stored hash matches
+    /// `hashes[i]`. Candidates arrive by ascending `i`, each row's in chain
+    /// order. Returns the chain links traversed (cost accounting); the tag
+    /// filter makes that 0 for most selective misses.
     pub fn probe_batch<F: FnMut(u32, usize)>(&self, hashes: &[u64], mut on_candidate: F) -> u64 {
         // With tagging off every non-empty slot passes: its handle bits
         // join the tag bit in the test.
@@ -293,10 +290,10 @@ impl TaggedHashTable {
         (0..self.len()).filter(|&i| !self.marker(i)).collect()
     }
 
-    /// Convenience for tests and single-key joins.
+    #[cfg(test)]
     pub fn probe_key_i64(&self, key: i64) -> Vec<usize> {
         let mut out = Vec::new();
-        self.probe(hash64(key as u64), |idx| out.push(idx));
+        self.probe(morsel_storage::hash64(key as u64), |idx| out.push(idx));
         out
     }
 }
@@ -304,6 +301,7 @@ impl TaggedHashTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use morsel_storage::hash64;
     use std::sync::Arc;
 
     /// Build a table over one area of n sequential keys (key = row index).

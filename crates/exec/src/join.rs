@@ -13,7 +13,7 @@ use morsel_core::{Morsel, PipelineJob, TaskContext};
 use morsel_storage::{AreaSet, Batch, Column, DataType};
 
 use crate::ht::TaggedHashTable;
-use crate::key::{hash_row, hash_rows, rows_equal, MatchCandidates, Rows};
+use crate::key::{hash_rows, MatchCandidates, Rows};
 use crate::pipeline::{PipeOp, SelBatch};
 use crate::weights;
 
@@ -149,12 +149,11 @@ pub enum JoinKind {
 
 /// Probe operator inside a pipeline.
 ///
-/// The default path is batched: hash every live row with one columnar
-/// pass, tag-filter all rows against the directory, chain-walk only the
-/// surviving candidates into match lists, key-compare them with one typed
-/// pass per key column, then gather each output side once. The
-/// row-at-a-time reference path is kept behind `scalar` for the
-/// scalar-vs-vectorized benches and the equivalence property tests.
+/// Batched: hash every live row with one columnar pass, tag-filter all
+/// rows against the directory, chain-walk only the surviving candidates
+/// into match lists, key-compare them with one typed pass per key column,
+/// then gather each output side once. Its reference is a nested loop over
+/// decoded values in `tests/join_equivalence.rs`.
 pub struct ProbeOp {
     pub table: JoinSlot,
     /// Key columns in the working batch.
@@ -162,8 +161,6 @@ pub struct ProbeOp {
     pub kind: JoinKind,
     /// Build-side columns appended to the output (Inner/InnerMark only).
     pub build_cols: Vec<usize>,
-    /// Use the row-at-a-time reference implementation.
-    pub scalar: bool,
 }
 
 impl ProbeOp {
@@ -182,10 +179,6 @@ impl PipeOp for ProbeOp {
             .get()
             .expect("probe ran before build completed")
             .clone();
-        if self.scalar {
-            let dense = input.materialize(ctx);
-            return SelBatch::dense(self.apply_scalar(ctx, dense, &jt));
-        }
         let rows = input.rows();
         ctx.cpu(rows as u64, weights::HASH_NS + weights::PROBE_NS);
         // Directory lookups: dependent random accesses, interleaved.
@@ -288,137 +281,6 @@ impl PipeOp for ProbeOp {
 }
 
 impl ProbeOp {
-    /// Row-at-a-time reference implementation (pre-vectorization).
-    fn apply_scalar(&self, ctx: &mut TaskContext<'_>, input: Batch, jt: &JoinTable) -> Batch {
-        let rows = input.rows();
-        ctx.cpu(rows as u64, weights::HASH_NS + weights::PROBE_NS);
-        ctx.random_access_interleaved(rows as u64);
-        ctx.read_spread(rows as u64 * weights::HT_DIR_BYTES);
-
-        let mut traversed = 0u64;
-        match self.kind {
-            JoinKind::Inner | JoinKind::InnerMark => {
-                let mark = self.kind == JoinKind::InnerMark;
-                let mut probe_sel: Vec<u32> = Vec::new();
-                let mut matches: Vec<usize> = Vec::new(); // entry idx
-                for row in 0..rows {
-                    let h = hash_row(&input, &self.probe_keys, row);
-                    traversed += u64::from(jt.ht.probe(h, |idx| {
-                        let (a, r) = jt.ht.loc(idx);
-                        if rows_equal(
-                            &input,
-                            &self.probe_keys,
-                            row,
-                            jt.build.area(a).data(),
-                            &jt.key_cols,
-                            r,
-                        ) {
-                            probe_sel.push(row as u32);
-                            matches.push(idx);
-                            if mark {
-                                jt.ht.set_marker(idx);
-                            }
-                        }
-                    }));
-                }
-                self.charge_chain(
-                    ctx,
-                    traversed,
-                    jt,
-                    matches.iter().map(|&idx| jt.ht.loc(idx)),
-                );
-                // Assemble output: probe columns then build columns.
-                let mut out_cols: Vec<Column> = input
-                    .columns()
-                    .iter()
-                    .map(|c| {
-                        let mut col = Column::with_capacity_like(c, probe_sel.len());
-                        col.extend_selected(c, &probe_sel);
-                        col
-                    })
-                    .collect();
-                for (bi, &bc) in self.build_cols.iter().enumerate() {
-                    let dt = self.build_types(jt)[bi];
-                    let mut col = Column::with_capacity(dt, matches.len());
-                    for &idx in &matches {
-                        let (a, r) = jt.ht.loc(idx);
-                        col.push_from(jt.build.area(a).data().column(bc), r);
-                    }
-                    out_cols.push(col);
-                }
-                ctx.cpu(
-                    matches.len() as u64,
-                    weights::MATCH_NS
-                        + weights::GATHER_NS * (input.width() + self.build_cols.len()) as f64,
-                );
-                Batch::from_columns(out_cols)
-            }
-            JoinKind::Semi | JoinKind::Anti => {
-                let want = self.kind == JoinKind::Semi;
-                let mut sel: Vec<u32> = Vec::new();
-                for row in 0..rows {
-                    let h = hash_row(&input, &self.probe_keys, row);
-                    let mut found = false;
-                    traversed += u64::from(jt.ht.probe(h, |idx| {
-                        if found {
-                            return;
-                        }
-                        let (a, r) = jt.ht.loc(idx);
-                        if rows_equal(
-                            &input,
-                            &self.probe_keys,
-                            row,
-                            jt.build.area(a).data(),
-                            &jt.key_cols,
-                            r,
-                        ) {
-                            found = true;
-                        }
-                    }));
-                    if found == want {
-                        sel.push(row as u32);
-                    }
-                }
-                self.charge_chain(ctx, traversed, jt, std::iter::empty());
-                let mut out = Batch::empty(
-                    &input
-                        .columns()
-                        .iter()
-                        .map(Column::data_type)
-                        .collect::<Vec<_>>(),
-                );
-                out.extend_selected(&input, &sel);
-                ctx.cpu(sel.len() as u64, weights::GATHER_NS * input.width() as f64);
-                out
-            }
-            JoinKind::Count => {
-                let mut counts: Vec<i64> = Vec::with_capacity(rows);
-                for row in 0..rows {
-                    let h = hash_row(&input, &self.probe_keys, row);
-                    let mut n = 0i64;
-                    traversed += u64::from(jt.ht.probe(h, |idx| {
-                        let (a, r) = jt.ht.loc(idx);
-                        if rows_equal(
-                            &input,
-                            &self.probe_keys,
-                            row,
-                            jt.build.area(a).data(),
-                            &jt.key_cols,
-                            r,
-                        ) {
-                            n += 1;
-                        }
-                    }));
-                    counts.push(n);
-                }
-                self.charge_chain(ctx, traversed, jt, std::iter::empty());
-                let mut cols: Vec<Column> = input.columns().to_vec();
-                cols.push(Column::I64(counts));
-                Batch::from_columns(cols)
-            }
-        }
-    }
-
     /// Charge chain traversal plus, for inner joins, the build-payload
     /// gather bytes from each area's node (`match_locs` yields one
     /// `(area, row)` per produced match).
@@ -564,7 +426,6 @@ mod tests {
             probe_keys: vec![0],
             kind: JoinKind::Inner,
             build_cols: vec![1],
-            scalar: false,
         };
         let env = env();
         let mut ctx = TaskContext::new(&env, 0);
@@ -585,7 +446,6 @@ mod tests {
             probe_keys: vec![0],
             kind: JoinKind::Inner,
             build_cols: vec![1],
-            scalar: false,
         };
         let env = env();
         let mut ctx = TaskContext::new(&env, 0);
@@ -606,7 +466,6 @@ mod tests {
             probe_keys: vec![0],
             kind: JoinKind::Semi,
             build_cols: vec![],
-            scalar: false,
         };
         let out = run_op(&semi, &mut ctx, probe_batch(&[1, 2, 3, 3]));
         assert_eq!(out.column(0).as_i64(), &[1, 3, 3]);
@@ -615,7 +474,6 @@ mod tests {
             probe_keys: vec![0],
             kind: JoinKind::Anti,
             build_cols: vec![],
-            scalar: false,
         };
         let out = run_op(&anti, &mut ctx, probe_batch(&[1, 2, 3, 4]));
         assert_eq!(out.column(0).as_i64(), &[2, 4]);
@@ -630,7 +488,6 @@ mod tests {
             probe_keys: vec![0],
             kind: JoinKind::Count,
             build_cols: vec![],
-            scalar: false,
         };
         let env = env();
         let mut ctx = TaskContext::new(&env, 0);
@@ -651,7 +508,6 @@ mod tests {
             probe_keys: vec![0],
             kind: JoinKind::InnerMark,
             build_cols: vec![1],
-            scalar: false,
         };
         let env = env();
         let mut ctx = TaskContext::new(&env, 0);
@@ -701,80 +557,23 @@ mod tests {
     }
 
     #[test]
-    fn vectorized_probe_matches_scalar_for_all_kinds() {
-        // One-area and two-area builds (the second with an empty area in
-        // between), dense and selection-vector input.
-        let one = built_table(&[1, 2, 2, 3, 5, 8], &[10, 20, 21, 30, 50, 80]);
-        let two = built_areas(&[
-            (&[1, 2, 8], &[10, 20, 80]),
-            (&[], &[]),
-            (&[2, 3, 5, 2], &[21, 30, 50, 22]),
-        ]);
-        let env = env();
-        let mut ctx = TaskContext::new(&env, 0);
-        let probe_keys: Vec<i64> = (0..64).map(|x| x % 11).collect();
-        let sels = [
-            None,
-            Some((0..64).filter(|i| i % 3 != 1).collect::<Vec<u32>>()),
-            Some(vec![5, 40]),
-            Some(vec![]),
-        ];
-        for (slot, sel, kind) in [&one, &two].into_iter().flat_map(|slot| {
-            sels.iter().flat_map(move |sel| {
-                [
-                    JoinKind::Inner,
-                    JoinKind::Semi,
-                    JoinKind::Anti,
-                    JoinKind::Count,
-                ]
-                .map(|kind| (slot, sel, kind))
-            })
-        }) {
-            let build_cols = if kind == JoinKind::Inner {
-                vec![1]
-            } else {
-                vec![]
-            };
-            let op = |scalar| ProbeOp {
-                table: slot.clone(),
-                probe_keys: vec![0],
-                kind,
-                build_cols: build_cols.clone(),
-                scalar,
-            };
-            let mut run = |scalar| {
-                let input = SelBatch {
-                    batch: probe_batch(&probe_keys),
-                    sel: sel.clone(),
-                };
-                op(scalar).apply(&mut ctx, input).materialize(&mut ctx)
-            };
-            assert_eq!(run(false), run(true), "kind {kind:?}, selection {sel:?}");
-        }
-    }
-
-    #[test]
     fn inner_mark_marks_the_entries_it_matched() {
         // Across two areas: the marker of a match is found from its
         // (area, row), not carried with the candidate.
-        let run = |scalar: bool| {
-            let slot = built_areas(&[(&[1, 2], &[10, 20]), (&[3, 4, 2], &[30, 40, 21])]);
-            let op = ProbeOp {
-                table: slot.clone(),
-                probe_keys: vec![0],
-                kind: JoinKind::InnerMark,
-                build_cols: vec![1],
-                scalar,
-            };
-            let env = env();
-            let mut ctx = TaskContext::new(&env, 0);
-            let out = run_op(&op, &mut ctx, probe_batch(&[2, 4, 9]));
-            (out, slot.get().unwrap().ht.unmatched())
+        let slot = built_areas(&[(&[1, 2], &[10, 20]), (&[3, 4, 2], &[30, 40, 21])]);
+        let op = ProbeOp {
+            table: slot.clone(),
+            probe_keys: vec![0],
+            kind: JoinKind::InnerMark,
+            build_cols: vec![1],
         };
-        let (out, unmatched) = run(false);
-        assert_eq!(out.rows(), 3);
-        assert_eq!(unmatched, vec![0, 2]);
-        assert_eq!(run(true), (out, unmatched));
+        let env = env();
+        let mut ctx = TaskContext::new(&env, 0);
+        let out = run_op(&op, &mut ctx, probe_batch(&[2, 4, 9]));
+        let mut payloads = out.column(2).as_i64().to_vec();
+        payloads.sort_unstable();
+        assert_eq!(payloads, vec![20, 21, 40]);
+        assert_eq!(slot.get().unwrap().ht.unmatched(), vec![0, 2]);
     }
 
     #[test]
@@ -830,7 +629,6 @@ mod tests {
             probe_keys: vec![0],
             kind: JoinKind::Inner,
             build_cols: vec![1],
-            scalar: false,
         };
         // Rows 0 and 3 are selected away; only rows 1 (key 2) and 2
         // (key 3) may match.
@@ -851,7 +649,6 @@ mod tests {
             probe_keys: vec![0],
             kind: JoinKind::Inner,
             build_cols: vec![1],
-            scalar: false,
         };
         let env = env();
         let mut ctx = TaskContext::new(&env, 0);

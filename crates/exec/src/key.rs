@@ -1,15 +1,14 @@
 //! Join/group key hashing and row equality over columns.
 //!
-//! Two tiers live here. The row-at-a-time functions ([`hash_row`],
-//! [`rows_equal`]) dispatch on the `Column` enum per row; they remain as
-//! the join's reference/fallback path. The columnar kernels
-//! ([`hash_rows`], [`MatchCandidates::retain_key_equal`], and the group
-//! key compiler `KeyLayout`) dispatch once per column and run a
-//! monomorphised loop over a whole batch (optionally through a selection
-//! vector) — the hot path for joins and aggregation. [`Rows`], the row
-//! set every kernel iterates, also carries the one compaction loop all
-//! filters share ([`Rows::select`], [`narrow`]). See DESIGN.md §4 for
-//! the policy and §3 for float-key semantics.
+//! The columnar kernels ([`hash_rows`],
+//! [`MatchCandidates::retain_key_equal`], and the group key compiler
+//! `KeyLayout`) dispatch once per column and run a monomorphised loop
+//! over a whole batch (optionally through a selection vector). The
+//! per-row `hash_row` / `rows_equal` they are unit-tested against are
+//! compiled for tests only. [`Rows`], the row set every kernel iterates,
+//! also carries the one compaction loop all filters share
+//! ([`Rows::select`], [`narrow`]). See DESIGN.md §4 for the policy and §3
+//! for float-key semantics.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -35,7 +34,7 @@ pub fn canon_f64_bits(x: f64) -> u64 {
 }
 
 /// Hash the key columns `cols` of `batch` at `row`.
-#[inline]
+#[cfg(test)]
 pub fn hash_row(batch: &Batch, cols: &[usize], row: usize) -> u64 {
     let mut h = 0u64;
     for (i, &c) in cols.iter().enumerate() {
@@ -162,7 +161,7 @@ pub fn narrow(sel: &mut Vec<u32>, keep: impl Fn(usize, usize) -> bool) {
 }
 
 /// Columnar key hashing: one pass per key column, no per-row enum
-/// dispatch. Produces the same hashes as [`hash_row`] over the same rows.
+/// dispatch.
 pub fn hash_rows(batch: &Batch, cols: &[usize], rows: Rows<'_>) -> Vec<u64> {
     let n = rows.len();
     let mut out = vec![0u64; n];
@@ -460,7 +459,7 @@ impl MatchCandidates {
 }
 
 /// Compare key columns of two rows for equality.
-#[inline]
+#[cfg(test)]
 pub fn rows_equal(
     a: &Batch,
     a_cols: &[usize],

@@ -435,22 +435,15 @@ impl Compiler {
 
     /// Compile a full query. The result slot receives the final batch.
     ///
-    /// When the variant has profiling enabled, the spec carries one
-    /// profile label per plan node in [`profile_labels`] order (pre-order,
-    /// probe subtree before build subtree), and every compiled pipeline
-    /// and breaker job records its counters into the matching slot.
+    /// The spec carries one profile label per plan node in
+    /// [`profile_labels`] order (pre-order, probe subtree before build
+    /// subtree), and every compiled pipeline and breaker job records its
+    /// counters into the matching slot.
     pub fn compile_query(mut self, name: impl Into<String>, plan: Plan) -> (QuerySpec, ResultSlot) {
-        let labels = if self.variant.profiling {
-            profile_labels(&plan)
-        } else {
-            Vec::new()
-        };
+        let labels = profile_labels(&plan);
         let result = result_slot();
         self.compile_root(plan, result.clone());
-        let mut spec = QuerySpec::new(name, self.stages, result.clone());
-        if !labels.is_empty() {
-            spec = spec.with_profile_ops(labels);
-        }
+        let spec = QuerySpec::new(name, self.stages, result.clone()).with_profile_ops(labels);
         (spec, result)
     }
 
@@ -562,7 +555,7 @@ impl Compiler {
                 // Build side: two stages (Figure 3's phases).
                 let probe_slot = slot + 1;
                 let build_slot = slot + 1 + plan_size(&probe) as u32;
-                let join_prof = self.variant.profiling.then_some(slot);
+                let join_prof = Some(slot);
                 let build_schema = build.schema();
                 let bu = self.compile(*build, build_slot);
                 let built_slot = area_slot();
@@ -650,7 +643,6 @@ impl Compiler {
                     probe_keys,
                     kind,
                     build_cols: build_payload,
-                    scalar: !self.variant.vectorized,
                 }));
                 pu.op_slots.push(Some(slot));
                 pu
@@ -680,7 +672,7 @@ impl Compiler {
         result: Option<ResultSlot>,
         slot: u32,
     ) -> PipeUnder {
-        let prof = self.variant.profiling.then_some(slot);
+        let prof = Some(slot);
         let in_schema = u.schema.clone();
         let mut fields: Vec<(String, DataType)> = group_cols
             .iter()
@@ -763,7 +755,7 @@ impl Compiler {
         result: Option<ResultSlot>,
         slot: u32,
     ) -> PipeUnder {
-        let prof = self.variant.profiling.then_some(slot);
+        let prof = Some(slot);
         let schema = u.schema.clone();
         let out = area_slot();
         if let Some(k) = limit {

@@ -7,7 +7,9 @@
 //! 1. flattens the `AND` tree into a list of conjuncts;
 //! 2. fuses every integer bound on the same bare column (`=`, `<`, `<=`,
 //!    `>`, `>=`, `BETWEEN` against constants) into one closed range, tested
-//!    as a single unsigned-span compare (`x - lo <= hi - lo`);
+//!    as a single unsigned-span compare (`x - lo <= hi - lo`) — steps 1
+//!    and 2 are [`fuse_int_bounds`], which the planner's estimator prices
+//!    its ranges from as well;
 //! 3. classifies what is left: `<>`/`IN` on an integer column, a
 //!    comparison of an `F64` column with a constant, a string test
 //!    (comparison, `IN`, prefix, `LIKE`) on a bare string column — resolved
@@ -136,18 +138,74 @@ fn is_int(t: DataType) -> bool {
     matches!(t, DataType::I32 | DataType::I64)
 }
 
+/// The closed range `leaf` holds a bare integer column to, as
+/// `(col, lo, hi)`: `=`, `<`, `<=`, `>`, `>=` against an integer constant
+/// on either side, or `BETWEEN`.
+fn int_bound(leaf: &Expr, types: &[DataType]) -> Option<(usize, i64, i64)> {
+    match leaf {
+        Expr::Cmp(op, a, b) => match col_vs_const(*op, a, b)? {
+            (col, op, Expr::ConstI64(c)) if is_int(types[col]) => {
+                bound(op, *c).map(|(lo, hi)| (col, lo, hi))
+            }
+            _ => None,
+        },
+        Expr::BetweenI64(a, lo, hi) => match **a {
+            Expr::Col(col) if is_int(types[col]) => Some((col, *lo, *hi)),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// Flatten the `AND` tree of `expr`, a predicate over columns of `types`,
+/// and intersect every integer bound on one bare column into one closed
+/// range. Returns the `(col, lo, hi)` ranges (`lo > hi`: contradictory
+/// bounds, no row passes) and the leaves that state no such bound, both
+/// in source order.
+///
+/// "Bounds on one column are one range" is defined here and nowhere else:
+/// [`Predicate::compile`] tests each range with one compare, and the
+/// planner's estimator prices each once instead of multiplying its sides
+/// as if they were independent.
+pub fn fuse_int_bounds<'e>(
+    expr: &'e Expr,
+    types: &[DataType],
+) -> (Vec<(usize, i64, i64)>, Vec<&'e Expr>) {
+    fn flatten<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
+        match e {
+            Expr::And(a, b) => {
+                flatten(a, out);
+                flatten(b, out);
+            }
+            leaf => out.push(leaf),
+        }
+    }
+    let mut leaves = Vec::new();
+    flatten(expr, &mut leaves);
+    let mut ranges: Vec<(usize, i64, i64)> = Vec::new();
+    leaves.retain(|leaf| {
+        let Some((col, lo, hi)) = int_bound(leaf, types) else {
+            return true;
+        };
+        match ranges.iter_mut().find(|r| r.0 == col) {
+            Some(r) => (r.1, r.2) = (r.1.max(lo), r.2.min(hi)),
+            None => ranges.push((col, lo, hi)),
+        }
+        false
+    });
+    (ranges, leaves)
+}
+
 impl Conjunct {
-    /// Classify one leaf of the flattened `AND` tree.
+    /// Classify one leaf of the flattened `AND` tree that states no integer
+    /// bound ([`fuse_int_bounds`] took those).
     fn of(leaf: &Expr, types: &[DataType]) -> Conjunct {
         match leaf {
             Expr::Cmp(op, a, b) => {
                 if let Some((col, op, k)) = col_vs_const(*op, a, b) {
                     match (types[col], k) {
-                        (t, Expr::ConstI64(c)) if is_int(t) => {
-                            return match bound(op, *c) {
-                                Some((lo, hi)) => Conjunct::IntRange { col, lo, hi },
-                                None => Conjunct::IntNe { col, c: *c },
-                            }
+                        (t, Expr::ConstI64(c)) if is_int(t) && op == CmpOp::Ne => {
+                            return Conjunct::IntNe { col, c: *c }
                         }
                         (DataType::F64, Expr::ConstI64(c)) => {
                             return Conjunct::F64Cmp {
@@ -160,17 +218,6 @@ impl Conjunct {
                             return Conjunct::F64Cmp { col, op, c: *c }
                         }
                         _ => {}
-                    }
-                }
-            }
-            Expr::BetweenI64(a, lo, hi) => {
-                if let Expr::Col(col) = **a {
-                    if is_int(types[col]) {
-                        return Conjunct::IntRange {
-                            col,
-                            lo: *lo,
-                            hi: *hi,
-                        };
                     }
                 }
             }
@@ -302,34 +349,12 @@ impl Conjunct {
 impl Predicate {
     /// Compile `expr`, a boolean expression over columns of `types`.
     pub fn compile(expr: &Expr, types: &[DataType]) -> Predicate {
-        fn flatten<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
-            match e {
-                Expr::And(a, b) => {
-                    flatten(a, out);
-                    flatten(b, out);
-                }
-                leaf => out.push(leaf),
-            }
-        }
-        let mut leaves = Vec::new();
-        flatten(expr, &mut leaves);
-        let mut conjuncts: Vec<Conjunct> = Vec::new();
-        for leaf in leaves {
-            let new = Conjunct::of(leaf, types);
-            // Bounds on one column intersect into the range already there.
-            if let Conjunct::IntRange { col, lo, hi } = new {
-                let earlier = conjuncts.iter_mut().find_map(|c| match c {
-                    Conjunct::IntRange { col: c, lo, hi } if *c == col => Some((lo, hi)),
-                    _ => None,
-                });
-                if let Some((earlier_lo, earlier_hi)) = earlier {
-                    *earlier_lo = lo.max(*earlier_lo);
-                    *earlier_hi = hi.min(*earlier_hi);
-                    continue;
-                }
-            }
-            conjuncts.push(new);
-        }
+        let (ranges, rest) = fuse_int_bounds(expr, types);
+        let mut conjuncts: Vec<Conjunct> = ranges
+            .into_iter()
+            .map(|(col, lo, hi)| Conjunct::IntRange { col, lo, hi })
+            .chain(rest.into_iter().map(|leaf| Conjunct::of(leaf, types)))
+            .collect();
         conjuncts.sort_by_key(Conjunct::cost);
         Predicate {
             conjuncts,

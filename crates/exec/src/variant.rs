@@ -26,13 +26,6 @@ pub struct SystemVariant {
     pub tagging: bool,
     /// Extra per-tuple CPU at scans (exchange-operator emulation).
     pub exchange_ns: f64,
-    /// Batch-at-a-time probe and aggregation kernels (selection vectors,
-    /// columnar key hashing). Disabled only by the scalar ablation
-    /// variant; every paper system runs vectorized.
-    pub vectorized: bool,
-    /// Per-operator runtime profiling (rows, batches, morsels, wall
-    /// time). On by default; the overhead ablation bench turns it off.
-    pub profiling: bool,
 }
 
 impl SystemVariant {
@@ -45,19 +38,6 @@ impl SystemVariant {
             placement: Placement::FirstTouch,
             tagging: true,
             exchange_ns: 0.0,
-            vectorized: true,
-            profiling: true,
-        }
-    }
-
-    /// Ablation of this reproduction's vectorized hot path: identical to
-    /// the full system but with row-at-a-time probe and aggregation
-    /// kernels (used by the scalar-vs-vectorized benches).
-    pub fn scalar_ops() -> Self {
-        SystemVariant {
-            name: "HyPer (scalar operators)",
-            vectorized: false,
-            ..Self::full()
         }
     }
 
@@ -70,8 +50,6 @@ impl SystemVariant {
             placement: Placement::OsDefault,
             tagging: true,
             exchange_ns: 0.0,
-            vectorized: true,
-            profiling: true,
         }
     }
 
@@ -85,8 +63,6 @@ impl SystemVariant {
             placement: Placement::OsDefault,
             tagging: false,
             exchange_ns: 0.0,
-            vectorized: true,
-            profiling: true,
         }
     }
 
@@ -99,8 +75,6 @@ impl SystemVariant {
             placement: Placement::Interleaved,
             tagging: false,
             exchange_ns: weights::EXCHANGE_NS,
-            vectorized: true,
-            profiling: true,
         }
     }
 

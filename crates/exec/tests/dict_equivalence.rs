@@ -4,8 +4,7 @@
 //! starting and narrowing selections, group-by on string keys (codes in
 //! an inline key, plain strings in a serialised one, both against the
 //! row-at-a-time oracle of `common/agg_reference.rs`), and sorting on
-//! string keys. The plain representation is the oracle, in the spirit of
-//! the scalar-vs-vectorized equivalence tests of PR 1.
+//! string keys. The plain representation is the oracle.
 //!
 //! And, for every column type: the compiled predicate cascade
 //! (`morsel_exec::predicate`) selects exactly the rows the tree-walk mask
@@ -513,7 +512,6 @@ fn join_payload_dict_roundtrip() {
             probe_keys: vec![0],
             kind: JoinKind::Inner,
             build_cols: vec![1],
-            scalar: false,
         };
         let probe = Batch::from_columns(vec![Column::I64(vec![3, 1, 4, 3])]);
         let out = op

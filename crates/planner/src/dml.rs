@@ -99,7 +99,8 @@ impl DmlPlan {
             Some(pred) => {
                 let stats = relation.stats();
                 let cols: Vec<ColEst> = stats.columns.iter().map(ColEst::from_stats).collect();
-                (total * Estimator::default().selectivity(pred, &cols)).max(1.0)
+                let types = relation.schema().data_types();
+                (total * Estimator::default().selectivity(pred, &cols, &types)).max(1.0)
             }
         };
         self

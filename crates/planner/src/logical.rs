@@ -1,4 +1,4 @@
-//! The logical algebra: declarative query specs over named columns.
+//! The logical algebra: what the SQL binder emits and the planner takes.
 //!
 //! A [`LogicalPlan`] describes *what* to compute — scans, filters,
 //! projections, joins keyed by column **names**, aggregates, and sorts —
@@ -10,8 +10,7 @@
 //! resolved against the node's *canonical* input schema (the schema
 //! [`LogicalPlan::schema`] reports). The lowering pass remaps those
 //! indices when join reordering or projection pruning changes the
-//! physical column layout, so authors write expressions exactly as they
-//! would against the hand-authored plans.
+//! physical column layout.
 
 use std::sync::Arc;
 
@@ -36,26 +35,8 @@ pub enum AggSpec {
 }
 
 impl AggSpec {
-    // Builder shorthands (so query authors write `AggSpec::sum("rev")`).
-
     pub fn sum(c: &str) -> Self {
         AggSpec::Sum(c.to_owned())
-    }
-
-    pub fn min(c: &str) -> Self {
-        AggSpec::Min(c.to_owned())
-    }
-
-    pub fn max(c: &str) -> Self {
-        AggSpec::Max(c.to_owned())
-    }
-
-    pub fn avg(c: &str) -> Self {
-        AggSpec::Avg(c.to_owned())
-    }
-
-    pub fn count_distinct(c: &str) -> Self {
-        AggSpec::CountDistinct(c.to_owned())
     }
 
     /// The input column name, if any.
@@ -180,24 +161,6 @@ impl LogicalPlan {
             relation,
             filter,
             project,
-        }
-    }
-
-    /// Scan with computed projections (exprs over the base schema).
-    pub fn scan_project(
-        table: &str,
-        relation: Arc<Relation>,
-        filter: Option<Expr>,
-        project: Vec<(&str, Expr)>,
-    ) -> Self {
-        LogicalPlan::Scan {
-            table: table.to_owned(),
-            relation,
-            filter,
-            project: project
-                .into_iter()
-                .map(|(n, e)| (n.to_owned(), e))
-                .collect(),
         }
     }
 
@@ -326,17 +289,6 @@ impl LogicalPlan {
         }
     }
 
-    /// Canonical index of a named output column.
-    pub fn col_index(&self, name: &str) -> usize {
-        self.schema().index_of(name)
-    }
-
-    /// Column reference by name (for building filter/project expressions
-    /// against this plan's canonical schema).
-    pub fn cref(&self, name: &str) -> Expr {
-        col(self.col_index(name))
-    }
-
     /// Number of base-relation scans in the tree.
     pub fn scan_count(&self) -> usize {
         match self {
@@ -422,6 +374,6 @@ mod tests {
             .filter(gt(col(1), lit(3)))
             .sort(vec![OrderBy::desc("v"), OrderBy::asc("k")], Some(5));
         assert_eq!(p.schema().names(), vec!["k", "v"]);
-        assert_eq!(p.col_index("v"), 1);
+        assert_eq!(p.schema().index_of("v"), 1);
     }
 }

@@ -1,7 +1,8 @@
 //! All 13 Star Schema Benchmark queries as SQL text fixtures.
 //!
-//! Counterpart of [`crate::ssb_logical`]; same dialect notes as
-//! [`crate::tpch_sql`]. The date dimension is the catalog table `date`.
+//! Same dialect notes as [`crate::tpch_sql`]; the hand plans they are held
+//! to are [`crate::ssb_queries`]. The date dimension is the catalog table
+//! `date`.
 
 pub use crate::ssb_queries::IDS;
 

@@ -1,6 +1,4 @@
-//! Helpers shared by the TPC-H and SSB query builders (hand-authored and
-//! logical alike). Previously duplicated as private functions inside the
-//! per-benchmark modules.
+//! Helpers shared by the TPC-H and SSB query builders.
 
 use morsel_exec::expr::{add, col, div, lit, mul, sub, Expr};
 use morsel_exec::plan::Plan;

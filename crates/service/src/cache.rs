@@ -260,7 +260,6 @@ pub(crate) struct SessionCaches {
 
 impl SessionCaches {
     pub(crate) fn new(capacity: usize, counters: Arc<CacheCounters>) -> Self {
-        assert!(capacity > 0, "plan cache capacity must be positive");
         SessionCaches {
             capacity,
             clock: 0,
@@ -288,6 +287,12 @@ impl SessionCaches {
             }
             CacheCounters::bump(&self.counters.plan_invalidations);
         }
+        CacheCounters::bump(&self.counters.plan_misses);
+        None
+    }
+
+    /// The lookup of a cache that holds nothing (capacity 0): a miss.
+    pub(crate) fn miss(&mut self) -> Option<PlanHandle> {
         CacheCounters::bump(&self.counters.plan_misses);
         None
     }

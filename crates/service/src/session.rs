@@ -72,7 +72,6 @@ pub struct SessionBuilder {
     catalog: Option<Catalog>,
     db: Option<Arc<TxnDb>>,
     topology: Topology,
-    plan_caching: bool,
     plan_cache_capacity: usize,
     result_caching: bool,
     feedback: bool,
@@ -102,14 +101,9 @@ impl SessionBuilder {
         self
     }
 
-    /// Enable/disable the plan cache (default: enabled). Disabled, every
-    /// execution binds and plans from scratch.
-    pub fn plan_caching(mut self, enabled: bool) -> Self {
-        self.plan_caching = enabled;
-        self
-    }
-
     /// Bound on distinct shapes the plan cache retains (LRU beyond it).
+    /// 0 turns the cache off: every execution binds and plans from
+    /// scratch and counts as a miss.
     pub fn plan_cache_capacity(mut self, capacity: usize) -> Self {
         self.plan_cache_capacity = capacity;
         self
@@ -166,7 +160,7 @@ impl SessionBuilder {
                 Arc::clone(&counters),
             )),
             counters,
-            plan_caching: self.plan_caching,
+            plan_cache_capacity: self.plan_cache_capacity,
             result_caching: self.result_caching,
             feedback,
         }
@@ -259,7 +253,7 @@ pub struct Session {
     planner: Planner,
     caches: Mutex<SessionCaches>,
     counters: Arc<CacheCounters>,
-    plan_caching: bool,
+    plan_cache_capacity: usize,
     result_caching: bool,
     feedback: Option<Arc<FeedbackCache>>,
 }
@@ -271,7 +265,6 @@ impl Session {
             catalog: None,
             db: None,
             topology: Topology::nehalem_ex(),
-            plan_caching: true,
             plan_cache_capacity: PLAN_CACHE_CAPACITY_DEFAULT,
             result_caching: false,
             feedback: false,
@@ -437,7 +430,7 @@ impl Session {
         let report = service.submit(QueryRequest::new(spec)).wait();
         if let QueryOutcome::Failed(_) = report.outcome {
             // Never retain a plan whose execution failed.
-            if self.plan_caching {
+            if self.plan_cache_capacity > 0 {
                 let (shape, literals) = shape_of(select);
                 self.caches.lock().evict_poisoned(&shape, &literals);
             }
@@ -474,14 +467,15 @@ impl Session {
         })
     }
 
-    /// Resolve `select` to a physical plan, through the plan cache when
-    /// enabled.
+    /// Resolve `select` to a physical plan, through the plan cache unless
+    /// its capacity is 0 — then nothing is looked up, nothing is kept and
+    /// the statement's shape is never computed.
     ///
     /// Planning runs under the cache lock, so concurrent executions of
     /// one cold shape plan exactly once (single-flight) — the others
     /// block briefly and then hit.
     fn resolve_plan(&self, select: &Select) -> Result<Resolved, SqlError> {
-        let shape = self.plan_caching.then(|| shape_of(select));
+        let shape = (self.plan_cache_capacity > 0).then(|| shape_of(select));
         let mut caches = self.caches.lock();
         let catalog = self.source.catalog();
         let catalog_version = catalog.version();
@@ -496,20 +490,19 @@ impl Session {
             catalog_version,
             feedback_epoch,
         };
-        let cached =
-            (shape.as_ref()).and_then(|(key, literals)| caches.lookup_plan(key, literals, guard));
+        let cached = match &shape {
+            Some((key, literals)) => caches.lookup_plan(key, literals, guard),
+            None => caches.miss(),
+        };
         let (handle, disposition) = match cached {
             Some(handle) => (handle, CacheDisposition::Hit),
             None => {
                 let logical = Binder::new(&catalog).bind(select)?;
                 let handle = self.planner.plan_handle(&logical);
-                match shape {
-                    Some((key, literals)) => {
-                        caches.insert_plan(key, literals, guard, handle.clone());
-                        (handle, CacheDisposition::Miss)
-                    }
-                    None => (handle, CacheDisposition::Bypass),
+                if let Some((key, literals)) = shape {
+                    caches.insert_plan(key, literals, guard, handle.clone());
                 }
+                (handle, CacheDisposition::Miss)
             }
         };
         Ok(Resolved {

@@ -328,6 +328,31 @@ fn plan_cache_is_lru_bounded() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Capacity 0 is the plan cache's off switch: nothing is kept, so a
+/// repeated statement plans, and misses, both times.
+#[test]
+fn zero_capacity_disables_the_plan_cache() {
+    let (topo, db) = tpch();
+    let service = start_service(&topo);
+    let session = Session::builder()
+        .catalog(db.catalog())
+        .topology(&topo)
+        .plan_cache_capacity(0)
+        .build();
+    let mut rows = Vec::new();
+    for name in ["first", "again"] {
+        let exec = session.execute(&service, name, REVENUE).unwrap();
+        let query = exec.query().unwrap();
+        assert_eq!(query.plan_cache, CacheDisposition::Miss, "{name}");
+        rows.push(query.rows.clone().unwrap());
+    }
+    assert_eq!(rows[0], rows[1]);
+    let stats = session.stats();
+    assert_eq!((stats.plan_hits, stats.plan_misses), (0, 2), "{stats}");
+    assert_eq!(stats.plan_evictions, 0, "{stats}");
+    service.shutdown();
+}
+
 /// Feedback-enabled sessions keep serving cached plans once learned
 /// selectivities stop changing: the first harvest bumps the feedback
 /// epoch (guarded miss), but a converged cache leaves entries valid.

@@ -166,29 +166,30 @@ fn sink_time_is_credited_to_the_breaker_it_feeds() {
 
 #[test]
 fn profiling_off_yields_no_profile_and_same_results() {
+    // The core rule: a `QuerySpec` without labels gets no slots, and the
+    // compiled jobs' record calls (they hold slot numbers all the same)
+    // are no-ops that change nothing.
     let topo = Topology::laptop();
     let env = ExecEnv::new(topo.clone());
     let db = generate_tpch(TpchConfig::scaled(0.002), &topo);
-    let off = SystemVariant {
-        profiling: false,
-        ..SystemVariant::full()
+    let run = |labelled: bool| {
+        let (mut spec, result) =
+            compile_query("q1", tpch_queries::query(&db, 1), SystemVariant::full());
+        if !labelled {
+            spec.profile_ops.clear();
+        }
+        let mut sim = SimExecutor::new(env.clone(), DispatchConfig::new(8).with_morsel_size(1024));
+        sim.submit(spec);
+        let profile = sim.run().handle("q1").profile();
+        let rows = result.lock().take().expect("Q1 completes");
+        (profile, rows)
     };
-    let with = run_sim(
-        &env,
-        "q1-on",
-        tpch_queries::query(&db, 1),
-        SystemVariant::full(),
-        8,
-        1024,
-    );
-    let without = run_sim(&env, "q1-off", tpch_queries::query(&db, 1), off, 8, 1024);
-    assert!(with.profile.is_some(), "profiling on must attach a profile");
-    assert!(
-        without.profile.is_none(),
-        "profiling off must not allocate slots"
-    );
+    let (with, rows_with) = run(true);
+    let (without, rows_without) = run(false);
+    assert!(with.is_some(), "labels must attach a profile");
+    assert!(without.is_none(), "no labels must not allocate slots");
     assert_eq!(
-        with.result, without.result,
+        rows_with, rows_without,
         "profiling must not change query results"
     );
 }

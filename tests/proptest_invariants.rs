@@ -8,12 +8,31 @@ use morsel_repro::core::{
 };
 use morsel_repro::exec::expr::LikePattern;
 use morsel_repro::exec::ht::TaggedHashTable;
-use morsel_repro::exec::join::{join_slot, HtInsertJob, ProbeOp};
+use morsel_repro::exec::join::{join_slot, HtInsertJob, JoinSlot, ProbeOp};
 use morsel_repro::exec::pipeline::{FilterOp, PipeOp, SelBatch};
 use morsel_repro::exec::sort::{is_sorted, sort_batch, SortKey};
 use morsel_repro::prelude::*;
 use morsel_repro::storage::{date_parts, hash64, AreaSet, StorageArea};
 use proptest::prelude::*;
+
+/// A hash table over one storage area holding `columns` (all `I64`),
+/// keyed on the first.
+fn built(ctx: &mut TaskContext<'_>, columns: Vec<Vec<i64>>) -> JoinSlot {
+    let rows = columns[0].len();
+    let types = vec![DataType::I64; columns.len()];
+    let mut area = StorageArea::new(SocketId(0), &types);
+    let columns = columns.into_iter().map(Column::I64).collect();
+    (area.data_mut()).extend_from(&Batch::from_columns(columns));
+    let names: Vec<String> = (0..types.len()).map(|c| format!("b{c}")).collect();
+    let fields = names.iter().map(|n| (n.as_str(), DataType::I64)).collect();
+    let build = Arc::new(AreaSet::new(Schema::new(fields), vec![area]));
+    let slot = join_slot();
+    let insert = HtInsertJob::new(build, vec![0], 4, slot.clone());
+    let range = 0..rows;
+    insert.run_morsel(ctx, morsel_repro::core::Morsel { chunk: 0, range });
+    PipelineJob::finish(&insert, ctx);
+    slot
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -64,9 +83,12 @@ proptest! {
         for &k in &keys {
             *expect.entry(k).or_default() += 1;
         }
-        for k in -60i64..60 {
-            let got = ht.probe_key_i64(k).len();
-            prop_assert_eq!(got, expect.get(&k).copied().unwrap_or(0), "key {}", k);
+        let probes: Vec<i64> = (-60..60).collect();
+        let hashes: Vec<u64> = probes.iter().map(|&k| hash64(k as u64)).collect();
+        let mut got = vec![0usize; probes.len()];
+        ht.probe_batch(&hashes, |i, _| got[i as usize] += 1);
+        for (k, got) in probes.iter().zip(got) {
+            prop_assert_eq!(got, expect.get(k).copied().unwrap_or(0), "key {}", k);
         }
     }
 
@@ -118,9 +140,9 @@ proptest! {
     }
 
     /// The selection-vector pipeline path (filters narrowing a selection,
-    /// batched probe, deferred gather) produces exactly the rows of a
-    /// force-materialize path that gathers after every operator and uses
-    /// the row-at-a-time reference probe.
+    /// probe over the survivors, deferred gather) produces exactly the rows
+    /// of a force-materialize path that gathers after every operator — and
+    /// both produce the rows of a nested loop over the input vectors.
     #[test]
     fn selection_vector_path_matches_materialized_path(
         rows in proptest::collection::vec((0i64..30, -100i64..100), 0..600),
@@ -130,54 +152,54 @@ proptest! {
         let env = ExecEnv::new(Topology::nehalem_ex());
         let mut ctx = TaskContext::new(&env, 0);
 
-        // Build side: one area with (bk, bv) rows, inserted into the
-        // tagged hash table.
-        let schema = Schema::new(vec![("bk", DataType::I64), ("bv", DataType::I64)]);
-        let mut area = StorageArea::new(SocketId(0), &schema.data_types());
-        area.data_mut().extend_from(&Batch::from_columns(vec![
-            Column::I64(build_keys.clone()),
-            Column::I64(build_keys.iter().map(|k| k * 1000).collect()),
-        ]));
-        let build = Arc::new(AreaSet::new(schema, vec![area]));
-        let slot = join_slot();
-        let insert = HtInsertJob::new(Arc::clone(&build), vec![0], 4, slot.clone());
-        insert.run_morsel(
-            &mut ctx,
-            morsel_repro::core::Morsel { chunk: 0, range: 0..build_keys.len() },
-        );
-        PipelineJob::finish(&insert, &mut ctx);
+        // Build side: (bk, bv) rows.
+        let payload = build_keys.iter().map(|k| k * 1000).collect();
+        let slot = built(&mut ctx, vec![build_keys.clone(), payload]);
 
         let input = Batch::from_columns(vec![
             Column::I64(rows.iter().map(|r| r.0).collect()),
             Column::I64(rows.iter().map(|r| r.1).collect()),
         ]);
         let filter = FilterOp::new(gt(col(1), lit(threshold)));
-        let make_probe = |scalar: bool| ProbeOp {
-            table: slot.clone(),
+        let probe = ProbeOp {
+            table: slot,
             probe_keys: vec![0],
             kind: JoinKind::Inner,
             build_cols: vec![1],
-            scalar,
         };
 
-        // Path A: selection vectors throughout, vectorized probe.
+        // Path A: selection vectors throughout.
         let a = {
             let s = filter.apply(&mut ctx, SelBatch::dense(input.clone()));
-            let s = make_probe(false).apply(&mut ctx, s);
+            let s = probe.apply(&mut ctx, s);
             s.materialize(&mut ctx)
         };
-        // Path B: force-materialize after every operator, scalar probe.
+        // Path B: force-materialize after every operator.
         let b = {
             let s = filter.apply(&mut ctx, SelBatch::dense(input));
             let dense = SelBatch::dense(s.materialize(&mut ctx));
-            let s = make_probe(true).apply(&mut ctx, dense);
+            let s = probe.apply(&mut ctx, dense);
             s.materialize(&mut ctx)
         };
-        prop_assert_eq!(a, b);
+        prop_assert_eq!(&a, &b);
+        let mut got: Vec<(i64, i64, i64)> = (0..a.rows())
+            .map(|r| (a.column(0).as_i64()[r], a.column(1).as_i64()[r], a.column(2).as_i64()[r]))
+            .collect();
+        let mut want: Vec<(i64, i64, i64)> = rows
+            .iter()
+            .filter(|(_, v)| *v > threshold)
+            .flat_map(|&(k, v)| {
+                build_keys.iter().filter(move |&&bk| bk == k).map(move |bk| (k, v, bk * 1000))
+            })
+            .collect();
+        got.sort_unstable();
+        want.sort_unstable();
+        prop_assert_eq!(got, want);
     }
 
-    /// Semi/anti joins agree between the two paths as well (their
-    /// vectorized output stays a selection vector).
+    /// Semi/anti joins keep their output a selection over the input batch:
+    /// it holds exactly the probe rows with (without) a build match, in
+    /// input order.
     #[test]
     fn selection_vector_semi_anti_matches(
         probe_keys in proptest::collection::vec(0i64..20, 0..300),
@@ -186,31 +208,22 @@ proptest! {
     ) {
         let env = ExecEnv::new(Topology::nehalem_ex());
         let mut ctx = TaskContext::new(&env, 0);
-        let schema = Schema::new(vec![("bk", DataType::I64)]);
-        let mut area = StorageArea::new(SocketId(0), &schema.data_types());
-        area.data_mut()
-            .extend_from(&Batch::from_columns(vec![Column::I64(build_keys.clone())]));
-        let build = Arc::new(AreaSet::new(schema, vec![area]));
-        let slot = join_slot();
-        let insert = HtInsertJob::new(build, vec![0], 4, slot.clone());
-        insert.run_morsel(
-            &mut ctx,
-            morsel_repro::core::Morsel { chunk: 0, range: 0..build_keys.len() },
-        );
-        PipelineJob::finish(&insert, &mut ctx);
+        let slot = built(&mut ctx, vec![build_keys.clone()]);
 
         let kind = if anti { JoinKind::Anti } else { JoinKind::Semi };
-        let input = Batch::from_columns(vec![Column::I64(probe_keys)]);
-        let make = |scalar: bool| ProbeOp {
-            table: slot.clone(),
+        let input = Batch::from_columns(vec![Column::I64(probe_keys.clone())]);
+        let probe = ProbeOp {
+            table: slot,
             probe_keys: vec![0],
             kind,
             build_cols: vec![],
-            scalar,
         };
-        let a = make(false).apply(&mut ctx, SelBatch::dense(input.clone())).materialize(&mut ctx);
-        let b = make(true).apply(&mut ctx, SelBatch::dense(input)).materialize(&mut ctx);
-        prop_assert_eq!(a, b);
+        let got = probe.apply(&mut ctx, SelBatch::dense(input)).materialize(&mut ctx);
+        let want: Vec<i64> = probe_keys
+            .into_iter()
+            .filter(|k| build_keys.contains(k) != anti)
+            .collect();
+        prop_assert_eq!(got.column(0).as_i64(), &want[..]);
     }
 
     /// Hash partitioning preserves the exact multiset of rows.
@@ -281,48 +294,6 @@ proptest! {
             prop_assert_eq!(out.result.column(1).as_i64()[i], cnt);
             prop_assert_eq!(out.result.column(2).as_i64()[i], sum);
         }
-    }
-
-    /// A whole query (scan + filter + join + grouped agg + sort) returns
-    /// identical results under the vectorized and the scalar-operator
-    /// variants, for any worker count.
-    #[test]
-    fn vectorized_and_scalar_variants_agree(
-        rows in proptest::collection::vec((0i64..25, -50i64..50), 1..1_500),
-        build_keys in proptest::collection::vec(0i64..25, 1..40),
-        workers in 1usize..9,
-    ) {
-        let topo = Topology::nehalem_ex();
-        let env = ExecEnv::new(topo.clone());
-        let probe = Arc::new(Relation::partitioned(
-            Schema::new(vec![("k", DataType::I64), ("v", DataType::I64)]),
-            &Batch::from_columns(vec![
-                Column::I64(rows.iter().map(|r| r.0).collect()),
-                Column::I64(rows.iter().map(|r| r.1).collect()),
-            ]),
-            PartitionBy::Chunks,
-            4,
-            Placement::FirstTouch,
-            &topo,
-        ));
-        let build = Arc::new(Relation::single(
-            Schema::new(vec![("bk", DataType::I64)]),
-            Batch::from_columns(vec![Column::I64(build_keys)]),
-        ));
-        let make_plan = || {
-            Plan::scan(Arc::clone(&probe), Some(gt(col(1), lit(0))), &["k", "v"])
-                .join(
-                    Plan::scan(Arc::clone(&build), None, &["bk"]),
-                    &["k"],
-                    &["bk"],
-                    &[],
-                )
-                .agg(&["k"], vec![("cnt", AggFn::Count), ("sum", AggFn::SumI64(1))])
-                .sort_by(vec![SortKey::asc(0)], None)
-        };
-        let a = run_sim(&env, "vec", make_plan(), SystemVariant::full(), workers, 128);
-        let b = run_sim(&env, "sca", make_plan(), SystemVariant::scalar_ops(), workers, 128);
-        prop_assert_eq!(a.result, b.result);
     }
 
     /// An inner join over random keys matches the nested-loop reference.
