@@ -30,9 +30,11 @@
 //! repro metrics                  run a short service workload, print its
 //!                                metrics in Prometheus text format
 //!                                (self-validated; exits non-zero if bad)
-//! repro trace <q> [--out FILE]   run <q> on the threaded executor and
-//!                                export query/pipeline/morsel spans as
-//!                                Chrome-trace JSON (default trace_<q>.json)
+//! repro trace <q> [--out FILE]   run <q>'s hand plan through the query
+//!                                service and export query/pipeline/morsel
+//!                                spans as Chrome-trace JSON (default
+//!                                trace_<q>.json); exits 2, listing the
+//!                                hand plans, on an id that has none
 //! repro <experiment> --json      also write RESULT lines to
 //!                                BENCH_observability.json
 //! ```
@@ -191,14 +193,15 @@ fn main() {
         eprintln!("{diag}");
         std::process::exit(1);
     };
+    let unknown = |ids: String| -> ! {
+        eprintln!("{ids}");
+        std::process::exit(2);
+    };
     for target in &explain_targets {
         match target {
             ExplainTarget::Query(q) => match morsel_bench::explain_query(&cfg, q) {
                 Ok(out) => println!("{out}"),
-                Err(unknown) => {
-                    eprintln!("{unknown}");
-                    std::process::exit(2);
-                }
+                Err(ids) => unknown(ids),
             },
             ExplainTarget::Sql(text) => {
                 let (catalog, scale) = sql_catalog.as_ref().unwrap();
@@ -217,7 +220,7 @@ fn main() {
         }
     }
     for q in &trace_queries {
-        let (summary, json) = morsel_bench::trace_query(&cfg, q);
+        let (summary, json) = morsel_bench::trace_query(&cfg, q).unwrap_or_else(|ids| unknown(ids));
         let path = trace_out
             .clone()
             .unwrap_or_else(|| format!("trace_{}.json", q.replace('.', "_")));

@@ -9,7 +9,9 @@
 
 use std::sync::Arc;
 
-use morsel_core::{render_ascii, DispatchConfig, ExecEnv, SchedulingMode, SimExecutor};
+use morsel_core::{
+    render_ascii, DispatchConfig, ExecEnv, SchedulingMode, SimExecutor, TraceRecorder,
+};
 use morsel_datagen::{generate_ssb, generate_tpch, SsbConfig, TpchConfig, TpchDb};
 use morsel_exec::agg::AggFn;
 use morsel_exec::plan::{compile_query, Plan};
@@ -514,8 +516,8 @@ pub fn fig13(cfg: &ExpConfig) -> String {
     let arrival_ns = (solo * 0.3 * 1e9) as u64;
 
     let config = DispatchConfig::new(workers).with_morsel_size(cfg.morsel_size);
-    let mut sim = SimExecutor::new(env, config);
-    sim.enable_trace();
+    let recorder = Arc::new(TraceRecorder::new());
+    let mut sim = SimExecutor::new(env.with_trace(Arc::clone(&recorder)), config);
     let (spec13, _r13) = compile_query("q13", tpch_queries::query(&db, 13), SystemVariant::full());
     let (spec14, _r14) = compile_query("q14", tpch_queries::query(&db, 14), SystemVariant::full());
     sim.submit(spec13);
@@ -531,7 +533,7 @@ pub fn fig13(cfg: &ExpConfig) -> String {
         q13.finished_ns as f64 / 1e6,
         q14.started_ns as f64 / 1e6,
         q14.finished_ns as f64 / 1e6,
-        render_ascii(&report.trace, workers, 100)
+        render_ascii(&recorder.take(), workers, 100)
     )
 }
 

@@ -23,8 +23,7 @@ pub use experiments::*;
 pub use json::{render_bench_json, write_bench_json, write_bench_json_to};
 pub use observability::{metrics_snapshot, trace_query};
 pub use plan_quality::{
-    explain_query, explain_sql, explain_sql_in, plan_quality, run_sql, run_sql_in, sql_catalog,
-    SqlDb,
+    explain_query, explain_sql_in, plan_quality, run_sql_in, sql_catalog, SqlDb,
 };
 pub use service_load::{service_load, service_load_zipf};
 pub use txn_bench::{recovery_smoke, txn_bench, txn_demo};

@@ -5,17 +5,16 @@
 //! service and prints the resulting [`morsel_service::ServiceReport`] in
 //! Prometheus text exposition format, self-validated with
 //! [`validate_exposition`] so a malformed exposition exits non-zero.
-//! `trace` runs one query on the real threaded executor with a
-//! [`TraceRecorder`] attached and exports the query → pipeline → morsel
-//! span hierarchy as Chrome-trace JSON (loadable in `chrome://tracing`
-//! or Perfetto).
+//! `trace` runs one query through the query service on an environment
+//! carrying a [`TraceRecorder`] — the production path, traced — and
+//! exports the query → pipeline → morsel span hierarchy as Chrome-trace
+//! JSON (loadable in `chrome://tracing` or Perfetto).
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use morsel_core::{
-    render_chrome_trace, validate_exposition, AgingPolicy, DispatchConfig, ExecEnv, SpanKind,
-    ThreadedExecutor, TraceRecorder,
+    render_chrome_trace, validate_exposition, AgingPolicy, ExecEnv, SpanKind, TraceRecorder,
 };
 use morsel_exec::plan::{compile_query, Plan};
 use morsel_exec::SystemVariant;
@@ -24,6 +23,7 @@ use morsel_queries::{ssb_queries, tpch_queries};
 use morsel_service::{run_closed_loop, QueryRequest, QueryService, ServiceConfig};
 
 use crate::experiments::ExpConfig;
+use crate::plan_quality::QueryId;
 use crate::service_load::build_query;
 
 /// The `repro metrics` command: run a short mixed TPC-H/SSB closed-loop
@@ -64,50 +64,48 @@ pub fn metrics_snapshot(cfg: &ExpConfig) -> Result<String, String> {
     Ok(text)
 }
 
-/// Resolve `q5`/`5` (TPC-H) or `ssb2.1`/`2.1` (SSB) to a hand-authored
-/// physical plan against a freshly generated database, mirroring
-/// `repro explain`'s query grammar.
-fn resolve_query(cfg: &ExpConfig, query: &str) -> (String, Plan) {
+/// The hand plan `query` names, against a freshly generated database.
+/// The id is checked before any data is generated; `Err` lists the ids
+/// there are.
+fn hand_plan(cfg: &ExpConfig, query: &str) -> Result<(String, Plan), String> {
+    let id = QueryId::parse(query)?;
+    let tpch_ids: Vec<usize> = (1..=22).collect();
     let topo = Topology::laptop();
-    let spec = query.trim().to_lowercase();
-    if let Some(id) = spec
-        .strip_prefix("ssb")
-        .map(str::to_owned)
-        .or_else(|| spec.contains('.').then(|| spec.clone()))
-    {
-        let db =
-            morsel_datagen::generate_ssb(morsel_datagen::SsbConfig::scaled(cfg.ssb_scale), &topo);
-        (format!("ssb{id}"), ssb_queries::query(&db, &id))
-    } else {
-        let n: usize = spec
-            .strip_prefix('q')
-            .unwrap_or(&spec)
-            .parse()
-            .unwrap_or_else(|_| panic!("unrecognized query {query:?}; try q5 or ssb2.1"));
-        let db =
-            morsel_datagen::generate_tpch(morsel_datagen::TpchConfig::scaled(cfg.scale), &topo);
-        (format!("q{n}"), tpch_queries::query(&db, n))
+    match &id {
+        QueryId::Ssb(q) if ssb_queries::IDS.contains(&q.as_str()) => {
+            let db = morsel_datagen::generate_ssb(
+                morsel_datagen::SsbConfig::scaled(cfg.ssb_scale),
+                &topo,
+            );
+            Ok((format!("ssb{q}"), ssb_queries::query(&db, q)))
+        }
+        QueryId::Tpch(n) if tpch_ids.contains(n) => {
+            let db =
+                morsel_datagen::generate_tpch(morsel_datagen::TpchConfig::scaled(cfg.scale), &topo);
+            Ok((format!("q{n}"), tpch_queries::query(&db, *n)))
+        }
+        _ => Err(id.missing("hand plan", &tpch_ids, &ssb_queries::IDS)),
     }
 }
 
-/// The `repro trace <q>` command: execute one query on the threaded
-/// executor with span recording on and return `(summary, chrome_json)`.
-/// The caller decides where the JSON lands (`--out`, default
-/// `trace_<q>.json`).
-pub fn trace_query(cfg: &ExpConfig, query: &str) -> (String, String) {
-    let topo = Topology::laptop();
-    let env = ExecEnv::new(topo.clone());
-    let (name, plan) = resolve_query(cfg, query);
+/// The `repro trace <q>` command: run one query through a
+/// [`QueryService`] on a traced environment and return `(summary,
+/// chrome_json)`. The caller decides where the JSON lands (`--out`,
+/// default `trace_<q>.json`). `Err` lists the ids there are when `query`
+/// is none of them.
+pub fn trace_query(cfg: &ExpConfig, query: &str) -> Result<(String, String), String> {
+    let (name, plan) = hand_plan(cfg, query)?;
     let workers = cfg.workers.min(4);
-    let variant = SystemVariant::full();
-    let config = DispatchConfig::new(workers)
-        .with_mode(variant.mode(workers))
-        .with_morsel_size(cfg.morsel_size);
     let recorder = Arc::new(TraceRecorder::new());
-    let exec = ThreadedExecutor::new(env, config).with_trace(Arc::clone(&recorder));
-    let (spec, _result) = compile_query(name.clone(), plan, variant);
-    let handles = exec.run(vec![spec]);
-    let outcome = handles[0].outcome().expect("run() joins to terminal state");
+    let env = ExecEnv::new(Topology::laptop()).with_trace(Arc::clone(&recorder));
+    let service = QueryService::start(
+        env,
+        ServiceConfig::new(workers).with_morsel_size(cfg.morsel_size),
+    );
+    let (spec, _result) = compile_query(name.clone(), plan, SystemVariant::full());
+    let outcome = service.submit(QueryRequest::new(spec)).wait().outcome;
+    // Workers flush their spans as they exit.
+    service.shutdown();
     let events = recorder.take();
     let count = |kind: SpanKind| events.iter().filter(|e| e.kind == kind).count();
     let summary = format!(
@@ -118,7 +116,7 @@ pub fn trace_query(cfg: &ExpConfig, query: &str) -> (String, String) {
         count(SpanKind::Pipeline),
         count(SpanKind::Morsel),
     );
-    (summary, render_chrome_trace(&events))
+    Ok((summary, render_chrome_trace(&events)))
 }
 
 #[cfg(test)]
@@ -146,7 +144,7 @@ mod tests {
 
     #[test]
     fn trace_query_emits_all_three_span_kinds() {
-        let (summary, json) = trace_query(&tiny(), "q6");
+        let (summary, json) = trace_query(&tiny(), "q6").expect("Q6 has a hand plan");
         assert!(summary.contains("Completed"), "{summary}");
         assert!(json.starts_with("{\"traceEvents\":["));
         for cat in [
@@ -156,5 +154,23 @@ mod tests {
         ] {
             assert!(json.contains(cat), "missing {cat} in trace");
         }
+    }
+
+    #[test]
+    fn trace_names_the_hand_plans_for_an_id_it_cannot_serve() {
+        let cfg = ExpConfig::default();
+        let junk = trace_query(&cfg, "five").expect_err("not a query id");
+        assert!(junk.contains("unrecognized query"), "{junk}");
+        let q99 = trace_query(&cfg, "q99").expect_err("TPC-H has 22 queries");
+        assert!(
+            q99.starts_with("no hand plan for q99; available: q1 q2 ") && q99.ends_with(" q22"),
+            "{q99}"
+        );
+        let ssb = trace_query(&cfg, "ssb9.9").expect_err("there is no SSB 9.9");
+        assert!(
+            ssb.starts_with("no hand plan for ssb9.9; available: ssb1.1 ")
+                && ssb.ends_with(" ssb4.3"),
+            "{ssb}"
+        );
     }
 }

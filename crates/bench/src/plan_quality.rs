@@ -157,27 +157,55 @@ pub fn plan_quality(cfg: &ExpConfig) -> String {
     out
 }
 
-/// The SQL fixture `query` names — `q5`/`5` (TPC-H) or `ssb2.1`/`2.1`
-/// (SSB) — with its display name and the database it runs against.
-fn fixture(query: &str) -> Result<(String, SqlDb, &'static str), String> {
-    let missing = |id: String, all: Vec<String>| {
-        format!("no SQL fixture for {id}; available: {}", all.join(" "))
-    };
-    let spec = query.trim().to_lowercase();
-    let ssb_id = spec
-        .strip_prefix("ssb")
-        .or_else(|| spec.contains('.').then_some(spec.as_str()));
-    if let Some(id) = ssb_id {
-        let all = || ssb_sql::IDS.iter().map(|id| format!("ssb{id}")).collect();
-        let sql = ssb_sql::text(id).ok_or_else(|| missing(format!("ssb{id}"), all()))?;
-        return Ok((format!("SSB Q{id}"), SqlDb::Ssb, sql));
+/// A query id as `repro explain` and `repro trace` take it: `q5`/`5`
+/// (TPC-H) or `ssb2.1`/`2.1` (SSB). Parsed once here; each command then
+/// checks it against the queries it can serve.
+pub(crate) enum QueryId {
+    Tpch(usize),
+    Ssb(String),
+}
+
+impl QueryId {
+    pub(crate) fn parse(query: &str) -> Result<Self, String> {
+        let spec = query.trim().to_lowercase();
+        let ssb_id = spec
+            .strip_prefix("ssb")
+            .or_else(|| spec.contains('.').then_some(spec.as_str()));
+        if let Some(id) = ssb_id {
+            return Ok(QueryId::Ssb(id.to_owned()));
+        }
+        (spec.strip_prefix('q').unwrap_or(&spec))
+            .parse()
+            .map(QueryId::Tpch)
+            .map_err(|_| format!("unrecognized query {query:?}; try q5 or ssb2.1"))
     }
-    let n: usize = (spec.strip_prefix('q').unwrap_or(&spec))
-        .parse()
-        .map_err(|_| format!("unrecognized query {query:?}; try q5 or ssb2.1"))?;
-    let all = || tpch_sql::IDS.iter().map(|q| format!("q{q}")).collect();
-    let sql = tpch_sql::text(n).ok_or_else(|| missing(format!("q{n}"), all()))?;
-    Ok((format!("TPC-H Q{n}"), SqlDb::Tpch, sql))
+
+    /// `Err` naming `what` is missing for this id, and the ids that have
+    /// one: TPC-H numbers and SSB ids, in that order.
+    pub(crate) fn missing(&self, what: &str, tpch: &[usize], ssb: &[&str]) -> String {
+        let (id, all): (String, Vec<String>) = match self {
+            QueryId::Tpch(n) => (
+                format!("q{n}"),
+                tpch.iter().map(|q| format!("q{q}")).collect(),
+            ),
+            QueryId::Ssb(id) => (
+                format!("ssb{id}"),
+                ssb.iter().map(|id| format!("ssb{id}")).collect(),
+            ),
+        };
+        format!("no {what} for {id}; available: {}", all.join(" "))
+    }
+}
+
+/// The SQL fixture `query` names, with its display name and the
+/// database it runs against.
+fn fixture(query: &str) -> Result<(String, SqlDb, &'static str), String> {
+    let id = QueryId::parse(query)?;
+    let found = match &id {
+        QueryId::Ssb(q) => ssb_sql::text(q).map(|sql| (format!("SSB Q{q}"), SqlDb::Ssb, sql)),
+        QueryId::Tpch(n) => tpch_sql::text(*n).map(|sql| (format!("TPC-H Q{n}"), SqlDb::Tpch, sql)),
+    };
+    found.ok_or_else(|| id.missing("SQL fixture", &tpch_sql::IDS, &ssb_sql::IDS))
 }
 
 /// The `repro explain <query>` command: `explain --sql` of the fixture's
@@ -275,16 +303,10 @@ pub fn sql_catalog(cfg: &ExpConfig, db: SqlDb) -> (Catalog, f64) {
 }
 
 /// The `repro sql "<text>"` command: lex → parse → bind → plan → execute
-/// against the generated TPC-H or SSB database. Errors return the
-/// rendered caret diagnostic so the CLI (and CI) can fail loudly.
-/// `repeat` > 1 re-executes through the session plan cache, reporting
-/// each run's cache disposition (the second run reports a hit).
-pub fn run_sql(cfg: &ExpConfig, db: SqlDb, sql: &str, repeat: usize) -> Result<String, String> {
-    let (catalog, scale) = sql_catalog(cfg, db);
-    run_sql_in(cfg, db, &catalog, scale, sql, repeat)
-}
-
-/// [`run_sql`] against a prebuilt catalog.
+/// against a catalog from [`sql_catalog`]. Errors return the rendered
+/// caret diagnostic so the CLI (and CI) can fail loudly. `repeat` > 1
+/// re-executes through the session plan cache, reporting each run's
+/// cache disposition (the second run reports a hit).
 pub fn run_sql_in(
     cfg: &ExpConfig,
     db: SqlDb,
@@ -373,13 +395,8 @@ pub fn run_sql_in(
     Ok(out)
 }
 
-/// The `repro explain --sql "<text>"` command.
-pub fn explain_sql(cfg: &ExpConfig, db: SqlDb, sql: &str) -> Result<String, String> {
-    let (catalog, scale) = sql_catalog(cfg, db);
-    explain_sql_in(cfg, "sql", &catalog, scale, sql)
-}
-
-/// [`explain_sql`] against a prebuilt catalog, headed `name`.
+/// The `repro explain --sql "<text>"` command, against a catalog from
+/// [`sql_catalog`] and headed `name`.
 pub fn explain_sql_in(
     cfg: &ExpConfig,
     name: &str,
@@ -434,6 +451,12 @@ mod tests {
         assert!(junk.contains("unrecognized query"), "{junk}");
     }
 
+    /// [`run_sql_in`] on a freshly generated `db`.
+    fn run_fresh(cfg: &ExpConfig, db: SqlDb, sql: &str, repeat: usize) -> Result<String, String> {
+        let (catalog, scale) = sql_catalog(cfg, db);
+        run_sql_in(cfg, db, &catalog, scale, sql, repeat)
+    }
+
     #[test]
     fn run_sql_executes_text_end_to_end() {
         let cfg = ExpConfig {
@@ -442,7 +465,7 @@ mod tests {
             quick: true,
             ..Default::default()
         };
-        let out = run_sql(
+        let out = run_fresh(
             &cfg,
             SqlDb::Tpch,
             "SELECT l_returnflag, COUNT(*) AS n FROM lineitem \
@@ -453,7 +476,7 @@ mod tests {
         assert!(out.contains("columns: l_returnflag | n"), "{out}");
         assert!(out.contains("row(s)"), "{out}");
 
-        let ssb = run_sql(
+        let ssb = run_fresh(
             &cfg,
             SqlDb::Ssb,
             "SELECT d_year, SUM(lo_revenue) AS revenue FROM lineorder \
@@ -463,7 +486,7 @@ mod tests {
         .expect("SSB SQL runs");
         assert!(ssb.contains("join order"), "{ssb}");
 
-        let err = run_sql(&cfg, SqlDb::Tpch, "SELECT nope FROM lineitem", 1)
+        let err = run_fresh(&cfg, SqlDb::Tpch, "SELECT nope FROM lineitem", 1)
             .expect_err("unknown column must fail");
         assert!(err.contains("unknown column"), "{err}");
         assert!(err.contains('^'), "diagnostic rendered: {err}");
@@ -478,7 +501,7 @@ mod tests {
             analyze: true,
             ..Default::default()
         };
-        let out = run_sql(
+        let out = run_fresh(
             &cfg,
             SqlDb::Tpch,
             "SELECT o_orderpriority, COUNT(*) AS n FROM orders, lineitem \
@@ -500,7 +523,7 @@ mod tests {
             quick: true,
             ..Default::default()
         };
-        let out = run_sql(
+        let out = run_fresh(
             &cfg,
             SqlDb::Tpch,
             "SELECT SUM(l_extendedprice) AS total FROM lineitem WHERE l_quantity < 24",
@@ -521,9 +544,12 @@ mod tests {
             quick: true,
             ..Default::default()
         };
-        let out = explain_sql(
+        let (catalog, scale) = sql_catalog(&cfg, SqlDb::Tpch);
+        let out = explain_sql_in(
             &cfg,
-            SqlDb::Tpch,
+            "sql",
+            &catalog,
+            scale,
             "SELECT o_orderpriority, COUNT(*) AS n FROM orders, lineitem \
              WHERE o_orderkey = l_orderkey GROUP BY o_orderpriority ORDER BY o_orderpriority",
         )

@@ -29,6 +29,7 @@ use crate::job::JobExec;
 use crate::query::{FailReason, QueryHandle, QueryShared, QuerySpec, QueryStats, Stage};
 use crate::queue::SchedulingMode;
 use crate::task::{Morsel, TaskContext, DEFAULT_MORSEL_SIZE};
+use crate::trace::{SpanKind, TraceEvent};
 
 /// Render a caught panic payload for [`crate::query::QueryHandle::failure`].
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -47,7 +48,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 ///
 /// The boost is `min(waited_ns / interval_ns, max_boost)` added to the
 /// base priority; it feeds both the dispatcher's share computation
-/// ([`Dispatcher::next_task`]) and the admission ordering in
+/// (`Dispatcher::next_task`) and the admission ordering in
 /// `morsel-service`. `AgingPolicy::none()` (the default) disables aging
 /// and reproduces the paper's plain `active workers / priority` share.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,19 +169,18 @@ impl QueryExec {
 }
 
 /// A claimed unit of work: run `job` on `morsel`, then report completion.
-pub struct Task {
-    pub(crate) query: Arc<QueryExec>,
-    pub(crate) job: Arc<JobExec>,
-    pub morsel: Morsel,
-    pub stolen: bool,
+pub(crate) struct Task {
+    query: Arc<QueryExec>,
+    job: Arc<JobExec>,
+    morsel: Morsel,
 }
 
 impl Task {
-    pub fn query_name(&self) -> &str {
+    pub(crate) fn query_name(&self) -> &str {
         &self.query.shared.name
     }
 
-    pub fn job_label(&self) -> &str {
+    pub(crate) fn job_label(&self) -> &str {
         &self.job.label
     }
 
@@ -196,7 +196,7 @@ impl Task {
     /// reaches the stages that would read the partially-mutated state —
     /// `advance` discards its remaining stages and the reaping path
     /// drops the poisoned structures wholesale.
-    pub fn run(&self, ctx: &mut TaskContext<'_>) {
+    pub(crate) fn run(&self, ctx: &mut TaskContext<'_>) {
         let shared = &self.query.shared;
         let fault = ctx.env().faults().on_morsel(&shared.name, &self.job.label);
         if fault.delay_ns > 0 {
@@ -218,12 +218,14 @@ impl Task {
 
     /// Per-query traffic counters, so executors can attach them to the
     /// task context.
-    pub fn query_counters(&self) -> Arc<QueryShared> {
+    pub(crate) fn query_counters(&self) -> Arc<QueryShared> {
         Arc::clone(&self.query.shared)
     }
 }
 
-pub struct Dispatcher {
+/// The worker protocol: [`crate::sim`]'s event loop and
+/// [`crate::threaded`]'s pool are its only two drivers.
+pub(crate) struct Dispatcher {
     env: ExecEnv,
     config: DispatchConfig,
     queries: RwLock<Vec<Arc<QueryExec>>>,
@@ -233,7 +235,7 @@ pub struct Dispatcher {
 }
 
 impl Dispatcher {
-    pub fn new(env: ExecEnv, config: DispatchConfig) -> Self {
+    pub(crate) fn new(env: ExecEnv, config: DispatchConfig) -> Self {
         assert!(config.workers > 0);
         Dispatcher {
             env,
@@ -244,17 +246,13 @@ impl Dispatcher {
         }
     }
 
-    pub fn env(&self) -> &ExecEnv {
+    pub(crate) fn env(&self) -> &ExecEnv {
         &self.env
-    }
-
-    pub fn config(&self) -> DispatchConfig {
-        self.config
     }
 
     /// Register a query and build its first executable pipeline. `now_ns`
     /// stamps the query start (virtual or wall clock, per executor).
-    pub fn submit(&self, spec: QuerySpec, now_ns: u64) -> QueryHandle {
+    pub(crate) fn submit(&self, spec: QuerySpec, now_ns: u64) -> QueryHandle {
         let profile = if spec.profile_ops.is_empty() {
             None
         } else {
@@ -297,11 +295,11 @@ impl Dispatcher {
     }
 
     /// Number of queries not yet finished.
-    pub fn remaining_queries(&self) -> usize {
+    pub(crate) fn remaining_queries(&self) -> usize {
         self.remaining.load(Ordering::SeqCst)
     }
 
-    pub fn all_done(&self) -> bool {
+    pub(crate) fn all_done(&self) -> bool {
         self.remaining_queries() == 0
     }
 
@@ -315,7 +313,7 @@ impl Dispatcher {
     /// its morsels and the reaping path tears it down.
     ///
     /// `now_ns` stamps the completion of a query this request reaps.
-    pub fn next_task(&self, worker: usize, now_ns: u64) -> Option<Task> {
+    pub(crate) fn next_task(&self, worker: usize, now_ns: u64) -> Option<Task> {
         let queries: Vec<Arc<QueryExec>> = {
             let guard = self.queries.read();
             guard.iter().cloned().collect()
@@ -357,13 +355,12 @@ impl Dispatcher {
                     None => continue,
                 }
             };
-            if let Some((morsel, stolen)) = job.try_claim(worker) {
+            if let Some(morsel) = job.try_claim(worker) {
                 q.active_workers.fetch_add(1, Ordering::SeqCst);
                 return Some(Task {
                     query: Arc::clone(q),
                     job,
                     morsel,
-                    stolen,
                 });
             }
         }
@@ -384,7 +381,7 @@ impl Dispatcher {
 
     /// Report a finished morsel. If this completed the pipeline, the
     /// calling worker runs the pipeline's `finish` and advances the QEP.
-    pub fn complete_task(&self, ctx: &mut TaskContext<'_>, task: Task, now_ns: u64) {
+    pub(crate) fn complete_task(&self, ctx: &mut TaskContext<'_>, task: Task, now_ns: u64) {
         task.query.active_workers.fetch_sub(1, Ordering::SeqCst);
         if task.job.complete(task.morsel.rows()) {
             self.contained_finish(ctx, &task.query, &task.job);
@@ -437,7 +434,9 @@ impl Dispatcher {
 
     /// The passive QEP state machine: install the next executable
     /// pipeline, skipping empty ones, and mark the query done when all
-    /// stages are complete (or it was cancelled).
+    /// stages are complete (or it was cancelled). Retirement records the
+    /// query's [`SpanKind::Query`] span into the environment's recorder,
+    /// if tracing, on whichever path retires it.
     fn advance(&self, ctx: &mut TaskContext<'_>, q: &Arc<QueryExec>, now_ns: u64) {
         loop {
             if q.shared.cancelled.load(Ordering::Acquire) {
@@ -451,12 +450,13 @@ impl Dispatcher {
                     // stats, so a concurrent observer of `done == true`
                     // must never see an unset finished_ns. The ==0 guard
                     // keeps a racing second observer from re-stamping.
-                    {
+                    let (started_ns, finished_ns) = {
                         let mut stats = q.shared.stats.lock();
                         if stats.finished_ns == 0 {
                             stats.finished_ns = now_ns;
                         }
-                    }
+                        (stats.started_ns, stats.finished_ns)
+                    };
                     if q.shared
                         .done
                         .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
@@ -469,6 +469,16 @@ impl Dispatcher {
                         q.shared.budget.release_all();
                         self.remaining.fetch_sub(1, Ordering::SeqCst);
                         self.queries.write().retain(|e| !Arc::ptr_eq(e, q));
+                        if let Some(rec) = self.env.trace() {
+                            rec.record(TraceEvent {
+                                worker: ctx.worker,
+                                start_ns: started_ns,
+                                end_ns: finished_ns,
+                                query: q.shared.name.clone(),
+                                job: String::new(),
+                                kind: SpanKind::Query,
+                            });
+                        }
                     }
                     return;
                 }
@@ -1048,42 +1058,19 @@ mod tests {
 
     #[test]
     fn threaded_smoke_many_workers() {
-        let d = Arc::new(dispatcher(8));
         let j = Arc::new(CountJob {
             rows_seen: TestCounter::new(0),
             finished: AtomicBool::new(false),
         });
-        let h = d.submit(
-            QuerySpec::new(
+        let exec =
+            crate::ThreadedExecutor::new(ExecEnv::new(Topology::laptop()), DispatchConfig::new(8));
+        let h = exec
+            .run(vec![QuerySpec::new(
                 "q",
                 vec![count_stage(500_000, Arc::clone(&j))],
                 result_slot(),
-            ),
-            0,
-        );
-        std::thread::scope(|s| {
-            for w in 0..8 {
-                let d = Arc::clone(&d);
-                s.spawn(move || {
-                    let env = d.env().clone();
-                    let mut ctx = TaskContext::new(&env, w);
-                    loop {
-                        match d.next_task(w, 0) {
-                            Some(t) => {
-                                t.run(&mut ctx);
-                                d.complete_task(&mut ctx, t, 0);
-                            }
-                            None => {
-                                if d.all_done() {
-                                    break;
-                                }
-                                std::thread::yield_now();
-                            }
-                        }
-                    }
-                });
-            }
-        });
+            )])
+            .remove(0);
         assert!(h.is_done());
         assert_eq!(j.rows_seen.load(Ordering::Relaxed), 500_000);
         assert!(j.finished.load(Ordering::SeqCst));

@@ -6,6 +6,7 @@ use morsel_numa::{AccessCounters, CostModel, SocketId, Topology};
 
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::govern::MemPool;
+use crate::trace::TraceRecorder;
 
 /// Everything the engine needs to know about the (simulated) machine.
 #[derive(Debug, Clone)]
@@ -18,6 +19,8 @@ pub struct ExecEnv {
     faults: Arc<FaultInjector>,
     /// Service-wide memory pool backing per-query budgets, if governed.
     mem_pool: Option<Arc<MemPool>>,
+    /// Span recorder both executors write into, if tracing.
+    trace: Option<Arc<TraceRecorder>>,
 }
 
 impl ExecEnv {
@@ -48,6 +51,7 @@ impl ExecEnv {
             counters: Arc::new(counters),
             faults: Arc::new(faults),
             mem_pool: None,
+            trace: None,
         }
     }
 
@@ -63,6 +67,18 @@ impl ExecEnv {
     pub fn with_mem_pool(mut self, pool: Arc<MemPool>) -> Self {
         self.mem_pool = Some(pool);
         self
+    }
+
+    /// Record execution spans into `recorder` (see [`crate::trace`]):
+    /// both executors and every `QueryService` started on this
+    /// environment write their morsel, pipeline and query spans there.
+    pub fn with_trace(mut self, recorder: Arc<TraceRecorder>) -> Self {
+        self.trace = Some(recorder);
+        self
+    }
+
+    pub fn trace(&self) -> Option<&Arc<TraceRecorder>> {
+        self.trace.as_ref()
     }
 
     pub fn faults(&self) -> &FaultInjector {

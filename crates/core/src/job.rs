@@ -133,12 +133,11 @@ impl JobExec {
         }
     }
 
-    /// Try to claim a morsel for `worker`: the morsel and whether it came
-    /// from a non-preferred queue. The claim is registered *before*
+    /// Try to claim a morsel for `worker`. The claim is registered *before*
     /// cutting, so [`Self::reap`] can never close the job while a morsel
     /// is being handed out; the caller owes one [`Self::complete`] per
     /// morsel it gets.
-    pub fn try_claim(&self, worker: usize) -> Option<(Morsel, bool)> {
+    pub fn try_claim(&self, worker: usize) -> Option<Morsel> {
         let claimed = if self.state.fetch_add(1, Ordering::SeqCst) & CLOSED == 0 {
             self.queues.next_for(worker)
         } else {
@@ -155,7 +154,7 @@ impl JobExec {
                 self.state.fetch_sub(1, Ordering::SeqCst);
             }
         }
-        claimed
+        claimed.map(|(morsel, _)| morsel)
     }
 
     /// Report a claimed morsel of `rows` rows as executed and drop its
@@ -214,8 +213,8 @@ mod tests {
         JobExec::new(built, SchedulingMode::NumaAware, 10, 2, &Topology::laptop())
     }
 
-    fn expect_task(c: Option<(Morsel, bool)>) -> Morsel {
-        c.expect("expected a task").0
+    fn expect_task(c: Option<Morsel>) -> Morsel {
+        c.expect("expected a task")
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The paper's primary contribution: morsel-driven parallel query
 //! execution. A query is a sequence of [`query::Stage`]s; each stage
-//! builds a [`job::PipelineJob`] that the [`dispatcher::Dispatcher`]
+//! builds a [`job::PipelineJob`] that the dispatcher
 //! schedules morsel-at-a-time onto pinned workers, preferring NUMA-local
 //! morsels, stealing from the closest socket when a local queue drains,
 //! sharing workers fairly across concurrent queries (priority-weighted,
@@ -10,11 +10,15 @@
 //! never starved), and cancelling cooperatively at morsel boundaries —
 //! on explicit request or when a query's deadline passes.
 //!
-//! Two executors run the same dispatcher and pipeline code:
-//! [`threaded::ThreadedExecutor`] on real OS threads, and
-//! [`sim::SimExecutor`], a deterministic discrete-event executor that
-//! reproduces the paper's 64-hardware-thread NUMA boxes on any host via
-//! the calibrated cost model in `morsel-numa`.
+//! Two executors run the same dispatcher and pipeline code, and they are
+//! its only drivers (the worker protocol is private to this crate):
+//! [`threaded::WorkerPool`] on real OS threads — the long-lived pool
+//! `morsel-service` runs on, with [`threaded::ThreadedExecutor`] as its
+//! batch spelling — and [`sim::SimExecutor`], a deterministic
+//! discrete-event executor that reproduces the paper's
+//! 64-hardware-thread NUMA boxes on any host via the calibrated cost
+//! model in `morsel-numa`. Both record spans into the environment's
+//! recorder ([`env::ExecEnv::with_trace`]).
 
 pub mod dispatcher;
 pub mod env;
@@ -30,7 +34,7 @@ pub mod task;
 pub mod threaded;
 pub mod trace;
 
-pub use dispatcher::{AgingPolicy, DispatchConfig, Dispatcher, Task};
+pub use dispatcher::{AgingPolicy, DispatchConfig};
 pub use env::ExecEnv;
 pub use fault::{Fault, FaultInjector, FaultPlan, MorselFault, FAULT_PLAN_ENV};
 pub use govern::{EngineError, MemBudget, MemPool};
@@ -44,5 +48,5 @@ pub use query::{
 pub use queue::{MorselQueues, SchedulingMode};
 pub use sim::{SimExecutor, SimReport};
 pub use task::{ChunkMeta, Morsel, MorselProfile, TaskContext, DEFAULT_MORSEL_SIZE};
-pub use threaded::ThreadedExecutor;
+pub use threaded::{Pool, PoolHook, ThreadedExecutor, WorkerPool};
 pub use trace::{render_ascii, render_chrome_trace, SpanKind, TraceEvent, TraceRecorder};

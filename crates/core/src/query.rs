@@ -150,8 +150,6 @@ pub enum RejectReason {
     /// memory pool was under pressure: admitting it would commit
     /// capacity to work destined to fail.
     MemoryPressure,
-    /// The service was draining at submit time.
-    ShuttingDown,
 }
 
 impl std::fmt::Display for RejectReason {
@@ -159,7 +157,6 @@ impl std::fmt::Display for RejectReason {
         f.write_str(match self {
             RejectReason::QueueFull => "queue full",
             RejectReason::MemoryPressure => "memory pressure",
-            RejectReason::ShuttingDown => "shutting down",
         })
     }
 }

@@ -26,7 +26,7 @@ use crate::dispatcher::{DispatchConfig, Dispatcher, Task};
 use crate::env::ExecEnv;
 use crate::query::{QueryHandle, QuerySpec};
 use crate::task::TaskContext;
-use crate::trace::{SpanKind, TraceEvent, TraceRecorder};
+use crate::trace::{SpanKind, TraceEvent};
 
 /// A scheduled control action.
 enum Action {
@@ -59,7 +59,6 @@ struct RunningTask {
 /// Report of a completed simulation.
 pub struct SimReport {
     pub handles: Vec<QueryHandle>,
-    pub trace: Vec<TraceEvent>,
     /// Virtual time at which the simulation went quiescent.
     pub makespan_ns: u64,
 }
@@ -82,7 +81,6 @@ pub struct SimExecutor {
     env: ExecEnv,
     config: DispatchConfig,
     actions: Vec<(u64, Option<Action>)>,
-    trace: bool,
     cpu_slowdown: Vec<f64>,
 }
 
@@ -93,7 +91,6 @@ impl SimExecutor {
             env,
             config,
             actions: Vec::new(),
-            trace: false,
             cpu_slowdown: vec![1.0; workers],
         }
     }
@@ -124,12 +121,6 @@ impl SimExecutor {
         self
     }
 
-    /// Record a Figure 13-style execution trace.
-    pub fn enable_trace(&mut self) -> &mut Self {
-        self.trace = true;
-        self
-    }
-
     /// Slow worker `w`'s compute by `factor` (Section 5.4's interference
     /// experiment: an unrelated process time-sharing one core).
     pub fn set_cpu_slowdown(&mut self, worker: usize, factor: f64) -> &mut Self {
@@ -138,7 +129,10 @@ impl SimExecutor {
         self
     }
 
-    /// Run the simulation until quiescence and return the report.
+    /// Run the simulation until quiescence and return the report. On a
+    /// traced environment ([`ExecEnv::with_trace`]) every morsel is
+    /// recorded as a virtual-time [`SpanKind::Morsel`] span — the
+    /// Figure 13 trace.
     ///
     /// # Panics
     /// Panics if the event queue drains while queries remain unfinished
@@ -148,7 +142,6 @@ impl SimExecutor {
         let env = self.env.clone();
         let dispatcher = Dispatcher::new(env.clone(), self.config);
         let sockets = env.topology().sockets() as usize;
-        let recorder = TraceRecorder::new();
 
         // Stable order: earlier insertion wins at equal times.
         let mut order: Vec<usize> = (0..self.actions.len()).collect();
@@ -257,8 +250,8 @@ impl SimExecutor {
                             .ceil()
                             .max(1.0) as u64;
 
-                        if self.trace {
-                            recorder.record(TraceEvent {
+                        if let Some(rec) = env.trace() {
+                            rec.record(TraceEvent {
                                 worker: w,
                                 start_ns: t,
                                 end_ns: t + duration,
@@ -284,7 +277,6 @@ impl SimExecutor {
         );
         SimReport {
             handles,
-            trace: recorder.take(),
             makespan_ns: makespan,
         }
     }
@@ -410,7 +402,8 @@ mod tests {
     #[test]
     fn trace_records_morsels() {
         let topo = Topology::nehalem_ex();
-        let env = ExecEnv::new(topo.clone());
+        let recorder = Arc::new(crate::trace::TraceRecorder::new());
+        let env = ExecEnv::new(topo.clone()).with_trace(Arc::clone(&recorder));
         let job = Arc::new(SyntheticScan {
             nodes: topo.socket_ids().collect(),
             ns_per_tuple: 1.0,
@@ -418,13 +411,19 @@ mod tests {
             rows_seen: AtomicU64::new(0),
         });
         let mut sim = SimExecutor::new(env, DispatchConfig::new(4).with_morsel_size(10_000));
-        sim.enable_trace();
         sim.submit(scan_query("q", 50_000, &topo, job));
         let report = sim.run();
-        assert!(!report.trace.is_empty());
+        let (morsels, rest): (Vec<_>, Vec<_>) = recorder
+            .take()
+            .into_iter()
+            .partition(|e| e.kind == SpanKind::Morsel);
         // 200k rows / 10k morsel size = 20 morsels.
-        assert_eq!(report.trace.len(), 20);
-        assert!(report.trace.iter().all(|e| e.end_ns > e.start_ns));
+        assert_eq!(morsels.len(), 20);
+        assert!(morsels.iter().all(|e| e.end_ns > e.start_ns));
+        // Plus the query's own span, recorded when it retired.
+        assert_eq!(rest.len(), 1);
+        assert_eq!(rest[0].kind, SpanKind::Query);
+        assert_eq!(rest[0].end_ns, report.handle("q").stats().finished_ns);
         assert!(report.makespan_ns > 0);
     }
 

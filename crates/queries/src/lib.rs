@@ -16,4 +16,4 @@ pub mod tpch_queries;
 pub mod tpch_sql;
 pub mod util;
 
-pub use runner::{format_rows, run_sim, run_sim_n, run_threaded, run_threaded_n, RunOutcome};
+pub use runner::{format_rows, run_sim, run_threaded, RunOutcome};

@@ -1,7 +1,8 @@
 //! Convenience runners used by tests, examples, and the bench harness.
 
 use morsel_core::{
-    DispatchConfig, ExecEnv, QueryOutcome, QueryProfile, QueryStats, SimExecutor, ThreadedExecutor,
+    DispatchConfig, ExecEnv, QueryHandle, QueryOutcome, QueryProfile, QueryStats, ResultSlot,
+    SimExecutor, ThreadedExecutor,
 };
 use morsel_exec::plan::{compile_query, Plan};
 use morsel_exec::SystemVariant;
@@ -40,50 +41,10 @@ pub fn run_sim(
     workers: usize,
     morsel_size: usize,
 ) -> RunOutcome {
-    run_sim_n(env, name, plan, variant, workers, morsel_size, 1)
-        .pop()
-        .expect("one repetition requested")
-}
-
-/// [`run_sim`], executed `repeat` times back to back on fresh executors
-/// (the physical plan is cloned per run, mirroring what a plan-cache hit
-/// replays). Returns one outcome per run, in order.
-#[allow(clippy::too_many_arguments)]
-pub fn run_sim_n(
-    env: &ExecEnv,
-    name: &str,
-    plan: Plan,
-    variant: SystemVariant,
-    workers: usize,
-    morsel_size: usize,
-    repeat: usize,
-) -> Vec<RunOutcome> {
-    assert!(repeat > 0, "need at least one repetition");
-    (0..repeat)
-        .map(|_| {
-            let config = DispatchConfig::new(workers)
-                .with_mode(variant.mode(workers))
-                .with_morsel_size(morsel_size);
-            let (spec, result) = compile_query(name, plan.clone(), variant);
-            let mut sim = SimExecutor::new(env.clone(), config);
-            sim.submit(spec);
-            let report = sim.run();
-            let handle = report.handle(name);
-            let outcome = handle
-                .outcome()
-                .expect("sim.run() leaves every query terminal");
-            warn_if_not_completed(name, outcome);
-            let rows = result.lock().take().unwrap_or_default();
-            RunOutcome {
-                name: name.to_owned(),
-                outcome,
-                result: rows,
-                stats: handle.stats(),
-                traffic: handle.traffic(),
-                profile: handle.profile(),
-            }
-        })
-        .collect()
+    let (spec, result) = compile_query(name, plan, variant);
+    let mut sim = SimExecutor::new(env.clone(), config(variant, workers, morsel_size));
+    sim.submit(spec);
+    run_outcome(name, sim.run().handle(name), result)
 }
 
 /// Run one plan on real threads.
@@ -95,51 +56,34 @@ pub fn run_threaded(
     workers: usize,
     morsel_size: usize,
 ) -> RunOutcome {
-    run_threaded_n(env, name, plan, variant, workers, morsel_size, 1)
-        .pop()
-        .expect("one repetition requested")
+    let (spec, result) = compile_query(name, plan, variant);
+    let exec = ThreadedExecutor::new(env.clone(), config(variant, workers, morsel_size));
+    run_outcome(name, &exec.run(vec![spec])[0], result)
 }
 
-/// [`run_threaded`] with repetitions; see [`run_sim_n`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_threaded_n(
-    env: &ExecEnv,
-    name: &str,
-    plan: Plan,
-    variant: SystemVariant,
-    workers: usize,
-    morsel_size: usize,
-    repeat: usize,
-) -> Vec<RunOutcome> {
-    assert!(repeat > 0, "need at least one repetition");
-    (0..repeat)
-        .map(|_| {
-            let config = DispatchConfig::new(workers)
-                .with_mode(variant.mode(workers))
-                .with_morsel_size(morsel_size);
-            let (spec, result) = compile_query(name, plan.clone(), variant);
-            let exec = ThreadedExecutor::new(env.clone(), config);
-            let handles = exec.run(vec![spec]);
-            let outcome = handles[0]
-                .outcome()
-                .expect("exec.run() joins every query to a terminal state");
-            warn_if_not_completed(name, outcome);
-            let rows = result.lock().take().unwrap_or_default();
-            RunOutcome {
-                name: name.to_owned(),
-                outcome,
-                result: rows,
-                stats: handles[0].stats(),
-                traffic: handles[0].traffic(),
-                profile: handles[0].profile(),
-            }
-        })
-        .collect()
+fn config(variant: SystemVariant, workers: usize, morsel_size: usize) -> DispatchConfig {
+    DispatchConfig::new(workers)
+        .with_mode(variant.mode(workers))
+        .with_morsel_size(morsel_size)
 }
 
-fn warn_if_not_completed(name: &str, outcome: QueryOutcome) {
+/// The outcome of a finished run, warning on stderr when the query did
+/// not complete.
+fn run_outcome(name: &str, handle: &QueryHandle, result: ResultSlot) -> RunOutcome {
+    let outcome = handle
+        .outcome()
+        .expect("both executors run every query to a terminal state");
     if outcome != QueryOutcome::Completed {
         eprintln!("warning: query '{name}' did not complete: {outcome:?}");
+    }
+    let rows = result.lock().take().unwrap_or_default();
+    RunOutcome {
+        name: name.to_owned(),
+        outcome,
+        result: rows,
+        stats: handle.stats(),
+        traffic: handle.traffic(),
+        profile: handle.profile(),
     }
 }
 

@@ -115,24 +115,13 @@ impl<T> AdmissionQueue<T> {
         self.in_flight == 0 && self.waiting.is_empty()
     }
 
-    /// Offer a query for admission at time `now_ns`.
+    /// Offer a query for admission at time `now_ns`, through an external
+    /// admission gate. When `admit` is false (the service sees memory
+    /// pressure), the immediate-dispatch fast path is skipped: the query
+    /// is parked in the wait queue even if in-flight capacity is free, so
+    /// it is only dispatched once a later housekeeping pass observes
+    /// headroom. The queue-full bound still applies.
     pub fn submit(
-        &mut self,
-        payload: T,
-        priority: u32,
-        now_ns: u64,
-        deadline_ns: Option<u64>,
-    ) -> AdmissionDecision<T> {
-        self.submit_gated(payload, priority, now_ns, deadline_ns, true)
-    }
-
-    /// [`submit`](Self::submit) with an external admission gate. When
-    /// `admit` is false (the service sees memory pressure), the
-    /// immediate-dispatch fast path is skipped: the query is parked in
-    /// the wait queue even if in-flight capacity is free, so it is only
-    /// dispatched once a later housekeeping pass observes headroom. The
-    /// queue-full bound still applies.
-    pub fn submit_gated(
         &mut self,
         payload: T,
         priority: u32,
@@ -160,30 +149,19 @@ impl<T> AdmissionQueue<T> {
 
     /// Report one in-flight query finished (completed, cancelled, or
     /// failed). Returns the payloads admitted into the freed capacity,
-    /// in admission order — the caller must dispatch each.
-    pub fn complete(&mut self, now_ns: u64) -> Vec<T> {
-        self.complete_while(now_ns, true)
-    }
-
-    /// [`complete`](Self::complete) with an external admission gate:
-    /// when `admit` is false the freed capacity is recorded but nothing
-    /// is admitted into it — waiters stay parked until a later
+    /// in admission order — the caller must dispatch each. Through the
+    /// same gate as [`submit`](Self::submit): when `admit` is false the
+    /// freed capacity is recorded but nothing is admitted into it —
+    /// waiters stay parked until a later
     /// [`poll_admit`](Self::poll_admit) observes headroom.
-    pub fn complete_while(&mut self, now_ns: u64, admit: bool) -> Vec<T> {
+    pub fn complete(&mut self, now_ns: u64, admit: bool) -> Vec<T> {
         assert!(self.in_flight > 0, "complete() without an in-flight query");
         self.in_flight -= 1;
         if admit {
-            self.admit_ready(now_ns)
+            self.poll_admit(now_ns)
         } else {
             Vec::new()
         }
-    }
-
-    /// Admit waiters into any free in-flight capacity right now. A no-op
-    /// when the bound is saturated; used by the service to resume
-    /// admission after a pressure episode gated it off.
-    pub fn poll_admit(&mut self, now_ns: u64) -> Vec<T> {
-        self.admit_ready(now_ns)
     }
 
     /// Remove and return up to `count` waiters, lowest effective
@@ -212,7 +190,10 @@ impl<T> AdmissionQueue<T> {
         shed
     }
 
-    fn admit_ready(&mut self, now_ns: u64) -> Vec<T> {
+    /// Admit waiters into any free in-flight capacity right now. A no-op
+    /// when the bound is saturated; used by the service to resume
+    /// admission after a pressure episode gated it off.
+    pub fn poll_admit(&mut self, now_ns: u64) -> Vec<T> {
         let mut admitted = Vec::new();
         while self.in_flight < self.config.max_in_flight {
             let aging = self.config.aging;
@@ -279,44 +260,44 @@ mod tests {
     #[test]
     fn bounds_are_enforced() {
         let mut q = queue(2, 2);
-        assert_eq!(admitted(q.submit("a", 1, 0, None)), "a");
-        assert_eq!(admitted(q.submit("b", 1, 0, None)), "b");
+        assert_eq!(admitted(q.submit("a", 1, 0, None, true)), "a");
+        assert_eq!(admitted(q.submit("b", 1, 0, None, true)), "b");
         assert!(matches!(
-            q.submit("c", 1, 0, None),
+            q.submit("c", 1, 0, None, true),
             AdmissionDecision::Queued
         ));
         assert!(matches!(
-            q.submit("d", 1, 0, None),
+            q.submit("d", 1, 0, None, true),
             AdmissionDecision::Queued
         ));
         assert!(matches!(
-            q.submit("e", 1, 0, None),
+            q.submit("e", 1, 0, None, true),
             AdmissionDecision::Rejected("e")
         ));
         assert_eq!(q.in_flight(), 2);
         assert_eq!(q.queued(), 2);
         // Completion admits exactly one, FIFO among equal priorities.
-        assert_eq!(q.complete(1), vec!["c"]);
-        assert_eq!(q.complete(2), vec!["d"]);
-        assert_eq!(q.complete(3), Vec::<&str>::new());
-        assert_eq!(q.complete(4), Vec::<&str>::new());
+        assert_eq!(q.complete(1, true), vec!["c"]);
+        assert_eq!(q.complete(2, true), vec!["d"]);
+        assert_eq!(q.complete(3, true), Vec::<&str>::new());
+        assert_eq!(q.complete(4, true), Vec::<&str>::new());
         assert!(q.is_idle());
     }
 
     #[test]
     fn higher_priority_admitted_first() {
         let mut q = queue(1, 8);
-        let _ = admitted(q.submit("running", 1, 0, None));
+        let _ = admitted(q.submit("running", 1, 0, None, true));
         assert!(matches!(
-            q.submit("lo", 1, 0, None),
+            q.submit("lo", 1, 0, None, true),
             AdmissionDecision::Queued
         ));
         assert!(matches!(
-            q.submit("hi", 8, 1, None),
+            q.submit("hi", 8, 1, None, true),
             AdmissionDecision::Queued
         ));
-        assert_eq!(q.complete(2), vec!["hi"]);
-        assert_eq!(q.complete(3), vec!["lo"]);
+        assert_eq!(q.complete(2, true), vec!["hi"]);
+        assert_eq!(q.complete(3, true), vec!["lo"]);
     }
 
     #[test]
@@ -324,62 +305,62 @@ mod tests {
         let aging = AgingPolicy::every(100).with_max_boost(32);
         let mut q: AdmissionQueue<&str> =
             AdmissionQueue::new(AdmissionConfig::new(1).with_max_queue(8).with_aging(aging));
-        let _ = admitted(q.submit("running", 8, 0, None));
+        let _ = admitted(q.submit("running", 8, 0, None, true));
         assert!(matches!(
-            q.submit("lo", 1, 0, None),
+            q.submit("lo", 1, 0, None, true),
             AdmissionDecision::Queued
         ));
         // A fresh priority-8 query arrives much later; by then the
         // priority-1 query has aged past it (1 + 10 > 8).
         assert!(matches!(
-            q.submit("hi", 8, 1_000, None),
+            q.submit("hi", 8, 1_000, None, true),
             AdmissionDecision::Queued
         ));
-        assert_eq!(q.complete(1_000), vec!["lo"]);
-        assert_eq!(q.complete(1_001), vec!["hi"]);
+        assert_eq!(q.complete(1_000, true), vec!["lo"]);
+        assert_eq!(q.complete(1_001, true), vec!["hi"]);
     }
 
     #[test]
     fn overdue_waiters_expire() {
         let mut q = queue(1, 8);
-        let _ = admitted(q.submit("running", 1, 0, None));
+        let _ = admitted(q.submit("running", 1, 0, None, true));
         assert!(matches!(
-            q.submit("patient", 1, 0, None),
+            q.submit("patient", 1, 0, None, true),
             AdmissionDecision::Queued
         ));
         assert!(matches!(
-            q.submit("hurried", 1, 0, Some(50)),
+            q.submit("hurried", 1, 0, Some(50), true),
             AdmissionDecision::Queued
         ));
         assert!(q.expire_overdue(49).is_empty());
         assert_eq!(q.expire_overdue(50), vec!["hurried"]);
         assert_eq!(q.queued(), 1);
-        assert_eq!(q.complete(60), vec!["patient"]);
+        assert_eq!(q.complete(60, true), vec!["patient"]);
     }
 
     #[test]
     fn overdue_waiters_never_admitted() {
         let mut q = queue(1, 8);
-        let _ = admitted(q.submit("running", 1, 0, None));
+        let _ = admitted(q.submit("running", 1, 0, None, true));
         // Overdue high-priority waiter vs live low-priority waiter: the
         // freed slot must go to the live one; the overdue entry stays
         // queued for expire_overdue.
         assert!(matches!(
-            q.submit("overdue-hi", 8, 0, Some(50)),
+            q.submit("overdue-hi", 8, 0, Some(50), true),
             AdmissionDecision::Queued
         ));
         assert!(matches!(
-            q.submit("live-lo", 1, 0, None),
+            q.submit("live-lo", 1, 0, None, true),
             AdmissionDecision::Queued
         ));
-        assert_eq!(q.complete(100), vec!["live-lo"]);
+        assert_eq!(q.complete(100, true), vec!["live-lo"]);
         assert_eq!(q.expire_overdue(100), vec!["overdue-hi"]);
         // Only overdue waiters queued: the freed slot stays free.
         assert!(matches!(
-            q.submit("overdue-2", 1, 0, Some(10)),
+            q.submit("overdue-2", 1, 0, Some(10), true),
             AdmissionDecision::Queued
         ));
-        assert!(q.complete(200).is_empty());
+        assert!(q.complete(200, true).is_empty());
         assert_eq!(q.in_flight(), 0);
         assert_eq!(q.expire_overdue(200), vec!["overdue-2"]);
     }
@@ -394,7 +375,7 @@ mod tests {
     fn gated_submit_queues_despite_free_capacity() {
         let mut q = queue(2, 2);
         assert!(matches!(
-            q.submit_gated("a", 1, 0, None, false),
+            q.submit("a", 1, 0, None, false),
             AdmissionDecision::Queued
         ));
         assert_eq!(q.in_flight(), 0);
@@ -404,15 +385,15 @@ mod tests {
         assert_eq!(q.in_flight(), 1);
         // The queue-full bound still rejects when gated.
         assert!(matches!(
-            q.submit_gated("b", 1, 2, None, false),
+            q.submit("b", 1, 2, None, false),
             AdmissionDecision::Queued
         ));
         assert!(matches!(
-            q.submit_gated("c", 1, 2, None, false),
+            q.submit("c", 1, 2, None, false),
             AdmissionDecision::Queued
         ));
         assert!(matches!(
-            q.submit_gated("d", 1, 2, None, false),
+            q.submit("d", 1, 2, None, false),
             AdmissionDecision::Rejected("d")
         ));
     }
@@ -420,12 +401,12 @@ mod tests {
     #[test]
     fn gated_complete_frees_capacity_without_admitting() {
         let mut q = queue(1, 4);
-        let _ = admitted(q.submit("running", 1, 0, None));
+        let _ = admitted(q.submit("running", 1, 0, None, true));
         assert!(matches!(
-            q.submit("waiter", 1, 0, None),
+            q.submit("waiter", 1, 0, None, true),
             AdmissionDecision::Queued
         ));
-        assert!(q.complete_while(1, false).is_empty());
+        assert!(q.complete(1, false).is_empty());
         assert_eq!(q.in_flight(), 0);
         assert_eq!(q.queued(), 1);
         assert_eq!(q.poll_admit(2), vec!["waiter"]);
@@ -435,10 +416,10 @@ mod tests {
     #[test]
     fn shed_lowest_drops_lowest_priority_newest_first() {
         let mut q = queue(1, 8);
-        let _ = admitted(q.submit("running", 5, 0, None));
+        let _ = admitted(q.submit("running", 5, 0, None, true));
         for (name, prio) in [("lo-old", 1u32), ("lo-new", 1), ("hi", 8)] {
             assert!(matches!(
-                q.submit(name, prio, 1, None),
+                q.submit(name, prio, 1, None, true),
                 AdmissionDecision::Queued
             ));
         }
@@ -455,13 +436,13 @@ mod tests {
         let aging = AgingPolicy::every(100).with_max_boost(32);
         let mut q: AdmissionQueue<&str> =
             AdmissionQueue::new(AdmissionConfig::new(1).with_max_queue(8).with_aging(aging));
-        let _ = admitted(q.submit("running", 8, 0, None));
+        let _ = admitted(q.submit("running", 8, 0, None, true));
         assert!(matches!(
-            q.submit("aged-lo", 1, 0, None),
+            q.submit("aged-lo", 1, 0, None, true),
             AdmissionDecision::Queued
         ));
         assert!(matches!(
-            q.submit("fresh-mid", 5, 1_000, None),
+            q.submit("fresh-mid", 5, 1_000, None, true),
             AdmissionDecision::Queued
         ));
         // By t=1000 the priority-1 waiter has aged to 11 > 5: the fresh

@@ -6,7 +6,8 @@
 //! into a long-lived system serving a stream of query submissions from
 //! many concurrent clients.
 //!
-//! What it adds on top of the raw [`morsel_core::Dispatcher`]:
+//! It runs on `morsel-core`'s one threaded runtime, a
+//! [`morsel_core::WorkerPool`], and adds on top of it:
 //!
 //! - **Admission control** ([`admission`]): a hard bound on concurrently
 //!   dispatched queries, a bounded prioritized wait queue beyond it, and

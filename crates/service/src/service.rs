@@ -1,9 +1,11 @@
 //! The query service: a long-lived front end over the morsel-driven
 //! dispatcher.
 //!
-//! [`QueryService::start`] spins up a worker pool running the paper's
-//! worker loop (request a task, run it to the morsel boundary, report
-//! completion) against a single shared [`Dispatcher`]. Clients submit
+//! [`QueryService::start`] starts a [`WorkerPool`] — `morsel-core`'s one
+//! threaded runtime, the paper's worker loop (request a task, run it to
+//! the morsel boundary, report completion) over a single shared
+//! dispatcher — and plugs the service's housekeeping into it as the
+//! pool's [`PoolHook`]. Clients submit
 //! [`QueryRequest`]s from any thread and get back a [`QueryTicket`]; the
 //! service applies admission control ([`crate::admission`]), enforces
 //! deadlines (queued queries expire in the wait queue, dispatched ones
@@ -13,18 +15,17 @@
 //! [`ServiceReport`].
 //!
 //! End-to-end latency is measured from *submission* (including any time
-//! spent waiting for admission) to completion, on the service's own
-//! monotonic clock. The same clock feeds the dispatcher, so priority
-//! aging and deadlines use identical timestamps.
+//! spent waiting for admission) to completion, on the pool's monotonic
+//! clock ([`Pool::now_ns`]). The same clock feeds the dispatcher, so
+//! priority aging and deadlines use identical timestamps.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use morsel_core::{
-    validate_exposition, AgingPolicy, DispatchConfig, Dispatcher, ExecEnv, MemPool,
-    MetricsRegistry, QueryHandle, QueryOutcome, QueryProfile, QuerySpec, RejectReason, TaskContext,
+    validate_exposition, AgingPolicy, DispatchConfig, ExecEnv, MemPool, MetricsRegistry, Pool,
+    PoolHook, QueryHandle, QueryOutcome, QueryProfile, QuerySpec, RejectReason, WorkerPool,
     DEFAULT_MORSEL_SIZE,
 };
 use parking_lot::Mutex;
@@ -135,7 +136,7 @@ pub struct QueryReport {
     pub name: String,
     pub priority: u32,
     pub outcome: QueryOutcome,
-    /// Submission-to-termination latency on the service clock (0 for
+    /// Submission-to-termination latency on the pool's clock (0 for
     /// queries rejected at submission, which never wait; waiters shed
     /// under memory pressure record the time they spent queued).
     pub latency_ns: u64,
@@ -280,27 +281,20 @@ struct Metrics {
     exec: ExecTotals,
 }
 
+/// Admission, tickets and metrics: everything the service keeps beyond
+/// the pool it runs on, which drives it as the pool's hook.
 struct ServiceInner {
-    dispatcher: Dispatcher,
     /// The environment's service-wide memory pool, if any (cached off
     /// the env so the hot admission path avoids the indirection).
     mem_pool: Option<Arc<MemPool>>,
-    start: Instant,
     state: Mutex<ServiceState>,
     metrics: Mutex<Metrics>,
-    /// Once set, new submissions are rejected and workers exit when the
-    /// service drains.
-    draining: AtomicBool,
     /// Shared cache counters, fed by [`crate::Session`]s built with
     /// [`crate::SessionBuilder::for_service`] and reported at shutdown.
     cache: Arc<CacheCounters>,
 }
 
 impl ServiceInner {
-    fn now_ns(&self) -> u64 {
-        self.start.elapsed().as_nanos() as u64
-    }
-
     /// Whether admission is currently open: false while the memory pool
     /// is under pressure (little headroom left), at which point new
     /// work queues instead of dispatching and waiters start shedding.
@@ -338,7 +332,9 @@ impl ServiceInner {
             profile,
         });
     }
+}
 
+impl PoolHook for ServiceInner {
     /// Service housekeeping, run by workers between morsels: reap
     /// finished queries, admit queued ones into freed capacity, and
     /// expire overdue waiters. Ticket finalization *and* dispatching
@@ -347,8 +343,8 @@ impl ServiceInner {
     /// and other workers never contend with a slow plan build; the
     /// admission counters taken under the lock keep the capacity
     /// accounting (and the drain check) exact in the gap.
-    fn maintain(&self) {
-        let now = self.now_ns();
+    fn maintain(&self, pool: &Pool<Self>) {
+        let now = pool.now_ns();
         let admit = self.admission_open();
         let mut finished: Vec<(Arc<TicketInner>, QueryOutcome, u64, Option<QueryProfile>)> =
             Vec::new();
@@ -362,7 +358,7 @@ impl ServiceInner {
                     let end = r.handle.stats().finished_ns;
                     let latency = end.saturating_sub(r.ticket.submitted_ns);
                     finished.push((r.ticket, outcome, latency, r.handle.profile()));
-                    to_dispatch.extend(st.admission.complete_while(now, admit));
+                    to_dispatch.extend(st.admission.complete(now, admit));
                 } else {
                     i += 1;
                 }
@@ -394,7 +390,7 @@ impl ServiceInner {
             let running: Vec<Running> = to_dispatch
                 .into_iter()
                 .map(|p| Running {
-                    handle: self.dispatcher.submit(p.spec, now),
+                    handle: pool.submit(p.spec, now),
                     ticket: p.ticket,
                 })
                 .collect();
@@ -407,14 +403,15 @@ impl ServiceInner {
 
     fn is_idle(&self) -> bool {
         let st = self.state.lock();
-        st.running.is_empty() && st.admission.is_idle() && self.dispatcher.all_done()
+        st.running.is_empty() && st.admission.is_idle()
     }
 }
 
-/// The running service. See the [module docs](self).
+/// The running service. See the [module docs](self). Dropping it
+/// without [`QueryService::shutdown`] still drains everything submitted
+/// and joins the workers; only the report is lost.
 pub struct QueryService {
-    inner: Arc<ServiceInner>,
-    threads: Vec<std::thread::JoinHandle<()>>,
+    workers: WorkerPool<ServiceInner>,
 }
 
 impl QueryService {
@@ -432,37 +429,27 @@ impl QueryService {
             (None, Some(bytes)) => env.with_mem_pool(MemPool::new(bytes)),
             _ => env,
         };
-        let mem_pool = env.mem_pool().cloned();
-        let inner = Arc::new(ServiceInner {
-            dispatcher: Dispatcher::new(env, dispatch),
-            mem_pool,
-            start: Instant::now(),
+        let inner = ServiceInner {
+            mem_pool: env.mem_pool().cloned(),
             state: Mutex::new(ServiceState {
                 admission: AdmissionQueue::new(admission),
                 running: Vec::new(),
             }),
             metrics: Mutex::new(Metrics::default()),
-            draining: AtomicBool::new(false),
             cache: Arc::new(CacheCounters::default()),
-        });
-        let threads = (0..config.workers)
-            .map(|w| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("morsel-service-{w}"))
-                    .spawn(move || worker_loop(&inner, w))
-                    .expect("spawn service worker")
-            })
-            .collect();
-        QueryService { inner, threads }
+        };
+        QueryService {
+            workers: WorkerPool::start(env, dispatch, inner),
+        }
     }
 
     /// Submit a query. Never blocks on execution: the returned ticket
     /// resolves when the query completes, is cancelled (deadline), or is
     /// rejected by admission control.
     pub fn submit(&self, request: QueryRequest) -> QueryTicket {
-        let inner = &self.inner;
-        let now = inner.now_ns();
+        let pool = self.workers.pool();
+        let inner = pool.hook();
+        let now = pool.now_ns();
         let deadline_ns = request
             .deadline
             .map(|d| now.saturating_add(d.as_nanos() as u64));
@@ -480,23 +467,7 @@ impl QueryService {
         let priority = spec.priority;
         let decision = {
             let mut st = inner.state.lock();
-            // Checked under the state lock: a worker deciding to exit
-            // takes the same lock for its idle check, so a submission
-            // that observes `draining == false` here is guaranteed to be
-            // seen (and drained) by the workers before they stop — the
-            // admission counters bumped below keep `is_idle()` false
-            // until the dispatch lands.
-            if inner.draining.load(Ordering::SeqCst) {
-                drop(st);
-                inner.finalize(
-                    &ticket,
-                    QueryOutcome::Rejected(RejectReason::ShuttingDown),
-                    0,
-                    None,
-                );
-                return QueryTicket { inner: ticket };
-            }
-            st.admission.submit_gated(
+            st.admission.submit(
                 Pending {
                     spec,
                     ticket: Arc::clone(&ticket),
@@ -510,7 +481,7 @@ impl QueryService {
         match decision {
             AdmissionDecision::Admitted(p) => {
                 // Dispatch (first-pipeline build) outside the state lock.
-                let handle = inner.dispatcher.submit(p.spec, now);
+                let handle = pool.submit(p.spec, now);
                 inner.state.lock().running.push(Running {
                     handle,
                     ticket: p.ticket,
@@ -532,24 +503,24 @@ impl QueryService {
     /// The service-wide memory pool, if one is configured (either on the
     /// environment or via [`ServiceConfig::with_mem_pool_bytes`]).
     pub fn mem_pool(&self) -> Option<&Arc<MemPool>> {
-        self.inner.mem_pool.as_ref()
+        self.workers.pool().hook().mem_pool.as_ref()
     }
 
     /// The service's shared cache counters (see
     /// [`crate::SessionBuilder::for_service`]); snapshotted into
     /// [`ServiceReport::cache`] at shutdown.
     pub fn cache_counters(&self) -> &Arc<CacheCounters> {
-        &self.inner.cache
+        &self.workers.pool().hook().cache
     }
 
     /// Resolve a result-cache hit as a served query: no spec is built
     /// and nothing dispatches, but the completion is recorded in the
-    /// service metrics (so cached and executed queries reconcile in one
-    /// report) unless the service is draining, in which case the hit is
-    /// rejected like any other submission would be.
+    /// service metrics, so cached and executed queries reconcile in one
+    /// report.
     pub(crate) fn complete_cached(&self, name: &str) -> QueryTicket {
-        let inner = &self.inner;
-        let now = inner.now_ns();
+        let pool = self.workers.pool();
+        let inner = pool.hook();
+        let now = pool.now_ns();
         let ticket = Arc::new(TicketInner {
             name: name.to_owned(),
             priority: 1,
@@ -557,18 +528,14 @@ impl QueryService {
             state: StdMutex::new(TicketState { report: None }),
             done: Condvar::new(),
         });
-        let outcome = if inner.draining.load(Ordering::SeqCst) {
-            QueryOutcome::Rejected(RejectReason::ShuttingDown)
-        } else {
-            QueryOutcome::Completed
-        };
-        inner.finalize(&ticket, outcome, inner.now_ns().saturating_sub(now), None);
+        let latency = pool.now_ns().saturating_sub(now);
+        inner.finalize(&ticket, QueryOutcome::Completed, latency, None);
         QueryTicket { inner: ticket }
     }
 
     /// Queries currently dispatched / waiting (for tests and monitoring).
     pub fn depth(&self) -> (usize, usize) {
-        let st = self.inner.state.lock();
+        let st = self.workers.pool().hook().state.lock();
         (st.admission.in_flight(), st.admission.queued())
     }
 
@@ -580,20 +547,16 @@ impl QueryService {
     /// [`ServiceReport::worker_panics`] rather than re-panicking the
     /// caller, so one poisoned worker cannot take down the report for
     /// everything that did finish.
-    pub fn shutdown(self) -> ServiceReport {
-        self.inner.draining.store(true, Ordering::SeqCst);
-        let mut worker_panics = 0u64;
-        for t in self.threads {
-            if t.join().is_err() {
-                worker_panics += 1;
-            }
-        }
+    pub fn shutdown(mut self) -> ServiceReport {
+        let worker_panics = self.workers.drain();
+        let pool = self.workers.pool();
+        let inner = pool.hook();
         // Workers exit only once the service is fully idle, but the last
         // finalizations happen after the exit condition check.
-        self.inner.maintain();
-        debug_assert!(worker_panics > 0 || self.inner.is_idle());
-        let wall_ns = self.inner.now_ns();
-        let m = self.inner.metrics.lock();
+        inner.maintain(pool);
+        debug_assert!(worker_panics > 0 || inner.is_idle());
+        let wall_ns = pool.now_ns();
+        let m = inner.metrics.lock();
         ServiceReport {
             wall_ns,
             worker_panics,
@@ -603,61 +566,8 @@ impl QueryService {
                 .iter()
                 .map(|(p, (c, h))| (*p, *c, h.clone()))
                 .collect(),
-            cache: self.inner.cache.snapshot(),
+            cache: inner.cache.snapshot(),
             exec: m.exec,
-        }
-    }
-}
-
-/// How long a worker may go between housekeeping passes while busy.
-/// Queries reaped by the dispatcher (deadline expiry, cancellation) and
-/// overdue queued waiters finish *between* completion events, so without
-/// this bound their tickets would not resolve until some query completed
-/// or a worker went idle — potentially much later under saturation.
-const MAINTAIN_INTERVAL_NS: u64 = 1_000_000;
-
-/// The paper's worker loop, plus service housekeeping: when a morsel
-/// completes a query, when no work is available, and at least every
-/// [`MAINTAIN_INTERVAL_NS`] while busy, the worker reaps finished
-/// queries and admits queued ones. Idle workers back off exponentially so
-/// a drained service does not burn cores.
-fn worker_loop(inner: &Arc<ServiceInner>, w: usize) {
-    let env = inner.dispatcher.env().clone();
-    let mut idle_polls = 0u32;
-    let mut last_maintain = 0u64;
-    loop {
-        let now = inner.now_ns();
-        match inner.dispatcher.next_task(w, now) {
-            Some(task) => {
-                idle_polls = 0;
-                let qs = task.query_counters();
-                let mut ctx = TaskContext::new(&env, w).with_query(&qs);
-                task.run(&mut ctx);
-                let now = inner.now_ns();
-                inner.dispatcher.complete_task(&mut ctx, task, now);
-                if qs.done.load(Ordering::Acquire)
-                    || now.saturating_sub(last_maintain) >= MAINTAIN_INTERVAL_NS
-                {
-                    inner.maintain();
-                    last_maintain = now;
-                }
-            }
-            None => {
-                last_maintain = now;
-                inner.maintain();
-                if inner.draining.load(Ordering::SeqCst) && inner.is_idle() {
-                    break;
-                }
-                idle_polls += 1;
-                if idle_polls < 16 {
-                    std::thread::yield_now();
-                } else {
-                    // Cap the backoff at ~1ms so deadline expiry of
-                    // queued queries stays responsive.
-                    let us = 1u64 << idle_polls.min(26).saturating_sub(16);
-                    std::thread::sleep(Duration::from_micros(us.min(1_000)));
-                }
-            }
         }
     }
 }

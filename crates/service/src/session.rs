@@ -405,11 +405,8 @@ impl Session {
             };
             if let Some(rows) = cached {
                 // Nothing dispatches, but the hit is a served query in
-                // the service's ledger — or a rejection, if it drains.
+                // the service's ledger.
                 let report = service.complete_cached(&name).wait();
-                if let Some(err) = Error::from_outcome(&name, &report.outcome) {
-                    return Err(err);
-                }
                 return Ok(SqlExecution {
                     report,
                     rows: Some(rows),

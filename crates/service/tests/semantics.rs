@@ -104,7 +104,7 @@ fn admission_bound_respected_under_simulated_execution() {
     let mut virtual_now = 0u64;
     let mut batch: Vec<usize> = Vec::new();
     for q in 0..TOTAL {
-        match queue.submit(q, 1 + (q % 3) as u32, virtual_now, None) {
+        match queue.submit(q, 1 + (q % 3) as u32, virtual_now, None, true) {
             AdmissionDecision::Admitted(q) => batch.push(q),
             AdmissionDecision::Queued => {}
             AdmissionDecision::Rejected(_) => panic!("queue sized to hold everything"),
@@ -127,7 +127,7 @@ fn admission_bound_respected_under_simulated_execution() {
         ran += batch.len();
         let mut next = Vec::new();
         for _ in 0..batch.len() {
-            next.extend(queue.complete(virtual_now));
+            next.extend(queue.complete(virtual_now, true));
             assert!(queue.in_flight() <= BOUND);
         }
         batch = next;
@@ -294,6 +294,27 @@ fn service_rejects_when_queue_is_full() {
     let summary = service.shutdown();
     assert_eq!(summary.completed(), 1);
     assert_eq!(summary.rejected(), 1);
+}
+
+#[test]
+fn dropping_a_live_service_joins_its_workers() {
+    let env = ExecEnv::new(Topology::laptop());
+    let service = QueryService::start(env.clone(), ServiceConfig::new(2));
+    let ticket = service.submit(QueryRequest::new(sleep_spec(
+        "inflight",
+        20,
+        Duration::from_millis(1),
+    )));
+    // No shutdown: an early return or a failed assertion drops it so.
+    drop(service);
+    // Drop drained the query first...
+    assert_eq!(
+        ticket.try_report().map(|r| r.outcome),
+        Some(QueryOutcome::Completed)
+    );
+    // ...and then joined every worker: each held the service's shared
+    // environment, so the test's own handle is the last one left.
+    assert_eq!(Arc::strong_count(env.counters()), 1);
 }
 
 #[test]

@@ -6,6 +6,9 @@
 //! cargo run --release --example elastic_scheduling
 //! ```
 
+use std::sync::Arc;
+
+use morsel_repro::core::{render_ascii, TraceRecorder};
 use morsel_repro::prelude::*;
 use morsel_repro::queries::tpch_queries;
 
@@ -35,8 +38,9 @@ fn main() {
 
     // Now: Q13 starts, a high-priority Q14 arrives at 30%.
     let config = DispatchConfig::new(workers).with_morsel_size(2048);
-    let mut sim = SimExecutor::new(env.clone(), config);
-    sim.enable_trace();
+    let recorder = Arc::new(TraceRecorder::new());
+    let traced = env.clone().with_trace(Arc::clone(&recorder));
+    let mut sim = SimExecutor::new(traced, config);
     let (q13, _) = compile_query(
         "Q13-long",
         tpch_queries::query(&db, 13),
@@ -66,10 +70,7 @@ fn main() {
         s14.elapsed_ns() as f64 / 1e6
     );
     println!("\nmorsel trace (A = Q13, B = Q14):");
-    print!(
-        "{}",
-        morsel_repro::core::render_ascii(&report.trace, workers, 100)
-    );
+    print!("{}", render_ascii(&recorder.take(), workers, 100));
 
     // Cancellation: workers stop at the next morsel boundary.
     let mut sim = SimExecutor::new(env, DispatchConfig::new(workers).with_morsel_size(2048));

@@ -1,38 +1,54 @@
-//! Observability regression gates: the threaded executor's span
-//! recording and the per-operator runtime profile.
+//! Observability regression gates: span recording on the threaded
+//! runtime and the per-operator runtime profile.
 //!
 //! The trace test is the satellite bar from the profiling PR: a 4-worker
 //! threaded run must emit at least one [`SpanKind::Pipeline`] span for
 //! every `(query, pipeline job, worker)` combination that appears in the
 //! morsel spans — i.e. every worker that participated in a pipeline gets
-//! a coalesced pipeline span, and every morsel span nests inside one.
+//! a coalesced pipeline span, and every morsel span nests inside one. It
+//! holds on both spellings of the one worker pool: the batch
+//! `ThreadedExecutor` and a `QueryService` started on a traced
+//! environment.
 
 use std::sync::Arc;
 
-use morsel_repro::core::{Morsel, PipelineJob, SpanKind, TaskContext, TraceRecorder};
+use morsel_repro::core::{Morsel, PipelineJob, SpanKind, TaskContext, TraceEvent, TraceRecorder};
 use morsel_repro::prelude::*;
 use morsel_repro::queries::{run_sim, run_threaded, tpch_queries};
+use morsel_repro::service::{QueryRequest, QueryService, ServiceConfig};
 
 #[test]
 fn four_worker_trace_has_pipeline_spans_for_every_participant() {
     let topo = Topology::laptop();
-    let env = ExecEnv::new(topo.clone());
     let db = generate_tpch(TpchConfig::scaled(0.005), &topo);
     let workers = 4;
     let variant = SystemVariant::full();
+    // Q13 (join + aggregation + sort) exercises several pipelines; Q6 adds
+    // a second concurrent query so spans interleave across queries too.
+    let specs =
+        || [13, 6].map(|q| compile_query(format!("q{q}"), tpch_queries::query(&db, q), variant).0);
+
+    let recorder = Arc::new(TraceRecorder::new());
+    let env = ExecEnv::new(topo.clone()).with_trace(Arc::clone(&recorder));
     let config = DispatchConfig::new(workers)
         .with_mode(variant.mode(workers))
         .with_morsel_size(512);
-    let recorder = Arc::new(TraceRecorder::new());
-    let exec = ThreadedExecutor::new(env, config).with_trace(Arc::clone(&recorder));
-    // Q13 (join + aggregation + sort) exercises several pipelines; Q6 adds
-    // a second concurrent query so spans interleave across queries too.
-    let (s13, _r13) = compile_query("q13", tpch_queries::query(&db, 13), variant);
-    let (s6, _r6) = compile_query("q6", tpch_queries::query(&db, 6), variant);
-    let handles = exec.run(vec![s13, s6]);
+    let handles = ThreadedExecutor::new(env, config).run(specs().into());
     assert!(handles.iter().all(|h| h.is_done()));
+    assert_nested_spans(&recorder.take());
 
-    let events = recorder.take();
+    let recorder = Arc::new(TraceRecorder::new());
+    let env = ExecEnv::new(topo.clone()).with_trace(Arc::clone(&recorder));
+    let service = QueryService::start(env, ServiceConfig::new(workers).with_morsel_size(512));
+    let tickets = specs().map(|s| service.submit(QueryRequest::new(s)));
+    for t in tickets {
+        assert_eq!(t.wait().outcome, QueryOutcome::Completed);
+    }
+    assert_eq!(service.shutdown().worker_panics, 0);
+    assert_nested_spans(&recorder.take());
+}
+
+fn assert_nested_spans(events: &[TraceEvent]) {
     let queries: Vec<&str> = {
         let mut qs: Vec<&str> = events
             .iter()
@@ -94,7 +110,7 @@ fn four_worker_trace_has_pipeline_spans_for_every_participant() {
     }
 
     // Spans are well-formed and within the query envelope.
-    for e in &events {
+    for e in events {
         assert!(e.start_ns <= e.end_ns, "inverted span {e:?}");
     }
 }
