@@ -1163,6 +1163,8 @@ mod tests {
         // calibrated with: `hash_i64` of an integer, a dictionary code or
         // a float's canonical bits, `hash_bytes` of a plain string,
         // combined left to right; a key of no columns hashes as integer 0.
+        // The partitions are pinned too, so a change to any of those hashes
+        // shows here.
         use morsel_storage::{hash_bytes, hash_combine, hash_i64, DictColumn, Dictionary};
         let dict = Dictionary::from_values(["x", "y", "z"]);
         let batch = Batch::from_columns(vec![
@@ -1186,17 +1188,17 @@ mod tests {
             hash_i64(-7),
             hash_i64(0f64.to_bits() as i64),
         );
-        let cases: [(&[usize], u64); 6] = [
-            (&[], fold(&[])),
-            (&[0], fold(&[i])),
-            (&[1], fold(&[s])),
-            (&[2, 0], fold(&[d, i])),
-            (&[0, 1, 2, 3, 4], fold(&[i, s, d, n, f])),
-            (&[4, 3], fold(&[f, n])),
+        let cases: [(&[usize], u64, usize); 6] = [
+            (&[], fold(&[]), 56),
+            (&[0], fold(&[i]), 47),
+            (&[1], fold(&[s]), 0),
+            (&[2, 0], fold(&[d, i]), 32),
+            (&[0, 1, 2, 3, 4], fold(&[i, s, d, n, f]), 33),
+            (&[4, 3], fold(&[f, n]), 11),
         ];
         let env = env();
         let nodes = env.worker_sockets(1);
-        for (cols, hash) in cases {
+        for (cols, hash, pinned) in cases {
             let slot = agg_slot();
             let sink = AggPartialSink::new(cols.to_vec(), vec![AggFn::Count], &nodes, slot.clone());
             let mut ctx = TaskContext::new(&env, 0);
@@ -1212,6 +1214,7 @@ mod tests {
                 "group columns {cols:?}"
             );
             assert_eq!(partition_of(hash), routed[0]);
+            assert_eq!(routed[0], pinned, "group columns {cols:?}: routing moved");
         }
     }
 }

@@ -38,6 +38,7 @@ use std::sync::Arc;
 use morsel_storage::{Batch, Column, DataType, DictColumn, Dictionary};
 
 use crate::key::{for_each_row, Rows};
+pub use crate::like::LikePattern;
 
 /// Comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,7 +105,7 @@ pub enum Expr {
     InI64(Box<Expr>, Vec<i64>),
     /// String membership test.
     InStr(Box<Expr>, Vec<String>),
-    /// SQL LIKE with `%` wildcards only (TPC-H never needs `_`).
+    /// SQL LIKE: `%` matches any run of characters, `_` exactly one.
     Like(Box<Expr>, LikePattern),
     /// `substring(s, 1, n) = prefix`-style prefix test.
     StrPrefix(Box<Expr>, String),
@@ -115,77 +116,6 @@ pub enum Expr {
     YearOf(Box<Expr>),
     /// `substring(s, from, len)` with 1-based `from` (Q22's country code).
     Substr(Box<Expr>, usize, usize),
-}
-
-/// A pre-parsed LIKE pattern: literal segments separated by `%`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LikePattern {
-    segments: Vec<String>,
-    starts_anchored: bool,
-    ends_anchored: bool,
-}
-
-impl LikePattern {
-    /// Parse a pattern containing only `%` wildcards.
-    pub fn parse(pattern: &str) -> Self {
-        let starts_anchored = !pattern.starts_with('%');
-        let ends_anchored = !pattern.ends_with('%');
-        let segments: Vec<String> = pattern
-            .split('%')
-            .filter(|s| !s.is_empty())
-            .map(str::to_owned)
-            .collect();
-        LikePattern {
-            segments,
-            starts_anchored,
-            ends_anchored,
-        }
-    }
-
-    /// Match semantics of SQL LIKE restricted to `%`.
-    pub fn matches(&self, s: &str) -> bool {
-        let segs = &self.segments;
-        if segs.is_empty() {
-            // Pattern was "" (both anchored) or all-wildcards like "%".
-            return !(self.starts_anchored && self.ends_anchored) || s.is_empty();
-        }
-        let mut rest = s;
-        let mut idx = 0;
-        if self.starts_anchored {
-            match rest.strip_prefix(segs[0].as_str()) {
-                Some(r) => rest = r,
-                None => return false,
-            }
-            idx = 1;
-        }
-        if self.ends_anchored {
-            if self.starts_anchored && segs.len() == 1 {
-                // Exact pattern: the single segment must be the whole string.
-                return rest.is_empty();
-            }
-            // Match all but the last segment greedily leftmost, then the
-            // last one as a non-overlapping suffix.
-            let end_idx = segs.len() - 1;
-            while idx < end_idx {
-                match rest.find(segs[idx].as_str()) {
-                    Some(p) => rest = &rest[p + segs[idx].len()..],
-                    None => return false,
-                }
-                idx += 1;
-            }
-            let last = &segs[end_idx];
-            rest.len() >= last.len() && rest.ends_with(last.as_str())
-        } else {
-            while idx < segs.len() {
-                match rest.find(segs[idx].as_str()) {
-                    Some(p) => rest = &rest[p + segs[idx].len()..],
-                    None => return false,
-                }
-                idx += 1;
-            }
-            true
-        }
-    }
 }
 
 /// Result of evaluating an expression over `n` rows. Borrows column data
@@ -1133,6 +1063,16 @@ mod tests {
         assert!(LikePattern::parse("%").matches(""));
         assert!(LikePattern::parse("").matches(""));
         assert!(!LikePattern::parse("").matches("x"));
+        // `_` is exactly one character, not one byte.
+        assert!(LikePattern::parse("CHIN_").matches("CHINA"));
+        assert!(LikePattern::parse("1_-%").matches("13-555"));
+        assert!(!LikePattern::parse("1_-%").matches("1-555"));
+        let p = LikePattern::parse("_é_");
+        assert!(p.matches("aéb"));
+        assert!(p.matches("ééé"));
+        assert!(!p.matches("aé"));
+        assert!(LikePattern::parse("%_é").matches("→é"));
+        assert!(!LikePattern::parse("%__é").matches("→é"));
     }
 
     #[test]

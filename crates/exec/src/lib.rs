@@ -14,6 +14,7 @@ pub mod expr;
 pub mod ht;
 pub mod join;
 pub mod key;
+mod like;
 pub mod pipeline;
 pub mod plan;
 pub mod predicate;

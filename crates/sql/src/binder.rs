@@ -781,8 +781,9 @@ fn bind_scalar(
             }
             // `abc%` is a pure prefix test; use the dedicated
             // operator (dictionary scans turn it into a code range).
+            // A `_` in it is a wildcard, which a prefix test is not.
             let built = match pattern.strip_suffix('%') {
-                Some(prefix) if !prefix.is_empty() && !prefix.contains('%') => {
+                Some(prefix) if !prefix.is_empty() && !prefix.contains(['%', '_']) => {
                     ex::prefix(xe, prefix)
                 }
                 _ => ex::like(xe, pattern),

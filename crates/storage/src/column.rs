@@ -337,27 +337,20 @@ impl Column {
 /// Build a dictionary over plain string columns and encode them, if the
 /// domain passes [`crate::dict::worth_encoding`]. `fragments` are the
 /// per-partition columns of one logical column; they share the returned
-/// dictionary. Returns `None` when encoding is not worthwhile (or the
+/// dictionary. Returns `None` when the domain is too large (or the
 /// fragments are not plain strings).
 pub fn encode_fragments(fragments: &[&Column]) -> Option<(Arc<Dictionary>, Vec<Column>)> {
     let mut unique: std::collections::HashSet<&str> = std::collections::HashSet::new();
-    let mut rows = 0usize;
     for f in fragments {
-        match f {
-            Column::Str(v) => {
-                rows += v.len();
-                for s in v {
-                    unique.insert(s.as_str());
-                    if unique.len() > crate::dict::DICT_MAX_UNIQUE {
-                        return None;
-                    }
-                }
+        let Column::Str(v) = f else {
+            return None;
+        };
+        for s in v {
+            unique.insert(s.as_str());
+            if !crate::dict::worth_encoding(unique.len()) {
+                return None;
             }
-            _ => return None,
         }
-    }
-    if !crate::dict::worth_encoding(unique.len(), rows) {
-        return None;
     }
     let dict = Dictionary::from_values(unique);
     let encoded = fragments
@@ -536,9 +529,14 @@ mod tests {
         assert!(da.same_dict(db));
         assert_eq!(encoded[0].decoded(), a);
         assert_eq!(encoded[1].decoded(), b);
-        // High-cardinality or non-repeating domains are left plain.
+        // The domain's size decides, not repetition: ten values unique per
+        // row encode, a domain past the bound stays plain.
         let uniq = Column::Str((0..10).map(|i| format!("u{i}")).collect());
-        assert!(encode_fragments(&[&uniq]).is_none());
+        assert_eq!(encode_fragments(&[&uniq]).unwrap().0.len(), 10);
+        let wide = crate::dict::DICT_MAX_UNIQUE + 1;
+        let half = |r: std::ops::Range<usize>| Column::Str(r.map(|i| format!("w{i}")).collect());
+        let (lo, hi) = (half(0..wide / 2), half(wide / 2..wide));
+        assert!(encode_fragments(&[&lo, &hi]).is_none());
     }
 
     #[test]

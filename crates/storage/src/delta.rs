@@ -36,7 +36,7 @@ use morsel_numa::SocketId;
 
 use crate::batch::Batch;
 use crate::column::Column;
-use crate::dict::{DictColumn, Dictionary, DICT_MAX_UNIQUE};
+use crate::dict::{worth_encoding, DictColumn, Dictionary};
 use crate::relation::{Partition, Relation};
 use crate::schema::Schema;
 use crate::value::Value;
@@ -187,7 +187,7 @@ impl DeltaStore {
     /// codes behind it, so the column is rewritten in *every* partition
     /// — O(table), once per new distinct value, after which values seen
     /// before encode directly. A domain pushed past
-    /// [`DICT_MAX_UNIQUE`] is not worth that any more and the column
+    /// [`crate::dict::DICT_MAX_UNIQUE`] is not worth that any more and the column
     /// falls back to plain strings, for good. Rows keep their ids; only
     /// the physical representation changes.
     pub fn rebased(&self, base: &Relation) -> Option<Relation> {
@@ -216,7 +216,7 @@ impl DeltaStore {
                     .column(c)
                     .as_dict()
                     .expect("encoded in every partition");
-                let column = if extended.len() > DICT_MAX_UNIQUE {
+                let column = if !worth_encoding(extended.len()) {
                     Column::Str(codes.decode())
                 } else {
                     let codes = codes.codes().iter().map(|&x| remap[x as usize]).collect();
@@ -381,6 +381,7 @@ fn same_encoding(a: &Batch, b: &Batch) -> bool {
 mod tests {
     use super::*;
     use crate::column::Column;
+    use crate::dict::DICT_MAX_UNIQUE;
     use crate::value::DataType;
     use morsel_numa::{Placement, Topology};
 
@@ -545,6 +546,43 @@ mod tests {
             tags(&next.snapshot(&merged, 11, None)).last().unwrap(),
             "zzz"
         );
+    }
+
+    #[test]
+    fn the_value_past_the_bound_decodes_an_all_unique_small_table() {
+        // Unique per row, so only the domain rule encodes it.
+        let n = DICT_MAX_UNIQUE - 1;
+        let data = Batch::from_columns(vec![
+            Column::I64((0..n as i64).collect()),
+            Column::Str((0..n).map(|i| format!("u{i:04}")).collect()),
+        ]);
+        let b = Relation::partitioned(
+            schema(),
+            &data,
+            crate::relation::PartitionBy::Chunks,
+            4,
+            Placement::FirstTouch,
+            &Topology::laptop(),
+        )
+        .dict_encoded();
+        assert_eq!(one_dictionary(&b).len(), n);
+        let mut d = DeltaStore::new(schema());
+        // The 1,024th distinct value still fits: every partition rebases.
+        d.apply_insert(row(n as i64, "v0"), 10);
+        assert_eq!(
+            one_dictionary(&d.snapshot(&b, 10, None)).len(),
+            DICT_MAX_UNIQUE
+        );
+        // The 1,025th does not: plain in every partition, the delta's too.
+        d.apply_insert(row(n as i64 + 1, "v1"), 11);
+        let snap = d.snapshot(&b, 11, None);
+        assert_eq!(snap.partitions().len(), 5);
+        for p in snap.partitions() {
+            assert!(p.data.column(1).as_dict().is_none(), "plain everywhere");
+        }
+        let mut want = data.column(1).as_str().to_vec();
+        want.extend(["v0".to_owned(), "v1".to_owned()]);
+        assert_eq!(tags(&snap), want);
     }
 
     #[test]

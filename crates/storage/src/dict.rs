@@ -200,14 +200,17 @@ impl PartialEq for DictColumn {
     }
 }
 
-/// Whether a string column with `unique` distinct values over `rows` rows
-/// is worth dictionary-encoding: the domain must be small in absolute
-/// terms (code-range predicate rewrites assume a compact domain) and the
-/// column must actually repeat values.
+/// The largest relation-wide string domain that is dictionary-encoded.
 pub const DICT_MAX_UNIQUE: usize = 1024;
 
-pub fn worth_encoding(unique: usize, rows: usize) -> bool {
-    unique <= DICT_MAX_UNIQUE && unique * 2 <= rows
+/// Whether a string column whose relation-wide domain has `unique`
+/// distinct values is dictionary-encoded: by the domain's size alone,
+/// whether or not values repeat. A 25-row `nation.n_name` is 25 values, and
+/// its 4-byte codes are what probe payloads and group keys carry into the
+/// fact pipelines it joins; the bound keeps the per-value work (a `LIKE`
+/// or `IN` resolved once per dictionary value) small.
+pub fn worth_encoding(unique: usize) -> bool {
+    unique <= DICT_MAX_UNIQUE
 }
 
 #[cfg(test)]
@@ -254,9 +257,14 @@ mod tests {
 
     #[test]
     fn hashes_match_raw_string_hashes() {
-        let d = dict();
-        for code in 0..d.len() as u32 {
-            assert_eq!(d.hash_of(code), hash_bytes(d.get(code).as_bytes()));
+        // Lengths 0–40: every tail length of the word-at-a-time hash.
+        let long: String = ('a'..='z').cycle().take(40).collect();
+        let d = Dictionary::from_values((0..=40).map(|n| &long[..n]));
+        assert_eq!(d.len(), 41);
+        for d in [dict(), d] {
+            for code in 0..d.len() as u32 {
+                assert_eq!(d.hash_of(code), hash_bytes(d.get(code).as_bytes()));
+            }
         }
     }
 
@@ -287,9 +295,10 @@ mod tests {
 
     #[test]
     fn encoding_heuristic() {
-        assert!(worth_encoding(7, 1000));
-        assert!(!worth_encoding(25, 25)); // no repetition
-        assert!(!worth_encoding(5000, 1_000_000)); // domain too large
-        assert!(worth_encoding(1024, 2048));
+        assert!(worth_encoding(7));
+        assert!(worth_encoding(25)); // nation.n_name: unique per row
+        assert!(worth_encoding(DICT_MAX_UNIQUE));
+        assert!(!worth_encoding(DICT_MAX_UNIQUE + 1)); // domain too large
+        assert!(!worth_encoding(5000));
     }
 }

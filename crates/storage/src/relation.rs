@@ -255,8 +255,8 @@ impl Relation {
         out.decoded()
     }
 
-    /// Dictionary-encode every low-cardinality string column (one sorted
-    /// dictionary per column, shared by all partitions). The load-time
+    /// Dictionary-encode every string column with a small domain (one
+    /// sorted dictionary per column, shared by all partitions). The load-time
     /// step that turns string predicates, group-bys, and sorts into
     /// integer-code kernels; columns whose domain fails
     /// [`crate::dict::worth_encoding`] stay plain. Row counts are
@@ -442,7 +442,9 @@ mod tests {
         use crate::column::Column;
         use crate::value::{DataType, Value};
         let t = Topology::nehalem_ex();
-        let n = 400usize;
+        // More rows than the dictionary bound, so the unique column is a
+        // domain too large to encode.
+        let n = crate::dict::DICT_MAX_UNIQUE + 100;
         let data = Batch::from_columns(vec![
             Column::I64((0..n as i64).collect()),
             Column::Str((0..n).map(|i| format!("tag{}", i % 7)).collect()),

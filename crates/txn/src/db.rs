@@ -1002,6 +1002,7 @@ mod tests {
     use morsel_core::MemPool;
     use morsel_exec::expr::{and, col, eq, ge, like, lit, lits, lt, prefix};
     use morsel_numa::{Placement, Topology};
+    use morsel_storage::dict::DICT_MAX_UNIQUE;
     use morsel_storage::{Column, DataType, PartitionBy, TableStats, WalFaults};
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -1343,8 +1344,8 @@ mod tests {
     // ---- in-place matching against the materialise-then-filter oracle ----
 
     /// `(id, tag, note, v)` over `parts` hash partitions: `tag` repeats
-    /// five values and dictionary-encodes, `note` is unique per row and
-    /// stays plain.
+    /// five values and dictionary-encodes, `note` is unique per row and —
+    /// with `n` past the dictionary bound — stays plain.
     fn tagged_rel(n: i64, parts: usize) -> Arc<Relation> {
         let schema = Schema::new(vec![
             ("id", DataType::I64),
@@ -1452,7 +1453,8 @@ mod tests {
     /// others after its snapshot.
     fn random_history(seed: u64, tag: &str) -> (PathBuf, TxnDb, Txn) {
         let dir = tmpdir(&format!("{tag}-{seed}"));
-        let tables = vec![("kv", kv_relation(KV.keys)), ("t", tagged_rel(60, 4))];
+        let rows = DICT_MAX_UNIQUE as i64 + 76;
+        let tables = vec![("kv", kv_relation(KV.keys)), ("t", tagged_rel(rows, 4))];
         let db = TxnDb::create(&dir, tables).unwrap();
         let mut ops = TaggedOps {
             rng: Lcg(seed ^ 0x5eed),
