@@ -62,7 +62,7 @@ impl LikePattern {
         }
         let mut at = 0;
         if self.starts_anchored {
-            match segs[0].match_at(s, 0) {
+            match match_pieces(&segs[0].pieces, s, 0) {
                 Some(end) => at = end,
                 None => return false,
             }
@@ -139,11 +139,6 @@ impl Segment {
         }
     }
 
-    /// Match at byte `at`: the end of the match.
-    fn match_at(&self, s: &[u8], at: usize) -> Option<usize> {
-        match_pieces(&self.pieces, s, at)
-    }
-
     /// The end of the leftmost match that starts at or after `from`.
     fn find(&self, s: &[u8], from: usize) -> Option<usize> {
         // The first literal run can start no earlier than `lead`
@@ -165,7 +160,7 @@ impl Segment {
     /// Whether the segment matches the end of `s`, starting at or after
     /// `from`.
     fn match_suffix(&self, s: &[u8], from: usize) -> bool {
-        back_chars(s, s.len(), self.chars, from).and_then(|at| self.match_at(s, at))
+        back_chars(s, s.len(), self.chars, from).and_then(|at| match_pieces(&self.pieces, s, at))
             == Some(s.len())
     }
 }
@@ -248,16 +243,20 @@ impl Finder {
     fn find(&self, s: &[u8], from: usize) -> Option<usize> {
         let n = &self.needle[..];
         let m = n.len();
-        let last_start = s.len().checked_sub(m)?;
+        let last_start = s.len().checked_sub(m).filter(|&l| l >= from)?;
+        if last_start < 7 {
+            // Fewer than eight starts in all: no word to test them with.
+            return (from..=last_start).find(|&i| s[i] == n[0] && s[i..i + m] == *n);
+        }
         // The bytes between the first and the last, verified per candidate.
         let inner = if m > 2 { &n[1..m - 1] } else { &[][..] };
-        let mut at = from;
-        // Candidates `at..at + 8`: lane `j` of the first word holds byte
-        // `at + j`, lane `j` of the second byte `at + j + m - 1`.
-        while at + 8 <= last_start + 1 {
+        // The first match among the starts `at..at + 8` marked in `lanes`:
+        // lane `j` of the first word holds byte `at + j`, lane `j` of the
+        // second byte `at + j + m - 1`.
+        let step = |at: usize, lanes: u64| {
             let a = word_at(s, at) ^ self.first;
             let b = word_at(s, at + m - 1) ^ self.last;
-            let mut hits = zero_bytes(a | b);
+            let mut hits = zero_bytes(a | b) & lanes;
             while hits != 0 {
                 let i = at + (hits.trailing_zeros() / 8) as usize;
                 if s[i + 1..i + 1 + inner.len()] == *inner {
@@ -265,9 +264,21 @@ impl Finder {
                 }
                 hits &= hits - 1;
             }
+            None
+        };
+        let mut at = from;
+        while at + 7 <= last_start {
+            if let Some(i) = step(at, LANES_HI) {
+                return Some(i);
+            }
             at += 8;
         }
-        (at..=last_start).find(|&i| s[i..i + m] == *n)
+        if at > last_start {
+            return None;
+        }
+        // The last eight starts, less the ones already tested.
+        let base = last_start - 7;
+        step(base, LANES_HI << (8 * (at - base)))
     }
 }
 

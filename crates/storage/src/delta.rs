@@ -186,10 +186,10 @@ impl DeltaStore {
     /// A sorted dictionary cannot grow in place: a new value shifts the
     /// codes behind it, so the column is rewritten in *every* partition
     /// — O(table), once per new distinct value, after which values seen
-    /// before encode directly. A domain pushed past
-    /// [`crate::dict::DICT_MAX_UNIQUE`] is not worth that any more and the column
-    /// falls back to plain strings, for good. Rows keep their ids; only
-    /// the physical representation changes.
+    /// before encode directly. A domain pushed past what
+    /// [`worth_encoding`] admits falls back to plain strings, in every
+    /// partition and for good. Rows keep their ids; only the physical
+    /// representation changes.
     pub fn rebased(&self, base: &Relation) -> Option<Relation> {
         let mut parts: Option<Vec<Partition>> = None;
         for c in 0..self.schema.len() {
