@@ -345,9 +345,9 @@ fn decoded(catalog: &Catalog) -> Catalog {
 /// copy being the oracle. At SF 0.002 the domain rule leaves only
 /// `orders.o_comment` (TPC-H) and `part.p_name` (SSB) plain, so the
 /// fixtures' string keys, payloads and predicates run as codes on the
-/// encoded side. The two catalogs are planned
-/// separately — the estimator prices 4-byte codes, not strings — and
-/// compared as the oracle gate compares.
+/// encoded side. The two catalogs are planned separately — the estimator
+/// prices 4-byte codes, not strings — and compared as the oracle gate
+/// compares.
 #[test]
 fn fixtures_over_a_fully_decoded_catalog_return_identical_results() {
     let topo = Topology::nehalem_ex();
@@ -356,16 +356,6 @@ fn fixtures_over_a_fully_decoded_catalog_return_identical_results() {
     let mut checked = 0usize;
     for (catalog, fixtures) in [tpch_fixtures(&topo, 0.002), ssb_fixtures(&topo, 0.002)] {
         let plain = decoded(&catalog);
-        for (name, rel) in plain.iter() {
-            for c in 0..rel.schema().len() {
-                assert!(
-                    rel.partitions()
-                        .iter()
-                        .all(|p| p.data.column(c).as_dict().is_none()),
-                    "{name}: column {c} is still encoded"
-                );
-            }
-        }
         for Fixture { name, sql, .. } in fixtures {
             let plan = |catalog: &Catalog| planner.plan(&bind_fixture(catalog, &name, sql));
             assert_equivalent(
