@@ -6,10 +6,7 @@
 //!       [--db tpch|ssb] <experiment>...
 //! experiments: fig6 fig11 table1 table2 table3 summary numa_placement
 //!              numa_micro fig12 fig13 interference all
-//! extras:      service_load  (wall-clock serving scenario; not part of "all")
-//!              service_load_zipf  (skewed SQL replay through the plan/result
-//!                             caches, one row per caching mode)
-//!              plan_quality  (cost-based planner vs hand-authored plans)
+//! extras:      plan_quality  (cost-based planner vs hand-authored plans)
 //!              explain <q>   (planner join order + est/actual rows of a
 //!                             SQL fixture, e.g. `explain q5` or
 //!                             `explain ssb2.1`; exits 2, listing the
@@ -35,8 +32,6 @@
 //!                                spans as Chrome-trace JSON (default
 //!                                trace_<q>.json); exits 2, listing the
 //!                                hand plans, on an id that has none
-//! repro <experiment> --json      also write RESULT lines to
-//!                                BENCH_observability.json
 //! ```
 //!
 //! Write-path commands:
@@ -44,10 +39,6 @@
 //! repro txn                      guided demo of the durable write path:
 //!                                SQL DML auto-commit, cache-coherent
 //!                                reads, and a crash-and-recover smoke
-//! repro txn_bench [--json]       RESULT lines: commits/s and group-commit
-//!                                batch size per client count, recovery
-//!                                time vs WAL length; --json writes them
-//!                                to BENCH_txn.json
 //! repro recovery_smoke           seeded workload killed by crash@lsn at
 //!                                three points, recovered, and diffed
 //!                                against an uncrashed oracle; exits
@@ -56,7 +47,14 @@
 //! ```
 //!
 //! `sql` and `explain --sql` exit non-zero on any parse/bind error,
-//! printing the caret diagnostic — CI's smoke step relies on that.
+//! printing the caret diagnostic — CI's smoke step relies on that. A
+//! numeric flag without a number, or an experiment name `repro` does not
+//! know, exits 2 before anything runs.
+//!
+//! Wall-clock behaviour under load is measured by `benchmark/`, not here.
+
+use std::num::NonZeroUsize;
+use std::str::FromStr;
 
 use morsel_bench::experiments::{self, ExpConfig};
 use morsel_bench::SqlDb;
@@ -72,7 +70,7 @@ fn main() {
     let mut explain_targets: Vec<ExplainTarget> = Vec::new();
     let mut sql_texts: Vec<String> = Vec::new();
     let mut db = SqlDb::Tpch;
-    let mut repeat = 1usize;
+    let mut repeat = NonZeroUsize::MIN;
     let mut trace_queries: Vec<String> = Vec::new();
     let mut trace_out: Option<String> = None;
     let mut args = std::env::args().skip(1);
@@ -99,7 +97,6 @@ fn main() {
                 trace_out = Some(args.next().expect("--out needs a file path"));
             }
             "--analyze" => cfg.analyze = true,
-            "--json" => cfg.json = true,
             "sql" => {
                 let mut text = args.next().expect("sql needs a query string");
                 if text == "--analyze" {
@@ -118,38 +115,11 @@ fn main() {
                     }
                 };
             }
-            "--scale" => {
-                cfg.scale = args.next().expect("--scale needs a value").parse().unwrap();
-            }
-            "--ssb-scale" => {
-                cfg.ssb_scale = args
-                    .next()
-                    .expect("--ssb-scale needs a value")
-                    .parse()
-                    .unwrap();
-            }
-            "--workers" => {
-                cfg.workers = args
-                    .next()
-                    .expect("--workers needs a value")
-                    .parse()
-                    .unwrap();
-            }
-            "--repeat" => {
-                repeat = args
-                    .next()
-                    .expect("--repeat needs a value")
-                    .parse()
-                    .expect("--repeat must be a positive integer");
-                assert!(repeat > 0, "--repeat must be at least 1");
-            }
-            "--morsel" => {
-                cfg.morsel_size = args
-                    .next()
-                    .expect("--morsel needs a value")
-                    .parse()
-                    .unwrap();
-            }
+            "--scale" => cfg.scale = number(&arg, args.next()),
+            "--ssb-scale" => cfg.ssb_scale = number(&arg, args.next()),
+            "--workers" => cfg.workers = number(&arg, args.next()),
+            "--repeat" => repeat = number(&arg, args.next()),
+            "--morsel" => cfg.morsel_size = number(&arg, args.next()),
             "--quick" => {
                 let q = ExpConfig::quick();
                 cfg.quick = true;
@@ -165,21 +135,24 @@ fn main() {
         && trace_queries.is_empty()
     {
         eprintln!(
-            "usage: repro [--scale SF] [--workers N] [--morsel N] [--quick] \
+            "usage: repro [--scale SF] [--ssb-scale SF] [--workers N] [--morsel N] [--quick] \
              [--db tpch|ssb] <experiment>...\n\
-             experiments: fig6 fig11 table1 table2 table3 summary numa_placement\n\
-             \x20            numa_micro fig12 fig13 interference all\n\
-             extras: service_load (wall-clock serving scenario)\n\
-             \x20       service_load_zipf (skewed replay through the caches)\n\
-             \x20       plan_quality | explain [--analyze] <q> | explain --sql \"<text>\"\n\
+             experiments: {}\n\
+             extras: plan_quality | explain [--analyze] <q> | explain --sql \"<text>\"\n\
              \x20       sql [--analyze] \"<text>\" [--repeat N] (full text -> plan -> execute)\n\
              \x20       metrics (Prometheus exposition of a short service run)\n\
              \x20       trace <q> [--out FILE] (Chrome-trace JSON span export)\n\
-             \x20       txn (write-path demo) | txn_bench [--json -> BENCH_txn.json]\n\
-             \x20       recovery_smoke (crash@lsn sweep vs oracle; CI gate)\n\
-             \x20       adaptive (feedback replay; --json -> BENCH_adaptive.json)\n\
-             \x20       --json (write RESULT lines to BENCH_observability.json)"
+             \x20       txn (write-path demo)\n\
+             \x20       recovery_smoke (crash@lsn sweep vs oracle; CI gate)",
+            ALL.join(" ")
         );
+        std::process::exit(2);
+    }
+    // Every name is checked before anything runs: a typo costs no work
+    // and prints nothing but the error.
+    let mut names = experiments_to_run.iter();
+    if let Some(name) = names.find(|e| *e != "all" && experiment(e).is_none()) {
+        eprintln!("unknown experiment {name:?}");
         std::process::exit(2);
     }
     // Every SQL statement in one invocation shares `--db`; generate the
@@ -214,7 +187,7 @@ fn main() {
     }
     for text in &sql_texts {
         let (catalog, scale) = sql_catalog.as_ref().unwrap();
-        match morsel_bench::run_sql_in(&cfg, db, catalog, *scale, text, repeat) {
+        match morsel_bench::run_sql_in(&cfg, db, catalog, *scale, text, repeat.get()) {
             Ok(out) => println!("{out}"),
             Err(diag) => fail(diag),
         }
@@ -230,94 +203,71 @@ fn main() {
         print!("{summary}");
         println!("chrome trace written to {path} ({} bytes)", json.len());
     }
-    let all = [
-        "fig6",
-        "numa_micro",
-        "summary",
-        "table1",
-        "table2",
-        "table3",
-        "numa_placement",
-        "fig11",
-        "fig12",
-        "fig13",
-        "interference",
-    ];
     let list: Vec<&str> = if experiments_to_run.iter().any(|e| e == "all") {
-        all.to_vec()
+        ALL.to_vec()
     } else {
         experiments_to_run.iter().map(String::as_str).collect()
     };
-    let mut json_reports: Vec<(String, String)> = Vec::new();
     for exp in list {
+        let run = experiment(exp).expect("experiment names are checked before anything runs");
         let started = std::time::Instant::now();
-        let report = match exp {
-            "fig6" => experiments::fig6(&cfg),
-            "fig11" => experiments::fig11(&cfg),
-            "table1" => experiments::table1(&cfg),
-            "table2" => experiments::table2(&cfg),
-            "table3" => experiments::table3(&cfg),
-            "summary" => experiments::summary(&cfg),
-            "numa_placement" => experiments::numa_placement(&cfg),
-            "numa_micro" => experiments::numa_micro(),
-            "fig12" => experiments::fig12(&cfg),
-            "fig13" => experiments::fig13(&cfg),
-            "interference" => experiments::interference(&cfg),
-            "service_load" => morsel_bench::service_load(&cfg),
-            "service_load_zipf" => morsel_bench::service_load_zipf(&cfg),
-            "plan_quality" => morsel_bench::plan_quality(&cfg),
-            "adaptive" => morsel_bench::adaptive(&cfg),
-            "txn" => morsel_bench::txn_demo(&cfg),
-            "txn_bench" => morsel_bench::txn_bench(&cfg),
-            "recovery_smoke" => match morsel_bench::recovery_smoke(&cfg) {
-                Ok(text) => text,
-                Err(e) => fail(e),
-            },
-            "metrics" => match morsel_bench::metrics_snapshot(&cfg) {
-                Ok(text) => text,
-                Err(e) => fail(e),
-            },
-            other => {
-                eprintln!("unknown experiment {other:?}");
-                std::process::exit(2);
-            }
-        };
+        let report = run(&cfg).unwrap_or_else(|e| fail(e));
         println!("{report}");
         println!(
             "[{exp} regenerated in {:.1}s wall time]\n",
             started.elapsed().as_secs_f64()
         );
-        if cfg.json {
-            json_reports.push((exp.to_owned(), report));
-        }
     }
-    if cfg.json && !json_reports.is_empty() {
-        // Write-path numbers go to their own document so reruns of the
-        // observability experiments don't clobber them (and vice versa).
-        let (txn_reports, rest): (Vec<_>, Vec<_>) = json_reports
-            .into_iter()
-            .partition(|(name, _)| name == "txn_bench");
-        if !txn_reports.is_empty() {
-            match morsel_bench::write_bench_json_to("BENCH_txn.json", &txn_reports) {
-                Ok(()) => println!("machine-readable results written to BENCH_txn.json"),
-                Err(e) => fail(format!("--json: cannot write BENCH_txn.json: {e}")),
-            }
-        }
-        // Likewise the adaptive replay: its document is a CI artifact of
-        // its own job, so it never clobbers the observability numbers.
-        let (adaptive_reports, other_reports): (Vec<_>, Vec<_>) =
-            rest.into_iter().partition(|(name, _)| name == "adaptive");
-        if !adaptive_reports.is_empty() {
-            match morsel_bench::write_bench_json_to("BENCH_adaptive.json", &adaptive_reports) {
-                Ok(()) => println!("machine-readable results written to BENCH_adaptive.json"),
-                Err(e) => fail(format!("--json: cannot write BENCH_adaptive.json: {e}")),
-            }
-        }
-        if !other_reports.is_empty() {
-            match morsel_bench::write_bench_json(&other_reports) {
-                Ok(path) => println!("machine-readable results written to {path}"),
-                Err(e) => fail(format!("--json: cannot write results: {e}")),
-            }
-        }
-    }
+}
+
+/// The paper's figures and tables, in the order `repro all` runs them.
+const ALL: [&str; 11] = [
+    "fig6",
+    "numa_micro",
+    "summary",
+    "table1",
+    "table2",
+    "table3",
+    "numa_placement",
+    "fig11",
+    "fig12",
+    "fig13",
+    "interference",
+];
+
+/// An experiment's entry point: its report, or the diagnostic it fails
+/// with (exit 1).
+type Experiment = fn(&ExpConfig) -> Result<String, String>;
+
+/// The experiment `name` names; `None` when `repro` has none by that name.
+fn experiment(name: &str) -> Option<Experiment> {
+    let run: Experiment = match name {
+        "fig6" => |cfg| Ok(experiments::fig6(cfg)),
+        "fig11" => |cfg| Ok(experiments::fig11(cfg)),
+        "table1" => |cfg| Ok(experiments::table1(cfg)),
+        "table2" => |cfg| Ok(experiments::table2(cfg)),
+        "table3" => |cfg| Ok(experiments::table3(cfg)),
+        "summary" => |cfg| Ok(experiments::summary(cfg)),
+        "numa_placement" => |cfg| Ok(experiments::numa_placement(cfg)),
+        "numa_micro" => |_| Ok(experiments::numa_micro()),
+        "fig12" => |cfg| Ok(experiments::fig12(cfg)),
+        "fig13" => |cfg| Ok(experiments::fig13(cfg)),
+        "interference" => |cfg| Ok(experiments::interference(cfg)),
+        "plan_quality" => |cfg| Ok(morsel_bench::plan_quality(cfg)),
+        "txn" => |cfg| Ok(morsel_bench::txn_demo(cfg)),
+        "recovery_smoke" => morsel_bench::recovery_smoke,
+        "metrics" => morsel_bench::metrics_snapshot,
+        _ => return None,
+    };
+    Some(run)
+}
+
+/// The value after the numeric flag `flag`. Exits 2, naming the flag,
+/// when the value is missing or does not parse.
+fn number<T: FromStr>(flag: &str, value: Option<String>) -> T {
+    let value = value.unwrap_or_default();
+    value.parse().unwrap_or_else(|_| {
+        eprintln!("{flag} needs a number, got {value:?}");
+        std::process::exit(2);
+    })
 }

@@ -37,9 +37,6 @@ pub struct ExpConfig {
     /// `--analyze`: augment `explain`/`sql` output with the full
     /// per-operator runtime profile from the single profiled execution.
     pub analyze: bool,
-    /// `--json`: write machine-readable `RESULT` lines to
-    /// `BENCH_observability.json` after the run.
-    pub json: bool,
 }
 
 impl Default for ExpConfig {
@@ -54,7 +51,6 @@ impl Default for ExpConfig {
             morsel_size: 512,
             quick: false,
             analyze: false,
-            json: false,
         }
     }
 }

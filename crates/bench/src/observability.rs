@@ -14,8 +14,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use morsel_core::{
-    render_chrome_trace, validate_exposition, AgingPolicy, ExecEnv, SpanKind, TraceRecorder,
+    render_chrome_trace, validate_exposition, AgingPolicy, ExecEnv, QuerySpec, SpanKind,
+    TraceRecorder,
 };
+use morsel_datagen::{SsbDb, TpchDb};
 use morsel_exec::plan::{compile_query, Plan};
 use morsel_exec::SystemVariant;
 use morsel_numa::Topology;
@@ -24,7 +26,25 @@ use morsel_service::{run_closed_loop, QueryRequest, QueryService, ServiceConfig}
 
 use crate::experiments::ExpConfig;
 use crate::plan_quality::QueryId;
-use crate::service_load::build_query;
+
+/// The query rotation every `metrics` client cycles through: scan-,
+/// join- and aggregation-heavy TPC-H plus two SSB flight patterns.
+const TPCH_MIX: [usize; 4] = [1, 6, 13, 14];
+const SSB_MIX: [&str; 2] = ["1.1", "2.1"];
+
+/// Compile the `seq`-th query of client `client`'s rotation. Every
+/// fourth client is an interactive priority-8 stream, the rest are
+/// priority-1 analytics, so the exposition carries both classes.
+fn build_query(tpch: &TpchDb, ssb: &SsbDb, client: usize, seq: usize) -> QuerySpec {
+    let pick = (client + seq) % (TPCH_MIX.len() + SSB_MIX.len());
+    let name = format!("c{client}-s{seq}");
+    let plan = match TPCH_MIX.get(pick) {
+        Some(&q) => tpch_queries::query(tpch, q),
+        None => ssb_queries::query(ssb, SSB_MIX[pick - TPCH_MIX.len()]),
+    };
+    let (spec, _result) = compile_query(name, plan, SystemVariant::full());
+    spec.with_priority(if client.is_multiple_of(4) { 8 } else { 1 })
+}
 
 /// The `repro metrics` command: run a short mixed TPC-H/SSB closed-loop
 /// workload through the service and return its metrics in Prometheus

@@ -1,20 +1,18 @@
-//! Write-path experiments: `repro txn` (a guided demo of the durable
-//! write path), `repro txn_bench` (RESULT lines for commit throughput,
-//! group-commit batching, and recovery time vs WAL length), and
-//! `repro recovery_smoke` (the CI crash-and-recover gate).
+//! Write-path commands: `repro txn` (a guided demo of the durable write
+//! path) and `repro recovery_smoke` (the CI crash-and-recover gate).
+//! Commit throughput, group-commit batching and recovery time are
+//! measured by `benchmark/`'s `write_mix` workload.
 //!
-//! All three run against throwaway databases under the system temp
+//! Both run against throwaway databases under the system temp
 //! directory; nothing touches the repository tree except the artifact
 //! dump `recovery_smoke` leaves behind on failure (for CI upload).
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
 
 use morsel_core::{ExecEnv, Fault, FaultPlan};
 use morsel_numa::Topology;
 use morsel_service::{QueryService, ServiceConfig, Session};
-use morsel_storage::Value;
 use morsel_txn::{diff_logical_state, kv_relation, run_seeded, TxnDb, TxnDbConfig, WorkloadSpec};
 
 use crate::experiments::ExpConfig;
@@ -119,93 +117,6 @@ pub fn txn_demo(_cfg: &ExpConfig) -> String {
     out
 }
 
-// ---------------------------------------------------------------- bench
-
-/// `repro txn_bench`: RESULT lines for (a) commit throughput and
-/// group-commit batch size under 1–8 concurrent committers and (b)
-/// recovery time as a function of WAL length. `--json` writes them to
-/// `BENCH_txn.json`.
-pub fn txn_bench(cfg: &ExpConfig) -> String {
-    let mut out = String::new();
-    out.push_str("repro txn_bench — durable write path\n\n");
-    out.push_str("commit throughput (disjoint keys, group-commit WAL):\n");
-    let per_client = if cfg.quick { 40 } else { 200 };
-    for clients in [1usize, 2, 4, 8] {
-        let dir = tmpdir(&format!("txnb-c{clients}"));
-        let keys = (clients * 64) as i64;
-        let db = TxnDb::create(&dir, vec![("kv", kv_relation(keys))]).expect("create");
-        let started = Instant::now();
-        std::thread::scope(|scope| {
-            for c in 0..clients {
-                let db = &db;
-                scope.spawn(move || {
-                    // Each committer updates its own key range: no
-                    // conflicts, so every transaction commits and the
-                    // measurement is pure write-path throughput.
-                    for i in 0..per_client {
-                        let mut txn = db.begin().expect("begin");
-                        let key = (c * 64 + i % 64) as i64;
-                        db.update_where(
-                            &mut txn,
-                            "kv",
-                            &morsel_exec::expr::eq(
-                                morsel_exec::expr::col(0),
-                                morsel_exec::expr::lit(key),
-                            ),
-                            &[(1, Value::I64(i as i64))],
-                        )
-                        .expect("update");
-                        db.commit(txn).expect("commit");
-                    }
-                });
-            }
-        });
-        let elapsed = started.elapsed().as_secs_f64();
-        let commits = (clients * per_client) as f64;
-        let ws = db.wal_stats();
-        out.push_str(&format!(
-            "RESULT section=commit clients={clients} commits={} commits_per_s={:.0} \
-             mean_group={:.2} fsyncs={} wal_bytes={}\n",
-            commits as u64,
-            commits / elapsed,
-            ws.mean_group(),
-            ws.fsyncs,
-            ws.written_bytes
-        ));
-        drop(db);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    out.push_str("\nrecovery time vs WAL length (seeded single stream):\n");
-    let sizes: &[usize] = if cfg.quick {
-        &[50, 200]
-    } else {
-        &[100, 400, 1600]
-    };
-    for &txns in sizes {
-        let dir = tmpdir(&format!("txnb-r{txns}"));
-        let spec = WorkloadSpec::new(7, txns, 64);
-        let (records, bytes) = {
-            let db = TxnDb::create(&dir, vec![("kv", kv_relation(64))]).expect("create");
-            let acked = run_seeded(&db, &spec, spec.txns);
-            assert_eq!(acked, txns, "unfaulted workload commits everything");
-            let ws = db.wal_stats();
-            (ws.durable_lsn, ws.written_bytes)
-        };
-        let started = Instant::now();
-        let db = TxnDb::open(&dir, vec![("kv", kv_relation(64))]).expect("recover");
-        let recovery_ms = started.elapsed().as_secs_f64() * 1e3;
-        out.push_str(&format!(
-            "RESULT section=recovery txns={txns} wal_records={records} wal_bytes={bytes} \
-             recovery_ms={recovery_ms:.2} version={}\n",
-            db.version()
-        ));
-        drop(db);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    out
-}
-
 // ---------------------------------------------------------------- smoke
 
 /// Where `recovery_smoke` dumps the WAL and fault plan when a diff
@@ -301,24 +212,6 @@ fn save_artifacts(crash_dir: &Path, plan: &FaultPlan) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn txn_bench_emits_result_lines() {
-        let cfg = ExpConfig {
-            quick: true,
-            ..ExpConfig::default()
-        };
-        let out = txn_bench(&cfg);
-        assert!(out.contains("RESULT section=commit clients=1 "), "{out}");
-        assert!(out.contains("RESULT section=commit clients=8 "), "{out}");
-        assert!(out.contains("RESULT section=recovery txns=50 "), "{out}");
-        for line in out.lines().filter(|l| l.starts_with("RESULT ")) {
-            assert!(
-                line.split_whitespace().skip(1).all(|kv| kv.contains('=')),
-                "malformed RESULT line: {line}"
-            );
-        }
-    }
 
     #[test]
     fn recovery_smoke_passes_on_the_correct_engine() {

@@ -638,15 +638,6 @@ impl ServiceReport {
         all
     }
 
-    /// The outcome counts and latency histogram for one priority, if any
-    /// query of that priority was submitted.
-    pub fn priority(&self, prio: u32) -> Option<(&OutcomeCounts, &LatencyHistogram)> {
-        self.per_priority
-            .iter()
-            .find(|(p, _, _)| *p == prio)
-            .map(|(_, c, h)| (c, h))
-    }
-
     /// A human-readable per-priority summary (used by the example and the
     /// bench harness).
     pub fn summary(&self) -> String {

@@ -1,6 +1,5 @@
 //! Deterministic seeded write workloads, shared by the crash-recovery
-//! sweep (`tests/recovery.rs`), the CI recovery smoke, and
-//! `repro txn_bench`.
+//! sweep (`tests/recovery.rs`), `repro recovery_smoke` and `repro txn`.
 //!
 //! The workload is a single client stream whose operations are drawn
 //! from the replayable [`Lcg`], **independent of database state**: the
