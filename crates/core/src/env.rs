@@ -26,14 +26,6 @@ pub struct ExecEnv {
 impl ExecEnv {
     pub fn new(topology: Topology) -> Self {
         let cost = CostModel::for_topology(&topology);
-        Self::with_cost_model_arc(topology, cost)
-    }
-
-    pub fn with_cost_model(topology: Topology, cost: CostModel) -> Self {
-        Self::with_cost_model_arc(topology, cost)
-    }
-
-    fn with_cost_model_arc(topology: Topology, cost: CostModel) -> Self {
         // Honor `MORSEL_FAULT_PLAN` from the environment so any binary
         // (examples, `repro`, tests) can be fault-injected without code
         // changes; `with_fault_plan` still overrides. A malformed plan

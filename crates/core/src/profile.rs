@@ -1,5 +1,5 @@
 //! Per-operator runtime profiles: the observability substrate for
-//! `EXPLAIN ANALYZE` and adaptive re-optimization.
+//! `EXPLAIN ANALYZE` and the planner's cardinality feedback.
 //!
 //! A [`ProfileSlots`] table is allocated once per query at submit time
 //! (one row of atomic counters per worker × operator) and shared through
@@ -15,7 +15,7 @@
 //! `morsel-planner`'s `explain` renders lines in — so `profile.ops[i]`
 //! is the actual for explain line `i` without any mapping table.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counter fields per (worker, operator) row. Order is load-bearing for
 /// the flat index math only; readers go through the typed accessors.
@@ -51,14 +51,6 @@ pub struct OpProfile {
     pub build_rows: u64,
     /// Spill fragments / sort runs emitted, if any.
     pub fragments: u64,
-    /// Whether this operator's pipeline-breaker phase has *finished*
-    /// (hash-table build inserted, aggregation merged, sort merged) —
-    /// possibly while the query is still running. For aggregations and
-    /// sorts that makes `rows_out` final; for joins it makes `build_rows`
-    /// final (probe output still accumulates). This is the signal
-    /// adaptive re-optimization keys on. Always `false` for in-pipeline
-    /// operators.
-    pub breaker_complete: bool,
 }
 
 /// A merged, immutable profile of one executed query.
@@ -80,27 +72,6 @@ impl QueryProfile {
     /// Total wall nanoseconds across all operators and workers.
     pub fn total_wall_ns(&self) -> u64 {
         self.ops.iter().map(|o| o.wall_ns).sum()
-    }
-
-    /// Final actual cardinalities known *now*: `(op index, rows)` for
-    /// every pipeline breaker that has finished. For joins the finished
-    /// quantity is the build input (`build_rows`); for aggregations and
-    /// sorts it is `rows_out`. Mid-query, these are the only cardinalities
-    /// that are exact rather than a lower bound.
-    pub fn breaker_actuals(&self) -> Vec<(usize, u64)> {
-        self.ops
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| o.breaker_complete)
-            .map(|(i, o)| {
-                let rows = if o.build_rows > 0 {
-                    o.build_rows
-                } else {
-                    o.rows_out
-                };
-                (i, rows)
-            })
-            .collect()
     }
 
     /// Render one line per operator: `label rows_in->rows_out ...`.
@@ -139,21 +110,16 @@ pub struct ProfileSlots {
     labels: Vec<String>,
     workers: usize,
     counters: Vec<AtomicU64>,
-    /// One flag per operator slot, set exactly once by the worker that
-    /// finishes a pipeline breaker's last morsel (`PipelineJob::finish`).
-    breaker_done: Vec<AtomicBool>,
 }
 
 impl ProfileSlots {
     pub fn new(labels: Vec<String>, workers: usize) -> Self {
         let workers = workers.max(1);
         let n = labels.len() * workers * FIELDS;
-        let ops = labels.len();
         ProfileSlots {
             labels,
             workers,
             counters: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            breaker_done: (0..ops).map(|_| AtomicBool::new(false)).collect(),
         }
     }
 
@@ -218,27 +184,6 @@ impl ProfileSlots {
         self.add(worker, op, F_WALL_NS, n);
     }
 
-    /// Mark a pipeline breaker as finished: its counters are final from
-    /// here on, so mid-query snapshots may treat `rows_out` as the true
-    /// cardinality. `Release` pairs with the `Acquire` in
-    /// [`ProfileSlots::breaker_done`]/`snapshot` so the counter writes
-    /// that preceded the mark are visible to any reader that observes it.
-    pub fn mark_breaker_done(&self, op: u32) {
-        let op = op as usize;
-        if op >= self.breaker_done.len() {
-            debug_assert!(false, "profile slot {op} out of range");
-            return;
-        }
-        self.breaker_done[op].store(true, Ordering::Release);
-    }
-
-    /// Whether breaker `op` has finished (see [`Self::mark_breaker_done`]).
-    pub fn breaker_done(&self, op: u32) -> bool {
-        self.breaker_done
-            .get(op as usize)
-            .is_some_and(|b| b.load(Ordering::Acquire))
-    }
-
     /// Merge every worker's rows into one [`QueryProfile`]. Safe to call
     /// while the query still runs (the snapshot is then a lower bound).
     pub fn snapshot(&self) -> QueryProfile {
@@ -263,9 +208,6 @@ impl ProfileSlots {
                 m.build_rows += f(F_BUILD_ROWS);
                 m.fragments += f(F_FRAGMENTS);
             }
-        }
-        for (op, m) in merged.iter_mut().enumerate() {
-            m.breaker_complete = self.breaker_done[op].load(Ordering::Acquire);
         }
         QueryProfile {
             ops: merged,
@@ -317,20 +259,6 @@ mod tests {
         assert_eq!(p.ops[1].wall_ns, 9);
         assert_eq!(p.ops[0].build_rows, 11);
         assert_eq!(p.ops[0].fragments, 2);
-    }
-
-    #[test]
-    fn breaker_marks_surface_mid_query() {
-        let s = slots();
-        s.add_rows_out(0, 1, 42);
-        assert!(!s.breaker_done(1));
-        assert!(s.snapshot().breaker_actuals().is_empty());
-        s.mark_breaker_done(1);
-        assert!(s.breaker_done(1));
-        let p = s.snapshot();
-        assert!(!p.ops[0].breaker_complete, "scan is not a breaker");
-        assert!(p.ops[1].breaker_complete);
-        assert_eq!(p.breaker_actuals(), vec![(1, 42)]);
     }
 
     #[test]

@@ -209,16 +209,6 @@ pub enum QueryOutcome {
     Failed(FailReason),
 }
 
-impl QueryOutcome {
-    pub fn is_rejected(&self) -> bool {
-        matches!(self, QueryOutcome::Rejected(_))
-    }
-
-    pub fn is_failed(&self) -> bool {
-        matches!(self, QueryOutcome::Failed(_))
-    }
-}
-
 impl std::fmt::Display for QueryOutcome {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -32,7 +32,6 @@ use crate::trace::{SpanKind, TraceEvent};
 enum Action {
     Submit(QuerySpec),
     Cancel(String),
-    SetPriority(String, u32),
 }
 
 #[derive(PartialEq, Eq, PartialOrd, Ord)]
@@ -114,13 +113,6 @@ impl SimExecutor {
         self
     }
 
-    /// Change the named query's priority at virtual time `at_ns`.
-    pub fn set_priority_at(&mut self, at_ns: u64, name: &str, priority: u32) -> &mut Self {
-        self.actions
-            .push((at_ns, Some(Action::SetPriority(name.to_owned(), priority))));
-        self
-    }
-
     /// Slow worker `w`'s compute by `factor` (Section 5.4's interference
     /// experiment: an unrelated process time-sharing one core).
     pub fn set_cpu_slowdown(&mut self, worker: usize, factor: f64) -> &mut Self {
@@ -178,11 +170,6 @@ impl SimExecutor {
                         Action::Cancel(name) => {
                             if let Some(h) = handles.iter().find(|h| h.name() == name) {
                                 h.cancel();
-                            }
-                        }
-                        Action::SetPriority(name, p) => {
-                            if let Some(h) = handles.iter().find(|h| h.name() == name) {
-                                h.set_priority(p);
                             }
                         }
                     }

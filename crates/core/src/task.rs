@@ -2,7 +2,7 @@
 
 use std::ops::Range;
 
-use morsel_numa::{AccessCounters, Residency, SocketId};
+use morsel_numa::{AccessCounters, SocketId};
 
 use crate::env::ExecEnv;
 use crate::govern::EngineError;
@@ -168,26 +168,6 @@ impl<'a> TaskContext<'a> {
         self.profile.node_bytes[node.0 as usize] += bytes;
     }
 
-    /// Record a read whose bytes may be interleaved across nodes.
-    pub fn read_residency(&mut self, residency: &Residency, offset: usize, bytes: u64) {
-        let per_node = residency.split_bytes(offset, bytes as usize, self.sockets());
-        for (n, b) in per_node.into_iter().enumerate() {
-            if b > 0 {
-                self.read(SocketId(n as u16), b);
-            }
-        }
-    }
-
-    /// Record a write whose bytes may be interleaved across nodes.
-    pub fn write_residency(&mut self, residency: &Residency, offset: usize, bytes: u64) {
-        let per_node = residency.split_bytes(offset, bytes as usize, self.sockets());
-        for (n, b) in per_node.into_iter().enumerate() {
-            if b > 0 {
-                self.write(SocketId(n as u16), b);
-            }
-        }
-    }
-
     /// Record a streaming read spread uniformly over all nodes (used for
     /// structures that are interleaved page-wise, like the global hash
     /// table's entry storage).
@@ -237,9 +217,9 @@ impl<'a> TaskContext<'a> {
     // All methods take `&self`: the counters live in the bound query's
     // `ProfileSlots` (per-worker atomic rows), not in this context. Every
     // call is a no-op when the context has no bound query or the query
-    // was submitted without profile labels, so operators record
-    // unconditionally and the `SystemVariant::profiling` knob gates cost
-    // at plan-compile time.
+    // was submitted without profile labels (`QuerySpec::with_profile_ops`),
+    // so operators record unconditionally and the submitter decides
+    // whether profiling costs anything.
 
     /// True when per-operator profiling is live for the bound query.
     pub fn profiling(&self) -> bool {
@@ -298,17 +278,6 @@ impl<'a> TaskContext<'a> {
     pub fn prof_wall_ns(&self, op: u32, n: u64) {
         if let Some(s) = self.prof_slots() {
             s.add_wall_ns(self.worker, op, n);
-        }
-    }
-
-    /// Pipeline breaker `op` finished: its counters are final. Called
-    /// from `PipelineJob::finish` (exactly once, by the worker that
-    /// completed the last morsel), so mid-query profile snapshots can
-    /// surface the breaker's true cardinality while later pipelines are
-    /// still running.
-    pub fn prof_breaker_done(&self, op: u32) {
-        if let Some(s) = self.prof_slots() {
-            s.mark_breaker_done(op);
         }
     }
 }

@@ -789,10 +789,6 @@ impl PipelineJob for AggMergeJob {
             *result.lock() = Some(set.gather().decoded());
         }
         *self.out.lock() = Some(Arc::new(set));
-        // Merge done: the aggregate's output cardinality is now final.
-        if let Some(slot) = self.prof_slot {
-            ctx.prof_breaker_done(slot);
-        }
     }
 }
 

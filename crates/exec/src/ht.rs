@@ -20,7 +20,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use morsel_numa::{Residency, SocketId, DEFAULT_STRIPE};
+use morsel_numa::{Residency, DEFAULT_STRIPE};
 
 const HANDLE_BITS: u32 = 48;
 const HANDLE_MASK: u64 = (1 << HANDLE_BITS) - 1;
@@ -156,11 +156,6 @@ impl TaggedHashTable {
     /// Simulated residency of the directory (interleaved).
     pub fn residency(&self) -> &Residency {
         &self.residency
-    }
-
-    /// Node holding a given slot's directory word.
-    pub fn slot_node(&self, hash: u64) -> SocketId {
-        self.residency.node_at((hash >> self.shift) as usize * 8)
     }
 
     /// Global entry index for `(area, row)` — the handle minus one.

@@ -111,7 +111,7 @@ impl PipelineJob for HtInsertJob {
         }
     }
 
-    fn finish(&self, ctx: &mut TaskContext<'_>) {
+    fn finish(&self, _ctx: &mut TaskContext<'_>) {
         let table = JoinTable {
             ht: Arc::clone(&self.ht),
             build: Arc::clone(&self.build),
@@ -121,12 +121,6 @@ impl PipelineJob for HtInsertJob {
             .set(Arc::new(table))
             .ok()
             .expect("join slot set twice");
-        // The build side is a pipeline breaker: its cardinality is final
-        // the moment the last insert morsel lands, long before the probe
-        // pipeline runs. Surface that in the profile.
-        if let Some(slot) = self.prof_slot {
-            ctx.prof_breaker_done(slot);
-        }
     }
 }
 

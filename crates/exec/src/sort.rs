@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use morsel_core::{Morsel, PipelineJob, ResultSlot, TaskContext};
 use morsel_numa::SocketId;
-use morsel_storage::{AreaSet, Batch, Column, Schema, Value};
+use morsel_storage::{AreaSet, Batch, Column, Schema};
 use parking_lot::Mutex;
 
 use crate::pipeline::SelBatch;
@@ -395,8 +395,6 @@ impl PipelineJob for MergeJob {
         }
         if let Some(slot) = self.prof_slot {
             ctx.prof_rows_out(slot, final_batch.rows() as u64);
-            // Sort merged: output cardinality is final.
-            ctx.prof_breaker_done(slot);
         }
         if let Some(result) = &self.result {
             // Late materialization: dictionary codes decode to strings
@@ -540,8 +538,6 @@ impl Sink for TopKSink {
         });
         if let Some(slot) = self.prof_slot {
             ctx.prof_rows_out(slot, top.len() as u64);
-            // Top-k merged: output cardinality is final.
-            ctx.prof_breaker_done(slot);
         }
         let mut area = morsel_storage::StorageArea::new(ctx.socket, &self.schema.data_types());
         for &(w, r) in &top {
@@ -559,69 +555,6 @@ impl Sink for TopKSink {
     }
 }
 
-/// Convenience used by tests: fully sort a set of areas via the three-stage
-/// machinery, single-threaded.
-pub fn sort_area_set(
-    input: Arc<AreaSet>,
-    keys: Vec<SortKey>,
-    segments: usize,
-    env: &morsel_core::ExecEnv,
-    limit: Option<usize>,
-) -> Batch {
-    use morsel_core::result_slot;
-    let runs = runs_slot();
-    let local = LocalSortJob::new(Arc::clone(&input), keys, runs.clone());
-    let mut ctx = TaskContext::new(env, 0);
-    for (i, a) in input.areas().iter().enumerate() {
-        if a.rows() > 0 {
-            local.run_morsel(
-                &mut ctx,
-                Morsel {
-                    chunk: i,
-                    range: 0..a.rows(),
-                },
-            );
-        } else {
-            local.run_morsel(
-                &mut ctx,
-                Morsel {
-                    chunk: i,
-                    range: 0..0,
-                },
-            );
-        }
-    }
-    local.finish(&mut ctx);
-    let runs = runs.lock().take().unwrap();
-    let plan = Arc::new(MergePlan::compute(runs, segments));
-    let out = crate::sink::area_slot();
-    let result = result_slot();
-    let schema = input.schema().clone();
-    let merge = MergeJob::new(Arc::clone(&plan), schema, out, Some(result.clone()), limit);
-    for seg in 0..plan.segments {
-        merge.run_morsel(
-            &mut ctx,
-            Morsel {
-                chunk: seg,
-                range: 0..plan.segment_rows(seg).max(1),
-            },
-        );
-    }
-    merge.finish(&mut ctx);
-    let batch = result.lock().take().unwrap();
-    batch
-}
-
-/// Check a batch is sorted under `keys`.
-pub fn is_sorted(batch: &Batch, keys: &[SortKey]) -> bool {
-    (1..batch.rows()).all(|i| cmp_rows(batch, i - 1, batch, i, keys) != Ordering::Greater)
-}
-
-/// Edge-value helper used by result printers.
-pub fn first_row(batch: &Batch) -> Option<Vec<Value>> {
-    (batch.rows() > 0).then(|| batch.row(0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -631,6 +564,48 @@ mod tests {
 
     fn env() -> ExecEnv {
         ExecEnv::new(Topology::nehalem_ex())
+    }
+
+    /// Fully sort a set of areas via the three-stage machinery,
+    /// single-threaded.
+    fn sort_area_set(
+        input: Arc<AreaSet>,
+        keys: Vec<SortKey>,
+        segments: usize,
+        env: &ExecEnv,
+        limit: Option<usize>,
+    ) -> Batch {
+        let runs = runs_slot();
+        let local = LocalSortJob::new(Arc::clone(&input), keys, runs.clone());
+        let mut ctx = TaskContext::new(env, 0);
+        for (i, a) in input.areas().iter().enumerate() {
+            let range = 0..a.rows();
+            local.run_morsel(&mut ctx, Morsel { chunk: i, range });
+        }
+        local.finish(&mut ctx);
+        let runs = runs.lock().take().unwrap();
+        let plan = Arc::new(MergePlan::compute(runs, segments));
+        let out = crate::sink::area_slot();
+        let result = morsel_core::result_slot();
+        let schema = input.schema().clone();
+        let merge = MergeJob::new(Arc::clone(&plan), schema, out, Some(result.clone()), limit);
+        for seg in 0..plan.segments {
+            merge.run_morsel(
+                &mut ctx,
+                Morsel {
+                    chunk: seg,
+                    range: 0..plan.segment_rows(seg).max(1),
+                },
+            );
+        }
+        merge.finish(&mut ctx);
+        let batch = result.lock().take().unwrap();
+        batch
+    }
+
+    /// Check a batch is sorted under `keys`.
+    fn is_sorted(batch: &Batch, keys: &[SortKey]) -> bool {
+        (1..batch.rows()).all(|i| cmp_rows(batch, i - 1, batch, i, keys) != Ordering::Greater)
     }
 
     fn area_set_of(chunks: Vec<Vec<i64>>) -> Arc<AreaSet> {

@@ -67,28 +67,6 @@ impl Residency {
             }
         }
     }
-
-    /// Split `bytes` bytes starting at `off` into per-node byte counts.
-    /// Returns a vector indexed by socket id.
-    pub fn split_bytes(&self, off: usize, bytes: usize, sockets: u16) -> Vec<u64> {
-        let mut out = vec![0u64; sockets as usize];
-        match *self {
-            Residency::Node(n) => out[n.0 as usize] += bytes as u64,
-            Residency::Interleaved { sockets: s, stripe } => {
-                debug_assert_eq!(s, sockets);
-                let mut pos = off;
-                let end = off + bytes;
-                while pos < end {
-                    let stripe_end = (pos / stripe + 1) * stripe;
-                    let take = stripe_end.min(end) - pos;
-                    let node = (pos / stripe) % s as usize;
-                    out[node] += take as u64;
-                    pos += take;
-                }
-            }
-        }
-        out
-    }
 }
 
 /// Byte-accurate memory traffic accounting, the substrate behind the
@@ -266,25 +244,6 @@ mod tests {
         assert_eq!(r.node_at(100), SocketId(1));
         assert_eq!(r.node_at(399), SocketId(3));
         assert_eq!(r.node_at(400), SocketId(0));
-    }
-
-    #[test]
-    fn split_bytes_covers_all_bytes() {
-        let r = Residency::Interleaved {
-            sockets: 4,
-            stripe: 100,
-        };
-        let split = r.split_bytes(50, 400, 4);
-        assert_eq!(split.iter().sum::<u64>(), 400);
-        // 50 bytes on node 0, 100 on node 1, 100 on node 2, 100 on node 3,
-        // 50 back on node 0.
-        assert_eq!(split, vec![100, 100, 100, 100]);
-    }
-
-    #[test]
-    fn split_bytes_single_node() {
-        let r = Residency::Node(SocketId(2));
-        assert_eq!(r.split_bytes(123, 77, 4), vec![0, 0, 77, 0]);
     }
 
     #[test]

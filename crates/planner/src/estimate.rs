@@ -127,14 +127,6 @@ impl Default for Estimator {
     }
 }
 
-impl Estimator {
-    /// Attach a feedback cache (builder style).
-    pub fn with_feedback(mut self, cache: Arc<FeedbackCache>) -> Self {
-        self.feedback = Some(cache);
-        self
-    }
-}
-
 /// Memo for repeated estimates over one plan tree, keyed by node address
 /// (valid only while the borrowed plan is alive). Lets tree walkers like
 /// [`crate::cost::plan_cost`] and `explain` stay linear instead of

@@ -2,9 +2,8 @@
 //! normalized predicate / join-edge shape.
 //!
 //! The executor's runtime profile records actual rows per operator
-//! (finalized at pipeline breakers — see
-//! `morsel_core::profile::OpProfile::breaker_complete`). [`harvest`]
-//! walks a finished plan against those actuals and stores *observed*
+//! (`morsel_core::profile::OpProfile::rows_out`). [`harvest`] walks a
+//! finished plan against those actuals and stores *observed*
 //! selectivities into a [`FeedbackCache`]; the estimator consults the
 //! cache before falling back to its min/max + NDV model, so the next
 //! planning pass of any query with the same predicate shape sees the

@@ -533,12 +533,6 @@ impl QueryService {
         QueryTicket { inner: ticket }
     }
 
-    /// Queries currently dispatched / waiting (for tests and monitoring).
-    pub fn depth(&self) -> (usize, usize) {
-        let st = self.workers.pool().hook().state.lock();
-        (st.admission.in_flight(), st.admission.queued())
-    }
-
     /// Stop accepting queries, drain everything in flight and queued,
     /// join the workers, and return the aggregate report.
     ///

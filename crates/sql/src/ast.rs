@@ -1,4 +1,5 @@
-//! The SQL abstract syntax tree, with spans and a canonical printer.
+//! The SQL abstract syntax tree, with spans, a canonical printer and the
+//! one walker over it.
 //!
 //! Equality on AST nodes ignores spans (two trees are equal when they
 //! describe the same query, wherever the text came from), which is what
@@ -6,6 +7,13 @@
 //! [`fmt::Display`], re-parse it, and the result compares equal even
 //! though every span moved. The printer fully parenthesizes operators,
 //! so printed text never depends on precedence.
+//!
+//! Every generic traversal in this crate goes through [`Expr::walk`] /
+//! [`Expr::walk_mut`] (an expression's subtrees) and
+//! [`Select::scope_exprs`] / [`Select::scope_exprs_mut`] (one `SELECT`
+//! scope's expressions). Besides them, only the printer, the parser and
+//! the binder's translation into executor expressions name every
+//! [`ExprKind`] variant.
 
 use std::fmt;
 
@@ -155,28 +163,79 @@ pub enum ExprKind {
     },
 }
 
-impl Expr {
-    /// Does any aggregate call appear in this tree?
-    pub fn has_agg(&self) -> bool {
-        match &self.kind {
-            ExprKind::Agg { .. } => true,
+/// Run `$visit` on each child expression of `$kind` (a `&ExprKind` or a
+/// `&mut ExprKind`), in print order. The one enumeration of the AST's
+/// child slots: [`Expr::walk`] and [`Expr::walk_mut`] both expand it, so
+/// a new variant or slot is added here once.
+macro_rules! for_each_child {
+    ($kind:expr, $child:ident => $visit:expr) => {
+        match $kind {
             ExprKind::Column { .. }
             | ExprKind::Int(_)
             | ExprKind::Float(_)
             | ExprKind::Str(_)
             | ExprKind::Date { .. }
-            | ExprKind::Param(_) => false,
-            ExprKind::Binary { left, right, .. } => left.has_agg() || right.has_agg(),
-            ExprKind::Not(e) | ExprKind::ExtractYear(e) => e.has_agg(),
-            ExprKind::Between { expr, lo, hi, .. } => {
-                expr.has_agg() || lo.has_agg() || hi.has_agg()
+            | ExprKind::Param(_)
+            | ExprKind::Agg { arg: None, .. } => {}
+            ExprKind::Not($child)
+            | ExprKind::ExtractYear($child)
+            | ExprKind::Like { expr: $child, .. }
+            | ExprKind::Substring { expr: $child, .. }
+            | ExprKind::Agg {
+                arg: Some($child), ..
+            } => $visit,
+            ExprKind::Binary { left, right, .. } => {
+                for $child in [left, right] {
+                    $visit;
+                }
             }
-            ExprKind::InList { expr, list, .. } => expr.has_agg() || list.iter().any(Expr::has_agg),
-            ExprKind::Like { expr, .. } | ExprKind::Substring { expr, .. } => expr.has_agg(),
+            ExprKind::Between { expr, lo, hi, .. } => {
+                for $child in [expr, lo, hi] {
+                    $visit;
+                }
+            }
             ExprKind::Case { cond, then, else_ } => {
-                cond.has_agg() || then.has_agg() || else_.has_agg()
+                for $child in [cond, then, else_] {
+                    $visit;
+                }
+            }
+            ExprKind::InList { expr, list, .. } => {
+                let $child = expr;
+                $visit;
+                for $child in list {
+                    $visit;
+                }
             }
         }
+    };
+}
+
+impl Expr {
+    /// Pre-order walk: `f` sees this node, then — when it returns `true`
+    /// — each child subtree in print order. Derived tables are not
+    /// expressions, so a walk never leaves its `SELECT` scope.
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Expr) -> bool) {
+        if f(self) {
+            for_each_child!(&self.kind, child => child.walk(f));
+        }
+    }
+
+    /// [`Expr::walk`] with mutable access; `f` may rewrite the node it is
+    /// given, and the walk then descends into what it left there.
+    pub fn walk_mut(&mut self, f: &mut impl FnMut(&mut Expr) -> bool) {
+        if f(self) {
+            for_each_child!(&mut self.kind, child => child.walk_mut(f));
+        }
+    }
+
+    /// Does any aggregate call appear in this tree?
+    pub fn has_agg(&self) -> bool {
+        let mut found = false;
+        self.walk(&mut |e| {
+            found |= matches!(e.kind, ExprKind::Agg { .. });
+            !found
+        });
+        found
     }
 }
 
@@ -358,6 +417,27 @@ pub enum JoinOp {
     CountMatches(Expr),
 }
 
+impl JoinOp {
+    /// The `ON` condition, if this entry has one.
+    pub fn on(&self) -> Option<&Expr> {
+        match self {
+            JoinOp::Comma => None,
+            JoinOp::Inner(on) | JoinOp::Semi(on) | JoinOp::Anti(on) | JoinOp::CountMatches(on) => {
+                Some(on)
+            }
+        }
+    }
+
+    fn on_mut(&mut self) -> Option<&mut Expr> {
+        match self {
+            JoinOp::Comma => None,
+            JoinOp::Inner(on) | JoinOp::Semi(on) | JoinOp::Anti(on) | JoinOp::CountMatches(on) => {
+                Some(on)
+            }
+        }
+    }
+}
+
 /// One entry of the `FROM` clause.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableRef {
@@ -403,6 +483,30 @@ impl PartialEq for Select {
             && self.having == other.having
             && self.order_by == other.order_by
             && self.limit == other.limit
+    }
+}
+
+impl Select {
+    /// This `SELECT`'s own expressions, in print order: the items, each
+    /// `FROM` entry's `ON`, `WHERE`, `GROUP BY`, `HAVING`. A derived
+    /// table is a scope of its own, so its expressions are not among
+    /// them; callers that want the whole tree recurse into
+    /// [`TableFactor::Derived`] themselves.
+    pub fn scope_exprs(&self) -> impl Iterator<Item = &Expr> {
+        (self.items.iter().map(|i| &i.expr))
+            .chain(self.from.iter().filter_map(|t| t.join.on()))
+            .chain(&self.where_clause)
+            .chain(&self.group_by)
+            .chain(&self.having)
+    }
+
+    /// [`Select::scope_exprs`] with mutable access.
+    pub fn scope_exprs_mut(&mut self) -> impl Iterator<Item = &mut Expr> {
+        (self.items.iter_mut().map(|i| &mut i.expr))
+            .chain(self.from.iter_mut().filter_map(|t| t.join.on_mut()))
+            .chain(&mut self.where_clause)
+            .chain(&mut self.group_by)
+            .chain(&mut self.having)
     }
 }
 

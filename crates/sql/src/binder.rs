@@ -344,9 +344,6 @@ struct ShapedAgg {
 
 type Lookup<'x> = &'x dyn Fn(Option<&str>, &str, Span) -> Result<(usize, Ty), SqlError>;
 
-/// A visitor over column references.
-type ColumnVisitor<'x> = &'x mut dyn FnMut(Option<&str>, &str, Span) -> Result<(), SqlError>;
-
 /// A `(source, column)` coordinate pair for the two sides of a join key.
 type KeyPair = ((usize, usize), (usize, usize));
 
@@ -502,44 +499,6 @@ impl<'s> BindCtx<'s> {
         }
     }
 
-    /// Visit every column reference in an expression.
-    fn walk_columns(e: &Expr, f: ColumnVisitor<'_>) -> Result<(), SqlError> {
-        match &e.kind {
-            ExprKind::Column { table, name } => f(table.as_deref(), name, e.span),
-            ExprKind::Int(_)
-            | ExprKind::Float(_)
-            | ExprKind::Str(_)
-            | ExprKind::Date { .. }
-            | ExprKind::Param(_) => Ok(()),
-            ExprKind::Binary { left, right, .. } => {
-                Self::walk_columns(left, f)?;
-                Self::walk_columns(right, f)
-            }
-            ExprKind::Not(x) | ExprKind::ExtractYear(x) => Self::walk_columns(x, f),
-            ExprKind::Between { expr, lo, hi, .. } => {
-                Self::walk_columns(expr, f)?;
-                Self::walk_columns(lo, f)?;
-                Self::walk_columns(hi, f)
-            }
-            ExprKind::InList { expr, list, .. } => {
-                Self::walk_columns(expr, f)?;
-                list.iter().try_for_each(|x| Self::walk_columns(x, f))
-            }
-            ExprKind::Like { expr, .. } | ExprKind::Substring { expr, .. } => {
-                Self::walk_columns(expr, f)
-            }
-            ExprKind::Case { cond, then, else_ } => {
-                Self::walk_columns(cond, f)?;
-                Self::walk_columns(then, f)?;
-                Self::walk_columns(else_, f)
-            }
-            ExprKind::Agg { arg, .. } => match arg {
-                Some(a) => Self::walk_columns(a, f),
-                None => Ok(()),
-            },
-        }
-    }
-
     /// Record resolved refs into per-source used sets. With
     /// `allow_aliases`, unqualified names matching a select alias are
     /// skipped (GROUP BY / HAVING may reference output names).
@@ -549,9 +508,8 @@ impl<'s> BindCtx<'s> {
         used: &mut [BTreeSet<usize>],
         allow_aliases: bool,
     ) -> Result<(), SqlError> {
-        Self::walk_columns(
-            e,
-            &mut |table, name, span| match self.resolve(table, name, span) {
+        each_column(e, |table, name, span| {
+            match self.resolve(table, name, span) {
                 Ok(Res::Col { src, col }) => {
                     used[src].insert(col);
                     Ok(())
@@ -571,8 +529,8 @@ impl<'s> BindCtx<'s> {
                         Err(err)
                     }
                 }
-            },
-        )
+            }
+        })
     }
 
     /// The sources an expression touches; `None` when it reads a
@@ -580,7 +538,7 @@ impl<'s> BindCtx<'s> {
     fn sources_of(&self, e: &Expr) -> Result<Option<BTreeSet<usize>>, SqlError> {
         let mut srcs = BTreeSet::new();
         let mut generated = false;
-        Self::walk_columns(e, &mut |table, name, span| {
+        each_column(e, |table, name, span| {
             match self.resolve(table, name, span)? {
                 Res::Col { src, .. } => {
                     srcs.insert(src);
@@ -950,14 +908,9 @@ impl<'s> BindCtx<'s> {
             used[jp.b.0].insert(jp.b.1);
         }
         for tref in &select.from {
-            if let Some(on) = join_on(&tref.join) {
+            if let Some(on) = tref.join.on() {
                 self.collect_refs(on, &mut used, false)?;
             }
-        }
-        for o in &select.order_by {
-            // ORDER BY names must be output columns; nothing to collect,
-            // validated after projection.
-            let _ = o;
         }
 
         // Base plans per source.
@@ -1442,29 +1395,29 @@ impl<'s> BindCtx<'s> {
             });
         }
 
-        // Aggregate calls from the select list and HAVING, deduplicated.
-        let mut slots: Vec<AggSlot> = Vec::new();
-        let mut sites: Vec<&Expr> = select.items.iter().map(|i| &i.expr).collect();
-        if let Some(h) = &select.having {
-            sites.push(h);
-        }
-        for site in sites {
-            collect_aggs(site, &mut |call| {
-                if slots.iter().any(|s| &s.call == call) {
-                    return Ok(());
+        // Aggregate calls from the select list and HAVING, deduplicated;
+        // an aggregate's argument is not searched (nesting is an error
+        // `make_slot` reports).
+        let mut calls: Vec<&Expr> = Vec::new();
+        for site in select.items.iter().map(|i| &i.expr).chain(&select.having) {
+            site.walk(&mut |e| {
+                let is_agg = matches!(e.kind, ExprKind::Agg { .. });
+                if is_agg && !calls.contains(&e) {
+                    calls.push(e);
                 }
-                let idx = slots.len();
-                let out_name = select
-                    .items
-                    .iter()
-                    .zip(&out_names)
-                    .find(|(item, _)| &item.expr == call)
-                    .map(|(_, n)| n.clone())
-                    .unwrap_or_else(|| format!("_agg{idx}"));
-                let slot = self.make_slot(call, out_name, lookup, idx)?;
-                slots.push(slot);
-                Ok(())
-            })?;
+                !is_agg
+            });
+        }
+        let mut slots: Vec<AggSlot> = Vec::with_capacity(calls.len());
+        for (idx, call) in calls.into_iter().enumerate() {
+            let out_name = select
+                .items
+                .iter()
+                .zip(&out_names)
+                .find(|(item, _)| &item.expr == call)
+                .map(|(_, n)| n.clone())
+                .unwrap_or_else(|| format!("_agg{idx}"));
+            slots.push(self.make_slot(call, out_name, lookup, idx)?);
         }
 
         // Pre-aggregation entries: groups first, then aggregate inputs.
@@ -1503,7 +1456,7 @@ impl<'s> BindCtx<'s> {
                 distinct,
                 arg,
             } => (*func, *distinct, arg.as_deref()),
-            _ => unreachable!("collect_aggs only yields aggregate calls"),
+            _ => unreachable!("only aggregate calls get a slot"),
         };
         let mut input = None;
         let mut input_expr = None;
@@ -1624,9 +1577,21 @@ impl<'s> BindCtx<'s> {
         // name/alias, aggregate calls by slot, nothing else. Subtrees
         // that *are* a group expression (e.g. `EXTRACT(YEAR FROM
         // o_orderdate)` when that is what was grouped on) are replaced
-        // by references to the group column first.
+        // by references to the group column first, top-down. Aggregate
+        // arguments are left alone: they live below the aggregate and
+        // are matched by slot instead.
         let bind_over_aggregate = |e: &Expr| -> Result<(ex::Expr, Ty), SqlError> {
-            let e = &subst_group_exprs(e, &groups);
+            let mut e = e.clone();
+            e.walk_mut(&mut |x| {
+                if let Some(g) = groups.iter().find(|g| g.ast == *x) {
+                    x.kind = ExprKind::Column {
+                        table: None,
+                        name: g.name.clone(),
+                    };
+                    return false;
+                }
+                !matches!(x.kind, ExprKind::Agg { .. })
+            });
             let lookup = |table: Option<&str>, name: &str, span: Span| {
                 if table.is_none() {
                     if let Some(i) = groups.iter().position(|g| g.name == name) {
@@ -1646,7 +1611,7 @@ impl<'s> BindCtx<'s> {
                     span,
                 ))
             };
-            bind_scalar(e, &lookup, Some((&slots, groups.len())))
+            bind_scalar(&e, &lookup, Some((&slots, groups.len())))
         };
 
         if let Some(h) = &self.select.having {
@@ -1716,87 +1681,6 @@ impl<'s> BindCtx<'s> {
     }
 }
 
-/// Replace every subtree equal to a group expression by a bare reference
-/// to its group column. Does not descend into aggregate calls — their
-/// arguments live below the aggregate and are matched by slot instead.
-fn subst_group_exprs(e: &Expr, groups: &[GroupItem]) -> Expr {
-    if let Some(g) = groups.iter().find(|g| &g.ast == e) {
-        return Expr::new(
-            ExprKind::Column {
-                table: None,
-                name: g.name.clone(),
-            },
-            e.span,
-        );
-    }
-    let bx = |x: &Expr| Box::new(subst_group_exprs(x, groups));
-    let kind = match &e.kind {
-        k @ (ExprKind::Column { .. }
-        | ExprKind::Int(_)
-        | ExprKind::Float(_)
-        | ExprKind::Str(_)
-        | ExprKind::Date { .. }
-        | ExprKind::Param(_)
-        | ExprKind::Agg { .. }) => k.clone(),
-        ExprKind::Binary { op, left, right } => ExprKind::Binary {
-            op: *op,
-            left: bx(left),
-            right: bx(right),
-        },
-        ExprKind::Not(x) => ExprKind::Not(bx(x)),
-        ExprKind::Between {
-            expr,
-            negated,
-            lo,
-            hi,
-        } => ExprKind::Between {
-            expr: bx(expr),
-            negated: *negated,
-            lo: bx(lo),
-            hi: bx(hi),
-        },
-        ExprKind::InList {
-            expr,
-            negated,
-            list,
-        } => ExprKind::InList {
-            expr: bx(expr),
-            negated: *negated,
-            list: list.iter().map(|x| subst_group_exprs(x, groups)).collect(),
-        },
-        ExprKind::Like {
-            expr,
-            negated,
-            pattern,
-        } => ExprKind::Like {
-            expr: bx(expr),
-            negated: *negated,
-            pattern: pattern.clone(),
-        },
-        ExprKind::Case { cond, then, else_ } => ExprKind::Case {
-            cond: bx(cond),
-            then: bx(then),
-            else_: bx(else_),
-        },
-        ExprKind::ExtractYear(x) => ExprKind::ExtractYear(bx(x)),
-        ExprKind::Substring { expr, from, len } => ExprKind::Substring {
-            expr: bx(expr),
-            from: *from,
-            len: *len,
-        },
-    };
-    Expr::new(kind, e.span)
-}
-
-fn join_on(op: &JoinOp) -> Option<&Expr> {
-    match op {
-        JoinOp::Comma => None,
-        JoinOp::Inner(on) | JoinOp::Semi(on) | JoinOp::Anti(on) | JoinOp::CountMatches(on) => {
-            Some(on)
-        }
-    }
-}
-
 fn expect_bool(ty: Ty, span: Span) -> Result<(), SqlError> {
     if ty == Ty::Bool {
         Ok(())
@@ -1838,37 +1722,18 @@ fn split_and<'s>(e: &'s Expr, out: &mut Vec<&'s Expr>) {
     }
 }
 
-fn collect_aggs(
+/// Visit every column reference in `e` in pre-order, stopping at the
+/// first error `f` returns.
+fn each_column(
     e: &Expr,
-    f: &mut dyn FnMut(&Expr) -> Result<(), SqlError>,
+    mut f: impl FnMut(Option<&str>, &str, Span) -> Result<(), SqlError>,
 ) -> Result<(), SqlError> {
-    match &e.kind {
-        ExprKind::Agg { .. } => f(e),
-        ExprKind::Column { .. }
-        | ExprKind::Int(_)
-        | ExprKind::Float(_)
-        | ExprKind::Str(_)
-        | ExprKind::Date { .. }
-        | ExprKind::Param(_) => Ok(()),
-        ExprKind::Binary { left, right, .. } => {
-            collect_aggs(left, f)?;
-            collect_aggs(right, f)
+    let mut result = Ok(());
+    e.walk(&mut |x| {
+        if let (Ok(()), ExprKind::Column { table, name }) = (&result, &x.kind) {
+            result = f(table.as_deref(), name, x.span);
         }
-        ExprKind::Not(x) | ExprKind::ExtractYear(x) => collect_aggs(x, f),
-        ExprKind::Between { expr, lo, hi, .. } => {
-            collect_aggs(expr, f)?;
-            collect_aggs(lo, f)?;
-            collect_aggs(hi, f)
-        }
-        ExprKind::InList { expr, list, .. } => {
-            collect_aggs(expr, f)?;
-            list.iter().try_for_each(|x| collect_aggs(x, f))
-        }
-        ExprKind::Like { expr, .. } | ExprKind::Substring { expr, .. } => collect_aggs(expr, f),
-        ExprKind::Case { cond, then, else_ } => {
-            collect_aggs(cond, f)?;
-            collect_aggs(then, f)?;
-            collect_aggs(else_, f)
-        }
-    }
+        result.is_ok()
+    });
+    result
 }

@@ -1,12 +1,14 @@
 //! Query-shape normalization and prepared-statement parameter binding.
 //!
 //! A [`ShapeKey`] identifies what a query *does* independently of what
-//! it mentions: two texts get the same key exactly when their ASTs are
-//! equal after
+//! it mentions. [`shape_of`] normalizes a copy of the query and prints
+//! it with the AST's one printer ([`std::fmt::Display`]), so two texts
+//! get the same key exactly when their ASTs are equal after
 //!
 //! 1. stripping every literal (integers, floats, strings, dates, `LIKE`
-//!    patterns) to a `?` hole — the stripped values come back in
-//!    canonical traversal order as the [`LiteralValue`] vector, and
+//!    patterns) to one hole — the stripped values come back as the
+//!    [`LiteralValue`] vector, in canonical order: each scope's derived
+//!    tables first, then its own expressions in pre-order — and
 //! 2. renaming every *table* binding positionally (`_r1`, `_r2`, … in
 //!    `FROM` order, qualified column references rewritten to match), so
 //!    `FROM nation n1` and `FROM nation x` — or no alias at all —
@@ -18,14 +20,12 @@
 //! the output schema or the plan structure, so queries differing there
 //! must not share a cached plan.
 //!
-//! Placeholders ([`ExprKind::Param`]) normalize to the same `?` hole as
-//! a literal, so a prepared template and the concrete query it binds to
+//! Placeholders ([`ExprKind::Param`]) normalize to the same hole as a
+//! literal, so a prepared template and the concrete query it binds to
 //! share one shape. [`bind_params`] splices [`LiteralValue`]s over the
 //! placeholders to produce the concrete, bindable AST.
 
-use std::fmt::Write as _;
-
-use crate::ast::{Expr, ExprKind, JoinOp, Select, TableFactor};
+use crate::ast::{ExprKind, Select, TableFactor};
 use crate::error::{Span, SqlError};
 
 /// A concrete literal stripped from (or bound into) a query.
@@ -88,31 +88,96 @@ impl std::fmt::Display for ShapeKey {
 }
 
 /// Normalize a parsed query: its [`ShapeKey`] plus the literal values
-/// stripped out of it, in canonical traversal order.
+/// stripped out of it, in canonical order (see the module docs).
 pub fn shape_of(select: &Select) -> (ShapeKey, Vec<LiteralValue>) {
-    let mut w = ShapeWriter {
-        out: String::new(),
-        literals: Vec::new(),
-    };
-    w.select(select);
-    (ShapeKey(w.out), w.literals)
+    let mut normalized = select.clone();
+    let mut literals = Vec::new();
+    normalize(&mut normalized, &mut literals);
+    (ShapeKey(normalized.to_string()), literals)
+}
+
+/// What every literal, placeholder and `LIKE` pattern becomes in a
+/// normalized query: one placeholder, whatever it replaced.
+const HOLE: ExprKind = ExprKind::Param(0);
+
+/// Normalize `s` in place, its derived tables first: rename this scope's
+/// bindings and the qualified references that resolve to them, and move
+/// each literal into `literals`, leaving a hole.
+fn normalize(s: &mut Select, literals: &mut Vec<LiteralValue>) {
+    // One binding scope per SELECT: the subset has no correlated
+    // references, so a scope is exactly its own FROM list.
+    let mut bindings = Vec::with_capacity(s.from.len());
+    for (i, tref) in s.from.iter_mut().enumerate() {
+        let renamed = format!("_r{}", i + 1);
+        bindings.push(match &mut tref.factor {
+            TableFactor::Table { name, alias, .. } => {
+                alias.replace(renamed).unwrap_or_else(|| name.clone())
+            }
+            TableFactor::Derived { query, alias, .. } => {
+                normalize(query, literals);
+                std::mem::replace(alias, renamed)
+            }
+        });
+    }
+    for e in s.scope_exprs_mut() {
+        e.walk_mut(&mut |x| {
+            let stripped = match &mut x.kind {
+                ExprKind::Column { table: Some(t), .. } => {
+                    // First match wins; the binder rejects a duplicate
+                    // binding anyway.
+                    if let Some(i) = bindings.iter().position(|b| b == t) {
+                        *t = format!("_r{}", i + 1);
+                    }
+                    return false;
+                }
+                ExprKind::Like { pattern, .. } => {
+                    literals.push(LiteralValue::Str(std::mem::take(pattern)));
+                    return true;
+                }
+                ExprKind::Int(v) => Some(LiteralValue::Int(*v)),
+                ExprKind::Float(v) => Some(LiteralValue::Float(*v)),
+                ExprKind::Str(v) => Some(LiteralValue::Str(std::mem::take(v))),
+                ExprKind::Date { y, m, d } => Some(LiteralValue::Date {
+                    y: *y,
+                    m: *m,
+                    d: *d,
+                }),
+                // A placeholder is already a hole; it contributes no
+                // literal (values arrive at bind time), so a template
+                // and its bound form share a shape.
+                ExprKind::Param(_) => None,
+                _ => return true,
+            };
+            literals.extend(stripped);
+            x.kind = HOLE;
+            false
+        });
+    }
 }
 
 /// How many parameters a template needs: one past the highest
 /// placeholder index (0 for a query without placeholders).
 pub fn param_count(select: &Select) -> usize {
-    let mut max: Option<usize> = None;
-    walk_select(select, &mut |e| {
-        if let ExprKind::Param(i) = &e.kind {
-            max = Some(max.map_or(*i, |m: usize| m.max(*i)));
+    let mut count = 0;
+    for e in select.scope_exprs() {
+        e.walk(&mut |x| {
+            if let ExprKind::Param(i) = x.kind {
+                count = count.max(i + 1);
+            }
+            true
+        });
+    }
+    for tref in &select.from {
+        if let TableFactor::Derived { query, .. } = &tref.factor {
+            count = count.max(param_count(query));
         }
-    });
-    max.map_or(0, |m| m + 1)
+    }
+    count
 }
 
 /// Splice `params` over the placeholders of `template`, producing the
 /// concrete AST a binder can consume. Requires exactly
-/// [`param_count`] values; every placeholder index must be covered.
+/// [`param_count`] values, which covers every placeholder index.
 pub fn bind_params(template: &Select, params: &[LiteralValue]) -> Result<Select, SqlError> {
     let need = param_count(template);
     if params.len() != need {
@@ -125,397 +190,22 @@ pub fn bind_params(template: &Select, params: &[LiteralValue]) -> Result<Select,
         ));
     }
     let mut bound = template.clone();
-    let mut err = None;
-    walk_select_mut(&mut bound, &mut |e| {
-        if let ExprKind::Param(i) = &e.kind {
-            match params.get(*i) {
-                Some(v) => e.kind = v.to_expr_kind(),
-                None => err = Some((*i, e.span)),
-            }
-        }
-    });
-    match err {
-        None => Ok(bound),
-        Some((i, span)) => Err(SqlError::new(
-            format!("no value bound for placeholder ${}", i + 1),
-            span,
-        )),
-    }
+    splice(&mut bound, params);
+    Ok(bound)
 }
 
-// ------------------------------------------------------- AST walkers
-
-fn walk_expr(e: &Expr, f: &mut impl FnMut(&Expr)) {
-    f(e);
-    match &e.kind {
-        ExprKind::Column { .. }
-        | ExprKind::Int(_)
-        | ExprKind::Float(_)
-        | ExprKind::Str(_)
-        | ExprKind::Date { .. }
-        | ExprKind::Param(_) => {}
-        ExprKind::Binary { left, right, .. } => {
-            walk_expr(left, f);
-            walk_expr(right, f);
-        }
-        ExprKind::Not(inner) | ExprKind::ExtractYear(inner) => walk_expr(inner, f),
-        ExprKind::Between { expr, lo, hi, .. } => {
-            walk_expr(expr, f);
-            walk_expr(lo, f);
-            walk_expr(hi, f);
-        }
-        ExprKind::InList { expr, list, .. } => {
-            walk_expr(expr, f);
-            for item in list {
-                walk_expr(item, f);
+fn splice(s: &mut Select, params: &[LiteralValue]) {
+    for e in s.scope_exprs_mut() {
+        e.walk_mut(&mut |x| {
+            if let ExprKind::Param(i) = x.kind {
+                x.kind = params[i].to_expr_kind();
             }
-        }
-        ExprKind::Like { expr, .. } | ExprKind::Substring { expr, .. } => walk_expr(expr, f),
-        ExprKind::Case { cond, then, else_ } => {
-            walk_expr(cond, f);
-            walk_expr(then, f);
-            walk_expr(else_, f);
-        }
-        ExprKind::Agg { arg, .. } => {
-            if let Some(a) = arg {
-                walk_expr(a, f);
-            }
-        }
-    }
-}
-
-fn walk_select(s: &Select, f: &mut impl FnMut(&Expr)) {
-    for item in &s.items {
-        walk_expr(&item.expr, f);
-    }
-    for tref in &s.from {
-        match &tref.join {
-            JoinOp::Comma => {}
-            JoinOp::Inner(on) | JoinOp::Semi(on) | JoinOp::Anti(on) | JoinOp::CountMatches(on) => {
-                walk_expr(on, f)
-            }
-        }
-        if let TableFactor::Derived { query, .. } = &tref.factor {
-            walk_select(query, f);
-        }
-    }
-    if let Some(w) = &s.where_clause {
-        walk_expr(w, f);
-    }
-    for g in &s.group_by {
-        walk_expr(g, f);
-    }
-    if let Some(h) = &s.having {
-        walk_expr(h, f);
-    }
-}
-
-fn walk_expr_mut(e: &mut Expr, f: &mut impl FnMut(&mut Expr)) {
-    f(e);
-    match &mut e.kind {
-        ExprKind::Column { .. }
-        | ExprKind::Int(_)
-        | ExprKind::Float(_)
-        | ExprKind::Str(_)
-        | ExprKind::Date { .. }
-        | ExprKind::Param(_) => {}
-        ExprKind::Binary { left, right, .. } => {
-            walk_expr_mut(left, f);
-            walk_expr_mut(right, f);
-        }
-        ExprKind::Not(inner) | ExprKind::ExtractYear(inner) => walk_expr_mut(inner, f),
-        ExprKind::Between { expr, lo, hi, .. } => {
-            walk_expr_mut(expr, f);
-            walk_expr_mut(lo, f);
-            walk_expr_mut(hi, f);
-        }
-        ExprKind::InList { expr, list, .. } => {
-            walk_expr_mut(expr, f);
-            for item in list {
-                walk_expr_mut(item, f);
-            }
-        }
-        ExprKind::Like { expr, .. } | ExprKind::Substring { expr, .. } => walk_expr_mut(expr, f),
-        ExprKind::Case { cond, then, else_ } => {
-            walk_expr_mut(cond, f);
-            walk_expr_mut(then, f);
-            walk_expr_mut(else_, f);
-        }
-        ExprKind::Agg { arg, .. } => {
-            if let Some(a) = arg {
-                walk_expr_mut(a, f);
-            }
-        }
-    }
-}
-
-fn walk_select_mut(s: &mut Select, f: &mut impl FnMut(&mut Expr)) {
-    for item in &mut s.items {
-        walk_expr_mut(&mut item.expr, f);
+            true
+        });
     }
     for tref in &mut s.from {
-        match &mut tref.join {
-            JoinOp::Comma => {}
-            JoinOp::Inner(on) | JoinOp::Semi(on) | JoinOp::Anti(on) | JoinOp::CountMatches(on) => {
-                walk_expr_mut(on, f)
-            }
-        }
         if let TableFactor::Derived { query, .. } = &mut tref.factor {
-            walk_select_mut(query, f);
-        }
-    }
-    if let Some(w) = &mut s.where_clause {
-        walk_expr_mut(w, f);
-    }
-    for g in &mut s.group_by {
-        walk_expr_mut(g, f);
-    }
-    if let Some(h) = &mut s.having {
-        walk_expr_mut(h, f);
-    }
-}
-
-// --------------------------------------------------- the shape writer
-
-/// Mirrors the AST's canonical [`std::fmt::Display`] printer, with
-/// literals emitted as `?` (collected into `literals`) and table
-/// bindings renamed positionally per `SELECT` scope.
-struct ShapeWriter {
-    out: String,
-    literals: Vec<LiteralValue>,
-}
-
-impl ShapeWriter {
-    fn select(&mut self, s: &Select) {
-        // One binding scope per SELECT: the subset has no correlated
-        // references, so a scope is exactly its own FROM list.
-        let scope: Vec<(String, String)> = s
-            .from
-            .iter()
-            .enumerate()
-            .map(|(i, tref)| {
-                (
-                    tref.factor.binding_name().to_owned(),
-                    format!("_r{}", i + 1),
-                )
-            })
-            .collect();
-        self.out.push_str("SELECT ");
-        for (i, item) in s.items.iter().enumerate() {
-            if i > 0 {
-                self.out.push_str(", ");
-            }
-            self.expr(&item.expr, &scope);
-            if let Some(a) = &item.alias {
-                let _ = write!(self.out, " AS {a}");
-            }
-        }
-        self.out.push_str(" FROM ");
-        for (i, tref) in s.from.iter().enumerate() {
-            match &tref.join {
-                JoinOp::Comma => {
-                    if i > 0 {
-                        self.out.push_str(", ");
-                    }
-                    self.factor(&tref.factor, &scope, i);
-                }
-                JoinOp::Inner(on) => self.join("JOIN", &tref.factor, on, &scope, i),
-                JoinOp::Semi(on) => self.join("SEMI JOIN", &tref.factor, on, &scope, i),
-                JoinOp::Anti(on) => self.join("ANTI JOIN", &tref.factor, on, &scope, i),
-                JoinOp::CountMatches(on) => self.join("COUNT JOIN", &tref.factor, on, &scope, i),
-            }
-        }
-        if let Some(w) = &s.where_clause {
-            self.out.push_str(" WHERE ");
-            self.expr(w, &scope);
-        }
-        if !s.group_by.is_empty() {
-            self.out.push_str(" GROUP BY ");
-            for (i, g) in s.group_by.iter().enumerate() {
-                if i > 0 {
-                    self.out.push_str(", ");
-                }
-                self.expr(g, &scope);
-            }
-        }
-        if let Some(h) = &s.having {
-            self.out.push_str(" HAVING ");
-            self.expr(h, &scope);
-        }
-        if !s.order_by.is_empty() {
-            self.out.push_str(" ORDER BY ");
-            for (i, o) in s.order_by.iter().enumerate() {
-                if i > 0 {
-                    self.out.push_str(", ");
-                }
-                let _ = write!(
-                    self.out,
-                    "{}{}",
-                    o.name,
-                    if o.desc { " DESC" } else { " ASC" }
-                );
-            }
-        }
-        if let Some(l) = s.limit {
-            let _ = write!(self.out, " LIMIT {l}");
-        }
-    }
-
-    fn join(
-        &mut self,
-        kw: &str,
-        factor: &TableFactor,
-        on: &Expr,
-        scope: &[(String, String)],
-        i: usize,
-    ) {
-        let _ = write!(self.out, " {kw} ");
-        self.factor(factor, scope, i);
-        self.out.push_str(" ON ");
-        self.expr(on, scope);
-    }
-
-    fn factor(&mut self, factor: &TableFactor, scope: &[(String, String)], index: usize) {
-        let renamed = &scope[index].1;
-        match factor {
-            TableFactor::Table { name, .. } => {
-                let _ = write!(self.out, "{name} AS {renamed}");
-            }
-            TableFactor::Derived { query, .. } => {
-                self.out.push('(');
-                self.select(query);
-                let _ = write!(self.out, ") AS {renamed}");
-            }
-        }
-    }
-
-    fn hole(&mut self, v: LiteralValue) {
-        self.out.push('?');
-        self.literals.push(v);
-    }
-
-    fn expr(&mut self, e: &Expr, scope: &[(String, String)]) {
-        match &e.kind {
-            ExprKind::Column { table, name } => match table {
-                Some(t) => {
-                    let t = scope
-                        .iter()
-                        .find(|(b, _)| b == t)
-                        .map(|(_, r)| r.as_str())
-                        .unwrap_or(t.as_str());
-                    let _ = write!(self.out, "{t}.{name}");
-                }
-                None => {
-                    let _ = write!(self.out, "{name}");
-                }
-            },
-            ExprKind::Int(v) => self.hole(LiteralValue::Int(*v)),
-            ExprKind::Float(v) => self.hole(LiteralValue::Float(*v)),
-            ExprKind::Str(s) => self.hole(LiteralValue::Str(s.clone())),
-            ExprKind::Date { y, m, d } => self.hole(LiteralValue::Date {
-                y: *y,
-                m: *m,
-                d: *d,
-            }),
-            // A placeholder is already a hole; it contributes no literal
-            // (values arrive at bind time), so a template and its bound
-            // form share a shape.
-            ExprKind::Param(_) => self.out.push('?'),
-            ExprKind::Binary { op, left, right } => {
-                self.out.push('(');
-                self.expr(left, scope);
-                let _ = write!(self.out, " {} ", op.symbol());
-                self.expr(right, scope);
-                self.out.push(')');
-            }
-            ExprKind::Not(inner) => {
-                self.out.push_str("(NOT ");
-                self.expr(inner, scope);
-                self.out.push(')');
-            }
-            ExprKind::Between {
-                expr,
-                negated,
-                lo,
-                hi,
-            } => {
-                self.out.push('(');
-                self.expr(expr, scope);
-                self.out.push_str(if *negated {
-                    " NOT BETWEEN "
-                } else {
-                    " BETWEEN "
-                });
-                self.expr(lo, scope);
-                self.out.push_str(" AND ");
-                self.expr(hi, scope);
-                self.out.push(')');
-            }
-            ExprKind::InList {
-                expr,
-                negated,
-                list,
-            } => {
-                self.out.push('(');
-                self.expr(expr, scope);
-                self.out
-                    .push_str(if *negated { " NOT IN (" } else { " IN (" });
-                for (i, item) in list.iter().enumerate() {
-                    if i > 0 {
-                        self.out.push_str(", ");
-                    }
-                    self.expr(item, scope);
-                }
-                self.out.push_str("))");
-            }
-            ExprKind::Like {
-                expr,
-                negated,
-                pattern,
-            } => {
-                self.out.push('(');
-                self.expr(expr, scope);
-                self.out
-                    .push_str(if *negated { " NOT LIKE " } else { " LIKE " });
-                self.hole(LiteralValue::Str(pattern.clone()));
-                self.out.push(')');
-            }
-            ExprKind::Case { cond, then, else_ } => {
-                self.out.push_str("CASE WHEN ");
-                self.expr(cond, scope);
-                self.out.push_str(" THEN ");
-                self.expr(then, scope);
-                self.out.push_str(" ELSE ");
-                self.expr(else_, scope);
-                self.out.push_str(" END");
-            }
-            ExprKind::ExtractYear(inner) => {
-                self.out.push_str("EXTRACT(YEAR FROM ");
-                self.expr(inner, scope);
-                self.out.push(')');
-            }
-            ExprKind::Substring { expr, from, len } => {
-                self.out.push_str("SUBSTRING(");
-                self.expr(expr, scope);
-                let _ = write!(self.out, ", {from}, {len})");
-            }
-            ExprKind::Agg {
-                func,
-                distinct,
-                arg,
-            } => match arg {
-                None => self.out.push_str("COUNT(*)"),
-                Some(a) => {
-                    let _ = write!(
-                        self.out,
-                        "{}({}",
-                        func.name(),
-                        if *distinct { "DISTINCT " } else { "" }
-                    );
-                    self.expr(a, scope);
-                    self.out.push(')');
-                }
-            },
+            splice(query, params);
         }
     }
 }
@@ -551,6 +241,25 @@ mod tests {
             key("SELECT nation.n_name FROM nation, region WHERE nation.n_regionkey = r_regionkey");
         assert_eq!(a, b);
         assert_eq!(a, c);
+    }
+
+    #[test]
+    fn each_scope_renames_its_own_bindings() {
+        // Both scopes bind `t`: the derived table's `t.a` is its own
+        // `lineitem`, the outer `t.b` the outer `orders`.
+        let (a, lits) = shape_of(
+            &parse(
+                "SELECT t.b FROM (SELECT t.a AS a FROM lineitem AS t WHERE t.a > 1) AS d, \
+                 orders AS t WHERE t.b = 2",
+            )
+            .unwrap(),
+        );
+        let b = key(
+            "SELECT y.b FROM (SELECT x.a AS a FROM lineitem AS x WHERE x.a > 1) AS d, \
+             orders AS y WHERE y.b = 2",
+        );
+        assert_eq!(a, b);
+        assert_eq!(lits, vec![LiteralValue::Int(1), LiteralValue::Int(2)]);
     }
 
     #[test]

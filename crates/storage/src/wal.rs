@@ -39,7 +39,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Condvar, Mutex};
 
-use crate::value::{DataType, Value};
+use crate::value::Value;
 
 /// Name of the log file inside a WAL directory.
 pub const WAL_FILE: &str = "wal.log";
@@ -371,14 +371,6 @@ impl Wal {
         }
     }
 
-    /// Append `ops` and wait for their durability: the whole commit
-    /// path in one call.
-    pub fn log_commit(&self, ops: &[WalOp]) -> Result<u64, WalError> {
-        let lsn = self.append(ops)?;
-        self.commit_durable(lsn)?;
-        Ok(lsn)
-    }
-
     pub fn is_poisoned(&self) -> bool {
         self.state.lock().unwrap().poisoned.is_some()
     }
@@ -574,16 +566,6 @@ pub fn decode_payload(payload: &[u8]) -> Result<WalRecord, WalError> {
         return Err(WalError::Corrupt("trailing payload bytes".into()));
     }
     Ok(WalRecord { lsn, op })
-}
-
-/// Placeholder for [`DataType`] round-trips in doc examples.
-pub fn value_type_tag(dt: DataType) -> u8 {
-    match dt {
-        DataType::I64 => 0,
-        DataType::I32 => 1,
-        DataType::F64 => 2,
-        DataType::Str => 3,
-    }
 }
 
 #[cfg(test)]

@@ -129,11 +129,6 @@ pub struct Txn {
 }
 
 impl Txn {
-    /// The MVCC snapshot this transaction reads at.
-    pub fn snapshot_ts(&self) -> u64 {
-        self.begin_ts
-    }
-
     pub fn is_read_only(&self) -> bool {
         self.ops.is_empty()
     }
@@ -375,11 +370,6 @@ impl TxnDb {
     /// on every commit and merge.
     pub fn version(&self) -> u64 {
         self.inner.lock().version
-    }
-
-    /// Delta bytes currently reserved against the budget/pool.
-    pub fn reserved_bytes(&self) -> u64 {
-        self.budget.reserved()
     }
 
     fn table_index(&self, inner: &Inner, table: &str) -> Result<u32, TxnError> {
@@ -885,15 +875,6 @@ impl TxnDb {
     }
 
     // ---- inspection ----------------------------------------------------
-
-    pub fn table_names(&self) -> Vec<String> {
-        self.inner
-            .lock()
-            .tables
-            .iter()
-            .map(|t| t.name.clone())
-            .collect()
-    }
 
     /// `(delta rows, tombstones, epoch)` for a table.
     pub fn delta_stats(&self, table: &str) -> Result<(usize, usize, u64), TxnError> {

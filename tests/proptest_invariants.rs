@@ -10,7 +10,7 @@ use morsel_repro::exec::expr::LikePattern;
 use morsel_repro::exec::ht::TaggedHashTable;
 use morsel_repro::exec::join::{join_slot, HtInsertJob, JoinSlot, ProbeOp};
 use morsel_repro::exec::pipeline::{FilterOp, PipeOp, SelBatch};
-use morsel_repro::exec::sort::{is_sorted, sort_batch, SortKey};
+use morsel_repro::exec::sort::{sort_batch, SortKey};
 use morsel_repro::prelude::*;
 use morsel_repro::storage::{date_parts, hash64, AreaSet, StorageArea};
 use proptest::prelude::*;
@@ -101,8 +101,8 @@ proptest! {
         let batch = Batch::from_columns(vec![Column::I64(values.clone())]);
         let key = if desc { SortKey::desc(0) } else { SortKey::asc(0) };
         let sorted = sort_batch(&batch, &[key]);
-        prop_assert!(is_sorted(&sorted, &[key]));
         let mut got = sorted.column(0).as_i64().to_vec();
+        prop_assert!(got.windows(2).all(|w| if desc { w[0] >= w[1] } else { w[0] <= w[1] }));
         got.sort_unstable();
         values.sort_unstable();
         prop_assert_eq!(got, values);
