@@ -50,6 +50,7 @@ fn bench_plan_search(c: &mut Criterion) {
                 label: format!("r{i}"),
                 rows: 1_000.0 * (i + 1) as f64,
                 width: 16.0,
+                cols: 2,
                 key_ndv: HashMap::from([
                     ("l".to_owned(), 500.0 * (i + 1) as f64),
                     ("r".to_owned(), 500.0 * (i + 1) as f64),

@@ -4,9 +4,9 @@
 //! For every query that exists both as a hand plan and as a SQL fixture,
 //! `plan_quality` binds the text, plans it with the cost-based planner and
 //! compares the result against the hand plan on equal footing: both are
-//! priced by the same estimator + NUMA cost model (simulated cost) and
-//! both are run in the virtual-time executor (simulated wall clock),
-//! across scale factors. `explain` prints one query's chosen join order
+//! priced from the charges their operators book, at the same estimates
+//! (`plan_cost`), and both are run in the virtual-time executor
+//! (simulated wall clock), across scale factors. `explain` prints one query's chosen join order
 //! and per-operator estimated vs. actual cardinalities, optd-demo style.
 
 use morsel_core::ExecEnv;
@@ -87,8 +87,8 @@ pub fn plan_quality(cfg: &ExpConfig) -> String {
     };
     let mut out = String::from(
         "plan_quality: cost-based planner vs hand-authored plans\n\
-         (cost = simulated virtual ns under the shared NUMA model; time = \n\
-         virtual-time executor seconds, 16 workers)\n\n",
+         (cost = virtual ns of the operators' charges at estimated counts; \n\
+         time = virtual-time executor seconds, 16 workers)\n\n",
     );
     for &(sf, ssb_sf) in &scales {
         let mut table = Table::new(&[

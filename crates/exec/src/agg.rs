@@ -19,10 +19,10 @@ use morsel_numa::SocketId;
 use morsel_storage::{AreaSet, Batch, Column, DataType, Schema, StorageArea};
 use parking_lot::Mutex;
 
+use crate::charge;
 use crate::key::{for_each_row, FxHashSet, KeyLayout, Keys, Rows};
 use crate::pipeline::SelBatch;
 use crate::sink::{AreaSlot, Sink};
-use crate::weights;
 
 /// Number of overflow partitions ("more partitions than worker threads",
 /// Section 4.4 — 64 matches the paper's largest thread count).
@@ -262,7 +262,7 @@ impl Groups {
     /// Approximate bytes of the entries (keys + one 16-byte state per
     /// aggregate), for traffic accounting.
     fn entry_bytes(&self, layout: &KeyLayout, n_aggs: usize) -> u64 {
-        layout.charged_bytes(&self.keys, self.len()) + (16 * n_aggs * self.len()) as u64
+        layout.charged_bytes(&self.keys, self.len(), n_aggs)
     }
 }
 
@@ -553,10 +553,6 @@ impl Sink for AggPartialSink {
         if input.is_empty() {
             return;
         }
-        ctx.cpu(
-            input.rows() as u64,
-            weights::HASH_NS + weights::AGG_UPDATE_NS * self.aggs.len() as f64,
-        );
         let layout = self
             .layout
             .get_or_init(|| Arc::new(KeyLayout::compile(&input.batch, &self.group_cols)));
@@ -578,8 +574,9 @@ impl Sink for AggPartialSink {
             // append by one morsel at most — refusal fails the query and
             // execution stops at this morsel boundary.
             let _ = ctx.try_reserve(spilled_bytes);
-            ctx.write(self.worker_nodes[ctx.worker], spilled_bytes);
         }
+        charge::agg_update(input.rows() as f64, self.aggs.len(), spilled_bytes as f64)
+            .book(ctx, &[]);
     }
 
     fn finish(&self, ctx: &mut TaskContext<'_>) {
@@ -605,9 +602,10 @@ impl Sink for AggPartialSink {
             }
         }
         // The final flush converts bounded pre-agg tables into spill
-        // fragments that outlive this pipeline; account for them.
+        // fragments that outlive this pipeline; account for them. It is a
+        // spill of every table, with no rows of its own.
         let _ = ctx.try_reserve(bytes);
-        ctx.write(ctx.socket, bytes);
+        charge::agg_update(0.0, self.aggs.len(), bytes as f64).book(ctx, &[]);
         *self.out.lock() = Some(Arc::new(AggPartitions {
             parts,
             rows,
@@ -703,10 +701,11 @@ impl AggMergeJob {
         };
         let entries = self.input.rows[p];
         let mut table = GroupTable::new(entries, usize::MAX, &self.ops);
+        let mut reads = Vec::with_capacity(self.input.parts[p].len());
         for (node, frag) in &self.input.parts[p] {
             // Exclusive consumption: take the fragment, its sets and all.
             let frag = std::mem::take(&mut *frag.lock());
-            ctx.read(*node, frag.entry_bytes(layout, self.aggs.len()));
+            reads.push((*node, frag.entry_bytes(layout, self.aggs.len())));
             // A fragment holds each key once per spill: never clustered.
             table.upsert(layout, &self.ops, &frag.hashes, &frag.keys, 0, false);
             merge_lanes(
@@ -716,30 +715,28 @@ impl AggMergeJob {
                 &table.group_of,
             );
         }
-        ctx.cpu(
-            entries as u64,
-            weights::AGG_MERGE_NS * self.aggs.len() as f64,
-        );
         let groups = table.groups;
         let n_groups = groups.len();
-        if n_groups == 0 {
-            return 0;
+        let mut written = 0;
+        if n_groups > 0 {
+            let types = self.schema.data_types();
+            let mut cols = layout.emit(
+                &groups.keys,
+                n_groups,
+                &types[..types.len() - self.aggs.len()],
+            );
+            cols.extend(emit_lanes(&self.aggs, &self.of_agg, &groups.lanes));
+            let batch = Batch::from_columns(cols);
+            // The merged partition's result rows are retained in the worker
+            // area until the next stage consumes them.
+            if ctx.try_reserve(batch.total_bytes()).is_ok() {
+                written = batch.total_bytes();
+                self.areas[ctx.worker].lock().data_mut().append(batch);
+            }
         }
-        let types = self.schema.data_types();
-        let mut cols = layout.emit(
-            &groups.keys,
-            n_groups,
-            &types[..types.len() - self.aggs.len()],
-        );
-        cols.extend(emit_lanes(&self.aggs, &self.of_agg, &groups.lanes));
-        let batch = Batch::from_columns(cols);
-        // The merged partition's result rows are retained in the worker
-        // area until the next stage consumes them.
-        if ctx.try_reserve(batch.total_bytes()).is_ok() {
-            let mut area = self.areas[ctx.worker].lock();
-            ctx.write(area.node(), batch.total_bytes());
-            area.data_mut().append(batch);
-        }
+        let read: u64 = reads.iter().map(|&(_, bytes)| bytes).sum();
+        charge::agg_merge(entries as f64, self.aggs.len(), read as f64, written as f64)
+            .book(ctx, &reads);
         n_groups
     }
 }

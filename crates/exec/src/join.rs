@@ -10,18 +10,22 @@
 use std::sync::{Arc, OnceLock};
 
 use morsel_core::{Morsel, PipelineJob, TaskContext};
+use morsel_numa::SocketId;
 use morsel_storage::{AreaSet, Batch, Column, DataType};
 
+use crate::charge;
 use crate::ht::TaggedHashTable;
 use crate::key::{hash_rows, MatchCandidates, Rows};
 use crate::pipeline::{PipeOp, SelBatch};
-use crate::weights;
 
 /// A completed build side: hash table + the tuples it points into.
 pub struct JoinTable {
     pub ht: Arc<TaggedHashTable>,
     pub build: Arc<AreaSet>,
     pub key_cols: Vec<usize>,
+    /// Bytes of the build tuples: the size of the table its accesses are
+    /// charged against.
+    pub bytes: u64,
 }
 
 /// Slot through which the probe pipeline receives the build result.
@@ -38,6 +42,8 @@ pub struct HtInsertJob {
     ht: Arc<TaggedHashTable>,
     build: Arc<AreaSet>,
     key_cols: Vec<usize>,
+    /// [`JoinTable::bytes`], counted once.
+    bytes: u64,
     out: JoinSlot,
     /// Profile slot of the join plan node (credited with build rows).
     prof_slot: Option<u32>,
@@ -62,6 +68,7 @@ impl HtInsertJob {
         let ht = Arc::new(TaggedHashTable::with_tagging(&rows, sockets, tagging));
         HtInsertJob {
             ht,
+            bytes: build.total_bytes(),
             build,
             key_cols,
             out,
@@ -81,24 +88,15 @@ impl PipelineJob for HtInsertJob {
         let area = self.build.area(morsel.chunk);
         let batch = area.data();
         let rows = morsel.range.len() as u64;
-
-        // Stream the key columns from the area's node.
-        let mut key_bytes = 0;
-        for &c in &self.key_cols {
-            key_bytes += batch
-                .column(c)
-                .byte_size(morsel.range.start, morsel.range.end);
-        }
-        ctx.read(area.node(), key_bytes);
-        // Inserts touch a random interleaved directory word, but unlike
-        // probe loads they are not *dependent* accesses: the CAS result is
-        // not needed before the next tuple, so the store buffer and
-        // out-of-order execution hide most of the miss latency (this is
-        // why the paper's lock-free build scales). Charge a quarter of the
-        // misses as unhidden.
-        ctx.random_access_interleaved(rows / 4);
-        ctx.write_spread(rows * (weights::HT_DIR_BYTES + weights::HT_ENTRY_BYTES));
-        ctx.cpu(rows, weights::HASH_NS + weights::INSERT_NS);
+        let key_bytes: u64 = (self.key_cols.iter())
+            .map(|&c| {
+                batch
+                    .column(c)
+                    .byte_size(morsel.range.start, morsel.range.end)
+            })
+            .sum();
+        charge::hash_build(rows as f64, key_bytes as f64, self.bytes as f64)
+            .book(ctx, &[(area.node(), key_bytes)]);
 
         if let Some(slot) = self.prof_slot {
             ctx.prof_build_rows(slot, rows);
@@ -116,6 +114,7 @@ impl PipelineJob for HtInsertJob {
             ht: Arc::clone(&self.ht),
             build: Arc::clone(&self.build),
             key_cols: self.key_cols.clone(),
+            bytes: self.bytes,
         };
         self.out
             .set(Arc::new(table))
@@ -174,11 +173,6 @@ impl PipeOp for ProbeOp {
             .expect("probe ran before build completed")
             .clone();
         let rows = input.rows();
-        ctx.cpu(rows as u64, weights::HASH_NS + weights::PROBE_NS);
-        // Directory lookups: dependent random accesses, interleaved.
-        ctx.random_access_interleaved(rows as u64);
-        ctx.read_spread(rows as u64 * weights::HT_DIR_BYTES);
-
         // One columnar hashing pass over the live rows, then the batched
         // directory walk. Candidates name the underlying batch row, which
         // is what the key comparison, the output gather and the per-row
@@ -191,6 +185,27 @@ impl PipeOp for ProbeOp {
             cand.push(live.at(i as usize) as u32, a, r);
         });
         cand.retain_key_equal(&input.batch, &self.probe_keys, &jt.build, &jt.key_cols);
+        let inner = matches!(self.kind, JoinKind::Inner | JoinKind::InnerMark);
+        // An inner join reads its build payload from each area's node.
+        let payload: Vec<(SocketId, u64)> = if inner && !self.build_cols.is_empty() {
+            let bytes = payload_bytes(&jt.build, &self.build_cols, cand.locs());
+            (jt.build.areas().iter().map(|a| a.node()))
+                .zip(bytes)
+                .filter(|&(_, b)| b > 0)
+                .collect()
+        } else {
+            Vec::new()
+        };
+        charge::hash_probe(
+            self.kind,
+            rows as f64,
+            traversed as f64,
+            cand.len() as f64,
+            input.batch.width() + self.build_cols.len(),
+            payload.iter().map(|&(_, b)| b).sum::<u64>() as f64,
+            jt.bytes as f64,
+        )
+        .book(ctx, &payload);
 
         match self.kind {
             JoinKind::Inner | JoinKind::InnerMark => {
@@ -199,7 +214,6 @@ impl PipeOp for ProbeOp {
                         jt.ht.set_marker(jt.ht.entry_index(a, r));
                     }
                 }
-                self.charge_chain(ctx, traversed, &jt, cand.locs());
                 // Assemble output: one gather per probe column through the
                 // match list, then one typed gather per build column.
                 // Dictionary columns gather codes and stay encoded.
@@ -216,16 +230,10 @@ impl PipeOp for ProbeOp {
                 for &bc in &self.build_cols {
                     out_cols.push(cand.gather_build_column(&jt.build, bc));
                 }
-                ctx.cpu(
-                    cand.len() as u64,
-                    weights::MATCH_NS
-                        + weights::GATHER_NS * (input.batch.width() + self.build_cols.len()) as f64,
-                );
                 SelBatch::dense(Batch::from_columns(out_cols))
             }
             JoinKind::Semi | JoinKind::Anti => {
                 let want = self.kind == JoinKind::Semi;
-                self.charge_chain(ctx, traversed, &jt, std::iter::empty());
                 let mut found = vec![false; input.batch.rows()];
                 for &p in &cand.probe_row {
                     found[p as usize] = true;
@@ -240,7 +248,6 @@ impl PipeOp for ProbeOp {
                 .compact_if_sparse(ctx)
             }
             JoinKind::Count => {
-                self.charge_chain(ctx, traversed, &jt, std::iter::empty());
                 let mut counts = vec![0i64; input.batch.rows()];
                 for &p in &cand.probe_row {
                     counts[p as usize] += 1;
@@ -271,35 +278,6 @@ impl PipeOp for ProbeOp {
             JoinKind::Count => t.push(DataType::I64),
         }
         t
-    }
-}
-
-impl ProbeOp {
-    /// Charge chain traversal plus, for inner joins, the build-payload
-    /// gather bytes from each area's node (`match_locs` yields one
-    /// `(area, row)` per produced match).
-    fn charge_chain<I: Iterator<Item = (usize, usize)>>(
-        &self,
-        ctx: &mut TaskContext<'_>,
-        traversed: u64,
-        jt: &JoinTable,
-        match_locs: I,
-    ) {
-        ctx.cpu(traversed, weights::CHAIN_NS);
-        ctx.read_spread(traversed * weights::HT_ENTRY_BYTES);
-        if self.build_cols.is_empty() {
-            return;
-        }
-        for (area, bytes) in
-            jt.build
-                .areas()
-                .iter()
-                .zip(payload_bytes(&jt.build, &self.build_cols, match_locs))
-        {
-            if bytes > 0 {
-                ctx.read(area.node(), bytes);
-            }
-        }
     }
 }
 

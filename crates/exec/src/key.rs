@@ -17,6 +17,8 @@ use morsel_storage::{
     hash_bytes, hash_combine, hash_i64, AreaSet, Batch, Column, DataType, DictColumn, Dictionary,
 };
 
+use crate::charge;
+
 /// Canonical bit pattern of an `f64` key: `-0.0` normalizes to `0.0` so
 /// that values that compare equal also hash equal, and every NaN becomes
 /// the one quiet NaN. A group key *is* these bits, so all NaNs form one
@@ -559,18 +561,18 @@ impl KeyLayout {
         }
     }
 
-    /// Bytes the cost model charges for moving the `n` keys of `keys` —
-    /// its traffic accounting, not the layout: 8 for one column (+ the
-    /// bytes of a lone string), 16 for two fixed ones, 12 per part beyond.
-    pub(crate) fn charged_bytes(&self, keys: &Keys, n: usize) -> u64 {
+    /// Bytes the cost model charges for moving `n` group entries with the
+    /// keys of `keys` and `aggs` aggregate states — its traffic
+    /// accounting ([`charge::agg_entry_bytes`]), not the layout, plus the
+    /// bytes of a lone string key.
+    pub(crate) fn charged_bytes(&self, keys: &Keys, n: usize, aggs: usize) -> u64 {
         let strings = self.slots.iter().filter(|&&(width, _)| width == 0).count();
-        let (per_key, lone_string) = match (self.slots.len(), strings) {
-            (1, 1) => (8, keys.bytes.len() - 4 * n),
-            (0 | 1, _) => (8, 0),
-            (2, 0) => (16, 0),
-            (parts, _) => (12 * parts, 0),
+        let lone_string = if (self.slots.len(), strings) == (1, 1) {
+            keys.bytes.len() - 4 * n
+        } else {
+            0
         };
-        (per_key * n + lone_string) as u64
+        charge::agg_entry_bytes(self.slots.len(), strings, aggs) * n as u64 + lone_string as u64
     }
 
     /// Hash and pack the group columns of `rows`, one pass per column,
@@ -993,7 +995,7 @@ mod tests {
         // packing: 8, 16, then 12 per part; a lone string adds its length.
         let charge = |cols: &[usize]| {
             let (layout, _, keys) = extracted(&b, cols);
-            layout.charged_bytes(&keys, 1)
+            layout.charged_bytes(&keys, 1, 0)
         };
         assert_eq!(charge(&[]), 8);
         assert_eq!(charge(&[4]), 8);

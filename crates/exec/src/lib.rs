@@ -10,6 +10,7 @@
 //! paper's compared [`variant::SystemVariant`]s.
 
 pub mod agg;
+pub mod charge;
 pub mod expr;
 pub mod ht;
 pub mod join;
@@ -22,7 +23,6 @@ pub mod sink;
 pub mod sort;
 pub mod source;
 pub mod variant;
-pub mod weights;
 
 pub use agg::AggFn;
 pub use expr::Expr;

@@ -20,12 +20,12 @@ use std::sync::{Arc, OnceLock};
 use morsel_core::{Morsel, PipelineJob, TaskContext};
 use morsel_storage::{Batch, Column, DataType};
 
+use crate::charge::{self, ScanShape};
 use crate::expr::Expr;
 use crate::key::Rows;
 use crate::predicate::Predicate;
 use crate::sink::Sink;
 use crate::source::InputSource;
-use crate::weights;
 
 /// Compact a selection when fewer than `1/SEL_COMPACT_DENOM` of the
 /// underlying rows survive.
@@ -71,10 +71,7 @@ impl SelBatch {
         match self.sel {
             None => self.batch,
             Some(sel) => {
-                ctx.cpu(
-                    sel.len() as u64,
-                    weights::GATHER_NS * self.batch.width() as f64,
-                );
+                charge::materialize(sel.len() as f64, self.batch.width(), 0.0).book(ctx, &[]);
                 self.batch.gather(&sel)
             }
         }
@@ -130,24 +127,11 @@ impl PipeOp for FilterOp {
             Predicate::compile(&self.predicate, &types)
         });
         let underlying = input.batch.rows();
-        let per_row = f64::from(predicate.weight()) * weights::EXPR_NODE_NS;
+        let selected = input.sel.as_ref().map(|sel| sel.len() as f64);
+        charge::filter(underlying as f64, selected, predicate.weight()).book(ctx, &[]);
         let sel = match input.sel {
-            None => {
-                ctx.cpu(underlying as u64, per_row);
-                predicate.select(&input.batch, 0..underlying)
-            }
-            Some(sel) => {
-                // The modelled machine pays per selected row plus a gather
-                // under a sparse selection and per underlying row under a
-                // dense one (`weights::SPARSE_FILTER_DENOM`); the kernels
-                // here only ever touch the selected rows.
-                if sel.len() * weights::SPARSE_FILTER_DENOM < underlying {
-                    ctx.cpu(sel.len() as u64, per_row + weights::GATHER_NS);
-                } else {
-                    ctx.cpu(underlying as u64, per_row);
-                }
-                predicate.narrow(&input.batch, sel)
-            }
+            None => predicate.select(&input.batch, 0..underlying),
+            Some(sel) => predicate.narrow(&input.batch, sel),
         };
         SelBatch {
             batch: input.batch,
@@ -172,10 +156,7 @@ impl PipeOp for MapOp {
     fn apply(&self, ctx: &mut TaskContext<'_>, input: SelBatch) -> SelBatch {
         let input = input.materialize(ctx);
         let weight: u32 = self.exprs.iter().map(Expr::weight).sum();
-        ctx.cpu(
-            input.rows() as u64,
-            f64::from(weight) * weights::EXPR_NODE_NS,
-        );
+        charge::map(input.rows() as f64, weight).book(ctx, &[]);
         let cols: Vec<Column> = self
             .exprs
             .iter()
@@ -204,18 +185,13 @@ pub struct ExecPipeline {
     filter: Option<Predicate>,
     /// Projection over the source schema building the working batch.
     projection: Vec<Expr>,
-    /// Source columns referenced by filter+projection (sorted): what the
-    /// cost model charges the scan for reading and gathering.
-    used: Vec<usize>,
+    /// What the scan is charged for reading, gathering and evaluating.
+    shape: ScanShape,
     /// Source columns the projection reads (sorted): what the scan
     /// gathers. The filter runs against the source batch in place.
     gathered: Vec<usize>,
     /// One step per projected column, over the gathered columns.
     steps: Vec<Project>,
-    /// Expression nodes the cost model charges per kept row for the
-    /// projection: none when it is exactly the `used` columns in order
-    /// with no `I32` among them (which a projection widens).
-    projection_weight: u32,
     ops: Vec<Box<dyn PipeOp>>,
     sink: Box<dyn Sink>,
     /// Extra per-tuple CPU charged at the scan (Volcano exchange
@@ -246,20 +222,7 @@ impl ExecPipeline {
             p.referenced_cols(&mut gathered);
         }
         gathered.sort_unstable();
-        let mut used = gathered.clone();
-        if let Some(f) = &filter {
-            f.referenced_cols(&mut used);
-        }
-        used.sort_unstable();
-        let identity = projection.len() == used.len()
-            && projection.iter().zip(&used).all(|(e, &u)| {
-                matches!(e, Expr::Col(c) if *c == u) && src_types[u] != DataType::I32
-            });
-        let projection_weight = if identity {
-            0
-        } else {
-            projection.iter().map(Expr::weight).sum()
-        };
+        let shape = ScanShape::of(filter.as_ref(), projection.iter(), &src_types);
         let mut map = vec![None; src_types.len()];
         for (new, &old) in gathered.iter().enumerate() {
             map[old] = Some(new);
@@ -287,10 +250,9 @@ impl ExecPipeline {
             source,
             filter: filter.map(|f| Predicate::compile(&f, &src_types)),
             projection,
-            used,
+            shape,
             gathered,
             steps,
-            projection_weight,
             ops,
             sink,
             extra_scan_ns: 0.0,
@@ -339,27 +301,29 @@ impl ExecPipeline {
 
     fn scan(&self, ctx: &mut TaskContext<'_>, chunk: usize, range: Range<usize>) -> Batch {
         let (batch, node) = self.source.chunk(chunk);
-        let rows = range.len() as u64;
+        let shape = &self.shape;
         // Streaming read of the referenced columns from the chunk's node.
-        let mut bytes = 0;
-        for &c in &self.used {
-            bytes += batch.column(c).byte_size(range.start, range.end);
-        }
-        ctx.read(node, bytes);
-        if self.extra_scan_ns > 0.0 {
-            ctx.cpu(rows, self.extra_scan_ns);
-        }
+        let bytes: u64 = (shape.used.iter())
+            .map(|&c| batch.column(c).byte_size(range.start, range.end))
+            .sum();
 
         // The filter runs over the source columns where they lie and
         // yields the selection every projected column is gathered through,
         // once. A selection that keeps every row (or no filter at all)
         // takes the contiguous memcpy path instead of an indexed gather.
-        let sel: Option<Vec<u32>> = self.filter.as_ref().map(|f| {
-            ctx.cpu(rows, f64::from(f.weight()) * weights::EXPR_NODE_NS);
-            f.select(batch, range.clone())
-        });
+        let sel: Option<Vec<u32>> = self.filter.as_ref().map(|f| f.select(batch, range.clone()));
         let sel = sel.filter(|s| s.len() < range.len());
         let kept = sel.as_ref().map_or(range.len(), Vec::len);
+        charge::scan(
+            range.len() as f64,
+            kept as f64,
+            shape.used.len(),
+            bytes as f64,
+            shape.filter_weight,
+            shape.projection_weight,
+            self.extra_scan_ns,
+        )
+        .book(ctx, &[(node, bytes)]);
         let gather_one = |c: usize| -> Column {
             // `with_capacity_like` keeps dictionary columns encoded: the
             // scan moves 4-byte codes, never strings.
@@ -372,15 +336,6 @@ impl ExecPipeline {
             col
         };
         let compact = Batch::from_columns(self.gathered.iter().map(|&c| gather_one(c)).collect());
-        // What the modelled scan pays: a gather of every referenced
-        // column, then the projection's expression work.
-        ctx.cpu(kept as u64, weights::GATHER_NS * self.used.len() as f64);
-        if self.projection_weight > 0 {
-            ctx.cpu(
-                kept as u64,
-                f64::from(self.projection_weight) * weights::EXPR_NODE_NS,
-            );
-        }
 
         // Projection to the working batch: evaluate what is computed
         // against the intact gathered batch, then move the bare column
@@ -617,9 +572,9 @@ mod tests {
         let mut ctx = TaskContext::new(&env, 0);
         let out = pipe.scan(&mut ctx, 3, 0..25);
         assert_eq!(out.column(0).as_i64(), &(75..100).collect::<Vec<_>>()[..]);
-        let want = 25.0 * 3.0 * weights::EXPR_NODE_NS
-            + 25.0 * 2.0 * weights::GATHER_NS
-            + 25.0 * weights::EXPR_NODE_NS;
+        let want = 25.0 * 3.0 * charge::EXPR_NODE_NS
+            + 25.0 * 2.0 * charge::GATHER_NS
+            + 25.0 * charge::EXPR_NODE_NS;
         let got = ctx.profile().cpu_ns;
         assert!((got - want).abs() < 1e-9, "{got} vs {want}");
         assert_eq!(env.counters().snapshot().total_read(), 25 * 16);
@@ -652,13 +607,13 @@ mod tests {
         let env = ExecEnv::new(Topology::laptop());
         let batch = Batch::from_columns(vec![Column::I64((0..100).collect())]);
         let f = FilterOp::new(gt(col(0), lit(-1)));
-        let per_row = 3.0 * weights::EXPR_NODE_NS;
+        let per_row = 3.0 * charge::EXPR_NODE_NS;
         for (sel, want) in [
             (None, 100.0 * per_row),
             (Some((0..50).collect::<Vec<u32>>()), 100.0 * per_row),
             (
                 Some((0..49).collect::<Vec<u32>>()),
-                49.0 * (per_row + weights::GATHER_NS),
+                49.0 * (per_row + charge::GATHER_NS),
             ),
         ] {
             let mut ctx = TaskContext::new(&env, 0);

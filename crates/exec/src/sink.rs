@@ -7,6 +7,7 @@ use morsel_core::TaskContext;
 use morsel_storage::{AreaSet, Schema, StorageArea};
 use parking_lot::Mutex;
 
+use crate::charge;
 use crate::pipeline::SelBatch;
 
 /// Shared slot holding a completed pipeline's materialized output.
@@ -75,11 +76,8 @@ impl Sink for MaterializeSink {
             return;
         }
         let mut area = self.areas[ctx.worker].lock();
-        ctx.cpu(
-            input.rows() as u64,
-            crate::weights::GATHER_NS * input.batch.width() as f64,
-        );
-        ctx.write(area.node(), appended);
+        charge::materialize(input.rows() as f64, input.batch.width(), appended as f64)
+            .book(ctx, &[]);
         match &input.sel {
             None => area.data_mut().extend_from(&input.batch),
             Some(sel) => {

@@ -19,9 +19,9 @@ use morsel_numa::SocketId;
 use morsel_storage::{AreaSet, Batch, Column, Schema};
 use parking_lot::Mutex;
 
+use crate::charge;
 use crate::pipeline::SelBatch;
 use crate::sink::{AreaSlot, Sink};
-use crate::weights;
 
 /// One sort key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,27 +147,19 @@ impl PipelineJob for LocalSortJob {
         let n = batch.rows();
         // The sorted copy of this area is retained until the merge:
         // charge it before doing the n log n work.
-        if ctx.try_reserve(batch.total_bytes()).is_err() {
+        let bytes = batch.total_bytes();
+        if ctx.try_reserve(bytes).is_err() {
             return;
         }
-        ctx.read(area.node(), batch.total_bytes());
-        // n log n comparisons.
-        let cmps = if n > 1 {
-            n as f64 * (n as f64).log2()
-        } else {
-            0.0
-        };
-        ctx.cpu(
-            1,
-            cmps * weights::SORT_CMP_NS * self.keys.len().max(1) as f64,
-        );
         let t0 = (ctx.profiling() && self.prof_slot.is_some()).then(std::time::Instant::now);
         let sorted = sort_batch(batch, &self.keys);
         if let (Some(slot), Some(t0)) = (self.prof_slot, t0) {
             ctx.prof_fragments(slot, 1);
             ctx.prof_wall_ns(slot, t0.elapsed().as_nanos() as u64);
         }
-        ctx.write(ctx.socket, sorted.total_bytes());
+        let out = sorted.total_bytes() as f64;
+        charge::local_sort(n as f64, self.keys.len(), bytes as f64, out)
+            .book(ctx, &[(area.node(), bytes)]);
         *self.sorted[morsel.chunk].lock() = Some(sorted);
     }
 
@@ -332,22 +324,18 @@ impl PipelineJob for MergeJob {
             .filter(|&(_, lo, hi)| lo < hi)
             .collect();
         let total: usize = cursors.iter().map(|&(_, lo, hi)| hi - lo).sum();
-        // Charge reads from each run's node; the merged segment retains
-        // the same bytes, so reserve them before merging.
-        let mut seg_bytes = 0u64;
-        for &(r, lo, hi) in &cursors {
-            let (node, run) = &runs.runs[r];
-            let bytes = run.byte_size(lo, hi);
-            ctx.read(*node, bytes);
-            seg_bytes += bytes;
-        }
+        // Reads come from each run's node; the merged segment retains the
+        // same bytes, so reserve them before merging.
+        let reads: Vec<(SocketId, u64)> = (cursors.iter())
+            .map(|&(r, lo, hi)| (runs.runs[r].0, runs.runs[r].1.byte_size(lo, hi)))
+            .collect();
+        let seg_bytes: u64 = reads.iter().map(|&(_, bytes)| bytes).sum();
+        let n_runs = cursors.len();
         if ctx.try_reserve(seg_bytes).is_err() {
+            // Refused: the runs were read, nothing was merged.
+            charge::merge(0.0, n_runs, seg_bytes as f64, 0.0).book(ctx, &reads);
             return;
         }
-        ctx.cpu(
-            total as u64,
-            weights::MERGE_NS * (cursors.len().max(2) as f64).log2(),
-        );
 
         let types = self.schema.data_types();
         let mut out = Batch::empty(&types);
@@ -368,7 +356,8 @@ impl PipelineJob for MergeJob {
                 cursors.swap_remove(best);
             }
         }
-        ctx.write(ctx.socket, out.total_bytes());
+        let written = out.total_bytes() as f64;
+        charge::merge(total as f64, n_runs, seg_bytes as f64, written).book(ctx, &reads);
         *self.segments_out[seg].lock() = Some(out);
     }
 
@@ -469,10 +458,7 @@ impl Sink for TopKSink {
             return;
         }
         let mut best = self.workers[ctx.worker].lock();
-        ctx.cpu(
-            input.rows() as u64,
-            weights::SORT_CMP_NS * ((self.k.max(2)) as f64).log2(),
-        );
+        charge::top_k(input.rows() as f64, self.k).book(ctx, &[]);
         let (batch, keys) = (&input.batch, self.keys.as_slice());
         // Select before copying: an incoming row can only enter a full
         // held set by beating its last row, and of those that do, only the

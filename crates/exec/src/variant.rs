@@ -10,7 +10,7 @@
 use morsel_core::SchedulingMode;
 use morsel_numa::Placement;
 
-use crate::weights;
+use crate::charge;
 
 /// Knobs that distinguish the compared systems.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,7 +74,7 @@ impl SystemVariant {
             static_division: true,
             placement: Placement::Interleaved,
             tagging: false,
-            exchange_ns: weights::EXCHANGE_NS,
+            exchange_ns: charge::EXCHANGE_NS,
         }
     }
 

@@ -1,29 +1,37 @@
-//! Simulated operator costs on top of the calibrated NUMA model.
+//! Plan costs from the operators' own charges.
 //!
-//! The planner prices candidate plans in virtual nanoseconds of total
-//! work using the same [`CostModel`] that drives the discrete-event
-//! executor: scans and materializations are streaming transfers
-//! ([`CostModel::stream_ns`]), hash-table builds and probes are dependent
-//! random accesses ([`CostModel::random_ns`]) whose miss rate scales with
-//! how far the table outgrows the last-level cache, and CPU work overlaps
-//! with streaming but not with stalls ([`CostModel::combine`]).
+//! The planner keeps no price list of its own. [`plan_charges`] maps each
+//! plan node to the operators it compiles to — a join to its build-side
+//! materialization, hash-table insert and probe; an aggregation to its
+//! pre-aggregation and partition merge; a sort to its materialization,
+//! local sort and merge, or its top-k heap — and asks
+//! [`morsel_exec::charge`] what each costs, with estimated counts where
+//! the operators pass actual ones. [`CostParams::price`] turns a charge
+//! into virtual nanoseconds under the calibrated [`CostModel`] the
+//! discrete-event executor runs on: streaming overlaps with CPU, stalls do
+//! not ([`CostModel::combine`]), and since the hash table is interleaved
+//! across sockets (Section 4.2 of the paper), `1 - 1/sockets` of its bytes
+//! and misses are one hop away.
 //!
-//! Hash tables are NUMA-spread (Section 4.2 of the paper: the table is
-//! interleaved across sockets), so `1 - 1/sockets` of the probe misses
-//! pay a one-hop latency. That term is what makes a small build side
-//! cheap — the signal the join enumerator optimizes.
+//! One term is the planner's alone: an access into a hash table misses the
+//! cache at the rate `min(1, table bytes / CACHE_BYTES)`, which is what
+//! makes a small build side cheap — the signal the join enumerator
+//! optimizes. The simulator books every access as a miss, which is what
+//! reproduces the paper's SF 100 machine at the small scale factors here.
+//! At SF 0.1 a planner that does the same builds tables that fit in cache
+//! as if they did not, and picks slower join orders (DESIGN.md §8).
 
-use morsel_exec::plan::Plan;
+use morsel_exec::agg::PREAGG_CAPACITY;
+use morsel_exec::charge::{self, Charge, ScanShape};
+use morsel_exec::expr::col;
+use morsel_exec::join::JoinKind;
+use morsel_exec::pipeline::SEL_COMPACT_DENOM;
+use morsel_exec::plan::{Plan, TOPK_THRESHOLD};
 use morsel_numa::{CostModel, Topology};
+use morsel_storage::DataType;
 
-use crate::estimate::{EstMemo, Estimator, PlanEst};
+use crate::estimate::{combined_ndv, EstMemo, Estimator, PlanEst};
 
-/// CPU nanoseconds per expression-weight unit per row.
-const CPU_NS_PER_WEIGHT: f64 = 0.4;
-/// CPU nanoseconds to hash a key and walk a bucket.
-const HASH_CPU_NS: f64 = 2.5;
-/// CPU nanoseconds per comparison in a sort.
-const SORT_CPU_NS: f64 = 1.5;
 /// Effective last-level cache per socket: accesses to hash tables smaller
 /// than this mostly hit cache and pay no memory stall.
 const CACHE_BYTES: f64 = 8.0 * (1 << 20) as f64;
@@ -43,58 +51,80 @@ impl CostParams {
         }
     }
 
-    /// Streaming cost of moving `bytes` (NUMA-local: morsel scheduling
-    /// keeps scans on the partition's socket).
-    fn stream(&self, bytes: f64) -> f64 {
-        self.model.stream_ns(bytes.max(0.0) as u64, 0, 1, 0)
+    /// Virtual nanoseconds of `charge` on one worker of an idle machine.
+    /// Reads and writes are NUMA-local: morsel scheduling keeps a scan on
+    /// its partition's socket, and operators write to their worker's own.
+    pub fn price(&self, charge: &Charge) -> f64 {
+        let sockets = f64::from(self.sockets);
+        let spread = charge.spread_read + charge.spread_write;
+        let local = charge.read + charge.write + spread / sockets;
+        let stream = self.model.stream_ns(local as u64, 0, 1, 0)
+            + self
+                .model
+                .stream_ns((spread - spread / sockets) as u64, 1, 1, 1);
+        let misses = charge.accesses * (charge.table_bytes / CACHE_BYTES).min(1.0);
+        let stall = self.model.random_ns((misses / sockets) as u64, 0)
+            + self.model.random_ns((misses - misses / sockets) as u64, 1);
+        self.model.combine(charge.cpu_ns(), stream, stall)
     }
 
-    /// Stall cost of `misses` dependent accesses into a socket-spread
-    /// structure: `1/sockets` of them are local, the rest one hop away.
-    fn spread_random(&self, misses: f64) -> f64 {
-        let misses = misses.max(0.0);
-        let local = misses / f64::from(self.sockets);
-        let remote = misses - local;
-        self.model.random_ns(local as u64, 0) + self.model.random_ns(remote as u64, 1)
+    /// Cost of one inner hash-join step of the join enumerator, whose
+    /// inputs carry every column of their relations: `keys` join-key
+    /// columns of 8 bytes, and the build side's columns all carried as
+    /// payload into the `out_rows` matches.
+    pub(crate) fn join_step(&self, build: Side, probe: Side, keys: usize, out_rows: f64) -> f64 {
+        let emit = Side {
+            rows: out_rows,
+            ..build
+        };
+        join_charges(
+            JoinKind::Inner,
+            build,
+            8.0 * keys as f64,
+            probe,
+            emit,
+            out_rows,
+        )
+        .iter()
+        .map(|c| self.price(c))
+        .sum()
     }
+}
 
-    /// Stall cost of probing/updating a hash structure of `table_bytes`
-    /// total size `accesses` times: fully cached tables stall on nothing,
-    /// tables far beyond cache stall on every access.
-    fn table_random(&self, accesses: f64, table_bytes: f64) -> f64 {
-        let miss_rate = (table_bytes / CACHE_BYTES).min(1.0);
-        self.spread_random(accesses * miss_rate)
-    }
+/// One side of a hash join as the planner prices it.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Side {
+    pub rows: f64,
+    /// Bytes per row.
+    pub width: f64,
+    pub cols: usize,
+}
 
-    /// Cost of one hash-join step. Shared between the DP enumerator's
-    /// incremental search and [`plan_cost`]'s full-plan evaluation so the
-    /// two always agree on what "cheaper" means.
-    pub fn join_step(
-        &self,
-        build_rows: f64,
-        build_bytes: f64,
-        probe_rows: f64,
-        probe_bytes: f64,
-        out_rows: f64,
-        out_bytes: f64,
-    ) -> f64 {
-        // Build: materialize the side, then insert every row (a random
-        // write into the spread table).
-        let build = self.model.combine(
-            build_rows * HASH_CPU_NS,
-            self.stream(build_bytes),
-            self.table_random(build_rows, build_bytes),
-        );
-        // Probe: stream the probe side through, one dependent lookup per
-        // row, then emit matches.
-        let probe = self.model.combine(
-            probe_rows * HASH_CPU_NS,
-            self.stream(probe_bytes),
-            self.table_random(probe_rows, build_bytes),
-        );
-        let emit = self.stream((out_bytes - probe_bytes).max(0.0)) + out_rows * 0.5;
-        build + probe + emit
-    }
+/// The charges of one hash join: materialize the build side, insert it
+/// (keys of `key_width` bytes a row), probe it with the probe side,
+/// walking `traversed` chain links. `emit` is an inner join's output: its
+/// matches, and the build payload each carries.
+fn join_charges(
+    kind: JoinKind,
+    build: Side,
+    key_width: f64,
+    probe: Side,
+    emit: Side,
+    traversed: f64,
+) -> [Charge; 3] {
+    [
+        charge::materialize(build.rows, build.cols, build.rows * build.width),
+        charge::hash_build(build.rows, build.rows * key_width, build.rows * build.width),
+        charge::hash_probe(
+            kind,
+            probe.rows,
+            traversed,
+            emit.rows,
+            probe.cols + emit.cols,
+            emit.rows * emit.width,
+            build.rows * build.width,
+        ),
+    ]
 }
 
 /// Total simulated cost (virtual ns of work) of a physical plan.
@@ -104,75 +134,209 @@ impl CostParams {
 /// the same cardinality estimates.
 pub fn plan_cost(params: &CostParams, est: &Estimator, plan: &Plan) -> f64 {
     // One memo for the whole walk keeps costing linear in plan size.
-    cost_node(params, est, plan, &mut EstMemo::new()).0
+    let mut memo = EstMemo::new();
+    let charges = plan_charges(plan, &mut |p| est.estimate_memo(p, &mut memo));
+    charges.iter().flatten().map(|c| params.price(c)).sum()
 }
 
-/// Returns `(cumulative cost, output estimate)`.
-fn cost_node(
-    params: &CostParams,
-    est: &Estimator,
+/// Every charge `plan` books when it runs, per plan node in profile-slot
+/// order (pre-order, a join's probe subtree before its build subtree),
+/// with each node's output estimated by `est`. A node is charged for the
+/// operators it compiles to; an aggregation or sort below the root also
+/// for the scan of its output by the pipeline above it, and the root for
+/// materializing the result when it is neither.
+pub fn plan_charges(plan: &Plan, est: &mut dyn FnMut(&Plan) -> PlanEst) -> Vec<Vec<Charge>> {
+    let mut out = Vec::new();
+    let root = walk(plan, est, &mut out, true);
+    if !matches!(plan, Plan::Agg { .. } | Plan::Sort { .. }) {
+        let o = &root.est;
+        out[0].push(charge::materialize(o.rows, o.cols.len(), o.bytes()));
+    }
+    out
+}
+
+/// A node's output as the operator it feeds sees it.
+struct Flow {
+    est: PlanEst,
+    /// When the output is a selection vector: the rows of the batch under
+    /// it.
+    under: Option<f64>,
+}
+
+fn walk(
     plan: &Plan,
-    memo: &mut EstMemo,
-) -> (f64, PlanEst) {
-    let out = est.estimate_memo(plan, memo);
-    match plan {
+    est: &mut dyn FnMut(&Plan) -> PlanEst,
+    out: &mut Vec<Vec<Charge>>,
+    root: bool,
+) -> Flow {
+    let slot = out.len();
+    out.push(Vec::new());
+    let o = est(plan);
+    let mut charges = Vec::new();
+    let under = match plan {
         Plan::Scan {
             relation,
             filter,
             project,
         } => {
-            let bytes = relation.total_bytes() as f64;
+            let types = relation.schema().data_types();
+            let shape = ScanShape::of(filter.as_ref(), project.iter().map(|(_, e)| e), &types);
             let rows = relation.total_rows() as f64;
-            let weight: u32 = project.iter().map(|(_, e)| e.weight()).sum::<u32>()
-                + filter.as_ref().map_or(0, |f| f.weight());
-            let cpu = rows * f64::from(weight.max(1)) * CPU_NS_PER_WEIGHT;
-            (params.model.combine(cpu, params.stream(bytes), 0.0), out)
+            let stats = relation.stats();
+            let width: f64 = shape.used.iter().map(|&c| stats.columns[c].avg_width).sum();
+            charges.push(charge::scan(
+                rows,
+                o.rows,
+                shape.used.len(),
+                rows * width,
+                shape.filter_weight,
+                shape.projection_weight,
+                0.0,
+            ));
+            None
         }
         Plan::Filter { input, predicate } => {
-            let (c, i) = cost_node(params, est, input, memo);
-            let cpu = i.rows * f64::from(predicate.weight()) * CPU_NS_PER_WEIGHT;
-            (c + cpu, out)
+            let i = walk(input, est, out, false);
+            let under = i.under.unwrap_or(i.est.rows);
+            let selected = i.under.map(|_| i.est.rows);
+            charges.push(charge::filter(under, selected, predicate.weight()));
+            compact(&mut charges, &o, under)
         }
         Plan::Map { input, project } => {
-            let (c, i) = cost_node(params, est, input, memo);
-            let weight: u32 = project.iter().map(|(_, e)| e.weight()).sum();
-            let cpu = i.rows * f64::from(weight.max(1)) * CPU_NS_PER_WEIGHT;
-            (c + cpu, out)
+            let i = walk(input, est, out, false);
+            if i.under.is_some() {
+                charges.push(charge::materialize(i.est.rows, i.est.cols.len(), 0.0));
+            }
+            let weight = project.iter().map(|(_, e)| e.weight()).sum();
+            charges.push(charge::map(i.est.rows, weight));
+            None
         }
-        Plan::Join { build, probe, .. } => {
-            let (cb, b) = cost_node(params, est, build, memo);
-            let (cp, p) = cost_node(params, est, probe, memo);
-            let step =
-                params.join_step(b.rows, b.bytes(), p.rows, p.bytes(), out.rows, out.bytes());
-            (cb + cp + step, out)
-        }
-        Plan::Agg { input, aggs, .. } => {
-            let (c, i) = cost_node(params, est, input, memo);
-            let cpu = i.rows * HASH_CPU_NS * (1.0 + aggs.len() as f64);
-            let groups_bytes = out.rows * out.row_width();
-            let stall = params.table_random(i.rows, groups_bytes);
-            (c + params.model.combine(cpu, 0.0, stall), out)
-        }
-        Plan::Sort { input, limit, .. } => {
-            let (c, i) = cost_node(params, est, input, memo);
-            let sort_cost = match limit {
-                // Top-k: a heap that rejects most rows cheaply.
-                Some(k) if *k <= morsel_exec::plan::TOPK_THRESHOLD => {
-                    let k = (*k as f64).max(2.0);
-                    i.rows * SORT_CPU_NS + out.rows * k.log2() * SORT_CPU_NS
+        Plan::Join {
+            build,
+            probe,
+            build_keys,
+            probe_keys,
+            kind,
+            build_payload,
+        } => {
+            let p = walk(probe, est, out, false);
+            let b = walk(build, est, out, false);
+            let (pe, be) = (&p.est, &b.est);
+            let side = |e: &PlanEst| Side {
+                rows: e.rows,
+                width: e.row_width(),
+                cols: e.cols.len(),
+            };
+            let key_width = build_keys.iter().map(|&k| be.cols[k].width).sum();
+            let (emit, traversed) = match kind {
+                JoinKind::Inner | JoinKind::InnerMark => {
+                    let emit = Side {
+                        rows: o.rows,
+                        width: build_payload.iter().map(|&c| be.cols[c].width).sum(),
+                        cols: build_payload.len(),
+                    };
+                    (emit, o.rows)
                 }
-                _ => {
-                    let n = i.rows.max(2.0);
-                    params.model.combine(
-                        n * n.log2() * SORT_CPU_NS,
-                        params.stream(2.0 * i.bytes()), // materialize in, merge out
-                        0.0,
-                    )
+                // The links walked are the matches an inner join would
+                // have (containment).
+                JoinKind::Semi | JoinKind::Anti | JoinKind::Count => {
+                    let ndv = combined_ndv(be, build_keys).max(combined_ndv(pe, probe_keys));
+                    (Side::default(), pe.rows * be.rows / ndv)
                 }
             };
-            (c + sort_cost, out)
+            charges.extend(join_charges(
+                *kind,
+                side(be),
+                key_width,
+                side(pe),
+                emit,
+                traversed,
+            ));
+            match kind {
+                JoinKind::Inner | JoinKind::InnerMark => None,
+                JoinKind::Semi | JoinKind::Anti => {
+                    compact(&mut charges, &o, p.under.unwrap_or(pe.rows))
+                }
+                // The count column is dense: a selection is gathered.
+                JoinKind::Count => {
+                    if p.under.is_some() {
+                        charges.push(charge::materialize(pe.rows, pe.cols.len(), 0.0));
+                    }
+                    None
+                }
+            }
         }
+        Plan::Agg {
+            input,
+            group_cols,
+            aggs,
+        } => {
+            let i = walk(input, est, out, false);
+            let types = input.schema().data_types();
+            let strings = (group_cols.iter())
+                .filter(|&&c| types[c] == DataType::Str && i.est.cols[c].dict.is_none())
+                .count();
+            let entry = charge::agg_entry_bytes(group_cols.len(), strings, aggs.len()) as f64;
+            // Every group reaches the merge once; a table that outgrows
+            // its capacity spills them as the input streams by.
+            let entries = o.rows;
+            let spilled = if entries > PREAGG_CAPACITY as f64 {
+                entries * entry
+            } else {
+                0.0
+            };
+            charges.push(charge::agg_update(i.est.rows, aggs.len(), spilled));
+            charges.push(charge::agg_merge(
+                entries,
+                aggs.len(),
+                entries * entry,
+                o.bytes(),
+            ));
+            None
+        }
+        Plan::Sort { input, keys, limit } => {
+            let i = walk(input, est, out, false);
+            let (rows, bytes) = (i.est.rows, i.est.bytes());
+            match limit {
+                Some(k) if *k <= TOPK_THRESHOLD => charges.push(charge::top_k(rows, *k)),
+                // One worker: one run, one merge segment.
+                _ => charges.extend([
+                    charge::materialize(rows, i.est.cols.len(), bytes),
+                    charge::local_sort(rows, keys.len(), bytes, bytes),
+                    charge::merge(rows, 1, bytes, bytes),
+                ]),
+            }
+            None
+        }
+    };
+    // A breaker's output is an area the pipeline above scans again.
+    if !root && matches!(plan, Plan::Agg { .. } | Plan::Sort { .. }) {
+        let types = plan.schema().data_types();
+        let all: Vec<_> = (0..types.len()).map(col).collect();
+        let shape = ScanShape::of(None, all.iter(), &types);
+        let (rows, cols) = (o.rows, shape.used.len());
+        charges.push(charge::scan(
+            rows,
+            rows,
+            cols,
+            o.bytes(),
+            0,
+            shape.projection_weight,
+            0.0,
+        ));
     }
+    out[slot] = charges;
+    Flow { est: o, under }
+}
+
+/// A selection over `under` rows that keeps the `o.rows` of `o`: gathered
+/// when sparse (pipeline's density heuristic), otherwise still one.
+fn compact(charges: &mut Vec<Charge>, o: &PlanEst, under: f64) -> Option<f64> {
+    if o.rows * SEL_COMPACT_DENOM as f64 >= under {
+        return Some(under);
+    }
+    charges.push(charge::materialize(o.rows, o.cols.len(), 0.0));
+    None
 }
 
 #[cfg(test)]
@@ -249,5 +413,34 @@ mod tests {
         // The filtered probe side costs less overall even though the scan
         // itself is identical.
         assert!(plan_cost(&p, &est, &filtered) < plan_cost(&p, &est, &unfiltered));
+    }
+
+    #[test]
+    fn scans_are_priced_on_the_columns_they_read() {
+        // The same keys with a wide string column beside them: a scan that
+        // reads only `k` costs the same.
+        let n = 10_000;
+        let wide = Arc::new(Relation::partitioned(
+            Schema::new(vec![("k", DataType::I64), ("note", DataType::Str)]),
+            &Batch::from_columns(vec![
+                Column::I64((0..n).collect()),
+                Column::Str((0..n).map(|i| format!("{i:>200}")).collect()),
+            ]),
+            PartitionBy::Hash { column: 0 },
+            8,
+            Placement::FirstTouch,
+            &Topology::nehalem_ex(),
+        ));
+        let narrow = Arc::new(Relation::partitioned(
+            Schema::new(vec![("k", DataType::I64)]),
+            &Batch::from_columns(vec![Column::I64((0..n).collect())]),
+            PartitionBy::Hash { column: 0 },
+            8,
+            Placement::FirstTouch,
+            &Topology::nehalem_ex(),
+        ));
+        let est = Estimator::default();
+        let cost = |r| plan_cost(&params(), &est, &Plan::scan(r, None, &["k"]));
+        assert_eq!(cost(wide), cost(narrow));
     }
 }

@@ -3,8 +3,9 @@
 //! The lowering pass flattens each maximal run of inner joins into a
 //! [`JoinGraph`] — vertices are already-lowered inputs with estimated
 //! cardinalities, edges are the equi-join predicates connecting them —
-//! and asks this module for the cheapest join tree under the NUMA cost
-//! model ([`CostParams::join_step`]).
+//! and asks this module for the cheapest join tree, each join priced with
+//! the charges its build and probe operators book
+//! ([`crate::cost`]).
 //!
 //! Up to [`DP_BUDGET_DEFAULT`] relations the enumerator runs classic
 //! DPsize (Moerkotte & Neumann's terminology: dynamic programming by
@@ -21,7 +22,7 @@
 
 use std::collections::HashMap;
 
-use crate::cost::CostParams;
+use crate::cost::{CostParams, Side};
 
 /// Relation-count budget beyond which DPsize yields to the greedy
 /// heuristic (DPsize explores ~3^n subset splits).
@@ -36,6 +37,8 @@ pub struct GraphNode {
     pub rows: f64,
     /// Estimated bytes per output row.
     pub width: f64,
+    /// Output columns: what a join gathers per row it emits.
+    pub cols: usize,
     /// Estimated distinct counts for the columns used as join keys.
     pub key_ndv: HashMap<String, f64>,
 }
@@ -107,14 +110,17 @@ impl JoinGraph {
         rows.max(1.0)
     }
 
-    fn set_width(&self, set: u64) -> f64 {
-        self.nodes
-            .iter()
-            .enumerate()
+    /// A vertex subset as one join input: its rows, and its vertices'
+    /// bytes per row and columns together.
+    fn set_side(&self, set: u64) -> Side {
+        let nodes = (self.nodes.iter().enumerate())
             .filter(|(i, _)| set & (1 << i) != 0)
-            .map(|(_, n)| n.width)
-            .sum::<f64>()
-            .max(1.0)
+            .map(|(_, n)| n);
+        Side {
+            rows: self.set_rows(set),
+            width: nodes.clone().map(|n| n.width).sum::<f64>().max(1.0),
+            cols: nodes.map(|n| n.cols).sum(),
+        }
     }
 
     /// Edge indexes crossing between two disjoint sets.
@@ -214,17 +220,17 @@ pub fn enumerate(graph: &JoinGraph, params: &CostParams, dp_budget: usize) -> En
 fn join_sets(graph: &JoinGraph, params: &CostParams, s1: &Best, s2: &Best) -> Best {
     let set = s1.set | s2.set;
     let out_rows = graph.set_rows(set);
-    let out_bytes = out_rows * graph.set_width(set);
-    let (r1, w1) = (graph.set_rows(s1.set), graph.set_width(s1.set));
-    let (r2, w2) = (graph.set_rows(s2.set), graph.set_width(s2.set));
+    let (side1, side2) = (graph.set_side(s1.set), graph.set_side(s2.set));
     let edges = graph.crossing_edges(s1.set, s2.set);
+    let keys = edges.iter().map(|&e| graph.edges[e].a_keys.len()).sum();
     // Orientation: build the smaller side (by bytes), stream the larger.
-    let (build, probe, br, bw, pr, pw) = if r1 * w1 <= r2 * w2 {
-        (s1, s2, r1, w1, r2, w2)
-    } else {
-        (s2, s1, r2, w2, r1, w1)
-    };
-    let step = params.join_step(br, br * bw, pr, pr * pw, out_rows, out_bytes);
+    let (build, probe, build_side, probe_side) =
+        if side1.rows * side1.width <= side2.rows * side2.width {
+            (s1, s2, side1, side2)
+        } else {
+            (s2, s1, side2, side1)
+        };
+    let step = params.join_step(build_side, probe_side, keys, out_rows);
     Best {
         tree: JoinTree::Node {
             probe: Box::new(probe.tree.clone()),
@@ -417,6 +423,7 @@ mod tests {
             label: label.to_owned(),
             rows,
             width: 16.0,
+            cols: 2,
             key_ndv: keys.iter().map(|(k, v)| ((*k).to_owned(), *v)).collect(),
         }
     }

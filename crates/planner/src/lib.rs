@@ -31,7 +31,7 @@ pub mod joinorder;
 pub mod logical;
 pub mod lower;
 
-pub use cost::{plan_cost, CostParams};
+pub use cost::{plan_charges, plan_cost, CostParams};
 pub use dml::{DmlKind, DmlPlan};
 pub use estimate::{ColEst, Estimator, PlanEst};
 pub use feedback::{harvest, FeedbackCache, FeedbackEntry, FEEDBACK_DECAY};

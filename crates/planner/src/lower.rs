@@ -375,6 +375,7 @@ impl Planner {
                     label: leaf_label(leaves[i]),
                     rows: est.rows,
                     width: est.row_width(),
+                    cols: est.cols.len(),
                     key_ndv,
                 }
             })

@@ -16,6 +16,7 @@ fn node(label: &str, rows: f64, keys: &[(&str, f64)]) -> GraphNode {
         label: label.to_owned(),
         rows,
         width: 16.0,
+        cols: 2,
         key_ndv: keys
             .iter()
             .map(|(k, v)| ((*k).to_owned(), *v))
