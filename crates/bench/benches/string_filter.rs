@@ -15,7 +15,7 @@ use morsel_exec::plan::Plan;
 use morsel_exec::SystemVariant;
 use morsel_numa::{Placement, Topology};
 use morsel_queries::run_threaded;
-use morsel_storage::{Batch, Column, DataType, PartitionBy, Relation, Schema};
+use morsel_storage::{Batch, Column, DataType, PartitionBy, Relation, Schema, StrColumn};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -23,7 +23,7 @@ const ROWS: usize = 400_000;
 
 /// `n` comments in the style of TPC-H's `o_comment`: 4–11 words drawn by
 /// a fixed LCG from a word list that includes "special" and "requests".
-fn comments(n: usize) -> Vec<String> {
+fn comments(n: usize) -> StrColumn {
     const WORDS: [&str; 16] = [
         "furiously",
         "special",
@@ -76,11 +76,11 @@ fn relation(encode: bool, topo: &Topology) -> Arc<Relation> {
             )
         })
         .collect();
-    let tag: Vec<String> = (0..ROWS)
-        .map(|i| nations[(i * 7 + i / 13) % nations.len()].clone())
+    let tag: StrColumn = (0..ROWS)
+        .map(|i| &nations[(i * 7 + i / 13) % nations.len()])
         .collect();
-    let ptype: Vec<String> = (0..ROWS)
-        .map(|i| types[(i * 11 + i / 7) % types.len()].clone())
+    let ptype: StrColumn = (0..ROWS)
+        .map(|i| &types[(i * 11 + i / 7) % types.len()])
         .collect();
     let val: Vec<i64> = (0..ROWS).map(|i| (i as i64 % 991) - 200).collect();
     let schema = Schema::new(vec![

@@ -6,10 +6,13 @@
 //! table, which can be read NUMA-locally" and all joins are selective
 //! probes into small dimension tables.
 
+use std::fmt::Write;
 use std::sync::Arc;
 
 use morsel_numa::{Placement, Topology};
-use morsel_storage::{date, date_parts, Batch, Column, DataType, PartitionBy, Relation, Schema};
+use morsel_storage::{
+    date, date_parts, Batch, Column, DataType, PartitionBy, Relation, Schema, StrColumn,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -83,12 +86,8 @@ impl SsbDb {
 
 /// City name: nation prefix padded to 9 chars + digit (SSB spec format,
 /// e.g. "UNITED KI1").
-fn city(rng: &mut StdRng, nation: &str) -> String {
-    let mut prefix: String = nation.chars().take(9).collect();
-    while prefix.len() < 9 {
-        prefix.push(' ');
-    }
-    format!("{prefix}{}", rng.gen_range(0..10))
+fn city(rng: &mut StdRng, nation: &str, out: &mut String) {
+    write!(out, "{nation:<9.9}{}", rng.gen_range(0..10)).expect("a String never fails a write");
 }
 
 pub fn generate(config: SsbConfig, topology: &Topology) -> SsbDb {
@@ -127,9 +126,9 @@ fn gen_date_dim() -> Arc<Relation> {
     let mut datekey = Vec::with_capacity(n);
     let mut year = Vec::with_capacity(n);
     let mut yearmonthnum = Vec::with_capacity(n);
-    let mut yearmonth = Vec::with_capacity(n);
+    let mut yearmonth = StrColumn::with_capacity(n, n * 7);
     let mut weeknuminyear = Vec::with_capacity(n);
-    let mut month = Vec::with_capacity(n);
+    let mut month = StrColumn::with_capacity(n, n * 3);
     for d in start..=end {
         let (y, m, _day) = date_parts(d);
         datekey.push(d);
@@ -138,9 +137,9 @@ fn gen_date_dim() -> Arc<Relation> {
         const MONTHS: [&str; 12] = [
             "Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
         ];
-        yearmonth.push(format!("{}{}", MONTHS[(m - 1) as usize], y));
+        yearmonth.push_fmt(format_args!("{}{}", MONTHS[(m - 1) as usize], y));
         weeknuminyear.push(i64::from((d - date(y, 1, 1)) / 7 + 1));
-        month.push(MONTHS[(m - 1) as usize].to_owned());
+        month.push(MONTHS[(m - 1) as usize]);
     }
     let schema = Schema::new(vec![
         ("d_datekey", DataType::I32),
@@ -164,19 +163,19 @@ fn gen_date_dim() -> Arc<Relation> {
 fn gen_customer(config: SsbConfig, n: usize, topology: &Topology) -> Arc<Relation> {
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0xcc);
     let mut key = Vec::with_capacity(n);
-    let mut name = Vec::with_capacity(n);
-    let mut cty = Vec::with_capacity(n);
-    let mut nation = Vec::with_capacity(n);
-    let mut region = Vec::with_capacity(n);
-    let mut segment = Vec::with_capacity(n);
+    let mut name = StrColumn::with_capacity(n, n * 18);
+    let mut cty = StrColumn::with_capacity(n, n * 10);
+    let mut nation = StrColumn::with_capacity(n, n * 8);
+    let mut region = StrColumn::with_capacity(n, n * 6);
+    let mut segment = StrColumn::with_capacity(n, n * 10);
     for i in 0..n as i64 {
         let (nat, reg) = text::NATIONS[rng.gen_range(0..25usize)];
         key.push(i + 1);
-        name.push(format!("Customer#{:09}", i + 1));
-        cty.push(city(&mut rng, nat));
-        nation.push(nat.to_owned());
-        region.push(text::REGIONS[reg].to_owned());
-        segment.push(text::SEGMENTS[rng.gen_range(0..text::SEGMENTS.len())].to_owned());
+        name.push_fmt(format_args!("Customer#{:09}", i + 1));
+        cty.push_with(|s| city(&mut rng, nat, s));
+        nation.push(nat);
+        region.push(text::REGIONS[reg]);
+        segment.push(text::SEGMENTS[rng.gen_range(0..text::SEGMENTS.len())]);
     }
     let schema = Schema::new(vec![
         ("c_custkey", DataType::I64),
@@ -210,17 +209,17 @@ fn gen_customer(config: SsbConfig, n: usize, topology: &Topology) -> Arc<Relatio
 fn gen_supplier(config: SsbConfig, n: usize, topology: &Topology) -> Arc<Relation> {
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x55);
     let mut key = Vec::with_capacity(n);
-    let mut name = Vec::with_capacity(n);
-    let mut cty = Vec::with_capacity(n);
-    let mut nation = Vec::with_capacity(n);
-    let mut region = Vec::with_capacity(n);
+    let mut name = StrColumn::with_capacity(n, n * 18);
+    let mut cty = StrColumn::with_capacity(n, n * 10);
+    let mut nation = StrColumn::with_capacity(n, n * 8);
+    let mut region = StrColumn::with_capacity(n, n * 6);
     for i in 0..n as i64 {
         let (nat, reg) = text::NATIONS[rng.gen_range(0..25usize)];
         key.push(i + 1);
-        name.push(format!("Supplier#{:09}", i + 1));
-        cty.push(city(&mut rng, nat));
-        nation.push(nat.to_owned());
-        region.push(text::REGIONS[reg].to_owned());
+        name.push_fmt(format_args!("Supplier#{:09}", i + 1));
+        cty.push_with(|s| city(&mut rng, nat, s));
+        nation.push(nat);
+        region.push(text::REGIONS[reg]);
     }
     let schema = Schema::new(vec![
         ("s_suppkey", DataType::I64),
@@ -252,21 +251,21 @@ fn gen_supplier(config: SsbConfig, n: usize, topology: &Topology) -> Arc<Relatio
 fn gen_part(config: SsbConfig, n: usize, topology: &Topology) -> Arc<Relation> {
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x99);
     let mut key = Vec::with_capacity(n);
-    let mut name = Vec::with_capacity(n);
-    let mut mfgr = Vec::with_capacity(n);
-    let mut category = Vec::with_capacity(n);
-    let mut brand1 = Vec::with_capacity(n);
-    let mut color = Vec::with_capacity(n);
+    let mut name = StrColumn::with_capacity(n, n * 32);
+    let mut mfgr = StrColumn::with_capacity(n, n * 6);
+    let mut category = StrColumn::with_capacity(n, n * 7);
+    let mut brand1 = StrColumn::with_capacity(n, n * 9);
+    let mut color = StrColumn::with_capacity(n, n * 6);
     for i in 0..n as i64 {
         let m = rng.gen_range(1..=5);
         let c = rng.gen_range(1..=5);
         let b = rng.gen_range(1..=40);
         key.push(i + 1);
-        name.push(text::part_name(&mut rng));
-        mfgr.push(format!("MFGR#{m}"));
-        category.push(format!("MFGR#{m}{c}"));
-        brand1.push(format!("MFGR#{m}{c}{b:02}"));
-        color.push(text::COLORS[rng.gen_range(0..text::COLORS.len())].to_owned());
+        name.push_with(|s| text::part_name(&mut rng, s));
+        mfgr.push_fmt(format_args!("MFGR#{m}"));
+        category.push_fmt(format_args!("MFGR#{m}{c}"));
+        brand1.push_fmt(format_args!("MFGR#{m}{c}{b:02}"));
+        color.push(text::COLORS[rng.gen_range(0..text::COLORS.len())]);
     }
     let schema = Schema::new(vec![
         ("p_partkey", DataType::I64),
@@ -434,9 +433,13 @@ mod tests {
     #[test]
     fn city_format() {
         let mut rng = StdRng::seed_from_u64(3);
-        let c = city(&mut rng, "UNITED KINGDOM");
+        let mut c = String::new();
+        city(&mut rng, "UNITED KINGDOM", &mut c);
         assert_eq!(c.len(), 10);
         assert!(c.starts_with("UNITED KI"));
+        c.clear();
+        city(&mut rng, "PERU", &mut c);
+        assert!(c.starts_with("PERU     ") && c.len() == 10, "{c:?}");
     }
 
     #[test]
@@ -444,11 +447,11 @@ mod tests {
         let d = db();
         let p = d.part.gather();
         for i in 0..p.rows().min(500) {
-            let mfgr = &p.column(2).as_str()[i];
-            let cat = &p.column(3).as_str()[i];
-            let brand = &p.column(4).as_str()[i];
-            assert!(cat.starts_with(mfgr.as_str()));
-            assert!(brand.starts_with(cat.as_str()));
+            let mfgr = p.column(2).str_at(i);
+            let cat = p.column(3).str_at(i);
+            let brand = p.column(4).str_at(i);
+            assert!(cat.starts_with(mfgr));
+            assert!(brand.starts_with(cat));
         }
     }
 }

@@ -1,5 +1,11 @@
 //! Word lists and text fragments mirroring the TPC-H dbgen distributions
 //! that the benchmark queries depend on.
+//!
+//! Every generator appends to `out` instead of returning a `String`, so a
+//! loader writes each value straight into its column
+//! ([`morsel_storage::StrColumn::push_with`]) with no allocation per row.
+
+use std::fmt::Write;
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -113,6 +119,12 @@ pub const COMMENT_WORDS: [&str; 24] = [
     "instructions",
 ];
 
+/// Bytes to reserve per [`comment`] of `words` words (the list's words
+/// average 6.9 bytes, plus a separator each).
+pub fn comment_bytes(words: usize) -> usize {
+    words * 8
+}
+
 /// Random comment. With probability `special_ppm` parts-per-million the
 /// comment embeds `injected` (used for Q13's "special ... requests" and
 /// Q16's "Customer ... Complaints" correlations).
@@ -121,8 +133,8 @@ pub fn comment(
     words: usize,
     injected: Option<(&str, &str)>,
     special_ppm: u32,
-) -> String {
-    let mut out = String::new();
+    out: &mut String,
+) {
     let inject = injected.is_some() && rng.gen_ratio(special_ppm, 1_000_000);
     let n = words.max(2);
     for i in 0..n {
@@ -141,45 +153,41 @@ pub fn comment(
         out.push(' ');
         out.push_str(b);
     }
-    out
 }
 
 /// `p_name`: five space-separated colors (dbgen uses 5 of 92).
-pub fn part_name(rng: &mut StdRng) -> String {
-    let mut parts = Vec::with_capacity(5);
-    for _ in 0..5 {
-        parts.push(COLORS[rng.gen_range(0..COLORS.len())]);
+pub fn part_name(rng: &mut StdRng, out: &mut String) {
+    for i in 0..5 {
+        if i > 0 {
+            out.push(' ');
+        }
+        out.push_str(COLORS[rng.gen_range(0..COLORS.len())]);
     }
-    parts.join(" ")
 }
 
 /// `p_type`: three syllables.
-pub fn part_type(rng: &mut StdRng) -> String {
-    format!(
-        "{} {} {}",
-        TYPE_SYLL1[rng.gen_range(0..TYPE_SYLL1.len())],
-        TYPE_SYLL2[rng.gen_range(0..TYPE_SYLL2.len())],
-        TYPE_SYLL3[rng.gen_range(0..TYPE_SYLL3.len())]
-    )
+pub fn part_type(rng: &mut StdRng, out: &mut String) {
+    out.push_str(TYPE_SYLL1[rng.gen_range(0..TYPE_SYLL1.len())]);
+    out.push(' ');
+    out.push_str(TYPE_SYLL2[rng.gen_range(0..TYPE_SYLL2.len())]);
+    out.push(' ');
+    out.push_str(TYPE_SYLL3[rng.gen_range(0..TYPE_SYLL3.len())]);
 }
 
-pub fn container(rng: &mut StdRng) -> String {
-    format!(
-        "{} {}",
-        CONTAINER_SYLL1[rng.gen_range(0..CONTAINER_SYLL1.len())],
-        CONTAINER_SYLL2[rng.gen_range(0..CONTAINER_SYLL2.len())]
-    )
+pub fn container(rng: &mut StdRng, out: &mut String) {
+    out.push_str(CONTAINER_SYLL1[rng.gen_range(0..CONTAINER_SYLL1.len())]);
+    out.push(' ');
+    out.push_str(CONTAINER_SYLL2[rng.gen_range(0..CONTAINER_SYLL2.len())]);
 }
 
 /// Phone number whose first two digits encode the nation (Q22).
-pub fn phone(rng: &mut StdRng, nationkey: i64) -> String {
-    format!(
-        "{}-{:03}-{:03}-{:04}",
-        nationkey + 10,
+pub fn phone(rng: &mut StdRng, nationkey: i64, out: &mut String) {
+    let (a, b, c) = (
         rng.gen_range(100..1000),
         rng.gen_range(100..1000),
-        rng.gen_range(1000..10000)
-    )
+        rng.gen_range(1000..10000),
+    );
+    write!(out, "{}-{a:03}-{b:03}-{c:04}", nationkey + 10).expect("a String never fails a write");
 }
 
 #[cfg(test)]
@@ -197,31 +205,44 @@ mod tests {
         assert_eq!(REGIONS[3], "EUROPE");
     }
 
+    /// One generator's output as a fresh string.
+    fn text(write: impl FnOnce(&mut String)) -> String {
+        let mut s = String::new();
+        write(&mut s);
+        s
+    }
+
     #[test]
     fn generators_are_deterministic() {
         let mut a = StdRng::seed_from_u64(7);
         let mut b = StdRng::seed_from_u64(7);
-        assert_eq!(part_name(&mut a), part_name(&mut b));
-        assert_eq!(part_type(&mut a), part_type(&mut b));
-        assert_eq!(container(&mut a), container(&mut b));
-        assert_eq!(phone(&mut a, 3), phone(&mut b, 3));
+        let mut both = |g: &dyn Fn(&mut StdRng, &mut String)| {
+            let x = text(|s| g(&mut a, s));
+            assert!(!x.is_empty());
+            assert_eq!(x, text(|s| g(&mut b, s)));
+        };
+        both(&|r, s| part_name(r, s));
+        both(&|r, s| part_type(r, s));
+        both(&|r, s| container(r, s));
+        both(&|r, s| phone(r, 3, s));
     }
 
     #[test]
     fn phone_encodes_nation() {
         let mut rng = StdRng::seed_from_u64(1);
-        let p = phone(&mut rng, 5);
+        let p = text(|s| phone(&mut rng, 5, s));
         assert!(p.starts_with("15-"));
+        assert_eq!(p.len(), "15-123-456-7890".len());
     }
 
     #[test]
     fn comment_injection() {
         let mut rng = StdRng::seed_from_u64(1);
         // With ppm = 1_000_000 every comment carries the pattern.
-        let c = comment(&mut rng, 4, Some(("special", "requests")), 1_000_000);
+        let c = text(|s| comment(&mut rng, 4, Some(("special", "requests")), 1_000_000, s));
         assert!(c.contains("special"));
         assert!(c.contains("requests"));
-        let c2 = comment(&mut rng, 4, Some(("special", "requests")), 0);
+        let c2 = text(|s| comment(&mut rng, 4, Some(("special", "requests")), 0, s));
         assert!(!c2.contains("special requests"));
     }
 }

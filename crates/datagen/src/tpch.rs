@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use morsel_numa::{Placement, Topology};
-use morsel_storage::{date, Batch, Column, DataType, PartitionBy, Relation, Schema};
+use morsel_storage::{date, Batch, Column, DataType, PartitionBy, Relation, Schema, StrColumn};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -158,7 +158,7 @@ fn gen_region() -> Arc<Relation> {
     ]);
     let data = Batch::from_columns(vec![
         Column::I64((0..5).collect()),
-        Column::Str(text::REGIONS.iter().map(|s| (*s).to_owned()).collect()),
+        Column::Str(text::REGIONS.into_iter().collect()),
         Column::Str((0..5).map(|i| format!("region comment {i}")).collect()),
     ]);
     Arc::new(Relation::single(schema, data).dict_encoded())
@@ -173,7 +173,7 @@ fn gen_nation() -> Arc<Relation> {
     ]);
     let data = Batch::from_columns(vec![
         Column::I64((0..25).collect()),
-        Column::Str(text::NATIONS.iter().map(|&(n, _)| n.to_owned()).collect()),
+        Column::Str(text::NATIONS.iter().map(|&(n, _)| n).collect()),
         Column::I64(text::NATIONS.iter().map(|&(_, r)| r as i64).collect()),
         Column::Str((0..25).map(|i| format!("nation comment {i}")).collect()),
     ]);
@@ -183,27 +183,23 @@ fn gen_nation() -> Arc<Relation> {
 fn gen_supplier(config: TpchConfig, n: usize, topology: &Topology) -> Arc<Relation> {
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x51);
     let mut suppkey = Vec::with_capacity(n);
-    let mut name = Vec::with_capacity(n);
-    let mut address = Vec::with_capacity(n);
+    let mut name = StrColumn::with_capacity(n, n * 18);
+    let mut address = StrColumn::with_capacity(n, n * 10);
     let mut nationkey = Vec::with_capacity(n);
-    let mut phone = Vec::with_capacity(n);
+    let mut phone = StrColumn::with_capacity(n, n * 15);
     let mut acctbal = Vec::with_capacity(n);
-    let mut comment = Vec::with_capacity(n);
+    let mut comment = StrColumn::with_capacity(n, n * text::comment_bytes(5));
     for i in 0..n as i64 {
         let nk = rng.gen_range(0..25i64);
         suppkey.push(i + 1);
-        name.push(format!("Supplier#{:09}", i + 1));
-        address.push(format!("addr {}", rng.gen_range(0..100000)));
+        name.push_fmt(format_args!("Supplier#{:09}", i + 1));
+        address.push_fmt(format_args!("addr {}", rng.gen_range(0..100000)));
         nationkey.push(nk);
-        phone.push(text::phone(&mut rng, nk));
+        phone.push_with(|s| text::phone(&mut rng, nk, s));
         acctbal.push(rng.gen_range(-99_999..=999_999i64));
         // Q16: ~0.05% of suppliers have complaint comments.
-        comment.push(text::comment(
-            &mut rng,
-            5,
-            Some(("Customer", "Complaints")),
-            5_000,
-        ));
+        comment
+            .push_with(|s| text::comment(&mut rng, 5, Some(("Customer", "Complaints")), 5_000, s));
     }
     let schema = Schema::new(vec![
         ("s_suppkey", DataType::I64),
@@ -239,23 +235,23 @@ fn gen_supplier(config: TpchConfig, n: usize, topology: &Topology) -> Arc<Relati
 fn gen_customer(config: TpchConfig, n: usize, topology: &Topology) -> Arc<Relation> {
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0xc5);
     let mut custkey = Vec::with_capacity(n);
-    let mut name = Vec::with_capacity(n);
-    let mut address = Vec::with_capacity(n);
+    let mut name = StrColumn::with_capacity(n, n * 18);
+    let mut address = StrColumn::with_capacity(n, n * 10);
     let mut nationkey = Vec::with_capacity(n);
-    let mut phone = Vec::with_capacity(n);
+    let mut phone = StrColumn::with_capacity(n, n * 15);
     let mut acctbal = Vec::with_capacity(n);
-    let mut mktsegment = Vec::with_capacity(n);
-    let mut comment = Vec::with_capacity(n);
+    let mut mktsegment = StrColumn::with_capacity(n, n * 10);
+    let mut comment = StrColumn::with_capacity(n, n * text::comment_bytes(4));
     for i in 0..n as i64 {
         let nk = rng.gen_range(0..25i64);
         custkey.push(i + 1);
-        name.push(format!("Customer#{:09}", i + 1));
-        address.push(format!("addr {}", rng.gen_range(0..100000)));
+        name.push_fmt(format_args!("Customer#{:09}", i + 1));
+        address.push_fmt(format_args!("addr {}", rng.gen_range(0..100000)));
         nationkey.push(nk);
-        phone.push(text::phone(&mut rng, nk));
+        phone.push_with(|s| text::phone(&mut rng, nk, s));
         acctbal.push(rng.gen_range(-99_999..=999_999i64));
-        mktsegment.push(text::SEGMENTS[rng.gen_range(0..text::SEGMENTS.len())].to_owned());
-        comment.push(text::comment(&mut rng, 4, None, 0));
+        mktsegment.push(text::SEGMENTS[rng.gen_range(0..text::SEGMENTS.len())]);
+        comment.push_with(|s| text::comment(&mut rng, 4, None, 0, s));
     }
     let schema = Schema::new(vec![
         ("c_custkey", DataType::I64),
@@ -293,25 +289,25 @@ fn gen_customer(config: TpchConfig, n: usize, topology: &Topology) -> Arc<Relati
 fn gen_part(config: TpchConfig, n: usize, topology: &Topology) -> Arc<Relation> {
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x97);
     let mut partkey = Vec::with_capacity(n);
-    let mut name = Vec::with_capacity(n);
-    let mut mfgr = Vec::with_capacity(n);
-    let mut brand = Vec::with_capacity(n);
-    let mut ptype = Vec::with_capacity(n);
+    let mut name = StrColumn::with_capacity(n, n * 32);
+    let mut mfgr = StrColumn::with_capacity(n, n * 14);
+    let mut brand = StrColumn::with_capacity(n, n * 8);
+    let mut ptype = StrColumn::with_capacity(n, n * 20);
     let mut size = Vec::with_capacity(n);
-    let mut container = Vec::with_capacity(n);
+    let mut container = StrColumn::with_capacity(n, n * 8);
     let mut retailprice = Vec::with_capacity(n);
-    let mut comment = Vec::with_capacity(n);
+    let mut comment = StrColumn::with_capacity(n, n * text::comment_bytes(3));
     for i in 0..n as i64 {
         let m = rng.gen_range(1..=5);
         partkey.push(i + 1);
-        name.push(text::part_name(&mut rng));
-        mfgr.push(format!("Manufacturer#{m}"));
-        brand.push(format!("Brand#{}{}", m, rng.gen_range(1..=5)));
-        ptype.push(text::part_type(&mut rng));
+        name.push_with(|s| text::part_name(&mut rng, s));
+        mfgr.push_fmt(format_args!("Manufacturer#{m}"));
+        brand.push_fmt(format_args!("Brand#{}{}", m, rng.gen_range(1..=5)));
+        ptype.push_with(|s| text::part_type(&mut rng, s));
         size.push(rng.gen_range(1..=50i64));
-        container.push(text::container(&mut rng));
+        container.push_with(|s| text::container(&mut rng, s));
         retailprice.push(retail_price_cents(i + 1));
-        comment.push(text::comment(&mut rng, 3, None, 0));
+        comment.push_with(|s| text::comment(&mut rng, 3, None, 0, s));
     }
     let schema = Schema::new(vec![
         ("p_partkey", DataType::I64),
@@ -360,7 +356,7 @@ fn gen_partsupp(
     let mut suppkey = Vec::with_capacity(n);
     let mut availqty = Vec::with_capacity(n);
     let mut supplycost = Vec::with_capacity(n);
-    let mut comment = Vec::with_capacity(n);
+    let mut comment = StrColumn::with_capacity(n, n * text::comment_bytes(2));
     for p in 0..n_part as i64 {
         for s in 0..4i64 {
             // Spec formula spreads the 4 suppliers of a part across the
@@ -372,7 +368,7 @@ fn gen_partsupp(
             suppkey.push(sk);
             availqty.push(rng.gen_range(1..=9999i64));
             supplycost.push(rng.gen_range(100..=100_000i64));
-            comment.push(text::comment(&mut rng, 2, None, 0));
+            comment.push_with(|s| text::comment(&mut rng, 2, None, 0, s));
         }
     }
     let schema = Schema::new(vec![
@@ -419,13 +415,13 @@ fn gen_orders_lineitem(
     // Orders columns.
     let mut o_orderkey = Vec::with_capacity(n_orders);
     let mut o_custkey = Vec::with_capacity(n_orders);
-    let mut o_orderstatus = Vec::with_capacity(n_orders);
+    let mut o_orderstatus = StrColumn::with_capacity(n_orders, n_orders);
     let mut o_totalprice = Vec::with_capacity(n_orders);
     let mut o_orderdate = Vec::with_capacity(n_orders);
-    let mut o_orderpriority = Vec::with_capacity(n_orders);
-    let mut o_clerk = Vec::with_capacity(n_orders);
+    let mut o_orderpriority = StrColumn::with_capacity(n_orders, n_orders * 8);
+    let mut o_clerk = StrColumn::with_capacity(n_orders, n_orders * 15);
     let mut o_shippriority = Vec::with_capacity(n_orders);
-    let mut o_comment = Vec::with_capacity(n_orders);
+    let mut o_comment = StrColumn::with_capacity(n_orders, n_orders * text::comment_bytes(4));
 
     // Lineitem columns (~4x orders).
     let cap = n_orders * 4;
@@ -437,14 +433,14 @@ fn gen_orders_lineitem(
     let mut l_extendedprice = Vec::with_capacity(cap);
     let mut l_discount = Vec::with_capacity(cap);
     let mut l_tax = Vec::with_capacity(cap);
-    let mut l_returnflag: Vec<String> = Vec::with_capacity(cap);
-    let mut l_linestatus: Vec<String> = Vec::with_capacity(cap);
+    let mut l_returnflag = StrColumn::with_capacity(cap, cap);
+    let mut l_linestatus = StrColumn::with_capacity(cap, cap);
     let mut l_shipdate = Vec::with_capacity(cap);
     let mut l_commitdate = Vec::with_capacity(cap);
     let mut l_receiptdate = Vec::with_capacity(cap);
-    let mut l_shipinstruct: Vec<String> = Vec::with_capacity(cap);
-    let mut l_shipmode: Vec<String> = Vec::with_capacity(cap);
-    let mut l_comment: Vec<String> = Vec::with_capacity(cap);
+    let mut l_shipinstruct = StrColumn::with_capacity(cap, cap * 12);
+    let mut l_shipmode = StrColumn::with_capacity(cap, cap * 5);
+    let mut l_comment = StrColumn::with_capacity(cap, cap * text::comment_bytes(2));
 
     for o in 0..n_orders as i64 {
         let orderkey = o + 1;
@@ -497,40 +493,32 @@ fn gen_orders_lineitem(
             l_extendedprice.push(extprice);
             l_discount.push(discount);
             l_tax.push(tax);
-            l_returnflag.push(returnflag.to_owned());
-            l_linestatus.push(linestatus.to_owned());
+            l_returnflag.push(returnflag);
+            l_linestatus.push(linestatus);
             l_shipdate.push(shipdate);
             l_commitdate.push(commitdate);
             l_receiptdate.push(receiptdate);
-            l_shipinstruct
-                .push(text::SHIP_INSTRUCT[rng.gen_range(0..text::SHIP_INSTRUCT.len())].to_owned());
-            l_shipmode.push(text::SHIP_MODES[rng.gen_range(0..text::SHIP_MODES.len())].to_owned());
-            l_comment.push(text::comment(&mut rng, 2, None, 0));
+            l_shipinstruct.push(text::SHIP_INSTRUCT[rng.gen_range(0..text::SHIP_INSTRUCT.len())]);
+            l_shipmode.push(text::SHIP_MODES[rng.gen_range(0..text::SHIP_MODES.len())]);
+            l_comment.push_with(|s| text::comment(&mut rng, 2, None, 0, s));
         }
         o_orderkey.push(orderkey);
         o_custkey.push(custkey);
-        o_orderstatus.push(
-            if all_f {
-                "F"
-            } else if all_o {
-                "O"
-            } else {
-                "P"
-            }
-            .to_owned(),
-        );
+        o_orderstatus.push(if all_f {
+            "F"
+        } else if all_o {
+            "O"
+        } else {
+            "P"
+        });
         o_totalprice.push(total);
         o_orderdate.push(orderdate);
-        o_orderpriority.push(text::PRIORITIES[rng.gen_range(0..text::PRIORITIES.len())].to_owned());
-        o_clerk.push(format!("Clerk#{:09}", rng.gen_range(1..=1000)));
+        o_orderpriority.push(text::PRIORITIES[rng.gen_range(0..text::PRIORITIES.len())]);
+        o_clerk.push_fmt(format_args!("Clerk#{:09}", rng.gen_range(1..=1000)));
         o_shippriority.push(0i64);
         // Q13: ~1% of orders carry "special ... requests" comments.
-        o_comment.push(text::comment(
-            &mut rng,
-            4,
-            Some(("special", "requests")),
-            10_000,
-        ));
+        o_comment
+            .push_with(|s| text::comment(&mut rng, 4, Some(("special", "requests")), 10_000, s));
     }
 
     let orders_schema = Schema::new(vec![
@@ -689,11 +677,11 @@ mod tests {
         let cutoff = date(1995, 6, 17);
         for i in 0..l.rows() {
             if receipt[i] <= cutoff {
-                assert!(rf[i] == "R" || rf[i] == "A");
+                assert!(rf.get(i) == "R" || rf.get(i) == "A");
             } else {
-                assert_eq!(rf[i], "N");
+                assert_eq!(rf.get(i), "N");
             }
-            assert_eq!(ls[i] == "O", ship[i] > cutoff);
+            assert_eq!(ls.get(i) == "O", ship[i] > cutoff);
         }
     }
 

@@ -990,7 +990,7 @@ mod tests {
     #[test]
     fn string_group_keys() {
         let batch = Batch::from_columns(vec![
-            Column::Str(vec!["x".into(), "y".into(), "x".into()]),
+            Column::Str(["x", "y", "x"].into_iter().collect()),
             Column::I64(vec![1, 2, 3]),
         ]);
         let schema = Schema::new(vec![("g", DataType::Str), ("sum", DataType::I64)]);
@@ -1002,7 +1002,12 @@ mod tests {
             PREAGG_CAPACITY,
         );
         let mut rows: Vec<(String, i64)> = (0..out.rows())
-            .map(|i| (out.column(0).as_str()[i].clone(), out.column(1).as_i64()[i]))
+            .map(|i| {
+                (
+                    out.column(0).str_at(i).to_owned(),
+                    out.column(1).as_i64()[i],
+                )
+            })
             .collect();
         rows.sort();
         assert_eq!(rows, vec![("x".into(), 4), ("y".into(), 2)]);
@@ -1162,7 +1167,7 @@ mod tests {
         let dict = Dictionary::from_values(["x", "y", "z"]);
         let batch = Batch::from_columns(vec![
             Column::I64(vec![42]),
-            Column::Str(vec!["ab".into()]),
+            Column::Str(["ab"].into_iter().collect()),
             Column::Dict(DictColumn::new(dict, vec![2])),
             Column::I32(vec![-7]),
             Column::F64(vec![-0.0]),

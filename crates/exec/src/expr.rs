@@ -35,7 +35,7 @@
 use std::borrow::Cow;
 use std::sync::Arc;
 
-use morsel_storage::{Batch, Column, DataType, DictColumn, Dictionary};
+use morsel_storage::{Batch, Column, DataType, DictColumn, Dictionary, StrColumn};
 
 use crate::key::{for_each_row, Rows};
 pub use crate::like::LikePattern;
@@ -125,7 +125,7 @@ pub enum Expr {
 pub enum Vector<'a> {
     I64(Cow<'a, [i64]>),
     F64(Cow<'a, [f64]>),
-    Str(Cow<'a, [String]>),
+    Str(Cow<'a, StrColumn>),
     /// Dictionary codes plus their shared domain: the encoded form of a
     /// string result. Only materializes at [`Vector::into_column`] — and
     /// even there only into a code column.
@@ -358,6 +358,24 @@ fn read<'a, T: Clone>(v: &'a [T], rows: Rows<'_>) -> Cow<'a, [T]> {
     }
 }
 
+/// The plain strings at `rows`: the column itself when `rows` cover all
+/// of it, else one byte copy of a range or a gather of a selection.
+fn read_strs<'a>(v: &'a StrColumn, rows: Rows<'_>) -> Cow<'a, StrColumn> {
+    match rows {
+        Rows::Range(0, e) if e == v.len() => Cow::Borrowed(v),
+        Rows::Range(s, e) => {
+            let mut out = StrColumn::with_capacity(e - s, v.byte_len(s, e));
+            out.extend_range(v, s, e);
+            Cow::Owned(out)
+        }
+        Rows::Sel(sel) => {
+            let mut out = StrColumn::with_capacity(sel.len(), 0);
+            out.extend_selected(v, sel);
+            Cow::Owned(out)
+        }
+    }
+}
+
 impl Expr {
     /// Number of nodes in the expression tree — used as a CPU cost proxy.
     pub fn weight(&self) -> u32 {
@@ -414,8 +432,8 @@ impl Expr {
         }
         match self {
             // Leaf reads over a range borrow the column slice: no copy for
-            // i64/f64 and no String clone, ever, for either string
-            // representation. Over a selection they gather.
+            // i64/f64/codes, and plain strings copy bytes only for a part of
+            // their column. Over a selection they gather.
             Expr::Col(i) => match batch.column(*i) {
                 Column::I64(v) => Vector::I64(read(v, rows)),
                 Column::I32(v) => {
@@ -424,12 +442,12 @@ impl Expr {
                     Vector::I64(Cow::Owned(out))
                 }
                 Column::F64(v) => Vector::F64(read(v, rows)),
-                Column::Str(v) => Vector::Str(read(v, rows)),
+                Column::Str(v) => Vector::Str(read_strs(v, rows)),
                 Column::Dict(d) => Vector::Code(read(d.codes(), rows), Arc::clone(d.dict())),
             },
             Expr::ConstI64(c) => Vector::I64(Cow::Owned(vec![*c; n])),
             Expr::ConstF64(c) => Vector::F64(Cow::Owned(vec![*c; n])),
-            Expr::ConstStr(c) => Vector::Str(Cow::Owned(vec![c.clone(); n])),
+            Expr::ConstStr(c) => Vector::Str(Cow::Owned(std::iter::repeat_n(c, n).collect())),
             Expr::Add(a, b) => Self::arith(a, b, batch, rows, |x, y| x + y, |x, y| x + y),
             Expr::Sub(a, b) => Self::arith(a, b, batch, rows, |x, y| x - y, |x, y| x - y),
             Expr::Mul(a, b) => Self::arith(a, b, batch, rows, |x, y| x * y, |x, y| x * y),
@@ -483,12 +501,12 @@ impl Expr {
                     (_, (V(Vector::Code(x, dx)), V(Vector::Str(y)))) => x
                         .iter()
                         .zip(y.iter())
-                        .map(|(&a, b)| op.holds(dx.get(a), b.as_str()))
+                        .map(|(&a, b)| op.holds(dx.get(a), b))
                         .collect(),
                     (_, (V(Vector::Str(x)), V(Vector::Code(y, dy)))) => x
                         .iter()
                         .zip(y.iter())
-                        .map(|(a, &b)| op.holds(a.as_str(), dy.get(b)))
+                        .map(|(a, &b)| op.holds(a, dy.get(b)))
                         .collect(),
                     _ => panic!("incomparable operand types in {self:?}"),
                 };
@@ -559,20 +577,26 @@ impl Expr {
             }
             Expr::Substr(a, from, len) => {
                 let v = a.eval_rows(batch, rows);
-                let cut = |s: &str| -> String {
-                    s.chars().skip(from.saturating_sub(1)).take(*len).collect()
-                };
+                let (skip, take) = (from.saturating_sub(1), *len);
+                let cut = |s: &str, o: &mut String| o.extend(s.chars().skip(skip).take(take));
+                let mut out = StrColumn::with_capacity(n, n * take);
                 match &v {
-                    Vector::Str(vs) => Vector::Str(Cow::Owned(vs.iter().map(|s| cut(s)).collect())),
+                    Vector::Str(vs) => {
+                        for s in vs.iter() {
+                            out.push_with(|o| cut(s, o));
+                        }
+                    }
                     Vector::Code(codes, dict) => {
-                        // Cut once per dictionary value, clone per row.
-                        let per: Vec<String> = dict.values().iter().map(|s| cut(s)).collect();
-                        Vector::Str(Cow::Owned(
-                            codes.iter().map(|&c| per[c as usize].clone()).collect(),
-                        ))
+                        // Cut once per dictionary value, copy per row.
+                        let mut per = StrColumn::with_capacity(dict.len(), 0);
+                        for s in dict.values() {
+                            per.push_with(|o| cut(s, o));
+                        }
+                        out.extend(codes.iter().map(|&c| per.get(c as usize)));
                     }
                     other => panic!("Substr over non-string {other:?}"),
                 }
+                Vector::Str(Cow::Owned(out))
             }
         }
     }
@@ -828,13 +852,11 @@ mod tests {
         Batch::from_columns(vec![
             Column::I64(vec![1, 2, 3, 4, 5]),
             Column::F64(vec![1.0, 0.5, 2.0, 0.25, 1.5]),
-            Column::Str(vec![
-                "apple".into(),
-                "banana".into(),
-                "cherry".into(),
-                "date".into(),
-                "grape".into(),
-            ]),
+            Column::Str(
+                ["apple", "banana", "cherry", "date", "grape"]
+                    .into_iter()
+                    .collect(),
+            ),
             Column::I32(vec![10, 20, 30, 40, 50]),
         ])
     }
@@ -842,7 +864,7 @@ mod tests {
     /// The same batch with the string column dictionary-encoded.
     fn dict_batch() -> Batch {
         let b = batch();
-        let dict = Dictionary::from_values(b.column(2).as_str().iter().map(String::as_str));
+        let dict = Dictionary::from_values(b.column(2).as_str());
         let encoded = Column::Dict(DictColumn::encode(&dict, b.column(2).as_str()).unwrap());
         Batch::from_columns(vec![
             b.column(0).clone(),
@@ -1022,7 +1044,7 @@ mod tests {
         let v = substr(col(2), 1, 2).eval(&d, 0..3);
         assert_eq!(
             v,
-            Vector::Str(Cow::Owned(vec!["ap".into(), "ba".into(), "ch".into()]))
+            Vector::Str(Cow::Owned(["ap", "ba", "ch"].into_iter().collect()))
         );
     }
 
@@ -1185,9 +1207,12 @@ mod tests {
 
     #[test]
     fn substr_one_based() {
-        let b = Batch::from_columns(vec![Column::Str(vec!["13-555".into(), "x".into()])]);
+        let b = Batch::from_columns(vec![Column::Str(["13-555", "x"].into_iter().collect())]);
         let v = substr(col(0), 1, 2).eval(&b, 0..2);
-        assert_eq!(v, Vector::Str(Cow::Owned(vec!["13".into(), "x".into()])));
+        assert_eq!(
+            v,
+            Vector::Str(Cow::Owned(["13", "x"].into_iter().collect()))
+        );
         assert_eq!(
             substr(col(0), 1, 2).result_type(&[DataType::Str]),
             DataType::Str

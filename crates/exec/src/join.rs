@@ -331,7 +331,7 @@ mod tests {
     use super::*;
     use morsel_core::ExecEnv;
     use morsel_numa::{SocketId, Topology};
-    use morsel_storage::{Schema, StorageArea};
+    use morsel_storage::{Schema, StorageArea, StrColumn};
 
     fn env() -> ExecEnv {
         ExecEnv::new(Topology::nehalem_ex())
@@ -563,7 +563,7 @@ mod tests {
         ]);
         let dict = Dictionary::from_values(["x", "yy", "zzz"]);
         let area = |node: u16, n: usize| {
-            let words: Vec<String> = (0..n).map(|i| "ab".repeat(i % 4)).collect();
+            let words: StrColumn = (0..n).map(|i| "ab".repeat(i % 4)).collect();
             let coded: Vec<String> = (0..n)
                 .map(|i| dict.get((i % 3) as u32).to_owned())
                 .collect();

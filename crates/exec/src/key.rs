@@ -15,6 +15,7 @@ use std::sync::Arc;
 
 use morsel_storage::{
     hash_bytes, hash_combine, hash_i64, AreaSet, Batch, Column, DataType, DictColumn, Dictionary,
+    StrColumn,
 };
 
 use crate::charge;
@@ -195,7 +196,7 @@ fn hash_column(col: &Column, rows: Rows<'_>, first: bool, out: &mut [u64]) {
         Column::I64(v) => fold!(v, |x: &i64| hash_i64(*x)),
         Column::I32(v) => fold!(v, |x: &i32| hash_i64(i64::from(*x))),
         Column::F64(v) => fold!(v, |x: &f64| hash_i64(canon_f64_bits(*x) as i64)),
-        Column::Str(v) => fold!(v, |x: &String| hash_bytes(x.as_bytes())),
+        Column::Str(v) => fold!(v, |x: &str| hash_bytes(x.as_bytes())),
         Column::Dict(d) => {
             // One lookup per row instead of a string traversal; identical
             // hashes to the plain-string path (precomputed in the dict).
@@ -210,7 +211,7 @@ fn hash_column(col: &Column, rows: Rows<'_>, first: bool, out: &mut [u64]) {
 /// must compare across representations (or across dictionaries).
 #[derive(Clone, Copy)]
 enum StrView<'a> {
-    Plain(&'a [String]),
+    Plain(&'a StrColumn),
     Dict(&'a DictColumn),
 }
 
@@ -226,7 +227,7 @@ impl<'a> StrView<'a> {
     #[inline]
     fn at(&self, i: usize) -> &'a str {
         match self {
-            StrView::Plain(v) => &v[i],
+            StrView::Plain(v) => v.get(i),
             StrView::Dict(d) => d.str_at(i),
         }
     }
@@ -415,7 +416,7 @@ impl MatchCandidates {
 
     /// String build-payload gather: when every populated area carries the
     /// same dictionary, gather 4-byte codes and keep the encoding all the
-    /// way to the sink; otherwise fall back to cloning strings.
+    /// way to the sink; otherwise copy the strings' bytes.
     fn gather_build_strings(&self, build: &AreaSet, bc: usize) -> Column {
         let n = self.len();
         let shared = build
@@ -448,13 +449,9 @@ impl MatchCandidates {
             .iter()
             .map(|a| StrView::of(a.data().column(bc)))
             .collect();
-        let mut out = Vec::with_capacity(n);
+        let mut out = StrColumn::with_capacity(n, 0);
         for i in 0..n {
-            out.push(
-                bs[self.area[i] as usize]
-                    .at(self.row[i] as usize)
-                    .to_owned(),
-            );
+            out.push(bs[self.area[i] as usize].at(self.row[i] as usize));
         }
         Column::Str(out)
     }
@@ -700,7 +697,7 @@ impl KeyLayout {
                                 let len = le(*o, 4) as usize;
                                 let s = &keys.bytes[*o + 4..*o + 4 + len];
                                 *o += 4 + len;
-                                String::from_utf8(s.to_vec()).expect("key bytes came from a String")
+                                std::str::from_utf8(s).expect("key bytes came from a str")
                             })
                             .collect(),
                     ),
@@ -809,7 +806,7 @@ mod tests {
     fn batch() -> Batch {
         Batch::from_columns(vec![
             Column::I64(vec![1, 2, 1]),
-            Column::Str(vec!["a".into(), "b".into(), "a".into()]),
+            Column::Str(["a", "b", "a"].into_iter().collect()),
             Column::I32(vec![10, 20, 10]),
         ])
     }
@@ -894,7 +891,7 @@ mod tests {
         let build = one_area_set(
             Batch::from_columns(vec![
                 Column::I64(vec![10, 20, 30]),
-                Column::Str(vec!["a".into(), "b".into(), "c".into()]),
+                Column::Str(["a", "b", "c"].into_iter().collect()),
             ]),
             &[("bk", DataType::I64), ("bp", DataType::Str)],
         );
@@ -970,7 +967,7 @@ mod tests {
     fn group_key_shapes() {
         let b = Batch::from_columns(vec![
             Column::I64(vec![1]),
-            Column::Str(vec!["a".into()]),
+            Column::Str(["a"].into_iter().collect()),
             Column::I32(vec![10]),
             Column::F64(vec![0.5]),
             Column::Dict(DictColumn::new(Dictionary::from_values(["a"]), vec![0])),
@@ -1011,7 +1008,7 @@ mod tests {
         let dict = Dictionary::from_values(["p", "q"]);
         let b = Batch::from_columns(vec![
             Column::I64(vec![i64::MIN, 2, i64::MAX]),
-            Column::Str(vec!["".into(), "b\0c".into(), "a".into()]),
+            Column::Str(["", "b\0c", "a"].into_iter().collect()),
             Column::I32(vec![-1, i32::MIN, i32::MAX]),
             Column::F64(vec![-0.0, f64::NAN, 2.5]),
             Column::Dict(DictColumn::new(Arc::clone(&dict), vec![1, 0, 1])),
@@ -1057,7 +1054,7 @@ mod tests {
     fn group_key_hash_matches_equality() {
         // Rows 0 and 2 agree on every column, row 1 differs; rows 3 and 4
         // are the pair that concatenates alike without length prefixes.
-        let s = |v: &[&str]| Column::Str(v.iter().map(|s| (*s).to_owned()).collect());
+        let s = |v: &[&str]| Column::Str(v.iter().collect());
         let b = Batch::from_columns(vec![
             Column::I64(vec![1, 2, 1, 5, 5]),
             s(&["a", "b", "a", "ab", "a"]),

@@ -410,7 +410,7 @@ mod tests {
             let d = Dictionary::from_values(words.iter().map(String::as_str));
             Column::Dict(DictColumn::encode(&d, &words).unwrap())
         } else {
-            Column::Str(words)
+            Column::Str(words.iter().collect())
         };
         Batch::from_columns(vec![
             Column::I64(vec![1, 2, 3, 4, 5]),

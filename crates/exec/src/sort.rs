@@ -613,7 +613,7 @@ mod tests {
     fn cmp_and_sort_batch() {
         let b = Batch::from_columns(vec![
             Column::I64(vec![3, 1, 2, 1]),
-            Column::Str(vec!["c".into(), "b".into(), "a".into(), "a".into()]),
+            Column::Str(["c", "b", "a", "a"].into_iter().collect()),
         ]);
         let keys = vec![SortKey::asc(0), SortKey::desc(1)];
         let s = sort_batch(&b, &keys);
@@ -763,7 +763,7 @@ mod tests {
             let tags = (tag..tag + strs.len() as i64).collect();
             tag += strs.len() as i64;
             let batch = Batch::from_columns(vec![
-                Column::Str(strs.into_iter().map(str::to_owned).collect()),
+                Column::Str(strs.into_iter().collect()),
                 Column::I64(tags),
             ]);
             sink.consume(&mut TaskContext::new(&env, worker), SelBatch { batch, sel });
@@ -771,7 +771,7 @@ mod tests {
         sink.finish(&mut TaskContext::new(&env, 0));
         let b = result.lock().take().unwrap();
         (0..b.rows())
-            .map(|i| (b.column(0).as_str()[i].clone(), b.column(1).as_i64()[i]))
+            .map(|i| (b.column(0).str_at(i).to_owned(), b.column(1).as_i64()[i]))
             .collect()
     }
 

@@ -197,12 +197,7 @@ impl Gen {
             0 => Column::I32(pick(self, 7).into_iter().map(|i| I32S[i]).collect()),
             1 => Column::I64(pick(self, 8).into_iter().map(|i| I64S[i]).collect()),
             2 => Column::F64(pick(self, 7).into_iter().map(|i| f64s()[i]).collect()),
-            3 => Column::Str(
-                pick(self, 10)
-                    .into_iter()
-                    .map(|i| STRS[i].to_owned())
-                    .collect(),
-            ),
+            3 => Column::Str(pick(self, 10).into_iter().map(|i| STRS[i]).collect()),
             _ => Column::Dict(DictColumn::new(
                 Arc::clone(dict),
                 pick(self, 5).into_iter().map(|i| i as u32).collect(),
@@ -304,7 +299,7 @@ fn engine_matches_the_reference_on_seeded_inputs() {
 
 #[test]
 fn adjacent_strings_keep_their_boundaries() {
-    let s = |v: &[&str]| Column::Str(v.iter().map(|s| (*s).to_owned()).collect());
+    let s = |v: &[&str]| Column::Str(v.iter().collect());
     let batch = Batch::from_columns(vec![
         s(&["ab", "a", "ab", "", "a\0", "a"]),
         s(&["c", "bc", "c", "abc", "", "\0"]),

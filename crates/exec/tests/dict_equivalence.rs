@@ -51,7 +51,7 @@ fn twin_batches(codes: &[u8]) -> (Batch, Batch) {
     let strings: Vec<String> = codes.iter().map(|&c| word(c)).collect();
     let payload: Vec<i64> = codes.iter().map(|&c| i64::from(c) * 3 - 7).collect();
     let plain = Batch::from_columns(vec![
-        Column::Str(strings.clone()),
+        Column::Str(strings.iter().collect()),
         Column::I64(payload.clone()),
     ]);
     let dict = Dictionary::from_values(WORDS.iter().copied());
@@ -181,7 +181,7 @@ fn typed_batch(vals: &[u8]) -> Batch {
         Column::I32(narrow(ints(0))),
         Column::I64(ints(5)),
         Column::F64(vals.iter().map(|&v| FLOATS[v as usize % 8]).collect()),
-        Column::Str(strings.clone()),
+        Column::Str(strings.iter().collect()),
         Column::Dict(DictColumn::encode(&dict, &strings).expect("domain covers words")),
         Column::I64(ints(11)),
         Column::I32(narrow(ints(17))),
@@ -487,7 +487,7 @@ fn join_payload_dict_roundtrip() {
         let payload = if encode {
             Column::Dict(DictColumn::encode(&dict, &payload_strs).unwrap())
         } else {
-            Column::Str(payload_strs.clone())
+            Column::Str(payload_strs.iter().collect())
         };
         let mut area = StorageArea::new(morsel_numa::SocketId(0), &schema.data_types());
         area.data_mut().extend_from(&Batch::from_columns(vec![

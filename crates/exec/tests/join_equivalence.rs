@@ -50,6 +50,7 @@ use morsel_exec::{JoinKind, SystemVariant};
 use morsel_numa::{Placement, SocketId, Topology};
 use morsel_storage::{
     AreaSet, Batch, Column, DictColumn, Dictionary, PartitionBy, Relation, Schema, StorageArea,
+    StrColumn,
 };
 use proptest::TestRng;
 
@@ -281,7 +282,8 @@ impl Gen {
         let other_nan = f64::from_bits(f64::NAN.to_bits() ^ 0x8000_0000_0000_0001);
         let floats = [0.0, -0.0, f64::NAN, other_nan, 1.5, -1.5];
         let mut draw = |d: usize| -> Vec<usize> { (0..n).map(|_| self.below(d)).collect() };
-        let strings = |picks: Vec<usize>| picks.into_iter().map(|i| STRS[i].to_owned()).collect();
+        let strings =
+            |picks: Vec<usize>| -> StrColumn { picks.into_iter().map(|i| STRS[i]).collect() };
         match kind {
             Kind::I32 => Column::I32(draw(5).into_iter().map(|i| INTS[i] as i32).collect()),
             Kind::I64 => Column::I64(draw(7).into_iter().map(|i| INTS[i]).collect()),
@@ -295,7 +297,7 @@ impl Gen {
                     &["0", "aa"]
                 };
                 let dict = Dictionary::from_values(STRS.iter().chain(extra).copied());
-                let values: Vec<String> = strings(draw(5));
+                let values = strings(draw(5));
                 Column::Dict(DictColumn::encode(&dict, &values).expect("a subset of both"))
             }
         }

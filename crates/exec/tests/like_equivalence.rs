@@ -28,7 +28,7 @@ fn twins(values: &[String]) -> [Batch; 2] {
     let dict = Dictionary::from_values(values.iter().map(String::as_str));
     let encoded = DictColumn::encode(&dict, values).expect("the domain covers every value");
     [
-        Batch::from_columns(vec![Column::Str(values.to_vec())]),
+        Batch::from_columns(vec![Column::Str(values.iter().collect())]),
         Batch::from_columns(vec![Column::Dict(encoded)]),
     ]
 }

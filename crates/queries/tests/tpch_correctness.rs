@@ -56,12 +56,12 @@ fn lineitem(db: &TpchDb) -> Lineitem {
         extprice: l.column(5).as_i64().to_vec(),
         discount: l.column(6).as_i64().to_vec(),
         tax: l.column(7).as_i64().to_vec(),
-        returnflag: l.column(8).as_str().to_vec(),
-        linestatus: l.column(9).as_str().to_vec(),
+        returnflag: l.column(8).as_str().iter().map(String::from).collect(),
+        linestatus: l.column(9).as_str().iter().map(String::from).collect(),
         shipdate: l.column(10).as_i32().to_vec(),
         commitdate: l.column(11).as_i32().to_vec(),
         receiptdate: l.column(12).as_i32().to_vec(),
-        shipmode: l.column(14).as_str().to_vec(),
+        shipmode: l.column(14).as_str().iter().map(String::from).collect(),
     }
 }
 
@@ -91,8 +91,8 @@ fn q1_matches_reference() {
     assert_eq!(out.rows(), groups.len());
     for i in 0..out.rows() {
         let key = (
-            out.column(0).as_str()[i].clone(),
-            out.column(1).as_str()[i].clone(),
+            out.column(0).as_str()[i].to_owned(),
+            out.column(1).as_str()[i].to_owned(),
         );
         let g = groups.get(&key).expect("unexpected group");
         assert_eq!(out.column(2).as_i64()[i], g.0, "sum_qty {key:?}");
@@ -133,7 +133,9 @@ fn q4_matches_reference() {
     for i in 0..o.rows() {
         let od = o.column(4).as_i32()[i];
         if od >= lo && od <= hi && late_orders.contains(&o.column(0).as_i64()[i]) {
-            *counts.entry(o.column(5).as_str()[i].clone()).or_default() += 1;
+            *counts
+                .entry(o.column(5).as_str()[i].to_owned())
+                .or_default() += 1;
         }
     }
     assert_eq!(out.rows(), counts.len());
@@ -172,7 +174,7 @@ fn q12_matches_reference() {
     let o = db.orders.gather();
     let mut prio_of: HashMap<i64, String> = HashMap::new();
     for i in 0..o.rows() {
-        prio_of.insert(o.column(0).as_i64()[i], o.column(5).as_str()[i].clone());
+        prio_of.insert(o.column(0).as_i64()[i], o.column(5).as_str()[i].to_owned());
     }
     let lo = date(1994, 1, 1);
     let hi = date(1995, 1, 1) - 1;
@@ -253,8 +255,8 @@ fn q19_matches_reference() {
         brand.insert(
             p.column(0).as_i64()[i],
             (
-                p.column(3).as_str()[i].clone(),
-                p.column(6).as_str()[i].clone(),
+                p.column(3).as_str()[i].to_owned(),
+                p.column(6).as_str()[i].to_owned(),
                 p.column(5).as_i64()[i],
             ),
         );
@@ -265,7 +267,7 @@ fn q19_matches_reference() {
         if !(sm == "AIR" || sm == "AIR REG") {
             continue;
         }
-        if l.column(13).as_str()[i] != "DELIVER IN PERSON" {
+        if l.column(13).str_at(i) != "DELIVER IN PERSON" {
             continue;
         }
         let (b, cont, size) = &brand[&l.column(1).as_i64()[i]];

@@ -83,7 +83,7 @@ mod tests {
                 Column::I64(vec![1, 2, 3, 4]),
                 Column::I64(vec![10, 10, 20, 20]),
                 Column::I64(vec![100, 200, 300, 400]),
-                Column::Str(vec!["a".into(), "b".into(), "c".into(), "d".into()]),
+                Column::Str(["a", "b", "c", "d"].into_iter().collect()),
             ]),
         );
         let dept = Relation::single(
@@ -93,7 +93,7 @@ mod tests {
             ]),
             Batch::from_columns(vec![
                 Column::I64(vec![10, 20]),
-                Column::Str(vec!["eng".into(), "ops".into()]),
+                Column::Str(["eng", "ops"].into_iter().collect()),
             ]),
         );
         Catalog::new()

@@ -6,16 +6,22 @@
 //! a time).
 //!
 //! String attributes have two physical representations under the single
-//! logical type [`DataType::Str`]: plain `Vec<String>` and
-//! dictionary-encoded [`DictColumn`] (sorted shared domain + `u32` codes,
-//! see [`crate::dict`]). Appending dictionary data into an empty plain
+//! logical type [`DataType::Str`]: plain [`StrColumn`] (`u32` offsets into
+//! one byte buffer, see [`crate::str_column`]) and dictionary-encoded
+//! [`DictColumn`] (sorted shared domain + `u32` codes, see
+//! [`crate::dict`]). Appending dictionary data into an empty plain
 //! column *adopts* the source dictionary, so pipeline intermediates stay
 //! code-typed end-to-end; a cross-dictionary append falls back to decoded
 //! strings (correct, never hit on the single-relation hot paths).
+//!
+//! Byte accounting ([`Column::byte_size`], [`Column::selected_bytes`]) is
+//! the cost model's, not the allocator's: fixed-width values and codes
+//! count their width, a plain string its length plus 8.
 
 use std::sync::Arc;
 
 use crate::dict::{DictColumn, Dictionary};
+use crate::str_column::StrColumn;
 use crate::value::{DataType, Value, ValueRef};
 
 /// A single column of values.
@@ -24,7 +30,7 @@ pub enum Column {
     I64(Vec<i64>),
     I32(Vec<i32>),
     F64(Vec<f64>),
-    Str(Vec<String>),
+    Str(StrColumn),
     /// Dictionary-encoded strings (logical type is still `Str`).
     Dict(DictColumn),
 }
@@ -36,7 +42,7 @@ impl Column {
             DataType::I64 => Column::I64(Vec::new()),
             DataType::I32 => Column::I32(Vec::new()),
             DataType::F64 => Column::F64(Vec::new()),
-            DataType::Str => Column::Str(Vec::new()),
+            DataType::Str => Column::Str(StrColumn::new()),
         }
     }
 
@@ -46,7 +52,7 @@ impl Column {
             DataType::I64 => Column::I64(Vec::with_capacity(cap)),
             DataType::I32 => Column::I32(Vec::with_capacity(cap)),
             DataType::F64 => Column::F64(Vec::with_capacity(cap)),
-            DataType::Str => Column::Str(Vec::with_capacity(cap)),
+            DataType::Str => Column::Str(StrColumn::with_capacity(cap, 0)),
         }
     }
 
@@ -106,10 +112,10 @@ impl Column {
         }
     }
 
-    /// Plain string slice. Panics on a dictionary column — use
+    /// The plain string column. Panics on a dictionary column — use
     /// [`Column::str_at`] or [`Column::decoded`] for representation-
     /// agnostic access.
-    pub fn as_str(&self) -> &[String] {
+    pub fn as_str(&self) -> &StrColumn {
         match self {
             Column::Str(v) => v,
             Column::Dict(_) => {
@@ -131,7 +137,7 @@ impl Column {
     #[inline]
     pub fn str_at(&self, i: usize) -> &str {
         match self {
-            Column::Str(v) => &v[i],
+            Column::Str(v) => v.get(i),
             Column::Dict(d) => d.str_at(i),
             other => panic!("expected string column, got {:?}", other.data_type()),
         }
@@ -152,7 +158,7 @@ impl Column {
             Column::I64(v) => ValueRef::I64(v[i]),
             Column::I32(v) => ValueRef::I32(v[i]),
             Column::F64(v) => ValueRef::F64(v[i]),
-            Column::Str(v) => ValueRef::Str(&v[i]),
+            Column::Str(v) => ValueRef::Str(v.get(i)),
             Column::Dict(d) => ValueRef::Str(d.str_at(i)),
         }
     }
@@ -204,7 +210,7 @@ impl Column {
             (Column::I64(c), Value::I64(x)) => c.push(x),
             (Column::I32(c), Value::I32(x)) => c.push(x),
             (Column::F64(c), Value::F64(x)) => c.push(x),
-            (Column::Str(c), Value::Str(x)) => c.push(x),
+            (Column::Str(c), Value::Str(x)) => c.push(&x),
             (c, v) => panic!(
                 "cannot push {:?} into {:?} column",
                 v.data_type(),
@@ -220,8 +226,8 @@ impl Column {
             (Column::I64(dst), Column::I64(s)) => dst.push(s[i]),
             (Column::I32(dst), Column::I32(s)) => dst.push(s[i]),
             (Column::F64(dst), Column::F64(s)) => dst.push(s[i]),
-            (Column::Str(dst), Column::Str(s)) => dst.push(s[i].clone()),
-            (Column::Str(dst), Column::Dict(s)) => dst.push(s.str_at(i).to_owned()),
+            (Column::Str(dst), Column::Str(s)) => dst.push(s.get(i)),
+            (Column::Str(dst), Column::Dict(s)) => dst.push(s.str_at(i)),
             (Column::Dict(dst), Column::Dict(s)) => dst.codes_mut().push(s.codes()[i]),
             (dst, s) => {
                 panic!(
@@ -233,19 +239,18 @@ impl Column {
         }
     }
 
-    /// Append the row range `rows` of `src`, filtered by `sel` (row indexes
-    /// relative to the whole column of `src`).
+    /// Append the rows `sel` of `src` (row indexes into the whole of
+    /// `src`), in `sel`'s order. The gather kernel behind every selection
+    /// vector's materialization.
     pub fn extend_selected(&mut self, src: &Column, sel: &[u32]) {
         self.unify_for_append(src);
         match (self, src) {
             (Column::I64(dst), Column::I64(s)) => dst.extend(sel.iter().map(|&i| s[i as usize])),
             (Column::I32(dst), Column::I32(s)) => dst.extend(sel.iter().map(|&i| s[i as usize])),
             (Column::F64(dst), Column::F64(s)) => dst.extend(sel.iter().map(|&i| s[i as usize])),
-            (Column::Str(dst), Column::Str(s)) => {
-                dst.extend(sel.iter().map(|&i| s[i as usize].clone()))
-            }
+            (Column::Str(dst), Column::Str(s)) => dst.extend_selected(s, sel),
             (Column::Str(dst), Column::Dict(s)) => {
-                dst.extend(sel.iter().map(|&i| s.str_at(i as usize).to_owned()))
+                dst.extend(sel.iter().map(|&i| s.str_at(i as usize)))
             }
             (Column::Dict(dst), Column::Dict(s)) => {
                 let codes = s.codes();
@@ -270,10 +275,8 @@ impl Column {
             (Column::I64(dst), Column::I64(s)) => dst.extend_from_slice(&s[from..to]),
             (Column::I32(dst), Column::I32(s)) => dst.extend_from_slice(&s[from..to]),
             (Column::F64(dst), Column::F64(s)) => dst.extend_from_slice(&s[from..to]),
-            (Column::Str(dst), Column::Str(s)) => dst.extend_from_slice(&s[from..to]),
-            (Column::Str(dst), Column::Dict(s)) => {
-                dst.extend((from..to).map(|i| s.str_at(i).to_owned()))
-            }
+            (Column::Str(dst), Column::Str(s)) => dst.extend_range(s, from, to),
+            (Column::Str(dst), Column::Dict(s)) => dst.extend((from..to).map(|i| s.str_at(i))),
             (Column::Dict(dst), Column::Dict(s)) => {
                 dst.codes_mut().extend_from_slice(&s.codes()[from..to])
             }
@@ -292,29 +295,32 @@ impl Column {
         self.extend_range(src, 0, src.len());
     }
 
-    /// Append all rows of `src`, taking them: plain strings move instead
-    /// of being cloned.
+    /// Append all rows of `src`, taking them: an empty column takes
+    /// `src`'s buffers instead of copying them.
     pub fn append(&mut self, mut src: Column) {
         match (&mut *self, &mut src) {
             (Column::I64(dst), Column::I64(s)) => dst.append(s),
             (Column::I32(dst), Column::I32(s)) => dst.append(s),
             (Column::F64(dst), Column::F64(s)) => dst.append(s),
-            (Column::Str(dst), Column::Str(s)) => dst.append(s),
+            (Column::Str(dst), Column::Str(s)) => dst.append(std::mem::take(s)),
             // Codes are cheap to copy, and mixed string representations
             // need the unification the copying path does.
             _ => self.extend_from(&src),
         }
     }
 
-    /// Approximate in-memory bytes of rows `[from, to)`, used to charge the
-    /// NUMA traffic counters. Plain strings count their byte length plus
-    /// the 8-byte offset a real column store would keep; dictionary
-    /// columns move 4-byte codes (the whole point of the encoding).
+    /// Bytes of rows `[from, to)` as the cost model charges them to the
+    /// NUMA traffic counters, in O(1). A plain string is charged its byte
+    /// length plus `STR_OFFSET_CHARGE` (8), the model's per-value constant
+    /// (the physical offset is 4 bytes; the charge predates it and every
+    /// booked figure is calibrated to it); dictionary columns move 4-byte
+    /// codes (the whole point of the encoding).
     pub fn byte_size(&self, from: usize, to: usize) -> u64 {
+        let rows = (to - from) as u64;
         match self {
-            Column::I64(_) | Column::F64(_) => 8 * (to - from) as u64,
-            Column::I32(_) | Column::Dict(_) => 4 * (to - from) as u64,
-            Column::Str(v) => v[from..to].iter().map(|s| s.len() as u64 + 8).sum(),
+            Column::I64(_) | Column::F64(_) => 8 * rows,
+            Column::I32(_) | Column::Dict(_) => 4 * rows,
+            Column::Str(v) => v.byte_len(from, to) as u64 + STR_OFFSET_CHARGE * rows,
         }
     }
 
@@ -329,10 +335,17 @@ impl Column {
         match self {
             Column::I64(_) | Column::F64(_) => 8 * sel.len() as u64,
             Column::I32(_) | Column::Dict(_) => 4 * sel.len() as u64,
-            Column::Str(v) => sel.iter().map(|&i| v[i as usize].len() as u64 + 8).sum(),
+            Column::Str(v) => sel
+                .iter()
+                .map(|&i| v.value_len(i as usize) as u64 + STR_OFFSET_CHARGE)
+                .sum(),
         }
     }
 }
+
+/// Bytes the cost model charges per plain string value on top of its
+/// length ([`Column::byte_size`]).
+const STR_OFFSET_CHARGE: u64 = 8;
 
 /// Build a dictionary over plain string columns and encode them, if the
 /// domain passes [`crate::dict::worth_encoding`]. `fragments` are the
@@ -345,8 +358,8 @@ pub fn encode_fragments(fragments: &[&Column]) -> Option<(Arc<Dictionary>, Vec<C
         let Column::Str(v) = f else {
             return None;
         };
-        for s in v {
-            unique.insert(s.as_str());
+        for s in v.iter() {
+            unique.insert(s);
             if !crate::dict::worth_encoding(unique.len()) {
                 return None;
             }
@@ -357,7 +370,7 @@ pub fn encode_fragments(fragments: &[&Column]) -> Option<(Arc<Dictionary>, Vec<C
         .iter()
         .map(|f| {
             Column::Dict(
-                DictColumn::encode(&dict, f.as_str())
+                DictColumn::encode(&dict, f.as_str().iter())
                     .expect("dictionary was built over these values"),
             )
         })
@@ -401,7 +414,7 @@ mod tests {
 
     #[test]
     fn extend_from_appends_all() {
-        let src = Column::Str(vec!["a".into(), "b".into()]);
+        let src = Column::Str(["a", "b"].into_iter().collect());
         let mut dst = Column::empty(DataType::Str);
         dst.extend_from(&src);
         dst.extend_from(&src);
@@ -420,7 +433,7 @@ mod tests {
     fn byte_sizes() {
         assert_eq!(Column::I64(vec![0; 10]).byte_size(2, 5), 24);
         assert_eq!(Column::I32(vec![0; 10]).byte_size(0, 10), 40);
-        let s = Column::Str(vec!["ab".into(), "c".into()]);
+        let s = Column::Str(["ab", "c"].into_iter().collect());
         assert_eq!(s.total_bytes(), (2 + 8) + (1 + 8));
     }
 
@@ -428,7 +441,7 @@ mod tests {
     fn selected_byte_sizes() {
         assert_eq!(Column::I64(vec![0; 10]).selected_bytes(&[1, 5, 9]), 24);
         assert_eq!(Column::I32(vec![0; 10]).selected_bytes(&[0]), 4);
-        let s = Column::Str(vec!["ab".into(), "c".into()]);
+        let s = Column::Str(["ab", "c"].into_iter().collect());
         assert_eq!(s.selected_bytes(&[1]), 1 + 8);
         assert_eq!(s.selected_bytes(&[0, 1]), s.total_bytes());
     }
@@ -476,15 +489,15 @@ mod tests {
         assert_eq!(dst.str_at(0), "b");
         dst.extend_range(&src, 1, 2);
         dst.push_from(&src, 0);
-        assert_eq!(dst.decoded().as_str(), &["b", "b", "a", "b"]);
+        assert_eq!(*dst.decoded().as_str(), ["b", "b", "a", "b"]);
     }
 
     #[test]
     fn nonempty_plain_column_decodes_dict_appends() {
         let src = dict_col(&["b", "a"]);
-        let mut dst = Column::Str(vec!["z".into()]);
+        let mut dst = Column::Str(["z"].into_iter().collect());
         dst.extend_from(&src);
-        assert_eq!(dst.as_str(), &["z", "b", "a"]);
+        assert_eq!(*dst.as_str(), ["z", "b", "a"]);
     }
 
     #[test]
@@ -494,7 +507,7 @@ mod tests {
         dst.extend_from(&other);
         // Different domains: dst decoded itself.
         assert!(dst.as_dict().is_none());
-        assert_eq!(dst.as_str(), &["a", "b", "c", "d"]);
+        assert_eq!(*dst.as_str(), ["a", "b", "c", "d"]);
     }
 
     #[test]
@@ -520,8 +533,8 @@ mod tests {
 
     #[test]
     fn encode_fragments_shares_one_dictionary() {
-        let a = Column::Str(vec!["x".into(), "y".into(), "x".into(), "x".into()]);
-        let b = Column::Str(vec!["y".into(), "y".into(), "x".into(), "y".into()]);
+        let a = Column::Str(["x", "y", "x", "x"].into_iter().collect());
+        let b = Column::Str(["y", "y", "x", "y"].into_iter().collect());
         let (dict, encoded) = encode_fragments(&[&a, &b]).unwrap();
         assert_eq!(dict.len(), 2);
         let da = encoded[0].as_dict().unwrap();

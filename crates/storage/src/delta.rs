@@ -198,7 +198,6 @@ impl DeltaStore {
             };
             let old = Arc::clone(old.dict());
             let fresh: Vec<&str> = (self.rows.column(c).as_str().iter())
-                .map(String::as_str)
                 .filter(|v| old.code_of(v).is_none())
                 .collect();
             if fresh.is_empty() {
@@ -392,7 +391,7 @@ mod tests {
     fn base() -> Relation {
         let data = Batch::from_columns(vec![
             Column::I64(vec![1, 2, 3, 4]),
-            Column::Str(vec!["a".into(), "b".into(), "a".into(), "b".into()]),
+            Column::Str(["a", "b", "a", "b"].into_iter().collect()),
         ]);
         Relation::partitioned(
             schema(),
@@ -444,7 +443,12 @@ mod tests {
     }
 
     fn tags(rel: &Relation) -> Vec<String> {
-        rel.gather().column(1).as_str().to_vec()
+        rel.gather()
+            .column(1)
+            .as_str()
+            .iter()
+            .map(String::from)
+            .collect()
     }
 
     /// Every partition encodes column 1 over one shared dictionary.
@@ -580,7 +584,7 @@ mod tests {
         for p in snap.partitions() {
             assert!(p.data.column(1).as_dict().is_none(), "plain everywhere");
         }
-        let mut want = data.column(1).as_str().to_vec();
+        let mut want: Vec<String> = data.column(1).as_str().iter().map(String::from).collect();
         want.extend(["v0".to_owned(), "v1".to_owned()]);
         assert_eq!(tags(&snap), want);
     }

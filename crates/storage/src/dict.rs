@@ -16,6 +16,7 @@
 use std::sync::Arc;
 
 use crate::hash::hash_bytes;
+use crate::str_column::StrColumn;
 
 /// A sorted, deduplicated string domain with precomputed value hashes.
 #[derive(Debug)]
@@ -138,10 +139,13 @@ impl DictColumn {
 
     /// Encode plain strings against an existing dictionary. Returns `None`
     /// if any value is missing from the dictionary.
-    pub fn encode(dict: &Arc<Dictionary>, values: &[String]) -> Option<Self> {
+    pub fn encode<S: AsRef<str>>(
+        dict: &Arc<Dictionary>,
+        values: impl IntoIterator<Item = S>,
+    ) -> Option<Self> {
         let codes = values
-            .iter()
-            .map(|s| dict.code_of(s))
+            .into_iter()
+            .map(|s| dict.code_of(s.as_ref()))
             .collect::<Option<Vec<u32>>>()?;
         Some(DictColumn {
             dict: Arc::clone(dict),
@@ -180,13 +184,13 @@ impl DictColumn {
         Arc::ptr_eq(&self.dict, &other.dict)
     }
 
-    /// Decode every row to an owned string vector (the late-materialization
+    /// Decode every row to a plain string column (the late-materialization
     /// point).
-    pub fn decode(&self) -> Vec<String> {
-        self.codes
-            .iter()
-            .map(|&c| self.dict.get(c).to_owned())
-            .collect()
+    pub fn decode(&self) -> StrColumn {
+        let bytes = self.codes.iter().map(|&c| self.dict.get(c).len()).sum();
+        let mut out = StrColumn::with_capacity(self.codes.len(), bytes);
+        out.extend(self.codes.iter().map(|&c| self.dict.get(c)));
+        out
     }
 }
 
@@ -271,25 +275,21 @@ mod tests {
     #[test]
     fn dict_column_roundtrip() {
         let d = dict();
-        let col = DictColumn::encode(
-            &d,
-            &["fig".to_owned(), "apple".to_owned(), "fig".to_owned()],
-        )
-        .unwrap();
+        let col = DictColumn::encode(&d, ["fig", "apple", "fig"]).unwrap();
         assert_eq!(col.codes(), &[3, 0, 3]);
         assert_eq!(col.str_at(1), "apple");
-        assert_eq!(col.decode(), vec!["fig", "apple", "fig"]);
-        assert!(DictColumn::encode(&d, &["durian".to_owned()]).is_none());
+        assert_eq!(col.decode(), ["fig", "apple", "fig"]);
+        assert!(DictColumn::encode(&d, ["durian"]).is_none());
     }
 
     #[test]
     fn cross_dictionary_equality_compares_strings() {
-        let a = DictColumn::encode(&dict(), &["apple".to_owned(), "fig".to_owned()]).unwrap();
+        let a = DictColumn::encode(&dict(), ["apple", "fig"]).unwrap();
         let d2 = Dictionary::from_values(["apple", "fig", "zzz"]);
-        let b = DictColumn::encode(&d2, &["apple".to_owned(), "fig".to_owned()]).unwrap();
+        let b = DictColumn::encode(&d2, ["apple", "fig"]).unwrap();
         assert!(!a.same_dict(&b));
         assert_eq!(a, b);
-        let c = DictColumn::encode(&d2, &["apple".to_owned(), "zzz".to_owned()]).unwrap();
+        let c = DictColumn::encode(&d2, ["apple", "zzz"]).unwrap();
         assert_ne!(a, c);
     }
 

@@ -2,8 +2,9 @@
 //!
 //! NUMA-partitioned columnar storage for the morsel-driven engine:
 //! [`value::Value`]/[`value::DataType`] scalars, [`column::Column`] typed
-//! columns (with sorted per-relation string [`dict::Dictionary`]s behind
-//! the same logical string type), [`batch::Batch`] row batches, hash- or
+//! columns (plain strings as offsets into one buffer,
+//! [`str_column::StrColumn`], and sorted per-relation string
+//! [`dict::Dictionary`]s behind the same logical string type), [`batch::Batch`] row batches, hash- or
 //! chunk-partitioned [`relation::Relation`]s placed across memory nodes,
 //! and per-worker [`area::StorageArea`]s that hold pipeline
 //! intermediates NUMA-locally.
@@ -22,6 +23,7 @@ pub mod recovery;
 pub mod relation;
 pub mod schema;
 pub mod stats;
+pub mod str_column;
 pub mod value;
 pub mod wal;
 
@@ -36,5 +38,6 @@ pub use recovery::{replay, scan_bytes, scan_wal, RecoveredState, WalScan};
 pub use relation::{Partition, PartitionBy, Relation};
 pub use schema::{Field, Schema};
 pub use stats::{ColumnStats, HllSketch, TableStats};
+pub use str_column::StrColumn;
 pub use value::{date, date_parts, decimal, format_date, DataType, Value, ValueRef, DECIMAL_SCALE};
 pub use wal::{Wal, WalError, WalFaults, WalOp, WalRecord, WalStats};

@@ -168,8 +168,8 @@ impl ColumnStats {
                     sketch.insert_hash(hash_bytes(x.as_bytes()));
                 }
                 (
-                    v.iter().min().map(|x| Value::Str(x.clone())),
-                    v.iter().max().map(|x| Value::Str(x.clone())),
+                    v.iter().min().map(Value::from),
+                    v.iter().max().map(Value::from),
                 )
             }
         };
@@ -360,7 +360,7 @@ mod tests {
 
     #[test]
     fn string_stats_are_lexicographic() {
-        let c = Column::Str(vec!["pear".into(), "apple".into(), "fig".into()]);
+        let c = Column::Str(["pear", "apple", "fig"].into_iter().collect());
         let s = ColumnStats::from_column(&c);
         assert_eq!(s.min, Some(Value::Str("apple".into())));
         assert_eq!(s.max, Some(Value::Str("pear".into())));
