@@ -126,9 +126,9 @@ fn gen_date_dim() -> Arc<Relation> {
     let mut datekey = Vec::with_capacity(n);
     let mut year = Vec::with_capacity(n);
     let mut yearmonthnum = Vec::with_capacity(n);
-    let mut yearmonth = StrColumn::with_capacity(n, n * 7);
+    let mut yearmonth = StrColumn::with_capacity(n, 0);
     let mut weeknuminyear = Vec::with_capacity(n);
-    let mut month = StrColumn::with_capacity(n, n * 3);
+    let mut month = StrColumn::with_capacity(n, 0);
     for d in start..=end {
         let (y, m, _day) = date_parts(d);
         datekey.push(d);
@@ -163,11 +163,11 @@ fn gen_date_dim() -> Arc<Relation> {
 fn gen_customer(config: SsbConfig, n: usize, topology: &Topology) -> Arc<Relation> {
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0xcc);
     let mut key = Vec::with_capacity(n);
-    let mut name = StrColumn::with_capacity(n, n * 18);
-    let mut cty = StrColumn::with_capacity(n, n * 10);
-    let mut nation = StrColumn::with_capacity(n, n * 8);
-    let mut region = StrColumn::with_capacity(n, n * 6);
-    let mut segment = StrColumn::with_capacity(n, n * 10);
+    let mut name = StrColumn::with_capacity(n, 0);
+    let mut cty = StrColumn::with_capacity(n, 0);
+    let mut nation = StrColumn::with_capacity(n, 0);
+    let mut region = StrColumn::with_capacity(n, 0);
+    let mut segment = StrColumn::with_capacity(n, 0);
     for i in 0..n as i64 {
         let (nat, reg) = text::NATIONS[rng.gen_range(0..25usize)];
         key.push(i + 1);
@@ -209,10 +209,10 @@ fn gen_customer(config: SsbConfig, n: usize, topology: &Topology) -> Arc<Relatio
 fn gen_supplier(config: SsbConfig, n: usize, topology: &Topology) -> Arc<Relation> {
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x55);
     let mut key = Vec::with_capacity(n);
-    let mut name = StrColumn::with_capacity(n, n * 18);
-    let mut cty = StrColumn::with_capacity(n, n * 10);
-    let mut nation = StrColumn::with_capacity(n, n * 8);
-    let mut region = StrColumn::with_capacity(n, n * 6);
+    let mut name = StrColumn::with_capacity(n, 0);
+    let mut cty = StrColumn::with_capacity(n, 0);
+    let mut nation = StrColumn::with_capacity(n, 0);
+    let mut region = StrColumn::with_capacity(n, 0);
     for i in 0..n as i64 {
         let (nat, reg) = text::NATIONS[rng.gen_range(0..25usize)];
         key.push(i + 1);
@@ -251,11 +251,11 @@ fn gen_supplier(config: SsbConfig, n: usize, topology: &Topology) -> Arc<Relatio
 fn gen_part(config: SsbConfig, n: usize, topology: &Topology) -> Arc<Relation> {
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x99);
     let mut key = Vec::with_capacity(n);
-    let mut name = StrColumn::with_capacity(n, n * 32);
-    let mut mfgr = StrColumn::with_capacity(n, n * 6);
-    let mut category = StrColumn::with_capacity(n, n * 7);
-    let mut brand1 = StrColumn::with_capacity(n, n * 9);
-    let mut color = StrColumn::with_capacity(n, n * 6);
+    let mut name = StrColumn::with_capacity(n, 0);
+    let mut mfgr = StrColumn::with_capacity(n, 0);
+    let mut category = StrColumn::with_capacity(n, 0);
+    let mut brand1 = StrColumn::with_capacity(n, 0);
+    let mut color = StrColumn::with_capacity(n, 0);
     for i in 0..n as i64 {
         let m = rng.gen_range(1..=5);
         let c = rng.gen_range(1..=5);

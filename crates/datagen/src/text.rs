@@ -119,12 +119,6 @@ pub const COMMENT_WORDS: [&str; 24] = [
     "instructions",
 ];
 
-/// Bytes to reserve per [`comment`] of `words` words (the list's words
-/// average 6.9 bytes, plus a separator each).
-pub fn comment_bytes(words: usize) -> usize {
-    words * 8
-}
-
 /// Random comment. With probability `special_ppm` parts-per-million the
 /// comment embeds `injected` (used for Q13's "special ... requests" and
 /// Q16's "Customer ... Complaints" correlations).

@@ -183,12 +183,12 @@ fn gen_nation() -> Arc<Relation> {
 fn gen_supplier(config: TpchConfig, n: usize, topology: &Topology) -> Arc<Relation> {
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x51);
     let mut suppkey = Vec::with_capacity(n);
-    let mut name = StrColumn::with_capacity(n, n * 18);
-    let mut address = StrColumn::with_capacity(n, n * 10);
+    let mut name = StrColumn::with_capacity(n, 0);
+    let mut address = StrColumn::with_capacity(n, 0);
     let mut nationkey = Vec::with_capacity(n);
-    let mut phone = StrColumn::with_capacity(n, n * 15);
+    let mut phone = StrColumn::with_capacity(n, 0);
     let mut acctbal = Vec::with_capacity(n);
-    let mut comment = StrColumn::with_capacity(n, n * text::comment_bytes(5));
+    let mut comment = StrColumn::with_capacity(n, 0);
     for i in 0..n as i64 {
         let nk = rng.gen_range(0..25i64);
         suppkey.push(i + 1);
@@ -235,13 +235,13 @@ fn gen_supplier(config: TpchConfig, n: usize, topology: &Topology) -> Arc<Relati
 fn gen_customer(config: TpchConfig, n: usize, topology: &Topology) -> Arc<Relation> {
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0xc5);
     let mut custkey = Vec::with_capacity(n);
-    let mut name = StrColumn::with_capacity(n, n * 18);
-    let mut address = StrColumn::with_capacity(n, n * 10);
+    let mut name = StrColumn::with_capacity(n, 0);
+    let mut address = StrColumn::with_capacity(n, 0);
     let mut nationkey = Vec::with_capacity(n);
-    let mut phone = StrColumn::with_capacity(n, n * 15);
+    let mut phone = StrColumn::with_capacity(n, 0);
     let mut acctbal = Vec::with_capacity(n);
-    let mut mktsegment = StrColumn::with_capacity(n, n * 10);
-    let mut comment = StrColumn::with_capacity(n, n * text::comment_bytes(4));
+    let mut mktsegment = StrColumn::with_capacity(n, 0);
+    let mut comment = StrColumn::with_capacity(n, 0);
     for i in 0..n as i64 {
         let nk = rng.gen_range(0..25i64);
         custkey.push(i + 1);
@@ -289,14 +289,14 @@ fn gen_customer(config: TpchConfig, n: usize, topology: &Topology) -> Arc<Relati
 fn gen_part(config: TpchConfig, n: usize, topology: &Topology) -> Arc<Relation> {
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x97);
     let mut partkey = Vec::with_capacity(n);
-    let mut name = StrColumn::with_capacity(n, n * 32);
-    let mut mfgr = StrColumn::with_capacity(n, n * 14);
-    let mut brand = StrColumn::with_capacity(n, n * 8);
-    let mut ptype = StrColumn::with_capacity(n, n * 20);
+    let mut name = StrColumn::with_capacity(n, 0);
+    let mut mfgr = StrColumn::with_capacity(n, 0);
+    let mut brand = StrColumn::with_capacity(n, 0);
+    let mut ptype = StrColumn::with_capacity(n, 0);
     let mut size = Vec::with_capacity(n);
-    let mut container = StrColumn::with_capacity(n, n * 8);
+    let mut container = StrColumn::with_capacity(n, 0);
     let mut retailprice = Vec::with_capacity(n);
-    let mut comment = StrColumn::with_capacity(n, n * text::comment_bytes(3));
+    let mut comment = StrColumn::with_capacity(n, 0);
     for i in 0..n as i64 {
         let m = rng.gen_range(1..=5);
         partkey.push(i + 1);
@@ -356,7 +356,7 @@ fn gen_partsupp(
     let mut suppkey = Vec::with_capacity(n);
     let mut availqty = Vec::with_capacity(n);
     let mut supplycost = Vec::with_capacity(n);
-    let mut comment = StrColumn::with_capacity(n, n * text::comment_bytes(2));
+    let mut comment = StrColumn::with_capacity(n, 0);
     for p in 0..n_part as i64 {
         for s in 0..4i64 {
             // Spec formula spreads the 4 suppliers of a part across the
@@ -415,13 +415,13 @@ fn gen_orders_lineitem(
     // Orders columns.
     let mut o_orderkey = Vec::with_capacity(n_orders);
     let mut o_custkey = Vec::with_capacity(n_orders);
-    let mut o_orderstatus = StrColumn::with_capacity(n_orders, n_orders);
+    let mut o_orderstatus = StrColumn::with_capacity(n_orders, 0);
     let mut o_totalprice = Vec::with_capacity(n_orders);
     let mut o_orderdate = Vec::with_capacity(n_orders);
-    let mut o_orderpriority = StrColumn::with_capacity(n_orders, n_orders * 8);
-    let mut o_clerk = StrColumn::with_capacity(n_orders, n_orders * 15);
+    let mut o_orderpriority = StrColumn::with_capacity(n_orders, 0);
+    let mut o_clerk = StrColumn::with_capacity(n_orders, 0);
     let mut o_shippriority = Vec::with_capacity(n_orders);
-    let mut o_comment = StrColumn::with_capacity(n_orders, n_orders * text::comment_bytes(4));
+    let mut o_comment = StrColumn::with_capacity(n_orders, 0);
 
     // Lineitem columns (~4x orders).
     let cap = n_orders * 4;
@@ -433,14 +433,14 @@ fn gen_orders_lineitem(
     let mut l_extendedprice = Vec::with_capacity(cap);
     let mut l_discount = Vec::with_capacity(cap);
     let mut l_tax = Vec::with_capacity(cap);
-    let mut l_returnflag = StrColumn::with_capacity(cap, cap);
-    let mut l_linestatus = StrColumn::with_capacity(cap, cap);
+    let mut l_returnflag = StrColumn::with_capacity(cap, 0);
+    let mut l_linestatus = StrColumn::with_capacity(cap, 0);
     let mut l_shipdate = Vec::with_capacity(cap);
     let mut l_commitdate = Vec::with_capacity(cap);
     let mut l_receiptdate = Vec::with_capacity(cap);
-    let mut l_shipinstruct = StrColumn::with_capacity(cap, cap * 12);
-    let mut l_shipmode = StrColumn::with_capacity(cap, cap * 5);
-    let mut l_comment = StrColumn::with_capacity(cap, cap * text::comment_bytes(2));
+    let mut l_shipinstruct = StrColumn::with_capacity(cap, 0);
+    let mut l_shipmode = StrColumn::with_capacity(cap, 0);
+    let mut l_comment = StrColumn::with_capacity(cap, 0);
 
     for o in 0..n_orders as i64 {
         let orderkey = o + 1;

@@ -125,7 +125,7 @@ pub enum Expr {
 pub enum Vector<'a> {
     I64(Cow<'a, [i64]>),
     F64(Cow<'a, [f64]>),
-    Str(Cow<'a, StrColumn>),
+    Str(StrRows<'a>),
     /// Dictionary codes plus their shared domain: the encoded form of a
     /// string result. Only materializes at [`Vector::into_column`] — and
     /// even there only into a code column.
@@ -189,10 +189,63 @@ impl Vector<'_> {
         match self {
             Vector::I64(v) => Column::I64(v.into_owned()),
             Vector::F64(v) => Column::F64(v.into_owned()),
-            Vector::Str(v) => Column::Str(v.into_owned()),
+            Vector::Str(v) => Column::Str(v.into_column()),
             Vector::Code(codes, dict) => Column::Dict(DictColumn::new(dict, codes.into_owned())),
             Vector::Bool(v) => Column::I64(v.into_iter().map(i64::from).collect()),
         }
+    }
+}
+
+/// The plain strings of a [`Vector`]: rows `[from, to)` of `col`. A leaf
+/// read over a row range borrows its column here, so no byte is copied;
+/// computed and gathered values own theirs.
+#[derive(Debug, Clone)]
+pub struct StrRows<'a> {
+    col: Cow<'a, StrColumn>,
+    from: usize,
+    to: usize,
+}
+
+impl StrRows<'_> {
+    fn owned(col: StrColumn) -> Self {
+        let to = col.len();
+        StrRows {
+            col: Cow::Owned(col),
+            from: 0,
+            to,
+        }
+    }
+
+    pub fn len(&self) -> usize {
+        self.to - self.from
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.from == self.to
+    }
+
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> {
+        (self.from..self.to).map(|i| self.col.get(i))
+    }
+
+    /// The values as a column of their own: copied unless they are the
+    /// whole of an owned column.
+    fn into_column(self) -> StrColumn {
+        let (from, to) = (self.from, self.to);
+        match self.col {
+            Cow::Owned(c) if from == 0 && to == c.len() => c,
+            c => {
+                let mut out = StrColumn::with_capacity(to - from, c.byte_len(from, to));
+                out.extend_range(&c, from, to);
+                out
+            }
+        }
+    }
+}
+
+impl PartialEq for StrRows<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
     }
 }
 
@@ -358,20 +411,19 @@ fn read<'a, T: Clone>(v: &'a [T], rows: Rows<'_>) -> Cow<'a, [T]> {
     }
 }
 
-/// The plain strings at `rows`: the column itself when `rows` cover all
-/// of it, else one byte copy of a range or a gather of a selection.
-fn read_strs<'a>(v: &'a StrColumn, rows: Rows<'_>) -> Cow<'a, StrColumn> {
+/// The plain strings at `rows`: borrowed for a range, gathered for a
+/// selection.
+fn read_strs<'a>(v: &'a StrColumn, rows: Rows<'_>) -> StrRows<'a> {
     match rows {
-        Rows::Range(0, e) if e == v.len() => Cow::Borrowed(v),
-        Rows::Range(s, e) => {
-            let mut out = StrColumn::with_capacity(e - s, v.byte_len(s, e));
-            out.extend_range(v, s, e);
-            Cow::Owned(out)
-        }
+        Rows::Range(from, to) => StrRows {
+            col: Cow::Borrowed(v),
+            from,
+            to,
+        },
         Rows::Sel(sel) => {
             let mut out = StrColumn::with_capacity(sel.len(), 0);
             out.extend_selected(v, sel);
-            Cow::Owned(out)
+            StrRows::owned(out)
         }
     }
 }
@@ -431,9 +483,8 @@ impl Expr {
             return Vector::Bool(operand.eval_rows(batch, rows).str_mask(&test));
         }
         match self {
-            // Leaf reads over a range borrow the column slice: no copy for
-            // i64/f64/codes, and plain strings copy bytes only for a part of
-            // their column. Over a selection they gather.
+            // Leaf reads over a range borrow the column: no copy for
+            // i64/f64/codes or plain strings. Over a selection they gather.
             Expr::Col(i) => match batch.column(*i) {
                 Column::I64(v) => Vector::I64(read(v, rows)),
                 Column::I32(v) => {
@@ -447,7 +498,7 @@ impl Expr {
             },
             Expr::ConstI64(c) => Vector::I64(Cow::Owned(vec![*c; n])),
             Expr::ConstF64(c) => Vector::F64(Cow::Owned(vec![*c; n])),
-            Expr::ConstStr(c) => Vector::Str(Cow::Owned(std::iter::repeat_n(c, n).collect())),
+            Expr::ConstStr(c) => Vector::Str(StrRows::owned(std::iter::repeat_n(c, n).collect())),
             Expr::Add(a, b) => Self::arith(a, b, batch, rows, |x, y| x + y, |x, y| x + y),
             Expr::Sub(a, b) => Self::arith(a, b, batch, rows, |x, y| x - y, |x, y| x - y),
             Expr::Mul(a, b) => Self::arith(a, b, batch, rows, |x, y| x * y, |x, y| x * y),
@@ -579,9 +630,11 @@ impl Expr {
                 let v = a.eval_rows(batch, rows);
                 let (skip, take) = (from.saturating_sub(1), *len);
                 let cut = |s: &str, o: &mut String| o.extend(s.chars().skip(skip).take(take));
-                let mut out = StrColumn::with_capacity(n, n * take);
+                let mut out;
                 match &v {
                     Vector::Str(vs) => {
+                        // A cut is never longer than its input.
+                        out = StrColumn::with_capacity(n, vs.col.byte_len(vs.from, vs.to));
                         for s in vs.iter() {
                             out.push_with(|o| cut(s, o));
                         }
@@ -592,11 +645,12 @@ impl Expr {
                         for s in dict.values() {
                             per.push_with(|o| cut(s, o));
                         }
+                        out = StrColumn::with_capacity(n, 0);
                         out.extend(codes.iter().map(|&c| per.get(c as usize)));
                     }
                     other => panic!("Substr over non-string {other:?}"),
                 }
-                Vector::Str(Cow::Owned(out))
+                Vector::Str(StrRows::owned(out))
             }
         }
     }
@@ -902,10 +956,19 @@ mod tests {
             col(1).eval(&b, 0..5),
             Vector::F64(Cow::Borrowed(_))
         ));
-        assert!(matches!(
-            col(2).eval(&b, 0..5),
-            Vector::Str(Cow::Borrowed(_))
-        ));
+        for rows in [0..5, 1..3] {
+            assert!(matches!(
+                col(2).eval(&b, rows),
+                Vector::Str(StrRows {
+                    col: Cow::Borrowed(_),
+                    ..
+                })
+            ));
+        }
+        assert_eq!(
+            col(2).eval(&b, 1..3).into_column().str_at(1),
+            b.column(2).str_at(2)
+        );
         let d = dict_batch();
         assert!(matches!(
             col(2).eval(&d, 0..5),
@@ -1044,7 +1107,7 @@ mod tests {
         let v = substr(col(2), 1, 2).eval(&d, 0..3);
         assert_eq!(
             v,
-            Vector::Str(Cow::Owned(["ap", "ba", "ch"].into_iter().collect()))
+            Vector::Str(StrRows::owned(["ap", "ba", "ch"].into_iter().collect()))
         );
     }
 
@@ -1211,7 +1274,13 @@ mod tests {
         let v = substr(col(0), 1, 2).eval(&b, 0..2);
         assert_eq!(
             v,
-            Vector::Str(Cow::Owned(["13", "x"].into_iter().collect()))
+            Vector::Str(StrRows::owned(["13", "x"].into_iter().collect()))
+        );
+        // A length past every value reserves by the input, not the length.
+        let all = substr(col(0), 2, u32::MAX as usize).eval(&b, 0..2);
+        assert_eq!(
+            all,
+            Vector::Str(StrRows::owned(["3-555", ""].into_iter().collect()))
         );
         assert_eq!(
             substr(col(0), 1, 2).result_type(&[DataType::Str]),

@@ -45,7 +45,7 @@ pub fn hash_row(batch: &Batch, cols: &[usize], row: usize) -> u64 {
             Column::I64(v) => hash_i64(v[row]),
             Column::I32(v) => hash_i64(i64::from(v[row])),
             Column::F64(v) => hash_i64(canon_f64_bits(v[row]) as i64),
-            Column::Str(v) => hash_bytes(v[row].as_bytes()),
+            Column::Str(v) => hash_bytes(v.get(row).as_bytes()),
             // Precomputed per-value hash: equals hashing the raw string,
             // so dictionary keys join/group consistently with plain keys
             // (and with codes from a *different* dictionary).
@@ -178,31 +178,31 @@ pub fn hash_rows(batch: &Batch, cols: &[usize], rows: Rows<'_>) -> Vec<u64> {
 /// later columns combine).
 fn hash_column(col: &Column, rows: Rows<'_>, first: bool, out: &mut [u64]) {
     macro_rules! fold {
-        ($v:ident, $hash_one:expr) => {
+        ($at:expr, $hash_one:expr) => {
             if first {
                 for_each_row!(rows, i, r, {
-                    let x = &$v[r];
+                    let x = $at(r);
                     out[i] = $hash_one(x);
                 });
             } else {
                 for_each_row!(rows, i, r, {
-                    let x = &$v[r];
+                    let x = $at(r);
                     out[i] = hash_combine(out[i], $hash_one(x));
                 });
             }
         };
     }
     match col {
-        Column::I64(v) => fold!(v, |x: &i64| hash_i64(*x)),
-        Column::I32(v) => fold!(v, |x: &i32| hash_i64(i64::from(*x))),
-        Column::F64(v) => fold!(v, |x: &f64| hash_i64(canon_f64_bits(*x) as i64)),
-        Column::Str(v) => fold!(v, |x: &str| hash_bytes(x.as_bytes())),
+        Column::I64(v) => fold!(|r| v[r], hash_i64),
+        Column::I32(v) => fold!(|r| v[r], |x: i32| hash_i64(i64::from(x))),
+        Column::F64(v) => fold!(|r| v[r], |x: f64| hash_i64(canon_f64_bits(x) as i64)),
+        Column::Str(v) => fold!(|r| v.get(r), |x: &str| hash_bytes(x.as_bytes())),
         Column::Dict(d) => {
             // One lookup per row instead of a string traversal; identical
             // hashes to the plain-string path (precomputed in the dict).
             let dict = d.dict();
             let codes = d.codes();
-            fold!(codes, |x: &u32| dict.hash_of(*x))
+            fold!(|r| codes[r], |x: u32| dict.hash_of(x))
         }
     }
 }
@@ -477,7 +477,7 @@ pub fn rows_equal(
             (Column::I64(x), Column::I32(y)) => x[a_row] == i64::from(y[b_row]),
             (Column::I32(x), Column::I64(y)) => i64::from(x[a_row]) == y[b_row],
             (Column::F64(x), Column::F64(y)) => x[a_row] == y[b_row],
-            (Column::Str(x), Column::Str(y)) => x[a_row] == y[b_row],
+            (Column::Str(x), Column::Str(y)) => x.get(a_row) == y.get(b_row),
             (Column::Dict(x), Column::Dict(y)) if x.same_dict(y) => {
                 x.codes()[a_row] == y.codes()[b_row]
             }
@@ -597,7 +597,7 @@ impl KeyLayout {
             keys.ends.resize(n, 0);
             for &c in cols {
                 if let Column::Str(v) = batch.column(c) {
-                    for_each_row!(rows, i, r, keys.ends[i] += 4 + v[r].len());
+                    for_each_row!(rows, i, r, keys.ends[i] += 4 + v.value_len(r));
                 }
             }
             let mut start = 0;
@@ -642,7 +642,7 @@ impl KeyLayout {
             if let Column::Str(v) = batch.column(c) {
                 let (ends, bytes) = (&mut keys.ends, &mut keys.bytes);
                 for_each_row!(rows, i, r, {
-                    let (s, o) = (v[r].as_bytes(), ends[i]);
+                    let (s, o) = (v.get(r).as_bytes(), ends[i]);
                     bytes[o..o + 4].copy_from_slice(&(s.len() as u32).to_le_bytes());
                     bytes[o + 4..o + 4 + s.len()].copy_from_slice(s);
                     ends[i] = o + 4 + s.len();
@@ -907,7 +907,7 @@ mod tests {
         assert_eq!(cand.probe_row, vec![0, 2]);
         assert_eq!(cand.locs().collect::<Vec<_>>(), vec![(0, 0), (0, 2)]);
         let payload = cand.gather_build_column(&build, 1);
-        assert_eq!(payload.as_str(), &["a".to_owned(), "c".to_owned()]);
+        assert_eq!(payload.as_str().iter().collect::<Vec<_>>(), ["a", "c"]);
         // Filtering to empty keeps the gather well-defined.
         cand.retain_key_equal(
             &Batch::from_columns(vec![Column::I64(vec![99, 99, 99])]),

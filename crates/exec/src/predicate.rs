@@ -312,7 +312,7 @@ impl Conjunct {
             Conjunct::Str { col, leaf, codes } => {
                 let (_, test) = leaf.as_str_test().expect("compiled from a string test");
                 match batch.column(*col) {
-                    Column::Str(v) => live.retain(|r| test.holds(&v[r])),
+                    Column::Str(v) => live.retain(|r| test.holds(v.get(r))),
                     Column::Dict(d) => {
                         let (dict, cached) =
                             codes.get_or_init(|| (Arc::clone(d.dict()), test.resolve(d.dict())));

@@ -91,8 +91,8 @@ fn q1_matches_reference() {
     assert_eq!(out.rows(), groups.len());
     for i in 0..out.rows() {
         let key = (
-            out.column(0).as_str()[i].to_owned(),
-            out.column(1).as_str()[i].to_owned(),
+            out.column(0).as_str().get(i).to_owned(),
+            out.column(1).as_str().get(i).to_owned(),
         );
         let g = groups.get(&key).expect("unexpected group");
         assert_eq!(out.column(2).as_i64()[i], g.0, "sum_qty {key:?}");
@@ -106,10 +106,10 @@ fn q1_matches_reference() {
     // Sorted by returnflag, linestatus.
     for i in 1..out.rows() {
         let a = (
-            &out.column(0).as_str()[i - 1],
-            &out.column(1).as_str()[i - 1],
+            out.column(0).as_str().get(i - 1),
+            out.column(1).as_str().get(i - 1),
         );
-        let b = (&out.column(0).as_str()[i], &out.column(1).as_str()[i]);
+        let b = (out.column(0).as_str().get(i), out.column(1).as_str().get(i));
         assert!(a <= b);
     }
 }
@@ -134,13 +134,13 @@ fn q4_matches_reference() {
         let od = o.column(4).as_i32()[i];
         if od >= lo && od <= hi && late_orders.contains(&o.column(0).as_i64()[i]) {
             *counts
-                .entry(o.column(5).as_str()[i].to_owned())
+                .entry(o.column(5).as_str().get(i).to_owned())
                 .or_default() += 1;
         }
     }
     assert_eq!(out.rows(), counts.len());
     for i in 0..out.rows() {
-        let prio = &out.column(0).as_str()[i];
+        let prio = out.column(0).as_str().get(i);
         assert_eq!(out.column(1).as_i64()[i], counts[prio], "priority {prio}");
     }
 }
@@ -174,7 +174,10 @@ fn q12_matches_reference() {
     let o = db.orders.gather();
     let mut prio_of: HashMap<i64, String> = HashMap::new();
     for i in 0..o.rows() {
-        prio_of.insert(o.column(0).as_i64()[i], o.column(5).as_str()[i].to_owned());
+        prio_of.insert(
+            o.column(0).as_i64()[i],
+            o.column(5).as_str().get(i).to_owned(),
+        );
     }
     let lo = date(1994, 1, 1);
     let hi = date(1995, 1, 1) - 1;
@@ -198,7 +201,7 @@ fn q12_matches_reference() {
     }
     assert_eq!(out.rows(), expect.len());
     for i in 0..out.rows() {
-        let sm = &out.column(0).as_str()[i];
+        let sm = out.column(0).as_str().get(i);
         assert_eq!(out.column(1).as_i64()[i], expect[sm].0);
         assert_eq!(out.column(2).as_i64()[i], expect[sm].1);
     }
@@ -213,7 +216,7 @@ fn q13_matches_reference() {
     let pattern = morsel_exec::expr::LikePattern::parse("%special%requests%");
     let mut orders_per_cust: HashMap<i64, i64> = HashMap::new();
     for i in 0..o.rows() {
-        if !pattern.matches(&o.column(8).as_str()[i]) {
+        if !pattern.matches(o.column(8).as_str().get(i)) {
             *orders_per_cust.entry(o.column(1).as_i64()[i]).or_default() += 1;
         }
     }
@@ -255,15 +258,15 @@ fn q19_matches_reference() {
         brand.insert(
             p.column(0).as_i64()[i],
             (
-                p.column(3).as_str()[i].to_owned(),
-                p.column(6).as_str()[i].to_owned(),
+                p.column(3).as_str().get(i).to_owned(),
+                p.column(6).as_str().get(i).to_owned(),
                 p.column(5).as_i64()[i],
             ),
         );
     }
     let mut expect = 0i64;
     for i in 0..l.rows() {
-        let sm = &l.column(14).as_str()[i];
+        let sm = l.column(14).as_str().get(i);
         if !(sm == "AIR" || sm == "AIR REG") {
             continue;
         }
@@ -305,7 +308,7 @@ fn q22_matches_reference() {
     let mut bal_sum = 0i64;
     let mut bal_n = 0i64;
     for i in 0..c.rows() {
-        let code = &c.column(4).as_str()[i][..2];
+        let code = &c.column(4).as_str().get(i)[..2];
         let bal = c.column(5).as_i64()[i];
         if codes.contains(&code) && bal > 0 {
             bal_sum += bal;
@@ -316,7 +319,7 @@ fn q22_matches_reference() {
 
     let mut expect: HashMap<String, (i64, i64)> = HashMap::new();
     for i in 0..c.rows() {
-        let code = &c.column(4).as_str()[i][..2];
+        let code = &c.column(4).as_str().get(i)[..2];
         let bal = c.column(5).as_i64()[i];
         let key = c.column(0).as_i64()[i];
         if codes.contains(&code) && (bal as f64) > avg && !has_orders.contains(&key) {
@@ -327,7 +330,7 @@ fn q22_matches_reference() {
     }
     assert_eq!(out.rows(), expect.len());
     for i in 0..out.rows() {
-        let code = &out.column(0).as_str()[i];
+        let code = out.column(0).as_str().get(i);
         assert_eq!(out.column(1).as_i64()[i], expect[code].0, "numcust {code}");
         assert_eq!(
             out.column(2).as_i64()[i],

@@ -240,7 +240,7 @@ mod tests {
         let b = sample().gather(&[2, 0]);
         assert_eq!(b.rows(), 2);
         assert_eq!(b.column(0).as_i64(), &[2, 3]);
-        assert_eq!(*b.column(1).as_str(), ["b", "c"]);
+        assert_eq!(b.column(1).as_str().iter().collect::<Vec<_>>(), ["b", "c"]);
         assert_eq!(sample().gather(&[]).rows(), 0);
     }
 

@@ -13,7 +13,6 @@
 //! bound is an assertion failure, never a silent wrap.
 
 use std::fmt;
-use std::ops::Index;
 
 /// One fragment of plain strings: offsets plus one byte buffer.
 #[derive(Clone, PartialEq, Eq)]
@@ -156,15 +155,6 @@ impl Default for StrColumn {
     }
 }
 
-impl Index<usize> for StrColumn {
-    type Output = str;
-
-    #[inline]
-    fn index(&self, i: usize) -> &str {
-        self.get(i)
-    }
-}
-
 /// Iterator over a [`StrColumn`]'s values.
 #[derive(Clone)]
 pub struct Iter<'a> {
@@ -203,12 +193,6 @@ impl fmt::Debug for StrColumn {
     }
 }
 
-impl<S: AsRef<str>, const N: usize> PartialEq<[S; N]> for StrColumn {
-    fn eq(&self, other: &[S; N]) -> bool {
-        self.len() == N && self.iter().zip(other).all(|(a, b)| a == b.as_ref())
-    }
-}
-
 impl<S: AsRef<str>> Extend<S> for StrColumn {
     fn extend<I: IntoIterator<Item = S>>(&mut self, iter: I) {
         for s in iter {
@@ -236,7 +220,7 @@ mod tests {
         c.push_with(|s| s.push('é'));
         assert_eq!(c.len(), 5);
         assert_eq!(c.iter().collect::<Vec<_>>(), ["ab", "", "漢字", "n7", "é"]);
-        assert_eq!((c.get(1), &c[2]), ("", "漢字"));
+        assert_eq!((c.get(1), c.get(2)), ("", "漢字"));
         assert_eq!(
             (c.value_len(2), c.byte_len(0, 3), c.byte_len(1, 1)),
             (6, 8, 0)
