@@ -38,7 +38,6 @@ pub fn txn_demo(_cfg: &ExpConfig) -> String {
         .database(Arc::clone(&db))
         .topology(&topo)
         .for_service(&service)
-        .result_caching(true)
         .build();
 
     out.push_str("== transactional SQL (auto-commit) ==\n");
@@ -61,8 +60,8 @@ pub fn txn_demo(_cfg: &ExpConfig) -> String {
             let qx = exec.query().expect("select");
             let total = qx.rows.as_ref().map(|b| b.column(0).as_i64()[0]);
             out.push_str(&format!(
-                "{q} ({pass})\n  -> total={:?} result_cache={:?}\n",
-                total, qx.result_cache
+                "{q} ({pass})\n  -> total={:?} plan_cache={:?}\n",
+                total, qx.plan_cache
             ));
         }
     }
@@ -229,6 +228,9 @@ mod tests {
         let cfg = ExpConfig::default();
         let out = txn_demo(&cfg);
         assert!(out.contains("INSERT kv: 2 row(s)"), "{out}");
+        let cold = out.find("plan_cache=Miss").expect(&out);
+        let warm = out.find("plan_cache=Hit").expect(&out);
+        assert!(cold < warm, "{out}");
         assert!(
             out.contains("state identical to the uncrashed oracle"),
             "{out}"

@@ -1,6 +1,6 @@
 //! A minimal metrics registry with Prometheus text exposition.
 //!
-//! `morsel-service`, the plan/result caches, the dispatcher, and the
+//! `morsel-service`, the plan cache, the dispatcher, and the
 //! memory pool each grew their own counters; this module unifies them
 //! behind one exposition surface. A [`MetricsRegistry`] is *assembled at
 //! snapshot time* from those existing counters (it is a rendering

@@ -1,7 +1,7 @@
-//! Prepared statements and the session's plan / result caches.
+//! Prepared statements and the session's plan cache.
 //!
-//! [`crate::Session`] owns three layers over its catalog, each
-//! skippable, each observable through [`CacheCounters`]:
+//! [`crate::Session`] owns two layers over its catalog; the plan cache
+//! counts what it does in [`CacheCounters`]:
 //!
 //! 1. **Prepared statements** — [`crate::Session::prepare`] lexes and
 //!    parses once; [`crate::Session::execute_prepared`] splices
@@ -15,14 +15,11 @@
 //!    every entry also guards on the exact literal vector and the
 //!    catalog version it was planned under, and a guard mismatch
 //!    replans (overwriting the entry) instead of serving a wrong plan.
-//!    A hit skips bind→DPsize→lowering and goes straight to the cheap
-//!    per-run pipeline compile.
-//! 3. **Result cache** (opt-in) — completed aggregate results keyed on
-//!    the full canonical query text plus the catalog version. Explicit
-//!    invalidation: [`crate::Session::update_catalog`] and every commit
-//!    or merge (they move the version, so stale entries can never be
-//!    served) and [`crate::Session::invalidate_results`] (drops
-//!    everything now).
+//!    Every commit or merge moves the version. A hit skips
+//!    bind→DPsize→lowering and goes straight to the cheap per-run
+//!    pipeline compile. Capacity 0 turns it off: nothing is looked up
+//!    or counted, and every execution reports
+//!    [`CacheDisposition::Bypass`].
 //!
 //! Planning happens *under* the session's cache lock, which makes cold
 //! planning single-flight: N concurrent clients racing one cold shape
@@ -60,9 +57,6 @@ pub struct CacheCounters {
     plan_invalidations: AtomicU64,
     /// Entries evicted because their query failed.
     plan_poisoned: AtomicU64,
-    result_hits: AtomicU64,
-    result_misses: AtomicU64,
-    result_invalidations: AtomicU64,
 }
 
 impl CacheCounters {
@@ -79,9 +73,6 @@ impl CacheCounters {
             plan_evictions: self.plan_evictions.load(Ordering::Relaxed),
             plan_invalidations: self.plan_invalidations.load(Ordering::Relaxed),
             plan_poisoned: self.plan_poisoned.load(Ordering::Relaxed),
-            result_hits: self.result_hits.load(Ordering::Relaxed),
-            result_misses: self.result_misses.load(Ordering::Relaxed),
-            result_invalidations: self.result_invalidations.load(Ordering::Relaxed),
         }
     }
 }
@@ -94,9 +85,6 @@ pub struct CacheStats {
     pub plan_evictions: u64,
     pub plan_invalidations: u64,
     pub plan_poisoned: u64,
-    pub result_hits: u64,
-    pub result_misses: u64,
-    pub result_invalidations: u64,
 }
 
 impl CacheStats {
@@ -115,7 +103,7 @@ impl CacheStats {
 
     /// Did any cached lookup happen at all?
     pub fn is_active(&self) -> bool {
-        self.plan_lookups() + self.result_hits + self.result_misses > 0
+        self.plan_lookups() > 0
     }
 }
 
@@ -124,17 +112,13 @@ impl std::fmt::Display for CacheStats {
         write!(
             f,
             "plan cache: {} hit / {} miss ({:.1}% hit rate, {} evicted, \
-             {} invalidated, {} poisoned)  result cache: {} hit / {} miss \
-             ({} invalidated)",
+             {} invalidated, {} poisoned)",
             self.plan_hits,
             self.plan_misses,
             self.plan_hit_rate() * 100.0,
             self.plan_evictions,
             self.plan_invalidations,
             self.plan_poisoned,
-            self.result_hits,
-            self.result_misses,
-            self.result_invalidations,
         )
     }
 }
@@ -199,7 +183,7 @@ impl PreparedStatement {
 pub enum CacheDisposition {
     Hit,
     Miss,
-    /// The layer was disabled or the query was ineligible for it.
+    /// The layer was disabled (plan-cache capacity 0).
     Bypass,
 }
 
@@ -212,8 +196,6 @@ pub struct SqlExecution {
     pub rows: Option<Batch>,
     /// Whether the physical plan came from the plan cache.
     pub plan_cache: CacheDisposition,
-    /// Whether the rows came from the result cache.
-    pub result_cache: CacheDisposition,
     /// Time spent in parse + cache lookup + (on a miss) bind/plan.
     pub plan_ns: u64,
 }
@@ -241,20 +223,14 @@ struct PlanEntry {
     last_used: u64,
 }
 
-struct ResultEntry {
-    catalog_version: u64,
-    rows: Batch,
-}
-
-/// The session's two caches behind its one cache lock: a bounded
+/// The session's plan cache behind its one cache lock: a bounded
 /// shape → plan LRU (small by design — tens of entries; the eviction
-/// scan is O(len) and irrelevant next to a single DPsize run) and the
-/// canonical-text → rows result cache. Every method counts what it did.
+/// scan is O(len) and irrelevant next to a single DPsize run). Every
+/// method counts what it did.
 pub(crate) struct SessionCaches {
     capacity: usize,
     clock: u64,
     plans: HashMap<ShapeKey, PlanEntry>,
-    results: HashMap<String, ResultEntry>,
     counters: Arc<CacheCounters>,
 }
 
@@ -264,7 +240,6 @@ impl SessionCaches {
             capacity,
             clock: 0,
             plans: HashMap::new(),
-            results: HashMap::new(),
             counters,
         }
     }
@@ -287,12 +262,6 @@ impl SessionCaches {
             }
             CacheCounters::bump(&self.counters.plan_invalidations);
         }
-        CacheCounters::bump(&self.counters.plan_misses);
-        None
-    }
-
-    /// The lookup of a cache that holds nothing (capacity 0): a miss.
-    pub(crate) fn miss(&mut self) -> Option<PlanHandle> {
         CacheCounters::bump(&self.counters.plan_misses);
         None
     }
@@ -330,39 +299,6 @@ impl SessionCaches {
             self.plans.remove(key);
             CacheCounters::bump(&self.counters.plan_poisoned);
         }
-    }
-
-    /// The rows cached for `text` at `catalog_version`. An entry from
-    /// another version is dropped now rather than served ever again.
-    pub(crate) fn lookup_result(&mut self, text: &str, catalog_version: u64) -> Option<Batch> {
-        match self.results.get(text) {
-            Some(entry) if entry.catalog_version == catalog_version => {
-                CacheCounters::bump(&self.counters.result_hits);
-                return Some(entry.rows.clone());
-            }
-            Some(_) => {
-                self.results.remove(text);
-                CacheCounters::bump(&self.counters.result_invalidations);
-            }
-            None => {}
-        }
-        CacheCounters::bump(&self.counters.result_misses);
-        None
-    }
-
-    pub(crate) fn insert_result(&mut self, text: String, catalog_version: u64, rows: Batch) {
-        let entry = ResultEntry {
-            catalog_version,
-            rows,
-        };
-        self.results.insert(text, entry);
-    }
-
-    /// Drop every cached result now (counted per entry dropped).
-    pub(crate) fn clear_results(&mut self) {
-        let dropped = self.results.len() as u64;
-        self.results.clear();
-        (self.counters.result_invalidations).fetch_add(dropped, Ordering::Relaxed);
     }
 }
 

@@ -26,7 +26,7 @@
 //! - **Load clients** ([`client`]): closed-loop drivers for benchmarks
 //!   and demos.
 //! - **SQL** ([`Session`]): the one entry point for SQL text — parse,
-//!   plan through the plan/result caches, compile, submit, and hand
+//!   plan through the plan cache, compile, submit, and hand
 //!   back rows (or, over a transactional database, a durable DML
 //!   acknowledgement); built with [`Session::builder`], every failure
 //!   one [`Error`].

@@ -513,26 +513,6 @@ impl QueryService {
         &self.workers.pool().hook().cache
     }
 
-    /// Resolve a result-cache hit as a served query: no spec is built
-    /// and nothing dispatches, but the completion is recorded in the
-    /// service metrics, so cached and executed queries reconcile in one
-    /// report.
-    pub(crate) fn complete_cached(&self, name: &str) -> QueryTicket {
-        let pool = self.workers.pool();
-        let inner = pool.hook();
-        let now = pool.now_ns();
-        let ticket = Arc::new(TicketInner {
-            name: name.to_owned(),
-            priority: 1,
-            submitted_ns: now,
-            state: StdMutex::new(TicketState { report: None }),
-            done: Condvar::new(),
-        });
-        let latency = pool.now_ns().saturating_sub(now);
-        inner.finalize(&ticket, QueryOutcome::Completed, latency, None);
-        QueryTicket { inner: ticket }
-    }
-
     /// Stop accepting queries, drain everything in flight and queued,
     /// join the workers, and return the aggregate report.
     ///
@@ -579,7 +559,7 @@ pub struct ServiceReport {
     /// Per-priority outcome counts and completed-query latency
     /// histograms.
     pub per_priority: Vec<(u32, OutcomeCounts, LatencyHistogram)>,
-    /// Plan/result cache counters at shutdown (all zero unless a
+    /// Plan-cache counters at shutdown (all zero unless a
     /// [`crate::Session`] executed through this service).
     pub cache: CacheStats,
     /// Execution totals merged from per-query runtime profiles.
@@ -731,13 +711,10 @@ impl ServiceReport {
             ("plan", "eviction", self.cache.plan_evictions),
             ("plan", "invalidation", self.cache.plan_invalidations),
             ("plan", "poisoned", self.cache.plan_poisoned),
-            ("result", "hit", self.cache.result_hits),
-            ("result", "miss", self.cache.result_misses),
-            ("result", "invalidation", self.cache.result_invalidations),
         ] {
             reg.counter(
                 "morsel_cache_events_total",
-                "Plan/result cache events.",
+                "Plan cache events.",
                 &[("cache", cache), ("event", event)],
                 v as f64,
             );

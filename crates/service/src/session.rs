@@ -3,7 +3,7 @@
 //! A session owns everything between SQL text and a submitted query:
 //! the catalog it binds against (a static one, or the latest committed
 //! snapshot of a transactional database), the cost-based planner, the
-//! plan and result caches with their counters, and — when enabled — the
+//! plan cache with its counters, and — when enabled — the
 //! [`FeedbackCache`] that carries observed cardinalities from finished
 //! queries into later planning.
 //!
@@ -13,7 +13,6 @@
 //! let session = Session::builder()
 //!     .catalog(catalog)                 // or .database(db) for MVCC
 //!     .topology(&morsel_numa::Topology::laptop())
-//!     .result_caching(true)
 //!     .feedback(true)                   // learn from runtime actuals
 //!     .build();
 //! ```
@@ -22,11 +21,10 @@
 //! this order:
 //!
 //! 1. `parse_statement` — once per statement;
-//! 2. **SELECT**: refresh the snapshot (database mode) → probe the
-//!    result cache → resolve the plan through the plan cache, or bind
-//!    and plan on a miss → `compile_query` → submit and wait → take the
-//!    rows → fill the result cache → harvest feedback from the plan
-//!    that ran;
+//! 2. **SELECT**: refresh the snapshot (database mode) → resolve the
+//!    plan through the plan cache, or bind and plan on a miss →
+//!    `compile_query` → submit and wait → take the rows → harvest
+//!    feedback from the plan that ran;
 //! 3. **DML** (database mode): bind → begin, buffer, commit → refresh.
 //!
 //! [`Session::execute_prepared`] joins the SELECT path after the parse.
@@ -35,9 +33,9 @@
 //!
 //! Lock order is `caches → catalog`, never the reverse: planning holds
 //! the cache lock (that is what makes it single-flight) and takes the
-//! one catalog mutex inside it; [`Session::refresh`] and
-//! [`Session::update_catalog`] take only the catalog mutex, and the
-//! database's own lock is only ever taken inside it.
+//! one catalog mutex inside it; [`Session::refresh`] takes only the
+//! catalog mutex, and the database's own lock is only ever taken
+//! inside it.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -73,7 +71,6 @@ pub struct SessionBuilder {
     db: Option<Arc<TxnDb>>,
     topology: Topology,
     plan_cache_capacity: usize,
-    result_caching: bool,
     feedback: bool,
     counters: Option<Arc<CacheCounters>>,
 }
@@ -103,15 +100,9 @@ impl SessionBuilder {
 
     /// Bound on distinct shapes the plan cache retains (LRU beyond it).
     /// 0 turns the cache off: every execution binds and plans from
-    /// scratch and counts as a miss.
+    /// scratch, reports [`CacheDisposition::Bypass`] and counts nothing.
     pub fn plan_cache_capacity(mut self, capacity: usize) -> Self {
         self.plan_cache_capacity = capacity;
-        self
-    }
-
-    /// Opt into the result cache for aggregate queries (default: off).
-    pub fn result_caching(mut self, enabled: bool) -> Self {
-        self.result_caching = enabled;
         self
     }
 
@@ -161,7 +152,6 @@ impl SessionBuilder {
             )),
             counters,
             plan_cache_capacity: self.plan_cache_capacity,
-            result_caching: self.result_caching,
             feedback,
         }
     }
@@ -205,12 +195,12 @@ impl Execution {
 /// Where the session's catalog comes from — the only place that knows
 /// which mode the session is in.
 enum CatalogSource {
-    /// Loaded once; moves only through [`Session::update_catalog`].
+    /// Loaded once; never moves.
     Static(Mutex<Catalog>),
     /// The latest committed snapshot of `db` as of the last refresh.
     /// [`TxnDb::snapshot_catalog`] stamps a version that every commit
     /// and merge advances, so installing a newer snapshot is what
-    /// invalidates the plans and results bound to the old one.
+    /// invalidates the plans bound to the old one.
     Database {
         db: Arc<TxnDb>,
         installed: Mutex<Catalog>,
@@ -240,13 +230,6 @@ impl CatalogSource {
     }
 }
 
-/// A plan and what it was resolved under.
-struct Resolved {
-    handle: PlanHandle,
-    disposition: CacheDisposition,
-    catalog_version: u64,
-}
-
 /// The SQL front end of the service. See the [module docs](self).
 pub struct Session {
     source: CatalogSource,
@@ -254,7 +237,6 @@ pub struct Session {
     caches: Mutex<SessionCaches>,
     counters: Arc<CacheCounters>,
     plan_cache_capacity: usize,
-    result_caching: bool,
     feedback: Option<Arc<FeedbackCache>>,
 }
 
@@ -266,7 +248,6 @@ impl Session {
             db: None,
             topology: Topology::nehalem_ex(),
             plan_cache_capacity: PLAN_CACHE_CAPACITY_DEFAULT,
-            result_caching: false,
             feedback: false,
             counters: None,
         }
@@ -290,8 +271,8 @@ impl Session {
     /// Re-sync the read side with the latest committed snapshot
     /// (database mode; no-op otherwise). A commit or merge since the
     /// last refresh moved the catalog version, which is what
-    /// invalidates every cached plan, result and learned selectivity
-    /// bound to the old one.
+    /// invalidates every cached plan and learned selectivity bound to
+    /// the old one.
     pub fn refresh(&self) {
         self.source.refresh();
     }
@@ -307,29 +288,6 @@ impl Session {
         Ok(())
     }
 
-    /// Run `f` over the catalog and advance its version, invalidating
-    /// every cached plan, result and learned selectivity bound against
-    /// the old one. The version advances even if `f` only mutates data
-    /// in place (the explicit invalidation hook for changes the table
-    /// map cannot see). Meant for static catalogs: in database mode the
-    /// next refresh after a commit replaces whatever `f` did.
-    pub fn update_catalog<R>(&self, f: impl FnOnce(&mut Catalog) -> R) -> R {
-        let mut catalog = self.source.catalog();
-        let before = catalog.version();
-        let out = f(&mut catalog);
-        if catalog.version() == before {
-            catalog.bump_version();
-        }
-        out
-    }
-
-    /// Drop every cached result now (counted per entry dropped). Plans
-    /// and learned selectivities survive: they are invalidated by
-    /// catalog version, not by data freshness policy.
-    pub fn invalidate_results(&self) {
-        self.caches.lock().clear_results();
-    }
-
     /// Parse `sql` into a reusable template. Placeholder arity is
     /// validated here; names and types are validated on first execution
     /// (binding needs concrete literals).
@@ -343,8 +301,7 @@ impl Session {
     /// planner-equivalence oracle).
     pub fn resolve(&self, sql: &str) -> Result<(PlanHandle, CacheDisposition), Error> {
         self.refresh();
-        let resolved = self.resolve_plan(&parse(sql)?)?;
-        Ok((resolved.handle, resolved.disposition))
+        Ok(self.resolve_plan(&parse(sql)?)?)
     }
 
     /// Execute one SQL statement through `service`: a `SELECT` against
@@ -391,38 +348,12 @@ impl Session {
     ) -> Result<SqlExecution, Error> {
         self.refresh();
 
-        // Result-cache probe. Aggregate output only: aggregates collapse
-        // the data to a few rows, so caching them is cheap and
-        // high-value; raw scans could pin arbitrarily large batches.
-        let eligible = self.result_caching
-            && (!select.group_by.is_empty() || select.items.iter().any(|i| i.expr.has_agg()));
-        let result_key = eligible.then(|| select.to_string());
-        if let Some(text) = &result_key {
-            let cached = {
-                let mut caches = self.caches.lock();
-                let version = self.source.catalog().version();
-                caches.lookup_result(text, version)
-            };
-            if let Some(rows) = cached {
-                // Nothing dispatches, but the hit is a served query in
-                // the service's ledger.
-                let report = service.complete_cached(&name).wait();
-                return Ok(SqlExecution {
-                    report,
-                    rows: Some(rows),
-                    plan_cache: CacheDisposition::Bypass,
-                    result_cache: CacheDisposition::Hit,
-                    plan_ns: started.elapsed().as_nanos() as u64,
-                });
-            }
-        }
-
         // Plan: from the cache, or bind + plan under the cache lock.
-        let resolved = self.resolve_plan(select)?;
+        let (handle, plan_cache) = self.resolve_plan(select)?;
         let plan_ns = started.elapsed().as_nanos() as u64;
 
         // Compile the pipelines for this run, submit, wait.
-        let plan = &resolved.handle.plan;
+        let plan = &handle.plan;
         let (spec, slot) = compile_query(name.as_str(), plan.clone(), SystemVariant::full());
         let report = service.submit(QueryRequest::new(spec)).wait();
         if let QueryOutcome::Failed(_) = report.outcome {
@@ -437,15 +368,6 @@ impl Session {
         }
         let rows = slot.lock().take();
 
-        // Fill the result cache — unless the catalog moved while the
-        // query ran, in which case these rows are already stale.
-        if let (Some(text), Some(batch)) = (result_key, &rows) {
-            let mut caches = self.caches.lock();
-            if self.source.catalog().version() == resolved.catalog_version {
-                caches.insert_result(text, resolved.catalog_version, batch.clone());
-            }
-        }
-
         // Feed the runtime actuals of the plan that ran to the planner.
         if let Some(profile) = &report.profile {
             self.observe(plan, profile);
@@ -454,24 +376,19 @@ impl Session {
         Ok(SqlExecution {
             report,
             rows,
-            plan_cache: resolved.disposition,
-            result_cache: if eligible {
-                CacheDisposition::Miss
-            } else {
-                CacheDisposition::Bypass
-            },
+            plan_cache,
             plan_ns,
         })
     }
 
     /// Resolve `select` to a physical plan, through the plan cache unless
-    /// its capacity is 0 — then nothing is looked up, nothing is kept and
-    /// the statement's shape is never computed.
+    /// its capacity is 0 — then nothing is looked up, kept or counted, the
+    /// statement's shape is never computed, and the plan is a `Bypass`.
     ///
     /// Planning runs under the cache lock, so concurrent executions of
     /// one cold shape plan exactly once (single-flight) — the others
     /// block briefly and then hit.
-    fn resolve_plan(&self, select: &Select) -> Result<Resolved, SqlError> {
+    fn resolve_plan(&self, select: &Select) -> Result<(PlanHandle, CacheDisposition), SqlError> {
         let shape = (self.plan_cache_capacity > 0).then(|| shape_of(select));
         let mut caches = self.caches.lock();
         let catalog = self.source.catalog();
@@ -487,26 +404,18 @@ impl Session {
             catalog_version,
             feedback_epoch,
         };
-        let cached = match &shape {
-            Some((key, literals)) => caches.lookup_plan(key, literals, guard),
-            None => caches.miss(),
+        let cached =
+            (shape.as_ref()).and_then(|(key, literals)| caches.lookup_plan(key, literals, guard));
+        if let Some(handle) = cached {
+            return Ok((handle, CacheDisposition::Hit));
+        }
+        let logical = Binder::new(&catalog).bind(select)?;
+        let handle = self.planner.plan_handle(&logical);
+        let Some((key, literals)) = shape else {
+            return Ok((handle, CacheDisposition::Bypass));
         };
-        let (handle, disposition) = match cached {
-            Some(handle) => (handle, CacheDisposition::Hit),
-            None => {
-                let logical = Binder::new(&catalog).bind(select)?;
-                let handle = self.planner.plan_handle(&logical);
-                if let Some((key, literals)) = shape {
-                    caches.insert_plan(key, literals, guard, handle.clone());
-                }
-                (handle, CacheDisposition::Miss)
-            }
-        };
-        Ok(Resolved {
-            handle,
-            disposition,
-            catalog_version,
-        })
+        caches.insert_plan(key, literals, guard, handle.clone());
+        Ok((handle, CacheDisposition::Miss))
     }
 
     /// The write path of [`Session::execute`]: bind against the latest

@@ -10,12 +10,12 @@
 //!
 //! [`TxnDb::snapshot_catalog`] stamps a strictly advancing version
 //! (bumped by every commit *and* every merge), and the session installs
-//! the new catalog whenever that version moved. That is exactly the
-//! invalidation hook the plan and result caches key on: a cached plan
-//! or aggregate result bound against version `v` can never be served
-//! once the catalog reads `v' > v`. The regression test below pins the
-//! end-to-end property — a cached aggregate is never served stale
-//! across a committed `INSERT`.
+//! the new catalog whenever that version moved. The plan cache guards
+//! on that version: a plan bound against version `v` scans the
+//! relations of `v`'s snapshot, so it can never be served once the
+//! catalog reads `v' > v`. The tests below pin the end-to-end property
+//! — a cached plan is never served stale across a committed `INSERT`
+//! or a merge.
 
 use morsel_exec::expr::{eq, lit, Expr};
 use morsel_planner::{DmlKind, DmlPlan};
@@ -125,7 +125,6 @@ mod tests {
             .database(Arc::clone(&db))
             .topology(&topo)
             .for_service(&service)
-            .result_caching(true)
             .build();
         (dir, db, session, service)
     }
@@ -136,13 +135,14 @@ mod tests {
             .expect("aggregate runs");
         let q = exec.query().expect("select produces a query execution");
         let rows = q.rows.as_ref().expect("completed");
-        (rows.column(0).as_i64()[0], q.result_cache)
+        (rows.column(0).as_i64()[0], q.plan_cache)
     }
 
-    /// The satellite regression: a cached aggregate must never be
-    /// served stale across a committed INSERT. The second execution
-    /// hits the result cache; the commit bumps the catalog version;
-    /// the third execution must miss and see the new row.
+    /// A cached plan must never be served stale across a committed
+    /// INSERT: it would scan the old snapshot's relation. The second
+    /// read hits the plan cache; the commit moves the catalog version;
+    /// the third read must miss, count one invalidation and see the new
+    /// row.
     #[test]
     fn cached_aggregate_is_never_served_stale_across_a_commit() {
         let (dir, _db, session, service) = setup("txn-session-stale");
@@ -152,7 +152,7 @@ mod tests {
         assert_eq!(d1, CacheDisposition::Miss);
         let (s2, d2) = sum(&session, &service, "agg-warm");
         assert_eq!(s2, 0);
-        assert_eq!(d2, CacheDisposition::Hit, "second run is a result hit");
+        assert_eq!(d2, CacheDisposition::Hit, "second run is a plan hit");
 
         let ack = session
             .execute(
@@ -165,18 +165,16 @@ mod tests {
         assert_eq!(ack.rows_affected, 1);
         assert!(ack.commit_ts > 0);
 
+        let before = session.stats().plan_invalidations;
         let (s3, d3) = sum(&session, &service, "agg-after-commit");
         assert_eq!(s3, 100, "aggregate reflects the committed insert");
-        assert_ne!(
+        assert_eq!(
             d3,
-            CacheDisposition::Hit,
-            "stale cached aggregate must not be served after a commit"
+            CacheDisposition::Miss,
+            "the commit invalidated the plan"
         );
         let stats = session.stats();
-        assert!(
-            stats.result_hits >= 1 && stats.result_misses >= 2,
-            "{stats}"
-        );
+        assert_eq!(stats.plan_invalidations, before + 1, "{stats}");
 
         service.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
@@ -233,8 +231,8 @@ mod tests {
     }
 
     /// Merges rewrite partitions without changing logical contents —
-    /// but they *do* bump the version, so caches refill rather than
-    /// serve entries bound to dropped partitions.
+    /// but they *do* bump the version, so the cached plan replans
+    /// rather than scan the dropped partitions.
     #[test]
     fn merge_invalidates_caches_without_changing_results() {
         let (dir, db, session, service) = setup("txn-session-merge");
@@ -250,9 +248,12 @@ mod tests {
         session.merge_all().expect("merge");
         assert_eq!(db.delta_stats("kv").expect("kv").2, 1, "epoch advanced");
 
+        let before = session.stats().plan_invalidations;
         let (s2, d2) = sum(&session, &service, "post-merge");
         assert_eq!(s2, 9, "merge preserves logical contents");
-        assert_ne!(d2, CacheDisposition::Hit, "merge invalidated the cache");
+        assert_eq!(d2, CacheDisposition::Miss, "the merge invalidated the plan");
+        let stats = session.stats();
+        assert_eq!(stats.plan_invalidations, before + 1, "{stats}");
 
         service.shutdown();
         let _ = std::fs::remove_dir_all(&dir);

@@ -33,28 +33,19 @@ impl Catalog {
         self.version += 1;
     }
 
-    /// Monotonic change counter: advances on every [`Catalog::add`] and
-    /// on explicit [`Catalog::bump_version`] calls. Plan and result
-    /// caches key on this so entries bound against a stale snapshot are
-    /// invalidated instead of served.
+    /// Monotonic change counter: advances on every [`Catalog::add`] (and
+    /// through [`Catalog::set_version`]). The plan cache keys on this so
+    /// plans bound against a stale snapshot are invalidated instead of
+    /// served.
     pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Explicit invalidation hook for in-place data changes the table
-    /// map cannot see (a reloaded relation behind an existing `Arc`, a
-    /// regenerated database reusing the same names): advances the
-    /// version without touching any entry.
-    pub fn bump_version(&mut self) -> u64 {
-        self.version += 1;
         self.version
     }
 
     /// Force the version to `v` (must not move backwards). Transactional
     /// snapshot catalogs are rebuilt from scratch per snapshot, so their
     /// `add`-counted versions would restart low; the transaction layer
-    /// stamps them with its own monotonic counter instead so downstream
-    /// plan/result caches see a strictly advancing version across
+    /// stamps them with its own monotonic counter instead so the
+    /// downstream plan cache sees a strictly advancing version across
     /// commits and merges.
     pub fn set_version(&mut self, v: u64) {
         assert!(
@@ -143,10 +134,11 @@ mod tests {
         assert_eq!(cat.version(), 1);
         cat.add("t", rel(&["b"]));
         assert_eq!(cat.version(), 2, "replacement is a change too");
-        assert_eq!(cat.bump_version(), 3);
+        cat.set_version(3);
         let snapshot = cat.clone();
         assert_eq!(snapshot.version(), 3, "clones carry the version");
-        cat.bump_version();
+        cat.add("u", rel(&["c"]));
+        assert_eq!(cat.version(), 4);
         assert_eq!(snapshot.version(), 3, "snapshots stay pinned");
     }
 }

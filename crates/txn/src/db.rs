@@ -174,8 +174,8 @@ struct Inner {
     /// Highest commit timestamp applied to the delta stores.
     last_applied_ts: u64,
     /// Monotonic change counter (last mutating WAL LSN): stamps
-    /// snapshot catalogs so plan/result caches invalidate on commit
-    /// and merge.
+    /// snapshot catalogs so cached plans invalidate on commit and
+    /// merge.
     version: u64,
     poisoned: bool,
     /// The snapshot catalog of `version`: built on first use after a
@@ -809,8 +809,8 @@ impl TxnDb {
 
     /// A catalog of the latest committed snapshot of every table,
     /// stamped with a strictly advancing version (base table count +
-    /// the commit/merge counter) so plan/result caches keyed on
-    /// [`Catalog::version`] invalidate on every write. With empty
+    /// the commit/merge counter) so a plan cache keyed on
+    /// [`Catalog::version`] invalidates on every write. With empty
     /// deltas every entry is the load-time base `Arc` itself. Calls at
     /// one version return the same relations: the catalog is built once
     /// per commit or merge.

@@ -488,12 +488,14 @@ fn run_counted(
 /// never retain a poisoned entry, reservations release exactly once,
 /// and a later hit on the same shape succeeds. Covers both failure
 /// classes — an injected operator panic and a refused memory
-/// reservation (typed `ResourceExhausted`).
+/// reservation (typed `ResourceExhausted`) — and a failure on the
+/// *cold* run, whose freshly planned entry is evicted the same way.
 #[test]
 fn poisoned_cached_plans_are_evicted_and_recover() {
     let w = workload();
     // The faults target submissions by *name*: "poison" and "squeeze"
-    // are each the second execution of their shape — i.e. cache hits.
+    // are each the second execution of their shape — i.e. cache hits;
+    // "cold" is the first execution of a fresh shape — a miss.
     let plan = FaultPlan::none()
         .with(Fault::PanicAt {
             query: "poison".to_owned(),
@@ -503,6 +505,11 @@ fn poisoned_cached_plans_are_evicted_and_recover() {
         .with(Fault::FailAlloc {
             query: "squeeze".to_owned(),
             alloc: 0,
+        })
+        .with(Fault::PanicAt {
+            query: "cold".to_owned(),
+            op: String::new(),
+            morsel: 0,
         });
     let pool = MemPool::new(1 << 30);
     let env = ExecEnv::new(Topology::laptop())
@@ -525,6 +532,8 @@ fn poisoned_cached_plans_are_evicted_and_recover() {
     // TPC-H Q1 for the memory leg: its aggregation state reserves
     // memory, so there is a first reservation to refuse.
     let q1 = morsel_repro::queries::tpch_sql::text(1).unwrap();
+    let fresh = "SELECT SUM(l_extendedprice) AS total \
+                 FROM lineitem WHERE l_quantity < 20";
 
     let report = silenced(|| {
         let run = |name: &str, text: &str| run_counted(&session, &service, name, text);
@@ -571,49 +580,9 @@ fn poisoned_cached_plans_are_evicted_and_recover() {
         assert_eq!(disposition, CacheDisposition::Miss);
         recover_q1.expect("Q1 recovers");
 
-        service.shutdown()
-    });
-
-    assert_eq!(report.totals.total(), 7, "ticket conservation");
-    assert_eq!(report.completed(), 5);
-    assert_eq!(report.failed(), 2);
-    assert_eq!(report.worker_panics, 0, "a worker thread died");
-    assert_eq!(pool.reserved(), 0, "pool holds leaked reservations");
-}
-
-/// The result cache under a fault: a cold execution that fails must not
-/// seed the cache, the retry repopulates it, and only then does a
-/// repeat get served from memory.
-#[test]
-fn result_cache_never_retains_a_poisoned_entry() {
-    let w = workload();
-    let plan = FaultPlan::none().with(Fault::PanicAt {
-        query: "cold".to_owned(),
-        op: String::new(),
-        morsel: 0,
-    });
-    let pool = MemPool::new(1 << 30);
-    let env = ExecEnv::new(Topology::laptop())
-        .with_fault_plan(plan)
-        .with_mem_pool(Arc::clone(&pool));
-    let service = QueryService::start(
-        env,
-        ServiceConfig::new(4)
-            .with_morsel_size(2048)
-            .with_max_in_flight(4)
-            .with_max_queue(16),
-    );
-    let session = Session::builder()
-        .catalog(w.tpch.catalog())
-        .topology(&Topology::laptop())
-        .for_service(&service)
-        .result_caching(true)
-        .build();
-    let sql = "SELECT SUM(l_extendedprice) AS total \
-               FROM lineitem WHERE l_quantity < 20";
-
-    let report = silenced(|| {
-        let (cold, disposition) = run_counted(&session, &service, "cold", sql);
+        // A failed miss leaves no plan behind either: the retry of the
+        // shape is a miss again.
+        let (cold, disposition) = run("cold", fresh);
         assert_eq!(disposition, CacheDisposition::Miss);
         let err = cold.expect_err("the injected panic fails the query");
         assert_eq!(
@@ -621,33 +590,19 @@ fn result_cache_never_retains_a_poisoned_entry() {
             ErrorKind::Failed(FailReason::OperatorPanic),
             "{err}"
         );
-        let stats = session.stats();
-        assert_eq!((stats.result_hits, stats.result_misses), (0, 1), "{stats}");
-        assert_eq!(pool.reserved(), 0, "failed run leaked a reservation");
-
-        // Nothing was cached by the failure: this is a miss that runs
-        // for real (the injected fault only targeted "cold").
-        let retry = session.execute(&service, "retry", sql).expect("retry");
-        let retry = retry.query().expect("a SELECT yields a query execution");
-        assert_eq!(retry.result_cache, CacheDisposition::Miss);
-        assert_eq!(retry.plan_cache, CacheDisposition::Miss, "plan was evicted");
-        assert_eq!(retry.report.outcome, QueryOutcome::Completed);
-        let rows = retry.rows.clone().expect("retry returns rows");
-
-        let served = session.execute(&service, "served", sql).expect("served");
-        let served = served.query().expect("a SELECT yields a query execution");
-        assert_eq!(served.result_cache, CacheDisposition::Hit);
-        assert_eq!(served.report.outcome, QueryOutcome::Completed);
-        assert_eq!(served.rows.as_ref(), Some(&rows));
+        assert_eq!(session.stats().plan_poisoned, 3);
+        assert_eq!(pool.reserved(), 0, "cold leg leaked a reservation");
+        let (retry, disposition) = run("retry", fresh);
+        assert_eq!(disposition, CacheDisposition::Miss, "the plan was evicted");
+        retry.expect("the retry completes");
 
         service.shutdown()
     });
 
-    assert_eq!(report.totals.total(), 3, "ticket conservation");
-    assert_eq!(report.completed(), 2);
-    assert_eq!(report.failed(), 1);
-    assert_eq!(report.cache.result_hits, 1);
-    assert_eq!(report.cache.plan_poisoned, 1);
+    assert_eq!(report.totals.total(), 9, "ticket conservation");
+    assert_eq!(report.completed(), 6);
+    assert_eq!(report.failed(), 3);
+    assert_eq!(report.worker_panics, 0, "a worker thread died");
     assert_eq!(pool.reserved(), 0, "pool holds leaked reservations");
 }
 
