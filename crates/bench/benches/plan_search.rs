@@ -63,7 +63,6 @@ fn bench_plan_search(c: &mut Criterion) {
                 b: i + 1,
                 a_keys: vec!["r".to_owned()],
                 b_keys: vec!["l".to_owned()],
-                sel_override: None,
             })
             .collect();
         let graph = JoinGraph { nodes, edges };

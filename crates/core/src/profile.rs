@@ -1,5 +1,5 @@
 //! Per-operator runtime profiles: the observability substrate for
-//! `EXPLAIN ANALYZE` and the planner's cardinality feedback.
+//! `EXPLAIN ANALYZE` (`repro explain`, `repro sql --analyze`).
 //!
 //! A [`ProfileSlots`] table is allocated once per query at submit time
 //! (one row of atomic counters per worker × operator) and shared through

@@ -367,7 +367,7 @@ mod tests {
 
     #[test]
     fn bigger_scans_cost_more() {
-        let est = Estimator::default();
+        let est = Estimator;
         let small = plan_cost(&params(), &est, &Plan::scan(rel(1_000), None, &["k"]));
         let large = plan_cost(&params(), &est, &Plan::scan(rel(100_000), None, &["k"]));
         assert!(large > 10.0 * small, "small {small}, large {large}");
@@ -375,7 +375,7 @@ mod tests {
 
     #[test]
     fn building_the_small_side_is_cheaper() {
-        let est = Estimator::default();
+        let est = Estimator;
         let p = params();
         let build_small = Plan::scan(rel(200_000), None, &["k", "v"]).join(
             Plan::scan(rel(500), None, &["k"]),
@@ -396,7 +396,7 @@ mod tests {
 
     #[test]
     fn selective_filter_cheapens_downstream_join() {
-        let est = Estimator::default();
+        let est = Estimator;
         let p = params();
         let unfiltered = Plan::scan(rel(100_000), None, &["k", "v"]).join(
             Plan::scan(rel(100_000), None, &["k"]),
@@ -439,7 +439,7 @@ mod tests {
             Placement::FirstTouch,
             &Topology::nehalem_ex(),
         ));
-        let est = Estimator::default();
+        let est = Estimator;
         let cost = |r| plan_cost(&params(), &est, &Plan::scan(r, None, &["k"]));
         assert_eq!(cost(wide), cost(narrow));
     }

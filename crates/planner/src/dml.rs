@@ -100,7 +100,7 @@ impl DmlPlan {
                 let stats = relation.stats();
                 let cols: Vec<ColEst> = stats.columns.iter().map(ColEst::from_stats).collect();
                 let types = relation.schema().data_types();
-                (total * Estimator::default().selectivity(pred, &cols, &types)).max(1.0)
+                (total * Estimator.selectivity(pred, &cols, &types)).max(1.0)
             }
         };
         self

@@ -24,8 +24,6 @@ use morsel_exec::plan::Plan;
 use morsel_exec::predicate::fuse_int_bounds;
 use morsel_storage::{ColumnStats, DataType, Dictionary};
 
-use crate::feedback::{self, FeedbackCache};
-
 /// Estimated properties of one output column.
 #[derive(Debug, Clone)]
 pub struct ColEst {
@@ -98,34 +96,19 @@ impl PlanEst {
     }
 }
 
-/// The estimator, with its default selectivities exposed for tuning.
-#[derive(Debug, Clone)]
-pub struct Estimator {
-    /// Selectivity of a predicate the estimator cannot decompose.
-    pub default_sel: f64,
-    /// Selectivity of a column-vs-column inequality (`a < b`).
-    pub col_cmp_sel: f64,
-    /// Selectivity of `LIKE '%..%'` containment patterns.
-    pub like_sel: f64,
-    /// Selectivity of prefix-anchored string predicates.
-    pub prefix_sel: f64,
-    /// Runtime cardinality feedback, consulted before the model above:
-    /// an observed selectivity for a scan filter or join edge overrides
-    /// the textbook estimate. `None` disables feedback entirely.
-    pub feedback: Option<Arc<FeedbackCache>>,
-}
+/// Selectivity of a predicate the estimator cannot decompose.
+const DEFAULT_SEL: f64 = 0.25;
+/// Selectivity of a column-vs-column inequality (`a < b`).
+const COL_CMP_SEL: f64 = 1.0 / 3.0;
+/// Selectivity of `LIKE '%..%'` containment patterns.
+const LIKE_SEL: f64 = 0.1;
+/// Selectivity of prefix-anchored string predicates.
+const PREFIX_SEL: f64 = 0.05;
 
-impl Default for Estimator {
-    fn default() -> Self {
-        Estimator {
-            default_sel: 0.25,
-            col_cmp_sel: 1.0 / 3.0,
-            like_sel: 0.1,
-            prefix_sel: 0.05,
-            feedback: None,
-        }
-    }
-}
+/// The estimator: catalog statistics in, cardinalities out. It holds no
+/// state; the selectivities it falls back to are the constants above.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Estimator;
 
 /// Memo for repeated estimates over one plan tree, keyed by node address
 /// (valid only while the borrowed plan is alive). Lets tree walkers like
@@ -161,14 +144,9 @@ impl Estimator {
                 let stats = relation.stats();
                 let base: Vec<ColEst> = stats.columns.iter().map(ColEst::from_stats).collect();
                 let src_types = relation.schema().data_types();
-                // An observed selectivity for this exact predicate shape
-                // beats the independence model.
-                let sel = filter.as_ref().map_or(1.0, |f| {
-                    self.feedback
-                        .as_ref()
-                        .and_then(|fb| fb.lookup(&feedback::scan_key(relation.schema(), f)))
-                        .unwrap_or_else(|| self.selectivity(f, &base, &src_types))
-                });
+                let sel = filter
+                    .as_ref()
+                    .map_or(1.0, |f| self.selectivity(f, &base, &src_types));
                 let rows = (relation.total_rows() as f64 * sel).max(1.0);
                 let cols = project
                     .iter()
@@ -209,22 +187,7 @@ impl Estimator {
                 let ndv_p = combined_ndv(&p, probe_keys);
                 let (rows, emit_build) = match kind {
                     JoinKind::Inner | JoinKind::InnerMark => {
-                        // Observed join-edge selectivity (actual_out /
-                        // (probe_in * build_in)) overrides containment.
-                        let observed = self.feedback.as_ref().and_then(|fb| {
-                            let ps = probe.schema();
-                            let bs = build.schema();
-                            let pk: Vec<String> =
-                                probe_keys.iter().map(|&i| ps.name(i).to_owned()).collect();
-                            let bk: Vec<String> =
-                                build_keys.iter().map(|&i| bs.name(i).to_owned()).collect();
-                            fb.lookup(&feedback::join_key(&pk, &bk))
-                        });
-                        let rows = match observed {
-                            Some(s) => (p.rows * b.rows * s).max(1.0),
-                            None => (p.rows * b.rows / ndv_b.max(ndv_p)).max(1.0),
-                        };
-                        (rows, true)
+                        ((p.rows * b.rows / ndv_b.max(ndv_p)).max(1.0), true)
                     }
                     JoinKind::Semi => ((p.rows * (ndv_b / ndv_p).min(1.0)).max(1.0), false),
                     JoinKind::Anti => ((p.rows * (1.0 - (ndv_b / ndv_p).min(1.0))).max(1.0), false),
@@ -350,11 +313,7 @@ impl Estimator {
             return if lo > hi { 0.0 } else { 1.0 / col.ndv };
         }
         let half_open = lo == i64::MIN || hi == i64::MAX;
-        let default = if half_open {
-            self.col_cmp_sel
-        } else {
-            self.default_sel
-        };
+        let default = if half_open { COL_CMP_SEL } else { DEFAULT_SEL };
         range_fraction(col, lo as f64, hi as f64, default)
     }
 
@@ -371,8 +330,8 @@ impl Estimator {
             Expr::Not(a) => 1.0 - self.selectivity(a, cols, types),
             Expr::Cmp(op, a, b) => self.cmp_selectivity(*op, a, b, cols),
             Expr::BetweenI64(a, lo, hi) => match &**a {
-                Expr::Col(i) => range_fraction(&cols[*i], *lo as f64, *hi as f64, self.default_sel),
-                _ => self.default_sel,
+                Expr::Col(i) => range_fraction(&cols[*i], *lo as f64, *hi as f64, DEFAULT_SEL),
+                _ => DEFAULT_SEL,
             },
             Expr::InI64(a, list) => self.membership(a, list.len(), cols),
             Expr::InStr(a, list) => {
@@ -396,7 +355,7 @@ impl Estimator {
                         return (hits / d.len().max(1) as f64).clamp(1e-7, 1.0);
                     }
                 }
-                self.like_sel
+                LIKE_SEL
             }
             Expr::StrPrefix(a, p) => {
                 // Prefix predicates are code ranges of the sorted domain.
@@ -406,9 +365,9 @@ impl Estimator {
                         return (f64::from(hi - lo) / d.len().max(1) as f64).clamp(1e-7, 1.0);
                     }
                 }
-                self.prefix_sel
+                PREFIX_SEL
             }
-            _ => self.default_sel,
+            _ => DEFAULT_SEL,
         };
         s.clamp(1e-7, 1.0)
     }
@@ -417,7 +376,7 @@ impl Estimator {
         match a {
             Expr::Col(i) => (list_len as f64 / cols[*i].ndv).min(1.0),
             // `substr(phone, 1, 2) IN (codes)`-style derived membership.
-            _ => self.default_sel,
+            _ => DEFAULT_SEL,
         }
     }
 
@@ -452,15 +411,15 @@ impl Estimator {
                             CmpOp::Eq | CmpOp::Ne => unreachable!("handled above"),
                         }
                     }
-                    _ => self.col_cmp_sel,
+                    _ => COL_CMP_SEL,
                 },
             },
             (Expr::Col(i), Expr::Col(j)) => match op {
                 CmpOp::Eq => 1.0 / cols[*i].ndv.max(cols[*j].ndv),
                 CmpOp::Ne => 1.0 - 1.0 / cols[*i].ndv.max(cols[*j].ndv),
-                _ => self.col_cmp_sel,
+                _ => COL_CMP_SEL,
             },
-            _ => self.default_sel,
+            _ => DEFAULT_SEL,
         }
     }
 
@@ -470,11 +429,11 @@ impl Estimator {
             CmpOp::Ne => 1.0 - 1.0 / col.ndv,
             CmpOp::Lt | CmpOp::Le => match col.span {
                 Some((lo, hi)) if hi > lo => ((c - lo) / (hi - lo)).clamp(0.0, 1.0),
-                _ => self.col_cmp_sel,
+                _ => COL_CMP_SEL,
             },
             CmpOp::Gt | CmpOp::Ge => match col.span {
                 Some((lo, hi)) if hi > lo => ((hi - c) / (hi - lo)).clamp(0.0, 1.0),
-                _ => self.col_cmp_sel,
+                _ => COL_CMP_SEL,
             },
         }
     }
@@ -548,7 +507,7 @@ mod tests {
     }
 
     fn est() -> Estimator {
-        Estimator::default()
+        Estimator
     }
 
     #[test]

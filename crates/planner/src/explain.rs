@@ -2,9 +2,9 @@
 //!
 //! [`collect`] walks a physical plan in pre-order and pairs every
 //! operator with its estimated output rows plus a clone of the subtree
-//! rooted there — callers that want estimated-vs-actual numbers (the
-//! `repro explain` command) execute each subtree and feed the measured
-//! row counts back into [`render`].
+//! rooted there — callers that want estimated-vs-actual numbers (`repro
+//! explain`, `repro sql --analyze`) pass one profiled execution's
+//! per-operator row counts to [`render`].
 
 use morsel_exec::plan::Plan;
 
@@ -81,26 +81,16 @@ fn walk(
     }
 }
 
-/// Default drift highlight: flag an operator whose actual cardinality
-/// is off from the estimate by at least this factor (either direction).
+/// Drift highlight: flag an operator whose actual cardinality is off
+/// from the estimate by at least this factor (either direction).
 pub const DRIFT_THRESHOLD_DEFAULT: f64 = 4.0;
 
 /// Render collected lines; `actuals[i]` (if given) is the measured row
-/// count of `lines[i]`'s subtree. Uses [`DRIFT_THRESHOLD_DEFAULT`] for
-/// the drift highlight.
+/// count of `lines[i]`'s subtree. Every line with an actual gains a
+/// `drift` column (actual/est ratio), and lines whose drift reaches
+/// [`DRIFT_THRESHOLD_DEFAULT`] in either direction are flagged: those
+/// are the estimates the planner got most wrong.
 pub fn render(lines: &[ExplainLine], actuals: Option<&[usize]>) -> String {
-    render_with_threshold(lines, actuals, DRIFT_THRESHOLD_DEFAULT)
-}
-
-/// Like [`render`], with an explicit divergence threshold: every line
-/// with an actual gains a `drift` column (actual/est ratio), and rows
-/// whose drift exceeds the threshold in either direction are flagged —
-/// those are the misestimates a replan with feedback would correct.
-pub fn render_with_threshold(
-    lines: &[ExplainLine],
-    actuals: Option<&[usize]>,
-    threshold: f64,
-) -> String {
     let mut out = String::new();
     for (i, line) in lines.iter().enumerate() {
         let pad = "  ".repeat(line.depth);
@@ -113,10 +103,9 @@ pub fn render_with_threshold(
             };
             out.push_str(&format!("  actual={actual}  drift={drift:.2}x"));
             if drift.is_finite()
-                && threshold > 1.0
-                && (drift >= threshold || drift <= 1.0 / threshold)
+                && (drift >= DRIFT_THRESHOLD_DEFAULT || drift <= 1.0 / DRIFT_THRESHOLD_DEFAULT)
             {
-                out.push_str("  <<< exceeds re-opt threshold");
+                out.push_str(&format!("  <<< off by {DRIFT_THRESHOLD_DEFAULT}x or more"));
             }
         }
         out.push('\n');
@@ -143,7 +132,7 @@ mod tests {
             &Topology::laptop(),
         ));
         let plan = Plan::scan(rel, None, &["k"]).agg(&["k"], vec![("c", AggFn::Count)]);
-        let lines = collect(&plan, &Estimator::default());
+        let lines = collect(&plan, &Estimator);
         assert_eq!(lines.len(), 2);
         assert!(lines[0].label.starts_with("Aggregate"));
         assert_eq!(lines[1].depth, 1);
@@ -152,11 +141,26 @@ mod tests {
         assert!(text.contains("actual=100"));
         assert!(text.contains("drift=1.00x"));
         assert!(
-            !text.contains("re-opt threshold"),
+            !text.contains("<<<"),
             "accurate estimates must not be flagged"
         );
-        // A 100x miss on the scan line trips the divergence highlight.
-        let text = render_with_threshold(&lines, Some(&[100, 10_000]), 4.0);
-        assert!(text.contains("<<< exceeds re-opt threshold"));
+        // The scan line's estimate is exactly 100 rows: a drift of 4x or
+        // more in either direction is flagged, anything closer is not.
+        for (actual, flagged) in [
+            (10_000, true),
+            (400, true),
+            (390, false),
+            (26, false),
+            (25, true),
+            (1, true),
+        ] {
+            let text = render(&lines, Some(&[100, actual]));
+            let scan = text.lines().nth(1).expect("scan line");
+            assert_eq!(
+                scan.ends_with("<<< off by 4x or more"),
+                flagged,
+                "actual {actual}: {scan}"
+            );
+        }
     }
 }

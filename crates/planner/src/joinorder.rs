@@ -56,10 +56,6 @@ pub struct GraphEdge {
     pub b: usize,
     pub a_keys: Vec<String>,
     pub b_keys: Vec<String>,
-    /// Observed selectivity from runtime feedback
-    /// ([`crate::feedback::FeedbackCache`]); when set it replaces the
-    /// containment estimate for this edge.
-    pub sel_override: Option<f64>,
 }
 
 /// The join graph for one inner-join block.
@@ -73,9 +69,6 @@ impl JoinGraph {
     /// Selectivity of one edge: containment of value sets over the
     /// combined (multi-column) key.
     fn edge_selectivity(&self, e: &GraphEdge) -> f64 {
-        if let Some(s) = e.sel_override {
-            return s.clamp(1e-9, 1.0);
-        }
         let na = &self.nodes[e.a];
         let nb = &self.nodes[e.b];
         let ndv_a = e
@@ -434,7 +427,6 @@ mod tests {
             b,
             a_keys: vec![ak.to_owned()],
             b_keys: vec![bk.to_owned()],
-            sel_override: None,
         }
     }
 
@@ -484,30 +476,6 @@ mod tests {
             JoinTree::Node { edges, .. } => assert!(edges.is_empty()),
             other => panic!("expected a join node, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn sel_override_redirects_the_plan() {
-        // Without feedback both edges look alike; an override that makes
-        // the a–b edge explosive pushes the enumerator to start with b⋈c.
-        let mk = |sel: Option<f64>| {
-            let mut e0 = edge(0, 1, "k", "k");
-            e0.sel_override = sel;
-            JoinGraph {
-                nodes: vec![
-                    node("a", 10_000.0, &[("k", 10_000.0)]),
-                    node("b", 10_000.0, &[("k", 10_000.0), ("j", 10_000.0)]),
-                    node("c", 10_000.0, &[("j", 10_000.0)]),
-                ],
-                edges: vec![e0, edge(1, 2, "j", "j")],
-            }
-        };
-        let base = enumerate(&mk(None), &params(), DP_BUDGET_DEFAULT);
-        let fed = enumerate(&mk(Some(0.5)), &params(), DP_BUDGET_DEFAULT);
-        assert!(
-            fed.cost > base.cost,
-            "a 0.5-selectivity edge must look far more expensive than 1/ndv"
-        );
     }
 
     #[test]

@@ -26,7 +26,6 @@ pub mod cost;
 pub mod dml;
 pub mod estimate;
 pub mod explain;
-pub mod feedback;
 pub mod joinorder;
 pub mod logical;
 pub mod lower;
@@ -34,7 +33,6 @@ pub mod lower;
 pub use cost::{plan_charges, plan_cost, CostParams};
 pub use dml::{DmlKind, DmlPlan};
 pub use estimate::{ColEst, Estimator, PlanEst};
-pub use feedback::{harvest, FeedbackCache, FeedbackEntry, FEEDBACK_DECAY};
 pub use joinorder::{
     enumerate, left_deep_cost, GraphEdge, GraphNode, JoinGraph, JoinTree, DP_BUDGET_DEFAULT,
 };

@@ -75,7 +75,7 @@ impl Planner {
     pub fn new(topology: &Topology) -> Self {
         Planner {
             params: CostParams::for_topology(topology),
-            estimator: Estimator::default(),
+            estimator: Estimator,
         }
     }
 
@@ -317,15 +317,7 @@ impl Planner {
                     b,
                     a_keys: vec![ak],
                     b_keys: vec![bk],
-                    sel_override: None,
                 });
-            }
-        }
-        // Observed selectivities from runtime feedback override the
-        // containment model for edges the workload has already executed.
-        if let Some(fb) = &self.estimator.feedback {
-            for e in &mut edges {
-                e.sel_override = fb.lookup(&crate::feedback::join_key(&e.a_keys, &e.b_keys));
             }
         }
 

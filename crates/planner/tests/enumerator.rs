@@ -30,7 +30,6 @@ fn edge(a: usize, b: usize, ak: &str, bk: &str) -> GraphEdge {
         b,
         a_keys: vec![ak.to_owned()],
         b_keys: vec![bk.to_owned()],
-        sel_override: None,
     }
 }
 

@@ -203,22 +203,13 @@ pub struct SqlExecution {
 /// Default plan-cache capacity (distinct shapes retained).
 pub const PLAN_CACHE_CAPACITY_DEFAULT: usize = 64;
 
-/// What a cached plan is only valid under. A shape hit alone is not
-/// enough: the plan embeds folded constants (the literal vector, held
-/// beside the guard), relations (the catalog version) and
-/// selectivity-dependent choices (the feedback epoch; 0 when the
-/// session has no feedback cache). New runtime observations bump the
-/// epoch — a plan chosen under stale selectivities is as wrong as one
-/// bound to a stale catalog.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct PlanGuard {
-    pub catalog_version: u64,
-    pub feedback_epoch: u64,
-}
-
+/// A cached plan with what it is only valid under. A shape hit alone is
+/// not enough: the plan embeds folded constants (the literal vector) and
+/// relations and their statistics (the catalog version it was planned
+/// under).
 struct PlanEntry {
     literals: Vec<LiteralValue>,
-    guard: PlanGuard,
+    catalog_version: u64,
     handle: PlanHandle,
     last_used: u64,
 }
@@ -244,18 +235,20 @@ impl SessionCaches {
         }
     }
 
-    /// The plan cached for `key`, if its literals and guard still
-    /// match. Anything else is a miss; a present-but-mismatched entry
-    /// is also an invalidation (the caller replans and overwrites it).
+    /// The plan cached for `key`, if its literals and catalog version
+    /// still match. Anything else is a miss; a present-but-mismatched
+    /// entry is also an invalidation (the caller replans and overwrites
+    /// it).
     pub(crate) fn lookup_plan(
         &mut self,
         key: &ShapeKey,
         literals: &[LiteralValue],
-        guard: PlanGuard,
+        catalog_version: u64,
     ) -> Option<PlanHandle> {
         self.clock += 1;
         if let Some(entry) = self.plans.get_mut(key) {
-            if entry.guard == guard && same_literals(&entry.literals, literals) {
+            if entry.catalog_version == catalog_version && same_literals(&entry.literals, literals)
+            {
                 entry.last_used = self.clock;
                 CacheCounters::bump(&self.counters.plan_hits);
                 return Some(entry.handle.clone());
@@ -272,7 +265,7 @@ impl SessionCaches {
         &mut self,
         key: ShapeKey,
         literals: Vec<LiteralValue>,
-        guard: PlanGuard,
+        catalog_version: u64,
         handle: PlanHandle,
     ) {
         if !self.plans.contains_key(&key) && self.plans.len() >= self.capacity {
@@ -284,7 +277,7 @@ impl SessionCaches {
         }
         let entry = PlanEntry {
             literals,
-            guard,
+            catalog_version,
             handle,
             last_used: self.clock,
         };

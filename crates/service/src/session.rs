@@ -2,10 +2,10 @@
 //!
 //! A session owns everything between SQL text and a submitted query:
 //! the catalog it binds against (a static one, or the latest committed
-//! snapshot of a transactional database), the cost-based planner, the
-//! plan cache with its counters, and — when enabled — the
-//! [`FeedbackCache`] that carries observed cardinalities from finished
-//! queries into later planning.
+//! snapshot of a transactional database), the cost-based planner, and
+//! the plan cache with its counters. The planner prices plans from
+//! catalog statistics only; what a query observes at run time is
+//! reported (`EXPLAIN ANALYZE`), never fed back into planning.
 //!
 //! ```no_run
 //! # use morsel_service::Session;
@@ -13,7 +13,7 @@
 //! let session = Session::builder()
 //!     .catalog(catalog)                 // or .database(db) for MVCC
 //!     .topology(&morsel_numa::Topology::laptop())
-//!     .feedback(true)                   // learn from runtime actuals
+//!     .plan_cache_capacity(64)          // 0 turns the plan cache off
 //!     .build();
 //! ```
 //!
@@ -23,8 +23,7 @@
 //! 1. `parse_statement` — once per statement;
 //! 2. **SELECT**: refresh the snapshot (database mode) → resolve the
 //!    plan through the plan cache, or bind and plan on a miss →
-//!    `compile_query` → submit and wait → take the rows → harvest
-//!    feedback from the plan that ran;
+//!    `compile_query` → submit and wait → take the rows;
 //! 3. **DML** (database mode): bind → begin, buffer, commit → refresh.
 //!
 //! [`Session::execute_prepared`] joins the SELECT path after the parse.
@@ -40,11 +39,11 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use morsel_core::{QueryOutcome, QueryProfile};
-use morsel_exec::plan::{compile_query, Plan};
+use morsel_core::QueryOutcome;
+use morsel_exec::plan::compile_query;
 use morsel_exec::SystemVariant;
 use morsel_numa::Topology;
-use morsel_planner::{FeedbackCache, PlanHandle, Planner};
+use morsel_planner::{PlanHandle, Planner};
 use morsel_sql::normalize::shape_of;
 use morsel_sql::{
     bind_params, parse, parse_statement, Binder, BoundStatement, LiteralValue, Select, SqlError,
@@ -55,8 +54,8 @@ use morsel_txn::TxnDb;
 use parking_lot::{Mutex, MutexGuard};
 
 use crate::cache::{
-    CacheCounters, CacheDisposition, CacheStats, PlanGuard, PreparedStatement, SessionCaches,
-    SqlExecution, PLAN_CACHE_CAPACITY_DEFAULT,
+    CacheCounters, CacheDisposition, CacheStats, PreparedStatement, SessionCaches, SqlExecution,
+    PLAN_CACHE_CAPACITY_DEFAULT,
 };
 use crate::error::Error;
 use crate::service::{QueryRequest, QueryService};
@@ -71,7 +70,6 @@ pub struct SessionBuilder {
     db: Option<Arc<TxnDb>>,
     topology: Topology,
     plan_cache_capacity: usize,
-    feedback: bool,
     counters: Option<Arc<CacheCounters>>,
 }
 
@@ -106,17 +104,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Learn observed selectivities from completed queries and let the
-    /// planner use them (default: off): the estimator consults them
-    /// before its model, and every cached plan is additionally guarded
-    /// on the feedback epoch, so new observations force a replan
-    /// (counted as a plan invalidation). The session owns the cache;
-    /// access it via [`Session::feedback`].
-    pub fn feedback(mut self, enabled: bool) -> Self {
-        self.feedback = enabled;
-        self
-    }
-
     /// Feed this session's cache counters into `service`'s shutdown
     /// report.
     pub fn for_service(mut self, service: &QueryService) -> Self {
@@ -139,20 +126,16 @@ impl SessionBuilder {
             (Some(_), Some(_)) => panic!("Session: give either a catalog or a database, not both"),
             (None, None) => panic!("Session: a catalog or a database is required"),
         };
-        let mut planner = Planner::new(&self.topology);
-        let feedback = self.feedback.then(FeedbackCache::new);
-        planner.estimator.feedback = feedback.clone();
         let counters = self.counters.unwrap_or_default();
         Session {
             source,
-            planner,
+            planner: Planner::new(&self.topology),
             caches: Mutex::new(SessionCaches::new(
                 self.plan_cache_capacity,
                 Arc::clone(&counters),
             )),
             counters,
             plan_cache_capacity: self.plan_cache_capacity,
-            feedback,
         }
     }
 }
@@ -237,7 +220,6 @@ pub struct Session {
     caches: Mutex<SessionCaches>,
     counters: Arc<CacheCounters>,
     plan_cache_capacity: usize,
-    feedback: Option<Arc<FeedbackCache>>,
 }
 
 impl Session {
@@ -248,14 +230,8 @@ impl Session {
             db: None,
             topology: Topology::nehalem_ex(),
             plan_cache_capacity: PLAN_CACHE_CAPACITY_DEFAULT,
-            feedback: false,
             counters: None,
         }
-    }
-
-    /// The session's feedback cache, when feedback is enabled.
-    pub fn feedback(&self) -> Option<&Arc<FeedbackCache>> {
-        self.feedback.as_ref()
     }
 
     /// The planner this session resolves plans with.
@@ -271,8 +247,7 @@ impl Session {
     /// Re-sync the read side with the latest committed snapshot
     /// (database mode; no-op otherwise). A commit or merge since the
     /// last refresh moved the catalog version, which is what
-    /// invalidates every cached plan and learned selectivity bound to
-    /// the old one.
+    /// invalidates every cached plan bound to the old one.
     pub fn refresh(&self) {
         self.source.refresh();
     }
@@ -353,8 +328,7 @@ impl Session {
         let plan_ns = started.elapsed().as_nanos() as u64;
 
         // Compile the pipelines for this run, submit, wait.
-        let plan = &handle.plan;
-        let (spec, slot) = compile_query(name.as_str(), plan.clone(), SystemVariant::full());
+        let (spec, slot) = compile_query(name.as_str(), handle.plan, SystemVariant::full());
         let report = service.submit(QueryRequest::new(spec)).wait();
         if let QueryOutcome::Failed(_) = report.outcome {
             // Never retain a plan whose execution failed.
@@ -367,12 +341,6 @@ impl Session {
             return Err(err);
         }
         let rows = slot.lock().take();
-
-        // Feed the runtime actuals of the plan that ran to the planner.
-        if let Some(profile) = &report.profile {
-            self.observe(plan, profile);
-        }
-
         Ok(SqlExecution {
             report,
             rows,
@@ -393,19 +361,8 @@ impl Session {
         let mut caches = self.caches.lock();
         let catalog = self.source.catalog();
         let catalog_version = catalog.version();
-        // Sync the feedback cache with the live catalog before reading
-        // its epoch: a catalog bump purges learned selectivities (they
-        // described the old data) and advances the epoch exactly once.
-        let feedback_epoch = self.feedback.as_ref().map_or(0, |fb| {
-            fb.set_catalog_version(catalog_version);
-            fb.epoch()
-        });
-        let guard = PlanGuard {
-            catalog_version,
-            feedback_epoch,
-        };
-        let cached =
-            (shape.as_ref()).and_then(|(key, literals)| caches.lookup_plan(key, literals, guard));
+        let cached = (shape.as_ref())
+            .and_then(|(key, literals)| caches.lookup_plan(key, literals, catalog_version));
         if let Some(handle) = cached {
             return Ok((handle, CacheDisposition::Hit));
         }
@@ -414,7 +371,7 @@ impl Session {
         let Some((key, literals)) = shape else {
             return Ok((handle, CacheDisposition::Bypass));
         };
-        caches.insert_plan(key, literals, guard, handle.clone());
+        caches.insert_plan(key, literals, catalog_version, handle.clone());
         Ok((handle, CacheDisposition::Miss))
     }
 
@@ -442,22 +399,6 @@ impl Session {
         let report = apply_dml(db, &plan)?;
         self.refresh();
         Ok(report)
-    }
-
-    /// Fold one finished execution's runtime actuals into the feedback
-    /// cache: observed scan selectivities and join-edge selectivities,
-    /// keyed on normalized shape. Returns the number of observations
-    /// (0 when feedback is disabled). `profile.ops` must be in explain
-    /// (pre-order, probe-first) order — which is how the executor
-    /// numbers its profile slots.
-    pub fn observe(&self, plan: &Plan, profile: &QueryProfile) -> usize {
-        match &self.feedback {
-            Some(fb) => {
-                let actuals: Vec<u64> = profile.ops.iter().map(|o| o.rows_out).collect();
-                morsel_planner::harvest(plan, &actuals, fb)
-            }
-            None => 0,
-        }
     }
 }
 

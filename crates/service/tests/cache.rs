@@ -277,50 +277,3 @@ fn zero_capacity_disables_the_plan_cache() {
     assert_eq!(stats, Default::default(), "nothing is counted: {stats}");
     service.shutdown();
 }
-
-/// Feedback-enabled sessions keep serving cached plans once learned
-/// selectivities stop changing: the first harvest bumps the feedback
-/// epoch (guarded miss), but a converged cache leaves entries valid.
-#[test]
-fn feedback_epoch_guards_cached_plans_until_convergence() {
-    let (topo, db) = tpch();
-    let service = start_service(&topo);
-    let session = Session::builder()
-        .catalog(db.catalog())
-        .topology(&topo)
-        .for_service(&service)
-        .feedback(true)
-        .build();
-    let fb = session.feedback().expect("feedback enabled").clone();
-
-    let exec = session.execute(&service, "f1", REVENUE).unwrap();
-    let q1 = exec.query().unwrap();
-    assert_eq!(q1.plan_cache, CacheDisposition::Miss);
-    assert!(!fb.is_empty(), "the completed query was harvested");
-    let rows = q1.rows.clone().unwrap();
-
-    // The harvest moved the epoch, so the cached plan (priced with the
-    // old estimates) is invalidated exactly once...
-    let exec = session.execute(&service, "f2", REVENUE).unwrap();
-    let q2 = exec.query().unwrap();
-    assert_eq!(q2.plan_cache, CacheDisposition::Miss, "epoch moved");
-    assert_eq!(
-        q2.rows.clone().unwrap(),
-        rows,
-        "feedback never changes results"
-    );
-
-    // ...and once observations repeat (within tolerance), the epoch is
-    // stable and the plan cache serves hits again.
-    let exec = session.execute(&service, "f3", REVENUE).unwrap();
-    let q3 = exec.query().unwrap();
-    assert_eq!(q3.plan_cache, CacheDisposition::Hit, "converged");
-    assert_eq!(q3.rows.clone().unwrap(), rows);
-
-    // The harvest uses the plan each execution ran, not a second trip
-    // through the plan cache: three statements, three lookups.
-    let stats = session.stats();
-    assert_eq!(stats.plan_lookups(), 3, "{stats}");
-
-    service.shutdown();
-}

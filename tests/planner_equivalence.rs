@@ -1,7 +1,6 @@
 //! The planner's oracle gate: every query that exists as SQL *text* must
 //! return exactly what its hand-authored `exec::Plan` returns — planned
-//! cold, served from the plan cache, and re-planned with learned
-//! selectivities. The hand plan is the oracle and shares nothing with the
+//! cold and served from the plan cache. The hand plan is the oracle and shares nothing with the
 //! path it checks: the text goes through the complete front end (lex →
 //! parse → bind → plan → execute), the hand plan through none of it.
 //!
@@ -14,7 +13,7 @@
 
 use morsel_repro::exec::plan::Plan;
 use morsel_repro::exec::sort::{sort_batch, SortKey};
-use morsel_repro::planner::{plan_cost, LogicalPlan, PlanReport, Planner};
+use morsel_repro::planner::{plan_cost, LogicalPlan, Planner};
 use morsel_repro::prelude::*;
 use morsel_repro::queries::{run_sim, ssb_queries, ssb_sql, tpch_queries, tpch_sql, RunOutcome};
 use morsel_repro::service::{CacheDisposition, Session};
@@ -174,81 +173,6 @@ fn cached_plans_are_byte_identical_to_cold_plans() {
         assert_eq!(stats.plan_misses, n, "one cold plan per fixture");
         assert_eq!(stats.plan_hits, n, "one warm hit per fixture");
     }
-}
-
-/// Third leg: the feedback-warm path. Every SQL fixture is run once cold
-/// through a feedback-enabled session (identical to the non-adaptive plan
-/// by construction — the cache is empty), the whole workload's actuals
-/// are harvested, and the replay with learned selectivities must return
-/// byte-identical results — re-chosen join orders may only change *how* a
-/// result is computed, never the result — and still pass the
-/// hand-authored oracle gate.
-///
-/// The loop must also pay: learned selectivities re-choose the widest
-/// join block of Q9, SSB3.1 and SSB3.4 into an order that runs in strictly
-/// fewer simulated seconds (Q9 0.000246 → 0.000228 s, SSB3.1 0.000189 →
-/// 0.000158 s, SSB3.4 0.0001061 → 0.0001060 s), and no other fixture's
-/// order changes for the cheaper.
-/// With the estimator ignoring what the cache learned, the harvest still
-/// fills the cache but every warm plan is its cold plan, and this fails.
-#[test]
-fn feedback_warm_plans_are_byte_identical_to_cold_plans() {
-    let topo = Topology::nehalem_ex();
-    let env = ExecEnv::new(topo.clone());
-    let mut cheaper = Vec::new();
-    for (catalog, fixtures) in [tpch_fixtures(&topo, 0.002), ssb_fixtures(&topo, 0.002)] {
-        let session = Session::builder()
-            .catalog(catalog)
-            .topology(&topo)
-            .feedback(true)
-            .build();
-        let fb = session.feedback().expect("feedback-enabled session");
-        assert!(fb.is_empty(), "the first pass must be cold");
-        // Cold pass: run, record, and only then harvest (mirrors a
-        // workload replay — within one pass nothing is learned yet).
-        let mut cold_runs = Vec::new();
-        let mut harvest = Vec::new();
-        for Fixture { name, sql, .. } in &fixtures {
-            let (handle, _) = session
-                .resolve(sql)
-                .unwrap_or_else(|e| panic!("{name}: {}", e.render(sql)));
-            let out = run(&env, name, "fb-cold", handle.plan.clone());
-            let seconds = out.seconds();
-            let profile = out.profile.expect("compiled plans are profiled");
-            cold_runs.push((out.result, widest_order(&handle.report), seconds));
-            harvest.push((handle.plan, profile));
-        }
-        for (plan, profile) in &harvest {
-            session.observe(plan, profile);
-        }
-        assert!(!fb.is_empty(), "the workload harvest populated the cache");
-        // Warm pass: learned selectivities may re-choose join orders.
-        for (Fixture { name, sql, oracle }, (cold, cold_order, cold_seconds)) in
-            fixtures.into_iter().zip(&cold_runs)
-        {
-            let (handle, _) = session.resolve(sql).unwrap();
-            let out = run(&env, &name, "fb-warm", handle.plan.clone());
-            assert_eq!(
-                &out.result, cold,
-                "{name}: feedback-warm result differs from the cold result"
-            );
-            if widest_order(&handle.report) != *cold_order && out.seconds() < *cold_seconds {
-                cheaper.push(name.clone());
-            }
-            assert_equivalent(&env, &format!("{name}-fb"), oracle, handle.plan);
-        }
-    }
-    assert_eq!(
-        cheaper,
-        ["Q9", "SSB3.1", "SSB3.4"],
-        "fixtures whose feedback-warm join order is strictly cheaper than the cold one"
-    );
-}
-
-/// The order of `report`'s widest join block, if it has one.
-fn widest_order(report: &PlanReport) -> Option<String> {
-    let widest = report.blocks.iter().max_by_key(|b| b.leaves.len());
-    widest.map(|b| b.order.clone())
 }
 
 /// The EXPLAIN ANALYZE oracle: the per-operator actuals reported by ONE
