@@ -226,7 +226,8 @@ impl DeltaStore {
                 *p = Partition::new(p.node, data);
             }
         }
-        parts.map(|parts| Relation::from_partitions(self.schema.clone(), parts))
+        parts
+            .map(|parts| Relation::sharing(self.schema.clone(), parts, None, base.has_merge_tail()))
     }
 
     /// True when a snapshot at `ts` sees no delta effects: the caller
@@ -256,8 +257,17 @@ impl DeltaStore {
     /// epoch) at a timestamp `≤ ts`: a re-materialised partition is
     /// taken from it when no further row of it died since, so a chain of
     /// snapshots re-materialises per version only what that version's
-    /// commits touched.
+    /// commits touched. `prev` (else `base`) is also the donor of the
+    /// statistics merge tree: the result re-merges only the tree nodes
+    /// above the partitions it did not take over.
     pub fn snapshot(&self, base: &Relation, ts: u64, prev: Option<&Relation>) -> Relation {
+        self.fold(base, ts, prev, false)
+    }
+
+    /// [`DeltaStore::snapshot`], with the visible delta rows either
+    /// appended as one partition or — for a merge (`into_tail`) — folded
+    /// into the base's merge tail while that stays small.
+    fn fold(&self, base: &Relation, ts: u64, prev: Option<&Relation>, into_tail: bool) -> Relation {
         let rebased = self.rebased(base);
         let base = rebased.as_ref().unwrap_or(base);
         // A `prev` taken over differently encoded partitions doesn't mix.
@@ -295,6 +305,7 @@ impl DeltaStore {
             .filter(|&i| self.visible(delta_row_id(i), ts))
             .map(|i| i as u32)
             .collect();
+        let mut merge_tail = into_tail && base.has_merge_tail();
         if !visible.is_empty() {
             let mut extra = self.rows.gather(&visible);
             for c in 0..extra.width() {
@@ -304,9 +315,23 @@ impl DeltaStore {
                     extra.replace_column(c, Column::Dict(encoded));
                 }
             }
-            parts.push(Partition::new(SocketId(0), extra));
+            let live: usize = parts.iter().map(|p| p.data.rows()).sum();
+            let tail_rows = parts.last().map_or(0, |p| p.data.rows());
+            if merge_tail && tail_rows * parts.len() <= live {
+                // The tail is at or under the mean partition: fold into it.
+                let tail = parts.pop().expect("a relation has partitions");
+                parts.push(Partition::new(tail.node, concat(&tail.data, &extra)));
+            } else {
+                parts.push(Partition::new(SocketId(0), extra));
+            }
+            merge_tail = into_tail;
         }
-        Relation::from_partitions(self.schema.clone(), parts)
+        Relation::sharing(
+            self.schema.clone(),
+            parts,
+            Some(prev.unwrap_or(base)),
+            merge_tail,
+        )
     }
 
     /// All rows visible at `ts` as one decoded batch plus their row ids
@@ -344,13 +369,29 @@ impl DeltaStore {
     /// nothing newer can exist); it is logged in the WAL `Merge` record
     /// so replay re-folds at exactly the same point and reconstructs
     /// the same row numbering.
-    pub fn merge(&self, base: &Relation, upto_ts: u64) -> (Relation, DeltaStore) {
+    ///
+    /// The fold is [`DeltaStore::snapshot`] at `upto_ts`, `prev` included
+    /// (a merge right after a snapshot takes over its re-materialised
+    /// partitions and statistics), except where the visible delta rows go:
+    /// into the
+    /// partition an earlier merge appended (the *merge tail*) while that
+    /// partition holds at most the mean partition row count, else into a
+    /// new tail partition. A table's partition count therefore grows by
+    /// one per mean partition's worth of merged rows, not by one per
+    /// merge, and a load-time partition is never rewritten to take rows.
+    /// The rule reads only row counts, so replay folds identically.
+    pub fn merge(
+        &self,
+        base: &Relation,
+        upto_ts: u64,
+        prev: Option<&Relation>,
+    ) -> (Relation, DeltaStore) {
         assert!(
             upto_ts >= self.last_commit_ts,
             "merge upto_ts {upto_ts} must cover last commit {}",
             self.last_commit_ts
         );
-        let folded = self.snapshot(base, upto_ts, None);
+        let folded = self.fold(base, upto_ts, prev, true);
         let next = DeltaStore {
             schema: self.schema.clone(),
             rows: Batch::empty(&self.schema.data_types()),
@@ -362,6 +403,22 @@ impl DeltaStore {
         };
         (folded, next)
     }
+}
+
+/// The rows of `tail` followed by those of `extra` (encoded alike), copied
+/// once into columns sized for both.
+fn concat(tail: &Batch, extra: &Batch) -> Batch {
+    let rows = tail.rows() + extra.rows();
+    Batch::from_columns(
+        (tail.columns().iter().zip(extra.columns()))
+            .map(|(t, e)| {
+                let mut column = Column::with_capacity_like(t, rows);
+                column.extend_from(t);
+                column.extend_from(e);
+                column
+            })
+            .collect(),
+    )
 }
 
 /// Whether `a` and `b` represent every column the same way: both plain,
@@ -509,7 +566,7 @@ mod tests {
         assert_eq!(tags(&d.snapshot(&b, 10, None)), ["a", "b", "a", "b", "b"]);
         // The merged base keeps the extended dictionary, so the value
         // encodes directly from then on.
-        let (merged, mut next) = d.merge(&b, 11);
+        let (merged, mut next) = d.merge(&b, 11, None);
         assert_eq!(one_dictionary(&merged).values(), ["a", "aa", "b"]);
         next.apply_insert(row(7, "aa"), 12);
         assert!(next.rebased(&merged).is_none());
@@ -543,7 +600,7 @@ mod tests {
         assert_eq!(snap.total_rows(), 4 + DICT_MAX_UNIQUE);
         assert_eq!(tags(&snap)[..5], ["a", "b", "a", "b", "v0"]);
         // Plain for good: the merged base is nothing to extend.
-        let (merged, mut next) = d.merge(&b, 10);
+        let (merged, mut next) = d.merge(&b, 10, None);
         next.apply_insert(row(1, "zzz"), 11);
         assert!(next.rebased(&merged).is_none());
         assert_eq!(
@@ -612,7 +669,7 @@ mod tests {
         let mut d = DeltaStore::new(schema());
         d.apply_insert(row(5, "c"), 10);
         d.apply_delete(0, 20);
-        let (merged, next) = d.merge(&b, 20);
+        let (merged, next) = d.merge(&b, 20, None);
         assert_eq!(merged.gather().column(0).as_i64(), &[2, 3, 4, 5]);
         assert_eq!(merged.total_rows(), 4);
         assert!(next.is_empty());

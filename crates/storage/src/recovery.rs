@@ -176,7 +176,7 @@ pub fn replay(
             }
             WalOp::Merge { table, upto_ts } => {
                 let t = *table as usize;
-                let (folded, next) = state.deltas[t].merge(&state.bases[t], *upto_ts);
+                let (folded, next) = state.deltas[t].merge(&state.bases[t], *upto_ts, None);
                 state.bases[t] = Arc::new(folded);
                 state.deltas[t] = next;
             }
@@ -383,7 +383,7 @@ mod tests {
         let mut b = base();
         delta.apply_insert(vec![Value::I64(10)], 5);
         delta.apply_delete(0, 6);
-        let (folded, next) = delta.merge(&b, 6);
+        let (folded, next) = delta.merge(&b, 6, None);
         b = Arc::new(folded);
         let mut delta = next;
         delta.apply_insert(vec![Value::I64(20)], 7);

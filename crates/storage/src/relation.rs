@@ -6,6 +6,13 @@
 //! Section 5.1: HyPer partitions each relation on the first attribute of
 //! the primary key into 64 partitions. A partition lives entirely on one
 //! node; morsels never span partitions.
+//!
+//! Relations the write path builds ([`Relation::from_partitions`]) also
+//! keep a merge tree over their partitions' statistics, whose nodes a
+//! snapshot or merge shares with the relation it was derived from, so
+//! [`Relation::stats`] of a new version re-merges only what its commit
+//! changed. The nodes belong to the relations sharing them and go when
+//! the last of those does.
 
 use std::sync::{Arc, OnceLock};
 
@@ -53,6 +60,14 @@ pub enum PartitionBy {
     Chunks,
 }
 
+/// Partitions a leaf of the statistics merge tree covers.
+const LEAF_PARTITIONS: usize = 8;
+
+/// A node of a relation's statistics merge tree: the combined, not
+/// finalized [`TableStats`] of an aligned range of partitions, filled on
+/// first use and shared by every relation whose tree took the node over.
+type StatsNode = Arc<OnceLock<TableStats>>;
+
 /// A base relation: schema plus NUMA-resident partitions.
 ///
 /// Row/byte totals are computed once at construction, and catalog
@@ -65,9 +80,17 @@ pub struct Relation {
     total_rows: usize,
     total_bytes: u64,
     stats: OnceLock<Arc<TableStats>>,
-    /// Whether [`Relation::stats`] keeps per-partition statistics in the
-    /// partitions' shared slots (see [`Partition`]).
-    keeps_partition_stats: bool,
+    /// The statistics merge tree of a relation the write path builds
+    /// ([`Relation::from_partitions`]); empty for a load-time relation,
+    /// which keeps only its merged stats. `tree[0]` holds the leaves,
+    /// leaf `k` over partitions `[8k, 8k + 8)`; node `k` of `tree[l + 1]`
+    /// combines nodes `2k` and `2k + 1` of `tree[l]`, each range clipped to
+    /// the partition count; the last level is the root.
+    tree: Vec<Vec<StatsNode>>,
+    /// Whether the last partition is one a merge appended, which the next
+    /// merge may fold its rows into (`DeltaStore::merge`). Never set on a
+    /// load-time relation, so a load-time partition is never folded into.
+    merge_tail: bool,
 }
 
 impl Relation {
@@ -80,7 +103,8 @@ impl Relation {
             total_rows,
             total_bytes,
             stats: OnceLock::new(),
-            keeps_partition_stats: false,
+            tree: Vec::new(),
+            merge_tail: false,
         }
     }
 
@@ -93,17 +117,79 @@ impl Relation {
     /// against pre-write `total_rows`/`total_bytes`/`stats()` values.
     /// What carries over is per partition: [`Relation::stats`] of a
     /// relation built here computes a partition's statistics once for
-    /// every relation sharing that partition, so a post-commit snapshot
-    /// recomputes only the partitions the commit changed.
+    /// every relation sharing that partition, and combines them through a
+    /// merge tree whose nodes the write path shares between versions.
     pub fn from_partitions(schema: Schema, partitions: Vec<Partition>) -> Self {
+        Relation::sharing(schema, partitions, None, false)
+    }
+
+    /// [`Relation::from_partitions`], taking over from `donor` every node
+    /// of its merge tree whose range is the same here: same bounds, and
+    /// every partition in it the donor's (`Arc::ptr_eq` on `data`) — for
+    /// an inner node, both children taken over. A snapshot or merge that
+    /// rebuilt k partitions therefore re-merges only the O(k log P) nodes
+    /// above them. `merge_tail` marks the last partition as a merge's.
+    pub(crate) fn sharing(
+        schema: Schema,
+        partitions: Vec<Partition>,
+        donor: Option<&Relation>,
+        merge_tail: bool,
+    ) -> Self {
         assert!(
             !partitions.is_empty(),
             "a relation needs at least one partition"
         );
+        let tree = stats_tree(&partitions, donor);
         Relation {
-            keeps_partition_stats: true,
+            tree,
+            merge_tail,
             ..Relation::from_parts(schema, partitions)
         }
+    }
+
+    /// Whether the last partition is a merge's (see [`Relation::sharing`]).
+    pub(crate) fn has_merge_tail(&self) -> bool {
+        self.merge_tail
+    }
+}
+
+/// The merge tree over `parts`, sharing `donor`'s nodes where
+/// [`Relation::sharing`] allows it.
+fn stats_tree(parts: &[Partition], donor: Option<&Relation>) -> Vec<Vec<StatsNode>> {
+    let n = parts.len();
+    let (donor_parts, donor_tree) =
+        donor.map_or((&[][..], &[][..]), |d| (&d.partitions[..], &d.tree[..]));
+    // Node `k` of a level whose nodes cover `width` partitions ends at the
+    // same partition here as in the donor.
+    let same_end = |width: usize, k: usize| {
+        ((k + 1) * width).min(n) == ((k + 1) * width).min(donor_parts.len())
+    };
+    let mut width = LEAF_PARTITIONS;
+    let mut taken: Vec<bool> = (0..n.div_ceil(width))
+        .map(|k| {
+            same_end(width, k)
+                && (k * width..((k + 1) * width).min(n))
+                    .all(|i| Arc::ptr_eq(&parts[i].data, &donor_parts[i].data))
+        })
+        .collect();
+    let mut tree: Vec<Vec<StatsNode>> = Vec::new();
+    loop {
+        let donor_level = donor_tree.get(tree.len()).map_or(&[][..], |l| &l[..]);
+        tree.push(
+            (taken.iter().enumerate())
+                .map(|(k, &t)| match donor_level.get(k) {
+                    Some(node) if t => Arc::clone(node),
+                    _ => StatsNode::default(),
+                })
+                .collect(),
+        );
+        if taken.len() == 1 {
+            return tree;
+        }
+        width *= 2;
+        taken = (0..taken.len().div_ceil(2))
+            .map(|k| same_end(width, k) && taken[2 * k] && taken.get(2 * k + 1) != Some(&false))
+            .collect();
     }
 }
 
@@ -198,25 +284,43 @@ impl Relation {
     }
 
     /// Merged catalog statistics, computed per partition on first use and
-    /// cached for the planner's repeated lookups.
+    /// cached for the planner's repeated lookups. A write-path relation
+    /// finalizes the root of its merge tree, filling only the nodes no
+    /// earlier relation sharing them has filled.
     pub fn stats(&self) -> Arc<TableStats> {
         Arc::clone(self.stats.get_or_init(|| {
-            if !self.keeps_partition_stats {
+            let Some(root) = self.tree.len().checked_sub(1) else {
                 return Arc::new(TableStats::from_partitions(
                     self.partitions.iter().map(|p| &*p.data),
                 ));
-            }
-            let mut parts = self
-                .partitions
-                .iter()
-                .map(|p| p.stats.get_or_init(|| TableStats::from_batch(&p.data)));
-            let mut acc = parts
-                .next()
-                .expect("a relation has at least one partition")
-                .clone();
-            acc.merge_all(parts);
-            Arc::new(acc)
+            };
+            let mut stats = self.node(root, 0).clone();
+            stats.finalize();
+            Arc::new(stats)
         }))
+    }
+
+    /// Node `k` of merge-tree level `level`, combined on first use.
+    fn node(&self, level: usize, k: usize) -> &TableStats {
+        self.tree[level][k].get_or_init(|| {
+            let mut acc: Option<TableStats> = None;
+            let mut add = |s: &TableStats| match &mut acc {
+                Some(acc) => acc.combine(s),
+                None => acc = Some(s.clone()),
+            };
+            if level == 0 {
+                let range =
+                    k * LEAF_PARTITIONS..((k + 1) * LEAF_PARTITIONS).min(self.partitions.len());
+                for p in &self.partitions[range] {
+                    add(p.stats.get_or_init(|| TableStats::from_batch(&p.data)));
+                }
+            } else {
+                for child in 2 * k..(2 * k + 2).min(self.tree[level - 1].len()) {
+                    add(self.node(level - 1, child));
+                }
+            }
+            acc.expect("a merge-tree node covers at least one partition")
+        })
     }
 
     /// Re-place the partitions under a different policy without copying
@@ -238,9 +342,11 @@ impl Relation {
             total_rows: self.total_rows,
             total_bytes: self.total_bytes,
             // Placement does not change the data, so the stats carry over
-            // (including an already-computed cache).
+            // (including an already-computed cache), and so does the
+            // merge tree.
             stats: self.stats.clone(),
-            keeps_partition_stats: self.keeps_partition_stats,
+            tree: self.tree.clone(),
+            merge_tail: self.merge_tail,
         }
     }
 
@@ -435,6 +541,73 @@ mod tests {
         assert!(Arc::ptr_eq(&s, &r.stats()));
         let r2 = r.with_placement(Placement::OsDefault, &t);
         assert!(Arc::ptr_eq(&s, &r2.stats()));
+    }
+
+    /// Nodes of `new`'s merge tree that are not the node at the same
+    /// place in `old`'s.
+    fn fresh_nodes(new: &Relation, old: &Relation) -> usize {
+        (new.tree.iter().enumerate())
+            .flat_map(|(l, level)| level.iter().enumerate().map(move |(k, n)| (l, k, n)))
+            .filter(|&(l, k, n)| {
+                old.tree
+                    .get(l)
+                    .and_then(|level| level.get(k))
+                    .is_none_or(|o| !Arc::ptr_eq(o, n))
+            })
+            .count()
+    }
+
+    fn write_path_relation(parts: usize) -> Relation {
+        let partitions = (0..parts)
+            .map(|i| Partition::new(SocketId(0), sample_batch(i % 5 + 1)))
+            .collect();
+        Relation::from_partitions(schema(), partitions)
+    }
+
+    fn from_scratch(rel: &Relation) -> TableStats {
+        TableStats::from_partitions(rel.partitions().iter().map(|p| &*p.data))
+    }
+
+    #[test]
+    fn a_one_partition_edit_re_merges_one_path_of_the_tree() {
+        let old = write_path_relation(141);
+        assert_eq!(old.tree[0].len(), 18, "leaves of 8 partitions");
+        assert_eq!(*old.stats(), from_scratch(&old));
+        for edit in [0, 70, 140] {
+            let mut parts = old.partitions().to_vec();
+            parts[edit] = Partition::new(SocketId(0), sample_batch(9));
+            let new = Relation::sharing(schema(), parts, Some(&old), false);
+            // ⌈log2(141 / 8)⌉ + 1 levels, one node of each re-created.
+            assert_eq!(new.tree.len(), 6);
+            assert!(fresh_nodes(&new, &old) <= 6, "edit {edit}");
+            assert_eq!(*new.stats(), from_scratch(&new));
+            // The donor's cached stats are untouched by the new relation.
+            assert_eq!(*old.stats(), from_scratch(&old));
+        }
+        // The same partitions share the whole tree, the filled nodes too.
+        let same = Relation::sharing(schema(), old.partitions().to_vec(), Some(&old), false);
+        assert_eq!(fresh_nodes(&same, &old), 0);
+        assert!(same.tree.iter().flatten().all(|n| n.get().is_some()));
+        // Appending a partition re-creates the right edge only, and a
+        // load-time donor (no tree) or none shares nothing.
+        let mut parts = old.partitions().to_vec();
+        parts.push(Partition::new(SocketId(0), sample_batch(3)));
+        let longer = Relation::sharing(schema(), parts, Some(&old), false);
+        assert!(fresh_nodes(&longer, &old) <= 6);
+        assert_eq!(*longer.stats(), from_scratch(&longer));
+        let loaded = Relation::partitioned(
+            schema(),
+            &sample_batch(100),
+            PartitionBy::Chunks,
+            16,
+            Placement::FirstTouch,
+            &Topology::laptop(),
+        );
+        assert!(loaded.tree.is_empty());
+        let copied =
+            Relation::sharing(schema(), loaded.partitions().to_vec(), Some(&loaded), false);
+        assert_eq!(copied.tree.iter().flatten().count(), 2 + 1);
+        assert_eq!(*copied.stats(), *loaded.stats());
     }
 
     #[test]

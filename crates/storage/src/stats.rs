@@ -10,6 +10,15 @@
 //! cached on the [`Relation`](crate::relation::Relation) so repeated
 //! planner lookups are free.
 //!
+//! Merging is two steps: [`TableStats::combine`] folds one fragment's
+//! statistics into another's, and [`TableStats::finalize`] derives the two
+//! estimates, `ndv` and `avg_width`, once at the end. `combine` is exactly
+//! associative — register maxima, integer counts and byte totals, min/max,
+//! and a dictionary rule for which empty fragments are neutral — so any
+//! grouping of the same fragments finalizes to the same bits. That is what
+//! lets a write-path relation keep a merge tree over its partitions and
+//! share its nodes with the snapshots before it.
+//!
 //! The NDV sketch is a classic HyperLogLog (Flajolet et al., 2007) with
 //! `2^P` one-byte registers: mergeable across partitions by a register-wise
 //! max, ~3% standard error at `P = 10`, fixed 1 KiB per column.
@@ -71,10 +80,13 @@ impl HllSketch {
         let m = HLL_M as f64;
         // alpha_m for m >= 128.
         let alpha = 0.7213 / (1.0 + 1.079 / m);
+        // 2^-r written as its bit pattern: exponent 1023 - r, zero
+        // mantissa. Exact (so bit-identical to `powi`) for every rank
+        // `insert_hash` can store, which is at most 64 - P + 1 = 55.
         let sum: f64 = self
             .registers
             .iter()
-            .map(|&r| 2f64.powi(-i32::from(r)))
+            .map(|&r| f64::from_bits((1023 - u64::from(r)) << 52))
             .sum();
         let raw = alpha * m * m / sum;
         let zeros = self.registers.iter().filter(|&&r| r == 0).count();
@@ -103,12 +115,16 @@ pub struct ColumnStats {
     /// Estimated number of distinct values (from the HLL sketch).
     pub ndv: f64,
     /// Average in-memory bytes per value (same accounting as
-    /// [`Column::byte_size`]).
+    /// [`Column::byte_size`]): the fragment's byte total over its rows,
+    /// set by finalization together with `ndv`.
     pub avg_width: f64,
     /// The shared dictionary, when this column is dictionary-encoded —
     /// lets the planner turn string range/prefix predicates into exact
     /// code-domain fractions.
     pub dict: Option<Arc<Dictionary>>,
+    /// Byte total of the fragment(s) merged so far, kept as an integer so
+    /// merging is exact in any order.
+    bytes: u64,
     sketch: HllSketch,
 }
 
@@ -173,35 +189,34 @@ impl ColumnStats {
                 )
             }
         };
-        let rows = col.len();
-        let ndv = sketch.estimate().min(rows as f64);
-        ColumnStats {
+        let mut stats = ColumnStats {
             min,
             max,
             null_count: 0,
-            ndv,
-            avg_width: if rows == 0 {
-                0.0
-            } else {
-                col.total_bytes() as f64 / rows as f64
-            },
+            ndv: 0.0,
+            avg_width: 0.0,
             dict,
+            bytes: col.total_bytes(),
             sketch,
-        }
+        };
+        stats.finalize(col.len() as u64);
+        stats
     }
 
     /// Merge the stats of another fragment of the same column, all but
-    /// `ndv`: the estimate is a pass over every register, which a fold
-    /// over many fragments ([`TableStats::merge_all`]) needs only once.
+    /// the estimates: `ndv` is a pass over every register, which a fold
+    /// over many fragments needs only once ([`ColumnStats::finalize`]).
     fn absorb(&mut self, other: &ColumnStats, own_rows: u64, other_rows: u64) {
         self.sketch.merge(&other.sketch);
         self.null_count += other.null_count;
-        // Partitions of one relation share their dictionary; anything else
-        // (or a plain fragment) drops it.
+        self.bytes += other.bytes;
+        // Partitions of one relation share their dictionary; a plain
+        // fragment or another dictionary drops it. An empty fragment is
+        // neutral whatever its encoding, which keeps the rule associative.
         self.dict = match (self.dict.take(), &other.dict) {
+            (own, _) if other_rows == 0 => own,
+            (_, other) if own_rows == 0 => other.clone(),
             (Some(a), Some(b)) if Arc::ptr_eq(&a, b) => Some(a),
-            (Some(a), None) if other_rows == 0 => Some(a),
-            (None, Some(b)) if own_rows == 0 => Some(Arc::clone(b)),
             _ => None,
         };
         self.min = match (self.min.take(), other.min.clone()) {
@@ -212,12 +227,17 @@ impl ColumnStats {
             (Some(a), Some(b)) => Some(if value_le(&a, &b) { b } else { a }),
             (a, b) => a.or(b),
         };
-        let total = own_rows + other_rows;
-        if total > 0 {
-            self.avg_width = (self.avg_width * own_rows as f64
-                + other.avg_width * other_rows as f64)
-                / total as f64;
-        }
+    }
+
+    /// Derive `ndv` and `avg_width` from the merged sketch and byte total
+    /// of `rows` rows.
+    fn finalize(&mut self, rows: u64) {
+        self.ndv = self.sketch.estimate().min(rows as f64);
+        self.avg_width = if rows == 0 {
+            0.0
+        } else {
+            self.bytes as f64 / rows as f64
+        };
     }
 
     /// Numeric span `max - min`, if the column is numeric and non-empty.
@@ -236,7 +256,9 @@ fn value_le(a: &Value, b: &Value) -> bool {
     }
 }
 
-/// Merged statistics for a whole relation.
+/// Merged statistics for a whole relation (or for a range of its
+/// partitions: a node of a relation's merge tree is a `TableStats` that
+/// [`TableStats::combine`] built and [`TableStats::finalize`] has not).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableStats {
     pub rows: u64,
@@ -258,27 +280,29 @@ impl TableStats {
         }
     }
 
-    /// Merge the stats of any number of further partitions into this
-    /// one, in order.
-    pub fn merge_all<S: std::borrow::Borrow<TableStats>>(
-        &mut self,
-        others: impl IntoIterator<Item = S>,
-    ) {
-        for other in others {
-            let other = other.borrow();
-            assert_eq!(
-                self.columns.len(),
-                other.columns.len(),
-                "partition column counts differ"
-            );
-            for (a, b) in self.columns.iter_mut().zip(&other.columns) {
-                a.absorb(b, self.rows, other.rows);
-            }
-            self.rows += other.rows;
-            self.bytes += other.bytes;
+    /// Merge the stats of the partitions right after this one's into it,
+    /// all but the estimates, which are stale until [`TableStats::finalize`].
+    /// Exactly associative: any grouping of a partition sequence combines
+    /// to the same value.
+    pub fn combine(&mut self, other: &TableStats) {
+        assert_eq!(
+            self.columns.len(),
+            other.columns.len(),
+            "partition column counts differ"
+        );
+        for (a, b) in self.columns.iter_mut().zip(&other.columns) {
+            a.absorb(b, self.rows, other.rows);
         }
+        self.rows += other.rows;
+        self.bytes += other.bytes;
+    }
+
+    /// Derive every column's `ndv` and `avg_width` from what
+    /// [`TableStats::combine`] merged: one estimate per column, however
+    /// many partitions went in.
+    pub fn finalize(&mut self) {
         for c in &mut self.columns {
-            c.ndv = c.sketch.estimate().min(self.rows as f64);
+            c.finalize(self.rows);
         }
     }
 
@@ -293,7 +317,10 @@ impl TableStats {
                 columns: Vec::new(),
             },
         };
-        acc.merge_all(iter.map(TableStats::from_batch));
+        for batch in iter {
+            acc.combine(&TableStats::from_batch(batch));
+        }
+        acc.finalize();
         acc
     }
 
@@ -374,6 +401,95 @@ mod tests {
         assert_eq!(s.min, None);
         assert_eq!(s.max, None);
         assert_eq!(s.ndv, 0.0);
+    }
+
+    /// The estimate as it was written before the bit-pattern powers: the
+    /// oracle [`HllSketch::estimate`] must match bit for bit.
+    fn powi_estimate(registers: &[u8]) -> f64 {
+        let m = HLL_M as f64;
+        let alpha = 0.7213 / (1.0 + 1.079 / m);
+        let sum: f64 = registers.iter().map(|&r| 2f64.powi(-i32::from(r))).sum();
+        let raw = alpha * m * m / sum;
+        let zeros = registers.iter().filter(|&&r| r == 0).count();
+        if raw <= 2.5 * m && zeros > 0 {
+            m * (m / zeros as f64).ln()
+        } else {
+            raw
+        }
+    }
+
+    #[test]
+    fn estimate_matches_the_powi_formula_bit_for_bit() {
+        let max_rank = (64 - HLL_P + 1) as u8;
+        let check = |registers: Vec<u8>| {
+            let want = powi_estimate(&registers);
+            let got = HllSketch { registers }.estimate();
+            assert_eq!(got.to_bits(), want.to_bits(), "{got} vs {want}");
+        };
+        for r in 0..=max_rank {
+            // One register at rank `r`, and every register at it.
+            let mut one = vec![0; HLL_M];
+            one[r as usize * 7 % HLL_M] = r;
+            check(one);
+            check(vec![r; HLL_M]);
+        }
+        check(vec![0; HLL_M]);
+        check(vec![max_rank; HLL_M]);
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for round in 0..200 {
+            // Low ranks are the common ones; a few rounds reach the top.
+            let cap = if round % 4 == 0 { max_rank + 1 } else { 12 };
+            let registers = (0..HLL_M)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    (x % u64::from(cap)) as u8
+                })
+                .collect();
+            check(registers);
+        }
+        // And through `insert_hash`, as the statistics build them.
+        let mut s = HllSketch::new();
+        for i in 0..5_000u64 {
+            s.insert_hash(hash64(i));
+            if i % 499 == 0 {
+                assert_eq!(
+                    s.estimate().to_bits(),
+                    powi_estimate(&s.registers).to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_fragment_is_neutral_to_the_dictionary_rule() {
+        use crate::dict::{DictColumn, Dictionary};
+        let d = Dictionary::from_values(["x", "y"]);
+        let other = Dictionary::from_values(["x", "y"]);
+        let frag = |dict: &Arc<Dictionary>, codes: Vec<u32>| {
+            let batch =
+                Batch::from_columns(vec![Column::Dict(DictColumn::new(Arc::clone(dict), codes))]);
+            TableStats::from_batch(&batch)
+        };
+        // Empty over `d`, empty over another dictionary, rows over `d`:
+        // both groupings keep `d`, as every order of non-empty `d`
+        // fragments does.
+        let (a, b, c) = (frag(&d, vec![]), frag(&other, vec![]), frag(&d, vec![1, 0]));
+        let mut left = a.clone();
+        left.combine(&b);
+        left.combine(&c);
+        let mut right = b.clone();
+        right.combine(&c);
+        let mut right_first = a;
+        right_first.combine(&right);
+        left.finalize();
+        right_first.finalize();
+        assert_eq!(left, right_first);
+        assert!(Arc::ptr_eq(left.column(0).dict.as_ref().unwrap(), &d));
+        // A second dictionary with rows drops it.
+        left.combine(&frag(&other, vec![0]));
+        assert!(left.column(0).dict.is_none());
     }
 
     #[test]

@@ -1,0 +1,235 @@
+//! The statistics merge tree of write-path relations against the left
+//! fold: random partition sequences of 1–300 partitions — empty ones,
+//! plain strings, dictionary codes over the relation's dictionary or over
+//! another one — then random edits chained through donors the way the
+//! write path chains them (`DeltaStore::snapshot` takes the previous
+//! snapshot, `DeltaStore::merge` the base):
+//!
+//! - **replace k**: one base row dies in each of k partitions, which the
+//!   snapshot re-materialises;
+//! - **append**: committed inserts grow the delta partition;
+//! - **shrink the right edge**: every visible delta row dies, so the
+//!   delta partition drops off the end;
+//! - **fold into the tail**: a merge appends its rows, or folds them into
+//!   the partition an earlier merge appended.
+//!
+//! After every edit `Relation::stats()` must equal
+//! `TableStats::from_partitions` over the same partitions field for
+//! field, HLL registers and the integer-derived `avg_width` included —
+//! no tolerance, because combining partition statistics is exactly
+//! associative.
+
+use std::sync::Arc;
+
+use morsel_numa::SocketId;
+use morsel_storage::{
+    delta_row_id, Batch, Column, DataType, DeltaStore, DictColumn, Dictionary, Partition, Relation,
+    Schema, TableStats, Value,
+};
+use proptest::prelude::*;
+
+/// Deterministic draws from one case's seed.
+struct Draw(u64);
+
+impl Draw {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self
+            .0
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        ((self.0 >> 33) % n.max(1) as u64) as usize
+    }
+}
+
+fn schema() -> Schema {
+    Schema::new(vec![
+        ("k", DataType::I64),
+        ("x", DataType::F64),
+        ("a", DataType::Str),
+        ("b", DataType::Str),
+    ])
+}
+
+const A_VALUES: [&str; 6] = ["a0", "a1", "a2", "a3", "a4", "a5"];
+const B_VALUES: [&str; 4] = ["b0", "b1", "b2", "b3"];
+const X_VALUES: [f64; 6] = [0.0, -0.0, 1.5, -2.25, 1e9, 7.0];
+
+/// The dictionaries fragments draw from. Column `a` is plain in the first
+/// partition, so the delta store keeps inserted `a` values plain, and any
+/// mix elsewhere; column `b` is encoded everywhere, over the relation's
+/// dictionary or, in some fragments, an equal but distinct one.
+struct Dicts {
+    a: [Arc<Dictionary>; 2],
+    b: Arc<Dictionary>,
+    b_other: Arc<Dictionary>,
+}
+
+impl Dicts {
+    fn new() -> Self {
+        Dicts {
+            a: [
+                Dictionary::from_values(A_VALUES),
+                Dictionary::from_values(A_VALUES),
+            ],
+            b: Dictionary::from_values(B_VALUES),
+            b_other: Dictionary::from_values(B_VALUES),
+        }
+    }
+}
+
+fn encoded(dict: &Arc<Dictionary>, values: &[String]) -> Column {
+    Column::Dict(DictColumn::encode(dict, values).expect("values from the dictionary's domain"))
+}
+
+fn fragment(draw: &mut Draw, dicts: &Dicts, first: bool) -> Batch {
+    let rows = if draw.below(5) == 0 {
+        0
+    } else {
+        1 + draw.below(12)
+    };
+    let k = (0..rows).map(|_| draw.below(1_000) as i64 - 500).collect();
+    let x = (0..rows).map(|_| X_VALUES[draw.below(6)]).collect();
+    let a: Vec<String> = (0..rows)
+        .map(|_| A_VALUES[draw.below(6)].to_owned())
+        .collect();
+    let b: Vec<String> = (0..rows)
+        .map(|_| B_VALUES[draw.below(4)].to_owned())
+        .collect();
+    let a = match if first { 0 } else { draw.below(3) } {
+        0 => Column::Str(a.iter().collect()),
+        i => encoded(&dicts.a[i - 1], &a),
+    };
+    let b_dict = if !first && draw.below(6) == 0 {
+        &dicts.b_other
+    } else {
+        &dicts.b
+    };
+    Batch::from_columns(vec![Column::I64(k), Column::F64(x), a, encoded(b_dict, &b)])
+}
+
+fn insert_row(draw: &mut Draw) -> Vec<Value> {
+    vec![
+        Value::I64(draw.below(2_000) as i64 - 1_000),
+        Value::F64(X_VALUES[draw.below(6)]),
+        // Outside `a`'s dictionaries: the delta partition stays plain.
+        Value::Str(format!("new{}", draw.below(50))),
+        Value::Str(B_VALUES[draw.below(4)].to_owned()),
+    ]
+}
+
+/// `rel.stats()` is the left fold of its partitions, bit for bit.
+fn assert_exact(rel: &Relation, what: &str) {
+    let got = rel.stats();
+    let want = TableStats::from_partitions(rel.partitions().iter().map(|p| &*p.data));
+    assert_eq!((got.rows, got.bytes), (want.rows, want.bytes), "{what}");
+    assert_eq!(got.rows, rel.total_rows() as u64, "{what}");
+    for (c, (g, w)) in got.columns.iter().zip(&want.columns).enumerate() {
+        assert_eq!((&g.min, &g.max), (&w.min, &w.max), "{what}: column {c}");
+        assert_eq!(g.null_count, w.null_count, "{what}: column {c}");
+        assert_eq!(g.ndv.to_bits(), w.ndv.to_bits(), "{what}: column {c}");
+        assert_eq!(
+            g.avg_width.to_bits(),
+            w.avg_width.to_bits(),
+            "{what}: column {c}"
+        );
+        let same_dict = match (&g.dict, &w.dict) {
+            (Some(g), Some(w)) => Arc::ptr_eq(g, w),
+            (g, w) => g.is_none() && w.is_none(),
+        };
+        assert!(same_dict, "{what}: column {c}");
+    }
+    assert!(*got == want, "{what}: HLL registers");
+}
+
+/// Kill the first live base row of `partition`, if it has one.
+fn kill_one(delta: &mut DeltaStore, base: &Relation, partition: usize, ts: u64) {
+    let start: usize = (base.partitions()[..partition].iter())
+        .map(|p| p.data.rows())
+        .sum();
+    let rows = base.partition(partition).data.rows();
+    if let Some(id) = (start..start + rows)
+        .map(|i| i as u64)
+        .find(|&id| delta.visible(id, ts))
+    {
+        delta.apply_delete(id, ts);
+    }
+}
+
+/// Runs `edits` random edits; returns how many merges folded their rows
+/// into an earlier merge's tail instead of appending a partition.
+fn run(parts: usize, seed: u64, edits: usize) -> usize {
+    let mut draw = Draw(seed);
+    let dicts = Dicts::new();
+    let partitions = (0..parts)
+        .map(|i| {
+            let node = SocketId((i % 4) as u16);
+            Partition::new(node, fragment(&mut draw, &dicts, i == 0))
+        })
+        .collect();
+    let mut base = Relation::from_partitions(schema(), partitions);
+    assert_exact(&base, "initial");
+    let mut delta = DeltaStore::new(schema());
+    let mut prev: Option<Relation> = None;
+    let mut ts = 0;
+    let mut folds = 0;
+    for step in 0..edits {
+        ts += 1;
+        let what = match draw.below(4) {
+            0 => {
+                for _ in 0..1 + draw.below(4) {
+                    let p = draw.below(base.partitions().len());
+                    kill_one(&mut delta, &base, p, ts);
+                }
+                "replace k"
+            }
+            1 => {
+                for _ in 0..1 + draw.below(6) {
+                    delta.apply_insert(insert_row(&mut draw), ts);
+                }
+                "append"
+            }
+            2 => {
+                for i in 0..delta.delta_rows() {
+                    if delta.visible(delta_row_id(i), ts) {
+                        delta.apply_delete(delta_row_id(i), ts);
+                    }
+                }
+                "shrink the right edge"
+            }
+            _ => {
+                let (merged, next) = delta.merge(&base, ts, prev.as_ref());
+                let appended = (0..delta.delta_rows()).any(|i| delta.visible(delta_row_id(i), ts));
+                if appended && merged.partitions().len() == base.partitions().len() {
+                    folds += 1;
+                }
+                assert_exact(&merged, &format!("step {step}: fold into the tail"));
+                (base, delta, prev) = (merged, next, None);
+                continue;
+            }
+        };
+        let snap = delta.snapshot(&base, ts, prev.as_ref());
+        assert_exact(&snap, &format!("step {step}: {what}"));
+        prev = Some(snap);
+    }
+    folds
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn merge_tree_stats_equal_the_left_fold(parts in 1usize..=300, seed in any::<u64>()) {
+        run(parts, seed, 12);
+    }
+}
+
+/// The shapes the random draw reaches only by chance: one partition, a
+/// whole number of leaves, one partition past it, and long edit chains.
+#[test]
+fn merge_tree_stats_equal_the_left_fold_at_the_edges() {
+    let folds: usize = [1, 2, 7, 8, 9, 16, 17, 64, 65, 141]
+        .into_iter()
+        .map(|parts| run(parts, parts as u64, 30))
+        .sum();
+    assert!(folds > 0, "some merge folded into a tail");
+}

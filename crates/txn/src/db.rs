@@ -149,9 +149,11 @@ struct TableState {
     delta: DeltaStore,
     /// Delta bytes currently reserved against the budget.
     reserved: u64,
-    /// The newest catalog snapshot of this epoch, kept so that the next
-    /// one re-materialises only the partitions touched since.
-    latest: Option<Arc<Relation>>,
+    /// The newest catalog snapshot of this epoch and the timestamp it was
+    /// taken at, kept so that the next one re-materialises only the
+    /// partitions touched since — or, with no commit to this table since,
+    /// is this very `Arc`.
+    latest: Option<(Arc<Relation>, u64)>,
 }
 
 impl TableState {
@@ -200,14 +202,23 @@ impl Inner {
         catalog.get_or_insert_with(|| {
             let mut cat = Catalog::new();
             for state in tables.iter_mut() {
+                let prev = match &state.latest {
+                    // Nothing committed to this table since: the same
+                    // relation, statistics and all.
+                    Some((rel, at)) if state.delta.last_commit_ts() <= *at => {
+                        cat.add(&state.name, Arc::clone(rel));
+                        continue;
+                    }
+                    prev => prev.as_ref().map(|(rel, _)| &**rel),
+                };
                 // Pay for a value outside the base dictionaries once,
                 // not in every snapshot until the next merge.
                 if let Some(rebased) = state.delta.rebased(&state.base) {
                     state.base = Arc::new(rebased);
                 }
-                let rel = state.snapshot(*last_applied_ts, state.latest.as_deref());
+                let rel = state.snapshot(*last_applied_ts, prev);
                 cat.add(&state.name, Arc::clone(&rel));
-                state.latest = Some(rel);
+                state.latest = Some((rel, *last_applied_ts));
             }
             let v = cat.version() + *version;
             cat.set_version(v);
@@ -845,10 +856,10 @@ impl TxnDb {
                 }
             };
             let state = &mut inner.tables[t];
-            let (folded, next) = state.delta.merge(&state.base, upto);
+            let latest = state.latest.take().map(|(rel, _)| rel);
+            let (folded, next) = state.delta.merge(&state.base, upto, latest.as_deref());
             state.base = Arc::new(folded);
             state.delta = next;
-            state.latest = None;
             self.budget.release(state.reserved);
             state.reserved = 0;
             inner.version = lsn;
@@ -1322,6 +1333,41 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    #[test]
+    fn a_commit_leaves_the_other_tables_snapshots_alone() {
+        let dir = tmpdir("untouched");
+        let db = TxnDb::create(&dir, vec![("a", base_rel(4)), ("b", base_rel(4))]).unwrap();
+        let insert = |table: &str, id: i64| {
+            let mut w = db.begin().unwrap();
+            db.insert(&mut w, table, vec![Value::I64(id), Value::I64(id)])
+                .unwrap();
+            db.commit(w).unwrap();
+        };
+        insert("a", 10);
+        insert("b", 11);
+        let before = db.snapshot_catalog();
+        let b = Arc::clone(before.get("b").unwrap());
+        let stats = b.stats();
+        insert("a", 12);
+        let after = db.snapshot_catalog();
+        assert!(after.version() > before.version());
+        assert!(!Arc::ptr_eq(
+            before.get("a").unwrap(),
+            after.get("a").unwrap()
+        ));
+        assert!(
+            Arc::ptr_eq(&b, after.get("b").unwrap()),
+            "b was not written"
+        );
+        assert!(Arc::ptr_eq(&stats, &after.get("b").unwrap().stats()));
+        // A commit to `b` does build it anew.
+        insert("b", 13);
+        let last = db.snapshot_catalog();
+        assert!(!Arc::ptr_eq(&b, last.get("b").unwrap()));
+        assert_eq!(last.get("b").unwrap().total_rows(), 6);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     // ---- in-place matching against the materialise-then-filter oracle ----
 
     /// `(id, tag, note, v)` over `parts` hash partitions: `tag` repeats
@@ -1632,5 +1678,80 @@ mod tests {
         assert_eq!(kept, 62);
         assert_stats_from_scratch(&merged);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn merges_fold_into_a_bounded_tail_and_keep_untouched_partitions() {
+        for seed in 1..=4u64 {
+            let dir = tmpdir(&format!("tail{seed}"));
+            let base = tagged_rel(3200, 32);
+            let db = TxnDb::create(&dir, vec![("t", Arc::clone(&base))]).unwrap();
+            let mut rng = Lcg(seed);
+            let (mut next_id, mut live) = (10_000i64, 3200usize);
+            // Rows merges folded in, and the partition count after the last.
+            let (mut merged_rows, mut parts) = (0usize, 32usize);
+            for round in 0..80 {
+                let mut w = db.begin().unwrap();
+                for _ in 0..1 + rng.below(4) {
+                    let id = rng.below(next_id as u64) as i64;
+                    // Tags from the dictionary, so no rebase rewrites
+                    // every partition.
+                    let tag = Value::Str(format!("tag{}", rng.below(5)));
+                    match rng.below(4) {
+                        0 => live -= db.delete_where(&mut w, "t", &eq(col(0), lit(id))).unwrap(),
+                        1 => {
+                            db.update_where(&mut w, "t", &eq(col(0), lit(id)), &[(1, tag)])
+                                .unwrap();
+                        }
+                        _ => {
+                            let note = Value::Str(format!("note-{next_id}"));
+                            let row = vec![Value::I64(next_id), tag, note, Value::I64(id % 10)];
+                            db.insert(&mut w, "t", row).unwrap();
+                            next_id += 1;
+                            live += 1;
+                        }
+                    }
+                }
+                db.commit(w).unwrap();
+                if round % 3 != 2 {
+                    continue;
+                }
+                // A snapshot appends its visible delta rows as one last
+                // partition: the rows this merge folds.
+                let before = db.latest_relation("t").unwrap();
+                if before.partitions().len() > parts {
+                    merged_rows += before.partitions().last().unwrap().data.rows();
+                }
+                db.merge("t").unwrap();
+                let merged = db.latest_relation("t").unwrap();
+                parts = merged.partitions().len();
+                assert_eq!(merged.total_rows(), live);
+                let mean = merged.total_rows() / parts;
+                assert!(
+                    parts <= 32 + merged_rows.div_ceil(mean) + 1,
+                    "seed {seed} round {round}: {parts} partitions after {merged_rows} merged rows"
+                );
+                for (i, (m, b)) in merged
+                    .partitions()
+                    .iter()
+                    .zip(base.partitions())
+                    .enumerate()
+                {
+                    if m.data.rows() == b.data.rows() {
+                        assert!(Arc::ptr_eq(&m.data, &b.data), "partition {i} untouched");
+                    }
+                }
+            }
+            // Replay folds the same tails.
+            let rows = |db: &TxnDb| -> Vec<usize> {
+                let rel = db.latest_relation("t").unwrap();
+                rel.partitions().iter().map(|p| p.data.rows()).collect()
+            };
+            let live_parts = rows(&db);
+            drop(db);
+            let db = TxnDb::open(&dir, vec![("t", Arc::clone(&base))]).unwrap();
+            assert_eq!(rows(&db), live_parts);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }
