@@ -9,11 +9,11 @@
 //! (simulated wall clock), across scale factors. `explain` prints one query's chosen join order
 //! and per-operator estimated vs. actual cardinalities, optd-demo style.
 
-use morsel_core::ExecEnv;
+use morsel_core::{ExecEnv, QueryProfile};
 use morsel_exec::plan::Plan;
 use morsel_exec::SystemVariant;
 use morsel_numa::Topology;
-use morsel_planner::{explain, plan_cost, Planner};
+use morsel_planner::{explain, plan_cost, Estimator, Planner};
 use morsel_queries::{format_rows, run_sim, ssb_queries, ssb_sql, tpch_queries, tpch_sql};
 use morsel_storage::Catalog;
 
@@ -217,7 +217,7 @@ pub fn explain_query(cfg: &ExpConfig, query: &str) -> Result<String, String> {
 }
 
 /// Shared explain rendering: chosen join orders plus estimated vs.
-/// measured per-operator cardinalities (every subtree is executed).
+/// measured per-operator cardinalities from one profiled execution.
 fn render_explain(
     env: &ExecEnv,
     planner: &Planner,
@@ -243,12 +243,6 @@ fn render_explain(
         ));
     }
 
-    // Estimated vs actual from ONE profiled execution: the runtime
-    // profile's slots are numbered in explain order (pre-order,
-    // probe-first), so `profile.ops[i].rows_out` is line i's actual.
-    // Re-executing every subtree survives only as the test oracle in
-    // tests/planner_equivalence.rs.
-    let lines = explain::collect(lowered, &planner.estimator);
     let run = run_sim(
         env,
         "explain-analyze",
@@ -257,19 +251,41 @@ fn render_explain(
         16,
         cfg.morsel_size,
     );
-    let profile = run
-        .profile
-        .expect("SystemVariant::full() compiles with profiling on");
+    out.push('\n');
+    out.push_str(&render_analyze(
+        lowered,
+        &planner.estimator,
+        run.profile.as_ref(),
+        cfg.analyze,
+    ));
+    out
+}
+
+/// EXPLAIN ANALYZE from ONE profiled execution of `plan`: each operator's
+/// estimate beside its actual. The profile's slots follow
+/// [`Plan::preorder`], as the explain lines do, so `profile.ops[i]` is
+/// line `i`'s actual and both carry the same [`Plan::label`]. With
+/// `runtime`, the per-operator runtime profile follows.
+/// tests/planner_equivalence.rs checks the actuals against re-executing
+/// each node's subtree.
+fn render_analyze(
+    plan: &Plan,
+    estimator: &Estimator,
+    profile: Option<&QueryProfile>,
+    runtime: bool,
+) -> String {
+    let profile = profile.expect("SystemVariant::full() compiles with profiling on");
+    let lines = explain::collect(plan, estimator);
     assert_eq!(
         profile.ops.len(),
         lines.len(),
         "profile slots diverge from explain lines"
     );
     let actuals: Vec<usize> = profile.ops.iter().map(|o| o.rows_out as usize).collect();
-    out.push_str("\noperators (estimated vs actual, one profiled execution):\n");
+    let mut out = "operators (estimated vs actual, one profiled execution):\n".to_owned();
     out.push_str(&explain::render(&lines, Some(&actuals)));
-    if cfg.analyze {
-        out.push_str("\nruntime profile (per operator, summed over workers):\n");
+    if runtime {
+        out.push_str("runtime profile (per operator, summed over workers):\n");
         out.push_str(&profile.render());
     }
     out
@@ -347,17 +363,12 @@ pub fn run_sql_in(
                 out.push_str(&format!("join order: {}\n", b.order));
             }
             if cfg.analyze {
-                let planner = Planner::new(&topo);
-                let lines = explain::collect(&handle.plan, &planner.estimator);
-                let profile = outcome
-                    .profile
-                    .as_ref()
-                    .expect("SystemVariant::full() compiles with profiling on");
-                let actuals: Vec<usize> = profile.ops.iter().map(|o| o.rows_out as usize).collect();
-                out.push_str("operators (estimated vs actual, one profiled execution):\n");
-                out.push_str(&explain::render(&lines, Some(&actuals)));
-                out.push_str("runtime profile (per operator, summed over workers):\n");
-                out.push_str(&profile.render());
+                out.push_str(&render_analyze(
+                    &handle.plan,
+                    &Planner::new(&topo).estimator,
+                    outcome.profile.as_ref(),
+                    true,
+                ));
             }
             out.push_str(&format!("columns: {}\n", handle.schema.names().join(" | ")));
             let rows = outcome.result.rows();

@@ -145,7 +145,7 @@ pub fn recovery_smoke(cfg: &ExpConfig) -> Result<String, String> {
         let fault = Fault::CrashAtLsn { lsn: crash_lsn };
         let plan = FaultPlan::none().with(fault);
         // Round-trip the plan through the chaos grammar — the same
-        // text form `MORSEL_FAULT_PLAN` accepts.
+        // text form a chaos artifact records.
         let plan: FaultPlan = plan.to_string().parse().expect("fault grammar round-trip");
 
         let crash_dir = tmpdir(&format!("smoke-crash-{crash_lsn}"));

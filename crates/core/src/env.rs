@@ -26,22 +26,12 @@ pub struct ExecEnv {
 impl ExecEnv {
     pub fn new(topology: Topology) -> Self {
         let cost = CostModel::for_topology(&topology);
-        // Honor `MORSEL_FAULT_PLAN` from the environment so any binary
-        // (examples, `repro`, tests) can be fault-injected without code
-        // changes; `with_fault_plan` still overrides. A malformed plan
-        // aborts loudly — silently dropping a chaos schedule would make
-        // every "fault survived" result meaningless.
-        let faults = match FaultPlan::from_env() {
-            Ok(Some(plan)) => FaultInjector::new(plan),
-            Ok(None) => FaultInjector::default(),
-            Err(e) => panic!("malformed {}: {e}", crate::fault::FAULT_PLAN_ENV),
-        };
         let counters = AccessCounters::new(&topology);
         ExecEnv {
             topology: Arc::new(topology),
             cost: Arc::new(cost),
             counters: Arc::new(counters),
-            faults: Arc::new(faults),
+            faults: Arc::new(FaultInjector::default()),
             mem_pool: None,
             trace: None,
         }

@@ -4,9 +4,8 @@
 //! at morsel *k* of operator *o*, fail allocation *n*, delay morsel *m*
 //! by *d* virtual nanoseconds — attached to an
 //! [`ExecEnv`](crate::ExecEnv) via
-//! [`ExecEnv::with_fault_plan`](crate::ExecEnv) or the
-//! `MORSEL_FAULT_PLAN` environment variable. Both executors honor the
-//! plan through a single test-only hook at the morsel boundary
+//! [`ExecEnv::with_fault_plan`](crate::ExecEnv). Both executors honor
+//! the plan through a single test-only hook at the morsel boundary
 //! ([`FaultInjector::on_morsel`]) plus one in the budget reservation
 //! path ([`FaultInjector::on_alloc`]); with an empty plan the hooks are
 //! branch-and-return.
@@ -51,9 +50,6 @@ use std::fmt;
 use std::str::FromStr;
 
 use parking_lot::Mutex;
-
-/// Environment variable read by [`FaultPlan::from_env`].
-pub const FAULT_PLAN_ENV: &str = "MORSEL_FAULT_PLAN";
 
 /// One injected failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -203,16 +199,6 @@ impl FaultPlan {
     pub fn with(mut self, fault: Fault) -> Self {
         self.faults.push(fault);
         self
-    }
-
-    /// Parse the plan from `MORSEL_FAULT_PLAN`, if set. Empty or unset
-    /// yields `None`; a malformed plan is an error (silently dropping
-    /// a chaos schedule would be worse than failing loudly).
-    pub fn from_env() -> Result<Option<Self>, String> {
-        match std::env::var(FAULT_PLAN_ENV) {
-            Ok(v) if !v.trim().is_empty() => v.parse().map(Some),
-            _ => Ok(None),
-        }
     }
 
     /// Extract the WAL-targeted entries as a storage-layer fault

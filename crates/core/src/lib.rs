@@ -36,7 +36,7 @@ pub mod trace;
 
 pub use dispatcher::{AgingPolicy, DispatchConfig};
 pub use env::ExecEnv;
-pub use fault::{Fault, FaultInjector, FaultPlan, MorselFault, FAULT_PLAN_ENV};
+pub use fault::{Fault, FaultInjector, FaultPlan, MorselFault};
 pub use govern::{EngineError, MemBudget, MemPool};
 pub use job::{BuiltJob, PipelineJob};
 pub use metrics::{validate_exposition, MetricFamily, MetricKind, MetricsRegistry};

@@ -10,10 +10,11 @@
 //! time a reader asks) the rows are merged into a [`QueryProfile`]
 //! snapshot.
 //!
-//! Operator slots are numbered by a *pre-order walk of the plan with the
-//! probe side visited before the build side at joins* — exactly the order
-//! `morsel-planner`'s `explain` renders lines in — so `profile.ops[i]`
-//! is the actual for explain line `i` without any mapping table.
+//! Operator slots are numbered by `morsel-exec`'s `Plan::preorder`, the
+//! one definition of a plan node's number (pre-order, a join's probe
+//! subtree before its build subtree). `morsel-planner`'s `explain` lists
+//! its lines by the same walk, so `profile.ops[i]` is the actual for
+//! explain line `i` without any mapping table.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -31,8 +32,8 @@ const FIELDS: usize = 7;
 /// Merged counters for one operator of one query.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OpProfile {
-    /// Operator label from the plan walk (e.g. `scan(lineitem)`,
-    /// `join(Inner)`).
+    /// Operator label, `morsel-exec`'s `Plan::label` (e.g.
+    /// `scan(filtered)`, `join(Inner)`).
     pub label: String,
     /// Tuples entering the operator (pre-filter for scans, probe-side
     /// input for joins, build input for pipeline breakers).
@@ -56,8 +57,8 @@ pub struct OpProfile {
 /// A merged, immutable profile of one executed query.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QueryProfile {
-    /// One entry per plan operator, in explain (pre-order, probe-first)
-    /// order.
+    /// One entry per plan operator, in `Plan::preorder` order (the order
+    /// explain lines are listed in).
     pub ops: Vec<OpProfile>,
     /// High-water mark of the query's memory reservations, in bytes.
     pub peak_reserved_bytes: u64,

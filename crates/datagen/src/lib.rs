@@ -11,5 +11,15 @@ pub mod ssb;
 pub mod text;
 pub mod tpch;
 
+use morsel_numa::Placement;
+
+/// Partitions per large relation: the paper's Section 5.1 setup splits
+/// each relation into 64 partitions, one per hardware thread.
+const PARTITIONS: usize = 64;
+
+/// Where generated partitions live; [`TpchDb::with_placement`]
+/// re-places a generated database.
+const PLACEMENT: Placement = Placement::FirstTouch;
+
 pub use ssb::{generate as generate_ssb, SsbConfig, SsbDb};
 pub use tpch::{generate as generate_tpch, TpchConfig, TpchDb};

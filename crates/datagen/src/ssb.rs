@@ -9,22 +9,20 @@
 use std::fmt::Write;
 use std::sync::Arc;
 
-use morsel_numa::{Placement, Topology};
+use morsel_numa::Topology;
 use morsel_storage::{
     date, date_parts, Batch, Column, DataType, PartitionBy, Relation, Schema, StrColumn,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::text;
+use crate::{text, PARTITIONS, PLACEMENT};
 
 /// Generator configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct SsbConfig {
     /// SSB scale factor (1.0 = 6M lineorders).
     pub scale: f64,
-    pub partitions: usize,
-    pub placement: Placement,
     pub seed: u64,
 }
 
@@ -32,8 +30,6 @@ impl Default for SsbConfig {
     fn default() -> Self {
         SsbConfig {
             scale: 0.01,
-            partitions: 64,
-            placement: Placement::FirstTouch,
             seed: 7,
         }
     }
@@ -198,8 +194,8 @@ fn gen_customer(config: SsbConfig, n: usize, topology: &Topology) -> Arc<Relatio
             schema,
             &data,
             PartitionBy::Hash { column: 0 },
-            config.partitions,
-            config.placement,
+            PARTITIONS,
+            PLACEMENT,
             topology,
         )
         .dict_encoded(),
@@ -240,8 +236,8 @@ fn gen_supplier(config: SsbConfig, n: usize, topology: &Topology) -> Arc<Relatio
             schema,
             &data,
             PartitionBy::Hash { column: 0 },
-            config.partitions,
-            config.placement,
+            PARTITIONS,
+            PLACEMENT,
             topology,
         )
         .dict_encoded(),
@@ -288,8 +284,8 @@ fn gen_part(config: SsbConfig, n: usize, topology: &Topology) -> Arc<Relation> {
             schema,
             &data,
             PartitionBy::Hash { column: 0 },
-            config.partitions,
-            config.placement,
+            PARTITIONS,
+            PLACEMENT,
             topology,
         )
         .dict_encoded(),
@@ -361,8 +357,8 @@ fn gen_lineorder(
             schema,
             &data,
             PartitionBy::Hash { column: 0 },
-            config.partitions,
-            config.placement,
+            PARTITIONS,
+            PLACEMENT,
             topology,
         )
         .dict_encoded(),

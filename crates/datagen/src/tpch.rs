@@ -14,17 +14,13 @@ use morsel_storage::{date, Batch, Column, DataType, PartitionBy, Relation, Schem
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::text;
+use crate::{text, PARTITIONS, PLACEMENT};
 
 /// Generator configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct TpchConfig {
     /// TPC-H scale factor (1.0 = 6M lineitems). Laptop-scale defaults.
     pub scale: f64,
-    /// Partitions per large relation (paper Section 5.1 uses 64).
-    pub partitions: usize,
-    /// NUMA placement of the partitions.
-    pub placement: Placement,
     pub seed: u64,
 }
 
@@ -32,8 +28,6 @@ impl Default for TpchConfig {
     fn default() -> Self {
         TpchConfig {
             scale: 0.01,
-            partitions: 64,
-            placement: Placement::FirstTouch,
             seed: 42,
         }
     }
@@ -108,10 +102,7 @@ impl TpchDb {
             partsupp: Arc::new(self.partsupp.with_placement(placement, topology)),
             orders: Arc::new(self.orders.with_placement(placement, topology)),
             lineitem: Arc::new(self.lineitem.with_placement(placement, topology)),
-            config: TpchConfig {
-                placement,
-                ..self.config
-            },
+            config: self.config,
         }
     }
 }
@@ -224,8 +215,8 @@ fn gen_supplier(config: TpchConfig, n: usize, topology: &Topology) -> Arc<Relati
             schema,
             &data,
             PartitionBy::Hash { column: 0 },
-            config.partitions.min(n.max(1)),
-            config.placement,
+            PARTITIONS.min(n.max(1)),
+            PLACEMENT,
             topology,
         )
         .dict_encoded(),
@@ -278,8 +269,8 @@ fn gen_customer(config: TpchConfig, n: usize, topology: &Topology) -> Arc<Relati
             schema,
             &data,
             PartitionBy::Hash { column: 0 },
-            config.partitions,
-            config.placement,
+            PARTITIONS,
+            PLACEMENT,
             topology,
         )
         .dict_encoded(),
@@ -336,8 +327,8 @@ fn gen_part(config: TpchConfig, n: usize, topology: &Topology) -> Arc<Relation> 
             schema,
             &data,
             PartitionBy::Hash { column: 0 },
-            config.partitions,
-            config.placement,
+            PARTITIONS,
+            PLACEMENT,
             topology,
         )
         .dict_encoded(),
@@ -390,8 +381,8 @@ fn gen_partsupp(
             schema,
             &data,
             PartitionBy::Hash { column: 0 },
-            config.partitions,
-            config.placement,
+            PARTITIONS,
+            PLACEMENT,
             topology,
         )
         .dict_encoded(),
@@ -548,8 +539,8 @@ fn gen_orders_lineitem(
             orders_schema,
             &orders_data,
             PartitionBy::Hash { column: 0 },
-            config.partitions,
-            config.placement,
+            PARTITIONS,
+            PLACEMENT,
             topology,
         )
         .dict_encoded(),
@@ -597,8 +588,8 @@ fn gen_orders_lineitem(
             lineitem_schema,
             &lineitem_data,
             PartitionBy::Hash { column: 0 },
-            config.partitions,
-            config.placement,
+            PARTITIONS,
+            PLACEMENT,
             topology,
         )
         .dict_encoded(),

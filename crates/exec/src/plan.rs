@@ -34,10 +34,6 @@ use crate::variant::SystemVariant;
 pub const TOPK_THRESHOLD: usize = 1024;
 
 /// A physical query plan.
-///
-/// `Clone` is part of the plan-introspection surface: the planner's
-/// `repro explain` support clones subtrees to execute them individually
-/// when reporting estimated-vs-actual cardinalities.
 #[derive(Clone)]
 pub enum Plan {
     /// Scan a base relation: filter on the relation schema, project into
@@ -247,76 +243,46 @@ impl Plan {
         self.schema().index_of(name)
     }
 
-    /// Render the plan tree (EXPLAIN-style). Build sides are indented
-    /// under their joins; the probe side continues the pipeline, mirroring
-    /// how the compiler decomposes the plan into pipelines (Figure 2).
-    pub fn explain(&self) -> String {
-        let mut out = String::new();
-        self.explain_into(&mut out, 0);
+    /// Every node with its depth, in the one order the plan's nodes are
+    /// numbered by: pre-order, a join's probe subtree before its build
+    /// subtree (the probe side continues the pipeline, Figure 2). Entry
+    /// `i` is the node behind `QueryProfile::ops[i]`, EXPLAIN line `i`
+    /// and the planner's `plan_charges(..)[i]`.
+    pub fn preorder(&self) -> Vec<(usize, &Plan)> {
+        let mut out = Vec::new();
+        let mut stack = vec![(0, self)];
+        while let Some((depth, node)) = stack.pop() {
+            out.push((depth, node));
+            match node {
+                Plan::Scan { .. } => {}
+                Plan::Filter { input, .. }
+                | Plan::Map { input, .. }
+                | Plan::Agg { input, .. }
+                | Plan::Sort { input, .. } => stack.push((depth + 1, input)),
+                Plan::Join { build, probe, .. } => {
+                    stack.push((depth + 1, build));
+                    stack.push((depth + 1, probe));
+                }
+            }
+        }
         out
     }
 
-    fn explain_into(&self, out: &mut String, depth: usize) {
-        let pad = "  ".repeat(depth);
+    /// This node's operator name, as profiles, EXPLAIN and the service's
+    /// execution totals show it. The first word (`scan`, `filter`, `map`,
+    /// `join`, `agg`, `sort`) is the operator kind.
+    pub fn label(&self) -> String {
         match self {
-            Plan::Scan {
-                relation,
-                filter,
-                project,
-            } => {
-                out.push_str(&format!(
-                    "{pad}Scan [{} rows, {} partitions]",
-                    relation.total_rows(),
-                    relation.partitions().len()
-                ));
-                if filter.is_some() {
-                    out.push_str(" filtered");
-                }
-                out.push_str(&format!(" -> {} cols\n", project.len()));
-            }
-            Plan::Filter { input, .. } => {
-                out.push_str(&format!("{pad}Filter\n"));
-                input.explain_into(out, depth + 1);
-            }
-            Plan::Map { input, project } => {
-                out.push_str(&format!("{pad}Map -> {} cols\n", project.len()));
-                input.explain_into(out, depth + 1);
-            }
-            Plan::Join {
-                build,
-                probe,
-                kind,
-                probe_keys,
-                ..
-            } => {
-                out.push_str(&format!(
-                    "{pad}HashJoin {kind:?} on {} key(s)\n{pad}  build:\n",
-                    probe_keys.len()
-                ));
-                build.explain_into(out, depth + 2);
-                out.push_str(&format!("{pad}  probe:\n"));
-                probe.explain_into(out, depth + 2);
-            }
+            Plan::Scan { filter: None, .. } => "scan".to_owned(),
+            Plan::Scan { .. } => "scan(filtered)".to_owned(),
+            Plan::Filter { .. } => "filter".to_owned(),
+            Plan::Map { project, .. } => format!("map({} cols)", project.len()),
+            Plan::Join { kind, .. } => format!("join({kind:?})"),
             Plan::Agg {
-                input,
-                group_cols,
-                aggs,
-            } => {
-                out.push_str(&format!(
-                    "{pad}Aggregate [{} group col(s), {} aggregate(s)]\n",
-                    group_cols.len(),
-                    aggs.len()
-                ));
-                input.explain_into(out, depth + 1);
-            }
-            Plan::Sort { input, keys, limit } => {
-                out.push_str(&format!("{pad}Sort [{} key(s)", keys.len()));
-                if let Some(k) = limit {
-                    out.push_str(&format!(", limit {k}"));
-                }
-                out.push_str("]\n");
-                input.explain_into(out, depth + 1);
-            }
+                group_cols, aggs, ..
+            } => format!("agg({} keys, {} fns)", group_cols.len(), aggs.len()),
+            Plan::Sort { limit: None, .. } => "sort".to_owned(),
+            Plan::Sort { limit: Some(k), .. } => format!("sort(limit={k})"),
         }
     }
 }
@@ -354,27 +320,59 @@ mod tests {
     }
 
     #[test]
-    fn explain_renders_tree() {
-        let p = Plan::scan(rel(100), Some(gt(col(0), lit(5))), &["k", "v"])
-            .join(Plan::scan(rel(5), None, &["k"]), &["k"], &["k"], &[])
+    fn preorder_visits_probe_before_build_with_depths() {
+        let leaf = |v: i64| Plan::scan(rel(v), None, &["k"]);
+        // join A: probe = join B (probe scan 1, build scan 2),
+        //         build = join C (probe filter(scan 3), build scan 4).
+        let probe = leaf(1).join(leaf(2), &["k"], &["k"], &[]);
+        let build = leaf(3)
+            .filter(gt(col(0), lit(0)))
+            .join(leaf(4), &["k"], &["k"], &[]);
+        let plan = probe
+            .join_kind(build, &["k"], &["k"], &[], JoinKind::Semi)
+            .map(vec![("k", col(0))])
             .agg(&["k"], vec![("cnt", AggFn::Count)])
-            .sort_by(vec![SortKey::asc(1)], Some(3));
-        let text = p.explain();
-        assert!(text.contains("Sort [1 key(s), limit 3]"));
-        assert!(text.contains("Aggregate [1 group col(s), 1 aggregate(s)]"));
-        assert!(text.contains("HashJoin Inner"));
-        assert!(text.contains("build:"));
-        assert!(text.contains("probe:"));
-        assert!(text.contains("filtered"));
-        // Tree shape: sort is outermost (column 0), scan deepest.
-        let first = text.lines().next().unwrap();
-        assert!(first.starts_with("Sort"));
-    }
-
-    #[test]
-    fn explain_shows_partition_counts() {
-        let text = Plan::scan(rel(100), None, &["k"]).explain();
-        assert!(text.contains("[100 rows, 4 partitions]"));
+            .sort_by(vec![SortKey::asc(1)], Some(10));
+        let order: Vec<(usize, String, usize)> = plan
+            .preorder()
+            .into_iter()
+            .map(|(depth, node)| {
+                let rows = match node {
+                    Plan::Scan { relation, .. } => relation.total_rows(),
+                    _ => 0,
+                };
+                (depth, node.label(), rows)
+            })
+            .collect();
+        let want: Vec<(usize, &str, usize)> = vec![
+            (0, "sort(limit=10)", 0),
+            (1, "agg(1 keys, 1 fns)", 0),
+            (2, "map(1 cols)", 0),
+            (3, "join(Semi)", 0),
+            (4, "join(Inner)", 0),
+            (5, "scan", 1),
+            (5, "scan", 2),
+            (4, "join(Inner)", 0),
+            (5, "filter", 0),
+            (6, "scan", 3),
+            (5, "scan", 4),
+        ];
+        let got: Vec<(usize, &str, usize)> =
+            order.iter().map(|(d, l, r)| (*d, l.as_str(), *r)).collect();
+        assert_eq!(got, want);
+        for (_, label, _) in &order {
+            let kind = label.split('(').next().unwrap();
+            assert!(
+                ["scan", "filter", "map", "join", "agg", "sort"].contains(&kind),
+                "{label}: the first word names the operator kind"
+            );
+        }
+        let filtered = Plan::scan(rel(5), Some(gt(col(0), lit(1))), &["k"]);
+        assert_eq!(filtered.label(), "scan(filtered)");
+        assert_eq!(
+            filtered.sort_by(vec![SortKey::asc(0)], None).label(),
+            "sort"
+        );
     }
 }
 
@@ -435,12 +433,16 @@ impl Compiler {
 
     /// Compile a full query. The result slot receives the final batch.
     ///
-    /// The spec carries one profile label per plan node in
-    /// [`profile_labels`] order (pre-order, probe subtree before build
-    /// subtree), and every compiled pipeline and breaker job records its
-    /// counters into the matching slot.
+    /// The spec carries one profile slot per plan node, labelled
+    /// [`Plan::label`] in [`Plan::preorder`] order, and every compiled
+    /// pipeline and breaker job records its counters into the matching
+    /// slot.
     pub fn compile_query(mut self, name: impl Into<String>, plan: Plan) -> (QuerySpec, ResultSlot) {
-        let labels = profile_labels(&plan);
+        let labels = plan
+            .preorder()
+            .into_iter()
+            .map(|(_, p)| p.label())
+            .collect();
         let result = result_slot();
         self.compile_root(plan, result.clone());
         let spec = QuerySpec::new(name, self.stages, result.clone()).with_profile_ops(labels);
@@ -494,10 +496,10 @@ impl Compiler {
         }
     }
 
-    /// Compile a plan subtree whose root occupies profile slot `slot`
-    /// (structural numbering: a unary child sits at `slot + 1`; a join's
-    /// probe subtree at `slot + 1`, its build subtree after the whole
-    /// probe subtree — exactly [`profile_labels`]' pre-order).
+    /// Compile a plan subtree whose root occupies profile slot `slot`,
+    /// its index in [`Plan::preorder`]: a unary child sits at `slot + 1`,
+    /// a join's probe subtree at `slot + 1` and its build subtree after
+    /// the whole probe subtree.
     fn compile(&mut self, plan: Plan, slot: u32) -> PipeUnder {
         match plan {
             Plan::Scan {
@@ -554,7 +556,7 @@ impl Compiler {
             } => {
                 // Build side: two stages (Figure 3's phases).
                 let probe_slot = slot + 1;
-                let build_slot = slot + 1 + plan_size(&probe) as u32;
+                let build_slot = slot + 1 + probe.preorder().len() as u32;
                 let join_prof = Some(slot);
                 let build_schema = build.schema();
                 let bu = self.compile(*build, build_slot);
@@ -861,74 +863,6 @@ impl Compiler {
             op_slots: Vec::new(),
         }
     }
-}
-
-/// Number of operator nodes in a plan tree.
-pub fn plan_size(plan: &Plan) -> usize {
-    1 + match plan {
-        Plan::Scan { .. } => 0,
-        Plan::Filter { input, .. }
-        | Plan::Map { input, .. }
-        | Plan::Agg { input, .. }
-        | Plan::Sort { input, .. } => plan_size(input),
-        Plan::Join { build, probe, .. } => plan_size(build) + plan_size(probe),
-    }
-}
-
-/// Per-node profile labels in profile-slot order: pre-order, with a
-/// join's probe subtree before its build subtree. This is the same order
-/// the planner's EXPLAIN uses, so `QueryProfile::ops[i]` lines up with
-/// explain line `i`.
-pub fn profile_labels(plan: &Plan) -> Vec<String> {
-    fn walk(p: &Plan, out: &mut Vec<String>) {
-        match p {
-            Plan::Scan { filter, .. } => out.push(
-                if filter.is_some() {
-                    "scan(filtered)"
-                } else {
-                    "scan"
-                }
-                .to_owned(),
-            ),
-            Plan::Filter { input, .. } => {
-                out.push("filter".to_owned());
-                walk(input, out);
-            }
-            Plan::Map { input, project } => {
-                out.push(format!("map({} cols)", project.len()));
-                walk(input, out);
-            }
-            Plan::Join {
-                build, probe, kind, ..
-            } => {
-                out.push(format!("join({kind:?})"));
-                walk(probe, out);
-                walk(build, out);
-            }
-            Plan::Agg {
-                input,
-                group_cols,
-                aggs,
-            } => {
-                out.push(format!(
-                    "agg({} keys, {} fns)",
-                    group_cols.len(),
-                    aggs.len()
-                ));
-                walk(input, out);
-            }
-            Plan::Sort { input, limit, .. } => {
-                out.push(match limit {
-                    Some(k) => format!("sort(limit={k})"),
-                    None => "sort".to_owned(),
-                });
-                walk(input, out);
-            }
-        }
-    }
-    let mut out = Vec::with_capacity(plan_size(plan));
-    walk(plan, &mut out);
-    out
 }
 
 /// One-call helper: compile under a variant and return the spec.

@@ -139,9 +139,11 @@ pub fn plan_cost(params: &CostParams, est: &Estimator, plan: &Plan) -> f64 {
     charges.iter().flatten().map(|c| params.price(c)).sum()
 }
 
-/// Every charge `plan` books when it runs, per plan node in profile-slot
-/// order (pre-order, a join's probe subtree before its build subtree),
-/// with each node's output estimated by `est`. A node is charged for the
+/// Every charge `plan` books when it runs, per plan node in
+/// [`Plan::preorder`] order (the runtime profile's slot order), with each
+/// node's output estimated by `est`. The walk recurses on its own rather
+/// than mapping over `preorder`, because a node's charges need its
+/// children's flows, bottom-up. A node is charged for the
 /// operators it compiles to; an aggregation or sort below the root also
 /// for the scan of its output by the pipeline above it, and the root for
 /// materializing the result when it is neither.

@@ -1,10 +1,11 @@
 //! EXPLAIN-style rendering with estimated (and measured) cardinalities.
 //!
-//! [`collect`] walks a physical plan in pre-order and pairs every
-//! operator with its estimated output rows plus a clone of the subtree
-//! rooted there — callers that want estimated-vs-actual numbers (`repro
-//! explain`, `repro sql --analyze`) pass one profiled execution's
-//! per-operator row counts to [`render`].
+//! [`collect`] lists a physical plan's nodes in [`Plan::preorder`] order,
+//! the one order plan nodes are numbered by, each with its
+//! [`Plan::label`] and estimated output rows. A runtime profile's slots
+//! follow the same order, so callers that want estimated-vs-actual
+//! numbers (`repro explain`, `repro sql --analyze`) pass one profiled
+//! execution's per-operator row counts to [`render`].
 
 use morsel_exec::plan::Plan;
 
@@ -16,69 +17,19 @@ pub struct ExplainLine {
     pub label: String,
     /// Estimated output rows.
     pub est_rows: f64,
-    /// The subtree rooted at this operator (executable on its own).
-    pub subplan: Plan,
 }
 
-/// Pre-order operator list with estimates.
+/// The plan's nodes in [`Plan::preorder`] order, with estimates.
 pub fn collect(plan: &Plan, estimator: &Estimator) -> Vec<ExplainLine> {
-    let mut out = Vec::new();
-    walk(plan, estimator, 0, &mut out, &mut EstMemo::new());
-    out
-}
-
-fn walk(
-    plan: &Plan,
-    estimator: &Estimator,
-    depth: usize,
-    out: &mut Vec<ExplainLine>,
-    memo: &mut EstMemo,
-) {
-    let est = estimator.estimate_memo(plan, memo);
-    let label = match plan {
-        Plan::Scan {
-            relation, filter, ..
-        } => format!(
-            "Scan [{} rows{}]",
-            relation.total_rows(),
-            if filter.is_some() { ", filtered" } else { "" }
-        ),
-        Plan::Filter { .. } => "Filter".to_owned(),
-        Plan::Map { project, .. } => format!("Map -> {} cols", project.len()),
-        Plan::Join {
-            kind, probe_keys, ..
-        } => format!("HashJoin {kind:?} on {} key(s)", probe_keys.len()),
-        Plan::Agg {
-            group_cols, aggs, ..
-        } => format!(
-            "Aggregate [{} group col(s), {} agg(s)]",
-            group_cols.len(),
-            aggs.len()
-        ),
-        Plan::Sort { keys, limit, .. } => match limit {
-            Some(k) => format!("Sort [{} key(s), limit {k}]", keys.len()),
-            None => format!("Sort [{} key(s)]", keys.len()),
-        },
-    };
-    out.push(ExplainLine {
-        depth,
-        label,
-        est_rows: est.rows,
-        subplan: plan.clone(),
-    });
-    match plan {
-        Plan::Scan { .. } => {}
-        Plan::Filter { input, .. }
-        | Plan::Map { input, .. }
-        | Plan::Agg { input, .. }
-        | Plan::Sort { input, .. } => walk(input, estimator, depth + 1, out, memo),
-        Plan::Join { build, probe, .. } => {
-            // Probe first (it continues the pipeline), then the build
-            // side, mirroring `Plan::explain`.
-            walk(probe, estimator, depth + 1, out, memo);
-            walk(build, estimator, depth + 1, out, memo);
-        }
-    }
+    let mut memo = EstMemo::new();
+    plan.preorder()
+        .into_iter()
+        .map(|(depth, node)| ExplainLine {
+            depth,
+            label: node.label(),
+            est_rows: estimator.estimate_memo(node, &mut memo).rows,
+        })
+        .collect()
 }
 
 /// Drift highlight: flag an operator whose actual cardinality is off
@@ -134,7 +85,7 @@ mod tests {
         let plan = Plan::scan(rel, None, &["k"]).agg(&["k"], vec![("c", AggFn::Count)]);
         let lines = collect(&plan, &Estimator);
         assert_eq!(lines.len(), 2);
-        assert!(lines[0].label.starts_with("Aggregate"));
+        assert_eq!(lines[0].label, "agg(1 keys, 1 fns)");
         assert_eq!(lines[1].depth, 1);
         let text = render(&lines, Some(&[100, 100]));
         assert!(text.contains("est="));

@@ -363,7 +363,7 @@ fn run_service_chaos(seed: u64, artifact: Option<&std::path::Path>) {
         let _ = std::fs::write(
             path,
             format!(
-                "seed: {seed}\nMORSEL_FAULT_PLAN={plan}\ncaps: {}\n",
+                "seed: {seed}\nfault plan: {plan}\ncaps: {}\n",
                 queries
                     .iter()
                     .filter(|(_, _, i)| *i == Injected::Cap)

@@ -177,9 +177,9 @@ fn cached_plans_are_byte_identical_to_cold_plans() {
 
 /// The EXPLAIN ANALYZE oracle: the per-operator actuals reported by ONE
 /// profiled execution (what `repro explain` / `repro sql --analyze`
-/// print) must equal the old quadratic oracle — re-executing every
-/// explain line's subtree in isolation and counting its result rows —
-/// on every TPC-H and SSB fixture.
+/// print) must equal the old quadratic oracle — re-executing the subtree
+/// under every `plan.preorder()` node in isolation and counting its
+/// result rows — on every TPC-H and SSB fixture.
 #[test]
 fn analyze_profile_matches_subtree_oracle_on_all_fixtures() {
     use morsel_repro::planner::explain;
@@ -200,8 +200,8 @@ fn analyze_profile_matches_subtree_oracle_on_all_fixtures() {
                 lines.len(),
                 "{name}: profile slot count diverges from explain lines"
             );
-            for (i, line) in lines.iter().enumerate() {
-                let subtree = run(&env, &name, &format!("sub{i}"), line.subplan.clone());
+            for (i, (line, (_, node))) in lines.iter().zip(plan.preorder()).enumerate() {
+                let subtree = run(&env, &name, &format!("sub{i}"), node.clone());
                 let oracle = subtree.result.rows();
                 assert_eq!(
                     profile.ops[i].rows_out as usize, oracle,
