@@ -292,7 +292,7 @@ pub fn hash_probe(
     table_bytes: f64,
 ) -> Charge {
     let emit = match kind {
-        JoinKind::Inner | JoinKind::InnerMark => (matches, MATCH_NS + GATHER_NS * cols as f64),
+        JoinKind::Inner => (matches, MATCH_NS + GATHER_NS * cols as f64),
         JoinKind::Semi | JoinKind::Anti | JoinKind::Count => (0.0, 0.0),
     };
     Charge {

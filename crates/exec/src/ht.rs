@@ -65,8 +65,6 @@ pub struct TaggedHashTable {
     hashes: Vec<AtomicU64>,
     /// Next handle in chain (0 = end).
     nexts: Vec<AtomicU64>,
-    /// Outer-join match markers, one bit per entry.
-    markers: Vec<AtomicU64>,
     /// Entries are laid out area-major: area `a` owns the entry indexes
     /// `bases[a]..bases[a + 1]`, so an entry's `(area, row)` follows from
     /// these prefix sums (one element more than there are areas) and no
@@ -114,7 +112,6 @@ impl TaggedHashTable {
             shift: 64 - cap.trailing_zeros(),
             hashes: zeroed_atomics(n),
             nexts: zeroed_atomics(n),
-            markers: zeroed_atomics(n.div_ceil(64)),
             bases,
             tagging,
             residency: Residency::Interleaved {
@@ -126,12 +123,12 @@ impl TaggedHashTable {
 
     /// Estimated allocation footprint of a table over `rows` build-side
     /// tuples: the directory (8 B/slot, sized to the next power of two
-    /// of at least twice the input) plus per-entry hash and next-pointer
-    /// and one marker bit. Used to charge the owning query's memory
-    /// budget *before* the build pipeline allocates.
+    /// of at least twice the input) plus per-entry hash and next-pointer.
+    /// Used to charge the owning query's memory budget *before* the
+    /// build pipeline allocates.
     pub fn estimate_bytes(rows: usize) -> u64 {
         let cap = (2 * rows).next_power_of_two().max(16) as u64;
-        8 * cap + 16 * rows as u64 + rows.div_ceil(8) as u64
+        8 * cap + 16 * rows as u64
     }
 
     /// Number of entries.
@@ -262,27 +259,6 @@ impl TaggedHashTable {
             }
         }
         traversed
-    }
-
-    /// Outer-join marker: set entry `idx` as matched. Checks before
-    /// writing to avoid cache-line contention (Section 4.1: "it is
-    /// advantageous to first check that the marker is not yet set").
-    #[inline]
-    pub fn set_marker(&self, idx: usize) {
-        let (word, bit) = (&self.markers[idx / 64], 1u64 << (idx % 64));
-        if word.load(Ordering::Relaxed) & bit == 0 {
-            word.fetch_or(bit, Ordering::Release);
-        }
-    }
-
-    pub fn marker(&self, idx: usize) -> bool {
-        self.markers[idx / 64].load(Ordering::Acquire) & (1 << (idx % 64)) != 0
-    }
-
-    /// Iterate all entry indexes that never matched (for build-side outer
-    /// joins, run after the probe pipeline completes).
-    pub fn unmatched(&self) -> Vec<usize> {
-        (0..self.len()).filter(|&i| !self.marker(i)).collect()
     }
 
     #[cfg(test)]
@@ -429,34 +405,12 @@ mod tests {
     }
 
     #[test]
-    fn markers() {
-        let ht = build_seq(10, true);
-        assert_eq!(ht.unmatched().len(), 10);
-        ht.set_marker(3);
-        ht.set_marker(3); // idempotent
-        ht.set_marker(7);
-        assert!(ht.marker(3));
-        assert!(!ht.marker(4));
-        assert_eq!(ht.unmatched(), vec![0, 1, 2, 4, 5, 6, 8, 9]);
-        // Markers past the first bitmap word.
-        let big = build_seq(200, true);
-        big.set_marker(64);
-        big.set_marker(199);
-        assert_eq!(big.unmatched().len(), 198);
-        assert!(big.marker(64) && big.marker(199) && !big.marker(63) && !big.marker(128));
-    }
-
-    #[test]
     fn footprint_estimate_covers_the_allocation() {
         for n in [0usize, 1, 100, 379_016] {
             let ht = TaggedHashTable::new(&[n], 4);
-            let allocated =
-                8 * (ht.directory.len() + ht.hashes.len() + ht.nexts.len() + ht.markers.len());
+            let allocated = 8 * (ht.directory.len() + ht.hashes.len() + ht.nexts.len());
             let estimate = TaggedHashTable::estimate_bytes(n) as usize;
-            assert!(
-                estimate <= allocated && allocated < estimate + 8,
-                "{n}: estimate {estimate}, allocated {allocated}"
-            );
+            assert_eq!(estimate, allocated, "{n}");
         }
     }
 

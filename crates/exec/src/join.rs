@@ -128,9 +128,6 @@ impl PipelineJob for HtInsertJob {
 pub enum JoinKind {
     /// Emit probe ⨝ build matches.
     Inner,
-    /// Inner, and additionally set the build-side match markers (for
-    /// build-side outer joins — paper Section 4.1's marker technique).
-    InnerMark,
     /// Emit probe rows with at least one match.
     Semi,
     /// Emit probe rows with no match.
@@ -152,7 +149,7 @@ pub struct ProbeOp {
     /// Key columns in the working batch.
     pub probe_keys: Vec<usize>,
     pub kind: JoinKind,
-    /// Build-side columns appended to the output (Inner/InnerMark only).
+    /// Build-side columns appended to the output (Inner only).
     pub build_cols: Vec<usize>,
 }
 
@@ -185,7 +182,7 @@ impl PipeOp for ProbeOp {
             cand.push(live.at(i as usize) as u32, a, r);
         });
         cand.retain_key_equal(&input.batch, &self.probe_keys, &jt.build, &jt.key_cols);
-        let inner = matches!(self.kind, JoinKind::Inner | JoinKind::InnerMark);
+        let inner = self.kind == JoinKind::Inner;
         // An inner join reads its build payload from each area's node.
         let payload: Vec<(SocketId, u64)> = if inner && !self.build_cols.is_empty() {
             let bytes = payload_bytes(&jt.build, &self.build_cols, cand.locs());
@@ -208,12 +205,7 @@ impl PipeOp for ProbeOp {
         .book(ctx, &payload);
 
         match self.kind {
-            JoinKind::Inner | JoinKind::InnerMark => {
-                if self.kind == JoinKind::InnerMark {
-                    for (a, r) in cand.locs() {
-                        jt.ht.set_marker(jt.ht.entry_index(a, r));
-                    }
-                }
+            JoinKind::Inner => {
                 // Assemble output: one gather per probe column through the
                 // match list, then one typed gather per build column.
                 // Dictionary columns gather codes and stay encoded.
@@ -267,7 +259,7 @@ impl PipeOp for ProbeOp {
     fn out_types(&self, input: &[DataType]) -> Vec<DataType> {
         let mut t = input.to_vec();
         match self.kind {
-            JoinKind::Inner | JoinKind::InnerMark => {
+            JoinKind::Inner => {
                 let jt = self
                     .table
                     .get()
@@ -308,24 +300,6 @@ fn payload_bytes(
         .collect()
 }
 
-/// Expose the set of build tuples that never matched, as a batch of the
-/// requested build columns (the completion pass of a build-side outer
-/// join). Runs serially in a stage `finish`; TPC-H's outer join (Q13) uses
-/// the fused [`JoinKind::Count`] instead, so this is a completeness
-/// feature exercised by tests.
-pub fn unmatched_build_rows(jt: &JoinTable, cols: &[usize]) -> Batch {
-    let types: Vec<DataType> = cols.iter().map(|&c| jt.build.schema().dtype(c)).collect();
-    let mut out = Batch::empty(&types);
-    for idx in jt.ht.unmatched() {
-        let (a, r) = jt.ht.loc(idx);
-        let src = jt.build.area(a).data();
-        let row: Vec<morsel_storage::Value> =
-            cols.iter().map(|&c| src.column(c).value(r)).collect();
-        out.push_row(row);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,45 +311,29 @@ mod tests {
         ExecEnv::new(Topology::nehalem_ex())
     }
 
-    /// Build an AreaSet with one area per `(keys, payload)` pair.
-    fn build_side(areas: &[(&[i64], &[i64])]) -> Arc<AreaSet> {
-        let schema = Schema::new(vec![("bk", DataType::I64), ("bv", DataType::I64)]);
-        let areas = areas
-            .iter()
-            .enumerate()
-            .map(|(i, (keys, payload))| {
-                let mut area = StorageArea::new(SocketId(i as u16), &schema.data_types());
-                area.data_mut().extend_from(&Batch::from_columns(vec![
-                    Column::I64(keys.to_vec()),
-                    Column::I64(payload.to_vec()),
-                ]));
-                area
-            })
-            .collect();
-        Arc::new(AreaSet::new(schema, areas))
-    }
-
-    /// Run the insert job to completion, one morsel per area.
-    fn built_areas(areas: &[(&[i64], &[i64])]) -> JoinSlot {
+    /// Build a one-area table over `(keys, payload)` and run its insert
+    /// job to completion in one morsel.
+    fn built_table(keys: &[i64], payload: &[i64]) -> JoinSlot {
         let env = env();
+        let schema = Schema::new(vec![("bk", DataType::I64), ("bv", DataType::I64)]);
+        let mut area = StorageArea::new(SocketId(0), &schema.data_types());
+        area.data_mut().extend_from(&Batch::from_columns(vec![
+            Column::I64(keys.to_vec()),
+            Column::I64(payload.to_vec()),
+        ]));
+        let build = Arc::new(AreaSet::new(schema, vec![area]));
         let slot = join_slot();
-        let job = HtInsertJob::new(build_side(areas), vec![0], 4, slot.clone());
+        let job = HtInsertJob::new(build, vec![0], 4, slot.clone());
         let mut ctx = TaskContext::new(&env, 0);
-        for (chunk, (keys, _)) in areas.iter().enumerate() {
-            job.run_morsel(
-                &mut ctx,
-                Morsel {
-                    chunk,
-                    range: 0..keys.len(),
-                },
-            );
-        }
+        job.run_morsel(
+            &mut ctx,
+            Morsel {
+                chunk: 0,
+                range: 0..keys.len(),
+            },
+        );
         job.finish(&mut ctx);
         slot
-    }
-
-    fn built_table(keys: &[i64], payload: &[i64]) -> JoinSlot {
-        built_areas(&[(keys, payload)])
     }
 
     fn probe_batch(keys: &[i64]) -> Batch {
@@ -473,25 +431,6 @@ mod tests {
     }
 
     #[test]
-    fn inner_mark_sets_markers_and_unmatched_scan_works() {
-        let slot = built_table(&[1, 2, 3, 4], &[10, 20, 30, 40]);
-        let op = ProbeOp {
-            table: slot.clone(),
-            probe_keys: vec![0],
-            kind: JoinKind::InnerMark,
-            build_cols: vec![1],
-        };
-        let env = env();
-        let mut ctx = TaskContext::new(&env, 0);
-        let _ = run_op(&op, &mut ctx, probe_batch(&[2, 4]));
-        let jt = slot.get().unwrap();
-        let unmatched = unmatched_build_rows(jt, &[0, 1]);
-        let mut keys = unmatched.column(0).as_i64().to_vec();
-        keys.sort_unstable();
-        assert_eq!(keys, vec![1, 3]);
-    }
-
-    #[test]
     fn parallel_insert_from_multiple_areas() {
         let env = env();
         let schema = Schema::new(vec![("bk", DataType::I64)]);
@@ -526,26 +465,6 @@ mod tests {
         for k in 0..1000i64 {
             assert_eq!(jt.ht.probe_key_i64(k).len(), 1, "key {k}");
         }
-    }
-
-    #[test]
-    fn inner_mark_marks_the_entries_it_matched() {
-        // Across two areas: the marker of a match is found from its
-        // (area, row), not carried with the candidate.
-        let slot = built_areas(&[(&[1, 2], &[10, 20]), (&[3, 4, 2], &[30, 40, 21])]);
-        let op = ProbeOp {
-            table: slot.clone(),
-            probe_keys: vec![0],
-            kind: JoinKind::InnerMark,
-            build_cols: vec![1],
-        };
-        let env = env();
-        let mut ctx = TaskContext::new(&env, 0);
-        let out = run_op(&op, &mut ctx, probe_batch(&[2, 4, 9]));
-        let mut payloads = out.column(2).as_i64().to_vec();
-        payloads.sort_unstable();
-        assert_eq!(payloads, vec![20, 21, 40]);
-        assert_eq!(slot.get().unwrap().ht.unmatched(), vec![0, 2]);
     }
 
     #[test]

@@ -114,7 +114,7 @@ impl Plan {
                         .collect()
                 };
                 match kind {
-                    JoinKind::Inner | JoinKind::InnerMark => {
+                    JoinKind::Inner => {
                         let b = build.schema();
                         for &c in build_payload {
                             fields.push((b.name(c).to_owned(), b.dtype(c)));
@@ -631,7 +631,7 @@ impl Compiler {
                     .map(|i| (probe_schema.name(i).to_owned(), probe_schema.dtype(i)))
                     .collect();
                 match kind {
-                    JoinKind::Inner | JoinKind::InnerMark => {
+                    JoinKind::Inner => {
                         for &c in &build_payload {
                             fields.push((build_schema.name(c).to_owned(), build_schema.dtype(c)));
                         }

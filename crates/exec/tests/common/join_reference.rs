@@ -20,17 +20,11 @@ fn key_eq(a: &Value, b: &Value) -> bool {
     }
 }
 
-/// What a join produces: its output rows, in no promised order, and the
-/// build rows no live probe row matched.
-pub struct Joined {
-    pub rows: Vec<Vec<Value>>,
-    pub unmatched_build: Vec<usize>,
-}
-
-/// `probe[live] ⋈ build` on `probe_keys = build_keys`: every probe column,
-/// then `build_cols` per match (`Inner`/`InnerMark`), nothing (`Semi`: rows
-/// with a match, once; `Anti`: rows without), or the number of matches
-/// (`Count`: every live row, zero included).
+/// `probe[live] ⋈ build` on `probe_keys = build_keys`, its output rows in
+/// no promised order: every probe column, then `build_cols` per match
+/// (`Inner`), nothing (`Semi`: rows with a match, once; `Anti`: rows
+/// without), or the number of matches (`Count`: every live row, zero
+/// included).
 pub fn join(
     (probe, live): (&Batch, &[usize]),
     probe_keys: &[usize],
@@ -38,10 +32,9 @@ pub fn join(
     build_keys: &[usize],
     build_cols: &[usize],
     kind: JoinKind,
-) -> Joined {
+) -> Vec<Vec<Value>> {
     let (probe, build) = (probe.decoded(), build.decoded());
     let build_rows: Vec<Vec<Value>> = (0..build.rows()).map(|b| build.row(b)).collect();
-    let mut matched = vec![false; build_rows.len()];
     let mut rows = Vec::new();
     for &p in live {
         let row = probe.row(p);
@@ -53,9 +46,8 @@ pub fn join(
             })
             .collect();
         match kind {
-            JoinKind::Inner | JoinKind::InnerMark => {
+            JoinKind::Inner => {
                 for &b in &hits {
-                    matched[b] = true;
                     let payload = build_cols.iter().map(|&c| build_rows[b][c].clone());
                     rows.push(row.iter().cloned().chain(payload).collect());
                 }
@@ -69,11 +61,7 @@ pub fn join(
             }
         }
     }
-    let unmatched_build = (0..matched.len()).filter(|&b| !matched[b]).collect();
-    Joined {
-        rows,
-        unmatched_build,
-    }
+    rows
 }
 
 /// Rows as sorted text: `Value` has no total order (floats), its `Debug`

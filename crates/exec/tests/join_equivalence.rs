@@ -1,5 +1,5 @@
 //! The hash-join probe against the nested-loop oracle of
-//! `common/join_reference.rs`, on seeded random inputs: all five
+//! `common/join_reference.rs`, on seeded random inputs: all four
 //! `JoinKind`s; one to three key columns, each pair drawn from `I32`/`I64`
 //! in every mix, `F64` with ±0.0 and two NaNs, plain `Str` against `Dict`
 //! both ways, `Dict` against `Dict` over the same and over a foreign
@@ -9,8 +9,7 @@
 //!
 //! Every case runs twice. *Directly*: `HtInsertJob` over the areas, then
 //! `ProbeOp::apply` on a dense, half-full, sparse or empty selection — the
-//! only way to hand the probe a selection of a chosen shape and to read
-//! the match markers back (`InnerMark`, through `unmatched()`). And *as a
+//! only way to hand the probe a selection of a chosen shape. And *as a
 //! plan* through `compile_query` on the simulated executor at 1–8 workers
 //! with morsels of 16–79 rows (`SimExecutor` itself: `run_sim` lives in a
 //! crate that depends on this one).
@@ -29,8 +28,6 @@
 //!   duplicated build key;
 //! * `Count` dropping zero-match rows (counting over the candidates' rows
 //!   only): the `Count` cases;
-//! * `InnerMark` not setting the marker: the direct half of the
-//!   `InnerMark` cases with a match;
 //! * a selection-vector input indexed by position instead of row
 //!   (`cand.push(i, ..)` for `live.at(i)`): the direct half of the cases
 //!   with a sparse selection.
@@ -84,10 +81,10 @@ fn rows_of(batch: &Batch) -> Vec<String> {
 }
 
 impl Case {
-    /// The build row id, the payload of the inner kinds.
+    /// The build row id, the payload of an inner join.
     fn build_cols(&self) -> Vec<usize> {
         match self.kind {
-            JoinKind::Inner | JoinKind::InnerMark => vec![self.keys.len()],
+            JoinKind::Inner => vec![self.keys.len()],
             _ => Vec::new(),
         }
     }
@@ -106,26 +103,22 @@ impl Case {
     }
 
     /// What the oracle says for `probe` (the case's, as it is or as a scan
-    /// hands it on): the output rows, and the ids of the build rows no
-    /// live probe row matched.
-    fn reference(&self, probe: &Batch) -> (Vec<String>, Vec<i64>) {
+    /// hands it on): the output rows.
+    fn reference(&self, probe: &Batch) -> Vec<String> {
         let (build, cols) = (self.build_all(), self.build_cols());
-        let joined = join_reference::join(
+        sorted(join_reference::join(
             (probe, &self.live()),
             &self.keys,
             &build,
             &self.keys,
             &cols,
             self.kind,
-        );
-        let ids = build.column(self.keys.len()).as_i64();
-        let unmatched = joined.unmatched_build.iter().map(|&b| ids[b]).collect();
-        (sorted(joined.rows), unmatched)
+        ))
     }
 
     /// `ProbeOp` driven by hand over a hash table built by hand: its
-    /// output rows and the ids of the build rows left unmarked.
-    fn run_direct(&self) -> (Vec<String>, Vec<i64>) {
+    /// output rows.
+    fn run_direct(&self) -> Vec<String> {
         let env = ExecEnv::new(Topology::nehalem_ex());
         let mut ctx = TaskContext::new(&env, 0);
         let schema = schema(&self.build[0]);
@@ -138,13 +131,8 @@ impl Case {
             .collect();
         let build = Arc::new(AreaSet::new(schema, areas));
         let slot = join_slot();
-        let insert = HtInsertJob::with_tagging(
-            Arc::clone(&build),
-            self.keys.clone(),
-            4,
-            slot.clone(),
-            self.tagging,
-        );
+        let insert =
+            HtInsertJob::with_tagging(build, self.keys.clone(), 4, slot.clone(), self.tagging);
         for (chunk, rows) in self.build.iter().enumerate() {
             // Two morsels per area.
             let mid = rows.rows() / 2;
@@ -154,7 +142,7 @@ impl Case {
         }
         insert.finish(&mut ctx);
         let probe = ProbeOp {
-            table: slot.clone(),
+            table: slot,
             probe_keys: self.keys.clone(),
             kind: self.kind,
             build_cols: self.build_cols(),
@@ -166,14 +154,7 @@ impl Case {
             sel: (live.len() < self.probe.rows()).then(|| live.iter().map(|&r| r as u32).collect()),
         };
         let out = probe.apply(&mut ctx, input).materialize(&mut ctx);
-        let table = slot.get().expect("the build completed");
-        let id_of = |entry| {
-            let (area, row) = table.ht.loc(entry);
-            build.area(area).data().column(self.keys.len()).as_i64()[row]
-        };
-        let mut unmatched: Vec<i64> = table.ht.unmatched().into_iter().map(id_of).collect();
-        unmatched.sort_unstable();
-        (rows_of(&out), unmatched)
+        rows_of(&out)
     }
 
     /// The same join as a compiled plan on the simulated executor, the
@@ -221,12 +202,11 @@ impl Case {
 
     /// Both runs against the oracle.
     fn check(&self, context: &str) {
-        let (want_rows, want_unmatched) = self.reference(&self.probe);
-        let (rows, unmatched) = self.run_direct();
-        assert_eq!(rows, want_rows, "direct: {context}");
-        if self.kind == JoinKind::InnerMark {
-            assert_eq!(unmatched, want_unmatched, "markers: {context}");
-        }
+        assert_eq!(
+            self.run_direct(),
+            self.reference(&self.probe),
+            "direct: {context}"
+        );
         // A scan widens `I32` columns (`Expr::result_type`): the plan's
         // probe side reaches the join, and leaves it, as `I64`.
         let widen = |c: &Column| match c {
@@ -234,11 +214,7 @@ impl Case {
             other => other.clone(),
         };
         let widened = Batch::from_columns(self.probe.columns().iter().map(widen).collect());
-        assert_eq!(
-            self.run_plan(),
-            self.reference(&widened).0,
-            "plan: {context}"
-        );
+        assert_eq!(self.run_plan(), self.reference(&widened), "plan: {context}");
     }
 }
 
@@ -341,9 +317,8 @@ impl Gen {
                 Batch::from_columns(cols)
             })
             .collect();
-        const KINDS: [JoinKind; 5] = [
+        const KINDS: [JoinKind; 4] = [
             JoinKind::Inner,
-            JoinKind::InnerMark,
             JoinKind::Semi,
             JoinKind::Anti,
             JoinKind::Count,
@@ -352,7 +327,8 @@ impl Gen {
             keys: (0..pairs.len()).collect(),
             probe: Batch::from_columns(probe),
             build,
-            kind: KINDS[(case / 4) as usize % 5],
+            // `case / 8`: every kind meets every selection and worker count.
+            kind: KINDS[(case / 8) as usize % KINDS.len()],
             tagging: !case.is_multiple_of(3),
             workers: 1 + (case % 8) as usize,
             morsel_size: 16 + self.below(64),

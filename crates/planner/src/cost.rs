@@ -231,7 +231,7 @@ fn walk(
             };
             let key_width = build_keys.iter().map(|&k| be.cols[k].width).sum();
             let (emit, traversed) = match kind {
-                JoinKind::Inner | JoinKind::InnerMark => {
+                JoinKind::Inner => {
                     let emit = Side {
                         rows: o.rows,
                         width: build_payload.iter().map(|&c| be.cols[c].width).sum(),
@@ -255,7 +255,7 @@ fn walk(
                 traversed,
             ));
             match kind {
-                JoinKind::Inner | JoinKind::InnerMark => None,
+                JoinKind::Inner => None,
                 JoinKind::Semi | JoinKind::Anti => {
                     compact(&mut charges, &o, p.under.unwrap_or(pe.rows))
                 }

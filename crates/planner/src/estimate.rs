@@ -186,9 +186,7 @@ impl Estimator {
                 let ndv_b = combined_ndv(&b, build_keys);
                 let ndv_p = combined_ndv(&p, probe_keys);
                 let (rows, emit_build) = match kind {
-                    JoinKind::Inner | JoinKind::InnerMark => {
-                        ((p.rows * b.rows / ndv_b.max(ndv_p)).max(1.0), true)
-                    }
+                    JoinKind::Inner => ((p.rows * b.rows / ndv_b.max(ndv_p)).max(1.0), true),
                     JoinKind::Semi => ((p.rows * (ndv_b / ndv_p).min(1.0)).max(1.0), false),
                     JoinKind::Anti => ((p.rows * (1.0 - (ndv_b / ndv_p).min(1.0))).max(1.0), false),
                     JoinKind::Count => (p.rows, false),

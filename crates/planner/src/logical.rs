@@ -254,7 +254,7 @@ impl LogicalPlan {
                     .map(|i| (l.name(i).to_owned(), l.dtype(i)))
                     .collect();
                 match kind {
-                    JoinKind::Inner | JoinKind::InnerMark => {
+                    JoinKind::Inner => {
                         let r = right.schema();
                         for i in 0..r.len() {
                             let name = r.name(i);

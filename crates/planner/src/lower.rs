@@ -233,42 +233,25 @@ impl Planner {
                 right_keys,
                 kind,
             } => {
-                // Semi/Anti/Count/InnerMark: direction is fixed (left
-                // streams, right builds); only prune columns.
+                // Semi/Anti/Count: direction is fixed (left streams,
+                // right builds) and the build side carries only its keys.
                 let left_names = names_of(&left.schema());
                 let mut ln: BTreeSet<String> = match needed {
                     Some(set) => set.intersection(&left_names).cloned().collect(),
                     None => left_names.clone(),
                 };
                 ln.extend(left_keys.iter().cloned());
-                let mut rn: BTreeSet<String> = right_keys.iter().cloned().collect();
-                if matches!(kind, JoinKind::InnerMark) {
-                    let right_names = names_of(&right.schema());
-                    match needed {
-                        Some(set) => rn.extend(set.intersection(&right_names).cloned()),
-                        None => rn.extend(right_names),
-                    }
-                }
+                let rn: BTreeSet<String> = right_keys.iter().cloned().collect();
                 let probe = self.lower(left, Some(&ln), report);
                 let build = self.lower(right, Some(&rn), report);
                 let (ps, bs) = (probe.schema(), build.schema());
-                let build_payload = if matches!(kind, JoinKind::InnerMark) {
-                    (0..bs.len())
-                        .filter(|&i| {
-                            !right_keys.contains(&bs.name(i).to_owned())
-                                && needed.is_none_or(|set| set.contains(bs.name(i)))
-                        })
-                        .collect()
-                } else {
-                    Vec::new()
-                };
                 Plan::Join {
                     probe_keys: left_keys.iter().map(|k| ps.index_of(k)).collect(),
                     build_keys: right_keys.iter().map(|k| bs.index_of(k)).collect(),
                     probe: Box::new(probe),
                     build: Box::new(build),
                     kind: *kind,
-                    build_payload,
+                    build_payload: Vec::new(),
                 }
             }
         }

@@ -1,25 +1,18 @@
-//! Prepared statements and the session's plan cache.
+//! The session's plan cache.
 //!
-//! [`crate::Session`] owns two layers over its catalog; the plan cache
-//! counts what it does in [`CacheCounters`]:
-//!
-//! 1. **Prepared statements** — [`crate::Session::prepare`] lexes and
-//!    parses once; [`crate::Session::execute_prepared`] splices
-//!    [`LiteralValue`] parameters over the `?`/`$n` placeholders and
-//!    continues down the same path as ad-hoc text.
-//! 2. **Plan cache** — a bounded LRU keyed on the normalized
-//!    [`ShapeKey`] (literals stripped, whitespace- and
-//!    table-alias-insensitive; see `morsel_sql::normalize`). Because
-//!    physical plans embed folded constants and literal-dependent
-//!    cardinality estimates, a shape hit alone is *not* sufficient:
-//!    every entry also guards on the exact literal vector and the
-//!    catalog version it was planned under, and a guard mismatch
-//!    replans (overwriting the entry) instead of serving a wrong plan.
-//!    Every commit or merge moves the version. A hit skips
-//!    bind→DPsize→lowering and goes straight to the cheap per-run
-//!    pipeline compile. Capacity 0 turns it off: nothing is looked up
-//!    or counted, and every execution reports
-//!    [`CacheDisposition::Bypass`].
+//! [`crate::Session`] owns one plan cache over its catalog and counts
+//! what it does in [`CacheCounters`]. It is a bounded LRU keyed on the
+//! normalized [`ShapeKey`] (literals stripped, whitespace- and
+//! table-alias-insensitive; see `morsel_sql::normalize`). Because
+//! physical plans embed folded constants and literal-dependent
+//! cardinality estimates, a shape hit alone is *not* sufficient: every
+//! entry also guards on the exact literal vector and the catalog
+//! version it was planned under, and a guard mismatch replans
+//! (overwriting the entry) instead of serving a wrong plan. Every
+//! commit or merge moves the version. A hit skips bind→DPsize→lowering
+//! and goes straight to the cheap per-run pipeline compile. Capacity 0
+//! turns it off: nothing is looked up or counted, and every execution
+//! reports [`CacheDisposition::Bypass`].
 //!
 //! Planning happens *under* the session's cache lock, which makes cold
 //! planning single-flight: N concurrent clients racing one cold shape
@@ -36,8 +29,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use morsel_planner::PlanHandle;
-use morsel_sql::normalize::{param_count, same_literals, shape_of};
-use morsel_sql::{parse, LiteralValue, Select, ShapeKey, SqlError};
+use morsel_sql::normalize::same_literals;
+use morsel_sql::{LiteralValue, ShapeKey};
 use morsel_storage::Batch;
 
 use crate::service::QueryReport;
@@ -120,59 +113,6 @@ impl std::fmt::Display for CacheStats {
             self.plan_invalidations,
             self.plan_poisoned,
         )
-    }
-}
-
-// ------------------------------------------------- prepared statements
-
-/// A parsed-once query template with `?` / `$n` placeholders, made by
-/// [`crate::Session::prepare`] and run by
-/// [`crate::Session::execute_prepared`].
-///
-/// Preparing stops after the parse: binding needs concrete literal
-/// types (the binder constant-folds dates and validates comparisons),
-/// so name resolution and planning happen on first execution — and are
-/// then amortized by the plan cache, since a template and every query
-/// bound from it share one [`ShapeKey`].
-#[derive(Debug, Clone)]
-pub struct PreparedStatement {
-    template: Select,
-    shape: ShapeKey,
-    params: usize,
-}
-
-impl PreparedStatement {
-    /// Parse `sql` into a template. Placeholder arity is fixed here;
-    /// names and types are validated on first execution.
-    pub(crate) fn parse(sql: &str) -> Result<Self, SqlError> {
-        let template = parse(sql)?;
-        let (shape, _) = shape_of(&template);
-        let params = param_count(&template);
-        Ok(PreparedStatement {
-            template,
-            shape,
-            params,
-        })
-    }
-
-    pub(crate) fn template(&self) -> &Select {
-        &self.template
-    }
-
-    /// Number of parameter values [`crate::Session::execute_prepared`]
-    /// expects.
-    pub fn param_count(&self) -> usize {
-        self.params
-    }
-
-    /// The normalized plan-cache key this statement executes under.
-    pub fn shape(&self) -> &ShapeKey {
-        &self.shape
-    }
-
-    /// The canonical text of the template (placeholders print as `$n`).
-    pub fn text(&self) -> String {
-        self.template.to_string()
     }
 }
 

@@ -81,7 +81,7 @@ pub mod session;
 pub mod txn;
 
 pub use admission::{AdmissionConfig, AdmissionDecision, AdmissionQueue};
-pub use cache::{CacheCounters, CacheDisposition, CacheStats, PreparedStatement, SqlExecution};
+pub use cache::{CacheCounters, CacheDisposition, CacheStats, SqlExecution};
 pub use client::{run_closed_loop, LoadRun};
 pub use error::{Error, ErrorKind};
 pub use histogram::{fmt_ns, LatencyHistogram};

@@ -26,7 +26,6 @@
 //!    `compile_query` → submit and wait → take the rows;
 //! 3. **DML** (database mode): bind → begin, buffer, commit → refresh.
 //!
-//! [`Session::execute_prepared`] joins the SELECT path after the parse.
 //! A non-`Completed` outcome is an [`Error`], so `Ok` always carries a
 //! usable result.
 //!
@@ -45,16 +44,13 @@ use morsel_exec::SystemVariant;
 use morsel_numa::Topology;
 use morsel_planner::{PlanHandle, Planner};
 use morsel_sql::normalize::shape_of;
-use morsel_sql::{
-    bind_params, parse, parse_statement, Binder, BoundStatement, LiteralValue, Select, SqlError,
-    Statement,
-};
+use morsel_sql::{parse, parse_statement, Binder, BoundStatement, Select, SqlError, Statement};
 use morsel_storage::{Batch, Catalog};
 use morsel_txn::TxnDb;
 use parking_lot::{Mutex, MutexGuard};
 
 use crate::cache::{
-    CacheCounters, CacheDisposition, CacheStats, PreparedStatement, SessionCaches, SqlExecution,
+    CacheCounters, CacheDisposition, CacheStats, SessionCaches, SqlExecution,
     PLAN_CACHE_CAPACITY_DEFAULT,
 };
 use crate::error::Error;
@@ -263,13 +259,6 @@ impl Session {
         Ok(())
     }
 
-    /// Parse `sql` into a reusable template. Placeholder arity is
-    /// validated here; names and types are validated on first execution
-    /// (binding needs concrete literals).
-    pub fn prepare(&self, sql: &str) -> Result<PreparedStatement, Error> {
-        Ok(PreparedStatement::parse(sql)?)
-    }
-
     /// Cache-aware planning without execution: refresh the snapshot,
     /// parse, consult the plan cache, plan on a miss. For callers that
     /// drive an executor themselves (open-loop submission, the
@@ -296,21 +285,6 @@ impl Session {
                 .map(Execution::Query),
             dml => self.run_dml(&dml).map(Execution::Dml),
         }
-    }
-
-    /// Execute a prepared `SELECT` with `params` bound over its
-    /// placeholders.
-    pub fn execute_prepared(
-        &self,
-        service: &QueryService,
-        name: impl Into<String>,
-        statement: &PreparedStatement,
-        params: &[LiteralValue],
-    ) -> Result<Execution, Error> {
-        let started = Instant::now();
-        let select = bind_params(statement.template(), params)?;
-        self.run_select(service, name.into(), &select, started)
-            .map(Execution::Query)
     }
 
     /// The read path of [`Session::execute`], from a parsed `SELECT` on.

@@ -1,8 +1,8 @@
 //! Plan-cache behaviour under the real threaded service: single-flight
-//! planning under contention, the literal guard, prepared statements,
-//! LRU bounds and the capacity-0 off switch — all driven through
-//! [`Session`]. The catalog-version guard is held by the commit and
-//! merge tests in `morsel-service`'s `txn` module.
+//! planning under contention, the literal guard, LRU bounds and the
+//! capacity-0 off switch — all driven through [`Session`]. The
+//! catalog-version guard is held by the commit and merge tests in
+//! `morsel-service`'s `txn` module.
 //!
 //! These are the concurrency halves of the cache oracle — the key
 //! function itself is property-tested in `morsel-sql`'s `shape_prop`
@@ -13,7 +13,6 @@ use morsel_core::{ExecEnv, QueryOutcome};
 use morsel_datagen::{generate_tpch, TpchConfig, TpchDb};
 use morsel_numa::Topology;
 use morsel_service::{CacheDisposition, QueryService, ServiceConfig, Session};
-use morsel_sql::LiteralValue;
 use morsel_txn::TxnDb;
 use std::sync::Arc;
 
@@ -142,66 +141,6 @@ fn literal_churn_invalidates_cached_plans() {
     let (d_disp, d_rows) = run("d", wide);
     assert_eq!(d_disp, CacheDisposition::Hit);
     assert_eq!(d_rows, c_rows);
-
-    service.shutdown();
-}
-
-/// Prepared-statement round trip: parse once, bind literals per
-/// execution; the template shares its cache shape with the equivalent
-/// ad-hoc spelling, and placeholder arity is enforced.
-#[test]
-fn prepared_statements_share_the_plan_cache_with_adhoc_text() {
-    let (topo, db) = tpch();
-    let service = start_service(&topo);
-    let session = session_for(&service, &topo, &db);
-
-    let stmt = session
-        .prepare("SELECT COUNT(*) AS n FROM lineitem WHERE l_quantity < ? AND l_discount > $2")
-        .expect("template parses");
-    assert_eq!(stmt.param_count(), 2);
-
-    let prepared = |name: &str, params: &[LiteralValue]| {
-        session
-            .execute_prepared(&service, name, &stmt, params)
-            .map(|exec| {
-                let q = exec.query().unwrap();
-                (q.plan_cache, q.rows.clone())
-            })
-    };
-
-    let (p1_disp, p1_rows) =
-        prepared("p1", &[LiteralValue::Int(24), LiteralValue::Int(3)]).expect("p1 completes");
-    assert_eq!(p1_disp, CacheDisposition::Miss);
-
-    let (p2_disp, p2_rows) =
-        prepared("p2", &[LiteralValue::Int(24), LiteralValue::Int(3)]).expect("p2 completes");
-    assert_eq!(p2_disp, CacheDisposition::Hit);
-    assert_eq!(p2_rows, p1_rows);
-
-    // Re-binding with new values is a guarded miss, not a collision.
-    let (p3_disp, p3_rows) =
-        prepared("p3", &[LiteralValue::Int(10), LiteralValue::Int(5)]).expect("p3 completes");
-    assert_eq!(p3_disp, CacheDisposition::Miss);
-
-    // The ad-hoc spelling of the same query is the same shape AND the
-    // same literal vector: a clean hit.
-    let adhoc = session
-        .execute(
-            &service,
-            "p4",
-            "SELECT COUNT(*) AS n FROM lineitem WHERE l_quantity < 10 AND l_discount > 5",
-        )
-        .unwrap();
-    let adhoc = adhoc.query().unwrap();
-    assert_eq!(adhoc.plan_cache, CacheDisposition::Hit);
-    assert_eq!(adhoc.rows, p3_rows);
-
-    let err = prepared("p5", &[LiteralValue::Int(1)]).expect_err("arity mismatch must fail");
-    assert!(
-        matches!(err.kind(), morsel_service::ErrorKind::Sql),
-        "{err}"
-    );
-    assert!(err.to_string().contains("2 parameter"), "{err}");
 
     service.shutdown();
 }

@@ -10,10 +10,10 @@
 //!
 //! Every generic traversal in this crate goes through [`Expr::walk`] /
 //! [`Expr::walk_mut`] (an expression's subtrees) and
-//! [`Select::scope_exprs`] / [`Select::scope_exprs_mut`] (one `SELECT`
-//! scope's expressions). Besides them, only the printer, the parser and
-//! the binder's translation into executor expressions name every
-//! [`ExprKind`] variant.
+//! [`Select::scope_exprs_mut`] (one `SELECT` scope's expressions).
+//! Besides them, only the printer, the parser and the binder's
+//! translation into executor expressions name every [`ExprKind`]
+//! variant.
 
 use std::fmt;
 
@@ -112,12 +112,6 @@ pub enum ExprKind {
         m: u32,
         d: u32,
     },
-    /// A prepared-statement placeholder (`?` or `$n`), holding its
-    /// 0-based parameter index. Placeholders never reach the binder:
-    /// [`crate::normalize::bind_params`] splices literal values over
-    /// them first, and binding an AST that still contains one is an
-    /// error.
-    Param(usize),
     Binary {
         op: BinOp,
         left: Box<Expr>,
@@ -175,7 +169,6 @@ macro_rules! for_each_child {
             | ExprKind::Float(_)
             | ExprKind::Str(_)
             | ExprKind::Date { .. }
-            | ExprKind::Param(_)
             | ExprKind::Agg { arg: None, .. } => {}
             ExprKind::Not($child)
             | ExprKind::ExtractYear($child)
@@ -254,9 +247,6 @@ impl fmt::Display for Expr {
             ExprKind::Float(v) => write!(f, "{v:?}"),
             ExprKind::Str(s) => write!(f, "'{}'", escape(s)),
             ExprKind::Date { y, m, d } => write!(f, "DATE '{y:04}-{m:02}-{d:02}'"),
-            // 1-based on the way out so printed text re-parses to the
-            // same index ($n is explicit; `?` assignment is positional).
-            ExprKind::Param(i) => write!(f, "${}", i + 1),
             ExprKind::Binary { op, left, right } => {
                 write!(f, "({left} {} {right})", op.symbol())
             }
@@ -492,15 +482,6 @@ impl Select {
     /// table is a scope of its own, so its expressions are not among
     /// them; callers that want the whole tree recurse into
     /// [`TableFactor::Derived`] themselves.
-    pub fn scope_exprs(&self) -> impl Iterator<Item = &Expr> {
-        (self.items.iter().map(|i| &i.expr))
-            .chain(self.from.iter().filter_map(|t| t.join.on()))
-            .chain(&self.where_clause)
-            .chain(&self.group_by)
-            .chain(&self.having)
-    }
-
-    /// [`Select::scope_exprs`] with mutable access.
     pub fn scope_exprs_mut(&mut self) -> impl Iterator<Item = &mut Expr> {
         (self.items.iter_mut().map(|i| &mut i.expr))
             .chain(self.from.iter_mut().filter_map(|t| t.join.on_mut()))

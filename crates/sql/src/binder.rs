@@ -572,12 +572,6 @@ fn bind_scalar(
         ExprKind::Float(v) => Ok((ex::litf(*v), Ty::Float)),
         ExprKind::Str(s) => Ok((ex::lits(s), Ty::Str)),
         ExprKind::Date { y, m, d } => Ok((ex::lit(i64::from(date(*y, *m, *d))), Ty::Int)),
-        // Placeholders are a prepare-time construct: normalize::bind_params
-        // splices concrete literals over them before binding.
-        ExprKind::Param(i) => Err(SqlError::new(
-            format!("unbound parameter ${}: bind a value before planning", i + 1),
-            e.span,
-        )),
         ExprKind::Binary { op, left, right } => {
             let (le, lt) = bind_scalar(left, lookup, aggs)?;
             let (re, rt) = bind_scalar(right, lookup, aggs)?;

@@ -39,9 +39,6 @@ pub enum TokenKind {
     Le,
     Gt,
     Ge,
-    /// A prepared-statement placeholder: `?` (positional, `None`) or
-    /// `$n` (explicit 1-based index, `Some(n)`).
-    Param(Option<usize>),
     /// End of input (always the final token).
     Eof,
 }
@@ -68,8 +65,6 @@ impl TokenKind {
             TokenKind::Le => "`<=`".to_owned(),
             TokenKind::Gt => "`>`".to_owned(),
             TokenKind::Ge => "`>=`".to_owned(),
-            TokenKind::Param(None) => "`?`".to_owned(),
-            TokenKind::Param(Some(n)) => format!("`${n}`"),
             TokenKind::Eof => "end of input".to_owned(),
         }
     }
@@ -129,31 +124,6 @@ pub fn lex(sql: &str) -> Result<Vec<Token>, SqlError> {
                 i += 2;
                 tokens.push(Token {
                     kind: TokenKind::Ne,
-                    span: Span::new(start, i),
-                });
-            }
-            b'?' => push(&mut tokens, TokenKind::Param(None), start, &mut i),
-            b'$' => {
-                i += 1;
-                let digits = i;
-                while i < bytes.len() && bytes[i].is_ascii_digit() {
-                    i += 1;
-                }
-                let text = &sql[digits..i];
-                let n: usize = text.parse().map_err(|_| {
-                    SqlError::new(
-                        "`$` placeholders need an index, like `$1`",
-                        Span::new(start, i.max(start + 1)),
-                    )
-                })?;
-                if n == 0 {
-                    return Err(SqlError::new(
-                        "placeholder indices are 1-based; `$0` is invalid",
-                        Span::new(start, i),
-                    ));
-                }
-                tokens.push(Token {
-                    kind: TokenKind::Param(Some(n)),
                     span: Span::new(start, i),
                 });
             }
@@ -356,25 +326,6 @@ mod tests {
     }
 
     #[test]
-    fn placeholders_lex_positional_and_indexed() {
-        assert_eq!(
-            kinds("a = ? and b = $2"),
-            vec![
-                TokenKind::Ident("a".into()),
-                TokenKind::Eq,
-                TokenKind::Param(None),
-                TokenKind::Ident("and".into()),
-                TokenKind::Ident("b".into()),
-                TokenKind::Eq,
-                TokenKind::Param(Some(2)),
-                TokenKind::Eof,
-            ]
-        );
-        assert!(lex("a = $").unwrap_err().message.contains("index"));
-        assert!(lex("a = $0").unwrap_err().message.contains("1-based"));
-    }
-
-    #[test]
     fn spans_are_byte_accurate() {
         let toks = lex("ab  <=").unwrap();
         assert_eq!(toks[0].span, Span::new(0, 2));
@@ -388,5 +339,9 @@ mod tests {
         assert_eq!(err.span, Span::new(2, 3));
         let err = lex("'open").unwrap_err();
         assert_eq!(err.span.start, 0);
+        let err = lex("a = ?").unwrap_err();
+        assert_eq!(err.span, Span::new(4, 5));
+        let err = lex("b = $1").unwrap_err();
+        assert_eq!(err.span, Span::new(4, 5));
     }
 }

@@ -44,7 +44,7 @@ pub mod parser;
 pub use ast::{Select, Statement};
 pub use binder::{Binder, BoundStatement};
 pub use error::{Span, SqlError};
-pub use normalize::{bind_params, param_count, shape_of, LiteralValue, ShapeKey};
+pub use normalize::{shape_of, LiteralValue, ShapeKey};
 pub use parser::{parse, parse_statement};
 
 use morsel_planner::LogicalPlan;

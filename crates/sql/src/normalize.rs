@@ -1,4 +1,4 @@
-//! Query-shape normalization and prepared-statement parameter binding.
+//! Query-shape normalization: the plan-cache key.
 //!
 //! A [`ShapeKey`] identifies what a query *does* independently of what
 //! it mentions. [`shape_of`] normalizes a copy of the query and prints
@@ -19,16 +19,10 @@
 //! BY`, `LIMIT`, and `SUBSTRING` offsets stay in the key: they change
 //! the output schema or the plan structure, so queries differing there
 //! must not share a cached plan.
-//!
-//! Placeholders ([`ExprKind::Param`]) normalize to the same hole as a
-//! literal, so a prepared template and the concrete query it binds to
-//! share one shape. [`bind_params`] splices [`LiteralValue`]s over the
-//! placeholders to produce the concrete, bindable AST.
 
 use crate::ast::{ExprKind, Select, TableFactor};
-use crate::error::{Span, SqlError};
 
-/// A concrete literal stripped from (or bound into) a query.
+/// A concrete literal stripped from a query.
 ///
 /// Equality and hashing are bitwise for floats, so a literal vector is
 /// usable as a cache guard: a cached plan is reusable only for the
@@ -43,19 +37,6 @@ pub enum LiteralValue {
 }
 
 impl LiteralValue {
-    fn to_expr_kind(&self) -> ExprKind {
-        match self {
-            LiteralValue::Int(v) => ExprKind::Int(*v),
-            LiteralValue::Float(v) => ExprKind::Float(*v),
-            LiteralValue::Str(s) => ExprKind::Str(s.clone()),
-            LiteralValue::Date { y, m, d } => ExprKind::Date {
-                y: *y,
-                m: *m,
-                d: *d,
-            },
-        }
-    }
-
     /// Bitwise equality (floats compared by bits, so `NaN == NaN` and a
     /// cached guard never wobbles on representation).
     pub fn same(&self, other: &LiteralValue) -> bool {
@@ -96,9 +77,11 @@ pub fn shape_of(select: &Select) -> (ShapeKey, Vec<LiteralValue>) {
     (ShapeKey(normalized.to_string()), literals)
 }
 
-/// What every literal, placeholder and `LIKE` pattern becomes in a
-/// normalized query: one placeholder, whatever it replaced.
-const HOLE: ExprKind = ExprKind::Param(0);
+/// What every literal becomes in a normalized query: one integer,
+/// whatever it replaced. The literal vector keeps the value and its
+/// type, so two queries differing only in a literal's type still get
+/// distinct guards.
+const HOLE: ExprKind = ExprKind::Int(0);
 
 /// Normalize `s` in place, its derived tables first: rename this scope's
 /// bindings and the qualified references that resolve to them, and move
@@ -134,79 +117,20 @@ fn normalize(s: &mut Select, literals: &mut Vec<LiteralValue>) {
                     literals.push(LiteralValue::Str(std::mem::take(pattern)));
                     return true;
                 }
-                ExprKind::Int(v) => Some(LiteralValue::Int(*v)),
-                ExprKind::Float(v) => Some(LiteralValue::Float(*v)),
-                ExprKind::Str(v) => Some(LiteralValue::Str(std::mem::take(v))),
-                ExprKind::Date { y, m, d } => Some(LiteralValue::Date {
+                ExprKind::Int(v) => LiteralValue::Int(*v),
+                ExprKind::Float(v) => LiteralValue::Float(*v),
+                ExprKind::Str(v) => LiteralValue::Str(std::mem::take(v)),
+                ExprKind::Date { y, m, d } => LiteralValue::Date {
                     y: *y,
                     m: *m,
                     d: *d,
-                }),
-                // A placeholder is already a hole; it contributes no
-                // literal (values arrive at bind time), so a template
-                // and its bound form share a shape.
-                ExprKind::Param(_) => None,
+                },
                 _ => return true,
             };
-            literals.extend(stripped);
+            literals.push(stripped);
             x.kind = HOLE;
             false
         });
-    }
-}
-
-/// How many parameters a template needs: one past the highest
-/// placeholder index (0 for a query without placeholders).
-pub fn param_count(select: &Select) -> usize {
-    let mut count = 0;
-    for e in select.scope_exprs() {
-        e.walk(&mut |x| {
-            if let ExprKind::Param(i) = x.kind {
-                count = count.max(i + 1);
-            }
-            true
-        });
-    }
-    for tref in &select.from {
-        if let TableFactor::Derived { query, .. } = &tref.factor {
-            count = count.max(param_count(query));
-        }
-    }
-    count
-}
-
-/// Splice `params` over the placeholders of `template`, producing the
-/// concrete AST a binder can consume. Requires exactly
-/// [`param_count`] values, which covers every placeholder index.
-pub fn bind_params(template: &Select, params: &[LiteralValue]) -> Result<Select, SqlError> {
-    let need = param_count(template);
-    if params.len() != need {
-        return Err(SqlError::new(
-            format!(
-                "statement takes {need} parameter(s), {} provided",
-                params.len()
-            ),
-            Span::default(),
-        ));
-    }
-    let mut bound = template.clone();
-    splice(&mut bound, params);
-    Ok(bound)
-}
-
-fn splice(s: &mut Select, params: &[LiteralValue]) {
-    for e in s.scope_exprs_mut() {
-        e.walk_mut(&mut |x| {
-            if let ExprKind::Param(i) = x.kind {
-                x.kind = params[i].to_expr_kind();
-            }
-            true
-        });
-    }
-    for tref in &mut s.from {
-        if let TableFactor::Derived { query, .. } = &mut tref.factor {
-            splice(query, params);
-        }
     }
 }
 
@@ -274,24 +198,6 @@ mod tests {
             key("SELECT x FROM t ORDER BY x LIMIT 6"),
             "limit changes the plan structure"
         );
-    }
-
-    #[test]
-    fn templates_share_shape_with_their_bound_form() {
-        let template = parse("SELECT x FROM t WHERE a > ? AND b = $2").unwrap();
-        assert_eq!(param_count(&template), 2);
-        let bound = bind_params(
-            &template,
-            &[LiteralValue::Int(7), LiteralValue::Str("z".to_owned())],
-        )
-        .unwrap();
-        assert_eq!(shape_of(&template).0, shape_of(&bound).0);
-        assert_eq!(
-            shape_of(&bound).1,
-            vec![LiteralValue::Int(7), LiteralValue::Str("z".to_owned())]
-        );
-        // Wrong arity is an error, not a partial splice.
-        assert!(bind_params(&template, &[LiteralValue::Int(7)]).is_err());
     }
 
     #[test]

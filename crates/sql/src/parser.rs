@@ -44,11 +44,7 @@ const RESERVED: &[&str] = &[
 /// Parse one `SELECT` statement; trailing input is an error.
 pub fn parse(sql: &str) -> Result<Select, SqlError> {
     let tokens = lex(sql)?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        positional_params: 0,
-    };
+    let mut p = Parser { tokens, pos: 0 };
     let select = p.select()?;
     p.expect_eof()?;
     Ok(select)
@@ -59,11 +55,7 @@ pub fn parse(sql: &str) -> Result<Select, SqlError> {
 /// accepts comes back identical through here.
 pub fn parse_statement(sql: &str) -> Result<Statement, SqlError> {
     let tokens = lex(sql)?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        positional_params: 0,
-    };
+    let mut p = Parser { tokens, pos: 0 };
     let stmt = if p.at_kw("insert") {
         Statement::Insert(p.insert()?)
     } else if p.at_kw("update") {
@@ -80,8 +72,6 @@ pub fn parse_statement(sql: &str) -> Result<Statement, SqlError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
-    /// `?` placeholders seen so far; the next one takes this index.
-    positional_params: usize,
 }
 
 impl Parser {
@@ -657,21 +647,6 @@ impl Parser {
                 self.bump();
                 Ok(Expr::new(ExprKind::Str(s), span))
             }
-            // `?` placeholders number left to right; `$n` is explicit
-            // (1-based in the text, 0-based in the AST). Both forms may
-            // mix — `?` only counts the `?` occurrences.
-            TokenKind::Param(explicit) => {
-                self.bump();
-                let index = match explicit {
-                    Some(n) => n - 1,
-                    None => {
-                        let i = self.positional_params;
-                        self.positional_params += 1;
-                        i
-                    }
-                };
-                Ok(Expr::new(ExprKind::Param(index), span))
-            }
             TokenKind::Minus => {
                 self.bump();
                 match self.peek_kind().clone() {
@@ -1020,16 +995,6 @@ mod tests {
         let sql = "SELECT a FROM t LIMIT 5";
         let ast = parse(sql).unwrap();
         assert_eq!(&sql[ast.limit_span.start..ast.limit_span.end], "LIMIT");
-    }
-
-    #[test]
-    fn placeholders_parse_and_roundtrip() {
-        let ast = parse("SELECT a FROM t WHERE b = ? AND c BETWEEN ? AND $7").unwrap();
-        let w = ast.where_clause.as_ref().unwrap().to_string();
-        // `?` numbers positionally (printed 1-based), `$7` is explicit.
-        assert_eq!(w, "((b = $1) AND (c BETWEEN $2 AND $7))");
-        let reparsed = parse(&ast.to_string()).unwrap();
-        assert_eq!(ast, reparsed);
     }
 
     #[test]

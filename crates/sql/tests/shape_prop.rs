@@ -54,8 +54,7 @@ fn each_subexpr(e: &mut Expr, f: &mut impl FnMut(&mut Expr)) {
         | ExprKind::Int(_)
         | ExprKind::Float(_)
         | ExprKind::Str(_)
-        | ExprKind::Date { .. }
-        | ExprKind::Param(_) => {}
+        | ExprKind::Date { .. } => {}
         ExprKind::Binary { left, right, .. } => {
             each_subexpr(left, f);
             each_subexpr(right, f);
@@ -150,11 +149,9 @@ fn strip(s: &Select) -> Select {
     let mut out = s.clone();
     let mut strip_lits = |e: &mut Expr| {
         each_subexpr(e, &mut |x| match &mut x.kind {
-            ExprKind::Int(_)
-            | ExprKind::Float(_)
-            | ExprKind::Str(_)
-            | ExprKind::Date { .. }
-            | ExprKind::Param(_) => x.kind = ExprKind::Int(0),
+            ExprKind::Int(_) | ExprKind::Float(_) | ExprKind::Str(_) | ExprKind::Date { .. } => {
+                x.kind = ExprKind::Int(0)
+            }
             ExprKind::Like { pattern, .. } => pattern.clear(),
             _ => {}
         })

@@ -1,13 +1,13 @@
 //! The AST walker reaches every child slot. For each `ExprKind` variant
-//! with children and each of its slots, an aggregate, a placeholder and
-//! a literal placed in that slot must be seen by the walker's three
-//! kinds of caller: `Expr::has_agg`, `param_count` and `shape_of`'s
-//! literal vector. The same holds for each clause of a `SELECT` scope
-//! and for a derived table's.
+//! with children and each of its slots, an aggregate and a literal
+//! placed in that slot must be seen by the walker's two kinds of
+//! caller: `Expr::has_agg` and `shape_of`'s literal vector. The literal
+//! must also be seen in each clause of a `SELECT` scope and in a
+//! derived table's.
 
 use morsel_sql::ast::{AggFunc, BinOp, Expr, ExprKind, Select};
 use morsel_sql::error::Span;
-use morsel_sql::normalize::{param_count, shape_of, LiteralValue};
+use morsel_sql::normalize::{shape_of, LiteralValue};
 use morsel_sql::parse;
 
 fn mk(kind: ExprKind) -> Expr {
@@ -75,8 +75,7 @@ fn slots(kind: &ExprKind) -> usize {
         | ExprKind::Int(_)
         | ExprKind::Float(_)
         | ExprKind::Str(_)
-        | ExprKind::Date { .. }
-        | ExprKind::Param(_) => 0,
+        | ExprKind::Date { .. } => 0,
         ExprKind::Not(_)
         | ExprKind::ExtractYear(_)
         | ExprKind::Like { .. }
@@ -128,13 +127,6 @@ fn every_child_slot_is_walked() {
     for e in fill_each_slot(&count_star) {
         assert!(e.has_agg(), "has_agg missed the aggregate in {e}");
     }
-    for e in fill_each_slot(&mk(ExprKind::Param(4))) {
-        assert_eq!(
-            param_count(&select_of(&e)),
-            5,
-            "param_count missed $5 in {e}"
-        );
-    }
     let seven = LiteralValue::Int(7);
     for e in fill_each_slot(&mk(ExprKind::Int(7))) {
         let s = select_of(&e);
@@ -154,13 +146,7 @@ fn every_scope_clause_and_derived_table_is_walked() {
         "SELECT a FROM t, (SELECT b FROM u WHERE {}) AS d",
     ];
     for clause in CLAUSES {
-        let with = |hole: &str| parse(&clause.replace("{}", hole)).unwrap();
-        assert_eq!(
-            param_count(&with("$5")),
-            5,
-            "param_count missed $5 in {clause}"
-        );
-        let s = with("7");
+        let s = parse(&clause.replace("{}", "7")).unwrap();
         assert_eq!(
             count_literal(&s, &LiteralValue::Int(7)),
             1,
