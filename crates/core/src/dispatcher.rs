@@ -17,7 +17,7 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use morsel_numa::AccessCounters;
@@ -263,7 +263,7 @@ impl Dispatcher {
         };
         let shared = Arc::new(QueryShared {
             name: spec.name,
-            priority: AtomicU32::new(spec.priority),
+            priority: spec.priority,
             cancelled: AtomicBool::new(false),
             done: AtomicBool::new(false),
             result: spec.result,
@@ -373,7 +373,7 @@ impl Dispatcher {
     /// extended with aging so waiting queries grow their share over time.
     fn fair_key(&self, q: &QueryExec, now_ns: u64) -> f64 {
         let active = q.active_workers.load(Ordering::SeqCst) as f64;
-        let base = q.shared.priority.load(Ordering::Acquire);
+        let base = q.shared.priority;
         let waited = now_ns.saturating_sub(q.shared.submitted_ns.load(Ordering::Acquire));
         let prio = self.config.aging.effective_priority(base, waited) as f64;
         active / prio

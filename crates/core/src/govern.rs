@@ -72,8 +72,7 @@ impl std::error::Error for EngineError {}
 
 /// Service-wide memory pool: a capacity and an atomic reservation
 /// counter. Shared by every [`MemBudget`] attached to one engine
-/// instance; also consulted by the admission controller for pressure
-/// shedding.
+/// instance; attached through [`ExecEnv::with_mem_pool`](crate::ExecEnv::with_mem_pool).
 #[derive(Debug)]
 pub struct MemPool {
     capacity: u64,
@@ -102,14 +101,6 @@ impl MemPool {
     /// Bytes still available.
     pub fn available(&self) -> u64 {
         self.capacity.saturating_sub(self.reserved())
-    }
-
-    /// True when less than 1/8 of the pool remains: the admission
-    /// controller stops admitting and starts shedding low-priority
-    /// waiters at this threshold rather than admitting work destined
-    /// to fail.
-    pub fn under_pressure(&self) -> bool {
-        self.available() < self.capacity / 8
     }
 
     /// Try to reserve `bytes`; false if it would exceed capacity.
@@ -282,16 +273,6 @@ mod tests {
         assert_eq!(pool.available(), 0);
         pool.release(1_000);
         assert_eq!(pool.reserved(), 0);
-    }
-
-    #[test]
-    fn pressure_threshold_is_one_eighth_headroom() {
-        let pool = MemPool::new(800);
-        assert!(!pool.under_pressure());
-        assert!(pool.try_reserve(700));
-        assert!(!pool.under_pressure()); // exactly 1/8 left
-        assert!(pool.try_reserve(1));
-        assert!(pool.under_pressure());
     }
 
     #[test]

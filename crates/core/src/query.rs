@@ -7,7 +7,7 @@
 //! is `Dispatcher::advance` in [`crate::dispatcher`]; it is passive and runs on
 //! whichever worker drained the previous pipeline.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use morsel_numa::AccessCounters;
@@ -146,17 +146,12 @@ impl QuerySpec {
 pub enum RejectReason {
     /// Both the in-flight bound and the wait queue were full.
     QueueFull,
-    /// The admission controller shed the query because the shared
-    /// memory pool was under pressure: admitting it would commit
-    /// capacity to work destined to fail.
-    MemoryPressure,
 }
 
 impl std::fmt::Display for RejectReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             RejectReason::QueueFull => "queue full",
-            RejectReason::MemoryPressure => "memory pressure",
         })
     }
 }
@@ -243,7 +238,8 @@ impl QueryStats {
 /// State shared between the dispatcher and the caller.
 pub struct QueryShared {
     pub name: String,
-    pub priority: AtomicU32,
+    /// Base scheduling priority, fixed at submit.
+    pub priority: u32,
     pub cancelled: AtomicBool,
     pub done: AtomicBool,
     pub result: ResultSlot,
@@ -306,7 +302,7 @@ impl QueryShared {
     }
 }
 
-/// Caller-facing handle: inspect results, change priority, cancel.
+/// Caller-facing handle: inspect results and outcome, cancel.
 #[derive(Clone)]
 pub struct QueryHandle {
     pub(crate) shared: Arc<QueryShared>,
@@ -331,14 +327,8 @@ impl QueryHandle {
         self.shared.cancelled.store(true, Ordering::Release);
     }
 
-    /// Change the query's scheduling priority while it runs (elasticity).
-    pub fn set_priority(&self, priority: u32) {
-        assert!(priority > 0, "priority must be positive");
-        self.shared.priority.store(priority, Ordering::Release);
-    }
-
     pub fn priority(&self) -> u32 {
-        self.shared.priority.load(Ordering::Acquire)
+        self.shared.priority
     }
 
     /// Client submission time (executor nanoseconds).
@@ -415,7 +405,7 @@ mod tests {
         let topo = Topology::laptop();
         Arc::new(QueryShared {
             name: "q".into(),
-            priority: AtomicU32::new(1),
+            priority: 1,
             cancelled: AtomicBool::new(false),
             done: AtomicBool::new(false),
             result: result_slot(),
@@ -437,8 +427,7 @@ mod tests {
         assert!(!h.is_cancelled());
         h.cancel();
         assert!(h.is_cancelled());
-        h.set_priority(5);
-        assert_eq!(h.priority(), 5);
+        assert_eq!(h.priority(), 1);
         assert_eq!(h.name(), "q");
     }
 
@@ -466,8 +455,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "priority must be positive")]
     fn zero_priority_rejected() {
-        let h = QueryHandle { shared: shared() };
-        h.set_priority(0);
+        let _ = QuerySpec::new("q", vec![], result_slot()).with_priority(0);
     }
 
     #[test]
@@ -495,10 +483,6 @@ mod tests {
         assert_eq!(
             QueryOutcome::Rejected(RejectReason::QueueFull).to_string(),
             "rejected (queue full)"
-        );
-        assert_eq!(
-            QueryOutcome::Rejected(RejectReason::MemoryPressure).to_string(),
-            "rejected (memory pressure)"
         );
         assert_eq!(
             QueryOutcome::Failed(FailReason::OperatorPanic).to_string(),
@@ -550,7 +534,7 @@ mod tests {
         let topo = Topology::laptop();
         let shared = Arc::new(QueryShared {
             name: "q".into(),
-            priority: AtomicU32::new(1),
+            priority: 1,
             cancelled: AtomicBool::new(false),
             done: AtomicBool::new(false),
             result: result_slot(),
@@ -581,7 +565,7 @@ mod tests {
         let faulty = FaultInjector::new(plan);
         let shared2 = Arc::new(QueryShared {
             name: "q2".into(),
-            priority: AtomicU32::new(1),
+            priority: 1,
             cancelled: AtomicBool::new(false),
             done: AtomicBool::new(false),
             result: result_slot(),

@@ -177,12 +177,14 @@ impl LatencyHistogram {
     }
 }
 
-/// Format nanoseconds with an auto-selected unit (for reports).
+/// Format nanoseconds with an auto-selected unit (for reports). The unit
+/// is picked after rounding: a value that would print as `1000.0us` or
+/// `1000.00ms` moves up to `1.00ms` or `1.00s`.
 pub fn fmt_ns(ns: u64) -> String {
     let v = ns as f64;
-    if v >= 1e9 {
+    if v >= 999.995e6 {
         format!("{:.2}s", v / 1e9)
-    } else if v >= 1e6 {
+    } else if v >= 999.95e3 {
         format!("{:.2}ms", v / 1e6)
     } else if v >= 1e3 {
         format!("{:.1}us", v / 1e3)
@@ -393,5 +395,9 @@ mod tests {
         assert_eq!(fmt_ns(4_500), "4.5us");
         assert_eq!(fmt_ns(2_500_000), "2.50ms");
         assert_eq!(fmt_ns(1_500_000_000), "1.50s");
+        assert_eq!(fmt_ns(999_949), "999.9us");
+        assert_eq!(fmt_ns(999_999), "1.00ms");
+        assert_eq!(fmt_ns(999_994_999), "999.99ms");
+        assert_eq!(fmt_ns(999_999_999), "1.00s");
     }
 }

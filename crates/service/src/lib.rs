@@ -12,7 +12,10 @@
 //! - **Admission control** ([`admission`]): a hard bound on concurrently
 //!   dispatched queries, a bounded prioritized wait queue beyond it, and
 //!   rejection past both — so tail latency stays controlled under
-//!   overload instead of every query slowing down every other.
+//!   overload instead of every query slowing down every other. It
+//!   counts queries and nothing else: memory is governed per query, by
+//!   budgets drawing on a pool attached with
+//!   [`morsel_core::ExecEnv::with_mem_pool`].
 //! - **Priority aging**: waiting queries gain effective priority over
 //!   time (in both admission order and the dispatcher's share
 //!   computation), so sustained high-priority traffic cannot starve
@@ -80,7 +83,7 @@ pub mod service;
 pub mod session;
 pub mod txn;
 
-pub use admission::{AdmissionConfig, AdmissionDecision, AdmissionQueue};
+pub use admission::{AdmissionDecision, AdmissionQueue};
 pub use cache::{CacheCounters, CacheDisposition, CacheStats, SqlExecution};
 pub use client::{run_closed_loop, LoadRun};
 pub use error::{Error, ErrorKind};

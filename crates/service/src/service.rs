@@ -24,13 +24,13 @@ use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::Duration;
 
 use morsel_core::{
-    validate_exposition, AgingPolicy, DispatchConfig, ExecEnv, MemPool, MetricsRegistry, Pool,
-    PoolHook, QueryHandle, QueryOutcome, QueryProfile, QuerySpec, RejectReason, WorkerPool,
+    validate_exposition, AgingPolicy, DispatchConfig, ExecEnv, MetricsRegistry, Pool, PoolHook,
+    QueryHandle, QueryOutcome, QueryProfile, QuerySpec, RejectReason, WorkerPool,
     DEFAULT_MORSEL_SIZE,
 };
 use parking_lot::Mutex;
 
-use crate::admission::{AdmissionConfig, AdmissionDecision, AdmissionQueue};
+use crate::admission::{AdmissionDecision, AdmissionQueue};
 use crate::cache::{CacheCounters, CacheStats};
 use crate::histogram::{fmt_ns, LatencyHistogram};
 
@@ -48,14 +48,6 @@ pub struct ServiceConfig {
     /// Priority aging, applied both to admission order and to the
     /// dispatcher's share computation.
     pub aging: AgingPolicy,
-    /// Service-wide memory pool capacity in bytes. When set, the service
-    /// installs a [`MemPool`] of this size on the execution environment
-    /// (unless the environment already carries one) and uses its
-    /// headroom for pressure-aware admission: under pressure, new
-    /// submissions bypass the immediate-dispatch fast path and the
-    /// lowest-priority waiter is shed per housekeeping pass with
-    /// [`RejectReason::MemoryPressure`].
-    pub mem_pool_bytes: Option<u64>,
 }
 
 impl ServiceConfig {
@@ -67,7 +59,6 @@ impl ServiceConfig {
             max_in_flight: workers.max(2),
             max_queue: 256,
             aging: AgingPolicy::none(),
-            mem_pool_bytes: None,
         }
     }
 
@@ -90,12 +81,6 @@ impl ServiceConfig {
 
     pub fn with_aging(mut self, aging: AgingPolicy) -> Self {
         self.aging = aging;
-        self
-    }
-
-    pub fn with_mem_pool_bytes(mut self, bytes: u64) -> Self {
-        assert!(bytes > 0, "memory pool must be non-empty");
-        self.mem_pool_bytes = Some(bytes);
         self
     }
 }
@@ -137,8 +122,7 @@ pub struct QueryReport {
     pub priority: u32,
     pub outcome: QueryOutcome,
     /// Submission-to-termination latency on the pool's clock (0 for
-    /// queries rejected at submission, which never wait; waiters shed
-    /// under memory pressure record the time they spent queued).
+    /// queries rejected at submission, which never wait).
     pub latency_ns: u64,
     /// Per-operator runtime profile, snapshotted when the service reaped
     /// the query (`None` for queries that never dispatched or ran with
@@ -284,9 +268,6 @@ struct Metrics {
 /// Admission, tickets and metrics: everything the service keeps beyond
 /// the pool it runs on, which drives it as the pool's hook.
 struct ServiceInner {
-    /// The environment's service-wide memory pool, if any (cached off
-    /// the env so the hot admission path avoids the indirection).
-    mem_pool: Option<Arc<MemPool>>,
     state: Mutex<ServiceState>,
     metrics: Mutex<Metrics>,
     /// Shared cache counters, fed by [`crate::Session`]s built with
@@ -295,13 +276,6 @@ struct ServiceInner {
 }
 
 impl ServiceInner {
-    /// Whether admission is currently open: false while the memory pool
-    /// is under pressure (little headroom left), at which point new
-    /// work queues instead of dispatching and waiters start shedding.
-    fn admission_open(&self) -> bool {
-        self.mem_pool.as_ref().is_none_or(|p| !p.under_pressure())
-    }
-
     fn finalize(
         &self,
         ticket: &TicketInner,
@@ -345,7 +319,6 @@ impl PoolHook for ServiceInner {
     /// accounting (and the drain check) exact in the gap.
     fn maintain(&self, pool: &Pool<Self>) {
         let now = pool.now_ns();
-        let admit = self.admission_open();
         let mut finished: Vec<(Arc<TicketInner>, QueryOutcome, u64, Option<QueryProfile>)> =
             Vec::new();
         let mut to_dispatch: Vec<Pending> = Vec::new();
@@ -358,7 +331,7 @@ impl PoolHook for ServiceInner {
                     let end = r.handle.stats().finished_ns;
                     let latency = end.saturating_sub(r.ticket.submitted_ns);
                     finished.push((r.ticket, outcome, latency, r.handle.profile()));
-                    to_dispatch.extend(st.admission.complete(now, admit));
+                    to_dispatch.extend(st.admission.complete(now));
                 } else {
                     i += 1;
                 }
@@ -366,24 +339,6 @@ impl PoolHook for ServiceInner {
             for p in st.admission.expire_overdue(now) {
                 let latency = now.saturating_sub(p.ticket.submitted_ns);
                 finished.push((p.ticket, QueryOutcome::Cancelled, latency, None));
-            }
-            if admit {
-                // Capacity freed while admission was gated off (or by a
-                // pressure-parked submission): admit into it now.
-                to_dispatch.extend(st.admission.poll_admit(now));
-            } else {
-                // Still under pressure: shed the lowest-priority waiter
-                // (one per housekeeping pass) so the queue does not
-                // grow without bound while nothing is being admitted.
-                for p in st.admission.shed_lowest(now, 1) {
-                    let latency = now.saturating_sub(p.ticket.submitted_ns);
-                    finished.push((
-                        p.ticket,
-                        QueryOutcome::Rejected(RejectReason::MemoryPressure),
-                        latency,
-                        None,
-                    ));
-                }
             }
         }
         if !to_dispatch.is_empty() {
@@ -420,19 +375,13 @@ impl QueryService {
         let dispatch = DispatchConfig::new(config.workers)
             .with_morsel_size(config.morsel_size)
             .with_aging(config.aging);
-        let admission = AdmissionConfig::new(config.max_in_flight)
-            .with_max_queue(config.max_queue)
-            .with_aging(config.aging);
-        // An environment that already carries a pool keeps it; otherwise
-        // the config's pool size (if any) installs one.
-        let env = match (env.mem_pool(), config.mem_pool_bytes) {
-            (None, Some(bytes)) => env.with_mem_pool(MemPool::new(bytes)),
-            _ => env,
-        };
         let inner = ServiceInner {
-            mem_pool: env.mem_pool().cloned(),
             state: Mutex::new(ServiceState {
-                admission: AdmissionQueue::new(admission),
+                admission: AdmissionQueue::new(
+                    config.max_in_flight,
+                    config.max_queue,
+                    config.aging,
+                ),
                 running: Vec::new(),
             }),
             metrics: Mutex::new(Metrics::default()),
@@ -475,7 +424,6 @@ impl QueryService {
                 priority,
                 now,
                 deadline_ns,
-                inner.admission_open(),
             )
         };
         match decision {
@@ -498,12 +446,6 @@ impl QueryService {
             }
         }
         QueryTicket { inner: ticket }
-    }
-
-    /// The service-wide memory pool, if one is configured (either on the
-    /// environment or via [`ServiceConfig::with_mem_pool_bytes`]).
-    pub fn mem_pool(&self) -> Option<&Arc<MemPool>> {
-        self.workers.pool().hook().mem_pool.as_ref()
     }
 
     /// The service's shared cache counters (see
@@ -601,15 +543,6 @@ impl ServiceReport {
     /// Completed queries per second of service lifetime.
     pub fn throughput_qps(&self) -> f64 {
         self.totals.completed as f64 / (self.wall_ns.max(1) as f64 / 1e9)
-    }
-
-    /// All priorities merged into one latency histogram.
-    pub fn overall(&self) -> LatencyHistogram {
-        let mut all = LatencyHistogram::new();
-        for (_, _, h) in &self.per_priority {
-            all.merge(h);
-        }
-        all
     }
 
     /// A human-readable per-priority summary (used by the example and the

@@ -17,8 +17,7 @@ use morsel_core::{
 };
 use morsel_numa::{SocketId, Topology};
 use morsel_service::{
-    run_closed_loop, AdmissionConfig, AdmissionDecision, AdmissionQueue, QueryRequest,
-    QueryService, ServiceConfig,
+    run_closed_loop, AdmissionDecision, AdmissionQueue, QueryRequest, QueryService, ServiceConfig,
 };
 
 /// A synthetic pipeline charging fixed virtual CPU time per tuple (for
@@ -97,14 +96,13 @@ fn admission_bound_respected_under_simulated_execution() {
     const BOUND: usize = 3;
     const TOTAL: usize = 11;
     let env = ExecEnv::new(Topology::laptop());
-    let mut queue: AdmissionQueue<usize> =
-        AdmissionQueue::new(AdmissionConfig::new(BOUND).with_max_queue(TOTAL));
+    let mut queue: AdmissionQueue<usize> = AdmissionQueue::new(BOUND, TOTAL, AgingPolicy::none());
     let jobs: Vec<Arc<SpinJob>> = (0..TOTAL).map(|_| SpinJob::new(5.0)).collect();
 
     let mut virtual_now = 0u64;
     let mut batch: Vec<usize> = Vec::new();
     for q in 0..TOTAL {
-        match queue.submit(q, 1 + (q % 3) as u32, virtual_now, None, true) {
+        match queue.submit(q, 1 + (q % 3) as u32, virtual_now, None) {
             AdmissionDecision::Admitted(q) => batch.push(q),
             AdmissionDecision::Queued => {}
             AdmissionDecision::Rejected(_) => panic!("queue sized to hold everything"),
@@ -127,7 +125,7 @@ fn admission_bound_respected_under_simulated_execution() {
         ran += batch.len();
         let mut next = Vec::new();
         for _ in 0..batch.len() {
-            next.extend(queue.complete(virtual_now, true));
+            next.extend(queue.complete(virtual_now));
             assert!(queue.in_flight() <= BOUND);
         }
         batch = next;
@@ -380,9 +378,9 @@ fn reserve_spec(name: &str, morsels: usize, per_morsel: u64, sleep: Duration) ->
 /// failure per priority, and every reserved byte returns to the pool.
 #[test]
 fn over_budget_query_fails_without_killing_service() {
-    let env = ExecEnv::new(Topology::laptop());
-    let service = QueryService::start(env, ServiceConfig::new(2).with_mem_pool_bytes(16 << 20));
-    let pool = Arc::clone(service.mem_pool().expect("config installed a pool"));
+    let pool = MemPool::new(16 << 20);
+    let env = ExecEnv::new(Topology::laptop()).with_mem_pool(Arc::clone(&pool));
+    let service = QueryService::start(env, ServiceConfig::new(2));
     // 8 morsels wanting 1 MiB each against a 2.5 MiB cap: the third
     // reservation must push the query over its budget.
     let hog = service.submit(
@@ -406,34 +404,21 @@ fn over_budget_query_fails_without_killing_service() {
     assert_eq!(pool.reserved(), 0, "failed query leaked pool reservations");
 }
 
-/// The service keeps an environment-supplied pool rather than installing
-/// a second one from the config.
+/// Admission counts queries, not pool headroom: while one query holds
+/// almost all of the environment's pool, a query that reserves nothing
+/// is admitted and completes.
 #[test]
-fn env_pool_takes_precedence_over_config() {
-    let pool = MemPool::new(4 << 20);
+fn pool_headroom_does_not_gate_admission() {
+    let pool = MemPool::new(8 << 20);
     let env = ExecEnv::new(Topology::laptop()).with_mem_pool(Arc::clone(&pool));
-    let service = QueryService::start(env, ServiceConfig::new(1).with_mem_pool_bytes(512 << 20));
-    assert!(Arc::ptr_eq(service.mem_pool().unwrap(), &pool));
-    service.shutdown();
-}
-
-/// Under memory pressure the service stops fast-path admission and sheds
-/// the waiting query with `Rejected(MemoryPressure)`; once the pressure
-/// clears, admission resumes.
-#[test]
-fn memory_pressure_sheds_waiters_then_recovers() {
-    let env = ExecEnv::new(Topology::laptop());
     let service = QueryService::start(
         env,
         ServiceConfig::new(2)
             .with_max_in_flight(4)
-            .with_max_queue(8)
-            .with_mem_pool_bytes(8 << 20),
+            .with_max_queue(8),
     );
-    let pool = Arc::clone(service.mem_pool().unwrap());
-    // The first morsel reserves 7.5 MiB (beyond the 7/8 pressure
-    // threshold); the remaining ~40 hold it while sleeping, so the pool
-    // stays pressured for the hog's whole runtime.
+    // The first morsel reserves 7.5 of the pool's 8 MiB; the remaining
+    // ~40 hold it while sleeping, for the hog's whole runtime.
     struct HogJob {
         reserve: u64,
         taken: std::sync::atomic::AtomicBool,
@@ -468,13 +453,13 @@ fn memory_pressure_sheds_waiters_then_recovers() {
         vec![stage],
         result_slot(),
     )));
-    // Wait until the hog's reservations actually push the pool under
-    // pressure before offering the victim.
+    // Wait until the hog holds its reservation before offering the
+    // victim.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while !pool.under_pressure() {
+    while pool.reserved() < (15 << 20) / 2 {
         assert!(
             std::time::Instant::now() < deadline,
-            "hog never pressured the pool (reserved {} B)",
+            "hog never took its reservation (reserved {} B)",
             pool.reserved()
         );
         std::thread::yield_now();
@@ -484,20 +469,10 @@ fn memory_pressure_sheds_waiters_then_recovers() {
         1,
         Duration::from_micros(10),
     )));
-    assert_eq!(
-        victim.wait().outcome,
-        QueryOutcome::Rejected(RejectReason::MemoryPressure)
-    );
+    assert_eq!(victim.wait().outcome, QueryOutcome::Completed);
     assert_eq!(hog.wait().outcome, QueryOutcome::Completed);
-    // Pressure gone: admission works again.
-    let after = service.submit(QueryRequest::new(sleep_spec(
-        "after",
-        1,
-        Duration::from_micros(10),
-    )));
-    assert_eq!(after.wait().outcome, QueryOutcome::Completed);
     let summary = service.shutdown();
-    assert_eq!(summary.rejected(), 1);
+    assert_eq!(summary.rejected(), 0);
     assert_eq!(summary.completed(), 2);
     assert_eq!(pool.reserved(), 0);
 }
