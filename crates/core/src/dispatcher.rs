@@ -152,7 +152,7 @@ impl DispatchConfig {
 /// A query under execution.
 pub(crate) struct QueryExec {
     pub shared: Arc<QueryShared>,
-    stages: Mutex<VecDeque<Box<dyn Stage>>>,
+    stages: Mutex<VecDeque<Stage>>,
     pub current: Mutex<Option<Arc<JobExec>>>,
     /// Workers currently executing a morsel of this query (for fair
     /// sharing across queries).
@@ -534,7 +534,7 @@ impl Dispatcher {
 mod tests {
     use super::*;
     use crate::job::{BuiltJob, PipelineJob};
-    use crate::query::{result_slot, FnStage};
+    use crate::query::{result_slot, Stage};
     use crate::task::ChunkMeta;
     use morsel_numa::{SocketId, Topology};
     use std::sync::atomic::AtomicU64 as TestCounter;
@@ -563,8 +563,8 @@ mod tests {
         )
     }
 
-    fn count_stage(rows: usize, counter: Arc<CountJob>) -> Box<dyn Stage> {
-        Box::new(FnStage::new("count", move |_env, _w| {
+    fn count_stage(rows: usize, counter: Arc<CountJob>) -> Stage {
+        Stage::new("count", move |_env, _w| {
             BuiltJob::new(
                 "count",
                 counter,
@@ -573,7 +573,7 @@ mod tests {
                     rows,
                 }],
             )
-        }))
+        })
     }
 
     fn drive_to_completion(d: &Dispatcher, worker: usize) {
@@ -984,9 +984,9 @@ mod tests {
     fn build_panic_is_contained() {
         use crate::query::{FailReason, QueryOutcome};
         let d = dispatcher(1);
-        let stage: Box<dyn Stage> = Box::new(FnStage::new("explode", |_env: &ExecEnv, _w| {
+        let stage: Stage = Stage::new("explode", |_env: &ExecEnv, _w| {
             panic!("bad build");
-        }));
+        });
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let h = d.submit(QuerySpec::new("q", vec![stage], result_slot()), 0);
@@ -1008,7 +1008,7 @@ mod tests {
         let pool = MemPool::new(1 << 20);
         let env = ExecEnv::new(Topology::laptop()).with_mem_pool(Arc::clone(&pool));
         let d = Dispatcher::new(env, DispatchConfig::new(1));
-        let stage: Box<dyn Stage> = Box::new(FnStage::new("hungry", |_env: &ExecEnv, _w| {
+        let stage: Stage = Stage::new("hungry", |_env: &ExecEnv, _w| {
             BuiltJob::new(
                 "hungry",
                 Arc::new(CountJob {
@@ -1021,7 +1021,7 @@ mod tests {
                 }],
             )
             .with_reserve_bytes(4_096)
-        }));
+        });
         let h = d.submit(
             QuerySpec::new("q", vec![stage], result_slot()).with_mem_cap(1_000),
             0,
@@ -1036,7 +1036,7 @@ mod tests {
 
         // The same stage under a sufficient cap completes and the pool
         // still drains to zero at retirement.
-        let stage: Box<dyn Stage> = Box::new(FnStage::new("ok", |_env: &ExecEnv, _w| {
+        let stage: Stage = Stage::new("ok", |_env: &ExecEnv, _w| {
             BuiltJob::new(
                 "ok",
                 Arc::new(CountJob {
@@ -1049,7 +1049,7 @@ mod tests {
                 }],
             )
             .with_reserve_bytes(4_096)
-        }));
+        });
         let h = d.submit(QuerySpec::new("q2", vec![stage], result_slot()), 0);
         drive_to_completion(&d, 0);
         assert_eq!(h.outcome(), Some(QueryOutcome::Completed));

@@ -42,8 +42,8 @@ pub use job::{BuiltJob, PipelineJob};
 pub use metrics::{validate_exposition, MetricFamily, MetricKind, MetricsRegistry};
 pub use profile::{OpProfile, ProfileSlots, QueryProfile};
 pub use query::{
-    result_slot, FailReason, FnStage, QueryHandle, QueryOutcome, QuerySpec, QueryStats,
-    RejectReason, ResultSlot, Stage,
+    result_slot, FailReason, QueryHandle, QueryOutcome, QuerySpec, QueryStats, RejectReason,
+    ResultSlot, Stage,
 };
 pub use queue::{MorselQueues, SchedulingMode};
 pub use sim::{SimExecutor, SimReport};

@@ -20,41 +20,34 @@ use crate::govern::{EngineError, MemBudget};
 use crate::job::BuiltJob;
 use crate::profile::{ProfileSlots, QueryProfile};
 
-/// One pipeline stage of a query. Built exactly once, when all previous
-/// stages have completed, on a worker thread.
-pub trait Stage: Send {
-    fn label(&self) -> String;
-    fn build(self: Box<Self>, env: &ExecEnv, workers: usize) -> BuiltJob;
-}
-
-/// A stage backed by a closure.
-pub struct FnStage<F> {
+/// One pipeline stage of a query: a label and the closure that builds its
+/// job. Built exactly once, when all previous stages have completed, on a
+/// worker thread.
+pub struct Stage {
     label: String,
-    f: F,
+    build: BuildFn,
 }
 
-impl<F> FnStage<F>
-where
-    F: FnOnce(&ExecEnv, usize) -> BuiltJob + Send,
-{
-    pub fn new(label: impl Into<String>, f: F) -> Self {
-        FnStage {
+/// Builds a stage's job from the environment and the worker count.
+type BuildFn = Box<dyn FnOnce(&ExecEnv, usize) -> BuiltJob + Send>;
+
+impl Stage {
+    pub fn new(
+        label: impl Into<String>,
+        build: impl FnOnce(&ExecEnv, usize) -> BuiltJob + Send + 'static,
+    ) -> Self {
+        Stage {
             label: label.into(),
-            f,
+            build: Box::new(build),
         }
     }
-}
 
-impl<F> Stage for FnStage<F>
-where
-    F: FnOnce(&ExecEnv, usize) -> BuiltJob + Send,
-{
-    fn label(&self) -> String {
-        self.label.clone()
+    pub fn label(&self) -> &str {
+        &self.label
     }
 
-    fn build(self: Box<Self>, env: &ExecEnv, workers: usize) -> BuiltJob {
-        (self.f)(env, workers)
+    pub fn build(self, env: &ExecEnv, workers: usize) -> BuiltJob {
+        (self.build)(env, workers)
     }
 }
 
@@ -71,7 +64,7 @@ pub fn result_slot() -> ResultSlot {
 pub struct QuerySpec {
     pub name: String,
     pub priority: u32,
-    pub stages: Vec<Box<dyn Stage>>,
+    pub stages: Vec<Stage>,
     pub result: ResultSlot,
     /// When the query was *submitted* by its client, in executor
     /// nanoseconds (virtual or wall clock). Defaults to the dispatch time;
@@ -96,7 +89,7 @@ pub struct QuerySpec {
 }
 
 impl QuerySpec {
-    pub fn new(name: impl Into<String>, stages: Vec<Box<dyn Stage>>, result: ResultSlot) -> Self {
+    pub fn new(name: impl Into<String>, stages: Vec<Stage>, result: ResultSlot) -> Self {
         QuerySpec {
             name: name.into(),
             priority: 1,

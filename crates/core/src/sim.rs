@@ -287,7 +287,7 @@ impl SimExecutor {
 mod tests {
     use super::*;
     use crate::job::{BuiltJob, PipelineJob};
-    use crate::query::{result_slot, FnStage, Stage};
+    use crate::query::{result_slot, Stage};
     use crate::task::{ChunkMeta, Morsel};
     use morsel_numa::{SocketId, Topology};
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -325,9 +325,9 @@ mod tests {
                 rows: rows_per_node,
             })
             .collect();
-        let stage: Box<dyn Stage> = Box::new(FnStage::new("scan", move |_env, _w| {
+        let stage: Stage = Stage::new("scan", move |_env, _w| {
             BuiltJob::new("scan", job.clone(), chunks.clone())
-        }));
+        });
         let _ = topo;
         QuerySpec::new(name, vec![stage], result_slot())
     }

@@ -266,7 +266,7 @@ fn flush_spans(recorder: &TraceRecorder, morsels: Vec<TraceEvent>) {
 mod tests {
     use super::*;
     use crate::job::{BuiltJob, PipelineJob};
-    use crate::query::{result_slot, FnStage, Stage};
+    use crate::query::{result_slot, Stage};
     use crate::task::{ChunkMeta, Morsel};
     use morsel_numa::{SocketId, Topology};
     use parking_lot::Mutex;
@@ -288,7 +288,7 @@ mod tests {
     }
 
     fn spec(name: &str, rows: usize, job: Arc<SumJob>) -> QuerySpec {
-        let stage: Box<dyn Stage> = Box::new(FnStage::new("sum", move |_e, _w| {
+        let stage: Stage = Stage::new("sum", move |_e, _w| {
             BuiltJob::new(
                 "sum",
                 job,
@@ -297,7 +297,7 @@ mod tests {
                     rows,
                 }],
             )
-        }));
+        });
         QuerySpec::new(name, vec![stage], result_slot())
     }
 

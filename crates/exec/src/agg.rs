@@ -629,9 +629,9 @@ pub struct AggMergeJob {
     areas: Vec<Mutex<StorageArea>>,
     out: AreaSlot,
     result: Option<ResultSlot>,
-    /// Scalar (no GROUP BY) aggregation: an empty result is fixed up to
-    /// the SQL default row (count = 0, sum = 0, ...).
-    scalar_default: Option<Vec<AggFn>>,
+    /// SQL semantics for a scalar aggregation (see
+    /// [`AggMergeJob::with_sql_default_row`]).
+    sql_default_row: bool,
     /// Profile slot of the aggregation plan node (credited with emitted
     /// groups and the wall time of merging and emitting them).
     prof_slot: Option<u32>,
@@ -660,7 +660,7 @@ impl AggMergeJob {
                 .collect(),
             out,
             result,
-            scalar_default: None,
+            sql_default_row: false,
             prof_slot: None,
         }
     }
@@ -672,12 +672,13 @@ impl AggMergeJob {
         self
     }
 
-    /// Configure the SQL scalar-aggregation default row (only meaningful
-    /// when there are no group columns).
-    pub fn with_scalar_default(mut self, scalar: bool, aggs: Vec<AggFn>) -> Self {
-        if scalar {
-            self.scalar_default = Some(aggs);
-        }
+    /// SQL semantics: a scalar aggregation — no group columns, so the
+    /// output schema is the aggregate columns alone — that merged no
+    /// groups still emits one row, [`scalar_default_row`] (count = 0,
+    /// sum = 0, ...). Without it the job is a plain `GROUP BY ()` and
+    /// empty input yields no rows.
+    pub fn with_sql_default_row(mut self) -> Self {
+        self.sql_default_row = true;
         self
     }
 
@@ -768,16 +769,14 @@ impl PipelineJob for AggMergeJob {
             })
             .collect();
         let mut set = AreaSet::new(self.schema.clone(), areas).prune_empty();
-        if set.total_rows() == 0 {
-            if let Some(aggs) = &self.scalar_default {
-                let types = self.schema.data_types();
-                let mut area = StorageArea::new(SocketId(0), &types);
-                area.data_mut().push_row(scalar_default_row(aggs));
-                set = AreaSet::new(self.schema.clone(), vec![area]);
-                // The synthesized default row is an output row too.
-                if let Some(slot) = self.prof_slot {
-                    ctx.prof_rows_out(slot, 1);
-                }
+        if self.sql_default_row && set.total_rows() == 0 && self.schema.len() == self.aggs.len() {
+            let types = self.schema.data_types();
+            let mut area = StorageArea::new(SocketId(0), &types);
+            area.data_mut().push_row(scalar_default_row(&self.aggs));
+            set = AreaSet::new(self.schema.clone(), vec![area]);
+            // The synthesized default row is an output row too.
+            if let Some(slot) = self.prof_slot {
+                ctx.prof_rows_out(slot, 1);
             }
         }
         if let Some(result) = &self.result {
@@ -790,8 +789,8 @@ impl PipelineJob for AggMergeJob {
 }
 
 /// A scalar (no GROUP BY) aggregation always produces exactly one row,
-/// even over empty input. `ensure_scalar_row` fixes up the gathered result
-/// (SQL semantics: `select count(*) from empty` returns 0).
+/// even over empty input (SQL semantics: `select count(*) from empty`
+/// returns 0); see [`AggMergeJob::with_sql_default_row`].
 pub fn scalar_default_row(aggs: &[AggFn]) -> Vec<morsel_storage::Value> {
     aggs.iter()
         .map(|f| match f {

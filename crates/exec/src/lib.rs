@@ -5,9 +5,11 @@
 //! ([`predicate::Predicate`]), the lock-free [`ht::TaggedHashTable`], fully
 //! pipelined [`join`]s (inner/semi/anti/outer-count), two-phase parallel
 //! [`agg`]regation, parallel merge [`sort`] and top-k, plus the
-//! [`plan::Plan`] tree and its [`plan::Compiler`] that lowers plans into
-//! the stage sequences scheduled by `morsel-core`, under any of the
-//! paper's compared [`variant::SystemVariant`]s.
+//! [`plan::Plan`] tree and [`plan::compile_query`], which lowers a plan
+//! into the sequence of `morsel_core::Stage`s the dispatcher schedules —
+//! each a label and the closure that builds its job once the previous
+//! stage has finished — under any of the paper's compared
+//! [`variant::SystemVariant`]s.
 
 pub mod agg;
 pub mod charge;
@@ -27,6 +29,6 @@ pub mod variant;
 pub use agg::AggFn;
 pub use expr::Expr;
 pub use join::JoinKind;
-pub use plan::{compile_query, Compiler, Plan};
+pub use plan::{compile_query, Plan};
 pub use sort::SortKey;
 pub use variant::SystemVariant;

@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 
-use morsel_core::{result_slot, BuiltJob, FnStage, QuerySpec, ResultSlot, Stage};
+use morsel_core::{result_slot, BuiltJob, ExecEnv, QuerySpec, ResultSlot, Stage};
 use morsel_storage::{DataType, Relation, Schema};
 
 use crate::agg::{agg_slot, AggFn, AggMergeJob, AggPartialSink};
@@ -24,7 +24,7 @@ use crate::expr::{col, Expr};
 use crate::ht::TaggedHashTable;
 use crate::join::{join_slot, HtInsertJob, JoinKind, ProbeOp};
 use crate::pipeline::{ExecPipeline, FilterOp, MapOp, PipeOp};
-use crate::sink::{area_slot, AreaSlot, MaterializeSink};
+use crate::sink::{area_slot, AreaSlot, MaterializeSink, Sink};
 use crate::sort::{runs_slot, LocalSortJob, MergeJob, MergePlan, SortKey, TopKSink};
 use crate::source::InputSource;
 use crate::variant::SystemVariant;
@@ -79,69 +79,63 @@ impl Plan {
     /// Output schema of the plan.
     pub fn schema(&self) -> Schema {
         match self {
-            Plan::Scan {
-                relation, project, ..
-            } => {
-                let src = relation.schema().data_types();
-                Schema::new(
-                    project
-                        .iter()
-                        .map(|(n, e)| (n.as_str(), e.result_type(&src)))
-                        .collect(),
-                )
+            Plan::Scan { relation, .. } => self.output_schema(&[relation.schema()]),
+            Plan::Join { build, probe, .. } => {
+                self.output_schema(&[&probe.schema(), &build.schema()])
             }
-            Plan::Filter { input, .. } => input.schema(),
-            Plan::Map { input, project } => {
-                let src = input.schema().data_types();
-                Schema::new(
-                    project
-                        .iter()
-                        .map(|(n, e)| (n.as_str(), e.result_type(&src)))
-                        .collect(),
-                )
+            Plan::Filter { input, .. }
+            | Plan::Map { input, .. }
+            | Plan::Agg { input, .. }
+            | Plan::Sort { input, .. } => self.output_schema(&[&input.schema()]),
+        }
+    }
+
+    /// This node's output schema from its inputs' schemas: the scanned
+    /// relation's for a scan, `[probe, build]` for a join, the child's
+    /// otherwise. [`Plan::schema`] and the compiler (which already holds
+    /// its inputs' schemas) both derive a node's schema here.
+    fn output_schema(&self, inputs: &[&Schema]) -> Schema {
+        let input = inputs[0];
+        let fields: Vec<(&str, DataType)> = match self {
+            Plan::Filter { .. } | Plan::Sort { .. } => return input.clone(),
+            Plan::Scan { project, .. } | Plan::Map { project, .. } => {
+                let src = input.data_types();
+                project
+                    .iter()
+                    .map(|(n, e)| (n.as_str(), e.result_type(&src)))
+                    .collect()
             }
             Plan::Join {
-                build,
-                probe,
                 kind,
                 build_payload,
                 ..
             } => {
-                let mut fields: Vec<(String, DataType)> = {
-                    let p = probe.schema();
-                    (0..p.len())
-                        .map(|i| (p.name(i).to_owned(), p.dtype(i)))
-                        .collect()
-                };
+                let mut fields: Vec<_> = (0..input.len())
+                    .map(|i| (input.name(i), input.dtype(i)))
+                    .collect();
                 match kind {
                     JoinKind::Inner => {
-                        let b = build.schema();
-                        for &c in build_payload {
-                            fields.push((b.name(c).to_owned(), b.dtype(c)));
-                        }
+                        let build = inputs[1];
+                        fields.extend(
+                            build_payload
+                                .iter()
+                                .map(|&c| (build.name(c), build.dtype(c))),
+                        );
                     }
                     JoinKind::Semi | JoinKind::Anti => {}
-                    JoinKind::Count => fields.push(("match_count".to_owned(), DataType::I64)),
+                    JoinKind::Count => fields.push(("match_count", DataType::I64)),
                 }
-                Schema::new(fields.iter().map(|(n, t)| (n.as_str(), *t)).collect())
+                fields
             }
             Plan::Agg {
-                input,
-                group_cols,
-                aggs,
-            } => {
-                let src = input.schema();
-                let mut fields: Vec<(String, DataType)> = group_cols
-                    .iter()
-                    .map(|&c| (src.name(c).to_owned(), src.dtype(c)))
-                    .collect();
-                for (n, f) in aggs {
-                    fields.push((n.clone(), f.output_type()));
-                }
-                Schema::new(fields.iter().map(|(n, t)| (n.as_str(), *t)).collect())
-            }
-            Plan::Sort { input, .. } => input.schema(),
-        }
+                group_cols, aggs, ..
+            } => group_cols
+                .iter()
+                .map(|&c| (input.name(c), input.dtype(c)))
+                .chain(aggs.iter().map(|(n, f)| (n.as_str(), f.output_type())))
+                .collect(),
+        };
+        Schema::new(fields)
     }
 
     // Convenience constructors ------------------------------------------
@@ -376,7 +370,7 @@ mod tests {
     }
 }
 
-/// A pipeline under construction during compilation.
+/// Where a pipeline under construction reads from.
 enum Source {
     Rel(Arc<Relation>),
     Slot(AreaSlot),
@@ -397,6 +391,7 @@ impl Source {
     }
 }
 
+/// A pipeline under construction during compilation.
 struct PipeUnder {
     source: Source,
     filter: Option<Expr>,
@@ -410,449 +405,11 @@ struct PipeUnder {
     op_slots: Vec<Option<u32>>,
 }
 
-/// Compiles plans into stage sequences.
-pub struct Compiler {
-    variant: SystemVariant,
-    stages: Vec<Box<dyn Stage>>,
-    counter: usize,
-}
-
-impl Compiler {
-    pub fn new(variant: SystemVariant) -> Self {
-        Compiler {
-            variant,
-            stages: Vec::new(),
-            counter: 0,
-        }
-    }
-
-    fn label(&mut self, kind: &str) -> String {
-        self.counter += 1;
-        format!("{kind}#{}", self.counter)
-    }
-
-    /// Compile a full query. The result slot receives the final batch.
-    ///
-    /// The spec carries one profile slot per plan node, labelled
-    /// [`Plan::label`] in [`Plan::preorder`] order, and every compiled
-    /// pipeline and breaker job records its counters into the matching
-    /// slot.
-    pub fn compile_query(mut self, name: impl Into<String>, plan: Plan) -> (QuerySpec, ResultSlot) {
-        let labels = plan
-            .preorder()
-            .into_iter()
-            .map(|(_, p)| p.label())
-            .collect();
-        let result = result_slot();
-        self.compile_root(plan, result.clone());
-        let spec = QuerySpec::new(name, self.stages, result.clone()).with_profile_ops(labels);
-        (spec, result)
-    }
-
-    fn compile_root(&mut self, plan: Plan, result: ResultSlot) {
-        match plan {
-            Plan::Agg {
-                input,
-                group_cols,
-                aggs,
-            } => {
-                let u = self.compile(*input, 1);
-                self.emit_agg(u, group_cols, aggs, Some(result), 0);
-            }
-            Plan::Sort { input, keys, limit } => {
-                let u = self.compile(*input, 1);
-                self.emit_sort(u, keys, limit, Some(result), 0);
-            }
-            other => {
-                let u = self.compile(other, 0);
-                let schema = u.schema.clone();
-                let label = self.label("materialize");
-                let variant = self.variant;
-                let out = area_slot();
-                self.stages.push(Box::new(FnStage::new(
-                    label.clone(),
-                    move |env, workers| {
-                        let source = u.source.resolve();
-                        let chunks = source.chunk_meta();
-                        let sink = MaterializeSink::new(
-                            schema,
-                            &env.worker_sockets(workers),
-                            out,
-                            Some(result),
-                        );
-                        let pipe = ExecPipeline::new(
-                            source,
-                            u.filter,
-                            u.projection,
-                            u.ops,
-                            Box::new(sink),
-                        )
-                        .with_extra_scan_ns(variant.exchange_ns)
-                        .with_profile(u.scan_slot, u.op_slots, None);
-                        BuiltJob::new(label, Arc::new(pipe), chunks)
-                    },
-                )));
-            }
-        }
-    }
-
-    /// Compile a plan subtree whose root occupies profile slot `slot`,
-    /// its index in [`Plan::preorder`]: a unary child sits at `slot + 1`,
-    /// a join's probe subtree at `slot + 1` and its build subtree after
-    /// the whole probe subtree.
-    fn compile(&mut self, plan: Plan, slot: u32) -> PipeUnder {
-        match plan {
-            Plan::Scan {
-                relation,
-                filter,
-                project,
-            } => {
-                let src_types = relation.schema().data_types();
-                let schema = Schema::new(
-                    project
-                        .iter()
-                        .map(|(n, e)| (n.as_str(), e.result_type(&src_types)))
-                        .collect(),
-                );
-                PipeUnder {
-                    source: Source::Rel(relation),
-                    filter,
-                    projection: project.into_iter().map(|(_, e)| e).collect(),
-                    ops: Vec::new(),
-                    schema,
-                    scan_slot: Some(slot),
-                    op_slots: Vec::new(),
-                }
-            }
-            Plan::Filter { input, predicate } => {
-                let mut u = self.compile(*input, slot + 1);
-                u.ops.push(Box::new(FilterOp::new(predicate)));
-                u.op_slots.push(Some(slot));
-                u
-            }
-            Plan::Map { input, project } => {
-                let mut u = self.compile(*input, slot + 1);
-                let in_types = u.schema.data_types();
-                let schema = Schema::new(
-                    project
-                        .iter()
-                        .map(|(n, e)| (n.as_str(), e.result_type(&in_types)))
-                        .collect(),
-                );
-                u.ops.push(Box::new(MapOp {
-                    exprs: project.into_iter().map(|(_, e)| e).collect(),
-                }));
-                u.op_slots.push(Some(slot));
-                u.schema = schema;
-                u
-            }
-            Plan::Join {
-                build,
-                probe,
-                build_keys,
-                probe_keys,
-                kind,
-                build_payload,
-            } => {
-                // Build side: two stages (Figure 3's phases).
-                let probe_slot = slot + 1;
-                let build_slot = slot + 1 + probe.preorder().len() as u32;
-                let join_prof = Some(slot);
-                let build_schema = build.schema();
-                let bu = self.compile(*build, build_slot);
-                let built_slot = area_slot();
-                {
-                    let label = self.label("build-materialize");
-                    let schema = bu.schema.clone();
-                    let out = built_slot.clone();
-                    let variant = self.variant;
-                    self.stages.push(Box::new(FnStage::new(
-                        label.clone(),
-                        move |env, workers| {
-                            let source = bu.source.resolve();
-                            let chunks = source.chunk_meta();
-                            let sink = MaterializeSink::new(
-                                schema,
-                                &env.worker_sockets(workers),
-                                out,
-                                None,
-                            );
-                            let pipe = ExecPipeline::new(
-                                source,
-                                bu.filter,
-                                bu.projection,
-                                bu.ops,
-                                Box::new(sink),
-                            )
-                            .with_extra_scan_ns(variant.exchange_ns)
-                            .with_profile(
-                                bu.scan_slot,
-                                bu.op_slots,
-                                None,
-                            );
-                            BuiltJob::new(label, Arc::new(pipe), chunks)
-                        },
-                    )));
-                }
-                let jslot = join_slot();
-                {
-                    let label = self.label("build-insert");
-                    let slot = built_slot;
-                    let out = jslot.clone();
-                    let keys = build_keys;
-                    let tagging = self.variant.tagging;
-                    self.stages.push(Box::new(FnStage::new(
-                        label.clone(),
-                        move |env, _workers| {
-                            let set = slot.lock().clone().expect("build side not materialized");
-                            let chunks = set.chunk_meta();
-                            let rows: usize = chunks.iter().map(|c| c.rows).sum();
-                            let job = HtInsertJob::with_tagging(
-                                set,
-                                keys,
-                                env.topology().sockets(),
-                                out,
-                                tagging,
-                            )
-                            .with_prof_slot(join_prof);
-                            // Declare the hash table's footprint so the
-                            // dispatcher charges the query's budget
-                            // before the build pipeline runs.
-                            BuiltJob::new(label, Arc::new(job), chunks)
-                                .with_reserve_bytes(TaggedHashTable::estimate_bytes(rows))
-                        },
-                    )));
-                }
-
-                // Probe side: continue its pipeline with the probe op.
-                let mut pu = self.compile(*probe, probe_slot);
-                let probe_schema = pu.schema.clone();
-                let mut fields: Vec<(String, DataType)> = (0..probe_schema.len())
-                    .map(|i| (probe_schema.name(i).to_owned(), probe_schema.dtype(i)))
-                    .collect();
-                match kind {
-                    JoinKind::Inner => {
-                        for &c in &build_payload {
-                            fields.push((build_schema.name(c).to_owned(), build_schema.dtype(c)));
-                        }
-                    }
-                    JoinKind::Semi | JoinKind::Anti => {}
-                    JoinKind::Count => fields.push(("match_count".to_owned(), DataType::I64)),
-                }
-                pu.schema = Schema::new(fields.iter().map(|(n, t)| (n.as_str(), *t)).collect());
-                pu.ops.push(Box::new(ProbeOp {
-                    table: jslot,
-                    probe_keys,
-                    kind,
-                    build_cols: build_payload,
-                }));
-                pu.op_slots.push(Some(slot));
-                pu
-            }
-            Plan::Agg {
-                input,
-                group_cols,
-                aggs,
-            } => {
-                let u = self.compile(*input, slot + 1);
-                self.emit_agg(u, group_cols, aggs, None, slot)
-            }
-            Plan::Sort { input, keys, limit } => {
-                let u = self.compile(*input, slot + 1);
-                self.emit_sort(u, keys, limit, None, slot)
-            }
-        }
-    }
-
-    /// Emit the two aggregation stages; returns the follow-up pipeline
-    /// over the aggregated output (identity) for non-root use.
-    fn emit_agg(
-        &mut self,
-        u: PipeUnder,
-        group_cols: Vec<usize>,
-        aggs: Vec<(String, AggFn)>,
-        result: Option<ResultSlot>,
-        slot: u32,
-    ) -> PipeUnder {
-        let prof = Some(slot);
-        let in_schema = u.schema.clone();
-        let mut fields: Vec<(String, DataType)> = group_cols
-            .iter()
-            .map(|&c| (in_schema.name(c).to_owned(), in_schema.dtype(c)))
-            .collect();
-        for (n, f) in &aggs {
-            fields.push((n.clone(), f.output_type()));
-        }
-        let out_schema = Schema::new(fields.iter().map(|(n, t)| (n.as_str(), *t)).collect());
-        let agg_fns: Vec<AggFn> = aggs.iter().map(|(_, f)| *f).collect();
-        let parts_slot = agg_slot();
-        {
-            let label = self.label("agg-partial");
-            let slot = parts_slot.clone();
-            let fns = agg_fns.clone();
-            let variant = self.variant;
-            self.stages.push(Box::new(FnStage::new(
-                label.clone(),
-                move |env, workers| {
-                    let source = u.source.resolve();
-                    let chunks = source.chunk_meta();
-                    let sink =
-                        AggPartialSink::new(group_cols, fns, &env.worker_sockets(workers), slot)
-                            .with_prof_slot(prof);
-                    let pipe =
-                        ExecPipeline::new(source, u.filter, u.projection, u.ops, Box::new(sink))
-                            .with_extra_scan_ns(variant.exchange_ns)
-                            .with_profile(u.scan_slot, u.op_slots, prof);
-                    BuiltJob::new(label, Arc::new(pipe), chunks)
-                },
-            )));
-        }
-        let out = area_slot();
-        {
-            let label = self.label("agg-merge");
-            let slot = parts_slot;
-            let out = out.clone();
-            let schema = out_schema.clone();
-            let scalar = fields.len() == aggs.len();
-            let fns = agg_fns;
-            let aggs_for_default = aggs.clone();
-            self.stages.push(Box::new(FnStage::new(
-                label.clone(),
-                move |env, workers| {
-                    let parts = slot.lock().clone().expect("phase 1 not finished");
-                    let chunks = AggMergeJob::chunk_meta(&parts, env.topology().sockets());
-                    let job = AggMergeJob::new(
-                        parts,
-                        fns,
-                        schema,
-                        &env.worker_sockets(workers),
-                        out,
-                        result,
-                    )
-                    .with_scalar_default(scalar, aggs_for_default.iter().map(|(_, f)| *f).collect())
-                    .with_prof_slot(prof);
-                    BuiltJob::new(label, Arc::new(job), chunks).with_atomic_chunks()
-                },
-            )));
-        }
-        PipeUnder {
-            source: Source::Slot(out),
-            filter: None,
-            projection: (0..out_schema.len()).map(col).collect(),
-            ops: Vec::new(),
-            schema: out_schema,
-            // The aggregation's own counters are recorded by its breaker
-            // jobs; re-scanning its output is not a plan node.
-            scan_slot: None,
-            op_slots: Vec::new(),
-        }
-    }
-
-    /// Emit the three sort stages (or a single top-k pipeline).
-    fn emit_sort(
-        &mut self,
-        u: PipeUnder,
-        keys: Vec<SortKey>,
-        limit: Option<usize>,
-        result: Option<ResultSlot>,
-        slot: u32,
-    ) -> PipeUnder {
-        let prof = Some(slot);
-        let schema = u.schema.clone();
-        let out = area_slot();
-        if let Some(k) = limit {
-            if k <= TOPK_THRESHOLD {
-                // Single pipeline with a per-worker heap.
-                let label = self.label("topk");
-                let out2 = out.clone();
-                let schema2 = schema.clone();
-                let variant = self.variant;
-                self.stages.push(Box::new(FnStage::new(
-                    label.clone(),
-                    move |env, workers| {
-                        let _ = env;
-                        let source = u.source.resolve();
-                        let chunks = source.chunk_meta();
-                        let sink = TopKSink::new(keys, k, schema2, workers, out2, result)
-                            .with_prof_slot(prof);
-                        let pipe = ExecPipeline::new(
-                            source,
-                            u.filter,
-                            u.projection,
-                            u.ops,
-                            Box::new(sink),
-                        )
-                        .with_extra_scan_ns(variant.exchange_ns)
-                        .with_profile(u.scan_slot, u.op_slots, prof);
-                        BuiltJob::new(label, Arc::new(pipe), chunks)
-                    },
-                )));
-                return PipeUnder {
-                    source: Source::Slot(out),
-                    filter: None,
-                    projection: (0..schema.len()).map(col).collect(),
-                    ops: Vec::new(),
-                    schema,
-                    scan_slot: None,
-                    op_slots: Vec::new(),
-                };
-            }
-        }
-        // Stage 1: materialize.
-        let mat_slot = area_slot();
-        {
-            let label = self.label("sort-materialize");
-            let slot = mat_slot.clone();
-            let schema2 = schema.clone();
-            let variant = self.variant;
-            self.stages.push(Box::new(FnStage::new(
-                label.clone(),
-                move |env, workers| {
-                    let source = u.source.resolve();
-                    let chunks = source.chunk_meta();
-                    let sink =
-                        MaterializeSink::new(schema2, &env.worker_sockets(workers), slot, None);
-                    let pipe =
-                        ExecPipeline::new(source, u.filter, u.projection, u.ops, Box::new(sink))
-                            .with_extra_scan_ns(variant.exchange_ns)
-                            .with_profile(u.scan_slot, u.op_slots, prof);
-                    BuiltJob::new(label, Arc::new(pipe), chunks)
-                },
-            )));
-        }
-        // Stage 2: local sort.
-        let runs = runs_slot();
-        {
-            let label = self.label("sort-local");
-            let slot = mat_slot;
-            let runs = runs.clone();
-            let keys = keys.clone();
-            self.stages.push(Box::new(FnStage::new(
-                label.clone(),
-                move |_env, _workers| {
-                    let input = slot.lock().clone().expect("sort input not materialized");
-                    let chunks = input.chunk_meta();
-                    let job = LocalSortJob::new(input, keys, runs).with_prof_slot(prof);
-                    BuiltJob::new(label, Arc::new(job), chunks).with_atomic_chunks()
-                },
-            )));
-        }
-        // Stage 3: merge.
-        {
-            let label = self.label("sort-merge");
-            let out = out.clone();
-            let schema2 = schema.clone();
-            self.stages.push(Box::new(FnStage::new(
-                label.clone(),
-                move |env, workers| {
-                    let runs = runs.lock().clone().expect("local sort not finished");
-                    let plan = Arc::new(MergePlan::compute(runs, workers.max(1)));
-                    let chunks = MergeJob::chunk_meta(&plan, env.topology().sockets());
-                    let job = MergeJob::new(plan, schema2, out, result, limit).with_prof_slot(prof);
-                    BuiltJob::new(label, Arc::new(job), chunks).with_atomic_chunks()
-                },
-            )));
-        }
+impl PipeUnder {
+    /// The identity pipeline over a breaker's output slot. The breaker's
+    /// own jobs record its counters; re-scanning its output is not a plan
+    /// node, so the scan is unprofiled.
+    fn over_slot(out: AreaSlot, schema: Schema) -> Self {
         PipeUnder {
             source: Source::Slot(out),
             filter: None,
@@ -865,11 +422,286 @@ impl Compiler {
     }
 }
 
-/// One-call helper: compile under a variant and return the spec.
+/// Compiles one plan into its stage sequence.
+struct Compiler {
+    variant: SystemVariant,
+    stages: Vec<Stage>,
+    counter: usize,
+}
+
+impl Compiler {
+    fn label(&mut self, kind: &str) -> String {
+        self.counter += 1;
+        format!("{kind}#{}", self.counter)
+    }
+
+    /// Compile the root: a breaker root delivers the result from its
+    /// final stage, any other root through a closing materialize
+    /// pipeline.
+    fn compile_root(&mut self, plan: &Plan, result: ResultSlot) {
+        if let Plan::Agg { .. } | Plan::Sort { .. } = plan {
+            self.compile_breaker(plan, 0, Some(result));
+        } else {
+            let u = self.compile(plan, 0);
+            self.emit_materialize("materialize", u, None, Some(result));
+        }
+    }
+
+    /// Compile a plan subtree whose root occupies profile slot `slot`,
+    /// its index in [`Plan::preorder`]: a unary child sits at `slot + 1`,
+    /// a join's probe subtree at `slot + 1` and its build subtree after
+    /// the whole probe subtree.
+    fn compile(&mut self, plan: &Plan, slot: u32) -> PipeUnder {
+        match plan {
+            Plan::Scan {
+                relation,
+                filter,
+                project,
+            } => PipeUnder {
+                source: Source::Rel(Arc::clone(relation)),
+                filter: filter.clone(),
+                projection: project.iter().map(|(_, e)| e.clone()).collect(),
+                ops: Vec::new(),
+                schema: plan.output_schema(&[relation.schema()]),
+                scan_slot: Some(slot),
+                op_slots: Vec::new(),
+            },
+            Plan::Filter { input, predicate } => {
+                let mut u = self.compile(input, slot + 1);
+                u.ops.push(Box::new(FilterOp::new(predicate.clone())));
+                u.op_slots.push(Some(slot));
+                u
+            }
+            Plan::Map { input, project } => {
+                let mut u = self.compile(input, slot + 1);
+                u.schema = plan.output_schema(&[&u.schema]);
+                u.ops.push(Box::new(MapOp {
+                    exprs: project.iter().map(|(_, e)| e.clone()).collect(),
+                }));
+                u.op_slots.push(Some(slot));
+                u
+            }
+            Plan::Join {
+                build,
+                probe,
+                build_keys,
+                probe_keys,
+                kind,
+                build_payload,
+            } => {
+                // Build side: two stages (Figure 3's phases).
+                let build_slot = slot + 1 + probe.preorder().len() as u32;
+                let bu = self.compile(build, build_slot);
+                let build_schema = bu.schema.clone();
+                let built_slot = self.emit_materialize("build-materialize", bu, None, None);
+                let jslot = join_slot();
+                let label = self.label("build-insert");
+                let out = jslot.clone();
+                let keys = build_keys.clone();
+                let tagging = self.variant.tagging;
+                self.stages
+                    .push(Stage::new(label.clone(), move |env, _workers| {
+                        let set = built_slot
+                            .lock()
+                            .clone()
+                            .expect("build side not materialized");
+                        let chunks = set.chunk_meta();
+                        let rows: usize = chunks.iter().map(|c| c.rows).sum();
+                        let job = HtInsertJob::with_tagging(
+                            set,
+                            keys,
+                            env.topology().sockets(),
+                            out,
+                            tagging,
+                        )
+                        .with_prof_slot(Some(slot));
+                        // Declare the hash table's footprint so the
+                        // dispatcher charges the query's budget before the
+                        // build pipeline runs.
+                        BuiltJob::new(label, Arc::new(job), chunks)
+                            .with_reserve_bytes(TaggedHashTable::estimate_bytes(rows))
+                    }));
+
+                // Probe side: continue its pipeline with the probe op.
+                let mut pu = self.compile(probe, slot + 1);
+                pu.schema = plan.output_schema(&[&pu.schema, &build_schema]);
+                pu.ops.push(Box::new(ProbeOp {
+                    table: jslot,
+                    probe_keys: probe_keys.clone(),
+                    kind: *kind,
+                    build_cols: build_payload.clone(),
+                }));
+                pu.op_slots.push(Some(slot));
+                pu
+            }
+            Plan::Agg { .. } | Plan::Sort { .. } => self.compile_breaker(plan, slot, None),
+        }
+    }
+
+    /// Compile an aggregation or a sort: its input pipeline ends in the
+    /// breaker's first stage, and its output is delivered into `result`
+    /// at the root or else re-scanned by the returned pipeline.
+    fn compile_breaker(&mut self, plan: &Plan, slot: u32, result: Option<ResultSlot>) -> PipeUnder {
+        let prof = Some(slot);
+        let out = area_slot();
+        match plan {
+            Plan::Agg {
+                input,
+                group_cols,
+                aggs,
+            } => {
+                let u = self.compile(input, slot + 1);
+                let schema = plan.output_schema(&[&u.schema]);
+                let next = PipeUnder::over_slot(out.clone(), schema.clone());
+                let fns: Vec<AggFn> = aggs.iter().map(|(_, f)| *f).collect();
+                let parts = agg_slot();
+                {
+                    let (group_cols, fns, parts) = (group_cols.clone(), fns.clone(), parts.clone());
+                    self.emit_pipeline("agg-partial", u, prof, move |env, workers| {
+                        Box::new(
+                            AggPartialSink::new(
+                                group_cols,
+                                fns,
+                                &env.worker_sockets(workers),
+                                parts,
+                            )
+                            .with_prof_slot(prof),
+                        )
+                    });
+                }
+                let label = self.label("agg-merge");
+                self.stages
+                    .push(Stage::new(label.clone(), move |env, workers| {
+                        let parts = parts.lock().clone().expect("phase 1 not finished");
+                        let chunks = AggMergeJob::chunk_meta(&parts, env.topology().sockets());
+                        let job = AggMergeJob::new(
+                            parts,
+                            fns,
+                            schema,
+                            &env.worker_sockets(workers),
+                            out,
+                            result,
+                        )
+                        .with_sql_default_row()
+                        .with_prof_slot(prof);
+                        BuiltJob::new(label, Arc::new(job), chunks).with_atomic_chunks()
+                    }));
+                next
+            }
+            Plan::Sort { input, keys, limit } => {
+                let u = self.compile(input, slot + 1);
+                let schema = u.schema.clone();
+                let next = PipeUnder::over_slot(out.clone(), schema.clone());
+                let (keys, limit) = (keys.clone(), *limit);
+                if let Some(k) = limit.filter(|&k| k <= TOPK_THRESHOLD) {
+                    // Single pipeline with a per-worker heap.
+                    self.emit_pipeline("topk", u, prof, move |_env, workers| {
+                        Box::new(
+                            TopKSink::new(keys, k, schema, workers, out, result)
+                                .with_prof_slot(prof),
+                        )
+                    });
+                } else {
+                    // Materialize, sort locally, merge.
+                    let sorted = self.emit_materialize("sort-materialize", u, prof, None);
+                    let runs = runs_slot();
+                    let label = self.label("sort-local");
+                    let local_runs = runs.clone();
+                    self.stages
+                        .push(Stage::new(label.clone(), move |_env, _workers| {
+                            let input = sorted.lock().clone().expect("sort input not materialized");
+                            let chunks = input.chunk_meta();
+                            let job =
+                                LocalSortJob::new(input, keys, local_runs).with_prof_slot(prof);
+                            BuiltJob::new(label, Arc::new(job), chunks).with_atomic_chunks()
+                        }));
+                    let label = self.label("sort-merge");
+                    self.stages
+                        .push(Stage::new(label.clone(), move |env, workers| {
+                            let runs = runs.lock().clone().expect("local sort not finished");
+                            let plan = Arc::new(MergePlan::compute(runs, workers.max(1)));
+                            let chunks = MergeJob::chunk_meta(&plan, env.topology().sockets());
+                            let job = MergeJob::new(plan, schema, out, result, limit)
+                                .with_prof_slot(prof);
+                            BuiltJob::new(label, Arc::new(job), chunks).with_atomic_chunks()
+                        }));
+                }
+                next
+            }
+            _ => unreachable!("{} is not a pipeline breaker", plan.label()),
+        }
+    }
+
+    /// Emit one pipeline stage: `u` runs into the sink `make_sink` builds
+    /// when the stage starts, with `sink_slot` credited for the rows the
+    /// sink consumes.
+    fn emit_pipeline(
+        &mut self,
+        kind: &str,
+        u: PipeUnder,
+        sink_slot: Option<u32>,
+        make_sink: impl FnOnce(&ExecEnv, usize) -> Box<dyn Sink> + Send + 'static,
+    ) {
+        let label = self.label(kind);
+        let exchange_ns = self.variant.exchange_ns;
+        self.stages
+            .push(Stage::new(label.clone(), move |env, workers| {
+                let source = u.source.resolve();
+                let chunks = source.chunk_meta();
+                let sink = make_sink(env, workers);
+                let pipe = ExecPipeline::new(source, u.filter, u.projection, u.ops, sink)
+                    .with_extra_scan_ns(exchange_ns)
+                    .with_profile(u.scan_slot, u.op_slots, sink_slot);
+                BuiltJob::new(label, Arc::new(pipe), chunks)
+            }));
+    }
+
+    /// Emit a pipeline that materializes `u` into worker-local areas;
+    /// returns the slot they are published in.
+    fn emit_materialize(
+        &mut self,
+        kind: &str,
+        u: PipeUnder,
+        sink_slot: Option<u32>,
+        result: Option<ResultSlot>,
+    ) -> AreaSlot {
+        let out = area_slot();
+        let (schema, slot) = (u.schema.clone(), out.clone());
+        self.emit_pipeline(kind, u, sink_slot, move |env, workers| {
+            Box::new(MaterializeSink::new(
+                schema,
+                &env.worker_sockets(workers),
+                slot,
+                result,
+            ))
+        });
+        out
+    }
+}
+
+/// Compile a plan under a variant into the query spec the dispatcher
+/// runs. The result slot receives the final batch.
+///
+/// The spec carries one profile slot per plan node, labelled
+/// [`Plan::label`] in [`Plan::preorder`] order, and every compiled
+/// pipeline and breaker job records its counters into the matching slot.
 pub fn compile_query(
     name: impl Into<String>,
     plan: Plan,
     variant: SystemVariant,
 ) -> (QuerySpec, ResultSlot) {
-    Compiler::new(variant).compile_query(name, plan)
+    let labels = plan
+        .preorder()
+        .into_iter()
+        .map(|(_, p)| p.label())
+        .collect();
+    let mut compiler = Compiler {
+        variant,
+        stages: Vec::new(),
+        counter: 0,
+    };
+    let result = result_slot();
+    compiler.compile_root(&plan, result.clone());
+    let spec = QuerySpec::new(name, compiler.stages, result.clone()).with_profile_ops(labels);
+    (spec, result)
 }

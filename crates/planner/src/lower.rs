@@ -12,6 +12,11 @@
 //!   canonical schemas; after reordering/pruning the physical layout
 //!   differs, so column indices are rewritten by name at every boundary
 //!   ([`Expr::remap`]).
+//! * **Project into scan** — a projection whose lowered input is a scan
+//!   selecting bare columns folds into that scan: its expressions,
+//!   composed with the scan's column selection, read the relation
+//!   directly, so a single-table query is one scan carrying its computed
+//!   projection (Q1, Q6), as a hand-written plan would be.
 //!
 //! Sorts with a small limit lower to the executor's top-k operator
 //! automatically (the executor's compiler keys that off `limit`, see
@@ -179,12 +184,39 @@ impl Planner {
                 }
                 let child = self.lower(input, Some(&refs), report);
                 let actual = child.schema();
-                Plan::Map {
-                    project: kept
-                        .into_iter()
-                        .map(|(n, e)| (n.clone(), remap_expr(e, &canonical, &actual)))
-                        .collect(),
-                    input: Box::new(child),
+                let project: Vec<(String, Expr)> = kept
+                    .into_iter()
+                    .map(|(n, e)| (n.clone(), remap_expr(e, &canonical, &actual)))
+                    .collect();
+                match child {
+                    // A scan that only selects columns takes the
+                    // projection over: its entries, composed with the
+                    // scan's, read the relation directly.
+                    Plan::Scan {
+                        relation,
+                        filter,
+                        project: selected,
+                    } if selected.iter().all(|(_, e)| matches!(e, Expr::Col(_))) => {
+                        let map: Vec<Option<usize>> = selected
+                            .iter()
+                            .map(|(_, e)| match e {
+                                Expr::Col(c) => Some(*c),
+                                _ => None,
+                            })
+                            .collect();
+                        Plan::Scan {
+                            relation,
+                            filter,
+                            project: project
+                                .into_iter()
+                                .map(|(n, e)| (n, e.remap(&map)))
+                                .collect(),
+                        }
+                    }
+                    child => Plan::Map {
+                        project,
+                        input: Box::new(child),
+                    },
                 }
             }
             LogicalPlan::Aggregate { input, group, aggs } => {

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use morsel_core::{DispatchConfig, ExecEnv, SimExecutor};
 use morsel_exec::agg::AggFn;
-use morsel_exec::expr::{col, ge, gt, lit};
+use morsel_exec::expr::{add, col, ge, gt, lit, mul};
 use morsel_exec::join::JoinKind;
 use morsel_exec::plan::{compile_query, Plan};
 use morsel_exec::sort::{sort_batch, SortKey};
@@ -247,6 +247,88 @@ fn projection_pruning_preserves_results() {
         .agg(&["a_grp"], vec![("n", AggFn::Count)])
         .sort_by(vec![SortKey::asc(0)], None);
     assert_eq!(run(&env, lowered), run(&env, oracle));
+}
+
+#[test]
+fn project_over_a_bare_column_scan_folds_into_the_scan() {
+    let topo = Topology::laptop();
+    let env = ExecEnv::new(topo.clone());
+    let s = star(&topo, 5_000, 25, 10, 5);
+    let planner = Planner::new(&topo);
+    let filter = Some(gt(col(3), lit(100)));
+    // Written against the scan's output: 0 = f_a, 1 = f_val.
+    let entries = || vec![("v2", mul(col(1), lit(2))), ("a", col(0))];
+
+    // Project over a scan that only selects columns: one scan whose
+    // entries read the relation (f_a = 1, f_val = 3).
+    let logical = LogicalPlan::scan("fact", s.fact.clone(), filter.clone(), &["f_a", "f_val"])
+        .project(entries());
+    let lowered = planner.plan(&logical);
+    let Plan::Scan {
+        filter: got_filter,
+        project,
+        ..
+    } = &lowered
+    else {
+        panic!("expected a single scan, got {}", lowered.label());
+    };
+    // `Expr` has no `PartialEq`; its `Debug` form is structural.
+    assert_eq!(format!("{got_filter:?}"), format!("{filter:?}"));
+    let want = [("v2", mul(col(3), lit(2))), ("a", col(1))];
+    assert_eq!(
+        format!("{project:?}"),
+        format!("{:?}", want.map(|(n, e)| (n.to_owned(), e)))
+    );
+    let unfolded = Plan::scan(s.fact.clone(), filter.clone(), &["f_a", "f_val"]).map(entries());
+    assert_eq!(
+        normalized(&run(&env, lowered)),
+        normalized(&run(&env, unfolded))
+    );
+
+    // Project over a filter stays a map.
+    let logical = LogicalPlan::scan("fact", s.fact.clone(), None, &["f_a", "f_val"])
+        .filter(gt(col(1), lit(100)))
+        .project(entries());
+    let lowered = planner.plan(&logical);
+    assert!(
+        matches!(&lowered, Plan::Map { input, .. } if matches!(**input, Plan::Filter { .. })),
+        "got {}",
+        lowered.label()
+    );
+    let oracle = Plan::scan(s.fact.clone(), None, &["f_a", "f_val"])
+        .filter(gt(col(1), lit(100)))
+        .map(entries());
+    assert_eq!(
+        normalized(&run(&env, lowered)),
+        normalized(&run(&env, oracle))
+    );
+
+    // Project over a scan with a computed projection stays a map.
+    let computed = LogicalPlan::Scan {
+        table: "fact".to_owned(),
+        relation: s.fact.clone(),
+        filter: filter.clone(),
+        project: vec![
+            ("f_a".to_owned(), col(1)),
+            ("w".to_owned(), add(col(3), lit(1))),
+        ],
+    };
+    let lowered = planner.plan(&computed.project(entries()));
+    assert!(
+        matches!(&lowered, Plan::Map { input, .. } if matches!(**input, Plan::Scan { .. })),
+        "got {}",
+        lowered.label()
+    );
+    let oracle = Plan::scan_project(
+        s.fact.clone(),
+        filter,
+        vec![("f_a", col(1)), ("w", add(col(3), lit(1)))],
+    )
+    .map(entries());
+    assert_eq!(
+        normalized(&run(&env, lowered)),
+        normalized(&run(&env, oracle))
+    );
 }
 
 proptest! {

@@ -11,9 +11,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use morsel_core::{
-    result_slot, AgingPolicy, BuiltJob, ChunkMeta, DispatchConfig, ExecEnv, FailReason, FnStage,
-    MemPool, Morsel, PipelineJob, QueryOutcome, QuerySpec, RejectReason, SimExecutor, Stage,
-    TaskContext,
+    result_slot, AgingPolicy, BuiltJob, ChunkMeta, DispatchConfig, ExecEnv, FailReason, MemPool,
+    Morsel, PipelineJob, QueryOutcome, QuerySpec, RejectReason, SimExecutor, Stage, TaskContext,
 };
 use morsel_numa::{SocketId, Topology};
 use morsel_service::{
@@ -44,7 +43,7 @@ impl PipelineJob for SpinJob {
 }
 
 fn spin_spec(name: &str, rows: usize, job: Arc<SpinJob>) -> QuerySpec {
-    let stage: Box<dyn Stage> = Box::new(FnStage::new("spin", move |_env, _w| {
+    let stage: Stage = Stage::new("spin", move |_env, _w| {
         BuiltJob::new(
             "spin",
             job,
@@ -53,7 +52,7 @@ fn spin_spec(name: &str, rows: usize, job: Arc<SpinJob>) -> QuerySpec {
                 rows,
             }],
         )
-    }));
+    });
     QuerySpec::new(name, vec![stage], result_slot())
 }
 
@@ -70,7 +69,7 @@ impl PipelineJob for SleepJob {
 }
 
 fn sleep_spec(name: &str, morsels: usize, per_morsel: Duration) -> QuerySpec {
-    let stage: Box<dyn Stage> = Box::new(FnStage::new("sleep", move |_env, _w| {
+    let stage: Stage = Stage::new("sleep", move |_env, _w| {
         BuiltJob::new(
             "sleep",
             Arc::new(SleepJob { per_morsel }),
@@ -80,7 +79,7 @@ fn sleep_spec(name: &str, morsels: usize, per_morsel: Duration) -> QuerySpec {
             }],
         )
         .with_morsel_size(1)
-    }));
+    });
     QuerySpec::new(name, vec![stage], result_slot())
 }
 
@@ -359,7 +358,7 @@ impl PipelineJob for ReserveJob {
 }
 
 fn reserve_spec(name: &str, morsels: usize, per_morsel: u64, sleep: Duration) -> QuerySpec {
-    let stage: Box<dyn Stage> = Box::new(FnStage::new("reserve", move |_env, _w| {
+    let stage: Stage = Stage::new("reserve", move |_env, _w| {
         BuiltJob::new(
             "reserve",
             Arc::new(ReserveJob { per_morsel, sleep }),
@@ -369,7 +368,7 @@ fn reserve_spec(name: &str, morsels: usize, per_morsel: u64, sleep: Duration) ->
             }],
         )
         .with_morsel_size(1)
-    }));
+    });
     QuerySpec::new(name, vec![stage], result_slot())
 }
 
@@ -437,7 +436,7 @@ fn pool_headroom_does_not_gate_admission() {
         taken: std::sync::atomic::AtomicBool::new(false),
         sleep: Duration::from_millis(2),
     });
-    let stage: Box<dyn Stage> = Box::new(FnStage::new("hog", move |_env, _w| {
+    let stage: Stage = Stage::new("hog", move |_env, _w| {
         BuiltJob::new(
             "hog",
             Arc::clone(&job) as Arc<dyn PipelineJob>,
@@ -447,7 +446,7 @@ fn pool_headroom_does_not_gate_admission() {
             }],
         )
         .with_morsel_size(1)
-    }));
+    });
     let hog = service.submit(QueryRequest::new(QuerySpec::new(
         "hog",
         vec![stage],

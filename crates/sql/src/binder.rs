@@ -874,15 +874,6 @@ impl<'s> BindCtx<'s> {
             || select.having.is_some()
             || select.items.iter().any(|i| i.expr.has_agg());
 
-        // Fast path: one base table, everything folds into the scan.
-        if self.sources.len() == 1
-            && matches!(self.sources[0].kind, SourceKind::Table(_))
-            && residual.is_empty()
-        {
-            let filters = std::mem::take(&mut scan_filters[0]);
-            return self.bind_single_table(&filters, has_agg);
-        }
-
         // Per-source referenced-column sets drive scan projections.
         let mut used: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); self.sources.len()];
         for item in &select.items {
@@ -1017,49 +1008,63 @@ impl<'s> BindCtx<'s> {
         Ok(bound)
     }
 
-    fn classify(&self, pred: &'s Expr) -> Result<Conjunct<'s>, SqlError> {
-        if let ExprKind::Binary {
+    /// Recognize `x = y` between columns of two different sources and
+    /// return their `(source, column)` ends, left then right. Both the
+    /// WHERE and the ON spelling of a join key come through here, so a
+    /// type mismatch between the two columns is one error, pointing at
+    /// the whole equality.
+    fn column_equality(&self, pred: &Expr) -> Result<Option<KeyPair>, SqlError> {
+        let ExprKind::Binary {
             op: BinOp::Eq,
             left,
             right,
         } = &pred.kind
-        {
-            if let (
-                ExprKind::Column {
-                    table: lt,
-                    name: ln,
-                },
-                ExprKind::Column {
-                    table: rt,
-                    name: rn,
-                },
-            ) = (&left.kind, &right.kind)
-            {
-                let lres = self.resolve(lt.as_deref(), ln, left.span)?;
-                let rres = self.resolve(rt.as_deref(), rn, right.span)?;
-                if let (Res::Col { src: ls, col: lc }, Res::Col { src: rs, col: rc }) = (lres, rres)
-                {
-                    if ls != rs {
-                        let (lt_, rt_) = (self.res_ty(lres), self.res_ty(rres));
-                        if lt_ != rt_ {
-                            return Err(SqlError::new(
-                                format!(
-                                    "type mismatch in join predicate: {} vs {}",
-                                    lt_.describe(),
-                                    rt_.describe()
-                                ),
-                                pred.span,
-                            ));
-                        }
-                        return Ok(Conjunct::Join(JoinPred {
-                            a: (ls, lc),
-                            b: (rs, rc),
-                            pred,
-                            used: false,
-                        }));
-                    }
-                }
-            }
+        else {
+            return Ok(None);
+        };
+        let (
+            ExprKind::Column {
+                table: lt,
+                name: ln,
+            },
+            ExprKind::Column {
+                table: rt,
+                name: rn,
+            },
+        ) = (&left.kind, &right.kind)
+        else {
+            return Ok(None);
+        };
+        let l = self.resolve(lt.as_deref(), ln, left.span)?;
+        let r = self.resolve(rt.as_deref(), rn, right.span)?;
+        let (Res::Col { src: ls, col: lc }, Res::Col { src: rs, col: rc }) = (l, r) else {
+            return Ok(None);
+        };
+        if ls == rs {
+            return Ok(None);
+        }
+        let (lty, rty) = (self.res_ty(l), self.res_ty(r));
+        if lty != rty {
+            return Err(SqlError::new(
+                format!(
+                    "type mismatch in join predicate: {} vs {}",
+                    lty.describe(),
+                    rty.describe()
+                ),
+                pred.span,
+            ));
+        }
+        Ok(Some(((ls, lc), (rs, rc))))
+    }
+
+    fn classify(&self, pred: &'s Expr) -> Result<Conjunct<'s>, SqlError> {
+        if let Some((a, b)) = self.column_equality(pred)? {
+            return Ok(Conjunct::Join(JoinPred {
+                a,
+                b,
+                pred,
+                used: false,
+            }));
         }
         match self.sources_of(pred)? {
             Some(srcs) if srcs.len() == 1 => Ok(Conjunct::Scan {
@@ -1194,43 +1199,12 @@ impl<'s> BindCtx<'s> {
         tree_srcs: &[usize],
         new_src: usize,
     ) -> Result<KeyPair, SqlError> {
-        if let ExprKind::Binary {
-            op: BinOp::Eq,
-            left,
-            right,
-        } = &c.kind
-        {
-            if let (
-                ExprKind::Column {
-                    table: lt,
-                    name: ln,
-                },
-                ExprKind::Column {
-                    table: rt,
-                    name: rn,
-                },
-            ) = (&left.kind, &right.kind)
-            {
-                let l = self.resolve(lt.as_deref(), ln, left.span)?;
-                let r = self.resolve(rt.as_deref(), rn, right.span)?;
-                if let (Res::Col { src: ls, col: lc }, Res::Col { src: rs, col: rc }) = (l, r) {
-                    if self.res_ty(l) != self.res_ty(r) {
-                        return Err(SqlError::new(
-                            format!(
-                                "type mismatch in join predicate: {} vs {}",
-                                self.res_ty(l).describe(),
-                                self.res_ty(r).describe()
-                            ),
-                            c.span,
-                        ));
-                    }
-                    if tree_srcs.contains(&ls) && rs == new_src {
-                        return Ok(((ls, lc), (rs, rc)));
-                    }
-                    if tree_srcs.contains(&rs) && ls == new_src {
-                        return Ok(((rs, rc), (ls, lc)));
-                    }
-                }
+        if let Some((l, r)) = self.column_equality(c)? {
+            if tree_srcs.contains(&l.0) && r.0 == new_src {
+                return Ok((l, r));
+            }
+            if tree_srcs.contains(&r.0) && l.0 == new_src {
+                return Ok((r, l));
             }
         }
         Err(SqlError::new(
@@ -1278,52 +1252,6 @@ impl<'s> BindCtx<'s> {
                 .map(|(n, e)| (n.as_str(), e.clone()))
                 .collect(),
         ))
-    }
-
-    /// One base table, no joins: fold everything into the scan.
-    fn bind_single_table(self, filters: &[&Expr], has_agg: bool) -> Result<LogicalPlan, SqlError> {
-        let filter = self.fold_scan_filter(0, filters)?;
-        let (relation, alias) = match &self.sources[0].kind {
-            SourceKind::Table(rel) => (rel.clone(), self.sources[0].alias.clone()),
-            SourceKind::Derived(_) => unreachable!("single-table path requires a base table"),
-        };
-        let schema = self.sources[0].schema.clone();
-        let lookup =
-            |table: Option<&str>, name: &str, span: Span| match self.resolve(table, name, span)? {
-                Res::Col { col, .. } => Ok((col, Ty::of(schema.dtype(col)))),
-                Res::Generated => Err(SqlError::new(format!("unknown column `{name}`"), span)),
-            };
-        if !has_agg {
-            let names = self.output_names()?;
-            let mut project = Vec::new();
-            for (item, name) in self.select.items.iter().zip(&names) {
-                let (bound, _) = bind_scalar(&item.expr, &lookup, None)?;
-                project.push((name.clone(), bound));
-            }
-            let plan = LogicalPlan::Scan {
-                table: alias,
-                relation,
-                filter,
-                project,
-            };
-            return self.bind_sort(plan);
-        }
-        // Aggregation over one table: group expressions and aggregate
-        // inputs are computed by the scan projection itself — the shape
-        // the hand-authored plans use (e.g. Q1).
-        let shaped = self.shape_aggregate(&lookup)?;
-        let mut project = shaped.pre_entries.clone();
-        if project.is_empty() {
-            // COUNT(*) with no group columns still scans one column.
-            project.push((schema.name(0).to_owned(), ex::col(0)));
-        }
-        let plan = LogicalPlan::Scan {
-            table: alias,
-            relation,
-            filter,
-            project,
-        };
-        self.finish_aggregate(plan, shaped)
     }
 
     fn shape_aggregate(&self, lookup: Lookup<'_>) -> Result<ShapedAgg, SqlError> {
@@ -1730,4 +1658,34 @@ fn each_column(
         result.is_ok()
     });
     result
+}
+
+#[cfg(test)]
+mod tests {
+    use morsel_datagen::{generate_tpch, TpchConfig};
+    use morsel_numa::Topology;
+
+    #[test]
+    fn where_and_on_join_keys_share_one_recognizer() {
+        let cat = generate_tpch(TpchConfig::scaled(0.001), &Topology::laptop()).catalog();
+        for sql in [
+            "SELECT l_orderkey FROM lineitem, orders WHERE l_comment = o_orderkey",
+            "SELECT l_orderkey FROM lineitem JOIN orders ON l_comment = o_orderkey",
+        ] {
+            let err = crate::plan_sql(&cat, sql).err().expect("a bind error");
+            assert_eq!(
+                err.message, "type mismatch in join predicate: string vs integer",
+                "{sql}"
+            );
+            assert_eq!(&sql[err.span.start..err.span.end], "l_comment = o_orderkey");
+        }
+        // An equality within one side is no join key, whatever its types.
+        let sql = "SELECT n_name FROM nation AS n JOIN region AS r ON n.n_name = n.n_regionkey";
+        let err = crate::plan_sql(&cat, sql).err().expect("a bind error");
+        assert!(err.message.starts_with("ON clause must be"), "{err}");
+        assert_eq!(
+            &sql[err.span.start..err.span.end],
+            "n.n_name = n.n_regionkey"
+        );
+    }
 }

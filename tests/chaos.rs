@@ -26,8 +26,8 @@
 use std::sync::{Arc, OnceLock};
 
 use morsel_repro::core::{
-    BuiltJob, ChunkMeta, FailReason, Fault, FaultPlan, FnStage, MemPool, Morsel, PipelineJob,
-    QueryOutcome, Stage, TaskContext,
+    BuiltJob, ChunkMeta, FailReason, Fault, FaultPlan, MemPool, Morsel, PipelineJob, QueryOutcome,
+    Stage, TaskContext,
 };
 use morsel_repro::datagen::{SsbDb, TpchDb};
 use morsel_repro::prelude::*;
@@ -281,7 +281,7 @@ fn deadline_beats_late_injected_panic_in_sim() {
         }
     }
     let spec = |name: &str| {
-        let stage: Box<dyn Stage> = Box::new(FnStage::new("spin", |_env, _w| {
+        let stage: Stage = Stage::new("spin", |_env, _w| {
             BuiltJob::new(
                 "spin",
                 Arc::new(Spin),
@@ -290,7 +290,7 @@ fn deadline_beats_late_injected_panic_in_sim() {
                     rows: 1_000_000,
                 }],
             )
-        }));
+        });
         // ~10ms of virtual work against a 1ms deadline.
         QuerySpec::new(name, vec![stage], result_slot()).with_deadline_ns(1_000_000)
     };

@@ -221,7 +221,7 @@ impl<F: Fn(&mut TaskContext<'_>) + Send + Sync> PipelineJob for OnContext<F> {
 
 #[test]
 fn breaker_tail_work_is_credited() {
-    use morsel_repro::core::{BuiltJob, ChunkMeta, FnStage, QuerySpec};
+    use morsel_repro::core::{BuiltJob, ChunkMeta, QuerySpec, Stage};
     use morsel_repro::exec::agg::{agg_slot, AggMergeJob, AggPartialSink, N_PARTITIONS};
     use morsel_repro::exec::pipeline::SelBatch;
     use morsel_repro::exec::sink::{area_slot, Sink};
@@ -324,18 +324,14 @@ fn breaker_tail_work_is_credited() {
                 let owed = Arc::clone(&owed);
                 OnContext(move |ctx: &mut TaskContext<'_>| body(&owed, ctx))
             };
-            let stage = FnStage::new("tails", move |_env: &ExecEnv, _workers: usize| {
+            let stage = Stage::new("tails", move |_env: &ExecEnv, _workers: usize| {
                 let chunks = vec![ChunkMeta {
                     node: SocketId(0),
                     rows: 1,
                 }];
                 BuiltJob::new("tails", Arc::new(job), chunks)
             });
-            let mut spec = QuerySpec::new(
-                "tails",
-                vec![Box::new(stage)],
-                morsel_repro::core::result_slot(),
-            );
+            let mut spec = QuerySpec::new("tails", vec![stage], morsel_repro::core::result_slot());
             spec.profile_ops = ["final flush", "merge and emit", "top-k finish"]
                 .map(String::from)
                 .to_vec();
