@@ -272,9 +272,8 @@ impl Dispatcher {
                 started_ns: now_ns,
                 ..QueryStats::default()
             }),
-            started_ns: AtomicU64::new(now_ns),
-            submitted_ns: AtomicU64::new(spec.submitted_ns.unwrap_or(now_ns)),
-            deadline_ns: AtomicU64::new(spec.deadline_ns.unwrap_or(u64::MAX)),
+            submitted_ns: spec.submitted_ns.unwrap_or(now_ns),
+            deadline_ns: spec.deadline_ns.unwrap_or(u64::MAX),
             budget: MemBudget::new(spec.mem_cap, self.env.mem_pool().cloned()),
             failure: Mutex::new(None),
             profile,
@@ -328,7 +327,7 @@ impl Dispatcher {
         // checking there would let a busy worker starve the check for
         // queries it never reaches.
         candidates.retain(|q| {
-            if now_ns >= q.shared.deadline_ns.load(Ordering::Acquire) {
+            if now_ns >= q.shared.deadline_ns {
                 // Deadline passed: cancel cooperatively. In-flight morsels
                 // still finish; the reap (or the last completer) tears the
                 // query down.
@@ -374,7 +373,7 @@ impl Dispatcher {
     fn fair_key(&self, q: &QueryExec, now_ns: u64) -> f64 {
         let active = q.active_workers.load(Ordering::SeqCst) as f64;
         let base = q.shared.priority;
-        let waited = now_ns.saturating_sub(q.shared.submitted_ns.load(Ordering::Acquire));
+        let waited = now_ns.saturating_sub(q.shared.submitted_ns);
         let prio = self.config.aging.effective_priority(base, waited) as f64;
         active / prio
     }

@@ -7,7 +7,7 @@
 //! is `Dispatcher::advance` in [`crate::dispatcher`]; it is passive and runs on
 //! whichever worker drained the previous pipeline.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use morsel_numa::AccessCounters;
@@ -239,12 +239,12 @@ pub struct QueryShared {
     /// Per-query traffic counters (the Table 1 per-query statistics).
     pub counters: AccessCounters,
     pub stats: Mutex<QueryStats>,
-    pub started_ns: AtomicU64,
-    /// Client submission time (executor nanoseconds); the base for
-    /// priority aging and end-to-end latency.
-    pub submitted_ns: AtomicU64,
-    /// Absolute cancellation deadline; `u64::MAX` means none.
-    pub deadline_ns: AtomicU64,
+    /// Client submission time (executor nanoseconds), fixed at submit;
+    /// the base for priority aging and end-to-end latency.
+    pub submitted_ns: u64,
+    /// Absolute cancellation deadline, fixed at submit; `u64::MAX`
+    /// means none.
+    pub deadline_ns: u64,
     /// Per-query memory ledger; closed and drained when the query retires.
     pub budget: MemBudget,
     /// First failure cause, if the query failed rather than being
@@ -326,12 +326,12 @@ impl QueryHandle {
 
     /// Client submission time (executor nanoseconds).
     pub fn submitted_ns(&self) -> u64 {
-        self.shared.submitted_ns.load(Ordering::Acquire)
+        self.shared.submitted_ns
     }
 
     /// The absolute cancellation deadline, if one was set.
     pub fn deadline_ns(&self) -> Option<u64> {
-        match self.shared.deadline_ns.load(Ordering::Acquire) {
+        match self.shared.deadline_ns {
             u64::MAX => None,
             d => Some(d),
         }
@@ -395,6 +395,10 @@ mod tests {
     use morsel_numa::Topology;
 
     fn shared() -> Arc<QueryShared> {
+        shared_with_deadline(u64::MAX)
+    }
+
+    fn shared_with_deadline(deadline_ns: u64) -> Arc<QueryShared> {
         let topo = Topology::laptop();
         Arc::new(QueryShared {
             name: "q".into(),
@@ -404,9 +408,8 @@ mod tests {
             result: result_slot(),
             counters: AccessCounters::new(&topo),
             stats: Mutex::new(QueryStats::default()),
-            started_ns: AtomicU64::new(u64::MAX),
-            submitted_ns: AtomicU64::new(0),
-            deadline_ns: AtomicU64::new(u64::MAX),
+            submitted_ns: 0,
+            deadline_ns,
             budget: MemBudget::unlimited(),
             failure: Mutex::new(None),
             profile: None,
@@ -533,9 +536,8 @@ mod tests {
             result: result_slot(),
             counters: AccessCounters::new(&topo),
             stats: Mutex::new(QueryStats::default()),
-            started_ns: AtomicU64::new(u64::MAX),
-            submitted_ns: AtomicU64::new(0),
-            deadline_ns: AtomicU64::new(u64::MAX),
+            submitted_ns: 0,
+            deadline_ns: u64::MAX,
             budget: MemBudget::new(Some(100), None),
             failure: Mutex::new(None),
             profile: None,
@@ -564,9 +566,8 @@ mod tests {
             result: result_slot(),
             counters: AccessCounters::new(&topo),
             stats: Mutex::new(QueryStats::default()),
-            started_ns: AtomicU64::new(u64::MAX),
-            submitted_ns: AtomicU64::new(0),
-            deadline_ns: AtomicU64::new(u64::MAX),
+            submitted_ns: 0,
+            deadline_ns: u64::MAX,
             budget: MemBudget::unlimited(),
             failure: Mutex::new(None),
             profile: None,
@@ -579,7 +580,9 @@ mod tests {
     fn handle_reports_deadline() {
         let h = QueryHandle { shared: shared() };
         assert_eq!(h.deadline_ns(), None);
-        h.shared.deadline_ns.store(123, Ordering::Release);
+        let h = QueryHandle {
+            shared: shared_with_deadline(123),
+        };
         assert_eq!(h.deadline_ns(), Some(123));
         assert_eq!(h.submitted_ns(), 0);
     }

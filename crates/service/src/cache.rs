@@ -6,13 +6,19 @@
 //! table-alias-insensitive; see `morsel_sql::normalize`). Because
 //! physical plans embed folded constants and literal-dependent
 //! cardinality estimates, a shape hit alone is *not* sufficient: every
-//! entry also guards on the exact literal vector and the catalog
-//! version it was planned under, and a guard mismatch replans
-//! (overwriting the entry) instead of serving a wrong plan. Every
-//! commit or merge moves the version. A hit skips bind→DPsize→lowering
-//! and goes straight to the cheap per-run pipeline compile. Capacity 0
-//! turns it off: nothing is looked up or counted, and every execution
-//! reports [`CacheDisposition::Bypass`].
+//! entry also guards on the exact literal vector and on the relations
+//! its scans hold, each of which must still be one of the installed
+//! catalog's relations (`Arc` identity). A guard mismatch replans
+//! (overwriting the entry) instead of serving a wrong plan. A commit or
+//! merge installs a new relation for each table it changed and keeps
+//! every other table's, so it invalidates exactly the plans that scan a
+//! table it wrote; and since an entry holds the `Arc`s it was bound to,
+//! no address it compares against can be reused while it exists. This
+//! is the one place that decides whether a cached plan still holds. A
+//! hit skips bind→DPsize→lowering and goes straight to the cheap
+//! per-run pipeline compile. Capacity 0 turns it off: nothing is looked
+//! up or counted, and every execution reports
+//! [`CacheDisposition::Bypass`].
 //!
 //! Planning happens *under* the session's cache lock, which makes cold
 //! planning single-flight: N concurrent clients racing one cold shape
@@ -28,10 +34,11 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use morsel_exec::Plan;
 use morsel_planner::PlanHandle;
 use morsel_sql::normalize::same_literals;
 use morsel_sql::{LiteralValue, ShapeKey};
-use morsel_storage::Batch;
+use morsel_storage::{Batch, Catalog, Relation};
 
 use crate::service::QueryReport;
 
@@ -45,8 +52,9 @@ pub struct CacheCounters {
     plan_hits: AtomicU64,
     plan_misses: AtomicU64,
     plan_evictions: AtomicU64,
-    /// Guard mismatches: shape present but literals or catalog version
-    /// differed, forcing a replan (also counted as a miss).
+    /// Guard mismatches: shape present but its literals differed or a
+    /// relation it scans is no longer in the catalog, forcing a replan
+    /// (also counted as a miss).
     plan_invalidations: AtomicU64,
     /// Entries evicted because their query failed.
     plan_poisoned: AtomicU64,
@@ -145,13 +153,21 @@ pub const PLAN_CACHE_CAPACITY_DEFAULT: usize = 64;
 
 /// A cached plan with what it is only valid under. A shape hit alone is
 /// not enough: the plan embeds folded constants (the literal vector) and
-/// relations and their statistics (the catalog version it was planned
-/// under).
+/// the relations its scans read, with their statistics.
 struct PlanEntry {
     literals: Vec<LiteralValue>,
-    catalog_version: u64,
+    /// The relations the plan's `Plan::Scan` nodes hold.
+    scans: Vec<Arc<Relation>>,
     handle: PlanHandle,
     last_used: u64,
+}
+
+impl PlanEntry {
+    /// Does this plan still hold for `literals` against `catalog`?
+    fn holds(&self, literals: &[LiteralValue], catalog: &Catalog) -> bool {
+        same_literals(&self.literals, literals)
+            && (self.scans.iter()).all(|scan| catalog.iter().any(|(_, rel)| Arc::ptr_eq(rel, scan)))
+    }
 }
 
 /// The session's plan cache behind its one cache lock: a bounded
@@ -175,20 +191,19 @@ impl SessionCaches {
         }
     }
 
-    /// The plan cached for `key`, if its literals and catalog version
-    /// still match. Anything else is a miss; a present-but-mismatched
-    /// entry is also an invalidation (the caller replans and overwrites
-    /// it).
+    /// The plan cached for `key`, if it still holds for `literals`
+    /// against `catalog` ([`PlanEntry::holds`]). Anything else is a miss;
+    /// a present-but-mismatched entry is also an invalidation (the caller
+    /// replans and overwrites it).
     pub(crate) fn lookup_plan(
         &mut self,
         key: &ShapeKey,
         literals: &[LiteralValue],
-        catalog_version: u64,
+        catalog: &Catalog,
     ) -> Option<PlanHandle> {
         self.clock += 1;
         if let Some(entry) = self.plans.get_mut(key) {
-            if entry.catalog_version == catalog_version && same_literals(&entry.literals, literals)
-            {
+            if entry.holds(literals, catalog) {
                 entry.last_used = self.clock;
                 CacheCounters::bump(&self.counters.plan_hits);
                 return Some(entry.handle.clone());
@@ -205,7 +220,6 @@ impl SessionCaches {
         &mut self,
         key: ShapeKey,
         literals: Vec<LiteralValue>,
-        catalog_version: u64,
         handle: PlanHandle,
     ) {
         if !self.plans.contains_key(&key) && self.plans.len() >= self.capacity {
@@ -215,9 +229,15 @@ impl SessionCaches {
                 CacheCounters::bump(&self.counters.plan_evictions);
             }
         }
+        let scans = (handle.plan.preorder().into_iter())
+            .filter_map(|(_, node)| match node {
+                Plan::Scan { relation, .. } => Some(Arc::clone(relation)),
+                _ => None,
+            })
+            .collect();
         let entry = PlanEntry {
             literals,
-            catalog_version,
+            scans,
             handle,
             last_used: self.clock,
         };

@@ -6,9 +6,7 @@
 //! 32 linear sub-buckets, so any recorded value lands in a bucket whose
 //! width is at most 1/32 of its magnitude (≤ ~3.2% relative quantile
 //! error), with exact counts below 64 ns. Memory is a fixed ~15 KiB per
-//! histogram regardless of sample count, and histograms merge losslessly
-//! (bucket-wise), so per-worker or per-priority histograms can be
-//! combined into aggregate views.
+//! histogram regardless of sample count.
 
 /// Sub-bucket resolution: 32 linear buckets per power of two.
 const SUB_BITS: u32 = 5;
@@ -79,17 +77,6 @@ impl LatencyHistogram {
         self.sum += u128::from(ns);
         self.min = self.min.min(ns);
         self.max = self.max.max(ns);
-    }
-
-    /// Fold another histogram into this one (bucket-wise, lossless).
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Number of recorded observations.
@@ -244,65 +231,12 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_combined_recording() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        let mut both = LatencyHistogram::new();
-        for v in 1..5_000u64 {
-            let target = if v % 2 == 0 { &mut a } else { &mut b };
-            target.record(v * 17);
-            both.record(v * 17);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), both.count());
-        for q in [0.1, 0.5, 0.9, 0.99] {
-            assert_eq!(a.quantile(q), both.quantile(q));
-        }
-        assert_eq!(a.min_ns(), both.min_ns());
-        assert_eq!(a.max_ns(), both.max_ns());
-    }
-
-    #[test]
     fn empty_histogram_is_safe() {
         let h = LatencyHistogram::new();
         assert!(h.is_empty());
         assert_eq!(h.quantile(0.5), 0);
         assert_eq!(h.mean_ns(), 0.0);
         assert_eq!(h.min_ns(), 0);
-    }
-
-    #[test]
-    fn merge_is_associative() {
-        // (a ⊕ b) ⊕ c and a ⊕ (b ⊕ c) must agree bucket-for-bucket.
-        let mk = |seed: u64, n: u64| {
-            let mut h = LatencyHistogram::new();
-            let mut x = seed;
-            for _ in 0..n {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                h.record(x % 10_000_000);
-            }
-            h
-        };
-        let (a, b, c) = (mk(1, 3000), mk(2, 500), mk(3, 7000));
-        let mut left = a.clone();
-        left.merge(&b);
-        left.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut right = a.clone();
-        right.merge(&bc);
-        assert_eq!(left.count(), right.count());
-        assert_eq!(left.sum_ns(), right.sum_ns());
-        assert_eq!(left.min_ns(), right.min_ns());
-        assert_eq!(left.max_ns(), right.max_ns());
-        for q in [0.01, 0.25, 0.5, 0.75, 0.95, 0.999] {
-            assert_eq!(left.quantile(q), right.quantile(q));
-        }
-        for bound in [100, 10_000, 1_000_000, 100_000_000] {
-            assert_eq!(left.cumulative_le(bound), right.cumulative_le(bound));
-        }
     }
 
     #[test]
@@ -368,10 +302,6 @@ mod tests {
         assert_eq!(h.min_ns(), 123_456);
         assert_eq!(h.max_ns(), 123_456);
         assert_eq!(h.sum_ns(), 123_456);
-        // Merging an empty histogram changes nothing.
-        h.merge(&LatencyHistogram::new());
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.quantile(0.5), 123_456);
     }
 
     #[test]

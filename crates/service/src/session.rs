@@ -177,9 +177,9 @@ enum CatalogSource {
     /// Loaded once; never moves.
     Static(Mutex<Catalog>),
     /// The latest committed snapshot of `db` as of the last refresh.
-    /// [`TxnDb::snapshot_catalog`] stamps a version that every commit
-    /// and merge advances, so installing a newer snapshot is what
-    /// invalidates the plans bound to the old one.
+    /// A commit or merge gives each table it changed a new relation in
+    /// [`TxnDb::snapshot_catalog`], so installing a newer snapshot is what
+    /// invalidates the plans that scan one of those tables.
     Database {
         db: Arc<TxnDb>,
         installed: Mutex<Catalog>,
@@ -195,16 +195,13 @@ impl CatalogSource {
         }
     }
 
-    /// Install the database's latest committed snapshot if it moved.
-    /// The snapshot is taken under the catalog mutex, so concurrent
-    /// refreshes can never install an older one over a newer one.
+    /// Install the database's latest committed snapshot. It is taken
+    /// under the catalog mutex, so concurrent refreshes can never install
+    /// an older one over a newer one.
     fn refresh(&self) {
         if let CatalogSource::Database { db, installed } = self {
             let mut installed = installed.lock();
-            let latest = db.snapshot_catalog();
-            if latest.version() != installed.version() {
-                *installed = latest;
-            }
+            *installed = db.snapshot_catalog();
         }
     }
 }
@@ -241,16 +238,16 @@ impl Session {
     }
 
     /// Re-sync the read side with the latest committed snapshot
-    /// (database mode; no-op otherwise). A commit or merge since the
-    /// last refresh moved the catalog version, which is what
-    /// invalidates every cached plan bound to the old one.
+    /// (database mode; no-op otherwise). A table committed to or merged
+    /// since the last refresh comes back as a new relation, which is
+    /// what invalidates the cached plans that scan it.
     pub fn refresh(&self) {
         self.source.refresh();
     }
 
     /// Fold every table's committed delta into fresh base partitions
-    /// (database mode; no-op otherwise), then refresh: the merge bumps
-    /// the catalog version.
+    /// (database mode; no-op otherwise), then refresh: every merged
+    /// table comes back as a new relation.
     pub fn merge_all(&self) -> Result<(), Error> {
         if let CatalogSource::Database { db, .. } = &self.source {
             db.merge_all()?;
@@ -334,9 +331,8 @@ impl Session {
         let shape = (self.plan_cache_capacity > 0).then(|| shape_of(select));
         let mut caches = self.caches.lock();
         let catalog = self.source.catalog();
-        let catalog_version = catalog.version();
         let cached = (shape.as_ref())
-            .and_then(|(key, literals)| caches.lookup_plan(key, literals, catalog_version));
+            .and_then(|(key, literals)| caches.lookup_plan(key, literals, &catalog));
         if let Some(handle) = cached {
             return Ok((handle, CacheDisposition::Hit));
         }
@@ -345,7 +341,7 @@ impl Session {
         let Some((key, literals)) = shape else {
             return Ok((handle, CacheDisposition::Bypass));
         };
-        caches.insert_plan(key, literals, catalog_version, handle.clone());
+        caches.insert_plan(key, literals, handle.clone());
         Ok((handle, CacheDisposition::Miss))
     }
 

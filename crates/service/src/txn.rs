@@ -8,14 +8,14 @@
 //!
 //! ## Cache coherence across commits
 //!
-//! [`TxnDb::snapshot_catalog`] stamps a strictly advancing version
-//! (bumped by every commit *and* every merge), and the session installs
-//! the new catalog whenever that version moved. The plan cache guards
-//! on that version: a plan bound against version `v` scans the
-//! relations of `v`'s snapshot, so it can never be served once the
-//! catalog reads `v' > v`. The tests below pin the end-to-end property
-//! — a cached plan is never served stale across a committed `INSERT`
-//! or a merge.
+//! A commit or a merge gives every table it changed a new relation in
+//! [`TxnDb::snapshot_catalog`] and leaves every other table's relation
+//! as it was; the session installs that catalog before each read. The
+//! plan cache serves a plan only while every relation it scans is still
+//! in the installed catalog, so a plan is never served across a write
+//! to a table it reads, and is still served across a write to one it
+//! does not. The tests below pin both halves end to end, directed and
+//! over seeded rounds of writes and merges against an uncached session.
 
 use morsel_exec::expr::{eq, lit, Expr};
 use morsel_planner::{DmlKind, DmlPlan};
@@ -92,12 +92,13 @@ fn match_all() -> Expr {
 
 #[cfg(test)]
 mod tests {
+    use crate::cache::PLAN_CACHE_CAPACITY_DEFAULT;
     use crate::{CacheDisposition, ErrorKind, QueryService, ServiceConfig, Session};
     use morsel_core::ExecEnv;
     use morsel_numa::Topology;
-    use morsel_storage::WalFaults;
-    use morsel_txn::{kv_relation, TxnDb, TxnDbConfig};
-    use std::path::PathBuf;
+    use morsel_storage::{Value, WalFaults};
+    use morsel_txn::{kv_relation, Lcg, TxnDb, TxnDbConfig};
+    use std::path::{Path, PathBuf};
     use std::sync::Arc;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -117,16 +118,48 @@ mod tests {
 
     fn setup_with(tag: &str, cfg: TxnDbConfig) -> (PathBuf, Arc<TxnDb>, Session, QueryService) {
         let dir = tmpdir(tag);
-        let topo = Topology::laptop();
         let tables = vec![("kv", kv_relation(4))];
         let db = Arc::new(TxnDb::create_with(&dir, tables, cfg).expect("create"));
-        let service = QueryService::start(ExecEnv::new(topo.clone()), ServiceConfig::new(2));
-        let session = Session::builder()
-            .database(Arc::clone(&db))
-            .topology(&topo)
-            .for_service(&service)
-            .build();
+        let service = QueryService::start(ExecEnv::new(Topology::laptop()), ServiceConfig::new(2));
+        let session = session_over(&db, &service, PLAN_CACHE_CAPACITY_DEFAULT);
         (dir, db, session, service)
+    }
+
+    fn session_over(db: &Arc<TxnDb>, service: &QueryService, capacity: usize) -> Session {
+        Session::builder()
+            .database(Arc::clone(db))
+            .topology(&Topology::laptop())
+            .plan_cache_capacity(capacity)
+            .for_service(service)
+            .build()
+    }
+
+    /// A database of two `kv` tables, `a` and `b`.
+    fn two_tables(dir: &Path) -> Arc<TxnDb> {
+        let tables = vec![("a", kv_relation(4)), ("b", kv_relation(4))];
+        Arc::new(TxnDb::create(dir, tables).expect("create"))
+    }
+
+    /// Run `sql` and return its rows and plan-cache disposition.
+    fn read(
+        session: &Session,
+        service: &QueryService,
+        sql: &str,
+    ) -> (Vec<Vec<Value>>, CacheDisposition) {
+        let exec = session.execute(service, "read", sql).expect("read runs");
+        let q = exec.query().expect("select produces a query execution");
+        let rows = q.rows.as_ref().expect("completed");
+        (
+            (0..rows.rows()).map(|i| rows.row(i)).collect(),
+            q.plan_cache,
+        )
+    }
+
+    fn write(session: &Session, service: &QueryService, sql: &str) -> usize {
+        let exec = session
+            .execute(service, "write", sql)
+            .expect("write commits");
+        exec.dml().expect("DML acknowledgement").rows_affected
     }
 
     fn sum(session: &Session, service: &QueryService, name: &str) -> (i64, CacheDisposition) {
@@ -140,9 +173,9 @@ mod tests {
 
     /// A cached plan must never be served stale across a committed
     /// INSERT: it would scan the old snapshot's relation. The second
-    /// read hits the plan cache; the commit moves the catalog version;
-    /// the third read must miss, count one invalidation and see the new
-    /// row.
+    /// read hits the plan cache; the commit installs a new `kv`
+    /// relation; the third read must miss, count one invalidation and
+    /// see the new row.
     #[test]
     fn cached_aggregate_is_never_served_stale_across_a_commit() {
         let (dir, _db, session, service) = setup("txn-session-stale");
@@ -180,11 +213,104 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A commit invalidates exactly the cached plans that scan the table
+    /// it wrote: a plan over `b` is still a hit after a commit to `a`,
+    /// a plan over `a` replans and sees the new row.
+    #[test]
+    fn a_commit_invalidates_only_the_plans_that_scan_its_table() {
+        let dir = tmpdir("txn-session-two-tables");
+        let db = two_tables(&dir);
+        let service = QueryService::start(ExecEnv::new(Topology::laptop()), ServiceConfig::new(2));
+        let session = session_over(&db, &service, PLAN_CACHE_CAPACITY_DEFAULT);
+        let (sum_a, sum_b) = ("SELECT SUM(val) AS s FROM a", "SELECT SUM(val) AS s FROM b");
+        for sql in [sum_a, sum_b] {
+            assert_eq!(read(&session, &service, sql).1, CacheDisposition::Miss);
+            assert_eq!(read(&session, &service, sql).1, CacheDisposition::Hit);
+        }
+
+        write(
+            &session,
+            &service,
+            "INSERT INTO a (key, val) VALUES (100, 5)",
+        );
+
+        let (rows, disposition) = read(&session, &service, sum_b);
+        assert_eq!(rows, vec![vec![Value::I64(0)]]);
+        assert_eq!(disposition, CacheDisposition::Hit, "b was not written");
+        let before = session.stats().plan_invalidations;
+        let (rows, disposition) = read(&session, &service, sum_a);
+        assert_eq!(rows, vec![vec![Value::I64(5)]], "the new row is read");
+        assert_eq!(disposition, CacheDisposition::Miss, "a was written");
+        let stats = session.stats();
+        assert_eq!(stats.plan_invalidations, before + 1, "{stats}");
+
+        service.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Seeded rounds of writes to either table, with an occasional
+    /// merge, each followed by three reads through a caching and an
+    /// uncaching session over the same database: every cached result
+    /// must equal the uncached one, and a read of the table the round
+    /// did not write must be able to hit.
+    #[test]
+    fn cached_reads_equal_uncached_reads_across_seeded_writes() {
+        let reads = [
+            "SELECT SUM(val) AS s FROM a",
+            "SELECT SUM(val) AS s FROM b",
+            "SELECT SUM(a.val + b.val) AS s FROM a JOIN b ON a.key = b.key",
+        ];
+        let service = QueryService::start(ExecEnv::new(Topology::laptop()), ServiceConfig::new(2));
+        let mut hits_after_other_commit = 0;
+        for seed in 1..=6u64 {
+            let dir = tmpdir(&format!("txn-session-seeded-{seed}"));
+            let db = two_tables(&dir);
+            let cached = session_over(&db, &service, PLAN_CACHE_CAPACITY_DEFAULT);
+            let uncached = session_over(&db, &service, 0);
+            let mut rng = Lcg(seed);
+            for round in 0..24 {
+                let written = if rng.below(8) == 0 {
+                    cached.merge_all().expect("merge");
+                    None
+                } else {
+                    let table = ["a", "b"][rng.below(2) as usize];
+                    let (key, val) = (rng.below(8), rng.below(100));
+                    let sql = match rng.below(3) {
+                        0 => format!("INSERT INTO {table} (key, val) VALUES ({key}, {val})"),
+                        1 => format!("UPDATE {table} SET val = {val} WHERE key = {key}"),
+                        _ => format!("DELETE FROM {table} WHERE key = {key}"),
+                    };
+                    let writer = [&cached, &uncached][rng.below(2) as usize];
+                    (write(writer, &service, &sql) > 0).then_some(table)
+                };
+                for sql in reads {
+                    let (got, disposition) = read(&cached, &service, sql);
+                    let (want, _) = read(&uncached, &service, sql);
+                    assert_eq!(got, want, "seed {seed} round {round}: {sql}");
+                    let other = match written {
+                        Some("a") => sql.ends_with("FROM b"),
+                        Some(_) => sql.ends_with("FROM a"),
+                        None => false,
+                    };
+                    if other && disposition == CacheDisposition::Hit {
+                        hits_after_other_commit += 1;
+                    }
+                }
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        assert!(
+            hits_after_other_commit > 0,
+            "no read hit right after a commit to the other table"
+        );
+        service.shutdown();
+    }
+
     /// Auto-commit DML through SQL text: insert, update (with and
     /// without WHERE), delete — each visible to the next SELECT.
     #[test]
     fn dml_statements_autocommit_and_reads_observe_them() {
-        let (dir, db, session, service) = setup("txn-session-dml");
+        let (dir, _db, session, service) = setup("txn-session-dml");
 
         let ins = session
             .execute(
@@ -224,14 +350,12 @@ mod tests {
         let (s, _) = sum(&session, &service, "after-del");
         assert_eq!(s, 4);
 
-        // The write path saw every statement as its own transaction.
-        assert!(db.version() > 0);
         service.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Merges rewrite partitions without changing logical contents —
-    /// but they *do* bump the version, so the cached plan replans
+    /// but they *do* install a new relation, so the cached plan replans
     /// rather than scan the dropped partitions.
     #[test]
     fn merge_invalidates_caches_without_changing_results() {

@@ -1,8 +1,8 @@
 //! Plan-cache behaviour under the real threaded service: single-flight
 //! planning under contention, the literal guard, LRU bounds and the
-//! capacity-0 off switch — all driven through [`Session`]. The
-//! catalog-version guard is held by the commit and merge tests in
-//! `morsel-service`'s `txn` module.
+//! capacity-0 off switch — all driven through [`Session`]. The guard
+//! on the relations a plan scans is held by the commit, merge and
+//! seeded two-table tests in `morsel-service`'s `txn` module.
 //!
 //! These are the concurrency halves of the cache oracle — the key
 //! function itself is property-tested in `morsel-sql`'s `shape_prop`

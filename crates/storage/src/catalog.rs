@@ -7,6 +7,11 @@
 //! instead of `Arc<Relation>` handles) can resolve `FROM` clauses. It is
 //! deliberately a thin, immutable snapshot: benchmarks build one per
 //! generated database and hand it to whoever needs name resolution.
+//!
+//! A catalog carries no version. A writer that changes a table's rows
+//! registers a new `Arc<Relation>` for it and keeps every other table's
+//! `Arc`, so the relations themselves say what changed between two
+//! snapshots; the service's plan cache guards on exactly that.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -18,7 +23,6 @@ use crate::schema::Schema;
 #[derive(Clone, Default)]
 pub struct Catalog {
     tables: BTreeMap<String, Arc<Relation>>,
-    version: u64,
 }
 
 impl Catalog {
@@ -27,33 +31,8 @@ impl Catalog {
     }
 
     /// Register `relation` under `name` (replacing any previous entry).
-    /// Every registration advances [`Catalog::version`].
     pub fn add(&mut self, name: &str, relation: Arc<Relation>) {
         self.tables.insert(name.to_owned(), relation);
-        self.version += 1;
-    }
-
-    /// Monotonic change counter: advances on every [`Catalog::add`] (and
-    /// through [`Catalog::set_version`]). The plan cache keys on this so
-    /// plans bound against a stale snapshot are invalidated instead of
-    /// served.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Force the version to `v` (must not move backwards). Transactional
-    /// snapshot catalogs are rebuilt from scratch per snapshot, so their
-    /// `add`-counted versions would restart low; the transaction layer
-    /// stamps them with its own monotonic counter instead so the
-    /// downstream plan cache sees a strictly advancing version across
-    /// commits and merges.
-    pub fn set_version(&mut self, v: u64) {
-        assert!(
-            v >= self.version,
-            "catalog version must be monotonic ({} -> {v})",
-            self.version
-        );
-        self.version = v;
     }
 
     /// Builder-style [`Catalog::add`].
@@ -124,21 +103,5 @@ mod tests {
         cat.add("t", rel(&["b"]));
         assert_eq!(cat.schema("t").unwrap().names(), vec!["b"]);
         assert_eq!(cat.len(), 1);
-    }
-
-    #[test]
-    fn version_advances_on_change() {
-        let mut cat = Catalog::new();
-        assert_eq!(cat.version(), 0);
-        cat.add("t", rel(&["a"]));
-        assert_eq!(cat.version(), 1);
-        cat.add("t", rel(&["b"]));
-        assert_eq!(cat.version(), 2, "replacement is a change too");
-        cat.set_version(3);
-        let snapshot = cat.clone();
-        assert_eq!(snapshot.version(), 3, "clones carry the version");
-        cat.add("u", rel(&["c"]));
-        assert_eq!(cat.version(), 4);
-        assert_eq!(snapshot.version(), 3, "snapshots stay pinned");
     }
 }

@@ -31,11 +31,13 @@
 //! the (dictionary-encoded) base partitions, the committed delta rows
 //! and the transaction's own pending rows, and only matched rows are
 //! decoded ([`TxnDb::update_where`]); snapshots share every base
-//! partition the delta did not touch ([`DeltaStore::snapshot`]); and the
-//! snapshot [`Catalog`] of a version is built once, by whoever asks
-//! first after a commit or merge, and handed to everyone until the next
-//! one. The database mutex is never held for work proportional to a
-//! table.
+//! partition the delta did not touch ([`DeltaStore::snapshot`]); and a
+//! table's latest snapshot is built once, by whoever asks first after a
+//! commit to it or a merge of it, and handed to everyone until the next
+//! one. Every other table keeps its `Arc<Relation>`, so a
+//! [`TxnDb::snapshot_catalog`] differs from the previous one in exactly
+//! the tables written since. The database mutex is never held for work
+//! proportional to a table.
 //!
 //! **Memory accounting**: committed delta bytes are reserved against a
 //! [`MemBudget`] (optionally pool-backed) as they apply and released
@@ -149,8 +151,8 @@ struct TableState {
     delta: DeltaStore,
     /// Delta bytes currently reserved against the budget.
     reserved: u64,
-    /// The newest catalog snapshot of this epoch and the timestamp it was
-    /// taken at, kept so that the next one re-materialises only the
+    /// The newest committed snapshot of this epoch and the timestamp it
+    /// was taken at, kept so that the next one re-materialises only the
     /// partitions touched since — or, with no commit to this table since,
     /// is this very `Arc`.
     latest: Option<(Arc<Relation>, u64)>,
@@ -168,6 +170,29 @@ impl TableState {
             Arc::new(self.delta.snapshot(&self.base, ts, prev))
         }
     }
+
+    /// The latest committed snapshot, `ts` being the highest applied
+    /// commit timestamp: the cached `Arc` itself while nothing was
+    /// committed to this table since it was taken, otherwise a new one
+    /// built on top of it. A table without visible delta effects is its
+    /// base `Arc`. So whenever this table's rows (or their encoding)
+    /// change, its relation is replaced, which the plan cache relies on.
+    fn latest_snapshot(&mut self, ts: u64) -> Arc<Relation> {
+        if let Some((rel, at)) = &self.latest {
+            if self.delta.last_commit_ts() <= *at {
+                return Arc::clone(rel);
+            }
+        }
+        // Pay for a value outside the base dictionaries once, not in
+        // every snapshot until the next merge.
+        if let Some(rebased) = self.delta.rebased(&self.base) {
+            self.base = Arc::new(rebased);
+        }
+        let prev = self.latest.take();
+        let rel = self.snapshot(ts, prev.as_ref().map(|(rel, _)| &**rel));
+        self.latest = Some((Arc::clone(&rel), ts));
+        rel
+    }
 }
 
 struct Inner {
@@ -175,61 +200,7 @@ struct Inner {
     by_name: HashMap<String, u32>,
     /// Highest commit timestamp applied to the delta stores.
     last_applied_ts: u64,
-    /// Monotonic change counter (last mutating WAL LSN): stamps
-    /// snapshot catalogs so cached plans invalidate on commit and
-    /// merge.
-    version: u64,
     poisoned: bool,
-    /// The snapshot catalog of `version`: built on first use after a
-    /// commit or merge (both clear it), then shared by DML binding,
-    /// session refreshes and reads alike.
-    catalog: Option<Catalog>,
-}
-
-impl Inner {
-    /// The catalog of the latest committed snapshot of every table,
-    /// stamped with a strictly advancing version (base table count +
-    /// the commit/merge counter). A table without visible delta effects
-    /// is the load-time base `Arc` itself.
-    fn catalog(&mut self) -> &Catalog {
-        let Inner {
-            tables,
-            last_applied_ts,
-            version,
-            catalog,
-            ..
-        } = self;
-        catalog.get_or_insert_with(|| {
-            let mut cat = Catalog::new();
-            for state in tables.iter_mut() {
-                let prev = match &state.latest {
-                    // Nothing committed to this table since: the same
-                    // relation, statistics and all.
-                    Some((rel, at)) if state.delta.last_commit_ts() <= *at => {
-                        cat.add(&state.name, Arc::clone(rel));
-                        continue;
-                    }
-                    prev => prev.as_ref().map(|(rel, _)| &**rel),
-                };
-                // Pay for a value outside the base dictionaries once,
-                // not in every snapshot until the next merge.
-                if let Some(rebased) = state.delta.rebased(&state.base) {
-                    state.base = Arc::new(rebased);
-                }
-                let rel = state.snapshot(*last_applied_ts, prev);
-                cat.add(&state.name, Arc::clone(&rel));
-                state.latest = Some((rel, *last_applied_ts));
-            }
-            let v = cat.version() + *version;
-            cat.set_version(v);
-            cat
-        })
-    }
-
-    /// The latest committed snapshot of a registered table.
-    fn latest(&mut self, table: &str) -> Arc<Relation> {
-        Arc::clone(self.catalog().get(table).expect("a registered table"))
-    }
 }
 
 /// Construction knobs for [`TxnDb`].
@@ -271,8 +242,6 @@ impl TxnDb {
             tables_to_state(tables),
             0,
             1,
-            0,
-            0,
             cfg.pool,
             cfg.mode,
         ))
@@ -307,22 +276,17 @@ impl TxnDb {
             state,
             st.last_commit_ts,
             st.next_txn,
-            st.applied_lsn,
-            st.applied_lsn,
             cfg.pool,
             cfg.mode,
         ))
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn assemble(
         dir: &Path,
         wal: Wal,
         mut tables: Vec<TableState>,
         last_ts: u64,
         next_txn: u64,
-        version: u64,
-        _applied_lsn: u64,
         pool: Option<Arc<MemPool>>,
         mode: SiMode,
     ) -> TxnDb {
@@ -353,9 +317,7 @@ impl TxnDb {
                 tables,
                 by_name,
                 last_applied_ts: last_ts,
-                version,
                 poisoned: false,
-                catalog: None,
             }),
             budget,
         }
@@ -375,12 +337,6 @@ impl TxnDb {
 
     pub fn wal_stats(&self) -> WalStats {
         self.wal.stats()
-    }
-
-    /// Current change counter (see `Inner::version`); strictly advances
-    /// on every commit and merge.
-    pub fn version(&self) -> u64 {
-        self.inner.lock().version
     }
 
     fn table_index(&self, inner: &Inner, table: &str) -> Result<u32, TxnError> {
@@ -768,8 +724,6 @@ impl TxnDb {
                 inner.tables[t].reserved += b;
             }
             inner.last_applied_ts = inner.last_applied_ts.max(commit_ts);
-            inner.version = lsn;
-            inner.catalog = None;
             (lsn, commit_ts)
         };
         // Group commit: block until this commit's group is durable.
@@ -802,31 +756,36 @@ impl TxnDb {
             return Ok(Arc::new(Relation::single(schema, rows)));
         }
         let mut inner = self.inner.lock();
-        let t = self.table_index(&inner, table)?;
+        let t = self.table_index(&inner, table)? as usize;
         let ts = self.read_ts(&inner, txn);
         if ts == inner.last_applied_ts {
-            return Ok(inner.latest(table));
+            return Ok(inner.tables[t].latest_snapshot(ts));
         }
-        Ok(inner.tables[t as usize].snapshot(ts, None))
+        Ok(inner.tables[t].snapshot(ts, None))
     }
 
     /// The latest committed relation for `table` (what a fresh
     /// transaction would read).
     pub fn latest_relation(&self, table: &str) -> Result<Arc<Relation>, TxnError> {
         let mut inner = self.inner.lock();
-        self.table_index(&inner, table)?;
-        Ok(inner.latest(table))
+        let t = self.table_index(&inner, table)? as usize;
+        let ts = inner.last_applied_ts;
+        Ok(inner.tables[t].latest_snapshot(ts))
     }
 
-    /// A catalog of the latest committed snapshot of every table,
-    /// stamped with a strictly advancing version (base table count +
-    /// the commit/merge counter) so a plan cache keyed on
-    /// [`Catalog::version`] invalidates on every write. With empty
-    /// deltas every entry is the load-time base `Arc` itself. Calls at
-    /// one version return the same relations: the catalog is built once
-    /// per commit or merge.
+    /// A catalog of the latest committed snapshot of every table. With
+    /// empty deltas every entry is the load-time base `Arc` itself; a
+    /// table nothing was committed to or merged since the last call keeps
+    /// the very `Arc` that call returned.
     pub fn snapshot_catalog(&self) -> Catalog {
-        self.inner.lock().catalog().clone()
+        let mut inner = self.inner.lock();
+        let ts = inner.last_applied_ts;
+        let mut catalog = Catalog::new();
+        for state in &mut inner.tables {
+            let rel = state.latest_snapshot(ts);
+            catalog.add(&state.name, rel);
+        }
+        catalog
     }
 
     // ---- merge ---------------------------------------------------------
@@ -862,8 +821,6 @@ impl TxnDb {
             state.delta = next;
             self.budget.release(state.reserved);
             state.reserved = 0;
-            inner.version = lsn;
-            inner.catalog = None;
             lsn
         };
         if let Err(e) = self.wal.commit_durable(lsn) {
@@ -1034,7 +991,6 @@ mod tests {
     fn insert_commit_read_back() {
         let dir = tmpdir("insert");
         let db = TxnDb::create(&dir, vec![("t", base_rel(2))]).unwrap();
-        let v0 = db.version();
 
         let mut txn = db.begin().unwrap();
         db.insert(&mut txn, "t", vec![Value::I64(7), Value::I64(70)])
@@ -1048,7 +1004,6 @@ mod tests {
 
         let ts = db.commit(txn).unwrap();
         assert!(ts > 0);
-        assert!(db.version() > v0, "commit advances the change counter");
         assert_eq!(vals(&db), vec![(0, 0), (1, 0), (7, 70)]);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1300,19 +1255,19 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_catalog_version_strictly_advances() {
-        let dir = tmpdir("catver");
+    fn a_commit_and_a_merge_each_install_a_new_relation() {
+        let dir = tmpdir("newrel");
         let db = TxnDb::create(&dir, vec![("t", base_rel(1))]).unwrap();
-        let v1 = db.snapshot_catalog().version();
+        let r1 = Arc::clone(db.snapshot_catalog().get("t").unwrap());
         let mut w = db.begin().unwrap();
         db.insert(&mut w, "t", vec![Value::I64(4), Value::I64(4)])
             .unwrap();
         db.commit(w).unwrap();
-        let v2 = db.snapshot_catalog().version();
-        assert!(v2 > v1, "commit must bump the catalog version");
+        let r2 = Arc::clone(db.snapshot_catalog().get("t").unwrap());
+        assert!(!Arc::ptr_eq(&r1, &r2), "a commit installs a new relation");
         db.merge("t").unwrap();
-        let v3 = db.snapshot_catalog().version();
-        assert!(v3 > v2, "merge must bump the catalog version");
+        let r3 = Arc::clone(db.snapshot_catalog().get("t").unwrap());
+        assert!(!Arc::ptr_eq(&r2, &r3), "a merge installs a new relation");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1350,7 +1305,6 @@ mod tests {
         let stats = b.stats();
         insert("a", 12);
         let after = db.snapshot_catalog();
-        assert!(after.version() > before.version());
         assert!(!Arc::ptr_eq(
             before.get("a").unwrap(),
             after.get("a").unwrap()
@@ -1624,10 +1578,9 @@ mod tests {
             "only the partition of the deleted row is rebuilt"
         );
 
-        // One catalog per version: the same relations until the next
-        // commit, for every way of asking.
+        // One snapshot per table state: the same relation until the
+        // next commit, for every way of asking.
         let again = db.snapshot_catalog();
-        assert_eq!(again.version(), cat.version());
         assert!(Arc::ptr_eq(snap, again.get("t").unwrap()));
         assert!(Arc::ptr_eq(snap, &db.latest_relation("t").unwrap()));
         let reader = db.begin().unwrap();
@@ -1652,7 +1605,7 @@ mod tests {
         }
         assert_stats_from_scratch(snap);
 
-        // The next version rebuilds only what its commit touched: the
+        // The next snapshot rebuilds only what its commit touched: the
         // partition rebuilt for the first delete is taken over as is.
         let mut w = db.begin().unwrap();
         let moved = db
