@@ -67,6 +67,8 @@ impl RangeQueue {
 
     /// Cut out up to `morsel_size` rows. The morsel never crosses a chunk
     /// boundary, so a successful cut may be smaller than `morsel_size`.
+    /// How large a chunk is is its source's choice: a grouped relation's
+    /// chunk runs over several partitions, so its morsels may too.
     fn next(&self, morsel_size: usize) -> Option<Morsel> {
         debug_assert!(morsel_size > 0);
         let mut cur = self.cursor.0.load(Ordering::Relaxed);

@@ -14,8 +14,10 @@ use crate::query::QueryShared;
 /// at a smaller scale factor; Figure 6's sweep regenerates the tradeoff.
 pub const DEFAULT_MORSEL_SIZE: usize = 16_384;
 
-/// A morsel: a row range within one input chunk (base-relation partition or
-/// storage area). Morsels never span chunks.
+/// A morsel: a row range within one input chunk. A chunk is a base
+/// relation's partition, a run of same-node partitions of a grouped
+/// relation (`Relation::grouped`), or a storage area; a morsel never spans
+/// chunks, but one of a grouped relation may span partitions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Morsel {
     pub chunk: usize,

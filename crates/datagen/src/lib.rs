@@ -14,7 +14,12 @@ pub mod tpch;
 use morsel_numa::Placement;
 
 /// Partitions per large relation: the paper's Section 5.1 setup splits
-/// each relation into 64 partitions, one per hardware thread.
+/// each relation into 64 partitions, one per hardware thread. At a small
+/// scale factor that leaves partitions of a few hundred rows; a static
+/// `Session` scans a grouped view of each relation
+/// (`Relation::grouped`), whose chunks run over as many same-node
+/// partitions as it takes to reach `relation::FLOOR` rows, so its
+/// morsels do not shrink with the partitions.
 const PARTITIONS: usize = 64;
 
 /// Where generated partitions live; [`TpchDb::with_placement`]

@@ -300,22 +300,32 @@ impl ExecPipeline {
     }
 
     fn scan(&self, ctx: &mut TaskContext<'_>, chunk: usize, range: Range<usize>) -> Batch {
-        let (batch, node) = self.source.chunk(chunk);
+        let rows = range.len();
+        let (node, pieces) = self.source.pieces(chunk, range);
         let shape = &self.shape;
         // Streaming read of the referenced columns from the chunk's node.
-        let bytes: u64 = (shape.used.iter())
-            .map(|&c| batch.column(c).byte_size(range.start, range.end))
+        let bytes: u64 = (pieces.iter())
+            .flat_map(|(batch, r)| {
+                (shape.used.iter()).map(|&c| batch.column(c).byte_size(r.start, r.end))
+            })
             .sum();
 
-        // The filter runs over the source columns where they lie and
-        // yields the selection every projected column is gathered through,
-        // once. A selection that keeps every row (or no filter at all)
-        // takes the contiguous memcpy path instead of an indexed gather.
-        let sel: Option<Vec<u32>> = self.filter.as_ref().map(|f| f.select(batch, range.clone()));
-        let sel = sel.filter(|s| s.len() < range.len());
-        let kept = sel.as_ref().map_or(range.len(), Vec::len);
+        // The filter runs over each piece's source columns where they lie
+        // and yields the selection every projected column is gathered
+        // through, once, into the one working batch. A selection that
+        // keeps every row of its piece (or no filter at all) takes the
+        // contiguous memcpy path instead of an indexed gather.
+        let sels: Vec<Option<Vec<u32>>> = (pieces.iter())
+            .map(|(batch, r)| {
+                let sel = self.filter.as_ref().map(|f| f.select(batch, r.clone()));
+                sel.filter(|s| s.len() < r.len())
+            })
+            .collect();
+        let kept: usize = (pieces.iter().zip(&sels))
+            .map(|((_, r), sel)| sel.as_ref().map_or(r.len(), Vec::len))
+            .sum();
         charge::scan(
-            range.len() as f64,
+            rows as f64,
             kept as f64,
             shape.used.len(),
             bytes as f64,
@@ -326,12 +336,16 @@ impl ExecPipeline {
         .book(ctx, &[(node, bytes)]);
         let gather_one = |c: usize| -> Column {
             // `with_capacity_like` keeps dictionary columns encoded: the
-            // scan moves 4-byte codes, never strings.
-            let src = batch.column(c);
-            let mut col = Column::with_capacity_like(src, kept);
-            match &sel {
-                Some(sel) => col.extend_selected(src, sel),
-                None => col.extend_range(src, range.start, range.end),
+            // scan moves 4-byte codes, never strings. A piece whose column
+            // is plain or carries another dictionary decodes the column
+            // as it is appended.
+            let mut col = Column::with_capacity_like(pieces[0].0.column(c), kept);
+            for ((batch, r), sel) in pieces.iter().zip(&sels) {
+                let src = batch.column(c);
+                match sel {
+                    Some(sel) => col.extend_selected(src, sel),
+                    None => col.extend_range(src, r.start, r.end),
+                }
             }
             col
         };
@@ -578,6 +592,129 @@ mod tests {
         let got = ctx.profile().cpu_ns;
         assert!((got - want).abs() < 1e-9, "{got} vs {want}");
         assert_eq!(env.counters().snapshot().total_read(), 25 * 16);
+    }
+
+    /// `rel`'s scan of chunk `chunk`, rows `range`, under `filter` and
+    /// `projection`: the working batch, the CPU it was charged and the
+    /// bytes it read.
+    fn scan_of(
+        rel: Arc<Relation>,
+        filter: Option<Expr>,
+        projection: Vec<Expr>,
+        chunk: usize,
+        range: Range<usize>,
+    ) -> (Batch, f64, u64) {
+        let env = ExecEnv::new(Topology::nehalem_ex());
+        let pipe = ExecPipeline::new(rel, filter, projection, vec![], Box::new(NullSink));
+        let mut ctx = TaskContext::new(&env, 0);
+        let out = pipe.scan(&mut ctx, chunk, range);
+        let cpu_ns = ctx.profile().cpu_ns;
+        (out, cpu_ns, env.counters().snapshot().total_read())
+    }
+
+    #[test]
+    fn a_one_partition_chunk_scans_as_its_partition() {
+        // Four partitions on four nodes: every chunk of the grouped view
+        // is one partition, and scanning it is scanning that partition.
+        let rel = relation(100);
+        let grouped = Arc::new(rel.grouped());
+        assert_eq!(grouped.chunk_count(), 4);
+        let filter = || Some(gt(col(1), lit(90)));
+        let projection = || vec![col(0), mul(col(1), lit(3))];
+        for chunk in 0..4 {
+            let (got, want) = (
+                scan_of(Arc::clone(&grouped), filter(), projection(), chunk, 3..22),
+                scan_of(Arc::clone(&rel), filter(), projection(), chunk, 3..22),
+            );
+            assert_eq!(got, want, "chunk {chunk}");
+        }
+    }
+
+    #[test]
+    fn a_grouped_chunk_gathers_every_piece_into_one_working_batch() {
+        // Four 25-row partitions on one node: one chunk of 100 rows. A
+        // range straddling all four filters each piece in place and
+        // charges what scanning the pieces one by one charges.
+        let data = Batch::from_columns(vec![
+            Column::I64((0..100).collect()),
+            Column::I64((0..100).map(|x| x * 2).collect()),
+        ]);
+        let rel = Arc::new(Relation::partitioned(
+            Schema::new(vec![("a", DataType::I64), ("b", DataType::I64)]),
+            &data,
+            PartitionBy::Chunks,
+            4,
+            Placement::FirstTouch,
+            &Topology::laptop(),
+        ));
+        let grouped = Arc::new(rel.grouped());
+        assert_eq!(grouped.chunk_meta().len(), 1);
+        let filter = || Some(gt(col(1), lit(40)));
+        let projection = || vec![mul(col(0), lit(3)), col(1)];
+        let (out, cpu_ns, read) = scan_of(grouped, filter(), projection(), 0, 10..90);
+        assert_eq!(
+            out.column(0).as_i64(),
+            &(21..90).map(|x| 3 * x).collect::<Vec<_>>()[..]
+        );
+        assert_eq!(
+            out.column(1).as_i64(),
+            &(21..90).map(|x| 2 * x).collect::<Vec<_>>()[..]
+        );
+        let pieces = [(0, 10..25), (1, 0..25), (2, 0..25), (3, 0..15)];
+        let (mut want_ns, mut want_read) = (0.0, 0);
+        for (chunk, range) in pieces {
+            let (_, ns, read) = scan_of(Arc::clone(&rel), filter(), projection(), chunk, range);
+            want_ns += ns;
+            want_read += read;
+        }
+        assert!((cpu_ns - want_ns).abs() < 1e-6, "{cpu_ns} vs {want_ns}");
+        assert_eq!(read, want_read);
+    }
+
+    #[test]
+    fn a_grouped_chunk_decodes_pieces_of_other_dictionaries_and_plain_pieces() {
+        use morsel_numa::SocketId;
+        use morsel_storage::{encode_fragments, Partition};
+        let strs = |v: &[&str]| Column::Str(v.iter().copied().collect());
+        let encoded = |v: &[&str]| encode_fragments(&[&strs(v)]).unwrap().1.remove(0);
+        let schema = Schema::new(vec![("k", DataType::I64), ("s", DataType::Str)]);
+        let part = |from: i64, s: Column| {
+            let k = Column::I64((from..from + s.len() as i64).collect());
+            Partition::new(SocketId(0), Batch::from_columns(vec![k, s]))
+        };
+        // Each string column in its own dictionary, then a plain one among
+        // dictionary ones, then a plain one first.
+        let layouts = [
+            vec![
+                encoded(&["x", "y"]),
+                encoded(&["z", "y"]),
+                encoded(&["w", "x"]),
+            ],
+            vec![
+                encoded(&["x", "y"]),
+                strs(&["z", "y"]),
+                encoded(&["w", "x"]),
+            ],
+            vec![
+                strs(&["x", "y"]),
+                encoded(&["z", "y"]),
+                encoded(&["w", "x"]),
+            ],
+        ];
+        for columns in layouts {
+            let parts = (columns.into_iter().enumerate())
+                .map(|(i, s)| part(2 * i as i64, s))
+                .collect();
+            let rel = Relation::from_partitions(schema.clone(), parts).grouped();
+            assert_eq!(rel.chunk_count(), 1);
+            for (filter, want) in [
+                (None, &["y", "z", "y", "w", "x"][..]),
+                (Some(gt(col(0), lit(2))), &["y", "w", "x"][..]),
+            ] {
+                let (out, _, _) = scan_of(Arc::new(rel.clone()), filter, vec![col(1)], 0, 1..6);
+                assert_eq!(out.decoded().column(0), &strs(want));
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Pipeline input sources: base relations and materialized intermediates.
 
+use std::ops::Range;
+
 use morsel_core::ChunkMeta;
 use morsel_numa::SocketId;
 use morsel_storage::{AreaSet, Batch, DataType, Relation};
@@ -7,24 +9,26 @@ use morsel_storage::{AreaSet, Batch, DataType, Relation};
 /// Anything a pipeline can scan morsel-wise: provides chunk metadata for
 /// the dispatcher and chunk data for the operators.
 pub trait InputSource: Send + Sync {
-    fn chunk(&self, idx: usize) -> (&Batch, SocketId);
+    /// The node chunk `idx` lives on, and the pieces rows `range` of it
+    /// cover, in row order: a batch and the rows of it each. A chunk of a
+    /// grouped relation is several partitions; any other chunk is one
+    /// batch.
+    fn pieces(&self, idx: usize, range: Range<usize>) -> (SocketId, Vec<(&Batch, Range<usize>)>);
     fn chunk_meta(&self) -> Vec<ChunkMeta>;
     fn types(&self) -> Vec<DataType>;
     fn total_rows(&self) -> usize;
 }
 
 impl InputSource for Relation {
-    fn chunk(&self, idx: usize) -> (&Batch, SocketId) {
-        let p = self.partition(idx);
-        (&p.data, p.node)
+    fn pieces(&self, idx: usize, range: Range<usize>) -> (SocketId, Vec<(&Batch, Range<usize>)>) {
+        (self.chunk(idx).0, self.chunk_pieces(idx, range))
     }
 
     fn chunk_meta(&self) -> Vec<ChunkMeta> {
-        self.partitions()
-            .iter()
-            .map(|p| ChunkMeta {
-                node: p.node,
-                rows: p.data.rows(),
+        (0..self.chunk_count())
+            .map(|i| {
+                let (node, rows) = self.chunk(i);
+                ChunkMeta { node, rows }
             })
             .collect()
     }
@@ -39,9 +43,9 @@ impl InputSource for Relation {
 }
 
 impl InputSource for AreaSet {
-    fn chunk(&self, idx: usize) -> (&Batch, SocketId) {
+    fn pieces(&self, idx: usize, range: Range<usize>) -> (SocketId, Vec<(&Batch, Range<usize>)>) {
         let a = self.area(idx);
-        (a.data(), a.node())
+        (a.node(), vec![(a.data(), range)])
     }
 
     fn chunk_meta(&self) -> Vec<ChunkMeta> {
@@ -85,8 +89,9 @@ mod tests {
         let meta = r.chunk_meta();
         assert_eq!(meta.len(), 4);
         assert_eq!(meta.iter().map(|c| c.rows).sum::<usize>(), 100);
-        let (b, node) = InputSource::chunk(&r, 1);
-        assert_eq!(b.rows(), 25);
+        let (node, pieces) = r.pieces(1, 0..25);
+        assert_eq!(pieces.len(), 1);
+        assert_eq!((pieces[0].0.rows(), pieces[0].1.clone()), (25, 0..25));
         assert_eq!(node, SocketId(1));
         assert_eq!(InputSource::types(&r), vec![DataType::I64]);
         assert_eq!(InputSource::total_rows(&r), 100);
@@ -102,8 +107,8 @@ mod tests {
         assert_eq!(meta.len(), 1);
         assert_eq!(meta[0].node, SocketId(2));
         assert_eq!(meta[0].rows, 2);
-        let (b, node) = InputSource::chunk(&set, 0);
-        assert_eq!(b.rows(), 2);
+        let (node, pieces) = set.pieces(0, 1..2);
+        assert_eq!((pieces[0].0.rows(), pieces[0].1.clone()), (2, 1..2));
         assert_eq!(node, SocketId(2));
     }
 }

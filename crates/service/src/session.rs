@@ -71,7 +71,11 @@ pub struct SessionBuilder {
 
 impl SessionBuilder {
     /// Serve a static (non-transactional) catalog. Mutually exclusive
-    /// with [`SessionBuilder::database`].
+    /// with [`SessionBuilder::database`]. The session binds against a
+    /// grouped view of each relation
+    /// ([`morsel_storage::Relation::grouped`]), which shares the
+    /// relation's partitions and statistics, so that a small relation cut
+    /// into many partitions still scans in morsels of a useful size.
     pub fn catalog(mut self, catalog: Catalog) -> Self {
         self.catalog = Some(catalog);
         self
@@ -114,7 +118,13 @@ impl SessionBuilder {
     /// [`SessionBuilder::database`] was provided.
     pub fn build(self) -> Session {
         let source = match (self.catalog, self.db) {
-            (Some(catalog), None) => CatalogSource::Static(Mutex::new(catalog)),
+            (Some(catalog), None) => {
+                let mut grouped = Catalog::new();
+                for (name, relation) in catalog.iter() {
+                    grouped.add(name, Arc::new(relation.grouped()));
+                }
+                CatalogSource::Static(Mutex::new(grouped))
+            }
             (None, Some(db)) => CatalogSource::Database {
                 installed: Mutex::new(db.snapshot_catalog()),
                 db,
@@ -174,7 +184,7 @@ impl Execution {
 /// Where the session's catalog comes from — the only place that knows
 /// which mode the session is in.
 enum CatalogSource {
-    /// Loaded once; never moves.
+    /// Loaded once, as grouped views of the given relations; never moves.
     Static(Mutex<Catalog>),
     /// The latest committed snapshot of `db` as of the last refresh.
     /// A commit or merge gives each table it changed a new relation in

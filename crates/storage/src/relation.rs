@@ -5,7 +5,14 @@
 //! so that co-partitioned joins mostly find their partners NUMA-locally.
 //! Section 5.1: HyPer partitions each relation on the first attribute of
 //! the primary key into 64 partitions. A partition lives entirely on one
-//! node; morsels never span partitions.
+//! node.
+//!
+//! The scan reads a relation in *chunks*, and a morsel never spans a
+//! chunk. A relation's chunk is one partition, unless it is a grouped
+//! view ([`Relation::grouped`]): there a chunk is a run of same-node
+//! partitions that closes at [`FLOOR`] rows, so that a small relation cut
+//! into many partitions still yields morsels large enough to amortise a
+//! morsel's fixed cost (Section 3.2). A chunk never mixes nodes.
 //!
 //! Relations the write path builds ([`Relation::from_partitions`]) also
 //! keep a merge tree over their partitions' statistics, whose nodes a
@@ -14,6 +21,7 @@
 //! changed. The nodes belong to the relations sharing them and go when
 //! the last of those does.
 
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use morsel_numa::{Placement, SocketId, Topology};
@@ -63,6 +71,22 @@ pub enum PartitionBy {
 /// Partitions a leaf of the statistics merge tree covers.
 const LEAF_PARTITIONS: usize = 8;
 
+/// Rows at which a chunk of a grouped relation ([`Relation::grouped`])
+/// closes. A morsel pays a fixed cost per operator call (about 3 µs on the
+/// threaded engine) against about 20 ns of work per row, so 2,048 rows
+/// keep that cost under a tenth of a morsel's work. A sweep over 1k, 2k, 4k
+/// and 8k rows is in DESIGN.md §6.
+pub const FLOOR: usize = 2_048;
+
+/// A run of same-node partitions a grouped relation scans as one chunk.
+#[derive(Debug, Clone)]
+struct Chunk {
+    node: SocketId,
+    rows: usize,
+    /// Partition indexes, ascending.
+    parts: Vec<usize>,
+}
+
 /// A node of a relation's statistics merge tree: the combined, not
 /// finalized [`TableStats`] of an aligned range of partitions, filled on
 /// first use and shared by every relation whose tree took the node over.
@@ -72,14 +96,18 @@ type StatsNode = Arc<OnceLock<TableStats>>;
 ///
 /// Row/byte totals are computed once at construction, and catalog
 /// statistics ([`TableStats`]) are computed lazily on first use and
-/// cached — the planner's estimator hits both repeatedly.
+/// cached — the planner's estimator hits both repeatedly. A clone, a
+/// re-placed relation and a grouped view share the cache.
 #[derive(Debug, Clone)]
 pub struct Relation {
     schema: Schema,
     partitions: Vec<Partition>,
+    /// The chunks of a grouped view ([`Relation::grouped`]), ordered by
+    /// first partition; empty when each partition is its own chunk.
+    chunks: Vec<Chunk>,
     total_rows: usize,
     total_bytes: u64,
-    stats: OnceLock<Arc<TableStats>>,
+    stats: Arc<OnceLock<Arc<TableStats>>>,
     /// The statistics merge tree of a relation the write path builds
     /// ([`Relation::from_partitions`]); empty for a load-time relation,
     /// which keeps only its merged stats. `tree[0]` holds the leaves,
@@ -100,9 +128,10 @@ impl Relation {
         Relation {
             schema,
             partitions,
+            chunks: Vec::new(),
             total_rows,
             total_bytes,
-            stats: OnceLock::new(),
+            stats: Arc::default(),
             tree: Vec::new(),
             merge_tail: false,
         }
@@ -323,8 +352,91 @@ impl Relation {
         })
     }
 
+    /// How many chunks the scan reads: one per partition, or one per run
+    /// of a grouped view.
+    pub fn chunk_count(&self) -> usize {
+        if self.chunks.is_empty() {
+            self.partitions.len()
+        } else {
+            self.chunks.len()
+        }
+    }
+
+    /// The node chunk `idx` lives on, and its rows.
+    pub fn chunk(&self, idx: usize) -> (SocketId, usize) {
+        if self.chunks.is_empty() {
+            let p = &self.partitions[idx];
+            (p.node, p.data.rows())
+        } else {
+            (self.chunks[idx].node, self.chunks[idx].rows)
+        }
+    }
+
+    /// The pieces rows `range` of chunk `idx` cover, in row order: a
+    /// partition's batch and the rows of it in the range each. A piece
+    /// with no rows is left out.
+    pub fn chunk_pieces(&self, idx: usize, range: Range<usize>) -> Vec<(&Batch, Range<usize>)> {
+        let own = [idx];
+        let parts = if self.chunks.is_empty() {
+            &own[..]
+        } else {
+            &self.chunks[idx].parts[..]
+        };
+        let mut pieces = Vec::new();
+        let mut start = 0;
+        for &p in parts {
+            let data = &*self.partitions[p].data;
+            let end = start + data.rows();
+            let (from, to) = (range.start.max(start), range.end.min(end));
+            if from < to {
+                pieces.push((data, from - start..to - start));
+            }
+            if end >= range.end {
+                break;
+            }
+            start = end;
+        }
+        pieces
+    }
+
+    /// A zero-copy view of this relation that the scan reads in runs of
+    /// same-node partitions instead of partition by partition. Going
+    /// through the partitions in index order, each node's run takes the
+    /// next partition of that node and closes once it holds [`FLOOR`]
+    /// rows; what is left of a node's run at the end is its last chunk.
+    /// The view shares every partition and the statistics cache of `self`,
+    /// and reads the same rows.
+    pub fn grouped(&self) -> Relation {
+        let nodes = (self.partitions.iter())
+            .map(|p| p.node.0 as usize + 1)
+            .max()
+            .unwrap_or(0);
+        let run = |node: usize| Chunk {
+            node: SocketId(node as u16),
+            rows: 0,
+            parts: Vec::new(),
+        };
+        let mut open: Vec<Chunk> = (0..nodes).map(run).collect();
+        let mut chunks = Vec::new();
+        for (i, p) in self.partitions.iter().enumerate() {
+            let node = p.node.0 as usize;
+            open[node].parts.push(i);
+            open[node].rows += p.data.rows();
+            if open[node].rows >= FLOOR {
+                chunks.push(std::mem::replace(&mut open[node], run(node)));
+            }
+        }
+        chunks.extend(open.into_iter().filter(|c| !c.parts.is_empty()));
+        chunks.sort_unstable_by_key(|c| c.parts[0]);
+        Relation {
+            chunks,
+            ..self.clone()
+        }
+    }
+
     /// Re-place the partitions under a different policy without copying
-    /// row data (used by the Section 5.3 placement comparison).
+    /// row data (used by the Section 5.3 placement comparison). The result
+    /// reads each partition as its own chunk, grouped or not.
     pub fn with_placement(&self, placement: Placement, topology: &Topology) -> Relation {
         let sockets = topology.sockets();
         let partitions = self
@@ -339,12 +451,13 @@ impl Relation {
         Relation {
             schema: self.schema.clone(),
             partitions,
+            chunks: Vec::new(),
             total_rows: self.total_rows,
             total_bytes: self.total_bytes,
             // Placement does not change the data, so the stats carry over
             // (including an already-computed cache), and so does the
             // merge tree.
-            stats: self.stats.clone(),
+            stats: Arc::clone(&self.stats),
             tree: self.tree.clone(),
             merge_tail: self.merge_tail,
         }
@@ -662,6 +775,122 @@ mod tests {
         assert!((s.column(1).ndv - 7.0).abs() < 1.0);
         assert_eq!(s.column(1).min, Some(Value::Str("tag0".into())));
         assert_eq!(s.column(1).max, Some(Value::Str("tag6".into())));
+    }
+
+    /// Every chunk of `g` as (node, rows, partition indexes).
+    fn chunks_of(g: &Relation) -> Vec<(SocketId, usize, Vec<usize>)> {
+        (0..g.chunk_count())
+            .map(|i| {
+                let (node, rows) = g.chunk(i);
+                (node, rows, g.chunks[i].parts.clone())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_grouped_chunk_is_a_run_of_one_nodes_partitions() {
+        // 64 partitions of ~300 rows round-robin over 4 sockets: each
+        // node's chunk takes every fourth partition until it holds FLOOR
+        // rows.
+        let t = Topology::nehalem_ex();
+        let r = Relation::partitioned(
+            schema(),
+            &sample_batch(64 * 300),
+            PartitionBy::Hash { column: 0 },
+            64,
+            Placement::FirstTouch,
+            &t,
+        );
+        let g = r.grouped();
+        let chunks = chunks_of(&g);
+        assert!(chunks.len() < 64 / 4, "{} chunks", chunks.len());
+        let mut seen = vec![0; 64];
+        for (node, rows, parts) in &chunks {
+            assert!(parts.iter().all(|&p| r.partition(p).node == *node));
+            assert!(parts.windows(2).all(|w| w[1] - w[0] == 4), "{parts:?}");
+            let sum: usize = parts.iter().map(|&p| r.partition(p).data.rows()).sum();
+            assert_eq!(*rows, sum);
+            // Only a node's last run may close short of the floor.
+            let last = parts.last().unwrap() + 4 >= 64;
+            assert!(last || *rows >= FLOOR, "{rows} rows in {parts:?}");
+            // The run closed at the first partition that reached the floor.
+            let before_last = rows - r.partition(*parts.last().unwrap()).data.rows();
+            assert!(before_last < FLOOR);
+            parts.iter().for_each(|&p| seen[p] += 1);
+        }
+        assert!(seen.iter().all(|&n| n == 1), "each partition in one chunk");
+        assert!(chunks.windows(2).all(|w| w[0].2[0] < w[1].2[0]));
+        assert_eq!(g.total_rows(), r.total_rows());
+    }
+
+    #[test]
+    fn chunk_pieces_cut_a_range_across_partitions() {
+        let sizes = [3, 0, 5, 0, 0, 4];
+        let partitions = (sizes.iter())
+            .map(|&n| Partition::new(SocketId(0), sample_batch(n)))
+            .collect();
+        let g = Relation::from_partitions(schema(), partitions).grouped();
+        assert_eq!((g.chunk_count(), g.chunk(0)), (1, (SocketId(0), 12)));
+        let cut = |range: Range<usize>| -> Vec<(usize, Range<usize>)> {
+            (g.chunk_pieces(0, range).into_iter())
+                .map(|(batch, r)| {
+                    let p = (g.partitions().iter())
+                        .position(|p| std::ptr::eq(&*p.data, batch))
+                        .unwrap();
+                    (p, r)
+                })
+                .collect()
+        };
+        assert_eq!(cut(2..10), vec![(0, 2..3), (2, 0..5), (5, 0..2)]);
+        assert_eq!(cut(0..12), vec![(0, 0..3), (2, 0..5), (5, 0..4)]);
+        assert_eq!(cut(3..8), vec![(2, 0..5)]);
+        assert_eq!(cut(8..9), vec![(5, 0..1)]);
+        assert_eq!(cut(11..12), vec![(5, 3..4)]);
+    }
+
+    #[test]
+    fn a_partition_past_the_floor_is_its_own_chunk() {
+        let r = Relation::partitioned(
+            schema(),
+            &sample_batch(4 * FLOOR),
+            PartitionBy::Chunks,
+            4,
+            Placement::FirstTouch,
+            &Topology::laptop(),
+        );
+        let g = r.grouped();
+        assert_eq!(g.chunk_count(), 4);
+        for i in 0..4 {
+            assert_eq!(g.chunk(i), r.chunk(i));
+            let (got, want) = (g.chunk_pieces(i, 5..FLOOR), r.chunk_pieces(i, 5..FLOOR));
+            assert_eq!(got.len(), 1);
+            assert!(std::ptr::eq(got[0].0, want[0].0));
+            assert_eq!(got[0].1, want[0].1);
+        }
+    }
+
+    #[test]
+    fn a_grouped_view_shares_partitions_and_stats() {
+        let t = Topology::nehalem_ex();
+        let r = Relation::partitioned(
+            schema(),
+            &sample_batch(1000),
+            PartitionBy::Hash { column: 0 },
+            16,
+            Placement::FirstTouch,
+            &t,
+        );
+        let g = r.grouped();
+        assert_eq!(g.partitions().len(), 16);
+        for (p, q) in r.partitions().iter().zip(g.partitions()) {
+            assert!(Arc::ptr_eq(&p.data, &q.data));
+        }
+        // The cache is shared whichever side fills it first.
+        assert!(Arc::ptr_eq(&g.stats(), &r.stats()));
+        assert!(Arc::ptr_eq(&r.grouped().stats(), &r.stats()));
+        assert_eq!(g.gather(), r.gather());
+        // Re-placing a grouped view reads partition by partition again.
+        assert_eq!(g.with_placement(Placement::OsDefault, &t).chunk_count(), 16);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use morsel_repro::exec::sort::{sort_batch, SortKey};
 use morsel_repro::planner::{plan_cost, LogicalPlan, Planner};
 use morsel_repro::prelude::*;
 use morsel_repro::queries::{run_sim, ssb_queries, ssb_sql, tpch_queries, tpch_sql, RunOutcome};
-use morsel_repro::service::{CacheDisposition, Session};
+use morsel_repro::service::{CacheDisposition, QueryService, ServiceConfig, Session};
 use morsel_repro::storage::Batch;
 
 /// One SQL fixture and the hand plan it is held to.
@@ -86,26 +86,28 @@ fn assert_equivalent(env: &ExecEnv, name: &str, oracle: Plan, lowered: Plan) {
     let keyed = sort_key_cols(&oracle);
     let want = run(env, name, "oracle", oracle);
     let got = run(env, name, "planned", lowered);
+    assert_same_rows(name, keyed, &want.result, &got.result);
+}
+
+/// `got` holds the rows `want` holds: all of them, or, for a top-k whose
+/// sort keys are `keyed`, the same key columns.
+fn assert_same_rows(name: &str, keyed: Option<(Vec<usize>, usize)>, want: &Batch, got: &Batch) {
     match keyed {
         None => {
             assert_eq!(
-                normalized(&want.result),
-                normalized(&got.result),
+                normalized(want),
+                normalized(got),
                 "{name}: planned result differs from oracle"
             );
         }
         Some((key_cols, _limit)) => {
             // Top-k with ties at the boundary: the kept key tuples are
             // deterministic, payload columns of boundary ties are not.
-            assert_eq!(
-                want.result.rows(),
-                got.result.rows(),
-                "{name}: planned row count differs"
-            );
+            assert_eq!(want.rows(), got.rows(), "{name}: planned row count differs");
             for (label, c) in key_cols.iter().enumerate() {
                 assert_eq!(
-                    want.result.column(*c),
-                    got.result.column(*c),
+                    want.column(*c),
+                    got.column(*c),
                     "{name}: sort key column #{label} differs"
                 );
             }
@@ -318,6 +320,124 @@ fn fixtures_over_a_fully_decoded_catalog_return_identical_results() {
         }
     }
     assert_eq!(checked, 25, "the full TPC-H + SSB fixture set");
+}
+
+/// The scan of a static session: a `Session` over a static catalog scans
+/// grouped views of its relations, whose chunks are runs of several
+/// same-node partitions read into one working batch. Every SQL fixture,
+/// run that way on real threads at 1 and 4 workers, with 512-row and
+/// default morsels, returns what its hand plan returns on the simulator.
+#[test]
+fn grouped_static_sessions_match_oracle_plans_at_every_worker_count_and_morsel_size() {
+    let topo = Topology::nehalem_ex();
+    let sim = ExecEnv::new(topo.clone());
+    let mut checked = 0usize;
+    for (catalog, fixtures) in [tpch_fixtures(&topo, 0.002), ssb_fixtures(&topo, 0.002)] {
+        let session = Session::builder().catalog(catalog).topology(&topo).build();
+        let oracles: Vec<Batch> = (fixtures.iter())
+            .map(|f| run(&sim, &f.name, "oracle", f.oracle.clone()).result)
+            .collect();
+        for (workers, morsel) in [
+            (1, 512),
+            (4, 512),
+            (1, DEFAULT_MORSEL_SIZE),
+            (4, DEFAULT_MORSEL_SIZE),
+        ] {
+            let service = grouped_service(&topo, workers, morsel);
+            for (f, want) in fixtures.iter().zip(&oracles) {
+                let leg = format!("{} at {workers} workers, {morsel}-row morsels", f.name);
+                let got = execute(&session, &service, &leg, f.sql);
+                assert_same_rows(&leg, sort_key_cols(&f.oracle), want, &got);
+                checked += 1;
+            }
+            service.shutdown();
+        }
+    }
+    assert_eq!(checked, 25 * 4, "the full TPC-H + SSB fixture set");
+}
+
+fn grouped_service(topo: &Topology, workers: usize, morsel: usize) -> QueryService {
+    let config = ServiceConfig::new(workers).with_morsel_size(morsel);
+    QueryService::start(ExecEnv::new(topo.clone()), config)
+}
+
+/// `sql` through `session` on `service`: its decoded rows.
+fn execute(session: &Session, service: &QueryService, leg: &str, sql: &str) -> Batch {
+    let exec = (session.execute(service, leg, sql)).unwrap_or_else(|e| panic!("{leg}: {e}"));
+    exec.rows().expect("a completed SELECT has rows").decoded()
+}
+
+/// A grouped chunk whose partitions carry different string
+/// representations: each partition its own dictionary, or plain
+/// partitions between encoded ones. The scan filters each piece against
+/// its own representation and gathers them all into one working batch,
+/// decoding what does not share the first piece's dictionary.
+#[test]
+fn a_grouped_chunk_over_mixed_string_representations_returns_the_plain_rows() {
+    use morsel_repro::storage::{encode_fragments, Partition};
+    use std::sync::Arc;
+
+    let topo = Topology::nehalem_ex();
+    let words = ["ash", "birch", "cedar", "elm", "fir", "oak"];
+    // 8 partitions of 40 rows on node 0: one chunk. Partition p holds
+    // words p, p + 1 and p + 2, so its own dictionary differs from its
+    // neighbours'.
+    let rows = |p: usize| (0..40).map(move |r| (p * 40 + r) as i64);
+    let word = |k: i64| words[(k % 3 + k / 40) as usize % 6];
+    let plain: Vec<Column> = (0..8)
+        .map(|p| Column::Str(rows(p).map(word).collect()))
+        .collect();
+    let encode = |cols: &[&Column]| encode_fragments(cols).expect("six words encode").1;
+    let shared = encode(&plain.iter().collect::<Vec<_>>());
+    let layouts = [
+        (
+            "own dictionaries",
+            plain.iter().map(|c| encode(&[c]).remove(0)).collect(),
+        ),
+        (
+            "every other plain",
+            (shared.into_iter().zip(&plain).enumerate())
+                .map(|(p, (coded, plain))| if p % 2 == 1 { plain.clone() } else { coded })
+                .collect::<Vec<_>>(),
+        ),
+    ];
+    let service = grouped_service(&topo, 2, 64);
+    for (layout, strings) in layouts {
+        let parts = (strings.into_iter().enumerate())
+            .map(|(p, s)| {
+                let data = Batch::from_columns(vec![Column::I64(rows(p).collect()), s]);
+                Partition::new(SocketId(0), data)
+            })
+            .collect();
+        let schema = Schema::new(vec![("k", DataType::I64), ("s", DataType::Str)]);
+        let t = Arc::new(Relation::from_partitions(schema, parts));
+        let catalog = Catalog::new().with_table("t", t);
+        let session = Session::builder().catalog(catalog).topology(&topo).build();
+        let got = execute(
+            &session,
+            &service,
+            layout,
+            "SELECT k, s FROM t WHERE k > 13",
+        );
+        let got = normalized(&got);
+        let keys: Vec<i64> = (14..320).collect();
+        assert_eq!(got.column(0).as_i64(), &keys[..], "{layout}");
+        let want: Vec<&str> = keys.iter().map(|&k| word(k)).collect();
+        assert_eq!(
+            got.column(1),
+            &Column::Str(want.into_iter().collect()),
+            "{layout}"
+        );
+        let count = execute(
+            &session,
+            &service,
+            layout,
+            "SELECT COUNT(*) AS n FROM t WHERE s = 'cedar' AND k < 300",
+        );
+        let want = (0..300).filter(|&k| word(k) == "cedar").count() as i64;
+        assert_eq!(count.column(0).as_i64(), &[want], "{layout}");
+    }
+    service.shutdown();
 }
 
 /// `sql` planned, with the order of its widest join block.
