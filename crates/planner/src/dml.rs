@@ -88,7 +88,11 @@ impl DmlPlan {
     /// the same per-column min/max/NDV sketches and selectivity model
     /// the read-side planner costs scans with. Inserts already know
     /// their exact row count; updates and deletes estimate
-    /// `|T| * sel(predicate)`.
+    /// `|T| * sel(predicate)`, where `|T|` is the relation's own exact
+    /// `total_rows` and only the selectivity reads the statistics. A
+    /// transactional snapshot's statistics may be an earlier snapshot's,
+    /// lagging by less than `morsel_txn::STATS_DRIFT` of the rows, so a
+    /// small commit does not rebuild them before the next estimate.
     pub fn estimate(mut self, relation: &Relation) -> Self {
         if self.kind == DmlKind::Insert {
             return self;

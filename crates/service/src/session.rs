@@ -3,9 +3,15 @@
 //! A session owns everything between SQL text and a submitted query:
 //! the catalog it binds against (a static one, or the latest committed
 //! snapshot of a transactional database), the cost-based planner, and
-//! the plan cache with its counters. The planner prices plans from
-//! catalog statistics only; what a query observes at run time is
-//! reported (`EXPLAIN ANALYZE`), never fed back into planning.
+//! the plan cache with its counters. Either way it binds against grouped
+//! views of the catalog's relations
+//! ([`morsel_storage::Relation::grouped`]), built by one function: a view
+//! reads a run of same-node partitions as one chunk, so a small relation
+//! cut into many partitions still scans in morsels of a useful size. A
+//! view lives as long as the relation it views, which in database mode
+//! is until a commit or merge changes that table. The planner prices
+//! plans from catalog statistics only; what a query observes at run time
+//! is reported (`EXPLAIN ANALYZE`), never fed back into planning.
 //!
 //! ```no_run
 //! # use morsel_service::Session;
@@ -21,7 +27,8 @@
 //! this order:
 //!
 //! 1. `parse_statement` — once per statement;
-//! 2. **SELECT**: refresh the snapshot (database mode) → resolve the
+//! 2. **SELECT**: refresh the snapshot (database mode; re-grouping only
+//!    the tables whose relation changed) → resolve the
 //!    plan through the plan cache, or bind and plan on a miss →
 //!    `compile_query` → submit and wait → take the rows;
 //! 3. **DML** (database mode): bind → begin, buffer, commit → refresh.
@@ -83,7 +90,12 @@ impl SessionBuilder {
 
     /// Serve a transactional database: SELECTs read the latest
     /// committed snapshot, DML auto-commits through the MVCC write
-    /// path. Mutually exclusive with [`SessionBuilder::catalog`].
+    /// path. Mutually exclusive with [`SessionBuilder::catalog`]. Reads
+    /// bind against grouped views of the snapshot's relations, as with a
+    /// static catalog; a refresh re-groups only the tables whose relation
+    /// a commit or merge replaced, so every other table keeps its view
+    /// and the plans cached over it. DML binds against the database's own
+    /// relations, whose statistics the views share.
     pub fn database(mut self, db: Arc<TxnDb>) -> Self {
         self.db = Some(db);
         self
@@ -119,14 +131,10 @@ impl SessionBuilder {
     pub fn build(self) -> Session {
         let source = match (self.catalog, self.db) {
             (Some(catalog), None) => {
-                let mut grouped = Catalog::new();
-                for (name, relation) in catalog.iter() {
-                    grouped.add(name, Arc::new(relation.grouped()));
-                }
-                CatalogSource::Static(Mutex::new(grouped))
+                CatalogSource::Static(Mutex::new(Installed::default().regroup(catalog)))
             }
             (None, Some(db)) => CatalogSource::Database {
-                installed: Mutex::new(db.snapshot_catalog()),
+                installed: Mutex::new(Installed::default().regroup(db.snapshot_catalog())),
                 db,
             },
             (Some(_), Some(_)) => panic!("Session: give either a catalog or a database, not both"),
@@ -181,27 +189,62 @@ impl Execution {
 
 // ------------------------------------------------------------- session
 
+/// A catalog as the session binds against it: a grouped view of each
+/// relation, beside the relation it views.
+#[derive(Default)]
+struct Installed {
+    /// The relations viewed: the static catalog, or the database's
+    /// snapshot catalog as of the last refresh.
+    sources: Catalog,
+    /// What statements bind against and cached plans scan.
+    views: Catalog,
+}
+
+impl Installed {
+    /// The one grouping rule of both modes: `catalog`'s relations as
+    /// grouped views ([`morsel_storage::Relation::grouped`]), keeping this
+    /// installation's view of every table whose relation is still the
+    /// same `Arc`. So a view is replaced exactly when its relation is,
+    /// and the plan cache's relation-identity guard holds for views as it
+    /// does for relations (DESIGN.md §12).
+    fn regroup(&self, catalog: Catalog) -> Installed {
+        let mut views = Catalog::new();
+        for (name, relation) in catalog.iter() {
+            let kept = (self.sources.get(name))
+                .filter(|source| Arc::ptr_eq(source, relation))
+                .and_then(|_| self.views.get(name));
+            let view = kept.map_or_else(|| Arc::new(relation.grouped()), Arc::clone);
+            views.add(name, view);
+        }
+        Installed {
+            sources: catalog,
+            views,
+        }
+    }
+}
+
 /// Where the session's catalog comes from — the only place that knows
 /// which mode the session is in.
 enum CatalogSource {
     /// Loaded once, as grouped views of the given relations; never moves.
-    Static(Mutex<Catalog>),
-    /// The latest committed snapshot of `db` as of the last refresh.
-    /// A commit or merge gives each table it changed a new relation in
-    /// [`TxnDb::snapshot_catalog`], so installing a newer snapshot is what
-    /// invalidates the plans that scan one of those tables.
+    Static(Mutex<Installed>),
+    /// Grouped views of the latest committed snapshot of `db` as of the
+    /// last refresh. A commit or merge gives each table it changed a new
+    /// relation in [`TxnDb::snapshot_catalog`], and so a new view, which
+    /// is what invalidates the plans that scan one of those tables.
     Database {
         db: Arc<TxnDb>,
-        installed: Mutex<Catalog>,
+        installed: Mutex<Installed>,
     },
 }
 
 impl CatalogSource {
-    /// The catalog statements bind against right now.
-    fn catalog(&self) -> MutexGuard<'_, Catalog> {
+    /// The installation statements bind against right now.
+    fn installed(&self) -> MutexGuard<'_, Installed> {
         match self {
-            CatalogSource::Static(catalog) => catalog.lock(),
-            CatalogSource::Database { installed, .. } => installed.lock(),
+            CatalogSource::Static(installed) | CatalogSource::Database { installed, .. } => {
+                installed.lock()
+            }
         }
     }
 
@@ -211,7 +254,7 @@ impl CatalogSource {
     fn refresh(&self) {
         if let CatalogSource::Database { db, installed } = self {
             let mut installed = installed.lock();
-            *installed = db.snapshot_catalog();
+            *installed = installed.regroup(db.snapshot_catalog());
         }
     }
 }
@@ -340,13 +383,14 @@ impl Session {
     fn resolve_plan(&self, select: &Select) -> Result<(PlanHandle, CacheDisposition), SqlError> {
         let shape = (self.plan_cache_capacity > 0).then(|| shape_of(select));
         let mut caches = self.caches.lock();
-        let catalog = self.source.catalog();
-        let cached = (shape.as_ref())
-            .and_then(|(key, literals)| caches.lookup_plan(key, literals, &catalog));
+        let installed = self.source.installed();
+        let catalog = &installed.views;
+        let cached =
+            (shape.as_ref()).and_then(|(key, literals)| caches.lookup_plan(key, literals, catalog));
         if let Some(handle) = cached {
             return Ok((handle, CacheDisposition::Hit));
         }
-        let logical = Binder::new(&catalog).bind(select)?;
+        let logical = Binder::new(catalog).bind(select)?;
         let handle = self.planner.plan_handle(&logical);
         let Some((key, literals)) = shape else {
             return Ok((handle, CacheDisposition::Bypass));

@@ -10,12 +10,14 @@
 //!
 //! A commit or a merge gives every table it changed a new relation in
 //! [`TxnDb::snapshot_catalog`] and leaves every other table's relation
-//! as it was; the session installs that catalog before each read. The
-//! plan cache serves a plan only while every relation it scans is still
-//! in the installed catalog, so a plan is never served across a write
-//! to a table it reads, and is still served across a write to one it
-//! does not. The tests below pin both halves end to end, directed and
-//! over seeded rounds of writes and merges against an uncached session.
+//! as it was; before each read the session installs that catalog as
+//! grouped views, re-grouping only the tables whose relation changed.
+//! The plan cache serves a plan only while every view it scans is still
+//! installed, so a plan is never served across a write to a table it
+//! reads, and is still served across a write to one it does not. The
+//! tests below pin both halves end to end, directed and over seeded
+//! rounds of writes and merges against an uncached session and against
+//! aggregates computed from the database's logical state.
 
 use morsel_exec::expr::{eq, lit, Expr};
 use morsel_planner::{DmlKind, DmlPlan};
@@ -94,10 +96,15 @@ fn match_all() -> Expr {
 mod tests {
     use crate::cache::PLAN_CACHE_CAPACITY_DEFAULT;
     use crate::{CacheDisposition, ErrorKind, QueryService, ServiceConfig, Session};
-    use morsel_core::ExecEnv;
-    use morsel_numa::Topology;
-    use morsel_storage::{Value, WalFaults};
+    use morsel_core::{ExecEnv, DEFAULT_MORSEL_SIZE};
+    use morsel_datagen::{generate_tpch, TpchConfig};
+    use morsel_exec::Plan;
+    use morsel_numa::{Placement, Topology};
+    use morsel_storage::{
+        Batch, Column, DataType, PartitionBy, Relation, Schema, Value, WalFaults,
+    };
     use morsel_txn::{kv_relation, Lcg, TxnDb, TxnDbConfig};
+    use std::collections::BTreeMap;
     use std::path::{Path, PathBuf};
     use std::sync::Arc;
 
@@ -419,5 +426,246 @@ mod tests {
 
         service.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // ---- grouped views in database mode ---------------------------------
+
+    /// The relations the plan `session` resolves `sql` to scans: the
+    /// installed views, since a cached plan is served only while its
+    /// views are installed.
+    fn scanned(session: &Session, sql: &str) -> (Vec<Arc<Relation>>, CacheDisposition) {
+        let (handle, disposition) = session.resolve(sql).expect("resolves");
+        let scans = (handle.plan.preorder().into_iter())
+            .filter_map(|(_, node)| match node {
+                Plan::Scan { relation, .. } => Some(Arc::clone(relation)),
+                _ => None,
+            })
+            .collect();
+        (scans, disposition)
+    }
+
+    /// The one view `sql` scans, bound afresh (an uncached session).
+    fn view(session: &Session, sql: &str) -> Arc<Relation> {
+        let (mut scans, _) = scanned(session, sql);
+        assert_eq!(scans.len(), 1, "{sql}");
+        scans.pop().unwrap()
+    }
+
+    #[test]
+    fn refreshes_without_a_commit_keep_each_grouped_view() {
+        let dir = tmpdir("txn-session-views");
+        let db = two_tables(&dir);
+        let service = QueryService::start(ExecEnv::new(Topology::laptop()), ServiceConfig::new(2));
+        let session = session_over(&db, &service, 0);
+        let sum_a = "SELECT SUM(val) AS s FROM a";
+        let before = view(&session, sum_a);
+        // A grouped view of the database's relation, sharing its
+        // partitions and statistics: two same-node partitions, one chunk.
+        let latest = db.latest_relation("a").expect("a");
+        assert!(!Arc::ptr_eq(&before, &latest));
+        assert_eq!((before.partitions().len(), before.chunk_count()), (2, 1));
+        assert!(Arc::ptr_eq(
+            &before.partition(0).data,
+            &latest.partition(0).data
+        ));
+        assert!(Arc::ptr_eq(&before.stats(), &latest.stats()));
+        for _ in 0..3 {
+            session.refresh();
+            assert!(
+                Arc::ptr_eq(&before, &view(&session, sum_a)),
+                "a refresh without a commit re-grouped a"
+            );
+        }
+        service.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_commit_replaces_only_its_tables_grouped_view() {
+        let dir = tmpdir("txn-session-view-commit");
+        let db = two_tables(&dir);
+        let service = QueryService::start(ExecEnv::new(Topology::laptop()), ServiceConfig::new(2));
+        let session = session_over(&db, &service, PLAN_CACHE_CAPACITY_DEFAULT);
+        let (sum_a, sum_b) = ("SELECT SUM(val) AS s FROM a", "SELECT SUM(val) AS s FROM b");
+        let (a, _) = scanned(&session, sum_a);
+        let (b, _) = scanned(&session, sum_b);
+        write(&session, &service, "UPDATE a SET val = 3 WHERE key = 1");
+        let (b_after, disposition) = scanned(&session, sum_b);
+        assert_eq!(disposition, CacheDisposition::Hit, "b's plan still holds");
+        assert!(Arc::ptr_eq(&b[0], &b_after[0]), "b keeps its view");
+        let (a_after, disposition) = scanned(&session, sum_a);
+        assert_eq!(disposition, CacheDisposition::Miss, "a was written");
+        assert!(!Arc::ptr_eq(&a[0], &a_after[0]), "a is re-grouped");
+        let latest = db.latest_relation("a").unwrap();
+        let delta_part = |rel: &Relation| Arc::clone(&rel.partitions().last().unwrap().data);
+        assert!(Arc::ptr_eq(&delta_part(&a_after[0]), &delta_part(&latest)));
+        assert_eq!(read(&session, &service, sum_a).0, vec![vec![Value::I64(3)]]);
+        service.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_written_lineitem_snapshot_scans_in_fewer_chunks_than_partitions() {
+        let dir = tmpdir("txn-session-lineitem");
+        let topo = Topology::laptop();
+        let tpch = generate_tpch(TpchConfig::scaled(0.01), &topo);
+        let tables = vec![
+            ("orders", Arc::clone(&tpch.orders)),
+            ("lineitem", Arc::clone(&tpch.lineitem)),
+        ];
+        let db = Arc::new(TxnDb::create(&dir, tables).expect("create"));
+        let service = QueryService::start(ExecEnv::new(topo), ServiceConfig::new(2));
+        let session = session_over(&db, &service, 0);
+        let moved = write(
+            &session,
+            &service,
+            "UPDATE lineitem SET l_quantity = 7 WHERE l_orderkey = 1",
+        );
+        assert!(moved > 0);
+        let sql = "SELECT SUM(l_quantity) AS q FROM lineitem";
+        let view = view(&session, sql);
+        let latest = db.latest_relation("lineitem").unwrap();
+        assert_eq!(view.partitions().len(), 65, "64 partitions and the delta's");
+        assert_eq!(
+            latest.chunk_count(),
+            65,
+            "the database's own is not grouped"
+        );
+        // ~940 rows a partition: a chunk takes two or three.
+        assert!(
+            view.chunk_count() < view.partitions().len() / 2,
+            "{} chunks",
+            view.chunk_count()
+        );
+        assert_eq!(view.total_rows(), latest.total_rows());
+        service.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `t(key, grp, val)`: 64 hash partitions of ~100 rows on one node, so
+    /// its grouped view's chunks span ~20 partitions.
+    fn spread_table(rows: i64) -> Arc<Relation> {
+        let schema = Schema::new(vec![
+            ("key", DataType::I64),
+            ("grp", DataType::I64),
+            ("val", DataType::I64),
+        ]);
+        let data = Batch::from_columns(vec![
+            Column::I64((0..rows).collect()),
+            Column::I64((0..rows).map(|k| k % 7).collect()),
+            Column::I64((0..rows).map(|k| k * 13 % 100).collect()),
+        ]);
+        Arc::new(Relation::partitioned(
+            schema,
+            &data,
+            PartitionBy::Hash { column: 0 },
+            64,
+            Placement::FirstTouch,
+            &Topology::laptop(),
+        ))
+    }
+
+    /// Per-group `(count, sum)` and, over `val < 50`, `(count, sum, min
+    /// key, max key)` of `t`'s committed rows.
+    type Aggregates = (BTreeMap<i64, (i64, i64)>, (i64, i64, i64, i64));
+
+    const GROUPS: &str = "SELECT grp, COUNT(*) AS n, SUM(val) AS s FROM t GROUP BY grp";
+    const FILTERED: &str =
+        "SELECT COUNT(*) AS n, SUM(val) AS s, MIN(key) AS lo, MAX(key) AS hi FROM t WHERE val < 50";
+
+    /// The aggregates, computed from the database's logical state.
+    fn expected(db: &TxnDb) -> Aggregates {
+        let state = db.logical_state();
+        let (_, rows) = state.iter().find(|(name, _)| name == "t").unwrap();
+        let mut groups = BTreeMap::new();
+        let mut filtered = (0, 0, i64::MAX, i64::MIN);
+        for i in 0..rows.rows() {
+            let row: Vec<i64> = rows.row(i).iter().map(Value::as_i64).collect();
+            let (key, grp, val) = (row[0], row[1], row[2]);
+            let g = groups.entry(grp).or_insert((0, 0));
+            *g = (g.0 + 1, g.1 + val);
+            if val < 50 {
+                filtered = (
+                    filtered.0 + 1,
+                    filtered.1 + val,
+                    filtered.2.min(key),
+                    filtered.3.max(key),
+                );
+            }
+        }
+        (groups, filtered)
+    }
+
+    /// The aggregates, through `session`.
+    fn computed(session: &Session, service: &QueryService) -> Aggregates {
+        let (rows, _) = read(session, service, GROUPS);
+        let groups = (rows.iter())
+            .map(|r| (r[0].as_i64(), (r[1].as_i64(), r[2].as_i64())))
+            .collect();
+        let (rows, _) = read(session, service, FILTERED);
+        let r: Vec<i64> = rows[0].iter().map(Value::as_i64).collect();
+        (groups, (r[0], r[1], r[2], r[3]))
+    }
+
+    /// Seeded rounds of multi-row inserts, range updates and deletes, and
+    /// merges, read through grouped views at 1 and 4 workers and at small
+    /// and default morsel sizes: every read equals the aggregates of the
+    /// committed logical state.
+    #[test]
+    fn grouped_reads_equal_the_logical_state_across_seeded_writes() {
+        let configs = [1, 4]
+            .into_iter()
+            .flat_map(|w| [(w, 512), (w, DEFAULT_MORSEL_SIZE)]);
+        for (workers, morsel) in configs {
+            let config = ServiceConfig::new(workers).with_morsel_size(morsel);
+            let service = QueryService::start(ExecEnv::new(Topology::laptop()), config);
+            for seed in 1..=3u64 {
+                let dir = tmpdir(&format!("txn-session-grouped-{workers}-{morsel}-{seed}"));
+                let db = Arc::new(TxnDb::create(&dir, vec![("t", spread_table(6400))]).unwrap());
+                let session = session_over(&db, &service, PLAN_CACHE_CAPACITY_DEFAULT);
+                let mut rng = Lcg(seed * 31 + workers as u64);
+                let mut next_key = 10_000;
+                for round in 0..16 {
+                    let (lo, width) =
+                        (rng.below(next_key as u64) as i64, 1 + rng.below(400) as i64);
+                    match rng.below(7) {
+                        0 => session.merge_all().expect("merge"),
+                        1 | 2 => {
+                            let rows: Vec<String> = (0..1 + rng.below(40))
+                                .map(|i| {
+                                    let key = next_key + i as i64;
+                                    format!("({key}, {}, {})", rng.below(9), rng.below(100))
+                                })
+                                .collect();
+                            next_key += rows.len() as i64;
+                            let sql = format!("INSERT INTO t VALUES {}", rows.join(", "));
+                            write(&session, &service, &sql);
+                        }
+                        3 | 4 => {
+                            let sql = format!(
+                                "UPDATE t SET val = {} WHERE key >= {lo} AND key < {}",
+                                rng.below(100),
+                                lo + width
+                            );
+                            write(&session, &service, &sql);
+                        }
+                        _ => {
+                            let sql =
+                                format!("DELETE FROM t WHERE key >= {lo} AND key < {}", lo + width);
+                            write(&session, &service, &sql);
+                        }
+                    }
+                    assert_eq!(
+                        computed(&session, &service),
+                        expected(&db),
+                        "{workers} workers, {morsel}-row morsels, seed {seed}, round {round}"
+                    );
+                }
+                let view = view(&session_over(&db, &service, 0), GROUPS);
+                assert!(view.chunk_count() < view.partitions().len());
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+            service.shutdown();
+        }
     }
 }

@@ -34,7 +34,7 @@ pub use column::{encode_fragments, Column};
 pub use delta::{delta_row_id, row_bytes, DeltaStore, DELTA_ROW_BIT};
 pub use dict::{DictColumn, Dictionary};
 pub use hash::{hash64, hash_bytes, hash_combine, hash_i64};
-pub use recovery::{replay, scan_bytes, scan_wal, RecoveredState, WalScan};
+pub use recovery::{read_wal, replay, RecoveredState, WalReader, WalScan};
 pub use relation::{Partition, PartitionBy, Relation};
 pub use schema::{Field, Schema};
 pub use stats::{ColumnStats, HllSketch, TableStats};

@@ -6,14 +6,16 @@
 //! of transactions whose `Commit` record never became durable were
 //! never applied and are simply discarded when replay ends.
 //!
-//! [`scan_wal`] reads frames until the first one that fails any check —
-//! a header cut short (zero-length tail), a length running past
-//! end-of-file (torn write), a CRC mismatch (corrupt or partially
-//! written payload), or an undecodable payload. Everything after the
-//! first bad frame is unreachable (frames are not self-synchronizing by
-//! design: a commit is only acknowledged once durable, so nothing after
-//! a torn frame was ever promised to a client) and gets truncated when
-//! the log reopens for appending.
+//! [`WalReader`] decodes frames one at a time from any [`Read`] — the
+//! log file through a [`BufReader`] ([`read_wal`]), or an in-memory image
+//! in tests — until the first one that fails any check: a header cut
+//! short (zero-length tail), a length running past end-of-file (torn
+//! write), a CRC mismatch (corrupt or partially written payload), or an
+//! undecodable payload. Everything after the first bad frame is
+//! unreachable (frames are not self-synchronizing by design: a commit is
+//! only acknowledged once durable, so nothing after a torn frame was
+//! ever promised to a client) and gets truncated when the log reopens
+//! for appending.
 //!
 //! [`replay`] then rebuilds the delta stores: operations buffer per
 //! transaction and apply — in log order — when that transaction's
@@ -22,82 +24,143 @@
 //! pre-crash run. Records at or below the highest LSN already applied
 //! are skipped, which makes replay idempotent under duplicate-LSN
 //! anomalies (a crashed retry that wrote the same frame twice).
+//!
+//! The two stream: replay takes each record as the reader decodes it, so
+//! recovery holds one frame and the operations of still-uncommitted
+//! transactions, never the whole log.
 
 use std::collections::BTreeMap;
+use std::fs::File;
+use std::io::{BufReader, Read};
 use std::path::Path;
 use std::sync::Arc;
 
 use crate::delta::DeltaStore;
 use crate::relation::Relation;
 use crate::value::Value;
-use crate::wal::{decode_payload, WalError, WalOp, WalRecord, FRAME_HEADER, WAL_FILE};
+use crate::wal::{crc32, decode_payload, WalError, WalOp, WalRecord, FRAME_HEADER, WAL_FILE};
 
 /// Upper bound on a sane frame payload; anything larger is treated as
 /// corruption rather than an allocation request.
 const MAX_PAYLOAD: u32 = 1 << 30;
 
-/// Result of scanning a WAL file.
+/// How a scan of a WAL ended.
 #[derive(Debug, Default)]
 pub struct WalScan {
-    /// Every decodable record before the first bad frame, in LSN order.
-    pub records: Vec<WalRecord>,
     /// Byte length of the valid prefix; the log reopens truncated here.
     pub valid_bytes: u64,
     /// Why the scan stopped before end-of-file, if it did.
     pub truncated: Option<String>,
 }
 
-/// Scan `dir/wal.log`. A missing directory or file is an empty log —
-/// recovery on a never-written database is a no-op, not an error.
-pub fn scan_wal(dir: &Path) -> Result<WalScan, WalError> {
-    let path = dir.join(WAL_FILE);
-    let bytes = match std::fs::read(&path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(WalScan::default()),
-        Err(e) => return Err(WalError::Io(e.to_string())),
-    };
-    Ok(scan_bytes(&bytes))
+/// A frame decoder over a log image: an iterator of every decodable
+/// record before the first bad frame, in log order, reading as it goes.
+/// [`WalReader::finish`] then says where the valid prefix ends.
+pub struct WalReader<R> {
+    src: R,
+    /// The frame being decoded, reused from frame to frame.
+    frame: Vec<u8>,
+    scan: WalScan,
+    /// An I/O error that ended the scan: the log could not be read, which
+    /// says nothing about where its valid prefix ends.
+    error: Option<WalError>,
+    stopped: bool,
 }
 
-/// Scan an in-memory log image (tests corrupt bytes directly).
-pub fn scan_bytes(bytes: &[u8]) -> WalScan {
-    let mut scan = WalScan::default();
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        let remain = bytes.len() - pos;
-        if remain < FRAME_HEADER {
-            scan.truncated = Some(format!("{remain}-byte tail shorter than a frame header"));
-            break;
+impl<R: Read> WalReader<R> {
+    pub fn new(src: R) -> Self {
+        WalReader {
+            src,
+            frame: Vec::new(),
+            scan: WalScan::default(),
+            error: None,
+            stopped: false,
         }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-        if len > MAX_PAYLOAD {
-            scan.truncated = Some(format!("implausible frame length {len}"));
-            break;
+    }
+
+    /// How the scan ended, once the iterator is exhausted: the valid
+    /// prefix and why it stopped short of end-of-file, or the read error
+    /// that interrupted it.
+    pub fn finish(self) -> Result<WalScan, WalError> {
+        match self.error {
+            Some(e) => Err(e),
+            None => Ok(self.scan),
         }
-        let end = pos + FRAME_HEADER + len as usize;
-        if end > bytes.len() {
-            scan.truncated = Some(format!(
-                "frame length {len} runs past end of file (torn write)"
-            ));
-            break;
-        }
-        let payload = &bytes[pos + FRAME_HEADER..end];
-        if crate::wal::crc32(payload) != crc {
-            scan.truncated = Some("CRC mismatch".into());
-            break;
-        }
-        match decode_payload(payload) {
-            Ok(rec) => scan.records.push(rec),
+    }
+
+    /// Read up to `n` more bytes of the log into `self.frame`; fewer only
+    /// at end-of-file. `None` after a read error, which it records.
+    fn read_frame_bytes(&mut self, n: usize) -> Option<usize> {
+        let before = self.frame.len();
+        match (&mut self.src).take(n as u64).read_to_end(&mut self.frame) {
+            Ok(_) => Some(self.frame.len() - before),
             Err(e) => {
-                scan.truncated = Some(format!("undecodable payload: {e}"));
-                break;
+                self.error = Some(WalError::Io(e.to_string()));
+                None
             }
         }
-        pos = end;
-        scan.valid_bytes = pos as u64;
     }
-    scan
+
+    /// The next frame's record, or why there is none.
+    fn decode_next(&mut self) -> Result<WalRecord, Option<String>> {
+        self.frame.clear();
+        let got = self.read_frame_bytes(FRAME_HEADER).ok_or(None)?;
+        if got == 0 {
+            return Err(None);
+        }
+        if got < FRAME_HEADER {
+            return Err(Some(format!("{got}-byte tail shorter than a frame header")));
+        }
+        let len = u32::from_le_bytes(self.frame[0..4].try_into().unwrap());
+        let crc = u32::from_le_bytes(self.frame[4..8].try_into().unwrap());
+        if len > MAX_PAYLOAD {
+            return Err(Some(format!("implausible frame length {len}")));
+        }
+        // Grows with the bytes actually read, so a corrupt length past
+        // end-of-file allocates no more than the file holds.
+        if self.read_frame_bytes(len as usize).ok_or(None)? < len as usize {
+            return Err(Some(format!(
+                "frame length {len} runs past end of file (torn write)"
+            )));
+        }
+        let payload = &self.frame[FRAME_HEADER..];
+        if crc32(payload) != crc {
+            return Err(Some("CRC mismatch".into()));
+        }
+        let rec = decode_payload(payload).map_err(|e| Some(format!("undecodable payload: {e}")))?;
+        self.scan.valid_bytes += self.frame.len() as u64;
+        Ok(rec)
+    }
+}
+
+impl<R: Read> Iterator for WalReader<R> {
+    type Item = WalRecord;
+
+    fn next(&mut self) -> Option<WalRecord> {
+        if self.stopped {
+            return None;
+        }
+        match self.decode_next() {
+            Ok(rec) => Some(rec),
+            Err(why) => {
+                self.stopped = true;
+                self.scan.truncated = why;
+                None
+            }
+        }
+    }
+}
+
+/// Read `dir/wal.log` frame by frame. A missing directory or file is an
+/// empty log — recovery on a never-written database is a no-op, not an
+/// error.
+pub fn read_wal(dir: &Path) -> Result<WalReader<Box<dyn Read>>, WalError> {
+    let src: Box<dyn Read> = match File::open(dir.join(WAL_FILE)) {
+        Ok(file) => Box::new(BufReader::new(file)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Box::new(std::io::empty()),
+        Err(e) => return Err(WalError::Io(e.to_string())),
+    };
+    Ok(WalReader::new(src))
 }
 
 /// One transaction's not-yet-committed redo operation.
@@ -121,11 +184,12 @@ pub struct RecoveredState {
     pub applied_lsn: u64,
 }
 
-/// Redo `records` over the load-time `bases` (table order must match
-/// the table indices used when the log was written). `already_applied`
-/// is the LSN floor for idempotent re-replay — pass 0 on a cold start.
+/// Redo `records`, in log order, over the load-time `bases` (table order
+/// must match the table indices used when the log was written), taking
+/// each as it comes. `already_applied` is the LSN floor for idempotent
+/// re-replay — pass 0 on a cold start.
 pub fn replay(
-    records: &[WalRecord],
+    records: impl IntoIterator<Item = WalRecord>,
     bases: &[Arc<Relation>],
     already_applied: u64,
 ) -> RecoveredState {
@@ -145,38 +209,32 @@ pub fn replay(
             continue; // duplicate LSN: already redone
         }
         state.applied_lsn = rec.lsn;
-        match &rec.op {
+        match rec.op {
             WalOp::Insert { txn, table, row } => {
                 state.next_txn = state.next_txn.max(txn + 1);
-                pending.entry(*txn).or_default().push(Pending::Insert {
-                    table: *table,
-                    row: row.clone(),
-                });
+                (pending.entry(txn).or_default()).push(Pending::Insert { table, row });
             }
             WalOp::Delete { txn, table, row_id } => {
                 state.next_txn = state.next_txn.max(txn + 1);
-                pending.entry(*txn).or_default().push(Pending::Delete {
-                    table: *table,
-                    row_id: *row_id,
-                });
+                (pending.entry(txn).or_default()).push(Pending::Delete { table, row_id });
             }
             WalOp::Commit { txn, commit_ts } => {
                 state.next_txn = state.next_txn.max(txn + 1);
-                for op in pending.remove(txn).unwrap_or_default() {
+                for op in pending.remove(&txn).unwrap_or_default() {
                     match op {
                         Pending::Insert { table, row } => {
-                            state.deltas[table as usize].apply_insert(row, *commit_ts);
+                            state.deltas[table as usize].apply_insert(row, commit_ts);
                         }
                         Pending::Delete { table, row_id } => {
-                            state.deltas[table as usize].apply_delete(row_id, *commit_ts);
+                            state.deltas[table as usize].apply_delete(row_id, commit_ts);
                         }
                     }
                 }
-                state.last_commit_ts = state.last_commit_ts.max(*commit_ts);
+                state.last_commit_ts = state.last_commit_ts.max(commit_ts);
             }
             WalOp::Merge { table, upto_ts } => {
-                let t = *table as usize;
-                let (folded, next) = state.deltas[t].merge(&state.bases[t], *upto_ts, None);
+                let t = table as usize;
+                let (folded, next) = state.deltas[t].merge(&state.bases[t], upto_ts, None);
                 state.bases[t] = Arc::new(folded);
                 state.deltas[t] = next;
             }
@@ -236,6 +294,12 @@ mod tests {
         ]
     }
 
+    /// Every record `log` decodes, and how its scan ended.
+    fn scan_all<R: Read>(mut log: WalReader<R>) -> (Vec<WalRecord>, WalScan) {
+        let records = log.by_ref().collect();
+        (records, log.finish().unwrap())
+    }
+
     fn log_of(records: &[(u64, WalOp)]) -> Vec<u8> {
         records
             .iter()
@@ -246,11 +310,11 @@ mod tests {
     #[test]
     fn empty_directory_recovers_to_nothing() {
         let dir = tmpdir("empty");
-        let scan = scan_wal(&dir).unwrap();
-        assert!(scan.records.is_empty());
+        let (records, scan) = scan_all(read_wal(&dir).unwrap());
+        assert!(records.is_empty());
         assert_eq!(scan.valid_bytes, 0);
         assert!(scan.truncated.is_none());
-        let st = replay(&scan.records, &[base()], 0);
+        let st = replay(records, &[base()], 0);
         assert!(st.deltas[0].is_empty());
         assert_eq!(st.next_txn, 1);
         assert_eq!(st.applied_lsn, 0);
@@ -263,10 +327,10 @@ mod tests {
         let last = wal.append(&ops()).unwrap();
         wal.commit_durable(last).unwrap();
         drop(wal);
-        let scan = scan_wal(&dir).unwrap();
-        assert_eq!(scan.records.len(), 4);
+        let (records, scan) = scan_all(read_wal(&dir).unwrap());
+        assert_eq!(records.len(), 4);
         assert!(scan.truncated.is_none());
-        let st = replay(&scan.records, &[base()], 0);
+        let st = replay(records, &[base()], 0);
         assert_eq!(st.last_commit_ts, 6);
         assert_eq!(st.next_txn, 3);
         assert_eq!(st.applied_lsn, 4);
@@ -280,8 +344,8 @@ mod tests {
         let mut bytes = log_of(&[(1, o[0].clone()), (2, o[1].clone())]);
         let good = bytes.len() as u64;
         bytes.extend_from_slice(&[0x17, 0x00, 0x00]); // 3 stray bytes
-        let scan = scan_bytes(&bytes);
-        assert_eq!(scan.records.len(), 2);
+        let (records, scan) = scan_all(WalReader::new(&bytes[..]));
+        assert_eq!(records.len(), 2);
         assert_eq!(scan.valid_bytes, good);
         assert!(scan.truncated.as_deref().unwrap().contains("header"));
     }
@@ -293,8 +357,8 @@ mod tests {
         let good = bytes.len() as u64;
         let torn = encode_frame(2, &o[1]);
         bytes.extend_from_slice(&torn[..torn.len() - 3]);
-        let scan = scan_bytes(&bytes);
-        assert_eq!(scan.records.len(), 1);
+        let (records, scan) = scan_all(WalReader::new(&bytes[..]));
+        assert_eq!(records.len(), 1);
         assert_eq!(scan.valid_bytes, good);
         assert!(scan.truncated.as_deref().unwrap().contains("torn"));
     }
@@ -311,8 +375,8 @@ mod tests {
         // Flip one payload byte inside frame 2.
         let f2_payload = frames[0].len() + FRAME_HEADER + 2;
         bytes[f2_payload] ^= 0xFF;
-        let scan = scan_bytes(&bytes);
-        assert_eq!(scan.records.len(), 1, "only frame 1 survives");
+        let (records, scan) = scan_all(WalReader::new(&bytes[..]));
+        assert_eq!(records.len(), 1, "only frame 1 survives");
         assert_eq!(scan.valid_bytes, frames[0].len() as u64);
         assert_eq!(scan.truncated.as_deref(), Some("CRC mismatch"));
     }
@@ -320,33 +384,32 @@ mod tests {
     #[test]
     fn duplicate_lsn_replay_is_idempotent() {
         let o = ops();
-        let records: Vec<WalRecord> = scan_bytes(&log_of(&[
+        let log = log_of(&[
             (1, o[0].clone()),
             (2, o[1].clone()),
             (2, o[1].clone()), // duplicated commit frame
             (3, o[2].clone()),
             (4, o[3].clone()),
-        ]))
-        .records;
+        ]);
+        let (records, _) = scan_all(WalReader::new(&log[..]));
         assert_eq!(records.len(), 5);
-        let st = replay(&records, &[base()], 0);
+        let st = replay(records.clone(), &[base()], 0);
         assert_eq!(st.deltas[0].delta_rows(), 1, "insert applied once");
         assert_eq!(st.deltas[0].tombstone_count(), 1);
         // Replaying the whole log again over the recovered floor is a no-op.
-        let st2 = replay(&records, &[base()], st.applied_lsn);
+        let st2 = replay(records, &[base()], st.applied_lsn);
         assert!(st2.deltas[0].is_empty());
     }
 
     #[test]
     fn uncommitted_tail_is_dropped() {
         let o = ops();
-        let records = scan_bytes(&log_of(&[
+        let log = log_of(&[
             (1, o[0].clone()),
             (2, o[1].clone()),
             (3, o[2].clone()), // delete by txn 2, but no commit follows
-        ]))
-        .records;
-        let st = replay(&records, &[base()], 0);
+        ]);
+        let st = replay(WalReader::new(&log[..]), &[base()], 0);
         assert_eq!(st.deltas[0].delta_rows(), 1);
         assert_eq!(
             st.deltas[0].tombstone_count(),
@@ -388,8 +451,7 @@ mod tests {
         let mut delta = next;
         delta.apply_insert(vec![Value::I64(20)], 7);
 
-        let scan = scan_wal(&dir).unwrap();
-        let st = replay(&scan.records, &[base()], 0);
+        let st = replay(read_wal(&dir).unwrap(), &[base()], 0);
         assert_eq!(st.deltas[0], delta, "delta store byte-identical");
         assert_eq!(st.bases[0].gather(), b.gather(), "merged base identical");
         assert_eq!(st.deltas[0].epoch(), 1);
@@ -404,10 +466,10 @@ mod tests {
             .with_faults(WalFaults::crash_at(4));
         let _ = wal.append(&ops());
         drop(wal);
-        let scan = scan_wal(&dir).unwrap();
-        assert_eq!(scan.records.len(), 3, "frames before the crash LSN");
+        let (records, scan) = scan_all(read_wal(&dir).unwrap());
+        assert_eq!(records.len(), 3, "frames before the crash LSN");
         assert!(scan.truncated.is_none(), "crash cut at a record boundary");
-        let st = replay(&scan.records, &[base()], 0);
+        let st = replay(records, &[base()], 0);
         // txn 1 committed (lsn 2); txn 2's delete never committed.
         assert_eq!(st.deltas[0].delta_rows(), 1);
         assert_eq!(st.deltas[0].tombstone_count(), 0);
@@ -422,8 +484,8 @@ mod tests {
             .with_faults(WalFaults::torn_at(3, 6));
         let _ = wal.append(&ops());
         drop(wal);
-        let scan = scan_wal(&dir).unwrap();
-        assert_eq!(scan.records.len(), 2);
+        let (records, scan) = scan_all(read_wal(&dir).unwrap());
+        assert_eq!(records.len(), 2);
         assert!(scan.truncated.is_some());
         // Reopen truncates the torn bytes and appending continues at lsn 3.
         let wal = Wal::reopen(&dir, scan.valid_bytes, 3).unwrap();
@@ -431,8 +493,8 @@ mod tests {
         let last = wal.append(&o[2..]).unwrap();
         wal.commit_durable(last).unwrap();
         drop(wal);
-        let scan = scan_wal(&dir).unwrap();
-        assert_eq!(scan.records.len(), 4);
+        let (records, scan) = scan_all(read_wal(&dir).unwrap());
+        assert_eq!(records.len(), 4);
         assert!(scan.truncated.is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -139,15 +139,18 @@ impl Relation {
 
     /// Build a relation from already-placed partitions, some of them
     /// typically shared with the relation they were taken from. Row/byte
-    /// totals and the merged stats are this instance's own, which is the
-    /// write path's staleness guarantee: a snapshot or merge that
-    /// changes row data must construct a *new* `Relation` through here
-    /// (never mutate one in place), so the planner can never cost
-    /// against pre-write `total_rows`/`total_bytes`/`stats()` values.
-    /// What carries over is per partition: [`Relation::stats`] of a
-    /// relation built here computes a partition's statistics once for
-    /// every relation sharing that partition, and combines them through a
-    /// merge tree whose nodes the write path shares between versions.
+    /// totals are this instance's own, which is the write path's
+    /// staleness guarantee: a snapshot or merge that changes row data
+    /// must construct a *new* `Relation` through here (never mutate one
+    /// in place), so the planner can never cost against pre-write
+    /// `total_rows`/`total_bytes`. Its merged statistics start as its own
+    /// too, unless the writer hands on an older version's with
+    /// [`Relation::sharing_stats`], which it does only within a drift
+    /// bound (`morsel-txn`). What carries over is per partition:
+    /// [`Relation::stats`] of a relation built here computes a
+    /// partition's statistics once for every relation sharing that
+    /// partition, and combines them through a merge tree whose nodes the
+    /// write path shares between versions.
     pub fn from_partitions(schema: Schema, partitions: Vec<Partition>) -> Self {
         Relation::sharing(schema, partitions, None, false)
     }
@@ -173,6 +176,18 @@ impl Relation {
             tree,
             merge_tail,
             ..Relation::from_parts(schema, partitions)
+        }
+    }
+
+    /// This relation with `donor`'s statistics cache in place of its own:
+    /// [`Relation::stats`] of either returns the same `Arc`, computed by
+    /// whichever asks first. For a writer whose new version differs from
+    /// `donor` by few enough rows that the older statistics still serve
+    /// the planner; the row and byte totals stay this relation's own.
+    pub fn sharing_stats(self, donor: &Relation) -> Relation {
+        Relation {
+            stats: Arc::clone(&donor.stats),
+            ..self
         }
     }
 

@@ -36,8 +36,11 @@
 //! commit to it or a merge of it, and handed to everyone until the next
 //! one. Every other table keeps its `Arc<Relation>`, so a
 //! [`TxnDb::snapshot_catalog`] differs from the previous one in exactly
-//! the tables written since. The database mutex is never held for work
-//! proportional to a table.
+//! the tables written since. A new snapshot, and a merged base, hand on
+//! the statistics of the relation before them until the rows changed
+//! since those were started reach [`STATS_DRIFT`] of the table, so a
+//! small commit does not rebuild them. The database mutex is never held
+//! for work proportional to a table.
 //!
 //! **Memory accounting**: committed delta bytes are reserved against a
 //! [`MemBudget`] (optionally pool-backed) as they apply and released
@@ -145,6 +148,16 @@ impl Txn {
     }
 }
 
+/// The fraction of a table's rows that may change — rows inserted plus
+/// rows tombstoned — while each new snapshot of it hands on the
+/// statistics of the one before ([`Relation::sharing_stats`]). The
+/// snapshot whose changes reach it starts statistics of its own, built
+/// through the merge tree on first use, and the count starts again. So
+/// the planner's selectivities and NDVs lag the data by less than this
+/// fraction, while row and byte totals, and every result, stay exact.
+/// The sweep that chose it is in DESIGN.md §15.
+pub const STATS_DRIFT: f64 = 0.10;
+
 struct TableState {
     name: String,
     base: Arc<Relation>,
@@ -156,6 +169,11 @@ struct TableState {
     /// partitions touched since — or, with no commit to this table since,
     /// is this very `Arc`.
     latest: Option<(Arc<Relation>, u64)>,
+    /// Rows inserted plus rows tombstoned since the statistics the table's
+    /// newest relation carries were started (see [`STATS_DRIFT`]).
+    drift: u64,
+    /// Inserts plus tombstones of `delta` already counted into `drift`.
+    counted: u64,
 }
 
 impl TableState {
@@ -177,21 +195,59 @@ impl TableState {
     /// built on top of it. A table without visible delta effects is its
     /// base `Arc`. So whenever this table's rows (or their encoding)
     /// change, its relation is replaced, which the plan cache relies on.
+    ///
+    /// A new snapshot carries the statistics of the relation it follows
+    /// while the drift bound allows ([`TableState::carry_stats`]).
     fn latest_snapshot(&mut self, ts: u64) -> Arc<Relation> {
         if let Some((rel, at)) = &self.latest {
             if self.delta.last_commit_ts() <= *at {
                 return Arc::clone(rel);
             }
         }
-        // Pay for a value outside the base dictionaries once, not in
-        // every snapshot until the next merge.
-        if let Some(rebased) = self.delta.rebased(&self.base) {
-            self.base = Arc::new(rebased);
-        }
-        let prev = self.latest.take();
-        let rel = self.snapshot(ts, prev.as_ref().map(|(rel, _)| &**rel));
+        let rebased = self.adopt_rebased();
+        let prev = self.latest.take().map(|(rel, _)| rel);
+        let rel = if self.delta.snapshot_is_base(ts) {
+            Arc::clone(&self.base)
+        } else {
+            let base = Arc::clone(&self.base);
+            let snap = self.delta.snapshot(&base, ts, prev.as_deref());
+            let donor = (!rebased).then(|| prev.as_deref().unwrap_or(&base));
+            Arc::new(self.carry_stats(snap, donor))
+        };
         self.latest = Some((Arc::clone(&rel), ts));
         rel
+    }
+
+    /// Pay for a value outside the base dictionaries once, not in every
+    /// snapshot until the next merge: replace the base by its re-encoding.
+    /// Returns whether it did.
+    fn adopt_rebased(&mut self) -> bool {
+        let Some(rebased) = self.delta.rebased(&self.base) else {
+            return false;
+        };
+        self.base = Arc::new(rebased);
+        true
+    }
+
+    /// `rel`, the relation that follows `donor` as this table's newest,
+    /// sharing `donor`'s statistics while the rows changed since those
+    /// were started stay under [`STATS_DRIFT`] of `rel`'s rows. Otherwise
+    /// — or with no donor, because a rebase re-encoded the base and the
+    /// old statistics' dictionaries went stale — `rel` keeps its own and
+    /// the count starts from it.
+    fn carry_stats(&mut self, rel: Relation, donor: Option<&Relation>) -> Relation {
+        let changes = (self.delta.delta_rows() + self.delta.tombstone_count()) as u64;
+        self.drift += changes - self.counted;
+        self.counted = changes;
+        match donor {
+            Some(donor) if (self.drift as f64) < STATS_DRIFT * rel.total_rows() as f64 => {
+                rel.sharing_stats(donor)
+            }
+            _ => {
+                self.drift = 0;
+                rel
+            }
+        }
     }
 }
 
@@ -247,11 +303,11 @@ impl TxnDb {
         ))
     }
 
-    /// Open an existing database: scan the WAL, truncate the torn
-    /// tail, redo the committed prefix, and continue the log where the
-    /// valid records end. `tables` must be the same load-time base
-    /// relations, in the same registration order, as when the log was
-    /// written.
+    /// Open an existing database: redo the committed prefix of the WAL
+    /// as it is read, frame by frame, truncate the torn tail, and
+    /// continue the log where the valid records end. `tables` must be the
+    /// same load-time base relations, in the same registration order, as
+    /// when the log was written.
     pub fn open(dir: &Path, tables: Vec<(&str, Arc<Relation>)>) -> Result<TxnDb, TxnError> {
         TxnDb::open_with(dir, tables, TxnDbConfig::default())
     }
@@ -261,10 +317,11 @@ impl TxnDb {
         tables: Vec<(&str, Arc<Relation>)>,
         cfg: TxnDbConfig,
     ) -> Result<TxnDb, TxnError> {
-        let scan = recovery::scan_wal(dir)?;
+        let mut log = recovery::read_wal(dir)?;
         let bases: Vec<Arc<Relation>> = tables.iter().map(|(_, r)| Arc::clone(r)).collect();
-        let st = recovery::replay(&scan.records, &bases, 0);
-        let wal = Wal::reopen(dir, scan.valid_bytes, st.applied_lsn + 1)?.with_faults(cfg.faults);
+        let st = recovery::replay(&mut log, &bases, 0);
+        let valid_bytes = log.finish()?.valid_bytes;
+        let wal = Wal::reopen(dir, valid_bytes, st.applied_lsn + 1)?.with_faults(cfg.faults);
         let mut state = tables_to_state(tables);
         for (i, t) in state.iter_mut().enumerate() {
             t.base = Arc::clone(&st.bases[i]);
@@ -776,7 +833,11 @@ impl TxnDb {
     /// A catalog of the latest committed snapshot of every table. With
     /// empty deltas every entry is the load-time base `Arc` itself; a
     /// table nothing was committed to or merged since the last call keeps
-    /// the very `Arc` that call returned.
+    /// the very `Arc` that call returned. A table that was is a new
+    /// relation with exact row and byte totals, whose statistics are
+    /// those of the relation before it while fewer than [`STATS_DRIFT`]
+    /// of its rows changed since they were started. The relations are
+    /// not grouped: a `Session` groups what it installs.
     pub fn snapshot_catalog(&self) -> Catalog {
         let mut inner = self.inner.lock();
         let ts = inner.last_applied_ts;
@@ -814,11 +875,17 @@ impl TxnDb {
                     return Err(e.into());
                 }
             };
+            // A merge changes no visible row, so the folded base carries
+            // the statistics on under the same drift count.
             let state = &mut inner.tables[t];
+            let rebased = state.adopt_rebased();
             let latest = state.latest.take().map(|(rel, _)| rel);
-            let (folded, next) = state.delta.merge(&state.base, upto, latest.as_deref());
-            state.base = Arc::new(folded);
+            let base = Arc::clone(&state.base);
+            let (folded, next) = state.delta.merge(&base, upto, latest.as_deref());
+            let donor = (!rebased).then(|| latest.as_deref().unwrap_or(&base));
+            state.base = Arc::new(state.carry_stats(folded, donor));
             state.delta = next;
+            state.counted = 0;
             self.budget.release(state.reserved);
             state.reserved = 0;
             lsn
@@ -908,6 +975,8 @@ fn tables_to_state(tables: Vec<(&str, Arc<Relation>)>) -> Vec<TableState> {
             base,
             reserved: 0,
             latest: None,
+            drift: 0,
+            counted: 0,
         })
         .collect()
 }
@@ -1587,24 +1656,6 @@ mod tests {
         assert!(Arc::ptr_eq(snap, &db.relation_for(&reader, "t").unwrap()));
         db.abort(reader);
 
-        // Statistics merged from the shared per-partition cache equal
-        // statistics computed from scratch, field by field.
-        fn assert_stats_from_scratch(rel: &Relation) {
-            let got = rel.stats();
-            let want = TableStats::from_partitions(rel.partitions().iter().map(|p| &*p.data));
-            assert_eq!((got.rows, got.bytes), (want.rows, want.bytes));
-            assert_eq!(got.rows, rel.total_rows() as u64);
-            for (c, (g, w)) in got.columns.iter().zip(&want.columns).enumerate() {
-                assert_eq!((&g.min, &g.max), (&w.min, &w.max), "column {c}");
-                assert_eq!(g.null_count, w.null_count, "column {c}");
-                assert_eq!((g.ndv, g.avg_width), (w.ndv, w.avg_width), "column {c}");
-                assert_eq!(g.dict.is_some(), w.dict.is_some(), "column {c}");
-            }
-            // … HLL registers included.
-            assert!(*got == want);
-        }
-        assert_stats_from_scratch(snap);
-
         // The next snapshot rebuilds only what its commit touched: the
         // partition rebuilt for the first delete is taken over as is.
         let mut w = db.begin().unwrap();
@@ -1619,7 +1670,6 @@ mod tests {
             .filter(|(n, s)| Arc::ptr_eq(&n.data, &s.data))
             .count();
         assert_eq!(unchanged, 63);
-        assert_stats_from_scratch(&next);
 
         // A merge folds the delta in and still shares what it can.
         db.merge("t").unwrap();
@@ -1629,7 +1679,162 @@ mod tests {
             .filter(|(m, b)| Arc::ptr_eq(&m.data, &b.data))
             .count();
         assert_eq!(kept, 62);
-        assert_stats_from_scratch(&merged);
+
+        // Past the drift bound a snapshot's statistics are built through
+        // the merge tree over those shared partitions, and equal
+        // statistics computed from scratch.
+        let cut = 2 * bound(6400);
+        let mut w = db.begin().unwrap();
+        let gone = db
+            .delete_where(&mut w, "t", &lt(col(0), lit(cut as i64)))
+            .unwrap();
+        assert_eq!(gone, cut - 1);
+        db.commit(w).unwrap();
+        let past = db.latest_relation("t").unwrap();
+        assert!(!Arc::ptr_eq(&past.stats(), &merged.stats()));
+        assert_stats_from_scratch(&past);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Statistics merged from the shared per-partition cache equal
+    /// statistics computed from scratch, field by field.
+    fn assert_stats_from_scratch(rel: &Relation) {
+        let got = rel.stats();
+        let want = TableStats::from_partitions(rel.partitions().iter().map(|p| &*p.data));
+        assert_eq!((got.rows, got.bytes), (want.rows, want.bytes));
+        assert_eq!(got.rows, rel.total_rows() as u64);
+        for (c, (g, w)) in got.columns.iter().zip(&want.columns).enumerate() {
+            assert_eq!((&g.min, &g.max), (&w.min, &w.max), "column {c}");
+            assert_eq!(g.null_count, w.null_count, "column {c}");
+            assert_eq!((g.ndv, g.avg_width), (w.ndv, w.avg_width), "column {c}");
+            assert_eq!(g.dict.is_some(), w.dict.is_some(), "column {c}");
+        }
+        // … HLL registers included.
+        assert!(*got == want);
+    }
+
+    // ---- statistics within the drift bound --------------------------------
+
+    /// Commit `n` inserts of fresh ids into `t` (tags from its dictionary,
+    /// or `tag` when given) as one transaction.
+    fn insert_rows(db: &TxnDb, next_id: &mut i64, n: usize, tag: Option<&str>) {
+        let mut w = db.begin().unwrap();
+        for _ in 0..n {
+            let id = *next_id;
+            *next_id += 1;
+            let tag = tag.map_or_else(|| format!("tag{}", id % 5), str::to_owned);
+            let row = vec![
+                Value::I64(id),
+                Value::Str(tag),
+                Value::Str(format!("note-{id}")),
+                Value::I64(id % 10),
+            ];
+            db.insert(&mut w, "t", row).unwrap();
+        }
+        db.commit(w).unwrap();
+    }
+
+    /// [`STATS_DRIFT`] of `rows`.
+    fn bound(rows: usize) -> usize {
+        (STATS_DRIFT * rows as f64) as usize
+    }
+
+    /// `t` over 6,400 rows in 64 partitions.
+    fn drift_db(tag: &str) -> (PathBuf, TxnDb, Arc<Relation>) {
+        let dir = tmpdir(tag);
+        let base = tagged_rel(6400, 64);
+        let db = TxnDb::create(&dir, vec![("t", Arc::clone(&base))]).unwrap();
+        (dir, db, base)
+    }
+
+    #[test]
+    fn below_the_drift_bound_snapshots_share_their_donors_statistics() {
+        let (dir, db, base) = drift_db("drift-share");
+        let (stats, b) = (base.stats(), bound(6400));
+        let mut next_id = 10_000;
+        // Three commits of b/5 inserts and one of b/10 deletes.
+        for _ in 0..3 {
+            insert_rows(&db, &mut next_id, b / 5, None);
+            let snap = db.latest_relation("t").unwrap();
+            assert!(!Arc::ptr_eq(&snap, &base));
+            assert!(Arc::ptr_eq(&snap.stats(), &stats));
+        }
+        let mut w = db.begin().unwrap();
+        let gone = db
+            .delete_where(&mut w, "t", &lt(col(0), lit(b as i64 / 10)))
+            .unwrap();
+        db.commit(w).unwrap();
+        let snap = db.snapshot_catalog().get("t").cloned().unwrap();
+        // Totals are the snapshot's own; only the statistics lag.
+        assert_eq!(snap.total_rows(), 6400 + 3 * (b / 5) - gone);
+        assert_eq!(snap.stats().rows, 6400);
+        assert!(Arc::ptr_eq(&snap.stats(), &stats));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_commit_that_crosses_the_drift_bound_starts_statistics_afresh() {
+        let (dir, db, base) = drift_db("drift-cross");
+        let (b, mut next_id) = (bound(6400), 10_000);
+        insert_rows(&db, &mut next_id, b * 9 / 10, None);
+        let below = db.latest_relation("t").unwrap();
+        assert!(Arc::ptr_eq(&below.stats(), &base.stats()));
+        insert_rows(&db, &mut next_id, b / 2, None);
+        let crossed = db.latest_relation("t").unwrap();
+        assert!(!Arc::ptr_eq(&crossed.stats(), &below.stats()));
+        assert_stats_from_scratch(&crossed);
+        // The count starts again from the crossing snapshot: the next
+        // small commit shares its statistics.
+        insert_rows(&db, &mut next_id, b / 10, None);
+        let after = db.latest_relation("t").unwrap();
+        assert!(Arc::ptr_eq(&after.stats(), &crossed.stats()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_merge_carries_the_statistics_and_their_drift() {
+        let (dir, db, base) = drift_db("drift-merge");
+        let (b, mut next_id) = (bound(6400), 10_000);
+        insert_rows(&db, &mut next_id, b * 9 / 20, None);
+        let snap = db.latest_relation("t").unwrap();
+        // Committed after the last snapshot, so the merge counts them too.
+        insert_rows(&db, &mut next_id, b * 9 / 20, None);
+        db.merge("t").unwrap();
+        let merged = db.latest_relation("t").unwrap();
+        assert_eq!(merged.total_rows(), 6400 + 2 * (b * 9 / 20));
+        assert!(Arc::ptr_eq(&merged.stats(), &snap.stats()));
+        assert!(Arc::ptr_eq(&merged.stats(), &base.stats()));
+        // What changed before the merge and b/2 rows after it cross the
+        // bound: the merge did not clear the count.
+        insert_rows(&db, &mut next_id, b / 2, None);
+        let crossed = db.latest_relation("t").unwrap();
+        assert!(!Arc::ptr_eq(&crossed.stats(), &base.stats()));
+        assert_stats_from_scratch(&crossed);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_value_outside_the_base_dictionary_ends_inheritance() {
+        let (dir, db, base) = drift_db("drift-rebase");
+        let mut next_id = 10_000;
+        insert_rows(&db, &mut next_id, 10, None);
+        let shared = db.latest_relation("t").unwrap();
+        assert!(Arc::ptr_eq(&shared.stats(), &base.stats()));
+        // One row re-encodes every partition: the old statistics'
+        // dictionary no longer describes the codes.
+        insert_rows(&db, &mut next_id, 1, Some("fresh"));
+        let rebased = db.latest_relation("t").unwrap();
+        assert!(!Arc::ptr_eq(&rebased.stats(), &base.stats()));
+        assert_stats_from_scratch(&rebased);
+        let dict = rebased.stats().columns[1]
+            .dict
+            .clone()
+            .expect("still encoded");
+        assert!(dict.code_of("fresh").is_some());
+        // Inheritance resumes from the re-encoded snapshot.
+        insert_rows(&db, &mut next_id, 10, None);
+        let after = db.latest_relation("t").unwrap();
+        assert!(Arc::ptr_eq(&after.stats(), &rebased.stats()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -31,6 +31,6 @@ pub mod workload;
 pub use checker::{
     check_history, kv_relation, run_history, Ev, ExecMode, History, HistorySpec, Lcg, TxnRec,
 };
-pub use db::{Txn, TxnDb, TxnDbConfig, TxnError};
+pub use db::{Txn, TxnDb, TxnDbConfig, TxnError, STATS_DRIFT};
 pub use manager::{SiMode, TxnManager};
 pub use workload::{diff_logical_state, run_seeded, run_step, skip_step, WorkloadSpec};
