@@ -1,78 +1,94 @@
-//! Wall-clock cost of query planning itself: statistics lookup,
-//! cardinality estimation, DPsize enumeration, and lowering, measured on
-//! the deepest TPC-H blocks and on synthetic graphs around the DP
-//! budget. Planning a serving-system query must stay microseconds-cheap
-//! next to executing it.
+//! Wall-clock cost of the front end's two largest layers, binding and
+//! planning, for each of the 25 SQL fixtures at SF 0.002 (the scale of
+//! the `short_adhoc` workload, which replans every statement), and of
+//! join enumeration alone on synthetic graphs around the DP budget.
+//!
+//! * `bind/<fixture>` — `Binder::bind` on the parsed statement;
+//! * `plan/<fixture>` — `Planner::plan_handle` on the bound plan:
+//!   leaf estimates, DPccp enumeration and lowering;
+//! * `dpccp_chain_N`, `dpccp_star_12`, `greedy_chain_20` — `enumerate`
+//!   alone. A chain has few connected subgraph pairs, a star many.
 
 use std::collections::HashMap;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use morsel_datagen::{generate_tpch, TpchConfig};
+use morsel_datagen::{generate_ssb, generate_tpch, SsbConfig, TpchConfig};
 use morsel_numa::Topology;
 use morsel_planner::{
     enumerate, CostParams, GraphEdge, GraphNode, JoinGraph, Planner, DP_BUDGET_DEFAULT,
 };
-use morsel_queries::tpch_sql;
-use morsel_sql::plan_sql;
+use morsel_queries::{ssb_sql, tpch_sql};
+use morsel_sql::{parse, Binder};
 use std::hint::black_box;
 
 fn bench_plan_search(c: &mut Criterion) {
     let topo = Topology::nehalem_ex();
-    let db = generate_tpch(TpchConfig::scaled(0.002), &topo);
-    let catalog = db.catalog();
+    let tpch = generate_tpch(TpchConfig::scaled(0.002), &topo).catalog();
+    let ssb = generate_ssb(SsbConfig::scaled(0.002), &topo).catalog();
     let planner = Planner::new(&topo);
-    // Bound once, outside the measurement: the bench times the planner on
-    // what the binder hands it, not the front end.
-    let bound = [5usize, 8, 9].map(|q| {
-        let sql = tpch_sql::text(q).expect("Q5, Q8 and Q9 have SQL fixtures");
-        (q, plan_sql(&catalog, sql).expect("the fixture binds"))
-    });
-    // Warm the per-relation stats caches so the measurement isolates the
-    // search itself (stats are computed once per relation lifetime).
-    for (_, lp) in &bound {
-        black_box(planner.plan(lp));
-    }
+    let fixtures = (tpch_sql::all().into_iter())
+        .map(|(q, sql)| (format!("tpch_q{q}"), &tpch, sql))
+        .chain((ssb_sql::all().into_iter()).map(|(q, sql)| (format!("ssb_q{q}"), &ssb, sql)));
 
     let mut g = c.benchmark_group("plan_search");
-    g.sample_size(20);
-    for (q, lp) in &bound {
-        g.bench_function(format!("tpch_q{q}"), |b| {
-            b.iter(|| black_box(planner.plan(lp)));
+    g.sample_size(200);
+    for (name, catalog, sql) in fixtures {
+        let select = parse(sql).expect("the fixture parses");
+        let binder = Binder::new(catalog);
+        let bound = binder.bind(&select).expect("the fixture binds");
+        // Warm the per-relation statistics (built once per relation
+        // lifetime), so the measurement isolates the planner itself.
+        black_box(planner.plan_handle(&bound));
+        g.bench_function(format!("bind/{name}"), |b| {
+            b.iter(|| black_box(binder.bind(&select)));
+        });
+        g.bench_function(format!("plan/{name}"), |b| {
+            b.iter(|| black_box(planner.plan_handle(&bound)));
         });
     }
 
-    // Pure enumeration on synthetic chains: DP at the budget edge vs the
-    // greedy fallback just past it.
+    // Pure enumeration on synthetic graphs: the DP at the budget edge
+    // and the greedy fallback just past it.
     let params = CostParams::for_topology(&topo);
-    for n in [8usize, DP_BUDGET_DEFAULT, 20] {
-        let nodes: Vec<GraphNode> = (0..n)
-            .map(|i| GraphNode {
-                label: format!("r{i}"),
-                rows: 1_000.0 * (i + 1) as f64,
-                width: 16.0,
-                cols: 2,
-                key_ndv: HashMap::from([
-                    ("l".to_owned(), 500.0 * (i + 1) as f64),
-                    ("r".to_owned(), 500.0 * (i + 1) as f64),
-                ]),
-            })
-            .collect();
-        let edges: Vec<GraphEdge> = (0..n - 1)
-            .map(|i| GraphEdge {
-                a: i,
-                b: i + 1,
-                a_keys: vec!["r".to_owned()],
-                b_keys: vec!["l".to_owned()],
-            })
-            .collect();
-        let graph = JoinGraph { nodes, edges };
-        let label = if n <= DP_BUDGET_DEFAULT {
-            format!("dpsize_chain_{n}")
-        } else {
-            format!("greedy_chain_{n}")
-        };
-        g.bench_function(label, |b| {
-            b.iter(|| black_box(enumerate(&graph, &params, DP_BUDGET_DEFAULT).cost));
+    let node = |i: usize, keys: &[&str]| GraphNode {
+        label: format!("r{i}"),
+        rows: 1_000.0 * (i + 1) as f64,
+        width: 16.0,
+        cols: 2,
+        key_ndv: (keys.iter())
+            .map(|&k| (k.to_owned(), 500.0 * (i + 1) as f64))
+            .collect::<HashMap<_, _>>(),
+    };
+    let edge = |a: usize, b: usize, ak: &str, bk: &str| GraphEdge {
+        a,
+        b,
+        a_keys: vec![ak.to_owned()],
+        b_keys: vec![bk.to_owned()],
+    };
+    let chain = |n: usize| JoinGraph {
+        nodes: (0..n).map(|i| node(i, &["l", "r"])).collect(),
+        edges: (0..n - 1).map(|i| edge(i, i + 1, "r", "l")).collect(),
+    };
+    let star = |n: usize| JoinGraph {
+        nodes: (0..n).map(|i| node(i, &["k"])).collect(),
+        edges: (1..n).map(|i| edge(0, i, "k", "k")).collect(),
+    };
+    let graphs = [
+        ("dpccp_chain_8".to_owned(), chain(8)),
+        (
+            format!("dpccp_chain_{DP_BUDGET_DEFAULT}"),
+            chain(DP_BUDGET_DEFAULT),
+        ),
+        (
+            format!("dpccp_star_{DP_BUDGET_DEFAULT}"),
+            star(DP_BUDGET_DEFAULT),
+        ),
+        ("greedy_chain_20".to_owned(), chain(20)),
+    ];
+    g.sample_size(20);
+    for (label, graph) in &graphs {
+        g.bench_function(label.as_str(), |b| {
+            b.iter(|| black_box(enumerate(graph, &params, DP_BUDGET_DEFAULT).cost));
         });
     }
     g.finish();

@@ -72,7 +72,7 @@ impl CostParams {
     /// inputs carry every column of their relations: `keys` join-key
     /// columns of 8 bytes, and the build side's columns all carried as
     /// payload into the `out_rows` matches.
-    pub(crate) fn join_step(&self, build: Side, probe: Side, keys: usize, out_rows: f64) -> f64 {
+    pub fn join_step(&self, build: Side, probe: Side, keys: usize, out_rows: f64) -> f64 {
         let emit = Side {
             rows: out_rows,
             ..build
@@ -93,7 +93,7 @@ impl CostParams {
 
 /// One side of a hash join as the planner prices it.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Side {
+pub struct Side {
     pub rows: f64,
     /// Bytes per row.
     pub width: f64,

@@ -119,7 +119,7 @@ pub type EstMemo = HashMap<usize, PlanEst>;
 impl Estimator {
     /// Estimate a plan node (recursively).
     pub fn estimate(&self, plan: &Plan) -> PlanEst {
-        self.estimate_memo(plan, &mut EstMemo::new())
+        self.estimate_node(plan, &mut |input| self.estimate(input))
     }
 
     /// Estimate with an explicit memo shared across calls over the same
@@ -129,12 +129,14 @@ impl Estimator {
         if let Some(hit) = memo.get(&key) {
             return hit.clone();
         }
-        let out = self.estimate_node(plan, memo);
+        let out = self.estimate_node(plan, &mut |input| self.estimate_memo(input, memo));
         memo.insert(key, out.clone());
         out
     }
 
-    fn estimate_node(&self, plan: &Plan, memo: &mut EstMemo) -> PlanEst {
+    /// Estimate one node from its inputs' estimates, which `input_est`
+    /// provides.
+    fn estimate_node(&self, plan: &Plan, input_est: &mut dyn FnMut(&Plan) -> PlanEst) -> PlanEst {
         match plan {
             Plan::Scan {
                 relation,
@@ -155,14 +157,14 @@ impl Estimator {
                 PlanEst { rows, cols }
             }
             Plan::Filter { input, predicate } => {
-                let mut est = self.estimate_memo(input, memo);
+                let mut est = input_est(input);
                 let sel = self.selectivity(predicate, &est.cols, &input.schema().data_types());
                 est.rows = (est.rows * sel).max(1.0);
                 est.cols = est.cols.iter().map(|c| c.capped(est.rows)).collect();
                 est
             }
             Plan::Map { input, project } => {
-                let est = self.estimate_memo(input, memo);
+                let est = input_est(input);
                 let in_types: Vec<DataType> = input.schema().data_types();
                 let cols = project
                     .iter()
@@ -181,8 +183,8 @@ impl Estimator {
                 kind,
                 build_payload,
             } => {
-                let b = self.estimate_memo(build, memo);
-                let p = self.estimate_memo(probe, memo);
+                let b = input_est(build);
+                let p = input_est(probe);
                 let ndv_b = combined_ndv(&b, build_keys);
                 let ndv_p = combined_ndv(&p, probe_keys);
                 let (rows, emit_build) = match kind {
@@ -212,7 +214,7 @@ impl Estimator {
                 group_cols,
                 aggs,
             } => {
-                let est = self.estimate_memo(input, memo);
+                let est = input_est(input);
                 let rows = if group_cols.is_empty() {
                     1.0
                 } else {
@@ -238,7 +240,7 @@ impl Estimator {
                 PlanEst { rows, cols }
             }
             Plan::Sort { input, limit, .. } => {
-                let est = self.estimate_memo(input, memo);
+                let est = input_est(input);
                 let rows = limit.map_or(est.rows, |k| est.rows.min(k as f64)).max(1.0);
                 PlanEst {
                     rows,

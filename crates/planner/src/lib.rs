@@ -12,7 +12,7 @@
 //!    named columns, with a builder DSL mirroring the hand-plan style.
 //! 3. **Estimation** ([`estimate`]) — System-R-style cardinalities under
 //!    independence and join containment.
-//! 4. **Join ordering** ([`joinorder`]) — DPsize over the join graph with
+//! 4. **Join ordering** ([`joinorder`]) — DPccp over the join graph with
 //!    a greedy fallback past a relation budget, costed with the same
 //!    calibrated NUMA model (`morsel_numa::CostModel`) that drives the
 //!    simulator: build-side size, socket spread, and probe stream costs
@@ -34,7 +34,8 @@ pub use cost::{plan_charges, plan_cost, CostParams};
 pub use dml::{DmlKind, DmlPlan};
 pub use estimate::{ColEst, Estimator, PlanEst};
 pub use joinorder::{
-    enumerate, left_deep_cost, GraphEdge, GraphNode, JoinGraph, JoinTree, DP_BUDGET_DEFAULT,
+    enumerate, left_deep_cost, Enumerated, GraphEdge, GraphNode, JoinGraph, JoinTree,
+    DP_BUDGET_DEFAULT,
 };
 pub use logical::{AggSpec, LogicalPlan, OrderBy};
 pub use lower::{BlockReport, PlanHandle, PlanReport, Planner};

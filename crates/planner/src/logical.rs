@@ -51,28 +51,21 @@ impl AggSpec {
         }
     }
 
-    /// Resolve to the executor's [`AggFn`] against a physical schema.
-    pub fn resolve(&self, schema: &Schema) -> AggFn {
+    /// Resolve to the executor's [`AggFn`], with `input` giving the input
+    /// column's index and type.
+    pub fn resolve(&self, input: impl FnOnce(&str) -> (usize, DataType)) -> AggFn {
+        let Some((i, dtype)) = self.input().map(input) else {
+            return AggFn::Count;
+        };
         match self {
             AggSpec::Count => AggFn::Count,
-            AggSpec::Sum(c) => {
-                let i = schema.index_of(c);
-                if schema.dtype(i) == DataType::F64 {
-                    AggFn::SumF64(i)
-                } else {
-                    AggFn::SumI64(i)
-                }
-            }
-            AggSpec::Min(c) => AggFn::MinI64(schema.index_of(c)),
-            AggSpec::Max(c) => AggFn::MaxI64(schema.index_of(c)),
-            AggSpec::Avg(c) => AggFn::AvgI64(schema.index_of(c)),
-            AggSpec::CountDistinct(c) => AggFn::CountDistinctI64(schema.index_of(c)),
+            AggSpec::Sum(_) if dtype == DataType::F64 => AggFn::SumF64(i),
+            AggSpec::Sum(_) => AggFn::SumI64(i),
+            AggSpec::Min(_) => AggFn::MinI64(i),
+            AggSpec::Max(_) => AggFn::MaxI64(i),
+            AggSpec::Avg(_) => AggFn::AvgI64(i),
+            AggSpec::CountDistinct(_) => AggFn::CountDistinctI64(i),
         }
-    }
-
-    /// Output type, given the input schema.
-    pub fn output_type(&self, schema: &Schema) -> DataType {
-        self.resolve(schema).output_type()
     }
 }
 
@@ -97,6 +90,28 @@ impl OrderBy {
             descending: true,
         }
     }
+}
+
+/// One canonical column: its name, borrowed, and its type.
+pub(crate) type Field<'a> = (&'a str, DataType);
+
+/// A schema's columns, names borrowed.
+pub(crate) fn fields_of(schema: &Schema) -> Vec<Field<'_>> {
+    (schema.fields().iter())
+        .map(|f| (f.name.as_str(), f.dtype))
+        .collect()
+}
+
+/// The index of the column called `name`.
+///
+/// # Panics
+/// Panics if there is none — a logical plan naming an unknown column is
+/// a construction bug.
+pub(crate) fn position(fields: &[Field], name: &str) -> usize {
+    (fields.iter().position(|&(n, _)| n == name)).unwrap_or_else(|| {
+        let names: Vec<&str> = fields.iter().map(|&(n, _)| n).collect();
+        panic!("no column named {name:?} in schema {names:?}")
+    })
 }
 
 /// A declarative logical query plan.
@@ -225,67 +240,75 @@ impl LogicalPlan {
     /// changes this — only the physical layout underneath.
     pub fn schema(&self) -> Schema {
         match self {
-            LogicalPlan::Scan {
-                relation, project, ..
-            } => {
-                let src = relation.schema().data_types();
-                Schema::new(
-                    project
-                        .iter()
-                        .map(|(n, e)| (n.as_str(), e.result_type(&src)))
-                        .collect(),
-                )
+            LogicalPlan::Scan { relation, .. } => {
+                Schema::new(self.output_fields(&[&fields_of(relation.schema())]))
             }
-            LogicalPlan::Filter { input, .. } => input.schema(),
-            LogicalPlan::Project { input, project } => {
-                let src = input.schema().data_types();
-                Schema::new(
-                    project
-                        .iter()
-                        .map(|(n, e)| (n.as_str(), e.result_type(&src)))
-                        .collect(),
-                )
+            LogicalPlan::Join { left, right, .. } => {
+                let (l, r) = (left.schema(), right.schema());
+                Schema::new(self.output_fields(&[&fields_of(&l), &fields_of(&r)]))
             }
-            LogicalPlan::Join {
-                left, right, kind, ..
-            } => {
-                let l = left.schema();
-                let mut fields: Vec<(String, DataType)> = (0..l.len())
-                    .map(|i| (l.name(i).to_owned(), l.dtype(i)))
-                    .collect();
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::Sort { input, .. } => {
+                let input = input.schema();
+                Schema::new(self.output_fields(&[&fields_of(&input)]))
+            }
+        }
+    }
+
+    /// This node's canonical columns from its inputs' columns: the
+    /// scanned relation's for a scan, `[left, right]` for a join, the
+    /// child's otherwise. An inner join's output is its inputs' columns
+    /// in order, so it also takes the columns of every leaf of a block of
+    /// inner joins it tops. Names are borrowed, from the inputs or from
+    /// this node. [`LogicalPlan::schema`] and the planner (which derives
+    /// every node's columns once, bottom-up) both derive them here.
+    ///
+    /// # Panics
+    /// Panics if an inner join's sides share a column name.
+    pub(crate) fn output_fields<'a>(&'a self, inputs: &[&[Field<'a>]]) -> Vec<Field<'a>> {
+        let input = inputs[0];
+        let types = || -> Vec<DataType> { input.iter().map(|&(_, t)| t).collect() };
+        match self {
+            LogicalPlan::Filter { .. } | LogicalPlan::Sort { .. } => input.to_vec(),
+            LogicalPlan::Scan { project, .. } | LogicalPlan::Project { project, .. } => {
+                let src = types();
+                project
+                    .iter()
+                    .map(|(n, e)| (n.as_str(), e.result_type(&src)))
+                    .collect()
+            }
+            LogicalPlan::Join { kind, .. } => {
+                let mut fields = input.to_vec();
                 match kind {
                     JoinKind::Inner => {
-                        let r = right.schema();
-                        for i in 0..r.len() {
-                            let name = r.name(i);
+                        for &(name, dtype) in inputs[1..].iter().copied().flatten() {
                             assert!(
-                                !fields.iter().any(|(n, _)| n == name),
+                                !fields.iter().any(|&(n, _)| n == name),
                                 "duplicate column name {name:?} across join sides; \
                                  rename one side in its scan/projection"
                             );
-                            fields.push((name.to_owned(), r.dtype(i)));
+                            fields.push((name, dtype));
                         }
                     }
                     JoinKind::Semi | JoinKind::Anti => {}
-                    JoinKind::Count => fields.push(("match_count".to_owned(), DataType::I64)),
+                    JoinKind::Count => fields.push(("match_count", DataType::I64)),
                 }
-                Schema::new(fields.iter().map(|(n, t)| (n.as_str(), *t)).collect())
+                fields
             }
-            LogicalPlan::Aggregate { input, group, aggs } => {
-                let src = input.schema();
-                let mut fields: Vec<(String, DataType)> = group
-                    .iter()
-                    .map(|g| {
-                        let i = src.index_of(g);
-                        (g.clone(), src.dtype(i))
-                    })
-                    .collect();
+            LogicalPlan::Aggregate { group, aggs, .. } => {
+                let at = |name: &str| {
+                    let i = position(input, name);
+                    (i, input[i].1)
+                };
+                let mut fields: Vec<Field<'a>> =
+                    group.iter().map(|g| (g.as_str(), at(g).1)).collect();
                 for (n, a) in aggs {
-                    fields.push((n.clone(), a.output_type(&src)));
+                    fields.push((n.as_str(), a.resolve(at).output_type()));
                 }
-                Schema::new(fields.iter().map(|(n, t)| (n.as_str(), *t)).collect())
+                fields
             }
-            LogicalPlan::Sort { input, .. } => input.schema(),
         }
     }
 

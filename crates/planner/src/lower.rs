@@ -10,7 +10,7 @@
 //!   carry payload that someone upstream reads.
 //! * **Expression remapping** — logical expressions are written against
 //!   canonical schemas; after reordering/pruning the physical layout
-//!   differs, so column indices are rewritten by name at every boundary
+//!   differs, so column indices are rewritten at every boundary
 //!   ([`Expr::remap`]).
 //! * **Project into scan** — a projection whose lowered input is a scan
 //!   selecting bare columns folds into that scan: its expressions,
@@ -21,8 +21,14 @@
 //! Sorts with a small limit lower to the executor's top-k operator
 //! automatically (the executor's compiler keys that off `limit`, see
 //! [`morsel_exec::plan::TOPK_THRESHOLD`]).
-
-use std::collections::BTreeSet;
+//!
+//! Every node's canonical columns are derived once, bottom-up, before
+//! lowering starts (`LogicalPlan::output_fields`). From then on columns
+//! are indexes: a needed set is a flag per canonical column, and each
+//! lowered subtree carries where each of its canonical columns sits in
+//! its physical output. Names are looked up only where the logical plan
+//! spells a column by name (join, group and sort keys and aggregate
+//! inputs), once each.
 
 use morsel_exec::expr::Expr;
 use morsel_exec::join::JoinKind;
@@ -34,7 +40,7 @@ use morsel_storage::Schema;
 use crate::cost::CostParams;
 use crate::estimate::Estimator;
 use crate::joinorder::{enumerate, GraphEdge, GraphNode, JoinGraph, JoinTree, DP_BUDGET_DEFAULT};
-use crate::logical::LogicalPlan;
+use crate::logical::{fields_of, position, Field, LogicalPlan};
 
 /// What the planner did to one inner-join block.
 #[derive(Debug, Clone)]
@@ -86,7 +92,7 @@ impl Planner {
 
     /// Lower a logical plan to a physical plan.
     pub fn plan(&self, lp: &LogicalPlan) -> Plan {
-        self.plan_with_report(lp).0
+        self.plan_handle(lp).plan
     }
 
     /// Lower and report the join-order decisions made along the way.
@@ -97,39 +103,45 @@ impl Planner {
     /// of those) — the planner refuses to return a plan whose column
     /// order silently differs from the canonical schema.
     pub fn plan_with_report(&self, lp: &LogicalPlan) -> (Plan, PlanReport) {
-        let mut report = PlanReport::default();
-        let lowered = self.lower(lp, None, &mut report);
-        let canonical = lp.schema();
-        let actual = lowered.schema();
-        assert_eq!(
-            canonical.names(),
-            actual.names(),
-            "planner output layout diverged from the canonical schema; \
-             finish the query with a Project or Aggregate to pin column order"
-        );
-        (lowered, report)
+        let handle = self.plan_handle(lp);
+        (handle.plan, handle.report)
     }
 
     /// Lower into a self-describing [`PlanHandle`] — the unit a plan
     /// cache stores.
+    ///
+    /// # Panics
+    /// As [`Planner::plan_with_report`].
     pub fn plan_handle(&self, lp: &LogicalPlan) -> PlanHandle {
-        let (plan, report) = self.plan_with_report(lp);
-        let schema = plan.schema();
+        let canon = Canonical::of(lp);
+        let mut report = PlanReport::default();
+        let lowered = self.lower(&canon, lp, None, &mut report);
+        assert!(
+            lowered.map.iter().enumerate().all(|(c, at)| *at == Some(c)),
+            "planner output layout diverged from the canonical schema; \
+             finish the query with a Project or Aggregate to pin column order"
+        );
+        let schema = Schema::new(canon.get(lp).to_vec());
+        debug_assert!(
+            lowered.plan.schema() == schema,
+            "lowering lost track of a column"
+        );
         PlanHandle {
-            plan,
+            plan: lowered.plan,
             schema,
             report,
         }
     }
 
-    /// Recursive lowering. `needed` is the set of output column names the
-    /// parent requires (`None` = all canonical columns).
+    /// Recursive lowering. `needed` flags the canonical columns of `lp`
+    /// the parent reads (`None` = all of them).
     fn lower(
         &self,
+        canon: &Canonical<'_>,
         lp: &LogicalPlan,
-        needed: Option<&BTreeSet<String>>,
+        needed: Option<&[bool]>,
         report: &mut PlanReport,
-    ) -> Plan {
+    ) -> Lowered {
         match lp {
             LogicalPlan::Scan {
                 relation,
@@ -137,69 +149,52 @@ impl Planner {
                 project,
                 ..
             } => {
-                let mut kept: Vec<(String, Expr)> = project
-                    .iter()
-                    .filter(|(n, _)| needed.is_none_or(|set| set.contains(n)))
-                    .cloned()
-                    .collect();
-                if kept.is_empty() {
-                    // Never emit a zero-column scan: row counts would be
-                    // lost. Keep the narrowest declared column.
-                    kept.push(project[0].clone());
-                }
-                Plan::Scan {
-                    relation: relation.clone(),
-                    filter: filter.clone(),
-                    project: kept,
+                // Never emit a zero-column scan: row counts would be
+                // lost. Keep the narrowest declared column.
+                let kept = kept(project.len(), needed);
+                Lowered {
+                    map: positions(project.len(), &kept),
+                    plan: Plan::Scan {
+                        relation: relation.clone(),
+                        filter: filter.clone(),
+                        project: kept.iter().map(|&c| project[c].clone()).collect(),
+                    },
                 }
             }
             LogicalPlan::Filter { input, predicate } => {
-                let canonical = input.schema();
-                let child_needed = extend_needed(needed, refs_of(predicate, &canonical));
-                let child = self.lower(input, child_needed.as_ref(), report);
-                let actual = child.schema();
-                Plan::Filter {
-                    predicate: remap_expr(predicate, &canonical, &actual),
-                    input: Box::new(child),
+                let child_needed = needed.map(|set| with_refs(set.to_vec(), [predicate]));
+                let child = self.lower(canon, input, child_needed.as_deref(), report);
+                Lowered {
+                    plan: Plan::Filter {
+                        predicate: predicate.remap(&child.map),
+                        input: Box::new(child.plan),
+                    },
+                    map: child.map,
                 }
             }
             LogicalPlan::Project { input, project } => {
-                let kept: Vec<&(String, Expr)> = {
-                    let all: Vec<&(String, Expr)> = project.iter().collect();
-                    let filtered: Vec<&(String, Expr)> = all
-                        .iter()
-                        .copied()
-                        .filter(|(n, _)| needed.is_none_or(|set| set.contains(n)))
-                        .collect();
-                    if filtered.is_empty() {
-                        vec![all[0]]
-                    } else {
-                        filtered
-                    }
+                let kept = kept(project.len(), needed);
+                let refs = with_refs(
+                    vec![false; canon.get(input).len()],
+                    kept.iter().map(|&c| &project[c].1),
+                );
+                let child = self.lower(canon, input, Some(&refs), report);
+                let entries = |map: &[Option<usize>]| -> Vec<(String, Expr)> {
+                    (kept.iter())
+                        .map(|&c| (project[c].0.clone(), project[c].1.remap(map)))
+                        .collect()
                 };
-                let canonical = input.schema();
-                let mut refs = BTreeSet::new();
-                for (_, e) in &kept {
-                    refs.extend(refs_of(e, &canonical));
-                }
-                let child = self.lower(input, Some(&refs), report);
-                let actual = child.schema();
-                let project: Vec<(String, Expr)> = kept
-                    .into_iter()
-                    .map(|(n, e)| (n.clone(), remap_expr(e, &canonical, &actual)))
-                    .collect();
-                match child {
+                let plan = match child.plan {
                     // A scan that only selects columns takes the
-                    // projection over: its entries, composed with the
-                    // scan's, read the relation directly.
+                    // projection over: its entries, remapped through the
+                    // scan's selection, read the relation directly.
                     Plan::Scan {
                         relation,
                         filter,
                         project: selected,
                     } if selected.iter().all(|(_, e)| matches!(e, Expr::Col(_))) => {
-                        let map: Vec<Option<usize>> = selected
-                            .iter()
-                            .map(|(_, e)| match e {
+                        let through: Vec<Option<usize>> = (child.map.iter())
+                            .map(|at| match &selected[(*at)?].1 {
                                 Expr::Col(c) => Some(*c),
                                 _ => None,
                             })
@@ -207,57 +202,74 @@ impl Planner {
                         Plan::Scan {
                             relation,
                             filter,
-                            project: project
-                                .into_iter()
-                                .map(|(n, e)| (n, e.remap(&map)))
-                                .collect(),
+                            project: entries(&through),
                         }
                     }
-                    child => Plan::Map {
-                        project,
-                        input: Box::new(child),
+                    child_plan => Plan::Map {
+                        project: entries(&child.map),
+                        input: Box::new(child_plan),
                     },
+                };
+                Lowered {
+                    plan,
+                    map: positions(canon.get(lp).len(), &kept),
                 }
             }
             LogicalPlan::Aggregate { input, group, aggs } => {
-                let mut refs: BTreeSet<String> = group.iter().cloned().collect();
-                for (_, a) in aggs {
-                    if let Some(c) = a.input() {
-                        refs.insert(c.to_owned());
-                    }
+                let schema = canon.get(input);
+                let mut refs = vec![false; schema.len()];
+                let inputs = aggs.iter().filter_map(|(_, a)| a.input());
+                for name in group.iter().map(String::as_str).chain(inputs) {
+                    refs[position(schema, name)] = true;
                 }
-                let child = self.lower(input, Some(&refs), report);
-                let actual = child.schema();
-                Plan::Agg {
-                    group_cols: group.iter().map(|g| actual.index_of(g)).collect(),
-                    aggs: aggs
-                        .iter()
-                        .map(|(n, a)| (n.clone(), a.resolve(&actual)))
-                        .collect(),
-                    input: Box::new(child),
+                let child = self.lower(canon, input, Some(&refs), report);
+                let at = |name: &str| {
+                    let c = position(schema, name);
+                    (
+                        child.map[c].expect("lowered input keeps its refs"),
+                        schema[c].1,
+                    )
+                };
+                Lowered {
+                    map: (0..group.len() + aggs.len()).map(Some).collect(),
+                    plan: Plan::Agg {
+                        group_cols: group.iter().map(|g| at(g).0).collect(),
+                        aggs: (aggs.iter())
+                            .map(|(n, a)| (n.clone(), a.resolve(at)))
+                            .collect(),
+                        input: Box::new(child.plan),
+                    },
                 }
             }
             LogicalPlan::Sort { input, keys, limit } => {
-                let child_needed =
-                    extend_needed(needed, keys.iter().map(|k| k.column.clone()).collect());
-                let child = self.lower(input, child_needed.as_ref(), report);
-                let actual = child.schema();
-                Plan::Sort {
-                    keys: keys
-                        .iter()
-                        .map(|k| SortKey {
-                            col: actual.index_of(&k.column),
-                            desc: k.descending,
-                        })
-                        .collect(),
-                    limit: *limit,
-                    input: Box::new(child),
+                let schema = canon.get(lp);
+                let cols: Vec<usize> = keys.iter().map(|k| position(schema, &k.column)).collect();
+                let child_needed = needed.map(|set| {
+                    let mut set = set.to_vec();
+                    for &c in &cols {
+                        set[c] = true;
+                    }
+                    set
+                });
+                let child = self.lower(canon, input, child_needed.as_deref(), report);
+                Lowered {
+                    plan: Plan::Sort {
+                        keys: (keys.iter().zip(&cols))
+                            .map(|(k, &c)| SortKey {
+                                col: child.map[c].expect("lowered input keeps its sort keys"),
+                                desc: k.descending,
+                            })
+                            .collect(),
+                        limit: *limit,
+                        input: Box::new(child.plan),
+                    },
+                    map: child.map,
                 }
             }
             LogicalPlan::Join {
                 kind: JoinKind::Inner,
                 ..
-            } => self.lower_inner_block(lp, needed, report),
+            } => self.lower_inner_block(canon, lp, needed, report),
             LogicalPlan::Join {
                 left,
                 right,
@@ -267,115 +279,127 @@ impl Planner {
             } => {
                 // Semi/Anti/Count: direction is fixed (left streams,
                 // right builds) and the build side carries only its keys.
-                let left_names = names_of(&left.schema());
-                let mut ln: BTreeSet<String> = match needed {
-                    Some(set) => set.intersection(&left_names).cloned().collect(),
-                    None => left_names.clone(),
-                };
-                ln.extend(left_keys.iter().cloned());
-                let rn: BTreeSet<String> = right_keys.iter().cloned().collect();
-                let probe = self.lower(left, Some(&ln), report);
-                let build = self.lower(right, Some(&rn), report);
-                let (ps, bs) = (probe.schema(), build.schema());
-                Plan::Join {
-                    probe_keys: left_keys.iter().map(|k| ps.index_of(k)).collect(),
-                    build_keys: right_keys.iter().map(|k| bs.index_of(k)).collect(),
-                    probe: Box::new(probe),
-                    build: Box::new(build),
+                let (ls, rs) = (canon.get(left), canon.get(right));
+                let lk: Vec<usize> = left_keys.iter().map(|k| position(ls, k)).collect();
+                let rk: Vec<usize> = right_keys.iter().map(|k| position(rs, k)).collect();
+                let mut ln: Vec<bool> = (0..ls.len()).map(|c| wants(needed, c)).collect();
+                let mut rn = vec![false; rs.len()];
+                for &c in &lk {
+                    ln[c] = true;
+                }
+                for &c in &rk {
+                    rn[c] = true;
+                }
+                let probe = self.lower(canon, left, Some(&ln), report);
+                let build = self.lower(canon, right, Some(&rn), report);
+                let key_at = |map: &[Option<usize>], c: usize| map[c].expect("join keys survive");
+                let plan = Plan::Join {
+                    probe_keys: lk.iter().map(|&c| key_at(&probe.map, c)).collect(),
+                    build_keys: rk.iter().map(|&c| key_at(&build.map, c)).collect(),
+                    probe: Box::new(probe.plan),
+                    build: Box::new(build.plan),
                     kind: *kind,
                     build_payload: Vec::new(),
+                };
+                let mut map = probe.map;
+                if *kind == JoinKind::Count {
+                    map.push(Some(map.iter().flatten().count()));
                 }
+                Lowered { plan, map }
             }
         }
     }
 
-    /// Flatten, enumerate, and emit one inner-join block.
+    /// Flatten, enumerate, and emit one inner-join block. The block's
+    /// canonical columns are its leaves', in leaf order.
     fn lower_inner_block(
         &self,
+        canon: &Canonical<'_>,
         lp: &LogicalPlan,
-        needed: Option<&BTreeSet<String>>,
+        needed: Option<&[bool]>,
         report: &mut PlanReport,
-    ) -> Plan {
+    ) -> Lowered {
         // 1. Flatten the run of inner joins into leaves + key pairs.
         let mut leaves: Vec<&LogicalPlan> = Vec::new();
-        let mut pairs: Vec<(String, String)> = Vec::new();
+        let mut pairs: Vec<(&str, &str)> = Vec::new();
         collect_block(lp, &mut leaves, &mut pairs);
-
-        let leaf_names: Vec<BTreeSet<String>> =
-            leaves.iter().map(|l| names_of(&l.schema())).collect();
-        let owner = |name: &str| -> usize {
-            leaf_names
-                .iter()
-                .position(|s| s.contains(name))
+        let mut offsets = vec![0];
+        for leaf in &leaves {
+            offsets.push(offsets[offsets.len() - 1] + canon.get(leaf).len());
+        }
+        let width = offsets[leaves.len()];
+        let owner = |name: &str| -> (usize, usize) {
+            (leaves.iter().enumerate())
+                .find_map(|(i, leaf)| {
+                    let j = canon.get(leaf).iter().position(|&(n, _)| n == name)?;
+                    Some((i, offsets[i] + j))
+                })
                 .unwrap_or_else(|| panic!("join key {name:?} not found in any join input"))
         };
 
-        // 2. Merge key pairs into per-leaf-pair edges.
+        // 2. Merge key pairs into per-leaf-pair edges. `keys` lists each
+        // pair as (edge, a-side column, b-side column) in block columns.
         let mut edges: Vec<GraphEdge> = Vec::new();
-        for (l, r) in &pairs {
-            let (a, b) = (owner(l), owner(r));
+        let mut keys: Vec<(usize, usize, usize)> = Vec::new();
+        let mut is_key = vec![false; width];
+        for &(l, r) in &pairs {
+            let ((a, ac), (b, bc)) = (owner(l), owner(r));
             assert_ne!(
                 a, b,
                 "join predicate {l:?} = {r:?} references a single input"
             );
-            let (a, b, ak, bk) = if a < b {
-                (a, b, l.clone(), r.clone())
+            let (a, b, ak, bk, ac, bc) = if a < b {
+                (a, b, l, r, ac, bc)
             } else {
-                (b, a, r.clone(), l.clone())
+                (b, a, r, l, bc, ac)
             };
-            if let Some(e) = edges.iter_mut().find(|e| e.a == a && e.b == b) {
-                e.a_keys.push(ak);
-                e.b_keys.push(bk);
-            } else {
-                edges.push(GraphEdge {
-                    a,
-                    b,
-                    a_keys: vec![ak],
-                    b_keys: vec![bk],
-                });
-            }
+            let e = match edges.iter().position(|e| e.a == a && e.b == b) {
+                Some(e) => {
+                    edges[e].a_keys.push(ak.to_owned());
+                    edges[e].b_keys.push(bk.to_owned());
+                    e
+                }
+                None => {
+                    edges.push(GraphEdge {
+                        a,
+                        b,
+                        a_keys: vec![ak.to_owned()],
+                        b_keys: vec![bk.to_owned()],
+                    });
+                    edges.len() - 1
+                }
+            };
+            keys.push((e, ac, bc));
+            is_key[ac] = true;
+            is_key[bc] = true;
         }
 
         // 3. Per-leaf needed set: downstream columns plus every join key.
-        let block_needed: BTreeSet<String> = match needed {
-            Some(set) => set.clone(),
-            None => names_of(&lp.schema()),
-        };
-        let all_keys: BTreeSet<String> = pairs
-            .iter()
-            .flat_map(|(l, r)| [l.clone(), r.clone()])
-            .collect();
-        let lowered: Vec<Plan> = leaves
-            .iter()
-            .enumerate()
+        let block_needed: Vec<bool> = (0..width).map(|c| wants(needed, c)).collect();
+        let lowered: Vec<Lowered> = (leaves.iter().enumerate())
             .map(|(i, leaf)| {
-                let mut ln: BTreeSet<String> = block_needed
-                    .union(&all_keys)
-                    .filter(|n| leaf_names[i].contains(*n))
-                    .cloned()
+                let mut ln: Vec<bool> = (offsets[i]..offsets[i + 1])
+                    .map(|c| block_needed[c] || is_key[c])
                     .collect();
-                if ln.is_empty() {
+                if !ln.contains(&true) {
                     // A leaf nothing references still contributes its
                     // row multiplicity; keep its first column.
-                    ln.insert(leaf.schema().name(0).to_owned());
+                    ln[0] = true;
                 }
-                self.lower(leaf, Some(&ln), report)
+                self.lower(canon, leaf, Some(&ln), report)
             })
             .collect();
 
         // 4. Build the graph from the lowered leaves' estimates.
-        let nodes: Vec<GraphNode> = lowered
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let est = self.estimator.estimate(p);
-                let schema = p.schema();
-                let key_ndv = all_keys
-                    .iter()
-                    .filter(|k| leaf_names[i].contains(*k))
-                    .map(|k| {
-                        let pos = schema.index_of(k);
-                        (k.clone(), est.cols[pos].ndv)
+        let nodes: Vec<GraphNode> = (lowered.iter().enumerate())
+            .map(|(i, leaf)| {
+                let est = self.estimator.estimate(&leaf.plan);
+                let schema = canon.get(leaves[i]);
+                let key_ndv = (0..schema.len())
+                    .filter(|&j| is_key[offsets[i] + j])
+                    .map(|j| {
+                        let at = leaf.map[j].expect("join keys survive lowering");
+                        (schema[j].0.to_owned(), est.cols[at].ndv)
                     })
                     .collect();
                 GraphNode {
@@ -397,19 +421,41 @@ impl Planner {
             cost: chosen.cost,
             forced_cross: chosen.forced_cross,
         });
-        let mut slots: Vec<Option<Plan>> = lowered.into_iter().map(Some).collect();
-        self.emit(&chosen.tree, &graph, &block_needed, &mut slots)
+        let mut slots: Vec<Option<Emitted>> = (lowered.into_iter().zip(&offsets))
+            .map(|(leaf, &offset)| {
+                let mut cols = vec![0; leaf.map.iter().flatten().count()];
+                for (j, at) in leaf.map.iter().enumerate() {
+                    if let Some(at) = at {
+                        cols[*at] = offset + j;
+                    }
+                }
+                Some(Emitted {
+                    plan: leaf.plan,
+                    cols,
+                })
+            })
+            .collect();
+        let out = self.emit(&chosen.tree, &graph, &keys, &block_needed, &mut slots);
+        let mut map = vec![None; width];
+        for (at, &c) in out.cols.iter().enumerate() {
+            map[c] = Some(at);
+        }
+        Lowered {
+            plan: out.plan,
+            map,
+        }
     }
 
-    /// Emit the physical joins for a chosen tree. `required` is the set
-    /// of columns every ancestor still reads.
+    /// Emit the physical joins for a chosen tree. `required` flags the
+    /// block columns every ancestor still reads.
     fn emit(
         &self,
         tree: &JoinTree,
         graph: &JoinGraph,
-        required: &BTreeSet<String>,
-        slots: &mut Vec<Option<Plan>>,
-    ) -> Plan {
+        keys: &[(usize, usize, usize)],
+        required: &[bool],
+        slots: &mut Vec<Option<Emitted>>,
+    ) -> Emitted {
         match tree {
             JoinTree::Leaf(i) => slots[*i].take().expect("leaf emitted twice"),
             JoinTree::Node {
@@ -418,46 +464,165 @@ impl Planner {
                 edges,
                 ..
             } => {
-                // Which leaves live under the probe subtree?
-                let mut probe_leaves = Vec::new();
-                probe.leaves(&mut probe_leaves);
-                let in_probe = |leaf: usize| probe_leaves.contains(&leaf);
-
-                // Orient every applied edge's key pairs.
-                let mut probe_key_names = Vec::new();
-                let mut build_key_names = Vec::new();
+                // Orient every applied edge's key pairs, probe side first.
+                let probe_leaves = leaf_set(probe);
+                let mut pairs = Vec::new();
                 for &ei in edges {
-                    let e = &graph.edges[ei];
-                    if in_probe(e.a) {
-                        probe_key_names.extend(e.a_keys.iter().cloned());
-                        build_key_names.extend(e.b_keys.iter().cloned());
-                    } else {
-                        probe_key_names.extend(e.b_keys.iter().cloned());
-                        build_key_names.extend(e.a_keys.iter().cloned());
+                    let a_probes = probe_leaves & (1 << graph.edges[ei].a) != 0;
+                    for &(_, ac, bc) in keys.iter().filter(|k| k.0 == ei) {
+                        pairs.push(if a_probes { (ac, bc) } else { (bc, ac) });
                     }
                 }
 
-                let mut child_required = required.clone();
-                child_required.extend(probe_key_names.iter().cloned());
-                child_required.extend(build_key_names.iter().cloned());
-                let p = self.emit(probe, graph, &child_required, slots);
-                let b = self.emit(build, graph, &child_required, slots);
-                let (ps, bs) = (p.schema(), b.schema());
+                let mut child_required = required.to_vec();
+                for &(pc, bc) in &pairs {
+                    child_required[pc] = true;
+                    child_required[bc] = true;
+                }
+                let p = self.emit(probe, graph, keys, &child_required, slots);
+                let b = self.emit(build, graph, keys, &child_required, slots);
+                let at = |cols: &[usize], c: usize| {
+                    cols.iter()
+                        .position(|&x| x == c)
+                        .expect("join keys survive")
+                };
+                let probe_keys = pairs.iter().map(|&(c, _)| at(&p.cols, c)).collect();
+                let build_keys = pairs.iter().map(|&(_, c)| at(&b.cols, c)).collect();
                 // Payload: build columns an ancestor still needs (keys
                 // consumed here are dropped unless required above).
-                let build_payload: Vec<usize> = (0..bs.len())
-                    .filter(|&i| required.contains(bs.name(i)))
-                    .collect();
-                Plan::Join {
-                    probe_keys: probe_key_names.iter().map(|k| ps.index_of(k)).collect(),
-                    build_keys: build_key_names.iter().map(|k| bs.index_of(k)).collect(),
-                    probe: Box::new(p),
-                    build: Box::new(b),
-                    kind: JoinKind::Inner,
-                    build_payload,
+                let build_payload: Vec<usize> =
+                    (0..b.cols.len()).filter(|&k| required[b.cols[k]]).collect();
+                let mut cols = p.cols;
+                cols.extend(build_payload.iter().map(|&k| b.cols[k]));
+                Emitted {
+                    plan: Plan::Join {
+                        probe_keys,
+                        build_keys,
+                        probe: Box::new(p.plan),
+                        build: Box::new(b.plan),
+                        kind: JoinKind::Inner,
+                        build_payload,
+                    },
+                    cols,
                 }
             }
         }
+    }
+}
+
+/// Canonical columns of a logical plan's nodes, derived once, bottom-up,
+/// with names borrowed from the plan, and keyed by node address (a plan
+/// has tens of nodes, so a list searches as fast as a hash map). A block
+/// of inner joins gets them once, at its top, from its leaves': lowering
+/// never asks for the joins inside a block.
+struct Canonical<'a>(Vec<(*const LogicalPlan, Vec<Field<'a>>)>);
+
+impl<'a> Canonical<'a> {
+    fn of(root: &'a LogicalPlan) -> Self {
+        let mut canon = Canonical(Vec::new());
+        canon.derive(root);
+        canon
+    }
+
+    fn derive(&mut self, lp: &'a LogicalPlan) {
+        let fields = match lp {
+            LogicalPlan::Scan { relation, .. } => {
+                lp.output_fields(&[&fields_of(relation.schema())])
+            }
+            LogicalPlan::Join {
+                kind: JoinKind::Inner,
+                ..
+            } => {
+                let (mut leaves, mut pairs) = (Vec::new(), Vec::new());
+                collect_block(lp, &mut leaves, &mut pairs);
+                for leaf in &leaves {
+                    self.derive(leaf);
+                }
+                let inputs: Vec<&[Field<'a>]> = leaves.iter().map(|leaf| self.get(leaf)).collect();
+                lp.output_fields(&inputs)
+            }
+            LogicalPlan::Join { left, right, .. } => {
+                self.derive(left);
+                self.derive(right);
+                lp.output_fields(&[self.get(left), self.get(right)])
+            }
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::Sort { input, .. } => {
+                self.derive(input);
+                lp.output_fields(&[self.get(input)])
+            }
+        };
+        self.0.push((lp, fields));
+    }
+
+    fn get(&self, lp: &LogicalPlan) -> &[Field<'a>] {
+        let node = lp as *const LogicalPlan;
+        let (_, fields) = (self.0.iter())
+            .find(|(at, _)| *at == node)
+            .expect("every node's columns are derived before lowering");
+        fields
+    }
+}
+
+/// A lowered subtree: the physical plan, and where each column of the
+/// logical node's canonical schema sits in the plan's output (`None` once
+/// pruned).
+struct Lowered {
+    plan: Plan,
+    map: Vec<Option<usize>>,
+}
+
+/// An emitted part of an inner-join block: the plan, and the block
+/// column each of its output columns carries.
+struct Emitted {
+    plan: Plan,
+    cols: Vec<usize>,
+}
+
+fn wants(needed: Option<&[bool]>, c: usize) -> bool {
+    needed.is_none_or(|set| set[c])
+}
+
+/// The columns of `len` a node keeps: the needed ones, or its first when
+/// nothing is needed.
+fn kept(len: usize, needed: Option<&[bool]>) -> Vec<usize> {
+    let kept: Vec<usize> = (0..len).filter(|&c| wants(needed, c)).collect();
+    if kept.is_empty() {
+        vec![0]
+    } else {
+        kept
+    }
+}
+
+/// Where each of `len` canonical columns sits when only `kept` are
+/// emitted, in order.
+fn positions(len: usize, kept: &[usize]) -> Vec<Option<usize>> {
+    let mut map = vec![None; len];
+    for (at, &c) in kept.iter().enumerate() {
+        map[c] = Some(at);
+    }
+    map
+}
+
+/// `set` with every column the expressions reference flagged.
+fn with_refs<'e>(mut set: Vec<bool>, exprs: impl IntoIterator<Item = &'e Expr>) -> Vec<bool> {
+    let mut cols = Vec::new();
+    for e in exprs {
+        e.referenced_cols(&mut cols);
+    }
+    for c in cols {
+        set[c] = true;
+    }
+    set
+}
+
+/// The leaves of a join tree, as a bitset.
+fn leaf_set(tree: &JoinTree) -> u64 {
+    match tree {
+        JoinTree::Leaf(i) => 1 << i,
+        JoinTree::Node { probe, build, .. } => leaf_set(probe) | leaf_set(build),
     }
 }
 
@@ -465,7 +630,7 @@ impl Planner {
 fn collect_block<'a>(
     lp: &'a LogicalPlan,
     leaves: &mut Vec<&'a LogicalPlan>,
-    pairs: &mut Vec<(String, String)>,
+    pairs: &mut Vec<(&'a str, &'a str)>,
 ) {
     match lp {
         LogicalPlan::Join {
@@ -478,7 +643,7 @@ fn collect_block<'a>(
             collect_block(left, leaves, pairs);
             collect_block(right, leaves, pairs);
             for (l, r) in left_keys.iter().zip(right_keys) {
-                pairs.push((l.clone(), r.clone()));
+                pairs.push((l, r));
             }
         }
         other => leaves.push(other),
@@ -499,37 +664,4 @@ fn leaf_label(lp: &LogicalPlan) -> String {
         LogicalPlan::Aggregate { input, .. } => format!("Γ({})", leaf_label(input)),
         LogicalPlan::Sort { input, .. } => leaf_label(input),
     }
-}
-
-fn names_of(schema: &Schema) -> BTreeSet<String> {
-    schema.names().iter().map(|n| (*n).to_owned()).collect()
-}
-
-/// Output column names referenced by an expression, via the canonical
-/// schema its indices point into.
-fn refs_of(expr: &Expr, canonical: &Schema) -> BTreeSet<String> {
-    let mut cols = Vec::new();
-    expr.referenced_cols(&mut cols);
-    cols.into_iter()
-        .map(|i| canonical.name(i).to_owned())
-        .collect()
-}
-
-/// `needed ∪ extra`, preserving `None` = "all" absorption.
-fn extend_needed(
-    needed: Option<&BTreeSet<String>>,
-    extra: BTreeSet<String>,
-) -> Option<BTreeSet<String>> {
-    needed.map(|set| set.union(&extra).cloned().collect())
-}
-
-/// Rewrite an expression's canonical indices into a physical layout.
-fn remap_expr(expr: &Expr, canonical: &Schema, actual: &Schema) -> Expr {
-    let actual_names = actual.names();
-    let map: Vec<Option<usize>> = canonical
-        .names()
-        .iter()
-        .map(|n| actual_names.iter().position(|m| m == n))
-        .collect();
-    expr.remap(&map)
 }

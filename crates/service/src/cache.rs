@@ -15,7 +15,7 @@
 //! table it wrote; and since an entry holds the `Arc`s it was bound to,
 //! no address it compares against can be reused while it exists. This
 //! is the one place that decides whether a cached plan still holds. A
-//! hit skips bind→DPsize→lowering and goes straight to the cheap
+//! hit skips bind→DPccp→lowering and goes straight to the cheap
 //! per-run pipeline compile. Capacity 0 turns it off: nothing is looked
 //! up or counted, and every execution reports
 //! [`CacheDisposition::Bypass`].
@@ -172,7 +172,7 @@ impl PlanEntry {
 
 /// The session's plan cache behind its one cache lock: a bounded
 /// shape → plan LRU (small by design — tens of entries; the eviction
-/// scan is O(len) and irrelevant next to a single DPsize run). Every
+/// scan is O(len) and irrelevant next to a single DPccp run). Every
 /// method counts what it did.
 pub(crate) struct SessionCaches {
     capacity: usize,

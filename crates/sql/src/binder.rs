@@ -29,7 +29,8 @@
 //! join order and build/probe sides remain entirely the enumerator's
 //! choice.
 
-use std::collections::BTreeSet;
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use morsel_exec::expr as ex;
@@ -112,7 +113,7 @@ impl<'a> Binder<'a> {
             }
             let mut order = Vec::with_capacity(ins.columns.len());
             for c in &ins.columns {
-                let Some(i) = schema.names().iter().position(|&n| n == c) else {
+                let Some(i) = schema.position(c) else {
                     return Err(SqlError::new(
                         format!("unknown column `{c}` in `{}`", ins.table),
                         ins.span,
@@ -154,7 +155,7 @@ impl<'a> Binder<'a> {
         let schema = rel.schema();
         let mut sets = Vec::with_capacity(upd.sets.len());
         for item in &upd.sets {
-            let Some(i) = schema.names().iter().position(|&n| n == item.column) else {
+            let Some(i) = schema.position(&item.column) else {
                 return Err(SqlError::new(
                     format!("unknown column `{}` in `{}`", item.column, upd.table),
                     item.span,
@@ -195,7 +196,7 @@ fn bind_table_predicate(
                 ));
             }
         }
-        match schema.names().iter().position(|&n| n == name) {
+        match schema.position(name) {
             Some(i) => Ok((i, Ty::of(schema.dtype(i)))),
             None => Err(SqlError::new(
                 format!("unknown column `{name}` in `{table}`"),
@@ -267,16 +268,26 @@ impl Ty {
 
 enum SourceKind {
     Table(Arc<Relation>),
-    Derived(LogicalPlan),
+    /// A derived table's plan and its output schema.
+    Derived(LogicalPlan, Schema),
 }
 
 /// One `FROM` entry after resolution.
 struct Source {
     alias: String,
-    schema: Schema,
-    /// Globally unique working name per schema column.
-    working: Vec<String>,
+    /// Per schema column: whether another source exposes the same name,
+    /// so its working name is alias-qualified ([`BindCtx::working`]).
+    clash: Vec<bool>,
     kind: SourceKind,
+}
+
+impl Source {
+    fn schema(&self) -> &Schema {
+        match &self.kind {
+            SourceKind::Table(rel) => rel.schema(),
+            SourceKind::Derived(_, schema) => schema,
+        }
+    }
 }
 
 /// A resolved column reference.
@@ -306,8 +317,8 @@ struct JoinPred<'s> {
 }
 
 /// One collected aggregate call.
-struct AggSlot {
-    call: Expr,
+struct AggSlot<'s> {
+    call: &'s Expr,
     func: AggFunc,
     distinct: bool,
     /// Input column name in the pre-aggregation schema (None for COUNT).
@@ -320,21 +331,19 @@ struct AggSlot {
     out_ty: Ty,
 }
 
-struct GroupItem {
+struct GroupItem<'s> {
     /// The (alias-substituted) source expression.
-    ast: Expr,
+    ast: &'s Expr,
     /// Output column name.
     name: String,
-    /// Bound expression plus its type.
-    bound: ex::Expr,
     ty: Ty,
     /// A bare column whose working name equals `name`.
     passthrough: bool,
 }
 
-struct ShapedAgg {
-    groups: Vec<GroupItem>,
-    slots: Vec<AggSlot>,
+struct ShapedAgg<'s> {
+    groups: Vec<GroupItem<'s>>,
+    slots: Vec<AggSlot<'s>>,
     /// Pre-aggregation projection: group entries, then aggregate inputs.
     pre_entries: Vec<(String, ex::Expr)>,
     /// The input plan already carries every needed column by name.
@@ -344,8 +353,62 @@ struct ShapedAgg {
 
 type Lookup<'x> = &'x dyn Fn(Option<&str>, &str, Span) -> Result<(usize, Ty), SqlError>;
 
+/// What an expression over an aggregate's output reads: a subtree equal
+/// to a group expression reads that group column (found by its name),
+/// and an aggregate call reads its slot's column, slot `i` at
+/// `groups.len() + i`.
+struct Over<'a, 's> {
+    groups: &'a [GroupItem<'s>],
+    slots: &'a [AggSlot<'s>],
+}
+
 /// A `(source, column)` coordinate pair for the two sides of a join key.
 type KeyPair = ((usize, usize), (usize, usize));
+
+/// The join tree under construction: its plan, the sources in it, and
+/// its output columns in order — what its canonical schema holds,
+/// without deriving it.
+struct JoinedTree {
+    plan: LogicalPlan,
+    srcs: Vec<usize>,
+    cols: Vec<Res>,
+}
+
+impl JoinedTree {
+    /// Join source `src`'s base plan on key names, this tree's first.
+    fn join(
+        self,
+        right: LogicalPlan,
+        src: usize,
+        left_keys: Vec<String>,
+        right_keys: Vec<String>,
+        kind: JoinKind,
+        base_cols: &[Vec<usize>],
+    ) -> Self {
+        let JoinedTree {
+            plan,
+            mut srcs,
+            mut cols,
+        } = self;
+        match kind {
+            JoinKind::Inner => cols.extend(source_columns(base_cols, src)),
+            JoinKind::Semi | JoinKind::Anti => {}
+            JoinKind::Count => cols.push(Res::Generated),
+        }
+        srcs.push(src);
+        JoinedTree {
+            plan: LogicalPlan::Join {
+                left: Box::new(plan),
+                right: Box::new(right),
+                left_keys,
+                right_keys,
+                kind,
+            },
+            srcs,
+            cols,
+        }
+    }
+}
 
 struct BindCtx<'s> {
     select: &'s Select,
@@ -361,7 +424,7 @@ impl<'s> BindCtx<'s> {
         }
         let mut sources: Vec<Source> = Vec::new();
         for tref in &select.from {
-            let (alias, schema, kind) = match &tref.factor {
+            let (alias, kind) = match &tref.factor {
                 TableFactor::Table { name, alias, span } => {
                     let rel = catalog.get(name).ok_or_else(|| {
                         SqlError::new(
@@ -374,13 +437,13 @@ impl<'s> BindCtx<'s> {
                     })?;
                     (
                         alias.clone().unwrap_or_else(|| name.clone()),
-                        rel.schema().clone(),
                         SourceKind::Table(rel.clone()),
                     )
                 }
                 TableFactor::Derived { query, alias, .. } => {
                     let plan = Binder::new(catalog).bind(query)?;
-                    (alias.clone(), plan.schema(), SourceKind::Derived(plan))
+                    let schema = plan.schema();
+                    (alias.clone(), SourceKind::Derived(plan, schema))
                 }
             };
             if sources.iter().any(|s| s.alias == alias) {
@@ -391,32 +454,30 @@ impl<'s> BindCtx<'s> {
             }
             sources.push(Source {
                 alias,
-                schema,
-                working: Vec::new(),
+                clash: Vec::new(),
                 kind,
             });
         }
         // Working names: bare when globally unique, alias-qualified when
         // several sources expose the same column name.
-        let mut counts = std::collections::BTreeMap::new();
+        let columns = sources.iter().map(|s| s.schema().len()).sum();
+        let mut counts: HashMap<&str, usize> = HashMap::with_capacity(columns);
         for s in &sources {
-            for n in s.schema.names() {
-                *counts.entry(n.to_owned()).or_insert(0usize) += 1;
+            for f in s.schema().fields() {
+                *counts.entry(&f.name).or_default() += 1;
             }
         }
-        for s in &mut sources {
-            s.working = s
-                .schema
-                .names()
-                .iter()
-                .map(|&n| {
-                    if counts[n] > 1 {
-                        format!("{}.{}", s.alias, n)
-                    } else {
-                        n.to_owned()
-                    }
-                })
-                .collect();
+        let clashes: Vec<Vec<bool>> = (sources.iter())
+            .map(|s| {
+                s.schema()
+                    .fields()
+                    .iter()
+                    .map(|f| counts[f.name.as_str()] > 1)
+                    .collect()
+            })
+            .collect();
+        for (s, clash) in sources.iter_mut().zip(clashes) {
+            s.clash = clash;
         }
         let mut generated = Vec::new();
         for tref in &select.from {
@@ -446,33 +507,21 @@ impl<'s> BindCtx<'s> {
                 .iter()
                 .position(|s| s.alias == t)
                 .ok_or_else(|| SqlError::new(format!("unknown table alias `{t}`"), span))?;
-            let schema = &self.sources[src].schema;
-            let col = schema
-                .names()
-                .iter()
-                .position(|&n| n == name)
-                .ok_or_else(|| {
-                    SqlError::new(format!("table `{t}` has no column `{name}`"), span)
-                })?;
+            let col = self.sources[src].schema().position(name).ok_or_else(|| {
+                SqlError::new(format!("table `{t}` has no column `{name}`"), span)
+            })?;
             return Ok(Res::Col { src, col });
         }
-        let mut hits = Vec::new();
-        for (i, s) in self.sources.iter().enumerate() {
-            if let Some(c) = s.schema.names().iter().position(|&n| n == name) {
-                hits.push((i, c));
-            }
-        }
-        match hits.len() {
-            0 if self.generated.iter().any(|g| g == name) => Ok(Res::Generated),
-            0 => Err(SqlError::new(format!("unknown column `{name}`"), span)),
-            1 => Ok(Res::Col {
-                src: hits[0].0,
-                col: hits[0].1,
-            }),
-            _ => {
-                let aliases: Vec<&str> = hits
-                    .iter()
-                    .map(|&(i, _)| self.sources[i].alias.as_str())
+        let mut hits = (self.sources.iter().enumerate())
+            .filter_map(|(src, s)| Some((src, s.schema().position(name)?)));
+        match (hits.next(), hits.next()) {
+            (None, _) if self.generated.iter().any(|g| g == name) => Ok(Res::Generated),
+            (None, _) => Err(SqlError::new(format!("unknown column `{name}`"), span)),
+            (Some((src, col)), None) => Ok(Res::Col { src, col }),
+            (Some(_), Some(_)) => {
+                let aliases: Vec<&str> = (self.sources.iter())
+                    .filter(|s| s.schema().position(name).is_some())
+                    .map(|s| s.alias.as_str())
                     .collect();
                 Err(SqlError::new(
                     format!(
@@ -485,16 +534,29 @@ impl<'s> BindCtx<'s> {
         }
     }
 
-    fn working_name(&self, res: Res) -> &str {
+    /// A source column's globally unique working name: bare, or
+    /// alias-qualified (`n1.n_name`) when another source exposes the
+    /// same name. Built only for the columns a statement names.
+    fn working(&self, src: usize, col: usize) -> Cow<'_, str> {
+        let s = &self.sources[src];
+        let name = s.schema().name(col);
+        if s.clash[col] {
+            Cow::Owned(format!("{}.{name}", s.alias))
+        } else {
+            Cow::Borrowed(name)
+        }
+    }
+
+    fn working_name(&self, res: Res) -> Cow<'_, str> {
         match res {
-            Res::Col { src, col } => &self.sources[src].working[col],
-            Res::Generated => &self.generated[0],
+            Res::Col { src, col } => self.working(src, col),
+            Res::Generated => Cow::Borrowed(&self.generated[0]),
         }
     }
 
     fn res_ty(&self, res: Res) -> Ty {
         match res {
-            Res::Col { src, col } => Ty::of(self.sources[src].schema.dtype(col)),
+            Res::Col { src, col } => Ty::of(self.sources[src].schema().dtype(col)),
             Res::Generated => Ty::Int,
         }
     }
@@ -505,13 +567,13 @@ impl<'s> BindCtx<'s> {
     fn collect_refs(
         &self,
         e: &Expr,
-        used: &mut [BTreeSet<usize>],
+        used: &mut [Vec<bool>],
         allow_aliases: bool,
     ) -> Result<(), SqlError> {
         each_column(e, |table, name, span| {
             match self.resolve(table, name, span) {
                 Ok(Res::Col { src, col }) => {
-                    used[src].insert(col);
+                    used[src][col] = true;
                     Ok(())
                 }
                 Ok(Res::Generated) => Ok(()),
@@ -533,36 +595,38 @@ impl<'s> BindCtx<'s> {
         })
     }
 
-    /// The sources an expression touches; `None` when it reads a
-    /// join-generated column (pinning it after the joins).
-    fn sources_of(&self, e: &Expr) -> Result<Option<BTreeSet<usize>>, SqlError> {
-        let mut srcs = BTreeSet::new();
-        let mut generated = false;
+    /// The one source an expression reads, if it reads exactly one and
+    /// no join-generated column (which pins it after the joins).
+    fn single_source(&self, e: &Expr) -> Result<Option<usize>, SqlError> {
+        let mut only: Option<usize> = None;
+        let mut single = true;
         each_column(e, |table, name, span| {
             match self.resolve(table, name, span)? {
-                Res::Col { src, .. } => {
-                    srcs.insert(src);
-                }
-                Res::Generated => generated = true,
+                Res::Col { src, .. } if only.is_none_or(|o| o == src) => only = Some(src),
+                _ => single = false,
             }
             Ok(())
         })?;
-        Ok(if generated { None } else { Some(srcs) })
+        Ok(only.filter(|_| single))
     }
 
     // ---- scalar binding (see the free `bind_scalar` below) --------------
 }
 
-/// Bind a scalar expression through a column-lookup closure. `aggs`
-/// carries the collected aggregate slots (and the index where their
-/// output columns start) when aggregate references are legal here. A
-/// free function (not a `BindCtx` method) so single-table DML binding
-/// reuses it without a join context.
+/// Bind a scalar expression through a column-lookup closure. `over` is
+/// the aggregate's output when the expression is evaluated above one
+/// (HAVING and the select list of a grouped query); aggregate calls are
+/// legal only there. A free function (not a `BindCtx` method) so
+/// single-table DML binding reuses it without a join context.
 fn bind_scalar(
     e: &Expr,
     lookup: Lookup<'_>,
-    aggs: Option<(&[AggSlot], usize)>,
+    over: Option<&Over>,
 ) -> Result<(ex::Expr, Ty), SqlError> {
+    if let Some(g) = over.and_then(|o| o.groups.iter().find(|g| *g.ast == *e)) {
+        let (i, ty) = lookup(None, &g.name, e.span)?;
+        return Ok((ex::col(i), ty));
+    }
     match &e.kind {
         ExprKind::Column { table, name } => {
             let (i, ty) = lookup(table.as_deref(), name, e.span)?;
@@ -573,8 +637,8 @@ fn bind_scalar(
         ExprKind::Str(s) => Ok((ex::lits(s), Ty::Str)),
         ExprKind::Date { y, m, d } => Ok((ex::lit(i64::from(date(*y, *m, *d))), Ty::Int)),
         ExprKind::Binary { op, left, right } => {
-            let (le, lt) = bind_scalar(left, lookup, aggs)?;
-            let (re, rt) = bind_scalar(right, lookup, aggs)?;
+            let (le, lt) = bind_scalar(left, lookup, over)?;
+            let (re, rt) = bind_scalar(right, lookup, over)?;
             match op {
                 BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => {
                     if !lt.numeric() || !rt.numeric() {
@@ -641,7 +705,7 @@ fn bind_scalar(
             }
         }
         ExprKind::Not(x) => {
-            let (xe, xt) = bind_scalar(x, lookup, aggs)?;
+            let (xe, xt) = bind_scalar(x, lookup, over)?;
             if xt != Ty::Bool {
                 return Err(SqlError::new(
                     format!("NOT needs a boolean operand, got {}", xt.describe()),
@@ -656,9 +720,9 @@ fn bind_scalar(
             lo,
             hi,
         } => {
-            let (xe, xt) = bind_scalar(expr, lookup, aggs)?;
-            let (loe, lot) = bind_scalar(lo, lookup, aggs)?;
-            let (hie, hit) = bind_scalar(hi, lookup, aggs)?;
+            let (xe, xt) = bind_scalar(expr, lookup, over)?;
+            let (loe, lot) = bind_scalar(lo, lookup, over)?;
+            let (hie, hit) = bind_scalar(hi, lookup, over)?;
             let families_ok = (xt.numeric() && lot.numeric() && hit.numeric())
                 || (xt == Ty::Str && lot == Ty::Str && hit == Ty::Str);
             if !families_ok {
@@ -683,7 +747,7 @@ fn bind_scalar(
             negated,
             list,
         } => {
-            let (xe, xt) = bind_scalar(expr, lookup, aggs)?;
+            let (xe, xt) = bind_scalar(expr, lookup, over)?;
             match xt {
                 Ty::Int => {
                     let mut vals = Vec::with_capacity(list.len());
@@ -724,7 +788,7 @@ fn bind_scalar(
             negated,
             pattern,
         } => {
-            let (xe, xt) = bind_scalar(expr, lookup, aggs)?;
+            let (xe, xt) = bind_scalar(expr, lookup, over)?;
             if xt != Ty::Str {
                 return Err(SqlError::new(
                     format!("LIKE needs a string, got {}", xt.describe()),
@@ -743,15 +807,15 @@ fn bind_scalar(
             Ok((maybe_not(built, *negated), Ty::Bool))
         }
         ExprKind::Case { cond, then, else_ } => {
-            let (ce, ct) = bind_scalar(cond, lookup, aggs)?;
+            let (ce, ct) = bind_scalar(cond, lookup, over)?;
             if ct != Ty::Bool {
                 return Err(SqlError::new(
                     format!("CASE WHEN needs a boolean, got {}", ct.describe()),
                     cond.span,
                 ));
             }
-            let (te, tt) = bind_scalar(then, lookup, aggs)?;
-            let (ee, et) = bind_scalar(else_, lookup, aggs)?;
+            let (te, tt) = bind_scalar(then, lookup, over)?;
+            let (ee, et) = bind_scalar(else_, lookup, over)?;
             if tt != et {
                 return Err(SqlError::new(
                     format!(
@@ -765,7 +829,7 @@ fn bind_scalar(
             Ok((ex::case(ce, te, ee), tt))
         }
         ExprKind::ExtractYear(x) => {
-            let (xe, xt) = bind_scalar(x, lookup, aggs)?;
+            let (xe, xt) = bind_scalar(x, lookup, over)?;
             if xt != Ty::Int {
                 return Err(SqlError::new(
                     format!(
@@ -778,7 +842,7 @@ fn bind_scalar(
             Ok((ex::year_of(xe), Ty::Int))
         }
         ExprKind::Substring { expr, from, len } => {
-            let (xe, xt) = bind_scalar(expr, lookup, aggs)?;
+            let (xe, xt) = bind_scalar(expr, lookup, over)?;
             if xt != Ty::Str {
                 return Err(SqlError::new(
                     format!("SUBSTRING needs a string, got {}", xt.describe()),
@@ -787,13 +851,13 @@ fn bind_scalar(
             }
             Ok((ex::substr(xe, *from as usize, *len as usize), Ty::Str))
         }
-        ExprKind::Agg { .. } => match aggs {
-            Some((slots, base)) => {
+        ExprKind::Agg { .. } => match over {
+            Some(Over { groups, slots }) => {
                 let idx = slots
                     .iter()
-                    .position(|s| &s.call == e)
+                    .position(|s| *s.call == *e)
                     .expect("aggregate slots collected before binding");
-                Ok((ex::col(base + idx), slots[idx].out_ty))
+                Ok((ex::col(groups.len() + idx), slots[idx].out_ty))
             }
             None => Err(SqlError::new(
                 "aggregate calls are not allowed here",
@@ -806,7 +870,7 @@ fn bind_scalar(
 impl<'s> BindCtx<'s> {
     /// Bind a predicate against one base source's schema (scan filter).
     fn bind_on_source(&self, src: usize, e: &Expr) -> Result<ex::Expr, SqlError> {
-        let schema = &self.sources[src].schema;
+        let schema = self.sources[src].schema();
         let lookup =
             |table: Option<&str>, name: &str, span: Span| match self.resolve(table, name, span)? {
                 Res::Col { src: s, col } if s == src => Ok((col, Ty::of(schema.dtype(col)))),
@@ -823,16 +887,16 @@ impl<'s> BindCtx<'s> {
         Ok(bound)
     }
 
-    /// Column lookup against the joined plan's canonical schema.
+    /// Column lookup against the joined plan's output, whose columns are
+    /// `joined`, in order.
     fn joined_lookup<'b>(
         &'b self,
-        schema: &'b Schema,
+        joined: &'b [Res],
     ) -> impl Fn(Option<&str>, &str, Span) -> Result<(usize, Ty), SqlError> + 'b {
         move |table, name, span| {
             let res = self.resolve(table, name, span)?;
-            let w = self.working_name(res);
-            match schema.names().iter().position(|&n| n == w) {
-                Some(i) => Ok((i, Ty::of(schema.dtype(i)))),
+            match joined.iter().position(|&r| r == res) {
+                Some(i) => Ok((i, self.res_ty(res))),
                 None => Err(SqlError::new(
                     format!("column `{name}` is not visible here (removed by a semi/anti join)"),
                     span,
@@ -841,9 +905,8 @@ impl<'s> BindCtx<'s> {
         }
     }
 
-    fn bind_on_joined(&self, plan: &LogicalPlan, e: &Expr) -> Result<ex::Expr, SqlError> {
-        let schema = plan.schema();
-        let lookup = self.joined_lookup(&schema);
+    fn bind_on_joined(&self, joined: &[Res], e: &Expr) -> Result<ex::Expr, SqlError> {
+        let lookup = self.joined_lookup(joined);
         let (bound, ty) = bind_scalar(e, &lookup, None)?;
         expect_bool(ty, e.span)?;
         Ok(bound)
@@ -875,7 +938,9 @@ impl<'s> BindCtx<'s> {
             || select.items.iter().any(|i| i.expr.has_agg());
 
         // Per-source referenced-column sets drive scan projections.
-        let mut used: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); self.sources.len()];
+        let mut used: Vec<Vec<bool>> = (self.sources.iter())
+            .map(|s| vec![false; s.schema().len()])
+            .collect();
         for item in &select.items {
             self.collect_refs(&item.expr, &mut used, false)?;
         }
@@ -889,8 +954,8 @@ impl<'s> BindCtx<'s> {
             self.collect_refs(p, &mut used, false)?;
         }
         for jp in &join_preds {
-            used[jp.a.0].insert(jp.a.1);
-            used[jp.b.0].insert(jp.b.1);
+            used[jp.a.0][jp.a.1] = true;
+            used[jp.b.0][jp.b.1] = true;
         }
         for tref in &select.from {
             if let Some(on) = tref.join.on() {
@@ -898,84 +963,83 @@ impl<'s> BindCtx<'s> {
             }
         }
 
-        // Base plans per source.
+        // Base plans per source, and the source columns each outputs.
         let mut base_plans: Vec<Option<LogicalPlan>> = Vec::new();
+        let mut base_cols: Vec<Vec<usize>> = Vec::new();
         for (i, s) in self.sources.iter().enumerate() {
-            let plan = match &s.kind {
+            let (plan, cols) = match &s.kind {
                 SourceKind::Table(rel) => {
-                    let mut cols: Vec<usize> = used[i].iter().copied().collect();
+                    let mut cols: Vec<usize> = (0..used[i].len()).filter(|&c| used[i][c]).collect();
                     if cols.is_empty() {
                         cols.push(0); // scans project at least one column
                     }
                     let filter = self.fold_scan_filter(i, &scan_filters[i])?;
-                    LogicalPlan::Scan {
+                    let scan = LogicalPlan::Scan {
                         table: s.alias.clone(),
                         relation: rel.clone(),
                         filter,
                         project: cols
                             .iter()
-                            .map(|&c| (s.working[c].clone(), ex::col(c)))
+                            .map(|&c| (self.working(i, c).into_owned(), ex::col(c)))
                             .collect(),
-                    }
+                    };
+                    (scan, cols)
                 }
-                SourceKind::Derived(plan) => {
+                SourceKind::Derived(plan, schema) => {
                     let mut plan = plan.clone();
-                    if s.working.iter().zip(s.schema.names()).any(|(w, n)| w != n) {
-                        let renames: Vec<(&str, ex::Expr)> = s
-                            .working
-                            .iter()
-                            .enumerate()
-                            .map(|(c, w)| (w.as_str(), ex::col(c)))
-                            .collect();
-                        plan = plan.project(renames);
+                    if s.clash.contains(&true) {
+                        plan = LogicalPlan::Project {
+                            input: Box::new(plan),
+                            project: (0..s.clash.len())
+                                .map(|c| (self.working(i, c).into_owned(), ex::col(c)))
+                                .collect(),
+                        };
                     }
                     for pred in &scan_filters[i] {
                         let bound = self.bind_on_derived(i, pred)?;
                         plan = plan.filter(bound);
                     }
-                    plan
+                    (plan, (0..schema.len()).collect())
                 }
             };
             base_plans.push(Some(plan));
+            base_cols.push(cols);
         }
 
         // Assemble the join tree, then re-apply what didn't become a key.
-        let mut plan = self.build_join_tree(&mut base_plans, &mut join_preds)?;
+        let tree = self.build_join_tree(&mut base_plans, &base_cols, &mut join_preds)?;
+        let (mut plan, joined) = (tree.plan, tree.cols);
         for jp in join_preds.iter().filter(|p| !p.used) {
             // Cycle-closing equalities between already-joined sides.
-            let bound = self.bind_on_joined(&plan, jp.pred)?;
+            let bound = self.bind_on_joined(&joined, jp.pred)?;
             plan = plan.filter(bound);
         }
         for p in residual {
-            let bound = self.bind_on_joined(&plan, p)?;
+            let bound = self.bind_on_joined(&joined, p)?;
             plan = plan.filter(bound);
         }
 
         if has_agg {
-            let schema = plan.schema();
-            let shaped = {
-                let lookup = self.joined_lookup(&schema);
+            let mut shaped = {
+                let lookup = self.joined_lookup(&joined);
                 self.shape_aggregate(&lookup)?
             };
             let input = if shaped.all_passthrough {
                 plan
             } else {
-                let mut entries = shaped.pre_entries.clone();
-                if entries.is_empty() {
+                let mut project = std::mem::take(&mut shaped.pre_entries);
+                if project.is_empty() {
                     // Scalar aggregate over a join: keep one column.
-                    entries.push((schema.name(0).to_owned(), ex::col(0)));
+                    project.push((self.working_name(joined[0]).into_owned(), ex::col(0)));
                 }
-                plan.project(
-                    entries
-                        .iter()
-                        .map(|(n, e)| (n.as_str(), e.clone()))
-                        .collect(),
-                )
+                LogicalPlan::Project {
+                    input: Box::new(plan),
+                    project,
+                }
             };
             self.finish_aggregate(input, shaped)
         } else {
-            let out = self.bind_plain_projection(plan)?;
-            self.bind_sort(out)
+            self.bind_plain_projection(plan, &joined)
         }
     }
 
@@ -997,7 +1061,7 @@ impl<'s> BindCtx<'s> {
         let s = &self.sources[src];
         let lookup =
             |table: Option<&str>, name: &str, span: Span| match self.resolve(table, name, span)? {
-                Res::Col { src: rs, col } if rs == src => Ok((col, Ty::of(s.schema.dtype(col)))),
+                Res::Col { src: rs, col } if rs == src => Ok((col, Ty::of(s.schema().dtype(col)))),
                 _ => Err(SqlError::new(
                     format!("column `{name}` does not belong to `{}`", s.alias),
                     span,
@@ -1066,30 +1130,32 @@ impl<'s> BindCtx<'s> {
                 used: false,
             }));
         }
-        match self.sources_of(pred)? {
-            Some(srcs) if srcs.len() == 1 => Ok(Conjunct::Scan {
-                src: *srcs.iter().next().unwrap(),
-                pred,
-            }),
-            _ => Ok(Conjunct::Residual(pred)),
+        match self.single_source(pred)? {
+            Some(src) => Ok(Conjunct::Scan { src, pred }),
+            None => Ok(Conjunct::Residual(pred)),
         }
     }
 
+    /// Join the sources' base plans in `FROM` order.
     fn build_join_tree(
         &self,
         base: &mut [Option<LogicalPlan>],
+        base_cols: &[Vec<usize>],
         preds: &mut [JoinPred<'s>],
-    ) -> Result<LogicalPlan, SqlError> {
+    ) -> Result<JoinedTree, SqlError> {
         let select = self.select;
-        let mut tree = base[0].take().expect("first source plan");
-        let mut tree_srcs: Vec<usize> = vec![0];
+        let mut tree = JoinedTree {
+            plan: base[0].take().expect("first source plan"),
+            srcs: vec![0],
+            cols: source_columns(base_cols, 0).collect(),
+        };
         let mut pending: Vec<usize> = Vec::new();
 
         for (i, tref) in select.from.iter().enumerate().skip(1) {
             match &tref.join {
                 JoinOp::Comma => {
                     pending.push(i);
-                    tree = self.drain_pending(tree, &mut tree_srcs, &mut pending, base, preds);
+                    tree = self.drain_pending(tree, &mut pending, base, base_cols, preds);
                 }
                 JoinOp::Inner(on)
                 | JoinOp::Semi(on)
@@ -1104,22 +1170,15 @@ impl<'s> BindCtx<'s> {
                     };
                     let mut on_conjuncts = Vec::new();
                     split_and(on, &mut on_conjuncts);
-                    let mut left_keys = Vec::new();
-                    let mut right_keys = Vec::new();
+                    let (mut left_keys, mut right_keys) = (Vec::new(), Vec::new());
                     for c in on_conjuncts {
-                        let (tree_side, new_side) = self.on_key_pair(c, &tree_srcs, i)?;
-                        left_keys.push(self.sources[tree_side.0].working[tree_side.1].clone());
-                        right_keys.push(self.sources[new_side.0].working[new_side.1].clone());
+                        let (tree_side, new_side) = self.on_key_pair(c, &tree.srcs, i)?;
+                        left_keys.push(self.working(tree_side.0, tree_side.1).into_owned());
+                        right_keys.push(self.working(new_side.0, new_side.1).into_owned());
                     }
                     let right = base[i].take().expect("join source plan");
-                    tree = tree.join_kind(
-                        right,
-                        &left_keys.iter().map(String::as_str).collect::<Vec<_>>(),
-                        &right_keys.iter().map(String::as_str).collect::<Vec<_>>(),
-                        kind,
-                    );
-                    tree_srcs.push(i);
-                    tree = self.drain_pending(tree, &mut tree_srcs, &mut pending, base, preds);
+                    tree = tree.join(right, i, left_keys, right_keys, kind, base_cols);
+                    tree = self.drain_pending(tree, &mut pending, base, base_cols, preds);
                 }
             }
         }
@@ -1140,43 +1199,38 @@ impl<'s> BindCtx<'s> {
     /// (all matching predicates between a pair become one composite key).
     fn drain_pending(
         &self,
-        mut tree: LogicalPlan,
-        tree_srcs: &mut Vec<usize>,
+        mut tree: JoinedTree,
         pending: &mut Vec<usize>,
         base: &mut [Option<LogicalPlan>],
+        base_cols: &[Vec<usize>],
         preds: &mut [JoinPred<'s>],
-    ) -> LogicalPlan {
+    ) -> JoinedTree {
         loop {
             let mut attached = None;
             for (pi, &p) in pending.iter().enumerate() {
-                let mut left_keys = Vec::new();
-                let mut right_keys = Vec::new();
+                let (mut left_keys, mut right_keys) = (Vec::new(), Vec::new());
                 let mut hit = Vec::new();
                 for (ji, jp) in preds.iter().enumerate() {
                     if jp.used {
                         continue;
                     }
-                    let pair = if jp.a.0 == p && tree_srcs.contains(&jp.b.0) {
+                    let pair = if jp.a.0 == p && tree.srcs.contains(&jp.b.0) {
                         Some((jp.b, jp.a))
-                    } else if jp.b.0 == p && tree_srcs.contains(&jp.a.0) {
+                    } else if jp.b.0 == p && tree.srcs.contains(&jp.a.0) {
                         Some((jp.a, jp.b))
                     } else {
                         None
                     };
                     if let Some((tree_side, new_side)) = pair {
-                        left_keys.push(self.sources[tree_side.0].working[tree_side.1].clone());
-                        right_keys.push(self.sources[new_side.0].working[new_side.1].clone());
+                        left_keys.push(self.working(tree_side.0, tree_side.1).into_owned());
+                        right_keys.push(self.working(new_side.0, new_side.1).into_owned());
                         hit.push(ji);
                     }
                 }
-                if !left_keys.is_empty() {
+                if !hit.is_empty() {
                     let right = base[p].take().expect("pending source plan");
-                    tree = tree.join(
-                        right,
-                        &left_keys.iter().map(String::as_str).collect::<Vec<_>>(),
-                        &right_keys.iter().map(String::as_str).collect::<Vec<_>>(),
-                    );
-                    tree_srcs.push(p);
+                    let kind = JoinKind::Inner;
+                    tree = tree.join(right, p, left_keys, right_keys, kind, base_cols);
                     for ji in hit {
                         preds[ji].used = true;
                     }
@@ -1235,36 +1289,40 @@ impl<'s> BindCtx<'s> {
         Ok(names)
     }
 
-    fn bind_plain_projection(&self, plan: LogicalPlan) -> Result<LogicalPlan, SqlError> {
+    /// Project the select list over the joined plan, whose columns are
+    /// `joined`, then sort.
+    fn bind_plain_projection(
+        &self,
+        plan: LogicalPlan,
+        joined: &[Res],
+    ) -> Result<LogicalPlan, SqlError> {
         let names = self.output_names()?;
-        let schema = plan.schema();
-        let mut entries: Vec<(String, ex::Expr)> = Vec::new();
-        {
-            let lookup = self.joined_lookup(&schema);
-            for (item, name) in self.select.items.iter().zip(&names) {
-                let (bound, _) = bind_scalar(&item.expr, &lookup, None)?;
-                entries.push((name.clone(), bound));
-            }
+        let lookup = self.joined_lookup(joined);
+        let mut project = Vec::with_capacity(names.len());
+        for (item, name) in self.select.items.iter().zip(&names) {
+            let (bound, _) = bind_scalar(&item.expr, &lookup, None)?;
+            project.push((name.clone(), bound));
         }
-        Ok(plan.project(
-            entries
-                .iter()
-                .map(|(n, e)| (n.as_str(), e.clone()))
-                .collect(),
-        ))
+        let plan = LogicalPlan::Project {
+            input: Box::new(plan),
+            project,
+        };
+        self.bind_sort(plan, &names)
     }
 
-    fn shape_aggregate(&self, lookup: Lookup<'_>) -> Result<ShapedAgg, SqlError> {
-        let select = self.select;
+    fn shape_aggregate(&self, lookup: Lookup<'_>) -> Result<ShapedAgg<'s>, SqlError> {
+        let select: &'s Select = self.select;
         let out_names = self.output_names()?;
 
-        // Group items, with select-alias substitution.
-        let mut groups: Vec<GroupItem> = Vec::new();
+        // Group items, with select-alias substitution. The
+        // pre-aggregation entries: groups first, then aggregate inputs.
+        let mut groups: Vec<GroupItem<'s>> = Vec::new();
+        let mut pre_entries: Vec<(String, ex::Expr)> = Vec::new();
         for (gi, g) in select.group_by.iter().enumerate() {
             let (ast, name) = match &g.kind {
                 ExprKind::Column { table, name } => {
                     match self.resolve(table.as_deref(), name, g.span) {
-                        Ok(res) => (g.clone(), self.working_name(res).to_owned()),
+                        Ok(res) => (g, self.working_name(res).into_owned()),
                         Err(err) => {
                             let alias_hit = if table.is_none() {
                                 select
@@ -1272,7 +1330,7 @@ impl<'s> BindCtx<'s> {
                                     .iter()
                                     .zip(&out_names)
                                     .find(|(item, _)| item.alias.as_deref() == Some(name))
-                                    .map(|(item, n)| (item.expr.clone(), n.clone()))
+                                    .map(|(item, n)| (&item.expr, n.clone()))
                             } else {
                                 None
                             };
@@ -1291,7 +1349,7 @@ impl<'s> BindCtx<'s> {
                         .find(|(item, _)| &item.expr == g)
                         .map(|(_, n)| n.clone())
                         .unwrap_or_else(|| format!("_group{gi}"));
-                    (g.clone(), name)
+                    (g, name)
                 }
             };
             if ast.has_agg() {
@@ -1300,7 +1358,7 @@ impl<'s> BindCtx<'s> {
                     g.span,
                 ));
             }
-            let (bound, ty) = bind_scalar(&ast, lookup, None)?;
+            let (bound, ty) = bind_scalar(ast, lookup, None)?;
             let passthrough = match &ast.kind {
                 ExprKind::Column { table, name: n } => {
                     let res = self.resolve(table.as_deref(), n, ast.span)?;
@@ -1308,10 +1366,10 @@ impl<'s> BindCtx<'s> {
                 }
                 _ => false,
             };
+            pre_entries.push((name.clone(), bound));
             groups.push(GroupItem {
                 ast,
                 name,
-                bound,
                 ty,
                 passthrough,
             });
@@ -1320,7 +1378,7 @@ impl<'s> BindCtx<'s> {
         // Aggregate calls from the select list and HAVING, deduplicated;
         // an aggregate's argument is not searched (nesting is an error
         // `make_slot` reports).
-        let mut calls: Vec<&Expr> = Vec::new();
+        let mut calls: Vec<&'s Expr> = Vec::new();
         for site in select.items.iter().map(|i| &i.expr).chain(&select.having) {
             site.walk(&mut |e| {
                 let is_agg = matches!(e.kind, ExprKind::Agg { .. });
@@ -1330,7 +1388,7 @@ impl<'s> BindCtx<'s> {
                 !is_agg
             });
         }
-        let mut slots: Vec<AggSlot> = Vec::with_capacity(calls.len());
+        let mut slots: Vec<AggSlot<'s>> = Vec::with_capacity(calls.len());
         for (idx, call) in calls.into_iter().enumerate() {
             let out_name = select
                 .items
@@ -1342,15 +1400,10 @@ impl<'s> BindCtx<'s> {
             slots.push(self.make_slot(call, out_name, lookup, idx)?);
         }
 
-        // Pre-aggregation entries: groups first, then aggregate inputs.
-        let mut pre_entries: Vec<(String, ex::Expr)> = groups
-            .iter()
-            .map(|g| (g.name.clone(), g.bound.clone()))
-            .collect();
-        for slot in &slots {
-            if let (Some(input), Some(expr)) = (&slot.input, &slot.input_expr) {
+        for slot in &mut slots {
+            if let (Some(input), Some(expr)) = (&slot.input, slot.input_expr.take()) {
                 if !pre_entries.iter().any(|(n, _)| n == input) {
-                    pre_entries.push((input.clone(), expr.clone()));
+                    pre_entries.push((input.clone(), expr));
                 }
             }
         }
@@ -1367,11 +1420,11 @@ impl<'s> BindCtx<'s> {
 
     fn make_slot(
         &self,
-        call: &Expr,
+        call: &'s Expr,
         out_name: String,
         lookup: Lookup<'_>,
         idx: usize,
-    ) -> Result<AggSlot, SqlError> {
+    ) -> Result<AggSlot<'s>, SqlError> {
         let (func, distinct, arg) = match &call.kind {
             ExprKind::Agg {
                 func,
@@ -1392,7 +1445,7 @@ impl<'s> BindCtx<'s> {
             arg_ty = ty;
             if let ExprKind::Column { table, name } = &a.kind {
                 let res = self.resolve(table.as_deref(), name, a.span)?;
-                input = Some(self.working_name(res).to_owned());
+                input = Some(self.working_name(res).into_owned());
                 bare = true;
             } else {
                 input = Some(format!("_in{idx}"));
@@ -1454,7 +1507,7 @@ impl<'s> BindCtx<'s> {
             }
         }
         Ok(AggSlot {
-            call: call.clone(),
+            call,
             func,
             distinct,
             input,
@@ -1468,7 +1521,7 @@ impl<'s> BindCtx<'s> {
     fn finish_aggregate(
         self,
         input: LogicalPlan,
-        shaped: ShapedAgg,
+        shaped: ShapedAgg<'s>,
     ) -> Result<LogicalPlan, SqlError> {
         let ShapedAgg {
             groups,
@@ -1498,22 +1551,15 @@ impl<'s> BindCtx<'s> {
         // Environment over the aggregate's output: group columns by
         // name/alias, aggregate calls by slot, nothing else. Subtrees
         // that *are* a group expression (e.g. `EXTRACT(YEAR FROM
-        // o_orderdate)` when that is what was grouped on) are replaced
-        // by references to the group column first, top-down. Aggregate
-        // arguments are left alone: they live below the aggregate and
-        // are matched by slot instead.
+        // o_orderdate)` when that is what was grouped on) read the group
+        // column, top-down ([`Over`]). Aggregate arguments are left
+        // alone: they live below the aggregate and are matched by slot
+        // instead.
+        let over = Over {
+            groups: &groups,
+            slots: &slots,
+        };
         let bind_over_aggregate = |e: &Expr| -> Result<(ex::Expr, Ty), SqlError> {
-            let mut e = e.clone();
-            e.walk_mut(&mut |x| {
-                if let Some(g) = groups.iter().find(|g| g.ast == *x) {
-                    x.kind = ExprKind::Column {
-                        table: None,
-                        name: g.name.clone(),
-                    };
-                    return false;
-                }
-                !matches!(x.kind, ExprKind::Agg { .. })
-            });
             let lookup = |table: Option<&str>, name: &str, span: Span| {
                 if table.is_none() {
                     if let Some(i) = groups.iter().position(|g| g.name == name) {
@@ -1533,7 +1579,7 @@ impl<'s> BindCtx<'s> {
                     span,
                 ))
             };
-            bind_scalar(&e, &lookup, Some((&slots, groups.len())))
+            bind_scalar(e, &lookup, Some(&over))
         };
 
         if let Some(h) = &self.select.having {
@@ -1547,10 +1593,10 @@ impl<'s> BindCtx<'s> {
         let identity = out_names.len() == groups.len() + slots.len()
             && self.select.items.iter().enumerate().all(|(i, item)| {
                 if i < groups.len() {
-                    item.expr == groups[i].ast && out_names[i] == groups[i].name
+                    item.expr == *groups[i].ast && out_names[i] == groups[i].name
                 } else {
                     let s = &slots[i - groups.len()];
-                    item.expr == s.call && out_names[i] == s.out_name
+                    item.expr == *s.call && out_names[i] == s.out_name
                 }
             });
         if !identity {
@@ -1566,10 +1612,12 @@ impl<'s> BindCtx<'s> {
                     .collect(),
             );
         }
-        self.bind_sort(plan)
+        // Whether projected or not, the output columns are `out_names`.
+        self.bind_sort(plan, &out_names)
     }
 
-    fn bind_sort(&self, plan: LogicalPlan) -> Result<LogicalPlan, SqlError> {
+    /// Sort `plan`, whose output columns are `names`, by ORDER BY.
+    fn bind_sort(&self, plan: LogicalPlan, names: &[String]) -> Result<LogicalPlan, SqlError> {
         let select = self.select;
         if select.order_by.is_empty() {
             if select.limit.is_some() {
@@ -1580,11 +1628,9 @@ impl<'s> BindCtx<'s> {
             }
             return Ok(plan);
         }
-        let schema = plan.schema();
-        let names: Vec<&str> = schema.names();
         let mut keys = Vec::new();
         for o in &select.order_by {
-            if !names.contains(&o.name.as_str()) {
+            if !names.contains(&o.name) {
                 return Err(SqlError::new(
                     format!(
                         "ORDER BY column `{}` is not in the output (have: {})",
@@ -1601,6 +1647,11 @@ impl<'s> BindCtx<'s> {
         }
         Ok(plan.sort(keys, select.limit))
     }
+}
+
+/// The columns source `src`'s base plan outputs.
+fn source_columns(base_cols: &[Vec<usize>], src: usize) -> impl Iterator<Item = Res> + '_ {
+    base_cols[src].iter().map(move |&col| Res::Col { src, col })
 }
 
 fn expect_bool(ty: Ty, span: Span) -> Result<(), SqlError> {

@@ -4,7 +4,7 @@
 //! lexer, a recursive-descent parser ([`parser`]), and a binder
 //! ([`binder`]) that resolves names against a [`Catalog`] and emits
 //! the planner's [`LogicalPlan`]. Everything below —
-//! DPsize join ordering, cardinality estimation, lowering, and the
+//! DPccp join ordering, cardinality estimation, lowering, and the
 //! morsel-driven executor — consumes the bound plan unchanged, so
 //! `SELECT` text and hand-built logical plans take exactly the same
 //! path after binding.

@@ -54,10 +54,13 @@ impl Schema {
     /// Panics if no such attribute exists — looking up an unknown column is
     /// a query construction bug.
     pub fn index_of(&self, name: &str) -> usize {
-        self.fields
-            .iter()
-            .position(|f| f.name == name)
+        self.position(name)
             .unwrap_or_else(|| panic!("no column named {name:?} in schema {:?}", self.names()))
+    }
+
+    /// Index of the attribute called `name`, if there is one.
+    pub fn position(&self, name: &str) -> Option<usize> {
+        self.fields.iter().position(|f| f.name == name)
     }
 
     pub fn names(&self) -> Vec<&str> {
