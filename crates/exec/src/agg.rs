@@ -16,7 +16,7 @@ use std::sync::{Arc, OnceLock};
 
 use morsel_core::{Morsel, PipelineJob, ResultSlot, TaskContext};
 use morsel_numa::SocketId;
-use morsel_storage::{AreaSet, Batch, Column, DataType, Schema, StorageArea};
+use morsel_storage::{AreaSet, Batch, Column, DataType, Encoding, Schema, StorageArea};
 use parking_lot::Mutex;
 
 use crate::charge;
@@ -470,8 +470,8 @@ pub struct AggPartialSink {
     worker_nodes: Vec<SocketId>,
     out: AggSlot,
     capacity: usize,
-    /// Compiled from the first batch (every batch of one pipeline has the
-    /// same column representations and shares its dictionaries).
+    /// Compiled from the group columns' encodings ([`Self::with_key`]),
+    /// or else from the first batch.
     layout: OnceLock<Arc<KeyLayout>>,
     /// Profile slot of the aggregation plan node (credited with spill
     /// fragments and the final flush).
@@ -515,6 +515,15 @@ impl AggPartialSink {
         self
     }
 
+    /// Compile the group key for group columns of `types` stored in
+    /// `encodings`, as the plan compiler knows them.
+    pub fn with_key(self, types: &[DataType], encodings: &[Encoding]) -> Self {
+        AggPartialSink {
+            layout: OnceLock::from(Arc::new(KeyLayout::compile(types, encodings))),
+            ..self
+        }
+    }
+
     /// Aggregate one batch into the worker's table: keys and hashes
     /// column-at-a-time, then per flush-free segment one probe pass and
     /// one typed update pass per lane. Returns the bytes spilled.
@@ -555,7 +564,7 @@ impl Sink for AggPartialSink {
         }
         let layout = self
             .layout
-            .get_or_init(|| Arc::new(KeyLayout::compile(&input.batch, &self.group_cols)));
+            .get_or_init(|| Arc::new(KeyLayout::of_batch(&input.batch, &self.group_cols)));
         let mut w = self.workers[ctx.worker].lock();
         let w = w.get_or_insert_with(|| WorkerAgg {
             table: GroupTable::new(self.capacity, self.capacity, &self.ops),

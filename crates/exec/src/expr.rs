@@ -169,6 +169,19 @@ impl Vector<'_> {
         }
     }
 
+    fn is_str(&self) -> bool {
+        matches!(self, Vector::Str(_) | Vector::Code(..))
+    }
+
+    /// The string at position `i` of a string vector.
+    fn str_at(&self, i: usize) -> &str {
+        match self {
+            Vector::Str(v) => v.col.get(v.from + i),
+            Vector::Code(codes, dict) => dict.get(codes[i]),
+            other => panic!("expected string vector, got {other:?}"),
+        }
+    }
+
     /// Apply a string test over every row. Code vectors resolve the test
     /// against the dictionary **once** and answer per row from the code —
     /// the rewrite all dictionary string predicates share.
@@ -529,36 +542,12 @@ impl Expr {
                         zip_with(x, y, n, |a, b| op.holds(&a, &b))
                     }
                     ((Some(x), Some(y)), _) => zip_f64(x, y, n, |a, b| op.holds(&a, &b)),
-                    (_, (V(Vector::Str(x)), V(Vector::Str(y)))) => x
-                        .iter()
-                        .zip(y.iter())
-                        .map(|(a, b)| op.holds(a, b))
-                        .collect(),
-                    (_, (V(Vector::Code(x, dx)), V(Vector::Code(y, dy)))) => {
-                        if Arc::ptr_eq(dx, dy) {
-                            // One shared sorted domain: code order == string
-                            // order, so compare codes directly.
-                            x.iter()
-                                .zip(y.iter())
-                                .map(|(a, b)| op.holds(a, b))
-                                .collect()
-                        } else {
-                            x.iter()
-                                .zip(y.iter())
-                                .map(|(&a, &b)| op.holds(dx.get(a), dy.get(b)))
-                                .collect()
-                        }
+                    // Strings of either representation compare as values;
+                    // no compiled code compare for two columns of one
+                    // dictionary yet (ROADMAP item 20).
+                    (_, (V(x), V(y))) if x.is_str() && y.is_str() => {
+                        (0..n).map(|i| op.holds(x.str_at(i), y.str_at(i))).collect()
                     }
-                    (_, (V(Vector::Code(x, dx)), V(Vector::Str(y)))) => x
-                        .iter()
-                        .zip(y.iter())
-                        .map(|(&a, b)| op.holds(dx.get(a), b))
-                        .collect(),
-                    (_, (V(Vector::Str(x)), V(Vector::Code(y, dy)))) => x
-                        .iter()
-                        .zip(y.iter())
-                        .map(|(a, &b)| op.holds(a, dy.get(b)))
-                        .collect(),
                     _ => panic!("incomparable operand types in {self:?}"),
                 };
                 Vector::Bool(out)

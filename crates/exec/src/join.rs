@@ -11,7 +11,7 @@ use std::sync::{Arc, OnceLock};
 
 use morsel_core::{Morsel, PipelineJob, TaskContext};
 use morsel_numa::SocketId;
-use morsel_storage::{AreaSet, Batch, Column, DataType};
+use morsel_storage::{AreaSet, Batch, Column, Dictionary};
 
 use crate::charge;
 use crate::ht::TaggedHashTable;
@@ -153,17 +153,31 @@ pub struct ProbeOp {
     pub build_cols: Vec<usize>,
 }
 
-impl ProbeOp {
-    fn build_types(&self, jt: &JoinTable) -> Vec<DataType> {
-        self.build_cols
-            .iter()
-            .map(|&c| jt.build.schema().dtype(c))
-            .collect()
-    }
+/// A [`ProbeOp`] with its string kernels, one choice per column, made
+/// when the plan is compiled from the encodings of both sides
+/// ([`crate::plan`]). A `ProbeOp` alone (built by hand) compares every
+/// string key by value and gathers every string payload's bytes,
+/// whatever the representation; a code compares like its string, since
+/// both hash alike (DESIGN.md §3).
+pub(crate) struct CompiledProbe {
+    pub(crate) op: ProbeOp,
+    /// Per key column: compare codes, probe and build sharing the
+    /// dictionary.
+    pub(crate) codes: Vec<bool>,
+    /// Per build payload column: the dictionary its build side is coded
+    /// in, whose codes the gather copies.
+    pub(crate) payload: Vec<Option<Arc<Dictionary>>>,
 }
 
-impl PipeOp for ProbeOp {
-    fn apply(&self, ctx: &mut TaskContext<'_>, input: SelBatch) -> SelBatch {
+impl ProbeOp {
+    /// Probe `input` with the kernels [`CompiledProbe`] describes.
+    fn probe(
+        &self,
+        ctx: &mut TaskContext<'_>,
+        input: SelBatch,
+        codes: &[bool],
+        dicts: &[Option<Arc<Dictionary>>],
+    ) -> SelBatch {
         let jt = self
             .table
             .get()
@@ -181,7 +195,8 @@ impl PipeOp for ProbeOp {
             let (a, r) = jt.ht.loc(entry);
             cand.push(live.at(i as usize) as u32, a, r);
         });
-        cand.retain_key_equal(&input.batch, &self.probe_keys, &jt.build, &jt.key_cols);
+        let (build, build_keys) = (&jt.build, &jt.key_cols);
+        cand.retain_key_equal(&input.batch, &self.probe_keys, build, build_keys, codes);
         let inner = self.kind == JoinKind::Inner;
         // An inner join reads its build payload from each area's node.
         let payload: Vec<(SocketId, u64)> = if inner && !self.build_cols.is_empty() {
@@ -219,8 +234,9 @@ impl PipeOp for ProbeOp {
                         col
                     })
                     .collect();
-                for &bc in &self.build_cols {
-                    out_cols.push(cand.gather_build_column(&jt.build, bc));
+                for (i, &bc) in self.build_cols.iter().enumerate() {
+                    let dict = dicts.get(i).and_then(Option::as_ref);
+                    out_cols.push(cand.gather_build_column(&jt.build, bc, dict));
                 }
                 SelBatch::dense(Batch::from_columns(out_cols))
             }
@@ -255,21 +271,17 @@ impl PipeOp for ProbeOp {
             }
         }
     }
+}
 
-    fn out_types(&self, input: &[DataType]) -> Vec<DataType> {
-        let mut t = input.to_vec();
-        match self.kind {
-            JoinKind::Inner => {
-                let jt = self
-                    .table
-                    .get()
-                    .expect("out_types on Inner probe requires completed build");
-                t.extend(self.build_types(jt));
-            }
-            JoinKind::Semi | JoinKind::Anti => {}
-            JoinKind::Count => t.push(DataType::I64),
-        }
-        t
+impl PipeOp for ProbeOp {
+    fn apply(&self, ctx: &mut TaskContext<'_>, input: SelBatch) -> SelBatch {
+        self.probe(ctx, input, &[], &[])
+    }
+}
+
+impl PipeOp for CompiledProbe {
+    fn apply(&self, ctx: &mut TaskContext<'_>, input: SelBatch) -> SelBatch {
+        self.op.probe(ctx, input, &self.codes, &self.payload)
     }
 }
 
@@ -305,7 +317,7 @@ mod tests {
     use super::*;
     use morsel_core::ExecEnv;
     use morsel_numa::{SocketId, Topology};
-    use morsel_storage::{Schema, StorageArea, StrColumn};
+    use morsel_storage::{DataType, Schema, StorageArea, StrColumn};
 
     fn env() -> ExecEnv {
         ExecEnv::new(Topology::nehalem_ex())
@@ -365,7 +377,6 @@ mod tests {
         assert_eq!(out.column(0).as_i64(), &[2, 3, 2]);
         assert_eq!(out.column(1).as_i64(), &[200, 300, 200]);
         assert_eq!(out.column(2).as_i64(), &[20, 30, 20]);
-        assert_eq!(op.out_types(&[DataType::I64, DataType::I64]).len(), 3);
     }
 
     #[test]
@@ -407,7 +418,6 @@ mod tests {
         };
         let out = run_op(&anti, &mut ctx, probe_batch(&[1, 2, 3, 4]));
         assert_eq!(out.column(0).as_i64(), &[2, 4]);
-        assert_eq!(anti.out_types(&[DataType::I64, DataType::I64]).len(), 2);
     }
 
     #[test]
@@ -424,10 +434,6 @@ mod tests {
         let out = run_op(&op, &mut ctx, probe_batch(&[7, 8, 9]));
         assert_eq!(out.rows(), 3);
         assert_eq!(out.column(2).as_i64(), &[2, 0, 1]);
-        assert_eq!(
-            op.out_types(&[DataType::I64, DataType::I64]),
-            vec![DataType::I64, DataType::I64, DataType::I64]
-        );
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use morsel_storage::{
     hash_bytes, hash_combine, hash_i64, AreaSet, Batch, Column, DataType, DictColumn, Dictionary,
-    StrColumn,
+    Encoding, StorageArea, StrColumn,
 };
 
 use crate::charge;
@@ -207,32 +207,6 @@ fn hash_column(col: &Column, rows: Rows<'_>, first: bool, out: &mut [u64]) {
     }
 }
 
-/// Read-only view over either string representation, for key kernels that
-/// must compare across representations (or across dictionaries).
-#[derive(Clone, Copy)]
-enum StrView<'a> {
-    Plain(&'a StrColumn),
-    Dict(&'a DictColumn),
-}
-
-impl<'a> StrView<'a> {
-    fn of(col: &'a Column) -> StrView<'a> {
-        match col {
-            Column::Str(v) => StrView::Plain(v),
-            Column::Dict(d) => StrView::Dict(d),
-            other => panic!("expected string column, got {:?}", other.data_type()),
-        }
-    }
-
-    #[inline]
-    fn at(&self, i: usize) -> &'a str {
-        match self {
-            StrView::Plain(v) => v.get(i),
-            StrView::Dict(d) => d.str_at(i),
-        }
-    }
-}
-
 /// Candidate matches of a batched probe, as a struct-of-arrays: for each
 /// candidate the probe row and the `(area, row)` build location — what the
 /// key check reads, and all any join kind consumes after it (the
@@ -302,24 +276,28 @@ impl MatchCandidates {
 
     /// Drop candidates whose keys differ: one typed pass per key column,
     /// comparing the probe column against per-area build column slices.
-    /// Column-type dispatch happens once per column, not per row.
+    /// Column-type dispatch happens once per column, not per row. A string
+    /// key column whose `codes` entry is set compares codes: the plan
+    /// compiler set it because probe and build share the dictionary.
     pub fn retain_key_equal(
         &mut self,
         probe: &Batch,
         probe_cols: &[usize],
         build: &AreaSet,
         build_cols: &[usize],
+        codes: &[bool],
     ) {
         debug_assert_eq!(probe_cols.len(), build_cols.len());
-        for (&pc, &bc) in probe_cols.iter().zip(build_cols) {
+        for (i, (&pc, &bc)) in probe_cols.iter().zip(build_cols).enumerate() {
             if self.is_empty() {
                 return;
             }
-            self.retain_column_equal(probe.column(pc), build, bc);
+            let col = probe.column(pc);
+            self.retain_column_equal(col, build, bc, codes.get(i) == Some(&true));
         }
     }
 
-    fn retain_column_equal(&mut self, probe_col: &Column, build: &AreaSet, bc: usize) {
+    fn retain_column_equal(&mut self, probe_col: &Column, build: &AreaSet, bc: usize, codes: bool) {
         macro_rules! slices {
             ($as_ty:ident) => {
                 build
@@ -352,34 +330,17 @@ impl MatchCandidates {
                 let bs: Vec<&[f64]> = slices!(as_f64);
                 self.retain_where(|p, a, r| pv[p] == bs[a][r]);
             }
+            (p, morsel_storage::DataType::Str) if codes => {
+                // One dictionary on both sides: the branch-free loop
+                // compares u32 codes.
+                let pc = p.as_dict().expect("a code compare probes codes").codes();
+                let bs: Vec<&[u32]> = build.areas().iter().map(|a| area_codes(a, bc)).collect();
+                self.retain_where(|p, a, r| pc[p] == bs[a][r]);
+            }
             (p @ (Column::Str(_) | Column::Dict(_)), morsel_storage::DataType::Str) => {
-                // Probe and every populated build area sharing one
-                // dictionary: the branch-free loop compares u32 codes.
-                if let Column::Dict(pd) = p {
-                    let all_same = build.areas().iter().all(|a| {
-                        let c = a.data().column(bc);
-                        c.is_empty() || matches!(c.as_dict(), Some(bd) if bd.same_dict(pd))
-                    });
-                    if all_same {
-                        let pc = pd.codes();
-                        let bs: Vec<&[u32]> = build
-                            .areas()
-                            .iter()
-                            .map(|a| a.data().column(bc).as_dict().map_or(&[][..], |d| d.codes()))
-                            .collect();
-                        self.retain_where(|p, a, r| pc[p] == bs[a][r]);
-                        return;
-                    }
-                }
-                // Mixed representations or foreign dictionaries: compare
-                // borrowed strings (still no clones).
-                let pv = StrView::of(p);
-                let bs: Vec<StrView<'_>> = build
-                    .areas()
-                    .iter()
-                    .map(|a| StrView::of(a.data().column(bc)))
-                    .collect();
-                self.retain_where(|p, a, r| pv.at(p) == bs[a].at(r));
+                // Strings of either representation: borrowed values.
+                let bs: Vec<&Column> = build.areas().iter().map(|a| a.data().column(bc)).collect();
+                self.retain_where(|pr, a, r| p.str_at(pr) == bs[a].str_at(r));
             }
             (p, b) => {
                 panic!("incomparable key columns {:?} vs {:?}", p.data_type(), b)
@@ -388,73 +349,44 @@ impl MatchCandidates {
     }
 
     /// Gather one build column for all candidates: typed per-area slices,
-    /// one dispatch per column.
-    pub fn gather_build_column(&self, build: &AreaSet, bc: usize) -> Column {
-        let n = self.len();
+    /// one dispatch per column. A string column of the build side's
+    /// `dict` gathers codes and stays encoded all the way to the sink;
+    /// any other copies its strings' bytes.
+    pub fn gather_build_column(
+        &self,
+        build: &AreaSet,
+        bc: usize,
+        dict: Option<&Arc<Dictionary>>,
+    ) -> Column {
+        let areas = build.areas().iter();
         macro_rules! gather {
-            ($as_ty:ident, $variant:ident, $get:expr) => {{
-                let bs: Vec<_> = build
-                    .areas()
-                    .iter()
-                    .map(|a| a.data().column(bc).$as_ty())
-                    .collect();
-                let mut out = Vec::with_capacity(n);
-                for i in 0..n {
-                    let v = &bs[self.area[i] as usize][self.row[i] as usize];
-                    out.push($get(v));
-                }
-                Column::$variant(out)
+            ($slices:expr) => {{
+                let bs: Vec<_> = areas.map($slices).collect();
+                self.locs().map(|(a, r)| bs[a][r]).collect()
             }};
         }
-        match build.schema().dtype(bc) {
-            morsel_storage::DataType::I64 => gather!(as_i64, I64, |v: &i64| *v),
-            morsel_storage::DataType::I32 => gather!(as_i32, I32, |v: &i32| *v),
-            morsel_storage::DataType::F64 => gather!(as_f64, F64, |v: &f64| *v),
-            morsel_storage::DataType::Str => self.gather_build_strings(build, bc),
-        }
-    }
-
-    /// String build-payload gather: when every populated area carries the
-    /// same dictionary, gather 4-byte codes and keep the encoding all the
-    /// way to the sink; otherwise copy the strings' bytes.
-    fn gather_build_strings(&self, build: &AreaSet, bc: usize) -> Column {
-        let n = self.len();
-        let shared = build
-            .areas()
-            .iter()
-            .filter(|a| !a.data().column(bc).is_empty())
-            .try_fold(None::<&DictColumn>, |acc, a| {
-                match (acc, a.data().column(bc).as_dict()) {
-                    (None, Some(d)) => Ok(Some(d)),
-                    (Some(prev), Some(d)) if prev.same_dict(d) => Ok(Some(prev)),
-                    _ => Err(()),
-                }
-            })
-            .ok()
-            .flatten();
-        if let Some(dc) = shared {
-            let bs: Vec<&[u32]> = build
-                .areas()
-                .iter()
-                .map(|a| a.data().column(bc).as_dict().map_or(&[][..], |d| d.codes()))
-                .collect();
-            let mut codes = Vec::with_capacity(n);
-            for i in 0..n {
-                codes.push(bs[self.area[i] as usize][self.row[i] as usize]);
+        match (build.schema().dtype(bc), dict) {
+            (DataType::I64, _) => Column::I64(gather!(|a| a.data().column(bc).as_i64())),
+            (DataType::I32, _) => Column::I32(gather!(|a| a.data().column(bc).as_i32())),
+            (DataType::F64, _) => Column::F64(gather!(|a| a.data().column(bc).as_f64())),
+            (DataType::Str, Some(dict)) => Column::Dict(DictColumn::new(
+                Arc::clone(dict),
+                gather!(|a| area_codes(a, bc)),
+            )),
+            (DataType::Str, None) => {
+                let bs: Vec<&Column> = areas.map(|a| a.data().column(bc)).collect();
+                Column::Str((self.locs()).map(|(a, r)| bs[a].str_at(r)).collect())
             }
-            return Column::Dict(DictColumn::new(std::sync::Arc::clone(dc.dict()), codes));
         }
-        let bs: Vec<StrView<'_>> = build
-            .areas()
-            .iter()
-            .map(|a| StrView::of(a.data().column(bc)))
-            .collect();
-        let mut out = StrColumn::with_capacity(n, 0);
-        for i in 0..n {
-            out.push(bs[self.area[i] as usize].at(self.row[i] as usize));
-        }
-        Column::Str(out)
     }
+}
+
+/// The codes of column `c` of a storage area the plan compiler knows to
+/// be coded.
+fn area_codes(area: &StorageArea, c: usize) -> &[u32] {
+    (area.data().column(c).as_dict())
+        .expect("a build column of a known dictionary holds codes")
+        .codes()
 }
 
 /// Compare key columns of two rows for equality.
@@ -493,14 +425,14 @@ pub fn rows_equal(
 }
 
 /// Bytes of a group column's fixed-width key slot: integers as they are,
-/// a float as its [`canon_f64_bits`], a dictionary column as its `u32`
-/// code (every batch of one pipeline shares the dictionary, so strings
-/// never materialise). 0: a plain string, the variable-length part.
-fn slot_width(col: &Column) -> usize {
-    match col {
-        Column::I32(_) | Column::Dict(_) => 4,
-        Column::I64(_) | Column::F64(_) => 8,
-        Column::Str(_) => 0,
+/// a float as its [`canon_f64_bits`], a string coded in a dictionary as
+/// its `u32` code (strings never materialise). 0: a plain string, the
+/// variable-length part.
+fn slot_width(ty: DataType, encoding: &Encoding) -> usize {
+    match (ty, encoding) {
+        (DataType::I32, _) | (DataType::Str, Encoding::Dict(_)) => 4,
+        (DataType::I64 | DataType::F64, _) => 8,
+        (DataType::Str, Encoding::Plain) => 0,
     }
 }
 
@@ -521,11 +453,12 @@ fn for_slot_bits(col: &Column, rows: Rows<'_>, mut f: impl FnMut(usize, u64)) {
     }
 }
 
-/// The group key of one aggregation, compiled once from the first batch
-/// (DESIGN.md §4 *The group-by engine*). Fixed slots of at most 16 bytes
-/// in total and no string part pack into one `u128`; any other key is a
-/// serialised row — the fixed slots, then each string as `u32` length +
-/// bytes — so that key equality is one integer or one slice comparison.
+/// The group key of one aggregation, compiled once from the group
+/// columns' types and encodings (DESIGN.md §4 *The group-by engine*).
+/// Fixed slots of at most 16 bytes in total and no string part pack into
+/// one `u128`; any other key is a serialised row — the fixed slots, then
+/// each string as `u32` length + bytes — so that key equality is one
+/// integer or one slice comparison.
 #[derive(Debug)]
 pub(crate) struct KeyLayout {
     /// Per group column: slot width and byte offset among the fixed slots.
@@ -539,23 +472,29 @@ pub(crate) struct KeyLayout {
 }
 
 impl KeyLayout {
-    pub(crate) fn compile(batch: &Batch, cols: &[usize]) -> KeyLayout {
+    /// The layout of group columns of `types` stored in `encodings`.
+    pub(crate) fn compile(types: &[DataType], encodings: &[Encoding]) -> KeyLayout {
         let mut fixed = 0;
-        let mut slots = Vec::with_capacity(cols.len());
-        for &c in cols {
-            let width = slot_width(batch.column(c));
+        let mut slots = Vec::with_capacity(types.len());
+        for (&ty, encoding) in types.iter().zip(encodings) {
+            let width = slot_width(ty, encoding);
             slots.push((width, fixed));
             fixed += width;
         }
         KeyLayout {
             inline: fixed <= 16 && slots.iter().all(|&(width, _)| width > 0),
-            dicts: cols
-                .iter()
-                .map(|&c| batch.column(c).as_dict().map(|d| Arc::clone(d.dict())))
-                .collect(),
+            dicts: encodings.iter().map(|e| e.dict().cloned()).collect(),
             slots,
             fixed,
         }
+    }
+
+    /// The layout of the group columns `cols` as `batch` stores them.
+    pub(crate) fn of_batch(batch: &Batch, cols: &[usize]) -> KeyLayout {
+        let (types, encodings): (Vec<DataType>, Vec<Encoding>) = (cols.iter())
+            .map(|&c| (batch.column(c).data_type(), Encoding::of(batch.column(c))))
+            .unzip();
+        KeyLayout::compile(&types, &encodings)
     }
 
     /// Bytes the cost model charges for moving `n` group entries with the
@@ -595,10 +534,8 @@ impl KeyLayout {
             // Frame the rows: `ends[i]` first sums row `i`'s strings, then
             // points behind its fixed slots, where the strings will go.
             keys.ends.resize(n, 0);
-            for &c in cols {
-                if let Column::Str(v) = batch.column(c) {
-                    for_each_row!(rows, i, r, keys.ends[i] += 4 + v.value_len(r));
-                }
+            for v in self.strings(batch, cols) {
+                for_each_row!(rows, i, r, keys.ends[i] += 4 + v.value_len(r));
             }
             let mut start = 0;
             for e in keys.ends.iter_mut() {
@@ -610,12 +547,14 @@ impl KeyLayout {
         }
         for (ci, &c) in cols.iter().enumerate() {
             let (col, (width, at)) = (batch.column(c), self.slots[ci]);
-            assert!(width == slot_width(col), "group column {c} changed type");
-            match col {
+            match self.dicts[ci] {
                 // A group key hashes a code as the integer it is, not as
                 // its string: cheaper, and what routing was calibrated on.
-                Column::Dict(d) => {
-                    let (codes, first) = (d.codes(), ci == 0);
+                Some(_) => {
+                    let codes = (col.as_dict())
+                        .expect("a group column of a dictionary holds codes")
+                        .codes();
+                    let first = ci == 0;
                     for_each_row!(rows, i, r, {
                         let hc = hash_i64(i64::from(codes[r]));
                         hashes[i] = if first {
@@ -625,7 +564,7 @@ impl KeyLayout {
                         };
                     });
                 }
-                _ => hash_column(col, rows, ci == 0, hashes),
+                None => hash_column(col, rows, ci == 0, hashes),
             }
             if self.inline {
                 let out = &mut keys.inline;
@@ -638,17 +577,27 @@ impl KeyLayout {
                 });
             }
         }
-        for &c in cols {
-            if let Column::Str(v) = batch.column(c) {
-                let (ends, bytes) = (&mut keys.ends, &mut keys.bytes);
-                for_each_row!(rows, i, r, {
-                    let (s, o) = (v.get(r).as_bytes(), ends[i]);
-                    bytes[o..o + 4].copy_from_slice(&(s.len() as u32).to_le_bytes());
-                    bytes[o + 4..o + 4 + s.len()].copy_from_slice(s);
-                    ends[i] = o + 4 + s.len();
-                });
-            }
+        for v in self.strings(batch, cols) {
+            let (ends, bytes) = (&mut keys.ends, &mut keys.bytes);
+            for_each_row!(rows, i, r, {
+                let (s, o) = (v.get(r).as_bytes(), ends[i]);
+                bytes[o..o + 4].copy_from_slice(&(s.len() as u32).to_le_bytes());
+                bytes[o + 4..o + 4 + s.len()].copy_from_slice(s);
+                ends[i] = o + 4 + s.len();
+            });
         }
+    }
+
+    /// The plain string columns among the group columns `cols` of `batch`:
+    /// the variable-length parts of a serialised key.
+    fn strings<'a>(
+        &'a self,
+        batch: &'a Batch,
+        cols: &'a [usize],
+    ) -> impl Iterator<Item = &'a StrColumn> + 'a {
+        (self.slots.iter().zip(cols))
+            .filter(|((width, _), _)| *width == 0)
+            .map(|(_, &c)| batch.column(c).as_str())
     }
 
     /// Turn the keys of `n` groups back into group columns of the output
@@ -903,10 +852,10 @@ mod tests {
         cand.push(1, 0, 1);
         cand.push(2, 0, 2);
         assert_eq!(cand.len(), 3);
-        cand.retain_key_equal(&probe, &[0], &build, &[0]);
+        cand.retain_key_equal(&probe, &[0], &build, &[0], &[]);
         assert_eq!(cand.probe_row, vec![0, 2]);
         assert_eq!(cand.locs().collect::<Vec<_>>(), vec![(0, 0), (0, 2)]);
-        let payload = cand.gather_build_column(&build, 1);
+        let payload = cand.gather_build_column(&build, 1, None);
         assert_eq!(payload.as_str().iter().collect::<Vec<_>>(), ["a", "c"]);
         // Filtering to empty keeps the gather well-defined.
         cand.retain_key_equal(
@@ -914,9 +863,56 @@ mod tests {
             &[0],
             &build,
             &[0],
+            &[],
         );
         assert!(cand.is_empty());
-        assert_eq!(cand.gather_build_column(&build, 0).len(), 0);
+        assert_eq!(cand.gather_build_column(&build, 0, None).len(), 0);
+    }
+
+    /// Every probe row paired with every build row, as if all of them
+    /// collided in the hash table: only the key compare separates them. A
+    /// hash table yields a candidate only on a full 64-bit hash match, so
+    /// no join over real data reaches the compare with unequal keys.
+    #[test]
+    fn string_candidates_compare_codes_or_values() {
+        use morsel_storage::{DataType, DictColumn, Dictionary};
+        let dict = Dictionary::from_values(["air", "mail", "ship", "zzz"]);
+        let coded = |v: &[&str]| Column::Dict(DictColumn::encode(&dict, v).unwrap());
+        let build_keys = ["ship", "air", "zzz", "ship"];
+        let build = one_area_set(
+            Batch::from_columns(vec![coded(&build_keys), coded(&build_keys)]),
+            &[("bk", DataType::Str), ("bp", DataType::Str)],
+        );
+        let probe_keys = ["air", "mail", "ship"];
+        let all_pairs = || {
+            let mut cand = MatchCandidates::with_capacity(12);
+            for p in 0..3 {
+                (0..4).for_each(|r| cand.push(p, 0, r));
+            }
+            cand
+        };
+        let want = vec![(0, 1), (2, 0), (2, 3)];
+        let plain = Column::Str(probe_keys.into_iter().collect());
+        for (probe, codes) in [
+            (coded(&probe_keys), true),
+            (coded(&probe_keys), false),
+            (plain, false),
+        ] {
+            let mut cand = all_pairs();
+            let probe = Batch::from_columns(vec![probe]);
+            cand.retain_key_equal(&probe, &[0], &build, &[0], &[codes]);
+            let got: Vec<(u32, usize)> = (cand.probe_row.iter().copied())
+                .zip(cand.locs().map(|(_, r)| r))
+                .collect();
+            assert_eq!(got, want, "codes {codes}");
+            let payload = cand.gather_build_column(&build, 1, Some(&dict));
+            assert!(Arc::ptr_eq(payload.as_dict().unwrap().dict(), &dict));
+            assert_eq!(payload.decoded(), cand.gather_build_column(&build, 1, None));
+            assert_eq!(
+                payload.decoded().as_str().iter().collect::<Vec<_>>(),
+                ["air", "ship", "ship"]
+            );
+        }
     }
 
     #[test]
@@ -930,7 +926,7 @@ mod tests {
         let mut cand = MatchCandidates::with_capacity(2);
         cand.push(0, 0, 0);
         cand.push(1, 0, 1);
-        cand.retain_key_equal(&probe, &[0], &build, &[0]);
+        cand.retain_key_equal(&probe, &[0], &build, &[0], &[]);
         assert_eq!(cand.probe_row, vec![0]);
     }
 
@@ -957,7 +953,7 @@ mod tests {
 
     /// Extract every row of `b` under the layout compiled for `cols`.
     fn extracted(b: &Batch, cols: &[usize]) -> (KeyLayout, Vec<u64>, Keys) {
-        let layout = KeyLayout::compile(b, cols);
+        let layout = KeyLayout::of_batch(b, cols);
         let (mut hashes, mut keys) = (Vec::new(), Keys::default());
         layout.extract(b, cols, Rows::Range(0, b.rows()), &mut hashes, &mut keys);
         (layout, hashes, keys)
@@ -982,11 +978,11 @@ mod tests {
             &[0, 2, 4],
             &[2, 4, 2, 4],
         ] {
-            assert!(KeyLayout::compile(&b, cols).inline, "{cols:?}");
+            assert!(KeyLayout::of_batch(&b, cols).inline, "{cols:?}");
         }
         // ... a 17th byte or any plain string makes it a serialised row.
         for cols in [&[0, 3, 2][..], &[1], &[0, 1], &[2, 1, 4]] {
-            assert!(!KeyLayout::compile(&b, cols).inline, "{cols:?}");
+            assert!(!KeyLayout::of_batch(&b, cols).inline, "{cols:?}");
         }
         // The model's spill charge follows the column count, not the
         // packing: 8, 16, then 12 per part; a lone string adds its length.
@@ -1064,7 +1060,7 @@ mod tests {
         for cols in [&[0][..], &[0, 3], &[1], &[0, 1], &[1, 2], &[3, 0, 2, 1]] {
             let (_, hashes, keys) = extracted(&b, cols);
             let eq = |i, j| {
-                if KeyLayout::compile(&b, cols).inline {
+                if KeyLayout::of_batch(&b, cols).inline {
                     keys.eq_at::<true>(i, &keys, j)
                 } else {
                     keys.eq_at::<false>(i, &keys, j)

@@ -18,7 +18,7 @@ use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use morsel_core::{Morsel, PipelineJob, TaskContext};
-use morsel_storage::{Batch, Column, DataType};
+use morsel_storage::{Batch, Column, DataType, Encoding};
 
 use crate::charge::{self, ScanShape};
 use crate::expr::Expr;
@@ -92,7 +92,6 @@ impl SelBatch {
 /// A batch-to-batch operator in a pipeline (probe, filter, map).
 pub trait PipeOp: Send + Sync {
     fn apply(&self, ctx: &mut TaskContext<'_>, input: SelBatch) -> SelBatch;
-    fn out_types(&self, input: &[DataType]) -> Vec<DataType>;
 }
 
 /// Filter rows of the working batch by a predicate: starts a selection
@@ -101,8 +100,9 @@ pub trait PipeOp: Send + Sync {
 /// enough to gather.
 pub struct FilterOp {
     predicate: Expr,
-    /// The predicate compiled against the operator's input types, which
-    /// the first batch brings.
+    /// The predicate compiled against the operator's input columns: by
+    /// the plan compiler, which knows their types and encodings
+    /// ([`FilterOp::compiled`]), or else from the first batch's types.
     compiled: OnceLock<Predicate>,
 }
 
@@ -111,6 +111,15 @@ impl FilterOp {
         FilterOp {
             predicate,
             compiled: OnceLock::new(),
+        }
+    }
+
+    /// A filter over columns of `types` stored in `encodings`.
+    pub fn compiled(predicate: Expr, types: &[DataType], encodings: &[Encoding]) -> Self {
+        let compiled = Predicate::encoded(&predicate, types, encodings);
+        FilterOp {
+            predicate,
+            compiled: OnceLock::from(compiled),
         }
     }
 }
@@ -139,10 +148,6 @@ impl PipeOp for FilterOp {
         }
         .compact_if_sparse(ctx)
     }
-
-    fn out_types(&self, input: &[DataType]) -> Vec<DataType> {
-        input.to_vec()
-    }
 }
 
 /// Replace the working batch by evaluated expressions (projection).
@@ -164,10 +169,6 @@ impl PipeOp for MapOp {
             .collect();
         SelBatch::dense(Batch::from_columns(cols))
     }
-
-    fn out_types(&self, input: &[DataType]) -> Vec<DataType> {
-        self.exprs.iter().map(|e| e.result_type(input)).collect()
-    }
 }
 
 /// How the scan produces one column of the working batch.
@@ -183,8 +184,6 @@ pub struct ExecPipeline {
     source: Arc<dyn InputSource>,
     /// Filter over the *source* schema, applied during the scan.
     filter: Option<Predicate>,
-    /// Projection over the source schema building the working batch.
-    projection: Vec<Expr>,
     /// What the scan is charged for reading, gathering and evaluating.
     shape: ScanShape,
     /// Source columns the projection reads (sorted): what the scan
@@ -223,6 +222,7 @@ impl ExecPipeline {
         }
         gathered.sort_unstable();
         let shape = ScanShape::of(filter.as_ref(), projection.iter(), &src_types);
+        let filter = filter.map(|f| Predicate::encoded(&f, &src_types, source.encodings()));
         let mut map = vec![None; src_types.len()];
         for (new, &old) in gathered.iter().enumerate() {
             map[old] = Some(new);
@@ -248,8 +248,7 @@ impl ExecPipeline {
             .collect();
         ExecPipeline {
             source,
-            filter: filter.map(|f| Predicate::compile(&f, &src_types)),
-            projection,
+            filter,
             shape,
             gathered,
             steps,
@@ -283,20 +282,6 @@ impl ExecPipeline {
         self.op_slots = op_slots;
         self.sink_slot = sink_slot;
         self
-    }
-
-    /// Output types of the working batch after projection and all ops.
-    pub fn output_types(&self) -> Vec<DataType> {
-        let src = self.source.types();
-        let mut t: Vec<DataType> = self
-            .projection
-            .iter()
-            .map(|p| p.result_type(&src))
-            .collect();
-        for op in &self.ops {
-            t = op.out_types(&t);
-        }
-        t
     }
 
     fn scan(&self, ctx: &mut TaskContext<'_>, chunk: usize, range: Range<usize>) -> Batch {
@@ -336,9 +321,8 @@ impl ExecPipeline {
         .book(ctx, &[(node, bytes)]);
         let gather_one = |c: usize| -> Column {
             // `with_capacity_like` keeps dictionary columns encoded: the
-            // scan moves 4-byte codes, never strings. A piece whose column
-            // is plain or carries another dictionary decodes the column
-            // as it is appended.
+            // scan moves 4-byte codes, never strings. Every piece stores
+            // the column alike (its relation's encoding).
             let mut col = Column::with_capacity_like(pieces[0].0.column(c), kept);
             for ((batch, r), sel) in pieces.iter().zip(&sels) {
                 let src = batch.column(c);
@@ -374,11 +358,6 @@ impl ExecPipeline {
             })
             .collect();
         Batch::from_columns(out_cols)
-    }
-
-    /// Whether a scan filter is configured (diagnostics).
-    pub fn has_filter(&self) -> bool {
-        self.filter.is_some()
     }
 }
 
@@ -498,7 +477,6 @@ mod tests {
         let mut got = result.lock().take().unwrap().column(0).as_i64().to_vec();
         got.sort_unstable();
         assert_eq!(got, (90..100).map(|x| x * 3).collect::<Vec<_>>());
-        assert!(pipe.has_filter());
         // Only column "a" is referenced: 25 rows * 8 bytes per chunk read.
         let snap = env.counters().snapshot();
         assert_eq!(snap.total_read(), 4 * 25 * 8);
@@ -672,7 +650,7 @@ mod tests {
     }
 
     #[test]
-    fn a_grouped_chunk_decodes_pieces_of_other_dictionaries_and_plain_pieces() {
+    fn a_relation_of_mixed_string_representations_scans_one_encoding() {
         use morsel_numa::SocketId;
         use morsel_storage::{encode_fragments, Partition};
         let strs = |v: &[&str]| Column::Str(v.iter().copied().collect());
@@ -683,7 +661,7 @@ mod tests {
             Partition::new(SocketId(0), Batch::from_columns(vec![k, s]))
         };
         // Each string column in its own dictionary, then a plain one among
-        // dictionary ones, then a plain one first.
+        // dictionary ones, then a plain one first, then an empty one.
         let layouts = [
             vec![
                 encoded(&["x", "y"]),
@@ -700,18 +678,37 @@ mod tests {
                 encoded(&["z", "y"]),
                 encoded(&["w", "x"]),
             ],
+            vec![
+                encoded(&["x", "y"]),
+                strs(&[]),
+                encoded(&["z", "y", "w", "x"]),
+            ],
         ];
         for columns in layouts {
-            let parts = (columns.into_iter().enumerate())
-                .map(|(i, s)| part(2 * i as i64, s))
+            let mut from = 0;
+            let parts = (columns.into_iter())
+                .map(|s| {
+                    from += s.len() as i64;
+                    part(from - s.len() as i64, s)
+                })
                 .collect();
+            // `from_partitions` re-encodes the column over one dictionary.
             let rel = Relation::from_partitions(schema.clone(), parts).grouped();
+            let dict = rel
+                .encoding(1)
+                .dict()
+                .expect("one dictionary for the column");
+            assert_eq!(dict.values(), ["w", "x", "y", "z"]);
+            for p in rel.partitions() {
+                assert!(p.data.column(1).as_dict().unwrap().dict() == dict);
+            }
             assert_eq!(rel.chunk_count(), 1);
             for (filter, want) in [
                 (None, &["y", "z", "y", "w", "x"][..]),
                 (Some(gt(col(0), lit(2))), &["y", "w", "x"][..]),
             ] {
                 let (out, _, _) = scan_of(Arc::new(rel.clone()), filter, vec![col(1)], 0, 1..6);
+                assert!(Arc::ptr_eq(out.column(0).as_dict().unwrap().dict(), dict));
                 assert_eq!(out.decoded().column(0), &strs(want));
             }
         }
@@ -733,8 +730,6 @@ mod tests {
         let out2 = m.apply(&mut ctx, out);
         assert!(out2.sel.is_none());
         assert_eq!(out2.batch.column(0).as_i64(), &[30, 40]);
-        assert_eq!(m.out_types(&[DataType::I64]), vec![DataType::I64]);
-        assert_eq!(f.out_types(&[DataType::I64]), vec![DataType::I64]);
     }
 
     #[test]
@@ -794,19 +789,6 @@ mod tests {
         // 4/100 < 1/8: the heuristic gathers immediately.
         assert!(out.sel.is_none());
         assert_eq!(out.batch.column(0).as_i64(), &[96, 97, 98, 99]);
-    }
-
-    #[test]
-    fn output_types_through_chain() {
-        let rel = relation(10);
-        let pipe = ExecPipeline::new(
-            rel,
-            None,
-            vec![col(0), mul(col(1), lit(2))],
-            vec![Box::new(FilterOp::new(gt(col(0), lit(0))))],
-            Box::new(NullSink),
-        );
-        assert_eq!(pipe.output_types(), vec![DataType::I64, DataType::I64]);
     }
 
     struct NullSink;

@@ -17,12 +17,12 @@
 use std::sync::Arc;
 
 use morsel_core::{result_slot, BuiltJob, ExecEnv, QuerySpec, ResultSlot, Stage};
-use morsel_storage::{DataType, Relation, Schema};
+use morsel_storage::{DataType, Encoding, Relation, Schema};
 
 use crate::agg::{agg_slot, AggFn, AggMergeJob, AggPartialSink};
 use crate::expr::{col, Expr};
 use crate::ht::TaggedHashTable;
-use crate::join::{join_slot, HtInsertJob, JoinKind, ProbeOp};
+use crate::join::{join_slot, CompiledProbe, HtInsertJob, JoinKind, ProbeOp};
 use crate::pipeline::{ExecPipeline, FilterOp, MapOp, PipeOp};
 use crate::sink::{area_slot, AreaSlot, MaterializeSink, Sink};
 use crate::sort::{runs_slot, LocalSortJob, MergeJob, MergePlan, SortKey, TopKSink};
@@ -136,6 +136,39 @@ impl Plan {
                 .collect(),
         };
         Schema::new(fields)
+    }
+
+    /// This node's output encodings from its inputs', as
+    /// [`Plan::output_schema`] derives its schema: a bare column reference
+    /// keeps its input's encoding, every other expression is plain.
+    fn output_encodings(&self, inputs: &[&[Encoding]]) -> Vec<Encoding> {
+        let (input, plain) = (inputs[0], || Encoding::Plain);
+        let keep = |e: &Expr| match e {
+            Expr::Col(c) => input[*c].clone(),
+            _ => plain(),
+        };
+        match self {
+            Plan::Scan { project, .. } | Plan::Map { project, .. } => {
+                project.iter().map(|(_, e)| keep(e)).collect()
+            }
+            Plan::Join {
+                kind: JoinKind::Inner,
+                build_payload,
+                ..
+            } => (input.iter().cloned())
+                .chain(build_payload.iter().map(|&c| inputs[1][c].clone()))
+                .collect(),
+            Plan::Join {
+                kind: JoinKind::Count,
+                ..
+            } => input.iter().cloned().chain([plain()]).collect(),
+            Plan::Agg {
+                group_cols, aggs, ..
+            } => (group_cols.iter().map(|&c| input[c].clone()))
+                .chain(aggs.iter().map(|_| plain()))
+                .collect(),
+            Plan::Filter { .. } | Plan::Sort { .. } | Plan::Join { .. } => input.to_vec(),
+        }
     }
 
     // Convenience constructors ------------------------------------------
@@ -398,6 +431,8 @@ struct PipeUnder {
     projection: Vec<Expr>,
     ops: Vec<Box<dyn PipeOp>>,
     schema: Schema,
+    /// The encoding of each column of `schema` (DESIGN.md §14).
+    encodings: Vec<Encoding>,
     /// Profile slot of the pipeline's scan node (`None` when the source
     /// is an already-profiled breaker's output).
     scan_slot: Option<u32>,
@@ -409,13 +444,14 @@ impl PipeUnder {
     /// The identity pipeline over a breaker's output slot. The breaker's
     /// own jobs record its counters; re-scanning its output is not a plan
     /// node, so the scan is unprofiled.
-    fn over_slot(out: AreaSlot, schema: Schema) -> Self {
+    fn over_slot(out: AreaSlot, schema: Schema, encodings: Vec<Encoding>) -> Self {
         PipeUnder {
             source: Source::Slot(out),
             filter: None,
             projection: (0..schema.len()).map(col).collect(),
             ops: Vec::new(),
             schema,
+            encodings,
             scan_slot: None,
             op_slots: Vec::new(),
         }
@@ -463,18 +499,25 @@ impl Compiler {
                 projection: project.iter().map(|(_, e)| e.clone()).collect(),
                 ops: Vec::new(),
                 schema: plan.output_schema(&[relation.schema()]),
+                encodings: plan.output_encodings(&[relation.encodings()]),
                 scan_slot: Some(slot),
                 op_slots: Vec::new(),
             },
             Plan::Filter { input, predicate } => {
                 let mut u = self.compile(input, slot + 1);
-                u.ops.push(Box::new(FilterOp::new(predicate.clone())));
+                let types = u.schema.data_types();
+                u.ops.push(Box::new(FilterOp::compiled(
+                    predicate.clone(),
+                    &types,
+                    &u.encodings,
+                )));
                 u.op_slots.push(Some(slot));
                 u
             }
             Plan::Map { input, project } => {
                 let mut u = self.compile(input, slot + 1);
                 u.schema = plan.output_schema(&[&u.schema]);
+                u.encodings = plan.output_encodings(&[&u.encodings]);
                 u.ops.push(Box::new(MapOp {
                     exprs: project.iter().map(|(_, e)| e.clone()).collect(),
                 }));
@@ -492,7 +535,7 @@ impl Compiler {
                 // Build side: two stages (Figure 3's phases).
                 let build_slot = slot + 1 + probe.preorder().len() as u32;
                 let bu = self.compile(build, build_slot);
-                let build_schema = bu.schema.clone();
+                let (build_schema, build_enc) = (bu.schema.clone(), bu.encodings.clone());
                 let built_slot = self.emit_materialize("build-materialize", bu, None, None);
                 let jslot = join_slot();
                 let label = self.label("build-insert");
@@ -524,13 +567,23 @@ impl Compiler {
 
                 // Probe side: continue its pipeline with the probe op.
                 let mut pu = self.compile(probe, slot + 1);
+                // The compiler's one choice of string kernels: codes where
+                // both sides are coded in one dictionary.
+                let enc = &pu.encodings;
+                let codes = (probe_keys.iter().zip(build_keys))
+                    .map(|(&p, &b)| enc[p].dict().is_some() && enc[p] == build_enc[b])
+                    .collect();
+                let dicts = build_payload.iter().map(|&c| build_enc[c].dict().cloned());
                 pu.schema = plan.output_schema(&[&pu.schema, &build_schema]);
-                pu.ops.push(Box::new(ProbeOp {
+                pu.encodings = plan.output_encodings(&[&pu.encodings, &build_enc]);
+                let op = ProbeOp {
                     table: jslot,
                     probe_keys: probe_keys.clone(),
                     kind: *kind,
                     build_cols: build_payload.clone(),
-                }));
+                };
+                let payload = dicts.collect();
+                pu.ops.push(Box::new(CompiledProbe { op, codes, payload }));
                 pu.op_slots.push(Some(slot));
                 pu
             }
@@ -552,11 +605,14 @@ impl Compiler {
             } => {
                 let u = self.compile(input, slot + 1);
                 let schema = plan.output_schema(&[&u.schema]);
-                let next = PipeUnder::over_slot(out.clone(), schema.clone());
+                let encodings = plan.output_encodings(&[&u.encodings]);
+                let next = PipeUnder::over_slot(out.clone(), schema.clone(), encodings.clone());
                 let fns: Vec<AggFn> = aggs.iter().map(|(_, f)| *f).collect();
                 let parts = agg_slot();
                 {
                     let (group_cols, fns, parts) = (group_cols.clone(), fns.clone(), parts.clone());
+                    let key_types: Vec<DataType> = schema.data_types()[..group_cols.len()].to_vec();
+                    let key_encodings = encodings[..group_cols.len()].to_vec();
                     self.emit_pipeline("agg-partial", u, prof, move |env, workers| {
                         Box::new(
                             AggPartialSink::new(
@@ -565,6 +621,7 @@ impl Compiler {
                                 &env.worker_sockets(workers),
                                 parts,
                             )
+                            .with_key(&key_types, &key_encodings)
                             .with_prof_slot(prof),
                         )
                     });
@@ -591,7 +648,7 @@ impl Compiler {
             Plan::Sort { input, keys, limit } => {
                 let u = self.compile(input, slot + 1);
                 let schema = u.schema.clone();
-                let next = PipeUnder::over_slot(out.clone(), schema.clone());
+                let next = PipeUnder::over_slot(out.clone(), schema.clone(), u.encodings.clone());
                 let (keys, limit) = (keys.clone(), *limit);
                 if let Some(k) = limit.filter(|&k| k <= TOPK_THRESHOLD) {
                     // Single pipeline with a per-worker heap.
@@ -666,10 +723,11 @@ impl Compiler {
         result: Option<ResultSlot>,
     ) -> AreaSlot {
         let out = area_slot();
-        let (schema, slot) = (u.schema.clone(), out.clone());
+        let (schema, encodings, slot) = (u.schema.clone(), u.encodings.clone(), out.clone());
         self.emit_pipeline(kind, u, sink_slot, move |env, workers| {
-            Box::new(MaterializeSink::new(
+            Box::new(MaterializeSink::encoded(
                 schema,
+                &encodings,
                 &env.worker_sockets(workers),
                 slot,
                 result,

@@ -13,8 +13,8 @@
 //! 3. classifies what is left: `<>`/`IN` on an integer column, a
 //!    comparison of an `F64` column with a constant, a string test
 //!    (comparison, `IN`, prefix, `LIKE`) on a bare string column — resolved
-//!    against the column's dictionary once per dictionary, not once per
-//!    morsel — and, for everything else (`OR`, `NOT`, `CASE`, arithmetic,
+//!    once, at compile time, against the dictionary the column's
+//!    [`Encoding`] names, into a test on codes — and, for everything else (`OR`, `NOT`, `CASE`, arithmetic,
 //!    column-versus-column), one *generic* conjunct;
 //! 4. orders the conjuncts cheapest first, so the expensive ones see the
 //!    fewest rows.
@@ -27,9 +27,8 @@
 //! mask evaluator ([`Expr::eval`]) over the current survivors only.
 
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
 
-use morsel_storage::{Batch, Column, DataType, Dictionary};
+use morsel_storage::{Batch, Column, DataType, Encoding};
 
 use crate::expr::{CmpOp, CodeTest, Expr};
 use crate::key::{narrow, Rows};
@@ -54,12 +53,12 @@ enum Conjunct {
     F64Cmp { col: usize, op: CmpOp, c: f64 },
     /// A string test on a bare string column: `leaf` is the node stating
     /// it ([`Expr::as_str_test`]), `codes` its resolution against the
-    /// first dictionary the column came with — by the relation-wide
-    /// dictionary invariant (DESIGN.md §14) the only one.
+    /// column's dictionary when the column is encoded — every batch of it
+    /// is coded in that one dictionary (DESIGN.md §14).
     Str {
         col: usize,
         leaf: Expr,
-        codes: OnceLock<(Arc<Dictionary>, CodeTest)>,
+        codes: Option<CodeTest>,
     },
     /// Anything else, evaluated by the tree walk over the survivors.
     Generic(Expr),
@@ -199,7 +198,7 @@ pub fn fuse_int_bounds<'e>(
 impl Conjunct {
     /// Classify one leaf of the flattened `AND` tree that states no integer
     /// bound ([`fuse_int_bounds`] took those).
-    fn of(leaf: &Expr, types: &[DataType]) -> Conjunct {
+    fn of(leaf: &Expr, types: &[DataType], encodings: &[Encoding]) -> Conjunct {
         match leaf {
             Expr::Cmp(op, a, b) => {
                 if let Some((col, op, k)) = col_vs_const(*op, a, b) {
@@ -233,12 +232,13 @@ impl Conjunct {
             }
             _ => {}
         }
-        if let Some((Expr::Col(col), _)) = leaf.as_str_test() {
+        if let Some((Expr::Col(col), test)) = leaf.as_str_test() {
             if types[*col] == DataType::Str {
+                let dict = encodings.get(*col).and_then(Encoding::dict);
                 return Conjunct::Str {
                     col: *col,
                     leaf: leaf.clone(),
-                    codes: OnceLock::new(),
+                    codes: dict.map(|d| test.resolve(d)),
                 };
             }
         }
@@ -311,19 +311,12 @@ impl Conjunct {
             }
             Conjunct::Str { col, leaf, codes } => {
                 let (_, test) = leaf.as_str_test().expect("compiled from a string test");
-                match batch.column(*col) {
-                    Column::Str(v) => live.retain(|r| test.holds(v.get(r))),
-                    Column::Dict(d) => {
-                        let (dict, cached) =
-                            codes.get_or_init(|| (Arc::clone(d.dict()), test.resolve(d.dict())));
-                        let foreign;
-                        let code_test = if Arc::ptr_eq(dict, d.dict()) {
-                            cached
-                        } else {
-                            foreign = test.resolve(d.dict());
-                            &foreign
-                        };
-                        let c = d.codes();
+                let column = batch.column(*col);
+                match codes {
+                    Some(code_test) => {
+                        let c = (column.as_dict())
+                            .expect("a test compiled for codes reads a coded column")
+                            .codes();
                         match code_test {
                             CodeTest::Range(lo, hi) => {
                                 let (lo, span) = (*lo, hi - lo);
@@ -333,7 +326,9 @@ impl Conjunct {
                             CodeTest::Mask(per) => live.retain(|r| per[c[r] as usize]),
                         }
                     }
-                    other => panic!("string test over {:?} column", other.data_type()),
+                    // Plain, or compiled without the column's encoding
+                    // (an operator built by hand): the test reads values.
+                    None => live.retain(|r| test.holds(column.str_at(r))),
                 }
             }
             Conjunct::Generic(e) => {
@@ -347,13 +342,23 @@ impl Conjunct {
 }
 
 impl Predicate {
-    /// Compile `expr`, a boolean expression over columns of `types`.
+    /// Compile `expr`, a boolean expression over columns of `types` whose
+    /// encodings are not known: its string tests read values.
     pub fn compile(expr: &Expr, types: &[DataType]) -> Predicate {
+        Predicate::encoded(expr, types, &[])
+    }
+
+    /// Compile `expr` over columns of `types` stored in `encodings`: a
+    /// string test on an encoded column becomes a test on its codes.
+    pub fn encoded(expr: &Expr, types: &[DataType], encodings: &[Encoding]) -> Predicate {
         let (ranges, rest) = fuse_int_bounds(expr, types);
         let mut conjuncts: Vec<Conjunct> = ranges
             .into_iter()
             .map(|(col, lo, hi)| Conjunct::IntRange { col, lo, hi })
-            .chain(rest.into_iter().map(|leaf| Conjunct::of(leaf, types)))
+            .chain(
+                rest.into_iter()
+                    .map(|leaf| Conjunct::of(leaf, types, encodings)),
+            )
             .collect();
         conjuncts.sort_by_key(Conjunct::cost);
         Predicate {
@@ -397,7 +402,7 @@ mod tests {
         and, between, col, eq, ge, gt, in_i64, in_str, le, like, lit, litf, lits, lt, ne, not, or,
         prefix,
     };
-    use morsel_storage::DictColumn;
+    use morsel_storage::{DictColumn, Dictionary};
 
     const TYPES: [DataType; 4] = [DataType::I64, DataType::F64, DataType::Str, DataType::I32];
 
@@ -510,18 +515,23 @@ mod tests {
 
     #[test]
     fn dictionary_resolution_is_cached_per_dictionary() {
-        let p = Predicate::compile(&eq(col(2), lits("date")), &TYPES);
-        assert_eq!(p.select(&batch(true), 0..5), vec![3]);
-        // A second batch brings a dictionary of its own ("date" has another
-        // code there): the cached resolution must not be applied to it.
-        let words: Vec<String> = ["date", "zebra", "date", "apple", "fig"]
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect();
-        let d = Dictionary::from_values(words.iter().map(String::as_str));
-        let mut other = batch(true);
-        other.replace_column(2, Column::Dict(DictColumn::encode(&d, &words).unwrap()));
-        assert_eq!(p.select(&other, 0..5), vec![0, 2]);
-        assert_eq!(p.select(&batch(true), 0..5), vec![3]);
+        let coded = batch(true);
+        let encodings: Vec<Encoding> = coded.columns().iter().map(Encoding::of).collect();
+        let e = eq(col(2), lits("date"));
+        let p = Predicate::encoded(&e, &TYPES, &encodings);
+        assert!(matches!(
+            p.conjuncts[0],
+            Conjunct::Str {
+                codes: Some(CodeTest::Range(3, 4)),
+                ..
+            }
+        ));
+        assert_eq!(p.select(&coded, 0..5), vec![3]);
+        // Compiled without the encoding, the test reads values, whatever
+        // the column's representation.
+        let p = Predicate::compile(&e, &TYPES);
+        assert!(matches!(p.conjuncts[0], Conjunct::Str { codes: None, .. }));
+        assert_eq!(p.select(&coded, 0..5), vec![3]);
+        assert_eq!(p.select(&batch(false), 0..5), vec![3]);
     }
 }

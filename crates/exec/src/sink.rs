@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use morsel_core::ResultSlot;
 use morsel_core::TaskContext;
-use morsel_storage::{AreaSet, Schema, StorageArea};
+use morsel_storage::{AreaSet, Batch, Encoding, Schema, StorageArea};
 use parking_lot::Mutex;
 
 use crate::charge;
@@ -40,9 +40,22 @@ pub struct MaterializeSink {
 
 impl MaterializeSink {
     /// `worker_nodes[w]` is the socket worker `w` is pinned to; each
-    /// worker's area is allocated on its own node.
+    /// worker's area is allocated on its own node. Its columns start
+    /// plain and take the dictionary of the first codes appended.
     pub fn new(
         schema: Schema,
+        worker_nodes: &[morsel_numa::SocketId],
+        out: AreaSlot,
+        result: Option<ResultSlot>,
+    ) -> Self {
+        Self::encoded(schema, &[], worker_nodes, out, result)
+    }
+
+    /// [`MaterializeSink::new`] with every area's columns starting in
+    /// `encodings`, the representation the plan compiler knows they have.
+    pub fn encoded(
+        schema: Schema,
+        encodings: &[Encoding],
         worker_nodes: &[morsel_numa::SocketId],
         out: AreaSlot,
         result: Option<ResultSlot>,
@@ -51,7 +64,7 @@ impl MaterializeSink {
         MaterializeSink {
             areas: worker_nodes
                 .iter()
-                .map(|&n| Mutex::new(StorageArea::new(n, &types)))
+                .map(|&n| Mutex::new(StorageArea::holding(n, Batch::empty_as(&types, encodings))))
                 .collect(),
             schema,
             out,

@@ -48,14 +48,10 @@ pub fn cmp_rows(a: &Batch, ra: usize, b: &Batch, rb: usize, keys: &[SortKey]) ->
             (Column::I32(x), Column::I32(y)) => x[ra].cmp(&y[rb]),
             (Column::F64(x), Column::F64(y)) => x[ra].total_cmp(&y[rb]),
             (Column::Str(x), Column::Str(y)) => x.get(ra).cmp(y.get(rb)),
-            // Sorted dictionaries preserve order: same-domain comparisons
-            // are branch-free integer compares on the codes.
-            (Column::Dict(x), Column::Dict(y)) if x.same_dict(y) => {
-                x.codes()[ra].cmp(&y.codes()[rb])
-            }
-            (x @ (Column::Str(_) | Column::Dict(_)), y @ (Column::Str(_) | Column::Dict(_))) => {
-                x.str_at(ra).cmp(y.str_at(rb))
-            }
+            // Sorted dictionaries preserve order, and the rows of one sort
+            // share their column's dictionary (DESIGN.md §14): comparisons
+            // are integer compares on the codes.
+            (Column::Dict(x), Column::Dict(y)) => x.codes()[ra].cmp(&y.codes()[rb]),
             (x, y) => panic!(
                 "incomparable sort columns {:?} vs {:?}",
                 x.data_type(),
@@ -116,27 +112,6 @@ impl LocalSortJob {
     pub fn with_prof_slot(mut self, slot: Option<u32>) -> Self {
         self.prof_slot = slot;
         self
-    }
-
-    pub fn chunk_meta(input: &AreaSet) -> Vec<morsel_core::ChunkMeta> {
-        input.chunk_meta_for_sort()
-    }
-}
-
-/// Helper on AreaSet (kept here to avoid a storage->core dependency).
-trait AreaSetExt {
-    fn chunk_meta_for_sort(&self) -> Vec<morsel_core::ChunkMeta>;
-}
-
-impl AreaSetExt for AreaSet {
-    fn chunk_meta_for_sort(&self) -> Vec<morsel_core::ChunkMeta> {
-        self.areas()
-            .iter()
-            .map(|a| morsel_core::ChunkMeta {
-                node: a.node(),
-                rows: a.rows(),
-            })
-            .collect()
     }
 }
 

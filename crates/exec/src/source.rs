@@ -4,7 +4,7 @@ use std::ops::Range;
 
 use morsel_core::ChunkMeta;
 use morsel_numa::SocketId;
-use morsel_storage::{AreaSet, Batch, DataType, Relation};
+use morsel_storage::{AreaSet, Batch, DataType, Encoding, Relation};
 
 /// Anything a pipeline can scan morsel-wise: provides chunk metadata for
 /// the dispatcher and chunk data for the operators.
@@ -16,6 +16,11 @@ pub trait InputSource: Send + Sync {
     fn pieces(&self, idx: usize, range: Range<usize>) -> (SocketId, Vec<(&Batch, Range<usize>)>);
     fn chunk_meta(&self) -> Vec<ChunkMeta>;
     fn types(&self) -> Vec<DataType>;
+    /// The encoding of each column, when the source fixes one: a
+    /// relation's ([`Relation::encoding`]); an area set fixes none.
+    fn encodings(&self) -> &[Encoding] {
+        &[]
+    }
     fn total_rows(&self) -> usize;
 }
 
@@ -35,6 +40,10 @@ impl InputSource for Relation {
 
     fn types(&self) -> Vec<DataType> {
         self.schema().data_types()
+    }
+
+    fn encodings(&self) -> &[Encoding] {
+        Relation::encodings(self)
     }
 
     fn total_rows(&self) -> usize {

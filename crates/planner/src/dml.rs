@@ -101,8 +101,7 @@ impl DmlPlan {
         self.estimated_rows = match &self.predicate {
             None => total,
             Some(pred) => {
-                let stats = relation.stats();
-                let cols: Vec<ColEst> = stats.columns.iter().map(ColEst::from_stats).collect();
+                let cols = ColEst::of_relation(relation);
                 let types = relation.schema().data_types();
                 (total * Estimator.selectivity(pred, &cols, &types)).max(1.0)
             }

@@ -12,7 +12,7 @@
 //! **containment of value sets** for equi-joins
 //! (`|L ⋈ R| = |L|·|R| / max(ndv(L.k), ndv(R.k))`). Base-table inputs
 //! come from the catalog sketches cached on each
-//! [`Relation`](morsel_storage::Relation); derived columns fall back to
+//! [`Relation`]; derived columns fall back to
 //! documented default selectivities.
 
 use std::collections::HashMap;
@@ -22,7 +22,7 @@ use morsel_exec::expr::{CmpOp, Expr};
 use morsel_exec::join::JoinKind;
 use morsel_exec::plan::Plan;
 use morsel_exec::predicate::fuse_int_bounds;
-use morsel_storage::{ColumnStats, DataType, Dictionary};
+use morsel_storage::{ColumnStats, DataType, Dictionary, Encoding, Relation};
 
 /// Estimated properties of one output column.
 #[derive(Debug, Clone)]
@@ -53,7 +53,16 @@ impl ColEst {
         }
     }
 
-    pub(crate) fn from_stats(s: &ColumnStats) -> Self {
+    /// The estimates of `relation`'s columns: their statistics, and the
+    /// dictionary the relation stores each over ([`Relation::encoding`]).
+    pub(crate) fn of_relation(relation: &Relation) -> Vec<ColEst> {
+        let stats = relation.stats();
+        (stats.columns.iter().zip(relation.encodings()))
+            .map(|(s, e)| ColEst::from_stats(s, e))
+            .collect()
+    }
+
+    fn from_stats(s: &ColumnStats, encoding: &Encoding) -> Self {
         ColEst {
             ndv: s.ndv.max(1.0),
             width: s.avg_width.max(1.0),
@@ -61,7 +70,7 @@ impl ColEst {
                 (Some(lo), Some(hi)) => Some((lo.as_f64(), hi.as_f64())),
                 _ => None,
             }),
-            dict: s.dict.clone(),
+            dict: encoding.dict().cloned(),
         }
     }
 
@@ -143,8 +152,7 @@ impl Estimator {
                 filter,
                 project,
             } => {
-                let stats = relation.stats();
-                let base: Vec<ColEst> = stats.columns.iter().map(ColEst::from_stats).collect();
+                let base = ColEst::of_relation(relation);
                 let src_types = relation.schema().data_types();
                 let sel = filter
                     .as_ref()
@@ -559,7 +567,7 @@ mod tests {
         // Contradictory bounds select nothing: the selectivity floor.
         let none = est().selectivity(
             &and(gt(col(0), lit(9)), lt(col(0), lit(3))),
-            &[ColEst::from_stats(&r.stats().columns[0])],
+            &ColEst::of_relation(&r)[..1],
             &[DataType::I64],
         );
         assert_eq!(none, 1e-7);

@@ -30,6 +30,11 @@ impl StorageArea {
         }
     }
 
+    /// An area on `node` holding `data`.
+    pub fn holding(node: SocketId, data: Batch) -> Self {
+        StorageArea { node, data }
+    }
+
     pub fn node(&self) -> SocketId {
         self.node
     }

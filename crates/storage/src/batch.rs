@@ -1,6 +1,6 @@
 //! Row batches: equal-length column sets.
 
-use crate::column::Column;
+use crate::column::{Column, Encoding};
 use crate::value::{DataType, Value};
 
 /// A set of equal-length columns — the unit of materialized data.
@@ -15,6 +15,18 @@ impl Batch {
     pub fn empty(types: &[DataType]) -> Self {
         Batch {
             columns: types.iter().map(|&t| Column::empty(t)).collect(),
+            rows: 0,
+        }
+    }
+
+    /// An empty batch with columns of the given types, each stored in its
+    /// encoding (a column without one is plain).
+    pub fn empty_as(types: &[DataType], encodings: &[Encoding]) -> Self {
+        let plain = Encoding::Plain;
+        Batch {
+            columns: (types.iter().enumerate())
+                .map(|(c, &t)| Column::empty_as(t, encodings.get(c).unwrap_or(&plain)))
+                .collect(),
             rows: 0,
         }
     }

@@ -9,10 +9,13 @@
 //! logical type [`DataType::Str`]: plain [`StrColumn`] (`u32` offsets into
 //! one byte buffer, see [`crate::str_column`]) and dictionary-encoded
 //! [`DictColumn`] (sorted shared domain + `u32` codes, see
-//! [`crate::dict`]). Appending dictionary data into an empty plain
-//! column *adopts* the source dictionary, so pipeline intermediates stay
-//! code-typed end-to-end; a cross-dictionary append falls back to decoded
-//! strings (correct, never hit on the single-relation hot paths).
+//! [`crate::dict`]). Which one a relation's column uses is its
+//! [`Encoding`], held once by the relation and fixed for every partition
+//! (DESIGN.md §14), so codes never meet codes of another dictionary or
+//! plain strings: appending no rows is a no-op, an empty plain column
+//! takes the dictionary of the codes appended to it, a plain column reads
+//! the strings of appended codes, and any other mix is an engine bug that
+//! panics.
 //!
 //! Byte accounting ([`Column::byte_size`], [`Column::selected_bytes`]) is
 //! the cost model's, not the allocator's: fixed-width values and codes
@@ -23,6 +26,53 @@ use std::sync::Arc;
 use crate::dict::{DictColumn, Dictionary};
 use crate::str_column::StrColumn;
 use crate::value::{DataType, Value, ValueRef};
+
+/// How a column's values are stored: as they are, or as codes into one
+/// sorted [`Dictionary`]. Only a string column is ever `Dict`. One
+/// dictionary is one encoding: two dictionaries holding the same values
+/// are two encodings, so comparing encodings is a pointer comparison.
+#[derive(Debug, Clone)]
+pub enum Encoding {
+    Plain,
+    Dict(Arc<Dictionary>),
+}
+
+impl Encoding {
+    /// The encoding `col` is stored in.
+    pub fn of(col: &Column) -> Encoding {
+        match col {
+            Column::Dict(d) => Encoding::Dict(Arc::clone(d.dict())),
+            _ => Encoding::Plain,
+        }
+    }
+
+    /// Whether `col` is stored in this encoding.
+    pub fn stores(&self, col: &Column) -> bool {
+        match (self, col) {
+            (Encoding::Dict(d), Column::Dict(c)) => Arc::ptr_eq(d, c.dict()),
+            (Encoding::Plain, c) => c.as_dict().is_none(),
+            (Encoding::Dict(_), _) => false,
+        }
+    }
+
+    /// The dictionary, when the column is encoded.
+    pub fn dict(&self) -> Option<&Arc<Dictionary>> {
+        match self {
+            Encoding::Dict(d) => Some(d),
+            Encoding::Plain => None,
+        }
+    }
+}
+
+impl PartialEq for Encoding {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Encoding::Plain, Encoding::Plain) => true,
+            (Encoding::Dict(a), Encoding::Dict(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+}
 
 /// A single column of values.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,6 +103,14 @@ impl Column {
             DataType::I32 => Column::I32(Vec::with_capacity(cap)),
             DataType::F64 => Column::F64(Vec::with_capacity(cap)),
             DataType::Str => Column::Str(StrColumn::with_capacity(cap, 0)),
+        }
+    }
+
+    /// An empty column of type `dt` stored in `encoding`.
+    pub fn empty_as(dt: DataType, encoding: &Encoding) -> Self {
+        match encoding {
+            Encoding::Dict(d) => Column::Dict(DictColumn::empty(Arc::clone(d))),
+            Encoding::Plain => Column::empty(dt),
         }
     }
 
@@ -163,6 +221,15 @@ impl Column {
         }
     }
 
+    /// The type and, for a string column, the representation, as an
+    /// error message names them.
+    fn describe(&self) -> String {
+        match self {
+            Column::Dict(d) => format!("Str coded in {} values", d.dict().len()),
+            other => format!("{:?}", other.data_type()),
+        }
+    }
+
     /// Plain-string copy of this column (dictionary columns decode; other
     /// types clone). The late-materialization point for result sinks.
     pub fn decoded(&self) -> Column {
@@ -172,45 +239,30 @@ impl Column {
         }
     }
 
-    /// Decode a dictionary column in place (fallback for cross-dictionary
-    /// appends; no-op otherwise).
-    fn decode_in_place(&mut self) {
-        if let Column::Dict(d) = self {
-            *self = Column::Str(d.decode());
-        }
-    }
-
-    /// Align this column's string representation so that appending from
-    /// `src` is a same-representation copy: an *empty* plain column adopts
-    /// `src`'s dictionary; a dictionary column facing a foreign dictionary
-    /// (or plain strings) decodes itself.
-    fn unify_for_append(&mut self, src: &Column) {
-        match (&mut *self, src) {
-            (Column::Str(v), Column::Dict(s)) if v.is_empty() => {
+    /// Make an empty plain column take `src`'s dictionary, so that an
+    /// append into it is a copy of codes; every other pair of columns is
+    /// left as it is.
+    fn adopt(&mut self, src: &Column) {
+        if let (Column::Str(v), Column::Dict(s)) = (&*self, src) {
+            if v.is_empty() {
                 *self = Column::Dict(DictColumn::empty(Arc::clone(s.dict())));
             }
-            (Column::Dict(d), Column::Dict(s)) if !d.same_dict(s) => self.decode_in_place(),
-            (Column::Dict(_), Column::Str(_)) => self.decode_in_place(),
-            _ => {}
         }
     }
 
-    /// Append a dynamic value (edge use only; slow path).
+    /// Append a dynamic value (edge use only; slow path). A string pushed
+    /// into a dictionary column must be in its dictionary.
     pub fn push(&mut self, v: Value) {
-        if let (Column::Dict(d), Value::Str(s)) = (&mut *self, &v) {
-            match d.dict().code_of(s) {
-                Some(code) => {
-                    d.codes_mut().push(code);
-                    return;
-                }
-                None => self.decode_in_place(),
-            }
-        }
         match (self, v) {
             (Column::I64(c), Value::I64(x)) => c.push(x),
             (Column::I32(c), Value::I32(x)) => c.push(x),
             (Column::F64(c), Value::F64(x)) => c.push(x),
             (Column::Str(c), Value::Str(x)) => c.push(&x),
+            (Column::Dict(d), Value::Str(x)) => {
+                let code = (d.dict().code_of(&x))
+                    .unwrap_or_else(|| panic!("{x:?} is not in the column's dictionary"));
+                d.codes_mut().push(code);
+            }
             (c, v) => panic!(
                 "cannot push {:?} into {:?} column",
                 v.data_type(),
@@ -221,20 +273,18 @@ impl Column {
 
     /// Append row `i` of `src` to this column.
     pub fn push_from(&mut self, src: &Column, i: usize) {
-        self.unify_for_append(src);
+        self.adopt(src);
         match (self, src) {
             (Column::I64(dst), Column::I64(s)) => dst.push(s[i]),
             (Column::I32(dst), Column::I32(s)) => dst.push(s[i]),
             (Column::F64(dst), Column::F64(s)) => dst.push(s[i]),
             (Column::Str(dst), Column::Str(s)) => dst.push(s.get(i)),
             (Column::Str(dst), Column::Dict(s)) => dst.push(s.str_at(i)),
-            (Column::Dict(dst), Column::Dict(s)) => dst.codes_mut().push(s.codes()[i]),
+            (Column::Dict(dst), Column::Dict(s)) if same_domain(dst, s) => {
+                dst.codes_mut().push(s.codes()[i])
+            }
             (dst, s) => {
-                panic!(
-                    "column type mismatch: {:?} vs {:?}",
-                    dst.data_type(),
-                    s.data_type()
-                )
+                panic!("column mismatch: {} vs {}", dst.describe(), s.describe())
             }
         }
     }
@@ -243,7 +293,10 @@ impl Column {
     /// `src`), in `sel`'s order. The gather kernel behind every selection
     /// vector's materialization.
     pub fn extend_selected(&mut self, src: &Column, sel: &[u32]) {
-        self.unify_for_append(src);
+        if sel.is_empty() {
+            return;
+        }
+        self.adopt(src);
         match (self, src) {
             (Column::I64(dst), Column::I64(s)) => dst.extend(sel.iter().map(|&i| s[i as usize])),
             (Column::I32(dst), Column::I32(s)) => dst.extend(sel.iter().map(|&i| s[i as usize])),
@@ -252,17 +305,13 @@ impl Column {
             (Column::Str(dst), Column::Dict(s)) => {
                 dst.extend(sel.iter().map(|&i| s.str_at(i as usize)))
             }
-            (Column::Dict(dst), Column::Dict(s)) => {
+            (Column::Dict(dst), Column::Dict(s)) if same_domain(dst, s) => {
                 let codes = s.codes();
                 dst.codes_mut()
                     .extend(sel.iter().map(|&i| codes[i as usize]))
             }
             (dst, s) => {
-                panic!(
-                    "column type mismatch: {:?} vs {:?}",
-                    dst.data_type(),
-                    s.data_type()
-                )
+                panic!("column mismatch: {} vs {}", dst.describe(), s.describe())
             }
         }
     }
@@ -270,22 +319,21 @@ impl Column {
     /// Append the contiguous row range `[from, to)` of `src` (memcpy-style
     /// fast path used when a scan keeps every row of a morsel).
     pub fn extend_range(&mut self, src: &Column, from: usize, to: usize) {
-        self.unify_for_append(src);
+        if from == to {
+            return;
+        }
+        self.adopt(src);
         match (self, src) {
             (Column::I64(dst), Column::I64(s)) => dst.extend_from_slice(&s[from..to]),
             (Column::I32(dst), Column::I32(s)) => dst.extend_from_slice(&s[from..to]),
             (Column::F64(dst), Column::F64(s)) => dst.extend_from_slice(&s[from..to]),
             (Column::Str(dst), Column::Str(s)) => dst.extend_range(s, from, to),
             (Column::Str(dst), Column::Dict(s)) => dst.extend((from..to).map(|i| s.str_at(i))),
-            (Column::Dict(dst), Column::Dict(s)) => {
+            (Column::Dict(dst), Column::Dict(s)) if same_domain(dst, s) => {
                 dst.codes_mut().extend_from_slice(&s.codes()[from..to])
             }
             (dst, s) => {
-                panic!(
-                    "column type mismatch: {:?} vs {:?}",
-                    dst.data_type(),
-                    s.data_type()
-                )
+                panic!("column mismatch: {} vs {}", dst.describe(), s.describe())
             }
         }
     }
@@ -303,8 +351,8 @@ impl Column {
             (Column::I32(dst), Column::I32(s)) => dst.append(s),
             (Column::F64(dst), Column::F64(s)) => dst.append(s),
             (Column::Str(dst), Column::Str(s)) => dst.append(std::mem::take(s)),
-            // Codes are cheap to copy, and mixed string representations
-            // need the unification the copying path does.
+            // Codes are cheap to copy, and an empty plain column adopting a
+            // dictionary is the copying path's.
             _ => self.extend_from(&src),
         }
     }
@@ -341,6 +389,15 @@ impl Column {
                 .sum(),
         }
     }
+}
+
+/// Whether codes of `src` mean in `dst` what they mean in `src`: one
+/// dictionary, or two holding the same values (sorted, so coded alike).
+/// The pointer comparison decides on every append the engine makes; the
+/// values are compared only for columns coded outside a relation, as
+/// `join_equivalence` builds them (a dictionary per build area).
+fn same_domain(dst: &DictColumn, src: &DictColumn) -> bool {
+    dst.dict() == src.dict()
 }
 
 /// Bytes the cost model charges per plain string value on top of its
@@ -496,6 +553,19 @@ mod tests {
     }
 
     #[test]
+    fn dictionaries_of_equal_values_append_codes() {
+        let mut dst = dict_col(&["a", "b"]);
+        dst.extend_from(&dict_col(&["b", "a"]));
+        assert_eq!(dst.as_dict().unwrap().codes(), &[0, 1, 1, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "column mismatch")]
+    fn codes_of_another_dictionary_do_not_append() {
+        dict_col(&["a", "b"]).extend_from(&dict_col(&["c", "d"]));
+    }
+
+    #[test]
     fn nonempty_plain_column_decodes_dict_appends() {
         let src = dict_col(&["b", "a"]);
         let mut dst = Column::Str(["z"].into_iter().collect());
@@ -504,28 +574,32 @@ mod tests {
     }
 
     #[test]
-    fn cross_dictionary_append_falls_back_to_strings() {
-        let mut dst = dict_col(&["a", "b"]);
-        let other = dict_col(&["c", "d"]);
-        dst.extend_from(&other);
-        // Different domains: dst decoded itself.
-        assert!(dst.as_dict().is_none());
-        assert_eq!(
-            dst.as_str().iter().collect::<Vec<_>>(),
-            ["a", "b", "c", "d"]
-        );
+    #[should_panic(expected = "column mismatch")]
+    fn plain_strings_do_not_append_to_codes() {
+        dict_col(&["a"]).extend_from(&Column::Str(["a"].into_iter().collect()));
     }
 
     #[test]
     fn push_value_into_dict_column() {
         let mut c = dict_col(&["a", "b"]);
         c.push(Value::Str("a".into()));
-        assert!(c.as_dict().is_some());
-        assert_eq!(c.len(), 3);
-        // Out-of-domain pushes decode.
-        c.push(Value::Str("zz".into()));
-        assert!(c.as_dict().is_none());
-        assert_eq!(c.str_at(3), "zz");
+        assert_eq!(c.as_dict().unwrap().codes(), &[0, 1, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not in the column's dictionary")]
+    fn a_value_outside_the_dictionary_does_not_push() {
+        dict_col(&["a", "b"]).push(Value::Str("zz".into()));
+    }
+
+    #[test]
+    fn encodings_compare_by_dictionary() {
+        let (a, b) = (dict_col(&["a"]), dict_col(&["a"]));
+        assert_eq!(Encoding::of(&a), Encoding::of(&a.clone()));
+        assert_ne!(Encoding::of(&a), Encoding::of(&b));
+        assert_eq!(Encoding::of(&Column::I64(vec![])), Encoding::Plain);
+        let empty = Column::empty_as(DataType::Str, &Encoding::of(&a));
+        assert!(empty.as_dict().unwrap().same_dict(a.as_dict().unwrap()));
     }
 
     #[test]

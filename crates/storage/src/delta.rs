@@ -193,10 +193,9 @@ impl DeltaStore {
     pub fn rebased(&self, base: &Relation) -> Option<Relation> {
         let mut parts: Option<Vec<Partition>> = None;
         for c in 0..self.schema.len() {
-            let Some(old) = base.partition(0).data.column(c).as_dict() else {
+            let Some(old) = base.encoding(c).dict() else {
                 continue;
             };
-            let old = Arc::clone(old.dict());
             let fresh: Vec<&str> = (self.rows.column(c).as_str().iter())
                 .filter(|v| old.code_of(v).is_none())
                 .collect();
@@ -271,7 +270,7 @@ impl DeltaStore {
         let rebased = self.rebased(base);
         let base = rebased.as_ref().unwrap_or(base);
         // A `prev` taken over differently encoded partitions doesn't mix.
-        let prev = prev.filter(|r| same_encoding(&r.partition(0).data, &base.partition(0).data));
+        let prev = prev.filter(|r| r.encodings() == base.encodings());
         let mut parts: Vec<Partition> = Vec::with_capacity(base.partitions().len() + 1);
         let mut start = 0u64;
         for (i, p) in base.partitions().iter().enumerate() {
@@ -309,8 +308,8 @@ impl DeltaStore {
         if !visible.is_empty() {
             let mut extra = self.rows.gather(&visible);
             for c in 0..extra.width() {
-                if let Some(like) = parts[0].data.column(c).as_dict() {
-                    let encoded = DictColumn::encode(like.dict(), extra.column(c).as_str())
+                if let Some(dict) = base.encoding(c).dict() {
+                    let encoded = DictColumn::encode(dict, extra.column(c).as_str())
                         .expect("the rebased dictionary holds every committed value");
                     extra.replace_column(c, Column::Dict(encoded));
                 }
@@ -419,18 +418,6 @@ fn concat(tail: &Batch, extra: &Batch) -> Batch {
             })
             .collect(),
     )
-}
-
-/// Whether `a` and `b` represent every column the same way: both plain,
-/// or both over the same dictionary.
-fn same_encoding(a: &Batch, b: &Batch) -> bool {
-    a.columns()
-        .iter()
-        .zip(b.columns())
-        .all(|(x, y)| match (x.as_dict(), y.as_dict()) {
-            (Some(x), Some(y)) => x.same_dict(y),
-            (x, y) => x.is_none() && y.is_none(),
-        })
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@ pub mod wal;
 pub use area::{AreaSet, StorageArea};
 pub use batch::Batch;
 pub use catalog::Catalog;
-pub use column::{encode_fragments, Column};
+pub use column::{encode_fragments, Column, Encoding};
 pub use delta::{delta_row_id, row_bytes, DeltaStore, DELTA_ROW_BIT};
 pub use dict::{DictColumn, Dictionary};
 pub use hash::{hash64, hash_bytes, hash_combine, hash_i64};

@@ -14,6 +14,13 @@
 //! into many partitions still yields morsels large enough to amortise a
 //! morsel's fixed cost (Section 3.2). A chunk never mixes nodes.
 //!
+//! Every string column of a relation has one [`Encoding`], held by the
+//! relation ([`Relation::encoding`]): every partition stores the column
+//! in it, plain or as codes into one shared dictionary. The constructor
+//! every relation goes through establishes it, re-encoding partitions
+//! that disagree (DESIGN.md §14), so the executor chooses each column's
+//! string kernels once, when it compiles a plan.
+//!
 //! Relations the write path builds ([`Relation::from_partitions`]) also
 //! keep a merge tree over their partitions' statistics, whose nodes a
 //! snapshot or merge shares with the relation it was derived from, so
@@ -27,6 +34,7 @@ use std::sync::{Arc, OnceLock};
 use morsel_numa::{Placement, SocketId, Topology};
 
 use crate::batch::Batch;
+use crate::column::{encode_fragments, Column, Encoding};
 use crate::hash::hash_i64;
 use crate::schema::Schema;
 use crate::stats::TableStats;
@@ -102,6 +110,8 @@ type StatsNode = Arc<OnceLock<TableStats>>;
 pub struct Relation {
     schema: Schema,
     partitions: Vec<Partition>,
+    /// Per column, the one encoding every partition stores it in.
+    encodings: Vec<Encoding>,
     /// The chunks of a grouped view ([`Relation::grouped`]), ordered by
     /// first partition; empty when each partition is its own chunk.
     chunks: Vec<Chunk>,
@@ -122,12 +132,18 @@ pub struct Relation {
 }
 
 impl Relation {
-    fn from_parts(schema: Schema, partitions: Vec<Partition>) -> Self {
+    /// The constructor every relation goes through: it fixes each
+    /// column's encoding ([`normalise`]) and totals rows and bytes.
+    fn from_parts(schema: Schema, mut partitions: Vec<Partition>) -> Self {
+        let encodings = (0..schema.len())
+            .map(|c| normalise(&mut partitions, c))
+            .collect();
         let total_rows = partitions.iter().map(|p| p.data.rows()).sum();
         let total_bytes = partitions.iter().map(|p| p.data.total_bytes()).sum();
         Relation {
             schema,
             partitions,
+            encodings,
             chunks: Vec::new(),
             total_rows,
             total_bytes,
@@ -195,6 +211,49 @@ impl Relation {
     pub(crate) fn has_merge_tail(&self) -> bool {
         self.merge_tail
     }
+}
+
+/// Fix the encoding of column `c` across `parts` and return it. Partitions
+/// with rows that all store the column alike (plain, or over one
+/// dictionary) keep it; otherwise the column is decoded and re-encoded by
+/// the load-time rule ([`encode_fragments`]), one dictionary for all or
+/// plain strings everywhere. An empty partition is neutral: it takes the
+/// encoding of the others, or, when no partition has rows, of the first.
+fn normalise(parts: &mut [Partition], c: usize) -> Encoding {
+    let with_rows = || parts.iter().filter(|p| p.data.rows() > 0);
+    let first = with_rows().next().unwrap_or(&parts[0]);
+    let mut encoding = Encoding::of(first.data.column(c));
+    if with_rows().any(|p| !encoding.stores(p.data.column(c))) {
+        let plain: Vec<Column> = parts.iter().map(|p| p.data.column(c).decoded()).collect();
+        let columns = match encode_fragments(&plain.iter().collect::<Vec<_>>()) {
+            Some((dict, encoded)) => {
+                encoding = Encoding::Dict(dict);
+                encoded
+            }
+            None => {
+                encoding = Encoding::Plain;
+                plain
+            }
+        };
+        for (p, column) in parts.iter_mut().zip(columns) {
+            replace_column(p, c, column);
+        }
+    }
+    for p in parts.iter_mut() {
+        if !encoding.stores(p.data.column(c)) {
+            let dt = p.data.column(c).data_type();
+            replace_column(p, c, Column::empty_as(dt, &encoding));
+        }
+    }
+    encoding
+}
+
+/// Partition `p` with column `c` replaced, as a new partition on the same
+/// node (its statistics go with the old data).
+fn replace_column(p: &mut Partition, c: usize, column: Column) {
+    let mut data = Batch::clone(&p.data);
+    data.replace_column(c, column);
+    *p = Partition::new(p.node, data);
 }
 
 /// The merge tree over `parts`, sharing `donor`'s nodes where
@@ -317,6 +376,16 @@ impl Relation {
 
     pub fn partition(&self, i: usize) -> &Partition {
         &self.partitions[i]
+    }
+
+    /// The encoding every partition stores column `c` in.
+    pub fn encoding(&self, c: usize) -> &Encoding {
+        &self.encodings[c]
+    }
+
+    /// [`Relation::encoding`] of every column, in schema order.
+    pub fn encodings(&self) -> &[Encoding] {
+        &self.encodings
     }
 
     pub fn total_rows(&self) -> usize {
@@ -466,6 +535,7 @@ impl Relation {
         Relation {
             schema: self.schema.clone(),
             partitions,
+            encodings: self.encodings.clone(),
             chunks: Vec::new(),
             total_rows: self.total_rows,
             total_bytes: self.total_bytes,
@@ -784,9 +854,10 @@ mod tests {
         // Encoded bytes shrink; decoded gather is unchanged.
         assert!(r.total_bytes() < rows_before as u64 * 100);
         assert_eq!(r.gather(), gathered_before);
-        // Stats over codes expose the dictionary and the true NDV.
+        // The relation holds the dictionary; stats over codes, the true NDV.
+        assert!(Arc::ptr_eq(r.encoding(1).dict().unwrap(), dicts[0].dict()));
+        assert!(r.encoding(2).dict().is_none());
         let s = r.stats();
-        assert!(s.column(1).dict.is_some());
         assert!((s.column(1).ndv - 7.0).abs() < 1.0);
         assert_eq!(s.column(1).min, Some(Value::Str("tag0".into())));
         assert_eq!(s.column(1).max, Some(Value::Str("tag6".into())));

@@ -13,8 +13,8 @@
 //! Merging is two steps: [`TableStats::combine`] folds one fragment's
 //! statistics into another's, and [`TableStats::finalize`] derives the two
 //! estimates, `ndv` and `avg_width`, once at the end. `combine` is exactly
-//! associative — register maxima, integer counts and byte totals, min/max,
-//! and a dictionary rule for which empty fragments are neutral — so any
+//! associative — register maxima, integer counts and byte totals, min/max
+//! — so any
 //! grouping of the same fragments finalizes to the same bits. That is what
 //! lets a write-path relation keep a merge tree over its partitions and
 //! share its nodes with the snapshots before it.
@@ -23,11 +23,8 @@
 //! `2^P` one-byte registers: mergeable across partitions by a register-wise
 //! max, ~3% standard error at `P = 10`, fixed 1 KiB per column.
 
-use std::sync::Arc;
-
 use crate::batch::Batch;
 use crate::column::Column;
-use crate::dict::Dictionary;
 use crate::hash::{hash64, hash_bytes};
 use crate::value::Value;
 
@@ -118,10 +115,6 @@ pub struct ColumnStats {
     /// [`Column::byte_size`]): the fragment's byte total over its rows,
     /// set by finalization together with `ndv`.
     pub avg_width: f64,
-    /// The shared dictionary, when this column is dictionary-encoded —
-    /// lets the planner turn string range/prefix predicates into exact
-    /// code-domain fractions.
-    pub dict: Option<Arc<Dictionary>>,
     /// Byte total of the fragment(s) merged so far, kept as an integer so
     /// merging is exact in any order.
     bytes: u64,
@@ -132,7 +125,6 @@ impl ColumnStats {
     /// Compute stats over one column fragment.
     pub fn from_column(col: &Column) -> Self {
         let mut sketch = HllSketch::new();
-        let mut dict = None;
         let (min, max) = match col {
             Column::Dict(d) => {
                 // Codes are sort-ordered, so min/max over codes decode to
@@ -143,7 +135,6 @@ impl ColumnStats {
                 for &c in d.codes() {
                     sketch.insert_hash(d.dict().hash_of(c));
                 }
-                dict = Some(Arc::clone(d.dict()));
                 let min = d.codes().iter().min();
                 let max = d.codes().iter().max();
                 (
@@ -195,7 +186,6 @@ impl ColumnStats {
             null_count: 0,
             ndv: 0.0,
             avg_width: 0.0,
-            dict,
             bytes: col.total_bytes(),
             sketch,
         };
@@ -206,19 +196,10 @@ impl ColumnStats {
     /// Merge the stats of another fragment of the same column, all but
     /// the estimates: `ndv` is a pass over every register, which a fold
     /// over many fragments needs only once ([`ColumnStats::finalize`]).
-    fn absorb(&mut self, other: &ColumnStats, own_rows: u64, other_rows: u64) {
+    fn absorb(&mut self, other: &ColumnStats) {
         self.sketch.merge(&other.sketch);
         self.null_count += other.null_count;
         self.bytes += other.bytes;
-        // Partitions of one relation share their dictionary; a plain
-        // fragment or another dictionary drops it. An empty fragment is
-        // neutral whatever its encoding, which keeps the rule associative.
-        self.dict = match (self.dict.take(), &other.dict) {
-            (own, _) if other_rows == 0 => own,
-            (_, other) if own_rows == 0 => other.clone(),
-            (Some(a), Some(b)) if Arc::ptr_eq(&a, b) => Some(a),
-            _ => None,
-        };
         self.min = match (self.min.take(), other.min.clone()) {
             (Some(a), Some(b)) => Some(if value_le(&b, &a) { b } else { a }),
             (a, b) => a.or(b),
@@ -291,7 +272,7 @@ impl TableStats {
             "partition column counts differ"
         );
         for (a, b) in self.columns.iter_mut().zip(&other.columns) {
-            a.absorb(b, self.rows, other.rows);
+            a.absorb(b);
         }
         self.rows += other.rows;
         self.bytes += other.bytes;
@@ -465,17 +446,25 @@ mod tests {
     #[test]
     fn an_empty_fragment_is_neutral_to_the_dictionary_rule() {
         use crate::dict::{DictColumn, Dictionary};
+        use crate::relation::{Partition, Relation};
+        use crate::schema::Schema;
+        use crate::value::DataType;
+        use morsel_numa::SocketId;
+        use std::sync::Arc;
         let d = Dictionary::from_values(["x", "y"]);
         let other = Dictionary::from_values(["x", "y"]);
-        let frag = |dict: &Arc<Dictionary>, codes: Vec<u32>| {
-            let batch =
-                Batch::from_columns(vec![Column::Dict(DictColumn::new(Arc::clone(dict), codes))]);
-            TableStats::from_batch(&batch)
+        let part = |dict: &Arc<Dictionary>, codes: Vec<u32>| {
+            let column = Column::Dict(DictColumn::new(Arc::clone(dict), codes));
+            Partition::new(SocketId(0), Batch::from_columns(vec![column]))
         };
         // Empty over `d`, empty over another dictionary, rows over `d`:
-        // both groupings keep `d`, as every order of non-empty `d`
-        // fragments does.
-        let (a, b, c) = (frag(&d, vec![]), frag(&other, vec![]), frag(&d, vec![1, 0]));
+        // the relation keeps `d`, and both groupings of the fragments'
+        // statistics agree.
+        let parts = vec![part(&d, vec![]), part(&other, vec![]), part(&d, vec![1, 0])];
+        let schema = Schema::new(vec![("s", DataType::Str)]);
+        let rel = Relation::from_partitions(schema, parts);
+        assert!(Arc::ptr_eq(rel.encoding(0).dict().unwrap(), &d));
+        let [a, b, c] = [0, 1, 2].map(|i| TableStats::from_batch(&rel.partition(i).data));
         let mut left = a.clone();
         left.combine(&b);
         left.combine(&c);
@@ -486,10 +475,7 @@ mod tests {
         left.finalize();
         right_first.finalize();
         assert_eq!(left, right_first);
-        assert!(Arc::ptr_eq(left.column(0).dict.as_ref().unwrap(), &d));
-        // A second dictionary with rows drops it.
-        left.combine(&frag(&other, vec![0]));
-        assert!(left.column(0).dict.is_none());
+        assert_eq!(*rel.stats(), left);
     }
 
     #[test]

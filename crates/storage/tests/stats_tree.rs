@@ -132,11 +132,8 @@ fn assert_exact(rel: &Relation, what: &str) {
             w.avg_width.to_bits(),
             "{what}: column {c}"
         );
-        let same_dict = match (&g.dict, &w.dict) {
-            (Some(g), Some(w)) => Arc::ptr_eq(g, w),
-            (g, w) => g.is_none() && w.is_none(),
-        };
-        assert!(same_dict, "{what}: column {c}");
+        let stored = |p: &Partition| rel.encoding(c).stores(p.data.column(c));
+        assert!(rel.partitions().iter().all(stored), "{what}: column {c}");
     }
     assert!(*got == want, "{what}: HLL registers");
 }

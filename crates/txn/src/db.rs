@@ -538,14 +538,17 @@ impl TxnDb {
             }
         };
         let own_deletes = txn.deleted_in(t);
-        // Compiled once per statement; base partitions, delta rows and
-        // pending rows all carry the table's column types.
-        let pred = Predicate::compile(pred, &base.schema().data_types());
+        // Compiled once per statement for the delta and pending rows, which
+        // hold plain strings, and once per base for its partitions: a string
+        // test on a coded column tests codes.
+        let types = base.schema().data_types();
+        let plain = Predicate::compile(pred, &types);
         let (base_hits, delta_hits) = loop {
+            let coded = Predicate::encoded(pred, &types, base.encodings());
             let mut hits: Vec<(u64, usize, u32)> = Vec::new();
             let mut start = 0u64;
             for (pi, p) in base.partitions().iter().enumerate() {
-                let rows = pred.select(&p.data, 0..p.data.rows());
+                let rows = coded.select(&p.data, 0..p.data.rows());
                 hits.extend(rows.into_iter().map(|i| (start + u64::from(i), pi, i)));
                 start += p.data.rows() as u64;
             }
@@ -561,7 +564,7 @@ impl TxnDb {
             let live = |id: u64| state.delta.visible(id, ts) && !own_deletes.contains(&id);
             hits.retain(|&(id, _, _)| live(id));
             let rows = state.delta.rows();
-            let delta_hits: Vec<(u64, Vec<Value>)> = pred
+            let delta_hits: Vec<(u64, Vec<Value>)> = plain
                 .select(rows, 0..rows.rows())
                 .into_iter()
                 .map(|i| (delta_row_id(i as usize), i))
@@ -579,12 +582,13 @@ impl TxnDb {
             .filter(|idx| txn.pending[*idx].0 == t && !txn.pending_dead.contains(idx))
             .collect();
         if !pending.is_empty() {
-            let mut rows = Batch::empty(&base.schema().data_types());
+            let mut rows = Batch::empty(&types);
             for &idx in &pending {
                 rows.push_row(txn.pending[idx].1.clone());
             }
             out.extend(
-                pred.select(&rows, 0..rows.rows())
+                plain
+                    .select(&rows, 0..rows.rows())
                     .into_iter()
                     .map(|m| (PENDING_BIT | pending[m as usize] as u64, decoded(&rows, m))),
             );
@@ -1021,7 +1025,7 @@ mod tests {
     use morsel_exec::expr::{and, col, eq, ge, like, lit, lits, lt, prefix};
     use morsel_numa::{Placement, Topology};
     use morsel_storage::dict::DICT_MAX_UNIQUE;
-    use morsel_storage::{Column, DataType, PartitionBy, TableStats, WalFaults};
+    use morsel_storage::{Column, DataType, Partition, PartitionBy, TableStats, WalFaults};
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -1707,7 +1711,8 @@ mod tests {
             assert_eq!((&g.min, &g.max), (&w.min, &w.max), "column {c}");
             assert_eq!(g.null_count, w.null_count, "column {c}");
             assert_eq!((g.ndv, g.avg_width), (w.ndv, w.avg_width), "column {c}");
-            assert_eq!(g.dict.is_some(), w.dict.is_some(), "column {c}");
+            let stored = |p: &Partition| rel.encoding(c).stores(p.data.column(c));
+            assert!(rel.partitions().iter().all(stored), "column {c}");
         }
         // … HLL registers included.
         assert!(*got == want);
@@ -1826,10 +1831,7 @@ mod tests {
         let rebased = db.latest_relation("t").unwrap();
         assert!(!Arc::ptr_eq(&rebased.stats(), &base.stats()));
         assert_stats_from_scratch(&rebased);
-        let dict = rebased.stats().columns[1]
-            .dict
-            .clone()
-            .expect("still encoded");
+        let dict = rebased.encoding(1).dict().expect("still encoded");
         assert!(dict.code_of("fresh").is_some());
         // Inheritance resumes from the re-encoded snapshot.
         insert_rows(&db, &mut next_id, 10, None);
