@@ -12,7 +12,7 @@ use morsel_exec::agg::{agg_slot, AggFn, AggMergeJob, AggPartialSink, N_PARTITION
 use morsel_exec::pipeline::SelBatch;
 use morsel_exec::sink::{area_slot, Sink};
 use morsel_numa::Topology;
-use morsel_storage::{Batch, Column, DataType, DictColumn, Dictionary, Schema};
+use morsel_storage::{Batch, Column, DataType, DictColumn, Dictionary, Encoding, Schema};
 use std::hint::black_box;
 
 const ROWS: usize = 200_000;
@@ -30,7 +30,17 @@ fn run_agg(env: &ExecEnv, morsels: Vec<SelBatch>, key_types: &[DataType]) -> usi
     let nodes = env.worker_sockets(1);
     let slot = agg_slot();
     let aggs = vec![AggFn::SumI64(payload), AggFn::Count];
-    let sink = AggPartialSink::new((0..payload).collect(), aggs.clone(), &nodes, slot.clone());
+    let columns = morsels[0].batch.columns();
+    let types: Vec<DataType> = columns.iter().map(Column::data_type).collect();
+    let encodings: Vec<Encoding> = columns.iter().map(Encoding::of).collect();
+    let sink = AggPartialSink::new(
+        (0..payload).collect(),
+        aggs.clone(),
+        &types,
+        &encodings,
+        &nodes,
+        slot.clone(),
+    );
     let mut ctx = TaskContext::new(env, 0);
     for morsel in morsels {
         sink.consume(&mut ctx, morsel);

@@ -10,7 +10,7 @@ use std::hint::black_box;
 const N: usize = 100_000;
 
 fn build(tagging: bool) -> TaggedHashTable {
-    let ht = TaggedHashTable::with_tagging(&[N], 4, tagging);
+    let ht = TaggedHashTable::new(&[N], 4, tagging);
     for row in 0..N {
         ht.insert(row, hash64(row as u64));
     }

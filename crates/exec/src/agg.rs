@@ -12,7 +12,7 @@
 //! input, so partitioning costs nothing in pipelining (Section 4.4's
 //! closing remark).
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use morsel_core::{Morsel, PipelineJob, ResultSlot, TaskContext};
 use morsel_numa::SocketId;
@@ -444,8 +444,8 @@ pub struct AggPartitions {
     parts: Vec<Vec<(SocketId, Mutex<Groups>)>>,
     /// Entries per partition, counted at the handoff.
     rows: Vec<usize>,
-    /// The key layout phase 1 compiled; `None` if it saw no row.
-    layout: Option<Arc<KeyLayout>>,
+    /// The key layout phase 1 compiled.
+    layout: Arc<KeyLayout>,
 }
 
 impl AggPartitions {
@@ -470,42 +470,47 @@ pub struct AggPartialSink {
     worker_nodes: Vec<SocketId>,
     out: AggSlot,
     capacity: usize,
-    /// Compiled from the group columns' encodings ([`Self::with_key`]),
-    /// or else from the first batch.
-    layout: OnceLock<Arc<KeyLayout>>,
+    /// Compiled from the group columns' types and encodings.
+    layout: Arc<KeyLayout>,
     /// Profile slot of the aggregation plan node (credited with spill
     /// fragments and the final flush).
     prof_slot: Option<u32>,
 }
 
 impl AggPartialSink {
+    /// Group the input, whose columns are of `types` stored in
+    /// `encodings`, by `group_cols`: the group key is compiled here, from
+    /// the group columns' types and encodings.
     pub fn new(
         group_cols: Vec<usize>,
         aggs: Vec<AggFn>,
+        types: &[DataType],
+        encodings: &[Encoding],
         worker_nodes: &[SocketId],
         out: AggSlot,
     ) -> Self {
-        Self::with_capacity(group_cols, aggs, worker_nodes, out, PREAGG_CAPACITY)
-    }
-
-    pub fn with_capacity(
-        group_cols: Vec<usize>,
-        aggs: Vec<AggFn>,
-        worker_nodes: &[SocketId],
-        out: AggSlot,
-        capacity: usize,
-    ) -> Self {
+        assert_eq!(types.len(), encodings.len(), "one encoding per column");
+        let (key_types, key_encodings): (Vec<DataType>, Vec<Encoding>) = (group_cols.iter())
+            .map(|&c| (types[c], encodings[c].clone()))
+            .unzip();
         AggPartialSink {
+            layout: Arc::new(KeyLayout::new(&key_types, &key_encodings)),
             group_cols,
             ops: lane_ops(&aggs).0,
             aggs,
             workers: worker_nodes.iter().map(|_| Mutex::new(None)).collect(),
             worker_nodes: worker_nodes.to_vec(),
             out,
-            capacity: capacity.max(1),
-            layout: OnceLock::new(),
+            capacity: PREAGG_CAPACITY,
             prof_slot: None,
         }
+    }
+
+    /// Hold at most `capacity` groups per worker before spilling (tests
+    /// force spills with a small one).
+    pub fn with_capacity(mut self, capacity: usize) -> Self {
+        self.capacity = capacity.max(1);
+        self
     }
 
     /// Credit spill fragments and the final flush to the given profile
@@ -515,20 +520,11 @@ impl AggPartialSink {
         self
     }
 
-    /// Compile the group key for group columns of `types` stored in
-    /// `encodings`, as the plan compiler knows them.
-    pub fn with_key(self, types: &[DataType], encodings: &[Encoding]) -> Self {
-        AggPartialSink {
-            layout: OnceLock::from(Arc::new(KeyLayout::compile(types, encodings))),
-            ..self
-        }
-    }
-
     /// Aggregate one batch into the worker's table: keys and hashes
     /// column-at-a-time, then per flush-free segment one probe pass and
     /// one typed update pass per lane. Returns the bytes spilled.
-    fn absorb(&self, w: &mut WorkerAgg, layout: &KeyLayout, input: &SelBatch) -> u64 {
-        let (batch, rows) = (&input.batch, input.rows_ref());
+    fn absorb(&self, w: &mut WorkerAgg, input: &SelBatch) -> u64 {
+        let (layout, batch, rows) = (&*self.layout, &input.batch, input.rows_ref());
         let (ops, n_aggs) = (self.ops.as_slice(), self.aggs.len());
         layout.extract(batch, &self.group_cols, rows, &mut w.hashes, &mut w.keys);
         // Clustered input (TPC-H Q18's `l_orderkey`): a row with the key of
@@ -562,9 +558,6 @@ impl Sink for AggPartialSink {
         if input.is_empty() {
             return;
         }
-        let layout = self
-            .layout
-            .get_or_init(|| Arc::new(KeyLayout::of_batch(&input.batch, &self.group_cols)));
         let mut w = self.workers[ctx.worker].lock();
         let w = w.get_or_insert_with(|| WorkerAgg {
             table: GroupTable::new(self.capacity, self.capacity, &self.ops),
@@ -572,7 +565,7 @@ impl Sink for AggPartialSink {
             hashes: Vec::new(),
             keys: Keys::default(),
         });
-        let spilled_bytes = self.absorb(w, layout, &input);
+        let spilled_bytes = self.absorb(w, &input);
         if spilled_bytes > 0 {
             if let Some(slot) = self.prof_slot {
                 ctx.prof_fragments(slot, 1);
@@ -591,13 +584,13 @@ impl Sink for AggPartialSink {
     fn finish(&self, ctx: &mut TaskContext<'_>) {
         let prof = self.prof_slot.filter(|_| ctx.profiling());
         let t0 = prof.map(|_| std::time::Instant::now());
-        let layout = self.layout.get();
+        let layout = &self.layout;
         let mut parts: Vec<Vec<(SocketId, Mutex<Groups>)>> =
             (0..N_PARTITIONS).map(|_| Vec::new()).collect();
         let mut rows = vec![0; N_PARTITIONS];
         let mut bytes = 0;
         for (w, &node) in self.workers.iter().zip(&self.worker_nodes) {
-            let (Some(mut w), Some(layout)) = (w.lock().take(), layout) else {
+            let Some(mut w) = w.lock().take() else {
                 continue;
             };
             bytes += w
@@ -618,7 +611,7 @@ impl Sink for AggPartialSink {
         *self.out.lock() = Some(Arc::new(AggPartitions {
             parts,
             rows,
-            layout: layout.cloned(),
+            layout: Arc::clone(layout),
         }));
         if let (Some(slot), Some(t0)) = (prof, t0) {
             ctx.prof_wall_ns(slot, t0.elapsed().as_nanos() as u64);
@@ -706,9 +699,7 @@ impl AggMergeJob {
     /// columns then aggregate columns, in bulk — into the worker's local
     /// area. Returns the number of groups.
     fn merge_and_emit(&self, ctx: &mut TaskContext<'_>, p: usize) -> usize {
-        let Some(layout) = &self.input.layout else {
-            return 0;
-        };
+        let layout = &self.input.layout;
         let entries = self.input.rows[p];
         let mut table = GroupTable::new(entries, usize::MAX, &self.ops);
         let mut reads = Vec::with_capacity(self.input.parts[p].len());
@@ -839,8 +830,19 @@ mod tests {
         let env = env();
         let nodes = env.worker_sockets(2);
         let slot = agg_slot();
-        let sink =
-            AggPartialSink::with_capacity(group_cols, aggs.clone(), &nodes, slot.clone(), capacity);
+        // The input's columns as its first batch holds them; with no
+        // batch, the output's.
+        let like = (batches.first().cloned()).unwrap_or_else(|| Batch::empty(&schema.data_types()));
+        let (types, encodings) = descriptors(&like);
+        let sink = AggPartialSink::new(
+            group_cols,
+            aggs.clone(),
+            &types,
+            &encodings,
+            &nodes,
+            slot.clone(),
+        )
+        .with_capacity(capacity);
         let mut ctx = TaskContext::new(&env, 0);
         for b in batches {
             sink.consume(&mut ctx, crate::pipeline::SelBatch::dense(b));
@@ -871,6 +873,13 @@ mod tests {
         job.finish(&mut ctx);
         let batch = result.lock().take().unwrap();
         batch
+    }
+
+    /// The types and encodings of `b`'s columns.
+    fn descriptors(b: &Batch) -> (Vec<DataType>, Vec<Encoding>) {
+        (b.columns().iter())
+            .map(|c| (c.data_type(), Encoding::of(c)))
+            .unzip()
     }
 
     fn sorted_by_key(b: &Batch) -> Vec<Vec<morsel_storage::Value>> {
@@ -1121,7 +1130,15 @@ mod tests {
         let nodes = env.worker_sockets(1);
         let slot = agg_slot();
         let aggs = vec![AggFn::SumI64(1)];
-        let sink = AggPartialSink::new(vec![0], aggs.clone(), &nodes, slot.clone());
+        let (types, encodings) = descriptors(&batch);
+        let sink = AggPartialSink::new(
+            vec![0],
+            aggs.clone(),
+            &types,
+            &encodings,
+            &nodes,
+            slot.clone(),
+        );
         let mut ctx = TaskContext::new(&env, 0);
         sink.consume(
             &mut ctx,
@@ -1204,9 +1221,17 @@ mod tests {
         ];
         let env = env();
         let nodes = env.worker_sockets(1);
+        let (types, encodings) = descriptors(&batch);
         for (cols, hash, pinned) in cases {
             let slot = agg_slot();
-            let sink = AggPartialSink::new(cols.to_vec(), vec![AggFn::Count], &nodes, slot.clone());
+            let sink = AggPartialSink::new(
+                cols.to_vec(),
+                vec![AggFn::Count],
+                &types,
+                &encodings,
+                &nodes,
+                slot.clone(),
+            );
             let mut ctx = TaskContext::new(&env, 0);
             sink.consume(&mut ctx, SelBatch::dense(batch.clone()));
             sink.finish(&mut ctx);

@@ -890,6 +890,7 @@ pub fn substr(a: Expr, from: usize, len: usize) -> Expr {
 mod tests {
     use super::*;
     use crate::predicate::Predicate;
+    use morsel_storage::Encoding;
 
     fn batch() -> Batch {
         Batch::from_columns(vec![
@@ -1156,16 +1157,17 @@ mod tests {
         assert_eq!(e.eval(&b, 0..5), iv(vec![0, 0, 0, 1, 1]));
     }
 
-    /// Filtering by an expression goes through its compiled form.
-    fn compiled(e: &Expr) -> Predicate {
+    /// Filtering by an expression goes through its form compiled for `b`.
+    fn compiled(e: &Expr, b: &Batch) -> Predicate {
         let types = [DataType::I64, DataType::F64, DataType::Str, DataType::I32];
-        Predicate::compile(e, &types)
+        let encodings: Vec<Encoding> = b.columns().iter().map(Encoding::of).collect();
+        Predicate::new(e, &types, &encodings)
     }
 
     #[test]
     fn filter_returns_absolute_indexes() {
         let b = batch();
-        let p = compiled(&gt(col(0), lit(2)));
+        let p = compiled(&gt(col(0), lit(2)), &b);
         assert_eq!(p.select(&b, 1..5), vec![2, 3, 4]);
         assert_eq!(p.select(&b, 3..3), Vec::<u32>::new());
     }
@@ -1173,7 +1175,7 @@ mod tests {
     #[test]
     fn filter_sel_evaluates_selected_rows_only() {
         let b = batch();
-        let p = compiled(&gt(col(0), lit(2)));
+        let p = compiled(&gt(col(0), lit(2)), &b);
         assert_eq!(p.narrow(&b, vec![0, 2, 4]), vec![2, 4]);
         assert_eq!(p.narrow(&b, vec![]), Vec::<u32>::new());
         // Matches the dense path intersected with the selection.
@@ -1183,11 +1185,12 @@ mod tests {
         assert_eq!(p.narrow(&b, sel), want);
         // String predicates (both representations) agree too.
         let d = dict_batch();
-        let sp = compiled(&prefix(col(2), "da"));
+        let sp = compiled(&prefix(col(2), "da"), &d);
         assert_eq!(sp.narrow(&d, vec![2, 3, 4]), vec![3]);
+        let sp = compiled(&prefix(col(2), "da"), &b);
         assert_eq!(sp.narrow(&b, vec![2, 3, 4]), vec![3]);
         // Constant predicates work over an empty reference set.
-        let c = compiled(&gt(lit(3), lit(2)));
+        let c = compiled(&gt(lit(3), lit(2)), &b);
         assert_eq!(c.narrow(&b, vec![1, 4]), vec![1, 4]);
     }
 

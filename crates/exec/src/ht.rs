@@ -82,12 +82,9 @@ impl TaggedHashTable {
     /// Allocate a perfectly sized table for `area_rows[i]` tuples per
     /// build area. Capacity is the next power of two of at least twice
     /// the input size (Section 4.2: "sized quite generously to at least
-    /// twice the size of the input").
-    pub fn new(area_rows: &[usize], sockets: u16) -> Self {
-        Self::with_tagging(area_rows, sockets, true)
-    }
-
-    pub fn with_tagging(area_rows: &[usize], sockets: u16, tagging: bool) -> Self {
+    /// twice the size of the input"). `tagging` turns the early-filter tags
+    /// on (Fig. 11's variable).
+    pub fn new(area_rows: &[usize], sockets: u16, tagging: bool) -> Self {
         // Candidate lists store the area and the row of a match as u32 —
         // enforce both bounds here (in release too) so they can never
         // truncate.
@@ -282,7 +279,7 @@ mod tests {
 
     /// Build a table over one area of n sequential keys (key = row index).
     fn build_seq(n: usize, tagging: bool) -> TaggedHashTable {
-        let ht = TaggedHashTable::with_tagging(&[n], 4, tagging);
+        let ht = TaggedHashTable::new(&[n], 4, tagging);
         for row in 0..n {
             ht.insert(row, hash64(row as u64));
         }
@@ -291,7 +288,7 @@ mod tests {
 
     #[test]
     fn perfectly_sized_capacity() {
-        let ht = TaggedHashTable::new(&[1000], 4);
+        let ht = TaggedHashTable::new(&[1000], 4, true);
         assert_eq!(ht.len(), 1000);
         assert!(ht.capacity() >= 2000);
         assert!(ht.capacity() <= 4096);
@@ -300,7 +297,7 @@ mod tests {
 
     #[test]
     fn empty_table_probes_cleanly() {
-        let ht = TaggedHashTable::new(&[], 4);
+        let ht = TaggedHashTable::new(&[], 4, true);
         assert!(ht.is_empty());
         assert_eq!(ht.capacity(), 16);
         assert!(ht.probe_key_i64(42).is_empty());
@@ -351,7 +348,7 @@ mod tests {
         let n = 3_000usize;
         let key = |row: usize| if row < 60 { 7 } else { (row % 600) as u64 };
         for tagging in [true, false] {
-            let ht = TaggedHashTable::with_tagging(&[n], 4, tagging);
+            let ht = TaggedHashTable::new(&[n], 4, tagging);
             for row in 0..n {
                 ht.insert(row, hash64(key(row)));
             }
@@ -376,7 +373,7 @@ mod tests {
 
     #[test]
     fn duplicate_keys_chain() {
-        let ht = TaggedHashTable::new(&[100], 4);
+        let ht = TaggedHashTable::new(&[100], 4, true);
         // All 100 entries share one key.
         for row in 0..100 {
             ht.insert(row, hash64(7));
@@ -388,7 +385,7 @@ mod tests {
 
     #[test]
     fn multi_area_locations() {
-        let ht = TaggedHashTable::new(&[10, 20, 5], 4);
+        let ht = TaggedHashTable::new(&[10, 20, 5], 4, true);
         assert_eq!(ht.len(), 35);
         assert_eq!(ht.loc(0), (0, 0));
         assert_eq!(ht.loc(9), (0, 9));
@@ -400,7 +397,7 @@ mod tests {
 
     #[test]
     fn locations_skip_empty_areas() {
-        let ht = TaggedHashTable::new(&[0, 3, 0, 0, 2, 0], 4);
+        let ht = TaggedHashTable::new(&[0, 3, 0, 0, 2, 0], 4, true);
         assert_eq!(ht.len(), 5);
         let locs: Vec<(usize, usize)> = (0..5).map(|i| ht.loc(i)).collect();
         assert_eq!(locs, vec![(1, 0), (1, 1), (1, 2), (4, 0), (4, 1)]);
@@ -412,7 +409,7 @@ mod tests {
     #[test]
     fn footprint_estimate_covers_the_allocation() {
         for n in [0usize, 1, 100, 379_016] {
-            let ht = TaggedHashTable::new(&[n], 4);
+            let ht = TaggedHashTable::new(&[n], 4, true);
             let allocated = 8 * (ht.directory.len() + ht.hashes.len() + ht.nexts.len());
             let estimate = TaggedHashTable::estimate_bytes(n) as usize;
             assert_eq!(estimate, allocated, "{n}");
@@ -423,7 +420,7 @@ mod tests {
     fn concurrent_insert_is_lossless() {
         let n = 80_000usize;
         let threads = 8;
-        let ht = Arc::new(TaggedHashTable::new(&[n], 4));
+        let ht = Arc::new(TaggedHashTable::new(&[n], 4, true));
         std::thread::scope(|s| {
             for t in 0..threads {
                 let ht = Arc::clone(&ht);
@@ -443,7 +440,7 @@ mod tests {
 
     #[test]
     fn directory_is_interleaved() {
-        let ht = TaggedHashTable::new(&[1 << 20], 4);
+        let ht = TaggedHashTable::new(&[1 << 20], 4, true);
         // With a 2MB stripe and a 2^21-slot (16MB) directory, all four
         // nodes hold part of it.
         let nodes: std::collections::HashSet<u16> = (0..ht.capacity())

@@ -11,7 +11,7 @@ use std::sync::{Arc, OnceLock};
 
 use morsel_core::{Morsel, PipelineJob, TaskContext};
 use morsel_numa::SocketId;
-use morsel_storage::{AreaSet, Batch, Column, Dictionary};
+use morsel_storage::{AreaSet, Batch, Column, Dictionary, Encoding};
 
 use crate::charge;
 use crate::ht::TaggedHashTable;
@@ -22,7 +22,6 @@ use crate::pipeline::{PipeOp, SelBatch};
 pub struct JoinTable {
     pub ht: Arc<TaggedHashTable>,
     pub build: Arc<AreaSet>,
-    pub key_cols: Vec<usize>,
     /// Bytes of the build tuples: the size of the table its accesses are
     /// charged against.
     pub bytes: u64,
@@ -52,12 +51,9 @@ pub struct HtInsertJob {
 impl HtInsertJob {
     /// Allocate the perfectly-sized table for the materialized build side
     /// and prepare the insert job. `sockets` controls the simulated
-    /// interleaving of the table.
-    pub fn new(build: Arc<AreaSet>, key_cols: Vec<usize>, sockets: u16, out: JoinSlot) -> Self {
-        Self::with_tagging(build, key_cols, sockets, out, true)
-    }
-
-    pub fn with_tagging(
+    /// interleaving of the table; `tagging` turns its early-filter tags
+    /// on (Fig. 11's variable).
+    pub fn new(
         build: Arc<AreaSet>,
         key_cols: Vec<usize>,
         sockets: u16,
@@ -65,7 +61,7 @@ impl HtInsertJob {
         tagging: bool,
     ) -> Self {
         let rows: Vec<usize> = build.areas().iter().map(|a| a.rows()).collect();
-        let ht = Arc::new(TaggedHashTable::with_tagging(&rows, sockets, tagging));
+        let ht = Arc::new(TaggedHashTable::new(&rows, sockets, tagging));
         HtInsertJob {
             ht,
             bytes: build.total_bytes(),
@@ -113,7 +109,6 @@ impl PipelineJob for HtInsertJob {
         let table = JoinTable {
             ht: Arc::clone(&self.ht),
             build: Arc::clone(&self.build),
-            key_cols: self.key_cols.clone(),
             bytes: self.bytes,
         };
         self.out
@@ -145,39 +140,57 @@ pub enum JoinKind {
 /// then gather each output side once. Its reference is a nested loop over
 /// decoded values in `tests/join_equivalence.rs`.
 pub struct ProbeOp {
-    pub table: JoinSlot,
-    /// Key columns in the working batch.
-    pub probe_keys: Vec<usize>,
-    pub kind: JoinKind,
+    table: JoinSlot,
+    /// Key columns in the working batch, and the build side's they match.
+    probe_keys: Vec<usize>,
+    build_keys: Vec<usize>,
+    kind: JoinKind,
     /// Build-side columns appended to the output (Inner only).
-    pub build_cols: Vec<usize>,
-}
-
-/// A [`ProbeOp`] with its string kernels, one choice per column, made
-/// when the plan is compiled from the encodings of both sides
-/// ([`crate::plan`]). A `ProbeOp` alone (built by hand) compares every
-/// string key by value and gathers every string payload's bytes,
-/// whatever the representation; a code compares like its string, since
-/// both hash alike (DESIGN.md §3).
-pub(crate) struct CompiledProbe {
-    pub(crate) op: ProbeOp,
+    build_cols: Vec<usize>,
     /// Per key column: compare codes, probe and build sharing the
-    /// dictionary.
-    pub(crate) codes: Vec<bool>,
+    /// dictionary; otherwise values, whatever the representation (a code
+    /// compares like its string, since both hash alike, DESIGN.md §3).
+    codes: Vec<bool>,
     /// Per build payload column: the dictionary its build side is coded
-    /// in, whose codes the gather copies.
-    pub(crate) payload: Vec<Option<Arc<Dictionary>>>,
+    /// in, whose codes the gather copies; `None` copies values.
+    payload: Vec<Option<Arc<Dictionary>>>,
 }
 
 impl ProbeOp {
-    /// Probe `input` with the kernels [`CompiledProbe`] describes.
-    fn probe(
-        &self,
-        ctx: &mut TaskContext<'_>,
-        input: SelBatch,
-        codes: &[bool],
-        dicts: &[Option<Arc<Dictionary>>],
-    ) -> SelBatch {
+    /// Probe the table `table` will hold, built on `build_keys`, with the
+    /// working batch's `probe_keys`. `probe` and `build` are the
+    /// encodings of the probe side's and the build side's columns: the
+    /// string kernels are chosen here, once per column.
+    pub fn new(
+        table: JoinSlot,
+        probe_keys: Vec<usize>,
+        build_keys: Vec<usize>,
+        kind: JoinKind,
+        build_cols: Vec<usize>,
+        probe: &[Encoding],
+        build: &[Encoding],
+    ) -> Self {
+        let codes = (probe_keys.iter().zip(&build_keys))
+            .map(|(&p, &b)| probe[p].dict().is_some() && probe[p] == build[b])
+            .collect();
+        let payload = build_cols
+            .iter()
+            .map(|&c| build[c].dict().cloned())
+            .collect();
+        ProbeOp {
+            table,
+            probe_keys,
+            build_keys,
+            kind,
+            build_cols,
+            codes,
+            payload,
+        }
+    }
+}
+
+impl PipeOp for ProbeOp {
+    fn apply(&self, ctx: &mut TaskContext<'_>, input: SelBatch) -> SelBatch {
         let jt = self
             .table
             .get()
@@ -195,8 +208,8 @@ impl ProbeOp {
             let (a, r) = jt.ht.loc(entry);
             cand.push(live.at(i as usize) as u32, a, r);
         });
-        let (build, build_keys) = (&jt.build, &jt.key_cols);
-        cand.retain_key_equal(&input.batch, &self.probe_keys, build, build_keys, codes);
+        let (probe_keys, build_keys) = (&self.probe_keys, &self.build_keys);
+        cand.retain_key_equal(&input.batch, probe_keys, &jt.build, build_keys, &self.codes);
         let inner = self.kind == JoinKind::Inner;
         // An inner join reads its build payload from each area's node.
         let payload: Vec<(SocketId, u64)> = if inner && !self.build_cols.is_empty() {
@@ -234,9 +247,8 @@ impl ProbeOp {
                         col
                     })
                     .collect();
-                for (i, &bc) in self.build_cols.iter().enumerate() {
-                    let dict = dicts.get(i).and_then(Option::as_ref);
-                    out_cols.push(cand.gather_build_column(&jt.build, bc, dict));
+                for (&bc, dict) in self.build_cols.iter().zip(&self.payload) {
+                    out_cols.push(cand.gather_build_column(&jt.build, bc, dict.as_ref()));
                 }
                 SelBatch::dense(Batch::from_columns(out_cols))
             }
@@ -270,18 +282,6 @@ impl ProbeOp {
                 SelBatch::dense(Batch::from_columns(cols))
             }
         }
-    }
-}
-
-impl PipeOp for ProbeOp {
-    fn apply(&self, ctx: &mut TaskContext<'_>, input: SelBatch) -> SelBatch {
-        self.probe(ctx, input, &[], &[])
-    }
-}
-
-impl PipeOp for CompiledProbe {
-    fn apply(&self, ctx: &mut TaskContext<'_>, input: SelBatch) -> SelBatch {
-        self.op.probe(ctx, input, &self.codes, &self.payload)
     }
 }
 
@@ -323,6 +323,9 @@ mod tests {
         ExecEnv::new(Topology::nehalem_ex())
     }
 
+    /// Both sides' columns: two plain `I64`s.
+    const PLAIN: [Encoding; 2] = [Encoding::Plain, Encoding::Plain];
+
     /// Build a one-area table over `(keys, payload)` and run its insert
     /// job to completion in one morsel.
     fn built_table(keys: &[i64], payload: &[i64]) -> JoinSlot {
@@ -335,7 +338,7 @@ mod tests {
         ]));
         let build = Arc::new(AreaSet::new(schema, vec![area]));
         let slot = join_slot();
-        let job = HtInsertJob::new(build, vec![0], 4, slot.clone());
+        let job = HtInsertJob::new(build, vec![0], 4, slot.clone(), true);
         let mut ctx = TaskContext::new(&env, 0);
         job.run_morsel(
             &mut ctx,
@@ -363,12 +366,15 @@ mod tests {
     #[test]
     fn inner_join_matches_and_payload() {
         let slot = built_table(&[1, 2, 3], &[10, 20, 30]);
-        let op = ProbeOp {
-            table: slot,
-            probe_keys: vec![0],
-            kind: JoinKind::Inner,
-            build_cols: vec![1],
-        };
+        let op = ProbeOp::new(
+            slot,
+            vec![0],
+            vec![0],
+            JoinKind::Inner,
+            vec![1],
+            &PLAIN,
+            &PLAIN,
+        );
         let env = env();
         let mut ctx = TaskContext::new(&env, 0);
         let out = run_op(&op, &mut ctx, probe_batch(&[2, 4, 3, 2]));
@@ -382,12 +388,15 @@ mod tests {
     #[test]
     fn duplicate_build_keys_multiply() {
         let slot = built_table(&[5, 5, 5], &[1, 2, 3]);
-        let op = ProbeOp {
-            table: slot,
-            probe_keys: vec![0],
-            kind: JoinKind::Inner,
-            build_cols: vec![1],
-        };
+        let op = ProbeOp::new(
+            slot,
+            vec![0],
+            vec![0],
+            JoinKind::Inner,
+            vec![1],
+            &PLAIN,
+            &PLAIN,
+        );
         let env = env();
         let mut ctx = TaskContext::new(&env, 0);
         let out = run_op(&op, &mut ctx, probe_batch(&[5]));
@@ -402,20 +411,26 @@ mod tests {
         let slot = built_table(&[1, 3], &[0, 0]);
         let env = env();
         let mut ctx = TaskContext::new(&env, 0);
-        let semi = ProbeOp {
-            table: slot.clone(),
-            probe_keys: vec![0],
-            kind: JoinKind::Semi,
-            build_cols: vec![],
-        };
+        let semi = ProbeOp::new(
+            slot.clone(),
+            vec![0],
+            vec![0],
+            JoinKind::Semi,
+            vec![],
+            &PLAIN,
+            &PLAIN,
+        );
         let out = run_op(&semi, &mut ctx, probe_batch(&[1, 2, 3, 3]));
         assert_eq!(out.column(0).as_i64(), &[1, 3, 3]);
-        let anti = ProbeOp {
-            table: slot,
-            probe_keys: vec![0],
-            kind: JoinKind::Anti,
-            build_cols: vec![],
-        };
+        let anti = ProbeOp::new(
+            slot,
+            vec![0],
+            vec![0],
+            JoinKind::Anti,
+            vec![],
+            &PLAIN,
+            &PLAIN,
+        );
         let out = run_op(&anti, &mut ctx, probe_batch(&[1, 2, 3, 4]));
         assert_eq!(out.column(0).as_i64(), &[2, 4]);
     }
@@ -423,12 +438,15 @@ mod tests {
     #[test]
     fn count_join_keeps_zero_rows() {
         let slot = built_table(&[7, 7, 9], &[0, 0, 0]);
-        let op = ProbeOp {
-            table: slot,
-            probe_keys: vec![0],
-            kind: JoinKind::Count,
-            build_cols: vec![],
-        };
+        let op = ProbeOp::new(
+            slot,
+            vec![0],
+            vec![0],
+            JoinKind::Count,
+            vec![],
+            &PLAIN,
+            &PLAIN,
+        );
         let env = env();
         let mut ctx = TaskContext::new(&env, 0);
         let out = run_op(&op, &mut ctx, probe_batch(&[7, 8, 9]));
@@ -450,7 +468,7 @@ mod tests {
             )]));
         let build = Arc::new(AreaSet::new(schema, vec![a0, a1]));
         let slot = join_slot();
-        let job = HtInsertJob::new(build, vec![0], 4, slot.clone());
+        let job = HtInsertJob::new(build, vec![0], 4, slot.clone(), true);
         let mut ctx = TaskContext::new(&env, 0);
         job.run_morsel(
             &mut ctx,
@@ -521,12 +539,15 @@ mod tests {
         let slot = built_table(&[1, 2, 3], &[10, 20, 30]);
         let env = env();
         let mut ctx = TaskContext::new(&env, 0);
-        let op = ProbeOp {
-            table: slot,
-            probe_keys: vec![0],
-            kind: JoinKind::Inner,
-            build_cols: vec![1],
-        };
+        let op = ProbeOp::new(
+            slot,
+            vec![0],
+            vec![0],
+            JoinKind::Inner,
+            vec![1],
+            &PLAIN,
+            &PLAIN,
+        );
         // Rows 0 and 3 are selected away; only rows 1 (key 2) and 2
         // (key 3) may match.
         let input = SelBatch {
@@ -541,12 +562,15 @@ mod tests {
     #[test]
     fn empty_build_side_probes_empty() {
         let slot = built_table(&[], &[]);
-        let op = ProbeOp {
-            table: slot,
-            probe_keys: vec![0],
-            kind: JoinKind::Inner,
-            build_cols: vec![1],
-        };
+        let op = ProbeOp::new(
+            slot,
+            vec![0],
+            vec![0],
+            JoinKind::Inner,
+            vec![1],
+            &PLAIN,
+            &PLAIN,
+        );
         let env = env();
         let mut ctx = TaskContext::new(&env, 0);
         let out = run_op(&op, &mut ctx, probe_batch(&[1, 2]));

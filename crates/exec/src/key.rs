@@ -277,8 +277,9 @@ impl MatchCandidates {
     /// Drop candidates whose keys differ: one typed pass per key column,
     /// comparing the probe column against per-area build column slices.
     /// Column-type dispatch happens once per column, not per row. A string
-    /// key column whose `codes` entry is set compares codes: the plan
-    /// compiler set it because probe and build share the dictionary.
+    /// key column whose `codes` entry is set compares codes:
+    /// [`crate::join::ProbeOp::new`] set it because probe and build share
+    /// the dictionary.
     pub fn retain_key_equal(
         &mut self,
         probe: &Batch,
@@ -381,8 +382,8 @@ impl MatchCandidates {
     }
 }
 
-/// The codes of column `c` of a storage area the plan compiler knows to
-/// be coded.
+/// The codes of column `c` of a storage area its encoding says is
+/// coded.
 fn area_codes(area: &StorageArea, c: usize) -> &[u32] {
     (area.data().column(c).as_dict())
         .expect("a build column of a known dictionary holds codes")
@@ -473,7 +474,7 @@ pub(crate) struct KeyLayout {
 
 impl KeyLayout {
     /// The layout of group columns of `types` stored in `encodings`.
-    pub(crate) fn compile(types: &[DataType], encodings: &[Encoding]) -> KeyLayout {
+    pub(crate) fn new(types: &[DataType], encodings: &[Encoding]) -> KeyLayout {
         let mut fixed = 0;
         let mut slots = Vec::with_capacity(types.len());
         for (&ty, encoding) in types.iter().zip(encodings) {
@@ -487,14 +488,6 @@ impl KeyLayout {
             slots,
             fixed,
         }
-    }
-
-    /// The layout of the group columns `cols` as `batch` stores them.
-    pub(crate) fn of_batch(batch: &Batch, cols: &[usize]) -> KeyLayout {
-        let (types, encodings): (Vec<DataType>, Vec<Encoding>) = (cols.iter())
-            .map(|&c| (batch.column(c).data_type(), Encoding::of(batch.column(c))))
-            .unzip();
-        KeyLayout::compile(&types, &encodings)
     }
 
     /// Bytes the cost model charges for moving `n` group entries with the
@@ -951,9 +944,17 @@ mod tests {
         assert!(!rows_equal(&b, &[0, 1], 0, &b, &[0, 1], 1));
     }
 
+    /// The layout of the group columns `cols` as `b` stores them.
+    fn layout_of(b: &Batch, cols: &[usize]) -> KeyLayout {
+        let (types, encodings): (Vec<DataType>, Vec<Encoding>) = (cols.iter())
+            .map(|&c| (b.column(c).data_type(), Encoding::of(b.column(c))))
+            .unzip();
+        KeyLayout::new(&types, &encodings)
+    }
+
     /// Extract every row of `b` under the layout compiled for `cols`.
     fn extracted(b: &Batch, cols: &[usize]) -> (KeyLayout, Vec<u64>, Keys) {
-        let layout = KeyLayout::of_batch(b, cols);
+        let layout = layout_of(b, cols);
         let (mut hashes, mut keys) = (Vec::new(), Keys::default());
         layout.extract(b, cols, Rows::Range(0, b.rows()), &mut hashes, &mut keys);
         (layout, hashes, keys)
@@ -978,11 +979,11 @@ mod tests {
             &[0, 2, 4],
             &[2, 4, 2, 4],
         ] {
-            assert!(KeyLayout::of_batch(&b, cols).inline, "{cols:?}");
+            assert!(layout_of(&b, cols).inline, "{cols:?}");
         }
         // ... a 17th byte or any plain string makes it a serialised row.
         for cols in [&[0, 3, 2][..], &[1], &[0, 1], &[2, 1, 4]] {
-            assert!(!KeyLayout::of_batch(&b, cols).inline, "{cols:?}");
+            assert!(!layout_of(&b, cols).inline, "{cols:?}");
         }
         // The model's spill charge follows the column count, not the
         // packing: 8, 16, then 12 per part; a lone string adds its length.
@@ -1060,7 +1061,7 @@ mod tests {
         for cols in [&[0][..], &[0, 3], &[1], &[0, 1], &[1, 2], &[3, 0, 2, 1]] {
             let (_, hashes, keys) = extracted(&b, cols);
             let eq = |i, j| {
-                if KeyLayout::of_batch(&b, cols).inline {
+                if layout_of(&b, cols).inline {
                     keys.eq_at::<true>(i, &keys, j)
                 } else {
                     keys.eq_at::<false>(i, &keys, j)

@@ -15,7 +15,7 @@
 //! in DESIGN.md §4.
 
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use morsel_core::{Morsel, PipelineJob, TaskContext};
 use morsel_storage::{Batch, Column, DataType, Encoding};
@@ -99,42 +99,21 @@ pub trait PipeOp: Send + Sync {
 /// copied unless the density heuristic decides the survivors are sparse
 /// enough to gather.
 pub struct FilterOp {
-    predicate: Expr,
-    /// The predicate compiled against the operator's input columns: by
-    /// the plan compiler, which knows their types and encodings
-    /// ([`FilterOp::compiled`]), or else from the first batch's types.
-    compiled: OnceLock<Predicate>,
+    predicate: Predicate,
 }
 
 impl FilterOp {
-    pub fn new(predicate: Expr) -> Self {
+    /// A filter over input columns of `types` stored in `encodings`.
+    pub fn new(predicate: Expr, types: &[DataType], encodings: &[Encoding]) -> Self {
         FilterOp {
-            predicate,
-            compiled: OnceLock::new(),
-        }
-    }
-
-    /// A filter over columns of `types` stored in `encodings`.
-    pub fn compiled(predicate: Expr, types: &[DataType], encodings: &[Encoding]) -> Self {
-        let compiled = Predicate::encoded(&predicate, types, encodings);
-        FilterOp {
-            predicate,
-            compiled: OnceLock::from(compiled),
+            predicate: Predicate::new(&predicate, types, encodings),
         }
     }
 }
 
 impl PipeOp for FilterOp {
     fn apply(&self, ctx: &mut TaskContext<'_>, input: SelBatch) -> SelBatch {
-        let predicate = self.compiled.get_or_init(|| {
-            let types: Vec<DataType> = input
-                .batch
-                .columns()
-                .iter()
-                .map(Column::data_type)
-                .collect();
-            Predicate::compile(&self.predicate, &types)
-        });
+        let predicate = &self.predicate;
         let underlying = input.batch.rows();
         let selected = input.sel.as_ref().map(|sel| sel.len() as f64);
         charge::filter(underlying as f64, selected, predicate.weight()).book(ctx, &[]);
@@ -222,7 +201,7 @@ impl ExecPipeline {
         }
         gathered.sort_unstable();
         let shape = ScanShape::of(filter.as_ref(), projection.iter(), &src_types);
-        let filter = filter.map(|f| Predicate::encoded(&f, &src_types, source.encodings()));
+        let filter = filter.map(|f| Predicate::new(&f, &src_types, source.encodings()));
         let mut map = vec![None; src_types.len()];
         for (new, &old) in gathered.iter().enumerate() {
             map[old] = Some(new);
@@ -451,6 +430,7 @@ mod tests {
         let result = result_slot();
         let sink = MaterializeSink::new(
             Schema::new(vec![("a3", DataType::I64)]),
+            &[Encoding::Plain],
             &env.worker_sockets(1),
             out.clone(),
             Some(result.clone()),
@@ -719,7 +699,7 @@ mod tests {
         let env = ExecEnv::new(Topology::laptop());
         let mut ctx = TaskContext::new(&env, 0);
         let input = SelBatch::dense(Batch::from_columns(vec![Column::I64(vec![1, 2, 3, 4])]));
-        let f = FilterOp::new(gt(col(0), lit(2)));
+        let f = FilterOp::new(gt(col(0), lit(2)), &[DataType::I64], &[Encoding::Plain]);
         let out = f.apply(&mut ctx, input);
         // Half the rows survive: dense enough to stay a selection vector.
         assert_eq!(out.sel.as_deref(), Some(&[2u32, 3][..]));
@@ -738,7 +718,7 @@ mod tests {
         // kernels run the same cascade in all of them.
         let env = ExecEnv::new(Topology::laptop());
         let batch = Batch::from_columns(vec![Column::I64((0..100).collect())]);
-        let f = FilterOp::new(gt(col(0), lit(-1)));
+        let f = FilterOp::new(gt(col(0), lit(-1)), &[DataType::I64], &[Encoding::Plain]);
         let per_row = 3.0 * charge::EXPR_NODE_NS;
         for (sel, want) in [
             (None, 100.0 * per_row),
@@ -768,8 +748,8 @@ mod tests {
         let env = ExecEnv::new(Topology::laptop());
         let mut ctx = TaskContext::new(&env, 0);
         let input = SelBatch::dense(Batch::from_columns(vec![Column::I64((0..16).collect())]));
-        let f1 = FilterOp::new(gt(col(0), lit(3)));
-        let f2 = FilterOp::new(gt(col(0), lit(11)));
+        let f1 = FilterOp::new(gt(col(0), lit(3)), &[DataType::I64], &[Encoding::Plain]);
+        let f2 = FilterOp::new(gt(col(0), lit(11)), &[DataType::I64], &[Encoding::Plain]);
         let mid = f1.apply(&mut ctx, input);
         let out = f2.apply(&mut ctx, mid);
         // 4/16 survivors sits above the 1/8 compaction bound: stays a
@@ -784,7 +764,7 @@ mod tests {
         let env = ExecEnv::new(Topology::laptop());
         let mut ctx = TaskContext::new(&env, 0);
         let input = SelBatch::dense(Batch::from_columns(vec![Column::I64((0..100).collect())]));
-        let f = FilterOp::new(gt(col(0), lit(95)));
+        let f = FilterOp::new(gt(col(0), lit(95)), &[DataType::I64], &[Encoding::Plain]);
         let out = f.apply(&mut ctx, input);
         // 4/100 < 1/8: the heuristic gathers immediately.
         assert!(out.sel.is_none());

@@ -22,7 +22,7 @@ use morsel_storage::{DataType, Encoding, Relation, Schema};
 use crate::agg::{agg_slot, AggFn, AggMergeJob, AggPartialSink};
 use crate::expr::{col, Expr};
 use crate::ht::TaggedHashTable;
-use crate::join::{join_slot, CompiledProbe, HtInsertJob, JoinKind, ProbeOp};
+use crate::join::{join_slot, HtInsertJob, JoinKind, ProbeOp};
 use crate::pipeline::{ExecPipeline, FilterOp, MapOp, PipeOp};
 use crate::sink::{area_slot, AreaSlot, MaterializeSink, Sink};
 use crate::sort::{runs_slot, LocalSortJob, MergeJob, MergePlan, SortKey, TopKSink};
@@ -506,7 +506,7 @@ impl Compiler {
             Plan::Filter { input, predicate } => {
                 let mut u = self.compile(input, slot + 1);
                 let types = u.schema.data_types();
-                u.ops.push(Box::new(FilterOp::compiled(
+                u.ops.push(Box::new(FilterOp::new(
                     predicate.clone(),
                     &types,
                     &u.encodings,
@@ -550,14 +550,9 @@ impl Compiler {
                             .expect("build side not materialized");
                         let chunks = set.chunk_meta();
                         let rows: usize = chunks.iter().map(|c| c.rows).sum();
-                        let job = HtInsertJob::with_tagging(
-                            set,
-                            keys,
-                            env.topology().sockets(),
-                            out,
-                            tagging,
-                        )
-                        .with_prof_slot(Some(slot));
+                        let job =
+                            HtInsertJob::new(set, keys, env.topology().sockets(), out, tagging)
+                                .with_prof_slot(Some(slot));
                         // Declare the hash table's footprint so the
                         // dispatcher charges the query's budget before the
                         // build pipeline runs.
@@ -567,23 +562,18 @@ impl Compiler {
 
                 // Probe side: continue its pipeline with the probe op.
                 let mut pu = self.compile(probe, slot + 1);
-                // The compiler's one choice of string kernels: codes where
-                // both sides are coded in one dictionary.
-                let enc = &pu.encodings;
-                let codes = (probe_keys.iter().zip(build_keys))
-                    .map(|(&p, &b)| enc[p].dict().is_some() && enc[p] == build_enc[b])
-                    .collect();
-                let dicts = build_payload.iter().map(|&c| build_enc[c].dict().cloned());
+                let op = ProbeOp::new(
+                    jslot,
+                    probe_keys.clone(),
+                    build_keys.clone(),
+                    *kind,
+                    build_payload.clone(),
+                    &pu.encodings,
+                    &build_enc,
+                );
                 pu.schema = plan.output_schema(&[&pu.schema, &build_schema]);
                 pu.encodings = plan.output_encodings(&[&pu.encodings, &build_enc]);
-                let op = ProbeOp {
-                    table: jslot,
-                    probe_keys: probe_keys.clone(),
-                    kind: *kind,
-                    build_cols: build_payload.clone(),
-                };
-                let payload = dicts.collect();
-                pu.ops.push(Box::new(CompiledProbe { op, codes, payload }));
+                pu.ops.push(Box::new(op));
                 pu.op_slots.push(Some(slot));
                 pu
             }
@@ -611,17 +601,17 @@ impl Compiler {
                 let parts = agg_slot();
                 {
                     let (group_cols, fns, parts) = (group_cols.clone(), fns.clone(), parts.clone());
-                    let key_types: Vec<DataType> = schema.data_types()[..group_cols.len()].to_vec();
-                    let key_encodings = encodings[..group_cols.len()].to_vec();
+                    let (types, encodings) = (u.schema.data_types(), u.encodings.clone());
                     self.emit_pipeline("agg-partial", u, prof, move |env, workers| {
                         Box::new(
                             AggPartialSink::new(
                                 group_cols,
                                 fns,
+                                &types,
+                                &encodings,
                                 &env.worker_sockets(workers),
                                 parts,
                             )
-                            .with_key(&key_types, &key_encodings)
                             .with_prof_slot(prof),
                         )
                     });
@@ -725,7 +715,7 @@ impl Compiler {
         let out = area_slot();
         let (schema, encodings, slot) = (u.schema.clone(), u.encodings.clone(), out.clone());
         self.emit_pipeline(kind, u, sink_slot, move |env, workers| {
-            Box::new(MaterializeSink::encoded(
+            Box::new(MaterializeSink::new(
                 schema,
                 &encodings,
                 &env.worker_sockets(workers),

@@ -2,7 +2,7 @@
 //!
 //! A bound predicate is compiled **once per operator** into a cascade of
 //! conjuncts and then evaluated morsel after morsel. Compilation
-//! ([`Predicate::compile`]):
+//! ([`Predicate::new`], from the input's column types and encodings):
 //!
 //! 1. flattens the `AND` tree into a list of conjuncts;
 //! 2. fuses every integer bound on the same bare column (`=`, `<`, `<=`,
@@ -54,7 +54,8 @@ enum Conjunct {
     /// A string test on a bare string column: `leaf` is the node stating
     /// it ([`Expr::as_str_test`]), `codes` its resolution against the
     /// column's dictionary when the column is encoded — every batch of it
-    /// is coded in that one dictionary (DESIGN.md §14).
+    /// is coded in that one dictionary (DESIGN.md §14) — and `None` when
+    /// the column is plain.
     Str {
         col: usize,
         leaf: Expr,
@@ -163,7 +164,7 @@ fn int_bound(leaf: &Expr, types: &[DataType]) -> Option<(usize, i64, i64)> {
 /// in source order.
 ///
 /// "Bounds on one column are one range" is defined here and nowhere else:
-/// [`Predicate::compile`] tests each range with one compare, and the
+/// [`Predicate::new`] tests each range with one compare, and the
 /// planner's estimator prices each once instead of multiplying its sides
 /// as if they were independent.
 pub fn fuse_int_bounds<'e>(
@@ -234,11 +235,10 @@ impl Conjunct {
         }
         if let Some((Expr::Col(col), test)) = leaf.as_str_test() {
             if types[*col] == DataType::Str {
-                let dict = encodings.get(*col).and_then(Encoding::dict);
                 return Conjunct::Str {
                     col: *col,
                     leaf: leaf.clone(),
-                    codes: dict.map(|d| test.resolve(d)),
+                    codes: encodings[*col].dict().map(|d| test.resolve(d)),
                 };
             }
         }
@@ -326,9 +326,10 @@ impl Conjunct {
                             CodeTest::Mask(per) => live.retain(|r| per[c[r] as usize]),
                         }
                     }
-                    // Plain, or compiled without the column's encoding
-                    // (an operator built by hand): the test reads values.
-                    None => live.retain(|r| test.holds(column.str_at(r))),
+                    None => {
+                        let v = column.as_str();
+                        live.retain(|r| test.holds(v.get(r)))
+                    }
                 }
             }
             Conjunct::Generic(e) => {
@@ -342,15 +343,11 @@ impl Conjunct {
 }
 
 impl Predicate {
-    /// Compile `expr`, a boolean expression over columns of `types` whose
-    /// encodings are not known: its string tests read values.
-    pub fn compile(expr: &Expr, types: &[DataType]) -> Predicate {
-        Predicate::encoded(expr, types, &[])
-    }
-
-    /// Compile `expr` over columns of `types` stored in `encodings`: a
-    /// string test on an encoded column becomes a test on its codes.
-    pub fn encoded(expr: &Expr, types: &[DataType], encodings: &[Encoding]) -> Predicate {
+    /// Compile `expr`, a boolean expression over columns of `types` stored
+    /// in `encodings` (one per column): a string test on an encoded column
+    /// becomes a test on its codes, one on a plain column reads values.
+    pub fn new(expr: &Expr, types: &[DataType], encodings: &[Encoding]) -> Predicate {
+        assert_eq!(types.len(), encodings.len(), "one encoding per column");
         let (ranges, rest) = fuse_int_bounds(expr, types);
         let mut conjuncts: Vec<Conjunct> = ranges
             .into_iter()
@@ -425,8 +422,12 @@ mod tests {
         ])
     }
 
+    fn encodings(b: &Batch) -> Vec<Encoding> {
+        b.columns().iter().map(Encoding::of).collect()
+    }
+
     fn select(e: &Expr, b: &Batch, range: Range<usize>) -> Vec<u32> {
-        Predicate::compile(e, &TYPES).select(b, range)
+        Predicate::new(e, &TYPES, &encodings(b)).select(b, range)
     }
 
     #[test]
@@ -435,7 +436,7 @@ mod tests {
             and(ge(col(3), lit(20)), lt(col(3), lit(50))),
             and(gt(col(0), lit(1)), between(col(3), 0, 30)),
         );
-        let p = Predicate::compile(&e, &TYPES);
+        let p = Predicate::new(&e, &TYPES, &encodings(&batch(false)));
         assert_eq!(p.conjuncts.len(), 2, "{p:?}");
         assert!(p.conjuncts.iter().any(|c| matches!(
             c,
@@ -478,12 +479,13 @@ mod tests {
             or(eq(col(0), lit(1)), eq(col(0), lit(5))),
             and(in_str(col(2), &["apple", "grape"]), ge(col(0), lit(1))),
         );
-        let p = Predicate::compile(&e, &TYPES);
-        assert!(matches!(p.conjuncts[0], Conjunct::IntRange { .. }));
-        assert!(matches!(p.conjuncts[1], Conjunct::Str { .. }));
-        assert!(matches!(p.conjuncts[2], Conjunct::Generic(_)));
-        assert_eq!(p.select(&batch(true), 0..5), vec![0, 4]);
-        assert_eq!(p.select(&batch(false), 0..5), vec![0, 4]);
+        for b in [batch(true), batch(false)] {
+            let p = Predicate::new(&e, &TYPES, &encodings(&b));
+            assert!(matches!(p.conjuncts[0], Conjunct::IntRange { .. }));
+            assert!(matches!(p.conjuncts[1], Conjunct::Str { .. }));
+            assert!(matches!(p.conjuncts[2], Conjunct::Generic(_)));
+            assert_eq!(p.select(&b, 0..5), vec![0, 4]);
+        }
     }
 
     #[test]
@@ -516,9 +518,8 @@ mod tests {
     #[test]
     fn dictionary_resolution_is_cached_per_dictionary() {
         let coded = batch(true);
-        let encodings: Vec<Encoding> = coded.columns().iter().map(Encoding::of).collect();
         let e = eq(col(2), lits("date"));
-        let p = Predicate::encoded(&e, &TYPES, &encodings);
+        let p = Predicate::new(&e, &TYPES, &encodings(&coded));
         assert!(matches!(
             p.conjuncts[0],
             Conjunct::Str {
@@ -527,11 +528,10 @@ mod tests {
             }
         ));
         assert_eq!(p.select(&coded, 0..5), vec![3]);
-        // Compiled without the encoding, the test reads values, whatever
-        // the column's representation.
-        let p = Predicate::compile(&e, &TYPES);
+        // Compiled for the plain twin, the test reads values.
+        let plain = batch(false);
+        let p = Predicate::new(&e, &TYPES, &encodings(&plain));
         assert!(matches!(p.conjuncts[0], Conjunct::Str { codes: None, .. }));
-        assert_eq!(p.select(&coded, 0..5), vec![3]);
-        assert_eq!(p.select(&batch(false), 0..5), vec![3]);
+        assert_eq!(p.select(&plain, 0..5), vec![3]);
     }
 }

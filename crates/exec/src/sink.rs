@@ -40,20 +40,10 @@ pub struct MaterializeSink {
 
 impl MaterializeSink {
     /// `worker_nodes[w]` is the socket worker `w` is pinned to; each
-    /// worker's area is allocated on its own node. Its columns start
-    /// plain and take the dictionary of the first codes appended.
+    /// worker's area is allocated on its own node, its columns starting in
+    /// `encodings` (one per column of `schema`), the representation the
+    /// plan compiler knows its input has.
     pub fn new(
-        schema: Schema,
-        worker_nodes: &[morsel_numa::SocketId],
-        out: AreaSlot,
-        result: Option<ResultSlot>,
-    ) -> Self {
-        Self::encoded(schema, &[], worker_nodes, out, result)
-    }
-
-    /// [`MaterializeSink::new`] with every area's columns starting in
-    /// `encodings`, the representation the plan compiler knows they have.
-    pub fn encoded(
         schema: Schema,
         encodings: &[Encoding],
         worker_nodes: &[morsel_numa::SocketId],
@@ -140,7 +130,13 @@ mod tests {
         let nodes = env.worker_sockets(9); // round-robin: worker w on socket w%4
         let out = area_slot();
         let result = result_slot();
-        let sink = MaterializeSink::new(schema, &nodes, out.clone(), Some(result.clone()));
+        let sink = MaterializeSink::new(
+            schema,
+            &[Encoding::Plain],
+            &nodes,
+            out.clone(),
+            Some(result.clone()),
+        );
 
         let mut ctx0 = TaskContext::new(&env, 0);
         sink.consume(

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use morsel_core::{Morsel, PipelineJob, ResultSlot, TaskContext};
 use morsel_numa::SocketId;
-use morsel_storage::{AreaSet, Batch, Column, Schema};
+use morsel_storage::{AreaSet, Batch, Column, Schema, StorageArea};
 use parking_lot::Mutex;
 
 use crate::charge;
@@ -239,7 +239,9 @@ impl MergePlan {
 pub struct MergeJob {
     plan: Arc<MergePlan>,
     schema: Schema,
-    segments_out: Vec<Mutex<Option<Batch>>>,
+    /// Per segment, the merged rows and the node of the worker that
+    /// merged (and wrote) them.
+    segments_out: Vec<Mutex<Option<(SocketId, Batch)>>>,
     out: AreaSlot,
     result: Option<ResultSlot>,
     limit: Option<usize>,
@@ -333,41 +335,35 @@ impl PipelineJob for MergeJob {
         }
         let written = out.total_bytes() as f64;
         charge::merge(total as f64, n_runs, seg_bytes as f64, written).book(ctx, &reads);
-        *self.segments_out[seg].lock() = Some(out);
+        *self.segments_out[seg].lock() = Some((ctx.socket, out));
     }
 
     fn finish(&self, ctx: &mut TaskContext<'_>) {
-        let types = self.schema.data_types();
-        let mut final_batch = Batch::empty(&types);
+        // The segments hold consecutive stretches of the sorted order: a
+        // limit keeps their first `limit` rows, and each kept row is
+        // copied once, by the merge, into the area handed on.
+        let mut left = self.limit.unwrap_or(usize::MAX);
         let mut areas = Vec::new();
-        for (seg, s) in self.segments_out.iter().enumerate() {
-            if let Some(b) = s.lock().take() {
-                let node = SocketId((seg % 4) as u16);
-                let mut area = morsel_storage::StorageArea::new(node, &types);
-                area.data_mut().extend_from(&b);
-                final_batch.extend_from(&b);
-                areas.push(area);
+        for s in &self.segments_out {
+            let Some((node, mut merged)) = s.lock().take() else {
+                continue;
+            };
+            if merged.rows() > left {
+                merged = merged.gather(&(0..left as u32).collect::<Vec<u32>>());
             }
+            left -= merged.rows();
+            areas.push(StorageArea::holding(node, merged));
         }
-        if let Some(limit) = self.limit {
-            if final_batch.rows() > limit {
-                let sel: Vec<u32> = (0..limit as u32).collect();
-                let mut trimmed = Batch::empty(&types);
-                trimmed.extend_selected(&final_batch, &sel);
-                final_batch = trimmed;
-            }
-        }
+        let set = AreaSet::new(self.schema.clone(), areas).prune_empty();
         if let Some(slot) = self.prof_slot {
-            ctx.prof_rows_out(slot, final_batch.rows() as u64);
+            ctx.prof_rows_out(slot, set.total_rows() as u64);
         }
         if let Some(result) = &self.result {
             // Late materialization: dictionary codes decode to strings
             // only here, at the query-result boundary.
-            *result.lock() = Some(final_batch.decoded());
+            *result.lock() = Some(set.gather().decoded());
         }
-        *self.out.lock() = Some(Arc::new(
-            AreaSet::new(self.schema.clone(), areas).prune_empty(),
-        ));
+        *self.out.lock() = Some(Arc::new(set));
     }
 }
 
@@ -500,7 +496,7 @@ impl Sink for TopKSink {
         if let Some(slot) = self.prof_slot {
             ctx.prof_rows_out(slot, top.len() as u64);
         }
-        let mut area = morsel_storage::StorageArea::new(ctx.socket, &self.schema.data_types());
+        let mut area = StorageArea::new(ctx.socket, &self.schema.data_types());
         for &(w, r) in &top {
             area.data_mut().push_from(&held[w], r);
         }

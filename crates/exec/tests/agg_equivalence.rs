@@ -46,7 +46,9 @@ use morsel_exec::agg::{agg_slot, AggFn, AggMergeJob, AggPartialSink, N_PARTITION
 use morsel_exec::pipeline::SelBatch;
 use morsel_exec::sink::{area_slot, Sink};
 use morsel_numa::Topology;
-use morsel_storage::{hash_i64, AreaSet, Batch, Column, DataType, DictColumn, Dictionary, Schema};
+use morsel_storage::{
+    hash_i64, AreaSet, Batch, Column, DataType, DictColumn, Dictionary, Encoding, Schema,
+};
 use proptest::TestRng;
 
 #[path = "common/agg_reference.rs"]
@@ -69,13 +71,19 @@ fn run_engine(
     let env = ExecEnv::new(Topology::nehalem_ex());
     let nodes = env.worker_sockets(workers);
     let slot = agg_slot();
-    let sink = AggPartialSink::with_capacity(
+    // Every input shares its first batch's column types and encodings.
+    let (types, encodings): (Vec<DataType>, Vec<Encoding>) = (inputs[0].0.columns().iter())
+        .map(|c| (c.data_type(), Encoding::of(c)))
+        .unzip();
+    let sink = AggPartialSink::new(
         group_cols.to_vec(),
         aggs.to_vec(),
+        &types,
+        &encodings,
         &nodes,
         slot.clone(),
-        capacity,
-    );
+    )
+    .with_capacity(capacity);
     for (i, (batch, sel)) in inputs.iter().enumerate() {
         let input = SelBatch {
             batch: batch.clone(),

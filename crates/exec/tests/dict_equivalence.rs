@@ -4,7 +4,9 @@
 //! starting and narrowing selections, group-by on string keys (codes in
 //! an inline key, plain strings in a serialised one, both against the
 //! row-at-a-time oracle of `common/agg_reference.rs`), and sorting on
-//! string keys. The plain representation is the oracle.
+//! string keys. The plain representation is the oracle. Each twin's
+//! operators are built from its own encodings (`Encoding::of`), so the
+//! coded twin runs the code kernels.
 //!
 //! And, for every column type: the compiled predicate cascade
 //! (`morsel_exec::predicate`) selects exactly the rows the tree-walk mask
@@ -24,7 +26,7 @@ use morsel_exec::predicate::Predicate;
 use morsel_exec::sink::{area_slot, Sink};
 use morsel_exec::sort::{sort_batch, SortKey};
 use morsel_numa::Topology;
-use morsel_storage::{Batch, Column, DataType, DictColumn, Dictionary, Schema, Value};
+use morsel_storage::{Batch, Column, DataType, DictColumn, Dictionary, Encoding, Schema, Value};
 use proptest::prelude::*;
 
 #[path = "common/agg_reference.rs"]
@@ -94,7 +96,16 @@ fn run_group_by(batch: Batch, capacity: usize) -> Vec<Vec<agg_reference::Atom>> 
     let nodes = env.worker_sockets(2);
     let slot = agg_slot();
     let aggs = GROUP_BY_AGGS.to_vec();
-    let sink = AggPartialSink::with_capacity(vec![0], aggs.clone(), &nodes, slot.clone(), capacity);
+    let types = [DataType::Str, DataType::I64];
+    let sink = AggPartialSink::new(
+        vec![0],
+        aggs.clone(),
+        &types,
+        &encodings(&batch),
+        &nodes,
+        slot.clone(),
+    )
+    .with_capacity(capacity);
     let mut ctx = TaskContext::new(&env, 0);
     // Feed in two chunks to exercise multi-batch accumulation.
     let rows = batch.rows();
@@ -149,9 +160,15 @@ fn run_group_by(batch: Batch, capacity: usize) -> Vec<Vec<agg_reference::Atom>> 
     agg_reference::sorted_atoms(&got)
 }
 
-/// Compile a predicate over the twin batches' schema.
-fn compiled(p: &Expr) -> Predicate {
-    Predicate::compile(p, &[DataType::Str, DataType::I64])
+/// The encodings `batch`'s columns are stored in.
+fn encodings(batch: &Batch) -> Vec<Encoding> {
+    batch.columns().iter().map(Encoding::of).collect()
+}
+
+/// Compile a predicate over the twin batches' schema, for `twin`'s
+/// encodings.
+fn compiled(p: &Expr, twin: &Batch) -> Predicate {
+    Predicate::new(p, &[DataType::Str, DataType::I64], &encodings(twin))
 }
 
 /// The batch the random predicate trees run over: column 0 `I32`, 1 `I64`,
@@ -339,7 +356,7 @@ proptest! {
             let tree = gen.tree(4);
             let oracle = tree.eval(&batch, 0..n);
             let mask = oracle.as_bool();
-            let p = Predicate::compile(&tree, &TYPED);
+            let p = Predicate::new(&tree, &TYPED, &encodings(&batch));
             let expect = |rows: &[u32]| -> Vec<u32> {
                 rows.iter().copied().filter(|&r| mask[r as usize]).collect()
             };
@@ -371,15 +388,15 @@ proptest! {
         let n = plain.rows();
         let lo = lo_frac * n / 100;
         for p in predicates(CONSTS[const_sel]) {
-            let c = compiled(&p);
+            let (c, d) = (compiled(&p, &plain), compiled(&p, &dicted));
             let mask = p.eval(&plain, 0..n);
             let want: Vec<u32> = (0..n as u32).filter(|&r| mask.as_bool()[r as usize]).collect();
             prop_assert_eq!(&c.select(&plain, 0..n), &want, "plain {:?}", &p);
-            prop_assert_eq!(&c.select(&dicted, 0..n), &want, "dict {:?}", &p);
+            prop_assert_eq!(&d.select(&dicted, 0..n), &want, "dict {:?}", &p);
             // Sub-range evaluation slices the code vector the same way.
             let want_sub: Vec<u32> = want.iter().copied().filter(|&r| r as usize >= lo).collect();
             prop_assert_eq!(&c.select(&plain, lo..n), &want_sub, "plain {:?} on {}..{}", &p, lo, n);
-            prop_assert_eq!(&c.select(&dicted, lo..n), &want_sub, "dict {:?} on {}..{}", &p, lo, n);
+            prop_assert_eq!(&d.select(&dicted, lo..n), &want_sub, "dict {:?} on {}..{}", &p, lo, n);
         }
     }
 
@@ -395,11 +412,11 @@ proptest! {
         let n = plain.rows();
         let sel: Vec<u32> = (0..n as u32).filter(|&i| keep[i as usize % keep.len()] == 0).collect();
         for p in predicates(CONSTS[const_sel]) {
-            let c = compiled(&p);
+            let (c, d) = (compiled(&p, &plain), compiled(&p, &dicted));
             let dense = c.select(&plain, 0..n);
             let want: Vec<u32> = sel.iter().copied().filter(|r| dense.contains(r)).collect();
             prop_assert_eq!(&c.narrow(&plain, sel.clone()), &want, "plain {:?}", &p);
-            prop_assert_eq!(&c.narrow(&dicted, sel.clone()), &want, "dict {:?}", &p);
+            prop_assert_eq!(&d.narrow(&dicted, sel.clone()), &want, "dict {:?}", &p);
         }
     }
 
@@ -419,11 +436,13 @@ proptest! {
             .collect();
         let env = env();
         let mut ctx = TaskContext::new(&env, 0);
+        let types = [DataType::Str, DataType::I64];
         for p in predicates(CONSTS[const_sel]) {
-            let f = FilterOp::new(p.clone());
+            let f = FilterOp::new(p.clone(), &types, &encodings(&plain));
             let out_p = f
                 .apply(&mut ctx, SelBatch { batch: plain.clone(), sel: Some(sel.clone()) })
                 .materialize(&mut ctx);
+            let f = FilterOp::new(p.clone(), &types, &encodings(&dicted));
             let out_d = f
                 .apply(&mut ctx, SelBatch { batch: dicted.clone(), sel: Some(sel.clone()) })
                 .materialize(&mut ctx);
@@ -489,16 +508,15 @@ fn join_payload_dict_roundtrip() {
         } else {
             Column::Str(payload_strs.iter().collect())
         };
+        let rows = Batch::from_columns(vec![Column::I64(build_keys.clone()), payload]);
+        let build_encodings = encodings(&rows);
         let mut area = StorageArea::new(morsel_numa::SocketId(0), &schema.data_types());
-        area.data_mut().extend_from(&Batch::from_columns(vec![
-            Column::I64(build_keys.clone()),
-            payload,
-        ]));
+        area.data_mut().extend_from(&rows);
         let build = Arc::new(AreaSet::new(schema, vec![area]));
         let slot = join_slot();
         let env = env();
         let mut ctx = TaskContext::new(&env, 0);
-        let job = HtInsertJob::new(Arc::clone(&build), vec![0], 2, slot.clone());
+        let job = HtInsertJob::new(Arc::clone(&build), vec![0], 2, slot.clone(), true);
         job.run_morsel(
             &mut ctx,
             Morsel {
@@ -507,12 +525,15 @@ fn join_payload_dict_roundtrip() {
             },
         );
         job.finish(&mut ctx);
-        let op = ProbeOp {
-            table: slot,
-            probe_keys: vec![0],
-            kind: JoinKind::Inner,
-            build_cols: vec![1],
-        };
+        let op = ProbeOp::new(
+            slot,
+            vec![0],
+            vec![0],
+            JoinKind::Inner,
+            vec![1],
+            &[Encoding::Plain],
+            &build_encodings,
+        );
         let probe = Batch::from_columns(vec![Column::I64(vec![3, 1, 4, 3])]);
         let out = op
             .apply(&mut ctx, SelBatch::dense(probe))

@@ -2,17 +2,18 @@
 //! dictionary-encoded (DESIGN.md §9, §14), each against the plain oracle:
 //!
 //! - a string conjunct resolved once into a test on codes
-//!   (`Predicate::encoded`, `FilterOp::compiled`), over every string
-//!   predicate shape, random predicate trees and random `LIKE` patterns;
+//!   (`Predicate::new`, `FilterOp::new` over a coded column), over every
+//!   string predicate shape, random predicate trees and random `LIKE`
+//!   patterns;
 //! - a join whose probe and build sides share one dictionary, which
 //!   compares key codes and gathers payload codes (`compile_query`), as an
 //!   inner, a semi and an anti join, on the simulator and on real threads.
 //!   A candidate reaches the key compare only on a full hash match, so
 //!   unequal keys meet it in `key::tests` alone.
 //!
-//! The operators built without encodings (`Predicate::compile`,
-//! `FilterOp::new`, a hand-built `ProbeOp`) read values, whatever the
-//! representation; `dict_equivalence` and `like_equivalence` cover those.
+//! `dict_equivalence`, `like_equivalence` and `join_equivalence` build
+//! each twin's operators from its own encodings too, so they reach the
+//! same kernels.
 
 use std::sync::Arc;
 
@@ -175,7 +176,7 @@ proptest! {
             let within = |rows: &[u32]| -> Vec<u32> {
                 rows.iter().copied().filter(|r| want.contains(r)).collect()
             };
-            let p = Predicate::encoded(&e, &TYPES, &encodings(&coded));
+            let p = Predicate::new(&e, &TYPES, &encodings(&coded));
             prop_assert_eq!(&p.select(&coded, 0..n), &want, "{:?}", &e);
             prop_assert_eq!(p.select(&coded, lo..n), within(&all[lo..]), "{:?} on {}..{}", &e, lo, n);
             prop_assert_eq!(p.narrow(&coded, Vec::new()), Vec::<u32>::new(), "{:?}", &e);
@@ -203,8 +204,8 @@ proptest! {
                 let input = SelBatch { batch: batch.clone(), sel: Some(sel.clone()) };
                 f.apply(ctx, input).materialize(ctx)
             };
-            let want = over(FilterOp::new(e.clone()), &plain, &mut ctx);
-            let got = over(FilterOp::compiled(e.clone(), &TYPES, &encodings(&coded)), &coded, &mut ctx);
+            let want = over(FilterOp::new(e.clone(), &TYPES, &encodings(&plain)), &plain, &mut ctx);
+            let got = over(FilterOp::new(e.clone(), &TYPES, &encodings(&coded)), &coded, &mut ctx);
             prop_assert!(got.column(0).as_dict().is_some(), "{:?}", &e);
             prop_assert_eq!(got.column(1), want.column(1), "payload {:?}", &e);
             prop_assert_eq!(&got.column(0).decoded(), want.column(0), "keys {:?}", &e);
@@ -231,7 +232,7 @@ proptest! {
         for _ in 0..8 {
             let tree = gen.tree(3);
             let want = marked(&tree, &batch);
-            let p = Predicate::encoded(&tree, &types, &encodings(&batch));
+            let p = Predicate::new(&tree, &types, &encodings(&batch));
             prop_assert_eq!(&p.select(&batch, 0..batch.rows()), &want, "{:?}", &tree);
             prop_assert_eq!(&p.narrow(&batch, all.clone()), &want, "{:?}", &tree);
         }
@@ -247,7 +248,7 @@ proptest! {
         let dict = Dictionary::from_values(values.iter().map(String::as_str));
         let coded = Column::Dict(DictColumn::encode(&dict, &values).expect("the domain covers every value"));
         let batch = Batch::from_columns(vec![coded]);
-        let p = Predicate::encoded(&like(col(0), &pattern), &[DataType::Str], &encodings(&batch));
+        let p = Predicate::new(&like(col(0), &pattern), &[DataType::Str], &encodings(&batch));
         let want: Vec<u32> = (0..values.len() as u32)
             .filter(|&r| like_reference::like(&pattern, &values[r as usize]))
             .collect();

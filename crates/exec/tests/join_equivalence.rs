@@ -7,9 +7,15 @@
 //! column, in one to three storage areas (empty ones included); tagging on
 //! and off.
 //!
+//! A `Dict` key column is coded in one dictionary per case and column,
+//! shared by the probe side and every build area, so a `Dict`–`Dict` key
+//! compares codes; `ForeignDict` gives the same strings other codes, the
+//! value compare across dictionaries.
+//!
 //! Every case runs twice. *Directly*: `HtInsertJob` over the areas, then
-//! `ProbeOp::apply` on a dense, half-full, sparse or empty selection — the
-//! only way to hand the probe a selection of a chosen shape. And *as a
+//! `ProbeOp::apply`, built from each side's own encodings, on a dense,
+//! half-full, sparse or empty selection — the only way to hand the probe
+//! a selection of a chosen shape. And *as a
 //! plan* through `compile_query` on the simulated executor at 1–8 workers
 //! with morsels of 16–79 rows (`SimExecutor` itself: `run_sim` lives in a
 //! crate that depends on this one).
@@ -46,8 +52,8 @@ use morsel_exec::plan::{compile_query, Plan};
 use morsel_exec::{JoinKind, SystemVariant};
 use morsel_numa::{Placement, SocketId, Topology};
 use morsel_storage::{
-    AreaSet, Batch, Column, DictColumn, Dictionary, PartitionBy, Relation, Schema, StorageArea,
-    StrColumn,
+    AreaSet, Batch, Column, DictColumn, Dictionary, Encoding, PartitionBy, Relation, Schema,
+    StorageArea, StrColumn,
 };
 use proptest::TestRng;
 
@@ -73,6 +79,11 @@ fn schema(batch: &Batch) -> Schema {
     let names: Vec<String> = (0..batch.width()).map(|c| format!("c{c}")).collect();
     let fields = names.iter().zip(batch.columns());
     Schema::new(fields.map(|(n, c)| (n.as_str(), c.data_type())).collect())
+}
+
+/// The encodings `batch`'s columns are stored in.
+fn encodings(batch: &Batch) -> Vec<Encoding> {
+    batch.columns().iter().map(Encoding::of).collect()
 }
 
 fn rows_of(batch: &Batch) -> Vec<String> {
@@ -122,17 +133,13 @@ impl Case {
         let env = ExecEnv::new(Topology::nehalem_ex());
         let mut ctx = TaskContext::new(&env, 0);
         let schema = schema(&self.build[0]);
+        // Each area holds its rows in their own encodings, empty ones too.
         let areas = (self.build.iter().enumerate())
-            .map(|(i, rows)| {
-                let mut area = StorageArea::new(SocketId(i as u16), &schema.data_types());
-                area.data_mut().extend_from(rows);
-                area
-            })
+            .map(|(i, rows)| StorageArea::holding(SocketId(i as u16), rows.clone()))
             .collect();
         let build = Arc::new(AreaSet::new(schema, areas));
         let slot = join_slot();
-        let insert =
-            HtInsertJob::with_tagging(build, self.keys.clone(), 4, slot.clone(), self.tagging);
+        let insert = HtInsertJob::new(build, self.keys.clone(), 4, slot.clone(), self.tagging);
         for (chunk, rows) in self.build.iter().enumerate() {
             // Two morsels per area.
             let mid = rows.rows() / 2;
@@ -141,12 +148,17 @@ impl Case {
             }
         }
         insert.finish(&mut ctx);
-        let probe = ProbeOp {
-            table: slot,
-            probe_keys: self.keys.clone(),
-            kind: self.kind,
-            build_cols: self.build_cols(),
-        };
+        // Each side's own encodings: a key coded in one dictionary on both
+        // sides compares codes.
+        let probe = ProbeOp::new(
+            slot,
+            self.keys.clone(),
+            self.keys.clone(),
+            self.kind,
+            self.build_cols(),
+            &encodings(&self.probe),
+            &encodings(&self.build[0]),
+        );
         let live = self.live();
         let input = SelBatch {
             batch: self.probe.clone(),
@@ -246,6 +258,9 @@ const PAIRS: [(Kind, Kind); 10] = [
     (Kind::Dict, Kind::ForeignDict),
 ];
 
+/// A key column's dictionary and its foreign one.
+type Dicts = (Arc<Dictionary>, Arc<Dictionary>);
+
 struct Gen(TestRng);
 
 impl Gen {
@@ -253,8 +268,10 @@ impl Gen {
         (self.0.next_u64() % n as u64) as usize
     }
 
-    /// `n` values of a key column of `kind`.
-    fn key_column(&mut self, kind: Kind, n: usize) -> Column {
+    /// `n` values of a key column of `kind`; `dicts` are the column's
+    /// dictionary and foreign dictionary, which every area and the probe
+    /// side share.
+    fn key_column(&mut self, kind: Kind, n: usize, dicts: &Dicts) -> Column {
         let other_nan = f64::from_bits(f64::NAN.to_bits() ^ 0x8000_0000_0000_0001);
         let floats = [0.0, -0.0, f64::NAN, other_nan, 1.5, -1.5];
         let mut draw = |d: usize| -> Vec<usize> { (0..n).map(|_| self.below(d)).collect() };
@@ -266,15 +283,13 @@ impl Gen {
             Kind::F64 => Column::F64(draw(6).into_iter().map(|i| floats[i]).collect()),
             Kind::Str => Column::Str(strings(draw(5))),
             Kind::Dict | Kind::ForeignDict => {
-                // The foreign dictionary gives the same strings other codes.
-                let extra: &[&str] = if kind == Kind::Dict {
-                    &[]
+                let dict = if kind == Kind::Dict {
+                    &dicts.0
                 } else {
-                    &["0", "aa"]
+                    &dicts.1
                 };
-                let dict = Dictionary::from_values(STRS.iter().chain(extra).copied());
                 let values = strings(draw(5));
-                Column::Dict(DictColumn::encode(&dict, &values).expect("a subset of both"))
+                Column::Dict(DictColumn::encode(dict, &values).expect("a subset of both"))
             }
         }
     }
@@ -285,8 +300,21 @@ impl Gen {
             .collect();
         let ids = |from: usize, n: usize| Column::I64((from as i64..(from + n) as i64).collect());
 
+        // One dictionary per key column, and one foreign one that gives
+        // the same strings other codes.
+        let dicts: Vec<Dicts> = (pairs.iter())
+            .map(|_| {
+                let foreign = STRS.iter().chain(&["0", "aa"]).copied();
+                (
+                    Dictionary::from_values(STRS),
+                    Dictionary::from_values(foreign),
+                )
+            })
+            .collect();
         let n = self.below(300);
-        let mut probe: Vec<Column> = pairs.iter().map(|p| self.key_column(p.0, n)).collect();
+        let mut probe: Vec<Column> = (pairs.iter().zip(&dicts))
+            .map(|(p, d)| self.key_column(p.0, n, d))
+            .collect();
         // Dense, half-full, sparse and empty selections.
         let keep = match case % 4 {
             0 => vec![1; n],
@@ -311,7 +339,9 @@ impl Gen {
                 } else {
                     self.below(left + 1)
                 };
-                let mut cols: Vec<Column> = pairs.iter().map(|p| self.key_column(p.1, n)).collect();
+                let mut cols: Vec<Column> = (pairs.iter().zip(&dicts))
+                    .map(|(p, d)| self.key_column(p.1, n, d))
+                    .collect();
                 cols.push(ids(done, n));
                 done += n;
                 Batch::from_columns(cols)

@@ -2,13 +2,15 @@
 //! of `common/like_reference.rs`: on random patterns of `%`, `_`, ASCII
 //! literals and a two-byte character, matched directly and through the
 //! compiled predicate cascade and the mask evaluator over a plain string
-//! column and its dictionary-encoded twin; plus the fixed shapes random
-//! generation rarely reaches — anchored and overlapping segments, the
-//! empty pattern, literals and haystacks longer than one 8-byte word.
+//! column and its dictionary-encoded twin, each compiled for its own
+//! encoding (the twin's `LIKE` resolves to a test on codes); plus the
+//! fixed shapes random generation rarely reaches — anchored and
+//! overlapping segments, the empty pattern, literals and haystacks longer
+//! than one 8-byte word.
 
 use morsel_exec::expr::{like, LikePattern};
 use morsel_exec::predicate::Predicate;
-use morsel_storage::{Batch, Column, DataType, DictColumn, Dictionary};
+use morsel_storage::{Batch, Column, DataType, DictColumn, Dictionary, Encoding};
 use proptest::prelude::*;
 
 #[path = "common/like_reference.rs"]
@@ -37,11 +39,11 @@ fn twins(values: &[String]) -> [Batch; 2] {
 /// evaluator marks it, for the plain column and for the encoded one.
 fn selected(pattern: &str, values: &[String]) -> Vec<Vec<u32>> {
     let e = like(morsel_exec::expr::col(0), pattern);
-    let p = Predicate::compile(&e, &[DataType::Str]);
     let n = values.len();
     twins(values)
         .iter()
         .flat_map(|b| {
+            let p = Predicate::new(&e, &[DataType::Str], &[Encoding::of(b.column(0))]);
             let mask = e.eval(b, 0..n);
             let marked = (0..n as u32)
                 .filter(|&r| mask.as_bool()[r as usize])

@@ -21,7 +21,7 @@ use morsel_exec::SystemVariant;
 use morsel_numa::{Placement, SocketId, Topology};
 use morsel_planner::{plan_charges, ColEst, PlanEst};
 use morsel_storage::{
-    AreaSet, Batch, Column, DataType, PartitionBy, Relation, Schema, StorageArea,
+    AreaSet, Batch, Column, DataType, Encoding, PartitionBy, Relation, Schema, StorageArea,
 };
 
 /// Rows of the fact-like relation `t(k, v, w)`.
@@ -43,6 +43,10 @@ fn seeded(n: usize, bound: i64, seed: u64) -> Vec<i64> {
         })
         .collect()
 }
+
+/// The types and encodings of `t`'s columns.
+const TYPES: [DataType; 3] = [DataType::I64; 3];
+const PLAIN: [Encoding; 3] = [Encoding::Plain, Encoding::Plain, Encoding::Plain];
 
 /// `t(k, v, w)`: a key, a value in `0..100` and a value in `0..1000`.
 fn t_batch() -> Batch {
@@ -169,7 +173,8 @@ fn scan_and_result_materialization() {
     // The result's materialization into the worker's area.
     let out = Batch::from_columns(vec![Column::I64(vec![7; kept]), Column::I64(vec![1; kept])]);
     let schema = Schema::new(vec![("k", DataType::I64), ("w1", DataType::I64)]);
-    let sink = MaterializeSink::new(schema, &env.worker_sockets(1), area_slot(), None);
+    let plain = [Encoding::Plain, Encoding::Plain];
+    let sink = MaterializeSink::new(schema, &plain, &env.worker_sockets(1), area_slot(), None);
     let got = booked_by(&env, |ctx| sink.consume(ctx, SelBatch::dense(out)));
     let result = charge::materialize(kept as f64, 2, (16 * kept) as f64);
     assert_books(&env, &got, &[result], node);
@@ -218,7 +223,9 @@ fn filter_on_dense_and_sparse_selections_and_map() {
 
     let mut mid = None;
     let got = booked_by(&env, |ctx| {
-        mid = Some(FilterOp::new(f1.clone()).apply(ctx, SelBatch::dense(batch.clone())))
+        mid = Some(
+            FilterOp::new(f1.clone(), &TYPES, &PLAIN).apply(ctx, SelBatch::dense(batch.clone())),
+        )
     });
     let dense = then_compacted(vec![charge::filter(N as f64, None, 3)], kept1, N, 3);
     assert_books(&env, &got, &dense, node);
@@ -226,7 +233,7 @@ fn filter_on_dense_and_sparse_selections_and_map() {
     assert_eq!(mid.rows(), kept1);
 
     let got = booked_by(&env, |ctx| {
-        FilterOp::new(f2.clone()).apply(ctx, mid.clone());
+        FilterOp::new(f2.clone(), &TYPES, &PLAIN).apply(ctx, mid.clone());
     });
     let sparse = charge::filter(N as f64, Some(kept1 as f64), 3);
     assert_eq!(sparse.cpu[0].0, kept1 as f64, "charged per selected row");
@@ -274,6 +281,7 @@ fn built(env: &ExecEnv) -> (JoinSlot, MorselProfile) {
         vec![0],
         4,
         slot.clone(),
+        true,
     );
     let range = 0..DIM_KEYS.len();
     let got = booked_by(env, |ctx| job.run_morsel(ctx, Morsel { chunk: 0, range }));
@@ -294,7 +302,8 @@ fn hash_build_and_every_kind_of_probe() {
     let d = DIM_KEYS.len();
     // Build side: its materialization, then the insert of its keys.
     let schema = Schema::new(vec![("dk", DataType::I64), ("p", DataType::I64)]);
-    let sink = MaterializeSink::new(schema, &env.worker_sockets(1), area_slot(), None);
+    let plain = [Encoding::Plain, Encoding::Plain];
+    let sink = MaterializeSink::new(schema, &plain, &env.worker_sockets(1), area_slot(), None);
     let got = booked_by(&env, |ctx| sink.consume(ctx, SelBatch::dense(dim_batch())));
     let materialize = charge::materialize(d as f64, 2, (16 * d) as f64);
     assert_books(&env, &got, &[materialize], SocketId(0));
@@ -330,12 +339,17 @@ fn hash_build_and_every_kind_of_probe() {
             "{kind:?}: the keys share no chain"
         );
         let inner = kind == JoinKind::Inner;
-        let op = ProbeOp {
-            table: table.clone(),
-            probe_keys: vec![0],
+        let build_cols = if inner { vec![1] } else { vec![] };
+        let plain = [Encoding::Plain, Encoding::Plain];
+        let op = ProbeOp::new(
+            table.clone(),
+            vec![0],
+            vec![0],
             kind,
-            build_cols: if inner { vec![1] } else { vec![] },
-        };
+            build_cols,
+            &plain,
+            &plain,
+        );
         let got = booked_by(&env, |ctx| {
             op.apply(ctx, SelBatch::dense(fact_batch.clone()));
         });
@@ -392,7 +406,9 @@ fn aggregation_update_and_merge() {
     ]);
     let aggs = vec![AggFn::SumI64(1), AggFn::Count];
     let slot = agg_slot();
-    let sink = AggPartialSink::new(vec![0], aggs.clone(), &env.worker_sockets(1), slot.clone());
+    let (types, plain) = ([DataType::I64; 2], [Encoding::Plain, Encoding::Plain]);
+    let nodes = env.worker_sockets(1);
+    let sink = AggPartialSink::new(vec![0], aggs.clone(), &types, &plain, &nodes, slot.clone());
     // Fewer groups than the table holds: nothing spills while consuming,
     // and the final flush spills each group once (8 key + 2 × 16 state
     // bytes).
@@ -454,7 +470,8 @@ fn local_sort_merge_and_top_k() {
 
     // Materialize, sort the one run, merge it as one segment.
     let mat = area_slot();
-    let sink = MaterializeSink::new(schema.clone(), &env.worker_sockets(1), mat.clone(), None);
+    let nodes = env.worker_sockets(1);
+    let sink = MaterializeSink::new(schema.clone(), &PLAIN, &nodes, mat.clone(), None);
     let got = booked_by(&env, |ctx| {
         sink.consume(ctx, SelBatch::dense(batch.clone()));
         sink.finish(ctx);

@@ -20,12 +20,12 @@ impl Batch {
     }
 
     /// An empty batch with columns of the given types, each stored in its
-    /// encoding (a column without one is plain).
+    /// encoding (one per type).
     pub fn empty_as(types: &[DataType], encodings: &[Encoding]) -> Self {
-        let plain = Encoding::Plain;
+        assert_eq!(types.len(), encodings.len(), "one encoding per column");
         Batch {
-            columns: (types.iter().enumerate())
-                .map(|(c, &t)| Column::empty_as(t, encodings.get(c).unwrap_or(&plain)))
+            columns: (types.iter().zip(encodings))
+                .map(|(&t, e)| Column::empty_as(t, e))
                 .collect(),
             rows: 0,
         }

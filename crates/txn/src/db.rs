@@ -55,8 +55,8 @@ use morsel_core::{EngineError, MemBudget, MemPool};
 use morsel_exec::predicate::Predicate;
 use morsel_exec::Expr;
 use morsel_storage::{
-    delta_row_id, recovery, row_bytes, Batch, Catalog, DeltaStore, Relation, Schema, Value, Wal,
-    WalError, WalFaults, WalOp, WalStats,
+    delta_row_id, recovery, row_bytes, Batch, Catalog, DeltaStore, Encoding, Relation, Schema,
+    Value, Wal, WalError, WalFaults, WalOp, WalStats,
 };
 
 use crate::manager::{SiMode, TxnManager};
@@ -542,9 +542,9 @@ impl TxnDb {
         // hold plain strings, and once per base for its partitions: a string
         // test on a coded column tests codes.
         let types = base.schema().data_types();
-        let plain = Predicate::compile(pred, &types);
+        let plain = Predicate::new(pred, &types, &vec![Encoding::Plain; types.len()]);
         let (base_hits, delta_hits) = loop {
-            let coded = Predicate::encoded(pred, &types, base.encodings());
+            let coded = Predicate::new(pred, &types, base.encodings());
             let mut hits: Vec<(u64, usize, u32)> = Vec::new();
             let mut start = 0u64;
             for (pi, p) in base.partitions().iter().enumerate() {

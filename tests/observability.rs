@@ -16,6 +16,7 @@ use morsel_repro::core::{Morsel, PipelineJob, SpanKind, TaskContext, TraceEvent,
 use morsel_repro::prelude::*;
 use morsel_repro::queries::{run_sim, run_threaded, tpch_queries};
 use morsel_repro::service::{QueryRequest, QueryService, ServiceConfig};
+use morsel_repro::storage::Encoding;
 
 #[test]
 fn four_worker_trace_has_pipeline_spans_for_every_participant() {
@@ -258,8 +259,17 @@ fn breaker_tail_work_is_credited() {
         let mut fields = vec![("k", DataType::Str); 6];
         fields.extend([("n", DataType::I64); 3]);
         let slot = agg_slot();
-        let partial = AggPartialSink::new((0..6).collect(), aggs.clone(), &nodes, slot.clone())
-            .with_prof_slot(Some(0));
+        let types = [[DataType::Str; 6].as_slice(), &[DataType::I64]].concat();
+        let encodings = vec![Encoding::Plain; types.len()];
+        let partial = AggPartialSink::new(
+            (0..6).collect(),
+            aggs.clone(),
+            &types,
+            &encodings,
+            &nodes,
+            slot.clone(),
+        )
+        .with_prof_slot(Some(0));
         partial.consume(ctx, SelBatch::dense(Batch::from_columns(cols)));
         let flush = timed(&mut || partial.finish(ctx));
         let parts = slot

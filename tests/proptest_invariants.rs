@@ -12,7 +12,7 @@ use morsel_repro::exec::join::{join_slot, HtInsertJob, JoinSlot, ProbeOp};
 use morsel_repro::exec::pipeline::{FilterOp, PipeOp, SelBatch};
 use morsel_repro::exec::sort::{sort_batch, SortKey};
 use morsel_repro::prelude::*;
-use morsel_repro::storage::{date_parts, hash64, AreaSet, StorageArea};
+use morsel_repro::storage::{date_parts, hash64, AreaSet, Encoding, StorageArea};
 use proptest::prelude::*;
 
 /// A hash table over one storage area holding `columns` (all `I64`),
@@ -27,7 +27,7 @@ fn built(ctx: &mut TaskContext<'_>, columns: Vec<Vec<i64>>) -> JoinSlot {
     let fields = names.iter().map(|n| (n.as_str(), DataType::I64)).collect();
     let build = Arc::new(AreaSet::new(Schema::new(fields), vec![area]));
     let slot = join_slot();
-    let insert = HtInsertJob::new(build, vec![0], 4, slot.clone());
+    let insert = HtInsertJob::new(build, vec![0], 4, slot.clone(), true);
     let range = 0..rows;
     insert.run_morsel(ctx, morsel_repro::core::Morsel { chunk: 0, range });
     PipelineJob::finish(&insert, ctx);
@@ -75,7 +75,7 @@ proptest! {
     /// every key, and nothing for absent keys.
     #[test]
     fn tagged_ht_is_exact(keys in proptest::collection::vec(-50i64..50, 0..400)) {
-        let ht = TaggedHashTable::new(&[keys.len()], 4);
+        let ht = TaggedHashTable::new(&[keys.len()], 4, true);
         for (row, &k) in keys.iter().enumerate() {
             ht.insert(row, hash64(k as u64));
         }
@@ -160,13 +160,9 @@ proptest! {
             Column::I64(rows.iter().map(|r| r.0).collect()),
             Column::I64(rows.iter().map(|r| r.1).collect()),
         ]);
-        let filter = FilterOp::new(gt(col(1), lit(threshold)));
-        let probe = ProbeOp {
-            table: slot,
-            probe_keys: vec![0],
-            kind: JoinKind::Inner,
-            build_cols: vec![1],
-        };
+        let plain = [Encoding::Plain, Encoding::Plain];
+        let filter = FilterOp::new(gt(col(1), lit(threshold)), &[DataType::I64; 2], &plain);
+        let probe = ProbeOp::new(slot, vec![0], vec![0], JoinKind::Inner, vec![1], &plain, &plain);
 
         // Path A: selection vectors throughout.
         let a = {
@@ -212,12 +208,8 @@ proptest! {
 
         let kind = if anti { JoinKind::Anti } else { JoinKind::Semi };
         let input = Batch::from_columns(vec![Column::I64(probe_keys.clone())]);
-        let probe = ProbeOp {
-            table: slot,
-            probe_keys: vec![0],
-            kind,
-            build_cols: vec![],
-        };
+        let plain = [Encoding::Plain];
+        let probe = ProbeOp::new(slot, vec![0], vec![0], kind, vec![], &plain, &plain);
         let got = probe.apply(&mut ctx, SelBatch::dense(input)).materialize(&mut ctx);
         let want: Vec<i64> = probe_keys
             .into_iter()
