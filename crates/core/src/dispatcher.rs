@@ -483,12 +483,22 @@ impl Dispatcher {
                 }
                 Some(stage) => {
                     // Stage construction runs operator code (allocating
-                    // hash tables, partitioning state) and is contained
+                    // hash tables, partitioning state), and queuing its
+                    // chunks indexes by their nodes; both are contained
                     // like morsel execution: a panic fails this query
                     // only, and the loop retries with the cancelled flag
                     // now set, which tears the query down.
-                    let built = match catch_unwind(AssertUnwindSafe(|| {
-                        stage.build(&self.env, self.config.workers)
+                    let (job, reserve_bytes) = match catch_unwind(AssertUnwindSafe(|| {
+                        let built = stage.build(&self.env, self.config.workers);
+                        let reserve_bytes = built.reserve_bytes;
+                        let job = JobExec::new(
+                            built,
+                            self.config.mode,
+                            self.config.morsel_size,
+                            self.config.workers,
+                            self.env.topology(),
+                        );
+                        (job, reserve_bytes)
                     })) {
                         Ok(built) => built,
                         Err(payload) => {
@@ -501,20 +511,13 @@ impl Dispatcher {
                     // hash table) against the query's budget before any
                     // morsel runs; refusal fails the query here, never
                     // the process.
-                    if built.reserve_bytes > 0
+                    if reserve_bytes > 0
                         && q.shared
-                            .try_reserve(built.reserve_bytes, self.env.faults())
+                            .try_reserve(reserve_bytes, self.env.faults())
                             .is_err()
                     {
                         continue;
                     }
-                    let job = JobExec::new(
-                        built,
-                        self.config.mode,
-                        self.config.morsel_size,
-                        self.config.workers,
-                        self.env.topology(),
-                    );
                     if job.queues.total_rows() == 0 {
                         // Empty pipeline: no morsel will ever complete
                         // it, so finish inline and continue.

@@ -383,4 +383,44 @@ mod tests {
         assert_eq!(job.total.load(Ordering::Relaxed), n * (n - 1) / 2);
         assert_eq!(pool.drain(), 0, "an idle pool drains without panics");
     }
+
+    /// A worker that builds a query's next pipeline and panics doing so
+    /// fails that query, and the run returns. Here queuing the second
+    /// pipeline's chunk panics: it names a node the topology lacks. The
+    /// run is on a helper thread, so a hung run fails the test.
+    #[test]
+    fn a_panic_queuing_the_next_pipeline_fails_only_its_query() {
+        use crate::query::{FailReason, QueryOutcome};
+        let (tx, rx) = std::sync::mpsc::channel();
+        let run = std::thread::spawn(move || {
+            let job = Arc::new(SumJob {
+                total: Counter::new(0),
+            });
+            let stage = |node: u16| {
+                let job = Arc::clone(&job);
+                Stage::new("sum", move |_e, _w| {
+                    let chunk = ChunkMeta {
+                        node: SocketId(node),
+                        rows: 10_000,
+                    };
+                    BuiltJob::new("sum", job, vec![chunk])
+                })
+            };
+            let exec = ThreadedExecutor::new(
+                ExecEnv::new(Topology::laptop()),
+                DispatchConfig::new(2).with_morsel_size(1_000),
+            );
+            let spec = QuerySpec::new("q", vec![stage(0), stage(7)], result_slot());
+            let handles = exec.run(vec![spec]);
+            tx.send(handles[0].outcome()).unwrap();
+        });
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the run returns");
+        run.join().expect("the run does not panic");
+        assert_eq!(
+            outcome,
+            Some(QueryOutcome::Failed(FailReason::OperatorPanic))
+        );
+    }
 }

@@ -225,8 +225,7 @@ impl DeltaStore {
                 *p = Partition::new(p.node, data);
             }
         }
-        parts
-            .map(|parts| Relation::sharing(self.schema.clone(), parts, None, base.has_merge_tail()))
+        parts.map(|parts| Relation::sharing(self.schema.clone(), parts, base.has_merge_tail()))
     }
 
     /// True when a snapshot at `ts` sees no delta effects: the caller
@@ -237,10 +236,10 @@ impl DeltaStore {
 
     /// The relation a snapshot at `ts` sees, sharing what the delta did
     /// not change: a base partition without a visible tombstone is
-    /// handed on as is (same `Arc`, same cached statistics), one with
-    /// tombstones is re-materialised without the dead rows (keeping node
-    /// placement and dictionary encoding), and the visible delta rows
-    /// become one extra partition encoded like the base. Always a
+    /// handed on as is (same `Arc`), one with tombstones is
+    /// re-materialised without the dead rows (keeping node placement and
+    /// dictionary encoding), and the visible delta rows become one extra
+    /// partition encoded like the base. Always a
     /// **fresh** [`Relation`], so row/byte totals and merged statistics
     /// are never served from a pre-write cache.
     ///
@@ -256,9 +255,7 @@ impl DeltaStore {
     /// epoch) at a timestamp `≤ ts`: a re-materialised partition is
     /// taken from it when no further row of it died since, so a chain of
     /// snapshots re-materialises per version only what that version's
-    /// commits touched. `prev` (else `base`) is also the donor of the
-    /// statistics merge tree: the result re-merges only the tree nodes
-    /// above the partitions it did not take over.
+    /// commits touched.
     pub fn snapshot(&self, base: &Relation, ts: u64, prev: Option<&Relation>) -> Relation {
         self.fold(base, ts, prev, false)
     }
@@ -325,12 +322,7 @@ impl DeltaStore {
             }
             merge_tail = into_tail;
         }
-        Relation::sharing(
-            self.schema.clone(),
-            parts,
-            Some(prev.unwrap_or(base)),
-            merge_tail,
-        )
+        Relation::sharing(self.schema.clone(), parts, merge_tail)
     }
 
     /// All rows visible at `ts` as one decoded batch plus their row ids
@@ -371,8 +363,7 @@ impl DeltaStore {
     ///
     /// The fold is [`DeltaStore::snapshot`] at `upto_ts`, `prev` included
     /// (a merge right after a snapshot takes over its re-materialised
-    /// partitions and statistics), except where the visible delta rows go:
-    /// into the
+    /// partitions), except where the visible delta rows go: into the
     /// partition an earlier merge appended (the *merge tail*) while that
     /// partition holds at most the mean partition row count, else into a
     /// new tail partition. A table's partition count therefore grows by

@@ -21,12 +21,10 @@
 //! that disagree (DESIGN.md §14), so the executor chooses each column's
 //! string kernels once, when it compiles a plan.
 //!
-//! Relations the write path builds ([`Relation::from_partitions`]) also
-//! keep a merge tree over their partitions' statistics, whose nodes a
-//! snapshot or merge shares with the relation it was derived from, so
-//! [`Relation::stats`] of a new version re-merges only what its commit
-//! changed. The nodes belong to the relations sharing them and go when
-//! the last of those does.
+//! Every relation fills its statistics the same way: once, on first use,
+//! from all its partitions ([`Relation::stats`]). A writer decides only
+//! whether a new version fills a cell of its own or shares an older
+//! version's ([`Relation::sharing_stats`]).
 
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
@@ -49,12 +47,6 @@ use crate::stats::TableStats;
 pub struct Partition {
     pub node: SocketId,
     pub data: Arc<Batch>,
-    /// Statistics of `data`, shared along with it. Filled only through
-    /// relations the write path builds ([`Relation::from_partitions`]):
-    /// 1 KiB of HLL registers per column and partition is visible in a
-    /// small read-only catalog's footprint, and a load-time relation
-    /// needs only its merged [`TableStats`].
-    stats: Arc<OnceLock<TableStats>>,
 }
 
 impl Partition {
@@ -62,7 +54,6 @@ impl Partition {
         Partition {
             node,
             data: Arc::new(data),
-            stats: Arc::default(),
         }
     }
 }
@@ -75,9 +66,6 @@ pub enum PartitionBy {
     /// Contiguous chunks in row order (round-robin across nodes).
     Chunks,
 }
-
-/// Partitions a leaf of the statistics merge tree covers.
-const LEAF_PARTITIONS: usize = 8;
 
 /// Rows at which a chunk of a grouped relation ([`Relation::grouped`])
 /// closes. A morsel pays a fixed cost per operator call (about 3 µs on the
@@ -94,11 +82,6 @@ struct Chunk {
     /// Partition indexes, ascending.
     parts: Vec<usize>,
 }
-
-/// A node of a relation's statistics merge tree: the combined, not
-/// finalized [`TableStats`] of an aligned range of partitions, filled on
-/// first use and shared by every relation whose tree took the node over.
-type StatsNode = Arc<OnceLock<TableStats>>;
 
 /// A base relation: schema plus NUMA-resident partitions.
 ///
@@ -118,13 +101,6 @@ pub struct Relation {
     total_rows: usize,
     total_bytes: u64,
     stats: Arc<OnceLock<Arc<TableStats>>>,
-    /// The statistics merge tree of a relation the write path builds
-    /// ([`Relation::from_partitions`]); empty for a load-time relation,
-    /// which keeps only its merged stats. `tree[0]` holds the leaves,
-    /// leaf `k` over partitions `[8k, 8k + 8)`; node `k` of `tree[l + 1]`
-    /// combines nodes `2k` and `2k + 1` of `tree[l]`, each range clipped to
-    /// the partition count; the last level is the root.
-    tree: Vec<Vec<StatsNode>>,
     /// Whether the last partition is one a merge appended, which the next
     /// merge may fold its rows into (`DeltaStore::merge`). Never set on a
     /// load-time relation, so a load-time partition is never folded into.
@@ -148,7 +124,6 @@ impl Relation {
             total_rows,
             total_bytes,
             stats: Arc::default(),
-            tree: Vec::new(),
             merge_tail: false,
         }
     }
@@ -159,37 +134,22 @@ impl Relation {
     /// staleness guarantee: a snapshot or merge that changes row data
     /// must construct a *new* `Relation` through here (never mutate one
     /// in place), so the planner can never cost against pre-write
-    /// `total_rows`/`total_bytes`. Its merged statistics start as its own
-    /// too, unless the writer hands on an older version's with
-    /// [`Relation::sharing_stats`], which it does only within a drift
-    /// bound (`morsel-txn`). What carries over is per partition:
-    /// [`Relation::stats`] of a relation built here computes a
-    /// partition's statistics once for every relation sharing that
-    /// partition, and combines them through a merge tree whose nodes the
-    /// write path shares between versions.
+    /// `total_rows`/`total_bytes`. Its statistics start as its own too,
+    /// filled from all its partitions on first use, unless the writer
+    /// hands on an older version's with [`Relation::sharing_stats`], which
+    /// it does only within a drift bound (`morsel-txn`).
     pub fn from_partitions(schema: Schema, partitions: Vec<Partition>) -> Self {
-        Relation::sharing(schema, partitions, None, false)
+        Relation::sharing(schema, partitions, false)
     }
 
-    /// [`Relation::from_partitions`], taking over from `donor` every node
-    /// of its merge tree whose range is the same here: same bounds, and
-    /// every partition in it the donor's (`Arc::ptr_eq` on `data`) — for
-    /// an inner node, both children taken over. A snapshot or merge that
-    /// rebuilt k partitions therefore re-merges only the O(k log P) nodes
-    /// above them. `merge_tail` marks the last partition as a merge's.
-    pub(crate) fn sharing(
-        schema: Schema,
-        partitions: Vec<Partition>,
-        donor: Option<&Relation>,
-        merge_tail: bool,
-    ) -> Self {
+    /// [`Relation::from_partitions`], with `merge_tail` marking the last
+    /// partition as a merge's.
+    pub(crate) fn sharing(schema: Schema, partitions: Vec<Partition>, merge_tail: bool) -> Self {
         assert!(
             !partitions.is_empty(),
             "a relation needs at least one partition"
         );
-        let tree = stats_tree(&partitions, donor);
         Relation {
-            tree,
             merge_tail,
             ..Relation::from_parts(schema, partitions)
         }
@@ -249,51 +209,11 @@ fn normalise(parts: &mut [Partition], c: usize) -> Encoding {
 }
 
 /// Partition `p` with column `c` replaced, as a new partition on the same
-/// node (its statistics go with the old data).
+/// node.
 fn replace_column(p: &mut Partition, c: usize, column: Column) {
     let mut data = Batch::clone(&p.data);
     data.replace_column(c, column);
     *p = Partition::new(p.node, data);
-}
-
-/// The merge tree over `parts`, sharing `donor`'s nodes where
-/// [`Relation::sharing`] allows it.
-fn stats_tree(parts: &[Partition], donor: Option<&Relation>) -> Vec<Vec<StatsNode>> {
-    let n = parts.len();
-    let (donor_parts, donor_tree) =
-        donor.map_or((&[][..], &[][..]), |d| (&d.partitions[..], &d.tree[..]));
-    // Node `k` of a level whose nodes cover `width` partitions ends at the
-    // same partition here as in the donor.
-    let same_end = |width: usize, k: usize| {
-        ((k + 1) * width).min(n) == ((k + 1) * width).min(donor_parts.len())
-    };
-    let mut width = LEAF_PARTITIONS;
-    let mut taken: Vec<bool> = (0..n.div_ceil(width))
-        .map(|k| {
-            same_end(width, k)
-                && (k * width..((k + 1) * width).min(n))
-                    .all(|i| Arc::ptr_eq(&parts[i].data, &donor_parts[i].data))
-        })
-        .collect();
-    let mut tree: Vec<Vec<StatsNode>> = Vec::new();
-    loop {
-        let donor_level = donor_tree.get(tree.len()).map_or(&[][..], |l| &l[..]);
-        tree.push(
-            (taken.iter().enumerate())
-                .map(|(k, &t)| match donor_level.get(k) {
-                    Some(node) if t => Arc::clone(node),
-                    _ => StatsNode::default(),
-                })
-                .collect(),
-        );
-        if taken.len() == 1 {
-            return tree;
-        }
-        width *= 2;
-        taken = (0..taken.len().div_ceil(2))
-            .map(|k| same_end(width, k) && taken[2 * k] && taken.get(2 * k + 1) != Some(&false))
-            .collect();
-    }
 }
 
 impl Relation {
@@ -396,44 +316,15 @@ impl Relation {
         self.total_bytes
     }
 
-    /// Merged catalog statistics, computed per partition on first use and
-    /// cached for the planner's repeated lookups. A write-path relation
-    /// finalizes the root of its merge tree, filling only the nodes no
-    /// earlier relation sharing them has filled.
+    /// Merged catalog statistics, computed from all the partitions on
+    /// first use ([`TableStats::from_partitions`]) and cached for the
+    /// planner's repeated lookups.
     pub fn stats(&self) -> Arc<TableStats> {
         Arc::clone(self.stats.get_or_init(|| {
-            let Some(root) = self.tree.len().checked_sub(1) else {
-                return Arc::new(TableStats::from_partitions(
-                    self.partitions.iter().map(|p| &*p.data),
-                ));
-            };
-            let mut stats = self.node(root, 0).clone();
-            stats.finalize();
-            Arc::new(stats)
+            Arc::new(TableStats::from_partitions(
+                self.partitions.iter().map(|p| &*p.data),
+            ))
         }))
-    }
-
-    /// Node `k` of merge-tree level `level`, combined on first use.
-    fn node(&self, level: usize, k: usize) -> &TableStats {
-        self.tree[level][k].get_or_init(|| {
-            let mut acc: Option<TableStats> = None;
-            let mut add = |s: &TableStats| match &mut acc {
-                Some(acc) => acc.combine(s),
-                None => acc = Some(s.clone()),
-            };
-            if level == 0 {
-                let range =
-                    k * LEAF_PARTITIONS..((k + 1) * LEAF_PARTITIONS).min(self.partitions.len());
-                for p in &self.partitions[range] {
-                    add(p.stats.get_or_init(|| TableStats::from_batch(&p.data)));
-                }
-            } else {
-                for child in 2 * k..(2 * k + 2).min(self.tree[level - 1].len()) {
-                    add(self.node(level - 1, child));
-                }
-            }
-            acc.expect("a merge-tree node covers at least one partition")
-        })
     }
 
     /// How many chunks the scan reads: one per partition, or one per run
@@ -540,10 +431,8 @@ impl Relation {
             total_rows: self.total_rows,
             total_bytes: self.total_bytes,
             // Placement does not change the data, so the stats carry over
-            // (including an already-computed cache), and so does the
-            // merge tree.
+            // (including an already-computed cache).
             stats: Arc::clone(&self.stats),
-            tree: self.tree.clone(),
             merge_tail: self.merge_tail,
         }
     }
@@ -575,7 +464,6 @@ impl Relation {
             if let Some((_dict, encoded)) = crate::column::encode_fragments(&fragments) {
                 for (p, col) in self.partitions.iter_mut().zip(encoded) {
                     Arc::make_mut(&mut p.data).replace_column(c, col);
-                    p.stats = Arc::default();
                 }
             }
         }
@@ -741,20 +629,6 @@ mod tests {
         assert!(Arc::ptr_eq(&s, &r2.stats()));
     }
 
-    /// Nodes of `new`'s merge tree that are not the node at the same
-    /// place in `old`'s.
-    fn fresh_nodes(new: &Relation, old: &Relation) -> usize {
-        (new.tree.iter().enumerate())
-            .flat_map(|(l, level)| level.iter().enumerate().map(move |(k, n)| (l, k, n)))
-            .filter(|&(l, k, n)| {
-                old.tree
-                    .get(l)
-                    .and_then(|level| level.get(k))
-                    .is_none_or(|o| !Arc::ptr_eq(o, n))
-            })
-            .count()
-    }
-
     fn write_path_relation(parts: usize) -> Relation {
         let partitions = (0..parts)
             .map(|i| Partition::new(SocketId(0), sample_batch(i % 5 + 1)))
@@ -767,31 +641,23 @@ mod tests {
     }
 
     #[test]
-    fn a_one_partition_edit_re_merges_one_path_of_the_tree() {
+    fn a_write_path_relation_fills_its_own_statistics_from_its_partitions() {
         let old = write_path_relation(141);
-        assert_eq!(old.tree[0].len(), 18, "leaves of 8 partitions");
         assert_eq!(*old.stats(), from_scratch(&old));
         for edit in [0, 70, 140] {
             let mut parts = old.partitions().to_vec();
             parts[edit] = Partition::new(SocketId(0), sample_batch(9));
-            let new = Relation::sharing(schema(), parts, Some(&old), false);
-            // ⌈log2(141 / 8)⌉ + 1 levels, one node of each re-created.
-            assert_eq!(new.tree.len(), 6);
-            assert!(fresh_nodes(&new, &old) <= 6, "edit {edit}");
+            let new = Relation::from_partitions(schema(), parts);
             assert_eq!(*new.stats(), from_scratch(&new));
-            // The donor's cached stats are untouched by the new relation.
+            assert!(!Arc::ptr_eq(&new.stats(), &old.stats()), "edit {edit}");
+            // The older version's cached stats are untouched by the new one.
             assert_eq!(*old.stats(), from_scratch(&old));
         }
-        // The same partitions share the whole tree, the filled nodes too.
-        let same = Relation::sharing(schema(), old.partitions().to_vec(), Some(&old), false);
-        assert_eq!(fresh_nodes(&same, &old), 0);
-        assert!(same.tree.iter().flatten().all(|n| n.get().is_some()));
-        // Appending a partition re-creates the right edge only, and a
-        // load-time donor (no tree) or none shares nothing.
+        // Appending a partition, or sharing a load-time relation's
+        // partitions, fills a cell equal to a from-scratch build.
         let mut parts = old.partitions().to_vec();
         parts.push(Partition::new(SocketId(0), sample_batch(3)));
-        let longer = Relation::sharing(schema(), parts, Some(&old), false);
-        assert!(fresh_nodes(&longer, &old) <= 6);
+        let longer = Relation::from_partitions(schema(), parts);
         assert_eq!(*longer.stats(), from_scratch(&longer));
         let loaded = Relation::partitioned(
             schema(),
@@ -801,11 +667,11 @@ mod tests {
             Placement::FirstTouch,
             &Topology::laptop(),
         );
-        assert!(loaded.tree.is_empty());
-        let copied =
-            Relation::sharing(schema(), loaded.partitions().to_vec(), Some(&loaded), false);
-        assert_eq!(copied.tree.iter().flatten().count(), 2 + 1);
+        let copied = Relation::from_partitions(schema(), loaded.partitions().to_vec());
         assert_eq!(*copied.stats(), *loaded.stats());
+        // Only `sharing_stats` hands a cell on.
+        let shared = longer.sharing_stats(&old);
+        assert!(Arc::ptr_eq(&shared.stats(), &old.stats()));
     }
 
     #[test]

@@ -14,10 +14,8 @@
 //! statistics into another's, and [`TableStats::finalize`] derives the two
 //! estimates, `ndv` and `avg_width`, once at the end. `combine` is exactly
 //! associative — register maxima, integer counts and byte totals, min/max
-//! — so any
-//! grouping of the same fragments finalizes to the same bits. That is what
-//! lets a write-path relation keep a merge tree over its partitions and
-//! share its nodes with the snapshots before it.
+//! — so any grouping of the same fragments finalizes to the same bits as
+//! the left fold [`TableStats::from_partitions`] computes.
 //!
 //! The NDV sketch is a classic HyperLogLog (Flajolet et al., 2007) with
 //! `2^P` one-byte registers: mergeable across partitions by a register-wise
@@ -237,9 +235,9 @@ fn value_le(a: &Value, b: &Value) -> bool {
     }
 }
 
-/// Merged statistics for a whole relation (or for a range of its
-/// partitions: a node of a relation's merge tree is a `TableStats` that
-/// [`TableStats::combine`] built and [`TableStats::finalize`] has not).
+/// Merged statistics for a whole relation, or, between
+/// [`TableStats::combine`] and [`TableStats::finalize`], for the fragments
+/// combined so far.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableStats {
     pub rows: u64,

@@ -1,9 +1,9 @@
-//! The statistics merge tree of write-path relations against the left
-//! fold: random partition sequences of 1–300 partitions — empty ones,
-//! plain strings, dictionary codes over the relation's dictionary or over
-//! another one — then random edits chained through donors the way the
-//! write path chains them (`DeltaStore::snapshot` takes the previous
-//! snapshot, `DeltaStore::merge` the base):
+//! Chains of snapshots and merges over a write-path relation: random
+//! partition sequences of 1–300 partitions — empty ones, plain strings,
+//! dictionary codes over the relation's dictionary or over another one —
+//! then random edits chained the way the write path chains them
+//! (`DeltaStore::snapshot` and `DeltaStore::merge` take the previous
+//! snapshot):
 //!
 //! - **replace k**: one base row dies in each of k partitions, which the
 //!   snapshot re-materialises;
@@ -13,11 +13,10 @@
 //! - **fold into the tail**: a merge appends its rows, or folds them into
 //!   the partition an earlier merge appended.
 //!
-//! After every edit `Relation::stats()` must equal
-//! `TableStats::from_partitions` over the same partitions field for
-//! field, HLL registers and the integer-derived `avg_width` included —
-//! no tolerance, because combining partition statistics is exactly
-//! associative.
+//! After every edit each partition stores each column in the relation's
+//! one `Encoding`, and `Relation::stats()` counts the relation's rows and
+//! equals `TableStats::from_partitions` over all its partitions, HLL
+//! registers included. Some merge must fold into a tail.
 
 use std::sync::Arc;
 
@@ -117,25 +116,17 @@ fn insert_row(draw: &mut Draw) -> Vec<Value> {
     ]
 }
 
-/// `rel.stats()` is the left fold of its partitions, bit for bit.
-fn assert_exact(rel: &Relation, what: &str) {
-    let got = rel.stats();
-    let want = TableStats::from_partitions(rel.partitions().iter().map(|p| &*p.data));
-    assert_eq!((got.rows, got.bytes), (want.rows, want.bytes), "{what}");
-    assert_eq!(got.rows, rel.total_rows() as u64, "{what}");
-    for (c, (g, w)) in got.columns.iter().zip(&want.columns).enumerate() {
-        assert_eq!((&g.min, &g.max), (&w.min, &w.max), "{what}: column {c}");
-        assert_eq!(g.null_count, w.null_count, "{what}: column {c}");
-        assert_eq!(g.ndv.to_bits(), w.ndv.to_bits(), "{what}: column {c}");
-        assert_eq!(
-            g.avg_width.to_bits(),
-            w.avg_width.to_bits(),
-            "{what}: column {c}"
-        );
+/// Every partition of `rel` stores each column in the relation's encoding,
+/// and `rel.stats()` covers all of its rows and partitions.
+fn assert_consistent(rel: &Relation, what: &str) {
+    for c in 0..rel.schema().len() {
         let stored = |p: &Partition| rel.encoding(c).stores(p.data.column(c));
         assert!(rel.partitions().iter().all(stored), "{what}: column {c}");
     }
-    assert!(*got == want, "{what}: HLL registers");
+    let got = rel.stats();
+    assert_eq!(got.rows, rel.total_rows() as u64, "{what}");
+    let want = TableStats::from_partitions(rel.partitions().iter().map(|p| &*p.data));
+    assert!(*got == want, "{what}: statistics from all partitions");
 }
 
 /// Kill the first live base row of `partition`, if it has one.
@@ -164,7 +155,7 @@ fn run(parts: usize, seed: u64, edits: usize) -> usize {
         })
         .collect();
     let mut base = Relation::from_partitions(schema(), partitions);
-    assert_exact(&base, "initial");
+    assert_consistent(&base, "initial");
     let mut delta = DeltaStore::new(schema());
     let mut prev: Option<Relation> = None;
     let mut ts = 0;
@@ -199,13 +190,13 @@ fn run(parts: usize, seed: u64, edits: usize) -> usize {
                 if appended && merged.partitions().len() == base.partitions().len() {
                     folds += 1;
                 }
-                assert_exact(&merged, &format!("step {step}: fold into the tail"));
+                assert_consistent(&merged, &format!("step {step}: fold into the tail"));
                 (base, delta, prev) = (merged, next, None);
                 continue;
             }
         };
         let snap = delta.snapshot(&base, ts, prev.as_ref());
-        assert_exact(&snap, &format!("step {step}: {what}"));
+        assert_consistent(&snap, &format!("step {step}: {what}"));
         prev = Some(snap);
     }
     folds
@@ -215,16 +206,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn merge_tree_stats_equal_the_left_fold(parts in 1usize..=300, seed in any::<u64>()) {
+    fn a_snapshot_chain_keeps_encodings_and_statistics(parts in 1usize..=300, seed in any::<u64>()) {
         run(parts, seed, 12);
     }
 }
 
-/// The shapes the random draw reaches only by chance: one partition, a
-/// whole number of leaves, one partition past it, and long edit chains.
+/// What the random draw reaches only by chance: one partition, a load-time
+/// table's 64, and long edit chains in which merges fold into a tail.
 #[test]
-fn merge_tree_stats_equal_the_left_fold_at_the_edges() {
-    let folds: usize = [1, 2, 7, 8, 9, 16, 17, 64, 65, 141]
+fn long_snapshot_chains_fold_merges_into_a_tail() {
+    let folds: usize = [1, 2, 9, 64, 65, 141]
         .into_iter()
         .map(|parts| run(parts, parts as u64, 30))
         .sum();

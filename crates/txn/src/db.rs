@@ -151,8 +151,8 @@ impl Txn {
 /// The fraction of a table's rows that may change — rows inserted plus
 /// rows tombstoned — while each new snapshot of it hands on the
 /// statistics of the one before ([`Relation::sharing_stats`]). The
-/// snapshot whose changes reach it starts statistics of its own, built
-/// through the merge tree on first use, and the count starts again. So
+/// snapshot whose changes reach it starts statistics of its own, filled
+/// from all its partitions on first use, and the count starts again. So
 /// the planner's selectivities and NDVs lag the data by less than this
 /// fraction, while row and byte totals, and every result, stay exact.
 /// The sweep that chose it is in DESIGN.md §15.
@@ -1684,9 +1684,9 @@ mod tests {
             .count();
         assert_eq!(kept, 62);
 
-        // Past the drift bound a snapshot's statistics are built through
-        // the merge tree over those shared partitions, and equal
-        // statistics computed from scratch.
+        // Past the drift bound a snapshot fills statistics of its own from
+        // its partitions, shared ones included, equal to statistics
+        // computed from scratch.
         let cut = 2 * bound(6400);
         let mut w = db.begin().unwrap();
         let gone = db
@@ -1700,8 +1700,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Statistics merged from the shared per-partition cache equal
-    /// statistics computed from scratch, field by field.
+    /// `rel`'s statistics equal statistics computed from scratch, field
+    /// by field, and every partition stores each column in the relation's
+    /// encoding.
     fn assert_stats_from_scratch(rel: &Relation) {
         let got = rel.stats();
         let want = TableStats::from_partitions(rel.partitions().iter().map(|p| &*p.data));
