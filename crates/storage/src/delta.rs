@@ -21,12 +21,10 @@
 //! layer enforces by comparing epochs at commit.
 //!
 //! The store holds **committed data only**. Uncommitted writes live in
-//! per-transaction buffers (in `morsel-txn`) and are applied here in
-//! one deterministic sequence at commit, mirroring the WAL record
-//! order. That makes crash recovery trivial to state: replaying the
-//! committed prefix of the log through [`DeltaStore::apply_insert`] /
-//! [`DeltaStore::apply_delete`] / [`DeltaStore::merge`] reconstructs a
-//! store that is `==` (field-for-field, row-for-row) to the one the
+//! per-transaction buffers (in `morsel-txn`), which logs them and then
+//! applies the logged records here in log order at commit; crash
+//! recovery applies the same records through the same call. So the
+//! recovered store is `==` (field-for-field, row-for-row) to the one the
 //! crashed process held — the property the crash sweep asserts.
 
 use std::collections::BTreeMap;
@@ -128,11 +126,6 @@ impl DeltaStore {
         self.last_commit_ts
     }
 
-    /// Approximate committed delta bytes (rows + tombstone entries).
-    pub fn approx_bytes(&self) -> u64 {
-        self.rows.total_bytes() + self.tombstones.len() as u64 * 16
-    }
-
     /// Append a committed insert; returns the new row's id.
     pub fn apply_insert(&mut self, row: Vec<Value>, commit_ts: u64) -> u64 {
         let id = delta_row_id(self.rows.rows());
@@ -179,55 +172,6 @@ impl DeltaStore {
         self.tombstones.contains_key(&row_id)
     }
 
-    /// `base` re-encoded so that its dictionaries hold every committed
-    /// delta value, or `None` when they already do (the common case; the
-    /// check costs a dictionary lookup per delta value).
-    ///
-    /// A sorted dictionary cannot grow in place: a new value shifts the
-    /// codes behind it, so the column is rewritten in *every* partition
-    /// — O(table), once per new distinct value, after which values seen
-    /// before encode directly. A domain pushed past what
-    /// [`worth_encoding`] admits falls back to plain strings, in every
-    /// partition and for good. Rows keep their ids; only the physical
-    /// representation changes.
-    pub fn rebased(&self, base: &Relation) -> Option<Relation> {
-        let mut parts: Option<Vec<Partition>> = None;
-        for c in 0..self.schema.len() {
-            let Some(old) = base.encoding(c).dict() else {
-                continue;
-            };
-            let fresh: Vec<&str> = (self.rows.column(c).as_str().iter())
-                .filter(|v| old.code_of(v).is_none())
-                .collect();
-            if fresh.is_empty() {
-                continue;
-            }
-            let extended =
-                Dictionary::from_values(old.values().iter().map(String::as_str).chain(fresh));
-            let remap: Vec<u32> = (old.values().iter())
-                .map(|v| extended.code_of(v).expect("an extension keeps every value"))
-                .collect();
-            let parts = parts.get_or_insert_with(|| base.partitions().to_vec());
-            for p in parts.iter_mut() {
-                let codes = p
-                    .data
-                    .column(c)
-                    .as_dict()
-                    .expect("encoded in every partition");
-                let column = if !worth_encoding(extended.len()) {
-                    Column::Str(codes.decode())
-                } else {
-                    let codes = codes.codes().iter().map(|&x| remap[x as usize]).collect();
-                    Column::Dict(DictColumn::new(Arc::clone(&extended), codes))
-                };
-                let mut data = Batch::clone(&p.data);
-                data.replace_column(c, column);
-                *p = Partition::new(p.node, data);
-            }
-        }
-        parts.map(|parts| Relation::sharing(self.schema.clone(), parts, base.has_merge_tail()))
-    }
-
     /// True when a snapshot at `ts` sees no delta effects: the caller
     /// can serve the base relation unchanged (and byte-identical).
     pub fn snapshot_is_base(&self, ts: u64) -> bool {
@@ -247,9 +191,12 @@ impl DeltaStore {
     /// way**, dictionary partitions sharing one `Arc<Dictionary>`: the
     /// executor compiles a column's kernels once per relation and relies
     /// on it. The delta rows are therefore encoded against the base's
-    /// dictionaries, over [`DeltaStore::rebased`] when a committed value
-    /// is outside them — which shares nothing with `base`, so a caller
-    /// that keeps the base should adopt the rebased one first.
+    /// dictionaries. A writer keeps those holding every committed value
+    /// ([`rebased`] at the commit that brings a new one), so the result
+    /// encodes every column as `base` does. Given a base that lacks a
+    /// value, the delta column stays plain and the relation's constructor
+    /// re-encodes that column in every partition, the load-time rule of
+    /// [`Relation::from_partitions`]: O(table), on every such snapshot.
     ///
     /// `prev`, when given, is a snapshot of the same base and store (same
     /// epoch) at a timestamp `≤ ts`: a re-materialised partition is
@@ -264,8 +211,6 @@ impl DeltaStore {
     /// appended as one partition or — for a merge (`into_tail`) — folded
     /// into the base's merge tail while that stays small.
     fn fold(&self, base: &Relation, ts: u64, prev: Option<&Relation>, into_tail: bool) -> Relation {
-        let rebased = self.rebased(base);
-        let base = rebased.as_ref().unwrap_or(base);
         // A `prev` taken over differently encoded partitions doesn't mix.
         let prev = prev.filter(|r| r.encodings() == base.encodings());
         let mut parts: Vec<Partition> = Vec::with_capacity(base.partitions().len() + 1);
@@ -305,9 +250,10 @@ impl DeltaStore {
         if !visible.is_empty() {
             let mut extra = self.rows.gather(&visible);
             for c in 0..extra.width() {
-                if let Some(dict) = base.encoding(c).dict() {
-                    let encoded = DictColumn::encode(dict, extra.column(c).as_str())
-                        .expect("the rebased dictionary holds every committed value");
+                let dict = base.encoding(c).dict();
+                if let Some(encoded) =
+                    dict.and_then(|d| DictColumn::encode(d, extra.column(c).as_str()))
+                {
                     extra.replace_column(c, Column::Dict(encoded));
                 }
             }
@@ -395,15 +341,68 @@ impl DeltaStore {
     }
 }
 
-/// The rows of `tail` followed by those of `extra` (encoded alike), copied
-/// once into columns sized for both.
+/// `base` re-encoded so that each coded column's dictionary also holds the
+/// values `fresh` pairs with that column's index (values it lacks). The
+/// writer calls it at the commit that brings a new value, so every later
+/// snapshot and merge of the table encodes its delta rows against the
+/// base as it is.
+///
+/// A sorted dictionary cannot grow in place: a new value shifts the codes
+/// behind it, so the column is rewritten in *every* partition — O(table),
+/// once per commit that brings new values, after which those encode
+/// directly. A domain pushed past what [`worth_encoding`] admits falls
+/// back to plain strings, in every partition and for good. Rows keep their
+/// ids; only the physical representation changes.
+pub fn rebased(base: &Relation, fresh: &[(usize, String)]) -> Relation {
+    let mut parts = base.partitions().to_vec();
+    for c in 0..base.schema().len() {
+        let mut new = (fresh.iter())
+            .filter(|&&(fc, _)| fc == c)
+            .map(|(_, v)| v.as_str())
+            .peekable();
+        let Some(old) = base.encoding(c).dict().filter(|_| new.peek().is_some()) else {
+            continue;
+        };
+        let extended = Dictionary::from_values(old.values().iter().map(String::as_str).chain(new));
+        let remap: Vec<u32> = (old.values().iter())
+            .map(|v| extended.code_of(v).expect("an extension keeps every value"))
+            .collect();
+        for p in &mut parts {
+            let codes = p
+                .data
+                .column(c)
+                .as_dict()
+                .expect("encoded in every partition");
+            let column = if !worth_encoding(extended.len()) {
+                Column::Str(codes.decode())
+            } else {
+                let codes = codes.codes().iter().map(|&x| remap[x as usize]).collect();
+                Column::Dict(DictColumn::new(Arc::clone(&extended), codes))
+            };
+            let mut data = Batch::clone(&p.data);
+            data.replace_column(c, column);
+            *p = Partition::new(p.node, data);
+        }
+    }
+    Relation::sharing(base.schema().clone(), parts, base.has_merge_tail())
+}
+
+/// The rows of `tail` followed by those of `extra`, copied once into
+/// columns sized for both. A column `extra` holds plain where `tail` codes
+/// it (values outside the dictionary) comes out plain.
 fn concat(tail: &Batch, extra: &Batch) -> Batch {
     let rows = tail.rows() + extra.rows();
     Batch::from_columns(
         (tail.columns().iter().zip(extra.columns()))
             .map(|(t, e)| {
-                let mut column = Column::with_capacity_like(t, rows);
-                column.extend_from(t);
+                let mut column = match (t, e) {
+                    (Column::Dict(codes), Column::Str(_)) => Column::Str(codes.decode()),
+                    _ => {
+                        let mut column = Column::with_capacity_like(t, rows);
+                        column.extend_from(t);
+                        column
+                    }
+                };
                 column.extend_from(e);
                 column
             })
@@ -523,13 +522,18 @@ mod tests {
         assert_eq!(s12.gather(), d.snapshot(&b, 12, None).gather());
     }
 
+    /// `rebased` with `values` new to column 1 (`tag`).
+    fn with_tags(base: &Relation, values: &[&str]) -> Relation {
+        let fresh: Vec<(usize, String)> = values.iter().map(|&v| (1, v.to_owned())).collect();
+        rebased(base, &fresh)
+    }
+
     #[test]
     fn delta_rows_are_encoded_like_the_base() {
         let b = base().dict_encoded();
         let base_dict = one_dictionary(&b);
         let mut d = DeltaStore::new(schema());
         d.apply_insert(row(5, "b"), 10);
-        assert!(d.rebased(&b).is_none(), "'b' is in the dictionary");
         let snap = d.snapshot(&b, 10, None);
         assert!(Arc::ptr_eq(&one_dictionary(&snap), &base_dict));
         assert!(Arc::ptr_eq(&snap.partition(0).data, &b.partition(0).data));
@@ -538,49 +542,62 @@ mod tests {
         // A value outside the dictionary extends it, in every partition:
         // codes shift ("aa" sorts between "a" and "b"), values do not.
         d.apply_insert(row(6, "aa"), 11);
-        let snap = d.snapshot(&b, 11, None);
-        assert_eq!(one_dictionary(&snap).values(), ["a", "aa", "b"]);
-        assert_eq!(tags(&snap), ["a", "b", "a", "b", "b", "aa"]);
-        assert_eq!(tags(&d.snapshot(&b, 10, None)), ["a", "b", "a", "b", "b"]);
-        // The merged base keeps the extended dictionary, so the value
-        // encodes directly from then on.
-        let (merged, mut next) = d.merge(&b, 11, None);
-        assert_eq!(one_dictionary(&merged).values(), ["a", "aa", "b"]);
-        next.apply_insert(row(7, "aa"), 12);
-        assert!(next.rebased(&merged).is_none());
-        assert_eq!(
-            tags(&next.snapshot(&merged, 12, None)).last().unwrap(),
-            "aa"
-        );
-
-        // Adopting the rebased base makes later snapshots share again.
-        let rebased = d.rebased(&b).expect("'aa' is new");
+        let rebased = with_tags(&b, &["aa"]);
         assert_eq!(rebased.gather(), b.gather());
+        let dict = one_dictionary(&rebased);
+        assert_eq!(dict.values(), ["a", "aa", "b"]);
+        // Snapshots over the rebased base encode against it and share its
+        // partitions.
         let snap = d.snapshot(&rebased, 11, None);
+        assert!(Arc::ptr_eq(&one_dictionary(&snap), &dict));
         assert!(Arc::ptr_eq(
             &snap.partition(0).data,
             &rebased.partition(0).data
         ));
         assert_eq!(tags(&snap), ["a", "b", "a", "b", "b", "aa"]);
+        assert_eq!(
+            tags(&d.snapshot(&rebased, 10, None)),
+            ["a", "b", "a", "b", "b"]
+        );
+        // The merged base keeps the extended dictionary, so the value
+        // encodes directly from then on.
+        let (merged, mut next) = d.merge(&rebased, 11, None);
+        assert!(Arc::ptr_eq(&one_dictionary(&merged), &dict));
+        next.apply_insert(row(7, "aa"), 12);
+        let snap = next.snapshot(&merged, 12, None);
+        assert!(Arc::ptr_eq(&one_dictionary(&snap), &dict));
+        assert_eq!(tags(&snap).last().unwrap(), "aa");
+
+        // Over a base that lacks the value the relation's constructor
+        // re-encodes the column, still one dictionary for every partition.
+        let snap = d.snapshot(&b, 11, None);
+        assert_eq!(tags(&snap), ["a", "b", "a", "b", "b", "aa"]);
+        assert!(one_dictionary(&snap).code_of("aa").is_some());
+        let (merged, _) = d.merge(&b, 11, None);
+        assert_eq!(tags(&merged), ["a", "b", "a", "b", "b", "aa"]);
+        assert!(one_dictionary(&merged).code_of("aa").is_some());
     }
 
     #[test]
     fn a_domain_grown_past_the_dictionary_bound_falls_back_to_plain() {
         let b = base().dict_encoded();
         let mut d = DeltaStore::new(schema());
-        for i in 0..DICT_MAX_UNIQUE {
-            d.apply_insert(row(10 + i as i64, &format!("v{i}")), 10);
+        let fresh: Vec<(usize, String)> =
+            (0..DICT_MAX_UNIQUE).map(|i| (1, format!("v{i}"))).collect();
+        for (i, (_, v)) in fresh.iter().enumerate() {
+            d.apply_insert(row(10 + i as i64, v), 10);
         }
+        let b = rebased(&b, &fresh);
         let snap = d.snapshot(&b, 10, None);
-        for p in snap.partitions() {
+        for p in b.partitions().iter().chain(snap.partitions()) {
             assert!(p.data.column(1).as_dict().is_none(), "plain everywhere");
         }
         assert_eq!(snap.total_rows(), 4 + DICT_MAX_UNIQUE);
         assert_eq!(tags(&snap)[..5], ["a", "b", "a", "b", "v0"]);
         // Plain for good: the merged base is nothing to extend.
         let (merged, mut next) = d.merge(&b, 10, None);
+        assert!(merged.encoding(1).dict().is_none());
         next.apply_insert(row(1, "zzz"), 11);
-        assert!(next.rebased(&merged).is_none());
         assert_eq!(
             tags(&next.snapshot(&merged, 11, None)).last().unwrap(),
             "zzz"
@@ -608,12 +625,15 @@ mod tests {
         let mut d = DeltaStore::new(schema());
         // The 1,024th distinct value still fits: every partition rebases.
         d.apply_insert(row(n as i64, "v0"), 10);
+        let b = with_tags(&b, &["v0"]);
+        assert_eq!(one_dictionary(&b).len(), DICT_MAX_UNIQUE);
         assert_eq!(
             one_dictionary(&d.snapshot(&b, 10, None)).len(),
             DICT_MAX_UNIQUE
         );
         // The 1,025th does not: plain in every partition, the delta's too.
         d.apply_insert(row(n as i64 + 1, "v1"), 11);
+        let b = with_tags(&b, &["v1"]);
         let snap = d.snapshot(&b, 11, None);
         assert_eq!(snap.partitions().len(), 5);
         for p in snap.partitions() {

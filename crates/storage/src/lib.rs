@@ -31,10 +31,10 @@ pub use area::{AreaSet, StorageArea};
 pub use batch::Batch;
 pub use catalog::Catalog;
 pub use column::{encode_fragments, Column, Encoding};
-pub use delta::{delta_row_id, row_bytes, DeltaStore, DELTA_ROW_BIT};
+pub use delta::{delta_row_id, rebased, row_bytes, DeltaStore, DELTA_ROW_BIT};
 pub use dict::{DictColumn, Dictionary};
 pub use hash::{hash64, hash_bytes, hash_combine, hash_i64};
-pub use recovery::{read_wal, replay, RecoveredState, WalReader, WalScan};
+pub use recovery::{read_wal, WalReader, WalScan};
 pub use relation::{Partition, PartitionBy, Relation};
 pub use schema::{Field, Schema};
 pub use stats::{ColumnStats, HllSketch, TableStats};

@@ -1,5 +1,5 @@
-//! Crash recovery: scan the WAL, truncate the torn tail, redo the
-//! committed prefix.
+//! Crash recovery's reading half: scan the WAL frame by frame and find
+//! where its valid prefix ends.
 //!
 //! Recovery is redo-only (ARIES without undo): the delta stores hold
 //! committed data only, so there is nothing to roll back — operations
@@ -17,28 +17,17 @@
 //! ever promised to a client) and gets truncated when the log reopens
 //! for appending.
 //!
-//! [`replay`] then rebuilds the delta stores: operations buffer per
-//! transaction and apply — in log order — when that transaction's
-//! `Commit` record arrives; `Merge` records re-fold the store at the
-//! logged timestamp so post-merge row ids come out identical to the
-//! pre-crash run. Records at or below the highest LSN already applied
-//! are skipped, which makes replay idempotent under duplicate-LSN
-//! anomalies (a crashed retry that wrote the same frame twice).
-//!
-//! The two stream: replay takes each record as the reader decodes it, so
-//! recovery holds one frame and the operations of still-uncommitted
+//! Redo is the transaction layer's: `morsel_txn::TxnDb::open` takes each
+//! record as the reader decodes it and hands a transaction's records,
+//! at its `Commit`, to the very call a live commit applies them with. So
+//! recovery holds one frame and the records of still-uncommitted
 //! transactions, never the whole log.
 
-use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufReader, Read};
 use std::path::Path;
-use std::sync::Arc;
 
-use crate::delta::DeltaStore;
-use crate::relation::Relation;
-use crate::value::Value;
-use crate::wal::{crc32, decode_payload, WalError, WalOp, WalRecord, FRAME_HEADER, WAL_FILE};
+use crate::wal::{crc32, decode_payload, WalError, WalRecord, FRAME_HEADER, WAL_FILE};
 
 /// Upper bound on a sane frame payload; anything larger is treated as
 /// corruption rather than an allocation request.
@@ -163,96 +152,11 @@ pub fn read_wal(dir: &Path) -> Result<WalReader<Box<dyn Read>>, WalError> {
     Ok(WalReader::new(src))
 }
 
-/// One transaction's not-yet-committed redo operation.
-enum Pending {
-    Insert { table: u32, row: Vec<Value> },
-    Delete { table: u32, row_id: u64 },
-}
-
-/// The durable state reconstructed by [`replay`].
-pub struct RecoveredState {
-    /// Per-table base relations — replaced in place by `Merge` replays.
-    pub bases: Vec<Arc<Relation>>,
-    /// Per-table committed delta stores.
-    pub deltas: Vec<DeltaStore>,
-    /// Highest commit timestamp made durable.
-    pub last_commit_ts: u64,
-    /// One past the highest transaction id seen (restart allocates from
-    /// here so ids never collide with logged ones).
-    pub next_txn: u64,
-    /// Highest LSN applied (restart's log continues after it).
-    pub applied_lsn: u64,
-}
-
-/// Redo `records`, in log order, over the load-time `bases` (table order
-/// must match the table indices used when the log was written), taking
-/// each as it comes. `already_applied` is the LSN floor for idempotent
-/// re-replay — pass 0 on a cold start.
-pub fn replay(
-    records: impl IntoIterator<Item = WalRecord>,
-    bases: &[Arc<Relation>],
-    already_applied: u64,
-) -> RecoveredState {
-    let mut state = RecoveredState {
-        deltas: bases
-            .iter()
-            .map(|b| DeltaStore::new(b.schema().clone()))
-            .collect(),
-        bases: bases.to_vec(),
-        last_commit_ts: 0,
-        next_txn: 1,
-        applied_lsn: already_applied,
-    };
-    let mut pending: BTreeMap<u64, Vec<Pending>> = BTreeMap::new();
-    for rec in records {
-        if rec.lsn <= state.applied_lsn {
-            continue; // duplicate LSN: already redone
-        }
-        state.applied_lsn = rec.lsn;
-        match rec.op {
-            WalOp::Insert { txn, table, row } => {
-                state.next_txn = state.next_txn.max(txn + 1);
-                (pending.entry(txn).or_default()).push(Pending::Insert { table, row });
-            }
-            WalOp::Delete { txn, table, row_id } => {
-                state.next_txn = state.next_txn.max(txn + 1);
-                (pending.entry(txn).or_default()).push(Pending::Delete { table, row_id });
-            }
-            WalOp::Commit { txn, commit_ts } => {
-                state.next_txn = state.next_txn.max(txn + 1);
-                for op in pending.remove(&txn).unwrap_or_default() {
-                    match op {
-                        Pending::Insert { table, row } => {
-                            state.deltas[table as usize].apply_insert(row, commit_ts);
-                        }
-                        Pending::Delete { table, row_id } => {
-                            state.deltas[table as usize].apply_delete(row_id, commit_ts);
-                        }
-                    }
-                }
-                state.last_commit_ts = state.last_commit_ts.max(commit_ts);
-            }
-            WalOp::Merge { table, upto_ts } => {
-                let t = table as usize;
-                let (folded, next) = state.deltas[t].merge(&state.bases[t], upto_ts, None);
-                state.bases[t] = Arc::new(folded);
-                state.deltas[t] = next;
-            }
-        }
-    }
-    // Operations still pending belong to transactions whose commit never
-    // became durable: redo-only recovery drops them.
-    state
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::Batch;
-    use crate::column::Column;
-    use crate::schema::Schema;
-    use crate::value::DataType;
-    use crate::wal::{encode_frame, Wal, WalFaults};
+    use crate::value::Value;
+    use crate::wal::{encode_frame, Wal, WalFaults, WalOp};
     use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -263,12 +167,6 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         dir
-    }
-
-    fn base() -> Arc<Relation> {
-        let schema = Schema::new(vec![("k", DataType::I64)]);
-        let data = Batch::from_columns(vec![Column::I64(vec![1, 2, 3])]);
-        Arc::new(Relation::single(schema, data))
     }
 
     fn ops() -> Vec<WalOp> {
@@ -314,10 +212,6 @@ mod tests {
         assert!(records.is_empty());
         assert_eq!(scan.valid_bytes, 0);
         assert!(scan.truncated.is_none());
-        let st = replay(records, &[base()], 0);
-        assert!(st.deltas[0].is_empty());
-        assert_eq!(st.next_txn, 1);
-        assert_eq!(st.applied_lsn, 0);
     }
 
     #[test]
@@ -330,12 +224,9 @@ mod tests {
         let (records, scan) = scan_all(read_wal(&dir).unwrap());
         assert_eq!(records.len(), 4);
         assert!(scan.truncated.is_none());
-        let st = replay(records, &[base()], 0);
-        assert_eq!(st.last_commit_ts, 6);
-        assert_eq!(st.next_txn, 3);
-        assert_eq!(st.applied_lsn, 4);
-        let snap = st.deltas[0].snapshot(&st.bases[0], 6, None).gather();
-        assert_eq!(snap.column(0).as_i64(), &[2, 3, 10]);
+        let ops: Vec<WalOp> = records.iter().map(|r| r.op.clone()).collect();
+        assert_eq!(ops, self::ops());
+        assert_eq!((records[0].lsn, records[3].lsn), (1, 4));
     }
 
     #[test]
@@ -382,83 +273,6 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_lsn_replay_is_idempotent() {
-        let o = ops();
-        let log = log_of(&[
-            (1, o[0].clone()),
-            (2, o[1].clone()),
-            (2, o[1].clone()), // duplicated commit frame
-            (3, o[2].clone()),
-            (4, o[3].clone()),
-        ]);
-        let (records, _) = scan_all(WalReader::new(&log[..]));
-        assert_eq!(records.len(), 5);
-        let st = replay(records.clone(), &[base()], 0);
-        assert_eq!(st.deltas[0].delta_rows(), 1, "insert applied once");
-        assert_eq!(st.deltas[0].tombstone_count(), 1);
-        // Replaying the whole log again over the recovered floor is a no-op.
-        let st2 = replay(records, &[base()], st.applied_lsn);
-        assert!(st2.deltas[0].is_empty());
-    }
-
-    #[test]
-    fn uncommitted_tail_is_dropped() {
-        let o = ops();
-        let log = log_of(&[
-            (1, o[0].clone()),
-            (2, o[1].clone()),
-            (3, o[2].clone()), // delete by txn 2, but no commit follows
-        ]);
-        let st = replay(WalReader::new(&log[..]), &[base()], 0);
-        assert_eq!(st.deltas[0].delta_rows(), 1);
-        assert_eq!(
-            st.deltas[0].tombstone_count(),
-            0,
-            "uncommitted delete dropped"
-        );
-        assert_eq!(st.next_txn, 3, "txn 2 id still burned");
-    }
-
-    #[test]
-    fn merge_record_refolds_identically() {
-        let dir = tmpdir("merge");
-        let wal = Wal::create(&dir).unwrap();
-        let mut all = ops();
-        all.push(WalOp::Merge {
-            table: 0,
-            upto_ts: 6,
-        });
-        all.push(WalOp::Insert {
-            txn: 3,
-            table: 0,
-            row: vec![Value::I64(20)],
-        });
-        all.push(WalOp::Commit {
-            txn: 3,
-            commit_ts: 7,
-        });
-        let last = wal.append(&all).unwrap();
-        wal.commit_durable(last).unwrap();
-        drop(wal);
-
-        // Live run: apply the same sequence directly.
-        let mut delta = DeltaStore::new(base().schema().clone());
-        let mut b = base();
-        delta.apply_insert(vec![Value::I64(10)], 5);
-        delta.apply_delete(0, 6);
-        let (folded, next) = delta.merge(&b, 6, None);
-        b = Arc::new(folded);
-        let mut delta = next;
-        delta.apply_insert(vec![Value::I64(20)], 7);
-
-        let st = replay(read_wal(&dir).unwrap(), &[base()], 0);
-        assert_eq!(st.deltas[0], delta, "delta store byte-identical");
-        assert_eq!(st.bases[0].gather(), b.gather(), "merged base identical");
-        assert_eq!(st.deltas[0].epoch(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn crash_fault_prefix_recovers_cleanly() {
         let dir = tmpdir("crashprefix");
         let wal = Wal::create(&dir)
@@ -469,10 +283,6 @@ mod tests {
         let (records, scan) = scan_all(read_wal(&dir).unwrap());
         assert_eq!(records.len(), 3, "frames before the crash LSN");
         assert!(scan.truncated.is_none(), "crash cut at a record boundary");
-        let st = replay(records, &[base()], 0);
-        // txn 1 committed (lsn 2); txn 2's delete never committed.
-        assert_eq!(st.deltas[0].delta_rows(), 1);
-        assert_eq!(st.deltas[0].tombstone_count(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -39,24 +39,34 @@
 //! the tables written since. A new snapshot, and a merged base, hand on
 //! the statistics of the relation before them until the rows changed
 //! since those were started reach [`STATS_DRIFT`] of the table, so a
-//! small commit does not rebuild them. The database mutex is never held
-//! for work proportional to a table.
+//! small commit does not rebuild them. The database mutex is held for
+//! work proportional to a table in two places only: the commit that
+//! brings a string value outside its column's base dictionary re-encodes
+//! that column in every base partition ([`morsel_storage::rebased`]), and
+//! a merge folds the delta into base partitions. Every other step under
+//! it is proportional to the statement or the delta.
 //!
 //! **Memory accounting**: committed delta bytes are reserved against a
 //! [`MemBudget`] (optionally pool-backed) as they apply and released
 //! when a merge folds them into base partitions — the crash sweep
 //! asserts the pool drains to zero.
+//!
+//! **Recovery** redoes the log through the commit's own apply call
+//! ([`TxnDb::open`]): a transaction's records, buffered until its
+//! `Commit` record, reach the tables, the byte ledger and the base
+//! dictionaries exactly as they did when it committed, and a `Merge`
+//! record runs the merge [`TxnDb::merge`] runs.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use morsel_core::{EngineError, MemBudget, MemPool};
+use morsel_core::{MemBudget, MemPool};
 use morsel_exec::predicate::Predicate;
 use morsel_exec::Expr;
 use morsel_storage::{
-    delta_row_id, recovery, row_bytes, Batch, Catalog, DeltaStore, Encoding, Relation, Schema,
-    Value, Wal, WalError, WalFaults, WalOp, WalStats,
+    delta_row_id, read_wal, rebased, row_bytes, Batch, Catalog, DeltaStore, Encoding, Relation,
+    Schema, Value, Wal, WalError, WalFaults, WalOp, WalStats,
 };
 
 use crate::manager::{SiMode, TxnManager};
@@ -179,13 +189,12 @@ struct TableState {
 impl TableState {
     /// The relation a reader at `ts` scans: the base itself while no
     /// delta effect is visible, otherwise a snapshot sharing the
-    /// untouched base partitions (and, given an older snapshot of this
-    /// epoch as `prev`, its still-current re-materialised ones).
-    fn snapshot(&self, ts: u64, prev: Option<&Relation>) -> Arc<Relation> {
+    /// untouched base partitions.
+    fn snapshot(&self, ts: u64) -> Arc<Relation> {
         if self.delta.snapshot_is_base(ts) {
             Arc::clone(&self.base)
         } else {
-            Arc::new(self.delta.snapshot(&self.base, ts, prev))
+            Arc::new(self.delta.snapshot(&self.base, ts, None))
         }
     }
 
@@ -204,50 +213,122 @@ impl TableState {
                 return Arc::clone(rel);
             }
         }
-        let rebased = self.adopt_rebased();
         let prev = self.latest.take().map(|(rel, _)| rel);
         let rel = if self.delta.snapshot_is_base(ts) {
             Arc::clone(&self.base)
         } else {
-            let base = Arc::clone(&self.base);
-            let snap = self.delta.snapshot(&base, ts, prev.as_deref());
-            let donor = (!rebased).then(|| prev.as_deref().unwrap_or(&base));
-            Arc::new(self.carry_stats(snap, donor))
+            let snap = self.delta.snapshot(&self.base, ts, prev.as_deref());
+            let donor = prev.unwrap_or_else(|| Arc::clone(&self.base));
+            Arc::new(self.carry_stats(snap, &donor))
         };
         self.latest = Some((Arc::clone(&rel), ts));
         rel
     }
 
-    /// Pay for a value outside the base dictionaries once, not in every
-    /// snapshot until the next merge: replace the base by its re-encoding.
-    /// Returns whether it did.
-    fn adopt_rebased(&mut self) -> bool {
-        let Some(rebased) = self.delta.rebased(&self.base) else {
-            return false;
-        };
-        self.base = Arc::new(rebased);
-        true
-    }
-
     /// `rel`, the relation that follows `donor` as this table's newest,
-    /// sharing `donor`'s statistics while the rows changed since those
-    /// were started stay under [`STATS_DRIFT`] of `rel`'s rows. Otherwise
-    /// — or with no donor, because a rebase re-encoded the base and the
-    /// old statistics' dictionaries went stale — `rel` keeps its own and
-    /// the count starts from it.
-    fn carry_stats(&mut self, rel: Relation, donor: Option<&Relation>) -> Relation {
+    /// sharing `donor`'s statistics while both encode every column alike
+    /// and the rows changed since those statistics were started stay
+    /// under [`STATS_DRIFT`] of `rel`'s rows. Otherwise — a commit that
+    /// re-encoded the base left `donor`'s dictionaries stale — `rel`
+    /// keeps its own and the count starts from it.
+    fn carry_stats(&mut self, rel: Relation, donor: &Relation) -> Relation {
+        // Built over the base, whose dictionaries hold every committed
+        // value (`TableState::apply`), `rel` encodes every column as the
+        // base does.
+        assert!(
+            rel.encodings() == self.base.encodings(),
+            "table {:?}: a committed value outside the base dictionaries",
+            self.name
+        );
         let changes = (self.delta.delta_rows() + self.delta.tombstone_count()) as u64;
         self.drift += changes - self.counted;
         self.counted = changes;
-        match donor {
-            Some(donor) if (self.drift as f64) < STATS_DRIFT * rel.total_rows() as f64 => {
-                rel.sharing_stats(donor)
-            }
-            _ => {
-                self.drift = 0;
-                rel
+        if donor.encodings() == rel.encodings()
+            && (self.drift as f64) < STATS_DRIFT * rel.total_rows() as f64
+        {
+            rel.sharing_stats(donor)
+        } else {
+            self.drift = 0;
+            rel
+        }
+    }
+
+    /// Apply one committed transaction's logged `Insert` and `Delete`
+    /// records, in log order, at `commit_ts`, and return the bytes they
+    /// reserve ([`record_bytes`]). The one way a committed write reaches
+    /// a table: [`TxnDb::commit`] hands it the records it just logged,
+    /// and recovery the records of each `Commit` it reads.
+    ///
+    /// Each inserted string value is looked up once in its column's base
+    /// dictionary; a table that gained values outside it has its base
+    /// re-encoded once, here, so that every later snapshot and merge
+    /// encodes its delta rows against the base as it is.
+    fn apply(tables: &mut [TableState], records: Vec<WalOp>, commit_ts: u64) -> u64 {
+        // Per table: inserted values its base dictionaries lack, by column.
+        let mut fresh: Vec<Vec<(usize, String)>> = vec![Vec::new(); tables.len()];
+        let mut bytes = 0;
+        for op in records {
+            let reserve = record_bytes(&op);
+            bytes += reserve;
+            let state = match op {
+                WalOp::Insert { table, row, .. } => {
+                    let state = &mut tables[table as usize];
+                    for (c, v) in row.iter().enumerate() {
+                        if let (Some(dict), Value::Str(v)) = (state.base.encoding(c).dict(), v) {
+                            if dict.code_of(v).is_none() {
+                                fresh[table as usize].push((c, v.clone()));
+                            }
+                        }
+                    }
+                    state.delta.apply_insert(row, commit_ts);
+                    state
+                }
+                WalOp::Delete { table, row_id, .. } => {
+                    let state = &mut tables[table as usize];
+                    state.delta.apply_delete(row_id, commit_ts);
+                    state
+                }
+                WalOp::Commit { .. } | WalOp::Merge { .. } => {
+                    unreachable!("a transaction logs inserts and deletes before its commit")
+                }
+            };
+            state.reserved += reserve;
+        }
+        for (state, fresh) in tables.iter_mut().zip(&fresh) {
+            if !fresh.is_empty() {
+                state.base = Arc::new(rebased(&state.base, fresh));
             }
         }
+        bytes
+    }
+
+    /// Fold the committed delta into fresh base partitions at `upto` (new
+    /// epoch, new row numbering) and return the delta bytes this frees —
+    /// [`TxnDb::merge`]'s fold, and recovery's for a `Merge` record.
+    ///
+    /// A merge changes no visible row, so the folded base carries the
+    /// statistics on under the same drift count.
+    fn merge(&mut self, upto: u64) -> u64 {
+        let latest = self.latest.take().map(|(rel, _)| rel);
+        let (folded, next) = self.delta.merge(&self.base, upto, latest.as_deref());
+        let donor = latest.unwrap_or_else(|| Arc::clone(&self.base));
+        self.base = Arc::new(self.carry_stats(folded, &donor));
+        self.delta = next;
+        self.counted = 0;
+        std::mem::take(&mut self.reserved)
+    }
+}
+
+/// Bytes a committed tombstone reserves.
+const DELETE_BYTES: u64 = 16;
+
+/// Bytes a logged record reserves once committed: its row's
+/// [`row_bytes`] for an insert, [`DELETE_BYTES`] for a delete.
+fn record_bytes(op: &WalOp) -> u64 {
+    match op {
+        WalOp::Insert { row, .. } => row_bytes(row),
+        WalOp::Delete { .. } => DELETE_BYTES,
+        WalOp::Commit { .. } | WalOp::Merge { .. } => 0,
     }
 }
 
@@ -298,7 +379,7 @@ impl TxnDb {
             tables_to_state(tables),
             0,
             1,
-            cfg.pool,
+            MemBudget::new(None, cfg.pool),
             cfg.mode,
         ))
     }
@@ -308,6 +389,16 @@ impl TxnDb {
     /// continue the log where the valid records end. `tables` must be the
     /// same load-time base relations, in the same registration order, as
     /// when the log was written.
+    ///
+    /// Redo repeats history through the forward code: each transaction's
+    /// records wait for its `Commit` record and then go to the call
+    /// [`TxnDb::commit`] applies them with, and a `Merge` record runs the
+    /// merge [`TxnDb::merge`] runs. A record at or below the last LSN
+    /// redone (a crashed retry that wrote a frame twice) is skipped, and
+    /// the records of a transaction whose `Commit` never became durable
+    /// are dropped, its id still burned. The recovered delta bytes are
+    /// reserved as the live engine held them; a pool too small for them
+    /// is a [`TxnError::Memory`].
     pub fn open(dir: &Path, tables: Vec<(&str, Arc<Relation>)>) -> Result<TxnDb, TxnError> {
         TxnDb::open_with(dir, tables, TxnDbConfig::default())
     }
@@ -317,48 +408,51 @@ impl TxnDb {
         tables: Vec<(&str, Arc<Relation>)>,
         cfg: TxnDbConfig,
     ) -> Result<TxnDb, TxnError> {
-        let mut log = recovery::read_wal(dir)?;
-        let bases: Vec<Arc<Relation>> = tables.iter().map(|(_, r)| Arc::clone(r)).collect();
-        let st = recovery::replay(&mut log, &bases, 0);
-        let valid_bytes = log.finish()?.valid_bytes;
-        let wal = Wal::reopen(dir, valid_bytes, st.applied_lsn + 1)?.with_faults(cfg.faults);
-        let mut state = tables_to_state(tables);
-        for (i, t) in state.iter_mut().enumerate() {
-            t.base = Arc::clone(&st.bases[i]);
-            t.delta = st.deltas[i].clone();
+        let mut tables = tables_to_state(tables);
+        let (mut lsn, mut last_ts, mut next_txn) = (0, 0, 1);
+        let mut pending: HashMap<u64, Vec<WalOp>> = HashMap::new();
+        let mut log = read_wal(dir)?;
+        for rec in &mut log {
+            if rec.lsn <= lsn {
+                continue; // duplicate LSN: already redone
+            }
+            lsn = rec.lsn;
+            match rec.op {
+                WalOp::Commit { txn, commit_ts } => {
+                    next_txn = next_txn.max(txn + 1);
+                    let records = pending.remove(&txn).unwrap_or_default();
+                    TableState::apply(&mut tables, records, commit_ts);
+                    last_ts = last_ts.max(commit_ts);
+                }
+                WalOp::Merge { table, upto_ts } => {
+                    tables[table as usize].merge(upto_ts);
+                }
+                op @ (WalOp::Insert { txn, .. } | WalOp::Delete { txn, .. }) => {
+                    next_txn = next_txn.max(txn + 1);
+                    pending.entry(txn).or_default().push(op);
+                }
+            }
         }
+        let valid_bytes = log.finish()?.valid_bytes;
+        let wal = Wal::reopen(dir, valid_bytes, lsn + 1)?.with_faults(cfg.faults);
+        let budget = MemBudget::new(None, cfg.pool);
+        budget
+            .try_reserve(tables.iter().map(|t| t.reserved).sum())
+            .map_err(|e| TxnError::Memory(e.to_string()))?;
         Ok(TxnDb::assemble(
-            dir,
-            wal,
-            state,
-            st.last_commit_ts,
-            st.next_txn,
-            cfg.pool,
-            cfg.mode,
+            dir, wal, tables, last_ts, next_txn, budget, cfg.mode,
         ))
     }
 
     fn assemble(
         dir: &Path,
         wal: Wal,
-        mut tables: Vec<TableState>,
+        tables: Vec<TableState>,
         last_ts: u64,
         next_txn: u64,
-        pool: Option<Arc<MemPool>>,
+        budget: MemBudget,
         mode: SiMode,
     ) -> TxnDb {
-        let budget = MemBudget::new(None, pool);
-        for t in &mut tables {
-            let bytes = t.delta.approx_bytes();
-            if bytes > 0 {
-                // Recovered deltas re-reserve their footprint; the pool
-                // is sized by tests, so failure here is a test bug.
-                budget
-                    .try_reserve(bytes)
-                    .expect("recovered delta exceeds the configured pool");
-                t.reserved = bytes;
-            }
-        }
         let by_name = tables
             .iter()
             .enumerate()
@@ -657,7 +751,7 @@ impl TxnDb {
 
     /// Validate, log, apply, and — only after the commit's WAL group is
     /// durable — acknowledge by returning the commit timestamp.
-    pub fn commit(&self, txn: Txn) -> Result<u64, TxnError> {
+    pub fn commit(&self, mut txn: Txn) -> Result<u64, TxnError> {
         if txn.ops.is_empty() {
             // Read-only: nothing to validate, log, or wait for.
             return Ok(txn.begin_ts);
@@ -699,28 +793,28 @@ impl TxnDb {
                 .map(|t| t.delta.delta_rows() as u64)
                 .collect();
             let mut pending_ids: HashMap<usize, u64> = HashMap::new();
-            let mut wal_ops = Vec::with_capacity(txn.ops.len() + 1);
+            let mut records = Vec::with_capacity(txn.ops.len() + 1);
             for op in &txn.ops {
                 match op {
                     BufOp::Insert { table, idx } => {
                         let id = delta_row_id(next_row[*table as usize] as usize);
                         next_row[*table as usize] += 1;
                         pending_ids.insert(*idx, id);
-                        wal_ops.push(WalOp::Insert {
+                        records.push(WalOp::Insert {
                             txn: txn.id,
                             table: *table,
-                            row: txn.pending[*idx].1.clone(),
+                            row: std::mem::take(&mut txn.pending[*idx].1),
                         });
                     }
                     BufOp::DeleteSnapshot { table, row_id } => {
-                        wal_ops.push(WalOp::Delete {
+                        records.push(WalOp::Delete {
                             txn: txn.id,
                             table: *table,
                             row_id: *row_id,
                         });
                     }
                     BufOp::DeletePending { table, idx } => {
-                        wal_ops.push(WalOp::Delete {
+                        records.push(WalOp::Delete {
                             txn: txn.id,
                             table: *table,
                             row_id: pending_ids[idx],
@@ -728,26 +822,17 @@ impl TxnDb {
                     }
                 }
             }
-            wal_ops.push(WalOp::Commit {
+            // Reserve delta memory before logging: a budget rejection
+            // must abort cleanly, before anything hits the log.
+            let bytes = records.iter().map(record_bytes).sum();
+            self.budget
+                .try_reserve(bytes)
+                .map_err(|e| TxnError::Memory(e.to_string()))?;
+            records.push(WalOp::Commit {
                 txn: txn.id,
                 commit_ts,
             });
-            // Reserve delta memory before logging: a budget rejection
-            // must abort cleanly, before anything hits the log.
-            let bytes: u64 = txn
-                .pending
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| pending_ids.contains_key(i))
-                .map(|(_, (_, row))| row_bytes(row))
-                .sum::<u64>()
-                + txn.snapshot_deletes.len() as u64 * 16
-                + txn.pending_dead.len() as u64 * 16;
-            self.budget.try_reserve(bytes).map_err(|e| match e {
-                EngineError::ResourceExhausted { .. } => TxnError::Memory(e.to_string()),
-                other => TxnError::Memory(other.to_string()),
-            })?;
-            let lsn = match self.wal.append(&wal_ops) {
+            let lsn = match self.wal.append(&records) {
                 Ok(lsn) => lsn,
                 Err(e) => {
                     self.budget.release(bytes);
@@ -755,35 +840,9 @@ impl TxnDb {
                     return Err(e.into());
                 }
             };
-            // Apply to the committed delta stores, same order as logged.
-            let mut per_table = vec![0u64; inner.tables.len()];
-            for op in &txn.ops {
-                match op {
-                    BufOp::Insert { table, idx } => {
-                        let state = &mut inner.tables[*table as usize];
-                        let id = state
-                            .delta
-                            .apply_insert(txn.pending[*idx].1.clone(), commit_ts);
-                        debug_assert_eq!(id, pending_ids[idx]);
-                        per_table[*table as usize] += row_bytes(&txn.pending[*idx].1);
-                    }
-                    BufOp::DeleteSnapshot { table, row_id } => {
-                        inner.tables[*table as usize]
-                            .delta
-                            .apply_delete(*row_id, commit_ts);
-                        per_table[*table as usize] += 16;
-                    }
-                    BufOp::DeletePending { table, idx } => {
-                        inner.tables[*table as usize]
-                            .delta
-                            .apply_delete(pending_ids[idx], commit_ts);
-                        per_table[*table as usize] += 16;
-                    }
-                }
-            }
-            for (t, b) in per_table.iter().enumerate() {
-                inner.tables[t].reserved += b;
-            }
+            records.pop(); // the `Commit` marker
+            let applied = TableState::apply(&mut inner.tables, records, commit_ts);
+            debug_assert_eq!(applied, bytes);
             inner.last_applied_ts = inner.last_applied_ts.max(commit_ts);
             (lsn, commit_ts)
         };
@@ -822,7 +881,7 @@ impl TxnDb {
         if ts == inner.last_applied_ts {
             return Ok(inner.tables[t].latest_snapshot(ts));
         }
-        Ok(inner.tables[t].snapshot(ts, None))
+        Ok(inner.tables[t].snapshot(ts))
     }
 
     /// The latest committed relation for `table` (what a fresh
@@ -879,19 +938,7 @@ impl TxnDb {
                     return Err(e.into());
                 }
             };
-            // A merge changes no visible row, so the folded base carries
-            // the statistics on under the same drift count.
-            let state = &mut inner.tables[t];
-            let rebased = state.adopt_rebased();
-            let latest = state.latest.take().map(|(rel, _)| rel);
-            let base = Arc::clone(&state.base);
-            let (folded, next) = state.delta.merge(&base, upto, latest.as_deref());
-            let donor = (!rebased).then(|| latest.as_deref().unwrap_or(&base));
-            state.base = Arc::new(state.carry_stats(folded, donor));
-            state.delta = next;
-            state.counted = 0;
-            self.budget.release(state.reserved);
-            state.reserved = 0;
+            self.budget.release(inner.tables[t].merge(upto));
             lsn
         };
         if let Err(e) = self.wal.commit_durable(lsn) {
@@ -1305,6 +1352,250 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    // ---- recovery redoes the commit's apply call ------------------------
+
+    /// The committed state of table `t`: its delta store, its base's rows
+    /// and each column's dictionary values (empty for a plain column).
+    fn table_state(db: &TxnDb, t: usize) -> (DeltaStore, Batch, Vec<Vec<String>>) {
+        let inner = db.inner.lock();
+        let state = &inner.tables[t];
+        let dicts = (state.base.encodings().iter())
+            .map(|e| e.dict().map_or_else(Vec::new, |d| d.values().to_vec()))
+            .collect();
+        (state.delta.clone(), state.base.gather(), dicts)
+    }
+
+    /// Write `records` to `dir`'s log as frames of the given LSNs.
+    fn write_log(dir: &Path, records: &[(u64, WalOp)]) {
+        std::fs::create_dir_all(dir).unwrap();
+        let bytes: Vec<u8> = (records.iter())
+            .flat_map(|(lsn, op)| morsel_storage::wal::encode_frame(*lsn, op))
+            .collect();
+        std::fs::write(dir.join(morsel_storage::wal::WAL_FILE), bytes).unwrap();
+    }
+
+    /// Txn 1 inserts `(10, 100)` and commits at 5; txn 2 deletes base row
+    /// 0 and commits at 6.
+    fn two_txns() -> Vec<WalOp> {
+        vec![
+            WalOp::Insert {
+                txn: 1,
+                table: 0,
+                row: vec![Value::I64(10), Value::I64(100)],
+            },
+            WalOp::Commit {
+                txn: 1,
+                commit_ts: 5,
+            },
+            WalOp::Delete {
+                txn: 2,
+                table: 0,
+                row_id: 0,
+            },
+            WalOp::Commit {
+                txn: 2,
+                commit_ts: 6,
+            },
+        ]
+    }
+
+    #[test]
+    fn duplicate_lsn_replay_is_idempotent() {
+        let dir = tmpdir("duplsn");
+        let o = two_txns();
+        write_log(
+            &dir,
+            &[
+                (1, o[0].clone()),
+                (2, o[1].clone()),
+                (2, o[1].clone()), // duplicated commit frame
+                (3, o[2].clone()),
+                (4, o[3].clone()),
+            ],
+        );
+        let db = TxnDb::open(&dir, vec![("t", base_rel(3))]).unwrap();
+        assert_eq!(db.delta_stats("t").unwrap(), (1, 1, 0), "applied once");
+        assert_eq!(vals(&db), vec![(1, 0), (2, 0), (10, 100)]);
+        // The log continues after the last LSN redone.
+        assert_eq!(db.wal_stats().next_lsn, 5);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn uncommitted_tail_is_dropped() {
+        let dir = tmpdir("uncommitted");
+        let o = two_txns();
+        // Txn 2's delete, but no commit follows.
+        write_log(
+            &dir,
+            &[(1, o[0].clone()), (2, o[1].clone()), (3, o[2].clone())],
+        );
+        let db = TxnDb::open(&dir, vec![("t", base_rel(3))]).unwrap();
+        assert_eq!(
+            db.delta_stats("t").unwrap(),
+            (1, 0, 0),
+            "uncommitted delete dropped"
+        );
+        let txn = db.begin().unwrap();
+        assert_eq!(txn.id, 3, "txn 2's id still burned");
+        db.abort(txn);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn merge_record_refolds_identically() {
+        let dir = tmpdir("refold");
+        let live = {
+            let db = TxnDb::create(&dir, vec![("t", base_rel(3))]).unwrap();
+            let mut w = db.begin().unwrap();
+            db.insert(&mut w, "t", vec![Value::I64(10), Value::I64(100)])
+                .unwrap();
+            db.commit(w).unwrap();
+            let mut w = db.begin().unwrap();
+            db.delete_where(&mut w, "t", &eq(col(0), lit(0))).unwrap();
+            db.commit(w).unwrap();
+            db.merge("t").unwrap();
+            let mut w = db.begin().unwrap();
+            db.insert(&mut w, "t", vec![Value::I64(20), Value::I64(200)])
+                .unwrap();
+            db.commit(w).unwrap();
+            table_state(&db, 0)
+        };
+        let db = TxnDb::open(&dir, vec![("t", base_rel(3))]).unwrap();
+        let recovered = table_state(&db, 0);
+        assert_eq!(recovered.0, live.0, "delta store field-for-field");
+        assert_eq!(recovered.1, live.1, "merged base identical");
+        assert_eq!(recovered.0.epoch(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn crash_and_torn_write_prefixes_recover() {
+        // LSNs 1–2 are txn 1's insert and commit, 3–4 txn 2's delete and
+        // commit: a crash at 4, or a write torn at 3, leaves txn 1 alone.
+        for (tag, faults) in [
+            ("crash", WalFaults::crash_at(4)),
+            ("torn", WalFaults::torn_at(3, 6)),
+        ] {
+            let dir = tmpdir(&format!("prefix-{tag}"));
+            {
+                let cfg = TxnDbConfig {
+                    faults,
+                    ..TxnDbConfig::default()
+                };
+                let db = TxnDb::create_with(&dir, vec![("t", base_rel(3))], cfg).unwrap();
+                let mut w = db.begin().unwrap();
+                db.insert(&mut w, "t", vec![Value::I64(10), Value::I64(100)])
+                    .unwrap();
+                db.commit(w).unwrap();
+                let mut w = db.begin().unwrap();
+                db.delete_where(&mut w, "t", &eq(col(0), lit(0))).unwrap();
+                assert!(db.commit(w).is_err(), "{tag}: the fault fires");
+            }
+            let db = TxnDb::open(&dir, vec![("t", base_rel(3))]).unwrap();
+            assert_eq!(db.delta_stats("t").unwrap(), (1, 0, 0), "{tag}");
+            // The log reopens at the end of the valid prefix and goes on.
+            let mut w = db.begin().unwrap();
+            db.delete_where(&mut w, "t", &eq(col(0), lit(1))).unwrap();
+            db.commit(w).unwrap();
+            drop(db);
+            let db = TxnDb::open(&dir, vec![("t", base_rel(3))]).unwrap();
+            assert_eq!(vals(&db), vec![(0, 0), (2, 0), (10, 100)], "{tag}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn a_commit_that_brings_a_value_rebases_and_recovery_repeats_it() {
+        let dir = tmpdir("rebase-redo");
+        let base = tagged_rel(DICT_MAX_UNIQUE as i64 + 76, 4);
+        let live = {
+            let db = TxnDb::create(&dir, vec![("t", Arc::clone(&base))]).unwrap();
+            let mut next_id = 1000;
+            insert_rows(&db, &mut next_id, 3, None);
+            let (_, _, dicts) = table_state(&db, 0);
+            assert_eq!(dicts[1], base.encoding(1).dict().unwrap().values());
+            // The commit itself re-encodes the base, before any snapshot.
+            insert_rows(&db, &mut next_id, 2, Some("fresh"));
+            let state = table_state(&db, 0);
+            assert!(state.2[1].iter().any(|v| v == "fresh"));
+            assert_eq!(state.1, base.gather(), "the same rows, re-encoded");
+            state
+        };
+        let db = TxnDb::open(&dir, vec![("t", Arc::clone(&base))]).unwrap();
+        assert_eq!(table_state(&db, 0), live);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `(id, name)` over four rows, `name` dictionary-encoded.
+    fn named_rel() -> Arc<Relation> {
+        let schema = Schema::new(vec![("id", DataType::I64), ("name", DataType::Str)]);
+        let data = Batch::from_columns(vec![
+            Column::I64((0..4).collect()),
+            Column::Str(["ann", "bob", "ann", "cy"].into_iter().collect()),
+        ]);
+        let rel = Relation::single(schema, data).dict_encoded();
+        assert!(rel.encoding(1).dict().is_some());
+        Arc::new(rel)
+    }
+
+    /// Ten committed inserts of `(i64, 14-character name)` into `named_rel`
+    /// under `pool`; returns what the pool held before the database was
+    /// dropped.
+    fn ten_named_rows(dir: &Path, pool: &Arc<MemPool>) -> u64 {
+        let cfg = TxnDbConfig {
+            pool: Some(Arc::clone(pool)),
+            ..TxnDbConfig::default()
+        };
+        let db = TxnDb::create_with(dir, vec![("t", named_rel())], cfg).unwrap();
+        for i in 0..10 {
+            let mut w = db.begin().unwrap();
+            let name = format!("customer-{i:05}");
+            assert_eq!(name.len(), 14);
+            db.insert(&mut w, "t", vec![Value::I64(100 + i), Value::Str(name)])
+                .unwrap();
+            db.commit(w).unwrap();
+        }
+        pool.reserved()
+    }
+
+    #[test]
+    fn recovery_reserves_what_the_live_engine_held() {
+        let dir = tmpdir("reserve-redo");
+        let pool = MemPool::new(1 << 20);
+        let live = ten_named_rows(&dir, &pool);
+        assert_eq!(live, 10 * (8 + 1 + 14), "row_bytes per insert");
+        assert_eq!(pool.reserved(), 0, "dropping the database releases it");
+        let cfg = TxnDbConfig {
+            pool: Some(Arc::clone(&pool)),
+            ..TxnDbConfig::default()
+        };
+        let db = TxnDb::open_with(&dir, vec![("t", named_rel())], cfg).unwrap();
+        assert_eq!(pool.reserved(), live);
+        db.merge("t").unwrap();
+        assert_eq!(pool.reserved(), 0, "the merge releases all of it");
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_pool_too_small_for_the_logged_delta_fails_recovery() {
+        let dir = tmpdir("reserve-short");
+        let live = ten_named_rows(&dir, &MemPool::new(1 << 20));
+        let pool = MemPool::new(live - 1);
+        let cfg = TxnDbConfig {
+            pool: Some(Arc::clone(&pool)),
+            ..TxnDbConfig::default()
+        };
+        match TxnDb::open_with(&dir, vec![("t", named_rel())], cfg) {
+            Err(TxnError::Memory(_)) => {}
+            Err(e) => panic!("expected a memory error, got {e:?}"),
+            Ok(_) => panic!("expected a memory error, got a database"),
+        }
+        assert_eq!(pool.reserved(), 0, "nothing retained");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn schema_violations_abort_before_buffering() {
         let dir = tmpdir("schema");
@@ -1685,7 +1976,8 @@ mod tests {
         assert_eq!(kept, 62);
 
         // Past the drift bound a snapshot fills statistics of its own from
-        // its partitions, shared ones included, equal to statistics
+        // its partitions, shared ones included, the last one too (it holds
+        // the row inserted beside the deletes), equal to statistics
         // computed from scratch.
         let cut = 2 * bound(6400);
         let mut w = db.begin().unwrap();
@@ -1693,9 +1985,17 @@ mod tests {
             .delete_where(&mut w, "t", &lt(col(0), lit(cut as i64)))
             .unwrap();
         assert_eq!(gone, cut - 1);
+        let row = vec![
+            Value::I64(99_999),
+            Value::Str("tag4".into()),
+            Value::Str("note-99999".into()),
+            Value::I64(9),
+        ];
+        db.insert(&mut w, "t", row).unwrap();
         db.commit(w).unwrap();
         let past = db.latest_relation("t").unwrap();
         assert!(!Arc::ptr_eq(&past.stats(), &merged.stats()));
+        assert_eq!(past.partitions().last().unwrap().data.rows(), 1);
         assert_stats_from_scratch(&past);
         let _ = std::fs::remove_dir_all(&dir);
     }

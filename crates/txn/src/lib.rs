@@ -14,9 +14,11 @@
 //! - a group-commit WAL ([`morsel_storage::Wal`]) — commit
 //!   acknowledgment means the commit record is fsync-durable, batched
 //!   with concurrent committers into one fsync.
-//! - crash recovery ([`morsel_storage::replay`]) — redo-only replay
-//!   reconstructs the delta stores byte-identically from whatever
-//!   prefix of the WAL survived, truncating torn tails.
+//! - crash recovery ([`db::TxnDb::open`]) — redo-only: the commit's own
+//!   apply call, run over each committed transaction's logged records,
+//!   reconstructs the delta stores byte-identically from whatever prefix
+//!   of the WAL survived ([`morsel_storage::WalReader`] reads it and
+//!   finds the torn tail, which is truncated).
 //! - [`checker`] — a black-box snapshot-isolation checker (after
 //!   arXiv 2301.07313) that validates client-observed histories of
 //!   concurrent transactions, plus [`manager::SiMode`] knobs that
