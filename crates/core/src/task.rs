@@ -96,14 +96,8 @@ impl<'a> TaskContext<'a> {
         }
     }
 
-    pub fn with_query_counters(mut self, counters: &'a AccessCounters) -> Self {
-        self.query_counters = Some(counters);
-        self
-    }
-
     /// Bind this context to a query: traffic is charged to its counters
-    /// and reservations to its memory budget. Supersedes
-    /// [`TaskContext::with_query_counters`] at executor call sites.
+    /// and reservations to its memory budget.
     pub fn with_query(mut self, query: &'a QueryShared) -> Self {
         self.query_counters = Some(&query.counters);
         self.query = Some(query);
@@ -348,13 +342,28 @@ mod tests {
     #[test]
     fn query_counters_mirror_global() {
         let env = env();
-        let qc = AccessCounters::new(env.topology());
-        let mut ctx = TaskContext::new(&env, 9).with_query_counters(&qc);
+        let query = QueryShared {
+            name: "q".into(),
+            priority: 1,
+            cancelled: Default::default(),
+            done: Default::default(),
+            result: crate::query::result_slot(),
+            counters: AccessCounters::new(env.topology()),
+            stats: Default::default(),
+            submitted_ns: 0,
+            deadline_ns: u64::MAX,
+            budget: crate::govern::MemBudget::unlimited(),
+            failure: Default::default(),
+            profile: None,
+        };
+        let mut ctx = TaskContext::new(&env, 9).with_query(&query);
         // worker 9 is on socket 1
         assert_eq!(ctx.socket, SocketId(1));
         ctx.read(SocketId(1), 10);
         ctx.read(SocketId(0), 20);
-        assert_eq!(qc.snapshot().read_local, 10);
-        assert_eq!(qc.snapshot().read_remote, 20);
+        let qc = query.counters.snapshot();
+        assert_eq!(qc.read_local, 10);
+        assert_eq!(qc.read_remote, 20);
+        assert_eq!(env.counters().snapshot().read_remote, 20);
     }
 }

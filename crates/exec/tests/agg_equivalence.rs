@@ -9,26 +9,29 @@
 //! with interleaved morsels, and every dictionary group column coming
 //! back as a `Dict` column sharing the input's `Arc<Dictionary>`.
 //!
-//! This file replaces the scalar twin the engine used to carry. It was run
-//! against these deliberately broken engines, and fails on each of them:
+//! This file replaces the scalar twin the engine used to carry. These
+//! deliberately broken engines are entries of `mutants/catalogue.txt`, and
+//! it fails on each of them:
 //!
 //! * strings serialised without their length prefix (`KeyLayout::extract`
-//!   writing only the bytes): `("ab","c")` and `("a","bc")` become one
-//!   group — `adjacent_strings_keep_their_boundaries` and the random
-//!   cases with string columns fail;
+//!   writing only the bytes; `agg-key-without-length-prefix`): `("ab","c")`
+//!   and `("a","bc")` become one group — `adjacent_strings_keep_their_boundaries`
+//!   and the random cases with string columns fail;
 //! * equality on the hash alone (`GroupTable::upsert` accepting a
-//!   directory word whose tag matches without comparing keys): only
-//!   `keys_sharing_their_hash_tag_stay_apart` fails, which searches for
-//!   integer keys whose hashes share the 32 tag bits — random data never
-//!   collides;
-//! * a flush that drops the segment's pending updates (`absorb` spilling
-//!   before `update_lanes`): every test fails, rows go missing wherever
-//!   the capacity is below the group count;
+//!   directory word whose tag matches without comparing keys;
+//!   `agg-equal-on-hash-tag`): only `keys_sharing_their_hash_tag_stay_apart`
+//!   fails, which searches for integer keys whose hashes share the 32 tag
+//!   bits — random data never collides;
+//! * a flush that drops the segment's pending updates
+//!   (`agg-flush-drops-pending-updates`): rows go missing wherever the
+//!   capacity is below the group count;
 //! * phase 2 merging an average's count lane by overwriting instead of
-//!   adding (the "average of averages" family — sums and counts must both
-//!   add up across fragments): the random, clustered and hash-tag tests;
-//! * `Min`/`Max` lanes started at 0 instead of their identities, and NaN
-//!   keys kept apart by payload: the random cases.
+//!   adding (`agg-merge-overwrites-counts`; the "average of averages"
+//!   family — sums and counts must both add up across fragments): the
+//!   random, clustered and hash-tag tests;
+//! * `Min`/`Max` lanes started at 0 instead of their identities
+//!   (`agg-min-starts-at-zero`, `agg-max-starts-at-zero`), and NaN keys
+//!   kept apart by payload (`agg-nan-keys-by-payload`): the random cases.
 //!
 //! Not on the list, because no test can tell: the last-row shortcut
 //! "surviving a flush". A flush happens at a key that is *not* in the

@@ -336,12 +336,16 @@ proptest! {
     ///
     /// The oracle shares no kernel with the cascade (it compares evaluated
     /// vectors; only the dictionary resolution of string constants is
-    /// common, and columns 3/4 check that against plain strings). Checked
-    /// against these mutations, each of which fails this test: `<` for
-    /// `<=` in the fused `IntRange` kernel (I64 or I32 arm); a generic
-    /// conjunct that forgets to re-base a sub-range (reads its mask by
-    /// row, `mask[r]`, instead of by position); `max`/`min` swapped when
-    /// bounds fuse; an unflipped operator for a constant on the left.
+    /// common, and columns 3/4 check that against plain strings). These
+    /// mutations, entries of `mutants/catalogue.txt`, each fail this test:
+    /// `<` for `<=` in the fused `IntRange` kernel (I64 or I32 arm;
+    /// `cascade-i64-range-excludes-its-end`,
+    /// `cascade-i32-range-excludes-its-end`); a generic conjunct that
+    /// forgets to re-base a sub-range (reads its mask by row, `mask[r]`,
+    /// instead of by position; `cascade-generic-mask-by-row`); `max`/`min`
+    /// swapped when bounds fuse (`cascade-fusion-swaps-max-min`); an
+    /// unflipped operator for a constant on the left
+    /// (`cascade-left-constant-unflipped`).
     #[test]
     fn cascade_matches_the_mask_evaluator(
         vals in proptest::collection::vec(any::<u8>(), 1..160),

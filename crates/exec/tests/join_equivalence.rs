@@ -22,21 +22,22 @@
 //!
 //! This file replaces the row-at-a-time twin `ProbeOp` used to carry,
 //! which shared the hash function, the directory and the chain layout with
-//! the code it checked. It was run against these deliberately broken
-//! probes, and fails on each of them:
+//! the code it checked. These deliberately broken probes are entries of
+//! `mutants/catalogue.txt`, and it fails on each of them:
 //!
-//! * equality on the hash alone (`retain_key_equal` skipped), and NaN
-//!   matching NaN in the key comparison (floats compared by their
-//!   canonical bits): every NaN hashes alike, so either way NaN keys match
-//!   each other — the cases with an `F64` key column;
+//! * equality on the hash alone (`retain_key_equal` skipped;
+//!   `join-equal-on-hash-alone`), and NaN matching NaN in the key
+//!   comparison (floats compared by their canonical bits;
+//!   `join-nan-matches-nan`): every NaN hashes alike, so either way NaN
+//!   keys match each other — the cases with an `F64` key column;
 //! * `Semi` emitting a probe row once per match (the `found` flags
-//!   replaced by the candidates' probe rows): the `Semi` cases with a
-//!   duplicated build key;
-//! * `Count` dropping zero-match rows (counting over the candidates' rows
-//!   only): the `Count` cases;
+//!   replaced by the candidates' probe rows; `join-semi-once-per-match`):
+//!   the `Semi` cases with a duplicated build key;
+//! * `Count` dropping zero-match rows (`join-count-drops-zero-match`): the
+//!   `Count` cases;
 //! * a selection-vector input indexed by position instead of row
-//!   (`cand.push(i, ..)` for `live.at(i)`): the direct half of the cases
-//!   with a sparse selection.
+//!   (`cand.push(i, ..)` for `live.at(i)`; `join-selection-by-position`):
+//!   the direct half of the cases with a sparse selection.
 //!
 //! Not on the list, because no test can tell: integer keys compared after
 //! truncation to `i32`. Candidates reach the key comparison only with

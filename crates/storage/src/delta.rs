@@ -135,11 +135,10 @@ impl DeltaStore {
         id
     }
 
-    /// Record a committed delete of `row_id` (base or delta). A second
-    /// delete of the same row can only happen when write-write conflict
-    /// detection is deliberately disabled (the SI checker's teeth
-    /// mode); the earliest tombstone governs visibility, and replaying
-    /// such a log must reproduce the same state, so first delete wins.
+    /// Record a committed delete of `row_id` (base or delta). The
+    /// transaction layer's first-committer-wins check lets one commit
+    /// delete a row; were a second delete of it to reach the store, the
+    /// earliest tombstone would govern visibility, so first delete wins.
     pub fn apply_delete(&mut self, row_id: u64, commit_ts: u64) {
         self.tombstones.entry(row_id).or_insert(commit_ts);
         self.note_effect(commit_ts);
@@ -191,12 +190,9 @@ impl DeltaStore {
     /// way**, dictionary partitions sharing one `Arc<Dictionary>`: the
     /// executor compiles a column's kernels once per relation and relies
     /// on it. The delta rows are therefore encoded against the base's
-    /// dictionaries. A writer keeps those holding every committed value
-    /// ([`rebased`] at the commit that brings a new one), so the result
-    /// encodes every column as `base` does. Given a base that lacks a
-    /// value, the delta column stays plain and the relation's constructor
-    /// re-encodes that column in every partition, the load-time rule of
-    /// [`Relation::from_partitions`]: O(table), on every such snapshot.
+    /// dictionaries, which must hold every visible delta value: the writer
+    /// [`rebased`] the base at the commit that brought a new one. So the
+    /// result encodes every column as `base` does.
     ///
     /// `prev`, when given, is a snapshot of the same base and store (same
     /// epoch) at a timestamp `≤ ts`: a re-materialised partition is
@@ -250,10 +246,9 @@ impl DeltaStore {
         if !visible.is_empty() {
             let mut extra = self.rows.gather(&visible);
             for c in 0..extra.width() {
-                let dict = base.encoding(c).dict();
-                if let Some(encoded) =
-                    dict.and_then(|d| DictColumn::encode(d, extra.column(c).as_str()))
-                {
+                if let Some(dict) = base.encoding(c).dict() {
+                    let encoded = DictColumn::encode(dict, extra.column(c).as_str())
+                        .expect("the writer rebases the base on a value outside its dictionary");
                     extra.replace_column(c, Column::Dict(encoded));
                 }
             }
@@ -387,22 +382,15 @@ pub fn rebased(base: &Relation, fresh: &[(usize, String)]) -> Relation {
     Relation::sharing(base.schema().clone(), parts, base.has_merge_tail())
 }
 
-/// The rows of `tail` followed by those of `extra`, copied once into
-/// columns sized for both. A column `extra` holds plain where `tail` codes
-/// it (values outside the dictionary) comes out plain.
+/// The rows of `tail` followed by those of `extra`, which encodes every
+/// column as `tail` does, copied once into columns sized for both.
 fn concat(tail: &Batch, extra: &Batch) -> Batch {
     let rows = tail.rows() + extra.rows();
     Batch::from_columns(
         (tail.columns().iter().zip(extra.columns()))
             .map(|(t, e)| {
-                let mut column = match (t, e) {
-                    (Column::Dict(codes), Column::Str(_)) => Column::Str(codes.decode()),
-                    _ => {
-                        let mut column = Column::with_capacity_like(t, rows);
-                        column.extend_from(t);
-                        column
-                    }
-                };
+                let mut column = Column::with_capacity_like(t, rows);
+                column.extend_from(t);
                 column.extend_from(e);
                 column
             })
@@ -567,15 +555,6 @@ mod tests {
         let snap = next.snapshot(&merged, 12, None);
         assert!(Arc::ptr_eq(&one_dictionary(&snap), &dict));
         assert_eq!(tags(&snap).last().unwrap(), "aa");
-
-        // Over a base that lacks the value the relation's constructor
-        // re-encodes the column, still one dictionary for every partition.
-        let snap = d.snapshot(&b, 11, None);
-        assert_eq!(tags(&snap), ["a", "b", "a", "b", "b", "aa"]);
-        assert!(one_dictionary(&snap).code_of("aa").is_some());
-        let (merged, _) = d.merge(&b, 11, None);
-        assert_eq!(tags(&merged), ["a", "b", "a", "b", "b", "aa"]);
-        assert!(one_dictionary(&merged).code_of("aa").is_some());
     }
 
     #[test]

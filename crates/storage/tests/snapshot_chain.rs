@@ -7,7 +7,9 @@
 //!
 //! - **replace k**: one base row dies in each of k partitions, which the
 //!   snapshot re-materialises;
-//! - **append**: committed inserts grow the delta partition;
+//! - **append**: committed inserts grow the delta partition; a value
+//!   outside a coded column's dictionary first rebases the base, as the
+//!   commit that brings it does in `morsel-txn`;
 //! - **shrink the right edge**: every visible delta row dies, so the
 //!   delta partition drops off the end;
 //! - **fold into the tail**: a merge appends its rows, or folds them into
@@ -22,8 +24,8 @@ use std::sync::Arc;
 
 use morsel_numa::SocketId;
 use morsel_storage::{
-    delta_row_id, Batch, Column, DataType, DeltaStore, DictColumn, Dictionary, Partition, Relation,
-    Schema, TableStats, Value,
+    delta_row_id, rebased, Batch, Column, DataType, DeltaStore, DictColumn, Dictionary, Partition,
+    Relation, Schema, TableStats, Value,
 };
 use proptest::prelude::*;
 
@@ -54,9 +56,12 @@ const B_VALUES: [&str; 4] = ["b0", "b1", "b2", "b3"];
 const X_VALUES: [f64; 6] = [0.0, -0.0, 1.5, -2.25, 1e9, 7.0];
 
 /// The dictionaries fragments draw from. Column `a` is plain in the first
-/// partition, so the delta store keeps inserted `a` values plain, and any
-/// mix elsewhere; column `b` is encoded everywhere, over the relation's
-/// dictionary or, in some fragments, an equal but distinct one.
+/// partition and any mix elsewhere; column `b` is encoded everywhere, over
+/// the relation's dictionary or, in some fragments, an equal but distinct
+/// one. Wherever the relation's constructor settles on a dictionary, it
+/// holds only the values the fragments hold: an inserted value outside it
+/// (`a`'s always are) takes the write path's rebase before any snapshot
+/// sees it ([`with_values_of`]).
 struct Dicts {
     a: [Arc<Dictionary>; 2],
     b: Arc<Dictionary>,
@@ -110,10 +115,27 @@ fn insert_row(draw: &mut Draw) -> Vec<Value> {
     vec![
         Value::I64(draw.below(2_000) as i64 - 1_000),
         Value::F64(X_VALUES[draw.below(6)]),
-        // Outside `a`'s dictionaries: the delta partition stays plain.
+        // Outside `a`'s dictionaries: a coded `a` is rebased.
         Value::Str(format!("new{}", draw.below(50))),
         Value::Str(B_VALUES[draw.below(4)].to_owned()),
     ]
+}
+
+/// `base` rebased on the values of `rows` its dictionaries lack, as the
+/// commit that brings them rebases it before applying them.
+fn with_values_of(base: Relation, rows: &[Vec<Value>]) -> Relation {
+    let fresh: Vec<(usize, String)> = (rows.iter())
+        .flat_map(|row| row.iter().enumerate())
+        .filter_map(|(c, v)| match (base.encoding(c).dict(), v) {
+            (Some(dict), Value::Str(s)) if dict.code_of(s).is_none() => Some((c, s.clone())),
+            _ => None,
+        })
+        .collect();
+    if fresh.is_empty() {
+        base
+    } else {
+        rebased(&base, &fresh)
+    }
 }
 
 /// Every partition of `rel` stores each column in the relation's encoding,
@@ -171,8 +193,12 @@ fn run(parts: usize, seed: u64, edits: usize) -> usize {
                 "replace k"
             }
             1 => {
-                for _ in 0..1 + draw.below(6) {
-                    delta.apply_insert(insert_row(&mut draw), ts);
+                let rows: Vec<_> = (0..1 + draw.below(6))
+                    .map(|_| insert_row(&mut draw))
+                    .collect();
+                base = with_values_of(base, &rows);
+                for row in rows {
+                    delta.apply_insert(row, ts);
                 }
                 "append"
             }

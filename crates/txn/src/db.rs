@@ -5,9 +5,11 @@
 //! [`Relation`] plus a committed [`DeltaStore`]. Transactions buffer
 //! their writes privately and apply them — in one deterministic
 //! sequence, mirrored record-for-record in the WAL — at commit, under
-//! a single commit lock that also serializes timestamp assignment, so
-//! the applied state is always a timestamp-prefix and the log replays
-//! to exactly the in-memory delta stores (`==`, field for field).
+//! the database mutex, which also holds the one clock: a commit takes
+//! the timestamp after the last one applied, and a transaction reads at
+//! the last one applied when it began. So the applied state is always a
+//! timestamp-prefix and the log replays to exactly the in-memory delta
+//! stores (`==`, field for field).
 //!
 //! **Commit protocol** (early lock release, standard group commit):
 //! validate conflicts → assign timestamp → append WAL frames → apply
@@ -68,8 +70,6 @@ use morsel_storage::{
     delta_row_id, read_wal, rebased, row_bytes, Batch, Catalog, DeltaStore, Encoding, Relation,
     Schema, Value, Wal, WalError, WalFaults, WalOp, WalStats,
 };
-
-use crate::manager::{SiMode, TxnManager};
 
 /// Marks a row id that exists only in a transaction's private buffer
 /// (bit 62; bit 63 is [`morsel_storage::DELTA_ROW_BIT`]).
@@ -232,14 +232,6 @@ impl TableState {
     /// re-encoded the base left `donor`'s dictionaries stale — `rel`
     /// keeps its own and the count starts from it.
     fn carry_stats(&mut self, rel: Relation, donor: &Relation) -> Relation {
-        // Built over the base, whose dictionaries hold every committed
-        // value (`TableState::apply`), `rel` encodes every column as the
-        // base does.
-        assert!(
-            rel.encodings() == self.base.encodings(),
-            "table {:?}: a committed value outside the base dictionaries",
-            self.name
-        );
         let changes = (self.delta.delta_rows() + self.delta.tombstone_count()) as u64;
         self.drift += changes - self.counted;
         self.counted = changes;
@@ -335,8 +327,11 @@ fn record_bytes(op: &WalOp) -> u64 {
 struct Inner {
     tables: Vec<TableState>,
     by_name: HashMap<String, u32>,
-    /// Highest commit timestamp applied to the delta stores.
+    /// Highest commit timestamp applied to the delta stores; the next
+    /// commit takes the one after it.
     last_applied_ts: u64,
+    /// The id the next [`TxnDb::begin`] hands out.
+    next_txn: u64,
     poisoned: bool,
 }
 
@@ -348,15 +343,12 @@ pub struct TxnDbConfig {
     pub pool: Option<Arc<MemPool>>,
     /// Deterministic WAL fault schedule (chaos tests).
     pub faults: WalFaults,
-    /// Isolation-breaking knob for the checker's teeth test.
-    pub mode: SiMode,
 }
 
 /// A transactional database over immutable column partitions.
 pub struct TxnDb {
     dir: PathBuf,
     wal: Wal,
-    mgr: TxnManager,
     inner: parking_lot::Mutex<Inner>,
     budget: MemBudget,
 }
@@ -380,7 +372,6 @@ impl TxnDb {
             0,
             1,
             MemBudget::new(None, cfg.pool),
-            cfg.mode,
         ))
     }
 
@@ -439,9 +430,7 @@ impl TxnDb {
         budget
             .try_reserve(tables.iter().map(|t| t.reserved).sum())
             .map_err(|e| TxnError::Memory(e.to_string()))?;
-        Ok(TxnDb::assemble(
-            dir, wal, tables, last_ts, next_txn, budget, cfg.mode,
-        ))
+        Ok(TxnDb::assemble(dir, wal, tables, last_ts, next_txn, budget))
     }
 
     fn assemble(
@@ -451,23 +440,20 @@ impl TxnDb {
         last_ts: u64,
         next_txn: u64,
         budget: MemBudget,
-        mode: SiMode,
     ) -> TxnDb {
         let by_name = tables
             .iter()
             .enumerate()
             .map(|(i, t)| (t.name.clone(), i as u32))
             .collect();
-        let mgr = TxnManager::new(mode);
-        mgr.restore(next_txn, last_ts);
         TxnDb {
             dir: dir.to_path_buf(),
             wal,
-            mgr,
             inner: parking_lot::Mutex::new(Inner {
                 tables,
                 by_name,
                 last_applied_ts: last_ts,
+                next_txn,
                 poisoned: false,
             }),
             budget,
@@ -476,10 +462,6 @@ impl TxnDb {
 
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    pub fn mode(&self) -> SiMode {
-        self.mgr.mode()
     }
 
     pub fn is_poisoned(&self) -> bool {
@@ -503,12 +485,14 @@ impl TxnDb {
     /// Begin a transaction reading at the latest applied commit
     /// timestamp.
     pub fn begin(&self) -> Result<Txn, TxnError> {
-        let inner = self.inner.lock();
+        let mut inner = self.inner.lock();
         if inner.poisoned {
             return Err(TxnError::Poisoned);
         }
+        let id = inner.next_txn;
+        inner.next_txn += 1;
         Ok(Txn {
-            id: self.mgr.next_txn_id(),
+            id,
             begin_ts: inner.last_applied_ts,
             epochs: inner.tables.iter().map(|t| t.delta.epoch()).collect(),
             ops: Vec::new(),
@@ -516,17 +500,6 @@ impl TxnDb {
             pending_dead: std::collections::HashSet::new(),
             snapshot_deletes: Vec::new(),
         })
-    }
-
-    /// The timestamp this transaction's reads resolve at (the begin
-    /// snapshot — or, under the broken [`SiMode::ReadLatest`], whatever
-    /// is committed right now).
-    fn read_ts(&self, inner: &Inner, txn: &Txn) -> u64 {
-        if self.mgr.reads_pin_snapshot() {
-            txn.begin_ts
-        } else {
-            inner.last_applied_ts
-        }
     }
 
     /// Buffer an insert. Validates arity and value types against the
@@ -560,12 +533,11 @@ impl TxnDb {
             return Err(TxnError::Poisoned);
         }
         let t = self.table_index(&inner, table)?;
-        let ts = self.read_ts(&inner, txn);
         let state = &inner.tables[t as usize];
         // Copy the delta out so the table is decoded without the lock.
         let (base, delta) = (Arc::clone(&state.base), state.delta.clone());
         drop(inner);
-        let (mut rows, mut ids) = delta.visible_rows(&base, ts);
+        let (mut rows, mut ids) = delta.visible_rows(&base, txn.begin_ts);
         // Filter out rows this transaction deleted …
         let dead = txn.deleted_in(t);
         if !dead.is_empty() {
@@ -654,8 +626,8 @@ impl TxnDb {
                 base = Arc::clone(&state.base);
                 continue;
             }
-            let ts = self.read_ts(&inner, txn);
-            let live = |id: u64| state.delta.visible(id, ts) && !own_deletes.contains(&id);
+            let live =
+                |id: u64| state.delta.visible(id, txn.begin_ts) && !own_deletes.contains(&id);
             hits.retain(|&(id, _, _)| live(id));
             let rows = state.delta.rows();
             let delta_hits: Vec<(u64, Vec<Value>)> = plain
@@ -763,27 +735,27 @@ impl TxnDb {
             }
             // First committer wins: any tombstone on a row we also
             // wrote means someone committed it after our begin.
-            if self.mgr.detect_conflicts() {
-                for (t, epoch) in txn.epochs.iter().enumerate() {
-                    if inner.tables[t].delta.epoch() != *epoch
-                        && txn.ops.iter().any(|op| op_table(op) == t as u32)
-                    {
-                        return Err(TxnError::Conflict(format!(
-                            "table {:?} merged since begin",
-                            inner.tables[t].name
-                        )));
-                    }
-                }
-                for &(t, row_id) in &txn.snapshot_deletes {
-                    if inner.tables[t as usize].delta.tombstoned(row_id) {
-                        return Err(TxnError::Conflict(format!(
-                            "row {row_id:#x} of {:?} already deleted by a concurrent commit",
-                            inner.tables[t as usize].name
-                        )));
-                    }
+            for (t, epoch) in txn.epochs.iter().enumerate() {
+                if inner.tables[t].delta.epoch() != *epoch
+                    && txn.ops.iter().any(|op| op_table(op) == t as u32)
+                {
+                    return Err(TxnError::Conflict(format!(
+                        "table {:?} merged since begin",
+                        inner.tables[t].name
+                    )));
                 }
             }
-            let commit_ts = self.mgr.next_commit_ts();
+            for &(t, row_id) in &txn.snapshot_deletes {
+                if inner.tables[t as usize].delta.tombstoned(row_id) {
+                    return Err(TxnError::Conflict(format!(
+                        "row {row_id:#x} of {:?} already deleted by a concurrent commit",
+                        inner.tables[t as usize].name
+                    )));
+                }
+            }
+            // Under the lock, so commits are applied, and logged, in
+            // timestamp order.
+            let commit_ts = inner.last_applied_ts + 1;
             // Resolve pending-insert indices to the delta row ids they
             // will occupy — deterministic, so WAL replay reproduces
             // identical numbering.
@@ -843,7 +815,7 @@ impl TxnDb {
             records.pop(); // the `Commit` marker
             let applied = TableState::apply(&mut inner.tables, records, commit_ts);
             debug_assert_eq!(applied, bytes);
-            inner.last_applied_ts = inner.last_applied_ts.max(commit_ts);
+            inner.last_applied_ts = commit_ts;
             (lsn, commit_ts)
         };
         // Group commit: block until this commit's group is durable.
@@ -877,7 +849,7 @@ impl TxnDb {
         }
         let mut inner = self.inner.lock();
         let t = self.table_index(&inner, table)? as usize;
-        let ts = self.read_ts(&inner, txn);
+        let ts = txn.begin_ts;
         if ts == inner.last_applied_ts {
             return Ok(inner.tables[t].latest_snapshot(ts));
         }
@@ -1205,22 +1177,69 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Commit one insert per value of `ids` into `t`.
+    fn commit_ids(db: &TxnDb, ids: std::ops::Range<i64>) -> Result<u64, TxnError> {
+        let mut w = db.begin().unwrap();
+        for id in ids {
+            db.insert(&mut w, "t", vec![Value::I64(id), Value::I64(0)])
+                .unwrap();
+        }
+        db.commit(w)
+    }
+
     #[test]
-    fn ww_blind_mode_loses_updates() {
-        let dir = tmpdir("wwblind");
+    fn a_commit_the_budget_rejects_takes_no_timestamp() {
+        let dir = tmpdir("clock-budget");
         let cfg = TxnDbConfig {
-            mode: SiMode::WwBlind,
+            pool: Some(MemPool::new(64)),
             ..TxnDbConfig::default()
         };
-        let db = TxnDb::create_with(&dir, vec![("t", base_rel(1))], cfg).unwrap();
-        let mut a = db.begin().unwrap();
-        let mut b = db.begin().unwrap();
-        db.update_where(&mut a, "t", &eq(col(0), lit(0)), &[(1, Value::I64(1))])
-            .unwrap();
-        db.update_where(&mut b, "t", &eq(col(0), lit(0)), &[(1, Value::I64(2))])
-            .unwrap();
-        db.commit(a).unwrap();
-        db.commit(b).unwrap(); // the anomaly the checker must catch
+        let db = TxnDb::create_with(&dir, vec![("t", base_rel(2))], cfg).unwrap();
+        assert_eq!(commit_ids(&db, 10..11), Ok(1));
+        // 100 rows of 16 bytes each overrun the 64-byte pool.
+        assert!(matches!(commit_ids(&db, 20..120), Err(TxnError::Memory(_))));
+        assert_eq!(
+            commit_ids(&db, 30..31),
+            Ok(2),
+            "timestamps stay consecutive"
+        );
+        assert_eq!(vals(&db), vec![(0, 0), (1, 0), (10, 0), (30, 0)]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn open_continues_the_logged_clock_and_ids() {
+        let dir = tmpdir("clock-open");
+        let o = two_txns(); // txns 1 and 2, committed at 5 and 6
+        let straggler = WalOp::Insert {
+            txn: 9,
+            table: 0,
+            row: vec![Value::I64(90), Value::I64(0)],
+        };
+        write_log(
+            &dir,
+            &[
+                (1, o[0].clone()),
+                (2, o[1].clone()),
+                (3, straggler),
+                (4, o[2].clone()),
+                (5, o[3].clone()),
+            ],
+        );
+        let logged_id = {
+            let db = TxnDb::open(&dir, vec![("t", base_rel(3))]).unwrap();
+            let mut w = db.begin().unwrap();
+            assert!(w.id > 9, "id {} reuses a logged one", w.id);
+            let id = w.id;
+            db.insert(&mut w, "t", vec![Value::I64(40), Value::I64(0)])
+                .unwrap();
+            assert_eq!(db.commit(w), Ok(7), "the last logged + 1");
+            id
+        };
+        // Reopened over its own commit, the clock goes on from it.
+        let db = TxnDb::open(&dir, vec![("t", base_rel(3))]).unwrap();
+        assert!(db.begin().unwrap().id > logged_id);
+        assert_eq!(commit_ids(&db, 50..51), Ok(8));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

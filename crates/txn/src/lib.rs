@@ -21,18 +21,17 @@
 //!   finds the torn tail, which is truncated).
 //! - [`checker`] — a black-box snapshot-isolation checker (after
 //!   arXiv 2301.07313) that validates client-observed histories of
-//!   concurrent transactions, plus [`manager::SiMode`] knobs that
-//!   deliberately break one isolation rule at a time to prove the
-//!   checker has teeth.
+//!   concurrent transactions. The engine has no broken mode: the
+//!   checker's teeth are deliberately broken copies of [`db`] in the
+//!   repository's mutant catalogue (`mutants/catalogue.txt`), each of
+//!   which the SI acceptance sweep must flag.
 
 pub mod checker;
 pub mod db;
-pub mod manager;
 pub mod workload;
 
 pub use checker::{
     check_history, kv_relation, run_history, Ev, ExecMode, History, HistorySpec, Lcg, TxnRec,
 };
 pub use db::{Txn, TxnDb, TxnDbConfig, TxnError, STATS_DRIFT};
-pub use manager::{SiMode, TxnManager};
 pub use workload::{diff_logical_state, run_seeded, run_step, skip_step, WorkloadSpec};
