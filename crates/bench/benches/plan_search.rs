@@ -9,8 +9,6 @@
 //! * `dpccp_chain_N`, `dpccp_star_12`, `greedy_chain_20` — `enumerate`
 //!   alone. A chain has few connected subgraph pairs, a star many.
 
-use std::collections::HashMap;
-
 use criterion::{criterion_group, criterion_main, Criterion};
 use morsel_datagen::{generate_ssb, generate_tpch, SsbConfig, TpchConfig};
 use morsel_numa::Topology;
@@ -50,28 +48,24 @@ fn bench_plan_search(c: &mut Criterion) {
     // Pure enumeration on synthetic graphs: the DP at the budget edge
     // and the greedy fallback just past it.
     let params = CostParams::for_topology(&topo);
-    let node = |i: usize, keys: &[&str]| GraphNode {
+    let node = |i: usize| GraphNode {
         label: format!("r{i}"),
         rows: 1_000.0 * (i + 1) as f64,
         width: 16.0,
         cols: 2,
-        key_ndv: (keys.iter())
-            .map(|&k| (k.to_owned(), 500.0 * (i + 1) as f64))
-            .collect::<HashMap<_, _>>(),
     };
-    let edge = |a: usize, b: usize, ak: &str, bk: &str| GraphEdge {
+    let edge = |a: usize, b: usize| GraphEdge {
         a,
         b,
-        a_keys: vec![ak.to_owned()],
-        b_keys: vec![bk.to_owned()],
+        key_ndvs: vec![(500.0 * (a + 1) as f64, 500.0 * (b + 1) as f64)],
     };
     let chain = |n: usize| JoinGraph {
-        nodes: (0..n).map(|i| node(i, &["l", "r"])).collect(),
-        edges: (0..n - 1).map(|i| edge(i, i + 1, "r", "l")).collect(),
+        nodes: (0..n).map(node).collect(),
+        edges: (0..n - 1).map(|i| edge(i, i + 1)).collect(),
     };
     let star = |n: usize| JoinGraph {
-        nodes: (0..n).map(|i| node(i, &["k"])).collect(),
-        edges: (1..n).map(|i| edge(0, i, "k", "k")).collect(),
+        nodes: (0..n).map(node).collect(),
+        edges: (1..n).map(|i| edge(0, i)).collect(),
     };
     let graphs = [
         ("dpccp_chain_8".to_owned(), chain(8)),

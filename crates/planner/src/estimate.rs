@@ -66,10 +66,7 @@ impl ColEst {
         ColEst {
             ndv: s.ndv.max(1.0),
             width: s.avg_width.max(1.0),
-            span: s.numeric_span().and_then(|_| match (&s.min, &s.max) {
-                (Some(lo), Some(hi)) => Some((lo.as_f64(), hi.as_f64())),
-                _ => None,
-            }),
+            span: s.span,
             dict: encoding.dict().cloned(),
         }
     }

@@ -34,7 +34,6 @@
 //! the same tree.
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
 
 use crate::cost::{CostParams, Side};
 
@@ -53,14 +52,6 @@ pub struct GraphNode {
     pub width: f64,
     /// Output columns: what a join gathers per row it emits.
     pub cols: usize,
-    /// Estimated distinct counts for the columns used as join keys.
-    pub key_ndv: HashMap<String, f64>,
-}
-
-impl GraphNode {
-    fn ndv(&self, key: &str) -> f64 {
-        self.key_ndv.get(key).copied().unwrap_or(self.rows).max(1.0)
-    }
 }
 
 /// An equi-join predicate between two vertices (possibly multi-column).
@@ -68,8 +59,9 @@ impl GraphNode {
 pub struct GraphEdge {
     pub a: usize,
     pub b: usize,
-    pub a_keys: Vec<String>,
-    pub b_keys: Vec<String>,
+    /// One entry per key column pair: the estimated distinct values of
+    /// the `a` side's column and of the `b` side's.
+    pub key_ndvs: Vec<(f64, f64)>,
 }
 
 /// The join graph for one inner-join block.
@@ -83,20 +75,12 @@ impl JoinGraph {
     /// Selectivity of one edge: containment of value sets over the
     /// combined (multi-column) key.
     fn edge_selectivity(&self, e: &GraphEdge) -> f64 {
-        let na = &self.nodes[e.a];
-        let nb = &self.nodes[e.b];
-        let ndv_a = e
-            .a_keys
-            .iter()
-            .map(|k| na.ndv(k))
+        let ndv_a = (e.key_ndvs.iter().map(|k| k.0.max(1.0)))
             .product::<f64>()
-            .min(na.rows.max(1.0));
-        let ndv_b = e
-            .b_keys
-            .iter()
-            .map(|k| nb.ndv(k))
+            .min(self.nodes[e.a].rows.max(1.0));
+        let ndv_b = (e.key_ndvs.iter().map(|k| k.1.max(1.0)))
             .product::<f64>()
-            .min(nb.rows.max(1.0));
+            .min(self.nodes[e.b].rows.max(1.0));
         1.0 / ndv_a.max(ndv_b).max(1.0)
     }
 }
@@ -234,8 +218,7 @@ struct Edge {
 }
 
 /// The graph with every number a candidate join needs resolved once:
-/// vertex rows, neighbour bitsets, and edge selectivities (key NDVs
-/// looked up by name here and nowhere else).
+/// vertex rows, neighbour bitsets, and edge selectivities.
 struct Prepared<'g> {
     graph: &'g JoinGraph,
     params: &'g CostParams,
@@ -254,7 +237,7 @@ impl<'g> Prepared<'g> {
             .map(|e| Edge {
                 ends: (1 << e.a) | (1 << e.b),
                 sel: graph.edge_selectivity(e),
-                keys: e.a_keys.len(),
+                keys: e.key_ndvs.len(),
             })
             .collect();
         Prepared {
@@ -633,22 +616,20 @@ mod tests {
     use super::*;
     use morsel_numa::Topology;
 
-    fn node(label: &str, rows: f64, keys: &[(&str, f64)]) -> GraphNode {
+    fn node(label: &str, rows: f64) -> GraphNode {
         GraphNode {
             label: label.to_owned(),
             rows,
             width: 16.0,
             cols: 2,
-            key_ndv: keys.iter().map(|(k, v)| ((*k).to_owned(), *v)).collect(),
         }
     }
 
-    fn edge(a: usize, b: usize, ak: &str, bk: &str) -> GraphEdge {
+    fn edge(a: usize, b: usize, ndv_a: f64, ndv_b: f64) -> GraphEdge {
         GraphEdge {
             a,
             b,
-            a_keys: vec![ak.to_owned()],
-            b_keys: vec![bk.to_owned()],
+            key_ndvs: vec![(ndv_a, ndv_b)],
         }
     }
 
@@ -659,7 +640,7 @@ mod tests {
     #[test]
     fn single_relation_is_a_leaf() {
         let g = JoinGraph {
-            nodes: vec![node("r", 100.0, &[])],
+            nodes: vec![node("r", 100.0)],
             edges: vec![],
         };
         let e = enumerate(&g, &params(), DP_BUDGET_DEFAULT);
@@ -670,11 +651,8 @@ mod tests {
     #[test]
     fn two_relations_build_the_small_side() {
         let g = JoinGraph {
-            nodes: vec![
-                node("big", 1_000_000.0, &[("k", 1_000_000.0)]),
-                node("small", 100.0, &[("k", 100.0)]),
-            ],
-            edges: vec![edge(0, 1, "k", "k")],
+            nodes: vec![node("big", 1_000_000.0), node("small", 100.0)],
+            edges: vec![edge(0, 1, 1_000_000.0, 100.0)],
         };
         let e = enumerate(&g, &params(), DP_BUDGET_DEFAULT);
         match &e.tree {
@@ -689,7 +667,7 @@ mod tests {
     #[test]
     fn disconnected_graph_forces_cross_product() {
         let g = JoinGraph {
-            nodes: vec![node("a", 10.0, &[]), node("b", 20.0, &[])],
+            nodes: vec![node("a", 10.0), node("b", 20.0)],
             edges: vec![],
         };
         let e = enumerate(&g, &params(), DP_BUDGET_DEFAULT);
@@ -705,9 +683,9 @@ mod tests {
         // 16-relation chain, past the DP budget.
         let n = 16;
         let nodes: Vec<GraphNode> = (0..n)
-            .map(|i| node(&format!("r{i}"), 1000.0 * (i + 1) as f64, &[("k", 500.0)]))
+            .map(|i| node(&format!("r{i}"), 1000.0 * (i + 1) as f64))
             .collect();
-        let edges: Vec<GraphEdge> = (0..n - 1).map(|i| edge(i, i + 1, "k", "k")).collect();
+        let edges: Vec<GraphEdge> = (0..n - 1).map(|i| edge(i, i + 1, 500.0, 500.0)).collect();
         let g = JoinGraph { nodes, edges };
         let e = enumerate(&g, &params(), DP_BUDGET_DEFAULT);
         let mut leaves = Vec::new();

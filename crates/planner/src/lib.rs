@@ -5,9 +5,9 @@
 //! because its subject is execution; this crate closes the loop for the
 //! production system the roadmap aims at:
 //!
-//! 1. **Catalog** — per-column min/max, null counts, and HyperLogLog NDV
-//!    sketches, computed per partition and cached on each `Relation`
-//!    (`morsel_storage::stats`).
+//! 1. **Catalog** — per column, a HyperLogLog NDV estimate, the average
+//!    width and a numeric column's span, filled in one pass over the
+//!    partitions and cached on each `Relation` (`morsel_storage::stats`).
 //! 2. **Logical algebra** ([`logical`]) — declarative query specs over
 //!    named columns, with a builder DSL mirroring the hand-plan style.
 //! 3. **Estimation** ([`estimate`]) — System-R-style cardinalities under

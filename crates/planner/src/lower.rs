@@ -38,7 +38,7 @@ use morsel_numa::Topology;
 use morsel_storage::Schema;
 
 use crate::cost::CostParams;
-use crate::estimate::Estimator;
+use crate::estimate::{Estimator, PlanEst};
 use crate::joinorder::{enumerate, GraphEdge, GraphNode, JoinGraph, JoinTree, DP_BUDGET_DEFAULT};
 use crate::logical::{fields_of, position, Field, LogicalPlan};
 
@@ -338,7 +338,8 @@ impl Planner {
         };
 
         // 2. Merge key pairs into per-leaf-pair edges. `keys` lists each
-        // pair as (edge, a-side column, b-side column) in block columns.
+        // pair as (edge, a-side column, b-side column) in block columns;
+        // step 4 gives each edge its pairs' NDVs, in this order.
         let mut edges: Vec<GraphEdge> = Vec::new();
         let mut keys: Vec<(usize, usize, usize)> = Vec::new();
         let mut is_key = vec![false; width];
@@ -348,23 +349,18 @@ impl Planner {
                 a, b,
                 "join predicate {l:?} = {r:?} references a single input"
             );
-            let (a, b, ak, bk, ac, bc) = if a < b {
-                (a, b, l, r, ac, bc)
+            let (a, b, ac, bc) = if a < b {
+                (a, b, ac, bc)
             } else {
-                (b, a, r, l, bc, ac)
+                (b, a, bc, ac)
             };
             let e = match edges.iter().position(|e| e.a == a && e.b == b) {
-                Some(e) => {
-                    edges[e].a_keys.push(ak.to_owned());
-                    edges[e].b_keys.push(bk.to_owned());
-                    e
-                }
+                Some(e) => e,
                 None => {
                     edges.push(GraphEdge {
                         a,
                         b,
-                        a_keys: vec![ak.to_owned()],
-                        b_keys: vec![bk.to_owned()],
+                        key_ndvs: Vec::new(),
                     });
                     edges.len() - 1
                 }
@@ -391,24 +387,23 @@ impl Planner {
             .collect();
 
         // 4. Build the graph from the lowered leaves' estimates.
-        let nodes: Vec<GraphNode> = (lowered.iter().enumerate())
-            .map(|(i, leaf)| {
-                let est = self.estimator.estimate(&leaf.plan);
-                let schema = canon.get(leaves[i]);
-                let key_ndv = (0..schema.len())
-                    .filter(|&j| is_key[offsets[i] + j])
-                    .map(|j| {
-                        let at = leaf.map[j].expect("join keys survive lowering");
-                        (schema[j].0.to_owned(), est.cols[at].ndv)
-                    })
-                    .collect();
-                GraphNode {
-                    label: leaf_label(leaves[i]),
-                    rows: est.rows,
-                    width: est.row_width(),
-                    cols: est.cols.len(),
-                    key_ndv,
-                }
+        let ests: Vec<PlanEst> = (lowered.iter())
+            .map(|leaf| self.estimator.estimate(&leaf.plan))
+            .collect();
+        let ndv = |leaf: usize, c: usize| {
+            let at = lowered[leaf].map[c - offsets[leaf]].expect("join keys survive lowering");
+            ests[leaf].cols[at].ndv
+        };
+        for &(e, ac, bc) in &keys {
+            let (a, b) = (edges[e].a, edges[e].b);
+            edges[e].key_ndvs.push((ndv(a, ac), ndv(b, bc)));
+        }
+        let nodes: Vec<GraphNode> = (ests.iter().zip(&leaves))
+            .map(|(est, leaf)| GraphNode {
+                label: leaf_label(leaf),
+                rows: est.rows,
+                width: est.row_width(),
+                cols: est.cols.len(),
             })
             .collect();
         let graph = JoinGraph { nodes, edges };

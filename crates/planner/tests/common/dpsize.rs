@@ -1,8 +1,10 @@
 //! DPsize, the join enumerator the planner ran before DPccp, kept as the
 //! oracle the DPccp enumerator is checked against
-//! (`tests/dpccp_oracle.rs`). It is the old source with two changes: the
-//! graph arithmetic is an extension trait, since the oracle lives outside
-//! the crate, and it calls the public `CostParams::join_step`.
+//! (`tests/dpccp_oracle.rs`). It is the old source with three changes:
+//! the graph arithmetic is an extension trait, since the oracle lives
+//! outside the crate, it calls the public `CostParams::join_step`, and it
+//! reads each key pair's NDVs from the edge, where the graph now keeps
+//! them.
 //!
 //! DPsize solves connected subsets by increasing size: it tries every
 //! pair of solved subsets whose sizes add up, and rejects overlapping and
@@ -13,7 +15,7 @@
 use std::collections::HashMap;
 
 use morsel_planner::cost::{CostParams, Side};
-use morsel_planner::{Enumerated, GraphEdge, GraphNode, JoinGraph, JoinTree};
+use morsel_planner::{Enumerated, GraphEdge, JoinGraph, JoinTree};
 
 /// The graph arithmetic DPsize prices candidates with.
 trait GraphMath {
@@ -23,11 +25,6 @@ trait GraphMath {
     fn crossing_edges(&self, s1: u64, s2: u64) -> Vec<usize>;
 }
 
-/// `GraphNode::ndv`, which is private to the crate.
-fn ndv(n: &GraphNode, key: &str) -> f64 {
-    n.key_ndv.get(key).copied().unwrap_or(n.rows).max(1.0)
-}
-
 impl GraphMath for JoinGraph {
     /// Selectivity of one edge: containment of value sets over the
     /// combined (multi-column) key.
@@ -35,15 +32,15 @@ impl GraphMath for JoinGraph {
         let na = &self.nodes[e.a];
         let nb = &self.nodes[e.b];
         let ndv_a = e
-            .a_keys
+            .key_ndvs
             .iter()
-            .map(|k| ndv(na, k))
+            .map(|k| k.0.max(1.0))
             .product::<f64>()
             .min(na.rows.max(1.0));
         let ndv_b = e
-            .b_keys
+            .key_ndvs
             .iter()
-            .map(|k| ndv(nb, k))
+            .map(|k| k.1.max(1.0))
             .product::<f64>()
             .min(nb.rows.max(1.0));
         1.0 / ndv_a.max(ndv_b).max(1.0)
@@ -107,7 +104,7 @@ fn join_sets(graph: &JoinGraph, params: &CostParams, s1: &Best, s2: &Best) -> Be
     let out_rows = graph.set_rows(set);
     let (side1, side2) = (graph.set_side(s1.set), graph.set_side(s2.set));
     let edges = graph.crossing_edges(s1.set, s2.set);
-    let keys = edges.iter().map(|&e| graph.edges[e].a_keys.len()).sum();
+    let keys = edges.iter().map(|&e| graph.edges[e].key_ndvs.len()).sum();
     // Orientation: build the smaller side (by bytes), stream the larger.
     let (build, probe, build_side, probe_side) =
         if side1.rows * side1.width <= side2.rows * side2.width {

@@ -1,7 +1,8 @@
 //! DPccp against DPsize, the enumerator it replaced
 //! (`common/dpsize.rs`), on seeded random join graphs of up to ten
 //! vertices: chains, stars, cycles, cliques and random connected graphs,
-//! with random rows, widths, key NDVs (some missing, some composite keys)
+//! with random rows, widths, key NDVs (some defaulting to the rows, some
+//! composite keys)
 //! and a few disconnected graphs. Both must agree on the cost within
 //! 1e-9 relative, and on the tree — join order, build/probe sides and the
 //! edges each join applies. DPccp breaks ties between equal-cost splits
@@ -14,8 +15,6 @@
 
 #[path = "common/dpsize.rs"]
 mod dpsize;
-
-use std::collections::HashMap;
 
 use morsel_numa::Topology;
 use morsel_planner::{enumerate, CostParams, GraphEdge, GraphNode, JoinGraph, JoinTree};
@@ -65,8 +64,8 @@ enum Kind {
 }
 
 /// A random graph of `n` vertices. Each edge joins on one or two key
-/// columns named after it; a vertex may have no NDV for a key (the
-/// enumerator then assumes its row count).
+/// column pairs; a side without a drawn NDV for a key takes its vertex's
+/// row count.
 fn graph(rng: &mut StdRng, kind: Kind, n: usize) -> JoinGraph {
     let mut pairs: Vec<(usize, usize)> = match kind {
         Kind::Chain => (1..n).map(|i| (i - 1, i)).collect(),
@@ -101,34 +100,29 @@ fn graph(rng: &mut StdRng, kind: Kind, n: usize) -> JoinGraph {
     for i in (1..n).rev() {
         perm.swap(i, rng.gen_range(0..=i));
     }
-    let mut nodes: Vec<GraphNode> = (0..n)
+    let nodes: Vec<GraphNode> = (0..n)
         .map(|i| GraphNode {
             label: format!("r{i}"),
             rows: 10f64.powf(rng.gen_range(0.0..7.0)).floor(),
             width: rng.gen_range(4..64) as f64,
             cols: rng.gen_range(1..8),
-            key_ndv: HashMap::new(),
         })
         .collect();
     let mut edges = Vec::new();
-    for (k, &(a, b)) in pairs.iter().enumerate() {
+    for &(a, b) in &pairs {
         let (a, b) = (perm[a], perm[b]);
         let width = if rng.gen_bool(0.2) { 2 } else { 1 };
-        let keys: Vec<String> = (0..width).map(|w| format!("k{k}_{w}")).collect();
-        for v in [a, b] {
-            for key in &keys {
-                if rng.gen_bool(0.85) {
-                    let ndv = (nodes[v].rows * rng.gen_range(0.001..1.0)).max(1.0);
-                    nodes[v].key_ndv.insert(key.clone(), ndv.floor());
-                }
-            }
+        let (rows_a, rows_b) = (nodes[a].rows, nodes[b].rows);
+        let mut draw =
+            |rows: f64| (rng.gen_bool(0.85)).then(|| (rows * rng.gen_range(0.001..1.0)).max(1.0));
+        let mut key_ndvs = vec![(rows_a, rows_b); width];
+        for key in &mut key_ndvs {
+            key.0 = draw(rows_a).map_or(rows_a, f64::floor);
         }
-        edges.push(GraphEdge {
-            a,
-            b,
-            a_keys: keys.clone(),
-            b_keys: keys,
-        });
+        for key in &mut key_ndvs {
+            key.1 = draw(rows_b).map_or(rows_b, f64::floor);
+        }
+        edges.push(GraphEdge { a, b, key_ndvs });
     }
     JoinGraph { nodes, edges }
 }
@@ -184,16 +178,9 @@ fn symmetric_graphs_break_ties_like_dpsize() {
                 node.rows = 1_000.0;
                 node.width = 16.0;
                 node.cols = 2;
-                for ndv in node.key_ndv.values_mut() {
-                    *ndv = 100.0;
-                }
             }
             for e in &mut g.edges {
-                e.a_keys.truncate(1);
-                e.b_keys.truncate(1);
-                for (v, k) in [(e.a, &e.a_keys[0]), (e.b, &e.b_keys[0])] {
-                    g.nodes[v].key_ndv.insert(k.clone(), 100.0);
-                }
+                e.key_ndvs = vec![(100.0, 100.0)];
             }
             check(&g, &format!("symmetric {kind:?} of {n}"));
         }

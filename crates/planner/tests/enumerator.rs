@@ -3,33 +3,28 @@
 //! its chosen cost is at least as good as every left-deep order a human
 //! could have written.
 
-use std::collections::HashMap;
-
 use morsel_numa::Topology;
 use morsel_planner::{
     enumerate, left_deep_cost, CostParams, GraphEdge, GraphNode, JoinGraph, JoinTree,
     DP_BUDGET_DEFAULT,
 };
 
-fn node(label: &str, rows: f64, keys: &[(&str, f64)]) -> GraphNode {
+fn node(label: &str, rows: f64) -> GraphNode {
     GraphNode {
         label: label.to_owned(),
         rows,
         width: 16.0,
         cols: 2,
-        key_ndv: keys
-            .iter()
-            .map(|(k, v)| ((*k).to_owned(), *v))
-            .collect::<HashMap<_, _>>(),
     }
 }
 
-fn edge(a: usize, b: usize, ak: &str, bk: &str) -> GraphEdge {
+/// A one-column equi-join whose key has `ndv_a` distinct values on `a`'s
+/// side and `ndv_b` on `b`'s.
+fn edge(a: usize, b: usize, ndv_a: f64, ndv_b: f64) -> GraphEdge {
     GraphEdge {
         a,
         b,
-        a_keys: vec![ak.to_owned()],
-        b_keys: vec![bk.to_owned()],
+        key_ndvs: vec![(ndv_a, ndv_b)],
     }
 }
 
@@ -93,11 +88,11 @@ fn chain_orders_through_the_selective_middle() {
     // with C directly would be a cross product.
     let g = JoinGraph {
         nodes: vec![
-            node("a", 1_000_000.0, &[("ak", 1_000_000.0)]),
-            node("b", 10.0, &[("ak", 10.0), ("ck", 10.0)]),
-            node("c", 1_000_000.0, &[("ck", 1_000_000.0)]),
+            node("a", 1_000_000.0),
+            node("b", 10.0),
+            node("c", 1_000_000.0),
         ],
-        edges: vec![edge(0, 1, "ak", "ak"), edge(1, 2, "ck", "ck")],
+        edges: vec![edge(0, 1, 1_000_000.0, 10.0), edge(1, 2, 10.0, 1_000_000.0)],
     };
     let e = enumerate(&g, &params(), DP_BUDGET_DEFAULT);
     assert!(!e.forced_cross);
@@ -136,10 +131,12 @@ fn long_chain_within_dp_budget_is_optimal_and_cross_free() {
     let nodes: Vec<GraphNode> = (0..n)
         .map(|i| {
             let rows = 1_000_000.0 / (1 << i) as f64;
-            node(&format!("r{i}"), rows, &[("l", rows), ("r", rows)])
+            node(&format!("r{i}"), rows)
         })
         .collect();
-    let edges: Vec<GraphEdge> = (0..n - 1).map(|i| edge(i, i + 1, "r", "l")).collect();
+    let edges: Vec<GraphEdge> = (0..n - 1)
+        .map(|i| edge(i, i + 1, nodes[i].rows, nodes[i + 1].rows))
+        .collect();
     let g = JoinGraph { nodes, edges };
     let e = enumerate(&g, &params(), DP_BUDGET_DEFAULT);
     assert!(!e.forced_cross);
@@ -153,26 +150,17 @@ fn star_streams_the_fact_table() {
     // shape. Optimal plans keep the fact on the probe side throughout.
     let g = JoinGraph {
         nodes: vec![
-            node(
-                "fact",
-                6_000_000.0,
-                &[
-                    ("d1k", 1_000.0),
-                    ("d2k", 30_000.0),
-                    ("d3k", 2_000.0),
-                    ("d4k", 200_000.0),
-                ],
-            ),
-            node("d1", 1_000.0, &[("d1k", 1_000.0)]),
-            node("d2", 30_000.0, &[("d2k", 30_000.0)]),
-            node("d3", 100.0, &[("d3k", 100.0)]),
-            node("d4", 200_000.0, &[("d4k", 200_000.0)]),
+            node("fact", 6_000_000.0),
+            node("d1", 1_000.0),
+            node("d2", 30_000.0),
+            node("d3", 100.0),
+            node("d4", 200_000.0),
         ],
         edges: vec![
-            edge(0, 1, "d1k", "d1k"),
-            edge(0, 2, "d2k", "d2k"),
-            edge(0, 3, "d3k", "d3k"),
-            edge(0, 4, "d4k", "d4k"),
+            edge(0, 1, 1_000.0, 1_000.0),
+            edge(0, 2, 30_000.0, 30_000.0),
+            edge(0, 3, 2_000.0, 100.0),
+            edge(0, 4, 200_000.0, 200_000.0),
         ],
     };
     let e = enumerate(&g, &params(), DP_BUDGET_DEFAULT);
@@ -204,29 +192,14 @@ fn clique_picks_selective_pairs_first() {
     // Four relations, fully connected with uniform key NDVs: optimal
     // cost must match the best left-deep order; no cross products.
     let sizes: [f64; 4] = [500_000.0, 40_000.0, 3_000.0, 800.0];
-    let nodes: Vec<GraphNode> = sizes
-        .iter()
-        .enumerate()
-        .map(|(i, &rows)| {
-            let keys: Vec<(String, f64)> = (0..4)
-                .filter(|&j| j != i)
-                .map(|j| (format!("k{}{}", i.min(j), i.max(j)), rows.min(sizes[j])))
-                .collect();
-            node(
-                &format!("r{i}"),
-                rows,
-                &keys
-                    .iter()
-                    .map(|(k, v)| (k.as_str(), *v))
-                    .collect::<Vec<_>>(),
-            )
-        })
+    let nodes: Vec<GraphNode> = (sizes.iter().enumerate())
+        .map(|(i, &rows)| node(&format!("r{i}"), rows))
         .collect();
     let mut edges = Vec::new();
     for i in 0..4 {
         for j in i + 1..4 {
-            let k = format!("k{i}{j}");
-            edges.push(edge(i, j, &k, &k));
+            let ndv = sizes[i].min(sizes[j]);
+            edges.push(edge(i, j, ndv, ndv));
         }
     }
     let g = JoinGraph { nodes, edges };
@@ -243,12 +216,12 @@ fn disconnected_components_force_one_cross_only() {
     // cross product at the top, none inside the components.
     let g = JoinGraph {
         nodes: vec![
-            node("a", 1_000.0, &[("ab", 1_000.0)]),
-            node("b", 100.0, &[("ab", 100.0)]),
-            node("c", 2_000.0, &[("cd", 2_000.0)]),
-            node("d", 50.0, &[("cd", 50.0)]),
+            node("a", 1_000.0),
+            node("b", 100.0),
+            node("c", 2_000.0),
+            node("d", 50.0),
         ],
-        edges: vec![edge(0, 1, "ab", "ab"), edge(2, 3, "cd", "cd")],
+        edges: vec![edge(0, 1, 1_000.0, 100.0), edge(2, 3, 2_000.0, 50.0)],
     };
     let e = enumerate(&g, &params(), DP_BUDGET_DEFAULT);
     assert!(e.forced_cross);
@@ -274,14 +247,12 @@ fn greedy_fallback_matches_leaf_set_and_avoids_crosses() {
     let nodes: Vec<GraphNode> = (0..n)
         .map(|i| {
             let rows = 10_000.0 + 1_000.0 * i as f64;
-            node(
-                &format!("r{i}"),
-                rows,
-                &[("l", rows / 2.0), ("r", rows / 2.0)],
-            )
+            node(&format!("r{i}"), rows)
         })
         .collect();
-    let edges: Vec<GraphEdge> = (0..n - 1).map(|i| edge(i, i + 1, "r", "l")).collect();
+    let edges: Vec<GraphEdge> = (0..n - 1)
+        .map(|i| edge(i, i + 1, nodes[i].rows / 2.0, nodes[i + 1].rows / 2.0))
+        .collect();
     let g = JoinGraph { nodes, edges };
     let e = enumerate(&g, &params(), DP_BUDGET_DEFAULT);
     assert!(!e.forced_cross);
@@ -294,11 +265,11 @@ fn dp_and_greedy_agree_on_small_graphs() {
     // On a small graph the greedy heuristic cannot beat the DP.
     let g = JoinGraph {
         nodes: vec![
-            node("a", 100_000.0, &[("x", 100_000.0)]),
-            node("b", 2_000.0, &[("x", 2_000.0), ("y", 500.0)]),
-            node("c", 30_000.0, &[("y", 30_000.0)]),
+            node("a", 100_000.0),
+            node("b", 2_000.0),
+            node("c", 30_000.0),
         ],
-        edges: vec![edge(0, 1, "x", "x"), edge(1, 2, "y", "y")],
+        edges: vec![edge(0, 1, 100_000.0, 2_000.0), edge(1, 2, 500.0, 30_000.0)],
     };
     let dp = enumerate(&g, &params(), DP_BUDGET_DEFAULT);
     let greedy = enumerate(&g, &params(), 1); // budget 1 forces greedy

@@ -37,7 +37,7 @@ pub use hash::{hash64, hash_bytes, hash_combine, hash_i64};
 pub use recovery::{read_wal, WalReader, WalScan};
 pub use relation::{Partition, PartitionBy, Relation};
 pub use schema::{Field, Schema};
-pub use stats::{ColumnStats, HllSketch, TableStats};
+pub use stats::{ColumnStats, TableStats};
 pub use str_column::StrColumn;
 pub use value::{date, date_parts, decimal, format_date, DataType, Value, ValueRef, DECIMAL_SCALE};
 pub use wal::{Wal, WalError, WalFaults, WalOp, WalRecord, WalStats};

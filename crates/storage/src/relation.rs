@@ -316,9 +316,9 @@ impl Relation {
         self.total_bytes
     }
 
-    /// Merged catalog statistics, computed from all the partitions on
-    /// first use ([`TableStats::from_partitions`]) and cached for the
-    /// planner's repeated lookups.
+    /// The catalog statistics, filled from all the partitions on first
+    /// use ([`TableStats::from_partitions`]) and cached for the planner's
+    /// repeated lookups.
     pub fn stats(&self) -> Arc<TableStats> {
         Arc::clone(self.stats.get_or_init(|| {
             Arc::new(TableStats::from_partitions(
@@ -618,9 +618,7 @@ mod tests {
         );
         let s = r.stats();
         assert_eq!(s.rows, 1000);
-        assert_eq!(s.bytes, r.total_bytes());
-        assert_eq!(s.column(0).min, Some(crate::value::Value::I64(0)));
-        assert_eq!(s.column(0).max, Some(crate::value::Value::I64(999)));
+        assert_eq!(s.column(0).span, Some((0.0, 999.0)));
         let err = (s.column(0).ndv - 1000.0).abs() / 1000.0;
         assert!(err < 0.08, "ndv {}", s.column(0).ndv);
         // Cached: same Arc on the second call, carried across re-placement.
@@ -677,7 +675,7 @@ mod tests {
     #[test]
     fn dict_encoding_shares_dictionary_across_partitions() {
         use crate::column::Column;
-        use crate::value::{DataType, Value};
+        use crate::value::DataType;
         let t = Topology::nehalem_ex();
         // More rows than the dictionary bound, so the unique column is a
         // domain too large to encode.
@@ -725,8 +723,7 @@ mod tests {
         assert!(r.encoding(2).dict().is_none());
         let s = r.stats();
         assert!((s.column(1).ndv - 7.0).abs() < 1.0);
-        assert_eq!(s.column(1).min, Some(Value::Str("tag0".into())));
-        assert_eq!(s.column(1).max, Some(Value::Str("tag6".into())));
+        assert_eq!(s.column(1).span, None);
     }
 
     /// Every chunk of `g` as (node, rows, partition indexes).

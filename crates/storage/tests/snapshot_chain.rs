@@ -17,8 +17,8 @@
 //!
 //! After every edit each partition stores each column in the relation's
 //! one `Encoding`, and `Relation::stats()` counts the relation's rows and
-//! equals `TableStats::from_partitions` over all its partitions, HLL
-//! registers included. Some merge must fold into a tail.
+//! equals the statistics filled over one batch holding all its partitions
+//! in order. Some merge must fold into a tail.
 
 use std::sync::Arc;
 
@@ -139,7 +139,8 @@ fn with_values_of(base: Relation, rows: &[Vec<Value>]) -> Relation {
 }
 
 /// Every partition of `rel` stores each column in the relation's encoding,
-/// and `rel.stats()` covers all of its rows and partitions.
+/// and `rel.stats()` covers all of its rows and partitions: it equals the
+/// statistics of their concatenation.
 fn assert_consistent(rel: &Relation, what: &str) {
     for c in 0..rel.schema().len() {
         let stored = |p: &Partition| rel.encoding(c).stores(p.data.column(c));
@@ -147,8 +148,12 @@ fn assert_consistent(rel: &Relation, what: &str) {
     }
     let got = rel.stats();
     assert_eq!(got.rows, rel.total_rows() as u64, "{what}");
-    let want = TableStats::from_partitions(rel.partitions().iter().map(|p| &*p.data));
-    assert!(*got == want, "{what}: statistics from all partitions");
+    let mut whole = Batch::empty_as(&rel.schema().data_types(), rel.encodings());
+    for p in rel.partitions() {
+        whole.extend_from(&p.data);
+    }
+    let want = TableStats::from_partitions(std::iter::once(&whole));
+    assert!(*got == want, "{what}: statistics of all partitions");
 }
 
 /// Kill the first live base row of `partition`, if it has one.

@@ -7,7 +7,11 @@ fail once the replacement is made. The script extracts a commit into a
 scratch directory (``git archive``, so the repository's worktree and refs
 are untouched), first runs every target there unmutated — each must pass
 and run at least one test — and then, per mutant, applies the replacement,
-runs only that mutant's targets and restores the file. A mutant is
+runs only that mutant's targets and restores the file. The extraction
+runs ``tar -x -m``: every file is stamped with the time it was extracted,
+not the commit's time, so a build directory kept from a newer commit
+(``--workdir``, or a cached ``target/``) is never taken as fresh for an
+older commit's sources. A mutant is
 
 * **caught** when every one of its targets fails (a target that outlives
   its time limit counts as failed: a mutant that hangs a worker is caught),
@@ -91,7 +95,7 @@ def checkout(commit, workdir):
     shutil.rmtree(path, ignore_errors=True)
     os.makedirs(path)
     archive = subprocess.Popen(["git", "-C", ROOT, "archive", commit], stdout=subprocess.PIPE)
-    subprocess.run(["tar", "-x", "-C", path], stdin=archive.stdout, check=True)
+    subprocess.run(["tar", "-x", "-m", "-C", path], stdin=archive.stdout, check=True)
     if archive.wait() != 0:
         sys.exit(f"git archive {commit} failed")
     return path
