@@ -25,9 +25,6 @@ pub trait PipelineJob: Send + Sync {
 pub struct BuiltJob {
     pub job: Arc<dyn PipelineJob>,
     pub chunks: Vec<ChunkMeta>,
-    /// Override the dispatcher's morsel size (e.g. merge stages want one
-    /// morsel per merge segment).
-    pub morsel_size: Option<usize>,
     /// Chunks are indivisible units (partitions/segments): one morsel per
     /// chunk, even under static division.
     pub atomic_chunks: bool,
@@ -49,16 +46,10 @@ impl BuiltJob {
         BuiltJob {
             job,
             chunks,
-            morsel_size: None,
             atomic_chunks: false,
             label: label.into(),
             reserve_bytes: 0,
         }
-    }
-
-    pub fn with_morsel_size(mut self, size: usize) -> Self {
-        self.morsel_size = Some(size);
-        self
     }
 
     /// Declare build-time operator state for the query's memory budget
@@ -112,14 +103,13 @@ impl JobExec {
     pub fn new(
         built: BuiltJob,
         mode: SchedulingMode,
-        default_morsel_size: usize,
+        morsel_size: usize,
         workers: usize,
         topology: &Topology,
     ) -> Self {
         let queues = if built.atomic_chunks {
             MorselQueues::build_atomic(&built.chunks, mode, workers, topology)
         } else {
-            let morsel_size = built.morsel_size.unwrap_or(default_morsel_size);
             MorselQueues::build(&built.chunks, mode, morsel_size, workers, topology)
         };
         JobExec {
@@ -312,9 +302,7 @@ mod tests {
                     rows: 7,
                 },
             ],
-        )
-        .with_morsel_size(3);
+        );
         assert_eq!(b.total_rows(), 12);
-        assert_eq!(b.morsel_size, Some(3));
     }
 }

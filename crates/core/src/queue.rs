@@ -157,7 +157,6 @@ impl MorselQueues {
         atomic: bool,
     ) -> Self {
         assert!(workers > 0);
-        let morsel_size = if atomic { usize::MAX } else { morsel_size };
         let total_rows: u64 = chunks.iter().map(|c| c.rows as u64).sum();
         if atomic {
             if let SchedulingMode::Static { workers: w, .. } = mode {

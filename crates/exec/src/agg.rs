@@ -56,6 +56,19 @@ impl AggFn {
             AggFn::CountDistinctI64(_) => DataType::I64,
         }
     }
+
+    /// The input column, if the aggregate reads one (`count(*)` does not).
+    pub fn input_mut(&mut self) -> Option<&mut usize> {
+        match self {
+            AggFn::Count => None,
+            AggFn::SumI64(c)
+            | AggFn::SumF64(c)
+            | AggFn::MinI64(c)
+            | AggFn::MaxI64(c)
+            | AggFn::AvgI64(c)
+            | AggFn::CountDistinctI64(c) => Some(c),
+        }
+    }
 }
 
 /// What one lane of aggregate state accumulates. An aggregate reads one
@@ -631,9 +644,6 @@ pub struct AggMergeJob {
     areas: Vec<Mutex<StorageArea>>,
     out: AreaSlot,
     result: Option<ResultSlot>,
-    /// SQL semantics for a scalar aggregation (see
-    /// [`AggMergeJob::with_sql_default_row`]).
-    sql_default_row: bool,
     /// Profile slot of the aggregation plan node (credited with emitted
     /// groups and the wall time of merging and emitting them).
     prof_slot: Option<u32>,
@@ -662,7 +672,6 @@ impl AggMergeJob {
                 .collect(),
             out,
             result,
-            sql_default_row: false,
             prof_slot: None,
         }
     }
@@ -671,16 +680,6 @@ impl AggMergeJob {
     /// slot.
     pub fn with_prof_slot(mut self, slot: Option<u32>) -> Self {
         self.prof_slot = slot;
-        self
-    }
-
-    /// SQL semantics: a scalar aggregation — no group columns, so the
-    /// output schema is the aggregate columns alone — that merged no
-    /// groups still emits one row, [`scalar_default_row`] (count = 0,
-    /// sum = 0, ...). Without it the job is a plain `GROUP BY ()` and
-    /// empty input yields no rows.
-    pub fn with_sql_default_row(mut self) -> Self {
-        self.sql_default_row = true;
         self
     }
 
@@ -769,7 +768,10 @@ impl PipelineJob for AggMergeJob {
             })
             .collect();
         let mut set = AreaSet::new(self.schema.clone(), areas).prune_empty();
-        if self.sql_default_row && set.total_rows() == 0 && self.schema.len() == self.aggs.len() {
+        // SQL semantics: a scalar aggregation — no group columns, so the
+        // output schema is the aggregate columns alone — that merged no
+        // groups still emits one row (count = 0, sum = 0, ...).
+        if set.total_rows() == 0 && self.schema.len() == self.aggs.len() {
             let types = self.schema.data_types();
             let mut area = StorageArea::new(SocketId(0), &types);
             area.data_mut().push_row(scalar_default_row(&self.aggs));
@@ -790,7 +792,7 @@ impl PipelineJob for AggMergeJob {
 
 /// A scalar (no GROUP BY) aggregation always produces exactly one row,
 /// even over empty input (SQL semantics: `select count(*) from empty`
-/// returns 0); see [`AggMergeJob::with_sql_default_row`].
+/// returns 0); [`AggMergeJob`] emits it when it merged no groups.
 pub fn scalar_default_row(aggs: &[AggFn]) -> Vec<morsel_storage::Value> {
     aggs.iter()
         .map(|f| match f {

@@ -629,7 +629,6 @@ impl Compiler {
                             out,
                             result,
                         )
-                        .with_sql_default_row()
                         .with_prof_slot(prof);
                         BuiltJob::new(label, Arc::new(job), chunks).with_atomic_chunks()
                     }));

@@ -53,7 +53,9 @@ struct Acc {
 }
 
 /// `SELECT group_cols, aggs FROM inputs GROUP BY group_cols`, sorted; an
-/// input is a batch and the rows of it that count (`None`: all).
+/// input is a batch and the rows of it that count (`None`: all). A scalar
+/// aggregation (no group columns) over no rows is one row, as in SQL:
+/// counts and sums 0, `AVG` 0.0, `MIN`/`MAX` the `i64` extremes.
 pub fn group_by(
     inputs: &[(Batch, Option<Vec<u32>>)],
     group_cols: &[usize],
@@ -97,6 +99,9 @@ pub fn group_by(
             }
         }
     }
+    if group_cols.is_empty() && groups.is_empty() {
+        groups.insert(Vec::new(), vec![fresh; aggs.len()]);
+    }
     groups
         .into_iter()
         .map(|(mut row, accs)| {
@@ -106,6 +111,7 @@ pub fn group_by(
                 AggFn::SumF64(_) => atom(&Value::F64(a.fsum)),
                 AggFn::MinI64(_) => Atom::I64(a.min),
                 AggFn::MaxI64(_) => Atom::I64(a.max),
+                AggFn::AvgI64(_) if a.n == 0 => atom(&Value::F64(0.0)),
                 AggFn::AvgI64(_) => atom(&Value::F64(a.sum as f64 / a.n as f64)),
                 AggFn::CountDistinctI64(_) => Atom::I64(a.seen.len() as i64),
             }));

@@ -8,8 +8,9 @@
 //! 1. **Catalog** — per column, a HyperLogLog NDV estimate, the average
 //!    width and a numeric column's span, filled in one pass over the
 //!    partitions and cached on each `Relation` (`morsel_storage::stats`).
-//! 2. **Logical algebra** ([`logical`]) — declarative query specs over
-//!    named columns, with a builder DSL mirroring the hand-plan style.
+//! 2. **Logical algebra** ([`logical`]) — declarative query specs that
+//!    address columns by position, as the physical plan does, with a
+//!    builder DSL mirroring the hand-plan style.
 //! 3. **Estimation** ([`estimate`]) — System-R-style cardinalities under
 //!    independence and join containment.
 //! 4. **Join ordering** ([`joinorder`]) — DPccp over the join graph with
@@ -37,5 +38,5 @@ pub use joinorder::{
     enumerate, left_deep_cost, Enumerated, GraphEdge, GraphNode, JoinGraph, JoinTree,
     DP_BUDGET_DEFAULT,
 };
-pub use logical::{AggSpec, LogicalPlan, OrderBy};
+pub use logical::LogicalPlan;
 pub use lower::{BlockReport, PlanHandle, PlanReport, Planner};

@@ -1,96 +1,27 @@
 //! The logical algebra: what the SQL binder emits and the planner takes.
 //!
 //! A [`LogicalPlan`] describes *what* to compute — scans, filters,
-//! projections, joins keyed by column **names**, aggregates, and sorts —
-//! without fixing join order or build/probe sides. The planner
-//! ([`crate::lower::Planner`]) turns it into the physical
-//! [`Plan`](morsel_exec::plan::Plan) the executor runs.
+//! projections, equi-joins, aggregates, and sorts — without fixing join
+//! order or build/probe sides. The planner ([`crate::lower::Planner`])
+//! turns it into the physical [`Plan`](morsel_exec::plan::Plan) the
+//! executor runs.
 //!
-//! Scalar expressions reuse the executor's [`Expr`] with column indices
-//! resolved against the node's *canonical* input schema (the schema
-//! [`LogicalPlan::schema`] reports). The lowering pass remaps those
-//! indices when join reordering or projection pruning changes the
-//! physical column layout.
+//! Columns are addressed by position, as in the physical algebra: scalar
+//! expressions (the executor's [`Expr`]), join keys, group columns,
+//! aggregate inputs and sort keys are indexes into the node's *canonical*
+//! input columns (the schema [`LogicalPlan::schema`] reports for that
+//! input). Names only label output: a scan or projection names the
+//! columns it makes, an aggregate its aggregates, and two columns may
+//! share a name. The lowering pass remaps the indexes when join
+//! reordering or projection pruning changes the physical column layout.
 
 use std::sync::Arc;
 
 use morsel_exec::agg::AggFn;
 use morsel_exec::expr::{col, Expr};
 use morsel_exec::join::JoinKind;
+use morsel_exec::sort::SortKey;
 use morsel_storage::{DataType, Relation, Schema};
-
-/// An aggregate call over a named input column.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AggSpec {
-    /// `count(*)`.
-    Count,
-    /// `sum(col)` — integer or float, chosen by the column's type.
-    Sum(String),
-    Min(String),
-    Max(String),
-    /// `avg(col)` over an integer column, emitted as `f64`.
-    Avg(String),
-    /// `count(distinct col)` over an integer column.
-    CountDistinct(String),
-}
-
-impl AggSpec {
-    pub fn sum(c: &str) -> Self {
-        AggSpec::Sum(c.to_owned())
-    }
-
-    /// The input column name, if any.
-    pub fn input(&self) -> Option<&str> {
-        match self {
-            AggSpec::Count => None,
-            AggSpec::Sum(c)
-            | AggSpec::Min(c)
-            | AggSpec::Max(c)
-            | AggSpec::Avg(c)
-            | AggSpec::CountDistinct(c) => Some(c),
-        }
-    }
-
-    /// Resolve to the executor's [`AggFn`], with `input` giving the input
-    /// column's index and type.
-    pub fn resolve(&self, input: impl FnOnce(&str) -> (usize, DataType)) -> AggFn {
-        let Some((i, dtype)) = self.input().map(input) else {
-            return AggFn::Count;
-        };
-        match self {
-            AggSpec::Count => AggFn::Count,
-            AggSpec::Sum(_) if dtype == DataType::F64 => AggFn::SumF64(i),
-            AggSpec::Sum(_) => AggFn::SumI64(i),
-            AggSpec::Min(_) => AggFn::MinI64(i),
-            AggSpec::Max(_) => AggFn::MaxI64(i),
-            AggSpec::Avg(_) => AggFn::AvgI64(i),
-            AggSpec::CountDistinct(_) => AggFn::CountDistinctI64(i),
-        }
-    }
-}
-
-/// A sort key by column name.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OrderBy {
-    pub column: String,
-    pub descending: bool,
-}
-
-impl OrderBy {
-    pub fn asc(column: &str) -> Self {
-        OrderBy {
-            column: column.to_owned(),
-            descending: false,
-        }
-    }
-
-    pub fn desc(column: &str) -> Self {
-        OrderBy {
-            column: column.to_owned(),
-            descending: true,
-        }
-    }
-}
 
 /// One canonical column: its name, borrowed, and its type.
 pub(crate) type Field<'a> = (&'a str, DataType);
@@ -100,18 +31,6 @@ pub(crate) fn fields_of(schema: &Schema) -> Vec<Field<'_>> {
     (schema.fields().iter())
         .map(|f| (f.name.as_str(), f.dtype))
         .collect()
-}
-
-/// The index of the column called `name`.
-///
-/// # Panics
-/// Panics if there is none — a logical plan naming an unknown column is
-/// a construction bug.
-pub(crate) fn position(fields: &[Field], name: &str) -> usize {
-    (fields.iter().position(|&(n, _)| n == name)).unwrap_or_else(|| {
-        let names: Vec<&str> = fields.iter().map(|&(n, _)| n).collect();
-        panic!("no column named {name:?} in schema {names:?}")
-    })
 }
 
 /// A declarative logical query plan.
@@ -136,28 +55,31 @@ pub enum LogicalPlan {
         input: Box<LogicalPlan>,
         project: Vec<(String, Expr)>,
     },
-    /// Equi-join by column names. For [`JoinKind::Inner`] the canonical
-    /// output is all `left` columns followed by all `right` columns; the
-    /// planner is free to reorder a block of adjacent inner joins and to
-    /// pick build/probe sides. Semi/Anti keep only `left` columns; Count
-    /// appends a `match_count` column.
+    /// Equi-join on key positions: `left_keys` index `left`'s canonical
+    /// columns, `right_keys` `right`'s. For [`JoinKind::Inner`] the
+    /// canonical output is all `left` columns followed by all `right`
+    /// columns; the planner is free to reorder a block of adjacent inner
+    /// joins and to pick build/probe sides. Semi/Anti keep only `left`
+    /// columns; Count appends a `match_count` column.
     Join {
         left: Box<LogicalPlan>,
         right: Box<LogicalPlan>,
-        left_keys: Vec<String>,
-        right_keys: Vec<String>,
+        left_keys: Vec<usize>,
+        right_keys: Vec<usize>,
         kind: JoinKind,
     },
-    /// Grouped (or scalar) aggregation over named columns.
+    /// Grouped (or scalar) aggregation: `group` and each aggregate's
+    /// input index `input`'s canonical columns. The output is the group
+    /// columns, then the named aggregates.
     Aggregate {
         input: Box<LogicalPlan>,
-        group: Vec<String>,
-        aggs: Vec<(String, AggSpec)>,
+        group: Vec<usize>,
+        aggs: Vec<(String, AggFn)>,
     },
-    /// Order by named columns, with optional limit.
+    /// Order by canonical column positions, with optional limit.
     Sort {
         input: Box<LogicalPlan>,
-        keys: Vec<OrderBy>,
+        keys: Vec<SortKey>,
         limit: Option<usize>,
     },
 }
@@ -196,37 +118,37 @@ impl LogicalPlan {
         }
     }
 
-    /// Inner-join `self` with `right` on named key equalities.
-    pub fn join(self, right: LogicalPlan, left_keys: &[&str], right_keys: &[&str]) -> Self {
+    /// Inner-join `self` with `right` on key position equalities.
+    pub fn join(self, right: LogicalPlan, left_keys: &[usize], right_keys: &[usize]) -> Self {
         self.join_kind(right, left_keys, right_keys, JoinKind::Inner)
     }
 
     pub fn join_kind(
         self,
         right: LogicalPlan,
-        left_keys: &[&str],
-        right_keys: &[&str],
+        left_keys: &[usize],
+        right_keys: &[usize],
         kind: JoinKind,
     ) -> Self {
         assert_eq!(left_keys.len(), right_keys.len(), "join key arity mismatch");
         LogicalPlan::Join {
             left: Box::new(self),
             right: Box::new(right),
-            left_keys: left_keys.iter().map(|&k| k.to_owned()).collect(),
-            right_keys: right_keys.iter().map(|&k| k.to_owned()).collect(),
+            left_keys: left_keys.to_vec(),
+            right_keys: right_keys.to_vec(),
             kind,
         }
     }
 
-    pub fn aggregate(self, group: &[&str], aggs: Vec<(&str, AggSpec)>) -> Self {
+    pub fn aggregate(self, group: &[usize], aggs: Vec<(&str, AggFn)>) -> Self {
         LogicalPlan::Aggregate {
             input: Box::new(self),
-            group: group.iter().map(|&g| g.to_owned()).collect(),
+            group: group.to_vec(),
             aggs: aggs.into_iter().map(|(n, a)| (n.to_owned(), a)).collect(),
         }
     }
 
-    pub fn sort(self, keys: Vec<OrderBy>, limit: Option<usize>) -> Self {
+    pub fn sort(self, keys: Vec<SortKey>, limit: Option<usize>) -> Self {
         LogicalPlan::Sort {
             input: Box::new(self),
             keys,
@@ -264,9 +186,6 @@ impl LogicalPlan {
     /// inner joins it tops. Names are borrowed, from the inputs or from
     /// this node. [`LogicalPlan::schema`] and the planner (which derives
     /// every node's columns once, bottom-up) both derive them here.
-    ///
-    /// # Panics
-    /// Panics if an inner join's sides share a column name.
     pub(crate) fn output_fields<'a>(&'a self, inputs: &[&[Field<'a>]]) -> Vec<Field<'a>> {
         let input = inputs[0];
         let types = || -> Vec<DataType> { input.iter().map(|&(_, t)| t).collect() };
@@ -282,31 +201,15 @@ impl LogicalPlan {
             LogicalPlan::Join { kind, .. } => {
                 let mut fields = input.to_vec();
                 match kind {
-                    JoinKind::Inner => {
-                        for &(name, dtype) in inputs[1..].iter().copied().flatten() {
-                            assert!(
-                                !fields.iter().any(|&(n, _)| n == name),
-                                "duplicate column name {name:?} across join sides; \
-                                 rename one side in its scan/projection"
-                            );
-                            fields.push((name, dtype));
-                        }
-                    }
+                    JoinKind::Inner => fields.extend(inputs[1..].iter().copied().flatten()),
                     JoinKind::Semi | JoinKind::Anti => {}
                     JoinKind::Count => fields.push(("match_count", DataType::I64)),
                 }
                 fields
             }
             LogicalPlan::Aggregate { group, aggs, .. } => {
-                let at = |name: &str| {
-                    let i = position(input, name);
-                    (i, input[i].1)
-                };
-                let mut fields: Vec<Field<'a>> =
-                    group.iter().map(|g| (g.as_str(), at(g).1)).collect();
-                for (n, a) in aggs {
-                    fields.push((n.as_str(), a.resolve(at).output_type()));
-                }
+                let mut fields: Vec<Field<'a>> = group.iter().map(|&g| input[g]).collect();
+                fields.extend(aggs.iter().map(|(n, f)| (n.as_str(), f.output_type())));
                 fields
             }
         }
@@ -348,54 +251,45 @@ mod tests {
 
     #[test]
     fn canonical_schema_concatenates_join_sides() {
-        let p = LogicalPlan::scan("a", rel(("ak", "av"), 100), None, &["ak", "av"])
-            .join(
-                LogicalPlan::scan("b", rel(("bk", "bv"), 10), None, &["bk", "bv"]),
-                &["ak"],
-                &["bk"],
-            )
-            .aggregate(&["bv"], vec![("total", AggSpec::sum("av"))]);
+        let a = LogicalPlan::scan("a", rel(("ak", "av"), 100), None, &["ak", "av"]);
+        let b = LogicalPlan::scan("b", rel(("bk", "bv"), 10), None, &["bk", "bv"]);
+        let (ak, bk) = (a.schema().index_of("ak"), b.schema().index_of("bk"));
+        let join = a.join(b, &[ak], &[bk]);
+        assert_eq!(join.schema().names(), vec!["ak", "av", "bk", "bv"]);
+        assert_eq!(join.scan_count(), 2);
+        let (bv, av) = (join.schema().index_of("bv"), join.schema().index_of("av"));
+        let p = join.aggregate(&[bv], vec![("total", AggFn::SumI64(av))]);
         assert_eq!(
             p.schema().names(),
             vec!["bv", "total"],
             "aggregate output is group cols then aggs"
         );
-        let join = LogicalPlan::scan("a", rel(("ak", "av"), 100), None, &["ak", "av"]).join(
-            LogicalPlan::scan("b", rel(("bk", "bv"), 10), None, &["bk", "bv"]),
-            &["ak"],
-            &["bk"],
-        );
-        assert_eq!(join.schema().names(), vec!["ak", "av", "bk", "bv"]);
-        assert_eq!(join.scan_count(), 2);
     }
 
     #[test]
     fn semi_join_keeps_left_columns_only() {
-        let p = LogicalPlan::scan("a", rel(("ak", "av"), 100), None, &["ak", "av"]).join_kind(
-            LogicalPlan::scan("b", rel(("bk", "bv"), 10), None, &["bk"]),
-            &["ak"],
-            &["bk"],
-            JoinKind::Semi,
-        );
+        let a = LogicalPlan::scan("a", rel(("ak", "av"), 100), None, &["ak", "av"]);
+        let b = LogicalPlan::scan("b", rel(("bk", "bv"), 10), None, &["bk"]);
+        let (ak, bk) = (a.schema().index_of("ak"), b.schema().index_of("bk"));
+        let p = a.join_kind(b, &[ak], &[bk], JoinKind::Semi);
         assert_eq!(p.schema().names(), vec!["ak", "av"]);
     }
 
     #[test]
-    #[should_panic(expected = "duplicate column name")]
-    fn duplicate_names_across_sides_rejected() {
+    fn join_sides_may_share_column_names() {
         let p = LogicalPlan::scan("a", rel(("k", "v"), 10), None, &["k", "v"]).join(
             LogicalPlan::scan("b", rel(("k", "w"), 10), None, &["k"]),
-            &["k"],
-            &["k"],
+            &[0],
+            &[0],
         );
-        p.schema();
+        assert_eq!(p.schema().names(), vec!["k", "v", "k"]);
     }
 
     #[test]
     fn filter_and_sort_preserve_schema() {
         let p = LogicalPlan::scan("a", rel(("k", "v"), 10), None, &["k", "v"])
             .filter(gt(col(1), lit(3)))
-            .sort(vec![OrderBy::desc("v"), OrderBy::asc("k")], Some(5));
+            .sort(vec![SortKey::desc(1), SortKey::asc(0)], Some(5));
         assert_eq!(p.schema().names(), vec!["k", "v"]);
         assert_eq!(p.schema().index_of("v"), 1);
     }

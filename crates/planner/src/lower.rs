@@ -23,12 +23,14 @@
 //! [`morsel_exec::plan::TOPK_THRESHOLD`]).
 //!
 //! Every node's canonical columns are derived once, bottom-up, before
-//! lowering starts (`LogicalPlan::output_fields`). From then on columns
-//! are indexes: a needed set is a flag per canonical column, and each
-//! lowered subtree carries where each of its canonical columns sits in
-//! its physical output. Names are looked up only where the logical plan
-//! spells a column by name (join, group and sort keys and aggregate
-//! inputs), once each.
+//! lowering starts (`LogicalPlan::output_fields`); lowering reads their
+//! count, and the root's names and types become the handle's schema.
+//! Columns are indexes throughout, as the logical plan addresses them: a
+//! needed set is a flag per canonical column, each lowered subtree
+//! carries where each of its canonical columns sits in its physical
+//! output, and every key is remapped through that map. An inner-join
+//! block numbers its columns by leaf, so a join side's key is shifted by
+//! the width of the leaves before that side. No column name is compared.
 
 use morsel_exec::expr::Expr;
 use morsel_exec::join::JoinKind;
@@ -40,7 +42,7 @@ use morsel_storage::Schema;
 use crate::cost::CostParams;
 use crate::estimate::{Estimator, PlanEst};
 use crate::joinorder::{enumerate, GraphEdge, GraphNode, JoinGraph, JoinTree, DP_BUDGET_DEFAULT};
-use crate::logical::{fields_of, position, Field, LogicalPlan};
+use crate::logical::{fields_of, Field, LogicalPlan};
 
 /// What the planner did to one inner-join block.
 #[derive(Debug, Clone)]
@@ -216,48 +218,47 @@ impl Planner {
                 }
             }
             LogicalPlan::Aggregate { input, group, aggs } => {
-                let schema = canon.get(input);
-                let mut refs = vec![false; schema.len()];
-                let inputs = aggs.iter().filter_map(|(_, a)| a.input());
-                for name in group.iter().map(String::as_str).chain(inputs) {
-                    refs[position(schema, name)] = true;
+                let mut refs = vec![false; canon.get(input).len()];
+                for &c in group {
+                    refs[c] = true;
+                }
+                for &(_, mut f) in aggs {
+                    if let Some(&mut c) = f.input_mut() {
+                        refs[c] = true;
+                    }
                 }
                 let child = self.lower(canon, input, Some(&refs), report);
-                let at = |name: &str| {
-                    let c = position(schema, name);
-                    (
-                        child.map[c].expect("lowered input keeps its refs"),
-                        schema[c].1,
-                    )
-                };
+                let at = |c: usize| child.map[c].expect("lowered input keeps its refs");
+                let mut aggs = aggs.clone();
+                for (_, f) in &mut aggs {
+                    if let Some(c) = f.input_mut() {
+                        *c = at(*c);
+                    }
+                }
                 Lowered {
                     map: (0..group.len() + aggs.len()).map(Some).collect(),
                     plan: Plan::Agg {
-                        group_cols: group.iter().map(|g| at(g).0).collect(),
-                        aggs: (aggs.iter())
-                            .map(|(n, a)| (n.clone(), a.resolve(at)))
-                            .collect(),
+                        group_cols: group.iter().map(|&g| at(g)).collect(),
+                        aggs,
                         input: Box::new(child.plan),
                     },
                 }
             }
             LogicalPlan::Sort { input, keys, limit } => {
-                let schema = canon.get(lp);
-                let cols: Vec<usize> = keys.iter().map(|k| position(schema, &k.column)).collect();
                 let child_needed = needed.map(|set| {
                     let mut set = set.to_vec();
-                    for &c in &cols {
-                        set[c] = true;
+                    for k in keys {
+                        set[k.col] = true;
                     }
                     set
                 });
                 let child = self.lower(canon, input, child_needed.as_deref(), report);
                 Lowered {
                     plan: Plan::Sort {
-                        keys: (keys.iter().zip(&cols))
-                            .map(|(k, &c)| SortKey {
-                                col: child.map[c].expect("lowered input keeps its sort keys"),
-                                desc: k.descending,
+                        keys: (keys.iter())
+                            .map(|k| SortKey {
+                                col: child.map[k.col].expect("lowered input keeps its sort keys"),
+                                desc: k.desc,
                             })
                             .collect(),
                         limit: *limit,
@@ -279,23 +280,22 @@ impl Planner {
             } => {
                 // Semi/Anti/Count: direction is fixed (left streams,
                 // right builds) and the build side carries only its keys.
-                let (ls, rs) = (canon.get(left), canon.get(right));
-                let lk: Vec<usize> = left_keys.iter().map(|k| position(ls, k)).collect();
-                let rk: Vec<usize> = right_keys.iter().map(|k| position(rs, k)).collect();
-                let mut ln: Vec<bool> = (0..ls.len()).map(|c| wants(needed, c)).collect();
-                let mut rn = vec![false; rs.len()];
-                for &c in &lk {
+                let mut ln: Vec<bool> = (0..canon.get(left).len())
+                    .map(|c| wants(needed, c))
+                    .collect();
+                let mut rn = vec![false; canon.get(right).len()];
+                for &c in left_keys {
                     ln[c] = true;
                 }
-                for &c in &rk {
+                for &c in right_keys {
                     rn[c] = true;
                 }
                 let probe = self.lower(canon, left, Some(&ln), report);
                 let build = self.lower(canon, right, Some(&rn), report);
                 let key_at = |map: &[Option<usize>], c: usize| map[c].expect("join keys survive");
                 let plan = Plan::Join {
-                    probe_keys: lk.iter().map(|&c| key_at(&probe.map, c)).collect(),
-                    build_keys: rk.iter().map(|&c| key_at(&build.map, c)).collect(),
+                    probe_keys: left_keys.iter().map(|&c| key_at(&probe.map, c)).collect(),
+                    build_keys: right_keys.iter().map(|&c| key_at(&build.map, c)).collect(),
                     probe: Box::new(probe.plan),
                     build: Box::new(build.plan),
                     kind: *kind,
@@ -319,22 +319,21 @@ impl Planner {
         needed: Option<&[bool]>,
         report: &mut PlanReport,
     ) -> Lowered {
-        // 1. Flatten the run of inner joins into leaves + key pairs.
+        // 1. Flatten the run of inner joins into leaves + key pairs. The
+        // block's columns are its leaves', in order: leaf `i`'s start at
+        // `offsets[i]`.
         let mut leaves: Vec<&LogicalPlan> = Vec::new();
-        let mut pairs: Vec<(&str, &str)> = Vec::new();
+        let mut pairs: Vec<[KeyEnd; 2]> = Vec::new();
         collect_block(lp, &mut leaves, &mut pairs);
         let mut offsets = vec![0];
         for leaf in &leaves {
             offsets.push(offsets[offsets.len() - 1] + canon.get(leaf).len());
         }
         let width = offsets[leaves.len()];
-        let owner = |name: &str| -> (usize, usize) {
-            (leaves.iter().enumerate())
-                .find_map(|(i, leaf)| {
-                    let j = canon.get(leaf).iter().position(|&(n, _)| n == name)?;
-                    Some((i, offsets[i] + j))
-                })
-                .unwrap_or_else(|| panic!("join key {name:?} not found in any join input"))
+        // A key end's leaf, and its block column.
+        let owner = |(first, key): KeyEnd| -> (usize, usize) {
+            let c = offsets[first] + key;
+            (offsets.partition_point(|&o| o <= c) - 1, c)
         };
 
         // 2. Merge key pairs into per-leaf-pair edges. `keys` lists each
@@ -343,12 +342,9 @@ impl Planner {
         let mut edges: Vec<GraphEdge> = Vec::new();
         let mut keys: Vec<(usize, usize, usize)> = Vec::new();
         let mut is_key = vec![false; width];
-        for &(l, r) in &pairs {
+        for &[l, r] in &pairs {
             let ((a, ac), (b, bc)) = (owner(l), owner(r));
-            assert_ne!(
-                a, b,
-                "join predicate {l:?} = {r:?} references a single input"
-            );
+            assert_ne!(a, b, "a join key pair references a single input");
             let (a, b, ac, bc) = if a < b {
                 (a, b, ac, bc)
             } else {
@@ -507,9 +503,11 @@ impl Planner {
 
 /// Canonical columns of a logical plan's nodes, derived once, bottom-up,
 /// with names borrowed from the plan, and keyed by node address (a plan
-/// has tens of nodes, so a list searches as fast as a hash map). A block
-/// of inner joins gets them once, at its top, from its leaves': lowering
-/// never asks for the joins inside a block.
+/// has tens of nodes, so a list searches as fast as a hash map). Lowering
+/// reads each node's width, and the root's names and types become the
+/// handle's schema; the other names are carried only to get there. A
+/// block of inner joins gets them once, at its top, from its leaves':
+/// lowering never asks for the joins inside a block.
 struct Canonical<'a>(Vec<(*const LogicalPlan, Vec<Field<'a>>)>);
 
 impl<'a> Canonical<'a> {
@@ -621,11 +619,17 @@ fn leaf_set(tree: &JoinTree) -> u64 {
     }
 }
 
-/// Flatten a run of inner joins.
+/// One end of an inner-join key pair: the first leaf of its join side,
+/// and the key's position among that side's columns, which run on
+/// through the side's later leaves.
+type KeyEnd = (usize, usize);
+
+/// Flatten a run of inner joins into its leaves, in order, and its key
+/// pairs, a join's after its inputs'.
 fn collect_block<'a>(
     lp: &'a LogicalPlan,
     leaves: &mut Vec<&'a LogicalPlan>,
-    pairs: &mut Vec<(&'a str, &'a str)>,
+    pairs: &mut Vec<[KeyEnd; 2]>,
 ) {
     match lp {
         LogicalPlan::Join {
@@ -635,10 +639,12 @@ fn collect_block<'a>(
             right_keys,
             kind: JoinKind::Inner,
         } => {
+            let first_left = leaves.len();
             collect_block(left, leaves, pairs);
+            let first_right = leaves.len();
             collect_block(right, leaves, pairs);
-            for (l, r) in left_keys.iter().zip(right_keys) {
-                pairs.push((l, r));
+            for (&l, &r) in left_keys.iter().zip(right_keys) {
+                pairs.push([(first_left, l), (first_right, r)]);
             }
         }
         other => leaves.push(other),

@@ -9,12 +9,13 @@
 //! includes the planner's debug-only check of the output layout; a
 //! release build plans Q8 in ~120 fewer.
 //!
-//! For scale: before the join enumerator kept a memo of splits and
-//! lowering and binding worked on column indexes, Q8 made 1,386
-//! allocations binding and 5,091 planning (a release build); it now
-//! makes 222 and 355. Run with one candidate-tree clone put back into
-//! the enumerator (`Dpccp::pair` building both halves' trees), Q5, Q8
-//! and Q9 exceed their plan budgets.
+//! For scale: before the join enumerator kept a memo of splits,
+//! lowering and binding worked on column indexes and the logical plan
+//! took its join, group and sort keys and aggregate inputs as positions,
+//! Q8 made 1,386 allocations binding and 5,091 planning (a release
+//! build); it now makes 202 and 311. Run with one candidate-tree clone
+//! put back into the enumerator (`Dpccp::pair` building both halves'
+//! trees), Q5, Q8 and Q9 exceed their plan budgets.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -84,10 +85,10 @@ fn bind_and_plan_stay_within_their_allocation_budgets() {
     // (fixture, catalog, text, allocations binding, planning) as counted
     // when the budgets were set.
     let fixtures = [
-        ("tpch.q5", &tpch, tpch_sql::text(5), 151, 345),
-        ("tpch.q8", &tpch, tpch_sql::text(8), 222, 474),
-        ("tpch.q9", &tpch, tpch_sql::text(9), 163, 367),
-        ("ssb.q4.2", &ssb, ssb_sql::text("4.2"), 178, 312),
+        ("tpch.q5", &tpch, tpch_sql::text(5), 136, 310),
+        ("tpch.q8", &tpch, tpch_sql::text(8), 202, 430),
+        ("tpch.q9", &tpch, tpch_sql::text(9), 146, 332),
+        ("ssb.q4.2", &ssb, ssb_sql::text("4.2"), 161, 291),
     ];
     let mut over = Vec::new();
     for (name, catalog, sql, bind_then, plan_then) in fixtures {

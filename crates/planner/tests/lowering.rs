@@ -6,15 +6,48 @@ use std::sync::Arc;
 
 use morsel_core::{DispatchConfig, ExecEnv, SimExecutor};
 use morsel_exec::agg::AggFn;
-use morsel_exec::expr::{add, col, ge, gt, lit, mul};
+use morsel_exec::expr::{add, col, ge, gt, lit, mul, Expr};
 use morsel_exec::join::JoinKind;
 use morsel_exec::plan::{compile_query, Plan};
 use morsel_exec::sort::{sort_batch, SortKey};
 use morsel_exec::SystemVariant;
 use morsel_numa::{Placement, Topology};
-use morsel_planner::{AggSpec, LogicalPlan, OrderBy, Planner};
+use morsel_planner::{LogicalPlan, Planner};
 use morsel_storage::{Batch, Column, PartitionBy, Relation, Schema};
 use proptest::prelude::*;
+
+/// `left ⋈ right` on one key pair named by column, resolved to positions.
+fn join_on(
+    left: LogicalPlan,
+    right: LogicalPlan,
+    keys: (&str, &str),
+    kind: JoinKind,
+) -> LogicalPlan {
+    let (l, r) = (
+        left.schema().index_of(keys.0),
+        right.schema().index_of(keys.1),
+    );
+    left.join_kind(right, &[l], &[r], kind)
+}
+
+/// The three-way star join `fact ⋈ dim_a ⋈ dim_b`, `dim_a` filtered.
+fn star_join(s: &Star, dim_a_filter: Option<Expr>) -> LogicalPlan {
+    let fact = LogicalPlan::scan("fact", s.fact.clone(), None, &["f_a", "f_b", "f_val"]);
+    let dim_a = LogicalPlan::scan("dim_a", s.dim_a.clone(), dim_a_filter, &["a_id", "a_grp"]);
+    let dim_b = LogicalPlan::scan("dim_b", s.dim_b.clone(), None, &["b_id", "b_grp"]);
+    let fa = join_on(fact, dim_a, ("f_a", "a_id"), JoinKind::Inner);
+    join_on(fa, dim_b, ("f_b", "b_id"), JoinKind::Inner)
+}
+
+/// `GROUP BY a_grp, b_grp` with `sum(f_val)` and `count(*)` over the star.
+fn star_aggregate(joined: LogicalPlan) -> LogicalPlan {
+    let at = |name| joined.schema().index_of(name);
+    let (a_grp, b_grp, f_val) = (at("a_grp"), at("b_grp"), at("f_val"));
+    joined.aggregate(
+        &[a_grp, b_grp],
+        vec![("total", AggFn::SumI64(f_val)), ("n", AggFn::Count)],
+    )
+}
 
 fn run(env: &ExecEnv, plan: Plan) -> Batch {
     let (spec, result) = compile_query("q", plan, SystemVariant::full());
@@ -90,27 +123,8 @@ fn two_join_aggregate_matches_oracle() {
     let env = ExecEnv::new(topo.clone());
     let s = star(&topo, 20_000, 50, 20, 0);
 
-    let logical = LogicalPlan::scan("fact", s.fact.clone(), None, &["f_a", "f_b", "f_val"])
-        .join(
-            LogicalPlan::scan(
-                "dim_a",
-                s.dim_a.clone(),
-                Some(ge(col(1), lit(2))),
-                &["a_id", "a_grp"],
-            ),
-            &["f_a"],
-            &["a_id"],
-        )
-        .join(
-            LogicalPlan::scan("dim_b", s.dim_b.clone(), None, &["b_id", "b_grp"]),
-            &["f_b"],
-            &["b_id"],
-        )
-        .aggregate(
-            &["a_grp", "b_grp"],
-            vec![("total", AggSpec::sum("f_val")), ("n", AggSpec::Count)],
-        )
-        .sort(vec![OrderBy::asc("a_grp"), OrderBy::asc("b_grp")], None);
+    let logical = star_aggregate(star_join(&s, Some(ge(col(1), lit(2)))))
+        .sort(vec![SortKey::asc(0), SortKey::asc(1)], None);
 
     let oracle = Plan::scan(s.fact.clone(), None, &["f_a", "f_b", "f_val"])
         .join(
@@ -151,25 +165,27 @@ fn semi_join_blocks_are_respected() {
     let env = ExecEnv::new(topo.clone());
     let s = star(&topo, 10_000, 40, 15, 3);
 
-    let logical = LogicalPlan::scan("fact", s.fact.clone(), None, &["f_a", "f_b", "f_val"])
-        .join_kind(
-            LogicalPlan::scan(
-                "dim_a",
-                s.dim_a.clone(),
-                Some(gt(col(1), lit(1))),
-                &["a_id"],
-            ),
-            &["f_a"],
-            &["a_id"],
-            JoinKind::Semi,
-        )
-        .join(
-            LogicalPlan::scan("dim_b", s.dim_b.clone(), None, &["b_id", "b_grp"]),
-            &["f_b"],
-            &["b_id"],
-        )
-        .aggregate(&["b_grp"], vec![("total", AggSpec::sum("f_val"))])
-        .sort(vec![OrderBy::asc("b_grp")], None);
+    let fact = LogicalPlan::scan("fact", s.fact.clone(), None, &["f_a", "f_b", "f_val"]);
+    let dim_a = LogicalPlan::scan(
+        "dim_a",
+        s.dim_a.clone(),
+        Some(gt(col(1), lit(1))),
+        &["a_id"],
+    );
+    let dim_b = LogicalPlan::scan("dim_b", s.dim_b.clone(), None, &["b_id", "b_grp"]);
+    let joined = join_on(
+        join_on(fact, dim_a, ("f_a", "a_id"), JoinKind::Semi),
+        dim_b,
+        ("f_b", "b_id"),
+        JoinKind::Inner,
+    );
+    let (b_grp, f_val) = (
+        joined.schema().index_of("b_grp"),
+        joined.schema().index_of("f_val"),
+    );
+    let logical = joined
+        .aggregate(&[b_grp], vec![("total", AggFn::SumI64(f_val))])
+        .sort(vec![SortKey::asc(0)], None);
 
     let oracle = Plan::scan(s.fact.clone(), None, &["f_a", "f_b", "f_val"])
         .join_kind(
@@ -201,19 +217,21 @@ fn projection_pruning_preserves_results() {
 
     // Scans declare more columns than the aggregate reads; pruned scans
     // must not change the answer.
-    let logical = LogicalPlan::scan(
-        "fact",
-        s.fact.clone(),
-        None,
-        &["f_id", "f_a", "f_b", "f_val"],
-    )
-    .join(
+    let joined = join_on(
+        LogicalPlan::scan(
+            "fact",
+            s.fact.clone(),
+            None,
+            &["f_id", "f_a", "f_b", "f_val"],
+        ),
         LogicalPlan::scan("dim_a", s.dim_a.clone(), None, &["a_id", "a_grp"]),
-        &["f_a"],
-        &["a_id"],
-    )
-    .aggregate(&["a_grp"], vec![("n", AggSpec::Count)])
-    .sort(vec![OrderBy::asc("a_grp")], None);
+        ("f_a", "a_id"),
+        JoinKind::Inner,
+    );
+    let a_grp = joined.schema().index_of("a_grp");
+    let logical = joined
+        .aggregate(&[a_grp], vec![("n", AggFn::Count)])
+        .sort(vec![SortKey::asc(0)], None);
 
     let lowered = Planner::new(&topo).plan(&logical);
     // The fact scan must have been narrowed: f_id and f_val are unread.
@@ -331,6 +349,60 @@ fn project_over_a_bare_column_scan_folds_into_the_scan() {
     );
 }
 
+/// Keys are positions, so join inputs may share column names: `l` and
+/// `r` both expose `k`, the block's third input `t` too, and the semi
+/// join's build side `s` calls its key `k` as well. Keys spelled by name
+/// could not say which `k` they meant, so such a block was refused.
+#[test]
+fn inputs_that_share_a_column_name_join_by_position() {
+    let topo = Topology::laptop();
+    let env = ExecEnv::new(topo.clone());
+    let n = 3_000i64;
+    // `k`, and a value column computed from it.
+    let keyed = |keys: Vec<i64>, name, value: fn(i64) -> i64| {
+        let values = keys.iter().map(|&k| value(k)).collect();
+        rel(
+            &topo,
+            vec![("k", Column::I64(keys)), (name, Column::I64(values))],
+        )
+    };
+    let l = keyed((0..n).collect(), "v", |x| x % 11);
+    let r = keyed((0..n).step_by(2).collect(), "w", |x| x % 7);
+    let t = keyed((0..5).collect(), "x", |x| 10 * x + 1);
+    let s = rel(&topo, vec![("k", Column::I64((0..n).step_by(3).collect()))]);
+
+    // Block columns: l.k 0, l.v 1, r.k 2, r.w 3, t.k 4, t.x 5.
+    let scan =
+        |name, rel: &Arc<Relation>, cols: &[&str]| LogicalPlan::scan(name, rel.clone(), None, cols);
+    let block = scan("l", &l, &["k", "v"])
+        .join(scan("r", &r, &["k", "w"]), &[0], &[0])
+        .join(scan("t", &t, &["k", "x"]), &[3], &[0]);
+    assert_eq!(block.schema().names(), vec!["k", "v", "k", "w", "k", "x"]);
+    let logical = block
+        .join_kind(scan("s", &s, &["k"]), &[2], &[0], JoinKind::Semi)
+        .aggregate(&[1], vec![("total", AggFn::SumI64(5)), ("n", AggFn::Count)]);
+
+    let oracle = Plan::scan(l, None, &["k", "v"])
+        .join(Plan::scan(r, None, &["k", "w"]), &["k"], &["k"], &["w"])
+        .join(Plan::scan(t, None, &["k", "x"]), &["w"], &["k"], &["x"])
+        .join_kind(
+            Plan::scan(s, None, &["k"]),
+            &["k"],
+            &["k"],
+            &[],
+            JoinKind::Semi,
+        )
+        .agg(
+            &["v"],
+            vec![("total", AggFn::SumI64(3)), ("n", AggFn::Count)],
+        );
+
+    let got = normalized(&run(&env, Planner::new(&topo).plan(&logical)));
+    let want = normalized(&run(&env, oracle));
+    assert!(want.rows() > 0, "the oracle finds rows");
+    assert_eq!(got, want);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -347,21 +419,7 @@ proptest! {
         let env = ExecEnv::new(topo.clone());
         let s = star(&topo, n, na, nb, seed);
 
-        let logical = LogicalPlan::scan("fact", s.fact.clone(), None, &["f_a", "f_b", "f_val"])
-            .join(
-                LogicalPlan::scan("dim_a", s.dim_a.clone(), None, &["a_id", "a_grp"]),
-                &["f_a"],
-                &["a_id"],
-            )
-            .join(
-                LogicalPlan::scan("dim_b", s.dim_b.clone(), None, &["b_id", "b_grp"]),
-                &["f_b"],
-                &["b_id"],
-            )
-            .aggregate(
-                &["a_grp", "b_grp"],
-                vec![("total", AggSpec::sum("f_val")), ("n", AggSpec::Count)],
-            );
+        let logical = star_aggregate(star_join(&s, None));
 
         let oracle = Plan::scan(s.fact.clone(), None, &["f_a", "f_b", "f_val"])
             .join(

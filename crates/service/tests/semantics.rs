@@ -68,17 +68,18 @@ impl PipelineJob for SleepJob {
     }
 }
 
+/// `job` over `n` one-row chunks, each its own morsel.
+fn one_row_morsels(label: &str, job: Arc<dyn PipelineJob>, n: usize) -> BuiltJob {
+    let chunk = ChunkMeta {
+        node: SocketId(0),
+        rows: 1,
+    };
+    BuiltJob::new(label, job, vec![chunk; n]).with_atomic_chunks()
+}
+
 fn sleep_spec(name: &str, morsels: usize, per_morsel: Duration) -> QuerySpec {
     let stage: Stage = Stage::new("sleep", move |_env, _w| {
-        BuiltJob::new(
-            "sleep",
-            Arc::new(SleepJob { per_morsel }),
-            vec![ChunkMeta {
-                node: SocketId(0),
-                rows: morsels,
-            }],
-        )
-        .with_morsel_size(1)
+        one_row_morsels("sleep", Arc::new(SleepJob { per_morsel }), morsels)
     });
     QuerySpec::new(name, vec![stage], result_slot())
 }
@@ -359,15 +360,11 @@ impl PipelineJob for ReserveJob {
 
 fn reserve_spec(name: &str, morsels: usize, per_morsel: u64, sleep: Duration) -> QuerySpec {
     let stage: Stage = Stage::new("reserve", move |_env, _w| {
-        BuiltJob::new(
+        one_row_morsels(
             "reserve",
             Arc::new(ReserveJob { per_morsel, sleep }),
-            vec![ChunkMeta {
-                node: SocketId(0),
-                rows: morsels,
-            }],
+            morsels,
         )
-        .with_morsel_size(1)
     });
     QuerySpec::new(name, vec![stage], result_slot())
 }
@@ -437,15 +434,7 @@ fn pool_headroom_does_not_gate_admission() {
         sleep: Duration::from_millis(2),
     });
     let stage: Stage = Stage::new("hog", move |_env, _w| {
-        BuiltJob::new(
-            "hog",
-            Arc::clone(&job) as Arc<dyn PipelineJob>,
-            vec![ChunkMeta {
-                node: SocketId(0),
-                rows: 40,
-            }],
-        )
-        .with_morsel_size(1)
+        one_row_morsels("hog", job.clone(), 40)
     });
     let hog = service.submit(QueryRequest::new(QuerySpec::new(
         "hog",

@@ -8,7 +8,10 @@
 //!   ambiguous names are errors carrying the reference's span.
 //!   When the same column name is exposed by several sources (a self
 //!   join), each copy gets an alias-qualified *working name*
-//!   (`n1.n_name`) so the join output schema stays collision-free.
+//!   (`n1.n_name`), which labels it in `EXPLAIN` and the result schema.
+//!   The plan itself addresses columns by position: join keys, group
+//!   columns, aggregate inputs and sort keys are indexes the binder
+//!   takes from the columns it tracks for each node it builds.
 //! * **Predicate placement** — `WHERE` is split into conjuncts:
 //!   single-table predicates become scan filters, `a.x = b.y`
 //!   equalities become join keys (several between the same pair form
@@ -33,9 +36,11 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use morsel_exec::agg::AggFn;
 use morsel_exec::expr as ex;
 use morsel_exec::join::JoinKind;
-use morsel_planner::{AggSpec, DmlPlan, LogicalPlan, OrderBy};
+use morsel_exec::sort::SortKey;
+use morsel_planner::{DmlPlan, LogicalPlan};
 use morsel_storage::{date, Catalog, DataType, Relation, Schema, Value};
 
 use crate::ast::{
@@ -319,14 +324,12 @@ struct JoinPred<'s> {
 /// One collected aggregate call.
 struct AggSlot<'s> {
     call: &'s Expr,
-    func: AggFunc,
-    distinct: bool,
-    /// Input column name in the pre-aggregation schema (None for COUNT).
-    input: Option<String>,
-    /// Bound input expression (a bare `col(i)` or a computed tree).
-    input_expr: Option<ex::Expr>,
-    /// Whether the argument was a bare column reference.
-    bare: bool,
+    /// The executor's aggregate over its input column, picked from the
+    /// checked argument type.
+    agg: fn(usize) -> AggFn,
+    /// The argument's entry among the pre-aggregation columns (None for
+    /// `COUNT(*)`).
+    input: Option<usize>,
     out_name: String,
     out_ty: Ty,
 }
@@ -337,8 +340,9 @@ struct GroupItem<'s> {
     /// Output column name.
     name: String,
     ty: Ty,
-    /// A bare column whose working name equals `name`.
-    passthrough: bool,
+    /// The column a `GROUP BY` column reference names, which passes
+    /// through under its working name.
+    passthrough: Option<Res>,
 }
 
 struct ShapedAgg<'s> {
@@ -346,7 +350,8 @@ struct ShapedAgg<'s> {
     slots: Vec<AggSlot<'s>>,
     /// Pre-aggregation projection: group entries, then aggregate inputs.
     pre_entries: Vec<(String, ex::Expr)>,
-    /// The input plan already carries every needed column by name.
+    /// Every entry is a joined column under its working name, so the
+    /// joined plan is the aggregate's input as it stands.
     all_passthrough: bool,
     out_names: Vec<String>,
 }
@@ -354,9 +359,8 @@ struct ShapedAgg<'s> {
 type Lookup<'x> = &'x dyn Fn(Option<&str>, &str, Span) -> Result<(usize, Ty), SqlError>;
 
 /// What an expression over an aggregate's output reads: a subtree equal
-/// to a group expression reads that group column (found by its name),
-/// and an aggregate call reads its slot's column, slot `i` at
-/// `groups.len() + i`.
+/// to group expression `i` reads group column `i`, and an aggregate call
+/// reads its slot's column, slot `i` at `groups.len() + i`.
 struct Over<'a, 's> {
     groups: &'a [GroupItem<'s>],
     slots: &'a [AggSlot<'s>],
@@ -365,48 +369,52 @@ struct Over<'a, 's> {
 /// A `(source, column)` coordinate pair for the two sides of a join key.
 type KeyPair = ((usize, usize), (usize, usize));
 
-/// The join tree under construction: its plan, the sources in it, and
-/// its output columns in order — what its canonical schema holds,
-/// without deriving it.
+/// A join key as the join takes it: the tree's output column, and the
+/// joined source's `(source, column)`.
+type JoinKey = (usize, (usize, usize));
+
+/// The join tree under construction: its plan and its output columns in
+/// order — what its canonical schema holds, without deriving it.
 struct JoinedTree {
     plan: LogicalPlan,
-    srcs: Vec<usize>,
     cols: Vec<Res>,
 }
 
 impl JoinedTree {
-    /// Join source `src`'s base plan on key names, this tree's first.
+    /// Where source column `(src, col)` sits in this tree's output, if
+    /// the tree outputs it (a semi or anti join's right side it does not).
+    fn column_of(&self, (src, col): (usize, usize)) -> Option<usize> {
+        self.cols.iter().position(|&r| r == Res::Col { src, col })
+    }
+
+    /// Join source `src`'s base plan on `keys`, this tree's first. The
+    /// source's key is its position among the columns the base plan
+    /// outputs.
     fn join(
         self,
         right: LogicalPlan,
         src: usize,
-        left_keys: Vec<String>,
-        right_keys: Vec<String>,
+        keys: &[JoinKey],
         kind: JoinKind,
         base_cols: &[Vec<usize>],
     ) -> Self {
-        let JoinedTree {
-            plan,
-            mut srcs,
-            mut cols,
-        } = self;
+        let JoinedTree { plan, mut cols } = self;
+        let right_key = |&(_, (_, c)): &JoinKey| {
+            (base_cols[src].iter().position(|&x| x == c)).expect("join keys are scanned")
+        };
+        let plan = LogicalPlan::Join {
+            left: Box::new(plan),
+            right: Box::new(right),
+            left_keys: keys.iter().map(|&(at, _)| at).collect(),
+            right_keys: keys.iter().map(right_key).collect(),
+            kind,
+        };
         match kind {
             JoinKind::Inner => cols.extend(source_columns(base_cols, src)),
             JoinKind::Semi | JoinKind::Anti => {}
             JoinKind::Count => cols.push(Res::Generated),
         }
-        srcs.push(src);
-        JoinedTree {
-            plan: LogicalPlan::Join {
-                left: Box::new(plan),
-                right: Box::new(right),
-                left_keys,
-                right_keys,
-                kind,
-            },
-            srcs,
-            cols,
-        }
+        JoinedTree { plan, cols }
     }
 }
 
@@ -623,9 +631,10 @@ fn bind_scalar(
     lookup: Lookup<'_>,
     over: Option<&Over>,
 ) -> Result<(ex::Expr, Ty), SqlError> {
-    if let Some(g) = over.and_then(|o| o.groups.iter().find(|g| *g.ast == *e)) {
-        let (i, ty) = lookup(None, &g.name, e.span)?;
-        return Ok((ex::col(i), ty));
+    if let Some(groups) = over.map(|o| o.groups) {
+        if let Some(i) = groups.iter().position(|g| *g.ast == *e) {
+            return Ok((ex::col(i), groups[i].ty));
+        }
     }
     match &e.kind {
         ExprKind::Column { table, name } => {
@@ -1020,24 +1029,11 @@ impl<'s> BindCtx<'s> {
         }
 
         if has_agg {
-            let mut shaped = {
+            let shaped = {
                 let lookup = self.joined_lookup(&joined);
                 self.shape_aggregate(&lookup)?
             };
-            let input = if shaped.all_passthrough {
-                plan
-            } else {
-                let mut project = std::mem::take(&mut shaped.pre_entries);
-                if project.is_empty() {
-                    // Scalar aggregate over a join: keep one column.
-                    project.push((self.working_name(joined[0]).into_owned(), ex::col(0)));
-                }
-                LogicalPlan::Project {
-                    input: Box::new(plan),
-                    project,
-                }
-            };
-            self.finish_aggregate(input, shaped)
+            self.finish_aggregate(plan, shaped)
         } else {
             self.bind_plain_projection(plan, &joined)
         }
@@ -1146,7 +1142,6 @@ impl<'s> BindCtx<'s> {
         let select = self.select;
         let mut tree = JoinedTree {
             plan: base[0].take().expect("first source plan"),
-            srcs: vec![0],
             cols: source_columns(base_cols, 0).collect(),
         };
         let mut pending: Vec<usize> = Vec::new();
@@ -1170,14 +1165,12 @@ impl<'s> BindCtx<'s> {
                     };
                     let mut on_conjuncts = Vec::new();
                     split_and(on, &mut on_conjuncts);
-                    let (mut left_keys, mut right_keys) = (Vec::new(), Vec::new());
+                    let mut keys = Vec::with_capacity(on_conjuncts.len());
                     for c in on_conjuncts {
-                        let (tree_side, new_side) = self.on_key_pair(c, &tree.srcs, i)?;
-                        left_keys.push(self.working(tree_side.0, tree_side.1).into_owned());
-                        right_keys.push(self.working(new_side.0, new_side.1).into_owned());
+                        keys.push(self.on_key_pair(c, &tree, i)?);
                     }
                     let right = base[i].take().expect("join source plan");
-                    tree = tree.join(right, i, left_keys, right_keys, kind, base_cols);
+                    tree = tree.join(right, i, &keys, kind, base_cols);
                     tree = self.drain_pending(tree, &mut pending, base, base_cols, preds);
                 }
             }
@@ -1208,29 +1201,27 @@ impl<'s> BindCtx<'s> {
         loop {
             let mut attached = None;
             for (pi, &p) in pending.iter().enumerate() {
-                let (mut left_keys, mut right_keys) = (Vec::new(), Vec::new());
+                let mut keys = Vec::new();
                 let mut hit = Vec::new();
                 for (ji, jp) in preds.iter().enumerate() {
                     if jp.used {
                         continue;
                     }
-                    let pair = if jp.a.0 == p && tree.srcs.contains(&jp.b.0) {
-                        Some((jp.b, jp.a))
-                    } else if jp.b.0 == p && tree.srcs.contains(&jp.a.0) {
-                        Some((jp.a, jp.b))
+                    let key = if jp.a.0 == p {
+                        tree.column_of(jp.b).map(|at| (at, jp.a))
+                    } else if jp.b.0 == p {
+                        tree.column_of(jp.a).map(|at| (at, jp.b))
                     } else {
                         None
                     };
-                    if let Some((tree_side, new_side)) = pair {
-                        left_keys.push(self.working(tree_side.0, tree_side.1).into_owned());
-                        right_keys.push(self.working(new_side.0, new_side.1).into_owned());
+                    if let Some(key) = key {
+                        keys.push(key);
                         hit.push(ji);
                     }
                 }
                 if !hit.is_empty() {
                     let right = base[p].take().expect("pending source plan");
-                    let kind = JoinKind::Inner;
-                    tree = tree.join(right, p, left_keys, right_keys, kind, base_cols);
+                    tree = tree.join(right, p, &keys, JoinKind::Inner, base_cols);
                     for ji in hit {
                         preds[ji].used = true;
                     }
@@ -1247,18 +1238,18 @@ impl<'s> BindCtx<'s> {
         }
     }
 
+    /// An `ON` conjunct as a join key between `tree` and `new_src`.
     fn on_key_pair(
         &self,
         c: &Expr,
-        tree_srcs: &[usize],
+        tree: &JoinedTree,
         new_src: usize,
-    ) -> Result<KeyPair, SqlError> {
+    ) -> Result<JoinKey, SqlError> {
         if let Some((l, r)) = self.column_equality(c)? {
-            if tree_srcs.contains(&l.0) && r.0 == new_src {
-                return Ok((l, r));
-            }
-            if tree_srcs.contains(&r.0) && l.0 == new_src {
-                return Ok((r, l));
+            for (old, new) in [(l, r), (r, l)] {
+                if let (Some(at), true) = (tree.column_of(old), new.0 == new_src) {
+                    return Ok((at, new));
+                }
             }
         }
         Err(SqlError::new(
@@ -1319,10 +1310,10 @@ impl<'s> BindCtx<'s> {
         let mut groups: Vec<GroupItem<'s>> = Vec::new();
         let mut pre_entries: Vec<(String, ex::Expr)> = Vec::new();
         for (gi, g) in select.group_by.iter().enumerate() {
-            let (ast, name) = match &g.kind {
+            let (ast, name, passthrough) = match &g.kind {
                 ExprKind::Column { table, name } => {
                     match self.resolve(table.as_deref(), name, g.span) {
-                        Ok(res) => (g, self.working_name(res).into_owned()),
+                        Ok(res) => (g, self.working_name(res).into_owned(), Some(res)),
                         Err(err) => {
                             let alias_hit = if table.is_none() {
                                 select
@@ -1335,7 +1326,7 @@ impl<'s> BindCtx<'s> {
                                 None
                             };
                             match alias_hit {
-                                Some((expr, n)) => (expr, n),
+                                Some((expr, n)) => (expr, n, None),
                                 None => return Err(err),
                             }
                         }
@@ -1349,7 +1340,7 @@ impl<'s> BindCtx<'s> {
                         .find(|(item, _)| &item.expr == g)
                         .map(|(_, n)| n.clone())
                         .unwrap_or_else(|| format!("_group{gi}"));
-                    (g, name)
+                    (g, name, None)
                 }
             };
             if ast.has_agg() {
@@ -1359,13 +1350,6 @@ impl<'s> BindCtx<'s> {
                 ));
             }
             let (bound, ty) = bind_scalar(ast, lookup, None)?;
-            let passthrough = match &ast.kind {
-                ExprKind::Column { table, name: n } => {
-                    let res = self.resolve(table.as_deref(), n, ast.span)?;
-                    self.working_name(res) == name
-                }
-                _ => false,
-            };
             pre_entries.push((name.clone(), bound));
             groups.push(GroupItem {
                 ast,
@@ -1388,6 +1372,9 @@ impl<'s> BindCtx<'s> {
                 !is_agg
             });
         }
+        // Each argument is an entry after the groups'; a bare column that
+        // already is one is shared.
+        let mut bare_args = true;
         let mut slots: Vec<AggSlot<'s>> = Vec::with_capacity(calls.len());
         for (idx, call) in calls.into_iter().enumerate() {
             let out_name = select
@@ -1397,18 +1384,20 @@ impl<'s> BindCtx<'s> {
                 .find(|(item, _)| &item.expr == call)
                 .map(|(_, n)| n.clone())
                 .unwrap_or_else(|| format!("_agg{idx}"));
-            slots.push(self.make_slot(call, out_name, lookup, idx)?);
-        }
-
-        for slot in &mut slots {
-            if let (Some(input), Some(expr)) = (&slot.input, slot.input_expr.take()) {
-                if !pre_entries.iter().any(|(n, _)| n == input) {
-                    pre_entries.push((input.clone(), expr));
-                }
+            let (mut slot, arg) = self.make_slot(call, out_name, lookup, idx)?;
+            if let Some((name, expr)) = arg {
+                let bare = bare_col(&expr);
+                bare_args &= bare.is_some();
+                let shared = bare
+                    .and_then(|c| (pre_entries.iter()).position(|(_, e)| bare_col(e) == Some(c)));
+                slot.input = Some(shared.unwrap_or_else(|| {
+                    pre_entries.push((name, expr));
+                    pre_entries.len() - 1
+                }));
             }
+            slots.push(slot);
         }
-        let all_passthrough = groups.iter().all(|g| g.passthrough)
-            && slots.iter().all(|s| s.input.is_none() || s.bare);
+        let all_passthrough = bare_args && groups.iter().all(|g| g.passthrough.is_some());
         Ok(ShapedAgg {
             groups,
             slots,
@@ -1418,13 +1407,16 @@ impl<'s> BindCtx<'s> {
         })
     }
 
+    /// A slot for an aggregate call, and its argument as a named
+    /// pre-aggregation entry: a bare column under its working name, a
+    /// computed one as `_in<idx>`.
     fn make_slot(
         &self,
         call: &'s Expr,
         out_name: String,
         lookup: Lookup<'_>,
         idx: usize,
-    ) -> Result<AggSlot<'s>, SqlError> {
+    ) -> Result<(AggSlot<'s>, Option<(String, ex::Expr)>), SqlError> {
         let (func, distinct, arg) = match &call.kind {
             ExprKind::Agg {
                 func,
@@ -1433,9 +1425,7 @@ impl<'s> BindCtx<'s> {
             } => (*func, *distinct, arg.as_deref()),
             _ => unreachable!("only aggregate calls get a slot"),
         };
-        let mut input = None;
-        let mut input_expr = None;
-        let mut bare = false;
+        let mut entry = None;
         let mut arg_ty = Ty::Int;
         if let Some(a) = arg {
             if a.has_agg() {
@@ -1443,14 +1433,13 @@ impl<'s> BindCtx<'s> {
             }
             let (bound, ty) = bind_scalar(a, lookup, None)?;
             arg_ty = ty;
-            if let ExprKind::Column { table, name } = &a.kind {
+            let name = if let ExprKind::Column { table, name } = &a.kind {
                 let res = self.resolve(table.as_deref(), name, a.span)?;
-                input = Some(self.working_name(res).into_owned());
-                bare = true;
+                self.working_name(res).into_owned()
             } else {
-                input = Some(format!("_in{idx}"));
-            }
-            input_expr = Some(bound);
+                format!("_in{idx}")
+            };
+            entry = Some((name, bound));
         }
         let out_ty = match func {
             AggFunc::Count => Ty::Int,
@@ -1506,47 +1495,65 @@ impl<'s> BindCtx<'s> {
                 ));
             }
         }
-        Ok(AggSlot {
+        let agg: fn(usize) -> AggFn = match (func, distinct) {
+            (AggFunc::Count, true) => AggFn::CountDistinctI64,
+            // COUNT(x) == COUNT(*): the engine has no NULLs.
+            (AggFunc::Count, false) => |_| AggFn::Count,
+            (AggFunc::Sum, _) if arg_ty == Ty::Float => AggFn::SumF64,
+            (AggFunc::Sum, _) => AggFn::SumI64,
+            (AggFunc::Min, _) => AggFn::MinI64,
+            (AggFunc::Max, _) => AggFn::MaxI64,
+            (AggFunc::Avg, _) => AggFn::AvgI64,
+        };
+        let slot = AggSlot {
             call,
-            func,
-            distinct,
-            input,
-            input_expr,
-            bare,
+            agg,
+            input: None,
             out_name,
             out_ty,
-        })
+        };
+        Ok((slot, entry))
     }
 
+    /// Aggregate `joined` (the plan over the joined sources) as shaped.
+    /// Its input is `joined` itself when every entry passes through,
+    /// each read at its joined column, else the pre-aggregation
+    /// projection, each entry read at its own position.
     fn finish_aggregate(
         self,
-        input: LogicalPlan,
+        joined: LogicalPlan,
         shaped: ShapedAgg<'s>,
     ) -> Result<LogicalPlan, SqlError> {
         let ShapedAgg {
             groups,
             slots,
+            pre_entries,
+            all_passthrough,
             out_names,
-            ..
         } = shaped;
-        let group_names: Vec<&str> = groups.iter().map(|g| g.name.as_str()).collect();
-        let aggs: Vec<(&str, AggSpec)> = slots
-            .iter()
-            .map(|s| {
-                let input = || s.input.clone().expect("argument checked at slot creation");
-                let spec = match (s.func, s.distinct) {
-                    (AggFunc::Count, true) => AggSpec::CountDistinct(input()),
-                    // COUNT(x) == COUNT(*): the engine has no NULLs.
-                    (AggFunc::Count, false) => AggSpec::Count,
-                    (AggFunc::Sum, _) => AggSpec::Sum(input()),
-                    (AggFunc::Min, _) => AggSpec::Min(input()),
-                    (AggFunc::Max, _) => AggSpec::Max(input()),
-                    (AggFunc::Avg, _) => AggSpec::Avg(input()),
-                };
-                (s.out_name.as_str(), spec)
-            })
-            .collect();
-        let mut plan = input.aggregate(&group_names, aggs);
+        let (input, at): (LogicalPlan, Vec<usize>) = if all_passthrough {
+            let at = (pre_entries.iter())
+                .map(|(_, e)| bare_col(e).expect("a passthrough entry is a bare column"))
+                .collect();
+            (joined, at)
+        } else {
+            let at = (0..pre_entries.len()).collect();
+            let project = LogicalPlan::Project {
+                input: Box::new(joined),
+                project: pre_entries,
+            };
+            (project, at)
+        };
+        let mut plan = LogicalPlan::Aggregate {
+            input: Box::new(input),
+            group: at[..groups.len()].to_vec(),
+            aggs: (slots.iter())
+                .map(|s| {
+                    let agg = s.input.map_or(AggFn::Count, |i| (s.agg)(at[i]));
+                    (s.out_name.clone(), agg)
+                })
+                .collect(),
+        };
 
         // Environment over the aggregate's output: group columns by
         // name/alias, aggregate calls by slot, nothing else. Subtrees
@@ -1570,8 +1577,7 @@ impl<'s> BindCtx<'s> {
                     }
                 }
                 let res = self.resolve(table, name, span)?;
-                let w = self.working_name(res);
-                if let Some(i) = groups.iter().position(|g| g.name == w) {
+                if let Some(i) = groups.iter().position(|g| g.passthrough == Some(res)) {
                     return Ok((i, groups[i].ty));
                 }
                 Err(SqlError::new(
@@ -1628,9 +1634,9 @@ impl<'s> BindCtx<'s> {
             }
             return Ok(plan);
         }
-        let mut keys = Vec::new();
+        let mut keys = Vec::with_capacity(select.order_by.len());
         for o in &select.order_by {
-            if !names.contains(&o.name) {
+            let Some(col) = names.iter().position(|n| *n == o.name) else {
                 return Err(SqlError::new(
                     format!(
                         "ORDER BY column `{}` is not in the output (have: {})",
@@ -1639,13 +1645,18 @@ impl<'s> BindCtx<'s> {
                     ),
                     o.span,
                 ));
-            }
-            keys.push(OrderBy {
-                column: o.name.clone(),
-                descending: o.desc,
-            });
+            };
+            keys.push(SortKey { col, desc: o.desc });
         }
         Ok(plan.sort(keys, select.limit))
+    }
+}
+
+/// The column a bound expression reads, if it is a bare column.
+fn bare_col(e: &ex::Expr) -> Option<usize> {
+    match e {
+        ex::Expr::Col(c) => Some(*c),
+        _ => None,
     }
 }
 
@@ -1738,5 +1749,44 @@ mod tests {
             &sql[err.span.start..err.span.end],
             "n.n_name = n.n_regionkey"
         );
+    }
+
+    /// A semi join's right side outputs no column, so no later join can
+    /// key on one: binding refuses it rather than hand the planner a key
+    /// that indexes nothing.
+    #[test]
+    fn a_key_on_a_semi_joined_column_is_a_bind_error() {
+        let cat = generate_tpch(TpchConfig::scaled(0.001), &Topology::laptop()).catalog();
+        let semi = "SELECT o_orderkey FROM orders SEMI JOIN lineitem ON o_orderkey = l_orderkey";
+        for (sql, message, span) in [
+            (
+                format!("{semi} JOIN part ON l_partkey = p_partkey"),
+                "ON clause must be",
+                "l_partkey = p_partkey",
+            ),
+            (
+                format!("{semi}, part WHERE l_partkey = p_partkey"),
+                "table `part` is not connected",
+                "part",
+            ),
+        ] {
+            let err = crate::plan_sql(&cat, &sql).err().expect("a bind error");
+            assert!(err.message.starts_with(message), "{sql}: {err}");
+            assert_eq!(&sql[err.span.start..err.span.end], span, "{sql}");
+        }
+    }
+
+    /// An aggregate's argument shares a pre-aggregation column only with
+    /// the same column, not with a computed group its alias names alike.
+    #[test]
+    fn an_aggregate_argument_is_not_a_group_that_shares_its_name() {
+        let cat = generate_tpch(TpchConfig::scaled(0.001), &Topology::laptop()).catalog();
+        let sql = "SELECT EXTRACT(YEAR FROM o_orderdate) AS o_custkey, SUM(o_custkey) AS s \
+                   FROM orders GROUP BY EXTRACT(YEAR FROM o_orderdate)";
+        let Ok(super::LogicalPlan::Aggregate { group, aggs, .. }) = crate::plan_sql(&cat, sql)
+        else {
+            panic!("the select list is the aggregate's own output");
+        };
+        assert_eq!((group, aggs[0].1), (vec![0], super::AggFn::SumI64(1)));
     }
 }

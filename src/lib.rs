@@ -65,7 +65,7 @@ pub mod prelude {
     pub use morsel_exec::sort::SortKey;
     pub use morsel_exec::SystemVariant;
     pub use morsel_numa::{CostModel, Placement, SocketId, Topology};
-    pub use morsel_planner::{AggSpec, LogicalPlan, OrderBy, Planner};
+    pub use morsel_planner::{LogicalPlan, Planner};
     pub use morsel_queries::{format_rows, run_sim, run_threaded};
     pub use morsel_sql::{plan_sql, SqlError};
     pub use morsel_storage::{
